@@ -25,7 +25,8 @@
 //!
 //! A per-model `exploration` section additionally runs each exploration
 //! strategy (`saturate`, `guided`, `taso`) from a fresh seed and records
-//! its explore time (split into search/apply/rebuild phase timings),
+//! its explore time (split into search/apply/rebuild/prefilter phase
+//! timings),
 //! final e-node count, node budget, and greedy-DAG extracted cost — the guided strategy runs under a budget 4x below the
 //! saturated size, so the report tracks the budgeted-quality acceptance
 //! property (guided cost ≤ saturation's tree-greedy cost) across PRs.
@@ -343,12 +344,13 @@ fn main() {
                 extracted.dag_cost,
             );
             out.push_str(&format!(
-                "        \"{}\": {{ \"explore_time_s\": {:.4}, \"search_time_s\": {:.4}, \"apply_time_s\": {:.4}, \"rebuild_time_s\": {:.4}, \"enodes\": {}, \"node_budget\": {}, \"dag_cost_us\": {:.3}",
+                "        \"{}\": {{ \"explore_time_s\": {:.4}, \"search_time_s\": {:.4}, \"apply_time_s\": {:.4}, \"rebuild_time_s\": {:.4}, \"prefilter_time_s\": {:.4}, \"enodes\": {}, \"node_budget\": {}, \"dag_cost_us\": {:.3}",
                 stats.strategy,
                 stats.time.as_secs_f64(),
                 stats.search_time.as_secs_f64(),
                 stats.apply_time.as_secs_f64(),
                 stats.rebuild_time.as_secs_f64(),
+                stats.prefilter_time.as_secs_f64(),
                 stats.enodes,
                 budget,
                 extracted.dag_cost,

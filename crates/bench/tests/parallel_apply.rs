@@ -1,6 +1,6 @@
-//! Differential tests of the staged-parallel apply + rebuild path.
+//! Differential tests of the windowed staged-parallel apply + rebuild path.
 //!
-//! The staged applier (`stage_matches_parallel` into `commit_log`) must be
+//! The windowed applier (`tensat_egraph::apply_windowed`) must be
 //! *bit-identical* to the sequential in-place apply loop at every thread
 //! count, so full saturation is run three ways on every `BENCHMARKS`
 //! model — the legacy monolithic oracle (in-place sequential apply), the
@@ -9,7 +9,7 @@
 //! counts, per-rule match sets, and tree-greedy / greedy-DAG / ILP
 //! extraction outcomes. Two regression tests pin the budget semantics:
 //! the node limit is enforced per-commit (overshoot bounded by a single
-//! staged application, never a whole merged log), and a zero time limit
+//! staged application, never a whole window), and a zero time limit
 //! halts exploration before the first iteration.
 
 use std::time::Duration;
@@ -145,10 +145,10 @@ fn staged_parallel_apply_is_bit_identical_on_all_benchmarks() {
     }
 }
 
-/// Regression: the node limit is enforced inside `commit_log` before every
-/// staged application, so a run can overshoot by at most one application's
-/// right-hand side — never by a whole merged log (which on these models
-/// holds thousands of staged e-nodes).
+/// Regression: the node limit is asked before every staged application's
+/// commit, so a run can overshoot by at most one application's right-hand
+/// side — never by a whole staged window (which at four threads holds a
+/// thousand candidates).
 #[test]
 fn node_limit_is_enforced_per_commit_not_per_log() {
     // Largest right-hand side in the rule corpus, with margin: a single

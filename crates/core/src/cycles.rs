@@ -41,9 +41,14 @@ pub struct DescendantsMap {
 }
 
 impl DescendantsMap {
-    /// Computes the descendants map with a fixpoint over the class graph
-    /// (one pass per longest chain; cycles converge because bit sets only
-    /// grow).
+    /// Computes the descendants map: the least fixpoint of
+    /// `desc[i] = children(i) ∪ ⋃ desc[child]`, swept in a DFS post-order
+    /// of the class graph (children first). Where the graph is acyclic a
+    /// row's children are final before the row is built, so the first
+    /// sweep is the fixpoint and nothing is swept twice; cycles (the loop
+    /// only guarantees none are reachable from the root) leave rows behind
+    /// a back edge incomplete, and the sweep repeats until nothing
+    /// changes — bit sets only grow, so it converges.
     pub fn compute(egraph: &TensorEGraph) -> Self {
         let n = egraph.num_slots();
         // Direct child edges.
@@ -64,32 +69,26 @@ impl DescendantsMap {
             c.sort_unstable();
             c.dedup();
         }
+        let (order, acyclic) = post_order(&children);
         let mut desc: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for (i, ch) in children.iter().enumerate() {
-            for &c in ch {
-                desc[i].insert(c);
-            }
-        }
-        // Fixpoint: desc[i] |= desc[child] for every child.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
+        loop {
+            let mut changed = false;
+            for &i in &order {
+                // Take the row out so the children's rows can be read
+                // while it is written; a self loop reads nothing new.
+                let mut row = std::mem::take(&mut desc[i]);
                 for &c in &children[i] {
-                    if c == i {
-                        continue;
-                    }
-                    // Split borrows: clone the child's set (sets are dense
-                    // words, and the loop converges quickly on DAG-like
-                    // e-graphs).
-                    let child_set = desc[c].clone();
-                    if desc[i].union_with(&child_set) {
-                        changed = true;
+                    changed |= row.insert(c);
+                    if c != i {
+                        changed |= row.union_with(&desc[c]);
                     }
                 }
+                desc[i] = row;
+            }
+            if acyclic || !changed {
+                return DescendantsMap { n, desc };
             }
         }
-        DescendantsMap { n, desc }
     }
 
     /// True if `descendant` is reachable from `ancestor` (strictly below).
@@ -103,6 +102,53 @@ impl DescendantsMap {
             _ => false,
         }
     }
+}
+
+/// A DFS post-order of the whole class graph (every slot once, each after
+/// the children first reached through it), and whether the graph is
+/// acyclic (no edge closes onto the DFS stack). Iterative: chains in
+/// saturated model e-graphs outgrow thread stacks.
+fn post_order(children: &[Vec<usize>]) -> (Vec<usize>, bool) {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        New,
+        OnStack,
+        Done,
+    }
+    let n = children.len();
+    let mut marks = vec![Mark::New; n];
+    let mut order = Vec::with_capacity(n);
+    let mut acyclic = true;
+    // (slot, index of its next child edge to follow)
+    let mut stack: Vec<(usize, usize)> = vec![];
+    for start in 0..n {
+        if marks[start] != Mark::New {
+            continue;
+        }
+        marks[start] = Mark::OnStack;
+        stack.push((start, 0));
+        while let Some((slot, next)) = stack.last_mut() {
+            match children[*slot].get(*next) {
+                Some(&child) => {
+                    *next += 1;
+                    match marks[child] {
+                        Mark::New => {
+                            marks[child] = Mark::OnStack;
+                            stack.push((child, 0));
+                        }
+                        Mark::OnStack => acyclic = false,
+                        Mark::Done => {}
+                    }
+                }
+                None => {
+                    marks[*slot] = Mark::Done;
+                    order.push(*slot);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    (order, acyclic)
 }
 
 /// Checks whether applying `target` under `subst` at `matched_class` would

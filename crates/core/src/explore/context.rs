@@ -18,11 +18,11 @@ use crate::cycles::{
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{
-    search_all_guarded_parallel, search_all_guarded_since_parallel, stage_matches_parallel,
-    GuardedProgram, Id, Pattern, SearchMatches, SearchQuery, StagedApp, Subst,
+    apply_windowed, search_all_guarded_parallel, search_all_guarded_since_parallel, GuardedProgram,
+    Id, Pattern, SearchMatches, SearchQuery, StagedApp, Subst,
 };
 use tensat_ir::{TensorData, TensorEGraph, TensorLang};
-use tensat_rules::{pattern_is_valid, MultiPatternRule, TensorRewrite};
+use tensat_rules::{pattern_data, MultiPatternRule, TensorRewrite};
 
 /// Cross-iteration state of the incremental multi-pattern search
 /// ([`ExplorationConfig::incremental_multi`]): the watermark taken after
@@ -194,11 +194,7 @@ impl<'a> ExplorationContext<'a> {
         let nodes_before = egraph.total_number_of_nodes();
         let unions_before = egraph.union_count();
 
-        // Descendants map for the efficient pre-filter (Algorithm 2, line 3).
-        let mut desc = match config.cycle_filter {
-            CycleFilter::Efficient => Some(DescendantsMap::compute(egraph)),
-            _ => None,
-        };
+        let mut desc = self.prefilter_map(egraph, stats);
 
         // --- search phase ---------------------------------------------------
         // All matches — single-pattern and multi-pattern alike — are
@@ -335,39 +331,27 @@ impl<'a> ExplorationContext<'a> {
             inc.cache = vec![];
         }
 
-        // --- apply single-pattern rules (staged) -----------------------------
-        // The whole gathered batch is staged against the read-only
-        // iteration-start e-graph — side conditions evaluate here, sharded
-        // across `apply_threads` scoped workers — then committed in one
-        // sequential pass in batch order, with the limits and the cycle
-        // pre-filter checked before every application, exactly where the
-        // in-place loop checked them. The wall-clock budget also bounds the
-        // staging loop itself (`should_stop`): a large match batch must not
-        // blow through `time_limit` evaluating conditions.
+        // --- apply single-pattern rules ---------------------------------------
+        // The gathered batch goes through the windowed driver: conditions
+        // evaluate against the read-only e-graph a window at a time
+        // (sharded across `apply_threads` scoped workers), each window is
+        // committed in batch order, and both budgets and the cycle
+        // pre-filter are checked before every application, exactly where
+        // the in-place loop checked them — so a budget stop wastes at most
+        // one window of condition evaluations.
         let apply_start = Instant::now();
-        let should_stop = || self.elapsed() >= config.time_limit;
         let batch: Vec<(&TensorRewrite, &[SearchMatches])> = self
             .single_rules
             .iter()
             .zip(single_matches.iter().map(Vec::as_slice))
             .collect();
-        let log = stage_matches_parallel(
+        apply_windowed(
             &batch,
             egraph,
             config.resolved_apply_threads(),
-            Some(&should_stop),
+            |egraph| !self.over_budget(egraph),
+            |egraph, app| !skip_staged_for_cycles(egraph, config.cycle_filter, &mut desc, app),
         );
-        for app in &log.apps {
-            if egraph.total_number_of_nodes() >= config.node_limit
-                || self.elapsed() >= config.time_limit
-            {
-                break;
-            }
-            if skip_staged_for_cycles(egraph, config.cycle_filter, &mut desc, app) {
-                continue;
-            }
-            egraph.commit_staged(app, log.base);
-        }
 
         // --- apply multi-pattern rules (first k_multi iterations only) ------
         let mut events = MultiApplyEvents::default();
@@ -455,47 +439,36 @@ impl<'a> ExplorationContext<'a> {
     /// under a *hard* node budget: an application is attempted only while
     /// the e-graph plus the applier's worst-case growth (its AST size)
     /// stays within `budget`, so the state never exceeds it. Rebuilds and
-    /// cycle-filters afterwards, leaving the state clean for scoring.
+    /// cycle-filters afterwards, leaving the state clean for scoring. Adds
+    /// the descendants-map time to `stats.prefilter_time`.
     pub fn apply_single_budgeted(
         &self,
         egraph: &mut TensorEGraph,
         rule_index: usize,
         matches: &[SearchMatches],
         budget: usize,
+        stats: &mut ExplorationStats,
     ) {
         let rw = &self.single_rules[rule_index];
         // Worst-case e-nodes one application can add: every pattern node
         // is new. (Variables instantiate to existing classes, so this
         // over-estimates — which only makes the budget check stricter.)
         let headroom = rw.applier.ast.len();
-        let mut desc = match self.config.cycle_filter {
-            CycleFilter::Efficient => Some(DescendantsMap::compute(egraph)),
-            _ => None,
-        };
-        // Staged like `run_iteration_with`'s single apply: conditions
-        // evaluate against the read-only batch-start state, the commit
-        // pass checks the budget before every application, and one commit
-        // adds at most `adds.len() <= headroom` nodes — so the budget
-        // stays hard.
-        let should_stop = || self.elapsed() >= self.config.time_limit;
-        let batch = [(rw, matches)];
-        let log = stage_matches_parallel(
-            &batch,
+        let mut desc = self.prefilter_map(egraph, stats);
+        // The same windowed driver as `run_iteration_with`'s single apply:
+        // the budget is asked before every application and one commit adds
+        // at most `adds.len() <= headroom` nodes — so the budget stays
+        // hard.
+        apply_windowed(
+            &[(rw, matches)],
             egraph,
             self.config.resolved_apply_threads(),
-            Some(&should_stop),
+            |egraph| {
+                egraph.total_number_of_nodes() + headroom <= budget
+                    && self.elapsed() < self.config.time_limit
+            },
+            |egraph, app| !skip_staged_for_cycles(egraph, self.config.cycle_filter, &mut desc, app),
         );
-        for app in &log.apps {
-            if egraph.total_number_of_nodes() + headroom > budget
-                || self.elapsed() >= self.config.time_limit
-            {
-                break;
-            }
-            if skip_staged_for_cycles(egraph, self.config.cycle_filter, &mut desc, app) {
-                continue;
-            }
-            egraph.commit_staged(app, log.base);
-        }
         self.seal_state(egraph);
     }
 
@@ -512,6 +485,7 @@ impl<'a> ExplorationContext<'a> {
         rule_index: usize,
         multi_matches: &[Vec<SearchMatches>],
         budget: usize,
+        stats: &mut ExplorationStats,
     ) {
         let mrule = &self.compiled[rule_index];
         let headroom: usize = mrule.rule.dsts.iter().map(|d| d.ast.len()).sum();
@@ -525,10 +499,7 @@ impl<'a> ExplorationContext<'a> {
             node_limit: budget - headroom + 1,
             ..self.config.clone()
         };
-        let mut desc = match self.config.cycle_filter {
-            CycleFilter::Efficient => Some(DescendantsMap::compute(egraph)),
-            _ => None,
-        };
+        let mut desc = self.prefilter_map(egraph, stats);
         let flat: Vec<Vec<(Id, Subst, bool)>> = multi_matches
             .iter()
             .map(|ms| flatten_matches(ms).collect())
@@ -543,6 +514,23 @@ impl<'a> ExplorationContext<'a> {
             &mut MultiApplyEvents::default(),
         );
         self.seal_state(egraph);
+    }
+
+    /// The descendants map for the efficient pre-filter (Algorithm 2,
+    /// line 3), computed on the clean batch-start e-graph and timed into
+    /// `stats.prefilter_time`; `None` in the other filtering modes.
+    fn prefilter_map(
+        &self,
+        egraph: &TensorEGraph,
+        stats: &mut ExplorationStats,
+    ) -> Option<DescendantsMap> {
+        if self.config.cycle_filter != CycleFilter::Efficient {
+            return None;
+        }
+        let start = Instant::now();
+        let desc = DescendantsMap::compute(egraph);
+        stats.prefilter_time += start.elapsed();
+        Some(desc)
     }
 
     /// Rebuilds a candidate state and resolves cycles, restoring the
@@ -731,10 +719,10 @@ fn apply_combo(
     // Shape check every target, and make sure output shapes match the
     // matched classes.
     for ((matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
-        if !pattern_is_valid(egraph, dst, &merged) {
+        let target_data = pattern_data(egraph, dst, &merged);
+        if !target_data.iter().all(|d| d.is_valid()) {
             return;
         }
-        let target_data = tensat_rules::pattern_data(egraph, dst, &merged);
         let out_shape = target_data
             .last()
             .and_then(|d| d.shape().map(|s| s.to_vec()));

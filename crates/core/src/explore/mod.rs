@@ -151,12 +151,11 @@ pub struct ExplorationConfig {
     /// classes across scoped threads with bit-identical match lists, so
     /// this only affects wall-clock time.
     pub search_threads: usize,
-    /// Threads used by the staged apply phase: single-pattern match batches
-    /// are staged against the read-only iteration-start e-graph across
-    /// scoped threads ([`tensat_egraph::stage_matches_parallel`]) and
-    /// committed in one deterministic sequential pass, so — like
-    /// `search_threads` — this only affects wall-clock time, never the
-    /// outcome. `None` (the default, unless `TENSAT_APPLY_THREADS` is set)
+    /// Threads used by the apply phase: single-pattern match batches are
+    /// staged a window at a time against the read-only e-graph across
+    /// scoped threads and committed sequentially in deterministic order
+    /// ([`tensat_egraph::apply_windowed`]), so — like `search_threads` —
+    /// this only affects wall-clock time, never the outcome. `None` (the default, unless `TENSAT_APPLY_THREADS` is set)
     /// follows `search_threads`; see
     /// [`ExplorationConfig::resolved_apply_threads`].
     pub apply_threads: Option<usize>,
@@ -243,6 +242,12 @@ pub struct ExplorationStats {
     /// Filled in by [`Saturate`]'s engine iterations; strategies with no
     /// phase structure ([`Guided`], [`TasoBacktracking`]) leave it zero.
     pub search_time: Duration,
+    /// Time spent building the descendants map for the cycle pre-filter
+    /// ([`DescendantsMap::compute`](crate::cycles::DescendantsMap::compute),
+    /// once per [`Saturate`] iteration and once per [`Guided`] action), so
+    /// `search + apply + rebuild + prefilter` accounts for an engine
+    /// iteration.
+    pub prefilter_time: Duration,
     /// Time spent staging and committing rewrite applications, summed over
     /// iterations (same caveat as `search_time`).
     pub apply_time: Duration,
@@ -680,6 +685,95 @@ mod tests {
             calls < 20,
             "apply batch ignored the time limit: all {calls} candidates ran"
         );
+    }
+
+    /// Regression test: the apply phase staged the *whole* match batch
+    /// (every side condition evaluated, every right-hand side
+    /// instantiated) before its first commit, so when `node_limit` stopped
+    /// the commit pass after a handful of applications all the other
+    /// evaluations were thrown away. The windowed driver may waste at most
+    /// one window: `evaluations <= commits + rejected + window` — through
+    /// both entry points of the engine (a whole iteration, and
+    /// [`Guided`]'s budgeted single-rule action, whose budget must also
+    /// stay hard), at one apply thread (window of one: nothing wasted) and
+    /// at four.
+    #[test]
+    fn budget_stop_wastes_at_most_one_window_of_conditions() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        // Far more pending matches than any window: a balanced `ewadd`
+        // tree over `n_matches + 1` weights has `n_matches` inner nodes.
+        let n_matches = 4 * tensat_egraph::apply_window_len(4);
+        let mut g = GraphBuilder::new();
+        let mut level: Vec<Id> = (0..=n_matches)
+            .map(|i| g.weight(&format!("w{i}"), &[8, 8]))
+            .collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [a, b] => g.ewadd(*a, *b),
+                    _ => pair[0],
+                })
+                .collect();
+        }
+        let expr = g.finish(&level);
+        let mut seed = TensorEGraph::new(TensorAnalysis);
+        let root = seed.add_expr(&expr);
+        seed.rebuild();
+        let nodes_before = seed.total_number_of_nodes();
+        let budget = nodes_before + 5;
+
+        for threads in [1, 4] {
+            for budgeted_action in [false, true] {
+                let evaluated = Arc::new(AtomicUsize::new(0));
+                let rejected = Arc::new(AtomicUsize::new(0));
+                let (evals, rejects) = (evaluated.clone(), rejected.clone());
+                // Commutativity: every admitted application adds exactly
+                // one e-node; every third candidate is rejected.
+                let commute = TensorRewrite::new_conditional(
+                    "counting-commute",
+                    parse_pattern("(ewadd ?a ?b)").unwrap(),
+                    parse_pattern("(ewadd ?b ?a)").unwrap(),
+                    Arc::new(move |_, _, _| {
+                        let admit = evals.fetch_add(1, Ordering::SeqCst) % 3 != 2;
+                        if !admit {
+                            rejects.fetch_add(1, Ordering::SeqCst);
+                        }
+                        admit
+                    }),
+                );
+                let rules = [commute];
+                let config = ExplorationConfig {
+                    k_multi: 0,
+                    node_limit: budget,
+                    apply_threads: Some(threads),
+                    ..Default::default()
+                };
+                let ctx = ExplorationContext::new(root, &rules, &[], &config);
+                let mut eg = seed.clone();
+                let mut stats = ExplorationStats::default();
+                if budgeted_action {
+                    let (matches, _) = ctx.search_state(&eg, false);
+                    ctx.apply_single_budgeted(&mut eg, 0, &matches[0], budget, &mut stats);
+                    assert!(eg.total_number_of_nodes() <= budget, "hard budget");
+                } else {
+                    ctx.run_iteration(&mut eg, 0, &mut stats);
+                }
+                let commits = eg.total_number_of_nodes() - nodes_before;
+                assert!((1..=5).contains(&commits), "commits: {commits}");
+                let evaluated = evaluated.load(Ordering::SeqCst);
+                let rejected = rejected.load(Ordering::SeqCst);
+                let window = tensat_egraph::apply_window_len(threads);
+                assert!(
+                    evaluated <= commits + rejected + window,
+                    "threads={threads} budgeted_action={budgeted_action}: {evaluated} \
+                     conditions evaluated for {commits} commits + {rejected} rejections \
+                     (window {window}, {n_matches} matches)"
+                );
+            }
+        }
     }
 
     /// Regression test for the `skip_identical` guard: equivalent bindings

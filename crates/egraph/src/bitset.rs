@@ -7,8 +7,9 @@
 //! lives beside the slot tables it indexes. `tensat-core` re-exports it
 //! under the old path.
 
-/// A dense bit set over e-class indices.
-#[derive(Debug, Clone)]
+/// A dense bit set over e-class indices. The default is the empty set of
+/// capacity zero.
+#[derive(Debug, Clone, Default)]
 pub struct BitSet {
     words: Vec<u64>,
 }

@@ -1,7 +1,7 @@
 //! The [`EGraph`] itself: hash-consed e-node storage, unioning, and
 //! congruence-closure rebuilding over dense slot-indexed class tables.
 
-use crate::rewrite::{ApplyLog, StagedApp};
+use crate::rewrite::StagedApp;
 use crate::{Analysis, EClass, Id, Language, RecExpr, UnionFind};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -423,8 +423,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
 
     /// The size of the id space: one more than the largest id ever handed
     /// out (live or absorbed). Every id the e-graph has ever returned is
-    /// below this bound, which is what lets staged-apply logs
-    /// ([`crate::ApplyLog`]) encode *planned* ids as `id_space_size() + k`
+    /// below this bound, which is what lets staged applications
+    /// ([`crate::StagedApp`]) encode *planned* ids as `id_space_size() + k`
     /// without colliding with real ones.
     pub fn id_space_size(&self) -> usize {
         self.unionfind.size()
@@ -437,11 +437,12 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// sequence the in-place applier would have run. Returns the merged
     /// class and whether the union changed anything.
     ///
-    /// `base` must be the owning log's planned-id origin (the id-space size
-    /// at staging time). Ids below `base` pass through untouched — `add`
-    /// canonicalizes them exactly as the sequential path would; mid-batch
-    /// merges of bound classes are therefore observed identically.
-    pub fn commit_staged(&mut self, app: &StagedApp<L>, base: usize) -> (Id, bool) {
+    /// `base` must be the planned-id origin the application was staged
+    /// with (the id-space size at staging time). Ids below `base` pass
+    /// through untouched — `add` canonicalizes them exactly as the
+    /// sequential path would; mid-batch merges of bound classes are
+    /// therefore observed identically.
+    pub(crate) fn commit_staged(&mut self, app: &StagedApp<L>, base: usize) -> (Id, bool) {
         let mut materialized: Vec<Id> = Vec::with_capacity(app.adds.len());
         let resolve = |materialized: &[Id], c: Id| {
             if usize::from(c) < base {
@@ -457,30 +458,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         let root = resolve(&materialized, app.root);
         self.union(app.eclass, root)
-    }
-
-    /// Commits a whole staged-apply log ([`crate::ApplyLog`]) in log order,
-    /// checking the node limit *before each application* — the same cadence
-    /// as [`crate::Rewrite::apply_capped`]. Returns the number of effective
-    /// applications (at least one node added or a union that changed
-    /// something) and whether the node limit cut the commit short.
-    ///
-    /// Does not rebuild; the caller runs the normal worklist-based
-    /// [`EGraph::rebuild`] after the commit pass, exactly as after an
-    /// in-place apply loop.
-    pub fn commit_log(&mut self, log: &ApplyLog<L>, node_limit: usize) -> (usize, bool) {
-        let mut applied = 0;
-        for app in &log.apps {
-            if self.total_number_of_nodes() >= node_limit {
-                return (applied, true);
-            }
-            let before = self.num_nodes;
-            let (_, did_union) = self.commit_staged(app, log.base);
-            if did_union || self.num_nodes > before {
-                applied += 1;
-            }
-        }
-        (applied, false)
     }
 
     /// The memo (hashcons) contents as an owned list of `(e-node, id)`

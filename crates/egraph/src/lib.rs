@@ -85,7 +85,10 @@ pub use pattern::{
     search_all_since_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, Var,
 };
 pub use recexpr::RecExpr;
-pub use rewrite::{stage_matches_parallel, ApplyLog, Condition, Rewrite, StagedApp};
+pub use rewrite::{
+    apply_window_len, apply_windowed, apply_windowed_with_window, ApplyOutcome, Condition, Rewrite,
+    StagedApp,
+};
 pub use runner::{
     apply_threads_from_env, explorer_from_env, search_threads_from_env, Iteration, Runner,
     StopReason,

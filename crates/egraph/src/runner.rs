@@ -2,7 +2,7 @@
 //! is hit, recording per-iteration statistics.
 
 use crate::pattern::search_all_guarded_since_parallel;
-use crate::rewrite::stage_matches_parallel;
+use crate::rewrite::{apply_windowed, ApplyOutcome};
 use crate::{Analysis, EGraph, Language, RecExpr, Rewrite, SearchMatches};
 use std::fmt::Debug;
 use std::time::{Duration, Instant};
@@ -19,7 +19,7 @@ pub fn search_threads_from_env() -> Option<usize> {
 }
 
 /// Reads the `TENSAT_APPLY_THREADS` environment variable: the number of
-/// threads the staged apply phase ([`stage_matches_parallel`]) should use.
+/// threads the apply phase ([`apply_windowed`]) should use.
 /// Returns `None` when the variable is unset or does not parse to a
 /// positive integer — in which case the apply phase follows the search
 /// thread setting.
@@ -216,9 +216,9 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
     }
 
     /// Sets the number of threads used by the staged apply phase of
-    /// [`Runner::run`]. Matches are staged against the read-only batch-start
-    /// e-graph across scoped threads ([`stage_matches_parallel`]) and
-    /// committed sequentially in deterministic order, so — like the search
+    /// [`Runner::run`]. Matches are staged window by window against the
+    /// read-only e-graph across scoped threads and committed sequentially
+    /// in deterministic order ([`apply_windowed`]), so — like the search
     /// setting — this only changes wall-clock time, never the outcome.
     /// Unset (the default, unless `TENSAT_APPLY_THREADS` is in the
     /// environment) follows the search thread count.
@@ -288,11 +288,12 @@ where
     ///
     /// Both phases of each iteration can use threads: search shards
     /// candidate classes ([`Runner::with_search_threads`]) and apply stages
-    /// the match batch into per-worker logs against the read-only e-graph
-    /// ([`Runner::with_apply_threads`], via [`stage_matches_parallel`])
-    /// before one deterministic sequential commit pass
-    /// ([`EGraph::commit_log`]) and the usual worklist rebuild. Both are
-    /// bit-identical to their sequential counterparts for any thread count.
+    /// the match batch a window at a time against the read-only e-graph
+    /// ([`Runner::with_apply_threads`], via [`apply_windowed`]), committing
+    /// each window sequentially in deterministic order, before the usual
+    /// worklist rebuild. Both are bit-identical to their sequential
+    /// counterparts for any thread count, and both limits — nodes and
+    /// wall-clock — are checked before every application.
     ///
     /// (The `Sync` bounds let those phases shard the read-only e-graph
     /// across threads; every [`Language`] and [`Analysis`] in this
@@ -318,13 +319,12 @@ where
                     n_threads,
                 )
             },
-            |egraph, rewrites, all_matches, node_limit| {
+            |egraph, rewrites, all_matches, keep_going| {
                 let batch: Vec<_> = rewrites
                     .iter()
                     .zip(all_matches.iter().map(Vec::as_slice))
                     .collect();
-                let log = stage_matches_parallel(&batch, egraph, apply_threads, None);
-                egraph.commit_log(&log, node_limit)
+                apply_windowed(&batch, egraph, apply_threads, keep_going, |_, _| true)
             },
         )
     }
@@ -345,24 +345,32 @@ fn sequential_search<L: Language, N: Analysis<L>>(
         .collect()
 }
 
-/// One in-place sequential apply pass: the pre-staging apply phase, kept
-/// as the non-`Sync` fallback (and, via the test battery, the oracle the
-/// staged path is proven bit-identical against).
+/// The budget hook the saturation loop hands its apply phase: true while
+/// both the node and the wall-clock limit hold.
+type KeepGoing<'a, L, N> = &'a (dyn Fn(&EGraph<L, N>) -> bool + Sync);
+
+/// One in-place sequential apply pass: the non-`Sync` fallback (and, via
+/// the test battery, the oracle the windowed path is proven bit-identical
+/// against).
 fn sequential_apply<L: Language, N: Analysis<L>>(
     egraph: &mut EGraph<L, N>,
     rewrites: &[Rewrite<L, N>],
     all_matches: &[Vec<SearchMatches>],
-    node_limit: usize,
-) -> (usize, bool) {
-    let mut applied = 0;
+    keep_going: KeepGoing<'_, L, N>,
+) -> ApplyOutcome {
+    let mut outcome = ApplyOutcome {
+        applied: 0,
+        stopped: false,
+    };
     for (rw, matches) in rewrites.iter().zip(all_matches) {
-        let (n, hit) = rw.apply_capped(egraph, matches, node_limit);
-        applied += n;
-        if hit {
-            return (applied, true);
+        let (n, stopped) = rw.apply_while(egraph, matches, keep_going);
+        outcome.applied += n;
+        if stopped {
+            outcome.stopped = true;
+            break;
         }
     }
-    (applied, false)
+    outcome
 }
 
 impl<L: Language, N: Analysis<L>> Runner<L, N> {
@@ -378,8 +386,8 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
 
     /// The saturation loop, parameterized over the search and apply phases
     /// (the two parts that need `Sync` to parallelize). The apply callback
-    /// consumes the whole match batch and returns `(effective applications,
-    /// hit node limit)`, with the limit checked per application.
+    /// consumes the whole match batch, asking the budget hook before every
+    /// application.
     fn run_with_phases(
         &mut self,
         rewrites: &[Rewrite<L, N>],
@@ -388,10 +396,14 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             &mut EGraph<L, N>,
             &[Rewrite<L, N>],
             &[Vec<SearchMatches>],
-            usize,
-        ) -> (usize, bool),
+            KeepGoing<'_, L, N>,
+        ) -> ApplyOutcome,
     ) -> StopReason {
         let start = Instant::now();
+        let (node_limit, time_limit) = (self.node_limit, self.time_limit);
+        let keep_going = move |egraph: &EGraph<L, N>| {
+            egraph.total_number_of_nodes() < node_limit && start.elapsed() < time_limit
+        };
         self.egraph.rebuild();
         let mut watermark: Option<u64> = None;
         let reason = loop {
@@ -422,9 +434,18 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             let unions_before = self.egraph.union_count();
 
             let apply_start = Instant::now();
-            let (applied, hit_node_limit) =
-                apply(&mut self.egraph, rewrites, &all_matches, self.node_limit);
+            let ApplyOutcome { applied, stopped } =
+                apply(&mut self.egraph, rewrites, &all_matches, &keep_going);
             let apply_time = apply_start.elapsed();
+            // Which limit cut the batch short, read before the rebuild's
+            // deduplication can pull the node count back under its limit.
+            let limit_hit = stopped.then(|| {
+                if self.egraph.total_number_of_nodes() >= node_limit {
+                    StopReason::NodeLimit(node_limit)
+                } else {
+                    StopReason::TimeLimit(time_limit)
+                }
+            });
 
             let rebuild_start = Instant::now();
             self.egraph.rebuild();
@@ -440,8 +461,8 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
                 rebuild_time,
             });
 
-            if hit_node_limit {
-                break StopReason::NodeLimit(self.node_limit);
+            if let Some(reason) = limit_hit {
+                break reason;
             }
             let changed = self.egraph.total_number_of_nodes() != nodes_before
                 || self.egraph.union_count() != unions_before;
@@ -589,17 +610,13 @@ mod tests {
         assert!(runner.total_time() > Duration::ZERO);
     }
 
-    /// The node limit must bound e-graph growth *within* an iteration, not
-    /// only between iterations: with many matches queued, the old
-    /// once-per-iteration check overshot `node_limit` by the whole match
-    /// batch. The capped apply loop stops within one application's worth of
-    /// nodes (here the applier `(<< ?x 1)` adds at most 2 per application).
-    #[test]
-    fn node_limit_overshoot_is_bounded() {
+    /// `n` distinct `(* v_i 2)` terms chained into one root: `n` pending
+    /// matches of the strength-reduction rule in the first iteration.
+    fn many_muls_expr(n: usize) -> RecExpr<Math> {
         let mut e = RecExpr::default();
         let two = e.add(Math::Num(2));
         let mut outs = vec![];
-        for i in 0..50 {
+        for i in 0..n {
             let s = e.add(Math::Sym(Symbol::new(format!("v{i}"))));
             outs.push(e.add(Math::Mul([s, two])));
         }
@@ -608,6 +625,17 @@ mod tests {
         for &o in &outs[1..] {
             acc = e.add(Math::Add([acc, o]));
         }
+        e
+    }
+
+    /// The node limit must bound e-graph growth *within* an iteration, not
+    /// only between iterations: with many matches queued, the old
+    /// once-per-iteration check overshot `node_limit` by the whole match
+    /// batch. The capped apply loop stops within one application's worth of
+    /// nodes (here the applier `(<< ?x 1)` adds at most 2 per application).
+    #[test]
+    fn node_limit_overshoot_is_bounded() {
+        let e = many_muls_expr(50);
 
         let strength: Rewrite<Math, ()> = Rewrite::new(
             "strength-reduce",
@@ -638,6 +666,59 @@ mod tests {
         );
         // The partial iteration is still recorded with populated stats.
         assert_eq!(runner.iterations.len(), 1);
+    }
+
+    /// Regression test: the apply phase only checked `node_limit`, never
+    /// the wall-clock budget, so one large batch with a slow condition ran
+    /// past `time_limit` until the next iteration boundary. A condition
+    /// that sleeps 10 ms per candidate on 40 pending matches ran all 40
+    /// (~400 ms) under the old code; with the in-loop check the run must
+    /// stop within a few sleeps of the 30 ms budget and report
+    /// `TimeLimit` — on the windowed path at one and at several apply
+    /// threads, and on the non-`Sync` fallback.
+    #[test]
+    fn time_limit_bounds_the_apply_batch() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let time_limit = Duration::from_millis(30);
+        let run = |apply_threads: Option<usize>| {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counter = calls.clone();
+            let strength = rules().swap_remove(0);
+            let slow = Rewrite::new_conditional(
+                "slow-strength-reduce",
+                strength.searcher,
+                strength.applier,
+                Arc::new(move |_, _, _| {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(10));
+                    true
+                }),
+            );
+            let mut runner = Runner::new(())
+                .with_expr(&many_muls_expr(40))
+                .with_time_limit(time_limit);
+            let reason = match apply_threads {
+                Some(n) => runner.with_apply_threads(n).run(&[slow]),
+                None => runner.run_sequential(&[slow]),
+            };
+            (reason, calls.load(Ordering::SeqCst))
+        };
+        for apply_threads in [Some(1), Some(4), None] {
+            let (reason, calls) = run(apply_threads);
+            assert_eq!(
+                reason,
+                StopReason::TimeLimit(time_limit),
+                "{apply_threads:?}"
+            );
+            assert!(calls >= 1, "the apply loop must have started");
+            assert!(
+                calls < 40,
+                "apply batch ignored the time limit at {apply_threads:?} threads: \
+                 all {calls} candidates ran"
+            );
+        }
     }
 
     /// Incremental (watermark-restricted) search must reach the same

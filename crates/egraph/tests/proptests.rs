@@ -5,10 +5,10 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tensat_egraph::doctest_lang::SimpleMath as Math;
 use tensat_egraph::{
-    search_all_guarded_since_parallel, search_all_guarded_since_parallel_with_threshold,
-    search_all_parallel, stage_matches_parallel, Analysis, AstSize, DidMerge, EGraph, ENodeOrVar,
-    Extractor, Guard, GuardedProgram, Id, Language, Pattern, RecExpr, Rewrite, SearchMatches,
-    Subst, Symbol, Var,
+    apply_windowed_with_window, search_all_guarded_since_parallel,
+    search_all_guarded_since_parallel_with_threshold, search_all_parallel, Analysis, AstSize,
+    DidMerge, EGraph, ENodeOrVar, Extractor, Guard, GuardedProgram, Id, Language, Pattern, RecExpr,
+    Rewrite, SearchMatches, Subst, Symbol, Var,
 };
 
 /// A random expression generator: a sequence of build steps referencing
@@ -371,26 +371,30 @@ fn build_rewrite(search_steps: &[PatStep], apply_steps: &[PatStep]) -> Rewrite<M
 }
 
 proptest! {
-    /// The staged-apply acceptance property: running rounds of
+    /// The windowed-apply acceptance property: running rounds of
     /// search-then-apply over random e-graphs (random seed expression,
-    /// unions, and filtered nodes) with the staged-parallel path —
-    /// [`stage_matches_parallel`] into [`EGraph::commit_log`] at 1–8
-    /// threads — must be *bit-identical* to the sequential in-place
-    /// [`Rewrite::apply_capped`] loop over the same matches: the two
-    /// e-graphs end every round with equal id spaces and union-find
-    /// partitions, equal class/node counts, equal memo contents, equal
-    /// watermark stamps on every class, and equal machine match lists for
-    /// every rule. Both sides pass the storage-invariant validator after
-    /// every commit+rebuild.
+    /// unions, and filtered nodes) through the windowed driver
+    /// ([`apply_windowed_with_window`] at 1–8 threads, with windows from
+    /// one candidate — the in-place loop — up to longer than the batch, so
+    /// window boundaries split one rule's match list and, at several
+    /// threads, chunks split a window) must be *bit-identical* to the
+    /// sequential in-place [`Rewrite::apply_capped`] loop over the same
+    /// matches, under a node limit drawn to bind mid-batch: both sides
+    /// stop at the same candidate, and the two e-graphs end every round
+    /// with equal id spaces and union-find partitions, equal class/node
+    /// counts, equal memo contents, equal watermark stamps on every class,
+    /// and equal machine match lists for every rule. Both sides pass the
+    /// storage-invariant validator after every commit+rebuild.
     #[test]
     fn staged_parallel_apply_is_bit_identical_to_sequential(
         steps in steps_strategy(30),
         rules in prop::collection::vec((pattern_strategy(8), pattern_strategy(8)), 1..4),
         n_threads in 1usize..=8,
+        window_len in 1usize..=24,
         unions in prop::collection::vec((any::<usize>(), any::<usize>()), 0..4),
         filter_picks in prop::collection::vec(any::<usize>(), 0..4),
         rounds in 1usize..=3,
-        node_limit in 60usize..300,
+        limit_slack in 0usize..40,
     ) {
         let expr = build_expr(&steps);
         // Two identically seeded e-graphs: same adds, unions, and filters
@@ -415,6 +419,8 @@ proptest! {
         };
         let mut seq = build();
         let mut par = build();
+        // A few nodes above the seed: most draws bind inside a batch.
+        let node_limit = seq.total_number_of_nodes() + limit_slack;
         let rewrites: Vec<Rewrite<Math, ()>> =
             rules.iter().map(|(s, a)| build_rewrite(s, a)).collect();
 
@@ -430,23 +436,32 @@ proptest! {
 
             // Sequential baseline: in-place per-rule apply with the shared
             // node cap (the pre-staging apply loop).
+            let mut seq_hit = false;
             for (r, m) in rewrites.iter().zip(&matches) {
                 let (_, hit) = r.apply_capped(&mut seq, m, node_limit);
                 if hit {
+                    seq_hit = true;
                     break;
                 }
             }
             seq.rebuild();
             seq.check_invariants();
 
-            // Staged path: stage every candidate against the read-only
-            // graph, then commit the merged log sequentially.
+            // Windowed path: stage a window against the read-only graph,
+            // commit it in order, repeat.
             let batch: Vec<(&Rewrite<Math, ()>, &[SearchMatches])> = rewrites
                 .iter()
                 .zip(matches.iter().map(Vec::as_slice))
                 .collect();
-            let log = stage_matches_parallel(&batch, &par, n_threads, None);
-            par.commit_log(&log, node_limit);
+            let outcome = apply_windowed_with_window(
+                &batch,
+                &mut par,
+                n_threads,
+                window_len,
+                |eg| eg.total_number_of_nodes() < node_limit,
+                |_, _| true,
+            );
+            prop_assert_eq!(outcome.stopped, seq_hit);
             par.rebuild();
             par.check_invariants();
 
