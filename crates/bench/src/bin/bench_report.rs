@@ -31,6 +31,14 @@
 //! saturated size, so the report tracks the budgeted-quality acceptance
 //! property (guided cost ≤ saturation's tree-greedy cost) across PRs.
 //!
+//! A top-level `rule_search` section is the per-rule view of one search
+//! sweep on the big-class e-graph ([`tensat_bench::nasnet_egraph`], NasNet-A
+//! at `blocks: 4`, 30 000 e-nodes): for every single-pattern rule its
+//! candidate classes, matches, best-of-rounds microseconds and ns/match,
+//! slowest rule first. A rule whose ns/match is orders of magnitude above
+//! the others is searching super-linearly — the table that found the
+//! whole-class scan inside `Bind` (`concat-conv` at 33 µs/match).
+//!
 //! [`Pattern::search_naive`]: tensat_egraph::Pattern::search_naive
 
 use std::io::Write;
@@ -134,11 +142,72 @@ fn measure(variants: Vec<NamedSearch<'_>>) -> Vec<Variant> {
         .collect()
 }
 
+/// Node limit of the per-rule search table's e-graph: the repo benchmark's
+/// `nasnet_search` size.
+const RULE_SEARCH_NODE_LIMIT: usize = 30_000;
+
+/// Timing rounds per rule for the per-rule search table (best is kept).
+const RULE_SEARCH_ROUNDS: usize = 3;
+
+/// The `rule_search` JSON section: one guarded search per single-pattern
+/// rule on the NasNet-A `blocks: 4` e-graph, slowest rule first.
+fn rule_search_section(rules: &[TensorRewrite]) -> String {
+    eprintln!("[bench-report] growing NasNet-A (blocks 4) to {RULE_SEARCH_NODE_LIMIT} e-nodes...");
+    let eg = tensat_bench::nasnet_egraph(RULE_SEARCH_NODE_LIMIT);
+    let mut rows: Vec<(&str, usize, usize, u128)> = rules
+        .iter()
+        .map(|rule| {
+            let candidates = match rule.searcher.program().root_op() {
+                Some(op) => eg.classes_with_op(op).len(),
+                None => eg.number_of_classes(),
+            };
+            let mut matches = 0;
+            let mut best = u128::MAX;
+            for _ in 0..RULE_SEARCH_ROUNDS {
+                let start = Instant::now();
+                let found = std::hint::black_box(rule.search(&eg));
+                best = best.min(start.elapsed().as_nanos());
+                matches = found.iter().map(|m| m.substs.len()).sum();
+            }
+            (rule.name.as_str(), candidates, matches, best)
+        })
+        .collect();
+    rows.sort_by_key(|&(_, _, _, ns)| std::cmp::Reverse(ns));
+
+    eprintln!("[bench-report] per-rule search, NasNet-A blocks 4:");
+    eprintln!(
+        "  {:<28} {:>10} {:>9} {:>10} {:>9}",
+        "rule", "candidates", "matches", "us", "ns/match"
+    );
+    let largest_class = eg.classes().map(|c| c.len()).max().unwrap_or(0);
+    let mut out = format!(
+        "  \"rule_search\": {{\n    \"model\": \"NasNet-A\",\n    \"blocks\": 4,\n    \
+         \"enodes\": {},\n    \"eclasses\": {},\n    \"largest_class\": {largest_class},\n    \
+         \"rules\": [\n",
+        eg.total_number_of_nodes(),
+        eg.number_of_classes(),
+    );
+    for (ri, (name, candidates, matches, ns)) in rows.iter().enumerate() {
+        let us = *ns as f64 / 1e3;
+        let ns_per_match = *ns as f64 / (*matches).max(1) as f64;
+        eprintln!("  {name:<28} {candidates:>10} {matches:>9} {us:>10.1} {ns_per_match:>9.0}");
+        out.push_str(&format!(
+            "      {{ \"rule\": \"{name}\", \"candidate_classes\": {candidates}, \
+             \"matches\": {matches}, \"us\": {us:.1}, \"ns_per_match\": {ns_per_match:.0} }}{}\n",
+            if ri + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("    ]\n  },\n");
+    out
+}
+
 fn main() {
     let rules = single_rules();
     let mut out = String::from("{\n  \"bench\": \"ematch\",\n  \"rounds\": ");
     out.push_str(&ROUNDS.to_string());
-    out.push_str(",\n  \"models\": [\n");
+    out.push_str(",\n");
+    out.push_str(&rule_search_section(&rules));
+    out.push_str("  \"models\": [\n");
 
     let cost_model = CostModel::default();
     let strategies: [Box<dyn ExtractionStrategy>; 3] = [

@@ -11,8 +11,12 @@
 use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
-use tensat_core::{CycleFilter, ExtractionMode, Optimizer, OptimizerConfig};
+use tensat_core::{
+    explore, CycleFilter, ExplorationConfig, ExtractionMode, Optimizer, OptimizerConfig,
+};
+use tensat_ir::{TensorAnalysis, TensorEGraph};
 use tensat_models::ModelScale;
+use tensat_rules::{multi_rules, single_rules};
 use tensat_taso::{BacktrackingConfig, BacktrackingSearch};
 
 /// The scale used by the harness binaries for the seven benchmark models.
@@ -22,6 +26,40 @@ pub fn harness_scale() -> ModelScale {
         hidden: 128,
         batch: 8,
     }
+}
+
+/// NasNet-A at `blocks: 4`, explored with the full rule set until
+/// `node_limit` stops it: the e-graph of the repo benchmark's
+/// `nasnet_search` workload. It is the one benchmark model on which single
+/// classes grow to over a thousand e-nodes (the separable-conv outputs of
+/// a cell all become equal), so it is where a search that is not
+/// output-sensitive shows — the per-rule search table of `bench_report`
+/// and the machine-vs-oracle differential test both run on it.
+pub fn nasnet_egraph(node_limit: usize) -> TensorEGraph {
+    let scale = ModelScale {
+        blocks: 4,
+        ..harness_scale()
+    };
+    let graph = tensat_models::build_benchmark("NasNet-A", scale);
+    let mut eg = TensorEGraph::new(TensorAnalysis);
+    let root = eg.add_expr(&graph);
+    eg.rebuild();
+    explore(
+        &mut eg,
+        root,
+        &single_rules(),
+        &multi_rules(),
+        &ExplorationConfig {
+            k_multi: 1,
+            max_iter: 15,
+            node_limit,
+            search_threads: 1,
+            apply_threads: Some(1),
+            cycle_filter: CycleFilter::Efficient,
+            ..Default::default()
+        },
+    );
+    eg
 }
 
 /// The TENSAT configuration used for the headline results (paper §6.1),

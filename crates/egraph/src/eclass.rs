@@ -45,6 +45,32 @@ impl<L: Language, D> EClass<L, D> {
         self.nodes.iter()
     }
 
+    /// The index in [`EClass::nodes`] of the first e-node that has `op`'s
+    /// operator ([`Language::matches`]; `op`'s own children are ignored)
+    /// and whose leading children are not below `prefix` — or of the first
+    /// node of a later operator, or the list's length. The nodes with that
+    /// operator whose children start with exactly `prefix` are one
+    /// contiguous run beginning there, so a reader finds them with one
+    /// binary search however large the class is; an empty prefix gives the
+    /// start of the operator's run.
+    ///
+    /// Reads the node list as [`EGraph::rebuild`](crate::EGraph::rebuild)
+    /// leaves it — canonical and sorted by an `Ord` that keeps the
+    /// [`Language`] ordering contract — so the e-graph must be clean and
+    /// `prefix` must hold canonical ids; otherwise nodes are missed.
+    pub fn lower_bound(&self, op: &L, prefix: &[Id]) -> usize {
+        // Operator-major order: against a node of another operator the
+        // children decide nothing, so `op`'s pattern-internal ones are
+        // harmless; within the operator the children alone decide.
+        self.nodes.partition_point(|enode| {
+            if op.matches(enode) {
+                enode.children()[..prefix.len()] < *prefix
+            } else {
+                enode < op
+            }
+        })
+    }
+
     /// Iterates over `(e-node, birth stamp)` pairs.
     pub fn iter_with_birth(&self) -> impl Iterator<Item = (&L, u64)> {
         self.nodes.iter().zip(self.node_birth.iter().copied())

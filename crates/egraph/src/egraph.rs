@@ -888,7 +888,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Checked: the slot map is total and exact (every canonical id maps to
     /// the live slot holding its class, tombstones only for absorbed ids,
     /// live count right); on a *clean* e-graph additionally: class node
-    /// lists are canonical, sorted, deduplicated; the memo holds exactly
+    /// lists are canonical, sorted, deduplicated, and keep the
+    /// [`Language`] ordering contract (per class, the nodes of one operator
+    /// are a single contiguous run ordered by `children()` — what the
+    /// e-matching machine's range lookup relies on); the memo holds exactly
     /// one canonical entry per e-node and nothing else; the incremental
     /// node count is right; the kind-tag side table matches the data; the
     /// operator index and per-class operator sets agree exactly with the
@@ -962,6 +965,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             num_nodes += class.nodes.len();
             let mut node_ops: Vec<Discriminant<L>> = vec![];
             let mut prev: Option<&L> = None;
+            // First node of each operator's run, for the ordering contract.
+            let mut run_heads: Vec<&L> = vec![];
             for node in &class.nodes {
                 assert_eq!(
                     &self.canonicalize(node),
@@ -971,6 +976,26 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 );
                 if let Some(prev) = prev {
                     assert!(prev < node, "node list of class {} unsorted", class.id);
+                }
+                // The `Language` ordering contract, as the machine's range
+                // lookup reads it: one contiguous run per operator, ordered
+                // by children.
+                match prev {
+                    Some(prev) if prev.matches(node) => assert!(
+                        prev.children() < node.children(),
+                        "class {}: {prev:?} sorts before {node:?} of the same operator \
+                         against their children (Language ordering contract)",
+                        class.id
+                    ),
+                    _ => {
+                        assert!(
+                            !run_heads.iter().any(|head| head.matches(node)),
+                            "class {}: the nodes with {node:?}'s operator are not one \
+                             contiguous run (Language ordering contract)",
+                            class.id
+                        );
+                        run_heads.push(node);
+                    }
                 }
                 prev = Some(node);
                 assert_eq!(
@@ -1486,6 +1511,79 @@ mod tests {
         }
         // Absorbed ids resolve to their root's slot.
         assert_eq!(eg.slot_index(ids[7]), eg.slot_index(ids[3]));
+        eg.check_invariants();
+    }
+
+    /// `EClass::lower_bound` on a class holding two operators: the start
+    /// of an operator's run, of a prefix's run inside it, and the position
+    /// just past a run when nothing qualifies.
+    #[test]
+    fn lower_bound_finds_operator_and_prefix_runs() {
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let l: Vec<Id> = (0..4).map(|i| eg.add(sym(&format!("l{i}")))).collect();
+        let big = eg.add(Math::Add([l[0], l[1]]));
+        for node in [
+            Math::Mul([l[3], l[0]]),
+            Math::Add([l[2], l[3]]),
+            Math::Mul([l[1], l[1]]),
+            Math::Add([l[2], l[0]]),
+        ] {
+            let id = eg.add(node);
+            eg.union(big, id);
+        }
+        eg.rebuild();
+        let class = eg.eclass(big);
+        assert_eq!(
+            class.nodes,
+            vec![
+                Math::Add([l[0], l[1]]),
+                Math::Add([l[2], l[0]]),
+                Math::Add([l[2], l[3]]),
+                Math::Mul([l[1], l[1]]),
+                Math::Mul([l[3], l[0]]),
+            ]
+        );
+        // The probe's own children are ignored.
+        let add = Math::Add([big, big]);
+        let mul = Math::Mul([big, big]);
+        assert_eq!(class.lower_bound(&add, &[]), 0);
+        assert_eq!(class.lower_bound(&add, &[l[2]]), 1);
+        assert_eq!(class.lower_bound(&add, &[l[2], l[3]]), 2);
+        assert_eq!(
+            class.lower_bound(&add, &[l[1]]),
+            1,
+            "no such prefix: next node"
+        );
+        assert_eq!(class.lower_bound(&add, &[l[3]]), 3, "past the `+` run");
+        assert_eq!(class.lower_bound(&mul, &[]), 3);
+        assert_eq!(class.lower_bound(&mul, &[l[3]]), 4);
+        assert_eq!(
+            class.lower_bound(&Math::Num(7), &[]),
+            0,
+            "literals sort first"
+        );
+        assert_eq!(class.lower_bound(&Math::Div([big, big]), &[]), 5);
+    }
+
+    /// Sorted by a `Language` whose `Ord` breaks the ordering contract, one
+    /// class's `+` nodes end up on both sides of its `*` node — where the
+    /// e-matching machine's range lookup would miss one of them. The
+    /// validator names the contract (in debug builds already from inside
+    /// `rebuild`).
+    #[test]
+    #[should_panic(expected = "Language ordering contract")]
+    fn check_invariants_rejects_an_order_that_splits_an_operator_run() {
+        use crate::language::test_lang::ByLastChild;
+        let mut eg: EGraph<ByLastChild, ()> = EGraph::new(());
+        let leaves: Vec<Id> = (0..3)
+            .map(|i| eg.add(ByLastChild(sym(&format!("l{i}")))))
+            .collect();
+        let low = eg.add(ByLastChild(Math::Add([leaves[0], leaves[0]])));
+        let mid = eg.add(ByLastChild(Math::Mul([leaves[0], leaves[1]])));
+        let high = eg.add(ByLastChild(Math::Add([leaves[0], leaves[2]])));
+        eg.union(low, mid);
+        eg.union(low, high);
+        eg.rebuild();
         eg.check_invariants();
     }
 }

@@ -106,6 +106,31 @@ impl<S: AsRef<str>> From<S> for Symbol {
 /// Implementors are plain data: the trait only asks for access to the
 /// children and an operator-level equality check ([`Language::matches`])
 /// that ignores the children.
+///
+/// # The ordering contract
+///
+/// `Ord` must be **operator-major, then `children()`-lexicographic**: there
+/// is a total order on operators (the classes of [`Language::matches`])
+/// such that `a.cmp(b)` is the comparison of `(operator, children())`
+/// pairs. Spelled out for two nodes `a`, `b`:
+///
+/// * if `a.matches(b)`, then `a.cmp(b) == a.children().cmp(b.children())`;
+/// * otherwise `a.cmp(b)` is never `Equal` and does not depend on either
+///   node's children.
+///
+/// [`EGraph::rebuild`](crate::EGraph::rebuild) keeps every class's node list
+/// sorted by this order, which puts the nodes of one operator in one
+/// contiguous run ordered by their children; the e-matching machine finds
+/// the nodes that agree with already-bound children by binary search in
+/// that run ([`EClass::lower_bound`](crate::EClass::lower_bound)) instead of
+/// scanning the class. An order that breaks the contract makes the search
+/// miss matches. `#[derive(PartialOrd, Ord)]` keeps it for any enum whose
+/// variants hold either a payload that `matches` compares (a literal) or
+/// the children array — or both, **payload first**; a variant declared
+/// `Op([Id; 2], Payload)` breaks it. [`assert_ord_contract`] checks a pair
+/// of nodes (call it from a test over sample nodes of every variant), and
+/// [`EGraph::check_invariants`](crate::EGraph::check_invariants) checks the
+/// consequence on every class.
 pub trait Language: Debug + Clone + Eq + Ord + Hash {
     /// True if `self` and `other` have the same operator (and therefore the
     /// same arity), ignoring the children ids.
@@ -181,6 +206,39 @@ pub trait Language: Debug + Clone + Eq + Ord + Hash {
     }
 }
 
+/// Asserts the [`Language`] ordering contract on one pair of nodes: if they
+/// have the same operator they are ordered by their children, and if not,
+/// their order is strict and stays the same whatever children either holds
+/// (checked by swapping in the extreme ids). For a language's own tests:
+/// call it on sample nodes of every variant, in both argument orders.
+///
+/// # Panics
+///
+/// Panics, naming the pair, when the contract does not hold.
+pub fn assert_ord_contract<L: Language>(a: &L, b: &L) {
+    if a.matches(b) {
+        assert_eq!(
+            a.cmp(b),
+            a.children().cmp(b.children()),
+            "{a:?} and {b:?} have the same operator, so their children must order them"
+        );
+        return;
+    }
+    let order = a.cmp(b);
+    assert!(
+        order.is_ne(),
+        "{a:?} and {b:?} differ in operator but compare equal"
+    );
+    let (low, high) = (Id::from(0usize), Id(u32::MAX));
+    for (ca, cb) in [(low, high), (high, low)] {
+        assert_eq!(
+            a.map_children(|_| ca).cmp(&b.map_children(|_| cb)),
+            order,
+            "the order of {a:?} and {b:?} depends on their children, not only on their operators"
+        );
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod test_lang {
     //! A tiny arithmetic language used throughout the crate's unit tests.
@@ -235,11 +293,43 @@ pub(crate) mod test_lang {
             }
         }
     }
+
+    /// [`Math`] under an order that breaks the ordering contract: nodes
+    /// compare by their last child alone, so operators interleave.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct ByLastChild(pub Math);
+
+    impl PartialOrd for ByLastChild {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for ByLastChild {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.children().last().cmp(&other.0.children().last())
+        }
+    }
+
+    impl Language for ByLastChild {
+        fn matches(&self, other: &Self) -> bool {
+            self.0.matches(&other.0)
+        }
+        fn children(&self) -> &[Id] {
+            self.0.children()
+        }
+        fn children_mut(&mut self) -> &mut [Id] {
+            self.0.children_mut()
+        }
+        fn display_op(&self) -> String {
+            self.0.display_op()
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::test_lang::Math;
+    use super::test_lang::{ByLastChild, Math};
     use super::*;
 
     #[test]
@@ -264,6 +354,49 @@ mod tests {
     fn symbols_from_str() {
         let a: Symbol = "abc".into();
         assert_eq!(a, Symbol::new("abc"));
+    }
+
+    /// Pins the ordering contract the machine's range lookup relies on for
+    /// the crate's test language: pseudo-random pairs covering every pair
+    /// of variants, equal and unequal literals, and children on both sides
+    /// of each other.
+    #[test]
+    fn math_keeps_the_ordering_contract() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut node = |variant: u64| {
+            let mut pair = || [Id::from(next(4) as usize), Id::from(next(4) as usize)];
+            match variant {
+                0 => Math::Num(next(3) as i64 - 1),
+                1 => Math::Sym(Symbol::new(["a", "b", "c"][next(3) as usize])),
+                2 => Math::Add(pair()),
+                3 => Math::Mul(pair()),
+                4 => Math::Shl(pair()),
+                _ => Math::Div(pair()),
+            }
+        };
+        for va in 0..6 {
+            for vb in 0..6 {
+                for _ in 0..50 {
+                    assert_ord_contract(&node(va), &node(vb));
+                }
+            }
+        }
+    }
+
+    /// The checker rejects an order that is not children-lexicographic
+    /// within an operator.
+    #[test]
+    #[should_panic(expected = "their children must order them")]
+    fn ord_contract_rejects_an_order_that_is_not_children_lexicographic() {
+        let a = Math::Add([Id::from(1usize), Id::from(0usize)]);
+        let b = Math::Add([Id::from(0usize), Id::from(0usize)]);
+        assert_ord_contract(&ByLastChild(a), &ByLastChild(b));
     }
 
     #[test]

@@ -74,9 +74,9 @@ pub use bitset::BitSet;
 pub use eclass::EClass;
 pub use egraph::EGraph;
 pub use extract::{AstDepth, AstSize, CostFunction, DagCostFunction, DagExtractor, Extractor};
-pub use language::{Id, Language, Symbol};
+pub use language::{assert_ord_contract, Id, Language, Symbol};
 pub use machine::{
-    Guard, GuardFn, GuardedProgram, Instruction, Program, Reg, SearchQuery, TagMask,
+    ChildSource, Guard, GuardFn, GuardedProgram, Instruction, Program, Reg, SearchQuery, TagMask,
     PARALLEL_SEARCH_SPAWN_THRESHOLD,
 };
 pub use pattern::{

@@ -4,18 +4,27 @@
 //! with a single reusable register stack, instead of recursively cloning
 //! per-branch substitution vectors.
 //!
-//! Four instructions suffice:
+//! Two instructions suffice:
 //!
 //! * [`Instruction::Bind`] — enumerate the e-nodes of the class in register
-//!   `i` whose operator matches the pattern node, writing each node's
-//!   (canonicalized) children into registers `out..`; the machine
-//!   backtracks over the alternatives.
-//! * [`Instruction::Compare`] — require two registers to hold the same
-//!   e-class (non-linear patterns such as `(+ ?x ?x)`).
-//! * [`Instruction::Lookup`] — match a variable-free subterm in O(term)
-//!   hash-cons lookups instead of enumerating class nodes; on a congruent
-//!   e-graph a ground term has exactly one realization, which is also
-//!   checked against the filter set node by node.
+//!   `i` that the pattern node can match, writing each node's children into
+//!   registers `out..`; the machine backtracks over the alternatives. A
+//!   `Bind` is *join-aware*: the compiler folds every constraint on the
+//!   node's children that is already decidable when the `Bind` runs — a
+//!   repeated variable (`?x` bound by an earlier `Bind`, or twice inside
+//!   this node) and a variable-free subterm — into the `Bind`'s
+//!   **bound-children plan** ([`ChildSource`]). At run time the longest
+//!   bound *prefix* of children, together with the operator, is the key of
+//!   a binary search into the class's sorted node list
+//!   ([`EClass::lower_bound`](crate::EClass::lower_bound)), and the
+//!   machine enumerates from there until the operator or the prefix
+//!   changes, so only nodes that agree with the prefix are visited at all;
+//!   bound children outside the prefix are checked per node before any
+//!   register is written. Seen as a conjunctive query over the
+//!   e-graph-as-database (arXiv:2501.02413), this is the index lookup on
+//!   the already-bound columns: work is proportional to the matches
+//!   produced, not to the size of the classes joined. With nothing bound
+//!   the key is the operator alone, which is egg's operator-range search.
 //! * [`Instruction::Guard`] — *analysis-guided pruning*: fail unless a
 //!   predicate accepts the e-class **analysis data** of the class a pattern
 //!   variable is bound to. Guards are emitted right after the register is
@@ -23,6 +32,24 @@
 //!   a class with invalid shape data) kills the whole branch before any
 //!   deeper `Bind` fans out — instead of a post-match `Condition` discarding
 //!   the finished substitution. See [`GuardedProgram`].
+//!
+//! A variable-free subterm below the root is never enumerated: it has
+//! exactly one realization on a congruent e-graph, which is resolved through
+//! the hash-cons once per search ([`Program::ground_terms`]; every node of
+//! it is also checked against the filter set) and then acts as a bound
+//! child of the `Bind` above it. A search whose pattern holds a ground term
+//! the e-graph does not represent returns no matches without visiting a
+//! class.
+//!
+//! The range lookup reads what [`EGraph::rebuild`] establishes: node lists
+//! that are canonical, deduplicated and strictly sorted by the language's
+//! `Ord`, which must be operator-major and then `children()`-lexicographic
+//! (the contract documented on [`Language`] and asserted by
+//! [`EGraph::check_invariants`]). On a dirty e-graph a binary search would
+//! silently lose matches, so every search entry point asserts
+//! [`EGraph::is_clean`] in all builds. Which nodes a `Bind` visits, and in
+//! which order, does not show in the result: each class's substitution list
+//! is sorted and deduplicated before it is returned.
 //!
 //! Search additionally consults the e-graph's operator index
 //! ([`EGraph::classes_with_op`]): only classes containing at least one node
@@ -172,11 +199,41 @@ impl<D> std::fmt::Debug for Guard<D> {
 /// [`Rewrite::searcher_query`](crate::Rewrite::searcher_query).
 pub type SearchQuery<'a, L, D> = (&'a Program<L>, &'a [Guard<D>]);
 
+/// Where a [`Instruction::Bind`] reads the class that one child of the
+/// nodes it enumerates must equal — one entry of its bound-children plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChildSource {
+    /// A register filled by an earlier `Bind`: a repeated pattern variable.
+    Reg(Reg),
+    /// The class of the ground subterm at this index of
+    /// [`Program::ground_terms`], resolved once per search.
+    Ground(usize),
+    /// An earlier child of the same node: a variable that first occurs and
+    /// repeats inside one pattern node, as in `(+ ?x ?x)`. Its value is
+    /// only known per node, so it never takes part in the range lookup.
+    Sibling(usize),
+}
+
+impl ChildSource {
+    /// The class this source names: read from the registers filled so far,
+    /// the search's resolved ground classes, or the children of the node
+    /// under test.
+    #[inline]
+    fn class(self, regs: &[Id], grounds: &[Id], children: &[Id]) -> Id {
+        match self {
+            ChildSource::Reg(r) => regs[r],
+            ChildSource::Ground(g) => grounds[g],
+            ChildSource::Sibling(k) => children[k],
+        }
+    }
+}
+
 /// One step of a compiled pattern program.
 #[derive(Debug, Clone)]
 pub enum Instruction<L> {
-    /// Try every e-node of the class in register `i` that matches `node`
-    /// (and is not filtered); write its children into `out..out+arity`.
+    /// Try every unfiltered e-node of the class in register `i` that has
+    /// `node`'s operator and agrees with the bound-children plan; write its
+    /// children into `out..out+arity`.
     Bind {
         /// The pattern node to match (children ids are pattern-internal and
         /// ignored; only the operator matters).
@@ -185,21 +242,15 @@ pub enum Instruction<L> {
         i: Reg,
         /// First output register for the matched node's children.
         out: Reg,
-    },
-    /// Fail unless registers `i` and `j` hold the same e-class.
-    Compare {
-        /// First register.
-        i: Reg,
-        /// Second register.
-        j: Reg,
-    },
-    /// Fail unless the ground (variable-free) term is represented,
-    /// unfiltered, and lives in the class held by register `i`.
-    Lookup {
-        /// The ground term, children-first.
-        term: RecExpr<L>,
-        /// Register the term's class must equal.
-        i: Reg,
+        /// The bound-children plan: `(child index, source)` pairs in
+        /// ascending child order, one per child whose class is fixed before
+        /// the node is chosen.
+        bound: Vec<(usize, ChildSource)>,
+        /// How many leading entries of `bound` pin children `0..prefix`
+        /// from outside the node ([`ChildSource::Reg`] or
+        /// [`ChildSource::Ground`]): with the operator they are the key of
+        /// the range lookup. The entries after them are checked per node.
+        prefix: usize,
     },
     /// Fail unless the guard predicate at index `pred` (in the guard table
     /// supplied at search time) accepts the analysis data of the e-class
@@ -222,6 +273,9 @@ pub enum Instruction<L> {
 #[derive(Debug, Clone)]
 pub struct Program<L> {
     instructions: Vec<Instruction<L>>,
+    /// The variable-free subterms below the root, each as a standalone
+    /// term; [`ChildSource::Ground`] indexes into this list.
+    ground_terms: Vec<RecExpr<L>>,
     /// `(variable, register)` pairs in first-occurrence (AST) order; read
     /// out at every successful match to build the substitution.
     subst_template: Vec<(Var, Reg)>,
@@ -270,13 +324,14 @@ impl<L: Language> Program<L> {
         }
 
         let mut instructions = vec![];
+        let mut ground_terms = vec![];
         let mut v2r: HashMap<Var, Reg> = HashMap::new();
         let mut todo: VecDeque<(Reg, Id)> = VecDeque::new();
         let mut next_reg: Reg = 1;
         match &pattern[root] {
             ENodeOrVar::Var(v) => {
                 // A variable root claims register 0 (the candidate class);
-                // its guard, if any, is the very first instruction.
+                // its guard, if any, is the only instruction.
                 v2r.insert(*v, 0);
                 if let Some(pred) = guard_vars.iter().position(|u| u == v) {
                     instructions.push(Instruction::Guard { i: 0, pred });
@@ -288,50 +343,51 @@ impl<L: Language> Program<L> {
             let ENodeOrVar::ENode(node) = &pattern[pat_id] else {
                 unreachable!("only concrete nodes are queued");
             };
-            // Ground subterms become O(term)-time hash-cons lookups.
-            // The root stays a Bind so per-candidate work in the
-            // search loop does not repeat a whole-term lookup.
-            if ground[usize::from(pat_id)] && pat_id != root {
-                instructions.push(Instruction::Lookup {
-                    term: ground_term(pattern, pat_id),
-                    i: reg,
-                });
-                continue;
-            }
             let out = next_reg;
             next_reg += node.children().len();
-            instructions.push(Instruction::Bind {
-                node: node.clone(),
-                i: reg,
-                out,
-            });
-            // Variable children are resolved here, immediately after the
-            // Bind that fills their registers: a first occurrence claims
-            // the register and emits its guard right away — before any
-            // deeper Bind fans out — and a repeat occurrence emits the
-            // non-linearity Compare. Concrete children are queued for BFS
-            // processing. (The claiming order is identical to the previous
-            // pop-time scheme — BFS pops positions in enqueue order — so
-            // register assignments and match results are unchanged; only
-            // Guard/Compare instructions move earlier in the stream.)
+            // Every child is resolved here, while its Bind is compiled. A
+            // variable's first occurrence claims the register and its guard
+            // follows the Bind directly, before any deeper Bind fans out; a
+            // repeat occurrence and a ground subterm are known before the
+            // node is chosen and go into the plan; any other concrete child
+            // is queued for a Bind of its own (BFS). The root stays a Bind
+            // even when the whole pattern is ground, so the per-candidate
+            // loop never repeats a whole-term lookup.
+            let mut bound = vec![];
+            let mut guards = vec![];
             for (k, &child) in node.children().iter().enumerate() {
                 let child_reg = out + k;
                 match &pattern[child] {
                     ENodeOrVar::Var(v) => match v2r.get(v) {
-                        Some(&bound) => instructions.push(Instruction::Compare {
-                            i: bound,
-                            j: child_reg,
-                        }),
+                        Some(&r) if r >= out => bound.push((k, ChildSource::Sibling(r - out))),
+                        Some(&r) => bound.push((k, ChildSource::Reg(r))),
                         None => {
                             v2r.insert(*v, child_reg);
                             if let Some(pred) = guard_vars.iter().position(|u| u == v) {
-                                instructions.push(Instruction::Guard { i: child_reg, pred });
+                                guards.push(Instruction::Guard { i: child_reg, pred });
                             }
                         }
                     },
+                    ENodeOrVar::ENode(_) if ground[usize::from(child)] => {
+                        bound.push((k, ChildSource::Ground(ground_terms.len())));
+                        ground_terms.push(ground_term(pattern, child));
+                    }
                     ENodeOrVar::ENode(_) => todo.push_back((child_reg, child)),
                 }
             }
+            let prefix = bound
+                .iter()
+                .enumerate()
+                .take_while(|&(n, &(k, src))| k == n && !matches!(src, ChildSource::Sibling(_)))
+                .count();
+            instructions.push(Instruction::Bind {
+                node: node.clone(),
+                i: reg,
+                out,
+                bound,
+                prefix,
+            });
+            instructions.extend(guards);
         }
 
         // Substitution template in AST first-occurrence order. (For the
@@ -359,6 +415,7 @@ impl<L: Language> Program<L> {
 
         Program {
             instructions,
+            ground_terms,
             subst_template,
             root_op,
             guard_vars: guard_vars.to_vec(),
@@ -368,6 +425,13 @@ impl<L: Language> Program<L> {
     /// The compiled instruction sequence.
     pub fn instructions(&self) -> &[Instruction<L>] {
         &self.instructions
+    }
+
+    /// The variable-free subterms below the pattern root, in the order
+    /// [`ChildSource::Ground`] indexes them. Each is resolved to its class
+    /// once per search instead of being matched node by node.
+    pub fn ground_terms(&self) -> &[RecExpr<L>] {
+        &self.ground_terms
     }
 
     /// The guarded variables in guard-table order: slot `pred` of the guard
@@ -388,8 +452,9 @@ impl<L: Language> Program<L> {
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the e-graph is clean: searching a dirty e-graph
-    /// silently returns stale or incomplete matches. Panics if the program
+    /// Panics, in every build, if the e-graph is not clean: a dirty
+    /// e-graph's node lists are neither canonical nor sorted, and the range
+    /// lookups would lose matches silently. Panics if the program
     /// was compiled with guards ([`Program::compile_guarded`]) — those
     /// require the guard table, via [`Program::search_guarded`] or
     /// [`GuardedProgram`].
@@ -405,7 +470,7 @@ impl<L: Language> Program<L> {
     /// # Panics
     ///
     /// Panics if `guards` does not match the compiled guard variables;
-    /// debug-asserts that the e-graph is clean (see [`Program::search`]).
+    /// panics if the e-graph is not clean (see [`Program::search`]).
     pub fn search_guarded<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
@@ -441,37 +506,15 @@ impl<L: Language> Program<L> {
         guards: &[Guard<N::Data>],
     ) -> Vec<SearchMatches> {
         self.check_guard_table(guards.len());
-        debug_assert!(
-            egraph.is_clean(),
-            "pattern search on a dirty e-graph returns stale matches; call rebuild() first"
-        );
+        assert_clean(egraph);
+        let Some(grounds) = self.resolve_grounds(egraph) else {
+            return vec![];
+        };
         let mut machine = Machine::default();
-        let lookups = machine_lookups(egraph, &self.instructions);
         let mut out = vec![];
-        match self.root_op {
-            Some(op) => {
-                for &id in egraph.classes_with_op(op) {
-                    if egraph.last_touched(id) < watermark {
-                        continue;
-                    }
-                    if let Some(m) = self.search_class(egraph, &mut machine, &lookups, guards, id) {
-                        out.push(m);
-                    }
-                }
-            }
-            None => {
-                for class in egraph.classes() {
-                    if egraph.last_touched(class.id) < watermark {
-                        continue;
-                    }
-                    if let Some(m) =
-                        self.search_class(egraph, &mut machine, &lookups, guards, class.id)
-                    {
-                        out.push(m);
-                    }
-                }
-            }
-        }
+        self.for_each_candidate(egraph, watermark, |id| {
+            out.extend(self.search_class(egraph, &mut machine, &grounds, guards, id));
+        });
         out
     }
 
@@ -499,7 +542,7 @@ impl<L: Language> Program<L> {
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the e-graph is clean (see [`Program::search`]).
+    /// Panics if the e-graph is not clean (see [`Program::search`]).
     pub fn search_parallel<N>(&self, egraph: &EGraph<L, N>, n_threads: usize) -> Vec<SearchMatches>
     where
         L: Sync,
@@ -550,51 +593,76 @@ impl<L: Language> Program<L> {
         out.pop().expect("one program in, one match list out")
     }
 
-    /// The classes this program's search visits, in the deterministic order
-    /// the sequential driver uses (ascending class id, restricted by the
-    /// operator index when the root is a concrete node), skipping classes
-    /// untouched since `watermark`.
-    fn candidate_classes<N: Analysis<L>>(&self, egraph: &EGraph<L, N>, watermark: u64) -> Vec<Id> {
+    /// Calls `visit` on the classes this program's search visits, in the
+    /// deterministic order every driver uses (ascending class id,
+    /// restricted by the operator index when the root is a concrete node),
+    /// skipping classes untouched since `watermark`.
+    fn for_each_candidate<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        watermark: u64,
+        mut visit: impl FnMut(Id),
+    ) {
+        let mut visit = |id| {
+            if egraph.last_touched(id) >= watermark {
+                visit(id);
+            }
+        };
         match self.root_op {
             Some(op) => egraph
                 .classes_with_op(op)
                 .iter()
                 .copied()
-                .filter(|&id| egraph.last_touched(id) >= watermark)
-                .collect(),
-            None => egraph
-                .classes()
-                .filter(|class| egraph.last_touched(class.id) >= watermark)
-                .map(|class| class.id)
-                .collect(),
+                .for_each(&mut visit),
+            None => egraph.classes().map(|class| class.id).for_each(&mut visit),
         }
+    }
+
+    /// Resolves every ground subterm to its e-class, once per (e-graph,
+    /// program) pair: the class is a constant for the whole search. `None`
+    /// if some term is not represented, or only through a filtered node —
+    /// every node of the (unique) realization must exist and be
+    /// unfiltered, exactly as the naive matcher requires — in which case
+    /// the pattern has no match anywhere.
+    fn resolve_grounds<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Option<Vec<Id>> {
+        self.ground_terms
+            .iter()
+            .map(|term| {
+                let mut ids: Vec<Id> = Vec::with_capacity(term.len());
+                for (_, node) in term.iter() {
+                    let node = node.map_children(|c| ids[usize::from(c)]);
+                    if egraph.is_filtered(&node) {
+                        return None;
+                    }
+                    ids.push(egraph.lookup(&node)?);
+                }
+                ids.last().copied()
+            })
+            .collect()
     }
 
     /// Searches a single e-class.
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the e-graph is clean (see [`Program::search`]).
+    /// Panics if the e-graph is not clean (see [`Program::search`]).
     pub fn search_eclass<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         eclass: Id,
     ) -> Option<SearchMatches> {
         self.check_guard_table(0);
-        debug_assert!(
-            egraph.is_clean(),
-            "pattern search on a dirty e-graph returns stale matches; call rebuild() first"
-        );
+        assert_clean(egraph);
+        let grounds = self.resolve_grounds(egraph)?;
         let mut machine = Machine::default();
-        let lookups = machine_lookups(egraph, &self.instructions);
-        self.search_class(egraph, &mut machine, &lookups, &[], egraph.find(eclass))
+        self.search_class(egraph, &mut machine, &grounds, &[], egraph.find(eclass))
     }
 
     fn search_class<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         machine: &mut Machine,
-        lookups: &[Option<Id>],
+        grounds: &[Id],
         guards: &[Guard<N::Data>],
         eclass: Id,
     ) -> Option<SearchMatches> {
@@ -605,7 +673,7 @@ impl<L: Language> Program<L> {
             &MachineCtx {
                 egraph,
                 instructions: &self.instructions,
-                lookups,
+                grounds,
                 guards,
                 subst_template: &self.subst_template,
             },
@@ -614,6 +682,8 @@ impl<L: Language> Program<L> {
         );
         // Distinct derivations can in principle yield the same binding;
         // sort before dedup so non-adjacent duplicates are removed too.
+        // The sort is also what makes the list independent of the order in
+        // which a Bind's range lookup happens to visit the nodes.
         substs.sort_unstable();
         substs.dedup();
         (!substs.is_empty()).then_some(SearchMatches { eclass, substs })
@@ -812,13 +882,25 @@ where
     for (p, g) in queries {
         p.check_guard_table(g.len());
     }
-    debug_assert!(
-        egraph.is_clean(),
-        "pattern search on a dirty e-graph returns stale matches; call rebuild() first"
-    );
+    assert_clean(egraph);
+    // Ground-term classes are a per-(program, e-graph) constant: resolve
+    // them once here and share them read-only with every shard. A program
+    // with an unrepresented ground term matches nowhere and gets no
+    // candidates.
+    let grounds: Vec<Option<Vec<Id>>> = queries
+        .iter()
+        .map(|(p, _)| p.resolve_grounds(egraph))
+        .collect();
     let candidates: Vec<Vec<Id>> = queries
         .iter()
-        .map(|(p, _)| p.candidate_classes(egraph, watermark))
+        .zip(&grounds)
+        .map(|((p, _), grounds)| {
+            let mut classes = vec![];
+            if grounds.is_some() {
+                p.for_each_candidate(egraph, watermark, |id| classes.push(id));
+            }
+            classes
+        })
         .collect();
     let total: usize = candidates.iter().map(Vec::len).sum();
 
@@ -847,13 +929,6 @@ where
             .collect();
     }
 
-    // Ground-term lookups are a per-(program, e-graph) constant: resolve
-    // them once here and share them read-only with every shard.
-    let lookups: Vec<Vec<Option<Id>>> = queries
-        .iter()
-        .map(|(p, _)| machine_lookups(egraph, &p.instructions))
-        .collect();
-
     let chunk_size = total.div_ceil(n_threads * CHUNKS_PER_THREAD).max(1);
     let mut items: Vec<(usize, std::ops::Range<usize>)> = vec![];
     for (prog_idx, classes) in candidates.iter().enumerate() {
@@ -877,11 +952,12 @@ where
                 break;
             };
             let (program, guards) = queries[*prog_idx];
+            let grounds = grounds[*prog_idx]
+                .as_deref()
+                .expect("a program with candidates has its grounds resolved");
             let found: Vec<SearchMatches> = candidates[*prog_idx][range.clone()]
                 .iter()
-                .filter_map(|&id| {
-                    program.search_class(egraph, &mut machine, &lookups[*prog_idx], guards, id)
-                })
+                .filter_map(|&id| program.search_class(egraph, &mut machine, grounds, guards, id))
                 .collect();
             slots[i].set(found).expect("each work item is claimed once");
         }
@@ -905,36 +981,14 @@ where
     out
 }
 
-/// Resolves every `Lookup` instruction's ground term to its e-class once
-/// per (e-graph, program) pair: the class is a constant for the whole
-/// search, so per-visit work reduces to one register compare. `None` marks
-/// a term that is absent or filtered — the instruction always fails.
-fn machine_lookups<L: Language, N: Analysis<L>>(
-    egraph: &EGraph<L, N>,
-    instructions: &[Instruction<L>],
-) -> Vec<Option<Id>> {
-    instructions
-        .iter()
-        .map(|instruction| match instruction {
-            Instruction::Lookup { term, .. } => {
-                let mut ids: Vec<Id> = Vec::with_capacity(term.len());
-                for (_, node) in term.iter() {
-                    let node = node.map_children(|c| ids[usize::from(c)]);
-                    // Every node of the (unique) realization must exist and
-                    // be unfiltered, exactly as the naive matcher requires.
-                    if egraph.is_filtered(&node) {
-                        return None;
-                    }
-                    match egraph.lookup(&node) {
-                        Some(found) => ids.push(found),
-                        None => return None,
-                    }
-                }
-                ids.last().copied()
-            }
-            _ => None,
-        })
-        .collect()
+/// Every search entry point calls this, in all builds: a `Bind` finds its
+/// nodes by binary search in node lists that only a rebuilt e-graph keeps
+/// canonical and sorted, so on a dirty one matches would be lost silently.
+fn assert_clean<L: Language, N: Analysis<L>>(egraph: &EGraph<L, N>) {
+    assert!(
+        egraph.is_clean(),
+        "pattern search on a dirty e-graph loses matches; call rebuild() first"
+    );
 }
 
 /// Builds the standalone `RecExpr` of a ground pattern subtree.
@@ -963,12 +1017,12 @@ fn ground_term<L: Language>(pattern: &RecExpr<ENodeOrVar<L>>, id: Id) -> RecExpr
 
 /// Read-only per-search state shared by every backtracking frame of one
 /// [`Machine::run`] invocation: the e-graph, the compiled instructions, the
-/// pre-resolved ground-term lookups, the guard table, and the substitution
+/// resolved ground-term classes, the guard table, and the substitution
 /// template.
 struct MachineCtx<'a, L: Language, N: Analysis<L>> {
     egraph: &'a EGraph<L, N>,
     instructions: &'a [Instruction<L>],
-    lookups: &'a [Option<Id>],
+    grounds: &'a [Id],
     guards: &'a [Guard<N::Data>],
     subst_template: &'a [(Var, Reg)],
 }
@@ -990,31 +1044,46 @@ impl Machine {
         let egraph = ctx.egraph;
         for pc in pc..ctx.instructions.len() {
             match &ctx.instructions[pc] {
-                Instruction::Bind { node, i, out: reg } => {
+                Instruction::Bind {
+                    node,
+                    i,
+                    out: reg,
+                    bound,
+                    prefix,
+                } => {
                     let class = egraph.eclass(self.regs[*i]);
-                    for enode in class.iter() {
-                        if !node.matches(enode) || egraph.is_filtered(enode) {
+                    // The key of the range lookup is what registers
+                    // `reg..reg + prefix` hold for every node in the range,
+                    // so it is built in place there. (A prefix source is
+                    // never a sibling: there is no node yet to read.)
+                    self.regs.truncate(*reg);
+                    for &(_, source) in &bound[..*prefix] {
+                        let id = source.class(&self.regs, ctx.grounds, &[]);
+                        self.regs.push(id);
+                    }
+                    let filled = self.regs.len();
+                    // In a sorted list the nodes of this operator that
+                    // start with the key are one run: binary-search its
+                    // first node, stop at the first node past it.
+                    let first = class.lower_bound(node, &self.regs[*reg..]);
+                    for enode in &class.nodes[first..] {
+                        let children = enode.children();
+                        if !node.matches(enode) || children[..*prefix] != self.regs[*reg..filled] {
+                            break;
+                        }
+                        let agrees = bound[*prefix..].iter().all(|&(k, source)| {
+                            children[k] == source.class(&self.regs, ctx.grounds, children)
+                        });
+                        if !agrees || egraph.is_filtered(enode) {
                             continue;
                         }
-                        self.regs.truncate(*reg);
-                        for &child in enode.children() {
-                            self.regs.push(egraph.find(child));
-                        }
+                        // Node lists of a clean e-graph are canonical: the
+                        // children are class ids as they stand.
+                        self.regs.truncate(filled);
+                        self.regs.extend_from_slice(&children[*prefix..]);
                         self.run(ctx, pc + 1, out);
                     }
                     return;
-                }
-                Instruction::Compare { i, j } => {
-                    if egraph.find(self.regs[*i]) != egraph.find(self.regs[*j]) {
-                        return;
-                    }
-                }
-                Instruction::Lookup { term: _, i } => {
-                    // The term's class was resolved once for this search
-                    // (absent/filtered terms resolve to None: always fail).
-                    if ctx.lookups[pc] != Some(egraph.find(self.regs[*i])) {
-                        return;
-                    }
                 }
                 Instruction::Guard { i, pred } => {
                     // Analysis-guided pruning: reject the branch if the
@@ -1039,7 +1108,7 @@ impl Machine {
         // All instructions passed: read the bindings out of the registers.
         let mut subst = Subst::new();
         for &(v, r) in ctx.subst_template {
-            subst.insert(v, egraph.find(self.regs[r]));
+            subst.insert(v, self.regs[r]);
         }
         out.push(subst);
     }
@@ -1071,19 +1140,22 @@ mod tests {
     }
 
     #[test]
-    fn compiles_ground_subterm_to_lookup() {
+    fn ground_subterm_compiles_into_the_bind_plan() {
         let program = Program::compile(&mul_by_two().ast);
-        let instrs = program.instructions();
-        // Root bind + ground lookup for the literal 2; ?x binds a register
-        // without emitting an instruction.
-        assert_eq!(instrs.len(), 2);
-        assert!(matches!(instrs[0], Instruction::Bind { .. }));
-        assert!(matches!(instrs[1], Instruction::Lookup { .. }));
+        // One Bind: ?x claims a register without an instruction, and the
+        // literal 2 is a bound child resolved through the hash-cons. It is
+        // child 1 with child 0 free, so no prefix: checked per node.
+        let [Instruction::Bind { bound, prefix, .. }] = program.instructions() else {
+            panic!("expected a single Bind, got {:?}", program.instructions());
+        };
+        assert_eq!(bound, &[(1, ChildSource::Ground(0))]);
+        assert_eq!(*prefix, 0);
+        assert_eq!(program.ground_terms().len(), 1);
         assert!(program.root_op().is_some());
     }
 
     #[test]
-    fn nonlinear_pattern_compiles_compare() {
+    fn repeat_inside_one_node_compiles_to_a_sibling_source() {
         let program = Program::compile(
             &pat(|p| {
                 let x1 = p.add(ENodeOrVar::Var(Var::new("x")));
@@ -1092,10 +1164,101 @@ mod tests {
             })
             .ast,
         );
-        assert!(program
+        let [Instruction::Bind { bound, prefix, .. }] = program.instructions() else {
+            panic!("expected a single Bind, got {:?}", program.instructions());
+        };
+        assert_eq!(bound, &[(1, ChildSource::Sibling(0))]);
+        assert_eq!(*prefix, 0, "a sibling's class is only known per node");
+    }
+
+    /// (+ (* ?x 2) (* ?x ?z)): the shape of the shared-input rules. The
+    /// second `*` is entered with ?x already in a register, so its child 0
+    /// is a bound prefix and the Bind is a range lookup on (`*`, ?x).
+    #[test]
+    fn shared_variable_compiles_to_a_bound_prefix() {
+        let p = pat(|p| {
+            let x = p.add(ENodeOrVar::Var(Var::new("x")));
+            let two = p.add(ENodeOrVar::ENode(Math::Num(2)));
+            let left = p.add(ENodeOrVar::ENode(Math::Mul([x, two])));
+            let z = p.add(ENodeOrVar::Var(Var::new("z")));
+            let right = p.add(ENodeOrVar::ENode(Math::Mul([x, z])));
+            p.add(ENodeOrVar::ENode(Math::Add([left, right])));
+        });
+        let program = Program::compile(&p.ast);
+        let plans: Vec<_> = program
             .instructions()
             .iter()
-            .any(|i| matches!(i, Instruction::Compare { .. })));
+            .map(|instruction| match instruction {
+                Instruction::Bind {
+                    i, bound, prefix, ..
+                } => (*i, bound.clone(), *prefix),
+                other => panic!("unguarded programs hold only Binds, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            plans,
+            vec![
+                (0, vec![], 0),
+                (1, vec![(1, ChildSource::Ground(0))], 0),
+                (2, vec![(0, ChildSource::Reg(3))], 1),
+            ]
+        );
+
+        // One class holding many `*` nodes: the lookup must find exactly
+        // the ones whose first child is the ?x of the enclosing alternative.
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let two = eg.add(Math::Num(2));
+        let leaves: Vec<Id> = (0..40).map(|i| eg.add(sym(&format!("v{i}")))).collect();
+        let big = eg.add(Math::Mul([leaves[0], two]));
+        for (n, &l) in leaves.iter().enumerate() {
+            let m = eg.add(Math::Mul([l, two]));
+            eg.union(big, m);
+            let m = eg.add(Math::Mul([l, leaves[(n * 7 + 3) % 40]]));
+            eg.union(big, m);
+        }
+        eg.add(Math::Add([big, big]));
+        eg.rebuild();
+        assert!(eg.eclass(big).len() >= 64);
+        let machine = program.search(&eg);
+        assert_eq!(machine.len(), 1);
+        assert_eq!(machine[0].substs.len(), 40 * 2);
+        assert_eq!(normalized(machine), normalized(p.search_naive(&eg)));
+    }
+
+    /// The naive matcher binds variables in DFS order, the machine reads
+    /// them out in AST first-occurrence order; sorting each binding list
+    /// makes the two comparable.
+    fn normalized(mut matches: Vec<SearchMatches>) -> Vec<SearchMatches> {
+        for m in &mut matches {
+            for s in &mut m.substs {
+                let mut pairs: Vec<_> = s.iter().collect();
+                pairs.sort();
+                *s = Subst::default();
+                for (v, id) in pairs {
+                    s.insert(v, id);
+                }
+            }
+            m.substs.sort();
+        }
+        matches
+    }
+
+    /// A ground subterm the e-graph does not hold ends the search before
+    /// any class is visited — for every driver.
+    #[test]
+    fn unrepresented_ground_term_matches_nowhere() {
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let a = eg.add(sym("a"));
+        let three = eg.add(Math::Num(3));
+        let mul = eg.add(Math::Mul([a, three]));
+        eg.rebuild();
+        let p = mul_by_two();
+        assert!(p.program().search(&eg).is_empty());
+        assert!(p.program().search_eclass(&eg, mul).is_none());
+        let queries = [(p.program(), &[] as &[_])];
+        let forced = search_programs_since_parallel_with_threshold(&queries, &eg, 0, 4, 0);
+        assert_eq!(forced, vec![vec![]]);
+        assert!(p.search_naive(&eg).is_empty());
     }
 
     #[test]
@@ -1237,12 +1400,11 @@ mod tests {
     fn guard_is_emitted_right_after_the_binding() {
         let program = Program::compile_guarded(&mul_by_two().ast, &[Var::new("x")]);
         let instrs = program.instructions();
-        // Bind fills register 1 with ?x's class; the guard checks it before
-        // the ground lookup for the literal 2 runs.
-        assert_eq!(instrs.len(), 3);
+        // Bind fills register 1 with ?x's class and the guard checks it;
+        // the literal 2 is part of the Bind's plan, not an instruction.
+        assert_eq!(instrs.len(), 2);
         assert!(matches!(instrs[0], Instruction::Bind { .. }));
         assert!(matches!(instrs[1], Instruction::Guard { i: 1, pred: 0 }));
-        assert!(matches!(instrs[2], Instruction::Lookup { .. }));
         assert_eq!(program.guard_vars(), &[Var::new("x")]);
     }
 
@@ -1263,15 +1425,20 @@ mod tests {
         });
         let program = Program::compile_guarded(&p.ast, &[Var::new("p")]);
         let instrs = program.instructions();
-        assert_eq!(instrs.len(), 4);
+        assert_eq!(instrs.len(), 3);
         assert!(matches!(instrs[0], Instruction::Bind { .. }), "root bind");
         assert!(
             matches!(instrs[1], Instruction::Guard { i: 2, pred: 0 }),
             "?p (register 2, filled by the root bind) is guarded before \
              the inner bind, got {instrs:?}"
         );
-        assert!(matches!(instrs[2], Instruction::Bind { .. }), "inner bind");
-        assert!(matches!(instrs[3], Instruction::Compare { i: 2, j: 4 }));
+        // The inner bind pins its child 1 to ?p's register; child 0 is
+        // free, so the pin is checked per node, not looked up.
+        let Instruction::Bind { bound, prefix, .. } = &instrs[2] else {
+            panic!("inner bind expected, got {instrs:?}");
+        };
+        assert_eq!(bound, &[(1, ChildSource::Reg(2))]);
+        assert_eq!(*prefix, 0);
     }
 
     #[test]
@@ -1359,17 +1526,36 @@ mod tests {
         let _ = program.search(&eg);
     }
 
-    /// The clean check is a `debug_assert!`: the panic only exists in debug
-    /// builds, so release builds skip the test.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "dirty")]
-    fn machine_search_asserts_clean() {
+    fn dirty_egraph() -> EGraph<Math, ()> {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let a = eg.add(sym("a"));
         let b = eg.add(sym("b"));
         eg.union(a, b);
+        eg
+    }
+
+    /// The clean check is a real `assert!` — a range lookup in unsorted,
+    /// non-canonical node lists would lose matches silently — so it fires
+    /// in release builds too, from every entry point.
+    #[test]
+    #[should_panic(expected = "dirty")]
+    fn machine_search_asserts_clean() {
+        let _ = mul_by_two().program().search(&dirty_egraph());
+    }
+
+    #[test]
+    #[should_panic(expected = "dirty")]
+    fn machine_search_eclass_asserts_clean() {
+        let _ = mul_by_two()
+            .program()
+            .search_eclass(&dirty_egraph(), Id::from(0usize));
+    }
+
+    #[test]
+    #[should_panic(expected = "dirty")]
+    fn parallel_search_asserts_clean() {
         let p = mul_by_two();
-        let _ = p.program().search(&eg);
+        let queries = [(p.program(), &[] as &[_])];
+        let _ = search_programs_since_parallel_with_threshold(&queries, &dirty_egraph(), 0, 4, 0);
     }
 }

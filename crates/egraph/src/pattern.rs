@@ -254,9 +254,10 @@ impl<L: Language> Pattern<L> {
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the e-graph is clean ([`EGraph::is_clean`]):
-    /// searching a dirty e-graph silently returns stale or incomplete
-    /// matches, so callers must [`EGraph::rebuild`] first.
+    /// Panics, in every build, if the e-graph is not clean
+    /// ([`EGraph::is_clean`]): the machine binary-searches node lists that
+    /// only [`EGraph::rebuild`] leaves canonical and sorted, so on a dirty
+    /// e-graph it would lose matches silently.
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
         self.program().search(egraph)
     }
@@ -288,7 +289,7 @@ impl<L: Language> Pattern<L> {
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the e-graph is clean (see [`Pattern::search`]).
+    /// Panics if the e-graph is not clean (see [`Pattern::search`]).
     pub fn search_parallel<N>(&self, egraph: &EGraph<L, N>, n_threads: usize) -> Vec<SearchMatches>
     where
         L: Sync,
@@ -320,7 +321,7 @@ impl<L: Language> Pattern<L> {
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the e-graph is clean (see [`Pattern::search`]).
+    /// Panics if the e-graph is not clean (see [`Pattern::search`]).
     pub fn search_eclass<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
@@ -331,9 +332,11 @@ impl<L: Language> Pattern<L> {
 
     /// Reference implementation of [`Pattern::search`]: the legacy
     /// recursive matcher, kept as the oracle for differential tests and
-    /// benchmarks. It scans every class (no operator index) and clones
-    /// substitution vectors per branch. Unlike [`Pattern::search`] it does
-    /// not assert cleanliness, so tests can exercise dirty-graph behaviour.
+    /// benchmarks. It scans every class (no operator index) and every node
+    /// of a class (no range lookup — the only full-class scan left), and
+    /// clones substitution vectors per branch. Unlike [`Pattern::search`] it
+    /// does not assert cleanliness, so tests can exercise dirty-graph
+    /// behaviour.
     pub fn search_naive<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
         let mut out = vec![];
         for class in egraph.classes() {
@@ -478,7 +481,7 @@ impl<L: Language> Display for Pattern<L> {
 ///
 /// # Panics
 ///
-/// Debug-asserts that the e-graph is clean (see [`Pattern::search`]).
+/// Panics if the e-graph is not clean (see [`Pattern::search`]).
 pub fn search_all_parallel<L, N>(
     patterns: &[&Pattern<L>],
     egraph: &EGraph<L, N>,
@@ -523,7 +526,7 @@ where
 /// # Panics
 ///
 /// Panics if a guard table does not match its program's guarded variables;
-/// debug-asserts that the e-graph is clean (see [`Pattern::search`]).
+/// panics if the e-graph is not clean (see [`Pattern::search`]).
 pub fn search_all_guarded_parallel<L, N>(
     queries: &[SearchQuery<'_, L, N::Data>],
     egraph: &EGraph<L, N>,

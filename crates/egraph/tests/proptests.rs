@@ -105,7 +105,7 @@ fn build_pattern(steps: &[PatStep]) -> Pattern<Math> {
 /// normal forms are equal.
 type NormalMatches = BTreeMap<Id, BTreeSet<Vec<(Var, Id)>>>;
 
-fn normalize(eg: &EGraph<Math, ()>, matches: &[SearchMatches]) -> NormalMatches {
+fn normalize<N: Analysis<Math>>(eg: &EGraph<Math, N>, matches: &[SearchMatches]) -> NormalMatches {
     let mut out: NormalMatches = BTreeMap::new();
     for m in matches {
         let substs = out.entry(eg.find(m.eclass)).or_default();
@@ -148,8 +148,9 @@ proptest! {
     }
 
     /// Same differential property with a random subset of e-nodes filtered:
-    /// both matchers must skip filtered nodes identically (the machine's
-    /// ground-term `Lookup` instruction checks the filter set node by node).
+    /// both matchers must skip filtered nodes identically (the machine
+    /// checks every node of a ground subterm against the filter set when it
+    /// resolves the term).
     #[test]
     fn machine_search_equals_naive_search_with_filtered_nodes(
         steps in steps_strategy(40),
@@ -638,6 +639,137 @@ proptest! {
         let got = guarded.search(&eg);
         prop_assert_eq!(&got, &expected);
         prop_assert_eq!(guarded.search_parallel(&eg, n_threads), got);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Big classes: the range lookup inside `Bind`
+// ---------------------------------------------------------------------------
+
+/// Patterns that between them reach every branch of a `Bind`'s
+/// bound-children plan, written as [`PatStep`] programs (an operand index
+/// below the step's own index refers to that earlier step).
+fn bind_plan_patterns() -> Vec<(&'static str, Pattern<Math>)> {
+    use PatStep::*;
+    let pats: Vec<(&'static str, Vec<PatStep>)> = vec![
+        // (+ (* ?v0 ?v1) (* ?v0 ?v2)): the second `*` has child 0 bound —
+        // a prefix, found by range lookup.
+        (
+            "bound prefix",
+            vec![Var(0), Var(1), Mul(0, 1), Var(2), Mul(0, 3), Add(2, 4)],
+        ),
+        // (+ (* ?v0 ?v1) (* ?v0 ?v1)): every child bound, the lookup finds
+        // at most one node.
+        (
+            "fully bound",
+            vec![Var(0), Var(1), Mul(0, 1), Mul(0, 1), Add(2, 3)],
+        ),
+        // (+ (* ?v0 ?v1) (* ?v2 ?v1)): child 1 bound with child 0 free —
+        // no prefix, the bound child is checked per node.
+        (
+            "bound non-prefix",
+            vec![Var(0), Var(1), Mul(0, 1), Var(2), Mul(3, 1), Add(2, 4)],
+        ),
+        // (+ ?v0 ?v0) and (* (+ ?v0 ?v0) ?v0): a repeat inside one node,
+        // and that repeat bound from outside as well.
+        ("same node", vec![Var(0), Add(0, 0)]),
+        ("same node, nested", vec![Var(0), Add(0, 0), Mul(1, 0)]),
+        // (+ s0 ?v0): a ground leaf as prefix.
+        ("ground prefix", vec![Sym(0), Var(0), Add(0, 1)]),
+        // (* ?v0 (+ s0 1)): a composite ground subterm outside the prefix.
+        (
+            "ground non-prefix",
+            vec![Var(0), Sym(0), Num(1), Add(1, 2), Mul(0, 3)],
+        ),
+        // (/ (+ s1 s0) (* ?v0 s1)): ground prefix at the root, ground
+        // non-prefix one level down.
+        (
+            "ground and nested",
+            vec![Sym(1), Sym(0), Add(0, 1), Var(0), Mul(3, 0), Div(2, 4)],
+        ),
+    ];
+    pats.into_iter()
+        .map(|(name, steps)| (name, build_pattern(&steps)))
+        .collect()
+}
+
+proptest! {
+    /// The range lookup only does work a scan would not once classes are
+    /// big, and `steps_strategy(40)` rarely builds one above a handful of
+    /// nodes. Here ~300 random binary nodes over a few leaves are unioned
+    /// into three classes (and take those classes as operands), so the
+    /// largest class holds at least 64 nodes; some nodes are then filtered.
+    /// On that e-graph, for one pattern per branch of the bound-children
+    /// plan and a random one: the machine equals the naive oracle, guarded
+    /// search equals the filtered unguarded list bit for bit, and the
+    /// forced-parallel batch driver equals the sequential searches bit for
+    /// bit.
+    #[test]
+    fn big_class_search_equals_naive_filtered_and_parallel(
+        nodes in prop::collection::vec((0u8..3, any::<usize>(), any::<usize>(), 0usize..3), 280..320),
+        pat_steps in pattern_strategy(12),
+        guard_choices in prop::collection::vec(0u8..5, 3),
+        filter_picks in prop::collection::vec(any::<usize>(), 0..12),
+        n_threads in 2usize..=8
+    ) {
+        let mut eg: EGraph<Math, ConstAnalysis> = EGraph::new(ConstAnalysis);
+        let mut operands: Vec<Id> = (0..4).map(|s| eg.add(Math::Sym(Symbol::new(format!("s{s}"))))).collect();
+        operands.extend((0..3).map(|n| eg.add(Math::Num(n))));
+        // The three big classes start as `(+ s0 1)`, `(* s1 s0)`, `(/ s2 s3)`
+        // — the first two are what the ground patterns look for.
+        let bigs = [
+            eg.add(Math::Add([operands[0], operands[5]])),
+            eg.add(Math::Mul([operands[1], operands[0]])),
+            eg.add(Math::Div([operands[2], operands[3]])),
+        ];
+        operands.extend(bigs);
+        for (op, a, b, into) in nodes {
+            let children = [operands[a % operands.len()], operands[b % operands.len()]];
+            let id = eg.add(match op {
+                0 => Math::Add(children),
+                1 => Math::Mul(children),
+                _ => Math::Div(children),
+            });
+            eg.union(bigs[into], id);
+        }
+        eg.rebuild();
+        let largest = eg.classes().map(|c| c.len()).max().unwrap_or(0);
+        prop_assert!(largest >= 64, "largest class holds only {} nodes", largest);
+        let all_nodes: Vec<Math> = eg.classes().flat_map(|c| c.iter().cloned()).collect();
+        for pick in filter_picks {
+            eg.filter_node(&all_nodes[pick % all_nodes.len()]);
+        }
+
+        let guards: Vec<(Var, Guard<Option<i64>>)> = guard_choices
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &choice)| guard_pool(choice).map(|g| (Var::new(format!("v{i}")), g)))
+            .collect();
+        let mut patterns = bind_plan_patterns();
+        patterns.push(("random", build_pattern(&pat_steps)));
+        let guarded: Vec<GuardedProgram<Math, Option<i64>>> = patterns
+            .iter()
+            .map(|(_, p)| GuardedProgram::compile(&p.ast, &guards))
+            .collect();
+        let queries: Vec<_> = guarded.iter().map(|g| g.query()).collect();
+        let parallel =
+            search_all_guarded_since_parallel_with_threshold(&queries, &eg, 0, n_threads, 0);
+
+        for (((name, pattern), guarded), parallel) in patterns.iter().zip(&guarded).zip(&parallel) {
+            let machine = pattern.search(&eg);
+            prop_assert_eq!(
+                normalize(&eg, &machine),
+                normalize(&eg, &pattern.search_naive(&eg)),
+                "{}: machine != naive", name
+            );
+            let sequential = guarded.search(&eg);
+            prop_assert_eq!(
+                &sequential,
+                &filter_by_guards(&eg, &machine, &guards),
+                "{}: guarded != filtered unguarded", name
+            );
+            prop_assert_eq!(parallel, &sequential, "{}: parallel != sequential", name);
+        }
     }
 }
 

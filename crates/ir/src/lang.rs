@@ -351,6 +351,7 @@ pub fn decode_shape(sym: Symbol) -> Result<Vec<i64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensat_egraph::assert_ord_contract;
 
     #[test]
     fn activation_and_padding_roundtrip() {
@@ -402,6 +403,64 @@ mod tests {
         let b = TensorLang::Ewadd([Id::from(5usize), Id::from(9usize)]);
         assert!(a.matches(&b));
         assert!(!a.matches(&TensorLang::Ewmul([Id::from(0usize), Id::from(1usize)])));
+    }
+
+    /// Pins the `Language` ordering contract (operator-major, then
+    /// children-lexicographic) that the e-matching machine's range lookup
+    /// relies on: pseudo-random pairs covering every pair of operators,
+    /// equal and unequal literals, and children on both sides of each
+    /// other.
+    #[test]
+    fn tensorlang_keeps_the_ordering_contract() {
+        // Every operator with its arity.
+        const OPS: [(&str, usize); 23] = [
+            ("input", 1),
+            ("weight", 1),
+            ("ewadd", 2),
+            ("ewmul", 2),
+            ("matmul", 3),
+            ("conv", 6),
+            ("relu", 1),
+            ("tanh", 1),
+            ("sigmoid", 1),
+            ("poolmax", 7),
+            ("poolavg", 7),
+            ("transpose", 2),
+            ("enlarge", 2),
+            ("concat2", 3),
+            ("concat3", 4),
+            ("concat4", 5),
+            ("concat5", 6),
+            ("split", 2),
+            ("split0", 1),
+            ("split1", 1),
+            ("merge", 2),
+            ("reshape", 2),
+            ("noop", 2),
+        ];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut node = |variant: usize| match variant {
+            0 => TensorLang::Num(next(3) as i64 - 1),
+            1 => TensorLang::Str(Symbol::new(["x@1", "y@2", "1_0"][next(3) as usize])),
+            v => {
+                let (name, arity) = OPS[v - 2];
+                let children = (0..arity).map(|_| Id::from(next(3) as usize)).collect();
+                TensorLang::from_op(name, children).expect("operator table is right")
+            }
+        };
+        for va in 0..OPS.len() + 2 {
+            for vb in 0..OPS.len() + 2 {
+                for _ in 0..20 {
+                    assert_ord_contract(&node(va), &node(vb));
+                }
+            }
+        }
     }
 
     #[test]
