@@ -18,34 +18,11 @@ use crate::cycles::{
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{
-    apply_windowed, search_all_guarded_parallel, search_all_guarded_since_parallel, GuardedProgram,
-    Id, Pattern, SearchMatches, SearchQuery, StagedApp, Subst,
+    apply_windowed, search_all_guarded_parallel, GuardedProgram, Id, Pattern, SearchMatches,
+    SearchQuery, StagedApp, Subst,
 };
 use tensat_ir::{TensorData, TensorEGraph, TensorLang};
 use tensat_rules::{pattern_data, MultiPatternRule, TensorRewrite};
-
-/// Cross-iteration state of the incremental multi-pattern search
-/// ([`ExplorationConfig::incremental_multi`]): the watermark taken after
-/// the previous iteration's search, the effective match lists that
-/// iteration used (per unique canonical source, the next iteration's
-/// *stale* candidates), and the honesty gate. Owned by the strategy loop
-/// ([`Saturate`](super::Saturate)) and threaded through
-/// [`ExplorationContext::run_iteration_with`]; a fresh default state makes
-/// every iteration a full search.
-#[derive(Debug, Default)]
-pub struct IncrementalMultiState {
-    /// Watermark snapshot from the previous iteration (taken on the clean
-    /// iteration-start e-graph, before any application).
-    watermark: Option<u64>,
-    /// Per unique canonical source: the previous iteration's flattened
-    /// `(root class, canonical substitution)` match list, in search order.
-    cache: Vec<Vec<(Id, Subst)>>,
-    /// True when a cycle-filter event (a combination rejected by the
-    /// pre-filter, or e-nodes filtered by the post-pass) may have
-    /// invalidated the cache: filter decisions are not covered by touch
-    /// propagation, so the next iteration must search in full.
-    flush: bool,
-}
 
 /// Everything a strategy needs to explore: the root, the rules with their
 /// compiled programs and guard tables, the configuration, and the budget
@@ -173,23 +150,6 @@ impl<'a> ExplorationContext<'a> {
         iter: usize,
         stats: &mut ExplorationStats,
     ) -> bool {
-        self.run_iteration_with(egraph, iter, stats, &mut IncrementalMultiState::default())
-    }
-
-    /// [`ExplorationContext::run_iteration`] with the cross-iteration
-    /// incremental multi-pattern state threaded through: when
-    /// [`ExplorationConfig::incremental_multi`] is set and the state holds
-    /// a usable cache, the multi sources are searched
-    /// watermark-restricted and all-stale Cartesian combinations are
-    /// skipped (they were applied, or rejected for covered reasons, in an
-    /// earlier iteration) — bit-identical to the full search.
-    pub fn run_iteration_with(
-        &self,
-        egraph: &mut TensorEGraph,
-        iter: usize,
-        stats: &mut ExplorationStats,
-        inc: &mut IncrementalMultiState,
-    ) -> bool {
         let config = self.config;
         let nodes_before = egraph.total_number_of_nodes();
         let unions_before = egraph.union_count();
@@ -215,17 +175,6 @@ impl<'a> ExplorationContext<'a> {
         // inadmissible bindings die inside the machine.
         let do_multi = iter < config.k_multi;
         let last_multi = iter + 1 == config.k_multi;
-        // Incremental multi search applies only between two *guarded* multi
-        // searches with a valid cache: the final multi iteration searches
-        // unguarded (below) — a strictly larger match set a guarded cache
-        // cannot stand in for — and the honesty gate (`flush`) forces a
-        // full search after any cycle-filter event.
-        let incremental = config.incremental_multi
-            && do_multi
-            && !last_multi
-            && !inc.flush
-            && inc.watermark.is_some()
-            && inc.cache.len() == self.unique_patterns.len();
 
         let search_start = Instant::now();
         let mut queries: Vec<SearchQuery<'_, TensorLang, TensorData>> = self
@@ -233,7 +182,7 @@ impl<'a> ExplorationContext<'a> {
             .iter()
             .map(|rw| rw.searcher_query())
             .collect();
-        if do_multi && !incremental {
+        if do_multi {
             // Guards evaluate at search time while `apply_combo` validates
             // at apply time, and unions performed earlier in the same
             // iteration (single-pattern applications run first) can make a
@@ -259,77 +208,18 @@ impl<'a> ExplorationContext<'a> {
         }
         let mut single_matches =
             search_all_guarded_parallel(&queries, egraph, config.search_threads);
-        let multi_matches: Vec<_> = if do_multi {
-            if incremental {
-                // Watermark-restricted search of the multi sources: only
-                // classes touched since the previous iteration's snapshot
-                // are revisited (the singles above still search in full).
-                let queries: Vec<SearchQuery<'_, TensorLang, TensorData>> =
-                    self.multi_guarded.iter().map(|g| g.query()).collect();
-                search_all_guarded_since_parallel(
-                    &queries,
-                    egraph,
-                    inc.watermark.expect("incremental implies a watermark"),
-                    config.search_threads,
-                )
-            } else {
-                single_matches.split_off(self.single_rules.len())
-            }
-        } else {
-            vec![]
-        };
-
-        // Flatten the multi match lists, tagging each entry fresh or stale.
-        // In the incremental case the effective list is the union of the
-        // cached matches whose root class is untouched since the watermark
-        // (a touched root's matches are all re-found by `search_since`, so
-        // dropping them loses nothing) and the freshly found matches; a
-        // class's matches are wholly stale or wholly fresh, so a stable
-        // sort by root id reproduces the full search's class order — and
-        // with it the full search's application order — exactly.
-        let multi_flat: Vec<Vec<(Id, Subst, bool)>> = if incremental {
-            let wm = inc.watermark.expect("incremental implies a watermark");
-            multi_matches
-                .iter()
-                .enumerate()
-                .map(|(si, fresh)| {
-                    let mut list: Vec<(Id, Subst, bool)> = inc.cache[si]
-                        .iter()
-                        .filter(|(eclass, _)| egraph.last_touched(*eclass) < wm)
-                        .map(|(eclass, subst)| (*eclass, subst.clone(), false))
-                        .collect();
-                    list.extend(flatten_matches(fresh));
-                    list.sort_by_key(|(eclass, _, _)| usize::from(*eclass));
-                    list
-                })
-                .collect()
-        } else {
-            multi_matches
+        // Flatten the multi match lists into `(root class, canonical
+        // substitution)` entries in search order.
+        let multi_flat: Vec<Vec<(Id, Subst)>> = if do_multi {
+            single_matches
+                .split_off(self.single_rules.len())
                 .iter()
                 .map(|ms| flatten_matches(ms).collect())
                 .collect()
+        } else {
+            vec![]
         };
         stats.search_time += search_start.elapsed();
-
-        if config.incremental_multi && do_multi && !last_multi {
-            // Snapshot before this iteration mutates anything, and keep the
-            // effective match lists: the next iteration's stale candidates.
-            inc.watermark = Some(egraph.watermark());
-            inc.cache = multi_flat
-                .iter()
-                .map(|list| {
-                    list.iter()
-                        .map(|(eclass, subst, _)| (*eclass, subst.clone()))
-                        .collect()
-                })
-                .collect();
-            inc.flush = false;
-        } else {
-            // The guarded multi window is over: nothing cached from here
-            // can seed an incremental search.
-            inc.watermark = None;
-            inc.cache = vec![];
-        }
 
         // --- apply single-pattern rules ---------------------------------------
         // The gathered batch goes through the windowed driver: conditions
@@ -354,26 +244,14 @@ impl<'a> ExplorationContext<'a> {
         );
 
         // --- apply multi-pattern rules (first k_multi iterations only) ------
-        let mut events = MultiApplyEvents::default();
         if do_multi {
             for mrule in &self.compiled {
-                apply_multi_rule(
-                    egraph,
-                    mrule,
-                    &multi_flat,
-                    config,
-                    &mut desc,
-                    self.start,
-                    &mut events,
-                );
-                if egraph.total_number_of_nodes() >= config.node_limit
-                    || self.elapsed() >= config.time_limit
-                {
+                apply_multi_rule(egraph, mrule, &multi_flat, config, &mut desc, self.start);
+                if self.over_budget(egraph) {
                     break;
                 }
             }
         }
-        stats.multi_stale_skipped += events.stale_skipped;
         stats.apply_time += apply_start.elapsed();
 
         let rebuild_start = Instant::now();
@@ -381,19 +259,10 @@ impl<'a> ExplorationContext<'a> {
 
         // Post-processing: resolve cycles that slipped past the pre-filter
         // (Algorithm 2, lines 10–18).
-        let mut filtered_this_iter = 0;
         if config.cycle_filter == CycleFilter::Efficient {
-            filtered_this_iter = remove_all_cycles(egraph, self.root);
-            stats.filtered_nodes += filtered_this_iter;
+            stats.filtered_nodes += remove_all_cycles(egraph, self.root);
         }
         stats.rebuild_time += rebuild_start.elapsed();
-
-        // Honesty gate: cycle-filter decisions are not covered by touch
-        // propagation, so any filter event this iteration could flip a
-        // cached combination's verdict — the next search must run in full.
-        if events.cycle_rejects > 0 || filtered_this_iter > 0 {
-            inc.flush = true;
-        }
 
         stats.iterations = iter + 1;
         stats
@@ -455,7 +324,7 @@ impl<'a> ExplorationContext<'a> {
         // over-estimates — which only makes the budget check stricter.)
         let headroom = rw.applier.ast.len();
         let mut desc = self.prefilter_map(egraph, stats);
-        // The same windowed driver as `run_iteration_with`'s single apply:
+        // The same windowed driver as `run_iteration`'s single apply:
         // the budget is asked before every application and one commit adds
         // at most `adds.len() <= headroom` nodes — so the budget stays
         // hard.
@@ -500,19 +369,11 @@ impl<'a> ExplorationContext<'a> {
             ..self.config.clone()
         };
         let mut desc = self.prefilter_map(egraph, stats);
-        let flat: Vec<Vec<(Id, Subst, bool)>> = multi_matches
+        let flat: Vec<Vec<(Id, Subst)>> = multi_matches
             .iter()
             .map(|ms| flatten_matches(ms).collect())
             .collect();
-        apply_multi_rule(
-            egraph,
-            mrule,
-            &flat,
-            &capped,
-            &mut desc,
-            self.start,
-            &mut MultiApplyEvents::default(),
-        );
+        apply_multi_rule(egraph, mrule, &flat, &capped, &mut desc, self.start);
         self.seal_state(egraph);
     }
 
@@ -544,22 +405,11 @@ impl<'a> ExplorationContext<'a> {
 }
 
 /// Flattens one source pattern's match list into `(root class, canonical
-/// substitution, fresh)` entries in search order, all tagged fresh.
-fn flatten_matches(matches: &[SearchMatches]) -> impl Iterator<Item = (Id, Subst, bool)> + '_ {
+/// substitution)` entries in search order.
+fn flatten_matches(matches: &[SearchMatches]) -> impl Iterator<Item = (Id, Subst)> + '_ {
     matches
         .iter()
-        .flat_map(|m| m.substs.iter().map(move |s| (m.eclass, s.clone(), true)))
-}
-
-/// Cycle-filter events observed while applying multi-pattern rules: the
-/// incremental cache's honesty gate counts the rejections, and the skip
-/// counter feeds [`ExplorationStats::multi_stale_skipped`].
-#[derive(Debug, Default)]
-struct MultiApplyEvents {
-    /// Combinations rejected by the cycle pre-filter.
-    cycle_rejects: usize,
-    /// All-stale combinations skipped by the incremental search.
-    stale_skipped: usize,
+        .flat_map(|m| m.substs.iter().map(move |s| (m.eclass, s.clone())))
 }
 
 /// Commit-time cycle pre-filter for staged applications: the same verdict
@@ -613,25 +463,22 @@ fn skip_for_cycles(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn apply_multi_rule(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
-    all_matches: &[Vec<(Id, Subst, bool)>],
+    all_matches: &[Vec<(Id, Subst)>],
     config: &ExplorationConfig,
     desc: &mut Option<DescendantsMap>,
     start: Instant,
-    events: &mut MultiApplyEvents,
 ) {
-    // Decanonicalized flat match lists per source pattern, carrying each
-    // entry's freshness tag (always `true` outside incremental search).
-    let per_src: Vec<Vec<(Id, Subst, bool)>> = mrule
+    // Decanonicalized flat match lists per source pattern.
+    let per_src: Vec<Vec<(Id, Subst)>> = mrule
         .srcs
         .iter()
         .map(|(idx, back)| {
             all_matches[*idx]
                 .iter()
-                .map(|(eclass, subst, fresh)| (*eclass, decanonicalize_subst(subst, back), *fresh))
+                .map(|(eclass, subst)| (*eclass, decanonicalize_subst(subst, back)))
                 .collect()
         })
         .collect();
@@ -639,49 +486,37 @@ fn apply_multi_rule(
     // Cartesian product over the source patterns (Algorithm 1, line 16).
     // All current rules have exactly two sources; the generic recursion
     // handles more.
-    let mut combo: Vec<(Id, Subst, bool)> = Vec::with_capacity(per_src.len());
-    cartesian(
-        egraph, mrule, &per_src, 0, &mut combo, config, desc, start, events,
-    );
+    let mut combo: Vec<(Id, Subst)> = Vec::with_capacity(per_src.len());
+    cartesian(egraph, mrule, &per_src, 0, &mut combo, config, desc, start);
 }
 
 #[allow(clippy::too_many_arguments)]
 fn cartesian(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
-    per_src: &[Vec<(Id, Subst, bool)>],
+    per_src: &[Vec<(Id, Subst)>],
     depth: usize,
-    combo: &mut Vec<(Id, Subst, bool)>,
+    combo: &mut Vec<(Id, Subst)>,
     config: &ExplorationConfig,
     desc: &mut Option<DescendantsMap>,
     start: Instant,
-    events: &mut MultiApplyEvents,
 ) {
     if egraph.total_number_of_nodes() >= config.node_limit || start.elapsed() >= config.time_limit {
         return;
     }
     if depth == per_src.len() {
-        if combo.iter().any(|(_, _, fresh)| *fresh) {
-            apply_combo(egraph, mrule, combo, config, desc, events);
-        } else {
-            // Every element predates the incremental watermark: this exact
-            // combination was already applied in an earlier iteration
-            // (re-applying is a hash-cons/union no-op) or rejected there
-            // for a reason touch propagation covers — skipping it is
-            // bit-identical to re-running it.
-            events.stale_skipped += 1;
-        }
+        apply_combo(egraph, mrule, combo, config, desc);
         return;
     }
-    for (eclass, subst, fresh) in &per_src[depth] {
+    for (eclass, subst) in &per_src[depth] {
         if mrule.rule.skip_identical
-            && combo.iter().any(|(c, s, _)| {
+            && combo.iter().any(|(c, s)| {
                 egraph.find(*c) == egraph.find(*eclass) && substs_equal_canonical(egraph, s, subst)
             })
         {
             continue;
         }
-        combo.push((*eclass, subst.clone(), *fresh));
+        combo.push((*eclass, subst.clone()));
         cartesian(
             egraph,
             mrule,
@@ -691,7 +526,6 @@ fn cartesian(
             config,
             desc,
             start,
-            events,
         );
         combo.pop();
         if egraph.total_number_of_nodes() >= config.node_limit {
@@ -703,14 +537,13 @@ fn cartesian(
 fn apply_combo(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
-    combo: &[(Id, Subst, bool)],
+    combo: &[(Id, Subst)],
     config: &ExplorationConfig,
     desc: &mut Option<DescendantsMap>,
-    events: &mut MultiApplyEvents,
 ) {
     // Check compatibility at shared variables and build the merged binding.
     let mut merged = Subst::new();
-    for (_, subst, _) in combo {
+    for (_, subst) in combo {
         match merge_substs(egraph, &merged, subst) {
             Some(m) => merged = m,
             None => return,
@@ -718,7 +551,7 @@ fn apply_combo(
     }
     // Shape check every target, and make sure output shapes match the
     // matched classes.
-    for ((matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
+    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
         let target_data = pattern_data(egraph, dst, &merged);
         if !target_data.iter().all(|d| d.is_valid()) {
             return;
@@ -734,14 +567,13 @@ fn apply_combo(
         }
     }
     // Cycle pre-filtering per target.
-    for ((matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
+    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
         if skip_for_cycles(egraph, config.cycle_filter, desc, *matched, dst, &merged) {
-            events.cycle_rejects += 1;
             return;
         }
     }
     // Apply: union each matched class with its instantiated target.
-    for ((matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
+    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
         dst.apply_one(egraph, *matched, &merged);
     }
 }

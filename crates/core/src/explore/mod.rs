@@ -29,7 +29,7 @@ pub mod legacy;
 mod saturate;
 mod taso;
 
-pub use context::{ExplorationContext, IncrementalMultiState};
+pub use context::ExplorationContext;
 pub use guided::{Guided, GuidedConfig};
 pub use saturate::Saturate;
 pub use taso::{TasoBacktracking, TasoConfig};
@@ -104,11 +104,13 @@ impl ExplorationMode {
     }
 
     /// The exploration mode requested via the `TENSAT_EXPLORER`
-    /// environment variable, if set to a recognized name. Read uncached
-    /// (like `TENSAT_EXTRACTOR` and `TENSAT_SEARCH_THREADS`) so tests and
-    /// harnesses can vary it per run.
+    /// environment variable, if set to a recognized name (surrounding
+    /// whitespace is ignored; an empty value counts as unset). Read
+    /// uncached (like `TENSAT_EXTRACTOR` and `TENSAT_SEARCH_THREADS`) so
+    /// tests and harnesses can vary it per run.
     pub fn from_env() -> Option<ExplorationMode> {
-        tensat_egraph::explorer_from_env().and_then(|v| ExplorationMode::from_name(&v))
+        let raw = std::env::var("TENSAT_EXPLORER").ok()?;
+        ExplorationMode::from_name(raw.trim())
     }
 
     /// The strategy name this mode resolves to at the exploration seam.
@@ -159,15 +161,6 @@ pub struct ExplorationConfig {
     /// follows `search_threads`; see
     /// [`ExplorationConfig::resolved_apply_threads`].
     pub apply_threads: Option<usize>,
-    /// Wires the incremental-search watermark through the multi-pattern
-    /// Cartesian product: combinations whose elements *all* predate the
-    /// previous iteration's watermark were already applied (or rejected)
-    /// and are skipped, while stale × fresh combinations — new even though
-    /// one side is old — still fire. Outcome-preserving (the engine falls
-    /// back to a full search whenever a cycle-filter event could have
-    /// invalidated the cache); only the first `k_multi` iterations are
-    /// affected, so the default configuration (`k_multi = 1`) never skips.
-    pub incremental_multi: bool,
     /// Which exploration strategy [`explore`] dispatches to.
     pub mode: ExplorationMode,
     /// Cost model used by strategies that score candidate states
@@ -196,7 +189,6 @@ impl Default for ExplorationConfig {
             cycle_filter: CycleFilter::Efficient,
             search_threads: default_search_threads(),
             apply_threads: tensat_egraph::apply_threads_from_env(),
-            incremental_multi: false,
             mode: ExplorationMode::from_env().unwrap_or(ExplorationMode::Saturate),
             cost_model: CostModel::default(),
             guided: GuidedConfig::default(),
@@ -254,10 +246,6 @@ pub struct ExplorationStats {
     /// Time spent rebuilding and cycle-filtering, summed over iterations
     /// (same caveat as `search_time`).
     pub rebuild_time: Duration,
-    /// Multi-pattern Cartesian combinations skipped because every element
-    /// predates the incremental watermark (see
-    /// [`ExplorationConfig::incremental_multi`]).
-    pub multi_stale_skipped: usize,
     /// E-node count after each iteration.
     pub nodes_per_iteration: Vec<usize>,
     /// Name of the strategy that produced these statistics (filled in by
@@ -887,6 +875,38 @@ mod tests {
             sizes[2] >= sizes[1],
             "k_multi=2 should not shrink: {sizes:?}"
         );
+
+        // Every multi iteration searches afresh: `tanh-grow` creates a new
+        // tanh binding per iteration, and pairing it with the (unchanged)
+        // relu match is a new combination that must fire — one sigmoid per
+        // multi iteration, not only the first iteration's.
+        let fired = |k_multi: usize| {
+            let mut g = GraphBuilder::new();
+            let p = g.input("p", &[8, 8]);
+            let q = g.input("q", &[8, 8]);
+            let (r, t) = (g.relu(p), g.tanh(q));
+            let mut eg = TensorEGraph::new(TensorAnalysis);
+            let root = eg.add_expr(&g.finish(&[r, t]));
+            eg.rebuild();
+            let grow = tensat_rules::rw("tanh-grow", "(tanh ?y)", "(tanh (ewmul ?y ?y))");
+            let pair = MultiPatternRule::new(
+                "relu-tanh-pair",
+                &["(relu ?x)", "(tanh ?y)"],
+                &["(relu ?x)", "(sigmoid (ewadd ?x ?y))"],
+            );
+            let config = ExplorationConfig {
+                k_multi,
+                max_iter: 4,
+                node_limit: 5_000,
+                ..Default::default()
+            };
+            explore(&mut eg, root, &[grow], &[pair], &config);
+            let witness = parse_pattern("(sigmoid (ewadd ?x ?y))").unwrap();
+            let ms = witness.search(&eg);
+            ms.iter().map(|m| m.substs.len()).sum::<usize>()
+        };
+        assert_eq!(fired(1), 1);
+        assert_eq!(fired(3), 3);
     }
 
     #[test]

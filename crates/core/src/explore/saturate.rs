@@ -1,7 +1,7 @@
 //! The saturate-all strategy: the paper's exploration loop (Algorithm 1)
 //! run through the seam.
 
-use super::context::{ExplorationContext, IncrementalMultiState};
+use super::context::ExplorationContext;
 use super::{ExplorationStats, ExplorationStrategy};
 use tensat_ir::TensorEGraph;
 
@@ -23,14 +23,11 @@ impl ExplorationStrategy for Saturate {
     fn run(&self, egraph: &mut TensorEGraph, ctx: &ExplorationContext<'_>) -> ExplorationStats {
         let mut stats = ExplorationStats::default();
         egraph.rebuild();
-        // Cross-iteration incremental multi-pattern state (a no-op set of
-        // full searches unless `ExplorationConfig::incremental_multi`).
-        let mut inc = IncrementalMultiState::default();
         for iter in 0..ctx.config().max_iter {
             if ctx.over_budget(egraph) {
                 break;
             }
-            let changed = ctx.run_iteration_with(egraph, iter, &mut stats, &mut inc);
+            let changed = ctx.run_iteration(egraph, iter, &mut stats);
             if !changed {
                 stats.saturated = true;
                 break;

@@ -176,7 +176,6 @@ impl OptimizerConfig {
             cycle_filter: self.cycle_filter,
             search_threads: self.search_threads,
             apply_threads: self.apply_threads,
-            incremental_multi: false,
             mode: self.exploration,
             cost_model: self.cost_model.clone(),
             guided: self.guided.clone(),
@@ -483,7 +482,22 @@ mod tests {
         assert_eq!(opt.exploration_time_limit, exp.time_limit);
         assert_eq!(opt.cycle_filter, exp.cycle_filter);
 
-        let derived = OptimizerConfig {
+        // Exhaustive destructuring (no `..`): an `ExplorationConfig` field
+        // added without a mapping in `exploration_config()` fails to
+        // compile here instead of silently keeping a hard-coded value.
+        let ExplorationConfig {
+            k_multi,
+            max_iter,
+            node_limit,
+            time_limit,
+            cycle_filter,
+            search_threads,
+            apply_threads,
+            mode,
+            cost_model,
+            guided,
+            taso,
+        } = OptimizerConfig {
             k_multi: 3,
             max_iter: 7,
             node_limit: 123,
@@ -492,18 +506,32 @@ mod tests {
             search_threads: 2,
             apply_threads: Some(5),
             exploration: ExplorationMode::Guided,
+            cost_model: CostModel {
+                launch_overhead_us: 11.0,
+                ..Default::default()
+            },
+            guided: GuidedConfig {
+                beam_width: 9,
+                ..Default::default()
+            },
+            taso: TasoConfig {
+                iterations: 13,
+                ..Default::default()
+            },
             ..Default::default()
         }
         .exploration_config();
-        assert_eq!(derived.k_multi, 3);
-        assert_eq!(derived.max_iter, 7);
-        assert_eq!(derived.node_limit, 123);
-        assert_eq!(derived.time_limit, Duration::from_millis(250));
-        assert_eq!(derived.cycle_filter, CycleFilter::Vanilla);
-        assert_eq!(derived.search_threads, 2);
-        assert_eq!(derived.apply_threads, Some(5));
-        assert_eq!(derived.resolved_apply_threads(), 5);
-        assert_eq!(derived.mode, ExplorationMode::Guided);
+        assert_eq!(k_multi, 3);
+        assert_eq!(max_iter, 7);
+        assert_eq!(node_limit, 123);
+        assert_eq!(time_limit, Duration::from_millis(250));
+        assert_eq!(cycle_filter, CycleFilter::Vanilla);
+        assert_eq!(search_threads, 2);
+        assert_eq!(apply_threads, Some(5));
+        assert_eq!(mode, ExplorationMode::Guided);
+        assert_eq!(cost_model.launch_overhead_us, 11.0);
+        assert_eq!(guided.beam_width, 9);
+        assert_eq!(taso.iterations, 13);
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! them between runs, and a cached value would silently pin the first
 //! reading. This test pins the uncached contract: a second call observes a
 //! changed variable. If someone adds caching, this fails and the doc
-//! comments on [`ExtractionMode::from_env`] / [`explorer_from_env`] need
+//! comments on [`ExtractionMode::from_env`] / [`ExplorationMode::from_env`] need
 //! rewriting along with the harnesses that rely on per-run variation.
 //!
 //! Everything lives in ONE `#[test]` because environment variables are
 //! process-global and the libtest harness runs `#[test]` functions
 //! concurrently — splitting these assertions across tests would race.
 
-use tensat_core::ExtractionMode;
-use tensat_egraph::{explorer_from_env, search_threads_from_env};
+use tensat_core::{ExplorationMode, ExtractionMode};
+use tensat_egraph::search_threads_from_env;
 
 #[test]
 fn env_overrides_are_read_uncached() {
@@ -26,7 +26,7 @@ fn env_overrides_are_read_uncached() {
 
     // Unset → None.
     assert_eq!(ExtractionMode::from_env(), None);
-    assert_eq!(explorer_from_env(), None);
+    assert_eq!(ExplorationMode::from_env(), None);
     assert_eq!(search_threads_from_env(), None);
 
     // Set → parsed; a *second* call after mutation must observe the new
@@ -44,16 +44,16 @@ fn env_overrides_are_read_uncached() {
     std::env::remove_var("TENSAT_EXTRACTOR");
     assert_eq!(ExtractionMode::from_env(), None);
 
-    // The explorer override returns the raw trimmed name; parsing into a
-    // strategy is the caller's job (`ExplorationMode::from_name`).
+    // The explorer override is trimmed before parsing; whitespace-only
+    // counts as unset.
     std::env::set_var("TENSAT_EXPLORER", "  guided  ");
-    assert_eq!(explorer_from_env().as_deref(), Some("guided"));
+    assert_eq!(ExplorationMode::from_env(), Some(ExplorationMode::Guided));
     std::env::set_var("TENSAT_EXPLORER", "taso");
-    assert_eq!(explorer_from_env().as_deref(), Some("taso"));
+    assert_eq!(ExplorationMode::from_env(), Some(ExplorationMode::Taso));
     std::env::set_var("TENSAT_EXPLORER", "   ");
-    assert_eq!(explorer_from_env(), None);
+    assert_eq!(ExplorationMode::from_env(), None);
     std::env::remove_var("TENSAT_EXPLORER");
-    assert_eq!(explorer_from_env(), None);
+    assert_eq!(ExplorationMode::from_env(), None);
 
     // Thread-count overrides share the same uncached contract (the doc
     // comments on the strategy overrides cite them as the precedent).

@@ -37,13 +37,13 @@ fn invariant_checks_forced() -> bool {
 /// per [`crate::Instruction`]. Live slots are always in ascending-id order:
 /// fresh classes append, a union tombstones the absorbed class's slot in
 /// place, and [`EGraph::rebuild`] compacts the tombstones away. Two side
-/// tables run parallel to `slots`: per-class touch stamps (incremental
-/// search) and the interned analysis *kind tag* ([`Analysis::kind_tag`],
-/// read by tag-mask guards), so the hottest per-candidate reads never touch
-/// the `EClass` itself. The operator index is maintained incrementally at
-/// `add`/`union` time (a class's operator set only ever grows), and
-/// `rebuild` repairs congruence with worklists proportional to the classes
-/// actually touched instead of re-canonicalizing the whole e-graph.
+/// tables run parallel to `slots`: the interned analysis *kind tag*
+/// ([`Analysis::kind_tag`], read by tag-mask guards without borrowing the
+/// `EClass`) and each class's operator set. The operator index is
+/// maintained incrementally at `add`/`union` time (a class's operator set
+/// only ever grows), and `rebuild` repairs congruence with worklists
+/// proportional to the classes actually touched instead of
+/// re-canonicalizing the whole e-graph.
 ///
 /// In addition to the egg feature set, this e-graph supports a *filter set*
 /// of e-nodes that are considered removed: TENSAT's efficient cycle
@@ -88,10 +88,6 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// Raw id → slot. Only entries for canonical ids are meaningful;
     /// absorbed ids hold [`NO_SLOT`].
     slot_of: Vec<u32>,
-    /// Side table parallel to `slots`: stamp of the last event that could
-    /// have changed the matches rooted in the class (see
-    /// [`EGraph::watermark`]).
-    touch: Vec<u64>,
     /// Side table parallel to `slots`: interned kind tag of the class data
     /// ([`Analysis::kind_tag`]), refreshed whenever the data is written.
     tags: Vec<u8>,
@@ -115,8 +111,9 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     filtered: HashSet<L>,
     /// True if a union since the last rebuild may have staled filter keys.
     filtered_dirty: bool,
-    /// Global insertion counter used to stamp e-node births and class
-    /// touches.
+    /// E-node birth counter: one tick per [`EGraph::add`] that creates a
+    /// node. Readers (cycle resolution, the TASO baseline) compare birth
+    /// *order* only.
     ticker: u64,
     /// Whether the congruence invariant currently holds.
     clean: bool,
@@ -130,14 +127,6 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// (filtered nodes included — the matcher re-checks the filter set).
     /// Maintained incrementally by `add` and `union`.
     op_index: HashMap<Discriminant<L>, Vec<Id>>,
-    /// Value of `ticker` at the end of the last rebuild; touch propagation
-    /// seeds from classes touched since then.
-    last_rebuild_ticker: u64,
-    /// Whether any caller has taken a watermark ([`EGraph::watermark`]).
-    /// Per-class touch *stamping* is always on (O(1) field writes), but the
-    /// rebuild-time propagation to transitive parents — an extra pass over
-    /// the parent edges — only runs once incremental search is in use.
-    touch_tracking: bool,
 }
 
 impl<L: Language, N: Analysis<L>> EGraph<L, N> {
@@ -149,7 +138,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             memo: HashMap::new(),
             slots: vec![],
             slot_of: vec![],
-            touch: vec![],
             tags: vec![],
             class_ops: vec![],
             live: 0,
@@ -163,8 +151,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             union_count: 0,
             num_nodes: 0,
             op_index: HashMap::new(),
-            last_rebuild_ticker: 0,
-            touch_tracking: false,
         }
     }
 
@@ -300,7 +286,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         debug_assert_eq!(usize::from(id), self.slot_of.len());
         self.slot_of.push(self.slots.len() as u32);
         self.slots.push(Some(class));
-        self.touch.push(birth);
         self.tags.push(tag);
         self.class_ops.push(vec![op]);
         self.live += 1;
@@ -384,11 +369,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 }
             }
         }
-
-        self.touch[root_slot] = self.touch[root_slot]
-            .max(self.touch[other_slot])
-            .max(self.ticker);
-        self.ticker += 1;
 
         let root_class = self.slots[root_slot]
             .as_mut()
@@ -511,7 +491,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.sweep_memo_if_stale();
         self.refresh_filtered();
         self.compact_slots();
-        self.propagate_touches();
         self.clean = true;
         if cfg!(debug_assertions) || invariant_checks_forced() {
             self.check_invariants();
@@ -658,7 +637,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             if self.slots[r].is_some() {
                 if w != r {
                     self.slots.swap(w, r);
-                    self.touch[w] = self.touch[r];
                     self.tags[w] = self.tags[r];
                     self.class_ops[w] = std::mem::take(&mut self.class_ops[r]);
                 }
@@ -668,91 +646,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             }
         }
         self.slots.truncate(w);
-        self.touch.truncate(w);
         self.tags.truncate(w);
         self.class_ops.truncate(w);
-    }
-
-    /// Propagates touch stamps to transitive parents: a class whose (direct
-    /// or indirect) child gained nodes or was merged can root *new* pattern
-    /// matches even though its own node list is unchanged, so incremental
-    /// search must revisit it. Runs after the repair passes, when parent
-    /// entries canonicalize cleanly. The parent-edge pass is skipped until
-    /// a watermark has been taken — non-incremental users pay nothing; the
-    /// seed window below only grows while skipped, so the first tracked
-    /// rebuild conservatively covers the gap.
-    fn propagate_touches(&mut self) {
-        if self.touch_tracking {
-            let since = self.last_rebuild_ticker;
-            let stamp = self.ticker;
-            let queue: Vec<Id> = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(s, slot)| {
-                    slot.as_ref()
-                        .filter(|_| self.touch[s] >= since)
-                        .map(|c| c.id)
-                })
-                .collect();
-            self.propagate_stamp(queue, stamp);
-            // Consume the stamp so a watermark taken after this rebuild is
-            // strictly greater than every touch recorded so far.
-            self.ticker = stamp + 1;
-            self.last_rebuild_ticker = self.ticker;
-        }
-    }
-
-    /// BFS from `queue` through parent edges, stamping every reached class
-    /// with `stamp`. Parent targets are canonicalized on the way (entries
-    /// may name absorbed classes between repairs of their owners).
-    fn propagate_stamp(&mut self, mut queue: Vec<Id>, stamp: u64) {
-        while let Some(id) = queue.pop() {
-            let slot = self.slot_of[usize::from(id)] as usize;
-            let parents: Vec<Id> = self.slots[slot]
-                .as_ref()
-                .expect("queued class is live")
-                .parents
-                .iter()
-                .map(|&(_, p)| self.find(p))
-                .collect();
-            for p in parents {
-                let pslot = self.slot_of[usize::from(p)] as usize;
-                if self.touch[pslot] < stamp {
-                    self.touch[pslot] = stamp;
-                    queue.push(p);
-                }
-            }
-        }
-    }
-
-    /// The current watermark: a stamp strictly greater than every e-node
-    /// birth and class touch recorded so far. Snapshot it on a *clean*
-    /// e-graph, mutate and [`EGraph::rebuild`], and pass the snapshot to
-    /// [`crate::Pattern::search_since`] to restrict matching to classes
-    /// whose match set may have changed.
-    ///
-    /// Taking a watermark enables rebuild-time touch propagation (hence
-    /// `&mut self`): events from this point on are propagated to transitive
-    /// parent classes, which is what makes `search_since` honest.
-    pub fn watermark(&mut self) -> u64 {
-        self.touch_tracking = true;
-        self.ticker
-    }
-
-    /// The stamp of the last event that could have changed the set of
-    /// pattern matches rooted in `id`'s class: a node added there, a union
-    /// involving it, or (after a rebuild) any such event in a transitive
-    /// child class. One `find` plus one dense array read — this is the
-    /// incremental-search test on the match hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not name a live class.
-    #[inline]
-    pub fn last_touched(&self, id: Id) -> u64 {
-        let id = self.find(id);
-        self.touch[self.slot_of[usize::from(id)] as usize]
     }
 
     /// The interned kind tag ([`Analysis::kind_tag`]) of the class
@@ -802,31 +697,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     }
 
     /// Clears the filter set.
-    ///
-    /// Re-enabling nodes creates pattern matches that did not exist before,
-    /// so the owning classes (and, on a clean e-graph, their transitive
-    /// parents) are stamped as touched — watermark-restricted searches
-    /// ([`crate::Pattern::search_since`]) will revisit them.
     pub fn clear_filtered(&mut self) {
-        let filtered = std::mem::take(&mut self.filtered);
-        let stamp = self.ticker;
-        self.ticker += 1;
-        let mut seeds = vec![];
-        for node in &filtered {
-            if let Some(id) = self.lookup(node) {
-                let slot = self.slot_of[usize::from(id)] as usize;
-                if self.touch[slot] < stamp {
-                    self.touch[slot] = stamp;
-                    seeds.push(id);
-                }
-            }
-        }
-        if self.clean && self.touch_tracking {
-            self.propagate_stamp(seeds, stamp);
-        }
-        // On a dirty e-graph the parents are stale; the seeds' stamps are
-        // >= last_rebuild_ticker, so the next rebuild's touch propagation
-        // reaches the ancestors instead.
+        self.filtered.clear();
     }
 
     /// The birth stamp (global insertion counter) of an e-node, if present.
@@ -1143,6 +1015,16 @@ mod tests {
         Math::Sym(Symbol::new(s))
     }
 
+    /// Pattern `(* ?x 2)`.
+    fn mul_by_two() -> crate::Pattern<Math> {
+        use crate::{ENodeOrVar, Var};
+        let mut ast = RecExpr::default();
+        let x = ast.add(ENodeOrVar::Var(Var::new("x")));
+        let two = ast.add(ENodeOrVar::ENode(Math::Num(2)));
+        ast.add(ENodeOrVar::ENode(Math::Mul([x, two])));
+        crate::Pattern::new(ast)
+    }
+
     #[test]
     fn hashcons_dedups() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
@@ -1239,7 +1121,15 @@ mod tests {
         eg.rebuild();
         let node2 = eg.canonicalize(&node);
         assert!(eg.is_filtered(&node2));
-        let _ = m;
+        // A filtered node is invisible to search until the set is cleared.
+        let pat = mul_by_two();
+        assert!(pat.search(&eg).is_empty());
+        eg.clear_filtered();
+        assert!(!eg.is_filtered(&node2));
+        assert_eq!(eg.filtered_count(), 0);
+        let ms = pat.search(&eg);
+        assert_eq!(ms.len(), 1);
+        assert_eq!(ms[0].eclass, eg.find(m));
     }
 
     #[test]
@@ -1295,7 +1185,6 @@ mod tests {
     /// rebuild or the machine searcher silently misses their matches.
     #[test]
     fn op_index_covers_adds_since_last_rebuild() {
-        use crate::{ENodeOrVar, Pattern, RecExpr, Var};
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let a = eg.add(sym("a"));
         let two = eg.add(Math::Num(2));
@@ -1304,11 +1193,7 @@ mod tests {
         let mul = eg.add(Math::Mul([a, two]));
         assert!(eg.is_clean());
 
-        let mut ast = RecExpr::default();
-        let x = ast.add(ENodeOrVar::Var(Var::new("x")));
-        let two_p = ast.add(ENodeOrVar::ENode(Math::Num(2)));
-        ast.add(ENodeOrVar::ENode(Math::Mul([x, two_p])));
-        let pat = Pattern::new(ast);
+        let pat = mul_by_two();
         let ms = pat.search(&eg);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].eclass, eg.find(mul));
@@ -1337,25 +1222,6 @@ mod tests {
         assert_eq!(eg.classes_with_op(shl_key), &[eg.find(m)]);
     }
 
-    /// `clear_filtered` re-enables nodes, creating matches that did not
-    /// exist before; the owning classes and their ancestors must count as
-    /// touched so watermark-restricted searches revisit them.
-    #[test]
-    fn clear_filtered_touches_owning_classes_and_ancestors() {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let a = eg.add(sym("a"));
-        let two = eg.add(Math::Num(2));
-        let mul = eg.add(Math::Mul([a, two]));
-        let outer = eg.add(Math::Add([mul, two]));
-        eg.rebuild();
-        eg.filter_node(&Math::Mul([a, two]));
-        let w = eg.watermark();
-        eg.clear_filtered();
-        assert!(eg.last_touched(mul) >= w);
-        assert!(eg.last_touched(outer) >= w, "ancestors must be stamped");
-        assert!(eg.last_touched(a) < w, "children are unaffected");
-    }
-
     #[test]
     fn node_count_stays_consistent_across_rebuilds() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
@@ -1375,28 +1241,6 @@ mod tests {
         // became congruent and were deduplicated by the rebuild).
         assert_eq!(eg.total_number_of_nodes(), 4);
         assert_eq!(eg.total_number_of_nodes(), recount(&eg));
-    }
-
-    #[test]
-    fn watermark_and_touch_propagation() {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let a = eg.add(sym("a"));
-        let two = eg.add(Math::Num(2));
-        let mul = eg.add(Math::Mul([a, two]));
-        let outer = eg.add(Math::Add([mul, two]));
-        eg.rebuild();
-        let w = eg.watermark();
-        // Nothing is touched at or after a fresh watermark.
-        assert!(eg.classes().all(|c| eg.last_touched(c.id) < w));
-        // Touch the leaf `a`: its transitive parents (mul, outer) must be
-        // stamped by the rebuild, the unrelated literal must not.
-        let b = eg.add(sym("b"));
-        eg.union(a, b);
-        eg.rebuild();
-        assert!(eg.last_touched(a) >= w);
-        assert!(eg.last_touched(mul) >= w);
-        assert!(eg.last_touched(outer) >= w);
-        assert!(eg.last_touched(two) < w);
     }
 
     /// The parallel search driver shares `&EGraph` across scoped threads;

@@ -19,10 +19,10 @@
 //! * [`Pattern`] / [`Rewrite`] — e-matching with non-linear patterns and
 //!   conditional rewrites. Patterns are compiled once into an abstract
 //!   e-matching machine ([`Program`], de Moura & Bjørner-style) and searched
-//!   through an operator index, with optional watermark-based incremental
-//!   search ([`Pattern::search_since`]); the legacy recursive matcher
-//!   remains available as a differential-testing oracle
-//!   ([`Pattern::search_naive`]). Search can be sharded across threads
+//!   through an operator index — every search is a full search of the
+//!   e-graph it is given; the legacy recursive matcher remains available
+//!   as a differential-testing oracle ([`Pattern::search_naive`]). Search
+//!   can be sharded across threads
 //!   ([`Pattern::search_parallel`], [`search_all_parallel`]) with
 //!   bit-identical results, and rules can push per-variable *analysis
 //!   guards* into the machine ([`Rewrite::with_guards`],
@@ -76,23 +76,17 @@ pub use egraph::EGraph;
 pub use extract::{AstDepth, AstSize, CostFunction, DagCostFunction, DagExtractor, Extractor};
 pub use language::{assert_ord_contract, Id, Language, Symbol};
 pub use machine::{
-    ChildSource, Guard, GuardFn, GuardedProgram, Instruction, Program, Reg, SearchQuery, TagMask,
+    search_all_guarded_parallel, search_all_guarded_parallel_with_threshold, ChildSource, Guard,
+    GuardFn, GuardedProgram, Instruction, Program, Reg, SearchQuery, TagMask,
     PARALLEL_SEARCH_SPAWN_THRESHOLD,
 };
-pub use pattern::{
-    search_all_guarded_parallel, search_all_guarded_since_parallel,
-    search_all_guarded_since_parallel_with_threshold, search_all_parallel,
-    search_all_since_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, Var,
-};
+pub use pattern::{search_all_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, Var};
 pub use recexpr::RecExpr;
 pub use rewrite::{
     apply_window_len, apply_windowed, apply_windowed_with_window, ApplyOutcome, Condition, Rewrite,
     StagedApp,
 };
-pub use runner::{
-    apply_threads_from_env, explorer_from_env, search_threads_from_env, Iteration, Runner,
-    StopReason,
-};
+pub use runner::{apply_threads_from_env, search_threads_from_env, Iteration, Runner, StopReason};
 pub use unionfind::UnionFind;
 
 /// A tiny arithmetic language exported solely so that doc examples across

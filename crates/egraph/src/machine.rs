@@ -459,7 +459,7 @@ impl<L: Language> Program<L> {
     /// require the guard table, via [`Program::search_guarded`] or
     /// [`GuardedProgram`].
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        self.search_since(egraph, 0)
+        self.search_guarded(egraph, &[])
     }
 
     /// Like [`Program::search`], but every guarded variable's candidate
@@ -476,35 +476,6 @@ impl<L: Language> Program<L> {
         egraph: &EGraph<L, N>,
         guards: &[Guard<N::Data>],
     ) -> Vec<SearchMatches> {
-        self.search_since_guarded(egraph, 0, guards)
-    }
-
-    /// Like [`Program::search`], but skips classes untouched since the
-    /// given watermark (a snapshot of [`EGraph::watermark`]).
-    ///
-    /// # Panics
-    ///
-    /// As for [`Program::search`].
-    pub fn search_since<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-    ) -> Vec<SearchMatches> {
-        self.search_since_guarded(egraph, watermark, &[])
-    }
-
-    /// Guarded, watermark-restricted search; see [`Program::search_guarded`]
-    /// and [`Program::search_since`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`Program::search_guarded`].
-    pub fn search_since_guarded<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-        guards: &[Guard<N::Data>],
-    ) -> Vec<SearchMatches> {
         self.check_guard_table(guards.len());
         assert_clean(egraph);
         let Some(grounds) = self.resolve_grounds(egraph) else {
@@ -512,7 +483,7 @@ impl<L: Language> Program<L> {
         };
         let mut machine = Machine::default();
         let mut out = vec![];
-        self.for_each_candidate(egraph, watermark, |id| {
+        self.for_each_candidate(egraph, |id| {
             out.extend(self.search_class(egraph, &mut machine, &grounds, guards, id));
         });
         out
@@ -549,72 +520,16 @@ impl<L: Language> Program<L> {
         N: Analysis<L> + Sync,
         N::Data: Sync,
     {
-        self.search_since_parallel(egraph, 0, n_threads)
-    }
-
-    /// Parallel version of [`Program::search_since`]; see
-    /// [`Program::search_parallel`].
-    pub fn search_since_parallel<N>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-        n_threads: usize,
-    ) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        self.search_since_guarded_parallel(egraph, watermark, &[], n_threads)
-    }
-
-    /// Guarded version of [`Program::search_since_parallel`]: the parallel
-    /// sharded driver with a guard table (see [`Program::search_guarded`]).
-    /// Bit-identical to [`Program::search_since_guarded`] for every thread
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Program::search_guarded`].
-    pub fn search_since_guarded_parallel<N>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-        guards: &[Guard<N::Data>],
-        n_threads: usize,
-    ) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        let mut out =
-            search_programs_since_parallel(&[(self, guards)], egraph, watermark, n_threads);
-        out.pop().expect("one program in, one match list out")
+        search_one_parallel((self, &[]), egraph, n_threads)
     }
 
     /// Calls `visit` on the classes this program's search visits, in the
     /// deterministic order every driver uses (ascending class id,
-    /// restricted by the operator index when the root is a concrete node),
-    /// skipping classes untouched since `watermark`.
-    fn for_each_candidate<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-        mut visit: impl FnMut(Id),
-    ) {
-        let mut visit = |id| {
-            if egraph.last_touched(id) >= watermark {
-                visit(id);
-            }
-        };
+    /// restricted by the operator index when the root is a concrete node).
+    fn for_each_candidate<N: Analysis<L>>(&self, egraph: &EGraph<L, N>, visit: impl FnMut(Id)) {
         match self.root_op {
-            Some(op) => egraph
-                .classes_with_op(op)
-                .iter()
-                .copied()
-                .for_each(&mut visit),
-            None => egraph.classes().map(|class| class.id).for_each(&mut visit),
+            Some(op) => egraph.classes_with_op(op).iter().copied().for_each(visit),
+            None => egraph.classes().map(|class| class.id).for_each(visit),
         }
     }
 
@@ -772,26 +687,15 @@ impl<L: Language, D> GuardedProgram<L, D> {
         self.program.search_guarded(egraph, &self.guards)
     }
 
-    /// Guarded watermark-restricted search; see
-    /// [`Program::search_since_guarded`].
-    pub fn search_since<N>(&self, egraph: &EGraph<L, N>, watermark: u64) -> Vec<SearchMatches>
-    where
-        N: Analysis<L, Data = D>,
-    {
-        self.program
-            .search_since_guarded(egraph, watermark, &self.guards)
-    }
-
     /// Guarded parallel search, bit-identical to [`GuardedProgram::search`];
-    /// see [`Program::search_since_guarded_parallel`].
+    /// see [`Program::search_parallel`].
     pub fn search_parallel<N>(&self, egraph: &EGraph<L, N>, n_threads: usize) -> Vec<SearchMatches>
     where
         L: Sync,
         N: Analysis<L, Data = D> + Sync,
         D: Sync,
     {
-        self.program
-            .search_since_guarded_parallel(egraph, 0, &self.guards, n_threads)
+        search_one_parallel(self.query(), egraph, n_threads)
     }
 }
 
@@ -814,14 +718,20 @@ const CHUNKS_PER_THREAD: usize = 8;
 /// the sequential path even when asked for several threads. Spawning scoped
 /// workers, sharding the queue, and merging slots costs a few hundred
 /// microseconds; batches this small finish sequentially in less (the
-/// benchmark models' full rule batches span 50–1100 candidate classes and
-/// search in 7–220 µs), so the threads would only add overhead. Batches at
-/// or above the threshold keep the bit-identical chunk-ordered merge path.
+/// seven models' full rule batches at the default scale span 50–1100
+/// candidate classes; of the repo benchmark's workloads only
+/// `nasnet_search` exceeds the threshold), so the threads would only add
+/// overhead. Batches at or above the threshold keep the bit-identical
+/// chunk-ordered merge path.
 pub const PARALLEL_SEARCH_SPAWN_THRESHOLD: usize = 2048;
 
-/// Searches several compiled programs — each paired with its guard table
-/// (empty for unguarded programs) — over one e-graph, sharding all their
-/// candidate classes across `n_threads` scoped threads.
+/// Searches a batch of compiled `(program, guard table)` queries — e.g.
+/// built from [`GuardedProgram::query`] or
+/// [`Rewrite::searcher_query`](crate::Rewrite::searcher_query); an empty
+/// table means the program is unguarded — over one e-graph, sharding all
+/// their candidate classes across `n_threads` scoped threads. Returns one
+/// match list per query, each bit-identical to that query's sequential
+/// search.
 ///
 /// Work items — contiguous chunks of each program's candidate list — go
 /// into a single atomic queue, so threads load-balance *across* programs:
@@ -836,10 +746,14 @@ pub const PARALLEL_SEARCH_SPAWN_THRESHOLD: usize = 2048;
 /// `spawn_threshold` candidates (see [`PARALLEL_SEARCH_SPAWN_THRESHOLD`])
 /// runs the sequential driver directly — identical behavior, no thread
 /// overhead.
-pub(crate) fn search_programs_since_parallel<L, N>(
+///
+/// # Panics
+///
+/// Panics if a guard table does not match its program's guarded variables;
+/// panics if the e-graph is not clean (see [`Program::search`]).
+pub fn search_all_guarded_parallel<L, N>(
     queries: &[SearchQuery<'_, L, N::Data>],
     egraph: &EGraph<L, N>,
-    watermark: u64,
     n_threads: usize,
 ) -> Vec<Vec<SearchMatches>>
 where
@@ -847,22 +761,39 @@ where
     N: Analysis<L> + Sync,
     N::Data: Sync,
 {
-    search_programs_since_parallel_with_threshold(
+    search_all_guarded_parallel_with_threshold(
         queries,
         egraph,
-        watermark,
         n_threads,
         PARALLEL_SEARCH_SPAWN_THRESHOLD,
     )
 }
 
-/// [`search_programs_since_parallel`] with an explicit spawn threshold —
-/// `0` forces the parallel driver for any nonempty batch, `usize::MAX`
-/// forces the sequential driver; both produce bit-identical results.
-pub(crate) fn search_programs_since_parallel_with_threshold<L, N>(
+/// The one-program case of [`search_all_guarded_parallel`].
+fn search_one_parallel<L, N>(
+    query: SearchQuery<'_, L, N::Data>,
+    egraph: &EGraph<L, N>,
+    n_threads: usize,
+) -> Vec<SearchMatches>
+where
+    L: Language + Sync,
+    N: Analysis<L> + Sync,
+    N::Data: Sync,
+{
+    let mut out = search_all_guarded_parallel(&[query], egraph, n_threads);
+    out.pop().expect("one program in, one match list out")
+}
+
+/// [`search_all_guarded_parallel`] with an explicit spawn threshold
+/// instead of the default [`PARALLEL_SEARCH_SPAWN_THRESHOLD`]: batches with
+/// fewer candidate classes run on the sequential driver even when
+/// `n_threads > 1`, because thread spawn + merge overhead exceeds the work.
+/// `0` forces the parallel driver for any nonempty batch and `usize::MAX`
+/// forces the sequential driver; every dispatch produces bit-identical
+/// match lists, which the regression tests pin.
+pub fn search_all_guarded_parallel_with_threshold<L, N>(
     queries: &[SearchQuery<'_, L, N::Data>],
     egraph: &EGraph<L, N>,
-    watermark: u64,
     n_threads: usize,
     spawn_threshold: usize,
 ) -> Vec<Vec<SearchMatches>>
@@ -872,12 +803,15 @@ where
     N::Data: Sync,
 {
     // The sequential mode IS the sequential driver — no candidate vectors,
-    // no duplicated iteration logic that could drift from `search_since`.
-    if n_threads <= 1 {
-        return queries
+    // no duplicated iteration logic that could drift from `search_guarded`.
+    let sequential = || {
+        queries
             .iter()
-            .map(|(p, g)| p.search_since_guarded(egraph, watermark, g))
-            .collect();
+            .map(|(p, g)| p.search_guarded(egraph, g))
+            .collect()
+    };
+    if n_threads <= 1 {
+        return sequential();
     }
     for (p, g) in queries {
         p.check_guard_table(g.len());
@@ -897,7 +831,7 @@ where
         .map(|((p, _), grounds)| {
             let mut classes = vec![];
             if grounds.is_some() {
-                p.for_each_candidate(egraph, watermark, |id| classes.push(id));
+                p.for_each_candidate(egraph, |id| classes.push(id));
             }
             classes
         })
@@ -908,10 +842,7 @@ where
     // win back — run them on the sequential driver (which is the
     // correctness reference, so results are identical by construction).
     if total < spawn_threshold {
-        return queries
-            .iter()
-            .map(|(p, g)| p.search_since_guarded(egraph, watermark, g))
-            .collect();
+        return sequential();
     }
 
     // Clamp the worker count: more workers than candidate classes would
@@ -923,10 +854,7 @@ where
     let max_workers = std::thread::available_parallelism().map_or(4, |n| n.get() * 4);
     let n_threads = n_threads.min(max_workers).min(total.max(1));
     if n_threads == 1 {
-        return queries
-            .iter()
-            .map(|(p, g)| p.search_since_guarded(egraph, watermark, g))
-            .collect();
+        return sequential();
     }
 
     let chunk_size = total.div_ceil(n_threads * CHUNKS_PER_THREAD).max(1);
@@ -1256,7 +1184,7 @@ mod tests {
         assert!(p.program().search(&eg).is_empty());
         assert!(p.program().search_eclass(&eg, mul).is_none());
         let queries = [(p.program(), &[] as &[_])];
-        let forced = search_programs_since_parallel_with_threshold(&queries, &eg, 0, 4, 0);
+        let forced = search_all_guarded_parallel_with_threshold(&queries, &eg, 4, 0);
         assert_eq!(forced, vec![vec![]]);
         assert!(p.search_naive(&eg).is_empty());
     }
@@ -1362,7 +1290,7 @@ mod tests {
             (cold.program(), &[] as &[_]),
             (var_root.program(), &[] as &[_]),
         ];
-        let batch = search_programs_since_parallel(&programs, &eg, 0, 4);
+        let batch = search_all_guarded_parallel(&programs, &eg, 4);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch[0], hot.program().search(&eg));
         assert_eq!(batch[1], cold.program().search(&eg));
@@ -1556,6 +1484,6 @@ mod tests {
     fn parallel_search_asserts_clean() {
         let p = mul_by_two();
         let queries = [(p.program(), &[] as &[_])];
-        let _ = search_programs_since_parallel_with_threshold(&queries, &dirty_egraph(), 0, 4, 0);
+        let _ = search_all_guarded_parallel_with_threshold(&queries, &dirty_egraph(), 4, 0);
     }
 }

@@ -262,24 +262,6 @@ impl<L: Language> Pattern<L> {
         self.program().search(egraph)
     }
 
-    /// Like [`Pattern::search`], but skips e-classes whose match set cannot
-    /// have changed since `watermark`, a snapshot of [`EGraph::watermark`]
-    /// taken on an earlier clean e-graph. Touch stamps are propagated to
-    /// transitive parents during [`EGraph::rebuild`], so a class is revisited
-    /// whenever *any* class reachable from it gained nodes or was merged.
-    ///
-    /// The result is every match rooted in a *touched* class — a superset
-    /// of the matches created since the snapshot (pre-existing matches in a
-    /// touched class are returned again). Matches in untouched classes are
-    /// skipped but never lost: they were returned by the earlier search.
-    pub fn search_since<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-    ) -> Vec<SearchMatches> {
-        self.program().search_since(egraph, watermark)
-    }
-
     /// Parallel version of [`Pattern::search`]: shards the candidate
     /// classes (from the operator index) into contiguous chunks searched by
     /// `n_threads` scoped threads, then merges the chunk outputs in chunk
@@ -297,23 +279,6 @@ impl<L: Language> Pattern<L> {
         N::Data: Sync,
     {
         self.program().search_parallel(egraph, n_threads)
-    }
-
-    /// Parallel version of [`Pattern::search_since`]; see
-    /// [`Pattern::search_parallel`].
-    pub fn search_since_parallel<N>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-        n_threads: usize,
-    ) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        self.program()
-            .search_since_parallel(egraph, watermark, n_threads)
     }
 
     /// Searches a single e-class for matches of this pattern's root, using
@@ -492,96 +457,11 @@ where
     N: Analysis<L> + Sync,
     N::Data: Sync,
 {
-    search_all_since_parallel(patterns, egraph, 0, n_threads)
-}
-
-/// Watermark-restricted version of [`search_all_parallel`]: classes
-/// untouched since `watermark` are skipped per pattern, exactly as
-/// [`Pattern::search_since`] does.
-pub fn search_all_since_parallel<L, N>(
-    patterns: &[&Pattern<L>],
-    egraph: &EGraph<L, N>,
-    watermark: u64,
-    n_threads: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
     let queries: Vec<SearchQuery<'_, L, N::Data>> = patterns
         .iter()
         .map(|p| (p.program(), &[] as &[_]))
         .collect();
-    crate::machine::search_programs_since_parallel(&queries, egraph, watermark, n_threads)
-}
-
-/// Guarded version of [`search_all_parallel`]: searches a batch of compiled
-/// `(program, guard table)` queries — e.g. built from
-/// [`GuardedProgram::query`](crate::GuardedProgram::query) or
-/// [`Rewrite::searcher_query`](crate::Rewrite::searcher_query); an empty
-/// table means the program is unguarded — returning one match list per
-/// query, each bit-identical to that query's sequential search.
-///
-/// # Panics
-///
-/// Panics if a guard table does not match its program's guarded variables;
-/// panics if the e-graph is not clean (see [`Pattern::search`]).
-pub fn search_all_guarded_parallel<L, N>(
-    queries: &[SearchQuery<'_, L, N::Data>],
-    egraph: &EGraph<L, N>,
-    n_threads: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    search_all_guarded_since_parallel(queries, egraph, 0, n_threads)
-}
-
-/// Watermark-restricted version of [`search_all_guarded_parallel`].
-pub fn search_all_guarded_since_parallel<L, N>(
-    queries: &[SearchQuery<'_, L, N::Data>],
-    egraph: &EGraph<L, N>,
-    watermark: u64,
-    n_threads: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    crate::machine::search_programs_since_parallel(queries, egraph, watermark, n_threads)
-}
-
-/// [`search_all_guarded_since_parallel`] with an explicit spawn threshold
-/// instead of the default
-/// [`PARALLEL_SEARCH_SPAWN_THRESHOLD`](crate::PARALLEL_SEARCH_SPAWN_THRESHOLD):
-/// batches with fewer candidate classes run on the sequential driver even
-/// when `n_threads > 1`, because thread spawn + merge overhead exceeds the
-/// work. `0` forces the parallel driver for any nonempty batch and
-/// `usize::MAX` forces the sequential driver; every dispatch produces
-/// bit-identical match lists, which the regression tests pin.
-pub fn search_all_guarded_since_parallel_with_threshold<L, N>(
-    queries: &[SearchQuery<'_, L, N::Data>],
-    egraph: &EGraph<L, N>,
-    watermark: u64,
-    n_threads: usize,
-    spawn_threshold: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    crate::machine::search_programs_since_parallel_with_threshold(
-        queries,
-        egraph,
-        watermark,
-        n_threads,
-        spawn_threshold,
-    )
+    crate::machine::search_all_guarded_parallel(&queries, egraph, n_threads)
 }
 
 #[cfg(test)]
@@ -779,47 +659,6 @@ mod tests {
         let b = eg.add(sym("b"));
         eg.union(a, b);
         let _ = mul_by_two_pattern().search_eclass(&eg, a);
-    }
-
-    /// Searching with a fresh watermark returns nothing; after a union deep
-    /// below a potential match root, the root class must be revisited even
-    /// though its own node list never changed (touch propagation).
-    #[test]
-    fn search_since_sees_matches_from_deep_changes() {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let p = eg.add(sym("p"));
-        let two = eg.add(Math::Num(2));
-        let root = eg.add(Math::Mul([p, two]));
-        eg.rebuild();
-
-        // Pattern (* (+ ?x ?y) 2): no Add anywhere yet.
-        let mut ast = RecExpr::default();
-        let x = ast.add(ENodeOrVar::Var(Var::new("x")));
-        let y = ast.add(ENodeOrVar::Var(Var::new("y")));
-        let add = ast.add(ENodeOrVar::ENode(Math::Add([x, y])));
-        let two_p = ast.add(ENodeOrVar::ENode(Math::Num(2)));
-        ast.add(ENodeOrVar::ENode(Math::Mul([add, two_p])));
-        let pat = Pattern::new(ast);
-        assert!(pat.search(&eg).is_empty());
-
-        let watermark = eg.watermark();
-        assert!(
-            pat.search_since(&eg, watermark).is_empty(),
-            "nothing touched since the watermark"
-        );
-
-        // Teach the e-graph p == (+ a b). The Mul class gains no node, but
-        // its child class does, so the Mul class counts as touched.
-        let a = eg.add(sym("a"));
-        let b = eg.add(sym("b"));
-        let sum = eg.add(Math::Add([a, b]));
-        eg.union(p, sum);
-        eg.rebuild();
-
-        let ms = pat.search_since(&eg, watermark);
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].eclass, eg.find(root));
-        assert_eq!(ms[0].substs[0][Var::new("x")], eg.find(a));
     }
 
     #[test]

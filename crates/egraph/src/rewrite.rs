@@ -115,12 +115,6 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     /// late in the same iteration, now fires in the next iteration instead —
     /// the e-graph only grows, so the match is re-found and the saturation
     /// fixpoint is unchanged.
-    ///
-    /// Guards are also safe under watermark-based incremental search
-    /// ([`crate::Runner::with_incremental_search`]): they read only the
-    /// matched classes' analysis data, and any event that changes that data
-    /// (a union, directly or through congruence) touches those classes, so
-    /// a flipped guard re-surfaces the match.
     pub fn with_guards(mut self, guards: Vec<(Var, Guard<N::Data>)>) -> Self
     where
         N::Data: 'static,
@@ -161,16 +155,6 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         match &self.guarded {
             Some(g) => g.search(egraph),
             None => self.searcher.search(egraph),
-        }
-    }
-
-    /// Searches only e-classes touched since `watermark` (a snapshot of
-    /// [`EGraph::watermark`]); see [`crate::Pattern::search_since`]. Uses
-    /// the guarded program when the rule carries guards.
-    pub fn search_since(&self, egraph: &EGraph<L, N>, watermark: u64) -> Vec<SearchMatches> {
-        match &self.guarded {
-            Some(g) => g.search_since(egraph, watermark),
-            None => self.searcher.search_since(egraph, watermark),
         }
     }
 
@@ -393,7 +377,7 @@ type Candidate<'a> = (usize, Id, &'a Subst);
 /// At one thread the window is a single candidate and this *is* the
 /// in-place loop of [`Rewrite::apply_while`]: ask, evaluate the condition,
 /// apply. At any thread count the committed `add`/`union` sequence — same
-/// hashcons hits, union order, touch stamps and id assignment — equals
+/// hashcons hits, union order, birth stamps and id assignment — equals
 /// that loop's, because chunks partition the window contiguously and merge
 /// in chunk order, commit order is candidate order, and each window's
 /// planned ids start at the id-space size its staging saw. The one thing

@@ -1,9 +1,10 @@
 //! The [`Runner`]: drives equality saturation until saturation or a limit
 //! is hit, recording per-iteration statistics.
 
-use crate::pattern::search_all_guarded_since_parallel;
 use crate::rewrite::{apply_windowed, ApplyOutcome};
-use crate::{Analysis, EGraph, Language, RecExpr, Rewrite, SearchMatches};
+use crate::{
+    search_all_guarded_parallel, Analysis, EGraph, Language, RecExpr, Rewrite, SearchMatches,
+};
 use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
@@ -33,20 +34,6 @@ pub fn apply_threads_from_env() -> Option<usize> {
 
 fn parse_thread_count(raw: &str) -> Option<usize> {
     raw.trim().parse().ok().filter(|&n| n >= 1)
-}
-
-/// Reads the `TENSAT_EXPLORER` environment variable: the name of the
-/// exploration strategy harnesses and tests want forced, mirroring
-/// `TENSAT_EXTRACTOR` for extraction. Returns the raw trimmed name (or
-/// `None` when unset or empty); parsing names into strategies is the
-/// caller's job (`tensat_core::ExplorationMode::from_name`), which keeps
-/// this crate agnostic of the strategy set. Read uncached, like
-/// `TENSAT_SEARCH_THREADS`, so it can vary per run.
-pub fn explorer_from_env() -> Option<String> {
-    std::env::var("TENSAT_EXPLORER")
-        .ok()
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
 }
 
 /// Why the runner stopped.
@@ -124,7 +111,6 @@ pub struct Runner<L: Language, N: Analysis<L>> {
     iter_limit: usize,
     node_limit: usize,
     time_limit: Duration,
-    incremental: bool,
     search_threads: usize,
     apply_threads: Option<usize>,
 }
@@ -151,7 +137,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             iter_limit: 30,
             node_limit: 10_000,
             time_limit: Duration::from_secs(5),
-            incremental: false,
             search_threads: search_threads_from_env().unwrap_or(1),
             apply_threads: apply_threads_from_env(),
         }
@@ -183,28 +168,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
         self
     }
 
-    /// Enables incremental search: after the first iteration, each rewrite
-    /// only searches e-classes touched since the previous iteration's
-    /// watermark (see [`crate::Pattern::search_since`]). Matches that
-    /// already existed were applied (or had their condition evaluated) in
-    /// an earlier iteration and are not revisited.
-    ///
-    /// # Contract
-    ///
-    /// This is outcome-preserving for unconditional rewrites, and for
-    /// conditional rewrites whose condition depends only on the matched
-    /// e-classes (their nodes and analysis data): any event that can flip
-    /// such a condition also touches those classes, so the match is
-    /// re-surfaced. A condition reading *unrelated* global state (e.g.
-    /// `egraph.total_number_of_nodes()`, wall-clock time) may flip without
-    /// touching the match's classes — under incremental search such a
-    /// rewrite can fire later than in a full-search run, or not at all.
-    /// Keep the default (full search) for rewrites with such conditions.
-    pub fn with_incremental_search(mut self, enabled: bool) -> Self {
-        self.incremental = enabled;
-        self
-    }
-
     /// Sets the number of threads used by the e-matching search phase.
     /// `1` (the default unless `TENSAT_SEARCH_THREADS` is set) runs the
     /// sequential driver; larger values shard candidate classes across
@@ -225,55 +188,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
     pub fn with_apply_threads(mut self, n_threads: usize) -> Self {
         self.apply_threads = Some(n_threads.max(1));
         self
-    }
-
-    /// Forks this runner: a fresh runner over a [`EGraph::snapshot`] of the
-    /// e-graph with the same roots and limits but no recorded history.
-    /// This is the snapshot/replay primitive guided exploration strategies
-    /// use to expand several candidate states from one parent without the
-    /// candidates observing each other's mutations.
-    pub fn fork(&self) -> Self
-    where
-        EGraph<L, N>: Clone,
-    {
-        Runner {
-            egraph: self.egraph.snapshot(),
-            roots: self.roots.clone(),
-            iterations: vec![],
-            stop_reason: None,
-            iter_limit: self.iter_limit,
-            node_limit: self.node_limit,
-            time_limit: self.time_limit,
-            incremental: self.incremental,
-            search_threads: self.search_threads,
-            apply_threads: self.apply_threads,
-        }
-    }
-
-    /// Extracts the best term for the first seeded root with the tree-greedy
-    /// [`crate::Extractor`]. Panics if no expression was seeded.
-    pub fn extract_tree<CF: crate::CostFunction<L>>(
-        &self,
-        cost_fn: CF,
-    ) -> Option<(CF::Cost, RecExpr<L>)> {
-        let root = *self
-            .roots
-            .first()
-            .expect("Runner::extract_tree needs a seeded root");
-        crate::Extractor::new(&self.egraph, cost_fn).find_best(root)
-    }
-
-    /// Extracts the best DAG for the first seeded root with the global
-    /// greedy [`crate::DagExtractor`]. Panics if no expression was seeded.
-    pub fn extract_dag<DF: crate::DagCostFunction<L>>(
-        &self,
-        cost_fn: DF,
-    ) -> Option<(DF::Cost, RecExpr<L>)> {
-        let root = *self
-            .roots
-            .first()
-            .expect("Runner::extract_dag needs a seeded root");
-        crate::DagExtractor::new(&self.egraph, cost_fn).find_best(root)
     }
 }
 
@@ -304,20 +218,13 @@ where
         let apply_threads = self.apply_threads.unwrap_or(n_threads);
         self.run_with_phases(
             rewrites,
-            |egraph, rewrites, watermark| {
+            |egraph, rewrites| {
                 // The batch driver dispatches itself: with one thread it is
-                // the per-pattern sequential search verbatim (and a
-                // watermark of 0 is a full search, so `None` needs no
-                // special case). Each rewrite contributes its guarded
-                // program when it carries analysis guards, its plain
-                // pattern program otherwise.
+                // the per-pattern sequential search verbatim. Each rewrite
+                // contributes its guarded program when it carries analysis
+                // guards, its plain pattern program otherwise.
                 let queries: Vec<_> = rewrites.iter().map(|rw| rw.searcher_query()).collect();
-                search_all_guarded_since_parallel(
-                    &queries,
-                    egraph,
-                    watermark.unwrap_or(0),
-                    n_threads,
-                )
+                search_all_guarded_parallel(&queries, egraph, n_threads)
             },
             |egraph, rewrites, all_matches, keep_going| {
                 let batch: Vec<_> = rewrites
@@ -334,15 +241,8 @@ where
 fn sequential_search<L: Language, N: Analysis<L>>(
     egraph: &EGraph<L, N>,
     rewrites: &[Rewrite<L, N>],
-    watermark: Option<u64>,
-) -> Vec<Vec<crate::SearchMatches>> {
-    rewrites
-        .iter()
-        .map(|rw| match watermark {
-            Some(w) => rw.search_since(egraph, w),
-            None => rw.search(egraph),
-        })
-        .collect()
+) -> Vec<Vec<SearchMatches>> {
+    rewrites.iter().map(|rw| rw.search(egraph)).collect()
 }
 
 /// The budget hook the saturation loop hands its apply phase: true while
@@ -391,7 +291,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
     fn run_with_phases(
         &mut self,
         rewrites: &[Rewrite<L, N>],
-        search: impl Fn(&EGraph<L, N>, &[Rewrite<L, N>], Option<u64>) -> Vec<Vec<SearchMatches>>,
+        search: impl Fn(&EGraph<L, N>, &[Rewrite<L, N>]) -> Vec<Vec<SearchMatches>>,
         apply: impl Fn(
             &mut EGraph<L, N>,
             &[Rewrite<L, N>],
@@ -405,7 +305,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             egraph.total_number_of_nodes() < node_limit && start.elapsed() < time_limit
         };
         self.egraph.rebuild();
-        let mut watermark: Option<u64> = None;
         let reason = loop {
             if self.iterations.len() >= self.iter_limit {
                 break StopReason::IterationLimit(self.iter_limit);
@@ -418,17 +317,12 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             }
 
             let search_start = Instant::now();
-            let all_matches = search(&self.egraph, rewrites, watermark);
+            let all_matches = search(&self.egraph, rewrites);
             let search_time = search_start.elapsed();
             let total_matches: usize = all_matches
                 .iter()
                 .flat_map(|ms| ms.iter().map(|m| m.substs.len()))
                 .sum();
-            if self.incremental {
-                // Snapshot before this iteration mutates anything: the next
-                // search revisits exactly the classes touched from here on.
-                watermark = Some(self.egraph.watermark());
-            }
 
             let nodes_before = self.egraph.total_number_of_nodes();
             let unions_before = self.egraph.union_count();
@@ -721,21 +615,6 @@ mod tests {
         }
     }
 
-    /// Incremental (watermark-restricted) search must reach the same
-    /// saturation result as full search on the paper's running example.
-    #[test]
-    fn incremental_search_reaches_same_result() {
-        let mut runner = Runner::new(())
-            .with_expr(&start_expr())
-            .with_incremental_search(true);
-        let reason = runner.run(&rules());
-        assert_eq!(reason, StopReason::Saturated);
-        let ex = Extractor::new(&runner.egraph, AstSize);
-        let (cost, best) = ex.find_best(runner.roots[0]).unwrap();
-        assert_eq!(cost, 1);
-        assert_eq!(best.to_string(), "a");
-    }
-
     /// Parallel search is bit-identical to sequential search, so a run with
     /// threads must reach the same fixpoint via the same iteration history.
     #[test]
@@ -757,20 +636,6 @@ mod tests {
         }
         let ex = Extractor::new(&parallel.egraph, AstSize);
         let (cost, best) = ex.find_best(parallel.roots[0]).unwrap();
-        assert_eq!((cost, best.to_string().as_str()), (1, "a"));
-    }
-
-    /// Threads compose with watermark-restricted incremental search: the
-    /// parallel driver applies the same touched-class filter.
-    #[test]
-    fn parallel_incremental_search_reaches_same_result() {
-        let mut runner = Runner::new(())
-            .with_expr(&start_expr())
-            .with_incremental_search(true)
-            .with_search_threads(3);
-        assert_eq!(runner.run(&rules()), StopReason::Saturated);
-        let ex = Extractor::new(&runner.egraph, AstSize);
-        let (cost, best) = ex.find_best(runner.roots[0]).unwrap();
         assert_eq!((cost, best.to_string().as_str()), (1, "a"));
     }
 
@@ -851,42 +716,6 @@ mod tests {
         e.add(Math::Add([a, b]));
         let mut runner = Runner::new(RcAnalysis).with_expr(&e);
         assert_eq!(runner.run_sequential(&[comm]), StopReason::Saturated);
-    }
-
-    #[test]
-    fn fork_isolates_the_parent_runner() {
-        // Snapshot/replay primitive for guided exploration: a forked
-        // runner can grow independently without the parent observing any
-        // change, while inheriting roots and limits.
-        let comm: Rewrite<Math, ()> = Rewrite::new(
-            "commute-add",
-            pattern(|p| {
-                let x = p.add(var("x"));
-                let y = p.add(var("y"));
-                p.add(node(Math::Add([x, y])));
-            }),
-            pattern(|p| {
-                let y = p.add(var("y"));
-                let x = p.add(var("x"));
-                p.add(node(Math::Add([y, x])));
-            }),
-        );
-        let mut e = RecExpr::default();
-        let a = e.add(Math::Sym(Symbol::new("a")));
-        let b = e.add(Math::Sym(Symbol::new("b")));
-        e.add(Math::Add([a, b]));
-        let runner = Runner::new(()).with_expr(&e).with_iter_limit(4);
-        let parent_nodes = runner.egraph.total_number_of_nodes();
-
-        let mut child = runner.fork();
-        assert_eq!(child.roots, runner.roots);
-        assert_eq!(child.egraph.total_number_of_nodes(), parent_nodes);
-        assert_eq!(child.run(&[comm]), StopReason::Saturated);
-
-        // The child saturated and grew; the parent is untouched.
-        assert!(child.egraph.total_number_of_nodes() > parent_nodes);
-        assert_eq!(runner.egraph.total_number_of_nodes(), parent_nodes);
-        assert!(runner.iterations.is_empty());
     }
 
     #[test]

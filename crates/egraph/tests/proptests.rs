@@ -5,10 +5,10 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tensat_egraph::doctest_lang::SimpleMath as Math;
 use tensat_egraph::{
-    apply_windowed_with_window, search_all_guarded_since_parallel,
-    search_all_guarded_since_parallel_with_threshold, search_all_parallel, Analysis, AstSize,
-    DidMerge, EGraph, ENodeOrVar, Extractor, Guard, GuardedProgram, Id, Language, Pattern, RecExpr,
-    Rewrite, SearchMatches, Subst, Symbol, Var,
+    apply_windowed_with_window, search_all_guarded_parallel,
+    search_all_guarded_parallel_with_threshold, search_all_parallel, Analysis, AstSize, DidMerge,
+    EGraph, ENodeOrVar, Extractor, Guard, GuardedProgram, Id, Language, Pattern, RecExpr, Rewrite,
+    SearchMatches, Subst, Symbol, Var,
 };
 
 /// A random expression generator: a sequence of build steps referencing
@@ -260,59 +260,16 @@ proptest! {
             .iter()
             .map(|p| (p.program(), &[] as &[Guard<()>]))
             .collect();
-        let dispatched = search_all_guarded_since_parallel(&queries, &eg, 0, n_threads);
+        let dispatched = search_all_guarded_parallel(&queries, &eg, n_threads);
         let forced_parallel =
-            search_all_guarded_since_parallel_with_threshold(&queries, &eg, 0, n_threads, 0);
-        let forced_sequential = search_all_guarded_since_parallel_with_threshold(
-            &queries,
-            &eg,
-            0,
-            n_threads,
-            usize::MAX,
-        );
+            search_all_guarded_parallel_with_threshold(&queries, &eg, n_threads, 0);
+        let forced_sequential =
+            search_all_guarded_parallel_with_threshold(&queries, &eg, n_threads, usize::MAX);
         prop_assert_eq!(&dispatched, &forced_parallel);
         prop_assert_eq!(&dispatched, &forced_sequential);
         for (pattern, got) in patterns.iter().zip(&dispatched) {
             prop_assert_eq!(&pattern.search(&eg), got);
         }
-    }
-
-    /// Honesty of watermark-restricted incremental search: after arbitrary
-    /// unions, a full search returns exactly the union of (a) the matches
-    /// already present before the mutation (mapped through the union-find)
-    /// and (b) the matches found by `search_since` from the pre-mutation
-    /// watermark. If touch propagation missed an ancestor class, (b) would
-    /// lose a match and the equality would fail.
-    #[test]
-    fn incremental_search_is_honest(
-        steps in steps_strategy(40),
-        pat_steps in pattern_strategy(12),
-        unions in prop::collection::vec((any::<usize>(), any::<usize>()), 1..6)
-    ) {
-        let expr = build_expr(&steps);
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        eg.add_expr(&expr);
-        eg.rebuild();
-        let pattern = build_pattern(&pat_steps);
-        let before = pattern.search(&eg);
-        let watermark = eg.watermark();
-
-        let class_ids: Vec<Id> = eg.classes().map(|c| c.id).collect();
-        for (a, b) in unions {
-            let a = class_ids[a % class_ids.len()];
-            let b = class_ids[b % class_ids.len()];
-            eg.union(a, b);
-        }
-        eg.rebuild();
-
-        let full = normalize(&eg, &pattern.search(&eg));
-        let since = pattern.search_since(&eg, watermark);
-        // union of `before` (re-canonicalized) and `since`:
-        let mut combined = normalize(&eg, &before);
-        for (class, substs) in normalize(&eg, &since) {
-            combined.entry(class).or_default().extend(substs);
-        }
-        prop_assert_eq!(full, combined);
     }
 }
 
@@ -383,7 +340,7 @@ proptest! {
     /// matches, under a node limit drawn to bind mid-batch: both sides
     /// stop at the same candidate, and the two e-graphs end every round
     /// with equal id spaces and union-find partitions, equal class/node
-    /// counts, equal memo contents, equal watermark stamps on every class,
+    /// counts, equal memo contents,
     /// and equal machine match lists for every rule. Both sides pass the
     /// storage-invariant validator after every commit+rebuild.
     #[test]
@@ -481,15 +438,6 @@ proptest! {
             memo_seq.sort();
             memo_par.sort();
             prop_assert_eq!(memo_seq, memo_par);
-            // Watermark stamps: same counter value and the same
-            // last-touched stamp on every class.
-            prop_assert_eq!(seq.watermark(), par.watermark());
-            for class in seq.classes() {
-                prop_assert_eq!(
-                    seq.last_touched(class.id), par.last_touched(class.id),
-                    "touch stamp diverged on class {:?}", class.id
-                );
-            }
             // Machine match lists stay bit-identical going into the next
             // round (same class order, same substitution order).
             for r in &rewrites {
@@ -753,7 +701,7 @@ proptest! {
             .collect();
         let queries: Vec<_> = guarded.iter().map(|g| g.query()).collect();
         let parallel =
-            search_all_guarded_since_parallel_with_threshold(&queries, &eg, 0, n_threads, 0);
+            search_all_guarded_parallel_with_threshold(&queries, &eg, n_threads, 0);
 
         for (((name, pattern), guarded), parallel) in patterns.iter().zip(&guarded).zip(&parallel) {
             let machine = pattern.search(&eg);
@@ -1056,85 +1004,5 @@ proptest! {
                 "extraction cost diverged at index {}", i
             );
         }
-    }
-
-    /// Watermark honesty holds through full refactor-era sequences too:
-    /// a watermark taken mid-sequence (on a clean e-graph) plus the
-    /// matches already present at that point reconstructs the final full
-    /// search exactly, even across interleaved rebuilds, filters, and
-    /// filter clears.
-    #[test]
-    fn incremental_search_is_honest_across_op_sequences(
-        steps in steps_strategy(30),
-        ops in seq_strategy(30),
-        pat_steps in pattern_strategy(10),
-        cut in any::<usize>(),
-    ) {
-        let expr = build_expr(&steps);
-        let cut = cut % (ops.len() + 1);
-        // Replay the prefix, snapshot, then replay the suffix against the
-        // same e-graph.
-        let (mut eg, mut ids) = replay(&expr, &ops[..cut], false);
-        let pattern = build_pattern(&pat_steps);
-        let before = pattern.search(&eg);
-        let watermark = eg.watermark();
-
-        // Continue with the suffix against the same e-graph.
-        let nodes: Vec<(Id, &Math)> = expr.iter().collect();
-        for op in &ops[cut..] {
-            match op {
-                SeqOp::Add => {
-                    if ids.len() < nodes.len() {
-                        let node = nodes[ids.len()].1.map_children(|c| ids[usize::from(c)]);
-                        let id = eg.add(node);
-                        ids.push(id);
-                    }
-                }
-                SeqOp::Union(a, b) => {
-                    let a = ids[a % ids.len()];
-                    let b = ids[b % ids.len()];
-                    eg.union(a, b);
-                }
-                SeqOp::Rebuild => {
-                    eg.rebuild();
-                }
-                SeqOp::Filter(k) => {
-                    let k = *k % ids.len();
-                    let node = nodes[k].1.map_children(|c| ids[usize::from(c)]);
-                    eg.filter_node(&node);
-                }
-                SeqOp::ClearFiltered => eg.clear_filtered(),
-            }
-        }
-        eg.rebuild();
-        eg.check_invariants();
-
-        // Filtering can *remove* matches, which incremental search models
-        // as "the class is touched, re-search it": the final full search
-        // must equal the union of still-valid old matches and the
-        // re-searched touched classes. Old matches rooted in touched
-        // classes are superseded by the re-search, so drop them from the
-        // `before` side first (exactly what Runner's incremental loop does
-        // implicitly by only acting on new search results).
-        let full = normalize(&eg, &pattern.search(&eg));
-        let since = pattern.search_since(&eg, watermark);
-        let mut combined: NormalMatches = BTreeMap::new();
-        for m in &before {
-            let class = eg.find(m.eclass);
-            if eg.last_touched(class) >= watermark {
-                continue; // superseded: search_since revisits this class
-            }
-            let substs = combined.entry(class).or_default();
-            for s in &m.substs {
-                let mut bindings: Vec<(Var, Id)> =
-                    s.iter().map(|(v, id)| (v, eg.find(id))).collect();
-                bindings.sort();
-                substs.insert(bindings);
-            }
-        }
-        for (class, substs) in normalize(&eg, &since) {
-            combined.entry(class).or_default().extend(substs);
-        }
-        prop_assert_eq!(full, combined);
     }
 }
