@@ -9,8 +9,10 @@
 //!
 //! 1. **Bit-identical saturation** — identical node/class/union counts,
 //!    identical per-rule match sets on the final e-graph, identical
-//!    iteration statistics, and identical tree-greedy and greedy-DAG
-//!    extraction results;
+//!    iteration statistics and stop reason, and identical tree-greedy and
+//!    greedy-DAG extraction results — including runs in which an
+//!    iteration is cut by `node_limit` and the rebuild drops the e-graph
+//!    back under it (the cut iteration must be the last on both sides);
 //! 2. **Guided determinism** — the guided beam search uses no randomness
 //!    and no wall-clock tie-breaks, so three runs from the same seed
 //!    produce bit-identical e-graphs and extractions;
@@ -29,7 +31,7 @@ use tensat_core::{
     explore, extract_greedy, extract_greedy_dag, ExplorationConfig, ExplorationMode,
     ExplorationStats,
 };
-use tensat_egraph::{search_all_guarded_parallel, Id, RecExpr, SearchMatches};
+use tensat_egraph::{search_all_guarded_parallel, Id, RecExpr, SearchMatches, StopReason};
 use tensat_ir::{CostModel, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
@@ -113,6 +115,11 @@ fn assert_bit_identical(
     // Identical iteration trajectory and final sizes.
     prop_assert_eq!(legacy_stats.iterations, seam_stats.iterations);
     prop_assert_eq!(legacy_stats.saturated, seam_stats.saturated);
+    prop_assert_eq!(&legacy_stats.stop_reason, &seam_stats.stop_reason);
+    prop_assert_eq!(
+        seam_stats.saturated,
+        seam_stats.stop_reason == Some(StopReason::Saturated)
+    );
     prop_assert_eq!(legacy_stats.filtered_nodes, seam_stats.filtered_nodes);
     prop_assert_eq!(
         &legacy_stats.nodes_per_iteration,
@@ -198,6 +205,34 @@ fn saturate_is_bit_identical_to_legacy_on_all_benchmarks() {
     for name in BENCHMARKS {
         let graph = build_benchmark(name, ModelScale::tiny());
         assert_bit_identical(&graph, &singles, &multis, &saturate_config(5_000));
+    }
+}
+
+/// Property 1 where the two loops could disagree about *stopping*: an
+/// iteration's apply phase is cut by `node_limit`, the rebuild's
+/// deduplication leaves the e-graph under the limit, and a loop that only
+/// compared the node count would search everything again (these two cases
+/// ran 6 iterations to 2 000 and 2 001 e-nodes that way). Engine and oracle
+/// must both stop at the cut iteration; the trajectories are the repo
+/// benchmark's `zoo7_small` cases, pinned to the digit.
+#[test]
+fn an_iteration_cut_by_node_limit_is_the_last_in_engine_and_oracle() {
+    let singles = single_rules();
+    let multis = multi_rules();
+    let config = ExplorationConfig {
+        max_iter: 15,
+        ..saturate_config(2_000)
+    };
+    for (name, enodes, eclasses) in [("NasNet-A", 1_829, 727), ("BERT", 1_798, 765)] {
+        let graph = build_benchmark(name, ModelScale::default());
+        let (_, _, stats) = assert_bit_identical(&graph, &singles, &multis, &config);
+        assert_eq!(stats.stop_reason, Some(StopReason::NodeLimit(2_000)));
+        assert_eq!(
+            (stats.enodes, stats.eclasses, stats.iterations),
+            (enodes, eclasses, 4),
+            "{name}"
+        );
+        assert_eq!(stats.nodes_per_iteration.len(), 4, "{name}");
     }
 }
 

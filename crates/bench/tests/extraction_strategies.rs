@@ -23,8 +23,9 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use tensat_core::{
     explore, extract_greedy, extract_greedy_dag, extract_ilp, ExplorationConfig, IlpConfig,
+    TreeCost,
 };
-use tensat_egraph::{Id, Language, RecExpr};
+use tensat_egraph::{CostFunction, Extractor, Id, Language, RecExpr};
 use tensat_ilp::Status;
 use tensat_ir::{CostModel, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_rules::single_rules;
@@ -173,4 +174,62 @@ proptest! {
             );
         }
     }
+}
+
+/// Tree-greedy extraction runs the cost model once per e-node however
+/// often its fixpoint costs a node again: on the repo benchmark's
+/// `bert_apply` e-graph (BERT explored to the 20 000 e-node limit) the
+/// extractor asks for more costs than there are e-nodes — a node is costed
+/// again whenever a child's best improves — and the model still runs at
+/// most once for each.
+#[test]
+fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
+    /// `TreeCost`, counting how often the extractor asks it for a cost.
+    struct Counted<'a> {
+        tree_cost: TreeCost<'a>,
+        asked: usize,
+    }
+    impl CostFunction<TensorLang> for Counted<'_> {
+        type Cost = f64;
+        fn cost<C: FnMut(Id) -> f64>(&mut self, enode: &TensorLang, costs: C) -> f64 {
+            self.asked += 1;
+            self.tree_cost.cost(enode, costs)
+        }
+        fn cmp(a: &f64, b: &f64) -> std::cmp::Ordering {
+            TreeCost::cmp(a, b)
+        }
+    }
+
+    let graph = tensat_models::build_benchmark("BERT", tensat_models::ModelScale::default());
+    let mut eg = TensorEGraph::new(TensorAnalysis);
+    let root = eg.add_expr(&graph);
+    eg.rebuild();
+    explore(
+        &mut eg,
+        root,
+        &single_rules(),
+        &tensat_rules::multi_rules(),
+        &ExplorationConfig {
+            node_limit: 20_000,
+            search_threads: 1,
+            ..Default::default()
+        },
+    );
+    let enodes = eg.total_number_of_nodes();
+    assert!(enodes > 15_000, "{enodes}");
+
+    let model = CostModel::default();
+    let mut counted = Counted {
+        tree_cost: TreeCost::new(model.clone(), &eg),
+        asked: 0,
+    };
+    let (_, expr) = Extractor::new(&eg, &mut counted).find_best(root).unwrap();
+    assert!(counted.asked > enodes, "{} costs asked", counted.asked);
+    assert!(
+        counted.tree_cost.model_calls() <= enodes,
+        "{} cost-model calls for {enodes} e-nodes",
+        counted.tree_cost.model_calls()
+    );
+    let outcome = extract_greedy(&eg, root, &model).unwrap();
+    assert_eq!(outcome.expr.nodes(), expr.nodes());
 }

@@ -18,7 +18,7 @@ use tensat_core::{
     explore, extract_greedy, extract_greedy_dag, extract_ilp, ExplorationConfig, ExplorationMode,
     ExplorationStats, IlpConfig,
 };
-use tensat_egraph::{search_all_guarded_parallel, Id, RecExpr, SearchMatches};
+use tensat_egraph::{search_all_guarded_parallel, Id, RecExpr, SearchMatches, StopReason};
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, TensorRewrite};
@@ -55,10 +55,21 @@ fn match_sets(eg: &TensorEGraph, rules: &[TensorRewrite]) -> Vec<Vec<SearchMatch
 
 /// The iteration-trajectory fields of [`ExplorationStats`] (phase timings
 /// excluded — wall-clock is the one legitimately nondeterministic output).
-fn trajectory(stats: &ExplorationStats) -> (usize, bool, usize, Vec<usize>, usize, usize) {
+fn trajectory(
+    stats: &ExplorationStats,
+) -> (
+    usize,
+    bool,
+    Option<StopReason>,
+    usize,
+    Vec<usize>,
+    usize,
+    usize,
+) {
     (
         stats.iterations,
         stats.saturated,
+        stats.stop_reason.clone(),
         stats.filtered_nodes,
         stats.nodes_per_iteration.clone(),
         stats.enodes,
@@ -197,5 +208,71 @@ fn zero_time_limit_halts_before_the_first_iteration() {
         },
     );
     assert_eq!(stats.iterations, 0);
+    assert_eq!(
+        stats.stop_reason,
+        Some(StopReason::TimeLimit(Duration::ZERO))
+    );
     assert_eq!(eg.total_number_of_nodes(), seed_nodes);
+}
+
+/// The stop rule at every apply-thread count: the iteration whose apply
+/// phase `node_limit` cuts is the last one in the oracle and in the
+/// windowed applier at 1 and 4 threads, although the rebuild closing it
+/// leaves each of these e-graphs *under* the limit (a loop that only
+/// compared the node count ran NasNet-A two iterations further, and BERT
+/// at 20 000 two further as well). A window staged past the cut must not
+/// leak into the e-graph, the trajectory or the stop reason.
+#[test]
+fn an_iteration_cut_by_node_limit_is_the_last_at_every_thread_count() {
+    let singles = single_rules();
+    let multis = multi_rules();
+    // A `zoo7_small` case and the `bert_apply` case of the repo benchmark.
+    let cases = [
+        ("NasNet-A", 2_000, (1_829, 727, 4)),
+        ("BERT", 20_000, (19_596, 8_600, 6)),
+    ];
+    for (name, node_limit, (enodes, eclasses, iterations)) in cases {
+        let graph = build_benchmark(name, ModelScale::default());
+        let limits = |apply_threads| ExplorationConfig {
+            max_iter: 15,
+            ..config(node_limit, apply_threads)
+        };
+        let (mut legacy_eg, legacy_root) = seeded(&graph);
+        let legacy_stats =
+            explore_monolithic(&mut legacy_eg, legacy_root, &singles, &multis, &limits(1));
+        assert_eq!(
+            legacy_stats.stop_reason,
+            Some(StopReason::NodeLimit(node_limit)),
+            "{name}"
+        );
+        assert_eq!(
+            (
+                legacy_stats.enodes,
+                legacy_stats.eclasses,
+                legacy_stats.iterations
+            ),
+            (enodes, eclasses, iterations),
+            "{name}"
+        );
+        assert_eq!(legacy_stats.nodes_per_iteration.len(), iterations, "{name}");
+        assert!(
+            legacy_stats.enodes < node_limit,
+            "{name}: the fixture ends under the limit"
+        );
+        for apply_threads in [1, 4] {
+            let (mut eg, root) = seeded(&graph);
+            let stats = explore(&mut eg, root, &singles, &multis, &limits(apply_threads));
+            assert_eq!(
+                trajectory(&legacy_stats),
+                trajectory(&stats),
+                "{name}: diverged at {apply_threads} apply threads"
+            );
+            assert_eq!(legacy_eg.union_count(), eg.union_count(), "{name}");
+            assert_eq!(
+                match_sets(&legacy_eg, &singles),
+                match_sets(&eg, &singles),
+                "{name}: per-rule match sets diverged at {apply_threads} apply threads"
+            );
+        }
+    }
 }

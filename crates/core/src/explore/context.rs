@@ -16,10 +16,11 @@ use crate::cycles::{
     remove_all_cycles, staged_would_create_cycle, would_create_cycle, DescendantsMap,
 };
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use tensat_egraph::{
     apply_windowed, search_all_guarded_parallel, GuardedProgram, Id, Pattern, SearchMatches,
-    SearchQuery, StagedApp, Subst,
+    SearchQuery, StagedApp, StopReason, Subst,
 };
 use tensat_ir::{TensorData, TensorEGraph, TensorLang};
 use tensat_rules::{pattern_data, MultiPatternRule, TensorRewrite};
@@ -40,6 +41,12 @@ pub struct ExplorationContext<'a> {
     /// One guarded program per unique canonical source.
     multi_guarded: Vec<GuardedProgram<TensorLang, TensorData>>,
     start: Instant,
+    /// Set once an iteration's apply phase has run into `node_limit` (see
+    /// [`ExplorationContext::over_budget`]). Read before the rebuild's
+    /// deduplication can pull the node count back under the limit.
+    /// Atomic because the apply workers share the context; it publishes
+    /// nothing else and is only ever written between phases, so `Relaxed`.
+    node_limit_cut: AtomicBool,
 }
 
 impl<'a> ExplorationContext<'a> {
@@ -94,6 +101,7 @@ impl<'a> ExplorationContext<'a> {
             unique_patterns,
             multi_guarded,
             start,
+            node_limit_cut: AtomicBool::new(false),
         }
     }
 
@@ -123,19 +131,53 @@ impl<'a> ExplorationContext<'a> {
         self.start.elapsed()
     }
 
-    /// True once the time or node budget is exhausted for this e-graph —
-    /// the iteration-boundary check of Algorithm 1.
+    /// True once the time or node budget is exhausted — the check of
+    /// Algorithm 1, asked at every iteration boundary and, inside
+    /// [`ExplorationContext::run_iteration`], before every application.
+    ///
+    /// The node budget is spent when the e-graph holds `node_limit`
+    /// e-nodes **or an earlier iteration's apply phase was cut by the
+    /// limit**: the rebuild that follows deduplicates, so the count usually
+    /// drops back under the limit, and an iteration started from there
+    /// would re-search the whole e-graph to add the few hundred e-nodes of
+    /// headroom the deduplication freed. The iteration the limit cuts is
+    /// therefore the last one, for every loop built over `over_budget` and
+    /// `run_iteration`.
     pub fn over_budget(&self, egraph: &TensorEGraph) -> bool {
-        self.elapsed() >= self.config.time_limit
+        self.node_limit_cut.load(Ordering::Relaxed)
+            || self.elapsed() >= self.config.time_limit
             || egraph.total_number_of_nodes() >= self.config.node_limit
     }
 
-    /// Fills in the final-state fields of `stats` (e-node/e-class counts
-    /// and total time). Strategies call this once before returning.
+    /// Fills in the final-state fields of `stats`: e-node/e-class counts,
+    /// total time and — unless `run_iteration` already recorded a limit
+    /// that ended the loop — why the run stopped. Strategies call this
+    /// once before returning.
     pub fn finish(&self, egraph: &TensorEGraph, stats: &mut ExplorationStats) {
         stats.enodes = egraph.total_number_of_nodes();
         stats.eclasses = egraph.number_of_classes();
         stats.time = self.elapsed();
+        if stats.saturated {
+            stats.stop_reason = Some(StopReason::Saturated);
+        } else if stats.stop_reason.is_none() {
+            // No iteration ended the run: a limit was already spent at an
+            // iteration boundary (or, for strategies with a loop of their
+            // own, when they gave up), or the strategy stopped by a rule
+            // of its own and there is nothing to report.
+            stats.stop_reason = self.limit_reached(stats.enodes);
+        }
+    }
+
+    /// The node or time limit, if `enodes` e-nodes or the elapsed time
+    /// have reached it; the node limit wins when both have.
+    fn limit_reached(&self, enodes: usize) -> Option<StopReason> {
+        if enodes >= self.config.node_limit {
+            Some(StopReason::NodeLimit(self.config.node_limit))
+        } else if self.elapsed() >= self.config.time_limit {
+            Some(StopReason::TimeLimit(self.config.time_limit))
+        } else {
+            None
+        }
     }
 
     /// One full engine iteration — Algorithm 1's loop body: batched
@@ -144,6 +186,14 @@ impl<'a> ExplorationContext<'a> {
     /// (first `k_multi` iterations only), rebuild, and resolve cycles.
     /// Updates `stats` and returns whether the e-graph changed (`false`
     /// means saturation).
+    ///
+    /// Both budgets are asked before every application. If the apply
+    /// phase ends with the node limit reached, this iteration is the last:
+    /// [`ExplorationContext::over_budget`] reports true from then on,
+    /// whatever the rebuild leaves, and `stats.stop_reason` says
+    /// `NodeLimit`. `stats.stop_reason` is likewise set when the time
+    /// limit passed during the iteration or `iter` was the last one
+    /// `max_iter` allows, and cleared otherwise.
     pub fn run_iteration(
         &self,
         egraph: &mut TensorEGraph,
@@ -254,6 +304,14 @@ impl<'a> ExplorationContext<'a> {
         }
         stats.apply_time += apply_start.elapsed();
 
+        // Which limit, if any, stopped the apply phase — read before the
+        // rebuild's deduplication can pull the node count back under its
+        // limit.
+        let limit = self.limit_reached(egraph.total_number_of_nodes());
+        if matches!(limit, Some(StopReason::NodeLimit(_))) {
+            self.node_limit_cut.store(true, Ordering::Relaxed);
+        }
+
         let rebuild_start = Instant::now();
         egraph.rebuild();
 
@@ -268,6 +326,9 @@ impl<'a> ExplorationContext<'a> {
         stats
             .nodes_per_iteration
             .push(egraph.total_number_of_nodes());
+        stats.stop_reason = limit.or_else(|| {
+            (iter + 1 >= config.max_iter).then_some(StopReason::IterationLimit(config.max_iter))
+        });
 
         egraph.total_number_of_nodes() != nodes_before || egraph.union_count() != unions_before
     }

@@ -1,6 +1,9 @@
-//! The pre-seam monolithic exploration loop, kept **verbatim** as a
-//! differential oracle — the same role [`Pattern::search_naive`] plays
-//! for the compiled e-matching machine. The seam refactor
+//! The pre-seam monolithic exploration loop, kept as a differential
+//! oracle — the same role [`Pattern::search_naive`] plays for the
+//! compiled e-matching machine: one function, the in-place apply loop, no
+//! shared state with the engine. Its stop rule is the engine's (the
+//! iteration whose apply phase `node_limit` cuts is the last), written
+//! here with plain locals. The seam refactor
 //! ([`Saturate`](super::Saturate) over
 //! [`ExplorationContext`](super::ExplorationContext)) is proven
 //! bit-identical to this function on random e-graphs and every
@@ -23,13 +26,13 @@ use super::{
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
 use std::collections::HashMap;
 use std::time::Instant;
-use tensat_egraph::{search_all_guarded_parallel, Id, Pattern, SearchQuery, Subst};
+use tensat_egraph::{search_all_guarded_parallel, Id, Pattern, SearchQuery, StopReason, Subst};
 use tensat_ir::{TensorData, TensorEGraph, TensorLang};
 use tensat_rules::{pattern_is_valid, MultiPatternRule, TensorRewrite};
 
 /// Runs the exploration phase on an e-graph already seeded with the input
-/// graph — the pre-seam saturate-all implementation, verbatim. Returns
-/// statistics; the e-graph is grown in place.
+/// graph — the pre-seam saturate-all implementation. Returns statistics;
+/// the e-graph is grown in place.
 pub fn explore_monolithic(
     egraph: &mut TensorEGraph,
     root: Id,
@@ -77,10 +80,20 @@ pub fn explore_monolithic(
         pattern.precompile();
     }
 
+    // The node or time limit, if the e-graph or the clock has reached it.
+    let limit_reached = |egraph: &TensorEGraph| {
+        if egraph.total_number_of_nodes() >= config.node_limit {
+            Some(StopReason::NodeLimit(config.node_limit))
+        } else if start.elapsed() >= config.time_limit {
+            Some(StopReason::TimeLimit(config.time_limit))
+        } else {
+            None
+        }
+    };
+
     for iter in 0..config.max_iter {
-        if start.elapsed() >= config.time_limit
-            || egraph.total_number_of_nodes() >= config.node_limit
-        {
+        stats.stop_reason = limit_reached(egraph);
+        if stats.stop_reason.is_some() {
             break;
         }
         let nodes_before = egraph.total_number_of_nodes();
@@ -152,6 +165,10 @@ pub fn explore_monolithic(
             }
         }
 
+        // A limit that stopped the apply phase ends the run, whatever the
+        // rebuild's deduplication leaves of the node count.
+        let apply_limit = limit_reached(egraph);
+
         egraph.rebuild();
 
         // Post-processing: resolve cycles that slipped past the pre-filter
@@ -169,7 +186,15 @@ pub fn explore_monolithic(
             egraph.total_number_of_nodes() != nodes_before || egraph.union_count() != unions_before;
         if !changed {
             stats.saturated = true;
+            stats.stop_reason = Some(StopReason::Saturated);
             break;
+        }
+        if apply_limit.is_some() {
+            stats.stop_reason = apply_limit;
+            break;
+        }
+        if iter + 1 == config.max_iter {
+            stats.stop_reason = Some(StopReason::IterationLimit(config.max_iter));
         }
     }
 

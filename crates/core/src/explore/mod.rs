@@ -7,8 +7,9 @@
 //! Three strategies ship through the seam:
 //!
 //! * [`Saturate`] — Algorithm 1's saturate-all loop, bit-identical to the
-//!   pre-seam monolithic `explore()` (kept verbatim in [`legacy`] as the
-//!   differential oracle).
+//!   pre-seam monolithic `explore()` (kept in [`legacy`] as the
+//!   differential oracle). The iteration whose apply phase `node_limit`
+//!   cuts is its last.
 //! * [`Guided`] — a deterministic beam search (MCTS-lite) treating rule
 //!   batches as actions, scoring candidate e-graph states by greedy-DAG
 //!   extracted cost plus a node-growth penalty, and expanding only the
@@ -36,7 +37,7 @@ pub use taso::{TasoBacktracking, TasoConfig};
 
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
-use tensat_egraph::{ENodeOrVar, GuardedProgram, Id, Pattern, RecExpr, Subst, Var};
+use tensat_egraph::{ENodeOrVar, GuardedProgram, Id, Pattern, RecExpr, StopReason, Subst, Var};
 use tensat_ir::{CostModel, DataKind, TensorData, TensorEGraph, TensorLang};
 use tensat_rules::{guard_for_kinds, MultiPatternRule, TensorRewrite};
 
@@ -139,10 +140,14 @@ pub struct ExplorationConfig {
     pub k_multi: usize,
     /// Total iteration limit (`k_max`).
     pub max_iter: usize,
-    /// E-node limit (`N_max`). [`Saturate`] treats it as a soft
-    /// stop-growing threshold (one batch may overshoot slightly);
-    /// [`Guided`] enforces it as a hard budget no candidate state ever
-    /// exceeds.
+    /// E-node limit (`N_max`). [`Saturate`] asks it before every
+    /// application, so the e-graph overshoots it by at most the e-nodes
+    /// one application adds (a 2 000 limit ends at 2 001 or 2 004 on some
+    /// models), and the iteration whose apply phase it cuts is the last
+    /// one — the final count may sit *below* the limit, because the
+    /// rebuild closing that iteration deduplicates (NasNet-A at 30 000
+    /// ends with 28 024 e-nodes). [`Guided`] enforces it as a hard budget
+    /// no candidate state ever exceeds.
     pub node_limit: usize,
     /// Wall-clock limit for the whole exploration phase.
     pub time_limit: Duration,
@@ -221,7 +226,18 @@ pub struct ExplorationStats {
     pub iterations: usize,
     /// Whether the run stopped because no action changed the e-graph
     /// (saturation for [`Saturate`]; beam convergence for [`Guided`]).
+    /// Equals `stop_reason == Some(StopReason::Saturated)`.
     pub saturated: bool,
+    /// Why the run stopped, filled in by
+    /// [`ExplorationContext::run_iteration`] (a limit that makes the
+    /// iteration the last one) and [`ExplorationContext::finish`]
+    /// (saturation, or a limit already spent at an iteration boundary):
+    /// `NodeLimit` when an apply phase was cut by
+    /// [`ExplorationConfig::node_limit`], carrying the configured limit as
+    /// the others do. `None` when a strategy with a loop of its own
+    /// ([`Guided`], [`TasoBacktracking`]) stopped by its own rule with no
+    /// limit spent, and when `max_iter` is 0.
+    pub stop_reason: Option<StopReason>,
     /// Final number of e-nodes.
     pub enodes: usize,
     /// Final number of e-classes.
@@ -594,6 +610,10 @@ mod tests {
         };
         let stats = explore(&mut eg, root, &[], &multi_rules(), &config);
         assert!(stats.enodes > 10);
+        assert_eq!(
+            stats.saturated,
+            stats.stop_reason == Some(StopReason::Saturated)
+        );
         // The merged matmul over concatenated weights must now exist.
         let has_concat_matmul = eg
             .classes()
@@ -620,6 +640,7 @@ mod tests {
             &ExplorationConfig::default(),
         );
         assert!(stats.saturated);
+        assert_eq!(stats.stop_reason, Some(StopReason::Saturated));
         assert!(stats.iterations <= 2);
         assert_eq!(stats.strategy, "saturate");
     }
@@ -831,10 +852,95 @@ mod tests {
             node_limit: 60,
             ..Default::default()
         };
-        explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
-        // Growth stops once the limit is crossed (a single batch may
-        // overshoot slightly, but not massively).
-        assert!(eg.total_number_of_nodes() < 600);
+        let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
+        // The limit is asked before every application, so the overshoot is
+        // what one application adds: a handful of e-nodes.
+        assert_eq!(stats.stop_reason, Some(StopReason::NodeLimit(60)));
+        assert!(!stats.saturated);
+        assert!(eg.total_number_of_nodes() < 60 + 20);
+    }
+
+    /// The iteration whose apply phase `node_limit` cuts is the last one,
+    /// although the rebuild closing it deduplicates the e-graph back under
+    /// the limit: `nodes_per_iteration` follows the unlimited run up to
+    /// the cut iteration and has no entry after it, and a loop written by
+    /// hand over `over_budget` / `run_iteration` (the benchmark's traced
+    /// loop is one) stops where `Saturate` does.
+    #[test]
+    fn no_iteration_follows_the_one_node_limit_cuts() {
+        // A left-leaning `ewadd` chain over six weights: associativity and
+        // commutativity multiply it past 300 e-nodes in three iterations.
+        let mut g = GraphBuilder::new();
+        let mut sum = g.weight("w0", &[8, 8]);
+        for i in 1..6 {
+            let w = g.weight(&format!("w{i}"), &[8, 8]);
+            sum = g.ewadd(sum, w);
+        }
+        let expr = g.finish(&[sum]);
+        let config = |node_limit, max_iter| ExplorationConfig {
+            max_iter,
+            node_limit,
+            search_threads: 1,
+            apply_threads: Some(1),
+            ..Default::default()
+        };
+        let (singles, multis) = (single_rules(), multi_rules());
+        let seeded = || {
+            let mut eg = TensorEGraph::new(TensorAnalysis);
+            let root = eg.add_expr(&expr);
+            eg.rebuild();
+            (eg, root)
+        };
+        let run = |config: &ExplorationConfig| {
+            let (mut eg, root) = seeded();
+            explore(&mut eg, root, &singles, &multis, config)
+        };
+
+        const LIMIT: usize = 300;
+        let cut = run(&config(LIMIT, 10));
+        assert_eq!(cut.stop_reason, Some(StopReason::NodeLimit(LIMIT)));
+        assert!(!cut.saturated);
+        assert!(
+            cut.enodes < LIMIT,
+            "the fixture must end under the limit, where a loop that only \
+             compares the node count would go on: {} e-nodes",
+            cut.enodes
+        );
+        assert_eq!(cut.nodes_per_iteration.len(), cut.iterations);
+
+        // The limit bound in the last iteration and in none before it.
+        let free = run(&config(usize::MAX, cut.iterations));
+        assert_eq!(
+            free.stop_reason,
+            Some(StopReason::IterationLimit(cut.iterations))
+        );
+        let last = cut.iterations - 1;
+        assert!(last > 0);
+        assert_eq!(
+            cut.nodes_per_iteration[..last],
+            free.nodes_per_iteration[..last]
+        );
+        assert!(cut.nodes_per_iteration[last] < free.nodes_per_iteration[last]);
+
+        let limited = config(LIMIT, 10);
+        let (mut eg, root) = seeded();
+        let ctx = ExplorationContext::new(root, &singles, &multis, &limited);
+        let mut stats = ExplorationStats::default();
+        let mut iter = 0;
+        while !ctx.over_budget(&eg) {
+            ctx.run_iteration(&mut eg, iter, &mut stats);
+            iter += 1;
+        }
+        ctx.finish(&eg, &mut stats);
+        assert!(eg.total_number_of_nodes() < LIMIT);
+        assert_eq!(
+            (
+                stats.iterations,
+                stats.nodes_per_iteration,
+                stats.stop_reason
+            ),
+            (cut.iterations, cut.nodes_per_iteration, cut.stop_reason)
+        );
     }
 
     #[test]

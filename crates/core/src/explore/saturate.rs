@@ -7,9 +7,13 @@ use tensat_ir::TensorEGraph;
 
 /// Saturate-all exploration: every iteration searches every rule against
 /// the whole e-graph and applies all admissible matches, until saturation
-/// or a limit is reached. Bit-identical to the pre-seam monolithic
-/// `explore()` — [`legacy::explore_monolithic`](super::legacy) is kept
-/// verbatim as the differential oracle, and
+/// or a limit is reached (paper §6.1). The iteration whose apply phase
+/// `node_limit` cuts is the last: the rule lives in
+/// [`ExplorationContext::over_budget`], so every loop written over
+/// `over_budget` and `run_iteration` stops where this one does, and
+/// [`ExplorationStats::stop_reason`] says which limit it was.
+/// Bit-identical to [`legacy::explore_monolithic`](super::legacy), the
+/// one-function form kept as the differential oracle;
 /// `crates/bench/tests/exploration_strategies.rs` proves the equivalence
 /// on random e-graphs and every `BENCHMARKS` model.
 #[derive(Debug, Clone, Copy, Default)]

@@ -147,20 +147,44 @@ impl std::error::Error for ExtractError {}
 /// A [`CostFunction`] charging each e-node its cost-model cost plus the sum
 /// of its children's costs (tree cost — the greedy approximation).
 ///
-/// Reads class analysis data straight from the (shared, immutable) e-graph
-/// — an O(1) dense-slot access — instead of snapshotting every class's
-/// `TensorData` into a private hash map up front, as it did before the
-/// dense storage refactor.
+/// The extractor's fixpoint costs an e-node again whenever a child's best
+/// improves, but only the children's part of the sum can have moved: the
+/// node's own cost depends on the e-node and its children's analysis
+/// data, fixed for the life of the borrow. So the cost model runs — and
+/// clones each child's `TensorData`, which is what its interface takes —
+/// once per distinct e-node, and every later call is a table hit plus the
+/// additions.
 #[derive(Debug, Clone)]
 pub struct TreeCost<'a> {
     model: CostModel,
     egraph: &'a TensorEGraph,
+    /// Own cost of every e-node costed so far.
+    own: HashMap<TensorLang, f64>,
 }
 
 impl<'a> TreeCost<'a> {
     /// A tree-cost function over the given e-graph's analysis data.
     pub fn new(model: CostModel, egraph: &'a TensorEGraph) -> Self {
-        TreeCost { model, egraph }
+        TreeCost {
+            model,
+            egraph,
+            own: HashMap::with_capacity(egraph.total_number_of_nodes()),
+        }
+    }
+
+    /// How many times the cost model has run: once per distinct e-node
+    /// costed so far.
+    pub fn model_calls(&self) -> usize {
+        self.own.len()
+    }
+}
+
+/// The analysis data the cost model reads for a child class.
+fn class_data(egraph: &TensorEGraph, id: Id) -> TensorData {
+    if egraph.slot_index(id).is_some() {
+        egraph.eclass(id).data.clone()
+    } else {
+        TensorData::invalid("unknown class")
     }
 }
 
@@ -170,14 +194,11 @@ impl CostFunction<TensorLang> for TreeCost<'_> {
     where
         C: FnMut(Id) -> f64,
     {
-        let get = |id: Id| {
-            if self.egraph.slot_index(id).is_some() {
-                self.egraph.eclass(id).data.clone()
-            } else {
-                TensorData::invalid("unknown class")
-            }
-        };
-        let own = self.model.node_cost(enode, &get);
+        let (model, egraph) = (&self.model, self.egraph);
+        let own = *self
+            .own
+            .entry(enode.clone())
+            .or_insert_with(|| model.node_cost(enode, &|id| class_data(egraph, id)));
         enode.children().iter().fold(own, |acc, &c| acc + costs(c))
     }
 
@@ -209,14 +230,8 @@ impl DagCostFunction<TensorLang> for DagCost<'_> {
     type Cost = Cost;
 
     fn node_cost(&mut self, enode: &TensorLang) -> Cost {
-        let get = |id: Id| {
-            if self.egraph.slot_index(id).is_some() {
-                self.egraph.eclass(id).data.clone()
-            } else {
-                TensorData::invalid("unknown class")
-            }
-        };
-        self.model.node_cost_composite(enode, &get)
+        self.model
+            .node_cost_composite(enode, &|id| class_data(self.egraph, id))
     }
 
     fn zero(&self) -> Cost {
@@ -266,8 +281,10 @@ pub fn extract_greedy_dag(
     model: &CostModel,
 ) -> Result<ExtractionOutcome, ExtractError> {
     let start = Instant::now();
-    let extractor = DagExtractor::new(egraph, DagCost::new(model.clone(), egraph));
-    let dag = extractor.find_best(root);
+    // The DAG extractor's reach sets are the largest allocation of either
+    // pass; the temporary holding them is dropped at the end of this
+    // statement, before the tree pass builds its tables.
+    let dag = DagExtractor::new(egraph, DagCost::new(model.clone(), egraph)).find_best(root);
     let tree = Extractor::new(egraph, TreeCost::new(model.clone(), egraph)).find_best(root);
     let best = match (dag, tree) {
         (Some((_, d)), Some((_, t))) => {

@@ -60,6 +60,24 @@ pub trait CostFunction<L: Language> {
     }
 }
 
+/// A borrowed cost function is one too, so a caller can keep its cost
+/// function — and whatever it counted or cached — after the extractor
+/// that used it is gone.
+impl<L: Language, CF: CostFunction<L>> CostFunction<L> for &mut CF {
+    type Cost = CF::Cost;
+
+    fn cost<C>(&mut self, enode: &L, costs: C) -> Self::Cost
+    where
+        C: FnMut(Id) -> Self::Cost,
+    {
+        (**self).cost(enode, costs)
+    }
+
+    fn cmp(a: &Self::Cost, b: &Self::Cost) -> Ordering {
+        CF::cmp(a, b)
+    }
+}
+
 /// Counts AST nodes: the classic "smallest term" cost function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AstSize;
@@ -151,8 +169,62 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
         extractor
     }
 
+    /// Sweeps the classes in slot order until a sweep improves no class's
+    /// best, replacing a best only on a strict improvement.
+    ///
+    /// A sweep costs an e-node only if a child class's best has improved
+    /// since the node was last costed — in the first sweep every node is.
+    /// Skipping is exact, ties included: the cost function is
+    /// deterministic, so a node whose children's bests are what they were
+    /// would be given the cost it was given before, which the class's
+    /// best — only ever lowered since — already matches or beats. The
+    /// work is therefore one cost call per (node, improvement of one of
+    /// its children), not one per node per sweep: a chain visited
+    /// parents-first takes a sweep per level and still costs every node
+    /// once.
     fn compute_costs(&mut self) {
-        // Fixpoint: keep sweeping until no class's best cost improves.
+        // The sweep (counted from 1) in which each class's best last
+        // improved; 0 = it has none yet.
+        let mut improved = vec![0u32; self.egraph.num_slots()];
+        let mut sweep = 0;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            sweep += 1;
+            for class in self.egraph.classes() {
+                let slot = self
+                    .egraph
+                    .slot_index(class.id)
+                    .expect("iterated class is live");
+                for node in class.iter() {
+                    // Improved since this class's last turn: earlier in
+                    // this sweep, or in the previous one at or after the
+                    // turn (classes are swept in slot order; "at" is a
+                    // node that has its own class as a child).
+                    let child_improved = |&c: &Id| {
+                        self.egraph.slot_index(c).is_some_and(|c| {
+                            improved[c] == sweep || (improved[c] + 1 == sweep && c >= slot)
+                        })
+                    };
+                    if sweep > 1 && !node.children().iter().any(child_improved) {
+                        continue;
+                    }
+                    if self.egraph.is_filtered(node) {
+                        continue;
+                    }
+                    if self.offer(slot, node) {
+                        improved[slot] = sweep;
+                        changed = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Extractor::compute_costs`] without the skipping — every sweep
+    /// costs every node: the oracle the skipping is tested against.
+    #[cfg(test)]
+    fn compute_costs_every_node(&mut self) {
         let mut changed = true;
         while changed {
             changed = false;
@@ -165,21 +237,26 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
                     if self.egraph.is_filtered(node) {
                         continue;
                     }
-                    if let Some(cost) = self.node_cost(node) {
-                        // Total-order comparison: replace only on a strict
-                        // improvement, so NaN (incomparable / ordered above
-                        // +inf) can never displace a finite best.
-                        match &self.best[slot] {
-                            Some((best, _)) if CF::cmp(&cost, best) != Ordering::Less => {}
-                            _ => {
-                                self.best[slot] = Some((cost, node.clone()));
-                                changed = true;
-                            }
-                        }
-                    }
+                    changed |= self.offer(slot, node);
                 }
             }
         }
+    }
+
+    /// Costs `node` and makes it the best of the class in `slot` if it is
+    /// a strict improvement; returns whether it was.
+    fn offer(&mut self, slot: usize, node: &L) -> bool {
+        let Some(cost) = self.node_cost(node) else {
+            return false;
+        };
+        // Total-order comparison: replace only on a strict improvement,
+        // so NaN (incomparable / ordered above +inf) can never displace a
+        // finite best.
+        if matches!(&self.best[slot], Some((best, _)) if CF::cmp(&cost, best) != Ordering::Less) {
+            return false;
+        }
+        self.best[slot] = Some((cost, node.clone()));
+        true
     }
 
     /// The best entry recorded for a class's slot, if any.
@@ -295,8 +372,9 @@ pub trait DagCostFunction<L: Language> {
     type Cost: PartialOrd + Clone + std::fmt::Debug;
 
     /// The cost of this single e-node, children excluded. Must be
-    /// deterministic: the extractor calls it repeatedly during the
-    /// fixpoint and once more when costing the final selection.
+    /// deterministic: the extractor calls it once per evaluation of the
+    /// node's class (one evaluation per class on an acyclic e-graph) and
+    /// keeps the chosen node's value for costing the final selection.
     fn node_cost(&mut self, enode: &L) -> Self::Cost;
 
     /// The additive identity.
@@ -523,7 +601,8 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
             None => return false,
         };
         let class = self.egraph.eclass(id);
-        let mut best: Option<(DF::Cost, &L, BitSet)> = None;
+        // (sub-DAG total, the node's own cost, node, reach without `s`)
+        let mut best: Option<(DF::Cost, DF::Cost, &L, BitSet)> = None;
         'candidates: for node in class.iter() {
             if self.egraph.is_filtered(node) {
                 continue;
@@ -546,7 +625,8 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
                 // class: selecting this node would close a cycle.
                 continue;
             }
-            let mut total = self.cost_fn.borrow_mut().node_cost(node);
+            let own = self.cost_fn.borrow_mut().node_cost(node);
+            let mut total = own.clone();
             {
                 let cf = self.cost_fn.borrow();
                 for d in scratch.iter_ones() {
@@ -556,13 +636,13 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
             }
             let better = match &best {
                 None => true,
-                Some((cost, _, _)) => DF::cmp(&total, cost) == Ordering::Less,
+                Some((cost, ..)) => DF::cmp(&total, cost) == Ordering::Less,
             };
             if better {
-                best = Some((total, node, scratch.clone()));
+                best = Some((total, own, node, scratch.clone()));
             }
         }
-        let (total, node, mut reach) = match best {
+        let (total, own, node, mut reach) = match best {
             Some(b) => b,
             None => return false,
         };
@@ -572,10 +652,8 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
         };
         if improved {
             reach.insert(s);
-            let node = node.clone();
-            let own = self.cost_fn.borrow_mut().node_cost(&node);
             self.entries[s] = Some(DagEntry {
-                choice: node,
+                choice: node.clone(),
                 own,
                 reach,
                 total,
@@ -597,9 +675,10 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
     }
 
     /// Extracts the best DAG rooted at `root`: the cost (each selected
-    /// e-node charged once) and the expression. The cost is recomputed
-    /// from the final selection rather than read from the fixpoint cache,
-    /// so it is honest even when a cyclic e-graph left stale entries.
+    /// e-node charged once) and the expression. The cost is summed over
+    /// the final selection — each chosen node's own cost — rather than
+    /// read from the fixpoint's sub-DAG totals, so it is honest even when
+    /// a cyclic e-graph left stale entries.
     /// Returns `None` if the class has no viable selection or (possible
     /// only without cycle filtering) the per-class choices form a cycle.
     pub fn find_best(&self, root: Id) -> Option<(DF::Cost, RecExpr<L>)> {
@@ -651,11 +730,10 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
                 continue;
             }
             let finished = stack.pop().expect("a frame is always on the stack");
-            {
-                let mut cf = self.cost_fn.borrow_mut();
-                let own = cf.node_cost(&finished.node);
-                cf.add_assign(&mut cost, &own);
-            }
+            let entry = self.entries[finished.slot]
+                .as_ref()
+                .expect("a frame is pushed from its entry");
+            self.cost_fn.borrow().add_assign(&mut cost, &entry.own);
             let mut i = 0;
             let node = finished.node.map_children(|_| {
                 let id = finished.children[i];
@@ -780,6 +858,186 @@ mod tests {
         let mut check = eg.clone();
         let again = check.add_expr(&expr);
         assert_eq!(check.find(again), check.find(id));
+    }
+
+    /// Counts `cost` calls; the costs themselves are per-operator weights
+    /// small enough to tie often (a weight of 0 ties a cyclic node with
+    /// its own child). With `flat_shl`, `<<` costs its weight whatever it
+    /// shifts: a cost need not grow with the children's, and then a node
+    /// that has its own class as a child can strictly improve that class.
+    #[derive(Default)]
+    struct CountingWeights {
+        weights: [usize; 6],
+        flat_shl: bool,
+        calls: usize,
+    }
+
+    impl CostFunction<Math> for CountingWeights {
+        type Cost = usize;
+        fn cost<C>(&mut self, enode: &Math, mut costs: C) -> usize
+        where
+            C: FnMut(Id) -> usize,
+        {
+            self.calls += 1;
+            let own = self.weights[match enode {
+                Math::Num(_) => 0,
+                Math::Sym(_) => 1,
+                Math::Add(_) => 2,
+                Math::Mul(_) => 3,
+                Math::Shl(_) => 4,
+                Math::Div(_) => 5,
+            }];
+            if self.flat_shl && matches!(enode, Math::Shl(_)) {
+                return own;
+            }
+            enode
+                .children()
+                .iter()
+                .fold(own, |acc, &c| acc.saturating_add(costs(c)))
+        }
+    }
+
+    /// An extractor filled by the every-node oracle instead of
+    /// `compute_costs`.
+    fn every_node_extractor<CF: CostFunction<Math>>(
+        egraph: &EGraph<Math, ()>,
+        cost_fn: CF,
+    ) -> Extractor<'_, Math, (), CF> {
+        let mut extractor = Extractor {
+            egraph,
+            cost_fn: std::cell::RefCell::new(cost_fn),
+            best: (0..egraph.num_slots()).map(|_| None).collect(),
+        };
+        extractor.compute_costs_every_node();
+        extractor
+    }
+
+    /// A `depth`-level chain `(* (* (* x0 1) 1) ...)` whose classes sit in
+    /// slot order *top first*, so each sweep can cost exactly one more
+    /// level: every level starts as a placeholder symbol (the top one is
+    /// made first and gets the smallest id), `(* level[i-1] 1)` is unioned
+    /// into placeholder `i`, and the placeholders above the leaf are
+    /// filtered so that the `*` node is the class's only candidate.
+    fn parents_first_chain(depth: usize) -> (EGraph<Math, ()>, Id) {
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let one = eg.add(Math::Num(1));
+        let mut level: Vec<Id> = (0..=depth)
+            .rev()
+            .map(|i| eg.add(sym(&format!("x{i}"))))
+            .collect();
+        level.reverse();
+        for i in 1..=depth {
+            let mul = eg.add(Math::Mul([level[i - 1], one]));
+            assert_eq!(eg.union(level[i], mul).0, level[i]);
+        }
+        eg.rebuild();
+        for i in 1..=depth {
+            eg.filter_node(&sym(&format!("x{i}")));
+        }
+        (eg, level[depth])
+    }
+
+    /// The worst case for the sweeps — one sweep per level — must still
+    /// cost every node once: `depth + 2` calls (the leaf, `1`, and each
+    /// `*`), where costing every node in every sweep makes ~depth²/2.
+    #[test]
+    fn parents_first_chain_costs_every_node_once() {
+        const DEPTH: usize = 2_000;
+        let (eg, top) = parents_first_chain(DEPTH);
+        let mut counting = CountingWeights {
+            weights: [1; 6],
+            ..Default::default()
+        };
+        let (cost, expr) = Extractor::new(&eg, &mut counting).find_best(top).unwrap();
+        assert_eq!(cost, 2 * DEPTH + 1);
+        assert_eq!(expr.len(), DEPTH + 2);
+        assert_eq!(counting.calls, DEPTH + 2);
+
+        // The fixture is the worst case: the every-node oracle is quadratic
+        // on it (checked on a shorter chain to keep the test quick).
+        const SHORT: usize = 200;
+        let (eg, top) = parents_first_chain(SHORT);
+        let mut counting = CountingWeights {
+            weights: [1; 6],
+            ..Default::default()
+        };
+        let best = every_node_extractor(&eg, &mut counting).find_best(top);
+        assert_eq!(best.unwrap().0, 2 * SHORT + 1);
+        assert!(counting.calls > SHORT * SHORT / 2, "{}", counting.calls);
+    }
+
+    /// One random e-graph build step: an operator and two operand picks
+    /// (modulo the nodes built so far).
+    type BuildStep = (u8, usize, usize);
+
+    /// Random nodes, then random unions (which close cycles), rebuilt, then
+    /// random nodes put on the filter list.
+    fn random_cyclic_egraph(
+        steps: &[BuildStep],
+        unions: &[(usize, usize)],
+        filtered: &[usize],
+    ) -> (EGraph<Math, ()>, Vec<Id>) {
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let mut ids = vec![eg.add(sym("a")), eg.add(Math::Num(1))];
+        for &(op, a, b) in steps {
+            let (a, b) = (ids[a % ids.len()], ids[b % ids.len()]);
+            ids.push(eg.add(match op % 6 {
+                0 => Math::Num((usize::from(a) % 3) as i64),
+                1 => sym(["a", "b", "c"][usize::from(b) % 3]),
+                2 => Math::Add([a, b]),
+                3 => Math::Mul([a, b]),
+                4 => Math::Shl([a, b]),
+                _ => Math::Div([a, b]),
+            }));
+        }
+        for &(a, b) in unions {
+            eg.union(ids[a % ids.len()], ids[b % ids.len()]);
+        }
+        eg.rebuild();
+        let nodes: Vec<Math> = eg.classes().flat_map(|c| c.iter().cloned()).collect();
+        for &pick in filtered {
+            eg.filter_node(&nodes[pick % nodes.len()]);
+        }
+        (eg, ids)
+    }
+
+    proptest::proptest! {
+        /// Skipping nodes whose children's bests stand is exact: on random
+        /// cyclic e-graphs with filtered nodes and tie-prone costs the
+        /// per-class `(cost, node)` table, and so every extracted term,
+        /// equals the every-node oracle's bit for bit — with no more cost
+        /// calls.
+        #[test]
+        fn skipping_extractor_equals_the_every_node_oracle(
+            steps in proptest::prop::collection::vec(
+                (proptest::any::<u8>(), proptest::any::<usize>(), proptest::any::<usize>()),
+                1..40,
+            ),
+            unions in proptest::prop::collection::vec(
+                (proptest::any::<usize>(), proptest::any::<usize>()),
+                0..8,
+            ),
+            filtered in proptest::prop::collection::vec(proptest::any::<usize>(), 0..6),
+            weights in proptest::prop::collection::vec(0usize..3, 6..=6),
+            flat_shl in proptest::any::<bool>(),
+        ) {
+            let (eg, ids) = random_cyclic_egraph(&steps, &unions, &filtered);
+            let weights: [usize; 6] = weights.try_into().unwrap();
+            let mut skipping_cf = CountingWeights { weights, flat_shl, calls: 0 };
+            let mut oracle_cf = CountingWeights { weights, flat_shl, calls: 0 };
+            let skipping = Extractor::new(&eg, &mut skipping_cf);
+            let oracle = every_node_extractor(&eg, &mut oracle_cf);
+            assert_eq!(skipping.best, oracle.best);
+            // A flat `<<` can make a class's best node its own ancestor,
+            // which has no finite term to build.
+            if !flat_shl {
+                for &id in &ids {
+                    assert_eq!(skipping.find_best(id), oracle.find_best(id));
+                }
+            }
+            drop((skipping, oracle));
+            assert!(skipping_cf.calls <= oracle_cf.calls);
+        }
     }
 
     #[test]
