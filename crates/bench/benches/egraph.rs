@@ -47,13 +47,11 @@ fn bench_ematching(c: &mut Criterion) {
 
 /// Head-to-head search micro-benchmark on real benchmark model e-graphs:
 /// the compiled, op-indexed e-matching machine ([`tensat_egraph::Pattern::search`],
-/// `ematch_machine_*`) versus the same machine with the rules' analysis
-/// guards pushed into the match loop (`ematch_guarded_*`, what
-/// `Rewrite::search` runs in production — dead bindings are pruned by
-/// `Instruction::Guard` before deeper binds fan out) versus the parallel
-/// sharded driver ([`tensat_egraph::search_all_parallel`] with 4 threads,
-/// bit-identical match lists) versus the legacy recursive matcher kept as
-/// the differential-testing oracle ([`tensat_egraph::Pattern::search_naive`]).
+/// `ematch_machine_*`, what `Rewrite::search` runs in production) versus
+/// the parallel sharded driver ([`tensat_egraph::search_all_parallel`] with
+/// 4 threads, bit-identical match lists) versus the legacy recursive
+/// matcher kept as the differential-testing oracle
+/// ([`tensat_egraph::Pattern::search_naive`]).
 /// The e-graph is grown by two exploration iterations first so classes hold
 /// multiple nodes, as they do during saturation (bigger than the
 /// one-iteration setup this bench used before the parallel driver existed,
@@ -84,21 +82,6 @@ fn bench_machine_vs_naive_on_models(c: &mut Criterion) {
 
         c.bench_function(&format!("ematch_machine_{model}"), |b| {
             b.iter(|| {
-                // Explicitly unguarded: the plain pattern program, the
-                // pre-guard baseline.
-                let total: usize = rules
-                    .iter()
-                    .flat_map(|r| r.searcher.search(&eg))
-                    .map(|m| m.substs.len())
-                    .sum();
-                std::hint::black_box(total)
-            })
-        });
-        c.bench_function(&format!("ematch_guarded_{model}"), |b| {
-            b.iter(|| {
-                // Rewrite::search runs the guard-compiled program: the
-                // per-variable part of each rule's shape check prunes
-                // branches inside the machine.
                 let total: usize = rules
                     .iter()
                     .flat_map(|r| r.search(&eg))

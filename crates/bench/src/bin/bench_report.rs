@@ -8,16 +8,13 @@
 //! each search variant is timed over repeated full-rule-set sweeps:
 //!
 //! * `naive`    — the legacy recursive oracle ([`Pattern::search_naive`])
-//! * `machine`  — the compiled, op-indexed machine, unguarded
-//! * `guarded`  — the machine with the rules' analysis guards (what
-//!   production `Rewrite::search` runs; tag-mask guards since the dense
-//!   storage refactor)
+//! * `machine`  — the compiled, op-indexed machine (what production
+//!   `Rewrite::search` runs)
 //! * `parallel4` — the sharded batch driver with 4 threads (single-core
 //!   containers measure spawn overhead here, not speedup)
 //!
 //! The JSON records the best-of-rounds nanoseconds per full-rule-set
-//! search, per model and variant, plus the guarded-vs-machine overhead
-//! percentage the ROADMAP tracks. A per-model `extraction` section runs
+//! search, per model and variant. A per-model `extraction` section runs
 //! the three extraction strategies (tree-greedy, greedy-DAG, ILP) once on
 //! the same grown e-graph and records each strategy's extraction time and
 //! the DAG/tree cost of its result, so the greedy/ILP quality gap is
@@ -149,8 +146,8 @@ const RULE_SEARCH_NODE_LIMIT: usize = 30_000;
 /// Timing rounds per rule for the per-rule search table (best is kept).
 const RULE_SEARCH_ROUNDS: usize = 3;
 
-/// The `rule_search` JSON section: one guarded search per single-pattern
-/// rule on the NasNet-A `blocks: 4` e-graph, slowest rule first.
+/// The `rule_search` JSON section: one search per single-pattern rule on
+/// the NasNet-A `blocks: 4` e-graph, slowest rule first.
 fn rule_search_section(rules: &[TensorRewrite]) -> String {
     eprintln!("[bench-report] growing NasNet-A (blocks 4) to {RULE_SEARCH_NODE_LIMIT} e-nodes...");
     let eg = tensat_bench::nasnet_egraph(RULE_SEARCH_NODE_LIMIT);
@@ -223,7 +220,7 @@ fn main() {
         let count = |ms: &[tensat_egraph::SearchMatches]| -> usize {
             ms.iter().map(|m| m.substs.len()).sum()
         };
-        let queries: Vec<_> = rules.iter().map(|r| r.searcher_query()).collect();
+        let searchers: Vec<_> = rules.iter().map(|r| &r.searcher).collect();
         let variants = measure(vec![
             (
                 "naive",
@@ -236,16 +233,12 @@ fn main() {
             ),
             (
                 "machine",
-                Box::new(|| rules.iter().map(|r| count(&r.searcher.search(&eg))).sum()),
-            ),
-            (
-                "guarded",
                 Box::new(|| rules.iter().map(|r| count(&r.search(&eg))).sum()),
             ),
             (
                 "parallel4",
                 Box::new(|| {
-                    tensat_egraph::search_all_guarded_parallel(&queries, &eg, 4)
+                    tensat_egraph::search_all_parallel(&searchers, &eg, 4)
                         .iter()
                         .map(|ms| count(ms))
                         .sum()
@@ -253,19 +246,9 @@ fn main() {
             ),
         ]);
 
-        let machine = variants.iter().find(|v| v.name == "machine").unwrap();
-        let guarded = variants.iter().find(|v| v.name == "guarded").unwrap();
-        let overhead_pct = (guarded.ns_per_search as f64 - machine.ns_per_search as f64)
-            / machine.ns_per_search as f64
-            * 100.0;
-
         eprintln!(
-            "[bench-report] {model}: machine {} ns, guarded {} ns ({overhead_pct:+.1}% overhead), \
-             naive {} ns, parallel4 {} ns",
-            machine.ns_per_search,
-            guarded.ns_per_search,
-            variants[0].ns_per_search,
-            variants[3].ns_per_search,
+            "[bench-report] {model}: naive {} ns, machine {} ns, parallel4 {} ns",
+            variants[0].ns_per_search, variants[1].ns_per_search, variants[2].ns_per_search,
         );
 
         out.push_str("    {\n      \"model\": \"");
@@ -274,8 +257,6 @@ fn main() {
         out.push_str(&eg.total_number_of_nodes().to_string());
         out.push_str(",\n      \"eclasses\": ");
         out.push_str(&eg.number_of_classes().to_string());
-        out.push_str(",\n      \"guarded_overhead_pct\": ");
-        out.push_str(&format!("{overhead_pct:.2}"));
         out.push_str(",\n      \"variants\": {\n");
         for (vi, v) in variants.iter().enumerate() {
             out.push_str(&format!(

@@ -5,7 +5,11 @@
 //! legacy recursive oracle (`Pattern::search_naive`) for every rule on the
 //! explored e-graph, and the storage passes the exhaustive invariant
 //! validator ([`tensat_egraph::EGraph::check_invariants`]) — also after the
-//! generic [`Runner`] saturates a model with the single-pattern rules.
+//! generic [`Runner`] saturates a model with the single-pattern rules. A
+//! second case repeats the machine-vs-oracle check, for every rule, on the
+//! one model whose classes grow to hundreds of nodes (NasNet-A at
+//! `blocks: 4`) — where the machine's range lookup inside `Bind` visits a
+//! small part of a class and the oracle scans all of it.
 //!
 //! (The dev container is single-core, so equality — not wall-clock — is
 //! the proof; pure-search speed is tracked by the `ematch_*` benches and
@@ -83,4 +87,67 @@ fn machine_equals_naive_oracle_on_every_benchmark_model() {
         assert_eq!(runner.run(&rules), StopReason::Saturated, "model {name}");
         runner.egraph.check_invariants();
     }
+}
+
+/// Node limit of the big-class differential below: the size at which
+/// NasNet-A's largest classes hold hundreds of nodes while the oracle,
+/// which scans whole classes per enclosing alternative (cubic on
+/// `concat-conv`), still finishes in about a second unoptimized.
+const NASNET_NODE_LIMIT: usize = 10_000;
+
+/// The machine's `Bind` finds its nodes by binary search in the sorted
+/// class; the models above, one iteration in, have no class big enough for
+/// that to differ from a scan. NasNet-A at `blocks: 4` does (its
+/// separable-conv outputs collapse into a few classes of hundreds of
+/// nodes): every rule's machine search must equal the naive whole-class
+/// scan — same classes in the same order, same substitutions (bindings
+/// sorted per substitution, as the two matchers number variables
+/// differently).
+#[test]
+fn machine_search_equals_naive_on_big_nasnet_classes_for_every_rule() {
+    fn sorted_bindings(m: &SearchMatches) -> Vec<Vec<(Var, Id)>> {
+        let mut substs: Vec<Vec<_>> = m
+            .substs
+            .iter()
+            .map(|s| {
+                let mut bindings: Vec<_> = s.iter().collect();
+                bindings.sort();
+                bindings
+            })
+            .collect();
+        substs.sort();
+        substs
+    }
+
+    let eg = tensat_bench::nasnet_egraph(NASNET_NODE_LIMIT);
+    let largest = eg.classes().map(|c| c.len()).max().unwrap_or(0);
+    assert!(
+        largest >= 256,
+        "expected a class of hundreds of nodes, largest holds {largest}"
+    );
+    let mut total_matches = 0usize;
+    for rule in &single_rules() {
+        let machine = rule.searcher.search(&eg);
+        let naive = rule.searcher.search_naive(&eg);
+        assert_eq!(
+            machine.iter().map(|m| m.eclass).collect::<Vec<_>>(),
+            naive.iter().map(|m| m.eclass).collect::<Vec<_>>(),
+            "rule {}: matched classes differ",
+            rule.name
+        );
+        for (m, n) in machine.iter().zip(&naive) {
+            assert_eq!(
+                sorted_bindings(m),
+                sorted_bindings(n),
+                "rule {} class {}: substitutions differ",
+                rule.name,
+                m.eclass
+            );
+            total_matches += m.substs.len();
+        }
+    }
+    assert!(
+        total_matches > 1_000,
+        "expected a substantive workload, saw {total_matches} substitutions"
+    );
 }

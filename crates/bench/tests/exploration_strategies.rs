@@ -31,7 +31,7 @@ use tensat_core::{
     explore, extract_greedy, extract_greedy_dag, ExplorationConfig, ExplorationMode,
     ExplorationStats,
 };
-use tensat_egraph::{search_all_guarded_parallel, Id, RecExpr, SearchMatches, StopReason};
+use tensat_egraph::{Id, RecExpr, SearchMatches, StopReason};
 use tensat_ir::{CostModel, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
@@ -91,8 +91,7 @@ fn saturate_config(node_limit: usize) -> ExplorationConfig {
 /// The full per-rule match sets of every single-pattern rule on an
 /// e-graph — the strongest observable equality short of dumping storage.
 fn match_sets(eg: &TensorEGraph, rules: &[TensorRewrite]) -> Vec<Vec<SearchMatches>> {
-    let queries: Vec<_> = rules.iter().map(|rw| rw.searcher_query()).collect();
-    search_all_guarded_parallel(&queries, eg, 1)
+    rules.iter().map(|rw| rw.search(eg)).collect()
 }
 
 /// Runs the legacy monolith and the seamed `Saturate` strategy from the
@@ -197,7 +196,7 @@ fn op_strategy() -> impl Strategy<Value = Vec<RandOp>> {
 }
 
 /// Property 1 on every benchmark model, with multi-pattern rules in play
-/// (the multi apply path, guard tables, and cycle filter all exercised).
+/// (the multi apply path and cycle filter both exercised).
 #[test]
 fn saturate_is_bit_identical_to_legacy_on_all_benchmarks() {
     let singles = single_rules();
@@ -234,6 +233,104 @@ fn an_iteration_cut_by_node_limit_is_the_last_in_engine_and_oracle() {
         );
         assert_eq!(stats.nodes_per_iteration.len(), 4, "{name}");
     }
+}
+
+/// The whole saturation trajectory of every benchmark model at the repo
+/// benchmark's `zoo7_small` sizing (`blocks: 2`, `node_limit: 2000`,
+/// `max_iter: 15`, one thread, `k_multi` 1 and 2), engine and oracle, pinned
+/// to the digit: `(e-nodes, e-classes, iterations, filtered e-nodes, unions,
+/// stop reason)`. The repo benchmark only compares an op with its own
+/// warm-up, so this is what a change that must leave trajectories
+/// bit-identical is checked against; the e-node column sums to the
+/// benchmark's `egraph.final_enodes` for `zoo7_small`.
+#[test]
+fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
+    use StopReason::{NodeLimit, Saturated};
+    type Pin = (usize, usize, usize, usize, usize, StopReason);
+    // Per model: the pins for `k_multi` 1 and 2.
+    let pinned: [(&str, [Pin; 2]); 7] = [
+        (
+            "NasRNN",
+            [
+                (788, 422, 4, 96, 366, Saturated),
+                (2000, 1154, 2, 96, 846, NodeLimit(2000)),
+            ],
+        ),
+        (
+            "BERT",
+            [
+                (1798, 765, 4, 28, 1264, NodeLimit(2000)),
+                (1997, 1155, 2, 32, 849, NodeLimit(2000)),
+            ],
+        ),
+        (
+            "ResNeXt-50",
+            [
+                (84, 52, 4, 6, 32, Saturated),
+                (240, 122, 5, 28, 118, Saturated),
+            ],
+        ),
+        (
+            "NasNet-A",
+            [
+                (1829, 727, 4, 54, 1316, NodeLimit(2000)),
+                (2004, 1160, 2, 54, 844, NodeLimit(2000)),
+            ],
+        ),
+        (
+            "SqueezeNet",
+            [
+                (92, 56, 4, 6, 36, Saturated),
+                (272, 134, 5, 30, 138, Saturated),
+            ],
+        ),
+        (
+            "VGG-19",
+            [
+                (67, 46, 3, 5, 21, Saturated),
+                (201, 110, 4, 25, 91, Saturated),
+            ],
+        ),
+        (
+            "Inception-v3",
+            [
+                (289, 157, 4, 24, 132, Saturated),
+                (2001, 1157, 3, 24, 844, NodeLimit(2000)),
+            ],
+        ),
+    ];
+    assert!(pinned.iter().map(|(name, _)| name).eq(BENCHMARKS));
+    let singles = single_rules();
+    let multis = multi_rules();
+    let mut total_enodes = 0;
+    for (name, pins) in pinned {
+        let graph = build_benchmark(name, ModelScale::default());
+        for (k_multi, pin) in [1, 2].into_iter().zip(pins) {
+            let config = ExplorationConfig {
+                k_multi,
+                max_iter: 15,
+                apply_threads: Some(1),
+                ..saturate_config(2_000)
+            };
+            let (eg, _, stats) = assert_bit_identical(&graph, &singles, &multis, &config);
+            assert_eq!(
+                (
+                    stats.enodes,
+                    stats.eclasses,
+                    stats.iterations,
+                    stats.filtered_nodes,
+                    eg.union_count(),
+                    stats
+                        .stop_reason
+                        .expect("a finished run says why it stopped"),
+                ),
+                pin,
+                "{name} k_multi {k_multi}"
+            );
+            total_enodes += stats.enodes;
+        }
+    }
+    assert_eq!(total_enodes, 13_662);
 }
 
 /// Property 2: three guided runs from the same seed are bit-identical —

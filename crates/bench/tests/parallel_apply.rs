@@ -18,7 +18,7 @@ use tensat_core::{
     explore, extract_greedy, extract_greedy_dag, extract_ilp, ExplorationConfig, ExplorationMode,
     ExplorationStats, IlpConfig,
 };
-use tensat_egraph::{search_all_guarded_parallel, Id, RecExpr, SearchMatches, StopReason};
+use tensat_egraph::{Id, RecExpr, SearchMatches, StopReason};
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, TensorRewrite};
@@ -49,8 +49,7 @@ fn config(node_limit: usize, apply_threads: usize) -> ExplorationConfig {
 /// The full per-rule match sets of every single-pattern rule — the
 /// strongest observable equality short of dumping storage.
 fn match_sets(eg: &TensorEGraph, rules: &[TensorRewrite]) -> Vec<Vec<SearchMatches>> {
-    let queries: Vec<_> = rules.iter().map(|rw| rw.searcher_query()).collect();
-    search_all_guarded_parallel(&queries, eg, 1)
+    rules.iter().map(|rw| rw.search(eg)).collect()
 }
 
 /// The iteration-trajectory fields of [`ExplorationStats`] (phase timings

@@ -1,7 +1,7 @@
 //! The shared exploration engine: one [`ExplorationContext`] holds the
 //! compiled single- and multi-pattern rule programs, the deduplicated
-//! canonical multi sources with their guard tables, the cycle filter, and
-//! the run's budget clock. Every
+//! canonical multi sources, the cycle filter, and the run's budget clock.
+//! Every
 //! [`ExplorationStrategy`](super::ExplorationStrategy) drives the same
 //! search/apply machinery through it — [`Saturate`](super::Saturate) as
 //! whole iterations ([`ExplorationContext::run_iteration`]),
@@ -9,8 +9,8 @@
 //! states.
 
 use super::{
-    canonicalize_pattern, compile_multi_guards, decanonicalize_subst, merge_substs,
-    substs_equal_canonical, CycleFilter, ExplorationConfig, ExplorationStats, MultiRuleCompiled,
+    canonicalize_pattern, decanonicalize_subst, merge_substs, substs_equal_canonical, CycleFilter,
+    ExplorationConfig, ExplorationStats, MultiRuleCompiled,
 };
 use crate::cycles::{
     remove_all_cycles, staged_would_create_cycle, would_create_cycle, DescendantsMap,
@@ -19,16 +19,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use tensat_egraph::{
-    apply_windowed, search_all_guarded_parallel, GuardedProgram, Id, Pattern, SearchMatches,
-    SearchQuery, StagedApp, StopReason, Subst,
+    apply_windowed, search_all_parallel, Id, Pattern, SearchMatches, StagedApp, StopReason, Subst,
 };
-use tensat_ir::{TensorData, TensorEGraph, TensorLang};
+use tensat_ir::{TensorEGraph, TensorLang};
 use tensat_rules::{pattern_data, MultiPatternRule, TensorRewrite};
 
 /// Everything a strategy needs to explore: the root, the rules with their
-/// compiled programs and guard tables, the configuration, and the budget
-/// clock (started when the context is built, i.e. when exploration
-/// begins).
+/// compiled programs, the configuration, and the budget clock (started
+/// when the context is built, i.e. when exploration begins).
 pub struct ExplorationContext<'a> {
     root: Id,
     single_rules: &'a [TensorRewrite],
@@ -38,8 +36,6 @@ pub struct ExplorationContext<'a> {
     /// Deduplicated canonical multi-pattern sources (Algorithm 1, lines
     /// 1–8), precompiled.
     unique_patterns: Vec<Pattern<TensorLang>>,
-    /// One guarded program per unique canonical source.
-    multi_guarded: Vec<GuardedProgram<TensorLang, TensorData>>,
     start: Instant,
     /// Set once an iteration's apply phase has run into `node_limit` (see
     /// [`ExplorationContext::over_budget`]). Read before the rebuild's
@@ -51,8 +47,7 @@ pub struct ExplorationContext<'a> {
 
 impl<'a> ExplorationContext<'a> {
     /// Compiles the rule programs: canonicalizes and deduplicates the
-    /// multi-pattern sources, builds their guarded programs, and starts
-    /// the budget clock.
+    /// multi-pattern sources, compiles them, and starts the budget clock.
     pub(crate) fn new(
         root: Id,
         single_rules: &'a [TensorRewrite],
@@ -85,11 +80,8 @@ impl<'a> ExplorationContext<'a> {
             })
             .collect();
         // The deduplicated canonical sources are searched once per
-        // iteration: compile their e-matching programs — both the guarded
-        // ones (with the rules' target-implied analysis guards pushed into
-        // the machine) and the plain ones (used for the final multi
-        // iteration, see `run_iteration`) — before any strategy starts.
-        let multi_guarded = compile_multi_guards(&unique_patterns, &compiled);
+        // iteration: compile their e-matching programs before any strategy
+        // starts.
         for pattern in &unique_patterns {
             pattern.precompile();
         }
@@ -99,7 +91,6 @@ impl<'a> ExplorationContext<'a> {
             config,
             compiled,
             unique_patterns,
-            multi_guarded,
             start,
             node_limit_cut: AtomicBool::new(false),
         }
@@ -181,7 +172,7 @@ impl<'a> ExplorationContext<'a> {
     }
 
     /// One full engine iteration — Algorithm 1's loop body: batched
-    /// guarded search of every rule against the iteration-start e-graph,
+    /// search of every rule against the iteration-start e-graph,
     /// apply all single-pattern matches, apply multi-pattern combinations
     /// (first `k_multi` iterations only), rebuild, and resolve cycles.
     /// Updates `stats` and returns whether the e-graph changed (`false`
@@ -213,62 +204,16 @@ impl<'a> ExplorationContext<'a> {
         // requires a clean e-graph for the operator index and congruence
         // invariant to hold. This mirrors Algorithm 1, which gathers every
         // match before applying any substitution.
-        //
-        // Every searcher (single-pattern rules and the deduplicated
-        // canonical multi-pattern sources) goes through one batch of the
-        // sharded search driver, so a hot rule's candidate chunks spread
-        // over all `search_threads` threads; with 1 thread the driver is
-        // the sequential machine verbatim, and the match lists are
-        // bit-identical either way. Each query carries its analysis-guard
-        // table (single rules: the per-variable part of their shape check;
-        // multi sources: the intersected target-implied constraints), so
-        // inadmissible bindings die inside the machine.
         let do_multi = iter < config.k_multi;
-        let last_multi = iter + 1 == config.k_multi;
 
         let search_start = Instant::now();
-        let mut queries: Vec<SearchQuery<'_, TensorLang, TensorData>> = self
-            .single_rules
-            .iter()
-            .map(|rw| rw.searcher_query())
-            .collect();
-        if do_multi {
-            // Guards evaluate at search time while `apply_combo` validates
-            // at apply time, and unions performed earlier in the same
-            // iteration (single-pattern applications run first) can make a
-            // binding admissible in between. Within the multi-pattern
-            // window a pruned-then-admissible match is simply re-found
-            // next iteration; in the *last* multi iteration there is no
-            // next chance — multi rules are disabled afterwards — so that
-            // final search runs unguarded and leaves admissibility
-            // entirely to the apply-time check, exactly the pre-guard
-            // behavior. (Single-pattern rules need no such cutoff: they
-            // are searched every iteration, and the saturation check only
-            // declares a fixpoint when an iteration changed nothing at
-            // all.)
-            if last_multi {
-                queries.extend(
-                    self.unique_patterns
-                        .iter()
-                        .map(|p| (p.program(), &[] as &[_])),
-                );
-            } else {
-                queries.extend(self.multi_guarded.iter().map(|g| g.query()));
-            }
-        }
-        let mut single_matches =
-            search_all_guarded_parallel(&queries, egraph, config.search_threads);
+        let (single_matches, multi_matches) = self.search_state(egraph, do_multi);
         // Flatten the multi match lists into `(root class, canonical
         // substitution)` entries in search order.
-        let multi_flat: Vec<Vec<(Id, Subst)>> = if do_multi {
-            single_matches
-                .split_off(self.single_rules.len())
-                .iter()
-                .map(|ms| flatten_matches(ms).collect())
-                .collect()
-        } else {
-            vec![]
-        };
+        let multi_flat: Vec<Vec<(Id, Subst)>> = multi_matches
+            .iter()
+            .map(|ms| flatten_matches(ms).collect())
+            .collect();
         stats.search_time += search_start.elapsed();
 
         // --- apply single-pattern rules ---------------------------------------
@@ -333,35 +278,28 @@ impl<'a> ExplorationContext<'a> {
         egraph.total_number_of_nodes() != nodes_before || egraph.union_count() != unions_before
     }
 
-    /// Batched guarded search of every single-pattern rule — and, when
+    /// Batched search of every single-pattern rule — and, when
     /// `include_multi`, every deduplicated canonical multi-pattern source
-    /// — against a candidate state. Returns `(single, multi)` match lists
-    /// in rule/source order; match lists are bit-identical across thread
-    /// counts, so guided strategies stay deterministic.
+    /// — against a clean e-graph. Returns `(single, multi)` match lists in
+    /// rule/source order.
     ///
-    /// Unlike [`ExplorationContext::run_iteration`], the multi sources are
-    /// always searched guarded: a guided strategy validates combinations
-    /// at apply time anyway, and a pruned-then-admissible binding merely
-    /// means that action scores lower in this step.
+    /// Every searcher goes through one batch of the sharded search driver,
+    /// so a hot rule's candidate chunks spread over all `search_threads`
+    /// threads; with 1 thread the driver is the sequential machine
+    /// verbatim, and the match lists are bit-identical either way, so
+    /// every strategy stays deterministic.
     pub fn search_state(
         &self,
         egraph: &TensorEGraph,
         include_multi: bool,
     ) -> (Vec<Vec<SearchMatches>>, Vec<Vec<SearchMatches>>) {
-        let mut queries: Vec<SearchQuery<'_, TensorLang, TensorData>> = self
-            .single_rules
-            .iter()
-            .map(|rw| rw.searcher_query())
-            .collect();
+        let mut searchers: Vec<&Pattern<TensorLang>> =
+            self.single_rules.iter().map(|rw| &rw.searcher).collect();
         if include_multi {
-            queries.extend(self.multi_guarded.iter().map(|g| g.query()));
+            searchers.extend(&self.unique_patterns);
         }
-        let mut single = search_all_guarded_parallel(&queries, egraph, self.config.search_threads);
-        let multi = if include_multi {
-            single.split_off(self.single_rules.len())
-        } else {
-            vec![]
-        };
+        let mut single = search_all_parallel(&searchers, egraph, self.config.search_threads);
+        let multi = single.split_off(self.single_rules.len());
         (single, multi)
     }
 

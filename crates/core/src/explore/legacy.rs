@@ -14,20 +14,20 @@
 //! `cartesian`, `apply_combo`) is duplicated privately rather than shared
 //! with the engine, so a regression in the restructured control flow
 //! cannot silently rewrite the oracle it is checked against. The pure
-//! data-preparation helpers (canonicalization, guard compilation) are
-//! shared — they were not restructured.
+//! data-preparation helpers (canonicalization) are shared — they were not
+//! restructured.
 //!
 //! [`Pattern::search_naive`]: tensat_egraph::Pattern::search_naive
 
 use super::{
-    canonicalize_pattern, compile_multi_guards, decanonicalize_subst, merge_substs,
-    substs_equal_canonical, CycleFilter, ExplorationConfig, ExplorationStats, MultiRuleCompiled,
+    canonicalize_pattern, decanonicalize_subst, merge_substs, substs_equal_canonical, CycleFilter,
+    ExplorationConfig, ExplorationStats, MultiRuleCompiled,
 };
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
 use std::collections::HashMap;
 use std::time::Instant;
-use tensat_egraph::{search_all_guarded_parallel, Id, Pattern, SearchQuery, StopReason, Subst};
-use tensat_ir::{TensorData, TensorEGraph, TensorLang};
+use tensat_egraph::{search_all_parallel, Id, Pattern, StopReason, Subst};
+use tensat_ir::{TensorEGraph, TensorLang};
 use tensat_rules::{pattern_is_valid, MultiPatternRule, TensorRewrite};
 
 /// Runs the exploration phase on an e-graph already seeded with the input
@@ -71,11 +71,7 @@ pub fn explore_monolithic(
         })
         .collect();
     // The deduplicated canonical sources are searched once per iteration:
-    // compile their e-matching programs — both the guarded ones (with the
-    // rules' target-implied analysis guards pushed into the machine) and
-    // the plain ones (used for the final multi iteration, see below) —
-    // before the loop starts.
-    let multi_guarded = compile_multi_guards(&unique_patterns, &compiled);
+    // compile their e-matching programs before the loop starts.
     for pattern in &unique_patterns {
         pattern.precompile();
     }
@@ -107,22 +103,13 @@ pub fn explore_monolithic(
 
         // --- search phase ---------------------------------------------------
         let do_multi = iter < config.k_multi;
-        let mut queries: Vec<SearchQuery<'_, TensorLang, TensorData>> =
-            single_rules.iter().map(|rw| rw.searcher_query()).collect();
+        let mut searchers: Vec<&Pattern<TensorLang>> =
+            single_rules.iter().map(|rw| &rw.searcher).collect();
         if do_multi {
-            if iter + 1 == config.k_multi {
-                queries.extend(unique_patterns.iter().map(|p| (p.program(), &[] as &[_])));
-            } else {
-                queries.extend(multi_guarded.iter().map(|g| g.query()));
-            }
+            searchers.extend(&unique_patterns);
         }
-        let mut single_matches =
-            search_all_guarded_parallel(&queries, egraph, config.search_threads);
-        let multi_matches: Vec<_> = if do_multi {
-            single_matches.split_off(single_rules.len())
-        } else {
-            vec![]
-        };
+        let mut single_matches = search_all_parallel(&searchers, egraph, config.search_threads);
+        let multi_matches = single_matches.split_off(single_rules.len());
 
         // --- apply single-pattern rules --------------------------------------
         'single_apply: for (rw, matches) in single_rules.iter().zip(&single_matches) {

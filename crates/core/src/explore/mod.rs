@@ -1,7 +1,7 @@
 //! The exploration phase (paper §4) behind one seam: an
 //! [`ExplorationStrategy`] trait over a shared [`ExplorationContext`]
-//! holding the compiled single/multi rule programs, guard tables, cycle
-//! filter, and budget accounting — exactly parallel to the extraction
+//! holding the compiled single/multi rule programs, cycle filter, and
+//! budget accounting — exactly parallel to the extraction
 //! crate's [`ExtractionStrategy`](crate::ExtractionStrategy) seam.
 //!
 //! Three strategies ship through the seam:
@@ -35,11 +35,11 @@ pub use guided::{Guided, GuidedConfig};
 pub use saturate::Saturate;
 pub use taso::{TasoBacktracking, TasoConfig};
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::time::Duration;
-use tensat_egraph::{ENodeOrVar, GuardedProgram, Id, Pattern, RecExpr, StopReason, Subst, Var};
-use tensat_ir::{CostModel, DataKind, TensorData, TensorEGraph, TensorLang};
-use tensat_rules::{guard_for_kinds, MultiPatternRule, TensorRewrite};
+use tensat_egraph::{ENodeOrVar, Id, Pattern, RecExpr, StopReason, Subst, Var};
+use tensat_ir::{CostModel, TensorEGraph, TensorLang};
+use tensat_rules::{MultiPatternRule, TensorRewrite};
 
 /// The paper's exploration defaults (§6.1): the single source of truth
 /// shared by [`ExplorationConfig::default`] and
@@ -270,7 +270,7 @@ pub struct ExplorationStats {
 }
 
 /// The single exploration seam: every strategy grows an e-graph in place
-/// from the compiled rule programs, guard tables, and budgets in a shared
+/// from the compiled rule programs and budgets in a shared
 /// [`ExplorationContext`], and reports [`ExplorationStats`] — so the
 /// optimizer, the benches, and future strategies (e.g. learned policies)
 /// all drive exploration the same way.
@@ -399,69 +399,6 @@ pub(crate) struct MultiRuleCompiled {
     pub(crate) srcs: Vec<(usize, HashMap<Var, Var>)>,
 }
 
-/// Builds one guarded e-matching program per unique canonical multi-pattern
-/// source, pushing the rules' target-implied per-variable constraints
-/// ([`MultiPatternRule::target_guard_kinds`]) into the machine.
-///
-/// Canonical sources are deduplicated *across* rules, so a canonical
-/// variable may stand for different original variables in different rules.
-/// It gets a guard only if **every** (rule, source) pair searching through
-/// this canonical pattern implies one — i.e. its original variable occurs
-/// in at least one of that rule's targets — and the kind constraint is the
-/// *intersection* of the referrers' constraints (validity, their common
-/// floor, is always required). A match pruned by such a guard binds, for
-/// every referrer, a variable whose target inference is guaranteed invalid,
-/// so no Cartesian combination containing it could ever fire.
-pub(crate) fn compile_multi_guards(
-    unique_patterns: &[Pattern<TensorLang>],
-    compiled: &[MultiRuleCompiled],
-) -> Vec<GuardedProgram<TensorLang, TensorData>> {
-    // Per unique pattern: canonical var -> Some(intersected kinds) while
-    // every referrer so far guards it, or None once one referrer cannot.
-    let mut info: Vec<Option<HashMap<Var, Option<BTreeSet<DataKind>>>>> =
-        vec![None; unique_patterns.len()];
-    for mrule in compiled {
-        let rule_kinds = mrule.rule.target_guard_kinds();
-        for (idx, back) in &mrule.srcs {
-            match &mut info[*idx] {
-                slot @ None => {
-                    *slot = Some(
-                        back.iter()
-                            .map(|(canon, orig)| (*canon, rule_kinds.get(orig).cloned()))
-                            .collect(),
-                    );
-                }
-                Some(existing) => {
-                    for (canon, orig) in back {
-                        let entry = existing
-                            .get_mut(canon)
-                            .expect("same canonical pattern has the same variables");
-                        *entry = match (entry.take(), rule_kinds.get(orig)) {
-                            (Some(a), Some(b)) => Some(a.intersection(b).copied().collect()),
-                            _ => None,
-                        };
-                    }
-                }
-            }
-        }
-    }
-    unique_patterns
-        .iter()
-        .zip(info)
-        .map(|(pattern, info)| {
-            let mut guards: Vec<(Var, tensat_rules::TensorGuard)> = info
-                .into_iter()
-                .flatten()
-                .filter_map(|(var, kinds)| kinds.map(|k| (var, guard_for_kinds(&k))))
-                .collect();
-            // HashMap iteration order is arbitrary; sort so the compiled
-            // guard table (and pred indices) is deterministic across runs.
-            guards.sort_by_key(|(var, _)| *var);
-            GuardedProgram::compile(&pattern.ast, &guards)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,86 +454,6 @@ mod tests {
         c.insert(Var::new("z"), other);
         let merged = merge_substs(&eg, &a, &c).unwrap();
         assert_eq!(merged.len(), 2);
-    }
-
-    /// The canonical multi-pattern sources are deduplicated across rules,
-    /// so a canonical variable is guarded only when *every* referring
-    /// (rule, source) pair implies a guard for it, with intersected kinds.
-    #[test]
-    fn multi_guards_intersect_across_rules_sharing_a_canonical_source() {
-        // Both stock matmul rules share the canonical source
-        // (matmul ?c0 ?c1 ?c2) and both use all their source variables in
-        // their targets: ?c0 (activation) gets a validity-only guard, the
-        // two operands get tensor guards.
-        let rules = multi_rules();
-        let compiled: Vec<MultiRuleCompiled> = {
-            // Mirror the compilation explore() performs.
-            let mut unique: Vec<Pattern<TensorLang>> = vec![];
-            let mut index: HashMap<String, usize> = HashMap::new();
-            let compiled: Vec<MultiRuleCompiled> = rules
-                .iter()
-                .map(|rule| MultiRuleCompiled {
-                    rule: rule.clone(),
-                    srcs: rule
-                        .srcs
-                        .iter()
-                        .map(|src| {
-                            let (canon, back) = canonicalize_pattern(src);
-                            let key = canon.to_string();
-                            let idx = *index.entry(key).or_insert_with(|| {
-                                unique.push(canon.clone());
-                                unique.len() - 1
-                            });
-                            (idx, back)
-                        })
-                        .collect(),
-                })
-                .collect();
-            let guarded = compile_multi_guards(&unique, &compiled);
-            // matmul + conv canonical sources; each fully guarded.
-            assert_eq!(guarded.len(), 2);
-            for g in &guarded {
-                assert_eq!(
-                    g.program().guard_vars().len(),
-                    g.guards().len(),
-                    "guard table parallel to guard vars"
-                );
-                assert!(
-                    !g.guards().is_empty(),
-                    "every stock rule guards its canonical source vars"
-                );
-            }
-            // The matmul source guards all three canonical variables.
-            let matmul = &guarded[0];
-            assert_eq!(matmul.program().guard_vars().len(), 3);
-            compiled
-        };
-
-        // A synthetic rule reusing the same canonical matmul source but
-        // never using ?w in its targets: the shared canonical variable for
-        // ?w loses its guard (intersection with "no guard" is "no guard").
-        let loose = MultiPatternRule::new(
-            "loose",
-            &["(matmul ?act ?x ?w)", "(matmul ?act ?x ?w2)"],
-            &["(relu ?x)", "(relu ?x)"],
-        );
-        let (canon, back) = canonicalize_pattern(&loose.srcs[0]);
-        let unique = vec![canon];
-        let both = vec![
-            MultiRuleCompiled {
-                rule: compiled[0].rule.clone(),
-                srcs: vec![compiled[0].srcs[0].clone()],
-            },
-            MultiRuleCompiled {
-                rule: loose.clone(),
-                srcs: vec![(0, back)],
-            },
-        ];
-        let guarded = compile_multi_guards(&unique, &both);
-        // ?c1 (?x in both rules) keeps a guard; ?c2 (?w1 / ?w) loses it
-        // because `loose` never mentions ?w in a target; ?c0 (?act) loses
-        // it for the same reason.
-        assert_eq!(guarded[0].program().guard_vars(), &[Var::new("c1")]);
     }
 
     #[test]

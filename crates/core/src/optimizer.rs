@@ -29,8 +29,8 @@ fn rule_verification_forced() -> bool {
 /// # Panics
 ///
 /// Panics with the full per-rule report when any rule has an
-/// error-severity finding (unsound shape change, dead rule, unsatisfiable
-/// or missing guard, unbound RHS variable, ...).
+/// error-severity finding (unsound shape change, dead rule, unbound RHS
+/// variable, ...).
 fn verify_rule_set(singles: &[TensorRewrite], multis: &[MultiPatternRule]) {
     if !rule_verification_forced() {
         return;
@@ -69,12 +69,13 @@ impl ExtractionMode {
     }
 
     /// The extraction mode requested via the `TENSAT_EXTRACTOR` environment
-    /// variable, if set to a recognized name. Read uncached (like
-    /// `TENSAT_SEARCH_THREADS`) so tests and harnesses can vary it per run.
+    /// variable, if set to a recognized name (surrounding whitespace is
+    /// ignored; an empty value counts as unset). Read uncached (like
+    /// `TENSAT_EXPLORER` and `TENSAT_SEARCH_THREADS`) so tests and
+    /// harnesses can vary it per run.
     pub fn from_env() -> Option<ExtractionMode> {
-        std::env::var("TENSAT_EXTRACTOR")
-            .ok()
-            .and_then(|v| ExtractionMode::from_name(&v))
+        let raw = std::env::var("TENSAT_EXTRACTOR").ok()?;
+        ExtractionMode::from_name(raw.trim())
     }
 
     /// The strategy name this mode resolves to at the extraction seam.

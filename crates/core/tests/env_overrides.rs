@@ -41,11 +41,18 @@ fn env_overrides_are_read_uncached() {
     // the configured default).
     std::env::set_var("TENSAT_EXTRACTOR", "simulated-annealing");
     assert_eq!(ExtractionMode::from_env(), None);
+    // Both strategy overrides are trimmed before parsing (a trailing
+    // newline from `$(cat ...)` must not fall back to the default);
+    // whitespace-only counts as unset.
+    std::env::set_var("TENSAT_EXTRACTOR", "dag\n");
+    assert_eq!(ExtractionMode::from_env(), Some(ExtractionMode::GreedyDag));
+    std::env::set_var("TENSAT_EXTRACTOR", " ilp ");
+    assert_eq!(ExtractionMode::from_env(), Some(ExtractionMode::Ilp));
+    std::env::set_var("TENSAT_EXTRACTOR", "   ");
+    assert_eq!(ExtractionMode::from_env(), None);
     std::env::remove_var("TENSAT_EXTRACTOR");
     assert_eq!(ExtractionMode::from_env(), None);
 
-    // The explorer override is trimmed before parsing; whitespace-only
-    // counts as unset.
     std::env::set_var("TENSAT_EXPLORER", "  guided  ");
     assert_eq!(ExplorationMode::from_env(), Some(ExplorationMode::Guided));
     std::env::set_var("TENSAT_EXPLORER", "taso");

@@ -18,8 +18,8 @@ fn registration_gate_rejects_unsound_rules_and_accepts_shipped_ones() {
     let _ = Optimizer::new(OptimizerConfig::default());
 
     // An unconditional shape-changing rule does not. (The rule is built
-    // inside the closure: rewrites hold `dyn Fn` guards, which are not
-    // `UnwindSafe` to borrow across the catch boundary.)
+    // inside the closure: rewrites hold `dyn Fn` conditions, which are
+    // not `UnwindSafe` to borrow across the catch boundary.)
     let result = std::panic::catch_unwind(|| {
         let bad = Rewrite::new(
             "ewadd-to-concat",

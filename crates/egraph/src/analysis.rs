@@ -59,24 +59,6 @@ pub trait Analysis<L: Language>: Sized {
     /// Hook called after the data of class `id` is created or changed.
     /// The default does nothing.
     fn modify(_egraph: &mut EGraph<L, Self>, _id: Id) {}
-
-    /// An interned *kind tag* summarizing a data value for cheap guard
-    /// evaluation: the e-graph stores `kind_tag` of every class's data in a
-    /// dense side table ([`EGraph::kind_tag`]), and tag-mask guards
-    /// ([`crate::Guard::tags`]) test membership with one array read and one
-    /// bit test — no dynamic dispatch, no borrow of the full data value.
-    ///
-    /// The tag must be a pure function of the data and **strictly less
-    /// than 32** (tags index bits of a `u32` mask; out-of-range tags never
-    /// match any mask). The default collapses everything to tag `0`, which
-    /// makes tag guards useless but never wrong. The e-graph refreshes the
-    /// stored tag whenever it writes class data (`add`, `union`, rebuild
-    /// repair); an analysis that mutates class data by other means (e.g.
-    /// through [`EGraph::eclass_mut`] inside [`Analysis::modify`]) must not
-    /// change the value's kind tag.
-    fn kind_tag(_data: &Self::Data) -> u8 {
-        0
-    }
 }
 
 /// The trivial analysis carrying no data.

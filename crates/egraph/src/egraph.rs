@@ -36,13 +36,11 @@ fn invariant_checks_forced() -> bool {
 /// e-matching hot path, where the old `BTreeMap` storage paid a tree walk
 /// per [`crate::Instruction`]. Live slots are always in ascending-id order:
 /// fresh classes append, a union tombstones the absorbed class's slot in
-/// place, and [`EGraph::rebuild`] compacts the tombstones away. Two side
-/// tables run parallel to `slots`: the interned analysis *kind tag*
-/// ([`Analysis::kind_tag`], read by tag-mask guards without borrowing the
-/// `EClass`) and each class's operator set. The operator index is
-/// maintained incrementally at `add`/`union` time (a class's operator set
-/// only ever grows), and `rebuild` repairs congruence with worklists
-/// proportional to the classes actually touched instead of
+/// place, and [`EGraph::rebuild`] compacts the tombstones away. One side
+/// table runs parallel to `slots`: each class's operator set. The operator
+/// index is maintained incrementally at `add`/`union` time (a class's
+/// operator set only ever grows), and `rebuild` repairs congruence with
+/// worklists proportional to the classes actually touched instead of
 /// re-canonicalizing the whole e-graph.
 ///
 /// In addition to the egg feature set, this e-graph supports a *filter set*
@@ -88,9 +86,6 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// Raw id → slot. Only entries for canonical ids are meaningful;
     /// absorbed ids hold [`NO_SLOT`].
     slot_of: Vec<u32>,
-    /// Side table parallel to `slots`: interned kind tag of the class data
-    /// ([`Analysis::kind_tag`]), refreshed whenever the data is written.
-    tags: Vec<u8>,
     /// Side table parallel to `slots`: operator discriminants present in
     /// the class. Grow-only (nodes are never removed from a class), which
     /// is what makes incremental operator-index upkeep sound.
@@ -138,7 +133,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             memo: HashMap::new(),
             slots: vec![],
             slot_of: vec![],
-            tags: vec![],
             class_ops: vec![],
             live: 0,
             pending: vec![],
@@ -261,8 +255,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         let id = self.unionfind.make_set();
         let data = N::make(self, &enode);
-        let tag = N::kind_tag(&data);
-        debug_assert!(tag < 32, "Analysis::kind_tag must return a tag below 32");
         let birth = self.ticker;
         self.ticker += 1;
         // Register this node as a parent of each child class.
@@ -286,7 +278,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         debug_assert_eq!(usize::from(id), self.slot_of.len());
         self.slot_of.push(self.slots.len() as u32);
         self.slots.push(Some(class));
-        self.tags.push(tag);
         self.class_ops.push(vec![op]);
         self.live += 1;
         // Keep the operator index live across adds: plain adds preserve
@@ -391,7 +382,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         root_class.node_birth.extend(other_class.node_birth);
         root_class.parents.extend(other_class.parents);
         root_class.id = root;
-        self.tags[root_slot] = N::kind_tag(&root_class.data);
         // The root's parent list (now holding the absorbed class's parents
         // too) must be congruence-repaired; its node list (now holding the
         // absorbed nodes) must be re-canonicalized and deduplicated.
@@ -476,7 +466,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 let slot = self.slot_of[usize::from(class)] as usize;
                 let class_ref = self.slots[slot].as_mut().expect("class must exist");
                 let did = self.analysis.merge(&mut class_ref.data, data);
-                self.tags[slot] = N::kind_tag(&class_ref.data);
                 if did.0 {
                     let parents = class_ref.parents.clone();
                     self.analysis_pending.extend(parents);
@@ -637,7 +626,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             if self.slots[r].is_some() {
                 if w != r {
                     self.slots.swap(w, r);
-                    self.tags[w] = self.tags[r];
                     self.class_ops[w] = std::mem::take(&mut self.class_ops[r]);
                 }
                 let id = self.slots[w].as_ref().expect("just checked").id;
@@ -646,22 +634,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             }
         }
         self.slots.truncate(w);
-        self.tags.truncate(w);
         self.class_ops.truncate(w);
-    }
-
-    /// The interned kind tag ([`Analysis::kind_tag`]) of the class
-    /// containing `id`, read from the dense side table. One `find` plus one
-    /// array read — tag-mask guards ([`crate::Guard::tags`]) evaluate from
-    /// this without borrowing the class data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not name a live class.
-    #[inline]
-    pub fn kind_tag(&self, id: Id) -> u8 {
-        let id = self.find(id);
-        self.tags[self.slot_of[usize::from(id)] as usize]
     }
 
     /// The canonical ids of the classes containing at least one e-node with
@@ -765,10 +738,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// are a single contiguous run ordered by `children()` — what the
     /// e-matching machine's range lookup relies on); the memo holds exactly
     /// one canonical entry per e-node and nothing else; the incremental
-    /// node count is right; the kind-tag side table matches the data; the
-    /// operator index and per-class operator sets agree exactly with the
-    /// node lists (buckets sorted ascending); and every parent list,
-    /// canonicalized, equals the parent set derived from the node lists.
+    /// node count is right; the operator index and per-class operator sets
+    /// agree exactly with the node lists (buckets sorted ascending); and
+    /// every parent list, canonicalized, equals the parent set derived from
+    /// the node lists.
     ///
     /// # Panics
     ///
@@ -817,17 +790,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             return;
         }
 
-        // --- nodes, memo, tags, operator index ------------------------------
+        // --- nodes, memo, operator index ------------------------------------
         let mut num_nodes = 0;
         let mut expected_parents: HashMap<Id, BTreeSet<(L, Id)>> = HashMap::new();
         for class in self.classes() {
-            let slot = self.slot_of[usize::from(class.id)] as usize;
-            assert_eq!(
-                self.tags[slot],
-                N::kind_tag(&class.data),
-                "kind-tag side table stale for class {}",
-                class.id
-            );
             assert_eq!(
                 class.nodes.len(),
                 class.node_birth.len(),
@@ -887,6 +853,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                         .insert((node.clone(), class.id));
                 }
             }
+            let slot = self.slot_of[usize::from(class.id)] as usize;
             let mut class_ops = self.class_ops[slot].clone();
             assert_eq!(
                 class_ops.len(),
@@ -1303,9 +1270,6 @@ mod tests {
                 (None, None) => DidMerge(false, false),
             }
         }
-        fn kind_tag(data: &Self::Data) -> u8 {
-            data.is_some() as u8
-        }
     }
 
     #[test]
@@ -1315,15 +1279,11 @@ mod tests {
         let two = eg.add(Math::Num(2));
         let a_plus_2 = eg.add(Math::Add([a, two]));
         assert_eq!(eg.eclass(a_plus_2).data, None);
-        assert_eq!(eg.kind_tag(a_plus_2), 0);
         // Learn that a == 3; then a + 2 should fold to 5 after rebuild.
         let three = eg.add(Math::Num(3));
         eg.union(a, three);
         eg.rebuild();
         assert_eq!(eg.eclass(a_plus_2).data, Some(5));
-        // The dense kind-tag side table follows the data through repair.
-        assert_eq!(eg.kind_tag(a_plus_2), 1);
-        assert_eq!(eg.kind_tag(a), 1);
     }
 
     /// The dense slot tables stay exact through add/union/rebuild cycles:

@@ -24,10 +24,8 @@
 //!   as a differential-testing oracle ([`Pattern::search_naive`]). Search
 //!   can be sharded across threads
 //!   ([`Pattern::search_parallel`], [`search_all_parallel`]) with
-//!   bit-identical results, and rules can push per-variable *analysis
-//!   guards* into the machine ([`Rewrite::with_guards`],
-//!   [`GuardedProgram`]) so semantically dead bindings are pruned during
-//!   matching instead of by a post-match condition.
+//!   bit-identical results. Matching is purely structural; a rule's
+//!   semantic side condition ([`Condition`]) runs when a match is applied.
 //! * [`Runner`] — equality saturation with iteration / node / time limits
 //!   and saturation detection.
 //! * [`Extractor`] / [`DagExtractor`] — tree-greedy and global greedy DAG
@@ -76,9 +74,8 @@ pub use egraph::EGraph;
 pub use extract::{AstDepth, AstSize, CostFunction, DagCostFunction, DagExtractor, Extractor};
 pub use language::{assert_ord_contract, Id, Language, Symbol};
 pub use machine::{
-    search_all_guarded_parallel, search_all_guarded_parallel_with_threshold, ChildSource, Guard,
-    GuardFn, GuardedProgram, Instruction, Program, Reg, SearchQuery, TagMask,
-    PARALLEL_SEARCH_SPAWN_THRESHOLD,
+    search_all_guarded_parallel, search_all_guarded_parallel_with_threshold, ChildSource,
+    Instruction, Program, Reg, PARALLEL_SEARCH_SPAWN_THRESHOLD,
 };
 pub use pattern::{search_all_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, Var};
 pub use recexpr::RecExpr;

@@ -1,7 +1,7 @@
 //! Patterns over a [`Language`]: terms with variables, searched for in an
 //! e-graph (e-matching) and instantiated to apply rewrites.
 
-use crate::machine::{Program, SearchQuery};
+use crate::machine::Program;
 use crate::{Analysis, EGraph, Id, Language, RecExpr, Symbol};
 use std::fmt::{self, Display};
 use std::sync::OnceLock;
@@ -457,11 +457,8 @@ where
     N: Analysis<L> + Sync,
     N::Data: Sync,
 {
-    let queries: Vec<SearchQuery<'_, L, N::Data>> = patterns
-        .iter()
-        .map(|p| (p.program(), &[] as &[_]))
-        .collect();
-    crate::machine::search_all_guarded_parallel(&queries, egraph, n_threads)
+    let programs: Vec<&Program<L>> = patterns.iter().map(|p| p.program()).collect();
+    crate::machine::search_all_guarded_parallel(&programs, egraph, n_threads)
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
-//! Rewrite rules: a searcher pattern, an applier pattern, an optional
-//! side condition (used by TENSAT for shape checking), and optional
-//! per-variable analysis guards that push the condition's per-variable
-//! part into the e-matching machine.
+//! Rewrite rules: a searcher pattern, an applier pattern, and an optional
+//! side condition (used by TENSAT for shape checking).
 
-use crate::machine::{Guard, GuardedProgram, SearchQuery};
+use crate::machine::Program;
 use crate::pattern::ENodeOrVar;
-use crate::{Analysis, EGraph, Id, Language, Pattern, SearchMatches, Subst, Var};
+use crate::{Analysis, EGraph, Id, Language, Pattern, SearchMatches, Subst};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -14,12 +12,9 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Receives the e-graph, the e-class the left-hand side matched in, and the
 /// substitution; returns true if the rewrite may fire. TENSAT uses this for
-/// tensor shape checking (paper §4).
-///
-/// Conditions that only depend on the analysis data of a *single* bound
-/// variable's class should be expressed as guards instead
-/// ([`Rewrite::with_guards`]): the machine then prunes the branch during
-/// matching rather than discarding the finished substitution here.
+/// tensor shape checking (paper §4). It is the only place a match is
+/// judged on anything but structure: search gathers every structural match
+/// and the condition decides at apply time, as in the paper's Algorithm 1.
 pub type Condition<L, N> = Arc<dyn Fn(&EGraph<L, N>, Id, &Subst) -> bool + Send + Sync>;
 
 /// A single-pattern rewrite rule `lhs => rhs` with an optional condition.
@@ -36,10 +31,6 @@ pub struct Rewrite<L: Language, N: Analysis<L>> {
     pub applier: Pattern<L>,
     /// Optional side condition; `None` means always applicable.
     pub condition: Option<Condition<L, N>>,
-    /// The guarded searcher program, present when the rule was built with
-    /// [`Rewrite::with_guards`]. When present, [`Rewrite::search`] runs it
-    /// instead of the plain pattern program.
-    guarded: Option<GuardedProgram<L, N::Data>>,
 }
 
 impl<L: Language, N: Analysis<L>> fmt::Debug for Rewrite<L, N> {
@@ -49,10 +40,6 @@ impl<L: Language, N: Analysis<L>> fmt::Debug for Rewrite<L, N> {
             .field("searcher", &self.searcher.to_string())
             .field("applier", &self.applier.to_string())
             .field("conditional", &self.condition.is_some())
-            .field(
-                "guards",
-                &self.guarded.as_ref().map_or(0, |g| g.guards().len()),
-            )
             .finish()
     }
 }
@@ -77,7 +64,6 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
             searcher,
             applier,
             condition: None,
-            guarded: None,
         }
     }
 
@@ -93,69 +79,18 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         rw
     }
 
-    /// Attaches per-variable analysis guards and compiles the guarded
-    /// searcher program now (rule construction time, like
-    /// [`Pattern::precompile`]). Guards for variables that do not occur in
-    /// the searcher are dropped; duplicate entries for one variable are
-    /// conjoined.
-    ///
-    /// A guard must be a *sound approximation* of the rule's condition: it
-    /// may only reject bindings the condition (or the rule's semantics)
-    /// would reject anyway, and it must be a pure function of the class
-    /// analysis data. Under that contract, guarded search followed by the
-    /// residual condition fires exactly the applications the unguarded rule
-    /// fires on any fixed (clean) e-graph — the guard just kills dead
-    /// branches inside the machine.
-    ///
-    /// One timing nuance inside a saturation loop: guards evaluate at
-    /// *search* time, the residual condition at *apply* time, and unions
-    /// performed earlier in the same apply batch can make a class's data
-    /// admissible in between (analysis merges are monotone towards
-    /// validity). Such a match, which the unguarded rule would have applied
-    /// late in the same iteration, now fires in the next iteration instead —
-    /// the e-graph only grows, so the match is re-found and the saturation
-    /// fixpoint is unchanged.
-    pub fn with_guards(mut self, guards: Vec<(Var, Guard<N::Data>)>) -> Self
-    where
-        N::Data: 'static,
-    {
-        let searcher_vars = self.searcher.vars();
-        let guards: Vec<(Var, Guard<N::Data>)> = guards
-            .into_iter()
-            .filter(|(v, _)| searcher_vars.contains(v))
-            .collect();
-        self.guarded = if guards.is_empty() {
-            None
-        } else {
-            Some(GuardedProgram::compile(&self.searcher.ast, &guards))
-        };
-        self
+    /// The compiled searcher program, in the shape the batch search
+    /// drivers take (see [`crate::search_all_guarded_parallel`]). The name
+    /// is historical — it once returned a `(program, guard table)` pair —
+    /// and is kept because the repo benchmark (`benchmark/src/trace.rs`)
+    /// calls it.
+    pub fn searcher_query(&self) -> &Program<L> {
+        self.searcher.program()
     }
 
-    /// The guarded searcher program, if the rule carries guards.
-    pub fn guarded_program(&self) -> Option<&GuardedProgram<L, N::Data>> {
-        self.guarded.as_ref()
-    }
-
-    /// The `(program, guard table)` pair the batch search drivers take
-    /// (see [`crate::search_all_guarded_parallel`]): the guarded program
-    /// when the rule carries guards, otherwise the plain pattern program
-    /// with an empty table.
-    pub fn searcher_query(&self) -> SearchQuery<'_, L, N::Data> {
-        match &self.guarded {
-            Some(g) => g.query(),
-            None => (self.searcher.program(), &[]),
-        }
-    }
-
-    /// Searches the e-graph for matches of the left-hand side, through the
-    /// guarded program when the rule carries guards (see
-    /// [`Rewrite::with_guards`]).
+    /// Searches the e-graph for matches of the left-hand side.
     pub fn search(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        match &self.guarded {
-            Some(g) => g.search(egraph),
-            None => self.searcher.search(egraph),
-        }
+        self.searcher.search(egraph)
     }
 
     /// Applies the rewrite to the given matches, returning the number of

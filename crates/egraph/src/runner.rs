@@ -2,9 +2,7 @@
 //! is hit, recording per-iteration statistics.
 
 use crate::rewrite::{apply_windowed, ApplyOutcome};
-use crate::{
-    search_all_guarded_parallel, Analysis, EGraph, Language, RecExpr, Rewrite, SearchMatches,
-};
+use crate::{search_all_parallel, Analysis, EGraph, Language, RecExpr, Rewrite, SearchMatches};
 use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
@@ -220,11 +218,9 @@ where
             rewrites,
             |egraph, rewrites| {
                 // The batch driver dispatches itself: with one thread it is
-                // the per-pattern sequential search verbatim. Each rewrite
-                // contributes its guarded program when it carries analysis
-                // guards, its plain pattern program otherwise.
-                let queries: Vec<_> = rewrites.iter().map(|rw| rw.searcher_query()).collect();
-                search_all_guarded_parallel(&queries, egraph, n_threads)
+                // the per-pattern sequential search verbatim.
+                let searchers: Vec<_> = rewrites.iter().map(|rw| &rw.searcher).collect();
+                search_all_parallel(&searchers, egraph, n_threads)
             },
             |egraph, rewrites, all_matches, keep_going| {
                 let batch: Vec<_> = rewrites

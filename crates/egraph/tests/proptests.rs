@@ -6,9 +6,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use tensat_egraph::doctest_lang::SimpleMath as Math;
 use tensat_egraph::{
     apply_windowed_with_window, search_all_guarded_parallel,
-    search_all_guarded_parallel_with_threshold, search_all_parallel, Analysis, AstSize, DidMerge,
-    EGraph, ENodeOrVar, Extractor, Guard, GuardedProgram, Id, Language, Pattern, RecExpr, Rewrite,
-    SearchMatches, Subst, Symbol, Var,
+    search_all_guarded_parallel_with_threshold, search_all_parallel, Analysis, AstSize, EGraph,
+    ENodeOrVar, Extractor, Id, Language, Pattern, RecExpr, Rewrite, SearchMatches, Symbol, Var,
 };
 
 /// A random expression generator: a sequence of build steps referencing
@@ -256,15 +255,12 @@ proptest! {
         eg.add_expr(&expr);
         eg.rebuild();
         let patterns: Vec<Pattern<Math>> = pats.iter().map(|p| build_pattern(p)).collect();
-        let queries: Vec<_> = patterns
-            .iter()
-            .map(|p| (p.program(), &[] as &[Guard<()>]))
-            .collect();
-        let dispatched = search_all_guarded_parallel(&queries, &eg, n_threads);
+        let programs: Vec<_> = patterns.iter().map(|p| p.program()).collect();
+        let dispatched = search_all_guarded_parallel(&programs, &eg, n_threads);
         let forced_parallel =
-            search_all_guarded_parallel_with_threshold(&queries, &eg, n_threads, 0);
+            search_all_guarded_parallel_with_threshold(&programs, &eg, n_threads, 0);
         let forced_sequential =
-            search_all_guarded_parallel_with_threshold(&queries, &eg, n_threads, usize::MAX);
+            search_all_guarded_parallel_with_threshold(&programs, &eg, n_threads, usize::MAX);
         prop_assert_eq!(&dispatched, &forced_parallel);
         prop_assert_eq!(&dispatched, &forced_sequential);
         for (pattern, got) in patterns.iter().zip(&dispatched) {
@@ -448,149 +444,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Analysis-guided (guarded) search
-// ---------------------------------------------------------------------------
-
-/// A constant-folding-flavoured analysis for the guard proptests: a class's
-/// data is `Some(value)` when a constant value is known for it. Random
-/// unions can merge classes with conflicting constants — `merge` then keeps
-/// the existing value; guards only need the data to be *deterministic*, not
-/// semantically meaningful.
-#[derive(Clone, Copy, Default)]
-struct ConstAnalysis;
-
-impl Analysis<Math> for ConstAnalysis {
-    type Data = Option<i64>;
-    fn make(egraph: &EGraph<Math, Self>, enode: &Math) -> Option<i64> {
-        let c = |id: &Id| egraph.eclass(*id).data;
-        match enode {
-            Math::Num(n) => Some(*n),
-            Math::Sym(_) => None,
-            Math::Add([a, b]) => c(a)?.checked_add(c(b)?),
-            Math::Mul([a, b]) => c(a)?.checked_mul(c(b)?),
-            Math::Div([a, b]) => c(a)?.checked_div(c(b)?),
-            Math::Shl([_, _]) => None,
-        }
-    }
-    fn merge(&mut self, to: &mut Option<i64>, from: Option<i64>) -> DidMerge {
-        match (&to, from) {
-            (None, Some(v)) => {
-                *to = Some(v);
-                DidMerge(true, false)
-            }
-            (Some(a), Some(b)) if *a != b => DidMerge(false, true),
-            (Some(_), None) => DidMerge(false, true),
-            _ => DidMerge(false, false),
-        }
-    }
-    /// Tag 1 for known constants, 0 for unknown — so the "is a constant"
-    /// guard below compiles to a pure tag mask and the proptests cover the
-    /// dense tag-table fast path alongside dynamic predicates.
-    fn kind_tag(data: &Option<i64>) -> u8 {
-        data.is_some() as u8
-    }
-}
-
-/// The pool of guards the proptests draw from (index 0 = no guard). All
-/// are pure functions of the class data, as guards must be. Case 1 is a
-/// pure *tag-mask* guard ("the class holds a known constant", tag 1 under
-/// [`ConstAnalysis::kind_tag`]); the rest are dynamic predicates, and case
-/// 4 mixes a mask with a predicate the way TENSAT's double-transpose guard
-/// does.
-fn guard_pool(choice: u8) -> Option<Guard<Option<i64>>> {
-    match choice % 5 {
-        0 => None,
-        1 => Some(Guard::tags(1 << 1)),
-        2 => Some(Guard::from_fn(
-            |d: &Option<i64>| matches!(d, Some(v) if v % 2 == 0),
-        )),
-        3 => Some(Guard::from_fn(|d: &Option<i64>| !matches!(d, Some(0)))),
-        _ => Some(Guard::tags(1 << 1).and(Guard::from_fn(|d: &Option<i64>| !matches!(d, Some(0))))),
-    }
-}
-
-/// Post-filters an unguarded match list by the guards — the reference
-/// semantics guarded search must reproduce *bit-identically*: a
-/// substitution survives iff every guarded variable it binds maps to a
-/// class whose analysis data passes [`Guard::check`]. The kind tag is
-/// recomputed here from the data (not read from the e-graph's side table),
-/// so a stale tag table would show up as a mismatch.
-fn filter_by_guards(
-    eg: &EGraph<Math, ConstAnalysis>,
-    matches: &[SearchMatches],
-    guards: &[(Var, Guard<Option<i64>>)],
-) -> Vec<SearchMatches> {
-    matches
-        .iter()
-        .filter_map(|m| {
-            let substs: Vec<Subst> = m
-                .substs
-                .iter()
-                .filter(|s| {
-                    guards.iter().all(|(v, g)| match s.get(*v) {
-                        Some(id) => {
-                            let data = &eg.eclass(id).data;
-                            g.check(ConstAnalysis::kind_tag(data), data)
-                        }
-                        None => true,
-                    })
-                })
-                .cloned()
-                .collect();
-            (!substs.is_empty()).then_some(SearchMatches {
-                eclass: m.eclass,
-                substs,
-            })
-        })
-        .collect()
-}
-
-proptest! {
-    /// The tentpole equivalence: on random e-graphs (random unions, random
-    /// analysis data) and random patterns, guarded search returns exactly
-    /// the unguarded match list post-filtered by the same predicates — same
-    /// class order, same substitution order — and the parallel guarded
-    /// driver is bit-identical to the sequential one for 1–8 threads.
-    #[test]
-    fn guarded_search_equals_filtered_search_and_parallel_is_bit_identical(
-        steps in steps_strategy(40),
-        pat_steps in pattern_strategy(12),
-        guard_choices in prop::collection::vec(0u8..5, 3),
-        n_threads in 1usize..=8,
-        unions in prop::collection::vec((any::<usize>(), any::<usize>()), 0..6)
-    ) {
-        let expr = build_expr(&steps);
-        let mut eg: EGraph<Math, ConstAnalysis> = EGraph::new(ConstAnalysis);
-        eg.add_expr(&expr);
-        eg.rebuild();
-        let class_ids: Vec<Id> = eg.classes().map(|c| c.id).collect();
-        for (a, b) in unions {
-            let a = class_ids[a % class_ids.len()];
-            let b = class_ids[b % class_ids.len()];
-            eg.union(a, b);
-        }
-        eg.rebuild();
-
-        let pattern = build_pattern(&pat_steps);
-        // Draw a guard (or none) for each of the three possible variables.
-        let guards: Vec<(Var, Guard<Option<i64>>)> = guard_choices
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &choice)| {
-                guard_pool(choice).map(|g| (Var::new(format!("v{i}")), g))
-            })
-            .collect();
-        let guarded = GuardedProgram::compile(&pattern.ast, &guards);
-
-        let unguarded = pattern.search(&eg);
-        let expected = filter_by_guards(&eg, &unguarded, &guards);
-        let got = guarded.search(&eg);
-        prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(guarded.search_parallel(&eg, n_threads), got);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Big classes: the range lookup inside `Bind`
 // ---------------------------------------------------------------------------
 
@@ -648,19 +501,17 @@ proptest! {
     /// into three classes (and take those classes as operands), so the
     /// largest class holds at least 64 nodes; some nodes are then filtered.
     /// On that e-graph, for one pattern per branch of the bound-children
-    /// plan and a random one: the machine equals the naive oracle, guarded
-    /// search equals the filtered unguarded list bit for bit, and the
+    /// plan and a random one: the machine equals the naive oracle, and the
     /// forced-parallel batch driver equals the sequential searches bit for
     /// bit.
     #[test]
-    fn big_class_search_equals_naive_filtered_and_parallel(
+    fn big_class_search_equals_naive_and_forced_parallel(
         nodes in prop::collection::vec((0u8..3, any::<usize>(), any::<usize>(), 0usize..3), 280..320),
         pat_steps in pattern_strategy(12),
-        guard_choices in prop::collection::vec(0u8..5, 3),
         filter_picks in prop::collection::vec(any::<usize>(), 0..12),
         n_threads in 2usize..=8
     ) {
-        let mut eg: EGraph<Math, ConstAnalysis> = EGraph::new(ConstAnalysis);
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
         let mut operands: Vec<Id> = (0..4).map(|s| eg.add(Math::Sym(Symbol::new(format!("s{s}"))))).collect();
         operands.extend((0..3).map(|n| eg.add(Math::Num(n))));
         // The three big classes start as `(+ s0 1)`, `(* s1 s0)`, `(/ s2 s3)`
@@ -688,33 +539,18 @@ proptest! {
             eg.filter_node(&all_nodes[pick % all_nodes.len()]);
         }
 
-        let guards: Vec<(Var, Guard<Option<i64>>)> = guard_choices
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &choice)| guard_pool(choice).map(|g| (Var::new(format!("v{i}")), g)))
-            .collect();
         let mut patterns = bind_plan_patterns();
         patterns.push(("random", build_pattern(&pat_steps)));
-        let guarded: Vec<GuardedProgram<Math, Option<i64>>> = patterns
-            .iter()
-            .map(|(_, p)| GuardedProgram::compile(&p.ast, &guards))
-            .collect();
-        let queries: Vec<_> = guarded.iter().map(|g| g.query()).collect();
+        let programs: Vec<_> = patterns.iter().map(|(_, p)| p.program()).collect();
         let parallel =
-            search_all_guarded_parallel_with_threshold(&queries, &eg, n_threads, 0);
+            search_all_guarded_parallel_with_threshold(&programs, &eg, n_threads, 0);
 
-        for (((name, pattern), guarded), parallel) in patterns.iter().zip(&guarded).zip(&parallel) {
-            let machine = pattern.search(&eg);
+        for ((name, pattern), parallel) in patterns.iter().zip(&parallel) {
+            let sequential = pattern.search(&eg);
             prop_assert_eq!(
-                normalize(&eg, &machine),
+                normalize(&eg, &sequential),
                 normalize(&eg, &pattern.search_naive(&eg)),
                 "{}: machine != naive", name
-            );
-            let sequential = guarded.search(&eg);
-            prop_assert_eq!(
-                &sequential,
-                &filter_by_guards(&eg, &machine, &guards),
-                "{}: guarded != filtered unguarded", name
             );
             prop_assert_eq!(parallel, &sequential, "{}: parallel != sequential", name);
         }

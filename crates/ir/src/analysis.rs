@@ -24,10 +24,6 @@ impl Analysis<TensorLang> for TensorAnalysis {
         infer(enode, &get)
     }
 
-    fn kind_tag(data: &Self::Data) -> u8 {
-        data.kind_tag()
-    }
-
     fn merge(&mut self, to: &mut Self::Data, from: Self::Data) -> DidMerge {
         use TensorData::*;
         match (&mut *to, from) {

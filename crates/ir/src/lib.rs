@@ -38,9 +38,7 @@ pub use lang::{
     decode_identifier, decode_permutation, decode_shape, encode_identifier, encode_permutation,
     encode_shape, Activation, Padding, TensorLang,
 };
-pub use shape::{
-    child_data_kinds, infer, infer_recexpr, DataKind, TensorData, TensorInfo, VALID_TAG_MASK,
-};
+pub use shape::{child_data_kinds, infer, infer_recexpr, DataKind, TensorData, TensorInfo};
 pub use symbolic::{sym_infer, DimEnv, SymDim, SymError, SymTensor, SymValue};
 
 /// Convenience re-exports of the e-graph substrate types most commonly used

@@ -114,41 +114,19 @@ impl TensorData {
 
     /// True if this value is valid and of the given kind ([`DataKind::Any`]
     /// accepts every valid value). This is exactly the admissibility test
-    /// the corresponding [`infer`] child accessor performs, so it can be
-    /// used as an e-class analysis guard during e-matching.
+    /// the corresponding [`infer`] child accessor performs.
     pub fn matches_kind(&self, kind: DataKind) -> bool {
         match kind {
             DataKind::Any => self.is_valid(),
             k => self.kind() == Some(k),
         }
     }
-
-    /// The interned kind tag of this value — the per-class byte the e-graph
-    /// stores in its dense tag side table
-    /// ([`Analysis::kind_tag`](tensat_egraph::Analysis::kind_tag)), one tag
-    /// per variant. Both [`TensorData::is_valid`] and
-    /// [`TensorData::matches_kind`] are pure functions of the variant, so a
-    /// kind-only shape guard is decided entirely by this tag (see
-    /// [`DataKind::tag_mask`]).
-    pub fn kind_tag(&self) -> u8 {
-        match self {
-            TensorData::Invalid(_) => 0,
-            TensorData::Scalar(_) => 1,
-            TensorData::Str(_) => 2,
-            TensorData::Tensor(_) => 3,
-            TensorData::Tuple(..) => 4,
-        }
-    }
 }
-
-/// Tag mask admitting every *valid* [`TensorData`] variant (everything but
-/// `Invalid`); see [`TensorData::kind_tag`] and [`DataKind::tag_mask`].
-pub const VALID_TAG_MASK: u32 = (1 << 1) | (1 << 2) | (1 << 3) | (1 << 4);
 
 /// The coarse kind of [`TensorData`] an operator child position requires —
 /// the static part of [`infer`]'s per-child admissibility checks, exposed so
-/// rewrite rules can compile their shape conditions down to per-variable
-/// e-matching guards (see [`child_data_kinds`]).
+/// the rule verifier can derive, per pattern variable, the kinds a rule's
+/// operator positions demand (see [`child_data_kinds`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DataKind {
     /// An integer parameter ([`TensorData::Scalar`]).
@@ -162,25 +140,6 @@ pub enum DataKind {
     /// Any valid value: the position is ignored by shape inference (e.g. the
     /// activation code of `matmul`), so only overall validity is required.
     Any,
-}
-
-impl DataKind {
-    /// The mask of [`TensorData::kind_tag`] values `t` for which data with
-    /// tag `t` satisfies [`TensorData::matches_kind`] for this kind — i.e.
-    /// is valid *and* of this kind ([`DataKind::Any`] admits every valid
-    /// tag). Intersecting these masks compiles a whole kind-constraint set
-    /// down to one tag-mask e-matching guard
-    /// ([`tensat_egraph::Guard::tags`]); the equivalence with the dynamic
-    /// check is pinned by a unit test in `tensat-rules`.
-    pub fn tag_mask(self) -> u32 {
-        match self {
-            DataKind::Scalar => 1 << 1,
-            DataKind::Str => 1 << 2,
-            DataKind::Tensor => 1 << 3,
-            DataKind::Tuple => 1 << 4,
-            DataKind::Any => VALID_TAG_MASK,
-        }
-    }
 }
 
 /// For each child position of `node`, the [`DataKind`] that [`infer`]
@@ -754,8 +713,8 @@ mod tests {
     #[test]
     fn child_data_kinds_cover_every_child_position() {
         // One sample node per operator variant: the kind table must be
-        // exactly as long as the child list, or guard derivation would
-        // silently misalign positions.
+        // exactly as long as the child list, or kind-constraint derivation
+        // would silently misalign positions.
         let id = Id::from(0usize);
         let samples: Vec<TensorLang> = vec![
             TensorLang::Num(0),

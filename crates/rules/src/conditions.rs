@@ -7,29 +7,13 @@
 //! data from the e-class analysis) and rejecting the match if any node is
 //! ill-typed.
 //!
-//! The check splits into two parts:
-//!
-//! * a **per-variable** part — every variable the target uses must be bound
-//!   to a class with *valid* data of the *kind* its target positions expect
-//!   (tensor operand, integer parameter, ...). This part is compiled down to
-//!   e-matching [guards](tensat_egraph::GuardFn) by [`shape_guards`], so the
-//!   machine prunes inadmissible bindings *during* matching
-//!   ([`tensat_egraph::Instruction::Guard`]) instead of enumerating complete
-//!   substitutions first.
-//! * a **cross-variable** residue — inferring the target's shapes under the
-//!   full substitution and comparing its output shape with the matched
-//!   class. This cannot be decided per variable and stays a post-match
-//!   [`Condition`] ([`shape_check`]).
-//!
-//! Guards are a sound approximation of the condition (they only reject
-//! bindings the condition would reject), so guarded search followed by the
-//! residual condition fires exactly the applications the unguarded rule
-//! fires — proven differentially by the proptests in
-//! `crates/bench/tests/guarded_search.rs`.
+//! The whole check is a post-match [`Condition`] ([`shape_check`]),
+//! evaluated when a match is applied — where the paper puts it. Search is
+//! purely structural.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use tensat_egraph::{Condition, EGraph, ENodeOrVar, Guard, Id, Language, Pattern, Subst, Var};
+use tensat_egraph::{Condition, EGraph, ENodeOrVar, Id, Language, Pattern, Subst, Var};
 use tensat_ir::{child_data_kinds, infer, DataKind, TensorAnalysis, TensorData, TensorLang};
 
 /// Infers the [`TensorData`] of every node of `pattern`, reading each
@@ -104,10 +88,6 @@ pub fn shape_check(target: Pattern<TensorLang>) -> Condition<TensorLang, TensorA
     })
 }
 
-/// A per-variable analysis guard over [`TensorData`], evaluated inside the
-/// e-matching machine (see [`tensat_egraph::Guard`]).
-pub type TensorGuard = Guard<TensorData>;
-
 /// For every variable of `pattern`, the set of [`DataKind`]s its child
 /// positions require (per [`child_data_kinds`]), in first-occurrence order.
 /// [`DataKind::Any`] positions contribute no constraint — validity alone is
@@ -116,7 +96,7 @@ pub type TensorGuard = Guard<TensorData>;
 /// A binding violating one of these kinds makes [`infer`] return invalid
 /// data for the corresponding pattern node, so [`pattern_is_valid`] is
 /// guaranteed false for it: the constraints are the per-variable part of
-/// the shape check, safe to evaluate during matching.
+/// the shape check, which the rule verifier (`tensat-verify`) reasons with.
 pub fn pattern_kind_constraints(pattern: &Pattern<TensorLang>) -> Vec<(Var, BTreeSet<DataKind>)> {
     let mut out: Vec<(Var, BTreeSet<DataKind>)> = pattern
         .vars()
@@ -140,42 +120,6 @@ pub fn pattern_kind_constraints(pattern: &Pattern<TensorLang>) -> Vec<(Var, BTre
         }
     }
     out
-}
-
-/// Builds the guard for one kind-constraint set: the bound class's data
-/// must be valid and match every required kind (see
-/// [`TensorData::matches_kind`]).
-///
-/// Both requirements are pure functions of the data's *variant*, so the
-/// whole guard compiles down to a tag mask over the e-graph's interned
-/// kind-tag side table ([`TensorData::kind_tag`]) — evaluated by the
-/// machine with one array read and one bit test, with no `Arc<dyn>` call
-/// and no borrow of the full `TensorData`. [`kind_tag_mask`] pins the
-/// equivalence with the dynamic check.
-pub fn guard_for_kinds(kinds: &BTreeSet<DataKind>) -> TensorGuard {
-    Guard::tags(kind_tag_mask(kinds))
-}
-
-/// The tag mask equivalent to "valid data matching every kind in `kinds`":
-/// the intersection of the per-kind masks ([`DataKind::tag_mask`]), starting
-/// from the all-valid mask (an empty set means validity alone).
-pub fn kind_tag_mask(kinds: &BTreeSet<DataKind>) -> u32 {
-    kinds
-        .iter()
-        .fold(tensat_ir::VALID_TAG_MASK, |mask, k| mask & k.tag_mask())
-}
-
-/// The per-variable e-matching guards implied by a rule's target pattern:
-/// every target variable must be bound to a class with valid data of the
-/// kinds its target positions require. This is exactly the per-variable
-/// part of [`shape_check`] / [`pattern_is_valid`] compiled down to machine
-/// guards — the cross-variable shape comparison stays in the post-match
-/// condition.
-pub fn shape_guards(target: &Pattern<TensorLang>) -> Vec<(Var, TensorGuard)> {
-    pattern_kind_constraints(target)
-        .iter()
-        .map(|(v, kinds)| (*v, guard_for_kinds(kinds)))
-        .collect()
 }
 
 /// A condition requiring the string bound to `var`-like child to be a
@@ -286,74 +230,6 @@ mod tests {
             .find(|(v, _)| *v == Var::new("act"))
             .unwrap();
         assert!(act.1.is_empty());
-    }
-
-    #[test]
-    fn shape_guards_reject_exactly_what_the_condition_rejects_per_var() {
-        let (eg, x, _w1, _w2) = setup();
-        let target = parse_pattern("(relu ?x)").unwrap();
-        let guards = shape_guards(&target);
-        assert_eq!(guards.len(), 1);
-        let (var, guard) = &guards[0];
-        assert_eq!(*var, Var::new("x"));
-        // Kind-only guards carry no dynamic predicate at all — the whole
-        // check is the tag mask.
-        assert!(guard.pred().is_none());
-        let check = |d: &TensorData| guard.check(d.kind_tag(), d);
-        // A tensor-valued class passes; scalar and invalid data fail, just
-        // as pattern_is_valid would fail for such a binding.
-        assert!(check(&eg.eclass(x).data));
-        assert!(!check(&TensorData::Scalar(3)));
-        assert!(!check(&TensorData::invalid("broken")));
-        let mut subst = Subst::new();
-        subst.insert(Var::new("x"), x);
-        assert!(pattern_is_valid(&eg, &target, &subst));
-    }
-
-    /// The tag-mask compilation of kind guards must be *extensionally
-    /// equal* to the dynamic check it replaced: for every kind-constraint
-    /// set and every data variant, mask membership of the interned tag
-    /// agrees with `is_valid() && all matches_kind`.
-    #[test]
-    fn kind_tag_mask_equals_dynamic_kind_check() {
-        use tensat_ir::TensorInfo;
-        let samples = [
-            TensorData::invalid("broken"),
-            TensorData::Scalar(7),
-            TensorData::Str(tensat_egraph::Symbol::new("perm_1_0")),
-            TensorData::Tensor(TensorInfo::new(vec![2, 3], false)),
-            TensorData::Tuple(
-                Box::new(TensorInfo::new(vec![2], false)),
-                Box::new(TensorInfo::new(vec![3], false)),
-            ),
-        ];
-        let all_kinds = [
-            DataKind::Scalar,
-            DataKind::Str,
-            DataKind::Tensor,
-            DataKind::Tuple,
-            DataKind::Any,
-        ];
-        // Every subset of the five kinds (32 sets) against every variant.
-        for bits in 0u32..32 {
-            let kinds: BTreeSet<DataKind> = all_kinds
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| bits & (1 << i) != 0)
-                .map(|(_, k)| *k)
-                .collect();
-            let mask = kind_tag_mask(&kinds);
-            let guard = guard_for_kinds(&kinds);
-            for d in &samples {
-                let dynamic = d.is_valid() && kinds.iter().all(|k| d.matches_kind(*k));
-                assert_eq!(
-                    mask & (1u32 << d.kind_tag()) != 0,
-                    dynamic,
-                    "mask {mask:#x} disagrees with dynamic check for {kinds:?} on {d:?}"
-                );
-                assert_eq!(guard.check(d.kind_tag(), d), dynamic);
-            }
-        }
     }
 
     #[test]

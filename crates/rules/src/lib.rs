@@ -21,8 +21,7 @@ pub mod parser;
 pub mod single;
 
 pub use conditions::{
-    guard_for_kinds, kind_tag_mask, pattern_data, pattern_data_with, pattern_is_valid,
-    pattern_kind_constraints, shape_check, shape_guards, TensorGuard,
+    pattern_data, pattern_data_with, pattern_is_valid, pattern_kind_constraints, shape_check,
 };
 pub use multi::{multi_rules, MultiPatternRule};
 pub use parser::{parse_pattern, ParsePatternError};

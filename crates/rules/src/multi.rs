@@ -12,11 +12,9 @@
 //! `tensat-core::explore`; this module defines the rule data and the rule
 //! set.
 
-use crate::conditions::pattern_kind_constraints;
 use crate::parser::parse_pattern;
-use std::collections::{BTreeSet, HashMap};
 use tensat_egraph::{Pattern, Var};
-use tensat_ir::{DataKind, TensorLang};
+use tensat_ir::TensorLang;
 
 /// A multi-pattern rewrite rule: `srcs[i]` is equivalent to `dsts[i]` for
 /// every `i`, under a single shared variable binding.
@@ -101,28 +99,6 @@ impl MultiPatternRule {
             }
         }
         vars
-    }
-
-    /// The per-variable analysis-guard constraints implied by this rule's
-    /// *target* patterns: a variable is listed iff it occurs in at least
-    /// one target, with the union of the [`DataKind`]s its target positions
-    /// require (per [`pattern_kind_constraints`]; the union is sound
-    /// because every target is shape-checked under the merged binding
-    /// before the rule fires).
-    ///
-    /// A source-pattern match binding such a variable to invalid data — or
-    /// to data of the wrong kind — can never contribute to an application,
-    /// so the exploration driver pushes these constraints into the
-    /// e-matching machine as guards on the canonicalized source searches
-    /// (intersecting them across rules that share a canonical source).
-    pub fn target_guard_kinds(&self) -> HashMap<Var, BTreeSet<DataKind>> {
-        let mut out: HashMap<Var, BTreeSet<DataKind>> = HashMap::new();
-        for dst in &self.dsts {
-            for (var, kinds) in pattern_kind_constraints(dst) {
-                out.entry(var).or_default().extend(kinds);
-            }
-        }
-        out
     }
 
     /// The variables shared between at least two source patterns — the ones
@@ -214,20 +190,6 @@ mod tests {
         assert!(shared.contains(&Var::new("act")));
         assert!(!shared.contains(&Var::new("w1")));
         assert_eq!(r.variables().len(), 4);
-    }
-
-    #[test]
-    fn target_guard_kinds_cover_dst_used_vars() {
-        // merge-matmuls-shared-lhs: targets are
-        // (split{0,1} (split 1 (matmul ?act ?x (concat2 1 ?w1 ?w2)))).
-        let r = &multi_rules()[0];
-        let kinds = r.target_guard_kinds();
-        assert_eq!(kinds[&Var::new("x")], [DataKind::Tensor].into());
-        assert_eq!(kinds[&Var::new("w1")], [DataKind::Tensor].into());
-        assert_eq!(kinds[&Var::new("w2")], [DataKind::Tensor].into());
-        // ?act sits at matmul's ignored activation position: present (its
-        // data must still be valid) but unconstrained in kind.
-        assert!(kinds[&Var::new("act")].is_empty());
     }
 
     #[test]

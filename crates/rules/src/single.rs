@@ -6,22 +6,17 @@
 //! concat/split algebra, and transpose algebra. Every rule carries the
 //! standard shape-checking condition of [`crate::conditions::shape_check`].
 
-use crate::conditions::{involutive_permutation, shape_check, shape_guards, TensorGuard};
+use crate::conditions::{involutive_permutation, shape_check};
 use crate::parser::parse_pattern;
 use std::sync::Arc;
-use tensat_egraph::{Guard, Rewrite, Var};
-use tensat_ir::{decode_permutation, DataKind, TensorAnalysis, TensorData, TensorLang};
+use tensat_egraph::{Rewrite, Var};
+use tensat_ir::{decode_permutation, TensorAnalysis, TensorData, TensorLang};
 
 /// A rewrite over the tensor language with shape analysis.
 pub type TensorRewrite = Rewrite<TensorLang, TensorAnalysis>;
 
-/// Builds a shape-checked rewrite from textual left/right patterns.
-///
-/// The shape check is split: the per-variable part (every target variable
-/// must bind valid data of the kind its target positions require) becomes
-/// e-matching guards via [`shape_guards`], pruning dead bindings inside the
-/// machine; the cross-variable part (full target inference and output-shape
-/// comparison) stays the post-match [`shape_check`] condition.
+/// Builds a shape-checked rewrite from textual left/right patterns: the
+/// rule's condition is [`shape_check`] of the right-hand side.
 ///
 /// # Panics
 ///
@@ -34,13 +29,10 @@ pub fn rw(name: &str, lhs: &str, rhs: &str) -> TensorRewrite {
     let applier =
         parse_pattern(rhs).unwrap_or_else(|e| panic!("rule {name}: bad RHS pattern `{rhs}`: {e}"));
     // Rule definitions are static program data: compile the e-matching
-    // programs (plain and guarded) up front so the first exploration
-    // iteration pays no compilation cost (clones of the rule inherit the
-    // compiled programs).
+    // program up front so the first exploration iteration pays no
+    // compilation cost (clones of the rule inherit the compiled program).
     searcher.precompile();
-    let guards = shape_guards(&applier);
     Rewrite::new_conditional(name, searcher, applier.clone(), shape_check(applier))
-        .with_guards(guards)
 }
 
 /// Builds both directions of a bidirectional rule, naming them `name` and
@@ -49,17 +41,11 @@ pub fn rw_bidi(name: &str, lhs: &str, rhs: &str) -> Vec<TensorRewrite> {
     vec![rw(name, lhs, rhs), rw(&format!("{name}-rev"), rhs, lhs)]
 }
 
-/// The double-transpose elimination rule, which additionally requires the
-/// permutation literal to be self-inverse.
-///
-/// The requirement reads only `?p`'s own analysis data, so it compiles to
-/// an e-matching guard: inadmissible permutations never even produce a
-/// match. The same check is *also* kept as the post-match
-/// [`Condition`](tensat_egraph::Condition) — on the guarded search path it
-/// can never fire (the guard already pruned every violator), but
-/// `searcher` is a public field and code applying matches from an
-/// *unguarded* search (benches, differential tests, external callers)
-/// must not be able to union `x` with a non-involutive double transpose.
+/// The double-transpose elimination rule. Its
+/// [`Condition`](tensat_egraph::Condition) requires the permutation bound
+/// to `?p` to be self-inverse: search finds every structural match, and the
+/// condition is what keeps `x` from being unioned with a non-involutive
+/// double transpose.
 fn double_transpose_rule() -> TensorRewrite {
     let searcher = parse_pattern("(transpose (transpose ?x ?p) ?p)").unwrap();
     let applier = parse_pattern("?x").unwrap();
@@ -71,12 +57,6 @@ fn double_transpose_rule() -> TensorRewrite {
             _ => false,
         }
     }
-    // The involutive check needs the decoded permutation, so it keeps a
-    // dynamic predicate — but conjoined with a `Str` tag mask, non-string
-    // bindings are rejected by the tag test alone, before the `Arc<dyn>`
-    // call ever runs.
-    let guard: TensorGuard =
-        Guard::tags(DataKind::Str.tag_mask()).and(Guard::from_fn(involutive_data));
     let cond = Arc::new(
         |egraph: &tensat_egraph::EGraph<TensorLang, TensorAnalysis>,
          _class: tensat_egraph::Id,
@@ -87,7 +67,6 @@ fn double_transpose_rule() -> TensorRewrite {
         },
     );
     Rewrite::new_conditional("double-transpose", searcher, applier, cond)
-        .with_guards(vec![(Var::new("p"), guard)])
 }
 
 /// The full single-pattern rule set.
@@ -351,12 +330,11 @@ mod tests {
         assert!(data.iter().all(|d| d.is_valid()));
     }
 
-    /// A non-involutive double transpose must be rejected twice over: the
-    /// guard prunes the match during search (the production path), and the
-    /// retained post-match condition rejects it for anyone applying
-    /// matches from an *unguarded* search of the public `searcher`.
+    /// Search finds a non-involutive double transpose — it is a structural
+    /// match — and the rule's condition is what refuses it: applying the
+    /// matches unions nothing.
     #[test]
-    fn non_involutive_double_transpose_is_rejected_by_guard_and_condition() {
+    fn non_involutive_double_transpose_is_rejected_by_its_condition() {
         let mut g = GraphBuilder::new();
         let x = g.input("x", &[4, 5, 6]);
         let t1 = g.transpose(x, &[1, 2, 0]); // 3-cycle: not self-inverse
@@ -370,18 +348,11 @@ mod tests {
             .into_iter()
             .find(|r| r.name == "double-transpose")
             .expect("rule exists");
-        // Guarded (production) search: no match at all.
-        assert!(rule.search(&eg).is_empty());
-        // Unguarded search of the raw pattern finds the structural match...
-        let raw = rule.searcher.search(&eg);
-        assert_eq!(raw.len(), 1);
-        // ...but the retained condition refuses to let it fire.
-        let cond = rule.condition.as_ref().expect("condition retained");
-        for m in &raw {
-            for s in &m.substs {
-                assert!(!cond(&eg, m.eclass, s), "condition must reject {s:?}");
-            }
-        }
+        let matches = rule.search(&eg);
+        assert_eq!(matches.len(), 1);
+        let unions_before = eg.union_count();
+        assert_eq!(rule.apply(&mut eg, &matches), 0);
+        assert_eq!(eg.union_count(), unions_before);
         // An involutive permutation still goes through end to end.
         let mut g = GraphBuilder::new();
         let x = g.input("x", &[4, 5]);

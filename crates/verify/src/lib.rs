@@ -4,7 +4,7 @@
 //! corrupts every e-class it touches and the extracted "optimized" graph
 //! computes something else. This crate analyzes every shipped
 //! [`TensorRewrite`] and [`MultiPatternRule`] **without running
-//! saturation**, combining three passes:
+//! saturation**, combining two passes:
 //!
 //! * **shape soundness** (`soundness`) — a symbolic abstract
 //!   interpreter over [`tensat_ir::symbolic`] proves (or refutes, with a
@@ -12,14 +12,9 @@
 //!   shape and validity for every binding of the LHS, falling back to
 //!   exhaustive enumeration over a curated value universe for operators
 //!   outside the linear symbolic domain;
-//! * **guard satisfiability** (`guards`) — each compiled machine guard
-//!   is checked against what the patterns can actually produce, flagging
-//!   unsatisfiable masks (rule can never fire), redundant guards (pure
-//!   per-binding overhead) and missing guards (dropped kind pruning);
 //! * **well-formedness lints** (`lints`) — unbound RHS variables,
-//!   rules whose two sides are identical up to renaming, duplicate and
-//!   subsumed rules across the corpus, and degenerate multi-pattern
-//!   guard intersections.
+//!   rules whose two sides are identical up to renaming, and duplicate and
+//!   subsumed rules across the corpus.
 //!
 //! The `verify_rules` binary prints the per-rule report for the shipped
 //! corpus and exits nonzero on any error, which is how CI gates rule
@@ -29,25 +24,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod guards;
 mod lints;
 mod soundness;
 pub mod universe;
 
 use std::fmt;
-use tensat_egraph::{Pattern, Var};
+use tensat_egraph::Pattern;
 use tensat_ir::{TensorData, TensorLang};
-use tensat_rules::{
-    guard_for_kinds, multi_rules, single_rules, MultiPatternRule, TensorGuard, TensorRewrite,
-};
+use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
 
 pub use soundness::Counterexample;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Suspicious but not unsound: redundant guards, condition-blocked
-    /// shape divergence, degraded multi-pattern pruning.
+    /// Suspicious but not unsound: condition-blocked shape divergence,
+    /// duplicate or subsumed rules.
     Warning,
     /// The rule is unsound, dead, or malformed; the corpus must not ship
     /// with it.
@@ -69,10 +61,10 @@ pub struct Diagnostic {
     /// Error or warning.
     pub severity: Severity,
     /// A stable machine-readable code (`unsound-shape`, `dead-rule`,
-    /// `unsat-guard`, ...) for tests to pin against.
+    /// `unbound-rhs-var`, ...) for tests to pin against.
     pub code: &'static str,
-    /// The human-readable explanation, naming the offending variable or
-    /// guard and a concrete counterexample where one exists.
+    /// The human-readable explanation, naming the offending variable and
+    /// a concrete counterexample where one exists.
     pub message: String,
 }
 
@@ -91,8 +83,6 @@ pub(crate) struct RuleSpec<'a> {
     /// Target (RHS) patterns, paired with sources by index (single rules
     /// and symmetric multi rules) .
     pub targets: Vec<&'a Pattern<TensorLang>>,
-    /// The machine guards attached to searcher variables.
-    pub guards: Vec<(Var, TensorGuard)>,
     /// Whether a runtime [`tensat_egraph::Condition`] filters matches
     /// before application (shape-divergent bindings are then blocked
     /// rather than unsound).
@@ -142,8 +132,7 @@ impl fmt::Display for RuleReport {
 pub struct CorpusReport {
     /// Per-rule reports, in corpus order.
     pub rules: Vec<RuleReport>,
-    /// Corpus-level findings (duplicates, subsumption, multi-pattern
-    /// guard-intersection degradation).
+    /// Corpus-level findings (duplicates, subsumption).
     pub corpus: Vec<Diagnostic>,
 }
 
@@ -194,8 +183,8 @@ impl fmt::Display for CorpusReport {
     }
 }
 
-fn run_spec(name: &str, spec: &RuleSpec, mut diags: Vec<Diagnostic>) -> RuleReport {
-    diags.extend(lints::check_rule_shape(&spec.sources, &spec.targets));
+fn run_spec(name: &str, spec: &RuleSpec) -> RuleReport {
+    let mut diags = lints::check_rule_shape(&spec.sources, &spec.targets);
 
     let unbound = lints::unbound_target_vars(&spec.sources, &spec.targets);
     for v in &unbound {
@@ -227,47 +216,28 @@ fn run_spec(name: &str, spec: &RuleSpec, mut diags: Vec<Diagnostic>) -> RuleRepo
     }
 }
 
-/// Verifies one single-pattern rewrite: structural lints, guard table
-/// analysis, and shape-soundness analysis.
+/// Verifies one single-pattern rewrite: structural lints and
+/// shape-soundness analysis.
 pub fn verify_rewrite(rule: &TensorRewrite) -> RuleReport {
-    let diags = guards::check_single_guards(rule);
-    let (program, rule_guards) = rule.searcher_query();
-    let guards: Vec<(Var, TensorGuard)> = program
-        .guard_vars()
-        .iter()
-        .copied()
-        .zip(rule_guards.iter().cloned())
-        .collect();
     let spec = RuleSpec {
         sources: vec![&rule.searcher],
         targets: vec![&rule.applier],
-        guards,
         conditional: rule.condition.is_some(),
     };
-    run_spec(&rule.name, &spec, diags)
+    run_spec(&rule.name, &spec)
 }
 
 /// Verifies one multi-pattern rule. The sources and targets are paired by
-/// index (the corpus rules are all source-i-rewrites-to-target-i shaped);
-/// the target kind constraints double as the guards the exploration
-/// driver will compile.
+/// index (the corpus rules are all source-i-rewrites-to-target-i shaped).
 pub fn verify_multi_rule(rule: &MultiPatternRule) -> RuleReport {
-    let diags = guards::check_multi_rule_guards(rule);
-    let mut guards: Vec<(Var, TensorGuard)> = rule
-        .target_guard_kinds()
-        .into_iter()
-        .map(|(v, kinds)| (v, guard_for_kinds(&kinds)))
-        .collect();
-    guards.sort_by_key(|(v, _)| *v);
     let spec = RuleSpec {
         sources: rule.srcs.iter().collect(),
         targets: rule.dsts.iter().collect(),
-        guards,
         // Multi-pattern applications always run the shape condition per
         // target before unioning.
         conditional: true,
     };
-    run_spec(&rule.name, &spec, diags)
+    run_spec(&rule.name, &spec)
 }
 
 /// Verifies a raw pattern pair that never went through
@@ -278,42 +248,18 @@ pub fn verify_patterns(
     name: &str,
     sources: &[Pattern<TensorLang>],
     targets: &[Pattern<TensorLang>],
-    guards: Vec<(Var, TensorGuard)>,
     conditional: bool,
 ) -> RuleReport {
     let spec = RuleSpec {
         sources: sources.iter().collect(),
         targets: targets.iter().collect(),
-        guards,
         conditional,
     };
-    run_spec(name, &spec, vec![])
-}
-
-/// Builds a guard table for raw patterns the way the shipped corpus does:
-/// one kind guard per variable with a nonempty RHS kind demand. See
-/// [`tensat_rules::shape_guards`].
-pub fn default_guards(targets: &[Pattern<TensorLang>]) -> Vec<(Var, TensorGuard)> {
-    let mut merged: Vec<(Var, TensorGuard)> = vec![];
-    for t in targets {
-        for (v, kinds) in tensat_rules::pattern_kind_constraints(t) {
-            if kinds.is_empty() {
-                continue;
-            }
-            let g = guard_for_kinds(&kinds);
-            match merged.iter_mut().find(|(u, _)| *u == v) {
-                Some((_, existing)) => *existing = existing.clone().and(g),
-                None => merged.push((v, g)),
-            }
-        }
-    }
-    merged.sort_by_key(|(v, _)| *v);
-    merged
+    run_spec(name, &spec)
 }
 
 /// Verifies a full corpus: every rule individually, plus cross-rule
-/// duplicate/subsumption detection and the multi-pattern canonical-source
-/// guard-intersection check.
+/// duplicate/subsumption detection.
 pub fn verify_corpus(singles: &[TensorRewrite], multis: &[MultiPatternRule]) -> CorpusReport {
     let mut report = CorpusReport::default();
     for rule in singles {
@@ -380,9 +326,6 @@ pub fn verify_corpus(singles: &[TensorRewrite], multis: &[MultiPatternRule]) -> 
         }
     }
 
-    report
-        .corpus
-        .extend(guards::check_multi_guard_intersection(multis));
     report
 }
 

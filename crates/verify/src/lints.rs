@@ -61,19 +61,6 @@ pub(crate) fn joint_canonical(
     format!("{} => {}", srcs.join(" & "), dsts.join(" & "))
 }
 
-/// The alpha-canonical key of a single multi-pattern *source* (used to
-/// mirror the exploration driver's cross-rule source deduplication), plus
-/// the canonical-variable → original-variable map.
-pub(crate) fn canonical_source_key(pattern: &Pattern<TensorLang>) -> (String, HashMap<Var, Var>) {
-    let mut rename = HashMap::new();
-    let key = render(pattern, root(pattern), &mut rename);
-    let back = rename
-        .into_iter()
-        .map(|(orig, idx)| (Var::new(format!("v{idx}")), orig))
-        .collect();
-    (key, back)
-}
-
 /// Variables used by any target but bound by no source.
 pub(crate) fn unbound_target_vars(
     sources: &[&Pattern<TensorLang>],

@@ -16,7 +16,7 @@
 //!    a real, confirmed binding, never a symbolic artifact.
 //! 2. An **enumeration fallback** over the pools in [`crate::universe`],
 //!    for rules the symbolic domain cannot express (convolutions, opaque
-//!    permutations, dynamic guard predicates).
+//!    permutations).
 //!
 //! Divergence splits into two severities. A *condition-visible* divergence
 //! (both roots are tensors with different shapes) is blocked at runtime by
@@ -33,7 +33,7 @@ use tensat_egraph::{ENodeOrVar, Pattern, Var};
 use tensat_ir::{
     sym_infer, DimEnv, SymDim, SymError, SymTensor, SymValue, TensorData, TensorInfo, TensorLang,
 };
-use tensat_rules::{kind_tag_mask, pattern_data_with};
+use tensat_rules::pattern_data_with;
 
 /// Hard ceiling on enumerated concrete bindings per rule; beyond it the
 /// product is deterministically stride-sampled (and the report says so).
@@ -429,10 +429,6 @@ fn symbolic_analysis(
     {
         return None;
     }
-    // Dynamic guard predicates cannot be evaluated on symbolic values.
-    if spec.guards.iter().any(|(_, g)| g.pred().is_some()) {
-        return None;
-    }
     let mut options: Vec<Vec<VarOption>> = Vec::with_capacity(var_kinds.len());
     for (_, kinds) in var_kinds {
         if kinds.contains(&DataKind::Str) || kinds.contains(&DataKind::Tuple) {
@@ -629,24 +625,14 @@ fn symbolic_analysis(
 // Enumeration fallback
 // ---------------------------------------------------------------------------
 
-fn guarded_pools(
-    spec: &RuleSpec,
+/// The candidate pool of every variable, by the kinds its positions
+/// demand.
+fn candidate_pools(
     var_kinds: &[(Var, BTreeSet<tensat_ir::DataKind>)],
 ) -> Vec<(Var, Vec<TensorData>)> {
     var_kinds
         .iter()
-        .map(|(var, kinds)| {
-            let pool: Vec<TensorData> = pool_for_kinds(kinds)
-                .into_iter()
-                .filter(|d| {
-                    spec.guards
-                        .iter()
-                        .filter(|(gv, _)| gv == var)
-                        .all(|(_, g)| g.check(d.kind_tag(), d))
-                })
-                .collect();
-            (*var, pool)
-        })
+        .map(|(var, kinds)| (*var, pool_for_kinds(kinds)))
         .collect()
 }
 
@@ -654,7 +640,7 @@ fn enumeration_live_witness(
     spec: &RuleSpec,
     var_kinds: &[(Var, BTreeSet<tensat_ir::DataKind>)],
 ) -> Option<Vec<(Var, TensorData)>> {
-    let pools = guarded_pools(spec, var_kinds);
+    let pools = candidate_pools(var_kinds);
     let sizes: Vec<usize> = pools.iter().map(|(_, p)| p.len()).collect();
     let mut witness = None;
     for_each_binding(&sizes, BINDING_CAP, &mut |idx| {
@@ -682,19 +668,8 @@ fn enumeration_live_witness(
 fn enumeration_analysis(
     spec: &RuleSpec,
     var_kinds: &[(Var, BTreeSet<tensat_ir::DataKind>)],
-) -> Result<Outcome, Diagnostic> {
-    let pools = guarded_pools(spec, var_kinds);
-    for (var, pool) in &pools {
-        if pool.is_empty() {
-            return Err(Diagnostic {
-                severity: Severity::Error,
-                code: "dead-rule",
-                message: format!(
-                    "no candidate value for {var} passes its guard — the rule can never fire"
-                ),
-            });
-        }
-    }
+) -> Outcome {
+    let pools = candidate_pools(var_kinds);
     let sizes: Vec<usize> = pools.iter().map(|(_, p)| p.len()).collect();
     let visited = bindings_visited(&sizes, BINDING_CAP);
     let total = bindings_visited(&sizes, u64::MAX);
@@ -766,7 +741,7 @@ fn enumeration_analysis(
     } else {
         format!("sampled enumeration of {visited} of {total} concrete bindings")
     };
-    Ok(out)
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -790,24 +765,17 @@ pub(crate) fn check_soundness(spec: &RuleSpec) -> (Vec<Diagnostic>, String) {
             }
         }
     }
-    // A variable demanded at two different kinds (or whose guard mask is
-    // disjoint from its demands) can never bind valid data: the rule is
-    // statically dead.
+    // A variable demanded at two different kinds (the constraint sets hold
+    // no `Any`) can never bind valid data: the rule is statically dead.
     for (var, kinds) in &var_kinds {
-        let mut mask = kind_tag_mask(kinds);
-        for (gv, g) in &spec.guards {
-            if gv == var {
-                mask &= g.mask();
-            }
-        }
-        if mask == 0 {
+        if kinds.len() > 1 {
             let kind_list: Vec<String> = kinds.iter().map(|k| format!("{k:?}")).collect();
             diags.push(Diagnostic {
                 severity: Severity::Error,
                 code: "dead-rule",
                 message: format!(
                     "variable {var} can never bind admissible data: its positions demand \
-                     [{}] and no data kind satisfies all of them under the rule's guards",
+                     [{}] and no data kind satisfies all of them",
                     kind_list.join(", ")
                 ),
             });
@@ -820,16 +788,8 @@ pub(crate) fn check_soundness(spec: &RuleSpec) -> (Vec<Diagnostic>, String) {
         );
     }
 
-    let outcome = match symbolic_analysis(spec, &var_kinds) {
-        Some(o) => o,
-        None => match enumeration_analysis(spec, &var_kinds) {
-            Ok(o) => o,
-            Err(d) => {
-                let summary = d.message.clone();
-                return (vec![d], summary);
-            }
-        },
-    };
+    let outcome = symbolic_analysis(spec, &var_kinds)
+        .unwrap_or_else(|| enumeration_analysis(spec, &var_kinds));
 
     if let Some(ce) = &outcome.blind_example {
         diags.push(Diagnostic {

@@ -82,7 +82,7 @@ pub fn tuple_pool() -> Vec<TensorData> {
 /// means only validity is required).
 ///
 /// A variable with two *different* kind demands can never bind valid data
-/// — the caller detects that via the tag mask before asking for a pool —
+/// — the caller reports that as `dead-rule` before asking for a pool —
 /// so the union here is effectively a single kind or empty.
 pub fn pool_for_kinds(kinds: &BTreeSet<DataKind>) -> Vec<TensorData> {
     let mut pool = vec![];

@@ -1,8 +1,8 @@
 //! Mutation testing of the verifier itself: seed the corpus with the
 //! defect classes the verifier exists to catch — a swapped child, a
-//! dropped guard, a renamed RHS variable, a shape-changing RHS, an
-//! unsatisfiable guard mask — and assert each mutant is rejected with the
-//! right diagnostic while the pristine corpus passes (see `corpus.rs`).
+//! renamed RHS variable, a shape-changing RHS — and assert each mutant is
+//! rejected with the right diagnostic while the pristine corpus passes
+//! (see `corpus.rs`).
 //!
 //! Swap-child mutants are *curated*, not blind: some swaps are harmless by
 //! algebra (swapping the operands of `ewadd` is commutativity; reassociating
@@ -10,12 +10,9 @@
 //! below is a swap hand-checked to change the output shape on some binding.
 
 use proptest::prelude::*;
-use tensat_egraph::{ENodeOrVar, Guard, Pattern, RecExpr, Rewrite, Var};
-use tensat_ir::DataKind;
-use tensat_rules::{
-    parse_pattern, pattern_kind_constraints, shape_check, shape_guards, single_rules,
-};
-use tensat_verify::{default_guards, verify_patterns, verify_rewrite};
+use tensat_egraph::{ENodeOrVar, Pattern, RecExpr, Var};
+use tensat_rules::{parse_pattern, single_rules};
+use tensat_verify::verify_patterns;
 
 /// `(name, lhs, mutated_rhs)` triples where the RHS mutant no longer
 /// preserves the output shape (or validity) for all bindings. Verified
@@ -59,8 +56,7 @@ const SWAP_CHILD_MUTANTS: &[(&str, &str, &str)] = &[
 fn verify_mutant(name: &str, lhs: &str, rhs: &str) -> tensat_verify::RuleReport {
     let sources = vec![parse_pattern(lhs).unwrap()];
     let targets = vec![parse_pattern(rhs).unwrap()];
-    let guards = default_guards(&targets);
-    verify_patterns(name, &sources, &targets, guards, false)
+    verify_patterns(name, &sources, &targets, false)
 }
 
 proptest! {
@@ -106,8 +102,7 @@ proptest! {
         }
         let sources = vec![rule.searcher.clone()];
         let targets = vec![Pattern::new(mutated)];
-        let guards = default_guards(&targets);
-        let report = verify_patterns(&rule.name, &sources, &targets, guards, true);
+        let report = verify_patterns(&rule.name, &sources, &targets, true);
         prop_assert!(report.has_errors(), "rename mutant of `{}` accepted:\n{report}", rule.name);
         let named = report.diagnostics.iter().any(|d| {
             d.code == "unbound-rhs-var" && d.message.contains("?mutant_unbound")
@@ -121,95 +116,18 @@ proptest! {
     }
 }
 
-/// Dropping one of a shipped rule's kind guards is reported as a missing
-/// guard on exactly the dropped variable.
+/// A variable whose positions demand two different kinds — a tensor
+/// operand on the LHS, a concat axis on the RHS — can never bind valid
+/// data: the rule is reported dead, naming the variable.
 #[test]
-fn dropped_guard_is_rejected() {
-    let rules = single_rules();
-    let mut checked = 0;
-    for rule in &rules {
-        let guards = shape_guards(&rule.applier);
-        // Drop a guard on a variable whose RHS positions demand a concrete
-        // kind — dropping a validity-only guard (e.g. on a matmul
-        // activation) removes nothing the verifier requires.
-        let constrained: Vec<Var> = pattern_kind_constraints(&rule.applier)
-            .into_iter()
-            .filter(|(_, kinds)| !kinds.is_empty())
-            .map(|(v, _)| v)
-            .collect();
-        let Some(pos) = guards.iter().position(|(v, _)| constrained.contains(v)) else {
-            continue;
-        };
-        if guards.len() < 2 {
-            continue; // dropping the only guard is covered by ewadd below
-        }
-        let dropped_var = guards[pos].0;
-        let kept: Vec<_> = guards
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| *i != pos)
-            .map(|(_, g)| g)
-            .collect();
-        let mutant = Rewrite::new_conditional(
-            format!("{}-dropped-guard", rule.name),
-            rule.searcher.clone(),
-            rule.applier.clone(),
-            shape_check(rule.applier.clone()),
-        )
-        .with_guards(kept);
-        let report = verify_rewrite(&mutant);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "missing-guard" && d.message.contains(&dropped_var.to_string())),
-            "dropping the {dropped_var} guard from `{}` was not flagged:\n{report}",
-            rule.name
-        );
-        checked += 1;
-    }
-    assert!(checked >= 10, "only {checked} rules had droppable guards");
-}
-
-/// A guard whose tag mask cannot be satisfied by the variable's LHS
-/// positions is reported as unsatisfiable, naming the guard's variable.
-#[test]
-fn unsatisfiable_guard_mask_is_rejected() {
-    let searcher = parse_pattern("(relu ?x)").unwrap();
-    let applier = parse_pattern("(tanh ?x)").unwrap();
-    // ?x sits in a tensor-only position but the guard admits only strings.
-    let mutant = Rewrite::new("relu-to-tanh-strguard", searcher, applier)
-        .with_guards(vec![(Var::new("x"), Guard::tags(DataKind::Str.tag_mask()))]);
-    let report = verify_rewrite(&mutant);
-    assert!(
-        report.has_errors(),
-        "unsatisfiable guard accepted:\n{report}"
-    );
+fn variable_demanded_at_two_kinds_is_dead() {
+    let report = verify_mutant("relu-as-axis", "(relu ?x)", "(concat2 ?x ?x ?x)");
     assert!(
         report
             .diagnostics
             .iter()
-            .any(|d| (d.code == "unsat-guard" || d.code == "dead-rule")
-                && d.message.contains("?x")),
-        "no unsat-guard/dead-rule diagnostic naming ?x:\n{report}"
-    );
-}
-
-/// A guard admitting every tag with no predicate is flagged as redundant
-/// overhead (warning, not error).
-#[test]
-fn vacuous_guard_is_flagged_redundant() {
-    let searcher = parse_pattern("(relu ?x)").unwrap();
-    let applier = parse_pattern("(tanh ?x)").unwrap();
-    let mutant = Rewrite::new("relu-to-tanh-vacuous", searcher, applier)
-        .with_guards(vec![(Var::new("x"), Guard::tags(u32::MAX))]);
-    let report = verify_rewrite(&mutant);
-    assert!(
-        report
-            .diagnostics
-            .iter()
-            .any(|d| d.code == "redundant-guard" && d.message.contains("?x")),
-        "vacuous guard not flagged:\n{report}"
+            .any(|d| d.code == "dead-rule" && d.message.contains("?x")),
+        "no dead-rule diagnostic naming ?x:\n{report}"
     );
 }
 
