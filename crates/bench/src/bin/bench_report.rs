@@ -36,14 +36,22 @@
 //! the others is searching super-linearly — the table that found the
 //! whole-class scan inside `Bind` (`concat-conv` at 33 µs/match).
 //!
+//! An `extraction_big` row times greedy extraction on that same e-graph —
+//! the DAG pass, the tree pass, and [`extract_greedy_dag`], which runs both
+//! — and records how full the DAG pass's reach sets are: members in all,
+//! the largest set, and the slots a set could hold. The sets are sorted
+//! lists because they hold well under 1/32 of the slots; this is the row
+//! that says whether they still do.
+//!
 //! [`Pattern::search_naive`]: tensat_egraph::Pattern::search_naive
 
 use std::io::Write;
 use std::time::Instant;
 use tensat_core::{
-    explore, extract_greedy_dag, ExplorationConfig, ExplorationMode, ExtractionStrategy, GreedyDag,
-    IlpExtraction, TreeGreedy,
+    explore, extract_greedy_dag, DagCost, ExplorationConfig, ExplorationMode, ExtractionStrategy,
+    GreedyDag, IlpExtraction, TreeCost, TreeGreedy,
 };
+use tensat_egraph::{DagExtractor, Extractor, Id};
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale};
 use tensat_rules::{single_rules, TensorRewrite};
@@ -148,9 +156,7 @@ const RULE_SEARCH_ROUNDS: usize = 3;
 
 /// The `rule_search` JSON section: one search per single-pattern rule on
 /// the NasNet-A `blocks: 4` e-graph, slowest rule first.
-fn rule_search_section(rules: &[TensorRewrite]) -> String {
-    eprintln!("[bench-report] growing NasNet-A (blocks 4) to {RULE_SEARCH_NODE_LIMIT} e-nodes...");
-    let eg = tensat_bench::nasnet_egraph(RULE_SEARCH_NODE_LIMIT);
+fn rule_search_section(rules: &[TensorRewrite], eg: &TensorEGraph) -> String {
     let mut rows: Vec<(&str, usize, usize, u128)> = rules
         .iter()
         .map(|rule| {
@@ -162,7 +168,7 @@ fn rule_search_section(rules: &[TensorRewrite]) -> String {
             let mut best = u128::MAX;
             for _ in 0..RULE_SEARCH_ROUNDS {
                 let start = Instant::now();
-                let found = std::hint::black_box(rule.search(&eg));
+                let found = std::hint::black_box(rule.search(eg));
                 best = best.min(start.elapsed().as_nanos());
                 matches = found.iter().map(|m| m.substs.len()).sum();
             }
@@ -198,12 +204,61 @@ fn rule_search_section(rules: &[TensorRewrite]) -> String {
     out
 }
 
+/// The `extraction_big` JSON row: greedy extraction on the NasNet-A
+/// `blocks: 4` e-graph, best of [`ROUNDS`] per pass, and the density of the
+/// DAG pass's reach sets.
+fn extraction_big_section(eg: &TensorEGraph, root: Id) -> String {
+    let model = CostModel::default();
+    let dag_pass = || DagExtractor::new(eg, DagCost::new(model.clone(), eg));
+    let best_ms = |pass: &dyn Fn()| {
+        let rounds = (0..ROUNDS).map(|_| {
+            let start = Instant::now();
+            pass();
+            start.elapsed()
+        });
+        rounds.min().expect("ROUNDS > 0").as_secs_f64() * 1e3
+    };
+    let dag_pass_ms = best_ms(&|| {
+        std::hint::black_box(dag_pass().find_best(root));
+    });
+    let tree_pass_ms = best_ms(&|| {
+        let tree = Extractor::new(eg, TreeCost::new(model.clone(), eg));
+        std::hint::black_box(tree.find_best(root));
+    });
+    let greedy_dag_ms = best_ms(&|| {
+        std::hint::black_box(extract_greedy_dag(eg, root, &model).expect("extraction succeeds"));
+    });
+
+    let dag = dag_pass();
+    let reach: Vec<usize> = eg.classes().filter_map(|c| dag.reach_len(c.id)).collect();
+    let members: usize = reach.iter().sum();
+    let largest = reach.iter().max().copied().unwrap_or(0);
+    let slots = eg.num_slots();
+    eprintln!(
+        "[bench-report] extraction, NasNet-A blocks 4: DAG pass {dag_pass_ms:.1} ms, tree pass \
+         {tree_pass_ms:.1} ms, extract_greedy_dag {greedy_dag_ms:.1} ms; reach sets: {members} \
+         members in {} sets (largest {largest}) over {slots} slots",
+        reach.len(),
+    );
+    format!(
+        "  \"extraction_big\": {{ \"model\": \"NasNet-A\", \"blocks\": 4, \"enodes\": {}, \
+         \"dag_pass_ms\": {dag_pass_ms:.2}, \"tree_pass_ms\": {tree_pass_ms:.2}, \
+         \"greedy_dag_ms\": {greedy_dag_ms:.2}, \"reach_members\": {members}, \
+         \"reach_largest\": {largest}, \"slots\": {slots} }},\n",
+        eg.total_number_of_nodes(),
+    )
+}
+
 fn main() {
     let rules = single_rules();
     let mut out = String::from("{\n  \"bench\": \"ematch\",\n  \"rounds\": ");
     out.push_str(&ROUNDS.to_string());
     out.push_str(",\n");
-    out.push_str(&rule_search_section(&rules));
+    eprintln!("[bench-report] growing NasNet-A (blocks 4) to {RULE_SEARCH_NODE_LIMIT} e-nodes...");
+    let (big, big_root) = tensat_bench::nasnet_egraph(RULE_SEARCH_NODE_LIMIT);
+    out.push_str(&rule_search_section(&rules, &big));
+    out.push_str(&extraction_big_section(&big, big_root));
+    drop(big);
     out.push_str("  \"models\": [\n");
 
     let cost_model = CostModel::default();

@@ -34,8 +34,9 @@ pub fn harness_scale() -> ModelScale {
 /// classes grow to over a thousand e-nodes (the separable-conv outputs of
 /// a cell all become equal), so it is where a search that is not
 /// output-sensitive shows — the per-rule search table of `bench_report`
-/// and the machine-vs-oracle differential test both run on it.
-pub fn nasnet_egraph(node_limit: usize) -> TensorEGraph {
+/// and the machine-vs-oracle differential test both run on it — and, with
+/// its root, the big e-graph extraction is timed and pinned on.
+pub fn nasnet_egraph(node_limit: usize) -> (TensorEGraph, tensat_egraph::Id) {
     let scale = ModelScale {
         blocks: 4,
         ..harness_scale()
@@ -59,7 +60,7 @@ pub fn nasnet_egraph(node_limit: usize) -> TensorEGraph {
             ..Default::default()
         },
     );
-    eg
+    (eg, root)
 }
 
 /// The TENSAT configuration used for the headline results (paper §6.1),

@@ -119,7 +119,7 @@ fn machine_search_equals_naive_on_big_nasnet_classes_for_every_rule() {
         substs
     }
 
-    let eg = tensat_bench::nasnet_egraph(NASNET_NODE_LIMIT);
+    let (eg, _) = tensat_bench::nasnet_egraph(NASNET_NODE_LIMIT);
     let largest = eg.classes().map(|c| c.len()).max().unwrap_or(0);
     assert!(
         largest >= 256,

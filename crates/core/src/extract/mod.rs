@@ -194,11 +194,17 @@ impl CostFunction<TensorLang> for TreeCost<'_> {
     where
         C: FnMut(Id) -> f64,
     {
-        let (model, egraph) = (&self.model, self.egraph);
-        let own = *self
-            .own
-            .entry(enode.clone())
-            .or_insert_with(|| model.node_cost(enode, &|id| class_data(egraph, id)));
+        // Most calls are hits (BERT at 20 000 e-nodes: 102 910 calls for
+        // 19 568 entries): look up by reference, clone the key on a miss.
+        let own = match self.own.get(enode) {
+            Some(&own) => own,
+            None => {
+                let egraph = self.egraph;
+                let own = self.model.node_cost(enode, &|id| class_data(egraph, id));
+                self.own.insert(enode.clone(), own);
+                own
+            }
+        };
         enode.children().iter().fold(own, |acc, &c| acc + costs(c))
     }
 
@@ -281,9 +287,8 @@ pub fn extract_greedy_dag(
     model: &CostModel,
 ) -> Result<ExtractionOutcome, ExtractError> {
     let start = Instant::now();
-    // The DAG extractor's reach sets are the largest allocation of either
-    // pass; the temporary holding them is dropped at the end of this
-    // statement, before the tree pass builds its tables.
+    // The DAG extractor is a temporary, dropped at the end of its statement:
+    // the two passes' tables are never live together.
     let dag = DagExtractor::new(egraph, DagCost::new(model.clone(), egraph)).find_best(root);
     let tree = Extractor::new(egraph, TreeCost::new(model.clone(), egraph)).find_best(root);
     let best = match (dag, tree) {

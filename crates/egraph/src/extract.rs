@@ -8,8 +8,9 @@
 //!   shared subgraphs are charged once per use.
 //! * [`DagExtractor`] — the *global greedy DAG* extractor: a worklist-driven
 //!   fixpoint that charges every e-node **once** regardless of how many
-//!   selected parents share it, tracking per-class reachability sets over
-//!   the e-graph's dense slot space.
+//!   selected parents share it, keeping per class the sorted list of the
+//!   slots its chosen sub-DAG reaches (a few dozen of the e-graph's
+//!   thousands of slots, so a list and not a bit set).
 //!
 //! The ILP extractor, which is DAG-exact, lives in `tensat-core` because it
 //! depends on the ILP solver substrate; `tensat-core` also wraps all three
@@ -419,11 +420,94 @@ struct DagEntry<L, C> {
     choice: L,
     /// This node's own (children-excluded) cost.
     own: C,
-    /// Slots of every class in the chosen sub-DAG, including this one.
-    reach: BitSet,
-    /// Total cost of the sub-DAG: own costs summed over `reach`, each
-    /// class charged once.
+    /// Slots of every class in the chosen sub-DAG, including this one,
+    /// ascending and without duplicates.
+    reach: Vec<u32>,
+    /// Total cost of the sub-DAG: own costs summed over `reach` in that
+    /// (ascending slot) order, each class charged once.
     total: C,
+}
+
+/// Rows of items stored back to back (compressed sparse rows): row `r` is
+/// `items[start[r]..start[r + 1]]`. One allocation per table where a `Vec`
+/// per class makes one per class.
+struct Rows<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Rows<T> {
+    fn new() -> Self {
+        Rows {
+            start: vec![],
+            items: vec![],
+        }
+    }
+
+    /// Starts row `r` at the current end of the items; rows skipped since
+    /// the last call are empty. Called once more with the row count, it
+    /// closes the last row.
+    fn begin_row(&mut self, r: usize) {
+        debug_assert!(self.start.len() <= r);
+        self.start.resize(r + 1, self.items.len() as u32);
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.items[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+}
+
+/// The class-level dependency graph of an e-graph over its unfiltered
+/// e-nodes, indexed by slot.
+struct ClassGraph<'a, L> {
+    /// Per class, its unfiltered e-nodes in class order: the candidates.
+    candidates: Rows<&'a L>,
+    /// Per class, the slots of its candidates' child classes: ascending,
+    /// without duplicates, the class itself excluded (a node whose child is
+    /// its own class is rejected per candidate by the reach check instead).
+    children: Rows<u32>,
+    /// The same edges by child: per class, the ascending slots of the
+    /// classes that have it as a child.
+    parents: Rows<u32>,
+}
+
+/// The buffers [`DagExtractor::evaluate`] builds candidate reach lists in,
+/// reused across candidates and classes.
+#[derive(Default)]
+struct ReachScratch {
+    /// The union of the children's reach lists merged so far.
+    merged: Vec<u32>,
+    /// The output of the next merge; swapped with `merged` after it.
+    spare: Vec<u32>,
+    /// `merged` of the best candidate so far; swapped, not copied, when a
+    /// candidate improves on it.
+    best: Vec<u32>,
+}
+
+/// Merges two ascending duplicate-free lists into `out` (cleared first),
+/// ascending and duplicate-free.
+fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// Global greedy DAG extractor (ROADMAP "DAG-aware global extraction").
@@ -433,21 +517,29 @@ struct DagEntry<L, C> {
 /// matmul) to share a large subgraph between two consumers — the weakness
 /// the paper's ILP extraction exists to fix (paper §5.1, Table 4). This
 /// extractor closes most of that gap at greedy speed: for every e-class it
-/// keeps the best known *sub-DAG* — a chosen e-node, the [`BitSet`] of
-/// classes its selection reaches (over [`EGraph::slot_index`]'s dense slot
-/// space), and the cost of that set with every class charged **once**.
+/// keeps the best known *sub-DAG* — a chosen e-node, the sorted list of the
+/// class slots its selection reaches (over [`EGraph::slot_index`]'s dense
+/// slot space), and the cost of that set with every class charged **once**.
 ///
 /// Candidates are evaluated bottom-up in a topological order of the class
 /// dependency graph (Kahn's algorithm over unfiltered e-node child edges),
 /// then a FIFO worklist propagates strict improvements to parent classes
 /// until fixpoint. A candidate node is viable only when all its child
-/// classes have entries and the union of their reach sets does not contain
-/// the candidate's own class (which would make the selection cyclic). On
+/// classes have entries and none of their reach lists contains the
+/// candidate's own class (which would make the selection cyclic). On
 /// an acyclic e-graph — what cycle filtering guarantees during exploration
 /// — the topological pass alone reaches the fixpoint and the worklist
 /// drains immediately; on cyclic e-graphs the worklist resolves the
 /// stragglers best-effort and [`DagExtractor::find_best`] re-verifies
 /// acyclicity of the final selection.
+///
+/// A candidate's reach is the merge of its children's lists, so costing it
+/// takes time in the size of the sub-DAGs it would select — a few dozen
+/// classes on the benchmark models — and not in the size of the e-graph;
+/// the lists of a whole e-graph hold `Σ |sub-DAG|` slots. Its cost is
+/// summed over the merged list in ascending slot order, whatever order the
+/// children came in, so a float total does not depend on how the set was
+/// put together.
 ///
 /// Everything is slot-indexed flat arrays — no per-call hash maps — and
 /// every iteration order (class slots, in-class node order, FIFO worklist)
@@ -474,8 +566,6 @@ pub struct DagExtractor<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>>
     cost_fn: std::cell::RefCell<DF>,
     /// Best sub-DAG per class, indexed by the e-graph's dense slot space.
     entries: Vec<Option<DagEntry<L, DF::Cost>>>,
-    /// Canonical class id per slot (`None` for dead slots).
-    slot_id: Vec<Option<Id>>,
 }
 
 impl<L: Language, N: Analysis<L>, DF: DagCostFunction<L>> std::fmt::Debug
@@ -494,74 +584,101 @@ impl<L: Language, N: Analysis<L>, DF: DagCostFunction<L>> std::fmt::Debug
 impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L, N, DF> {
     /// Computes the best sub-DAG for every e-class of the e-graph.
     pub fn new(egraph: &'a EGraph<L, N>, cost_fn: DF) -> Self {
-        let mut slot_id: Vec<Option<Id>> = vec![None; egraph.num_slots()];
-        for class in egraph.classes() {
-            slot_id[egraph.slot_index(class.id).expect("iterated class is live")] = Some(class.id);
-        }
-        let mut extractor = DagExtractor {
-            egraph,
-            cost_fn: std::cell::RefCell::new(cost_fn),
-            entries: (0..egraph.num_slots()).map(|_| None).collect(),
-            slot_id,
-        };
-        extractor.run_worklist();
+        let mut extractor = DagExtractor::without_entries(egraph, cost_fn);
+        let mut scratch = ReachScratch::default();
+        extractor.run_worklist(|extractor, s, candidates| {
+            extractor.evaluate(s, candidates, &mut scratch)
+        });
         extractor
     }
 
-    /// Builds the deduplicated class-level child/parent adjacency over
-    /// unfiltered e-nodes (self-edges excluded; a node whose child is its
-    /// own class is rejected per-candidate by the reach-set check instead).
-    fn adjacency(&self) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
-        let n = self.egraph.num_slots();
-        let mut children: Vec<Vec<u32>> = vec![vec![]; n];
-        let mut parents: Vec<Vec<u32>> = vec![vec![]; n];
-        for class in self.egraph.classes() {
-            let s = self
-                .egraph
-                .slot_index(class.id)
-                .expect("iterated class is live");
+    fn without_entries(egraph: &'a EGraph<L, N>, cost_fn: DF) -> Self {
+        DagExtractor {
+            egraph,
+            cost_fn: std::cell::RefCell::new(cost_fn),
+            entries: (0..egraph.num_slots()).map(|_| None).collect(),
+        }
+    }
+
+    /// Builds the class graph in one sweep over the classes: each e-node's
+    /// filter status is looked up here and nowhere else.
+    fn adjacency(&self) -> ClassGraph<'a, L> {
+        let egraph = self.egraph;
+        let n = egraph.num_slots();
+        let mut candidates = Rows::new();
+        let mut children = Rows::new();
+        let mut row: Vec<u32> = vec![];
+        for class in egraph.classes() {
+            let s = egraph.slot_index(class.id).expect("iterated class is live");
+            candidates.begin_row(s);
+            children.begin_row(s);
+            row.clear();
             for node in class.iter() {
-                if self.egraph.is_filtered(node) {
+                if egraph.is_filtered(node) {
                     continue;
                 }
+                candidates.items.push(node);
                 for &child in node.children() {
-                    let c = self
-                        .egraph
-                        .slot_index(self.egraph.find(child))
+                    let c = egraph
+                        .slot_index(child)
                         .expect("child of a live class is live");
                     if c != s {
-                        children[s].push(c as u32);
+                        row.push(c as u32);
                     }
                 }
             }
-            children[s].sort_unstable();
-            children[s].dedup();
-            for &c in &children[s] {
-                parents[c as usize].push(s as u32);
+            row.sort_unstable();
+            row.dedup();
+            children.items.extend_from_slice(&row);
+        }
+        candidates.begin_row(n);
+        children.begin_row(n);
+
+        // Transpose by counting: a class's parents are appended in
+        // ascending slot order, so each row is sorted and duplicate-free.
+        let mut parents = Rows {
+            start: vec![0; n + 1],
+            items: vec![0; children.items.len()],
+        };
+        for &c in &children.items {
+            parents.start[c as usize + 1] += 1;
+        }
+        for c in 0..n {
+            parents.start[c + 1] += parents.start[c];
+        }
+        let mut next = parents.start.clone();
+        for s in 0..n {
+            for &c in children.row(s) {
+                parents.items[next[c as usize] as usize] = s as u32;
+                next[c as usize] += 1;
             }
         }
-        // Parents were appended in ascending `s` per child, so each list is
-        // already sorted and duplicate-free.
-        (children, parents)
+        ClassGraph {
+            candidates,
+            children,
+            parents,
+        }
     }
 
-    fn run_worklist(&mut self) {
+    /// Offers every class's candidates to `evaluate` (which returns whether
+    /// it improved the class's entry): once each, children before parents,
+    /// then again for the parents of every class that improved, until no
+    /// class does.
+    fn run_worklist(&mut self, mut evaluate: impl FnMut(&mut Self, usize, &[&'a L]) -> bool) {
         let n = self.egraph.num_slots();
-        let (children, parents) = self.adjacency();
+        let graph = self.adjacency();
 
         // Kahn's algorithm: children-before-parents order. Classes caught
         // in dependency cycles keep a nonzero indegree and are appended in
-        // slot order; the worklist phase handles them best-effort.
-        let mut indeg: Vec<u32> = children.iter().map(|c| c.len() as u32).collect();
-        let live = |s: u32| self.slot_id[s as usize].is_some();
-        let mut order: Vec<u32> = (0..n as u32)
-            .filter(|&s| live(s) && indeg[s as usize] == 0)
-            .collect();
+        // slot order; the worklist phase handles them best-effort. (A dead
+        // slot is a class without candidates or edges here.)
+        let mut indeg: Vec<u32> = (0..n).map(|s| graph.children.row(s).len() as u32).collect();
+        let mut order: Vec<u32> = (0..n as u32).filter(|&s| indeg[s as usize] == 0).collect();
         let mut i = 0;
         while i < order.len() {
             let s = order[i] as usize;
             i += 1;
-            for &p in &parents[s] {
+            for &p in graph.parents.row(s) {
                 indeg[p as usize] -= 1;
                 if indeg[p as usize] == 0 {
                     order.push(p);
@@ -572,17 +689,16 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
         for &s in &order {
             in_order[s as usize] = true;
         }
-        order.extend((0..n as u32).filter(|&s| live(s) && !in_order[s as usize]));
+        order.extend((0..n as u32).filter(|&s| !in_order[s as usize]));
 
         // Seed the worklist with the topological order, then drain FIFO.
         let mut queue: std::collections::VecDeque<u32> = order.into();
         let mut in_queue = vec![true; n];
-        let mut scratch = BitSet::new(n);
         while let Some(s) = queue.pop_front() {
             let s = s as usize;
             in_queue[s] = false;
-            if self.evaluate(s, &mut scratch) {
-                for &p in &parents[s] {
+            if evaluate(self, s, graph.candidates.row(s)) {
+                for &p in graph.parents.row(s) {
                     if !in_queue[p as usize] {
                         in_queue[p as usize] = true;
                         queue.push_back(p);
@@ -592,46 +708,38 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
         }
     }
 
-    /// Re-evaluates every candidate node of the class in slot `s` and
-    /// installs the cheapest viable one if it strictly improves on the
-    /// current entry. Returns true on improvement.
-    fn evaluate(&mut self, s: usize, scratch: &mut BitSet) -> bool {
-        let id = match self.slot_id[s] {
-            Some(id) => id,
-            None => return false,
-        };
-        let class = self.egraph.eclass(id);
-        // (sub-DAG total, the node's own cost, node, reach without `s`)
-        let mut best: Option<(DF::Cost, DF::Cost, &L, BitSet)> = None;
-        'candidates: for node in class.iter() {
-            if self.egraph.is_filtered(node) {
-                continue;
-            }
-            scratch.clear();
+    /// Costs every candidate node of the class in slot `s` and installs
+    /// the cheapest viable one if it strictly improves on the current
+    /// entry. Returns true on improvement.
+    fn evaluate(&mut self, s: usize, candidates: &[&'a L], scratch: &mut ReachScratch) -> bool {
+        let own_slot = s as u32;
+        // (sub-DAG total, the node's own cost, node); the sub-DAG's reach
+        // without `s` is `scratch.best`.
+        let mut best: Option<(DF::Cost, DF::Cost, &L)> = None;
+        'candidates: for &node in candidates {
+            scratch.merged.clear();
             for &child in node.children() {
-                let c = match self.egraph.slot_index(self.egraph.find(child)) {
-                    Some(c) => c,
-                    None => continue 'candidates,
+                let slot = self.egraph.slot_index(child);
+                let Some(entry) = slot.and_then(|c| self.entries[c].as_ref()) else {
+                    continue 'candidates;
                 };
-                match &self.entries[c] {
-                    Some(entry) => {
-                        scratch.union_with(&entry.reach);
-                    }
-                    None => continue 'candidates,
+                if entry.reach.binary_search(&own_slot).is_ok() {
+                    // The child's sub-DAG already reaches this class:
+                    // selecting this node would close a cycle.
+                    continue 'candidates;
                 }
-            }
-            if scratch.contains(s) {
-                // The children's combined sub-DAG already reaches this
-                // class: selecting this node would close a cycle.
-                continue;
+                merge_sorted(&scratch.merged, &entry.reach, &mut scratch.spare);
+                std::mem::swap(&mut scratch.merged, &mut scratch.spare);
             }
             let own = self.cost_fn.borrow_mut().node_cost(node);
             let mut total = own.clone();
             {
+                // Ascending slot order whatever order the children came
+                // in: the order a float total is defined by.
                 let cf = self.cost_fn.borrow();
-                for d in scratch.iter_ones() {
-                    let own = &self.entries[d].as_ref().expect("unioned entry exists").own;
-                    cf.add_assign(&mut total, own);
+                for &d in &scratch.merged {
+                    let entry = self.entries[d as usize].as_ref();
+                    cf.add_assign(&mut total, &entry.expect("reached entry exists").own);
                 }
             }
             let better = match &best {
@@ -639,19 +747,25 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
                 Some((cost, ..)) => DF::cmp(&total, cost) == Ordering::Less,
             };
             if better {
-                best = Some((total, own, node, scratch.clone()));
+                best = Some((total, own, node));
+                std::mem::swap(&mut scratch.merged, &mut scratch.best);
             }
         }
-        let (total, own, node, mut reach) = match best {
-            Some(b) => b,
-            None => return false,
+        let Some((total, own, node)) = best else {
+            return false;
         };
         let improved = match &self.entries[s] {
             None => true,
             Some(entry) => DF::cmp(&total, &entry.total) == Ordering::Less,
         };
         if improved {
-            reach.insert(s);
+            let (below, above) = scratch
+                .best
+                .split_at(scratch.best.partition_point(|&d| d < own_slot));
+            let mut reach = Vec::with_capacity(scratch.best.len() + 1);
+            reach.extend_from_slice(below);
+            reach.push(own_slot);
+            reach.extend_from_slice(above);
             self.entries[s] = Some(DagEntry {
                 choice: node.clone(),
                 own,
@@ -660,6 +774,14 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
             });
         }
         improved
+    }
+
+    /// How many classes the best sub-DAG recorded for a class selects (the
+    /// class itself included), if it has one: what the extractor stores,
+    /// and merges, for that class.
+    pub fn reach_len(&self, id: Id) -> Option<usize> {
+        let slot = self.egraph.slot_index(id)?;
+        self.entries[slot].as_ref().map(|e| e.reach.len())
     }
 
     /// The best DAG cost recorded for a class, if any.
@@ -860,6 +982,18 @@ mod tests {
         assert_eq!(check.find(again), check.find(id));
     }
 
+    /// The index of an e-node's operator in a per-operator weight table.
+    fn op_index(enode: &Math) -> usize {
+        match enode {
+            Math::Num(_) => 0,
+            Math::Sym(_) => 1,
+            Math::Add(_) => 2,
+            Math::Mul(_) => 3,
+            Math::Shl(_) => 4,
+            Math::Div(_) => 5,
+        }
+    }
+
     /// Counts `cost` calls; the costs themselves are per-operator weights
     /// small enough to tie often (a weight of 0 ties a cyclic node with
     /// its own child). With `flat_shl`, `<<` costs its weight whatever it
@@ -879,14 +1013,7 @@ mod tests {
             C: FnMut(Id) -> usize,
         {
             self.calls += 1;
-            let own = self.weights[match enode {
-                Math::Num(_) => 0,
-                Math::Sym(_) => 1,
-                Math::Add(_) => 2,
-                Math::Mul(_) => 3,
-                Math::Shl(_) => 4,
-                Math::Div(_) => 5,
-            }];
+            let own = self.weights[op_index(enode)];
             if self.flat_shl && matches!(enode, Math::Shl(_)) {
                 return own;
             }
@@ -1222,7 +1349,9 @@ mod tests {
     #[test]
     fn dag_extractor_survives_deep_chains() {
         // The worklist and the expression builder are both iterative; only
-        // the reach sets grow with depth (O(depth²/64) bits total here).
+        // the reach lists grow with depth: level `i` of a chain lists all
+        // `i` levels below it, O(depth²) `u32`s in all — 8 MB at 2 000, the
+        // shape on which a list per class costs most.
         const DEPTH: usize = 2_000;
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let one = eg.add(Math::Num(1));
@@ -1236,5 +1365,193 @@ mod tests {
         // DAG cost charges each node once: two leaves + one Mul per level.
         assert_eq!(cost, DEPTH + 2);
         assert_eq!(expr.len(), DEPTH + 2);
+    }
+
+    /// The reach sets as this module kept them before the sorted lists:
+    /// one [`BitSet`] over all class slots per class, a candidate's set
+    /// built by clearing a scratch set and unioning the children's into it
+    /// whole, its cost summed over `iter_ones`, the set cloned on every
+    /// improving candidate. Kept as the oracle the lists are tested
+    /// against; it also asks the e-graph which nodes are filtered instead
+    /// of taking the class graph's word.
+    struct DenseReach {
+        slot_id: Vec<Option<Id>>,
+        reach: Vec<Option<BitSet>>,
+        scratch: BitSet,
+    }
+
+    impl<L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'_, L, N, DF> {
+        fn evaluate_dense(&mut self, s: usize, dense: &mut DenseReach) -> bool {
+            let id = match dense.slot_id[s] {
+                Some(id) => id,
+                None => return false,
+            };
+            let class = self.egraph.eclass(id);
+            let scratch = &mut dense.scratch;
+            // (sub-DAG total, the node's own cost, node, reach without `s`)
+            let mut best: Option<(DF::Cost, DF::Cost, &L, BitSet)> = None;
+            'candidates: for node in class.iter() {
+                if self.egraph.is_filtered(node) {
+                    continue;
+                }
+                scratch.clear();
+                for &child in node.children() {
+                    let c = match self.egraph.slot_index(self.egraph.find(child)) {
+                        Some(c) => c,
+                        None => continue 'candidates,
+                    };
+                    match &dense.reach[c] {
+                        Some(reach) => {
+                            scratch.union_with(reach);
+                        }
+                        None => continue 'candidates,
+                    }
+                }
+                if scratch.contains(s) {
+                    continue;
+                }
+                let own = self.cost_fn.borrow_mut().node_cost(node);
+                let mut total = own.clone();
+                {
+                    let cf = self.cost_fn.borrow();
+                    for d in scratch.iter_ones() {
+                        let own = &self.entries[d].as_ref().expect("unioned entry exists").own;
+                        cf.add_assign(&mut total, own);
+                    }
+                }
+                let better = match &best {
+                    None => true,
+                    Some((cost, ..)) => DF::cmp(&total, cost) == Ordering::Less,
+                };
+                if better {
+                    best = Some((total, own, node, scratch.clone()));
+                }
+            }
+            let (total, own, node, mut reach) = match best {
+                Some(b) => b,
+                None => return false,
+            };
+            let improved = match &self.entries[s] {
+                None => true,
+                Some(entry) => DF::cmp(&total, &entry.total) == Ordering::Less,
+            };
+            if improved {
+                reach.insert(s);
+                self.entries[s] = Some(DagEntry {
+                    choice: node.clone(),
+                    own,
+                    reach: reach.iter_ones().map(|d| d as u32).collect(),
+                    total,
+                });
+                dense.reach[s] = Some(reach);
+            }
+            improved
+        }
+    }
+
+    /// An extractor filled by the dense oracle instead of `evaluate`.
+    fn dense_extractor<DF: DagCostFunction<Math>>(
+        egraph: &EGraph<Math, ()>,
+        cost_fn: DF,
+    ) -> DagExtractor<'_, Math, (), DF> {
+        let n = egraph.num_slots();
+        let mut dense = DenseReach {
+            slot_id: vec![None; n],
+            reach: vec![None; n],
+            scratch: BitSet::new(n),
+        };
+        for class in egraph.classes() {
+            dense.slot_id[egraph.slot_index(class.id).unwrap()] = Some(class.id);
+        }
+        let mut extractor = DagExtractor::without_entries(egraph, cost_fn);
+        extractor.run_worklist(|extractor, s, _| extractor.evaluate_dense(s, &mut dense));
+        extractor
+    }
+
+    /// Per-operator `f64` weights in tenths. Sums of tenths tie often, and
+    /// depend in the last bit on the order they are added in
+    /// (`0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1`), so a total summed in another
+    /// order than the oracle's shows.
+    #[derive(Clone, Copy)]
+    struct TenthWeights([usize; 6]);
+
+    impl DagCostFunction<Math> for TenthWeights {
+        type Cost = f64;
+        fn node_cost(&mut self, enode: &Math) -> f64 {
+            [0.0, 0.1, 0.2, 0.3][self.0[op_index(enode)]]
+        }
+        fn zero(&self) -> f64 {
+            0.0
+        }
+        fn add_assign(&self, acc: &mut f64, item: &f64) {
+            *acc += *item;
+        }
+        fn cmp(a: &f64, b: &f64) -> Ordering {
+            a.total_cmp(b)
+        }
+    }
+
+    proptest::proptest! {
+        /// The sorted reach lists are a representation, not a behaviour:
+        /// on random cyclic e-graphs (stale entries, the FIFO worklist)
+        /// with filtered nodes and tie-prone float costs, every class ends
+        /// with the choice, own cost, total (to the bit) and reach members
+        /// the dense bit-set oracle gives it, and every id extracts alike.
+        #[test]
+        fn reach_lists_equal_the_dense_bit_set_oracle(
+            steps in proptest::prop::collection::vec(
+                (proptest::any::<u8>(), proptest::any::<usize>(), proptest::any::<usize>()),
+                1..40,
+            ),
+            unions in proptest::prop::collection::vec(
+                (proptest::any::<usize>(), proptest::any::<usize>()),
+                0..8,
+            ),
+            filtered in proptest::prop::collection::vec(proptest::any::<usize>(), 0..6),
+            weights in proptest::prop::collection::vec(0usize..4, 6..=6),
+        ) {
+            let (eg, ids) = random_cyclic_egraph(&steps, &unions, &filtered);
+            let weights = TenthWeights(weights.try_into().unwrap());
+            let lists = DagExtractor::new(&eg, weights);
+            let oracle = dense_extractor(&eg, weights);
+            let bits = |entry: &DagEntry<Math, f64>| {
+                (entry.choice.clone(), entry.own.to_bits(), entry.total.to_bits(), entry.reach.clone())
+            };
+            for (slot, (entry, expected)) in lists.entries.iter().zip(&oracle.entries).enumerate() {
+                assert_eq!(entry.as_ref().map(bits), expected.as_ref().map(bits), "slot {slot}");
+            }
+            let bits = |(cost, expr): (f64, RecExpr<Math>)| (cost.to_bits(), expr);
+            for &id in &ids {
+                assert_eq!(lists.find_best(id).map(bits), oracle.find_best(id).map(bits));
+                assert_eq!(lists.reach_len(id), oracle.reach_len(id));
+            }
+        }
+    }
+
+    /// Wide and shallow: 10 000 independent `(+ aᵢ bᵢ)` under no common
+    /// root. A class's list holds its own sub-DAG and nothing else — three
+    /// slots per `+`, one per leaf — where a bit per slot per class is
+    /// 30 000² bits = 112 MB.
+    #[test]
+    fn independent_terms_list_only_their_own_classes() {
+        const TERMS: usize = 10_000;
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let terms: Vec<[Id; 3]> = (0..TERMS)
+            .map(|i| {
+                let a = eg.add(sym(&format!("a{i}")));
+                let b = eg.add(sym(&format!("b{i}")));
+                [a, b, eg.add(Math::Add([a, b]))]
+            })
+            .collect();
+        eg.rebuild();
+        let ex = DagExtractor::new(&eg, AstSize);
+        for &[a, b, sum] in &terms {
+            assert_eq!(ex.reach_len(a), Some(1));
+            assert_eq!(ex.reach_len(b), Some(1));
+            assert_eq!(ex.reach_len(sum), Some(3));
+            assert_eq!(ex.best_cost(sum), Some(3));
+        }
+        let members: usize = eg.classes().filter_map(|c| ex.reach_len(c.id)).sum();
+        assert_eq!(members, 5 * TERMS);
     }
 }

@@ -159,12 +159,26 @@ impl CostModel {
     /// metadata-only ops (`split`, `split0`, `split1`, `reshape`, `merge`),
     /// and any operator whose output is computable from weights alone.
     pub fn node_cost(&self, node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> f64 {
+        self.latency_and_out_elems(node, get).0
+    }
+
+    /// [`CostModel::node_cost`] and the element count of the node's output,
+    /// from one shape inference (every `get` clones a child's data). The
+    /// count is 0 where the latency is 0 or infinite: nothing is
+    /// materialized, or nothing is selected.
+    fn latency_and_out_elems(
+        &self,
+        node: &TensorLang,
+        get: &dyn Fn(Id) -> TensorData,
+    ) -> (f64, f64) {
         use TensorLang as L;
+        const FREE: (f64, f64) = (0.0, 0.0);
+        const ILL_TYPED: (f64, f64) = (f64::INFINITY, 0.0);
 
         // Parameter leaves and graph plumbing are free.
         match node {
-            L::Num(_) | L::Str(_) | L::Input(_) | L::Weight(_) | L::Noop(_) => return 0.0,
-            L::Split(_) | L::Split0(_) | L::Split1(_) | L::Reshape(_) | L::Merge(_) => return 0.0,
+            L::Num(_) | L::Str(_) | L::Input(_) | L::Weight(_) | L::Noop(_) => return FREE,
+            L::Split(_) | L::Split0(_) | L::Split1(_) | L::Reshape(_) | L::Merge(_) => return FREE,
             _ => {}
         }
 
@@ -172,14 +186,14 @@ impl CostModel {
         // Ill-typed nodes are given an effectively infinite cost so that
         // extraction never selects them.
         let out_info = match &out {
-            TensorData::Tensor(t) => t.clone(),
-            TensorData::Tuple(a, _) => (**a).clone(),
-            _ => return f64::INFINITY,
+            TensorData::Tensor(t) => t,
+            TensorData::Tuple(a, _) => &**a,
+            _ => return ILL_TYPED,
         };
         // Anything computable from weights alone is pre-computed before
         // inference and costs nothing at run time.
         if out_info.weights_only {
-            return 0.0;
+            return FREE;
         }
 
         let out_elems = out_info.elements().max(0) as f64;
@@ -188,7 +202,7 @@ impl CostModel {
         let sum_input_elems =
             |ids: &[Id]| -> f64 { ids.iter().filter_map(|&id| child_tensor(id)).sum() };
 
-        match node {
+        let latency = match node {
             L::Ewadd([a, b]) | L::Ewmul([a, b]) => {
                 let bytes = (sum_input_elems(&[*a, *b]) + out_elems) * self.bytes_per_element;
                 self.roofline(out_elems, bytes)
@@ -202,7 +216,7 @@ impl CostModel {
                 let tb = get(*b);
                 let sa = match (ta.shape(), tb.shape()) {
                     (Some(sa), Some(_)) => sa.to_vec(),
-                    _ => return f64::INFINITY,
+                    _ => return ILL_TYPED,
                 };
                 let k = sa[sa.len() - 1] as f64;
                 let mut flops = 2.0 * out_elems * k;
@@ -221,7 +235,7 @@ impl CostModel {
                 let tw = get(*w);
                 let sw_shape = match tw.shape() {
                     Some(s) if s.len() == 4 => s.to_vec(),
-                    _ => return f64::INFINITY,
+                    _ => return ILL_TYPED,
                 };
                 let (ci, kh, kw) = (sw_shape[1] as f64, sw_shape[2] as f64, sw_shape[3] as f64);
                 let mut flops = 2.0 * out_elems * ci * kh * kw;
@@ -267,7 +281,8 @@ impl CostModel {
             | L::Split1(_)
             | L::Reshape(_)
             | L::Merge(_) => 0.0,
-        }
+        };
+        (latency, out_elems)
     }
 
     /// The composite [`Cost`] of a single operator node. Latency is
@@ -276,21 +291,16 @@ impl CostModel {
     /// materializes nothing new and launches no kernel — while every other
     /// node charges its output bytes as peak memory and one kernel launch.
     pub fn node_cost_composite(&self, node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> Cost {
-        let latency = self.node_cost(node, get);
+        let (latency, out_elems) = self.latency_and_out_elems(node, get);
         if latency == 0.0 {
             return Cost::ZERO;
         }
         if latency.is_infinite() {
             return Cost::INFINITE;
         }
-        let out_elems = match &infer(node, get) {
-            TensorData::Tensor(t) => t.elements().max(0),
-            TensorData::Tuple(a, _) => a.elements().max(0),
-            _ => return Cost::INFINITE,
-        };
         Cost {
             latency,
-            peak_memory: out_elems as f64 * self.bytes_per_element,
+            peak_memory: out_elems * self.bytes_per_element,
             launches: 1.0,
         }
     }
