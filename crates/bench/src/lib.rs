@@ -55,7 +55,6 @@ pub fn nasnet_egraph(node_limit: usize) -> (TensorEGraph, tensat_egraph::Id) {
             max_iter: 15,
             node_limit,
             search_threads: 1,
-            apply_threads: Some(1),
             cycle_filter: CycleFilter::Efficient,
             ..Default::default()
         },
@@ -73,7 +72,6 @@ pub fn tensat_config(k_multi: usize) -> OptimizerConfig {
         exploration_time_limit: Duration::from_secs(30),
         cycle_filter: CycleFilter::Efficient,
         search_threads: tensat_core::default_search_threads(),
-        apply_threads: tensat_egraph::apply_threads_from_env(),
         extraction: ExtractionMode::Ilp,
         exploration: tensat_core::ExplorationMode::Saturate,
         guided: Default::default(),
@@ -82,6 +80,7 @@ pub fn tensat_config(k_multi: usize) -> OptimizerConfig {
         ilp_integer_topo_vars: false,
         ilp_time_limit: Duration::from_secs(30),
         cost_model: Default::default(),
+        ..Default::default()
     }
 }
 

@@ -22,7 +22,10 @@
 //!    least one benchmark model, guided exploration under a node budget
 //!    at least 4x below the saturated size still extracts a DAG no more
 //!    expensive than tree-greedy extraction from the fully saturated
-//!    e-graph.
+//!    e-graph;
+//! 5. **Budget semantics** — the node limit is asked before every
+//!    application (the overshoot is one right-hand side), and a zero time
+//!    limit halts exploration before the first iteration.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -210,29 +213,94 @@ fn saturate_is_bit_identical_to_legacy_on_all_benchmarks() {
 /// Property 1 where the two loops could disagree about *stopping*: an
 /// iteration's apply phase is cut by `node_limit`, the rebuild's
 /// deduplication leaves the e-graph under the limit, and a loop that only
-/// compared the node count would search everything again (these two cases
-/// ran 6 iterations to 2 000 and 2 001 e-nodes that way). Engine and oracle
-/// must both stop at the cut iteration; the trajectories are the repo
-/// benchmark's `zoo7_small` cases, pinned to the digit.
+/// compared the node count would search everything again (the two 2 000
+/// cases ran 6 iterations to 2 000 and 2 001 e-nodes that way, BERT at
+/// 20 000 two iterations further). Engine and oracle must both stop at the
+/// cut iteration; the trajectories are two of the repo benchmark's
+/// `zoo7_small` cases and its `bert_apply` case, pinned to the digit.
 #[test]
 fn an_iteration_cut_by_node_limit_is_the_last_in_engine_and_oracle() {
     let singles = single_rules();
     let multis = multi_rules();
-    let config = ExplorationConfig {
-        max_iter: 15,
-        ..saturate_config(2_000)
-    };
-    for (name, enodes, eclasses) in [("NasNet-A", 1_829, 727), ("BERT", 1_798, 765)] {
+    for (name, node_limit, enodes, eclasses, iterations) in [
+        ("NasNet-A", 2_000, 1_829, 727, 4),
+        ("BERT", 2_000, 1_798, 765, 4),
+        ("BERT", 20_000, 19_596, 8_600, 6),
+    ] {
+        let config = ExplorationConfig {
+            max_iter: 15,
+            ..saturate_config(node_limit)
+        };
         let graph = build_benchmark(name, ModelScale::default());
         let (_, _, stats) = assert_bit_identical(&graph, &singles, &multis, &config);
-        assert_eq!(stats.stop_reason, Some(StopReason::NodeLimit(2_000)));
+        assert_eq!(stats.stop_reason, Some(StopReason::NodeLimit(node_limit)));
         assert_eq!(
             (stats.enodes, stats.eclasses, stats.iterations),
-            (enodes, eclasses, 4),
+            (enodes, eclasses, iterations),
             "{name}"
         );
-        assert_eq!(stats.nodes_per_iteration.len(), 4, "{name}");
+        assert_eq!(stats.nodes_per_iteration.len(), iterations, "{name}");
+        assert!(
+            stats.enodes < node_limit,
+            "{name}: the fixture ends under the limit"
+        );
     }
+}
+
+/// Regression: the node limit is asked before every application, so a run
+/// can overshoot by at most one application's right-hand side — never by
+/// the rest of the gathered match batch.
+#[test]
+fn node_limit_is_enforced_per_application() {
+    // Largest right-hand side in the rule corpus, with margin: a single
+    // application can add at most this many e-nodes past the limit.
+    const MAX_RHS_NODES: usize = 32;
+    let singles = single_rules();
+    let multis = multi_rules();
+    for name in ["NasRNN", "BERT"] {
+        let graph = build_benchmark(name, ModelScale::tiny());
+        let (mut eg, root) = seeded(&graph);
+        let node_limit = eg.total_number_of_nodes() + 50;
+        let stats = explore(
+            &mut eg,
+            root,
+            &singles,
+            &multis,
+            &saturate_config(node_limit),
+        );
+        assert!(
+            stats.enodes <= node_limit + MAX_RHS_NODES,
+            "{name}: {} e-nodes overshot the {node_limit} limit by more than \
+             one application",
+            stats.enodes
+        );
+    }
+}
+
+/// Regression: the time limit is checked before every iteration (and
+/// before every application), so a zero budget halts exploration before
+/// the first iteration mutates anything.
+#[test]
+fn zero_time_limit_halts_before_the_first_iteration() {
+    let graph = build_benchmark("NasRNN", ModelScale::tiny());
+    let (mut eg, root) = seeded(&graph);
+    let seed_nodes = eg.total_number_of_nodes();
+    let stats = explore(
+        &mut eg,
+        root,
+        &single_rules(),
+        &multi_rules(),
+        &ExplorationConfig {
+            time_limit: Duration::ZERO,
+            ..saturate_config(2_000)
+        },
+    );
+    assert_eq!(stats.iterations, 0);
+    assert_eq!(
+        stats.stop_reason,
+        Some(StopReason::TimeLimit(Duration::ZERO))
+    );
+    assert_eq!(eg.total_number_of_nodes(), seed_nodes);
 }
 
 /// The whole saturation trajectory of every benchmark model at the repo
@@ -309,7 +377,6 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
             let config = ExplorationConfig {
                 k_multi,
                 max_iter: 15,
-                apply_threads: Some(1),
                 ..saturate_config(2_000)
             };
             let (eg, _, stats) = assert_bit_identical(&graph, &singles, &multis, &config);

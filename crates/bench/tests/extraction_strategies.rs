@@ -309,7 +309,6 @@ fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
                     max_iter: 15,
                     node_limit: 2_000,
                     search_threads: 1,
-                    apply_threads: Some(1),
                     ..Default::default()
                 },
             );

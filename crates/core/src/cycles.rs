@@ -181,23 +181,6 @@ pub fn would_create_cycle(
     false
 }
 
-/// Staged-apply variant of [`would_create_cycle`]: a staged application
-/// carries the classes bound to every variable occurrence of its target
-/// ([`tensat_egraph::StagedApp::bound`]), so the same leaf-reaches-root
-/// check runs at commit time — against the evolving e-graph, exactly where
-/// the in-place apply loop ran it — without re-walking the pattern AST.
-pub fn staged_would_create_cycle(
-    egraph: &TensorEGraph,
-    desc: &DescendantsMap,
-    app: &tensat_egraph::StagedApp<TensorLang>,
-) -> bool {
-    let matched = egraph.find(app.eclass);
-    app.bound.iter().any(|&bound| {
-        let bound = egraph.find(bound);
-        bound == matched || desc.is_descendant(egraph, bound, matched)
-    })
-}
-
 /// One cycle in the e-graph: the sequence of `(class, e-node)` edges whose
 /// child pointers close the loop.
 pub type Cycle = Vec<(Id, TensorLang)>;

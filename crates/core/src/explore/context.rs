@@ -12,15 +12,11 @@ use super::{
     canonicalize_pattern, decanonicalize_subst, merge_substs, substs_equal_canonical, CycleFilter,
     ExplorationConfig, ExplorationStats, MultiRuleCompiled,
 };
-use crate::cycles::{
-    remove_all_cycles, staged_would_create_cycle, would_create_cycle, DescendantsMap,
-};
+use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use tensat_egraph::{
-    apply_windowed, search_all_parallel, Id, Pattern, SearchMatches, StagedApp, StopReason, Subst,
-};
+use tensat_egraph::{search_all_parallel, Id, Pattern, SearchMatches, StopReason, Subst};
 use tensat_ir::{TensorEGraph, TensorLang};
 use tensat_rules::{pattern_data, MultiPatternRule, TensorRewrite};
 
@@ -40,9 +36,7 @@ pub struct ExplorationContext<'a> {
     /// Set once an iteration's apply phase has run into `node_limit` (see
     /// [`ExplorationContext::over_budget`]). Read before the rebuild's
     /// deduplication can pull the node count back under the limit.
-    /// Atomic because the apply workers share the context; it publishes
-    /// nothing else and is only ever written between phases, so `Relaxed`.
-    node_limit_cut: AtomicBool,
+    node_limit_cut: Cell<bool>,
 }
 
 impl<'a> ExplorationContext<'a> {
@@ -92,7 +86,7 @@ impl<'a> ExplorationContext<'a> {
             compiled,
             unique_patterns,
             start,
-            node_limit_cut: AtomicBool::new(false),
+            node_limit_cut: Cell::new(false),
         }
     }
 
@@ -135,7 +129,7 @@ impl<'a> ExplorationContext<'a> {
     /// therefore the last one, for every loop built over `over_budget` and
     /// `run_iteration`.
     pub fn over_budget(&self, egraph: &TensorEGraph) -> bool {
-        self.node_limit_cut.load(Ordering::Relaxed)
+        self.node_limit_cut.get()
             || self.elapsed() >= self.config.time_limit
             || egraph.total_number_of_nodes() >= self.config.node_limit
     }
@@ -217,26 +211,13 @@ impl<'a> ExplorationContext<'a> {
         stats.search_time += search_start.elapsed();
 
         // --- apply single-pattern rules ---------------------------------------
-        // The gathered batch goes through the windowed driver: conditions
-        // evaluate against the read-only e-graph a window at a time
-        // (sharded across `apply_threads` scoped workers), each window is
-        // committed in batch order, and both budgets and the cycle
-        // pre-filter are checked before every application, exactly where
-        // the in-place loop checked them — so a budget stop wastes at most
-        // one window of condition evaluations.
         let apply_start = Instant::now();
-        let batch: Vec<(&TensorRewrite, &[SearchMatches])> = self
-            .single_rules
-            .iter()
-            .zip(single_matches.iter().map(Vec::as_slice))
-            .collect();
-        apply_windowed(
-            &batch,
-            egraph,
-            config.resolved_apply_threads(),
-            |egraph| !self.over_budget(egraph),
-            |egraph, app| !skip_staged_for_cycles(egraph, config.cycle_filter, &mut desc, app),
-        );
+        let within_budget = |egraph: &TensorEGraph| !self.over_budget(egraph);
+        for (rw, matches) in self.single_rules.iter().zip(&single_matches) {
+            if self.apply_single(egraph, rw, matches, &mut desc, within_budget) {
+                break;
+            }
+        }
 
         // --- apply multi-pattern rules (first k_multi iterations only) ------
         if do_multi {
@@ -254,7 +235,7 @@ impl<'a> ExplorationContext<'a> {
         // limit.
         let limit = self.limit_reached(egraph.total_number_of_nodes());
         if matches!(limit, Some(StopReason::NodeLimit(_))) {
-            self.node_limit_cut.store(true, Ordering::Relaxed);
+            self.node_limit_cut.set(true);
         }
 
         let rebuild_start = Instant::now();
@@ -323,20 +304,12 @@ impl<'a> ExplorationContext<'a> {
         // over-estimates — which only makes the budget check stricter.)
         let headroom = rw.applier.ast.len();
         let mut desc = self.prefilter_map(egraph, stats);
-        // The same windowed driver as `run_iteration`'s single apply:
-        // the budget is asked before every application and one commit adds
-        // at most `adds.len() <= headroom` nodes — so the budget stays
-        // hard.
-        apply_windowed(
-            &[(rw, matches)],
-            egraph,
-            self.config.resolved_apply_threads(),
-            |egraph| {
-                egraph.total_number_of_nodes() + headroom <= budget
-                    && self.elapsed() < self.config.time_limit
-            },
-            |egraph, app| !skip_staged_for_cycles(egraph, self.config.cycle_filter, &mut desc, app),
-        );
+        // The budget is asked before every application and one application
+        // adds at most `headroom` nodes — so the budget stays hard.
+        self.apply_single(egraph, rw, matches, &mut desc, |egraph| {
+            egraph.total_number_of_nodes() + headroom <= budget
+                && self.elapsed() < self.config.time_limit
+        });
         self.seal_state(egraph);
     }
 
@@ -376,6 +349,26 @@ impl<'a> ExplorationContext<'a> {
         self.seal_state(egraph);
     }
 
+    /// Applies one single-pattern rule's matches through the one apply
+    /// loop ([`tensat_egraph::Rewrite::apply_while`]): per candidate ask
+    /// `keep_going`, evaluate the rule's condition, ask the cycle
+    /// pre-filter, apply in place. Returns whether `keep_going` cut the
+    /// loop short.
+    fn apply_single(
+        &self,
+        egraph: &mut TensorEGraph,
+        rw: &TensorRewrite,
+        matches: &[SearchMatches],
+        desc: &mut Option<DescendantsMap>,
+        keep_going: impl Fn(&TensorEGraph) -> bool,
+    ) -> bool {
+        let filter = self.config.cycle_filter;
+        rw.apply_while(egraph, matches, keep_going, |egraph, eclass, subst| {
+            !skip_for_cycles(egraph, filter, desc, eclass, &rw.applier, subst)
+        })
+        .1
+    }
+
     /// The descendants map for the efficient pre-filter (Algorithm 2,
     /// line 3), computed on the clean batch-start e-graph and timed into
     /// `stats.prefilter_time`; `None` in the other filtering modes.
@@ -409,30 +402,6 @@ fn flatten_matches(matches: &[SearchMatches]) -> impl Iterator<Item = (Id, Subst
     matches
         .iter()
         .flat_map(|m| m.substs.iter().map(move |s| (m.eclass, s.clone())))
-}
-
-/// Commit-time cycle pre-filter for staged applications: the same verdict
-/// [`skip_for_cycles`] would reach for the application, read from the
-/// staged bound list instead of re-walking the target pattern.
-fn skip_staged_for_cycles(
-    egraph: &TensorEGraph,
-    filter: CycleFilter,
-    desc: &mut Option<DescendantsMap>,
-    app: &StagedApp<TensorLang>,
-) -> bool {
-    match filter {
-        CycleFilter::Off => false,
-        CycleFilter::Efficient => {
-            let desc = desc
-                .as_ref()
-                .expect("descendants map exists in efficient mode");
-            staged_would_create_cycle(egraph, desc, app)
-        }
-        CycleFilter::Vanilla => {
-            let fresh = DescendantsMap::compute(egraph);
-            staged_would_create_cycle(egraph, &fresh, app)
-        }
-    }
 }
 
 /// Returns true if the candidate application must be skipped because it

@@ -158,14 +158,6 @@ pub struct ExplorationConfig {
     /// classes across scoped threads with bit-identical match lists, so
     /// this only affects wall-clock time.
     pub search_threads: usize,
-    /// Threads used by the apply phase: single-pattern match batches are
-    /// staged a window at a time against the read-only e-graph across
-    /// scoped threads and committed sequentially in deterministic order
-    /// ([`tensat_egraph::apply_windowed`]), so — like `search_threads` —
-    /// this only affects wall-clock time, never the outcome. `None` (the default, unless `TENSAT_APPLY_THREADS` is set)
-    /// follows `search_threads`; see
-    /// [`ExplorationConfig::resolved_apply_threads`].
-    pub apply_threads: Option<usize>,
     /// Which exploration strategy [`explore`] dispatches to.
     pub mode: ExplorationMode,
     /// Cost model used by strategies that score candidate states
@@ -193,7 +185,6 @@ impl Default for ExplorationConfig {
             time_limit: defaults::TIME_LIMIT,
             cycle_filter: CycleFilter::Efficient,
             search_threads: default_search_threads(),
-            apply_threads: tensat_egraph::apply_threads_from_env(),
             mode: ExplorationMode::from_env().unwrap_or(ExplorationMode::Saturate),
             cost_model: CostModel::default(),
             guided: GuidedConfig::default(),
@@ -203,10 +194,13 @@ impl Default for ExplorationConfig {
 }
 
 impl ExplorationConfig {
-    /// The apply-phase thread count after resolving the default:
-    /// `apply_threads` when set, otherwise `search_threads`.
+    /// Always 1: the apply phase is Algorithm 1's in-place loop and has no
+    /// thread setting. Kept because the repo benchmark's own
+    /// `labels_are_unique_and_threads_pinned` test calls it and nothing
+    /// under `benchmark/` may change in a library PR; a later `benchmark`
+    /// PR retires it.
     pub fn resolved_apply_threads(&self) -> usize {
-        self.apply_threads.unwrap_or(self.search_threads).max(1)
+        1
     }
 }
 
@@ -256,8 +250,10 @@ pub struct ExplorationStats {
     /// `search + apply + rebuild + prefilter` accounts for an engine
     /// iteration.
     pub prefilter_time: Duration,
-    /// Time spent staging and committing rewrite applications, summed over
-    /// iterations (same caveat as `search_time`).
+    /// Time spent applying matches — side conditions, the cycle
+    /// pre-filter's checks, instantiation and unions, single- and
+    /// multi-pattern — summed over iterations (same caveat as
+    /// `search_time`).
     pub apply_time: Duration,
     /// Time spent rebuilding and cycle-filtering, summed over iterations
     /// (same caveat as `search_time`).
@@ -553,24 +549,9 @@ mod tests {
         );
     }
 
-    /// Regression test: the apply phase staged the *whole* match batch
-    /// (every side condition evaluated, every right-hand side
-    /// instantiated) before its first commit, so when `node_limit` stopped
-    /// the commit pass after a handful of applications all the other
-    /// evaluations were thrown away. The windowed driver may waste at most
-    /// one window: `evaluations <= commits + rejected + window` — through
-    /// both entry points of the engine (a whole iteration, and
-    /// [`Guided`]'s budgeted single-rule action, whose budget must also
-    /// stay hard), at one apply thread (window of one: nothing wasted) and
-    /// at four.
-    #[test]
-    fn budget_stop_wastes_at_most_one_window_of_conditions() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        // Far more pending matches than any window: a balanced `ewadd`
-        // tree over `n_matches + 1` weights has `n_matches` inner nodes.
-        let n_matches = 4 * tensat_egraph::apply_window_len(4);
+    /// A balanced `ewadd` tree over `n_matches + 1` weights: `n_matches`
+    /// inner nodes, i.e. that many pending matches of `(ewadd ?a ?b)`.
+    fn balanced_ewadd_tree(n_matches: usize) -> (TensorEGraph, Id) {
         let mut g = GraphBuilder::new();
         let mut level: Vec<Id> = (0..=n_matches)
             .map(|i| g.weight(&format!("w{i}"), &[8, 8]))
@@ -585,60 +566,115 @@ mod tests {
                 .collect();
         }
         let expr = g.finish(&level);
-        let mut seed = TensorEGraph::new(TensorAnalysis);
-        let root = seed.add_expr(&expr);
-        seed.rebuild();
+        let mut eg = TensorEGraph::new(TensorAnalysis);
+        let root = eg.add_expr(&expr);
+        eg.rebuild();
+        (eg, root)
+    }
+
+    /// Applies `rule`'s matches on a copy of `seed` through one of the
+    /// engine's two entry points — a whole iteration, or [`Guided`]'s
+    /// budgeted single-rule action (whose budget must stay hard) — with
+    /// `budget` as the node limit, and returns the e-graph.
+    fn apply_through(
+        seed: &TensorEGraph,
+        root: Id,
+        rule: TensorRewrite,
+        budget: usize,
+        budgeted_action: bool,
+    ) -> TensorEGraph {
+        let rules = [rule];
+        let config = ExplorationConfig {
+            k_multi: 0,
+            node_limit: budget,
+            ..Default::default()
+        };
+        let ctx = ExplorationContext::new(root, &rules, &[], &config);
+        let mut eg = seed.clone();
+        let mut stats = ExplorationStats::default();
+        if budgeted_action {
+            let (matches, _) = ctx.search_state(&eg, false);
+            ctx.apply_single_budgeted(&mut eg, 0, &matches[0], budget, &mut stats);
+            assert!(eg.total_number_of_nodes() <= budget, "hard budget");
+        } else {
+            ctx.run_iteration(&mut eg, 0, &mut stats);
+        }
+        eg
+    }
+
+    /// Regression test: the apply phase once evaluated every side
+    /// condition of the gathered batch before its first application, so
+    /// when `node_limit` stopped it after a handful of applications all
+    /// the other evaluations were thrown away. The loop asks the budget
+    /// before every candidate, so a condition runs only for a candidate
+    /// that is then applied or rejected: `evaluations <= commits +
+    /// rejected` — through both entry points of the engine.
+    #[test]
+    fn budget_stop_evaluates_no_condition_it_does_not_apply() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let n_matches = 4096;
+        let (seed, root) = balanced_ewadd_tree(n_matches);
         let nodes_before = seed.total_number_of_nodes();
         let budget = nodes_before + 5;
 
-        for threads in [1, 4] {
-            for budgeted_action in [false, true] {
-                let evaluated = Arc::new(AtomicUsize::new(0));
-                let rejected = Arc::new(AtomicUsize::new(0));
-                let (evals, rejects) = (evaluated.clone(), rejected.clone());
-                // Commutativity: every admitted application adds exactly
-                // one e-node; every third candidate is rejected.
-                let commute = TensorRewrite::new_conditional(
-                    "counting-commute",
-                    parse_pattern("(ewadd ?a ?b)").unwrap(),
-                    parse_pattern("(ewadd ?b ?a)").unwrap(),
-                    Arc::new(move |_, _, _| {
-                        let admit = evals.fetch_add(1, Ordering::SeqCst) % 3 != 2;
-                        if !admit {
-                            rejects.fetch_add(1, Ordering::SeqCst);
-                        }
-                        admit
-                    }),
-                );
-                let rules = [commute];
-                let config = ExplorationConfig {
-                    k_multi: 0,
-                    node_limit: budget,
-                    apply_threads: Some(threads),
-                    ..Default::default()
-                };
-                let ctx = ExplorationContext::new(root, &rules, &[], &config);
-                let mut eg = seed.clone();
-                let mut stats = ExplorationStats::default();
-                if budgeted_action {
-                    let (matches, _) = ctx.search_state(&eg, false);
-                    ctx.apply_single_budgeted(&mut eg, 0, &matches[0], budget, &mut stats);
-                    assert!(eg.total_number_of_nodes() <= budget, "hard budget");
-                } else {
-                    ctx.run_iteration(&mut eg, 0, &mut stats);
-                }
-                let commits = eg.total_number_of_nodes() - nodes_before;
-                assert!((1..=5).contains(&commits), "commits: {commits}");
-                let evaluated = evaluated.load(Ordering::SeqCst);
-                let rejected = rejected.load(Ordering::SeqCst);
-                let window = tensat_egraph::apply_window_len(threads);
-                assert!(
-                    evaluated <= commits + rejected + window,
-                    "threads={threads} budgeted_action={budgeted_action}: {evaluated} \
-                     conditions evaluated for {commits} commits + {rejected} rejections \
-                     (window {window}, {n_matches} matches)"
-                );
-            }
+        for budgeted_action in [false, true] {
+            let evaluated = Arc::new(AtomicUsize::new(0));
+            let rejected = Arc::new(AtomicUsize::new(0));
+            let (evals, rejects) = (evaluated.clone(), rejected.clone());
+            // Commutativity: every admitted application adds exactly
+            // one e-node; every third candidate is rejected.
+            let commute = TensorRewrite::new_conditional(
+                "counting-commute",
+                parse_pattern("(ewadd ?a ?b)").unwrap(),
+                parse_pattern("(ewadd ?b ?a)").unwrap(),
+                Arc::new(move |_, _, _| {
+                    let admit = evals.fetch_add(1, Ordering::SeqCst) % 3 != 2;
+                    if !admit {
+                        rejects.fetch_add(1, Ordering::SeqCst);
+                    }
+                    admit
+                }),
+            );
+            let eg = apply_through(&seed, root, commute, budget, budgeted_action);
+            let commits = eg.total_number_of_nodes() - nodes_before;
+            assert!((1..=5).contains(&commits), "commits: {commits}");
+            let evaluated = evaluated.load(Ordering::SeqCst);
+            let rejected = rejected.load(Ordering::SeqCst);
+            assert!(
+                evaluated <= commits + rejected,
+                "budgeted_action={budgeted_action}: {evaluated} conditions evaluated \
+                 for {commits} commits + {rejected} rejections ({n_matches} matches)"
+            );
+        }
+    }
+
+    /// Algorithm 1's contract: matches are applied one after another, in
+    /// place, so a side condition sees the e-graph every earlier
+    /// application of its own batch left. A commutativity rule whose
+    /// condition admits only while the e-graph holds fewer than `seed + 3`
+    /// e-nodes must therefore add exactly 3 — a driver that evaluated a
+    /// run of conditions ahead of their applications would admit them all.
+    #[test]
+    fn a_condition_sees_every_earlier_application_of_its_batch() {
+        use std::sync::Arc;
+
+        let (seed, root) = balanced_ewadd_tree(4096);
+        let nodes_before = seed.total_number_of_nodes();
+        for budgeted_action in [false, true] {
+            let commute = TensorRewrite::new_conditional(
+                "commute-while-small",
+                parse_pattern("(ewadd ?a ?b)").unwrap(),
+                parse_pattern("(ewadd ?b ?a)").unwrap(),
+                Arc::new(move |egraph, _, _| egraph.total_number_of_nodes() < nodes_before + 3),
+            );
+            let eg = apply_through(&seed, root, commute, usize::MAX, budgeted_action);
+            assert_eq!(
+                eg.total_number_of_nodes(),
+                nodes_before + 3,
+                "budgeted_action={budgeted_action}"
+            );
         }
     }
 
@@ -738,7 +774,6 @@ mod tests {
             max_iter,
             node_limit,
             search_threads: 1,
-            apply_threads: Some(1),
             ..Default::default()
         };
         let (singles, multis) = (single_rules(), multi_rules());

@@ -123,7 +123,6 @@ proptest! {
                 node_limit,
                 time_limit: Duration::from_secs(600),
                 search_threads: 1,
-                apply_threads: Some(1),
                 ..Default::default()
             },
         );

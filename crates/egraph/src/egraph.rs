@@ -1,7 +1,6 @@
 //! The [`EGraph`] itself: hash-consed e-node storage, unioning, and
 //! congruence-closure rebuilding over dense slot-indexed class tables.
 
-use crate::rewrite::StagedApp;
 use crate::{Analysis, EClass, Id, Language, RecExpr, UnionFind};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -389,45 +388,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.node_repair.push(root);
         N::modify(self, root);
         (root, true)
-    }
-
-    /// The size of the id space: one more than the largest id ever handed
-    /// out (live or absorbed). Every id the e-graph has ever returned is
-    /// below this bound, which is what lets staged applications
-    /// ([`crate::StagedApp`]) encode *planned* ids as `id_space_size() + k`
-    /// without colliding with real ones.
-    pub fn id_space_size(&self) -> usize {
-        self.unionfind.size()
-    }
-
-    /// Commits one staged application ([`crate::StagedApp`]): replays one
-    /// [`EGraph::add`] per staged e-node (resolving planned ids against the
-    /// nodes materialized so far) and then unions the matched class with
-    /// the instantiated root — byte-for-byte the `instantiate` + `union`
-    /// sequence the in-place applier would have run. Returns the merged
-    /// class and whether the union changed anything.
-    ///
-    /// `base` must be the planned-id origin the application was staged
-    /// with (the id-space size at staging time). Ids below `base` pass
-    /// through untouched — `add` canonicalizes them exactly as the
-    /// sequential path would; mid-batch merges of bound classes are
-    /// therefore observed identically.
-    pub(crate) fn commit_staged(&mut self, app: &StagedApp<L>, base: usize) -> (Id, bool) {
-        let mut materialized: Vec<Id> = Vec::with_capacity(app.adds.len());
-        let resolve = |materialized: &[Id], c: Id| {
-            if usize::from(c) < base {
-                c
-            } else {
-                materialized[usize::from(c) - base]
-            }
-        };
-        for node in &app.adds {
-            let concrete = node.map_children(|c| resolve(&materialized, c));
-            let id = self.add(concrete);
-            materialized.push(id);
-        }
-        let root = resolve(&materialized, app.root);
-        self.union(app.eclass, root)
     }
 
     /// The memo (hashcons) contents as an owned list of `(e-node, id)`

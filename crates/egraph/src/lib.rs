@@ -25,7 +25,9 @@
 //!   can be sharded across threads
 //!   ([`Pattern::search_parallel`], [`search_all_parallel`]) with
 //!   bit-identical results. Matching is purely structural; a rule's
-//!   semantic side condition ([`Condition`]) runs when a match is applied.
+//!   semantic side condition ([`Condition`]) runs when a match is applied,
+//!   by the one in-place apply loop ([`Rewrite::apply_while`]), against
+//!   the e-graph every earlier application of the batch left.
 //! * [`Runner`] — equality saturation with iteration / node / time limits
 //!   and saturation detection.
 //! * [`Extractor`] / [`DagExtractor`] — tree-greedy and global greedy DAG
@@ -79,11 +81,8 @@ pub use machine::{
 };
 pub use pattern::{search_all_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, Var};
 pub use recexpr::RecExpr;
-pub use rewrite::{
-    apply_window_len, apply_windowed, apply_windowed_with_window, ApplyOutcome, Condition, Rewrite,
-    StagedApp,
-};
-pub use runner::{apply_threads_from_env, search_threads_from_env, Iteration, Runner, StopReason};
+pub use rewrite::{Condition, Rewrite};
+pub use runner::{search_threads_from_env, Iteration, Runner, StopReason};
 pub use unionfind::UnionFind;
 
 /// A tiny arithmetic language exported solely so that doc examples across

@@ -1,7 +1,6 @@
 //! The [`Runner`]: drives equality saturation until saturation or a limit
 //! is hit, recording per-iteration statistics.
 
-use crate::rewrite::{apply_windowed, ApplyOutcome};
 use crate::{search_all_parallel, Analysis, EGraph, Language, RecExpr, Rewrite, SearchMatches};
 use std::fmt::Debug;
 use std::time::{Duration, Instant};
@@ -15,19 +14,6 @@ use std::time::{Duration, Instant};
 /// `tensat_core::ExplorationConfig`'s default.
 pub fn search_threads_from_env() -> Option<usize> {
     parse_thread_count(&std::env::var("TENSAT_SEARCH_THREADS").ok()?)
-}
-
-/// Reads the `TENSAT_APPLY_THREADS` environment variable: the number of
-/// threads the apply phase ([`apply_windowed`]) should use.
-/// Returns `None` when the variable is unset or does not parse to a
-/// positive integer — in which case the apply phase follows the search
-/// thread setting.
-///
-/// Consulted at [`Runner`] construction and by
-/// `tensat_core::ExplorationConfig`'s default, like
-/// [`search_threads_from_env`].
-pub fn apply_threads_from_env() -> Option<usize> {
-    parse_thread_count(&std::env::var("TENSAT_APPLY_THREADS").ok()?)
 }
 
 fn parse_thread_count(raw: &str) -> Option<usize> {
@@ -110,17 +96,13 @@ pub struct Runner<L: Language, N: Analysis<L>> {
     node_limit: usize,
     time_limit: Duration,
     search_threads: usize,
-    apply_threads: Option<usize>,
 }
 
 impl<L: Language, N: Analysis<L>> Runner<L, N> {
     /// Creates a runner with an empty e-graph and default limits
     /// (30 iterations, 10 000 e-nodes, 5 seconds). The search thread count
     /// defaults to the `TENSAT_SEARCH_THREADS` environment variable if set
-    /// (see [`search_threads_from_env`]), otherwise 1 (sequential); the
-    /// apply thread count defaults to `TENSAT_APPLY_THREADS` if set
-    /// ([`apply_threads_from_env`]), otherwise it follows the search
-    /// setting.
+    /// (see [`search_threads_from_env`]), otherwise 1 (sequential).
     pub fn new(analysis: N) -> Self {
         Self::with_egraph(EGraph::new(analysis))
     }
@@ -136,7 +118,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             node_limit: 10_000,
             time_limit: Duration::from_secs(5),
             search_threads: search_threads_from_env().unwrap_or(1),
-            apply_threads: apply_threads_from_env(),
         }
     }
 
@@ -175,18 +156,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
         self.search_threads = n_threads.max(1);
         self
     }
-
-    /// Sets the number of threads used by the staged apply phase of
-    /// [`Runner::run`]. Matches are staged window by window against the
-    /// read-only e-graph across scoped threads and committed sequentially
-    /// in deterministic order ([`apply_windowed`]), so — like the search
-    /// setting — this only changes wall-clock time, never the outcome.
-    /// Unset (the default, unless `TENSAT_APPLY_THREADS` is in the
-    /// environment) follows the search thread count.
-    pub fn with_apply_threads(mut self, n_threads: usize) -> Self {
-        self.apply_threads = Some(n_threads.max(1));
-        self
-    }
 }
 
 impl<L, N> Runner<L, N>
@@ -198,38 +167,25 @@ where
     /// Runs equality saturation with the given rewrites until saturation or
     /// a limit is reached. Returns the stop reason.
     ///
-    /// Both phases of each iteration can use threads: search shards
-    /// candidate classes ([`Runner::with_search_threads`]) and apply stages
-    /// the match batch a window at a time against the read-only e-graph
-    /// ([`Runner::with_apply_threads`], via [`apply_windowed`]), committing
-    /// each window sequentially in deterministic order, before the usual
-    /// worklist rebuild. Both are bit-identical to their sequential
-    /// counterparts for any thread count, and both limits — nodes and
-    /// wall-clock — are checked before every application.
+    /// Each iteration searches every rule against the iteration-start
+    /// e-graph — sharded across [`Runner::with_search_threads`] threads,
+    /// bit-identical to the sequential search at any count — then applies
+    /// the matches in place, rule by rule ([`Rewrite::apply_while`]), asking
+    /// both limits — nodes and wall-clock — before every application, and
+    /// rebuilds.
     ///
-    /// (The `Sync` bounds let those phases shard the read-only e-graph
+    /// (The `Sync` bounds let the search shard the read-only e-graph
     /// across threads; every [`Language`] and [`Analysis`] in this
     /// workspace is plain data and satisfies them. A non-`Sync` language or
     /// analysis can still saturate via [`Runner::run_sequential`].)
     pub fn run(&mut self, rewrites: &[Rewrite<L, N>]) -> StopReason {
         let n_threads = self.search_threads;
-        let apply_threads = self.apply_threads.unwrap_or(n_threads);
-        self.run_with_phases(
-            rewrites,
-            |egraph, rewrites| {
-                // The batch driver dispatches itself: with one thread it is
-                // the per-pattern sequential search verbatim.
-                let searchers: Vec<_> = rewrites.iter().map(|rw| &rw.searcher).collect();
-                search_all_parallel(&searchers, egraph, n_threads)
-            },
-            |egraph, rewrites, all_matches, keep_going| {
-                let batch: Vec<_> = rewrites
-                    .iter()
-                    .zip(all_matches.iter().map(Vec::as_slice))
-                    .collect();
-                apply_windowed(&batch, egraph, apply_threads, keep_going, |_, _| true)
-            },
-        )
+        self.run_with_search(rewrites, |egraph, rewrites| {
+            // The batch driver dispatches itself: with one thread it is
+            // the per-pattern sequential search verbatim.
+            let searchers: Vec<_> = rewrites.iter().map(|rw| &rw.searcher).collect();
+            search_all_parallel(&searchers, egraph, n_threads)
+        })
     }
 }
 
@@ -241,59 +197,22 @@ fn sequential_search<L: Language, N: Analysis<L>>(
     rewrites.iter().map(|rw| rw.search(egraph)).collect()
 }
 
-/// The budget hook the saturation loop hands its apply phase: true while
-/// both the node and the wall-clock limit hold.
-type KeepGoing<'a, L, N> = &'a (dyn Fn(&EGraph<L, N>) -> bool + Sync);
-
-/// One in-place sequential apply pass: the non-`Sync` fallback (and, via
-/// the test battery, the oracle the windowed path is proven bit-identical
-/// against).
-fn sequential_apply<L: Language, N: Analysis<L>>(
-    egraph: &mut EGraph<L, N>,
-    rewrites: &[Rewrite<L, N>],
-    all_matches: &[Vec<SearchMatches>],
-    keep_going: KeepGoing<'_, L, N>,
-) -> ApplyOutcome {
-    let mut outcome = ApplyOutcome {
-        applied: 0,
-        stopped: false,
-    };
-    for (rw, matches) in rewrites.iter().zip(all_matches) {
-        let (n, stopped) = rw.apply_while(egraph, matches, keep_going);
-        outcome.applied += n;
-        if stopped {
-            outcome.stopped = true;
-            break;
-        }
-    }
-    outcome
-}
-
 impl<L: Language, N: Analysis<L>> Runner<L, N> {
-    /// Like [`Runner::run`] with one search/apply thread, but without the
-    /// `Sync` bounds: languages or analyses containing non-`Sync` data
-    /// (e.g. `Rc` caches) can still run equality saturation — they just
-    /// cannot shard the search or stage the apply phase across threads.
-    /// [`Runner::with_search_threads`] and [`Runner::with_apply_threads`]
-    /// are ignored here.
+    /// Like [`Runner::run`] with one search thread, but without the `Sync`
+    /// bounds: languages or analyses containing non-`Sync` data (e.g. `Rc`
+    /// caches) can still run equality saturation — they just cannot shard
+    /// the search across threads. [`Runner::with_search_threads`] is
+    /// ignored here.
     pub fn run_sequential(&mut self, rewrites: &[Rewrite<L, N>]) -> StopReason {
-        self.run_with_phases(rewrites, sequential_search, sequential_apply)
+        self.run_with_search(rewrites, sequential_search)
     }
 
-    /// The saturation loop, parameterized over the search and apply phases
-    /// (the two parts that need `Sync` to parallelize). The apply callback
-    /// consumes the whole match batch, asking the budget hook before every
-    /// application.
-    fn run_with_phases(
+    /// The saturation loop, parameterized over the search phase (the one
+    /// part that needs `Sync` to parallelize).
+    fn run_with_search(
         &mut self,
         rewrites: &[Rewrite<L, N>],
         search: impl Fn(&EGraph<L, N>, &[Rewrite<L, N>]) -> Vec<Vec<SearchMatches>>,
-        apply: impl Fn(
-            &mut EGraph<L, N>,
-            &[Rewrite<L, N>],
-            &[Vec<SearchMatches>],
-            KeepGoing<'_, L, N>,
-        ) -> ApplyOutcome,
     ) -> StopReason {
         let start = Instant::now();
         let (node_limit, time_limit) = (self.node_limit, self.time_limit);
@@ -324,8 +243,17 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             let unions_before = self.egraph.union_count();
 
             let apply_start = Instant::now();
-            let ApplyOutcome { applied, stopped } =
-                apply(&mut self.egraph, rewrites, &all_matches, &keep_going);
+            let mut applied = 0;
+            let mut stopped = false;
+            for (rw, matches) in rewrites.iter().zip(&all_matches) {
+                let (n, cut) =
+                    rw.apply_while(&mut self.egraph, matches, &keep_going, |_, _, _| true);
+                applied += n;
+                if cut {
+                    stopped = true;
+                    break;
+                }
+            }
             let apply_time = apply_start.elapsed();
             // Which limit cut the batch short, read before the rebuild's
             // deduplication can pull the node count back under its limit.
@@ -564,15 +492,15 @@ mod tests {
     /// that sleeps 10 ms per candidate on 40 pending matches ran all 40
     /// (~400 ms) under the old code; with the in-loop check the run must
     /// stop within a few sleeps of the 30 ms budget and report
-    /// `TimeLimit` — on the windowed path at one and at several apply
-    /// threads, and on the non-`Sync` fallback.
+    /// `TimeLimit` — through `run` and through the non-`Sync`
+    /// `run_sequential`.
     #[test]
     fn time_limit_bounds_the_apply_batch() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
         let time_limit = Duration::from_millis(30);
-        let run = |apply_threads: Option<usize>| {
+        let run = |sequential: bool| {
             let calls = Arc::new(AtomicUsize::new(0));
             let counter = calls.clone();
             let strength = rules().swap_remove(0);
@@ -589,23 +517,24 @@ mod tests {
             let mut runner = Runner::new(())
                 .with_expr(&many_muls_expr(40))
                 .with_time_limit(time_limit);
-            let reason = match apply_threads {
-                Some(n) => runner.with_apply_threads(n).run(&[slow]),
-                None => runner.run_sequential(&[slow]),
+            let reason = if sequential {
+                runner.run_sequential(&[slow])
+            } else {
+                runner.run(&[slow])
             };
             (reason, calls.load(Ordering::SeqCst))
         };
-        for apply_threads in [Some(1), Some(4), None] {
-            let (reason, calls) = run(apply_threads);
+        for sequential in [false, true] {
+            let (reason, calls) = run(sequential);
             assert_eq!(
                 reason,
                 StopReason::TimeLimit(time_limit),
-                "{apply_threads:?}"
+                "sequential={sequential}"
             );
             assert!(calls >= 1, "the apply loop must have started");
             assert!(
                 calls < 40,
-                "apply batch ignored the time limit at {apply_threads:?} threads: \
+                "apply batch ignored the time limit (sequential={sequential}): \
                  all {calls} candidates ran"
             );
         }
@@ -637,40 +566,14 @@ mod tests {
 
     #[test]
     fn thread_count_env_parsing() {
-        // Exercise the parser (shared by TENSAT_SEARCH_THREADS and
-        // TENSAT_APPLY_THREADS) directly rather than via `set_var` (tests
-        // run concurrently; mutating the environment would race with other
-        // `Runner::new` calls reading it).
+        // Exercise the TENSAT_SEARCH_THREADS parser directly rather than
+        // via `set_var` (tests run concurrently; mutating the environment
+        // would race with other `Runner::new` calls reading it).
         assert_eq!(parse_thread_count("4"), Some(4));
         assert_eq!(parse_thread_count(" 16\n"), Some(16));
         assert_eq!(parse_thread_count("0"), None, "0 threads is rejected");
         assert_eq!(parse_thread_count("auto"), None);
         assert_eq!(parse_thread_count(""), None);
-    }
-
-    /// The staged apply path must be bit-identical to the in-place
-    /// sequential apply loop for any apply thread count: identical
-    /// per-iteration stats and identical extraction results.
-    #[test]
-    fn staged_parallel_apply_matches_sequential_apply() {
-        let mut baseline = Runner::new(()).with_expr(&start_expr());
-        assert_eq!(baseline.run_sequential(&rules()), StopReason::Saturated);
-        for threads in [1, 4] {
-            let mut staged = Runner::new(())
-                .with_expr(&start_expr())
-                .with_apply_threads(threads);
-            assert_eq!(staged.run(&rules()), StopReason::Saturated);
-            assert_eq!(baseline.iterations.len(), staged.iterations.len());
-            for (s, p) in baseline.iterations.iter().zip(&staged.iterations) {
-                assert_eq!(s.applied, p.applied, "threads={threads}");
-                assert_eq!(s.total_matches, p.total_matches, "threads={threads}");
-                assert_eq!(s.egraph_nodes, p.egraph_nodes, "threads={threads}");
-                assert_eq!(s.egraph_classes, p.egraph_classes, "threads={threads}");
-            }
-            let ex = Extractor::new(&staged.egraph, AstSize);
-            let (cost, best) = ex.find_best(staged.roots[0]).unwrap();
-            assert_eq!((cost, best.to_string().as_str()), (1, "a"));
-        }
     }
 
     /// `run_sequential` must keep working for non-`Sync` analyses (the

@@ -5,9 +5,9 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tensat_egraph::doctest_lang::SimpleMath as Math;
 use tensat_egraph::{
-    apply_windowed_with_window, search_all_guarded_parallel,
-    search_all_guarded_parallel_with_threshold, search_all_parallel, Analysis, AstSize, EGraph,
-    ENodeOrVar, Extractor, Id, Language, Pattern, RecExpr, Rewrite, SearchMatches, Symbol, Var,
+    search_all_guarded_parallel, search_all_guarded_parallel_with_threshold, search_all_parallel,
+    Analysis, AstSize, EGraph, ENodeOrVar, Extractor, Id, Language, Pattern, RecExpr,
+    SearchMatches, Symbol, Var,
 };
 
 /// A random expression generator: a sequence of build steps referencing
@@ -265,180 +265,6 @@ proptest! {
         prop_assert_eq!(&dispatched, &forced_sequential);
         for (pattern, got) in patterns.iter().zip(&dispatched) {
             prop_assert_eq!(&pattern.search(&eg), got);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Staged-parallel apply + rebuild
-// ---------------------------------------------------------------------------
-
-/// Builds a rewrite whose applier only uses variables bound by the
-/// searcher: applier variable draws are remapped into the searcher's
-/// variable pool (or degrade to a literal leaf when the searcher binds
-/// nothing), so `Rewrite::new`'s unbound-variable check always passes.
-fn build_rewrite(search_steps: &[PatStep], apply_steps: &[PatStep]) -> Rewrite<Math, ()> {
-    let searcher = build_pattern(search_steps);
-    // Only variables *reachable from the pattern root* are bound by a
-    // match: the linear generator can leave dead nodes in the AST, and
-    // `Pattern::vars` reports those too, so walk from the root instead.
-    let lhs_vars = {
-        let nodes: Vec<&ENodeOrVar<Math>> = searcher.ast.iter().map(|(_, n)| n).collect();
-        let mut live = vec![false; nodes.len()];
-        let mut stack = vec![nodes.len() - 1];
-        while let Some(i) = stack.pop() {
-            if std::mem::replace(&mut live[i], true) {
-                continue;
-            }
-            if let ENodeOrVar::ENode(n) = nodes[i] {
-                n.for_each(|c| stack.push(usize::from(c)));
-            }
-        }
-        let mut vars: Vec<Var> = vec![];
-        for (i, node) in nodes.iter().enumerate() {
-            if let ENodeOrVar::Var(v) = node {
-                if live[i] && !vars.contains(v) {
-                    vars.push(*v);
-                }
-            }
-        }
-        vars
-    };
-    let mut ast = RecExpr::default();
-    for (i, step) in apply_steps.iter().enumerate() {
-        let pick = |r: usize| Id::from(if i == 0 { 0 } else { r % i });
-        let node = match step {
-            PatStep::Var(v) if !lhs_vars.is_empty() => {
-                ENodeOrVar::Var(lhs_vars[*v as usize % lhs_vars.len()])
-            }
-            PatStep::Var(_) => ENodeOrVar::ENode(Math::Num(0)),
-            PatStep::Num(n) => ENodeOrVar::ENode(Math::Num(*n)),
-            PatStep::Sym(s) => ENodeOrVar::ENode(Math::Sym(Symbol::new(format!("s{s}")))),
-            PatStep::Add(a, b) if i > 0 => ENodeOrVar::ENode(Math::Add([pick(*a), pick(*b)])),
-            PatStep::Mul(a, b) if i > 0 => ENodeOrVar::ENode(Math::Mul([pick(*a), pick(*b)])),
-            PatStep::Div(a, b) if i > 0 => ENodeOrVar::ENode(Math::Div([pick(*a), pick(*b)])),
-            _ => ENodeOrVar::ENode(Math::Num(0)),
-        };
-        ast.add(node);
-    }
-    Rewrite::new("r", searcher, Pattern::new(ast))
-}
-
-proptest! {
-    /// The windowed-apply acceptance property: running rounds of
-    /// search-then-apply over random e-graphs (random seed expression,
-    /// unions, and filtered nodes) through the windowed driver
-    /// ([`apply_windowed_with_window`] at 1–8 threads, with windows from
-    /// one candidate — the in-place loop — up to longer than the batch, so
-    /// window boundaries split one rule's match list and, at several
-    /// threads, chunks split a window) must be *bit-identical* to the
-    /// sequential in-place [`Rewrite::apply_capped`] loop over the same
-    /// matches, under a node limit drawn to bind mid-batch: both sides
-    /// stop at the same candidate, and the two e-graphs end every round
-    /// with equal id spaces and union-find partitions, equal class/node
-    /// counts, equal memo contents,
-    /// and equal machine match lists for every rule. Both sides pass the
-    /// storage-invariant validator after every commit+rebuild.
-    #[test]
-    fn staged_parallel_apply_is_bit_identical_to_sequential(
-        steps in steps_strategy(30),
-        rules in prop::collection::vec((pattern_strategy(8), pattern_strategy(8)), 1..4),
-        n_threads in 1usize..=8,
-        window_len in 1usize..=24,
-        unions in prop::collection::vec((any::<usize>(), any::<usize>()), 0..4),
-        filter_picks in prop::collection::vec(any::<usize>(), 0..4),
-        rounds in 1usize..=3,
-        limit_slack in 0usize..40,
-    ) {
-        let expr = build_expr(&steps);
-        // Two identically seeded e-graphs: same adds, unions, and filters
-        // in the same order.
-        let build = || {
-            let mut eg: EGraph<Math, ()> = EGraph::new(());
-            eg.add_expr(&expr);
-            eg.rebuild();
-            let class_ids: Vec<Id> = eg.classes().map(|c| c.id).collect();
-            for (a, b) in &unions {
-                let a = class_ids[a % class_ids.len()];
-                let b = class_ids[b % class_ids.len()];
-                eg.union(a, b);
-            }
-            eg.rebuild();
-            let all_nodes: Vec<Math> = eg.classes().flat_map(|c| c.iter().cloned()).collect();
-            for pick in &filter_picks {
-                let node = all_nodes[pick % all_nodes.len()].clone();
-                eg.filter_node(&node);
-            }
-            eg
-        };
-        let mut seq = build();
-        let mut par = build();
-        // A few nodes above the seed: most draws bind inside a batch.
-        let node_limit = seq.total_number_of_nodes() + limit_slack;
-        let rewrites: Vec<Rewrite<Math, ()>> =
-            rules.iter().map(|(s, a)| build_rewrite(s, a)).collect();
-
-        for _round in 0..rounds {
-            // Both sides search their own graph; the searches must agree
-            // before the apply phase even runs (they do — the graphs are
-            // bit-identical by induction).
-            let matches: Vec<Vec<SearchMatches>> =
-                rewrites.iter().map(|r| r.search(&seq)).collect();
-            for (r, m) in rewrites.iter().zip(&matches) {
-                prop_assert_eq!(&r.search(&par), m);
-            }
-
-            // Sequential baseline: in-place per-rule apply with the shared
-            // node cap (the pre-staging apply loop).
-            let mut seq_hit = false;
-            for (r, m) in rewrites.iter().zip(&matches) {
-                let (_, hit) = r.apply_capped(&mut seq, m, node_limit);
-                if hit {
-                    seq_hit = true;
-                    break;
-                }
-            }
-            seq.rebuild();
-            seq.check_invariants();
-
-            // Windowed path: stage a window against the read-only graph,
-            // commit it in order, repeat.
-            let batch: Vec<(&Rewrite<Math, ()>, &[SearchMatches])> = rewrites
-                .iter()
-                .zip(matches.iter().map(Vec::as_slice))
-                .collect();
-            let outcome = apply_windowed_with_window(
-                &batch,
-                &mut par,
-                n_threads,
-                window_len,
-                |eg| eg.total_number_of_nodes() < node_limit,
-                |_, _| true,
-            );
-            prop_assert_eq!(outcome.stopped, seq_hit);
-            par.rebuild();
-            par.check_invariants();
-
-            // Bit-identity of the full e-graph state.
-            prop_assert_eq!(seq.id_space_size(), par.id_space_size());
-            for i in 0..seq.id_space_size() {
-                prop_assert_eq!(seq.find(Id::from(i)), par.find(Id::from(i)),
-                    "union-find diverged at id {}", i);
-            }
-            prop_assert_eq!(seq.number_of_classes(), par.number_of_classes());
-            prop_assert_eq!(seq.total_number_of_nodes(), par.total_number_of_nodes());
-            prop_assert_eq!(seq.num_unfiltered_nodes(), par.num_unfiltered_nodes());
-            prop_assert_eq!(seq.filtered_count(), par.filtered_count());
-            let mut memo_seq = seq.memo_snapshot();
-            let mut memo_par = par.memo_snapshot();
-            memo_seq.sort();
-            memo_par.sort();
-            prop_assert_eq!(memo_seq, memo_par);
-            // Machine match lists stay bit-identical going into the next
-            // round (same class order, same substitution order).
-            for r in &rewrites {
-                prop_assert_eq!(r.search(&seq), r.search(&par));
-            }
         }
     }
 }

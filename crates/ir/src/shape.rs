@@ -100,27 +100,6 @@ impl TensorData {
     pub fn shape(&self) -> Option<&[i64]> {
         self.as_tensor().map(|t| t.shape.as_slice())
     }
-
-    /// The coarse kind of this value, or `None` if it is invalid.
-    pub fn kind(&self) -> Option<DataKind> {
-        match self {
-            TensorData::Invalid(_) => None,
-            TensorData::Scalar(_) => Some(DataKind::Scalar),
-            TensorData::Str(_) => Some(DataKind::Str),
-            TensorData::Tensor(_) => Some(DataKind::Tensor),
-            TensorData::Tuple(..) => Some(DataKind::Tuple),
-        }
-    }
-
-    /// True if this value is valid and of the given kind ([`DataKind::Any`]
-    /// accepts every valid value). This is exactly the admissibility test
-    /// the corresponding [`infer`] child accessor performs.
-    pub fn matches_kind(&self, kind: DataKind) -> bool {
-        match kind {
-            DataKind::Any => self.is_valid(),
-            k => self.kind() == Some(k),
-        }
-    }
 }
 
 /// The coarse kind of [`TensorData`] an operator child position requires —
@@ -749,28 +728,6 @@ mod tests {
                 node.children().len(),
                 "kind table misaligned for {node:?}"
             );
-        }
-    }
-
-    #[test]
-    fn matches_kind_mirrors_infer_admissibility() {
-        let tensor = TensorData::Tensor(TensorInfo::new(vec![8, 8], false));
-        let scalar = TensorData::Scalar(1);
-        let string = TensorData::Str(Symbol::new("x"));
-        let invalid = TensorData::invalid("nope");
-        assert!(tensor.matches_kind(DataKind::Tensor));
-        assert!(tensor.matches_kind(DataKind::Any));
-        assert!(!tensor.matches_kind(DataKind::Scalar));
-        assert!(scalar.matches_kind(DataKind::Scalar));
-        assert!(string.matches_kind(DataKind::Str));
-        for kind in [
-            DataKind::Scalar,
-            DataKind::Str,
-            DataKind::Tensor,
-            DataKind::Tuple,
-            DataKind::Any,
-        ] {
-            assert!(!invalid.matches_kind(kind), "invalid data never matches");
         }
 
         // Spot-check against infer: a scalar in matmul's tensor position is
