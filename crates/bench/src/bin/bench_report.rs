@@ -440,22 +440,30 @@ fn main() {
                     stats.strategy
                 )
             });
+            // The cycle pre-filter's map keeps no memo between queries;
+            // walks against queries is the number that would justify one.
             eprintln!(
                 "[bench-report] {model}: {} explored in {:.3}s ({} e-nodes, budget {budget}, \
-                 DAG {:.2} µs)",
+                 DAG {:.2} µs; cycle pre-filter: {} queries, {} walked, {} applications vetoed)",
                 stats.strategy,
                 stats.time.as_secs_f64(),
                 stats.enodes,
                 extracted.dag_cost,
+                stats.prefilter_queries,
+                stats.prefilter_walks,
+                stats.prefilter_rejected,
             );
             out.push_str(&format!(
-                "        \"{}\": {{ \"explore_time_s\": {:.4}, \"search_time_s\": {:.4}, \"apply_time_s\": {:.4}, \"rebuild_time_s\": {:.4}, \"prefilter_time_s\": {:.4}, \"enodes\": {}, \"node_budget\": {}, \"dag_cost_us\": {:.3}",
+                "        \"{}\": {{ \"explore_time_s\": {:.4}, \"search_time_s\": {:.4}, \"apply_time_s\": {:.4}, \"rebuild_time_s\": {:.4}, \"prefilter_time_s\": {:.4}, \"prefilter_queries\": {}, \"prefilter_walks\": {}, \"prefilter_rejected\": {}, \"enodes\": {}, \"node_budget\": {}, \"dag_cost_us\": {:.3}",
                 stats.strategy,
                 stats.time.as_secs_f64(),
                 stats.search_time.as_secs_f64(),
                 stats.apply_time.as_secs_f64(),
                 stats.rebuild_time.as_secs_f64(),
                 stats.prefilter_time.as_secs_f64(),
+                stats.prefilter_queries,
+                stats.prefilter_walks,
+                stats.prefilter_rejected,
                 stats.enodes,
                 budget,
                 extracted.dag_cost,

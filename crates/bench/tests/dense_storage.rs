@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
-use tensat_egraph::{Id, Runner, SearchMatches, StopReason, Subst, Var};
+use tensat_egraph::{Id, Runner, SearchMatches, StopReason, Var};
 use tensat_ir::{TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::single_rules;
@@ -31,9 +31,10 @@ fn normalize(
     let mut out: BTreeMap<Id, BTreeSet<Vec<(Var, Id)>>> = BTreeMap::new();
     for m in matches {
         let substs = out.entry(eg.find(m.eclass)).or_default();
-        for s in &m.substs {
+        for row in m.substs.rows() {
+            let vars = m.substs.vars().iter().copied();
             let mut bindings: Vec<(Var, Id)> =
-                Subst::iter(s).map(|(v, id)| (v, eg.find(id))).collect();
+                vars.zip(row.iter().map(|&id| eg.find(id))).collect();
             bindings.sort();
             substs.insert(bindings);
         }
@@ -108,9 +109,10 @@ fn machine_search_equals_naive_on_big_nasnet_classes_for_every_rule() {
     fn sorted_bindings(m: &SearchMatches) -> Vec<Vec<(Var, Id)>> {
         let mut substs: Vec<Vec<_>> = m
             .substs
-            .iter()
-            .map(|s| {
-                let mut bindings: Vec<_> = s.iter().collect();
+            .rows()
+            .map(|row| {
+                let vars = m.substs.vars().iter().copied();
+                let mut bindings: Vec<_> = vars.zip(row.iter().copied()).collect();
                 bindings.sort();
                 bindings
             })

@@ -189,7 +189,7 @@ impl<'a> ExplorationContext<'a> {
         let nodes_before = egraph.total_number_of_nodes();
         let unions_before = egraph.union_count();
 
-        let mut desc = self.prefilter_map(egraph, stats);
+        let desc = self.prefilter_map(egraph, stats);
 
         // --- search phase ---------------------------------------------------
         // All matches — single-pattern and multi-pattern alike — are
@@ -214,7 +214,7 @@ impl<'a> ExplorationContext<'a> {
         let apply_start = Instant::now();
         let within_budget = |egraph: &TensorEGraph| !self.over_budget(egraph);
         for (rw, matches) in self.single_rules.iter().zip(&single_matches) {
-            if self.apply_single(egraph, rw, matches, &mut desc, within_budget) {
+            if self.apply_single(egraph, rw, matches, desc.as_ref(), within_budget) {
                 break;
             }
         }
@@ -222,13 +222,21 @@ impl<'a> ExplorationContext<'a> {
         // --- apply multi-pattern rules (first k_multi iterations only) ------
         if do_multi {
             for mrule in &self.compiled {
-                apply_multi_rule(egraph, mrule, &multi_flat, config, &mut desc, self.start);
+                apply_multi_rule(
+                    egraph,
+                    mrule,
+                    &multi_flat,
+                    config,
+                    desc.as_ref(),
+                    self.start,
+                );
                 if self.over_budget(egraph) {
                     break;
                 }
             }
         }
         stats.apply_time += apply_start.elapsed();
+        record_prefilter(desc.as_ref(), stats);
 
         // Which limit, if any, stopped the apply phase — read before the
         // rebuild's deduplication can pull the node count back under its
@@ -289,7 +297,8 @@ impl<'a> ExplorationContext<'a> {
     /// the e-graph plus the applier's worst-case growth (its AST size)
     /// stays within `budget`, so the state never exceeds it. Rebuilds and
     /// cycle-filters afterwards, leaving the state clean for scoring. Adds
-    /// the descendants-map time to `stats.prefilter_time`.
+    /// the descendants-map time to `stats.prefilter_time` and what the map
+    /// was asked to `stats.prefilter_{queries, walks, rejected}`.
     pub fn apply_single_budgeted(
         &self,
         egraph: &mut TensorEGraph,
@@ -303,13 +312,14 @@ impl<'a> ExplorationContext<'a> {
         // is new. (Variables instantiate to existing classes, so this
         // over-estimates — which only makes the budget check stricter.)
         let headroom = rw.applier.ast.len();
-        let mut desc = self.prefilter_map(egraph, stats);
+        let desc = self.prefilter_map(egraph, stats);
         // The budget is asked before every application and one application
         // adds at most `headroom` nodes — so the budget stays hard.
-        self.apply_single(egraph, rw, matches, &mut desc, |egraph| {
+        self.apply_single(egraph, rw, matches, desc.as_ref(), |egraph| {
             egraph.total_number_of_nodes() + headroom <= budget
                 && self.elapsed() < self.config.time_limit
         });
+        record_prefilter(desc.as_ref(), stats);
         self.seal_state(egraph);
     }
 
@@ -340,12 +350,13 @@ impl<'a> ExplorationContext<'a> {
             node_limit: budget - headroom + 1,
             ..self.config.clone()
         };
-        let mut desc = self.prefilter_map(egraph, stats);
+        let desc = self.prefilter_map(egraph, stats);
         let flat: Vec<Vec<(Id, Subst)>> = multi_matches
             .iter()
             .map(|ms| flatten_matches(ms).collect())
             .collect();
-        apply_multi_rule(egraph, mrule, &flat, &capped, &mut desc, self.start);
+        apply_multi_rule(egraph, mrule, &flat, &capped, desc.as_ref(), self.start);
+        record_prefilter(desc.as_ref(), stats);
         self.seal_state(egraph);
     }
 
@@ -359,7 +370,7 @@ impl<'a> ExplorationContext<'a> {
         egraph: &mut TensorEGraph,
         rw: &TensorRewrite,
         matches: &[SearchMatches],
-        desc: &mut Option<DescendantsMap>,
+        desc: Option<&DescendantsMap>,
         keep_going: impl Fn(&TensorEGraph) -> bool,
     ) -> bool {
         let filter = self.config.cycle_filter;
@@ -397,11 +408,23 @@ impl<'a> ExplorationContext<'a> {
 }
 
 /// Flattens one source pattern's match list into `(root class, canonical
-/// substitution)` entries in search order.
+/// substitution)` entries in search order — owned substitutions, which the
+/// multi-pattern product renames, merges and keeps on its combination
+/// stack.
 fn flatten_matches(matches: &[SearchMatches]) -> impl Iterator<Item = (Id, Subst)> + '_ {
     matches
         .iter()
-        .flat_map(|m| m.substs.iter().map(move |s| (m.eclass, s.clone())))
+        .flat_map(|m| m.substs.iter().map(move |s| (m.eclass, s)))
+}
+
+/// Adds what the pre-filter's map was asked during one apply phase to the
+/// run's counters.
+fn record_prefilter(desc: Option<&DescendantsMap>, stats: &mut ExplorationStats) {
+    if let Some(desc) = desc {
+        stats.prefilter_queries += desc.queries();
+        stats.prefilter_walks += desc.walks();
+        stats.prefilter_rejected += desc.rejected();
+    }
 }
 
 /// Returns true if the candidate application must be skipped because it
@@ -409,7 +432,7 @@ fn flatten_matches(matches: &[SearchMatches]) -> impl Iterator<Item = (Id, Subst
 fn skip_for_cycles(
     egraph: &TensorEGraph,
     filter: CycleFilter,
-    desc: &mut Option<DescendantsMap>,
+    desc: Option<&DescendantsMap>,
     matched: Id,
     target: &Pattern<TensorLang>,
     subst: &Subst,
@@ -417,9 +440,7 @@ fn skip_for_cycles(
     match filter {
         CycleFilter::Off => false,
         CycleFilter::Efficient => {
-            let desc = desc
-                .as_ref()
-                .expect("descendants map exists in efficient mode");
+            let desc = desc.expect("descendants map exists in efficient mode");
             would_create_cycle(egraph, desc, matched, target, subst)
         }
         CycleFilter::Vanilla => {
@@ -436,7 +457,7 @@ fn apply_multi_rule(
     mrule: &MultiRuleCompiled,
     all_matches: &[Vec<(Id, Subst)>],
     config: &ExplorationConfig,
-    desc: &mut Option<DescendantsMap>,
+    desc: Option<&DescendantsMap>,
     start: Instant,
 ) {
     // Decanonicalized flat match lists per source pattern.
@@ -466,7 +487,7 @@ fn cartesian(
     depth: usize,
     combo: &mut Vec<(Id, Subst)>,
     config: &ExplorationConfig,
-    desc: &mut Option<DescendantsMap>,
+    desc: Option<&DescendantsMap>,
     start: Instant,
 ) {
     if egraph.total_number_of_nodes() >= config.node_limit || start.elapsed() >= config.time_limit {
@@ -507,7 +528,7 @@ fn apply_combo(
     mrule: &MultiRuleCompiled,
     combo: &[(Id, Subst)],
     config: &ExplorationConfig,
-    desc: &mut Option<DescendantsMap>,
+    desc: Option<&DescendantsMap>,
 ) {
     // Check compatibility at shared variables and build the merged binding.
     let mut merged = Subst::new();

@@ -114,14 +114,16 @@ pub fn explore_monolithic(
         // --- apply single-pattern rules --------------------------------------
         'single_apply: for (rw, matches) in single_rules.iter().zip(&single_matches) {
             for m in matches {
-                for subst in &m.substs {
+                // Owned substitutions, one per row: the oracle does not
+                // share the engine's scratch refill.
+                for subst in m.substs.iter() {
                     if egraph.total_number_of_nodes() >= config.node_limit
                         || start.elapsed() >= config.time_limit
                     {
                         break 'single_apply;
                     }
                     if let Some(cond) = &rw.condition {
-                        if !cond(egraph, m.eclass, subst) {
+                        if !cond(egraph, m.eclass, &subst) {
                             continue;
                         }
                     }
@@ -131,11 +133,11 @@ pub fn explore_monolithic(
                         &mut desc,
                         m.eclass,
                         &rw.applier,
-                        subst,
+                        &subst,
                     ) {
                         continue;
                     }
-                    rw.applier.apply_one(egraph, m.eclass, subst);
+                    rw.applier.apply_one(egraph, m.eclass, &subst);
                 }
             }
         }
@@ -234,7 +236,7 @@ fn apply_multi_rule(
                 .flat_map(|m| {
                     m.substs
                         .iter()
-                        .map(move |s| (m.eclass, decanonicalize_subst(s, back)))
+                        .map(move |s| (m.eclass, decanonicalize_subst(&s, back)))
                 })
                 .collect()
         })

@@ -250,6 +250,21 @@ pub struct ExplorationStats {
     /// `search + apply + rebuild + prefilter` accounts for an engine
     /// iteration.
     pub prefilter_time: Duration,
+    /// Reachability queries the efficient cycle pre-filter put to its
+    /// descendants map
+    /// ([`DescendantsMap::is_descendant`](crate::cycles::DescendantsMap::is_descendant)),
+    /// summed over [`Saturate`] iterations and [`Guided`] actions. Zero in
+    /// the other filtering modes, like `prefilter_time`: `Vanilla` builds
+    /// and drops a map per candidate.
+    pub prefilter_queries: usize,
+    /// How many of those queries the map's component order could not
+    /// answer, so it walked its snapshot of the class graph. The map keeps
+    /// no memo between queries; this is the number that would justify one.
+    pub prefilter_walks: usize,
+    /// Applications the pre-filter vetoed
+    /// ([`would_create_cycle`](crate::cycles::would_create_cycle) said
+    /// yes), a variable bound to the matched class itself included.
+    pub prefilter_rejected: usize,
     /// Time spent applying matches — side conditions, the cycle
     /// pre-filter's checks, instantiation and unions, single- and
     /// multi-pattern — summed over iterations (same caveat as

@@ -26,12 +26,11 @@
 
 mod reduce;
 
-use crate::cycles::BitSet;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 use tensat_egraph::{
-    CostFunction, DagCostFunction, DagExtractor, Extractor, Id, Language, RecExpr,
+    BitSet, CostFunction, DagCostFunction, DagExtractor, Extractor, Id, Language, RecExpr,
 };
 use tensat_ilp::{Cmp, Problem, Solver, Status, VarId};
 use tensat_ir::{Cost, CostModel, TensorData, TensorEGraph, TensorLang};

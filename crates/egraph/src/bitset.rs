@@ -1,19 +1,18 @@
 //! [`BitSet`]: a dense bit set over the e-graph's slot space.
 //!
-//! Lived in `tensat-core::cycles` until the DAG-aware extractor moved into
-//! this crate; the cycle-filtering machinery (`DescendantsMap`), the
-//! extractors' on-stack sets, and the ILP encoder's and reducer's tables
-//! all index the same dense slot space
+//! The extractors' on-stack sets and the ILP encoder's and reducer's
+//! tables all index the same dense slot space
 //! ([`EGraph::slot_index`](crate::EGraph::slot_index)), so the set type
-//! lives beside the slot tables it indexes. `tensat-core` re-exports it
-//! under the old path.
+//! lives beside the slot tables it indexes.
 //!
 //! A bit set is the form for a set that is dense, or that is one of a few.
 //! It is not the form for *one set per class* when each holds a sliver of
 //! the slots: the DAG extractor's per-class reach sets hold 0.15–0.5 % of
 //! them on the big benchmark e-graphs and are sorted `u32` lists (see
 //! [`DagExtractor`](crate::DagExtractor)) — a list is the smaller form
-//! below 1/32 density.
+//! below 1/32 density. Nor for a reachability closure: the cycle
+//! pre-filter's descendants map was one row of these per class (n² bits)
+//! and is now a snapshot of the class graph with a component order.
 
 /// A dense bit set over e-class indices. The default is the empty set of
 /// capacity zero.

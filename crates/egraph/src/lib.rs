@@ -79,7 +79,7 @@ pub use machine::{
     search_all_guarded_parallel, search_all_guarded_parallel_with_threshold, ChildSource,
     Instruction, Program, Reg, PARALLEL_SEARCH_SPAWN_THRESHOLD,
 };
-pub use pattern::{search_all_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, Var};
+pub use pattern::{search_all_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, SubstRows, Var};
 pub use recexpr::RecExpr;
 pub use rewrite::{Condition, Rewrite};
 pub use runner::{search_threads_from_env, Iteration, Runner, StopReason};

@@ -2,7 +2,10 @@
 //! egg): each [`Pattern`](crate::Pattern) is compiled once into a linear
 //! instruction [`Program`] that is executed against candidate e-classes
 //! with a single reusable register stack, instead of recursively cloning
-//! per-branch substitution vectors.
+//! per-branch substitution vectors. A match is not an allocation either:
+//! the machine copies the registers that hold the pattern's variables into
+//! a row buffer, and a class's rows become one flat id list
+//! ([`SubstRows`](crate::SubstRows)).
 //!
 //! One instruction suffices:
 //!
@@ -46,8 +49,9 @@
 //! [`EGraph::check_invariants`]). On a dirty e-graph a binary search would
 //! silently lose matches, so every search entry point asserts
 //! [`EGraph::is_clean`] in all builds. Which nodes a `Bind` visits, and in
-//! which order, does not show in the result: each class's substitution list
-//! is sorted and deduplicated before it is returned.
+//! which order, does not show in the result: each class's rows are sorted
+//! and deduplicated before they are returned (one pass over them finds out
+//! whether there is anything to do).
 //!
 //! Search additionally consults the e-graph's operator index
 //! ([`EGraph::classes_with_op`]): only classes containing at least one node
@@ -61,11 +65,11 @@
 //! [`crate::search_all_parallel`]). Merging the chunk outputs in chunk
 //! order reproduces the sequential result bit for bit.
 
-use crate::{Analysis, EGraph, ENodeOrVar, Id, Language, RecExpr, SearchMatches, Subst, Var};
+use crate::{Analysis, EGraph, ENodeOrVar, Id, Language, RecExpr, SearchMatches, SubstRows, Var};
 use std::collections::{HashMap, VecDeque};
 use std::mem::Discriminant;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A virtual register holding an e-class id during matching.
 pub type Reg = usize;
@@ -135,9 +139,11 @@ pub struct Program<L> {
     /// The variable-free subterms below the root, each as a standalone
     /// term; [`ChildSource::Ground`] indexes into this list.
     ground_terms: Vec<RecExpr<L>>,
-    /// `(variable, register)` pairs in first-occurrence (AST) order; read
-    /// out at every successful match to build the substitution.
-    subst_template: Vec<(Var, Reg)>,
+    /// The substitution template: the pattern's variables in
+    /// first-occurrence (AST) order, shared with every match list a search
+    /// returns, and the register each is read from at a successful match.
+    vars: Arc<[Var]>,
+    var_regs: Vec<Reg>,
     /// Operator discriminant of the pattern root, if the root is a concrete
     /// node — used to restrict search via the e-graph's operator index.
     root_op: Option<Discriminant<L>>,
@@ -228,12 +234,14 @@ impl<L: Language> Program<L> {
         // Variables that only occur in AST nodes unreachable from the root
         // never got a register (the recursive matcher never binds them
         // either).
-        let mut subst_template = vec![];
+        let mut vars: Vec<Var> = vec![];
+        let mut var_regs = vec![];
         for (_, node) in pattern.iter() {
             if let ENodeOrVar::Var(v) = node {
                 if let Some(&reg) = v2r.get(v) {
-                    if !subst_template.iter().any(|(u, _)| u == v) {
-                        subst_template.push((*v, reg));
+                    if !vars.contains(v) {
+                        vars.push(*v);
+                        var_regs.push(reg);
                     }
                 }
             }
@@ -247,7 +255,8 @@ impl<L: Language> Program<L> {
         Program {
             instructions,
             ground_terms,
-            subst_template,
+            vars: vars.into(),
+            var_regs,
             root_op,
         }
     }
@@ -369,24 +378,26 @@ impl<L: Language> Program<L> {
     ) -> Option<SearchMatches> {
         machine.regs.clear();
         machine.regs.push(eclass);
-        let mut substs = vec![];
+        machine.rows.clear();
+        machine.n_rows = 0;
         machine.run(
             &MachineCtx {
                 egraph,
                 instructions: &self.instructions,
                 grounds,
-                subst_template: &self.subst_template,
+                var_regs: &self.var_regs,
             },
             0,
-            &mut substs,
         );
         // Distinct derivations can in principle yield the same binding;
-        // sort before dedup so non-adjacent duplicates are removed too.
-        // The sort is also what makes the list independent of the order in
-        // which a Bind's range lookup happens to visit the nodes.
-        substs.sort_unstable();
-        substs.dedup();
-        (!substs.is_empty()).then_some(SearchMatches { eclass, substs })
+        // the rows are sorted before dedup so non-adjacent duplicates are
+        // removed too. The sort is also what makes the list independent of
+        // the order in which a Bind's range lookup happens to visit the
+        // nodes.
+        (machine.n_rows > 0).then(|| SearchMatches {
+            eclass,
+            substs: SubstRows::from_unsorted(self.vars.clone(), &machine.rows, machine.n_rows),
+        })
     }
 }
 
@@ -605,28 +616,29 @@ fn ground_term<L: Language>(pattern: &RecExpr<ENodeOrVar<L>>, id: Id) -> RecExpr
 
 /// Read-only per-search state shared by every backtracking frame of one
 /// [`Machine::run`] invocation: the e-graph, the compiled instructions, the
-/// resolved ground-term classes, and the substitution template.
+/// resolved ground-term classes, and the substitution template's registers.
 struct MachineCtx<'a, L: Language, N: Analysis<L>> {
     egraph: &'a EGraph<L, N>,
     instructions: &'a [Instruction<L>],
     grounds: &'a [Id],
-    subst_template: &'a [(Var, Reg)],
+    var_regs: &'a [Reg],
 }
 
-/// The register stack. One instance is reused across all candidate classes
-/// of a search; backtracking truncates instead of cloning.
+/// The register stack and the row buffer. One instance is reused across
+/// all candidate classes of a search; backtracking truncates instead of
+/// cloning, and a class's rows are copied out at their final size.
 #[derive(Debug, Default)]
 struct Machine {
     regs: Vec<Id>,
+    /// The matches found in the class being searched: per match, the
+    /// template's registers, back to back.
+    rows: Vec<Id>,
+    /// How many — a ground pattern's rows are empty.
+    n_rows: usize,
 }
 
 impl Machine {
-    fn run<L: Language, N: Analysis<L>>(
-        &mut self,
-        ctx: &MachineCtx<'_, L, N>,
-        pc: usize,
-        out: &mut Vec<Subst>,
-    ) {
+    fn run<L: Language, N: Analysis<L>>(&mut self, ctx: &MachineCtx<'_, L, N>, pc: usize) {
         let Some(Instruction::Bind {
             node,
             i,
@@ -637,11 +649,9 @@ impl Machine {
         else {
             // All instructions passed: read the bindings out of the
             // registers.
-            let mut subst = Subst::new();
-            for &(v, r) in ctx.subst_template {
-                subst.insert(v, self.regs[r]);
-            }
-            out.push(subst);
+            let regs = &self.regs;
+            self.rows.extend(ctx.var_regs.iter().map(|&r| regs[r]));
+            self.n_rows += 1;
             return;
         };
         let egraph = ctx.egraph;
@@ -675,7 +685,7 @@ impl Machine {
             // are class ids as they stand.
             self.regs.truncate(filled);
             self.regs.extend_from_slice(&children[*prefix..]);
-            self.run(ctx, pc + 1, out);
+            self.run(ctx, pc + 1);
         }
     }
 }
@@ -787,25 +797,27 @@ mod tests {
         let machine = program.search(&eg);
         assert_eq!(machine.len(), 1);
         assert_eq!(machine[0].substs.len(), 40 * 2);
-        assert_eq!(normalized(machine), normalized(p.search_naive(&eg)));
+        let naive = p.search_naive(&eg);
+        assert_eq!(naive.len(), 1);
+        assert_eq!(machine[0].eclass, naive[0].eclass);
+        assert_eq!(sorted_bindings(&machine[0]), sorted_bindings(&naive[0]));
     }
 
     /// The naive matcher binds variables in DFS order, the machine reads
     /// them out in AST first-occurrence order; sorting each binding list
-    /// makes the two comparable.
-    fn normalized(mut matches: Vec<SearchMatches>) -> Vec<SearchMatches> {
-        for m in &mut matches {
-            for s in &mut m.substs {
+    /// (and then the list) makes one class's matches comparable.
+    fn sorted_bindings(m: &SearchMatches) -> Vec<Vec<(Var, Id)>> {
+        let mut substs: Vec<Vec<(Var, Id)>> = m
+            .substs
+            .iter()
+            .map(|s| {
                 let mut pairs: Vec<_> = s.iter().collect();
                 pairs.sort();
-                *s = Subst::default();
-                for (v, id) in pairs {
-                    s.insert(v, id);
-                }
-            }
-            m.substs.sort();
-        }
-        matches
+                pairs
+            })
+            .collect();
+        substs.sort();
+        substs
     }
 
     /// A ground subterm the e-graph does not hold ends the search before

@@ -4,7 +4,7 @@
 use crate::machine::Program;
 use crate::{Analysis, EGraph, Id, Language, RecExpr, Symbol};
 use std::fmt::{self, Display};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A pattern variable, written `?name` in the textual form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,10 +64,13 @@ impl<L: Language> Language for ENodeOrVar<L> {
 }
 
 /// A variable binding produced by a successful match: maps pattern
-/// variables to e-class ids.
+/// variables to e-class ids. The one owned binding type: match lists store
+/// their bindings as id rows ([`SubstRows`]) and hand out a `Subst` where
+/// one is read or kept.
 ///
-/// The `Ord` instance (lexicographic over the binding list) exists so match
-/// lists can be sorted before deduplication; it is not otherwise meaningful.
+/// The `Ord` instance (lexicographic over the binding list) exists so the
+/// naive matcher can sort before deduplication; it is not otherwise
+/// meaningful.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Subst {
     vec: Vec<(Var, Id)>,
@@ -123,6 +126,133 @@ impl std::ops::Index<Var> for Subst {
     }
 }
 
+/// The substitutions of one [`SearchMatches`], stored as rows of e-class
+/// ids: every substitution of a list binds the same variables, so the
+/// variables are kept once ([`SubstRows::vars`], shared with the compiled
+/// program) and each substitution is one `vars().len()`-wide row of a
+/// single flat `Vec<Id>` — no allocation per match.
+///
+/// Rows are strictly ascending in lexicographic order, hence distinct.
+/// That is the order the derived `Ord` of [`Subst`] gives the same
+/// bindings, so [`SubstRows::iter`] yields an already sorted, deduplicated
+/// list of substitutions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubstRows {
+    vars: Arc<[Var]>,
+    ids: Vec<Id>,
+    /// Number of rows. Not `ids.len() / vars.len()`: a ground pattern
+    /// binds nothing and still matches.
+    len: usize,
+}
+
+impl SubstRows {
+    /// Sorts and deduplicates the `n_rows` rows a search of one class
+    /// wrote back to back into `rows`. One linear pass finds the common
+    /// case, rows that are strictly ascending already, and then the rows
+    /// are copied as they are.
+    pub(crate) fn from_unsorted(vars: Arc<[Var]>, rows: &[Id], n_rows: usize) -> Self {
+        let width = vars.len();
+        debug_assert_eq!(rows.len(), n_rows * width);
+        if width == 0 {
+            // Every row is the empty binding.
+            let (ids, len) = (vec![], n_rows.min(1));
+            return SubstRows { vars, ids, len };
+        }
+        let ascending = rows
+            .chunks_exact(width)
+            .zip(rows.chunks_exact(width).skip(1))
+            .all(|(a, b)| a < b);
+        let ids = if ascending {
+            rows.to_vec()
+        } else {
+            let mut sorted: Vec<&[Id]> = rows.chunks_exact(width).collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted.concat()
+        };
+        let len = ids.len() / width;
+        SubstRows { vars, ids, len }
+    }
+
+    /// The rows of a non-empty substitution list that is already sorted
+    /// and deduplicated and whose substitutions all bind the same variables
+    /// in the same order — what the naive matcher produces.
+    fn from_sorted_substs(substs: &[Subst]) -> Self {
+        let vars: Arc<[Var]> = substs[0].iter().map(|(v, _)| v).collect();
+        let mut ids = Vec::with_capacity(substs.len() * vars.len());
+        for subst in substs {
+            debug_assert!(subst.iter().map(|(v, _)| v).eq(vars.iter().copied()));
+            ids.extend(subst.iter().map(|(_, id)| id));
+        }
+        let len = substs.len();
+        SubstRows { vars, ids, len }
+    }
+
+    /// The variables every row binds, in row order.
+    pub fn vars(&self) -> &[Var] {
+        &self.vars
+    }
+
+    /// Number of substitutions.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the list holds no substitution (never the case for a list
+    /// a search returned).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th substitution's e-class ids, parallel to
+    /// [`SubstRows::vars`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn row(&self, i: usize) -> &[Id] {
+        assert!(i < self.len, "row {i} of a list of {}", self.len);
+        let width = self.vars.len();
+        &self.ids[i * width..(i + 1) * width]
+    }
+
+    /// The rows in list order.
+    pub fn rows(&self) -> impl Iterator<Item = &[Id]> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Overwrites `subst` with the `i`-th substitution, reusing its
+    /// buffer: how a loop over the list reads every row through one
+    /// scratch `Subst` ([`Rewrite::apply_while`](crate::Rewrite::apply_while)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn read_into(&self, i: usize, subst: &mut Subst) {
+        subst.vec.clear();
+        subst
+            .vec
+            .extend(self.vars.iter().copied().zip(self.row(i).iter().copied()));
+    }
+
+    /// The `i`-th substitution as an owned [`Subst`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn subst(&self, i: usize) -> Subst {
+        let mut subst = Subst::new();
+        self.read_into(i, &mut subst);
+        subst
+    }
+
+    /// The substitutions in list order, each materialized as an owned
+    /// [`Subst`].
+    pub fn iter(&self) -> impl Iterator<Item = Subst> + '_ {
+        (0..self.len).map(|i| self.subst(i))
+    }
+}
+
 /// All matches of a pattern inside one e-class.
 ///
 /// The `PartialEq` instance is exact (same class id, same substitution
@@ -133,7 +263,7 @@ pub struct SearchMatches {
     /// The e-class in which the pattern root matched.
     pub eclass: Id,
     /// The substitutions (one per distinct way the pattern matched).
-    pub substs: Vec<Subst>,
+    pub substs: SubstRows,
 }
 
 /// A pattern: a term with variables, stored as a [`RecExpr`] of
@@ -159,7 +289,7 @@ pub struct SearchMatches {
 /// let matches = pat.search(&eg);
 /// assert_eq!(matches.len(), 1);
 /// assert_eq!(matches[0].eclass, eg.find(root));
-/// assert_eq!(matches[0].substs[0][Var::new("x")], eg.find(a));
+/// assert_eq!(matches[0].substs.subst(0)[Var::new("x")], eg.find(a));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pattern<L> {
@@ -299,9 +429,9 @@ impl<L: Language> Pattern<L> {
     /// recursive matcher, kept as the oracle for differential tests and
     /// benchmarks. It scans every class (no operator index) and every node
     /// of a class (no range lookup — the only full-class scan left), and
-    /// clones substitution vectors per branch. Unlike [`Pattern::search`] it
-    /// does not assert cleanliness, so tests can exercise dirty-graph
-    /// behaviour.
+    /// clones substitution vectors per branch, converting the list to rows
+    /// at the end. Unlike [`Pattern::search`] it does not assert
+    /// cleanliness, so tests can exercise dirty-graph behaviour.
     pub fn search_naive<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
         let mut out = vec![];
         for class in egraph.classes() {
@@ -321,11 +451,10 @@ impl<L: Language> Pattern<L> {
     ) -> Option<SearchMatches> {
         let eclass = egraph.find(eclass);
         let substs = self.match_in_class(egraph, self.root(), eclass, Subst::new());
-        if substs.is_empty() {
-            None
-        } else {
-            Some(SearchMatches { eclass, substs })
-        }
+        (!substs.is_empty()).then(|| SearchMatches {
+            eclass,
+            substs: SubstRows::from_sorted_substs(&substs),
+        })
     }
 
     fn match_in_class<N: Analysis<L>>(
@@ -497,7 +626,9 @@ mod tests {
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].eclass, eg.find(root));
         assert_eq!(ms[0].substs.len(), 1);
-        assert_eq!(ms[0].substs[0][Var::new("x")], eg.find(a));
+        assert_eq!(ms[0].substs.vars(), [Var::new("x")]);
+        assert_eq!(ms[0].substs.row(0), [eg.find(a)]);
+        assert_eq!(ms[0].substs.subst(0)[Var::new("x")], eg.find(a));
     }
 
     #[test]
@@ -552,8 +683,8 @@ mod tests {
 
         let ms = lhs.search(&eg);
         for m in ms {
-            for s in &m.substs {
-                rhs.apply_one(&mut eg, m.eclass, s);
+            for s in m.substs.iter() {
+                rhs.apply_one(&mut eg, m.eclass, &s);
             }
         }
         eg.rebuild();
@@ -656,6 +787,31 @@ mod tests {
         let b = eg.add(sym("b"));
         eg.union(a, b);
         let _ = mul_by_two_pattern().search_eclass(&eg, a);
+    }
+
+    /// `SubstRows::from_unsorted` on what no search of a clean e-graph
+    /// hands it — duplicate rows — and on the two shapes it does: rows in
+    /// order, rows out of order. A ground pattern's rows are empty and
+    /// collapse to one.
+    #[test]
+    fn subst_rows_are_sorted_and_deduplicated() {
+        let ids = |raw: &[usize]| raw.iter().map(|&i| Id::from(i)).collect::<Vec<Id>>();
+        let vars: Arc<[Var]> = [Var::new("x"), Var::new("y")].into();
+        let in_order = SubstRows::from_unsorted(vars.clone(), &ids(&[1, 2, 1, 3, 2, 0]), 3);
+        assert_eq!(in_order.len(), 3);
+        assert_eq!(in_order.vars(), &*vars);
+        let rows: Vec<&[Id]> = in_order.rows().collect();
+        assert_eq!(rows, [ids(&[1, 2]), ids(&[1, 3]), ids(&[2, 0])]);
+        // Out of order, with a duplicate that is not adjacent.
+        let shuffled = SubstRows::from_unsorted(vars, &ids(&[2, 0, 1, 3, 2, 0, 1, 2]), 4);
+        assert_eq!(shuffled, in_order);
+        assert_eq!(shuffled.subst(2)[Var::new("x")], Id::from(2usize));
+        assert_eq!(shuffled.subst(2)[Var::new("y")], Id::from(0usize));
+
+        let ground = SubstRows::from_unsorted(Arc::from([]), &[], 2);
+        assert_eq!(ground.len(), 1);
+        assert!(ground.row(0).is_empty());
+        assert_eq!(ground.iter().collect::<Vec<_>>(), [Subst::new()]);
     }
 
     #[test]

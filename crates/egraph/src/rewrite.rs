@@ -111,6 +111,11 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     /// 4. instantiates the right-hand side and unions it with the matched
     ///    class ([`Pattern::apply_one`]).
     ///
+    /// A match list stores its substitutions as id rows
+    /// ([`SubstRows`](crate::SubstRows)); the loop reads each into one
+    /// scratch [`Subst`] it reuses, so conditions and `admit` see a
+    /// `&Subst` and no candidate allocates.
+    ///
     /// Returns the number of applications that caused a union and whether
     /// `keep_going` cut the loop short. Does not rebuild.
     pub fn apply_while(
@@ -121,20 +126,22 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         mut admit: impl FnMut(&EGraph<L, N>, Id, &Subst) -> bool,
     ) -> (usize, bool) {
         let mut changed = 0;
+        let mut subst = Subst::new();
         for m in matches {
-            for subst in &m.substs {
+            for i in 0..m.substs.len() {
                 if !keep_going(egraph) {
                     return (changed, true);
                 }
+                m.substs.read_into(i, &mut subst);
                 if let Some(cond) = &self.condition {
-                    if !cond(egraph, m.eclass, subst) {
+                    if !cond(egraph, m.eclass, &subst) {
                         continue;
                     }
                 }
-                if !admit(egraph, m.eclass, subst) {
+                if !admit(egraph, m.eclass, &subst) {
                     continue;
                 }
-                let (_, did) = self.applier.apply_one(egraph, m.eclass, subst);
+                let (_, did) = self.applier.apply_one(egraph, m.eclass, &subst);
                 if did {
                     changed += 1;
                 }

@@ -3,11 +3,12 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 use tensat_egraph::doctest_lang::SimpleMath as Math;
 use tensat_egraph::{
     search_all_guarded_parallel, search_all_guarded_parallel_with_threshold, search_all_parallel,
-    Analysis, AstSize, EGraph, ENodeOrVar, Extractor, Id, Language, Pattern, RecExpr,
-    SearchMatches, Symbol, Var,
+    Analysis, AstSize, EGraph, ENodeOrVar, Extractor, Id, Language, Pattern, RecExpr, Rewrite,
+    SearchMatches, Subst, Symbol, Var,
 };
 
 /// A random expression generator: a sequence of build steps referencing
@@ -108,8 +109,10 @@ fn normalize<N: Analysis<Math>>(eg: &EGraph<Math, N>, matches: &[SearchMatches])
     let mut out: NormalMatches = BTreeMap::new();
     for m in matches {
         let substs = out.entry(eg.find(m.eclass)).or_default();
-        for s in &m.substs {
-            let mut bindings: Vec<(Var, Id)> = s.iter().map(|(v, id)| (v, eg.find(id))).collect();
+        for row in m.substs.rows() {
+            let vars = m.substs.vars().iter().copied();
+            let mut bindings: Vec<(Var, Id)> =
+                vars.zip(row.iter().map(|&id| eg.find(id))).collect();
             bindings.sort();
             substs.insert(bindings);
         }
@@ -270,6 +273,145 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Match lists as id rows
+// ---------------------------------------------------------------------------
+
+/// A random e-graph as the differential tests above build it: an
+/// expression, a few unions, rebuilt.
+fn random_egraph(steps: &[Step], unions: &[(usize, usize)]) -> EGraph<Math, ()> {
+    let mut eg: EGraph<Math, ()> = EGraph::new(());
+    eg.add_expr(&build_expr(steps));
+    eg.rebuild();
+    let class_ids: Vec<Id> = eg.classes().map(|c| c.id).collect();
+    for (a, b) in unions {
+        eg.union(
+            class_ids[a % class_ids.len()],
+            class_ids[b % class_ids.len()],
+        );
+    }
+    eg.rebuild();
+    eg
+}
+
+proptest! {
+    /// A match list stores rows of ids; read back as owned `Subst`s they
+    /// must already be what sorting and deduplicating that `Vec<Subst>`
+    /// gives — the order match lists had when they *were* a `Vec<Subst>`,
+    /// which is the order the apply loop consumes them in. (Which set it
+    /// is, the machine-vs-naive tests pin; a set has one sorted,
+    /// duplicate-free listing.) The machine emits rows in register order
+    /// and stores them in template order, so on classes of many nodes the
+    /// rows of one class arrive out of order — the e-graph is the
+    /// big-class one — and the last pattern is written to make sure: the
+    /// template of `(+ ?v0 (* ?v1 ?v2))` reads ?v1 ?v2 ?v0 while the
+    /// machine binds ?v0 first.
+    #[test]
+    fn rows_read_back_as_a_sorted_deduplicated_subst_list(
+        nodes in prop::collection::vec((0u8..3, any::<usize>(), any::<usize>(), 0usize..3), 280..320),
+        pat_steps in pattern_strategy(12)
+    ) {
+        let eg = big_class_egraph(&nodes);
+        let mut patterns = bind_plan_patterns();
+        patterns.push(("random", build_pattern(&pat_steps)));
+        patterns.push(("disordered", build_pattern(&[
+            PatStep::Var(1),
+            PatStep::Var(2),
+            PatStep::Mul(0, 1),
+            PatStep::Var(0),
+            PatStep::Add(3, 2),
+        ])));
+        let mut emitted_out_of_order = false;
+        for (name, pattern) in &patterns {
+            for m in pattern.search(&eg) {
+                let substs: Vec<Subst> = m.substs.iter().collect();
+                let mut expected = substs.clone();
+                expected.sort();
+                expected.dedup();
+                prop_assert_eq!(&substs, &expected, "{}", name);
+                prop_assert_eq!(m.substs.len(), substs.len());
+                prop_assert!(!m.substs.is_empty());
+                // Every accessor reads the same rows.
+                for (i, subst) in substs.iter().enumerate() {
+                    prop_assert_eq!(&m.substs.subst(i), subst);
+                    let pairs: Vec<(Var, Id)> = m.substs.vars().iter().copied()
+                        .zip(m.substs.row(i).iter().copied())
+                        .collect();
+                    prop_assert_eq!(subst.iter().collect::<Vec<_>>(), pairs);
+                }
+                prop_assert_eq!(m.substs.rows().count(), substs.len());
+                // The machine finds this pattern's rows in ascending ?v0,
+                // the last column: where that column is not ascending in
+                // the list, the rows arrived out of order and were sorted.
+                if *name == "disordered" {
+                    let last: Vec<Id> = m.substs.rows().map(|r| r[2]).collect();
+                    emitted_out_of_order |= last.windows(2).any(|w| w[0] > w[1]);
+                }
+            }
+        }
+        prop_assert!(emitted_out_of_order, "no class needed its rows sorted");
+    }
+
+    /// A ground pattern binds nothing, so its rows are empty — and still
+    /// counted: exactly one per matching class, which the hash-cons makes
+    /// exactly the class of the term.
+    #[test]
+    fn ground_pattern_yields_one_empty_row_per_matching_class(
+        steps in steps_strategy(40),
+        unions in prop::collection::vec((any::<usize>(), any::<usize>()), 0..6),
+        pick in any::<usize>()
+    ) {
+        let eg = random_egraph(&steps, &unions);
+        let class_ids: Vec<Id> = eg.classes().map(|c| c.id).collect();
+        let class = class_ids[pick % class_ids.len()];
+        let pattern = Pattern::from_expr(&eg.id_to_expr(class));
+        let matches = pattern.search(&eg);
+        prop_assert_eq!(matches.len(), 1);
+        prop_assert_eq!(matches[0].eclass, class);
+        prop_assert_eq!(matches[0].substs.len(), 1);
+        prop_assert!(matches[0].substs.vars().is_empty());
+        prop_assert!(matches[0].substs.row(0).is_empty());
+        prop_assert_eq!(matches[0].substs.iter().collect::<Vec<_>>(), vec![Subst::new()]);
+        prop_assert_eq!(normalize(&eg, &matches), normalize(&eg, &pattern.search_naive(&eg)));
+    }
+
+    /// `Rewrite::apply_while` reads every row into one scratch `Subst`. A
+    /// condition that records what it is shown (and refuses, so nothing is
+    /// applied) must see exactly the list's substitutions, class by class,
+    /// in list order: the refill neither skips nor repeats a row, and
+    /// leaves nothing of the previous row behind.
+    #[test]
+    fn apply_while_shows_the_condition_every_row_in_order(
+        steps in steps_strategy(40),
+        pat_steps in pattern_strategy(12),
+        unions in prop::collection::vec((any::<usize>(), any::<usize>()), 0..6)
+    ) {
+        let mut eg = random_egraph(&steps, &unions);
+        let pattern = build_pattern(&pat_steps);
+        let matches = pattern.search(&eg);
+        let expected: Vec<(Id, Subst)> = matches
+            .iter()
+            .flat_map(|m| m.substs.iter().map(move |s| (m.eclass, s)))
+            .collect();
+
+        let shown: Arc<Mutex<Vec<(Id, Subst)>>> = Arc::default();
+        let record = shown.clone();
+        let rewrite: Rewrite<Math, ()> = Rewrite::new_conditional(
+            "record-and-refuse",
+            pattern.clone(),
+            pattern,
+            Arc::new(move |_, eclass, subst| {
+                record.lock().unwrap().push((eclass, subst.clone()));
+                false
+            }),
+        );
+        let nodes_before = eg.total_number_of_nodes();
+        prop_assert_eq!(rewrite.apply(&mut eg, &matches), 0);
+        prop_assert_eq!(eg.total_number_of_nodes(), nodes_before);
+        prop_assert_eq!(&*shown.lock().unwrap(), &expected);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Big classes: the range lookup inside `Bind`
 // ---------------------------------------------------------------------------
 
@@ -320,6 +462,36 @@ fn bind_plan_patterns() -> Vec<(&'static str, Pattern<Math>)> {
         .collect()
 }
 
+/// Random binary nodes over a few leaves, unioned into three classes (and
+/// taking those classes as operands): `(operator, operand, operand, class
+/// to join)` per node.
+fn big_class_egraph(nodes: &[(u8, usize, usize, usize)]) -> EGraph<Math, ()> {
+    let mut eg: EGraph<Math, ()> = EGraph::new(());
+    let mut operands: Vec<Id> = (0..4)
+        .map(|s| eg.add(Math::Sym(Symbol::new(format!("s{s}")))))
+        .collect();
+    operands.extend((0..3).map(|n| eg.add(Math::Num(n))));
+    // The three big classes start as `(+ s0 1)`, `(* s1 s0)`, `(/ s2 s3)`
+    // — the first two are what the ground patterns look for.
+    let bigs = [
+        eg.add(Math::Add([operands[0], operands[5]])),
+        eg.add(Math::Mul([operands[1], operands[0]])),
+        eg.add(Math::Div([operands[2], operands[3]])),
+    ];
+    operands.extend(bigs);
+    for &(op, a, b, into) in nodes {
+        let children = [operands[a % operands.len()], operands[b % operands.len()]];
+        let id = eg.add(match op {
+            0 => Math::Add(children),
+            1 => Math::Mul(children),
+            _ => Math::Div(children),
+        });
+        eg.union(bigs[into], id);
+    }
+    eg.rebuild();
+    eg
+}
+
 proptest! {
     /// The range lookup only does work a scan would not once classes are
     /// big, and `steps_strategy(40)` rarely builds one above a handful of
@@ -337,27 +509,7 @@ proptest! {
         filter_picks in prop::collection::vec(any::<usize>(), 0..12),
         n_threads in 2usize..=8
     ) {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let mut operands: Vec<Id> = (0..4).map(|s| eg.add(Math::Sym(Symbol::new(format!("s{s}"))))).collect();
-        operands.extend((0..3).map(|n| eg.add(Math::Num(n))));
-        // The three big classes start as `(+ s0 1)`, `(* s1 s0)`, `(/ s2 s3)`
-        // — the first two are what the ground patterns look for.
-        let bigs = [
-            eg.add(Math::Add([operands[0], operands[5]])),
-            eg.add(Math::Mul([operands[1], operands[0]])),
-            eg.add(Math::Div([operands[2], operands[3]])),
-        ];
-        operands.extend(bigs);
-        for (op, a, b, into) in nodes {
-            let children = [operands[a % operands.len()], operands[b % operands.len()]];
-            let id = eg.add(match op {
-                0 => Math::Add(children),
-                1 => Math::Mul(children),
-                _ => Math::Div(children),
-            });
-            eg.union(bigs[into], id);
-        }
-        eg.rebuild();
+        let mut eg = big_class_egraph(&nodes);
         let largest = eg.classes().map(|c| c.len()).max().unwrap_or(0);
         prop_assert!(largest >= 64, "largest class holds only {} nodes", largest);
         let all_nodes: Vec<Math> = eg.classes().flat_map(|c| c.iter().cloned()).collect();
@@ -594,10 +746,10 @@ fn normalize_by_index(
     let mut out: IndexedMatches = BTreeMap::new();
     for m in matches {
         let substs = out.entry(class_key(eg, ids, m.eclass)).or_default();
-        for s in &m.substs {
-            let mut bindings: Vec<(Var, Vec<usize>)> = s
-                .iter()
-                .map(|(v, id)| (v, class_key(eg, ids, id)))
+        for row in m.substs.rows() {
+            let vars = m.substs.vars().iter().copied();
+            let mut bindings: Vec<(Var, Vec<usize>)> = vars
+                .zip(row.iter().map(|&id| class_key(eg, ids, id)))
                 .collect();
             bindings.sort();
             substs.insert(bindings);

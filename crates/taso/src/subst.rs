@@ -42,7 +42,7 @@ pub fn find_substitutions(graph: &RecExpr<TensorLang>, rules: &[TensorRewrite]) 
     let mut out = vec![];
     for (rule_index, rule) in rules.iter().enumerate() {
         for m in rule.search(&egraph) {
-            for subst in m.substs {
+            for subst in m.substs.iter() {
                 if let Some(cond) = &rule.condition {
                     if !cond(&egraph, m.eclass, &subst) {
                         continue;
