@@ -4,8 +4,8 @@
 //! On every BENCHMARKS model, the compiled machine search equals the
 //! legacy recursive oracle (`Pattern::search_naive`) for every rule on the
 //! explored e-graph, and the storage passes the exhaustive invariant
-//! validator ([`tensat_egraph::EGraph::check_invariants`]) — also after the
-//! generic [`Runner`] saturates a model with the single-pattern rules. A
+//! validator ([`tensat_egraph::EGraph::check_invariants`]) — also after
+//! exploration saturates a model with the single-pattern rules. A
 //! second case repeats the machine-vs-oracle check, for every rule, on the
 //! one model whose classes grow to hundreds of nodes (NasNet-A at
 //! `blocks: 4`) — where the machine's range lookup inside `Bind` visits a
@@ -16,8 +16,8 @@
 //! the `bench_report` bin.)
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
-use tensat_egraph::{Id, Runner, SearchMatches, StopReason, Var};
+use tensat_core::{CycleFilter, ExplorationConfig, StopReason};
+use tensat_egraph::{Id, SearchMatches, Var};
 use tensat_ir::{TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::single_rules;
@@ -57,7 +57,7 @@ fn machine_equals_naive_oracle_on_every_benchmark_model() {
             root,
             &rules,
             &[],
-            &tensat_core::ExplorationConfig {
+            &ExplorationConfig {
                 max_iter: 1,
                 node_limit: 5_000,
                 search_threads: 1,
@@ -76,17 +76,32 @@ fn machine_equals_naive_oracle_on_every_benchmark_model() {
             );
         }
     }
-    // The generic `Runner` loop drives the same storage to saturation on
-    // real models (a subset keeps this inside the suite's time budget).
+    // The exploration loop drives the same storage to saturation on real
+    // models (a subset keeps this inside the suite's time budget).
     for name in ["NasRNN", "BERT", "SqueezeNet"] {
         let graph = build_benchmark(name, ModelScale::tiny());
-        let mut runner = Runner::new(TensorAnalysis)
-            .with_expr(&graph)
-            .with_iter_limit(8)
-            .with_node_limit(20_000)
-            .with_time_limit(Duration::from_secs(60));
-        assert_eq!(runner.run(&rules), StopReason::Saturated, "model {name}");
-        runner.egraph.check_invariants();
+        let mut eg = TensorEGraph::new(TensorAnalysis);
+        let root = eg.add_expr(&graph);
+        eg.rebuild();
+        let stats = tensat_core::explore(
+            &mut eg,
+            root,
+            &rules,
+            &[],
+            &ExplorationConfig {
+                max_iter: 8,
+                node_limit: 20_000,
+                cycle_filter: CycleFilter::Off,
+                search_threads: 1,
+                ..Default::default()
+            },
+        );
+        assert_eq!(
+            stats.stop_reason,
+            Some(StopReason::Saturated),
+            "model {name}"
+        );
+        eg.check_invariants();
     }
 }
 

@@ -25,16 +25,19 @@
 //!    e-graph;
 //! 5. **Budget semantics** — the node limit is asked before every
 //!    application (the overshoot is one right-hand side), and a zero time
-//!    limit halts exploration before the first iteration.
+//!    limit halts exploration before the first iteration;
+//! 6. **Thread determinism** — `search_threads` 1 and 4 give the same
+//!    trajectory on a fixture whose search batches the driver really
+//!    shards (the test checks that itself).
 
 use proptest::prelude::*;
 use std::time::Duration;
 use tensat_core::explore::legacy::explore_monolithic;
 use tensat_core::{
     explore, extract_greedy, extract_greedy_dag, ExplorationConfig, ExplorationMode,
-    ExplorationStats,
+    ExplorationStats, StopReason,
 };
-use tensat_egraph::{Id, RecExpr, SearchMatches, StopReason};
+use tensat_egraph::{Id, RecExpr, SearchMatches, PARALLEL_SEARCH_SPAWN_THRESHOLD};
 use tensat_ir::{CostModel, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
@@ -398,6 +401,59 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
         }
     }
     assert_eq!(total_enodes, 13_662);
+}
+
+/// Property 6: sharded search must not change an exploration outcome —
+/// match lists are bit-identical at every thread count, so every
+/// downstream decision (conditions, cycle filtering, application order)
+/// is too. BERT at the harness scale is the fixture because its
+/// single-rule search batch passes `PARALLEL_SEARCH_SPAWN_THRESHOLD`,
+/// below which the driver runs sequentially whatever `search_threads`
+/// says; the test checks that on the e-graph the last iteration searched,
+/// so it cannot go stale silently.
+#[test]
+fn exploration_is_bit_identical_at_1_and_4_search_threads() {
+    let singles = single_rules();
+    let multis = multi_rules();
+    let graph = build_benchmark("BERT", tensat_bench::harness_scale());
+    let run = |search_threads: usize, max_iter: usize| {
+        let (mut eg, root) = seeded(&graph);
+        let config = ExplorationConfig {
+            max_iter,
+            search_threads,
+            ..saturate_config(5_000)
+        };
+        let stats = explore(&mut eg, root, &singles, &multis, &config);
+        (eg, stats)
+    };
+    let observed = |(eg, stats): &(TensorEGraph, ExplorationStats)| {
+        (
+            stats.iterations,
+            stats.nodes_per_iteration.clone(),
+            eg.total_number_of_nodes(),
+            eg.number_of_classes(),
+            eg.union_count(),
+            stats.filtered_nodes,
+            stats.stop_reason.clone(),
+        )
+    };
+    let sequential = run(1, 15);
+    assert_eq!(observed(&sequential), observed(&run(4, 15)));
+
+    // The candidate classes the single-pattern rules present to the search
+    // driver on the e-graph the last iteration started from.
+    let (searched, _) = run(1, sequential.1.iterations - 1);
+    let batch: usize = singles
+        .iter()
+        .map(|rw| match rw.searcher.program().root_op() {
+            Some(op) => searched.classes_with_op(op).len(),
+            None => searched.number_of_classes(),
+        })
+        .sum();
+    assert!(
+        batch >= PARALLEL_SEARCH_SPAWN_THRESHOLD,
+        "the fixture no longer reaches the sharded driver: {batch} candidates"
+    );
 }
 
 /// Property 2: three guided runs from the same seed are bit-identical —

@@ -10,13 +10,13 @@
 
 use super::{
     canonicalize_pattern, decanonicalize_subst, merge_substs, substs_equal_canonical, CycleFilter,
-    ExplorationConfig, ExplorationStats, MultiRuleCompiled,
+    ExplorationConfig, ExplorationStats, MultiRuleCompiled, StopReason,
 };
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use tensat_egraph::{search_all_parallel, Id, Pattern, SearchMatches, StopReason, Subst};
+use tensat_egraph::{search_all_parallel, Id, Pattern, SearchMatches, Subst};
 use tensat_ir::{TensorEGraph, TensorLang};
 use tensat_rules::{pattern_data, MultiPatternRule, TensorRewrite};
 
@@ -226,9 +226,9 @@ impl<'a> ExplorationContext<'a> {
                     egraph,
                     mrule,
                     &multi_flat,
-                    config,
+                    config.cycle_filter,
                     desc.as_ref(),
-                    self.start,
+                    &within_budget,
                 );
                 if self.over_budget(egraph) {
                     break;
@@ -325,10 +325,10 @@ impl<'a> ExplorationContext<'a> {
 
     /// Applies one multi-pattern rule's Cartesian combinations to a
     /// candidate state under a hard node budget (same contract as
-    /// [`ExplorationContext::apply_single_budgeted`]): the entry check of
-    /// the Cartesian recursion runs against a node limit lowered by the
-    /// rule's total target size, so no application can push the state past
-    /// `budget`. `multi_matches` is indexed by unique canonical source, as
+    /// [`ExplorationContext::apply_single_budgeted`]): a combination is
+    /// attempted only while the e-graph plus the rule's total target size
+    /// stays within `budget`, so no application can push the state past
+    /// it. `multi_matches` is indexed by unique canonical source, as
     /// returned by [`ExplorationContext::search_state`].
     pub fn apply_multi_budgeted(
         &self,
@@ -341,21 +341,22 @@ impl<'a> ExplorationContext<'a> {
         let mrule = &self.compiled[rule_index];
         let headroom: usize = mrule.rule.dsts.iter().map(|d| d.ast.len()).sum();
         if headroom > budget {
+            // No combination fits: nothing to snapshot, apply or seal.
             return;
         }
-        // `cartesian` refuses to apply once `nodes >= node_limit`, so with
-        // `node_limit = budget - headroom + 1` every application starts at
-        // `nodes <= budget - headroom` and ends at most at `budget`.
-        let capped = ExplorationConfig {
-            node_limit: budget - headroom + 1,
-            ..self.config.clone()
-        };
         let desc = self.prefilter_map(egraph, stats);
         let flat: Vec<Vec<(Id, Subst)>> = multi_matches
             .iter()
             .map(|ms| flatten_matches(ms).collect())
             .collect();
-        apply_multi_rule(egraph, mrule, &flat, &capped, desc.as_ref(), self.start);
+        // Asked before every combination, and one combination adds at most
+        // `headroom` nodes — so the budget stays hard.
+        let keep_going = |egraph: &TensorEGraph| {
+            egraph.total_number_of_nodes() + headroom <= budget
+                && self.elapsed() < self.config.time_limit
+        };
+        let filter = self.config.cycle_filter;
+        apply_multi_rule(egraph, mrule, &flat, filter, desc.as_ref(), &keep_going);
         record_prefilter(desc.as_ref(), stats);
         self.seal_state(egraph);
     }
@@ -456,9 +457,9 @@ fn apply_multi_rule(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
     all_matches: &[Vec<(Id, Subst)>],
-    config: &ExplorationConfig,
+    filter: CycleFilter,
     desc: Option<&DescendantsMap>,
-    start: Instant,
+    keep_going: &impl Fn(&TensorEGraph) -> bool,
 ) {
     // Decanonicalized flat match lists per source pattern.
     let per_src: Vec<Vec<(Id, Subst)>> = mrule
@@ -476,28 +477,33 @@ fn apply_multi_rule(
     // All current rules have exactly two sources; the generic recursion
     // handles more.
     let mut combo: Vec<(Id, Subst)> = Vec::with_capacity(per_src.len());
-    cartesian(egraph, mrule, &per_src, 0, &mut combo, config, desc, start);
+    cartesian(
+        egraph, mrule, &per_src, &mut combo, filter, desc, keep_going,
+    );
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Extends `combo` — one match per source pattern so far — by every match
+/// of the next source, and applies each complete combination. `keep_going`
+/// is asked before every extension, so also right before every
+/// application.
 fn cartesian(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
     per_src: &[Vec<(Id, Subst)>],
-    depth: usize,
     combo: &mut Vec<(Id, Subst)>,
-    config: &ExplorationConfig,
+    filter: CycleFilter,
     desc: Option<&DescendantsMap>,
-    start: Instant,
+    keep_going: &impl Fn(&TensorEGraph) -> bool,
 ) {
-    if egraph.total_number_of_nodes() >= config.node_limit || start.elapsed() >= config.time_limit {
-        return;
-    }
+    let depth = combo.len();
     if depth == per_src.len() {
-        apply_combo(egraph, mrule, combo, config, desc);
+        apply_combo(egraph, mrule, combo, filter, desc);
         return;
     }
     for (eclass, subst) in &per_src[depth] {
+        if !keep_going(egraph) {
+            return;
+        }
         if mrule.rule.skip_identical
             && combo.iter().any(|(c, s)| {
                 egraph.find(*c) == egraph.find(*eclass) && substs_equal_canonical(egraph, s, subst)
@@ -506,20 +512,8 @@ fn cartesian(
             continue;
         }
         combo.push((*eclass, subst.clone()));
-        cartesian(
-            egraph,
-            mrule,
-            per_src,
-            depth + 1,
-            combo,
-            config,
-            desc,
-            start,
-        );
+        cartesian(egraph, mrule, per_src, combo, filter, desc, keep_going);
         combo.pop();
-        if egraph.total_number_of_nodes() >= config.node_limit {
-            return;
-        }
     }
 }
 
@@ -527,7 +521,7 @@ fn apply_combo(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
     combo: &[(Id, Subst)],
-    config: &ExplorationConfig,
+    filter: CycleFilter,
     desc: Option<&DescendantsMap>,
 ) {
     // Check compatibility at shared variables and build the merged binding.
@@ -557,7 +551,7 @@ fn apply_combo(
     }
     // Cycle pre-filtering per target.
     for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
-        if skip_for_cycles(egraph, config.cycle_filter, desc, *matched, dst, &merged) {
+        if skip_for_cycles(egraph, filter, desc, *matched, dst, &merged) {
             return;
         }
     }

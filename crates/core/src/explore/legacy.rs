@@ -21,12 +21,12 @@
 
 use super::{
     canonicalize_pattern, decanonicalize_subst, merge_substs, substs_equal_canonical, CycleFilter,
-    ExplorationConfig, ExplorationStats, MultiRuleCompiled,
+    ExplorationConfig, ExplorationStats, MultiRuleCompiled, StopReason,
 };
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
 use std::collections::HashMap;
 use std::time::Instant;
-use tensat_egraph::{search_all_parallel, Id, Pattern, StopReason, Subst};
+use tensat_egraph::{search_all_parallel, Id, Pattern, Subst};
 use tensat_ir::{TensorEGraph, TensorLang};
 use tensat_rules::{pattern_is_valid, MultiPatternRule, TensorRewrite};
 

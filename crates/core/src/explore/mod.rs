@@ -21,8 +21,8 @@
 //!   trajectory graph back into the e-graph.
 //!
 //! [`explore`] dispatches on [`ExplorationConfig::mode`]
-//! ([`ExplorationMode`]), overridable at runtime via the `TENSAT_EXPLORER`
-//! environment variable (mirroring `TENSAT_EXTRACTOR`).
+//! ([`ExplorationMode`]). A run is a function of the e-graph, the rules and
+//! the configuration: nothing here reads the environment.
 
 mod context;
 mod guided;
@@ -37,7 +37,7 @@ pub use taso::{TasoBacktracking, TasoConfig};
 
 use std::collections::HashMap;
 use std::time::Duration;
-use tensat_egraph::{ENodeOrVar, Id, Pattern, RecExpr, StopReason, Subst, Var};
+use tensat_egraph::{ENodeOrVar, Id, Pattern, RecExpr, Subst, Var};
 use tensat_ir::{CostModel, TensorEGraph, TensorLang};
 use tensat_rules::{MultiPatternRule, TensorRewrite};
 
@@ -75,8 +75,7 @@ pub enum CycleFilter {
 }
 
 /// Which exploration strategy grows the e-graph — the exploration
-/// counterpart of [`ExtractionMode`](crate::ExtractionMode), overridable
-/// at runtime via the `TENSAT_EXPLORER` environment variable.
+/// counterpart of [`ExtractionMode`](crate::ExtractionMode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExplorationMode {
     /// The saturate-all loop (Algorithm 1): apply every rule everywhere,
@@ -91,29 +90,6 @@ pub enum ExplorationMode {
 }
 
 impl ExplorationMode {
-    /// Parses a strategy name as accepted by the `TENSAT_EXPLORER`
-    /// environment variable: `saturate` / `saturation` / `full`,
-    /// `guided` / `beam` / `mcts`, or `taso` / `backtracking`
-    /// (case-insensitive).
-    pub fn from_name(name: &str) -> Option<ExplorationMode> {
-        match name.to_ascii_lowercase().as_str() {
-            "saturate" | "saturation" | "full" => Some(ExplorationMode::Saturate),
-            "guided" | "beam" | "mcts" => Some(ExplorationMode::Guided),
-            "taso" | "backtracking" => Some(ExplorationMode::Taso),
-            _ => None,
-        }
-    }
-
-    /// The exploration mode requested via the `TENSAT_EXPLORER`
-    /// environment variable, if set to a recognized name (surrounding
-    /// whitespace is ignored; an empty value counts as unset). Read
-    /// uncached (like `TENSAT_EXTRACTOR` and `TENSAT_SEARCH_THREADS`) so
-    /// tests and harnesses can vary it per run.
-    pub fn from_env() -> Option<ExplorationMode> {
-        let raw = std::env::var("TENSAT_EXPLORER").ok()?;
-        ExplorationMode::from_name(raw.trim())
-    }
-
     /// The strategy name this mode resolves to at the exploration seam.
     pub fn strategy_name(&self) -> &'static str {
         match self {
@@ -174,9 +150,8 @@ pub struct ExplorationConfig {
 
 impl Default for ExplorationConfig {
     /// The paper's defaults ([`defaults`]): `k_multi = 1`, `k_max = 15`,
-    /// `N_max = 50 000`, saturate-all exploration (unless a
-    /// `TENSAT_EXPLORER` override is set), plus search parallelism from
-    /// [`default_search_threads`].
+    /// `N_max = 50 000`, saturate-all exploration, plus search parallelism
+    /// from [`default_search_threads`].
     fn default() -> Self {
         ExplorationConfig {
             k_multi: defaults::K_MULTI,
@@ -185,7 +160,7 @@ impl Default for ExplorationConfig {
             time_limit: defaults::TIME_LIMIT,
             cycle_filter: CycleFilter::Efficient,
             search_threads: default_search_threads(),
-            mode: ExplorationMode::from_env().unwrap_or(ExplorationMode::Saturate),
+            mode: ExplorationMode::Saturate,
             cost_model: CostModel::default(),
             guided: GuidedConfig::default(),
             taso: TasoConfig::default(),
@@ -204,12 +179,26 @@ impl ExplorationConfig {
     }
 }
 
-/// The default search thread count: the `TENSAT_SEARCH_THREADS` environment
-/// variable when set to a positive integer, otherwise the machine's
-/// available parallelism (falling back to 1 if that cannot be determined).
+/// The default search thread count: the machine's available parallelism
+/// (1 if that cannot be determined). Match lists are bit-identical at
+/// every thread count, so the machine decides how long a run takes, never
+/// what it returns.
 pub fn default_search_threads() -> usize {
-    tensat_egraph::search_threads_from_env()
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Why an exploration run stopped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StopReason {
+    /// No rewrite changed the e-graph: every represented rewriting has been
+    /// found (the fixpoint the paper calls *saturation*).
+    Saturated,
+    /// The configured iteration limit was reached.
+    IterationLimit(usize),
+    /// The configured e-node limit was reached.
+    NodeLimit(usize),
+    /// The configured wall-clock time limit was reached.
+    TimeLimit(Duration),
 }
 
 /// Statistics of one exploration run.
@@ -286,8 +275,7 @@ pub struct ExplorationStats {
 /// optimizer, the benches, and future strategies (e.g. learned policies)
 /// all drive exploration the same way.
 pub trait ExplorationStrategy: std::fmt::Debug {
-    /// Short stable name used in reports and the `TENSAT_EXPLORER`
-    /// environment override.
+    /// Short stable name used in reports.
     fn name(&self) -> &'static str;
 
     /// Grows the e-graph in place under the context's rules and budgets,
@@ -724,33 +712,6 @@ mod tests {
         assert!(!substs_equal_canonical(&eg, &s1, &s4));
     }
 
-    /// Parallel search must not change exploration outcomes: the same graph
-    /// explored with 1 thread and 4 threads produces identical statistics
-    /// (match lists are bit-identical, so every downstream decision —
-    /// conditions, cycle filtering, application order — is too).
-    #[test]
-    fn exploration_is_deterministic_across_thread_counts() {
-        let run = |threads: usize| {
-            let (mut eg, root) = two_matmul_graph();
-            let config = ExplorationConfig {
-                k_multi: 2,
-                max_iter: 4,
-                node_limit: 5_000,
-                search_threads: threads,
-                ..Default::default()
-            };
-            let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
-            (
-                stats.iterations,
-                stats.nodes_per_iteration,
-                eg.total_number_of_nodes(),
-                eg.number_of_classes(),
-                eg.union_count(),
-            )
-        };
-        assert_eq!(run(1), run(4));
-    }
-
     #[test]
     fn node_limit_is_respected() {
         let (mut eg, root) = two_matmul_graph();
@@ -923,20 +884,7 @@ mod tests {
     }
 
     #[test]
-    fn explorer_names_parse_like_the_env_override() {
-        for (name, mode) in [
-            ("saturate", ExplorationMode::Saturate),
-            ("saturation", ExplorationMode::Saturate),
-            ("full", ExplorationMode::Saturate),
-            ("guided", ExplorationMode::Guided),
-            ("beam", ExplorationMode::Guided),
-            ("MCTS", ExplorationMode::Guided),
-            ("taso", ExplorationMode::Taso),
-            ("Backtracking", ExplorationMode::Taso),
-        ] {
-            assert_eq!(ExplorationMode::from_name(name), Some(mode));
-        }
-        assert_eq!(ExplorationMode::from_name("ilp"), None);
+    fn explorer_modes_and_strategies_agree_on_names() {
         assert_eq!(ExplorationMode::Saturate.strategy_name(), "saturate");
         assert_eq!(ExplorationMode::Guided.strategy_name(), "guided");
         assert_eq!(ExplorationMode::Taso.strategy_name(), "taso");

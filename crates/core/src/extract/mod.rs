@@ -101,7 +101,7 @@ pub struct IlpStats {
     pub dominated_pruned: usize,
     /// Candidates removed by incumbent cost-bound pruning: their forced-
     /// closure lower bound exceeds the greedy warm-start value, so they
-    /// appear in no optimum (0 when reduction or the warm start is off).
+    /// appear in no optimum (0 when reduction is off).
     pub bound_pruned: usize,
     /// Classes fixed outside the ILP by single-candidate forcing (0 when
     /// reduction is off).
@@ -322,9 +322,6 @@ pub struct IlpConfig {
     pub integer_topo_vars: bool,
     /// Wall-clock limit for the ILP solver.
     pub time_limit: Duration,
-    /// Seed the solver with the greedy-DAG solution as a warm start (and
-    /// keep it as the incumbent if the solver's budget runs out first).
-    pub warm_start_with_greedy: bool,
     /// Run the problem-reduction pipeline (see the `reduce` module) before
     /// encoding: restrict to the root-reachable subgraph, prune dominated
     /// candidates, fix single-candidate classes transitively, and decompose
@@ -342,7 +339,6 @@ impl Default for IlpConfig {
             cycle_constraints: false,
             integer_topo_vars: false,
             time_limit: Duration::from_secs(60),
-            warm_start_with_greedy: true,
             reduce: true,
         }
     }
@@ -496,11 +492,7 @@ fn extract_ilp_monolithic(
     // Warm start from the greedy-DAG solution: its DAG cost lower-bounds
     // the tree-greedy incumbent the solver used to receive, so the solver
     // starts from a no-worse incumbent.
-    let greedy = if config.warm_start_with_greedy {
-        extract_greedy_dag(egraph, root, model).ok()
-    } else {
-        None
-    };
+    let greedy = extract_greedy_dag(egraph, root, model).ok();
     let hint = greedy.as_ref().map(|greedy| {
         let mut values = vec![0.0; problem.num_vars()];
         // Map the greedy expression's nodes back to (class, canonical node)
@@ -601,11 +593,7 @@ fn extract_ilp_reduced(
     // incumbent upper bound the reduction's cost-bound pruning compares
     // forced-closure lower bounds against, and its selection warm-starts
     // every component's solver.
-    let greedy = if config.warm_start_with_greedy {
-        extract_greedy_dag(egraph, root, model).ok()
-    } else {
-        None
-    };
+    let greedy = extract_greedy_dag(egraph, root, model).ok();
 
     let mut rp = reduce::ExtractionProblem::from_egraph(egraph, root, model)?;
     rp.reduce(greedy.as_ref().map(|g| g.dag_cost))?;
@@ -849,8 +837,7 @@ fn build_selection(
 /// optimizer, the benches, and future strategies (e.g. the MCTS scorer)
 /// all call extraction the same way.
 pub trait ExtractionStrategy: std::fmt::Debug {
-    /// Short stable name used in reports and the `TENSAT_EXTRACTOR`
-    /// environment override.
+    /// Short stable name used in reports.
     fn name(&self) -> &'static str;
 
     /// Extracts the best graph for `root` under this strategy.

@@ -42,7 +42,7 @@ pub use cycles::{find_cycles, remove_all_cycles, would_create_cycle, Descendants
 pub use explore::{
     default_search_threads, explore, explore_with, CycleFilter, ExplorationConfig,
     ExplorationContext, ExplorationMode, ExplorationStats, ExplorationStrategy, Guided,
-    GuidedConfig, Saturate, TasoBacktracking, TasoConfig,
+    GuidedConfig, Saturate, StopReason, TasoBacktracking, TasoConfig,
 };
 pub use extract::{
     extract_greedy, extract_greedy_dag, extract_ilp, DagCost, ExtractError, ExtractionOutcome,

@@ -56,28 +56,6 @@ pub enum ExtractionMode {
 }
 
 impl ExtractionMode {
-    /// Parses a strategy name as accepted by the `TENSAT_EXTRACTOR`
-    /// environment variable: `greedy` / `tree` / `tree-greedy`,
-    /// `dag` / `greedy-dag`, or `ilp` (case-insensitive).
-    pub fn from_name(name: &str) -> Option<ExtractionMode> {
-        match name.to_ascii_lowercase().as_str() {
-            "greedy" | "tree" | "tree-greedy" => Some(ExtractionMode::Greedy),
-            "dag" | "greedy-dag" => Some(ExtractionMode::GreedyDag),
-            "ilp" => Some(ExtractionMode::Ilp),
-            _ => None,
-        }
-    }
-
-    /// The extraction mode requested via the `TENSAT_EXTRACTOR` environment
-    /// variable, if set to a recognized name (surrounding whitespace is
-    /// ignored; an empty value counts as unset). Read uncached (like
-    /// `TENSAT_EXPLORER` and `TENSAT_SEARCH_THREADS`) so tests and
-    /// harnesses can vary it per run.
-    pub fn from_env() -> Option<ExtractionMode> {
-        let raw = std::env::var("TENSAT_EXTRACTOR").ok()?;
-        ExtractionMode::from_name(raw.trim())
-    }
-
     /// The strategy name this mode resolves to at the extraction seam.
     pub fn strategy_name(&self) -> &'static str {
         match self {
@@ -140,11 +118,11 @@ pub struct OptimizerConfig {
 }
 
 impl Default for OptimizerConfig {
-    /// Paper defaults (the exploration limits come from the one source of
-    /// truth, [`defaults`]), except that
-    /// `TENSAT_EXTRACTOR` / `TENSAT_EXPLORER` environment overrides (see
-    /// [`ExtractionMode::from_env`] and [`ExplorationMode::from_env`])
-    /// replace the default ILP extraction / saturate exploration when set.
+    /// Paper defaults — saturate-all exploration, ILP extraction, the
+    /// exploration limits from the one source of truth, [`defaults`] — plus
+    /// [`default_search_threads`]. Nothing is read from the environment:
+    /// what [`Optimizer::optimize`] returns is a function of the graph, the
+    /// rules and this configuration.
     fn default() -> Self {
         OptimizerConfig {
             k_multi: defaults::K_MULTI,
@@ -154,10 +132,10 @@ impl Default for OptimizerConfig {
             cycle_filter: CycleFilter::Efficient,
             search_threads: default_search_threads(),
             apply_threads: None,
-            exploration: ExplorationMode::from_env().unwrap_or(ExplorationMode::Saturate),
+            exploration: ExplorationMode::Saturate,
             guided: GuidedConfig::default(),
             taso: TasoConfig::default(),
-            extraction: ExtractionMode::from_env().unwrap_or(ExtractionMode::Ilp),
+            extraction: ExtractionMode::Ilp,
             ilp_cycle_constraints: false,
             ilp_integer_topo_vars: false,
             ilp_time_limit: Duration::from_secs(60),
@@ -454,18 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn extractor_names_parse_like_the_env_override() {
-        for (name, mode) in [
-            ("greedy", ExtractionMode::Greedy),
-            ("tree", ExtractionMode::Greedy),
-            ("tree-greedy", ExtractionMode::Greedy),
-            ("dag", ExtractionMode::GreedyDag),
-            ("GREEDY-DAG", ExtractionMode::GreedyDag),
-            ("ilp", ExtractionMode::Ilp),
-        ] {
-            assert_eq!(ExtractionMode::from_name(name), Some(mode));
-        }
-        assert_eq!(ExtractionMode::from_name("beam"), None);
+    fn extraction_modes_have_stable_strategy_names() {
         assert_eq!(ExtractionMode::Greedy.strategy_name(), "tree-greedy");
         assert_eq!(ExtractionMode::GreedyDag.strategy_name(), "greedy-dag");
         assert_eq!(ExtractionMode::Ilp.strategy_name(), "ilp");

@@ -27,9 +27,10 @@
 //!   bit-identical results. Matching is purely structural; a rule's
 //!   semantic side condition ([`Condition`]) runs when a match is applied,
 //!   by the one in-place apply loop ([`Rewrite::apply_while`]), against
-//!   the e-graph every earlier application of the batch left.
-//! * [`Runner`] — equality saturation with iteration / node / time limits
-//!   and saturation detection.
+//!   the e-graph every earlier application of the batch left. The
+//!   saturation loop over these primitives — search, apply, [`EGraph::rebuild`]
+//!   — and its limits live in `tensat-core`'s exploration context; this
+//!   crate has none.
 //! * [`Extractor`] / [`DagExtractor`] — tree-greedy and global greedy DAG
 //!   extraction with pluggable cost functions ([`CostFunction`] /
 //!   [`DagCostFunction`]).
@@ -66,7 +67,6 @@ mod machine;
 mod pattern;
 mod recexpr;
 mod rewrite;
-mod runner;
 mod unionfind;
 
 pub use analysis::{merge_max, Analysis, DidMerge};
@@ -82,7 +82,6 @@ pub use machine::{
 pub use pattern::{search_all_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, SubstRows, Var};
 pub use recexpr::RecExpr;
 pub use rewrite::{Condition, Rewrite};
-pub use runner::{search_threads_from_env, Iteration, Runner, StopReason};
 pub use unionfind::UnionFind;
 
 /// A tiny arithmetic language exported solely so that doc examples across

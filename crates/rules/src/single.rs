@@ -209,18 +209,29 @@ pub fn single_rules() -> Vec<TensorRewrite> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tensat_egraph::{AstSize, Extractor, Runner};
+    use tensat_egraph::{AstSize, Extractor};
     use tensat_ir::{CostModel, GraphBuilder, TensorEGraph};
 
+    /// Up to 10 rounds of search every rule, apply every match list,
+    /// rebuild — stopping early once a round applies nothing.
     fn saturate(expr: &tensat_egraph::RecExpr<TensorLang>) -> (TensorEGraph, tensat_egraph::Id) {
-        let mut runner = Runner::new(TensorAnalysis)
-            .with_expr(expr)
-            .with_iter_limit(10)
-            .with_node_limit(50_000)
-            .with_time_limit(std::time::Duration::from_secs(10));
-        runner.run(&single_rules());
-        let root = runner.roots[0];
-        (runner.egraph, root)
+        let rules = single_rules();
+        let mut egraph = TensorEGraph::new(TensorAnalysis);
+        let root = egraph.add_expr(expr);
+        egraph.rebuild();
+        for _ in 0..10 {
+            let matches: Vec<_> = rules.iter().map(|rw| rw.search(&egraph)).collect();
+            let applied: usize = rules
+                .iter()
+                .zip(&matches)
+                .map(|(rw, ms)| rw.apply(&mut egraph, ms))
+                .sum();
+            egraph.rebuild();
+            if applied == 0 {
+                break;
+            }
+        }
+        (egraph, root)
     }
 
     #[test]

@@ -49,10 +49,10 @@ pub mod prelude {
         explore, explore_with, extract_greedy, extract_greedy_dag, extract_ilp, CycleFilter,
         ExplorationConfig, ExplorationMode, ExplorationStrategy, ExtractionMode, ExtractionOutcome,
         ExtractionStrategy, GreedyDag, Guided, GuidedConfig, IlpConfig, IlpExtraction,
-        OptimizationResult, Optimizer, OptimizerConfig, Saturate, TasoBacktracking, TasoConfig,
-        TreeGreedy,
+        OptimizationResult, Optimizer, OptimizerConfig, Saturate, StopReason, TasoBacktracking,
+        TasoConfig, TreeGreedy,
     };
-    pub use tensat_egraph::{EGraph, Id, Pattern, RecExpr, Rewrite, Runner, Symbol};
+    pub use tensat_egraph::{EGraph, Id, Pattern, RecExpr, Rewrite, Symbol};
     pub use tensat_ir::{
         Activation, Cost, CostModel, GraphBuilder, Padding, TensorAnalysis, TensorEGraph,
         TensorLang,

@@ -13,7 +13,7 @@ use tensat::prelude::*;
 #[test]
 fn phase_ordering_motivating_example() {
     use tensat::egraph::doctest_lang::SimpleMath as Math;
-    use tensat::egraph::{AstSize, ENodeOrVar, Extractor, Pattern, RecExpr, Rewrite, Runner, Var};
+    use tensat::egraph::{AstSize, EGraph, ENodeOrVar, Extractor, Pattern, RecExpr, Rewrite, Var};
 
     let pat = |build: &dyn Fn(&mut RecExpr<ENodeOrVar<Math>>)| {
         let mut ast = RecExpr::default();
@@ -53,11 +53,24 @@ fn phase_ordering_motivating_example() {
     let two = start.add(Math::Num(2));
     let m = start.add(Math::Mul([a, two]));
     start.add(Math::Div([m, two]));
-    let mut runner = Runner::new(()).with_expr(&start);
-    runner.run(&rules);
-    let (cost, best) = Extractor::new(&runner.egraph, AstSize)
-        .find_best(runner.roots[0])
-        .unwrap();
+    let mut egraph = EGraph::new(());
+    let root = egraph.add_expr(&start);
+    egraph.rebuild();
+    // Saturate: search every rule, apply every match list, rebuild, until
+    // a round applies nothing.
+    loop {
+        let matches: Vec<_> = rules.iter().map(|rw| rw.search(&egraph)).collect();
+        let applied: usize = rules
+            .iter()
+            .zip(&matches)
+            .map(|(rw, ms)| rw.apply(&mut egraph, ms))
+            .sum();
+        egraph.rebuild();
+        if applied == 0 {
+            break;
+        }
+    }
+    let (cost, best) = Extractor::new(&egraph, AstSize).find_best(root).unwrap();
     assert_eq!((cost, best.to_string().as_str()), (1, "a"));
 }
 
