@@ -1,7 +1,6 @@
-//! `bench-report`: runs the `ematch_*` pure-search micro-benchmarks (the
-//! same workload as `benches/egraph.rs`, without the criterion harness)
-//! and emits a machine-readable `BENCH_egraph.json` so CI can archive the
-//! perf trajectory across PRs.
+//! `bench-report`: times pure e-matching search, extraction and
+//! exploration on grown benchmark e-graphs and emits a machine-readable
+//! `BENCH_egraph.json` so CI can archive the perf trajectory across PRs.
 //!
 //! For each benchmark model the e-graph is grown by two exploration
 //! iterations (classes hold multiple nodes, as during saturation), then
@@ -15,8 +14,8 @@
 //!
 //! The JSON records the best-of-rounds nanoseconds per full-rule-set
 //! search, per model and variant. A per-model `extraction` section runs
-//! the three extraction strategies (tree-greedy, greedy-DAG, ILP) once on
-//! the same grown e-graph and records each strategy's extraction time and
+//! the three extractors (tree-greedy, greedy-DAG, ILP) once on
+//! the same grown e-graph and records each one's extraction time and
 //! the DAG/tree cost of its result, so the greedy/ILP quality gap is
 //! tracked across PRs alongside the search numbers.
 //!
@@ -48,15 +47,15 @@
 use std::io::Write;
 use std::time::Instant;
 use tensat_core::{
-    explore, extract_greedy_dag, DagCost, ExplorationConfig, ExplorationMode, ExtractionStrategy,
-    GreedyDag, IlpExtraction, TreeCost, TreeGreedy,
+    explore, extract, extract_greedy_dag, DagCost, ExplorationConfig, ExplorationMode,
+    ExtractionMode, IlpConfig, TreeCost,
 };
 use tensat_egraph::{DagExtractor, Extractor, Id};
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale};
 use tensat_rules::{single_rules, TensorRewrite};
 
-/// Models measured; mirrors `benches/egraph.rs`'s model benches.
+/// Models measured.
 const MODELS: &[&str] = &["BERT", "ResNeXt-50"];
 
 /// Interleaved measurement rounds per variant. Variants are sampled
@@ -262,10 +261,11 @@ fn main() {
     out.push_str("  \"models\": [\n");
 
     let cost_model = CostModel::default();
-    let strategies: [Box<dyn ExtractionStrategy>; 3] = [
-        Box::new(TreeGreedy),
-        Box::new(GreedyDag),
-        Box::new(IlpExtraction::default()),
+    // Each extractor with the key its numbers are archived under.
+    let extractors = [
+        (ExtractionMode::Greedy, "tree-greedy"),
+        (ExtractionMode::GreedyDag, "greedy-dag"),
+        (ExtractionMode::Ilp, "ilp"),
     ];
 
     for (mi, model) in MODELS.iter().enumerate() {
@@ -323,20 +323,16 @@ fn main() {
             ));
         }
         out.push_str("      },\n      \"extraction\": {\n");
-        for (si, strategy) in strategies.iter().enumerate() {
-            let outcome = strategy
-                .extract(&eg, root, &cost_model)
-                .unwrap_or_else(|e| {
-                    panic!("{} extraction failed on {model}: {e}", strategy.name())
-                });
+        for (si, &(mode, extractor)) in extractors.iter().enumerate() {
+            let outcome = extract(mode, &eg, root, &cost_model, &IlpConfig::default())
+                .unwrap_or_else(|e| panic!("{extractor} extraction failed on {model}: {e}"));
             eprintln!(
-                "[bench-report] {model}: {} extracted in {:.3}s (DAG {:.2} µs, tree {:.2} µs)",
-                strategy.name(),
+                "[bench-report] {model}: {extractor} extracted in {:.3}s (DAG {:.2} µs, tree {:.2} µs)",
                 outcome.time.as_secs_f64(),
                 outcome.dag_cost,
                 outcome.tree_cost,
             );
-            // The ILP strategy additionally reports the solve itself: the
+            // The ILP outcome additionally reports the solve itself: the
             // problem size before/after the reduction pipeline, what each
             // reduction pass removed, and the solver effort — the numbers
             // the ≥10x extraction-speed target is judged on across PRs.
@@ -378,13 +374,12 @@ fn main() {
                 )
             });
             out.push_str(&format!(
-                "        \"{}\": {{ \"time_s\": {:.4}, \"dag_cost_us\": {:.3}, \"tree_cost_us\": {:.3}{} }}{}\n",
-                strategy.name(),
+                "        \"{extractor}\": {{ \"time_s\": {:.4}, \"dag_cost_us\": {:.3}, \"tree_cost_us\": {:.3}{} }}{}\n",
                 outcome.time.as_secs_f64(),
                 outcome.dag_cost,
                 outcome.tree_cost,
                 ilp_stats.as_deref().unwrap_or(""),
-                if si + 1 < strategies.len() { "," } else { "" }
+                if si + 1 < extractors.len() { "," } else { "" }
             ));
         }
         // Per-strategy exploration: each strategy grows a fresh seed of

@@ -2,17 +2,14 @@
 //! strategies — tree-greedy, global greedy DAG, and ILP — on every
 //! benchmark model (k_multi = 1).
 //!
-//! Each model is explored **once**; the three strategies then extract from
-//! the same e-graph through the [`ExtractionStrategy`] seam, so the table
-//! isolates extraction quality from exploration noise. For every strategy
+//! Each model is explored **once**; the three extractors then run on the
+//! same e-graph through [`extract()`], so the table isolates extraction
+//! quality from exploration noise. For every extractor
 //! we report the honest DAG cost (each e-node charged once), the tree cost
 //! (shared subgraphs charged per use), and the extraction wall-clock time.
 
 use tensat_bench::{harness_scale, write_csv};
-use tensat_core::{
-    explore, CycleFilter, ExplorationConfig, ExtractionStrategy, GreedyDag, IlpExtraction,
-    TreeGreedy,
-};
+use tensat_core::{explore, extract, CycleFilter, ExplorationConfig, ExtractionMode, IlpConfig};
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph};
 use tensat_models::BENCHMARKS;
 use tensat_rules::{multi_rules, single_rules};
@@ -24,10 +21,10 @@ fn main() {
         "model", "original", "tree", "greedy-dag", "ilp", "t_tree", "t_dag", "t_ilp"
     );
     let model = CostModel::default();
-    let strategies: [Box<dyn ExtractionStrategy>; 3] = [
-        Box::new(TreeGreedy),
-        Box::new(GreedyDag),
-        Box::new(IlpExtraction::default()),
+    let modes = [
+        ExtractionMode::Greedy,
+        ExtractionMode::GreedyDag,
+        ExtractionMode::Ilp,
     ];
     let mut rows = vec![];
     for &name in BENCHMARKS {
@@ -52,13 +49,10 @@ fn main() {
             },
         );
 
-        let outcomes: Vec<_> = strategies
-            .iter()
-            .map(|s| {
-                s.extract(&eg, root, &model)
-                    .unwrap_or_else(|e| panic!("{} extraction failed on {name}: {e}", s.name()))
-            })
-            .collect();
+        let outcomes = modes.map(|mode| {
+            extract(mode, &eg, root, &model, &IlpConfig::default())
+                .unwrap_or_else(|e| panic!("{mode:?} extraction failed on {name}: {e}"))
+        });
         let ilp_status = outcomes[2]
             .ilp
             .as_ref()

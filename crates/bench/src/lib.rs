@@ -1,9 +1,9 @@
 //! # tensat-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see `src/bin/`), plus Criterion micro-benchmarks of the
-//! substrates (`benches/`). This library crate holds the shared plumbing:
-//! benchmark configuration, result rows, and CSV/console reporting.
+//! evaluation, plus `bench_report` (see `src/bin/`). This library crate
+//! holds the shared plumbing: benchmark configuration, result rows, and
+//! CSV/console reporting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

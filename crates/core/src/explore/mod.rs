@@ -1,8 +1,7 @@
 //! The exploration phase (paper §4) behind one seam: an
 //! [`ExplorationStrategy`] trait over a shared [`ExplorationContext`]
 //! holding the compiled single/multi rule programs, cycle filter, and
-//! budget accounting — exactly parallel to the extraction
-//! crate's [`ExtractionStrategy`](crate::ExtractionStrategy) seam.
+//! budget accounting.
 //!
 //! Three strategies ship through the seam:
 //!
@@ -90,15 +89,6 @@ pub enum ExplorationMode {
 }
 
 impl ExplorationMode {
-    /// The strategy name this mode resolves to at the exploration seam.
-    pub fn strategy_name(&self) -> &'static str {
-        match self {
-            ExplorationMode::Saturate => "saturate",
-            ExplorationMode::Guided => "guided",
-            ExplorationMode::Taso => "taso",
-        }
-    }
-
     /// The boxed strategy this mode dispatches to.
     pub fn strategy(&self) -> Box<dyn ExplorationStrategy> {
         match self {
@@ -881,21 +871,6 @@ mod tests {
         };
         assert_eq!(fired(1), 1);
         assert_eq!(fired(3), 3);
-    }
-
-    #[test]
-    fn explorer_modes_and_strategies_agree_on_names() {
-        assert_eq!(ExplorationMode::Saturate.strategy_name(), "saturate");
-        assert_eq!(ExplorationMode::Guided.strategy_name(), "guided");
-        assert_eq!(ExplorationMode::Taso.strategy_name(), "taso");
-        // Mode and boxed strategy agree on the name.
-        for mode in [
-            ExplorationMode::Saturate,
-            ExplorationMode::Guided,
-            ExplorationMode::Taso,
-        ] {
-            assert_eq!(mode.strategy().name(), mode.strategy_name());
-        }
     }
 
     /// The seam tags stats with the strategy that produced them, for any

@@ -1,23 +1,27 @@
 //! The extraction phase (paper §5): pick one e-node per e-class so that the
 //! resulting graph minimizes the cost model.
 //!
-//! Three extraction strategies are provided behind one seam
-//! ([`ExtractionStrategy`]), all reporting the composite
-//! [`Cost`] and both honest costs of their result
+//! [`extract()`] runs the extractor an [`ExtractionMode`] names; all three
+//! report the composite [`Cost`] and both honest costs of their result
 //! (see [`ExtractionOutcome`]):
 //!
-//! * [`TreeGreedy`] — per e-class minimum *subtree* cost (paper §5.1).
+//! * [`extract_greedy`] — per e-class minimum *subtree* cost (paper §5.1).
 //!   Fast, but it charges shared subgraphs once per use, so it never
 //!   chooses the `split` form of a merged operator (Table 4).
-//! * [`GreedyDag`] — the worklist-driven global greedy DAG extractor
-//!   ([`tensat_egraph::DagExtractor`]) which charges each e-node once
-//!   regardless of sharing. To make `dag_cost(GreedyDag) ≤
-//!   dag_cost(TreeGreedy)` unconditional, the strategy also runs
-//!   tree-greedy and returns whichever result has the lower DAG cost.
-//! * [`IlpExtraction`] — the integer-linear-program encoding of
+//! * [`extract_greedy_dag`] — the worklist-driven global greedy DAG
+//!   extractor ([`tensat_egraph::DagExtractor`]) which charges each e-node
+//!   once regardless of sharing. To make `dag_cost(greedy-DAG) ≤
+//!   dag_cost(tree-greedy)` unconditional, it also runs tree-greedy and
+//!   returns whichever result has the lower DAG cost.
+//! * [`extract_ilp`] — the integer-linear-program encoding of
 //!   constraints (1)–(5), with the cycle constraints (4)–(5) optional,
 //!   solved by `tensat-ilp` and warm-started from the greedy-DAG solution
 //!   (which dominates the tree-greedy warm start it replaced).
+//!
+//! Every extractor ends the same way: one chosen e-node per class, turned
+//! into a graph by [`tensat_egraph::build_term`]. Greedy-DAG extraction
+//! keeps the `(slot, e-node)` picks of the graph it returns, and the ILP
+//! warm start is read from those picks.
 //!
 //! Extraction minimizes the *lexicographic* composite order (latency, then
 //! peak memory, then launches — see [`Cost`]); the scalar
@@ -27,13 +31,45 @@
 mod reduce;
 
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{
-    BitSet, CostFunction, DagCostFunction, DagExtractor, Extractor, Id, Language, RecExpr,
+    build_term, BitSet, ChoiceError, ChosenTerm, CostFunction, DagCostFunction, DagExtractor,
+    Extractor, Id, Language, RecExpr,
 };
 use tensat_ilp::{Cmp, Problem, Solver, Status, VarId};
 use tensat_ir::{Cost, CostModel, TensorData, TensorEGraph, TensorLang};
+
+/// Which extraction algorithm to run after exploration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExtractionMode {
+    /// Tree-greedy per-class extraction (paper §5.1, "Greedy extraction"):
+    /// [`extract_greedy`].
+    Greedy,
+    /// Global greedy DAG extraction: charges shared subgraphs once, at
+    /// greedy speed (never worse than [`ExtractionMode::Greedy`] on DAG
+    /// cost): [`extract_greedy_dag`].
+    GreedyDag,
+    /// ILP extraction (paper §5.1, "ILP extraction"): [`extract_ilp`]. This
+    /// is TENSAT's default configuration.
+    Ilp,
+}
+
+/// Extracts the best graph for `root` with the extractor `mode` names;
+/// `ilp` is read by [`ExtractionMode::Ilp`] only.
+pub fn extract(
+    mode: ExtractionMode,
+    egraph: &TensorEGraph,
+    root: Id,
+    model: &CostModel,
+    ilp: &IlpConfig,
+) -> Result<ExtractionOutcome, ExtractError> {
+    match mode {
+        ExtractionMode::Greedy => extract_greedy(egraph, root, model),
+        ExtractionMode::GreedyDag => extract_greedy_dag(egraph, root, model),
+        ExtractionMode::Ilp => extract_ilp(egraph, root, model, ilp),
+    }
+}
 
 /// The result of one extraction.
 ///
@@ -61,19 +97,29 @@ pub struct ExtractionOutcome {
 }
 
 impl ExtractionOutcome {
-    /// Builds an outcome for `expr`, measuring both honest costs under the
-    /// model.
-    fn measure(expr: RecExpr<TensorLang>, model: &CostModel, time: Duration) -> Self {
-        let cost = model.graph_cost_composite(&expr);
-        let tree_cost = model.tree_cost(&expr);
-        ExtractionOutcome {
+    /// The outcome for `expr`, whose composite cost under the model is
+    /// `cost`; measures the tree cost.
+    ///
+    /// Errs with [`ExtractError::NoFiniteTerm`] when the cost is not finite
+    /// (an ill-typed input: every term of the root class holds an invalid
+    /// operator).
+    fn new(
+        expr: RecExpr<TensorLang>,
+        cost: Cost,
+        model: &CostModel,
+        time: Duration,
+    ) -> Result<Self, ExtractError> {
+        if !cost.is_finite() {
+            return Err(ExtractError::NoFiniteTerm);
+        }
+        Ok(ExtractionOutcome {
             dag_cost: cost.latency,
-            tree_cost,
+            tree_cost: model.tree_cost(&expr),
             cost,
             expr,
             time,
             ilp: None,
-        }
+        })
     }
 }
 
@@ -256,6 +302,11 @@ impl DagCostFunction<TensorLang> for DagCost<'_> {
 
 /// Tree-greedy extraction (paper §5.1): per e-class, pick the e-node with
 /// the smallest subtree cost.
+///
+/// # Errors
+///
+/// [`ExtractError::NoFiniteTerm`] when the root class represents no term,
+/// or none of finite cost.
 pub fn extract_greedy(
     egraph: &TensorEGraph,
     root: Id,
@@ -266,7 +317,8 @@ pub fn extract_greedy(
     let (_, expr) = extractor
         .find_best(root)
         .ok_or(ExtractError::NoFiniteTerm)?;
-    Ok(ExtractionOutcome::measure(expr, model, start.elapsed()))
+    let cost = model.graph_cost_composite(&expr);
+    ExtractionOutcome::new(expr, cost, model, start.elapsed())
 }
 
 /// Global greedy DAG extraction: the worklist extractor charging each
@@ -280,36 +332,63 @@ pub fn extract_greedy(
 /// classes to switch candidates *jointly* (the merged-matmul economics only
 /// the ILP captures), its per-class-at-a-time fixpoint can lose to the tree
 /// choice. The reported `time` covers both runs.
+///
+/// # Errors
+///
+/// [`ExtractError::NoFiniteTerm`] when the root class represents no term,
+/// or none of finite cost.
 pub fn extract_greedy_dag(
     egraph: &TensorEGraph,
     root: Id,
     model: &CostModel,
 ) -> Result<ExtractionOutcome, ExtractError> {
+    greedy_dag_with_picks(egraph, root, model).map(|(outcome, _)| outcome)
+}
+
+/// The `(slot, chosen e-node)` of every class an extracted graph uses,
+/// ascending by slot: what the graph was built from, kept so the ILP can
+/// start from it.
+type Picks = Vec<(usize, TensorLang)>;
+
+/// Whether `picks` chose `node` for `class`, a class the ILP encoders
+/// reached from the root.
+fn picked(egraph: &TensorEGraph, picks: &Picks, class: Id, node: &TensorLang) -> bool {
+    let slot = live_slot(egraph, class);
+    let found = picks.binary_search_by_key(&slot, |&(s, _)| s);
+    found.is_ok_and(|i| picks[i].1 == *node)
+}
+
+/// [`extract_greedy_dag`], with the picks of the graph it returns.
+fn greedy_dag_with_picks(
+    egraph: &TensorEGraph,
+    root: Id,
+    model: &CostModel,
+) -> Result<(ExtractionOutcome, Picks), ExtractError> {
     let start = Instant::now();
-    // The DAG extractor is a temporary, dropped at the end of its statement:
-    // the two passes' tables are never live together.
-    let dag = DagExtractor::new(egraph, DagCost::new(model.clone(), egraph)).find_best(root);
-    let tree = Extractor::new(egraph, TreeCost::new(model.clone(), egraph)).find_best(root);
-    let best = match (dag, tree) {
-        (Some((_, d)), Some((_, t))) => {
-            // Compare by honest composite DAG cost of the built graphs, not
-            // the extractors' internal objectives (which disagree on what a
-            // "cost" is).
-            if model
-                .graph_cost_composite(&d)
-                .total_order(&model.graph_cost_composite(&t))
-                != Ordering::Greater
-            {
-                d
-            } else {
-                t
-            }
-        }
-        (Some((_, d)), None) => d,
-        (None, Some((_, t))) => t,
+    // The picks are copied out so that nothing borrows the extractor: each
+    // is a temporary, dropped at the end of its statement, and the two
+    // passes' tables are never live together.
+    let owned = |term: ChosenTerm<'_, TensorLang>| {
+        let mut picks: Picks = term.picks.iter().map(|&(s, n)| (s, n.clone())).collect();
+        picks.sort_unstable_by_key(|&(s, _)| s);
+        (term.expr, picks)
+    };
+    let dag = DagExtractor::new(egraph, DagCost::new(model.clone(), egraph))
+        .find_best_term(root)
+        .map(|(_, term)| owned(term));
+    let tree = Extractor::new(egraph, TreeCost::new(model.clone(), egraph))
+        .find_best_term(root)
+        .map(|(_, term)| owned(term));
+    // Compare by honest composite DAG cost of the built graphs, not the
+    // extractors' internal objectives (which disagree on what a "cost" is).
+    let costed = |(expr, picks)| (model.graph_cost_composite(&expr), expr, picks);
+    let (cost, expr, picks) = match (dag.map(costed), tree.map(costed)) {
+        (Some(d), Some(t)) if d.0.total_order(&t.0) == Ordering::Greater => t,
+        (Some(best), _) | (None, Some(best)) => best,
         (None, None) => return Err(ExtractError::NoFiniteTerm),
     };
-    Ok(ExtractionOutcome::measure(best, model, start.elapsed()))
+    let outcome = ExtractionOutcome::new(expr, cost, model, start.elapsed())?;
+    Ok((outcome, picks))
 }
 
 /// Configuration for ILP extraction.
@@ -374,14 +453,92 @@ fn extract_ilp_monolithic(
 ) -> Result<ExtractionOutcome, ExtractError> {
     let start = Instant::now();
     let root = egraph.find(root);
+    let (problem, node_vars) = encode_monolithic(egraph, root, model, config)?;
 
+    // Warm start from the greedy-DAG solution: its DAG cost lower-bounds
+    // the tree-greedy incumbent the solver used to receive, so the solver
+    // starts from a no-worse incumbent.
+    let (greedy, picks) = greedy_dag_with_picks(egraph, root, model).ok().unzip();
+    let hint = picks.map(|picks| {
+        monolithic_warm_start(&node_vars, problem.num_vars(), |class, node| {
+            picked(egraph, &picks, class, node)
+        })
+    });
+
+    let solver = Solver::with_time_limit(config.time_limit);
+    let solution = match &hint {
+        Some(h) => solver.solve_with_hint(&problem, h),
+        None => solver.solve(&problem),
+    };
+    let stats = IlpStats {
+        num_vars: problem.num_vars(),
+        num_constraints: problem.num_constraints(),
+        vars_before: problem.num_vars(),
+        constraints_before: problem.num_constraints(),
+        presolve_fixed: solution.presolve_fixed,
+        dominated_pruned: 0,
+        bound_pruned: 0,
+        forced_classes: 0,
+        components: 1,
+        status: solution.status,
+        nodes_explored: solution.nodes_explored,
+        solve_time: solution.solve_time,
+    };
+    if !solution.has_solution() {
+        return Err(ExtractError::Infeasible);
+    }
+
+    // Read the selection back: for each class (slot), the chosen e-node.
+    let mut choice: Vec<Option<&TensorLang>> = vec![None; egraph.num_slots()];
+    for (class, node, var) in &node_vars {
+        let chosen = &mut choice[live_slot(egraph, *class)];
+        if solution.value(*var) > 0.5 && chosen.is_none() {
+            *chosen = Some(node);
+        }
+    }
+    let solved = read_back(egraph, root, &choice)?;
+    finish_ilp(Some(solved), greedy, stats, model, start)
+}
+
+/// The slot of a class the ILP encoders reached from the root.
+fn live_slot(egraph: &TensorEGraph, class: Id) -> usize {
+    egraph.slot_index(class).expect("reachable class is live")
+}
+
+/// The monolithic warm start: 1 on the variable of every e-node the greedy
+/// graph was built from (`picked(class, e-node)`), 0 elsewhere.
+fn monolithic_warm_start(
+    node_vars: &[(Id, TensorLang, VarId)],
+    num_vars: usize,
+    picked: impl Fn(Id, &TensorLang) -> bool,
+) -> Vec<f64> {
+    let mut values = vec![0.0; num_vars];
+    for (class, node, var) in node_vars {
+        if picked(*class, node) {
+            values[var.0] = 1.0;
+        }
+    }
+    values
+}
+
+/// The `(class, e-node, variable)` of every binary of the monolithic
+/// program, in variable order.
+type NodeVars = Vec<(Id, TensorLang, VarId)>;
+
+/// Builds the monolithic program for the canonical `root`.
+fn encode_monolithic(
+    egraph: &TensorEGraph,
+    root: Id,
+    model: &CostModel,
+    config: &IlpConfig,
+) -> Result<(Problem, NodeVars), ExtractError> {
     // Collect the classes reachable from the root through unfiltered,
     // finite-cost e-nodes, in BFS order (a good branching order for the
     // solver: decisions near the root come first). All per-class tables
     // below are indexed by the e-graph's dense slot space
     // ([`tensat_egraph::EGraph::slot_index`]) — the same index space the
     // cycle bit sets and the greedy extractors use.
-    let slot = |id: Id| egraph.slot_index(id).expect("reachable class is live");
+    let slot = |id: Id| live_slot(egraph, id);
     let n_slots = egraph.num_slots();
     let mut order: Vec<Id> = vec![root];
     let mut seen = BitSet::new(n_slots);
@@ -407,7 +564,7 @@ fn extract_ilp_monolithic(
     // latency component of the composite cost — the solver minimizes the
     // primary objective; memory and launches ride along in the outcome.
     let mut problem = Problem::new();
-    let mut node_vars: Vec<(Id, TensorLang, VarId)> = vec![];
+    let mut node_vars: NodeVars = vec![];
     let mut class_vars: Vec<Vec<VarId>> = vec![vec![]; n_slots];
     for &class in &order {
         let mut vars = vec![];
@@ -489,83 +646,7 @@ fn extract_ilp_monolithic(
         }
     }
 
-    // Warm start from the greedy-DAG solution: its DAG cost lower-bounds
-    // the tree-greedy incumbent the solver used to receive, so the solver
-    // starts from a no-worse incumbent.
-    let greedy = extract_greedy_dag(egraph, root, model).ok();
-    let hint = greedy.as_ref().map(|greedy| {
-        let mut values = vec![0.0; problem.num_vars()];
-        // Map the greedy expression's nodes back to (class, canonical node)
-        // pairs: children in the expression are expression-local ids, so
-        // translate them to e-class ids bottom-up first.
-        let mut selected: std::collections::HashSet<(Id, TensorLang)> = Default::default();
-        let mut expr_to_class: Vec<Id> = Vec::with_capacity(greedy.expr.len());
-        for (_, node) in greedy.expr.iter() {
-            let mapped = node.map_children(|c| expr_to_class[usize::from(c)]);
-            match egraph.lookup(&mapped) {
-                Some(class) => {
-                    let class = egraph.find(class);
-                    selected.insert((class, egraph.canonicalize(&mapped)));
-                    expr_to_class.push(class);
-                }
-                None => expr_to_class.push(egraph.find(root)),
-            }
-        }
-        for (class, node, var) in &node_vars {
-            if selected.contains(&(egraph.find(*class), egraph.canonicalize(node))) {
-                values[var.0] = 1.0;
-            }
-        }
-        values
-    });
-
-    let solver = Solver::with_time_limit(config.time_limit);
-    let solution = match &hint {
-        Some(h) => solver.solve_with_hint(&problem, h),
-        None => solver.solve(&problem),
-    };
-    let stats = IlpStats {
-        num_vars: problem.num_vars(),
-        num_constraints: problem.num_constraints(),
-        vars_before: problem.num_vars(),
-        constraints_before: problem.num_constraints(),
-        presolve_fixed: solution.presolve_fixed,
-        dominated_pruned: 0,
-        bound_pruned: 0,
-        forced_classes: 0,
-        components: 1,
-        status: solution.status,
-        nodes_explored: solution.nodes_explored,
-        solve_time: solution.solve_time,
-    };
-    if !solution.has_solution() {
-        return Err(ExtractError::Infeasible);
-    }
-
-    // Read the selection back: for each class (slot), the chosen e-node.
-    let mut choice: Vec<Option<TensorLang>> = vec![None; n_slots];
-    for (class, node, var) in &node_vars {
-        let s = slot(*class);
-        if solution.value(*var) > 0.5 && choice[s].is_none() {
-            choice[s] = Some(node.clone());
-        }
-    }
-    let expr = build_selection(egraph, root, &choice)?;
-    let mut outcome = ExtractionOutcome::measure(expr, model, start.elapsed());
-    // The solver is an any-time procedure: if it hit its budget before
-    // re-discovering the greedy incumbent (e.g. the warm start could not be
-    // translated into a feasible assignment), keep whichever graph is
-    // cheaper so ILP extraction never regresses below greedy.
-    if let Some(greedy) = greedy {
-        if greedy.cost.total_order(&outcome.cost) == Ordering::Less {
-            outcome.expr = greedy.expr;
-            outcome.cost = greedy.cost;
-            outcome.dag_cost = greedy.dag_cost;
-            outcome.tree_cost = greedy.tree_cost;
-        }
-    }
-    outcome.ilp = Some(stats);
-    Ok(outcome)
+    Ok((problem, node_vars))
 }
 
 /// The reduced path: build the abstract selection problem, run the
@@ -593,48 +674,12 @@ fn extract_ilp_reduced(
     // incumbent upper bound the reduction's cost-bound pruning compares
     // forced-closure lower bounds against, and its selection warm-starts
     // every component's solver.
-    let greedy = extract_greedy_dag(egraph, root, model).ok();
+    let (greedy, picks) = greedy_dag_with_picks(egraph, root, model).ok().unzip();
 
     let mut rp = reduce::ExtractionProblem::from_egraph(egraph, root, model)?;
     rp.reduce(greedy.as_ref().map(|g| g.dag_cost))?;
-    let n = rp.candidates.len();
-
-    // Map the greedy expression back to one candidate per class (the same
-    // canonical-node lookup as the monolithic path); when the greedy pick
-    // was dominance-pruned, chase `rep` to the sibling that dominated it —
-    // the dominator's needs are a subset of the pruned pick's, which the
-    // greedy solution satisfies, so the repaired hint stays closed.
-    let mut hint_choice: Vec<Option<usize>> = vec![None; n];
-    if let Some(greedy) = &greedy {
-        let mut selected: HashSet<(Id, TensorLang)> = Default::default();
-        let mut expr_to_class: Vec<Id> = Vec::with_capacity(greedy.expr.len());
-        for (_, node) in greedy.expr.iter() {
-            let mapped = node.map_children(|c| expr_to_class[usize::from(c)]);
-            match egraph.lookup(&mapped) {
-                Some(class) => {
-                    let class = egraph.find(class);
-                    selected.insert((class, egraph.canonicalize(&mapped)));
-                    expr_to_class.push(class);
-                }
-                None => expr_to_class.push(root),
-            }
-        }
-        for (i, hint) in hint_choice.iter_mut().enumerate() {
-            if !rp.reachable[i] {
-                continue;
-            }
-            for j in 0..rp.candidates[i].len() {
-                let node = &rp.candidates[i][j].node;
-                if selected.contains(&(rp.class_ids[i], egraph.canonicalize(node))) {
-                    let r = rp.resolve_rep(i, j);
-                    if rp.alive[i][r] {
-                        *hint = Some(r);
-                    }
-                    break;
-                }
-            }
-        }
-    }
+    let hint_choice = picks
+        .map(|picks| reduced_hint_choice(&rp, |class, node| picked(egraph, &picks, class, node)));
 
     // Encode and solve each component independently, splitting the wall
     // clock budget first-come (components are tiny after reduction).
@@ -695,7 +740,7 @@ fn extract_ilp_reduced(
                 }
             }
         }
-        let hint = greedy.as_ref().map(|_| {
+        let hint = hint_choice.as_ref().map(|hint_choice| {
             let mut values = vec![0.0; problem.num_vars()];
             for &i in comp {
                 if let Some(h) = hint_choice[i] {
@@ -717,16 +762,10 @@ fn extract_ilp_reduced(
         stats.nodes_explored += solution.nodes_explored;
         stats.solve_time += solution.solve_time;
         if !solution.has_solution() {
-            // Out of budget with no incumbent for this component: fall back
-            // to the greedy graph (the monolithic path's any-time contract)
-            // if there is one.
+            // Out of budget with no incumbent for this component: the
+            // greedy graph, if there is one, is the answer.
             stats.status = solution.status;
-            let Some(greedy) = greedy else {
-                return Err(ExtractError::Infeasible);
-            };
-            let mut outcome = ExtractionOutcome::measure(greedy.expr, model, start.elapsed());
-            outcome.ilp = Some(stats);
-            return Ok(outcome);
+            return finish_ilp(None, greedy, stats, model, start);
         }
         if solution.status != Status::Optimal {
             stats.status = solution.status;
@@ -742,167 +781,79 @@ fn extract_ilp_reduced(
     }
 
     // Stitch: fixed selections plus the per-component optima, mapped into
-    // the slot space `build_selection` walks.
-    let mut slot_choice: Vec<Option<TensorLang>> = vec![None; egraph.num_slots()];
+    // the slot space the term builder walks.
+    let mut slot_choice: Vec<Option<&TensorLang>> = vec![None; egraph.num_slots()];
     for (i, &ch) in choice.iter().enumerate() {
         if let Some(j) = ch {
-            let s = egraph
-                .slot_index(rp.class_ids[i])
-                .expect("reachable class is live");
-            slot_choice[s] = Some(rp.candidates[i][j].node.clone());
+            slot_choice[live_slot(egraph, rp.class_ids[i])] = Some(&rp.candidates[i][j].node);
         }
     }
-    let expr = build_selection(egraph, root, &slot_choice)?;
-    let mut outcome = ExtractionOutcome::measure(expr, model, start.elapsed());
-    if let Some(greedy) = greedy {
-        if greedy.cost.total_order(&outcome.cost) == Ordering::Less {
-            outcome.expr = greedy.expr;
-            outcome.cost = greedy.cost;
-            outcome.dag_cost = greedy.dag_cost;
-            outcome.tree_cost = greedy.tree_cost;
+    let solved = read_back(egraph, root, &slot_choice)?;
+    finish_ilp(Some(solved), greedy, stats, model, start)
+}
+
+/// One candidate per class of the reduced problem to start the component
+/// solvers from: the e-node the greedy graph was built from (`picked(class,
+/// e-node)`), or — when that was dominance-pruned — the sibling `rep` says
+/// dominated it. The dominator's needs are a subset of the pruned pick's,
+/// which the greedy solution satisfies, so the repaired hint stays closed.
+fn reduced_hint_choice(
+    rp: &reduce::ExtractionProblem,
+    picked: impl Fn(Id, &TensorLang) -> bool,
+) -> Vec<Option<usize>> {
+    let mut hint_choice = vec![None; rp.candidates.len()];
+    for (i, hint) in hint_choice.iter_mut().enumerate() {
+        if !rp.reachable[i] {
+            continue;
+        }
+        let class = rp.class_ids[i];
+        if let Some(j) = rp.candidates[i].iter().position(|c| picked(class, &c.node)) {
+            let r = rp.resolve_rep(i, j);
+            if rp.alive[i][r] {
+                *hint = Some(r);
+            }
         }
     }
+    hint_choice
+}
+
+/// The any-time end of both ILP paths: the solver's graph, unless it found
+/// none within its budget or the greedy incumbent is cheaper (e.g. the warm
+/// start could not be translated into a feasible assignment) — then the
+/// greedy graph, so ILP extraction never regresses below greedy.
+fn finish_ilp(
+    solved: Option<RecExpr<TensorLang>>,
+    greedy: Option<ExtractionOutcome>,
+    stats: IlpStats,
+    model: &CostModel,
+    start: Instant,
+) -> Result<ExtractionOutcome, ExtractError> {
+    let measured = |expr| {
+        let cost = model.graph_cost_composite(&expr);
+        ExtractionOutcome::new(expr, cost, model, start.elapsed())
+    };
+    let solved = solved.map(measured).transpose()?;
+    let mut outcome = match (solved, greedy) {
+        (Some(s), Some(g)) if g.cost.total_order(&s.cost) == Ordering::Less => g,
+        (Some(s), _) => s,
+        (None, Some(g)) => g,
+        (None, None) => return Err(ExtractError::Infeasible),
+    };
+    outcome.time = start.elapsed();
     outcome.ilp = Some(stats);
     Ok(outcome)
 }
 
-/// Builds the extracted expression from a per-slot node choice, detecting
-/// cyclic selections. Iterative (one explicit frame per class on a heap
-/// stack), so arbitrarily deep selections cannot overflow the thread stack.
-fn build_selection(
+/// Reads a solved selection back: the graph of a per-slot node choice.
+fn read_back(
     egraph: &TensorEGraph,
     root: Id,
-    choice: &[Option<TensorLang>],
+    choice: &[Option<&TensorLang>],
 ) -> Result<RecExpr<TensorLang>, ExtractError> {
-    struct Frame {
-        slot: usize,
-        node: TensorLang,
-        next_child: usize,
-        children: Vec<Id>,
-    }
-    let frame = |slot: usize, node: TensorLang| Frame {
-        slot,
-        node,
-        next_child: 0,
-        children: vec![],
-    };
-    let pick = |slot: usize| -> Result<TensorLang, ExtractError> {
-        choice
-            .get(slot)
-            .and_then(|c| c.clone())
-            .ok_or(ExtractError::Infeasible)
-    };
-
-    let mut expr = RecExpr::default();
-    let mut done: Vec<Option<Id>> = vec![None; egraph.num_slots()];
-    let mut on_stack = BitSet::new(egraph.num_slots());
-    let root_slot = egraph.slot_index(root).ok_or(ExtractError::Infeasible)?;
-    on_stack.insert(root_slot);
-    let mut stack = vec![frame(root_slot, pick(root_slot)?)];
-    loop {
-        let top = stack.last_mut().expect("loop returns before emptying");
-        if let Some(&child) = top.node.children().get(top.next_child) {
-            top.next_child += 1;
-            let slot = egraph
-                .slot_index(egraph.find(child))
-                .ok_or(ExtractError::Infeasible)?;
-            if let Some(id) = done[slot] {
-                top.children.push(id);
-            } else {
-                if !on_stack.insert(slot) {
-                    return Err(ExtractError::CyclicSelection);
-                }
-                stack.push(frame(slot, pick(slot)?));
-            }
-            continue;
-        }
-        let finished = stack.pop().expect("a frame is always on the stack");
-        let mut i = 0;
-        let node = finished.node.map_children(|_| {
-            let id = finished.children[i];
-            i += 1;
-            id
-        });
-        let id = expr.add(node);
-        done[finished.slot] = Some(id);
-        match stack.last_mut() {
-            Some(parent) => parent.children.push(id),
-            None => return Ok(expr),
-        }
-    }
-}
-
-/// The single extraction seam: every strategy maps `(e-graph, root, cost
-/// model)` to an [`ExtractionOutcome`] with honest tree/DAG costs, so the
-/// optimizer, the benches, and future strategies (e.g. the MCTS scorer)
-/// all call extraction the same way.
-pub trait ExtractionStrategy: std::fmt::Debug {
-    /// Short stable name used in reports.
-    fn name(&self) -> &'static str;
-
-    /// Extracts the best graph for `root` under this strategy.
-    fn extract(
-        &self,
-        egraph: &TensorEGraph,
-        root: Id,
-        model: &CostModel,
-    ) -> Result<ExtractionOutcome, ExtractError>;
-}
-
-/// The tree-greedy strategy ([`extract_greedy`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TreeGreedy;
-
-impl ExtractionStrategy for TreeGreedy {
-    fn name(&self) -> &'static str {
-        "tree-greedy"
-    }
-    fn extract(
-        &self,
-        egraph: &TensorEGraph,
-        root: Id,
-        model: &CostModel,
-    ) -> Result<ExtractionOutcome, ExtractError> {
-        extract_greedy(egraph, root, model)
-    }
-}
-
-/// The global greedy DAG strategy ([`extract_greedy_dag`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyDag;
-
-impl ExtractionStrategy for GreedyDag {
-    fn name(&self) -> &'static str {
-        "greedy-dag"
-    }
-    fn extract(
-        &self,
-        egraph: &TensorEGraph,
-        root: Id,
-        model: &CostModel,
-    ) -> Result<ExtractionOutcome, ExtractError> {
-        extract_greedy_dag(egraph, root, model)
-    }
-}
-
-/// The ILP strategy ([`extract_ilp`]) with its configuration.
-#[derive(Debug, Clone, Default)]
-pub struct IlpExtraction {
-    /// The solver configuration.
-    pub config: IlpConfig,
-}
-
-impl ExtractionStrategy for IlpExtraction {
-    fn name(&self) -> &'static str {
-        "ilp"
-    }
-    fn extract(
-        &self,
-        egraph: &TensorEGraph,
-        root: Id,
-        model: &CostModel,
-    ) -> Result<ExtractionOutcome, ExtractError> {
-        extract_ilp(egraph, root, model, &self.config)
+    match build_term(egraph, root, |slot| choice[slot]) {
+        Ok(term) => Ok(term.expr),
+        Err(ChoiceError::Missing) => Err(ExtractError::Infeasible),
+        Err(ChoiceError::Cyclic) => Err(ExtractError::CyclicSelection),
     }
 }
 
@@ -910,8 +861,30 @@ impl ExtractionStrategy for IlpExtraction {
 mod tests {
     use super::*;
     use crate::explore::{explore, ExplorationConfig};
+    use std::collections::BTreeSet;
     use tensat_ir::{GraphBuilder, TensorAnalysis};
     use tensat_rules::{multi_rules, single_rules};
+
+    /// The e-graph of `expr` after `max_iter` iterations of the full rule
+    /// set (`k_multi: 1`) under `node_limit`, and its root.
+    fn explored(
+        expr: &RecExpr<TensorLang>,
+        max_iter: usize,
+        node_limit: usize,
+    ) -> (TensorEGraph, Id) {
+        let mut eg = TensorEGraph::new(TensorAnalysis);
+        let root = eg.add_expr(expr);
+        eg.rebuild();
+        let config = ExplorationConfig {
+            k_multi: 1,
+            max_iter,
+            node_limit,
+            search_threads: 1,
+            ..Default::default()
+        };
+        explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
+        (eg, root)
+    }
 
     /// Two matmuls sharing an input: the case where greedy fails to pick
     /// the merged form but ILP succeeds (paper §5.1 and Table 4).
@@ -923,24 +896,8 @@ mod tests {
         let m1 = g.matmul(x, w1);
         let m2 = g.matmul(x, w2);
         let expr = g.finish(&[m1, m2]);
-        let model = CostModel::default();
-        let original = model.graph_cost(&expr);
-        let mut eg = TensorEGraph::new(TensorAnalysis);
-        let root = eg.add_expr(&expr);
-        eg.rebuild();
-        explore(
-            &mut eg,
-            root,
-            &single_rules(),
-            &multi_rules(),
-            &ExplorationConfig {
-                k_multi: 1,
-                max_iter: 4,
-                node_limit: 10_000,
-                ..Default::default()
-            },
-        );
-        (eg, root, original)
+        let (eg, root) = explored(&expr, 4, 10_000);
+        (eg, root, CostModel::default().graph_cost(&expr))
     }
 
     #[test]
@@ -954,22 +911,6 @@ mod tests {
         assert_eq!(out.dag_cost, out.cost.latency);
         assert!(out.tree_cost >= out.dag_cost);
         let data = tensat_ir::infer_recexpr(&out.expr);
-        assert!(data.iter().all(|d| d.is_valid()));
-    }
-
-    #[test]
-    fn greedy_dag_never_worse_than_tree_greedy() {
-        let (eg, root, _) = explored_two_matmuls();
-        let model = CostModel::default();
-        let tree = extract_greedy(&eg, root, &model).unwrap();
-        let dag = extract_greedy_dag(&eg, root, &model).unwrap();
-        assert!(
-            dag.dag_cost <= tree.dag_cost + 1e-9,
-            "greedy-DAG ({}) must not lose to tree-greedy ({}) on DAG cost",
-            dag.dag_cost,
-            tree.dag_cost
-        );
-        let data = tensat_ir::infer_recexpr(&dag.expr);
         assert!(data.iter().all(|d| d.is_valid()));
     }
 
@@ -1080,26 +1021,122 @@ mod tests {
     }
 
     #[test]
-    fn strategies_share_one_seam() {
+    fn every_mode_extracts_through_the_one_dispatch() {
         let (eg, root, _) = explored_two_matmuls();
         let model = CostModel::default();
-        let strategies: Vec<Box<dyn ExtractionStrategy>> = vec![
-            Box::new(TreeGreedy),
-            Box::new(GreedyDag),
-            Box::new(IlpExtraction::default()),
-        ];
-        let names: Vec<_> = strategies.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["tree-greedy", "greedy-dag", "ilp"]);
-        let outcomes: Vec<_> = strategies
-            .iter()
-            .map(|s| s.extract(&eg, root, &model).unwrap())
-            .collect();
+        let [tree, dag, ilp] = [
+            ExtractionMode::Greedy,
+            ExtractionMode::GreedyDag,
+            ExtractionMode::Ilp,
+        ]
+        .map(|mode| extract(mode, &eg, root, &model, &IlpConfig::default()).unwrap());
         // DAG-cost dominance chain: ILP ≤ greedy-DAG ≤ tree-greedy.
-        assert!(outcomes[2].dag_cost <= outcomes[1].dag_cost + 1e-9);
-        assert!(outcomes[1].dag_cost <= outcomes[0].dag_cost + 1e-9);
+        assert!(ilp.dag_cost <= dag.dag_cost + 1e-9);
+        assert!(dag.dag_cost <= tree.dag_cost + 1e-9);
+        let data = tensat_ir::infer_recexpr(&dag.expr);
+        assert!(data.iter().all(|d| d.is_valid()));
         // Only the ILP outcome carries solver stats.
-        assert!(outcomes[0].ilp.is_none());
-        assert!(outcomes[1].ilp.is_none());
-        assert!(outcomes[2].ilp.is_some());
+        assert!(tree.ilp.is_none());
+        assert!(dag.ilp.is_none());
+        assert!(ilp.ilp.is_some());
+    }
+
+    /// The decoder both ILP paths ran before greedy-DAG extraction kept its
+    /// picks, kept as the oracle the picks are tested against: it maps the
+    /// greedy *expression* back to `(class, canonical e-node)` pairs —
+    /// children in the expression are expression-local ids, translated to
+    /// e-class ids bottom-up through `lookup`.
+    fn decode_selected(
+        eg: &TensorEGraph,
+        root: Id,
+        expr: &RecExpr<TensorLang>,
+    ) -> BTreeSet<(Id, TensorLang)> {
+        let mut selected = BTreeSet::new();
+        let mut expr_to_class: Vec<Id> = Vec::with_capacity(expr.len());
+        for (_, node) in expr.iter() {
+            let mapped = node.map_children(|c| expr_to_class[usize::from(c)]);
+            match eg.lookup(&mapped) {
+                Some(class) => {
+                    let class = eg.find(class);
+                    selected.insert((class, eg.canonicalize(&mapped)));
+                    expr_to_class.push(class);
+                }
+                None => expr_to_class.push(eg.find(root)),
+            }
+        }
+        selected
+    }
+
+    /// The warm start both ILP paths build from greedy-DAG's picks is,
+    /// element for element, the one the old expression decoder gave them —
+    /// and the fourteen solves it starts take the branch-and-bound nodes
+    /// they took at the commit before the picks (PR 22, `03cf261`).
+    #[test]
+    fn warm_start_from_picks_equals_the_expression_decoder_on_every_benchmark() {
+        // (model, B&B nodes with `reduce: true`, with `reduce: false`)
+        const NODES_EXPLORED: [(&str, usize, usize); 7] = [
+            ("NasRNN", 97, 18_575),
+            ("BERT", 4_331, 59_145),
+            ("ResNeXt-50", 37, 247),
+            ("NasNet-A", 445, 4_181),
+            ("SqueezeNet", 37, 145),
+            ("VGG-19", 27, 747),
+            ("Inception-v3", 3_122, 17_437),
+        ];
+        assert!(NODES_EXPLORED
+            .iter()
+            .map(|&(name, ..)| name)
+            .eq(tensat_models::BENCHMARKS.iter().copied()));
+        let model = CostModel::default();
+        for (name, reduced_nodes, monolithic_nodes) in NODES_EXPLORED {
+            // Tiny scale, two iterations, 120 e-nodes: small enough that the
+            // monolithic program solves in seconds in a debug build, large
+            // enough that every solve branches.
+            let graph = tensat_models::build_benchmark(name, tensat_models::ModelScale::tiny());
+            let (eg, root) = explored(&graph, 2, 120);
+            let root = eg.find(root);
+            let (greedy, picks) = greedy_dag_with_picks(&eg, root, &model).unwrap();
+            let selected = decode_selected(&eg, root, &greedy.expr);
+            assert_eq!(picks.len(), selected.len(), "{name}");
+
+            let from_picks = |class: Id, node: &TensorLang| picked(&eg, &picks, class, node);
+            let decoded = |class: Id, node: &TensorLang| {
+                selected.contains(&(eg.find(class), eg.canonicalize(node)))
+            };
+
+            // `reduce: false`: one value per variable.
+            let config = IlpConfig {
+                reduce: false,
+                ..Default::default()
+            };
+            let (problem, node_vars) = encode_monolithic(&eg, root, &model, &config).unwrap();
+            let hint = monolithic_warm_start(&node_vars, problem.num_vars(), from_picks);
+            let oracle = monolithic_warm_start(&node_vars, problem.num_vars(), decoded);
+            assert_eq!(hint, oracle, "{name}: monolithic warm start");
+            assert_eq!(hint.iter().sum::<f64>(), picks.len() as f64, "{name}");
+
+            // `reduce: true`: one hinted candidate per class, dominance-
+            // pruned picks chased to their dominator.
+            let mut rp = reduce::ExtractionProblem::from_egraph(&eg, root, &model).unwrap();
+            rp.reduce(Some(greedy.dag_cost)).unwrap();
+            let hint = reduced_hint_choice(&rp, from_picks);
+            assert_eq!(
+                hint,
+                reduced_hint_choice(&rp, decoded),
+                "{name}: reduced hint"
+            );
+            assert!(hint.iter().any(Option::is_some), "{name}");
+
+            for (reduce, nodes) in [(true, reduced_nodes), (false, monolithic_nodes)] {
+                let config = IlpConfig {
+                    reduce,
+                    ..Default::default()
+                };
+                let out = extract_ilp(&eg, root, &model, &config).unwrap();
+                let stats = out.ilp.unwrap();
+                assert_eq!(stats.status, Status::Optimal, "{name} reduce={reduce}");
+                assert_eq!(stats.nodes_explored, nodes, "{name} reduce={reduce}");
+            }
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! * **cycle filtering** — both the vanilla and the efficient algorithm
 //!   (Algorithm 2) — so extraction can drop the ILP cycle constraints (§5.2),
 //! * the **extraction phase** — tree-greedy, global greedy DAG, and ILP
-//!   (constraints (1)–(5)) behind one [`ExtractionStrategy`] seam (§5.1),
+//!   (constraints (1)–(5)), dispatched by [`extract()`] on an
+//!   [`ExtractionMode`] (§5.1),
 //! * the end-to-end [`Optimizer`] pipeline with the paper's default
 //!   configuration.
 //!
@@ -45,9 +46,7 @@ pub use explore::{
     GuidedConfig, Saturate, StopReason, TasoBacktracking, TasoConfig,
 };
 pub use extract::{
-    extract_greedy, extract_greedy_dag, extract_ilp, DagCost, ExtractError, ExtractionOutcome,
-    ExtractionStrategy, GreedyDag, IlpConfig, IlpExtraction, IlpStats, TreeCost, TreeGreedy,
+    extract, extract_greedy, extract_greedy_dag, extract_ilp, DagCost, ExtractError,
+    ExtractionMode, ExtractionOutcome, IlpConfig, IlpStats, TreeCost,
 };
-pub use optimizer::{
-    ExtractionMode, OptimizationResult, OptimizationStats, Optimizer, OptimizerConfig,
-};
+pub use optimizer::{OptimizationResult, OptimizationStats, Optimizer, OptimizerConfig};

@@ -4,9 +4,7 @@ use crate::explore::{
     default_search_threads, defaults, explore, CycleFilter, ExplorationConfig, ExplorationMode,
     ExplorationStats, GuidedConfig, TasoConfig,
 };
-use crate::extract::{
-    ExtractError, ExtractionStrategy, GreedyDag, IlpConfig, IlpExtraction, IlpStats, TreeGreedy,
-};
+use crate::extract::{extract, ExtractError, ExtractionMode, IlpConfig, IlpStats};
 use std::time::Duration;
 use tensat_egraph::RecExpr;
 use tensat_ir::{Cost, CostModel, TensorAnalysis, TensorEGraph, TensorLang};
@@ -38,31 +36,6 @@ fn verify_rule_set(singles: &[TensorRewrite], multis: &[MultiPatternRule]) {
     let report = tensat_verify::verify_corpus(singles, multis);
     if report.error_count() > 0 {
         panic!("TENSAT_VERIFY_RULES: rule set failed static verification:\n{report}");
-    }
-}
-
-/// Which extraction algorithm to run after exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExtractionMode {
-    /// Tree-greedy per-class extraction (paper §5.1, "Greedy extraction").
-    Greedy,
-    /// Global greedy DAG extraction: charges shared subgraphs once, at
-    /// greedy speed (never worse than [`ExtractionMode::Greedy`] on DAG
-    /// cost).
-    GreedyDag,
-    /// ILP extraction (paper §5.1, "ILP extraction"). This is TENSAT's
-    /// default configuration.
-    Ilp,
-}
-
-impl ExtractionMode {
-    /// The strategy name this mode resolves to at the extraction seam.
-    pub fn strategy_name(&self) -> &'static str {
-        match self {
-            ExtractionMode::Greedy => "tree-greedy",
-            ExtractionMode::GreedyDag => "greedy-dag",
-            ExtractionMode::Ilp => "ilp",
-        }
     }
 }
 
@@ -322,20 +295,13 @@ impl Optimizer {
             &exploration_config,
         );
 
-        // All modes go through the one extraction seam.
-        let strategy: Box<dyn ExtractionStrategy> = match self.config.extraction {
-            ExtractionMode::Greedy => Box::new(TreeGreedy),
-            ExtractionMode::GreedyDag => Box::new(GreedyDag),
-            ExtractionMode::Ilp => Box::new(IlpExtraction {
-                config: IlpConfig {
-                    cycle_constraints: self.config.ilp_cycle_constraints,
-                    integer_topo_vars: self.config.ilp_integer_topo_vars,
-                    time_limit: self.config.ilp_time_limit,
-                    ..Default::default()
-                },
-            }),
+        let ilp = IlpConfig {
+            cycle_constraints: self.config.ilp_cycle_constraints,
+            integer_topo_vars: self.config.ilp_integer_topo_vars,
+            time_limit: self.config.ilp_time_limit,
+            ..Default::default()
         };
-        let outcome = strategy.extract(&egraph, root, model)?;
+        let outcome = extract(self.config.extraction, &egraph, root, model, &ilp)?;
 
         // Never return a graph worse than the input: the input itself is
         // always represented in the e-graph. Comparison is the composite
@@ -431,11 +397,31 @@ mod tests {
         assert!(dag.optimized_composite.launches >= 1.0);
     }
 
+    /// `VGG-19` at `blocks: 6` is ill-typed (a pooling window outgrows its
+    /// input): every term of the root class holds an invalid operator, so
+    /// there is no finite-cost graph to return, and every extractor says so
+    /// — the greedy ones used to answer `Ok` with cost `inf → inf`.
     #[test]
-    fn extraction_modes_have_stable_strategy_names() {
-        assert_eq!(ExtractionMode::Greedy.strategy_name(), "tree-greedy");
-        assert_eq!(ExtractionMode::GreedyDag.strategy_name(), "greedy-dag");
-        assert_eq!(ExtractionMode::Ilp.strategy_name(), "ilp");
+    fn an_input_without_a_finite_cost_is_an_error_under_every_extractor() {
+        let scale = tensat_models::ModelScale {
+            blocks: 6,
+            ..Default::default()
+        };
+        let graph = tensat_models::build_benchmark("VGG-19", scale);
+        assert!(!CostModel::default().graph_cost(&graph).is_finite());
+        for extraction in [
+            ExtractionMode::Greedy,
+            ExtractionMode::GreedyDag,
+            ExtractionMode::Ilp,
+        ] {
+            let config = OptimizerConfig {
+                extraction,
+                search_threads: 1,
+                ..Default::default()
+            };
+            let refused = Optimizer::new(config).optimize(&graph).unwrap_err();
+            assert_eq!(refused, ExtractError::NoFiniteTerm, "{extraction:?}");
+        }
     }
 
     #[test]

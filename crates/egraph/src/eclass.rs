@@ -76,11 +76,6 @@ impl<L: Language, D> EClass<L, D> {
         self.nodes.iter().zip(self.node_birth.iter().copied())
     }
 
-    /// True if the class contains only leaf e-nodes.
-    pub fn is_leaf_class(&self) -> bool {
-        self.nodes.iter().all(|n| n.is_leaf())
-    }
-
     /// The parents recorded for congruence repair. Exposed for diagnostics
     /// only: entries may hold non-canonical node forms, absorbed class
     /// ids, or duplicates — even on a clean e-graph (rebuild repair only

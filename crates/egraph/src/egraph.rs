@@ -233,11 +233,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
-    /// Iterates mutably over all e-classes in ascending id order.
-    pub fn classes_mut(&mut self) -> impl Iterator<Item = &mut EClass<L, N::Data>> {
-        self.slots.iter_mut().filter_map(Option::as_mut)
-    }
-
     /// Looks up an e-node, returning the canonical id of its class if it is
     /// already represented.
     pub fn lookup(&self, enode: &L) -> Option<Id> {
@@ -388,14 +383,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.node_repair.push(root);
         N::modify(self, root);
         (root, true)
-    }
-
-    /// The memo (hashcons) contents as an owned list of `(e-node, id)`
-    /// pairs, in unspecified order. A test/debug accessor: determinism
-    /// suites sort and compare it across runs to prove two e-graphs are
-    /// bit-identical below the class level.
-    pub fn memo_snapshot(&self) -> Vec<(L, Id)> {
-        self.memo.iter().map(|(n, &id)| (n.clone(), id)).collect()
     }
 
     /// Restores the congruence and analysis invariants after a batch of
@@ -657,17 +644,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             .get(usize::from(id))
             .and_then(|&s| self.slots.get(s as usize))
             .and_then(Option::as_ref)
-            .unwrap_or_else(|| panic!("no class for id {id}"))
-    }
-
-    /// Mutable access to a class by (possibly non-canonical) id.
-    pub fn eclass_mut(&mut self, id: Id) -> &mut EClass<L, N::Data> {
-        let id = self.find(id);
-        self.slot_of
-            .get(usize::from(id))
-            .copied()
-            .and_then(|s| self.slots.get_mut(s as usize))
-            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("no class for id {id}"))
     }
 

@@ -12,13 +12,14 @@
 //!   slots its chosen sub-DAG reaches (a few dozen of the e-graph's
 //!   thousands of slots, so a list and not a bit set).
 //!
-//! The ILP extractor, which is DAG-exact, lives in `tensat-core` because it
-//! depends on the ILP solver substrate; `tensat-core` also wraps all three
-//! behind its `ExtractionStrategy` seam.
+//! Both pick one e-node per class and hand the picks to [`build_term`],
+//! the one walker that turns a choice of e-nodes into a term. The ILP
+//! extractor, which is DAG-exact, lives in `tensat-core` because it depends
+//! on the ILP solver substrate; it reads its solution back through the same
+//! walker, and `tensat_core::extract` dispatches over all three.
 
-use crate::{Analysis, BitSet, EGraph, Id, Language, RecExpr};
+use crate::{Analysis, EGraph, Id, Language, RecExpr};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// A cost function over e-nodes.
 ///
@@ -48,17 +49,20 @@ pub trait CostFunction<L: Language> {
     /// [`f64::total_cmp`], under which NaN orders above `+inf` and loses to
     /// every finite cost.
     fn cmp(a: &Self::Cost, b: &Self::Cost) -> Ordering {
-        match a.partial_cmp(b) {
-            Some(o) => o,
-            None => {
-                debug_assert!(
-                    false,
-                    "incomparable extraction costs (NaN?): {a:?} vs {b:?}"
-                );
-                Ordering::Greater
-            }
-        }
+        partial_order_or_greater(a, b)
     }
+}
+
+/// `partial_cmp`, with an incomparable pair (NaN?) debug-asserting and
+/// ordered [`Ordering::Greater`]: the default of both cost traits' `cmp`.
+fn partial_order_or_greater<C: PartialOrd + std::fmt::Debug>(a: &C, b: &C) -> Ordering {
+    a.partial_cmp(b).unwrap_or_else(|| {
+        debug_assert!(
+            false,
+            "incomparable extraction costs (NaN?): {a:?} vs {b:?}"
+        );
+        Ordering::Greater
+    })
 }
 
 /// A borrowed cost function is one too, so a caller can keep its cost
@@ -112,6 +116,97 @@ impl<L: Language> CostFunction<L> for AstDepth {
             .map(|&c| costs(c))
             .max()
             .unwrap_or(0)
+    }
+}
+
+/// Why [`build_term`] could not build a term from a choice of e-nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChoiceError {
+    /// A class the term needs is not live or has no chosen e-node.
+    Missing,
+    /// The chosen e-nodes lead from a class back to itself: no finite term.
+    Cyclic,
+}
+
+/// A term built from one chosen e-node per class.
+#[derive(Debug, Clone)]
+pub struct ChosenTerm<'c, L> {
+    /// The term; a class used more than once is stored once.
+    pub expr: RecExpr<L>,
+    /// The `(slot, chosen e-node)` of every class the term uses, children
+    /// before parents: `picks[i]` became node `i` of `expr`.
+    pub picks: Vec<(usize, &'c L)>,
+}
+
+/// Builds the term rooted at `root` in which every class is represented by
+/// the e-node `choice` gives for its slot ([`EGraph::slot_index`]).
+///
+/// One explicit frame per partially-built class instead of a recursion per
+/// term-depth level: extracted terms can be deeper than a thread stack (a
+/// ~100k-deep chain overflows the 2 MiB test-thread stack).
+pub fn build_term<'c, L: Language, N: Analysis<L>>(
+    egraph: &EGraph<L, N>,
+    root: Id,
+    choice: impl Fn(usize) -> Option<&'c L>,
+) -> Result<ChosenTerm<'c, L>, ChoiceError> {
+    struct Frame<'c, L> {
+        slot: usize,
+        node: &'c L,
+        next_child: usize,
+    }
+    /// Where the walk stands with a class: not reached, on the stack, or
+    /// emitted as this node of the expression.
+    #[derive(Clone, Copy)]
+    enum Class {
+        Unseen,
+        Open,
+        Done(Id),
+    }
+    let slot_of = |id: Id| egraph.slot_index(id).ok_or(ChoiceError::Missing);
+    let open = |slot: usize| {
+        let node = choice(slot).ok_or(ChoiceError::Missing)?;
+        Ok(Frame {
+            slot,
+            node,
+            next_child: 0,
+        })
+    };
+
+    let mut term = ChosenTerm {
+        expr: RecExpr::default(),
+        picks: vec![],
+    };
+    let mut classes = vec![Class::Unseen; egraph.num_slots()];
+    let root = slot_of(root)?;
+    classes[root] = Class::Open;
+    let mut stack = vec![open(root)?];
+    loop {
+        let top = stack.last_mut().expect("loop returns before emptying");
+        if let Some(&child) = top.node.children().get(top.next_child) {
+            top.next_child += 1;
+            let child = slot_of(child)?;
+            match classes[child] {
+                Class::Done(_) => {}
+                Class::Open => return Err(ChoiceError::Cyclic),
+                Class::Unseen => {
+                    classes[child] = Class::Open;
+                    stack.push(open(child)?);
+                }
+            }
+            continue;
+        }
+        // All children emitted: emit this node.
+        let Frame { slot, node, .. } = stack.pop().expect("a frame is always on the stack");
+        let emitted = |child: Id| match egraph.slot_index(child).map(|s| classes[s]) {
+            Some(Class::Done(id)) => id,
+            _ => unreachable!("a node is emitted after its children"),
+        };
+        let id = term.expr.add(node.map_children(emitted));
+        classes[slot] = Class::Done(id);
+        term.picks.push((slot, node));
+        if stack.is_empty() {
+            return Ok(term);
+        }
     }
 }
 
@@ -282,81 +377,21 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
         self.best_entry(id).map(|(c, _)| c.clone())
     }
 
-    /// The chosen e-node for a class.
-    pub fn best_node(&self, id: Id) -> Option<&L> {
-        self.best_entry(id).map(|(_, n)| n)
-    }
-
     /// Extracts the best term rooted at `root`, returning its cost and the
     /// term itself. Returns `None` if the class represents no finite term
     /// (possible when every candidate node was filtered or participates in
     /// an unavoidable cycle).
     pub fn find_best(&self, root: Id) -> Option<(CF::Cost, RecExpr<L>)> {
-        let root = self.egraph.find(root);
-        let cost = self.best_cost(root)?;
-        let mut expr = RecExpr::default();
-        let mut cache: HashMap<Id, Id> = HashMap::new();
-        let id = self.build_expr(root, &mut expr, &mut cache)?;
-        debug_assert_eq!(usize::from(id), expr.len() - 1);
-        Some((cost, expr))
+        self.find_best_term(root)
+            .map(|(cost, term)| (cost, term.expr))
     }
 
-    fn build_expr(
-        &self,
-        root: Id,
-        expr: &mut RecExpr<L>,
-        cache: &mut HashMap<Id, Id>,
-    ) -> Option<Id> {
-        // One explicit frame per partially-built class instead of recursing
-        // per term-depth level: extracted terms can be deeper than a thread
-        // stack (a ~100k-deep chain overflows the 2 MiB test-thread stack).
-        struct Frame<L> {
-            class: Id,
-            node: L,
-            next_child: usize,
-            children: Vec<Id>,
-        }
-        let frame = |class: Id, node: L| Frame {
-            class,
-            node,
-            next_child: 0,
-            children: vec![],
-        };
-
-        let root = self.egraph.find(root);
-        if let Some(&done) = cache.get(&root) {
-            return Some(done);
-        }
-        let mut stack = vec![frame(root, self.best_node(root)?.clone())];
-        loop {
-            let top = stack.last_mut().expect("loop returns before emptying");
-            if let Some(&child) = top.node.children().get(top.next_child) {
-                top.next_child += 1;
-                let child = self.egraph.find(child);
-                if let Some(&done) = cache.get(&child) {
-                    top.children.push(done);
-                } else {
-                    let node = self.best_node(child)?.clone();
-                    stack.push(frame(child, node));
-                }
-                continue;
-            }
-            // All children resolved: emit this node and hand the expression
-            // id to the parent frame (or return it for the root).
-            let done = stack.pop().expect("a frame is always on the stack");
-            let mut i = 0;
-            let node = done.node.map_children(|_| {
-                let id = done.children[i];
-                i += 1;
-                id
-            });
-            let id = expr.add(node);
-            cache.insert(done.class, id);
-            match stack.last_mut() {
-                Some(parent) => parent.children.push(id),
-                None => return Some(id),
-            }
-        }
+    /// [`Extractor::find_best`], keeping the per-class picks the term was
+    /// built from.
+    pub fn find_best_term(&self, root: Id) -> Option<(CF::Cost, ChosenTerm<'_, L>)> {
+        let cost = self.best_cost(root)?;
+        let best_node = |slot: usize| self.best[slot].as_ref().map(|(_, node)| node);
+        Some((cost, build_term(self.egraph, root, best_node).ok()?))
     }
 }
 
@@ -386,16 +421,7 @@ pub trait DagCostFunction<L: Language> {
 
     /// Total-order comparison; same contract as [`CostFunction::cmp`].
     fn cmp(a: &Self::Cost, b: &Self::Cost) -> Ordering {
-        match a.partial_cmp(b) {
-            Some(o) => o,
-            None => {
-                debug_assert!(
-                    false,
-                    "incomparable extraction costs (NaN?): {a:?} vs {b:?}"
-                );
-                Ordering::Greater
-            }
-        }
+        partial_order_or_greater(a, b)
     }
 }
 
@@ -798,77 +824,28 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
 
     /// Extracts the best DAG rooted at `root`: the cost (each selected
     /// e-node charged once) and the expression. The cost is summed over
-    /// the final selection — each chosen node's own cost — rather than
-    /// read from the fixpoint's sub-DAG totals, so it is honest even when
-    /// a cyclic e-graph left stale entries.
+    /// the final selection — each chosen node's own cost, in the order the
+    /// nodes were emitted — rather than read from the fixpoint's sub-DAG
+    /// totals, so it is honest even when a cyclic e-graph left stale
+    /// entries.
     /// Returns `None` if the class has no viable selection or (possible
     /// only without cycle filtering) the per-class choices form a cycle.
     pub fn find_best(&self, root: Id) -> Option<(DF::Cost, RecExpr<L>)> {
-        let root = self.egraph.find(root);
-        let n = self.egraph.num_slots();
-        let mut expr = RecExpr::default();
-        let mut done: Vec<Option<Id>> = vec![None; n];
-        let mut on_stack = BitSet::new(n);
-        let mut cost = self.cost_fn.borrow().zero();
+        self.find_best_term(root)
+            .map(|(cost, term)| (cost, term.expr))
+    }
 
-        // Explicit stack: extracted DAGs can be deeper than a thread stack.
-        struct Frame<L> {
-            slot: usize,
-            node: L,
-            next_child: usize,
-            children: Vec<Id>,
+    /// [`DagExtractor::find_best`], keeping the per-class picks the
+    /// expression was built from.
+    pub fn find_best_term(&self, root: Id) -> Option<(DF::Cost, ChosenTerm<'_, L>)> {
+        let entry = |slot: usize| self.entries[slot].as_ref();
+        let term = build_term(self.egraph, root, |slot| entry(slot).map(|e| &e.choice)).ok()?;
+        let cost_fn = self.cost_fn.borrow();
+        let mut cost = cost_fn.zero();
+        for &(slot, _) in &term.picks {
+            cost_fn.add_assign(&mut cost, &entry(slot).expect("a pick has an entry").own);
         }
-        let frame = |slot: usize, node: L| Frame {
-            slot,
-            node,
-            next_child: 0,
-            children: vec![],
-        };
-
-        let root_slot = self.egraph.slot_index(root)?;
-        let mut stack = vec![frame(
-            root_slot,
-            self.entries[root_slot].as_ref()?.choice.clone(),
-        )];
-        if !on_stack.insert(root_slot) {
-            return None;
-        }
-        loop {
-            let top = stack.last_mut().expect("loop returns before emptying");
-            if let Some(&child) = top.node.children().get(top.next_child) {
-                top.next_child += 1;
-                let slot = self.egraph.slot_index(self.egraph.find(child))?;
-                if let Some(done) = done[slot] {
-                    top.children.push(done);
-                } else {
-                    if !on_stack.insert(slot) {
-                        // A selection cycle (stale entries on a cyclic
-                        // e-graph): no finite term.
-                        return None;
-                    }
-                    let node = self.entries[slot].as_ref()?.choice.clone();
-                    stack.push(frame(slot, node));
-                }
-                continue;
-            }
-            let finished = stack.pop().expect("a frame is always on the stack");
-            let entry = self.entries[finished.slot]
-                .as_ref()
-                .expect("a frame is pushed from its entry");
-            self.cost_fn.borrow().add_assign(&mut cost, &entry.own);
-            let mut i = 0;
-            let node = finished.node.map_children(|_| {
-                let id = finished.children[i];
-                i += 1;
-                id
-            });
-            let id = expr.add(node);
-            done[finished.slot] = Some(id);
-            match stack.last_mut() {
-                Some(parent) => parent.children.push(id),
-                None => return Some((cost, expr)),
-            }
-        }
+        Some((cost, term))
     }
 }
 
@@ -876,7 +853,7 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
 mod tests {
     use super::*;
     use crate::language::test_lang::Math;
-    use crate::Symbol;
+    use crate::{BitSet, Symbol};
 
     fn sym(s: &str) -> Math {
         Math::Sym(Symbol::new(s))
@@ -955,11 +932,55 @@ mod tests {
         assert_eq!(size, 7); // tree size double counts the shared (+ a b)
     }
 
-    /// Regression test: `build_expr` recursed once per term-depth level —
-    /// the last deep recursion left after the cycle finder and the ILP
-    /// branch-and-bound were converted to explicit stacks — and overflowed
-    /// the 2 MiB test-thread stack on chains ~100k nodes deep. The explicit
-    /// stack handles arbitrary depth.
+    /// [`build_term`] on choice tables made by hand for `(+ c 1)`, where the
+    /// class `c` is `{a, (* a 1)}`.
+    #[test]
+    fn build_term_reports_its_picks_and_refuses_missing_and_cyclic_choices() {
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let a = eg.add(sym("a"));
+        let one = eg.add(Math::Num(1));
+        let c = eg.add(Math::Mul([a, one]));
+        eg.union(a, c);
+        let root = eg.add(Math::Add([c, one]));
+        eg.rebuild();
+        let slot = |id: Id| eg.slot_index(id).unwrap();
+        let plus = eg.canonicalize(&Math::Add([c, one]));
+        let table = |for_c: Math, for_one: Option<Math>| {
+            let mut table = vec![None; eg.num_slots()];
+            table[slot(root)] = Some(plus.clone());
+            table[slot(c)] = Some(eg.canonicalize(&for_c));
+            table[slot(one)] = for_one;
+            table
+        };
+
+        // One pick per expression node, children first: the slot and the
+        // table's own e-node (class ids as children).
+        let complete = table(sym("a"), Some(Math::Num(1)));
+        let term = build_term(&eg, root, |s| complete[s].as_ref()).unwrap();
+        assert_eq!(term.expr.to_string(), "(+ a 1)");
+        let picks: Vec<_> = term.picks.iter().map(|&(s, n)| (s, n.clone())).collect();
+        let expected = [
+            (slot(c), sym("a")),
+            (slot(one), Math::Num(1)),
+            (slot(root), plus.clone()),
+        ];
+        assert_eq!(picks, expected);
+
+        let missing = table(sym("a"), None);
+        let refused = build_term(&eg, root, |s| missing[s].as_ref()).unwrap_err();
+        assert_eq!(refused, ChoiceError::Missing);
+
+        // `c` choosing `(* a 1)` is its own child — a table no extractor's
+        // fixpoint produces. `Extractor::build_expr` had no check for it
+        // and would have pushed frames until memory ran out.
+        let cyclic = table(Math::Mul([a, one]), Some(Math::Num(1)));
+        let refused = build_term(&eg, root, |s| cyclic[s].as_ref()).unwrap_err();
+        assert_eq!(refused, ChoiceError::Cyclic);
+    }
+
+    /// Regression test: building the term recursed once per term-depth
+    /// level and overflowed the 2 MiB test-thread stack on chains ~100k
+    /// nodes deep. [`build_term`]'s explicit stack handles arbitrary depth.
     #[test]
     fn extraction_survives_very_deep_chains() {
         const DEPTH: usize = 100_000;
@@ -1156,11 +1177,9 @@ mod tests {
             let oracle = every_node_extractor(&eg, &mut oracle_cf);
             assert_eq!(skipping.best, oracle.best);
             // A flat `<<` can make a class's best node its own ancestor,
-            // which has no finite term to build.
-            if !flat_shl {
-                for &id in &ids {
-                    assert_eq!(skipping.find_best(id), oracle.find_best(id));
-                }
+            // which has no finite term to build: both say `None`.
+            for &id in &ids {
+                assert_eq!(skipping.find_best(id), oracle.find_best(id));
             }
             drop((skipping, oracle));
             assert!(skipping_cf.calls <= oracle_cf.calls);

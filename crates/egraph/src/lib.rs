@@ -73,7 +73,10 @@ pub use analysis::{merge_max, Analysis, DidMerge};
 pub use bitset::BitSet;
 pub use eclass::EClass;
 pub use egraph::EGraph;
-pub use extract::{AstDepth, AstSize, CostFunction, DagCostFunction, DagExtractor, Extractor};
+pub use extract::{
+    build_term, AstDepth, AstSize, ChoiceError, ChosenTerm, CostFunction, DagCostFunction,
+    DagExtractor, Extractor,
+};
 pub use language::{assert_ord_contract, Id, Language, Symbol};
 pub use machine::{
     search_all_guarded_parallel, search_all_guarded_parallel_with_threshold, ChildSource,

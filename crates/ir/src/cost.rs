@@ -138,12 +138,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A cost model with a different launch overhead (used by ablations).
-    pub fn with_launch_overhead(mut self, us: f64) -> Self {
-        self.launch_overhead_us = us;
-        self
-    }
-
     fn roofline(&self, flops: f64, bytes: f64) -> f64 {
         self.launch_overhead_us + (flops / self.flops_per_us).max(bytes / self.bytes_per_us)
     }
@@ -303,17 +297,6 @@ impl CostModel {
             peak_memory: out_elems * self.bytes_per_element,
             launches: 1.0,
         }
-    }
-
-    /// The cost (µs) of an e-node inside an e-graph, reading children data
-    /// from the e-class analysis.
-    pub fn enode_cost(
-        &self,
-        egraph: &EGraph<TensorLang, TensorAnalysis>,
-        enode: &TensorLang,
-    ) -> f64 {
-        let get = |id: Id| egraph.eclass(id).data.clone();
-        self.node_cost(enode, &get)
     }
 
     /// The composite [`Cost`] of an e-node inside an e-graph.

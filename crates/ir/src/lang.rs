@@ -210,11 +210,6 @@ impl TensorLang {
         };
         Ok(node)
     }
-
-    /// True for the parameter leaves (`Num`, `Str`).
-    pub fn is_param_leaf(&self) -> bool {
-        matches!(self, TensorLang::Num(_) | TensorLang::Str(_))
-    }
 }
 
 impl Language for TensorLang {

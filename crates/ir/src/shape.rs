@@ -62,11 +62,6 @@ impl TensorData {
         TensorData::Invalid(reason.into())
     }
 
-    /// True if this is a well-typed tensor (not a tuple or parameter).
-    pub fn is_tensor(&self) -> bool {
-        matches!(self, TensorData::Tensor(_))
-    }
-
     /// True unless this is [`TensorData::Invalid`].
     pub fn is_valid(&self) -> bool {
         !matches!(self, TensorData::Invalid(_))
@@ -84,14 +79,6 @@ impl TensorData {
     pub fn as_scalar(&self) -> Option<i64> {
         match self {
             TensorData::Scalar(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string value if this is a string.
-    pub fn as_str_sym(&self) -> Option<Symbol> {
-        match self {
-            TensorData::Str(s) => Some(*s),
             _ => None,
         }
     }

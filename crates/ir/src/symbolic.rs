@@ -55,11 +55,6 @@ impl SymDim {
         }
     }
 
-    /// The constant value if this expression has no variable terms.
-    pub fn as_const(&self) -> Option<i64> {
-        self.terms.is_empty().then_some(self.konst)
-    }
-
     /// True if this is the zero expression.
     pub fn is_zero(&self) -> bool {
         self.konst == 0 && self.terms.is_empty()

@@ -20,7 +20,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use tensat_egraph::{Id, RecExpr};
+use tensat_egraph::RecExpr;
 use tensat_ir::{Activation, GraphBuilder, Padding, TensorLang};
 
 /// Controls how large the replica models are.
@@ -310,11 +310,6 @@ pub fn all_benchmarks(scale: ModelScale) -> Vec<(&'static str, RecExpr<TensorLan
 /// Helper used by tests: true if every node of the graph is well-typed.
 pub fn is_well_typed(graph: &RecExpr<TensorLang>) -> bool {
     tensat_ir::infer_recexpr(graph).iter().all(|d| d.is_valid())
-}
-
-/// The id of the graph root (the last node), for convenience.
-pub fn root_of(graph: &RecExpr<TensorLang>) -> Id {
-    graph.root()
 }
 
 #[cfg(test)]

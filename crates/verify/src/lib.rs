@@ -30,7 +30,7 @@ pub mod universe;
 
 use std::fmt;
 use tensat_egraph::Pattern;
-use tensat_ir::{TensorData, TensorLang};
+use tensat_ir::TensorLang;
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
 
 pub use soundness::Counterexample;
@@ -333,10 +333,4 @@ pub fn verify_corpus(singles: &[TensorRewrite], multis: &[MultiPatternRule]) -> 
 /// ([`tensat_rules::single_rules`] + [`tensat_rules::multi_rules`]).
 pub fn verify_shipped_corpus() -> CorpusReport {
     verify_corpus(&single_rules(), &multi_rules())
-}
-
-/// Re-exported for tests and downstream diagnostics: compact
-/// [`TensorData`] formatting used in counterexample messages.
-pub fn format_data(d: &TensorData) -> String {
-    soundness::fmt_data(d)
 }

@@ -1,4 +1,4 @@
-//! Compare the three extraction strategies on the same explored e-graph —
+//! Compare the three extractors on the same explored e-graph —
 //! the single-model version of the paper's Table 4 ablation, showing why
 //! DAG-aware extraction is needed to pick shared (split) subgraphs.
 //!
@@ -7,7 +7,6 @@
 //! cargo run --release --example compare_extraction
 //! ```
 
-use tensat::core::{ExtractionStrategy, GreedyDag, IlpExtraction, TreeGreedy};
 use tensat::ir::TensorAnalysis;
 use tensat::prelude::*;
 
@@ -35,21 +34,19 @@ fn main() {
         stats.time.as_secs_f64()
     );
 
-    // Extract three times from the same e-graph, through the one seam.
-    let strategies: [Box<dyn ExtractionStrategy>; 3] = [
-        Box::new(TreeGreedy),
-        Box::new(GreedyDag),
-        Box::new(IlpExtraction::default()),
+    // Extract three times from the same e-graph.
+    let modes = [
+        (ExtractionMode::Greedy, "tree-greedy"),
+        (ExtractionMode::GreedyDag, "greedy-dag"),
+        (ExtractionMode::Ilp, "ilp"),
     ];
     println!("original      : {original:10.2} µs (DAG cost)");
     let mut costs = vec![];
-    for strategy in &strategies {
-        let out = strategy
-            .extract(&egraph, root, &model)
+    for (mode, name) in modes {
+        let out = extract(mode, &egraph, root, &model, &IlpConfig::default())
             .expect("extraction succeeds on an explored model");
         print!(
-            "{:14}: {:10.2} µs DAG / {:10.2} µs tree  ({:.3}s)",
-            strategy.name(),
+            "{name:14}: {:10.2} µs DAG / {:10.2} µs tree  ({:.3}s)",
             out.dag_cost,
             out.tree_cost,
             out.time.as_secs_f64()

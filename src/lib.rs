@@ -46,11 +46,10 @@ pub use tensat_verify as verify;
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use tensat_core::{
-        explore, explore_with, extract_greedy, extract_greedy_dag, extract_ilp, CycleFilter,
-        ExplorationConfig, ExplorationMode, ExplorationStrategy, ExtractionMode, ExtractionOutcome,
-        ExtractionStrategy, GreedyDag, Guided, GuidedConfig, IlpConfig, IlpExtraction,
-        OptimizationResult, Optimizer, OptimizerConfig, Saturate, StopReason, TasoBacktracking,
-        TasoConfig, TreeGreedy,
+        explore, explore_with, extract, extract_greedy, extract_greedy_dag, extract_ilp,
+        CycleFilter, ExplorationConfig, ExplorationMode, ExplorationStrategy, ExtractionMode,
+        ExtractionOutcome, Guided, GuidedConfig, IlpConfig, OptimizationResult, Optimizer,
+        OptimizerConfig, Saturate, StopReason, TasoBacktracking, TasoConfig,
     };
     pub use tensat_egraph::{EGraph, Id, Pattern, RecExpr, Rewrite, Symbol};
     pub use tensat_ir::{

@@ -135,10 +135,10 @@ fn facade_prelude_exposes_the_documented_surface() {
     let _: CycleFilter = CycleFilter::Efficient;
     let _ = GuidedConfig::default();
     let _ = TasoConfig::default();
-    assert_eq!(ExplorationMode::Guided.strategy_name(), Guided.name());
-    assert_eq!(ExplorationMode::Saturate.strategy_name(), Saturate.name());
+    assert_eq!(ExplorationMode::Guided.strategy().name(), Guided.name());
+    assert_eq!(ExplorationMode::Saturate.strategy().name(), Saturate.name());
     assert_eq!(
-        ExplorationMode::Taso.strategy_name(),
+        ExplorationMode::Taso.strategy().name(),
         TasoBacktracking.name()
     );
 }
