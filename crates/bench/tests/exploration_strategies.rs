@@ -34,7 +34,7 @@ use proptest::prelude::*;
 use std::time::Duration;
 use tensat_core::explore::legacy::explore_monolithic;
 use tensat_core::{
-    explore, extract_greedy, extract_greedy_dag, ExplorationConfig, ExplorationMode,
+    explore, extract_greedy, extract_greedy_dag, CycleFilter, ExplorationConfig, ExplorationMode,
     ExplorationStats, StopReason,
 };
 use tensat_egraph::{Id, RecExpr, SearchMatches, PARALLEL_SEARCH_SPAWN_THRESHOLD};
@@ -401,6 +401,88 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
         }
     }
     assert_eq!(total_enodes, 13_662);
+}
+
+/// The trajectories of the repo benchmark's two big workloads, pinned to
+/// the digit: `bert_apply` (BERT `blocks: 2` to 20 000 e-nodes) and
+/// `nasnet_search` (NasNet-A `blocks: 4` to 30 000) — `(e-nodes,
+/// e-classes, iterations, filtered e-nodes, unions, stop reason, e-nodes
+/// after each iteration, greedy-DAG cost)`. The pins above stop at 2 000
+/// e-nodes and the benchmark compares an op only with its own warm-up, so
+/// this is what holds a change to the e-graph's storage to the same run at
+/// 20–30 k e-nodes. Release builds only: a debug build runs
+/// `check_invariants` after every rebuild (CI runs this test with
+/// `TENSAT_CHECK_INVARIANTS=1`, which does the same in release).
+#[test]
+fn big_benchmark_trajectories_are_pinned() {
+    use StopReason::NodeLimit;
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let cases = [
+        (
+            "BERT",
+            2,
+            20_000,
+            (
+                19_596,
+                8_600,
+                6,
+                28,
+                12_908,
+                NodeLimit(20_000),
+                vec![313, 578, 1_362, 4_151, 18_851, 19_596],
+                110.26111999999998,
+            ),
+        ),
+        (
+            "NasNet-A",
+            4,
+            30_000,
+            (
+                28_024,
+                13_646,
+                5,
+                126,
+                17_242,
+                NodeLimit(30_000),
+                vec![812, 1_270, 3_015, 10_579, 28_024],
+                103.56740266666665,
+            ),
+        ),
+    ];
+    let singles = single_rules();
+    let multis = multi_rules();
+    for (name, blocks, node_limit, pin) in cases {
+        let scale = ModelScale {
+            blocks,
+            ..ModelScale::default()
+        };
+        let (mut eg, root) = seeded(&build_benchmark(name, scale));
+        let config = ExplorationConfig {
+            max_iter: 15,
+            cycle_filter: CycleFilter::Efficient,
+            ..saturate_config(node_limit)
+        };
+        let stats = explore(&mut eg, root, &singles, &multis, &config);
+        let dag = extract_greedy_dag(&eg, root, &CostModel::default()).unwrap();
+        assert_eq!(
+            (
+                stats.enodes,
+                stats.eclasses,
+                stats.iterations,
+                stats.filtered_nodes,
+                eg.union_count(),
+                stats
+                    .stop_reason
+                    .expect("a finished run says why it stopped"),
+                stats.nodes_per_iteration,
+                dag.dag_cost,
+            ),
+            pin,
+            "{name} blocks {blocks} at {node_limit}"
+        );
+    }
 }
 
 /// Property 6: sharded search must not change an exploration outcome —

@@ -117,9 +117,10 @@ impl DescendantsMap {
         let n = self.comp.len();
         let (a, d) = match (egraph.slot_index(ancestor), egraph.slot_index(descendant)) {
             // Classes created after the map was built (slots past its end)
-            // are treated as having no recorded descendants; slots are
-            // stable between rebuilds, so mid-iteration unions keep
-            // resolving to the slot recorded at build time.
+            // are treated as having no recorded descendants; the slots of
+            // classes that existed at the last rebuild are stable until the
+            // next one, so mid-iteration unions keep resolving to the slot
+            // recorded at build time.
             (Some(a), Some(d)) if a < n && d < n => (a, d),
             _ => return false,
         };

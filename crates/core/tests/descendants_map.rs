@@ -149,11 +149,14 @@ proptest! {
     /// answers with the slot `find` now resolves it to — the answers
     /// recorded for that slot at build time, not the merged e-graph's. The
     /// apply phase relies on exactly this: it adds and unions for a whole
-    /// iteration without rebuilding the map (or the e-graph).
+    /// iteration without rebuilding the map (or the e-graph). In
+    /// particular a union that absorbs the class in the map's last slot
+    /// before the adds must not free that slot for a new class.
     #[test]
     fn later_adds_and_unions_do_not_change_the_recorded_answers(
         ops in ops_strategy(24),
         cycle_unions in prop::collection::vec((any::<usize>(), any::<usize>()), 0..3),
+        tail_partner in any::<usize>(),
         later_unions in prop::collection::vec((any::<usize>(), any::<usize>()), 1..6),
         later_adds in prop::collection::vec(any::<usize>(), 1..6),
     ) {
@@ -162,12 +165,18 @@ proptest! {
         for (a, b) in &cycle_unions {
             eg.union(tensors[a % tensors.len()], tensors[b % tensors.len()]);
         }
+        // The newest class, so the last slot after the rebuild: a fresh
+        // input of one id, which loses any union (the larger set's root
+        // wins, the first argument on a tie).
+        let name = eg.add(TensorLang::Str(encode_identifier("tail", &[8, 8])));
+        let tail = eg.add(TensorLang::Input([name]));
         eg.rebuild();
 
         let map = DescendantsMap::compute(&eg);
         let classes: Vec<Id> = eg.classes().map(|c| c.id).collect();
         let slot = |eg: &TensorEGraph, id: Id| eg.slot_index(id).expect("class is live");
         let n = eg.num_slots();
+        prop_assert_eq!(slot(&eg, tail), n - 1);
         let mut recorded = vec![false; n * n];
         for &a in &classes {
             for &d in &classes {
@@ -175,9 +184,14 @@ proptest! {
             }
         }
 
-        // What an apply phase does, with no rebuild: new classes on top of
-        // old ones, unions among the old ones.
+        // What an apply phase does, with no rebuild: the last recorded
+        // slot's class absorbed, new classes on top of old ones, unions
+        // among the old ones.
         let tensors = tensor_classes(&eg);
+        let partner = tensors[tail_partner % (tensors.len() - 1)];
+        eg.union(partner, tail);
+        prop_assert_eq!(eg.find(tail), partner, "the tail class is the one absorbed");
+        prop_assert_eq!(eg.num_slots(), n, "the absorbed slot stays a tombstone");
         let mut added: Vec<Id> = vec![];
         for pick in &later_adds {
             let below = tensors[pick % tensors.len()];

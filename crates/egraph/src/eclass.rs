@@ -15,18 +15,21 @@ pub struct EClass<L, D> {
     /// The e-nodes in this class. After a rebuild these are canonical and
     /// deduplicated.
     pub nodes: Vec<L>,
-    /// Birth stamps parallel to `nodes`: the global insertion counter value
-    /// at which each e-node was first added to the e-graph. Used by
-    /// TENSAT's cycle-resolution step ("filter the last-added node").
+    /// Birth stamps parallel to `nodes`: the raw id whose
+    /// [`EGraph::add`](crate::EGraph::add) first created each e-node, so
+    /// birth order is id order. Used by TENSAT's cycle-resolution step
+    /// ("filter the last-added node").
     pub node_birth: Vec<u64>,
     /// The analysis data for this class.
     pub data: D,
-    /// Parent e-nodes (and the class they live in) that reference this
-    /// class as a child. Entries may be stale — non-canonical node forms,
-    /// absorbed target ids, duplicates — even on a clean e-graph: rebuild
-    /// repair only canonicalizes the parent lists of classes touched by a
-    /// union, and every internal consumer canonicalizes on use.
-    pub(crate) parents: Vec<(L, Id)>,
+    /// The e-nodes that reference this class as a child, as ids into the
+    /// e-graph's node table: id `p` names the e-node whose `add` created
+    /// `p`, which lives in class `find(p)`. Entries may be stale — a
+    /// table entry in a non-canonical form, duplicates — even on a clean
+    /// e-graph: rebuild repair only canonicalizes the parents of classes
+    /// touched by a union, and every internal consumer canonicalizes on
+    /// use.
+    pub(crate) parents: Vec<Id>,
 }
 
 impl<L: Language, D> EClass<L, D> {
@@ -71,18 +74,18 @@ impl<L: Language, D> EClass<L, D> {
         })
     }
 
-    /// Iterates over `(e-node, birth stamp)` pairs.
+    /// Iterates over `(e-node, birth stamp)` pairs; a later birth stamp
+    /// means a later [`EGraph::add`](crate::EGraph::add).
     pub fn iter_with_birth(&self) -> impl Iterator<Item = (&L, u64)> {
         self.nodes.iter().zip(self.node_birth.iter().copied())
     }
 
-    /// The parents recorded for congruence repair. Exposed for diagnostics
-    /// only: entries may hold non-canonical node forms, absorbed class
-    /// ids, or duplicates — even on a clean e-graph (rebuild repair only
-    /// canonicalizes the parent lists of classes touched by a union) —
-    /// so canonicalize both components before comparing them against memo
-    /// keys or class node lists.
-    pub fn parents(&self) -> impl Iterator<Item = (&L, Id)> {
-        self.parents.iter().map(|(n, id)| (n, *id))
+    /// The parents recorded for congruence repair, as the raw ids whose
+    /// `add` created each parent e-node (`find` gives the parent's class).
+    /// Exposed for diagnostics only: ids may repeat, even on a clean
+    /// e-graph (rebuild repair only deduplicates the parents of classes
+    /// touched by a union).
+    pub fn parents(&self) -> impl Iterator<Item = Id> + '_ {
+        self.parents.iter().copied()
     }
 }

@@ -34,12 +34,15 @@ fn invariant_checks_forced() -> bool {
 /// [`EGraph::eclass`] is a `find` plus two array reads — O(1) on the
 /// e-matching hot path, where the old `BTreeMap` storage paid a tree walk
 /// per [`crate::Instruction`]. Live slots are always in ascending-id order:
-/// fresh classes append, a union tombstones the absorbed class's slot in
-/// place, and [`EGraph::rebuild`] compacts the tombstones away. One side
-/// table runs parallel to `slots`: each class's operator set. The operator
-/// index is maintained incrementally at `add`/`union` time (a class's
-/// operator set only ever grows), and `rebuild` repairs congruence with
-/// worklists proportional to the classes actually touched instead of
+/// fresh classes append, a union pops the absorbed class's slot if it is
+/// the last one and was created since the last rebuild and tombstones it in
+/// place otherwise, and [`EGraph::rebuild`] compacts the tombstones away.
+/// A node table indexed by raw id holds the e-node each `add` created;
+/// parent lists and the analysis worklist are ids into it, so an edge
+/// costs 4 bytes, not a copy of the e-node. The operator index is
+/// maintained incrementally at `add`/`union` time (a class's operator set
+/// only ever grows), and `rebuild` repairs congruence with worklists
+/// proportional to the classes actually touched instead of
 /// re-canonicalizing the whole e-graph.
 ///
 /// In addition to the egg feature set, this e-graph supports a *filter set*
@@ -78,6 +81,11 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     pub analysis: N,
     unionfind: UnionFind,
     memo: HashMap<L, Id>,
+    /// The node table, indexed by raw id: entry `i` is the e-node whose
+    /// `add` created id `i` (so it lives in class `find(i)`), in the form
+    /// last inserted into the memo — parent repair canonicalizes it in
+    /// place, removing the old memo key first.
+    nodes: Vec<L>,
     /// Dense class storage in ascending-id order among live entries; `None`
     /// marks a class absorbed by a union since the last rebuild (compacted
     /// away by [`EGraph::rebuild`]).
@@ -85,18 +93,18 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// Raw id → slot. Only entries for canonical ids are meaningful;
     /// absorbed ids hold [`NO_SLOT`].
     slot_of: Vec<u32>,
-    /// Side table parallel to `slots`: operator discriminants present in
-    /// the class. Grow-only (nodes are never removed from a class), which
-    /// is what makes incremental operator-index upkeep sound.
-    class_ops: Vec<Vec<Discriminant<L>>>,
+    /// `slots.len()` at the end of the last rebuild. Slots below it belong
+    /// to classes that existed then, whose slot indices callers may hold
+    /// until the next rebuild, so a union never frees one of them.
+    rebuilt_slots: usize,
     /// Number of live (non-tombstoned) slots.
     live: usize,
     /// Worklist of classes whose parent lists must be congruence-repaired:
     /// the surviving root of every union performed since the last rebuild.
     pending: Vec<Id>,
-    /// Worklist of (e-node, class) pairs whose analysis data must be
-    /// re-computed.
-    analysis_pending: Vec<(L, Id)>,
+    /// Worklist of parent e-nodes (node-table ids) whose analysis data
+    /// must be re-computed.
+    analysis_pending: Vec<Id>,
     /// Worklist of classes whose node lists must be re-canonicalized:
     /// union roots plus the owning classes of repaired parent nodes.
     node_repair: Vec<Id>,
@@ -105,10 +113,6 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     filtered: HashSet<L>,
     /// True if a union since the last rebuild may have staled filter keys.
     filtered_dirty: bool,
-    /// E-node birth counter: one tick per [`EGraph::add`] that creates a
-    /// node. Readers (cycle resolution, the TASO baseline) compare birth
-    /// *order* only.
-    ticker: u64,
     /// Whether the congruence invariant currently holds.
     clean: bool,
     /// Number of successful (non-trivial) unions performed since creation.
@@ -130,16 +134,16 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             analysis,
             unionfind: UnionFind::new(),
             memo: HashMap::new(),
+            nodes: vec![],
             slots: vec![],
             slot_of: vec![],
-            class_ops: vec![],
+            rebuilt_slots: 0,
             live: 0,
             pending: vec![],
             analysis_pending: vec![],
             node_repair: vec![],
             filtered: HashSet::new(),
             filtered_dirty: false,
-            ticker: 0,
             clean: true,
             union_count: 0,
             num_nodes: 0,
@@ -168,8 +172,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     }
 
     /// The dense slot of the class containing `id` (canonicalized first),
-    /// or `None` if the id does not name a live class. Slots are stable
-    /// between rebuilds; [`EGraph::rebuild`] compacts them, so slot indices
+    /// or `None` if the id does not name a live class. The slot of a class
+    /// that existed at the last rebuild is stable until the next one; a
+    /// class created since may give its slot to a later class when a union
+    /// absorbs it. [`EGraph::rebuild`] compacts the slots, so slot indices
     /// must not be held across a rebuild.
     #[inline]
     pub fn slot_index(&self, id: Id) -> Option<usize> {
@@ -248,9 +254,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             return self.find_mut(existing);
         }
         let id = self.unionfind.make_set();
+        self.nodes.push(enode.clone());
         let data = N::make(self, &enode);
-        let birth = self.ticker;
-        self.ticker += 1;
         // Register this node as a parent of each child class.
         for &child in enode.children() {
             let child = self.find(child);
@@ -259,12 +264,13 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 .as_mut()
                 .expect("child class must exist")
                 .parents
-                .push((enode.clone(), id));
+                .push(id);
         }
         let class = EClass {
             id,
             nodes: vec![enode.clone()],
-            node_birth: vec![birth],
+            // Ids are handed out in creation order: birth order is id order.
+            node_birth: vec![usize::from(id) as u64],
             data,
             parents: vec![],
         };
@@ -272,7 +278,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         debug_assert_eq!(usize::from(id), self.slot_of.len());
         self.slot_of.push(self.slots.len() as u32);
         self.slots.push(Some(class));
-        self.class_ops.push(vec![op]);
         self.live += 1;
         // Keep the operator index live across adds: plain adds preserve
         // cleanliness (no congruence repair is pending), so searches between
@@ -314,9 +319,9 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// and whether anything actually changed.
     ///
     /// The absorbed class's nodes and parent list are *moved* into the
-    /// surviving root (no clones); the only copies taken are the parent
-    /// snapshots queued for analysis repair, and only when
-    /// [`Analysis::merge`] reports the corresponding side changed.
+    /// surviving root (no clones); parent ids are queued for analysis
+    /// repair only when [`Analysis::merge`] reports the corresponding side
+    /// changed.
     pub fn union(&mut self, a: Id, b: Id) -> (Id, bool) {
         let a = self.find_mut(a);
         let b = self.find_mut(b);
@@ -329,48 +334,58 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         let root = self.unionfind.union(a, b);
         let other = if root == a { b } else { a };
 
+        // A class created since the last rebuild in the last slot — apply's
+        // fresh right-hand-side root, as a rule — gives the slot back.
+        // Older slots stay tombstones until the rebuild compacts them: a
+        // caller may hold their indices (the cycle pre-filter's map does).
         let other_slot = self.slot_of[usize::from(other)] as usize;
-        let other_class = self.slots[other_slot]
-            .take()
-            .expect("non-root class must exist");
+        let is_new_tail = other_slot + 1 == self.slots.len() && other_slot >= self.rebuilt_slots;
+        let other_class = if is_new_tail {
+            self.slots.pop().flatten()
+        } else {
+            self.slots[other_slot].take()
+        }
+        .expect("non-root class must exist");
         self.slot_of[usize::from(other)] = NO_SLOT;
         self.live -= 1;
         let root_slot = self.slot_of[usize::from(root)] as usize;
+        let root_class = self.slots[root_slot]
+            .as_mut()
+            .expect("root class must exist");
 
-        // Operator-index upkeep: the absorbed id leaves its buckets, the
-        // root enters the buckets of any operator it just gained. A class's
-        // operator set only ever grows (nodes are never removed), so this
-        // is the *only* place merged membership changes.
-        let other_ops = std::mem::take(&mut self.class_ops[other_slot]);
-        for op in other_ops {
+        // Operator-index upkeep: the absorbed id leaves the buckets of its
+        // nodes' operators, and the root enters any of them it is not in
+        // yet. A class's operator set only ever grows (nodes are never
+        // removed), so this is the *only* place merged membership changes.
+        // Both steps are idempotent, so a repeated operator only costs a
+        // probe; rebuilt node lists hold each operator as one run.
+        let mut prev: Option<Discriminant<L>> = None;
+        for node in &other_class.nodes {
+            let op = node.discriminant();
+            if prev == Some(op) {
+                continue;
+            }
+            prev = Some(op);
             let bucket = self.op_index.get_mut(&op).expect("op was indexed");
             if let Ok(i) = bucket.binary_search(&other) {
                 bucket.remove(i);
             }
-            if !self.class_ops[root_slot].contains(&op) {
-                self.class_ops[root_slot].push(op);
-                if let Err(i) = bucket.binary_search(&root) {
-                    bucket.insert(i, root);
-                }
+            if let Err(i) = bucket.binary_search(&root) {
+                bucket.insert(i, root);
             }
         }
 
-        let root_class = self.slots[root_slot]
-            .as_mut()
-            .expect("root class must exist");
         // Merge the analysis data *before* concatenating the parent lists:
         // at this point `root_class.parents` is exactly the root's previous
         // parent set and `other_class.parents` the absorbed one's, so the
-        // analysis worklist can be fed from them directly — no snapshot
-        // clones, and none at all when the data is unchanged.
+        // analysis worklist can be fed from them directly.
         let did = self.analysis.merge(&mut root_class.data, other_class.data);
         if did.0 {
-            self.analysis_pending
-                .extend(root_class.parents.iter().cloned());
+            self.analysis_pending.extend_from_slice(&root_class.parents);
         }
         if did.1 {
             self.analysis_pending
-                .extend(other_class.parents.iter().cloned());
+                .extend_from_slice(&other_class.parents);
         }
         root_class.nodes.extend(other_class.nodes);
         root_class.node_birth.extend(other_class.node_birth);
@@ -390,12 +405,14 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// the repair.
     ///
     /// Repair work is proportional to the classes actually touched since
-    /// the last rebuild: the parent lists of union roots are canonicalized
-    /// in place (keeping the memo exact by removing each entry's previous
-    /// key form before re-inserting the canonical one), only the node lists
-    /// of touched classes are re-canonicalized, the operator index needs no
-    /// repair at all (it is maintained by `add`/`union`), and tombstoned
-    /// slots are compacted away at the end. In debug builds — or in any
+    /// the last rebuild: the node-table entries of union roots' parents are
+    /// canonicalized in place (keeping the memo exact by removing each
+    /// entry's previous key form before re-inserting the canonical one),
+    /// only the node lists of touched classes are re-canonicalized, the
+    /// operator index needs no repair at all (it is maintained by
+    /// `add`/`union`), and tombstoned slots are compacted away at the end;
+    /// every class then existing keeps its slot until the next rebuild
+    /// (see [`EGraph::slot_index`]). In debug builds — or in any
     /// build when `TENSAT_CHECK_INVARIANTS=1` is set — the full
     /// [`EGraph::check_invariants`] validator runs after every rebuild.
     pub fn rebuild(&mut self) -> usize {
@@ -406,16 +423,16 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 repairs += self.repair_parents(class);
             }
             // Analysis repair.
-            while let Some((node, class)) = self.analysis_pending.pop() {
-                let class = self.find_mut(class);
-                let node = node.map_children(|c| self.find_mut(c));
+            while let Some(parent) = self.analysis_pending.pop() {
+                let class = self.find_mut(parent);
+                let node =
+                    self.nodes[usize::from(parent)].map_children(|c| self.unionfind.find_mut(c));
                 let data = N::make(self, &node);
                 let slot = self.slot_of[usize::from(class)] as usize;
                 let class_ref = self.slots[slot].as_mut().expect("class must exist");
                 let did = self.analysis.merge(&mut class_ref.data, data);
                 if did.0 {
-                    let parents = class_ref.parents.clone();
-                    self.analysis_pending.extend(parents);
+                    self.analysis_pending.extend_from_slice(&class_ref.parents);
                     N::modify(self, class);
                 }
             }
@@ -427,6 +444,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.sweep_memo_if_stale();
         self.refresh_filtered();
         self.compact_slots();
+        self.rebuilt_slots = self.slots.len();
         self.clean = true;
         if cfg!(debug_assertions) || invariant_checks_forced() {
             self.check_invariants();
@@ -434,15 +452,15 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         repairs
     }
 
-    /// Canonicalizes one class's parent list in place and re-establishes
-    /// the congruence invariant for it: every entry's previous key form is
-    /// removed from the memo, the canonical form re-inserted, and a key
-    /// collision (two parents became congruent) triggers a union. Returns
-    /// the number of unions performed.
+    /// Canonicalizes one class's parents and re-establishes the congruence
+    /// invariant for it: each parent's node-table entry is removed from the
+    /// memo under its previous key, canonicalized in place and re-inserted,
+    /// and a key collision (two parents became congruent) triggers a union.
+    /// Returns the number of unions performed.
     fn repair_parents(&mut self, class: Id) -> usize {
         let class = self.find_mut(class);
         let slot = self.slot_of[usize::from(class)] as usize;
-        let mut parents = std::mem::take(
+        let parents = std::mem::take(
             &mut self.slots[slot]
                 .as_mut()
                 .expect("pending class must be live")
@@ -451,26 +469,33 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         if parents.is_empty() {
             return 0;
         }
-        for (n, p) in parents.iter_mut() {
+        // (parent, its class) pairs, ordered and deduplicated by (e-node,
+        // class) so congruent parents are unioned in a fixed order.
+        let mut owned: Vec<(Id, Id)> = Vec::with_capacity(parents.len());
+        for p in parents {
             // Remove the entry under its previous key *before*
-            // canonicalizing: the parent list always holds the exact form
-            // last inserted into the memo, so the memo never accumulates
-            // stale keys from this entry.
-            self.memo.remove(n);
-            *n = n.map_children(|c| self.unionfind.find_mut(c));
-            *p = self.unionfind.find_mut(*p);
+            // canonicalizing: the node table holds the exact form last
+            // inserted into the memo, so the memo keeps no stale key of it.
+            let node = &mut self.nodes[usize::from(p)];
+            self.memo.remove(node);
+            for c in node.children_mut() {
+                *c = self.unionfind.find_mut(*c);
+            }
+            owned.push((p, self.unionfind.find_mut(p)));
         }
-        parents.sort_unstable();
-        parents.dedup();
+        let nodes = &self.nodes;
+        let key = |&(p, owner): &(Id, Id)| (&nodes[usize::from(p)], owner);
+        owned.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+        owned.dedup_by(|a, b| key(a) == key(b));
         let mut repairs = 0;
-        for (n, p) in &parents {
-            // The owning class's node list now holds a stale form of `n`.
-            self.node_repair.push(*p);
-            if let Some(old) = self.memo.insert(n.clone(), *p) {
+        for &(p, owner) in &owned {
+            // The owning class's node list now holds a stale form of `p`.
+            self.node_repair.push(owner);
+            if let Some(old) = self.memo.insert(self.nodes[usize::from(p)].clone(), owner) {
                 let old = self.find_mut(old);
-                let p = self.find_mut(*p);
-                if old != p {
-                    let (_, did) = self.union(old, p);
+                let owner = self.find_mut(owner);
+                if old != owner {
+                    let (_, did) = self.union(old, owner);
                     if did {
                         repairs += 1;
                     }
@@ -486,7 +511,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             .as_mut()
             .expect("union root must be live")
             .parents
-            .extend(parents);
+            .extend(owned.into_iter().map(|(p, _)| p));
         repairs
     }
 
@@ -521,17 +546,15 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
     }
 
-    /// Collapses stale memo keys. Parent repair removes each entry's
-    /// previous key eagerly, but a chain of unions in one batch can strand
-    /// an intermediate form: a node's key is updated via child `a`'s parent
-    /// list, then child `c` is absorbed and `c`'s (older) copy of the entry
-    /// no longer names the key that is actually in the map. Stale keys are
-    /// harmless for lookups (queries are canonical) but break memo
-    /// exactness, so they are swept here. The sweep is skipped entirely
-    /// when the count proves the memo exact — `memo.len()` equals the node
-    /// count exactly when every canonical node has its one canonical entry
-    /// and nothing else — which is the common case for add-only or
-    /// shallow-union batches.
+    /// Collapses stale memo keys, if the count says there are any. Parent
+    /// repair removes each node's previous key through the one node-table
+    /// entry every parent list shares, so on the benchmark models this
+    /// finds nothing to do; it stays as the repair should a key be
+    /// stranded anyway. Stale keys are harmless for lookups (queries are
+    /// canonical) but break memo exactness. The sweep is skipped when the
+    /// count proves the memo exact — `memo.len()` equals the node count
+    /// exactly when every canonical node has its one canonical entry and
+    /// nothing else.
     fn sweep_memo_if_stale(&mut self) {
         if self.memo.len() == self.num_nodes {
             return;
@@ -571,17 +594,13 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         let mut w = 0;
         for r in 0..self.slots.len() {
             if self.slots[r].is_some() {
-                if w != r {
-                    self.slots.swap(w, r);
-                    self.class_ops[w] = std::mem::take(&mut self.class_ops[r]);
-                }
+                self.slots.swap(w, r);
                 let id = self.slots[w].as_ref().expect("just checked").id;
                 self.slot_of[usize::from(id)] = w as u32;
                 w += 1;
             }
         }
         self.slots.truncate(w);
-        self.class_ops.truncate(w);
     }
 
     /// The canonical ids of the classes containing at least one e-node with
@@ -621,7 +640,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.filtered.clear();
     }
 
-    /// The birth stamp (global insertion counter) of an e-node, if present.
+    /// The birth stamp of an e-node, if present: the raw id its
+    /// [`EGraph::add`] created, so birth order is id order.
     pub fn node_birth(&self, class: Id, enode: &L) -> Option<u64> {
         let node = self.canonicalize(enode);
         let c = self.eclass(class);
@@ -668,16 +688,17 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     ///
     /// Checked: the slot map is total and exact (every canonical id maps to
     /// the live slot holding its class, tombstones only for absorbed ids,
-    /// live count right); on a *clean* e-graph additionally: class node
-    /// lists are canonical, sorted, deduplicated, and keep the
-    /// [`Language`] ordering contract (per class, the nodes of one operator
-    /// are a single contiguous run ordered by `children()` — what the
-    /// e-matching machine's range lookup relies on); the memo holds exactly
-    /// one canonical entry per e-node and nothing else; the incremental
-    /// node count is right; the operator index and per-class operator sets
-    /// agree exactly with the node lists (buckets sorted ascending); and
-    /// every parent list, canonicalized, equals the parent set derived from
-    /// the node lists.
+    /// live count right) and the node table has one entry per id; on a
+    /// *clean* e-graph additionally: class node lists are canonical,
+    /// sorted, deduplicated, and keep the [`Language`] ordering contract
+    /// (per class, the nodes of one operator are a single contiguous run
+    /// ordered by `children()` — what the e-matching machine's range lookup
+    /// relies on); the memo holds exactly one canonical entry per e-node
+    /// and nothing else; the incremental node count is right; a class is
+    /// in an operator's bucket exactly when one of its nodes has that
+    /// operator (buckets sorted ascending); every node-table entry,
+    /// canonicalized, is a node of its id's class; and every parent list,
+    /// canonicalized, equals the parent set derived from the node lists.
     ///
     /// # Panics
     ///
@@ -689,6 +710,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             self.slot_of.len(),
             self.unionfind.size(),
             "slot map must cover every id ever created"
+        );
+        assert_eq!(
+            self.nodes.len(),
+            self.unionfind.size(),
+            "node table must hold the e-node of every id ever created"
         );
         let mut live = 0;
         for (s, slot) in self.slots.iter().enumerate() {
@@ -789,21 +815,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                         .insert((node.clone(), class.id));
                 }
             }
-            let slot = self.slot_of[usize::from(class.id)] as usize;
-            let mut class_ops = self.class_ops[slot].clone();
-            assert_eq!(
-                class_ops.len(),
-                node_ops.len(),
-                "operator membership wrong for class {}",
-                class.id
-            );
-            class_ops.retain(|op| node_ops.contains(op));
-            assert_eq!(
-                class_ops.len(),
-                node_ops.len(),
-                "operator membership lists an absent operator for class {}",
-                class.id
-            );
             for op in &node_ops {
                 assert!(
                     self.op_index
@@ -820,21 +831,36 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             num_nodes,
             "memo must hold exactly one entry per e-node (stale keys present)"
         );
-        for bucket in self.op_index.values() {
+        for (op, bucket) in &self.op_index {
             for pair in bucket.windows(2) {
                 assert!(pair[0] < pair[1], "operator-index bucket unsorted");
             }
             for &id in bucket {
                 assert_eq!(self.find(id), id, "operator index holds a dead id");
+                assert!(
+                    self.eclass(id).iter().any(|n| n.discriminant() == *op),
+                    "operator index lists class {id} under an operator it lacks"
+                );
             }
         }
 
-        // --- parents --------------------------------------------------------
+        // --- node table and parents -----------------------------------------
+        for (raw, node) in self.nodes.iter().enumerate() {
+            let id = Id::from(raw);
+            assert!(
+                self.eclass(id)
+                    .nodes
+                    .binary_search(&self.canonicalize(node))
+                    .is_ok(),
+                "node-table entry {id} is not a node of class {}",
+                self.find(id)
+            );
+        }
         for class in self.classes() {
             let got: BTreeSet<(L, Id)> = class
                 .parents
                 .iter()
-                .map(|(n, p)| (self.canonicalize(n), self.find(*p)))
+                .map(|&p| (self.canonicalize(&self.nodes[usize::from(p)]), self.find(p)))
                 .collect();
             let want = expected_parents.remove(&class.id).unwrap_or_default();
             assert_eq!(
@@ -1044,6 +1070,7 @@ mod tests {
         let b_a = eg.node_birth(a, &sym("a")).unwrap();
         let b_m = eg.node_birth(m, &Math::Mul([a, two])).unwrap();
         assert!(b_a < b_m);
+        assert_eq!(b_m, usize::from(m) as u64, "birth order is id order");
     }
 
     #[test]
@@ -1223,10 +1250,11 @@ mod tests {
     }
 
     /// The dense slot tables stay exact through add/union/rebuild cycles:
-    /// tombstones appear on union, compaction removes them, and the slot
-    /// order always matches ascending canonical-id order (which is what
-    /// keeps `classes()` iteration — and with it every match and
-    /// extraction order — identical to the old `BTreeMap` storage).
+    /// a union of classes that existed at the last rebuild tombstones the
+    /// absorbed slot (the last one too), compaction removes the tombstones,
+    /// and the slot order always matches ascending canonical-id order
+    /// (which is what keeps `classes()` iteration — and with it every match
+    /// and extraction order — identical to the old `BTreeMap` storage).
     #[test]
     fn slots_compact_and_stay_in_id_order() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
@@ -1234,10 +1262,12 @@ mod tests {
         for i in 0..10 {
             ids.push(eg.add(sym(&format!("s{i}"))));
         }
+        eg.rebuild();
         assert_eq!(eg.num_slots(), 10);
         eg.union(ids[3], ids[7]);
         eg.union(ids[1], ids[9]);
-        // Tombstones exist until the rebuild; live count is already right.
+        // Tombstones exist until the rebuild, in the last slot as well;
+        // live count is already right.
         assert_eq!(eg.number_of_classes(), 8);
         assert_eq!(eg.num_slots(), 10);
         eg.rebuild();
@@ -1251,6 +1281,46 @@ mod tests {
         }
         // Absorbed ids resolve to their root's slot.
         assert_eq!(eg.slot_index(ids[7]), eg.slot_index(ids[3]));
+        eg.check_invariants();
+    }
+
+    /// A union that absorbs the class in the last slot gives the slot back
+    /// if the class was created since the last rebuild — what apply's fresh
+    /// right-hand-side roots are — and leaves a tombstone if it existed at
+    /// the rebuild, because callers may hold that slot until the next one.
+    #[test]
+    fn absorbing_the_newest_class_leaves_no_tombstone() {
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let a = eg.add(sym("a"));
+        let b = eg.add(sym("b"));
+        eg.rebuild();
+        let c = eg.add(sym("c"));
+        assert_eq!(eg.slot_index(c), Some(2));
+        eg.union(a, c);
+        assert_eq!((eg.num_slots(), eg.number_of_classes()), (2, 2));
+        assert_eq!(eg.slot_index(c), Some(0));
+        eg.check_invariants();
+
+        // `b` is the last slot now, but it existed at the rebuild.
+        eg.union(a, b);
+        assert_eq!((eg.num_slots(), eg.number_of_classes()), (2, 1));
+        assert_eq!(eg.slot_index(b), Some(0));
+        let d = eg.add(sym("d"));
+        assert_eq!(eg.slot_index(d), Some(2), "lands past the tombstone");
+        eg.check_invariants();
+
+        eg.rebuild();
+        assert_eq!(eg.num_slots(), 2);
+        assert_eq!(
+            [a, b, c, d].map(|id| eg.slot_index(id)),
+            [Some(0), Some(0), Some(0), Some(1)]
+        );
+        // `d` existed at this rebuild: absorbing it leaves a tombstone.
+        eg.union(a, d);
+        assert_eq!((eg.num_slots(), eg.number_of_classes()), (2, 1));
+        assert_eq!(eg.slot_index(d), Some(0));
+        eg.rebuild();
+        assert_eq!(eg.num_slots(), 1);
         eg.check_invariants();
     }
 
