@@ -82,7 +82,7 @@ impl DescendantsMap {
             // Slots skipped since the last class are tombstones: no edges.
             offsets.resize(ci + 1, edges.len() as u32);
             row.clear();
-            for node in class.iter() {
+            for node in egraph.enodes(class) {
                 if egraph.is_filtered(node) {
                     continue;
                 }
@@ -270,9 +270,9 @@ pub fn would_create_cycle(
     false
 }
 
-/// One cycle in the e-graph: the sequence of `(class, e-node)` edges whose
-/// child pointers close the loop.
-pub type Cycle = Vec<(Id, TensorLang)>;
+/// One cycle in the e-graph: the ids ([`tensat_egraph::EGraph::enode`]) of
+/// the e-nodes whose child pointers close the loop.
+pub type Cycle = Vec<Id>;
 
 /// Collects a set of cycles reachable from `root` with a DFS over
 /// unfiltered e-nodes (Algorithm 2, `DFSGetCycles`). Each invocation finds
@@ -287,15 +287,15 @@ pub fn find_cycles(egraph: &TensorEGraph, root: Id) -> Vec<Cycle> {
     struct Frame<'a> {
         class: Id,
         slot: usize,
-        nodes: &'a [TensorLang],
+        nodes: &'a [Id],
         node_i: usize,
         child_i: usize,
     }
     // Visit state per e-graph slot; 0 is "not seen yet".
     let mut marks = vec![0u8; egraph.num_slots()];
     let mut cycles: Vec<Cycle> = vec![];
-    // Path of (class, enode chosen at that class) currently on the DFS stack.
-    let mut path: Vec<(Id, &TensorLang)> = vec![];
+    // Path of (class, e-node id chosen there) currently on the DFS stack.
+    let mut path: Vec<(Id, Id)> = vec![];
     // The DFS uses an explicit frame stack: its depth scales with the
     // longest acyclic path through the e-graph, which grows past thread
     // stack limits on saturated model e-graphs.
@@ -303,7 +303,7 @@ pub fn find_cycles(egraph: &TensorEGraph, root: Id) -> Vec<Cycle> {
 
     let enter = |class: Id,
                  marks: &mut [u8],
-                 path: &[(Id, &TensorLang)],
+                 path: &[(Id, Id)],
                  cycles: &mut Vec<Cycle>|
      -> Option<Frame> {
         let slot = egraph.slot_index(class).expect("visited class is live");
@@ -313,7 +313,7 @@ pub fn find_cycles(egraph: &TensorEGraph, root: Id) -> Vec<Cycle> {
                 // Found a cycle: everything on the path from the previous
                 // occurrence of `class` onwards.
                 if let Some(pos) = path.iter().position(|(c, _)| *c == class) {
-                    cycles.push(path[pos..].iter().map(|&(c, n)| (c, n.clone())).collect());
+                    cycles.push(path[pos..].iter().map(|&(_, n)| n).collect());
                 }
                 None
             }
@@ -322,7 +322,7 @@ pub fn find_cycles(egraph: &TensorEGraph, root: Id) -> Vec<Cycle> {
                 Some(Frame {
                     class,
                     slot,
-                    nodes: &egraph.eclass(class).nodes,
+                    nodes: egraph.eclass(class).node_ids(),
                     node_i: 0,
                     child_i: 0,
                 })
@@ -335,17 +335,18 @@ pub fn find_cycles(egraph: &TensorEGraph, root: Id) -> Vec<Cycle> {
         stack.push(frame);
     }
     while let Some(top) = stack.last_mut() {
-        let Some(node) = top.nodes.get(top.node_i) else {
+        let Some(&id) = top.nodes.get(top.node_i) else {
             marks[top.slot] = DONE;
             stack.pop();
             continue;
         };
+        let node = egraph.enode(id);
         if top.child_i == 0 {
             if egraph.is_filtered(node) {
                 top.node_i += 1;
                 continue;
             }
-            path.push((top.class, node));
+            path.push((top.class, id));
         }
         if let Some(&child) = node.children().get(top.child_i) {
             top.child_i += 1;
@@ -364,21 +365,15 @@ pub fn find_cycles(egraph: &TensorEGraph, root: Id) -> Vec<Cycle> {
 /// Resolves a cycle by filtering the most recently added e-node on it
 /// (Algorithm 2, `ResolveCycLE`). If any edge of the cycle has already been
 /// filtered (by resolving an earlier cycle in the same pass), the cycle is
-/// already broken and nothing is filtered.
-pub fn resolve_cycle(egraph: &mut TensorEGraph, cycle: &Cycle) -> Option<TensorLang> {
-    if cycle.iter().any(|(_, node)| egraph.is_filtered(node)) {
+/// already broken and nothing is filtered. Returns the filtered e-node's
+/// id: the cycle's largest, as ids are handed out in `add` order.
+pub fn resolve_cycle(egraph: &mut TensorEGraph, cycle: &Cycle) -> Option<Id> {
+    if cycle.iter().any(|&id| egraph.is_filtered(egraph.enode(id))) {
         return None;
     }
-    let mut newest: Option<(u64, Id, TensorLang)> = None;
-    for (class, node) in cycle {
-        let birth = egraph.node_birth(*class, node).unwrap_or(0);
-        if newest.as_ref().is_none_or(|(b, _, _)| birth > *b) {
-            newest = Some((birth, *class, node.clone()));
-        }
-    }
-    let (_, _, node) = newest?;
-    egraph.filter_node(&node);
-    Some(node)
+    let newest = cycle.iter().copied().max()?;
+    egraph.filter_node(&egraph.enode(newest).clone());
+    Some(newest)
 }
 
 /// Removes every cycle reachable from `root`, returning the number of
@@ -449,14 +444,14 @@ mod tests {
         // Find m1's class: any matmul node.
         let m1 = eg
             .classes()
-            .find(|c| c.iter().any(|n| matches!(n, TensorLang::Matmul(_))))
+            .find(|c| eg.enodes(c).any(|n| matches!(n, TensorLang::Matmul(_))))
             .map(|c| c.id)
             .unwrap();
         let relu = eg.add(TensorLang::Relu([m1]));
         eg.union(x, relu);
         eg.rebuild();
         let cycles = find_cycles(&eg, root);
-        assert!(!cycles.is_empty());
+        assert!(cycles.iter().any(|cycle| cycle.contains(&relu)));
         let filtered = remove_all_cycles(&mut eg, root);
         assert!(filtered >= 1);
         assert!(find_cycles(&eg, root).is_empty());

@@ -463,7 +463,7 @@ mod tests {
         // The merged matmul over concatenated weights must now exist.
         let has_concat_matmul = eg
             .classes()
-            .any(|c| c.iter().any(|n| matches!(n, TensorLang::Split0(_))));
+            .any(|c| eg.enodes(c).any(|n| matches!(n, TensorLang::Split0(_))));
         assert!(
             has_concat_matmul,
             "expected split0 node from the multi-pattern rule"

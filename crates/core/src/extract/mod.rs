@@ -547,7 +547,7 @@ fn encode_monolithic(
     while i < order.len() {
         let class = order[i];
         i += 1;
-        for node in egraph.eclass(class).iter() {
+        for node in egraph.enodes(egraph.eclass(class)) {
             if egraph.is_filtered(node) {
                 continue;
             }
@@ -568,7 +568,7 @@ fn encode_monolithic(
     let mut class_vars: Vec<Vec<VarId>> = vec![vec![]; n_slots];
     for &class in &order {
         let mut vars = vec![];
-        for node in egraph.eclass(class).iter() {
+        for node in egraph.enodes(egraph.eclass(class)) {
             if egraph.is_filtered(node) {
                 continue;
             }

@@ -113,7 +113,7 @@ impl ExtractionProblem {
         while i < order.len() {
             let class = order[i];
             i += 1;
-            for node in egraph.eclass(class).iter() {
+            for node in egraph.enodes(egraph.eclass(class)) {
                 if egraph.is_filtered(node) {
                     continue;
                 }
@@ -133,7 +133,7 @@ impl ExtractionProblem {
         let mut constraints_before = 1; // the root exactly-one row
         for &class in &order {
             let mut list = vec![];
-            for node in egraph.eclass(class).iter() {
+            for node in egraph.enodes(egraph.eclass(class)) {
                 if egraph.is_filtered(node) {
                     continue;
                 }

@@ -48,7 +48,7 @@ fn naive_descendants(egraph: &TensorEGraph, start: Id) -> HashSet<Id> {
     let mut seen: HashSet<Id> = HashSet::new();
     let mut stack = vec![egraph.find(start)];
     while let Some(class) = stack.pop() {
-        for node in egraph.eclass(class).iter() {
+        for node in egraph.enodes(egraph.eclass(class)) {
             if egraph.is_filtered(node) {
                 continue;
             }
@@ -123,7 +123,7 @@ proptest! {
         }
         eg.rebuild();
         let all_nodes: Vec<TensorLang> =
-            eg.classes().flat_map(|c| c.iter().cloned()).collect();
+            eg.classes().flat_map(|c| eg.enodes(c).cloned()).collect();
         for pick in &filter_picks {
             eg.filter_node(&all_nodes[pick % all_nodes.len()]);
         }

@@ -38,11 +38,11 @@ fn invariant_checks_forced() -> bool {
 /// the last one and was created since the last rebuild and tombstones it in
 /// place otherwise, and [`EGraph::rebuild`] compacts the tombstones away.
 /// A node table indexed by raw id holds the e-node each `add` created;
-/// parent lists and the analysis worklist are ids into it, so an edge
-/// costs 4 bytes, not a copy of the e-node. The operator index is
-/// maintained incrementally at `add`/`union` time (a class's operator set
-/// only ever grows), and `rebuild` repairs congruence with worklists
-/// proportional to the classes actually touched instead of
+/// class node lists, parent lists and the analysis worklist are 4-byte ids
+/// into it ([`EGraph::enode`]), so birth order is id order. The operator
+/// index is maintained incrementally at `add`/`union` time (a class's
+/// operator set only ever grows), and `rebuild` repairs congruence with
+/// worklists proportional to the classes actually touched instead of
 /// re-canonicalizing the whole e-graph.
 ///
 /// In addition to the egg feature set, this e-graph supports a *filter set*
@@ -82,14 +82,13 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     unionfind: UnionFind,
     memo: HashMap<L, Id>,
     /// The node table, indexed by raw id: entry `i` is the e-node whose
-    /// `add` created id `i` (so it lives in class `find(i)`), in the form
-    /// last inserted into the memo — parent repair canonicalizes it in
-    /// place, removing the old memo key first.
+    /// `add` created id `i` (so it lives in class `find(i)`); rebuild
+    /// repair canonicalizes entries in place.
     nodes: Vec<L>,
     /// Dense class storage in ascending-id order among live entries; `None`
     /// marks a class absorbed by a union since the last rebuild (compacted
     /// away by [`EGraph::rebuild`]).
-    slots: Vec<Option<EClass<L, N::Data>>>,
+    slots: Vec<Option<EClass<N::Data>>>,
     /// Raw id → slot. Only entries for canonical ids are meaningful;
     /// absorbed ids hold [`NO_SLOT`].
     slot_of: Vec<u32>,
@@ -196,7 +195,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// The number of e-nodes not in the filter set.
     pub fn num_unfiltered_nodes(&self) -> usize {
         self.classes()
-            .flat_map(|c| c.nodes.iter())
+            .flat_map(|c| self.enodes(c))
             .filter(|n| !self.filtered.contains(*n))
             .count()
     }
@@ -235,8 +234,48 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     }
 
     /// Iterates over all e-classes in ascending id order.
-    pub fn classes(&self) -> impl Iterator<Item = &EClass<L, N::Data>> {
+    pub fn classes(&self) -> impl Iterator<Item = &EClass<N::Data>> {
         self.slots.iter().filter_map(Option::as_ref)
+    }
+
+    /// The e-node whose [`EGraph::add`] created `id` — canonical on a clean
+    /// e-graph if a class lists `id` ([`EClass::node_ids`]).
+    #[inline]
+    pub fn enode(&self, id: Id) -> &L {
+        &self.nodes[usize::from(id)]
+    }
+
+    /// The e-nodes of `class`, read from the node table in list order —
+    /// on a clean e-graph canonical and sorted.
+    pub fn enodes<'a>(&'a self, class: &'a EClass<N::Data>) -> impl Iterator<Item = &'a L> + 'a {
+        class.nodes.iter().map(|&id| self.enode(id))
+    }
+
+    /// The index in `class`'s node list of the first e-node that has
+    /// `op`'s operator ([`Language::matches`]; `op`'s own children are
+    /// ignored) and whose leading children are not below `prefix` — or of
+    /// the first node of a later operator, or the list's length. The nodes
+    /// with that operator whose children start with exactly `prefix` are
+    /// one contiguous run beginning there, so a reader finds them with one
+    /// binary search however large the class is; an empty prefix gives the
+    /// start of the operator's run.
+    ///
+    /// Reads the node list as [`EGraph::rebuild`] leaves it — canonical
+    /// and sorted by an `Ord` that keeps the [`Language`] ordering
+    /// contract — so the e-graph must be clean and `prefix` must hold
+    /// canonical ids; otherwise nodes are missed.
+    pub fn lower_bound(&self, class: &EClass<N::Data>, op: &L, prefix: &[Id]) -> usize {
+        // Operator-major order: against a node of another operator the
+        // children decide nothing, so `op`'s pattern-internal ones are
+        // harmless; within the operator the children alone decide.
+        class.nodes.partition_point(|&id| {
+            let enode = self.enode(id);
+            if op.matches(enode) {
+                enode.children()[..prefix.len()] < *prefix
+            } else {
+                enode < op
+            }
+        })
     }
 
     /// Looks up an e-node, returning the canonical id of its class if it is
@@ -268,9 +307,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         let class = EClass {
             id,
-            nodes: vec![enode.clone()],
-            // Ids are handed out in creation order: birth order is id order.
-            node_birth: vec![usize::from(id) as u64],
+            nodes: vec![id],
             data,
             parents: vec![],
         };
@@ -360,8 +397,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         // Both steps are idempotent, so a repeated operator only costs a
         // probe; rebuilt node lists hold each operator as one run.
         let mut prev: Option<Discriminant<L>> = None;
-        for node in &other_class.nodes {
-            let op = node.discriminant();
+        for &node in &other_class.nodes {
+            let op = self.nodes[usize::from(node)].discriminant();
             if prev == Some(op) {
                 continue;
             }
@@ -388,7 +425,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 .extend_from_slice(&other_class.parents);
         }
         root_class.nodes.extend(other_class.nodes);
-        root_class.node_birth.extend(other_class.node_birth);
         root_class.parents.extend(other_class.parents);
         root_class.id = root;
         // The root's parent list (now holding the absorbed class's parents
@@ -408,12 +444,12 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// the last rebuild: the node-table entries of union roots' parents are
     /// canonicalized in place (keeping the memo exact by removing each
     /// entry's previous key form before re-inserting the canonical one),
-    /// only the node lists of touched classes are re-canonicalized, the
-    /// operator index needs no repair at all (it is maintained by
-    /// `add`/`union`), and tombstoned slots are compacted away at the end;
-    /// every class then existing keeps its slot until the next rebuild
-    /// (see [`EGraph::slot_index`]). In debug builds — or in any
-    /// build when `TENSAT_CHECK_INVARIANTS=1` is set — the full
+    /// only the node lists of touched classes are re-canonicalized (their
+    /// entries in place), the operator index needs no repair at all (it is
+    /// maintained by `add`/`union`), and tombstoned slots are compacted
+    /// away at the end; every class then existing keeps its slot until the
+    /// next rebuild (see [`EGraph::slot_index`]). In debug builds — or in
+    /// any build when `TENSAT_CHECK_INVARIANTS=1` is set — the full
     /// [`EGraph::check_invariants`] validator runs after every rebuild.
     pub fn rebuild(&mut self) -> usize {
         let mut repairs = 0;
@@ -515,10 +551,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         repairs
     }
 
-    /// Re-canonicalizes, deduplicates (keeping the earliest birth stamp),
-    /// and sorts the node lists of the classes queued in `node_repair` —
-    /// exactly the classes whose nodes could have gone stale: union roots
-    /// and owners of repaired parent nodes.
+    /// Canonicalizes, sorts and deduplicates (keeping the smallest id) the
+    /// node lists of the classes queued in `node_repair`: union roots and
+    /// owners of repaired parent nodes. Listed entries are canonicalized in
+    /// place, as parent dedup may have repaired only a congruent twin —
+    /// whose repair already took the stale form out of the memo.
     fn repair_class_nodes(&mut self) {
         let mut ids: Vec<Id> = std::mem::take(&mut self.node_repair)
             .into_iter()
@@ -528,21 +565,19 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         ids.dedup();
         for id in ids {
             let slot = self.slot_of[usize::from(id)] as usize;
-            let uf = &mut self.unionfind;
             let class = self.slots[slot].as_mut().expect("repaired class is live");
-            let old_len = class.nodes.len();
-            let mut dedup: HashMap<L, u64> = HashMap::with_capacity(old_len);
-            for (node, birth) in class.nodes.drain(..).zip(class.node_birth.drain(..)) {
-                let node = node.map_children(|c| uf.find_mut(c));
-                let entry = dedup.entry(node).or_insert(birth);
-                *entry = (*entry).min(birth);
+            for &n in &class.nodes {
+                for c in self.nodes[usize::from(n)].children_mut() {
+                    *c = self.unionfind.find_mut(*c);
+                }
             }
-            let mut pairs: Vec<(L, u64)> = dedup.into_iter().collect();
-            pairs.sort();
-            class.nodes = pairs.iter().map(|(n, _)| n.clone()).collect();
-            class.node_birth = pairs.iter().map(|(_, b)| *b).collect();
-            let new_len = class.nodes.len();
-            self.num_nodes -= old_len - new_len;
+            let nodes = &self.nodes;
+            let old_len = class.nodes.len();
+            class
+                .nodes
+                .sort_unstable_by_key(|&n| (&nodes[usize::from(n)], n));
+            class.nodes.dedup_by_key(|&mut n| &nodes[usize::from(n)]);
+            self.num_nodes -= old_len - class.nodes.len();
         }
     }
 
@@ -640,17 +675,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.filtered.clear();
     }
 
-    /// The birth stamp of an e-node, if present: the raw id its
-    /// [`EGraph::add`] created, so birth order is id order.
-    pub fn node_birth(&self, class: Id, enode: &L) -> Option<u64> {
-        let node = self.canonicalize(enode);
-        let c = self.eclass(class);
-        c.nodes
-            .iter()
-            .position(|n| *n == node)
-            .map(|i| c.node_birth[i])
-    }
-
     /// Access a class by (possibly non-canonical) id: one `find` plus two
     /// dense array reads.
     ///
@@ -658,7 +682,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     ///
     /// Panics if the id does not name a live class.
     #[inline]
-    pub fn eclass(&self, id: Id) -> &EClass<L, N::Data> {
+    pub fn eclass(&self, id: Id) -> &EClass<N::Data> {
         let id = self.find(id);
         self.slot_of
             .get(usize::from(id))
@@ -689,7 +713,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Checked: the slot map is total and exact (every canonical id maps to
     /// the live slot holding its class, tombstones only for absorbed ids,
     /// live count right) and the node table has one entry per id; on a
-    /// *clean* e-graph additionally: class node lists are canonical,
+    /// *clean* e-graph additionally: class node lists' entries are canonical,
     /// sorted, deduplicated, and keep the [`Language`] ordering contract
     /// (per class, the nodes of one operator are a single contiguous run
     /// ordered by `children()` — what the e-matching machine's range lookup
@@ -697,7 +721,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// and nothing else; the incremental node count is right; a class is
     /// in an operator's bucket exactly when one of its nodes has that
     /// operator (buckets sorted ascending); every node-table entry,
-    /// canonicalized, is a node of its id's class; and every parent list,
+    /// canonicalized, is a node of its id's class, listed under the
+    /// smallest id whose entry canonicalizes to it; and every parent list,
     /// canonicalized, equals the parent set derived from the node lists.
     ///
     /// # Panics
@@ -756,18 +781,12 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         let mut num_nodes = 0;
         let mut expected_parents: HashMap<Id, BTreeSet<(L, Id)>> = HashMap::new();
         for class in self.classes() {
-            assert_eq!(
-                class.nodes.len(),
-                class.node_birth.len(),
-                "birth stamps must parallel nodes in class {}",
-                class.id
-            );
             num_nodes += class.nodes.len();
             let mut node_ops: Vec<Discriminant<L>> = vec![];
             let mut prev: Option<&L> = None;
             // First node of each operator's run, for the ordering contract.
             let mut run_heads: Vec<&L> = vec![];
-            for node in &class.nodes {
+            for node in self.enodes(class) {
                 assert_eq!(
                     &self.canonicalize(node),
                     node,
@@ -838,22 +857,24 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             for &id in bucket {
                 assert_eq!(self.find(id), id, "operator index holds a dead id");
                 assert!(
-                    self.eclass(id).iter().any(|n| n.discriminant() == *op),
+                    self.enodes(self.eclass(id))
+                        .any(|n| n.discriminant() == *op),
                     "operator index lists class {id} under an operator it lacks"
                 );
             }
         }
 
         // --- node table and parents -----------------------------------------
+        // A class lists each e-node under the smallest id whose entry
+        // canonicalizes to it: the "oldest" cycle resolution and TASO read.
         for (raw, node) in self.nodes.iter().enumerate() {
-            let id = Id::from(raw);
+            let (id, node) = (Id::from(raw), self.canonicalize(node));
+            let class = self.eclass(id);
+            let listed = class.nodes.binary_search_by(|&n| self.enode(n).cmp(&node));
             assert!(
-                self.eclass(id)
-                    .nodes
-                    .binary_search(&self.canonicalize(node))
-                    .is_ok(),
-                "node-table entry {id} is not a node of class {}",
-                self.find(id)
+                listed.is_ok_and(|i| class.nodes[i] <= id),
+                "node-table entry {id} is not listed by class {} under it or an earlier id",
+                class.id
             );
         }
         for class in self.classes() {
@@ -884,7 +905,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 "  subgraph cluster_{} {{\n    label=\"{}\";\n",
                 class.id, class.id
             ));
-            for (i, node) in class.nodes.iter().enumerate() {
+            for (i, node) in self.enodes(class).enumerate() {
                 let style = if self.filtered.contains(node) {
                     ",style=dashed"
                 } else {
@@ -901,7 +922,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             s.push_str("  }\n");
         }
         for class in self.classes() {
-            for (i, node) in class.nodes.iter().enumerate() {
+            for (i, node) in self.enodes(class).enumerate() {
                 for &child in node.children() {
                     let child = self.find(child);
                     s.push_str(&format!(
@@ -928,7 +949,7 @@ impl<L: Language, N: Analysis<L>> fmt::Debug for EGraph<L, N> {
 }
 
 impl<L: Language, N: Analysis<L>> std::ops::Index<Id> for EGraph<L, N> {
-    type Output = EClass<L, N::Data>;
+    type Output = EClass<N::Data>;
     fn index(&self, id: Id) -> &Self::Output {
         self.eclass(id)
     }
@@ -1061,16 +1082,52 @@ mod tests {
         assert_eq!(ms[0].eclass, eg.find(m));
     }
 
+    /// Two e-nodes made congruent by a union are one e-node after the
+    /// rebuild, listed under the id of whichever `add` came first — in
+    /// both union directions.
     #[test]
-    fn birth_stamps_are_monotone() {
+    fn congruent_e_nodes_keep_the_earliest_id() {
+        for flip in [false, true] {
+            let mut eg: EGraph<Math, ()> = EGraph::new(());
+            let a = eg.add(sym("a"));
+            let b = eg.add(sym("b"));
+            let two = eg.add(Math::Num(2));
+            let earlier = eg.add(Math::Mul([b, two]));
+            let later = eg.add(Math::Mul([a, two]));
+            if flip {
+                eg.union(b, a);
+            } else {
+                eg.union(a, b);
+            }
+            eg.rebuild();
+            assert_eq!(eg.find(earlier), eg.find(later));
+            assert_eq!(eg.eclass(later).node_ids(), [earlier]);
+            let canonical = eg.canonicalize(&Math::Mul([a, two]));
+            assert_eq!(eg.enode(earlier), &canonical);
+            eg.check_invariants();
+        }
+    }
+
+    /// Parent dedup may keep only the later of two congruent ids in a
+    /// parent list while the class lists the earlier one: a later union
+    /// then repairs the later id's node-table entry, not the listed one.
+    /// Class-list repair canonicalizes the listed entry itself.
+    #[test]
+    fn a_kept_id_skipped_by_parent_dedup_is_canonical_after_rebuild() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let a = eg.add(sym("a"));
-        let two = eg.add(Math::Num(2));
-        let m = eg.add(Math::Mul([a, two]));
-        let b_a = eg.node_birth(a, &sym("a")).unwrap();
-        let b_m = eg.node_birth(m, &Math::Mul([a, two])).unwrap();
-        assert!(b_a < b_m);
-        assert_eq!(b_m, usize::from(m) as u64, "birth order is id order");
+        let [a, b, c, d, e, f] = ["a", "b", "c", "d", "e", "f"].map(|s| eg.add(sym(s)));
+        let p = eg.add(Math::Add([a, c]));
+        let q = eg.add(Math::Add([b, d]));
+        eg.union(b, a);
+        eg.union(d, c);
+        eg.rebuild();
+        assert_eq!(eg.find(p), eg.find(q));
+        assert_eq!(eg.eclass(p).node_ids(), [p]);
+        eg.union(e, f);
+        eg.union(e, b);
+        eg.rebuild();
+        eg.check_invariants();
+        assert_eq!(eg.enode(p), &eg.canonicalize(eg.enode(p)));
     }
 
     #[test]
@@ -1324,7 +1381,7 @@ mod tests {
         eg.check_invariants();
     }
 
-    /// `EClass::lower_bound` on a class holding two operators: the start
+    /// `EGraph::lower_bound` on a class holding two operators: the start
     /// of an operator's run, of a prefix's run inside it, and the position
     /// just past a run when nothing qualifies.
     #[test]
@@ -1344,7 +1401,7 @@ mod tests {
         eg.rebuild();
         let class = eg.eclass(big);
         assert_eq!(
-            class.nodes,
+            eg.enodes(class).cloned().collect::<Vec<_>>(),
             vec![
                 Math::Add([l[0], l[1]]),
                 Math::Add([l[2], l[0]]),
@@ -1356,23 +1413,16 @@ mod tests {
         // The probe's own children are ignored.
         let add = Math::Add([big, big]);
         let mul = Math::Mul([big, big]);
-        assert_eq!(class.lower_bound(&add, &[]), 0);
-        assert_eq!(class.lower_bound(&add, &[l[2]]), 1);
-        assert_eq!(class.lower_bound(&add, &[l[2], l[3]]), 2);
-        assert_eq!(
-            class.lower_bound(&add, &[l[1]]),
-            1,
-            "no such prefix: next node"
-        );
-        assert_eq!(class.lower_bound(&add, &[l[3]]), 3, "past the `+` run");
-        assert_eq!(class.lower_bound(&mul, &[]), 3);
-        assert_eq!(class.lower_bound(&mul, &[l[3]]), 4);
-        assert_eq!(
-            class.lower_bound(&Math::Num(7), &[]),
-            0,
-            "literals sort first"
-        );
-        assert_eq!(class.lower_bound(&Math::Div([big, big]), &[]), 5);
+        let lower_bound = |op: &Math, prefix: &[Id]| eg.lower_bound(class, op, prefix);
+        assert_eq!(lower_bound(&add, &[]), 0);
+        assert_eq!(lower_bound(&add, &[l[2]]), 1);
+        assert_eq!(lower_bound(&add, &[l[2], l[3]]), 2);
+        assert_eq!(lower_bound(&add, &[l[1]]), 1, "no such prefix: next node");
+        assert_eq!(lower_bound(&add, &[l[3]]), 3, "past the `+` run");
+        assert_eq!(lower_bound(&mul, &[]), 3);
+        assert_eq!(lower_bound(&mul, &[l[3]]), 4);
+        assert_eq!(lower_bound(&Math::Num(7), &[]), 0, "literals sort first");
+        assert_eq!(lower_bound(&Math::Div([big, big]), &[]), 5);
     }
 
     /// Sorted by a `Language` whose `Ord` breaks the ordering contract, one

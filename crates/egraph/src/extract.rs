@@ -292,7 +292,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
                     .egraph
                     .slot_index(class.id)
                     .expect("iterated class is live");
-                for node in class.iter() {
+                for node in self.egraph.enodes(class) {
                     // Improved since this class's last turn: earlier in
                     // this sweep, or in the previous one at or after the
                     // turn (classes are swept in slot order; "at" is a
@@ -329,7 +329,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
                     .egraph
                     .slot_index(class.id)
                     .expect("iterated class is live");
-                for node in class.iter() {
+                for node in self.egraph.enodes(class) {
                     if self.egraph.is_filtered(node) {
                         continue;
                     }
@@ -639,7 +639,7 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
             candidates.begin_row(s);
             children.begin_row(s);
             row.clear();
-            for node in class.iter() {
+            for node in egraph.enodes(class) {
                 if egraph.is_filtered(node) {
                     continue;
                 }
@@ -1142,7 +1142,7 @@ mod tests {
             eg.union(ids[a % ids.len()], ids[b % ids.len()]);
         }
         eg.rebuild();
-        let nodes: Vec<Math> = eg.classes().flat_map(|c| c.iter().cloned()).collect();
+        let nodes: Vec<Math> = eg.classes().flat_map(|c| eg.enodes(c).cloned()).collect();
         for &pick in filtered {
             eg.filter_node(&nodes[pick % nodes.len()]);
         }
@@ -1409,7 +1409,7 @@ mod tests {
             let scratch = &mut dense.scratch;
             // (sub-DAG total, the node's own cost, node, reach without `s`)
             let mut best: Option<(DF::Cost, DF::Cost, &L, BitSet)> = None;
-            'candidates: for node in class.iter() {
+            'candidates: for node in self.egraph.enodes(class) {
                 if self.egraph.is_filtered(node) {
                     continue;
                 }

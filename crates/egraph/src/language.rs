@@ -122,7 +122,7 @@ impl<S: AsRef<str>> From<S> for Symbol {
 /// sorted by this order, which puts the nodes of one operator in one
 /// contiguous run ordered by their children; the e-matching machine finds
 /// the nodes that agree with already-bound children by binary search in
-/// that run ([`EClass::lower_bound`](crate::EClass::lower_bound)) instead of
+/// that run ([`EGraph::lower_bound`](crate::EGraph::lower_bound)) instead of
 /// scanning the class. An order that breaks the contract makes the search
 /// miss matches. `#[derive(PartialOrd, Ord)]` keeps it for any enum whose
 /// variants hold either a payload that `matches` compares (a literal) or

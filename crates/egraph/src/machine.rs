@@ -19,7 +19,7 @@
 //!   **bound-children plan** ([`ChildSource`]). At run time the longest
 //!   bound *prefix* of children, together with the operator, is the key of
 //!   a binary search into the class's sorted node list
-//!   ([`EClass::lower_bound`](crate::EClass::lower_bound)), and the
+//!   ([`EGraph::lower_bound`]), and the
 //!   machine enumerates from there until the operator or the prefix
 //!   changes, so only nodes that agree with the prefix are visited at all;
 //!   bound children outside the prefix are checked per node before any
@@ -412,10 +412,10 @@ const CHUNKS_PER_THREAD: usize = 8;
 /// workers, sharding the queue, and merging slots costs a few hundred
 /// microseconds; batches this small finish sequentially in less (the
 /// seven models' full rule batches at the default scale span 50–1100
-/// candidate classes; of the repo benchmark's workloads only
-/// `nasnet_search` exceeds the threshold), so the threads would only add
-/// overhead. Batches at or above the threshold keep the bit-identical
-/// chunk-ordered merge path.
+/// candidate classes), so the threads would only add overhead. On the repo
+/// benchmark an iteration's batch reaches it in 4 of `bert_apply`'s 6
+/// iterations, 3 of `nasnet_search`'s 5 and 4 of `zoo7_small`'s 50 (as
+/// measured). Larger batches keep the bit-identical chunk-ordered merge.
 pub const PARALLEL_SEARCH_SPAWN_THRESHOLD: usize = 2048;
 
 /// Searches a batch of compiled programs — e.g. from
@@ -669,8 +669,9 @@ impl Machine {
         // In a sorted list the nodes of this operator that start with the
         // key are one run: binary-search its first node, stop at the first
         // node past it.
-        let first = class.lower_bound(node, &self.regs[*reg..]);
-        for enode in &class.nodes[first..] {
+        let first = egraph.lower_bound(class, node, &self.regs[*reg..]);
+        for &id in &class.node_ids()[first..] {
+            let enode = egraph.enode(id);
             let children = enode.children();
             if !node.matches(enode) || children[..*prefix] != self.regs[*reg..filled] {
                 break;

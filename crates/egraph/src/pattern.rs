@@ -477,7 +477,7 @@ impl<L: Language> Pattern<L> {
             },
             ENodeOrVar::ENode(pnode) => {
                 let mut results = vec![];
-                for enode in egraph.eclass(eclass).iter() {
+                for enode in egraph.enodes(egraph.eclass(eclass)) {
                     if egraph.is_filtered(enode) {
                         continue;
                     }

@@ -165,7 +165,7 @@ proptest! {
         eg.rebuild();
         let all_nodes: Vec<Math> = eg
             .classes()
-            .flat_map(|c| c.iter().cloned())
+            .flat_map(|c| eg.enodes(c).cloned())
             .collect();
         for pick in filter_picks {
             let node = all_nodes[pick % all_nodes.len()].clone();
@@ -203,7 +203,7 @@ proptest! {
             eg.union(a, b);
         }
         eg.rebuild();
-        let all_nodes: Vec<Math> = eg.classes().flat_map(|c| c.iter().cloned()).collect();
+        let all_nodes: Vec<Math> = eg.classes().flat_map(|c| eg.enodes(c).cloned()).collect();
         for pick in filter_picks {
             let node = all_nodes[pick % all_nodes.len()].clone();
             eg.filter_node(&node);
@@ -512,7 +512,7 @@ proptest! {
         let mut eg = big_class_egraph(&nodes);
         let largest = eg.classes().map(|c| c.len()).max().unwrap_or(0);
         prop_assert!(largest >= 64, "largest class holds only {} nodes", largest);
-        let all_nodes: Vec<Math> = eg.classes().flat_map(|c| c.iter().cloned()).collect();
+        let all_nodes: Vec<Math> = eg.classes().flat_map(|c| eg.enodes(c).cloned()).collect();
         for pick in filter_picks {
             eg.filter_node(&all_nodes[pick % all_nodes.len()]);
         }
@@ -591,7 +591,7 @@ proptest! {
         // canonical node must never appear in two different classes.
         let mut seen: std::collections::HashMap<Math, Id> = Default::default();
         for class in eg.classes() {
-            for node in class.iter() {
+            for node in eg.enodes(class) {
                 let canon = eg.canonicalize(node);
                 if let Some(prev) = seen.insert(canon, eg.find(class.id)) {
                     prop_assert_eq!(prev, eg.find(class.id),

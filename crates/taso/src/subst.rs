@@ -117,20 +117,14 @@ fn copy_with_replacement(
     }
     memo.insert(key, None);
     // Decide which e-node to materialise for this class.
-    let target_class = if class == matched && class != replacement {
-        replacement
-    } else {
-        class
-    };
+    let replaced = class == matched && class != replacement;
+    let target_class = if replaced { replacement } else { class };
     // Prefer the newest node of the target class when it is the matched
     // class being replaced (the instantiated RHS), otherwise the oldest
-    // (the original graph node).
-    let eclass = egraph.eclass(target_class);
-    let node = if class == matched && class != replacement {
-        eclass.iter_with_birth().max_by_key(|(_, b)| *b)?.0.clone()
-    } else {
-        eclass.iter_with_birth().min_by_key(|(_, b)| *b)?.0.clone()
-    };
+    // (the original graph node); node ids are handed out in `add` order.
+    let ids = egraph.eclass(target_class).node_ids().iter();
+    let pick = if replaced { ids.max() } else { ids.min() };
+    let node = egraph.enode(*pick?).clone();
     let mut children = Vec::with_capacity(node.children().len());
     for &c in node.children() {
         children.push(copy_with_replacement(
