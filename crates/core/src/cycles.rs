@@ -83,9 +83,6 @@ impl DescendantsMap {
             offsets.resize(ci + 1, edges.len() as u32);
             row.clear();
             for node in egraph.enodes(class) {
-                if egraph.is_filtered(node) {
-                    continue;
-                }
                 for &child in node.children() {
                     let child = egraph.slot_index(child).expect("child class is live");
                     row.push(child as u32);
@@ -340,15 +337,14 @@ pub fn find_cycles(egraph: &TensorEGraph, root: Id) -> Vec<Cycle> {
             stack.pop();
             continue;
         };
-        let node = egraph.enode(id);
         if top.child_i == 0 {
-            if egraph.is_filtered(node) {
+            if egraph.is_filtered(id) {
                 top.node_i += 1;
                 continue;
             }
             path.push((top.class, id));
         }
-        if let Some(&child) = node.children().get(top.child_i) {
+        if let Some(&child) = egraph.enode(id).children().get(top.child_i) {
             top.child_i += 1;
             if let Some(frame) = enter(egraph.find(child), &mut marks, &path, &mut cycles) {
                 stack.push(frame);
@@ -368,11 +364,11 @@ pub fn find_cycles(egraph: &TensorEGraph, root: Id) -> Vec<Cycle> {
 /// already broken and nothing is filtered. Returns the filtered e-node's
 /// id: the cycle's largest, as ids are handed out in `add` order.
 pub fn resolve_cycle(egraph: &mut TensorEGraph, cycle: &Cycle) -> Option<Id> {
-    if cycle.iter().any(|&id| egraph.is_filtered(egraph.enode(id))) {
+    if cycle.iter().any(|&id| egraph.is_filtered(id)) {
         return None;
     }
     let newest = cycle.iter().copied().max()?;
-    egraph.filter_node(&egraph.enode(newest).clone());
+    egraph.filter_node(newest);
     Some(newest)
 }
 
@@ -457,7 +453,7 @@ mod tests {
         assert!(find_cycles(&eg, root).is_empty());
         // The filtered node is the newest one (the relu), not the original
         // graph nodes.
-        assert!(eg.is_filtered(&eg.canonicalize(&TensorLang::Relu([m1]))));
+        assert!(eg.is_filtered(relu));
     }
 
     #[test]

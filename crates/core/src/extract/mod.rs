@@ -548,9 +548,6 @@ fn encode_monolithic(
         let class = order[i];
         i += 1;
         for node in egraph.enodes(egraph.eclass(class)) {
-            if egraph.is_filtered(node) {
-                continue;
-            }
             for &child in node.children() {
                 let child = egraph.find(child);
                 if seen.insert(slot(child)) {
@@ -569,9 +566,6 @@ fn encode_monolithic(
     for &class in &order {
         let mut vars = vec![];
         for node in egraph.enodes(egraph.eclass(class)) {
-            if egraph.is_filtered(node) {
-                continue;
-            }
             let cost = model.enode_cost_composite(egraph, node);
             if !cost.is_finite() {
                 continue;

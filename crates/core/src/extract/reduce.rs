@@ -114,9 +114,6 @@ impl ExtractionProblem {
             let class = order[i];
             i += 1;
             for node in egraph.enodes(egraph.eclass(class)) {
-                if egraph.is_filtered(node) {
-                    continue;
-                }
                 for &child in node.children() {
                     let child = egraph.find(child);
                     let next = order.len();
@@ -134,9 +131,6 @@ impl ExtractionProblem {
         for &class in &order {
             let mut list = vec![];
             for node in egraph.enodes(egraph.eclass(class)) {
-                if egraph.is_filtered(node) {
-                    continue;
-                }
                 let cost = model.enode_cost_composite(egraph, node);
                 if !cost.is_finite() {
                     continue;

@@ -43,16 +43,18 @@ fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// The classes strictly below `start`: a DFS over the child edges of
-/// unfiltered e-nodes, one fresh traversal per class.
+/// unfiltered e-nodes, one fresh traversal per class. It reads every listed
+/// id and asks for its filter bit itself, where the map reads
+/// `EGraph::enodes`.
 fn naive_descendants(egraph: &TensorEGraph, start: Id) -> HashSet<Id> {
     let mut seen: HashSet<Id> = HashSet::new();
     let mut stack = vec![egraph.find(start)];
     while let Some(class) = stack.pop() {
-        for node in egraph.enodes(egraph.eclass(class)) {
-            if egraph.is_filtered(node) {
+        for &id in egraph.eclass(class).node_ids() {
+            if egraph.is_filtered(id) {
                 continue;
             }
-            for &child in node.children() {
+            for &child in egraph.enode(id).children() {
                 let child = egraph.find(child);
                 if seen.insert(child) {
                     stack.push(child);
@@ -122,10 +124,9 @@ proptest! {
             eg.union(c, e);
         }
         eg.rebuild();
-        let all_nodes: Vec<TensorLang> =
-            eg.classes().flat_map(|c| eg.enodes(c).cloned()).collect();
+        let all_nodes: Vec<Id> = eg.classes().flat_map(|c| c.node_ids().to_vec()).collect();
         for pick in &filter_picks {
-            eg.filter_node(&all_nodes[pick % all_nodes.len()]);
+            eg.filter_node(all_nodes[pick % all_nodes.len()]);
         }
 
         let map = DescendantsMap::compute(&eg);

@@ -3,7 +3,9 @@
 //! The extractors' on-stack sets and the ILP encoder's and reducer's
 //! tables all index the same dense slot space
 //! ([`EGraph::slot_index`](crate::EGraph::slot_index)), so the set type
-//! lives beside the slot tables it indexes.
+//! lives beside the slot tables it indexes. The e-graph's cycle filter list
+//! is one too, over node-table ids: it grows on insert, and reads and
+//! clears past its end see a clear bit.
 //!
 //! A bit set is the form for a set that is dense, or that is one of a few.
 //! It is not the form for *one set per class* when each holds a sliver of
@@ -14,8 +16,8 @@
 //! pre-filter's descendants map was one row of these per class (n² bits)
 //! and is now a snapshot of the class graph with a component order.
 
-/// A dense bit set over e-class indices. The default is the empty set of
-/// capacity zero.
+/// A dense bit set over e-class indices or node-table ids. The default is
+/// the empty set of capacity zero.
 #[derive(Debug, Clone, Default)]
 pub struct BitSet {
     words: Vec<u64>,
@@ -29,18 +31,32 @@ impl BitSet {
         }
     }
 
-    /// Sets bit `i`. Returns true if it was newly set.
+    /// Sets bit `i`, growing the set if `i` is past its end. Returns true
+    /// if it was newly set.
     pub fn insert(&mut self, i: usize) -> bool {
         let (w, b) = (i / 64, i % 64);
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
         let was = self.words[w] & (1 << b) != 0;
         self.words[w] |= 1 << b;
         !was
     }
 
-    /// True if bit `i` is set.
+    /// True if bit `i` is set; a bit past the end is clear.
     pub fn contains(&self, i: usize) -> bool {
         let (w, b) = (i / 64, i % 64);
-        self.words[w] & (1 << b) != 0
+        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+    }
+
+    /// Clears bit `i` (a bit past the end is clear already). Returns true
+    /// if it was set.
+    pub fn remove(&mut self, i: usize) -> bool {
+        let was = self.contains(i);
+        if was {
+            self.words[i / 64] &= !(1 << (i % 64));
+        }
+        was
     }
 
     /// Unions `other` into `self`; returns true if anything changed.
@@ -117,6 +133,19 @@ mod tests {
         assert!(s.contains(129));
         assert!(!s.contains(1));
         assert_eq!(s.count(), 3);
+    }
+
+    #[test]
+    fn insert_grows_and_reads_past_the_end_are_clear() {
+        let mut s = BitSet::default();
+        assert!(!s.contains(200));
+        assert!(!s.remove(200));
+        assert!(s.insert(200));
+        assert!(s.contains(200));
+        assert!(!s.contains(199) && !s.contains(10_000));
+        assert!(s.remove(200));
+        assert!(!s.remove(200));
+        assert_eq!(s.count(), 0);
     }
 
     #[test]

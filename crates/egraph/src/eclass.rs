@@ -42,19 +42,11 @@ impl<D> EClass<D> {
         self.nodes.is_empty()
     }
 
-    /// The node-table ids of the class's e-nodes, in the order
-    /// [`EGraph::enodes`](crate::EGraph::enodes) yields them;
-    /// [`EGraph::enode`](crate::EGraph::enode) reads one.
+    /// The node-table ids of the class's e-nodes, filtered ones included
+    /// ([`EGraph::is_filtered`](crate::EGraph::is_filtered)), in the order
+    /// [`EGraph::enodes`](crate::EGraph::enodes) yields the unfiltered
+    /// ones; [`EGraph::enode`](crate::EGraph::enode) reads one.
     pub fn node_ids(&self) -> &[Id] {
         &self.nodes
-    }
-
-    /// The parents recorded for congruence repair, as the raw ids whose
-    /// `add` created each parent e-node (`find` gives the parent's class).
-    /// Exposed for diagnostics only: ids may repeat, even on a clean
-    /// e-graph (rebuild repair only deduplicates the parents of classes
-    /// touched by a union).
-    pub fn parents(&self) -> impl Iterator<Item = Id> + '_ {
-        self.parents.iter().copied()
     }
 }

@@ -2,8 +2,8 @@
 //! congruence-closure rebuilding over dense slot-indexed class tables.
 
 use crate::memo::Memo;
-use crate::{Analysis, EClass, Id, Language, RecExpr, UnionFind};
-use std::collections::{HashMap, HashSet};
+use crate::{Analysis, BitSet, EClass, Id, Language, RecExpr, UnionFind};
+use std::collections::HashMap;
 use std::fmt;
 use std::mem::Discriminant;
 
@@ -48,17 +48,20 @@ fn invariant_checks_forced() -> bool {
 /// worklists proportional to the classes actually touched instead of
 /// re-canonicalizing the whole e-graph.
 ///
-/// In addition to the egg feature set, this e-graph supports a *filter set*
-/// of e-nodes that are considered removed: TENSAT's efficient cycle
-/// filtering (paper §5.2, Algorithm 2) resolves cycles by adding the
-/// offending e-nodes to this set; pattern matching and extraction skip them.
+/// In addition to the egg feature set, this e-graph supports a *filter
+/// list* of e-nodes that are considered removed: TENSAT's efficient cycle
+/// filtering (paper §5.2, Algorithm 2) resolves cycles by putting the
+/// offending e-nodes on it. It is a bit per listed node-table id, which a
+/// rebuild moves onto the kept id when it merges congruent twins;
+/// [`EGraph::enodes`] skips filtered e-nodes, so pattern matching and
+/// extraction do.
 ///
 /// Every read accessor used by pattern search (`find`, `eclass`, `lookup`,
-/// `is_filtered`, `classes_with_op`, `classes`) takes `&self` and avoids
-/// interior mutability — in particular [`EGraph::find`] does *not* path
-/// compress — so a clean e-graph can be shared across threads: `EGraph` is
-/// `Sync` whenever `L`, `N`, and `N::Data` are. The parallel e-matching
-/// driver ([`crate::search_all_parallel`]) relies on this.
+/// `enodes`, `is_filtered`, `classes_with_op`, `classes`) takes `&self`
+/// and avoids interior mutability — in particular [`EGraph::find`] does
+/// *not* path compress — so a clean e-graph can be shared across threads:
+/// `EGraph` is `Sync` whenever `L`, `N`, and `N::Data` are. The parallel
+/// e-matching driver ([`crate::search_all_parallel`]) relies on this.
 ///
 /// # Examples
 ///
@@ -112,11 +115,9 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// Worklist of classes whose node lists must be re-canonicalized:
     /// union roots plus the owning classes of repaired parent nodes.
     node_repair: Vec<Id>,
-    /// E-nodes considered removed (TENSAT cycle filter list). Keys are kept
-    /// canonical with respect to the union-find as of the last rebuild.
-    filtered: HashSet<L>,
-    /// True if a union since the last rebuild may have staled filter keys.
-    filtered_dirty: bool,
+    /// E-nodes considered removed (TENSAT cycle filter list): one bit per
+    /// node-table id, set only on ids a class lists.
+    filtered: BitSet,
     /// Whether the congruence invariant currently holds.
     clean: bool,
     /// Number of successful (non-trivial) unions performed since creation.
@@ -126,7 +127,7 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     num_nodes: usize,
     /// Operator index: maps an operator discriminant to the sorted, canonical
     /// ids of the classes containing at least one node with that operator
-    /// (filtered nodes included — the matcher re-checks the filter set).
+    /// (filtered nodes included — the matcher re-checks the filter list).
     /// Maintained incrementally by `add` and `union`.
     op_index: HashMap<Discriminant<L>, Vec<Id>>,
 }
@@ -146,8 +147,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             pending: vec![],
             analysis_pending: vec![],
             node_repair: vec![],
-            filtered: HashSet::new(),
-            filtered_dirty: false,
+            filtered: BitSet::default(),
             clean: true,
             union_count: 0,
             num_nodes: 0,
@@ -197,12 +197,9 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.num_nodes
     }
 
-    /// The number of e-nodes not in the filter set.
+    /// The number of e-nodes not on the filter list.
     pub fn num_unfiltered_nodes(&self) -> usize {
-        self.classes()
-            .flat_map(|c| self.enodes(c))
-            .filter(|n| !self.filtered.contains(*n))
-            .count()
+        self.num_nodes - self.filtered_count()
     }
 
     /// Number of successful unions performed so far.
@@ -213,7 +210,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// A deep copy of the e-graph: the snapshot/replay primitive for
     /// strategies that expand several candidate states from one parent
     /// (e.g. guided exploration). Ids, slots, match results, and the
-    /// filter set on the snapshot are identical to the original until
+    /// filter list on the snapshot are identical to the original until
     /// either side is mutated; neither copy observes the other's changes.
     pub fn snapshot(&self) -> Self
     where
@@ -250,10 +247,15 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         &self.nodes[usize::from(id)]
     }
 
-    /// The e-nodes of `class`, read from the node table in list order —
-    /// on a clean e-graph canonical and sorted.
+    /// The unfiltered e-nodes of `class` ([`EGraph::filter_node`]), read
+    /// from the node table in list order — on a clean e-graph canonical
+    /// and sorted. [`EClass::node_ids`] lists filtered ones too.
     pub fn enodes<'a>(&'a self, class: &'a EClass<N::Data>) -> impl Iterator<Item = &'a L> + 'a {
-        class.nodes.iter().map(|&id| self.enode(id))
+        class
+            .nodes
+            .iter()
+            .filter(|&&id| !self.is_filtered(id))
+            .map(|&id| self.enode(id))
     }
 
     /// The index in `class`'s node list of the first e-node that has
@@ -371,7 +373,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             return (a, false);
         }
         self.clean = false;
-        self.filtered_dirty = true;
         self.union_count += 1;
         let root = self.unionfind.union(a, b);
         let other = if root == a { b } else { a };
@@ -484,7 +485,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         self.repair_class_nodes();
         self.sweep_memo_if_stale();
-        self.refresh_filtered();
         self.compact_slots();
         self.rebuilt_slots = self.slots.len();
         self.clean = true;
@@ -561,7 +561,9 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// owners of repaired parent nodes. Listed entries are canonicalized in
     /// place, as parent dedup may have repaired only a congruent twin —
     /// whose repair already took the stale form out of the memo, so none
-    /// of the entries rewritten here is held.
+    /// of the entries rewritten here is held. A dropped twin's filter bit
+    /// moves onto the kept id (by value the twins are one e-node, filtered
+    /// if either was), so only listed ids carry a bit.
     fn repair_class_nodes(&mut self) {
         let mut ids: Vec<Id> = std::mem::take(&mut self.node_repair)
             .into_iter()
@@ -577,12 +579,18 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                     *c = self.unionfind.find_mut(*c);
                 }
             }
-            let nodes = &self.nodes;
+            let (nodes, filtered) = (&self.nodes, &mut self.filtered);
             let old_len = class.nodes.len();
             class
                 .nodes
                 .sort_unstable_by_key(|&n| (&nodes[usize::from(n)], n));
-            class.nodes.dedup_by_key(|&mut n| &nodes[usize::from(n)]);
+            class.nodes.dedup_by(|&mut dropped, &mut kept| {
+                let twins = nodes[usize::from(dropped)] == nodes[usize::from(kept)];
+                if twins && filtered.remove(usize::from(dropped)) {
+                    filtered.insert(usize::from(kept));
+                }
+                twins
+            });
             self.num_nodes -= old_len - class.nodes.len();
         }
     }
@@ -614,23 +622,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
     }
 
-    /// Re-canonicalizes the filter set, if any union since the last rebuild
-    /// could have staled its keys.
-    fn refresh_filtered(&mut self) {
-        if !self.filtered_dirty {
-            return;
-        }
-        self.filtered_dirty = false;
-        if self.filtered.is_empty() {
-            return;
-        }
-        let filtered = std::mem::take(&mut self.filtered);
-        self.filtered = filtered
-            .into_iter()
-            .map(|n| n.map_children(|c| self.unionfind.find_mut(c)))
-            .collect();
-    }
-
     /// Removes tombstoned slots, preserving ascending-id order of the
     /// survivors, and rewrites the slot map accordingly.
     fn compact_slots(&mut self) {
@@ -652,36 +643,35 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// The canonical ids of the classes containing at least one e-node with
     /// the given operator discriminant (see [`Language::discriminant`]), in
     /// ascending id order. Filtered nodes are indexed too — the index
-    /// over-approximates, callers must still check the filter set.
+    /// over-approximates; a class's nodes read through [`EGraph::enodes`]
+    /// or checked with [`EGraph::is_filtered`] leave them out.
     pub fn classes_with_op(&self, op: Discriminant<L>) -> &[Id] {
         self.op_index.get(&op).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Marks an e-node as filtered (treated as removed). The node is
-    /// canonicalized before insertion. Filtered nodes are skipped by pattern
-    /// matching and extraction but remain stored in their class.
-    pub fn filter_node(&mut self, enode: &L) {
-        let node = self.canonicalize(enode);
-        self.filtered.insert(node);
+    /// Puts the e-node with node-table id `id` on the filter list (treats
+    /// it as removed). `id` must be one its class lists
+    /// ([`EClass::node_ids`]). Filtered nodes stay stored in their class;
+    /// [`EGraph::enodes`] skips them, so pattern matching and extraction
+    /// do. The mark follows the e-node through rebuilds: should it become
+    /// congruent to a twin listed under a smaller id, that id carries it.
+    pub fn filter_node(&mut self, id: Id) {
+        self.filtered.insert(usize::from(id));
     }
 
-    /// True if the e-node is in the filter set.
-    pub fn is_filtered(&self, enode: &L) -> bool {
-        // The common path has no filtered nodes at all; skip the node clone
-        // and child canonicalization that the set probe would need.
-        if self.filtered.is_empty() {
-            return false;
-        }
-        let node = self.canonicalize(enode);
-        self.filtered.contains(&node)
+    /// True if the e-node with node-table id `id` is on the filter list:
+    /// one bit read.
+    #[inline]
+    pub fn is_filtered(&self, id: Id) -> bool {
+        self.filtered.contains(usize::from(id))
     }
 
     /// Number of filtered e-nodes.
     pub fn filtered_count(&self) -> usize {
-        self.filtered.len()
+        self.filtered.count()
     }
 
-    /// Clears the filter set.
+    /// Clears the filter list.
     pub fn clear_filtered(&mut self) {
         self.filtered.clear();
     }
@@ -734,8 +724,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// in an operator's bucket exactly when one of its nodes has that
     /// operator (buckets sorted ascending); every node-table entry,
     /// canonicalized, is a node of its id's class, listed under the
-    /// smallest id whose entry canonicalizes to it; and every parent list,
-    /// canonicalized, equals the parent set derived from the node lists.
+    /// smallest id whose entry canonicalizes to it; every id on the filter
+    /// list is one its class lists (so [`EGraph::filtered_count`] counts
+    /// listed e-nodes); and every parent list, canonicalized, equals the
+    /// parent set derived from the node lists.
     ///
     /// # Panics
     ///
@@ -798,7 +790,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             let mut prev: Option<&L> = None;
             // First node of each operator's run, for the ordering contract.
             let mut run_heads: Vec<&L> = vec![];
-            for node in self.enodes(class) {
+            for node in class.nodes.iter().map(|&n| self.enode(n)) {
                 assert_eq!(
                     &self.canonicalize(node),
                     node,
@@ -885,8 +877,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             for &id in bucket {
                 assert_eq!(self.find(id), id, "operator index holds a dead id");
                 assert!(
-                    self.enodes(self.eclass(id))
-                        .any(|n| n.discriminant() == *op),
+                    self.eclass(id)
+                        .nodes
+                        .iter()
+                        .any(|&n| self.enode(n).discriminant() == *op),
                     "operator index lists class {id} under an operator it lacks"
                 );
             }
@@ -903,6 +897,15 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 listed.is_ok_and(|i| class.nodes[i] <= id),
                 "node-table entry {id} is not listed by class {} under it or an earlier id",
                 class.id
+            );
+        }
+        // The filter list marks listed ids only: rebuild moved a dropped
+        // twin's bit onto the id kept in its place.
+        for raw in self.filtered.iter_ones() {
+            let id = Id::from(raw);
+            assert!(
+                self.eclass(id).nodes.contains(&id),
+                "filtered id {id} is not listed by its class"
             );
         }
         for class in self.classes() {
@@ -933,8 +936,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 "  subgraph cluster_{} {{\n    label=\"{}\";\n",
                 class.id, class.id
             ));
-            for (i, node) in self.enodes(class).enumerate() {
-                let style = if self.filtered.contains(node) {
+            for (i, &id) in class.nodes.iter().enumerate() {
+                let style = if self.is_filtered(id) {
                     ",style=dashed"
                 } else {
                     ""
@@ -943,15 +946,15 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                     "    n_{}_{} [label=\"{}\"{}];\n",
                     class.id,
                     i,
-                    node.display_op(),
+                    self.enode(id).display_op(),
                     style
                 ));
             }
             s.push_str("  }\n");
         }
         for class in self.classes() {
-            for (i, node) in self.enodes(class).enumerate() {
-                for &child in node.children() {
+            for (i, &id) in class.nodes.iter().enumerate() {
+                for &child in self.enode(id).children() {
                     let child = self.find(child);
                     s.push_str(&format!(
                         "  n_{}_{} -> n_{}_0 [lhead=cluster_{}];\n",
@@ -970,7 +973,7 @@ impl<L: Language, N: Analysis<L>> fmt::Debug for EGraph<L, N> {
         f.debug_struct("EGraph")
             .field("classes", &self.live)
             .field("nodes", &self.total_number_of_nodes())
-            .field("filtered", &self.filtered.len())
+            .field("filtered", &self.filtered_count())
             .field("clean", &self.clean)
             .finish()
     }
@@ -1086,24 +1089,24 @@ mod tests {
         let a = eg.add(sym("a"));
         let two = eg.add(Math::Num(2));
         let m = eg.add(Math::Mul([a, two]));
-        let node = Math::Mul([a, two]);
-        assert!(!eg.is_filtered(&node));
-        eg.filter_node(&node);
-        assert!(eg.is_filtered(&node));
+        assert!(!eg.is_filtered(m));
+        eg.filter_node(m);
+        assert!(eg.is_filtered(m));
         assert_eq!(eg.filtered_count(), 1);
         assert_eq!(eg.num_unfiltered_nodes(), 2);
         assert_eq!(eg.total_number_of_nodes(), 3);
-        // Filter set survives a rebuild.
+        // The filter list survives a rebuild.
         let b = eg.add(sym("b"));
         eg.union(a, b);
         eg.rebuild();
-        let node2 = eg.canonicalize(&node);
-        assert!(eg.is_filtered(&node2));
-        // A filtered node is invisible to search until the set is cleared.
+        assert!(eg.is_filtered(m));
+        assert_eq!(eg.enodes(eg.eclass(m)).count(), 0);
+        assert_eq!(eg.eclass(m).node_ids(), [m]);
+        // A filtered node is invisible to search until the list is cleared.
         let pat = mul_by_two();
         assert!(pat.search(&eg).is_empty());
         eg.clear_filtered();
-        assert!(!eg.is_filtered(&node2));
+        assert!(!eg.is_filtered(m));
         assert_eq!(eg.filtered_count(), 0);
         let ms = pat.search(&eg);
         assert_eq!(ms.len(), 1);
@@ -1133,6 +1136,49 @@ mod tests {
             let canonical = eg.canonicalize(&Math::Mul([a, two]));
             assert_eq!(eg.enode(earlier), &canonical);
             eg.check_invariants();
+        }
+    }
+
+    /// Two congruent e-nodes are one e-node after the rebuild, and by value
+    /// it is filtered if either was: the kept (earlier) id carries the mark
+    /// whichever twin was filtered, in both union directions, filtered
+    /// before the union or between it and the rebuild. The dropped id's
+    /// bit is cleared, so the count is of listed e-nodes.
+    #[test]
+    fn a_filtered_e_node_stays_filtered_when_its_congruent_twin_is_kept() {
+        for filter_earlier in [false, true] {
+            for flip in [false, true] {
+                for filter_when_dirty in [false, true] {
+                    let mut eg: EGraph<Math, ()> = EGraph::new(());
+                    let a = eg.add(sym("a"));
+                    let b = eg.add(sym("b"));
+                    let two = eg.add(Math::Num(2));
+                    let earlier = eg.add(Math::Mul([b, two]));
+                    let later = eg.add(Math::Mul([a, two]));
+                    let filtered = if filter_earlier { earlier } else { later };
+                    if !filter_when_dirty {
+                        eg.filter_node(filtered);
+                    }
+                    if flip {
+                        eg.union(b, a);
+                    } else {
+                        eg.union(a, b);
+                    }
+                    if filter_when_dirty {
+                        eg.filter_node(filtered);
+                    }
+                    eg.rebuild();
+                    eg.check_invariants();
+                    let case = (filter_earlier, flip, filter_when_dirty);
+                    assert_eq!(eg.eclass(later).node_ids(), [earlier], "{case:?}");
+                    assert!(eg.is_filtered(earlier), "{case:?}");
+                    assert!(!eg.is_filtered(later), "{case:?}");
+                    assert_eq!(eg.filtered_count(), 1, "{case:?}");
+                    assert_eq!(eg.num_unfiltered_nodes(), 3, "{case:?}");
+                    assert_eq!(eg.enodes(eg.eclass(earlier)).count(), 0, "{case:?}");
+                    assert!(mul_by_two().search(&eg).is_empty(), "{case:?}");
+                }
+            }
         }
     }
 

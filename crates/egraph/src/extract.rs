@@ -305,9 +305,6 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
                     if sweep > 1 && !node.children().iter().any(child_improved) {
                         continue;
                     }
-                    if self.egraph.is_filtered(node) {
-                        continue;
-                    }
                     if self.offer(slot, node) {
                         improved[slot] = sweep;
                         changed = true;
@@ -330,9 +327,6 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
                     .slot_index(class.id)
                     .expect("iterated class is live");
                 for node in self.egraph.enodes(class) {
-                    if self.egraph.is_filtered(node) {
-                        continue;
-                    }
                     changed |= self.offer(slot, node);
                 }
             }
@@ -626,8 +620,8 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
         }
     }
 
-    /// Builds the class graph in one sweep over the classes: each e-node's
-    /// filter status is looked up here and nowhere else.
+    /// Builds the class graph in one sweep over the classes' unfiltered
+    /// e-nodes ([`EGraph::enodes`]).
     fn adjacency(&self) -> ClassGraph<'a, L> {
         let egraph = self.egraph;
         let n = egraph.num_slots();
@@ -640,9 +634,6 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
             children.begin_row(s);
             row.clear();
             for node in egraph.enodes(class) {
-                if egraph.is_filtered(node) {
-                    continue;
-                }
                 candidates.items.push(node);
                 for &child in node.children() {
                     let c = egraph
@@ -901,8 +892,7 @@ mod tests {
         eg.union(mul, shl);
         eg.rebuild();
         // Filter the shl node; extraction must fall back to the mul node.
-        let one = eg.lookup(&Math::Num(1)).unwrap();
-        eg.filter_node(&Math::Shl([a, one]));
+        eg.filter_node(shl);
         let ex = Extractor::new(&eg, AstSize);
         let (_, best) = ex.find_best(mul).unwrap();
         assert_eq!(best.to_string(), "(* a 2)");
@@ -913,7 +903,7 @@ mod tests {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let a = eg.add(sym("a"));
         eg.rebuild();
-        eg.filter_node(&sym("a"));
+        eg.filter_node(a);
         let ex = Extractor::new(&eg, AstSize);
         assert!(ex.find_best(a).is_none());
     }
@@ -1079,8 +1069,8 @@ mod tests {
             assert_eq!(eg.union(level[i], mul).0, level[i]);
         }
         eg.rebuild();
-        for i in 1..=depth {
-            eg.filter_node(&sym(&format!("x{i}")));
+        for &placeholder in &level[1..] {
+            eg.filter_node(placeholder);
         }
         (eg, level[depth])
     }
@@ -1142,9 +1132,9 @@ mod tests {
             eg.union(ids[a % ids.len()], ids[b % ids.len()]);
         }
         eg.rebuild();
-        let nodes: Vec<Math> = eg.classes().flat_map(|c| eg.enodes(c).cloned()).collect();
+        let nodes: Vec<Id> = eg.classes().flat_map(|c| c.node_ids().to_vec()).collect();
         for &pick in filtered {
-            eg.filter_node(&nodes[pick % nodes.len()]);
+            eg.filter_node(nodes[pick % nodes.len()]);
         }
         (eg, ids)
     }
@@ -1320,8 +1310,7 @@ mod tests {
         let shl = eg.add(Math::Shl([a, one]));
         eg.union(mul, shl);
         eg.rebuild();
-        let one = eg.lookup(&Math::Num(1)).unwrap();
-        eg.filter_node(&Math::Shl([a, one]));
+        eg.filter_node(shl);
         let ex = DagExtractor::new(&eg, AstSize);
         let (_, best) = ex.find_best(mul).unwrap();
         assert_eq!(best.to_string(), "(* a 2)");
@@ -1329,7 +1318,7 @@ mod tests {
         let mut all_filtered: EGraph<Math, ()> = EGraph::new(());
         let a = all_filtered.add(sym("a"));
         all_filtered.rebuild();
-        all_filtered.filter_node(&sym("a"));
+        all_filtered.filter_node(a);
         assert!(DagExtractor::new(&all_filtered, AstSize)
             .find_best(a)
             .is_none());
@@ -1391,8 +1380,8 @@ mod tests {
     /// built by clearing a scratch set and unioning the children's into it
     /// whole, its cost summed over `iter_ones`, the set cloned on every
     /// improving candidate. Kept as the oracle the lists are tested
-    /// against; it also asks the e-graph which nodes are filtered instead
-    /// of taking the class graph's word.
+    /// against; it also reads each class's unfiltered nodes from the
+    /// e-graph instead of taking the class graph's word.
     struct DenseReach {
         slot_id: Vec<Option<Id>>,
         reach: Vec<Option<BitSet>>,
@@ -1410,9 +1399,6 @@ mod tests {
             // (sub-DAG total, the node's own cost, node, reach without `s`)
             let mut best: Option<(DF::Cost, DF::Cost, &L, BitSet)> = None;
             'candidates: for node in self.egraph.enodes(class) {
-                if self.egraph.is_filtered(node) {
-                    continue;
-                }
                 scratch.clear();
                 for &child in node.children() {
                     let c = match self.egraph.slot_index(self.egraph.find(child)) {

@@ -14,8 +14,8 @@
 //! ## Feature overview
 //!
 //! * [`EGraph`] — hash-consed e-node storage, unioning, congruence-closure
-//!   rebuilding, e-class analyses, and a *filter set* used by TENSAT's cycle
-//!   filtering.
+//!   rebuilding, e-class analyses, and a *filter list* (a bit per node id)
+//!   used by TENSAT's cycle filtering.
 //! * [`Pattern`] / [`Rewrite`] — e-matching with non-linear patterns and
 //!   conditional rewrites. Patterns are compiled once into an abstract
 //!   e-matching machine ([`Program`], de Moura & Bjørner-style) and searched

@@ -37,10 +37,10 @@
 //! A variable-free subterm below the root is never enumerated: it has
 //! exactly one realization on a congruent e-graph, which is resolved through
 //! the hash-cons once per search ([`Program::ground_terms`]; every node of
-//! it is also checked against the filter set) and then acts as a bound
-//! child of the `Bind` above it. A search whose pattern holds a ground term
-//! the e-graph does not represent returns no matches without visiting a
-//! class.
+//! it must also be an unfiltered e-node of its class) and then acts as a
+//! bound child of the `Bind` above it. A search whose pattern holds a
+//! ground term the e-graph does not represent returns no matches without
+//! visiting a class.
 //!
 //! The range lookup reads what [`EGraph::rebuild`] establishes: node lists
 //! that are canonical, deduplicated and strictly sorted by the language's
@@ -333,8 +333,8 @@ impl<L: Language> Program<L> {
     /// Resolves every ground subterm to its e-class, once per (e-graph,
     /// program) pair: the class is a constant for the whole search. `None`
     /// if some term is not represented, or only through a filtered node —
-    /// every node of the (unique) realization must exist and be
-    /// unfiltered, exactly as the naive matcher requires — in which case
+    /// every node of the (unique) realization must be an unfiltered e-node
+    /// of its class, exactly as the naive matcher requires — in which case
     /// the pattern has no match anywhere.
     fn resolve_grounds<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Option<Vec<Id>> {
         self.ground_terms
@@ -342,11 +342,13 @@ impl<L: Language> Program<L> {
             .map(|term| {
                 let mut ids: Vec<Id> = Vec::with_capacity(term.len());
                 for (_, node) in term.iter() {
+                    // Canonical: its children are classes `lookup` found.
                     let node = node.map_children(|c| ids[usize::from(c)]);
-                    if egraph.is_filtered(&node) {
+                    let class = egraph.lookup(&node)?;
+                    if !egraph.enodes(egraph.eclass(class)).any(|n| *n == node) {
                         return None;
                     }
-                    ids.push(egraph.lookup(&node)?);
+                    ids.push(class);
                 }
                 ids.last().copied()
             })
@@ -679,7 +681,7 @@ impl Machine {
             let agrees = bound[*prefix..]
                 .iter()
                 .all(|&(k, source)| children[k] == source.class(&self.regs, ctx.grounds, children));
-            if !agrees || egraph.is_filtered(enode) {
+            if !agrees || egraph.is_filtered(id) {
                 continue;
             }
             // Node lists of a clean e-graph are canonical: the children
@@ -884,7 +886,7 @@ mod tests {
         assert_eq!(p.program().search(&eg).len(), 1);
         // Filtering the literal 2 kills the ground lookup, exactly like the
         // naive matcher skipping the filtered node.
-        eg.filter_node(&Math::Num(2));
+        eg.filter_node(two);
         assert_eq!(p.program().search(&eg).len(), 0);
         assert_eq!(p.search_naive(&eg).len(), 0);
     }

@@ -357,7 +357,9 @@ impl<L: Language> Pattern<L> {
     /// compiled e-matching machine and the operator index: only classes
     /// containing a node with the pattern root's operator are visited.
     ///
-    /// Filtered e-nodes (see [`EGraph::filter_node`]) are never matched.
+    /// Filtered e-nodes (see [`EGraph::filter_node`]) are never matched:
+    /// the machine reads each candidate's filter bit by its node-table id,
+    /// and a ground subterm must be an unfiltered e-node of its class.
     ///
     /// # Examples
     ///
@@ -478,9 +480,6 @@ impl<L: Language> Pattern<L> {
             ENodeOrVar::ENode(pnode) => {
                 let mut results = vec![];
                 for enode in egraph.enodes(egraph.eclass(eclass)) {
-                    if egraph.is_filtered(enode) {
-                        continue;
-                    }
                     if !pnode.matches(enode) {
                         continue;
                     }
@@ -657,12 +656,13 @@ mod tests {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let a = eg.add(sym("a"));
         let two = eg.add(Math::Num(2));
-        eg.add(Math::Mul([a, two]));
+        let mul = eg.add(Math::Mul([a, two]));
         eg.rebuild();
         let pat = mul_by_two_pattern();
         assert_eq!(pat.search(&eg).len(), 1);
-        eg.filter_node(&Math::Mul([a, two]));
+        eg.filter_node(mul);
         assert_eq!(pat.search(&eg).len(), 0);
+        assert_eq!(pat.search_naive(&eg).len(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! congruence closure, and extraction soundness under random workloads.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 use tensat_egraph::doctest_lang::SimpleMath as Math;
 use tensat_egraph::{
@@ -120,6 +120,13 @@ fn normalize<N: Analysis<Math>>(eg: &EGraph<Math, N>, matches: &[SearchMatches])
     out
 }
 
+/// Every node-table id a class lists, class by class: what the filter list
+/// takes ([`EGraph::filter_node`]). On a clean e-graph with nothing filtered
+/// yet these are exactly the e-nodes, one id each.
+fn listed_ids<N: Analysis<Math>>(eg: &EGraph<Math, N>) -> Vec<Id> {
+    eg.classes().flat_map(|c| c.node_ids().to_vec()).collect()
+}
+
 proptest! {
     /// Differential test of the tentpole: the compiled, op-indexed
     /// e-matching machine and the legacy recursive matcher must return
@@ -151,8 +158,8 @@ proptest! {
 
     /// Same differential property with a random subset of e-nodes filtered:
     /// both matchers must skip filtered nodes identically (the machine
-    /// checks every node of a ground subterm against the filter set when it
-    /// resolves the term).
+    /// requires every node of a ground subterm to be an unfiltered e-node
+    /// when it resolves the term).
     #[test]
     fn machine_search_equals_naive_search_with_filtered_nodes(
         steps in steps_strategy(40),
@@ -163,13 +170,9 @@ proptest! {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         eg.add_expr(&expr);
         eg.rebuild();
-        let all_nodes: Vec<Math> = eg
-            .classes()
-            .flat_map(|c| eg.enodes(c).cloned())
-            .collect();
+        let all_nodes = listed_ids(&eg);
         for pick in filter_picks {
-            let node = all_nodes[pick % all_nodes.len()].clone();
-            eg.filter_node(&node);
+            eg.filter_node(all_nodes[pick % all_nodes.len()]);
         }
         let pattern = build_pattern(&pat_steps);
         let machine = pattern.search(&eg);
@@ -179,7 +182,7 @@ proptest! {
 
     /// Differential test of the parallel search driver against the
     /// sequential machine, mirroring the machine-vs-naive oracle above:
-    /// on random e-graphs (with random unions and a random filter set) and
+    /// on random e-graphs (with random unions and a random filter list) and
     /// random patterns — including non-linear ones — `search_parallel(n)`
     /// must return *bit-identical* match lists (same class order, same
     /// substitution order) for every thread count 1..=8, not merely
@@ -203,10 +206,9 @@ proptest! {
             eg.union(a, b);
         }
         eg.rebuild();
-        let all_nodes: Vec<Math> = eg.classes().flat_map(|c| eg.enodes(c).cloned()).collect();
+        let all_nodes = listed_ids(&eg);
         for pick in filter_picks {
-            let node = all_nodes[pick % all_nodes.len()].clone();
-            eg.filter_node(&node);
+            eg.filter_node(all_nodes[pick % all_nodes.len()]);
         }
         let pattern = build_pattern(&pat_steps);
         let sequential = pattern.search(&eg);
@@ -512,9 +514,9 @@ proptest! {
         let mut eg = big_class_egraph(&nodes);
         let largest = eg.classes().map(|c| c.len()).max().unwrap_or(0);
         prop_assert!(largest >= 64, "largest class holds only {} nodes", largest);
-        let all_nodes: Vec<Math> = eg.classes().flat_map(|c| eg.enodes(c).cloned()).collect();
+        let all_nodes = listed_ids(&eg);
         for pick in filter_picks {
-            eg.filter_node(&all_nodes[pick % all_nodes.len()]);
+            eg.filter_node(all_nodes[pick % all_nodes.len()]);
         }
 
         let mut patterns = bind_plan_patterns();
@@ -641,7 +643,7 @@ proptest! {
 /// One step of a refactor-era operation sequence over an e-graph: add the
 /// next node of a pre-generated expression, union two previously added
 /// nodes' classes, rebuild, filter a previously added node, or clear the
-/// filter set. Operations are expressed against *expression node indices*
+/// filter list. Operations are expressed against *expression node indices*
 /// (not raw ids), so the identical semantic sequence can be replayed
 /// against e-graphs with different rebuild schedules — whose internal ids
 /// and slots legitimately diverge.
@@ -675,14 +677,17 @@ fn seq_strategy(max_len: usize) -> impl Strategy<Value = Vec<SeqOp>> {
 /// Replays `ops` against a fresh e-graph. `rebuild_every_op` is the
 /// per-operation-rebuild baseline schedule; `false` rebuilds only at
 /// explicit `Rebuild` ops (and both schedules end with a final rebuild).
-/// Returns the e-graph and the expr-index → id map.
+/// Returns the e-graph, the expr-index → id map, and the filter list as a
+/// set of e-nodes by value — the form it had before it was a bit per id,
+/// canonical only once [`assert_filter_list_is_the_value_set`] reads it.
 fn replay(
     expr: &RecExpr<Math>,
     ops: &[SeqOp],
     rebuild_every_op: bool,
-) -> (EGraph<Math, ()>, Vec<Id>) {
+) -> (EGraph<Math, ()>, Vec<Id>, HashSet<Math>) {
     let mut eg: EGraph<Math, ()> = EGraph::new(());
     let mut ids: Vec<Id> = vec![];
+    let mut filtered: HashSet<Math> = HashSet::new();
     let nodes: Vec<(Id, &Math)> = expr.iter().collect();
     // Always seed at least one node so Union/Filter have a target.
     let mut next_add = 0usize;
@@ -708,19 +713,48 @@ fn replay(
             SeqOp::Filter(k) => {
                 // Filter the semantic node at expr index k (reconstructed
                 // from the expression, so both schedules filter the same
-                // term; `filter_node` canonicalizes internally).
+                // term) under the id its class lists for it. On a dirty
+                // e-graph the list may hold a congruent twin as well;
+                // either id will do, the rebuild keeps one and its mark.
                 let k = *k % ids.len();
                 let node = nodes[k].1.map_children(|c| ids[usize::from(c)]);
-                eg.filter_node(&node);
+                let canonical = eg.canonicalize(&node);
+                let listed = eg
+                    .eclass(ids[k])
+                    .node_ids()
+                    .iter()
+                    .copied()
+                    .find(|&id| eg.canonicalize(eg.enode(id)) == canonical)
+                    .expect("a class lists every e-node added to it");
+                eg.filter_node(listed);
+                filtered.insert(node);
             }
-            SeqOp::ClearFiltered => eg.clear_filtered(),
+            SeqOp::ClearFiltered => {
+                eg.clear_filtered();
+                filtered.clear();
+            }
         }
         if rebuild_every_op {
             eg.rebuild();
         }
     }
     eg.rebuild();
-    (eg, ids)
+    (eg, ids, filtered)
+}
+
+/// The filter list as a bit per listed id means what it meant as a set of
+/// e-nodes by value: a listed e-node is filtered exactly when it
+/// canonicalizes to a filtered value canonicalized now.
+fn assert_filter_list_is_the_value_set(eg: &EGraph<Math, ()>, filtered: &HashSet<Math>) {
+    let filtered: HashSet<Math> = filtered.iter().map(|n| eg.canonicalize(n)).collect();
+    for id in listed_ids(eg) {
+        let enode = eg.canonicalize(eg.enode(id));
+        assert_eq!(
+            eg.is_filtered(id),
+            filtered.contains(&enode),
+            "listed id {id}: {enode:?}"
+        );
+    }
 }
 
 /// The schedule-independent name of a class: the sorted set of expression
@@ -765,7 +799,9 @@ proptest! {
     /// be indistinguishable from the per-op-rebuild sequential baseline —
     /// same class partition, same class count, same node count, same match
     /// sets (machine *and* naive oracle), same greedy extraction costs —
-    /// and both must pass the full storage-invariant validator.
+    /// and both must pass the full storage-invariant validator, with a
+    /// filter list that marks exactly the e-nodes a by-value set of the
+    /// filtered terms names.
     #[test]
     fn rebuild_schedule_does_not_change_the_egraph(
         steps in steps_strategy(30),
@@ -773,10 +809,12 @@ proptest! {
         pat_steps in pattern_strategy(10),
     ) {
         let expr = build_expr(&steps);
-        let (a, ids_a) = replay(&expr, &ops, false);
-        let (b, ids_b) = replay(&expr, &ops, true);
+        let (a, ids_a, filtered_a) = replay(&expr, &ops, false);
+        let (b, ids_b, filtered_b) = replay(&expr, &ops, true);
         a.check_invariants();
         b.check_invariants();
+        assert_filter_list_is_the_value_set(&a, &filtered_a);
+        assert_filter_list_is_the_value_set(&b, &filtered_b);
         prop_assert_eq!(ids_a.len(), ids_b.len());
         let n = ids_a.len();
 
@@ -818,5 +856,36 @@ proptest! {
                 "extraction cost diverged at index {}", i
             );
         }
+    }
+
+    /// The filter list through congruence merges, where the operation
+    /// sequences above rarely take it: about half the e-nodes of a random
+    /// e-graph filtered, then many random unions, rebuilt. About a third
+    /// of the cases merge a filtered e-node with an unfiltered congruent
+    /// twin, so a rebuild that dropped a twin's mark instead of moving it
+    /// onto the kept id fails the by-value oracle here.
+    #[test]
+    fn filter_marks_follow_congruent_twins_like_a_value_set(
+        steps in steps_strategy(30),
+        marks in prop::collection::vec(any::<bool>(), 30..31),
+        unions in prop::collection::vec((any::<usize>(), any::<usize>()), 1..20)
+    ) {
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        eg.add_expr(&build_expr(&steps));
+        eg.rebuild();
+        let mut filtered: HashSet<Math> = HashSet::new();
+        for (id, mark) in listed_ids(&eg).into_iter().zip(marks) {
+            if mark {
+                eg.filter_node(id);
+                filtered.insert(eg.enode(id).clone());
+            }
+        }
+        let class_ids: Vec<Id> = eg.classes().map(|c| c.id).collect();
+        for (a, b) in unions {
+            eg.union(class_ids[a % class_ids.len()], class_ids[b % class_ids.len()]);
+        }
+        eg.rebuild();
+        eg.check_invariants();
+        assert_filter_list_is_the_value_set(&eg, &filtered);
     }
 }
