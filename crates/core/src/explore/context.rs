@@ -539,10 +539,8 @@ fn apply_combo(
         if !target_data.iter().all(|d| d.is_valid()) {
             return;
         }
-        let out_shape = target_data
-            .last()
-            .and_then(|d| d.shape().map(|s| s.to_vec()));
-        let class_shape = egraph.eclass(*matched).data.shape().map(|s| s.to_vec());
+        let out_shape = target_data.last().and_then(|d| d.shape());
+        let class_shape = egraph.eclass(*matched).data.shape();
         if let (Some(a), Some(b)) = (class_shape, out_shape) {
             if a != b {
                 return;

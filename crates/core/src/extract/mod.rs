@@ -38,7 +38,7 @@ use tensat_egraph::{
     Extractor, Id, Language, RecExpr,
 };
 use tensat_ilp::{Cmp, Problem, Solver, Status, VarId};
-use tensat_ir::{Cost, CostModel, TensorData, TensorEGraph, TensorLang};
+use tensat_ir::{class_data, Cost, CostModel, TensorEGraph, TensorLang};
 
 /// Which extraction algorithm to run after exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,10 +195,9 @@ impl std::error::Error for ExtractError {}
 /// The extractor's fixpoint costs an e-node again whenever a child's best
 /// improves, but only the children's part of the sum can have moved: the
 /// node's own cost depends on the e-node and its children's analysis
-/// data, fixed for the life of the borrow. So the cost model runs — and
-/// clones each child's `TensorData`, which is what its interface takes —
-/// once per distinct e-node, and every later call is a table hit plus the
-/// additions.
+/// data, fixed for the life of the borrow. So the cost model runs — reading
+/// each child's `TensorData` in place from the e-graph — once per distinct
+/// e-node, and every later call is a table hit plus the additions.
 #[derive(Debug, Clone)]
 pub struct TreeCost<'a> {
     model: CostModel,
@@ -221,15 +220,6 @@ impl<'a> TreeCost<'a> {
     /// costed so far.
     pub fn model_calls(&self) -> usize {
         self.own.len()
-    }
-}
-
-/// The analysis data the cost model reads for a child class.
-fn class_data(egraph: &TensorEGraph, id: Id) -> TensorData {
-    if egraph.slot_index(id).is_some() {
-        egraph.eclass(id).data.clone()
-    } else {
-        TensorData::invalid("unknown class")
     }
 }
 

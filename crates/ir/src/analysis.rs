@@ -20,8 +20,7 @@ impl Analysis<TensorLang> for TensorAnalysis {
     type Data = TensorData;
 
     fn make(egraph: &EGraph<TensorLang, Self>, enode: &TensorLang) -> Self::Data {
-        let get = |id: Id| egraph.eclass(id).data.clone();
-        infer(enode, &get)
+        infer(enode, &|id| &egraph.eclass(id).data)
     }
 
     fn merge(&mut self, to: &mut Self::Data, from: Self::Data) -> DidMerge {
@@ -61,6 +60,17 @@ impl Analysis<TensorLang> for TensorAnalysis {
 
 /// A type alias for the e-graph specialised to the tensor language.
 pub type TensorEGraph = EGraph<TensorLang, TensorAnalysis>;
+
+/// The analysis data of `id`'s class, for a cost function's `get`. An id
+/// with no live class reads one shared `Invalid` — with an empty reason,
+/// which the cost path never reads — so the node reading it costs `∞`.
+pub fn class_data(egraph: &TensorEGraph, id: Id) -> &TensorData {
+    static NO_CLASS: TensorData = TensorData::Invalid(String::new());
+    match egraph.slot_index(id) {
+        Some(_) => &egraph.eclass(id).data,
+        None => &NO_CLASS,
+    }
+}
 
 #[cfg(test)]
 mod tests {

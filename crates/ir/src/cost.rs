@@ -146,24 +146,24 @@ impl CostModel {
         self.launch_overhead_us + bytes / self.bytes_per_us
     }
 
-    /// The cost (µs) of a single operator node, given a function yielding
+    /// The cost (µs) of a single operator node, given a function borrowing
     /// the [`TensorData`] of each child.
     ///
     /// Zero-cost nodes: parameter leaves, `input`/`weight`, `noop`,
     /// metadata-only ops (`split`, `split0`, `split1`, `reshape`, `merge`),
     /// and any operator whose output is computable from weights alone.
-    pub fn node_cost(&self, node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> f64 {
+    pub fn node_cost<'a>(&self, node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> f64 {
         self.latency_and_out_elems(node, get).0
     }
 
     /// [`CostModel::node_cost`] and the element count of the node's output,
-    /// from one shape inference (every `get` clones a child's data). The
-    /// count is 0 where the latency is 0 or infinite: nothing is
-    /// materialized, or nothing is selected.
-    fn latency_and_out_elems(
+    /// from one shape inference; children are read in place, so the only
+    /// allocation is the inferred output. The count is 0 where the latency
+    /// is 0 or infinite: nothing is materialized, or nothing is selected.
+    fn latency_and_out_elems<'a>(
         &self,
         node: &TensorLang,
-        get: &dyn Fn(Id) -> TensorData,
+        get: &dyn Fn(Id) -> &'a TensorData,
     ) -> (f64, f64) {
         use TensorLang as L;
         const FREE: (f64, f64) = (0.0, 0.0);
@@ -195,6 +195,14 @@ impl CostModel {
             |id: Id| -> Option<f64> { get(id).as_tensor().map(|t| t.elements().max(0) as f64) };
         let sum_input_elems =
             |ids: &[Id]| -> f64 { ids.iter().filter_map(|&id| child_tensor(id)).sum() };
+        // A fused activation: one more FLOP per output element, and its
+        // fixed charge in µs.
+        let activation = |act: Id| -> (f64, f64) {
+            match get(act).as_scalar().unwrap_or(0) {
+                0 => (0.0, 0.0),
+                _ => (out_elems, self.fused_activation_us),
+            }
+        };
 
         let latency = match node {
             L::Ewadd([a, b]) | L::Ewmul([a, b]) => {
@@ -206,43 +214,24 @@ impl CostModel {
                 self.roofline(out_elems, bytes)
             }
             L::Matmul([act, a, b]) => {
-                let ta = get(*a);
-                let tb = get(*b);
-                let sa = match (ta.shape(), tb.shape()) {
-                    (Some(sa), Some(_)) => sa.to_vec(),
+                let sa = match (get(*a).shape(), get(*b).shape()) {
+                    (Some(sa), Some(_)) => sa,
                     _ => return ILL_TYPED,
                 };
-                let k = sa[sa.len() - 1] as f64;
-                let mut flops = 2.0 * out_elems * k;
-                if get(*act).as_scalar().unwrap_or(0) != 0 {
-                    flops += out_elems;
-                }
+                let (act_flops, act_us) = activation(*act);
+                let flops = 2.0 * out_elems * sa[sa.len() - 1] as f64 + act_flops;
                 let bytes = (sum_input_elems(&[*a, *b]) + out_elems) * self.bytes_per_element;
-                let fused = if get(*act).as_scalar().unwrap_or(0) != 0 {
-                    self.fused_activation_us
-                } else {
-                    0.0
-                };
-                self.roofline(flops, bytes) + fused
+                self.roofline(flops, bytes) + act_us
             }
             L::Conv([_sh, _sw, _pad, act, x, w]) => {
-                let tw = get(*w);
-                let sw_shape = match tw.shape() {
-                    Some(s) if s.len() == 4 => s.to_vec(),
+                let (ci, kh, kw) = match get(*w).shape() {
+                    Some(&[_, ci, kh, kw]) => (ci as f64, kh as f64, kw as f64),
                     _ => return ILL_TYPED,
                 };
-                let (ci, kh, kw) = (sw_shape[1] as f64, sw_shape[2] as f64, sw_shape[3] as f64);
-                let mut flops = 2.0 * out_elems * ci * kh * kw;
-                if get(*act).as_scalar().unwrap_or(0) != 0 {
-                    flops += out_elems;
-                }
+                let (act_flops, act_us) = activation(*act);
+                let flops = 2.0 * out_elems * ci * kh * kw + act_flops;
                 let bytes = (sum_input_elems(&[*x, *w]) + out_elems) * self.bytes_per_element;
-                let fused = if get(*act).as_scalar().unwrap_or(0) != 0 {
-                    self.fused_activation_us
-                } else {
-                    0.0
-                };
-                self.roofline(flops, bytes) + fused
+                self.roofline(flops, bytes) + act_us
             }
             L::Poolmax([x, kh, kw, ..]) | L::Poolavg([x, kh, kw, ..]) => {
                 let k = get(*kh).as_scalar().unwrap_or(1) as f64
@@ -284,7 +273,11 @@ impl CostModel {
     /// metadata-only op, weights-only subgraph) is wholly free — it
     /// materializes nothing new and launches no kernel — while every other
     /// node charges its output bytes as peak memory and one kernel launch.
-    pub fn node_cost_composite(&self, node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> Cost {
+    pub fn node_cost_composite<'a>(
+        &self,
+        node: &TensorLang,
+        get: &dyn Fn(Id) -> &'a TensorData,
+    ) -> Cost {
         let (latency, out_elems) = self.latency_and_out_elems(node, get);
         if latency == 0.0 {
             return Cost::ZERO;
@@ -305,8 +298,7 @@ impl CostModel {
         egraph: &EGraph<TensorLang, TensorAnalysis>,
         enode: &TensorLang,
     ) -> Cost {
-        let get = |id: Id| egraph.eclass(id).data.clone();
-        self.node_cost_composite(enode, &get)
+        self.node_cost_composite(enode, &|id| &egraph.eclass(id).data)
     }
 
     /// The total cost (µs) of a concrete tensor graph. Structurally
@@ -326,7 +318,7 @@ impl CostModel {
     /// distinct node charged once).
     pub fn graph_cost_composite(&self, expr: &RecExpr<TensorLang>) -> Cost {
         let data = infer_recexpr(expr);
-        let get_all = |id: Id| data[usize::from(id)].clone();
+        let get_all = |id: Id| &data[usize::from(id)];
         let mut seen: std::collections::HashSet<&TensorLang> = Default::default();
         let mut total = Cost::ZERO;
         for (_, node) in expr.iter() {
@@ -344,7 +336,7 @@ impl CostModel {
     /// [`CostModel::dag_cost`] keeps extractor comparisons honest.
     pub fn tree_cost(&self, expr: &RecExpr<TensorLang>) -> f64 {
         let data = infer_recexpr(expr);
-        let get_all = |id: Id| data[usize::from(id)].clone();
+        let get_all = |id: Id| &data[usize::from(id)];
         // Multiplicity pass: the root is used once; every node passes its
         // own multiplicity to each child reference. Children precede
         // parents in a RecExpr, so iterate in reverse.
@@ -473,6 +465,53 @@ mod tests {
         let expr = g.finish(&[m]);
         assert!(cm.graph_cost(&expr).is_infinite());
         assert!(!cm.graph_cost_composite(&expr).is_finite());
+    }
+
+    #[test]
+    fn element_counts_that_overflow_i64_are_invalid_and_cost_infinity() {
+        let cm = CostModel::default();
+        let invalid = |expr: &RecExpr<TensorLang>| {
+            let data = infer_recexpr(expr);
+            data.iter().filter(|d| !d.is_valid()).count()
+        };
+        // An input of 2^66 elements, and the relu reading it.
+        let mut g = GraphBuilder::new();
+        let x = g.input("x", &[1 << 32, 1 << 32, 4]);
+        let r = g.relu(x);
+        let relu = g.finish(&[r]);
+        assert_eq!(invalid(&relu), 2);
+        // [2^31, 1] x [1, 2^33]: both operands fit, the 2^64-element output
+        // does not.
+        let mut g = GraphBuilder::new();
+        let a = g.input("a", &[1 << 31, 1]);
+        let b = g.weight("b", &[1, 1 << 33]);
+        let m = g.matmul(a, b);
+        let matmul = g.finish(&[m]);
+        assert_eq!(invalid(&matmul), 1);
+        // A concat whose axis length overflows.
+        let mut g = GraphBuilder::new();
+        let a = g.input("a", &[1 << 62]);
+        let b = g.input("b", &[1 << 62]);
+        let c = g.concat2(0, a, b);
+        let concat = g.finish(&[c]);
+        assert_eq!(invalid(&concat), 1);
+        for expr in [&relu, &matmul, &concat] {
+            assert!(cm.graph_cost(expr).is_infinite(), "{expr}");
+            assert!(!cm.graph_cost_composite(expr).is_finite(), "{expr}");
+        }
+        // A merge whose channel count overflows (merge is metadata-only, so
+        // it costs nothing either way).
+        let mut g = GraphBuilder::new();
+        let w = g.weight("w", &[1, 1 << 62, 1, 1]);
+        let m = g.merge(w, 4);
+        assert_eq!(invalid(&g.finish(&[m])), 1);
+        // Same padding on a dimension of i64::MAX: the output fits.
+        let mut g = GraphBuilder::new();
+        let x = g.input("x", &[1, 1, 1, i64::MAX]);
+        let p = g.poolmax(x, (1, 1), (2, 2), crate::Padding::Same);
+        let pool = g.finish(&[p]);
+        assert_eq!(invalid(&pool), 0);
+        assert!(cm.graph_cost(&pool).is_finite());
     }
 
     #[test]

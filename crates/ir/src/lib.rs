@@ -31,7 +31,7 @@ pub mod lang;
 pub mod shape;
 pub mod symbolic;
 
-pub use analysis::{TensorAnalysis, TensorEGraph};
+pub use analysis::{class_data, TensorAnalysis, TensorEGraph};
 pub use builder::{graph_stats, GraphBuilder, GraphStats};
 pub use cost::{Cost, CostModel};
 pub use lang::{

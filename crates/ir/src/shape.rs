@@ -136,12 +136,17 @@ pub fn child_data_kinds(node: &TensorLang) -> &'static [DataKind] {
     }
 }
 
+/// The element count of `shape`, or `None` if it overflows `i64`.
+fn checked_elements(shape: &[i64]) -> Option<i64> {
+    shape.iter().try_fold(1i64, |n, &d| n.checked_mul(d))
+}
+
 fn spatial_out(size: i64, kernel: i64, stride: i64, pad: Padding) -> Option<i64> {
     if stride <= 0 || kernel <= 0 || size <= 0 {
         return None;
     }
     match pad {
-        Padding::Same => Some((size + stride - 1) / stride),
+        Padding::Same => Some((size - 1) / stride + 1),
         Padding::Valid => {
             if size < kernel {
                 None
@@ -153,14 +158,19 @@ fn spatial_out(size: i64, kernel: i64, stride: i64, pad: Padding) -> Option<i64>
 }
 
 /// Infers the output [`TensorData`] of a single node given a function that
-/// yields the data of each child.
-pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
+/// borrows the data of each child.
+///
+/// Children are borrowed, never cloned whole: the result owns only what it
+/// outputs — its shape(s), or an `Invalid` reason, its own or a child's
+/// passed on. Any output tensor whose element count does not fit in `i64`
+/// is `Invalid`, so [`TensorInfo::elements`] cannot overflow on valid data.
+pub fn infer<'a>(node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> TensorData {
     use TensorLang as L;
 
-    let tensor = |id: Id| -> Result<TensorInfo, TensorData> {
+    let tensor = |id: Id| -> Result<&'a TensorInfo, TensorData> {
         match get(id) {
             TensorData::Tensor(t) => Ok(t),
-            TensorData::Invalid(r) => Err(TensorData::Invalid(r)),
+            TensorData::Invalid(r) => Err(TensorData::Invalid(r.clone())),
             other => Err(TensorData::invalid(format!(
                 "expected tensor child, found {other:?}"
             ))),
@@ -168,7 +178,7 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
     };
     let scalar = |id: Id| -> Result<i64, TensorData> {
         match get(id) {
-            TensorData::Scalar(v) => Ok(v),
+            TensorData::Scalar(v) => Ok(*v),
             other => Err(TensorData::invalid(format!(
                 "expected integer child, found {other:?}"
             ))),
@@ -176,12 +186,14 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
     };
     let string = |id: Id| -> Result<Symbol, TensorData> {
         match get(id) {
-            TensorData::Str(s) => Ok(s),
+            TensorData::Str(s) => Ok(*s),
             other => Err(TensorData::invalid(format!(
                 "expected string child, found {other:?}"
             ))),
         }
     };
+
+    let overflow = || TensorData::invalid("element count overflows i64");
 
     // A small macro-free helper to early-return invalid data.
     macro_rules! ok {
@@ -193,7 +205,7 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
         };
     }
 
-    match node {
+    let out = match node {
         L::Num(v) => TensorData::Scalar(*v),
         L::Str(s) => TensorData::Str(*s),
         L::Input([id]) | L::Weight([id]) => {
@@ -215,7 +227,7 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
                 ));
             }
             TensorData::Tensor(TensorInfo::new(
-                ta.shape,
+                ta.shape.clone(),
                 ta.weights_only && tb.weights_only,
             ))
         }
@@ -311,10 +323,7 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
             TensorData::Tensor(info)
         }
         L::Relu([x]) | L::Tanh([x]) | L::Sigmoid([x]) => {
-            let t = ok!(tensor(*x));
-            let mut info = TensorInfo::new(t.shape, t.weights_only);
-            info.split_at = t.split_at;
-            TensorData::Tensor(info)
+            TensorData::Tensor(ok!(tensor(*x)).clone())
         }
         L::Poolmax([x, kh, kw, sh, sw, pad, _act]) | L::Poolavg([x, kh, kw, sh, sw, pad, _act]) => {
             let t = ok!(tensor(*x));
@@ -386,7 +395,7 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
             if axis >= first.shape.len() {
                 return TensorData::invalid("concat axis out of range");
             }
-            let mut total = 0;
+            let mut total = 0i64;
             let mut weights_only = true;
             for p in &parts {
                 if p.shape.len() != first.shape.len() {
@@ -399,7 +408,7 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
                         ));
                     }
                 }
-                total += p.shape[axis];
+                total = ok!(total.checked_add(p.shape[axis]).ok_or_else(overflow));
                 weights_only &= p.weights_only;
             }
             let mut shape = first.shape.clone();
@@ -434,13 +443,13 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
             }
         }
         L::Split0([x]) => match get(*x) {
-            TensorData::Tuple(first, _) => TensorData::Tensor(*first),
-            TensorData::Invalid(r) => TensorData::Invalid(r),
+            TensorData::Tuple(first, _) => TensorData::Tensor((**first).clone()),
+            TensorData::Invalid(r) => TensorData::Invalid(r.clone()),
             other => TensorData::invalid(format!("split0 expects a tuple, found {other:?}")),
         },
         L::Split1([x]) => match get(*x) {
-            TensorData::Tuple(_, second) => TensorData::Tensor(*second),
-            TensorData::Invalid(r) => TensorData::Invalid(r),
+            TensorData::Tuple(_, second) => TensorData::Tensor((**second).clone()),
+            TensorData::Invalid(r) => TensorData::Invalid(r.clone()),
             other => TensorData::invalid(format!("split1 expects a tuple, found {other:?}")),
         },
         L::Merge([w, count]) => {
@@ -450,7 +459,7 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
                 return TensorData::invalid("merge expects an OIHW weight and positive count");
             }
             let mut shape = t.shape.clone();
-            shape[1] *= count;
+            shape[1] = ok!(shape[1].checked_mul(count).ok_or_else(overflow));
             TensorData::Tensor(TensorInfo::new(shape, t.weights_only))
         }
         L::Reshape([x, shape]) => {
@@ -459,11 +468,10 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
                 Ok(s) => s,
                 Err(e) => return TensorData::invalid(e),
             };
-            let from: i64 = t.shape.iter().product();
-            let to: i64 = target.iter().product();
+            let (from, to) = (checked_elements(&t.shape), checked_elements(&target));
             if from != to {
                 return TensorData::invalid(format!(
-                    "reshape element count mismatch: {from} vs {to}"
+                    "reshape element count mismatch: {from:?} vs {to:?}"
                 ));
             }
             TensorData::Tensor(TensorInfo::new(target, t.weights_only))
@@ -473,6 +481,12 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
             let tb = ok!(tensor(*b));
             TensorData::Tensor(TensorInfo::new(vec![], ta.weights_only && tb.weights_only))
         }
+    };
+    // One check covers every operator (a split's halves are smaller than
+    // its already-checked input).
+    match &out {
+        TensorData::Tensor(t) if checked_elements(&t.shape).is_none() => overflow(),
+        _ => out,
     }
 }
 
@@ -480,8 +494,7 @@ pub fn infer(node: &TensorLang, get: &dyn Fn(Id) -> TensorData) -> TensorData {
 pub fn infer_recexpr(expr: &RecExpr<TensorLang>) -> Vec<TensorData> {
     let mut data: Vec<TensorData> = Vec::with_capacity(expr.len());
     for (_, node) in expr.iter() {
-        let get = |id: Id| data[usize::from(id)].clone();
-        let d = infer(node, &get);
+        let d = infer(node, &|id| &data[usize::from(id)]);
         data.push(d);
     }
     data

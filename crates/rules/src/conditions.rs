@@ -11,32 +11,34 @@
 //! evaluated when a match is applied — where the paper puts it. Search is
 //! purely structural.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use tensat_egraph::{Condition, EGraph, ENodeOrVar, Id, Language, Pattern, Subst, Var};
+use tensat_egraph::{Condition, EGraph, ENodeOrVar, Language, Pattern, Subst, Var};
 use tensat_ir::{child_data_kinds, infer, DataKind, TensorAnalysis, TensorData, TensorLang};
 
 /// Infers the [`TensorData`] of every node of `pattern`, reading each
 /// variable's data from `lookup`. Variables for which `lookup` returns
 /// `None` yield `Invalid`.
 ///
+/// A variable's entry borrows what `lookup` returns; only the pattern's
+/// operator nodes (and unbound variables) own their data, inferred here.
+///
 /// This is the substitution-agnostic core of [`pattern_data`]: the static
 /// rule verifier (`tensat-verify`) uses it to interpret patterns over
 /// synthetic variable bindings with no e-graph in sight.
-pub fn pattern_data_with(
+pub fn pattern_data_with<'a>(
     pattern: &Pattern<TensorLang>,
-    lookup: &dyn Fn(Var) -> Option<TensorData>,
-) -> Vec<TensorData> {
-    let mut data: Vec<TensorData> = Vec::with_capacity(pattern.ast.len());
+    lookup: &dyn Fn(Var) -> Option<&'a TensorData>,
+) -> Vec<Cow<'a, TensorData>> {
+    let mut data: Vec<Cow<'a, TensorData>> = Vec::with_capacity(pattern.ast.len());
     for (_, node) in pattern.ast.iter() {
         let d = match node {
-            ENodeOrVar::Var(v) => {
-                lookup(*v).unwrap_or_else(|| TensorData::invalid(format!("unbound variable {v}")))
-            }
-            ENodeOrVar::ENode(n) => {
-                let get = |id: Id| data[usize::from(id)].clone();
-                infer(n, &get)
-            }
+            ENodeOrVar::Var(v) => lookup(*v).map_or_else(
+                || Cow::Owned(TensorData::invalid(format!("unbound variable {v}"))),
+                Cow::Borrowed,
+            ),
+            ENodeOrVar::ENode(n) => Cow::Owned(infer(n, &|id| &*data[usize::from(id)])),
         };
         data.push(d);
     }
@@ -45,14 +47,15 @@ pub fn pattern_data_with(
 
 /// Infers the [`TensorData`] of every node of `pattern` under `subst`,
 /// without modifying the e-graph. Variables take the data of the e-class
-/// they are bound to; unbound variables yield `Invalid`.
-pub fn pattern_data(
-    egraph: &EGraph<TensorLang, TensorAnalysis>,
+/// they are bound to (borrowed, see [`pattern_data_with`]); unbound
+/// variables yield `Invalid`.
+pub fn pattern_data<'a>(
+    egraph: &'a EGraph<TensorLang, TensorAnalysis>,
     pattern: &Pattern<TensorLang>,
     subst: &Subst,
-) -> Vec<TensorData> {
+) -> Vec<Cow<'a, TensorData>> {
     pattern_data_with(pattern, &|v| {
-        subst.get(v).map(|class| egraph.eclass(class).data.clone())
+        subst.get(v).map(|class| &egraph.eclass(class).data)
     })
 }
 
@@ -136,7 +139,7 @@ pub fn involutive_permutation(perm: &[usize]) -> bool {
 mod tests {
     use super::*;
     use crate::parse_pattern;
-    use tensat_egraph::Var;
+    use tensat_egraph::{Id, Var};
     use tensat_ir::{GraphBuilder, TensorEGraph};
 
     fn setup() -> (TensorEGraph, Id, Id, Id) {

@@ -394,41 +394,32 @@ mod tests {
 /// crates' tests: greedy extraction directly by the analytical cost model.
 pub mod testing {
     use tensat_egraph::{CostFunction, Id, Language};
-    use tensat_ir::{CostModel, TensorAnalysis, TensorData, TensorLang};
+    use tensat_ir::{class_data, CostModel, TensorEGraph, TensorLang};
 
-    /// A [`CostFunction`] that charges each e-node its cost-model cost.
-    /// Children data is read from a snapshot of the e-graph analysis taken
-    /// at construction time.
+    /// A [`CostFunction`] that charges each e-node its cost-model cost,
+    /// reading children's analysis data from the borrowed e-graph.
     #[derive(Debug, Clone)]
-    pub struct GraphCost {
+    pub struct GraphCost<'a> {
         model: CostModel,
-        class_data: std::collections::HashMap<Id, TensorData>,
+        egraph: &'a TensorEGraph,
     }
 
-    impl GraphCost {
-        /// Snapshots the analysis data of `egraph` for cost evaluation.
-        pub fn new(
-            model: CostModel,
-            egraph: &tensat_egraph::EGraph<TensorLang, TensorAnalysis>,
-        ) -> Self {
-            let class_data = egraph.classes().map(|c| (c.id, c.data.clone())).collect();
-            GraphCost { model, class_data }
+    impl<'a> GraphCost<'a> {
+        /// A cost function over the analysis data of `egraph`.
+        pub fn new(model: CostModel, egraph: &'a TensorEGraph) -> Self {
+            GraphCost { model, egraph }
         }
     }
 
-    impl CostFunction<TensorLang> for GraphCost {
+    impl CostFunction<TensorLang> for GraphCost<'_> {
         type Cost = f64;
         fn cost<C>(&mut self, enode: &TensorLang, mut costs: C) -> f64
         where
             C: FnMut(Id) -> f64,
         {
-            let get = |id: Id| {
-                self.class_data
-                    .get(&id)
-                    .cloned()
-                    .unwrap_or_else(|| TensorData::invalid("unknown class"))
-            };
-            let own = self.model.node_cost(enode, &get);
+            let own = self
+                .model
+                .node_cost(enode, &|id| class_data(self.egraph, id));
             enode.children().iter().fold(own, |acc, &c| acc + costs(c))
         }
     }

@@ -152,13 +152,8 @@ struct Outcome {
 // Concrete evaluation (shared by enumeration and counterexample confirmation)
 // ---------------------------------------------------------------------------
 
-fn lookup_in<'a>(bindings: &'a [(Var, TensorData)]) -> impl Fn(Var) -> Option<TensorData> + 'a {
-    move |v| {
-        bindings
-            .iter()
-            .find(|(u, _)| *u == v)
-            .map(|(_, d)| d.clone())
-    }
+fn lookup_in<'a>(bindings: &'a [(Var, TensorData)]) -> impl Fn(Var) -> Option<&'a TensorData> {
+    move |v| bindings.iter().find(|(u, _)| *u == v).map(|(_, d)| d)
 }
 
 struct ConcreteEval {
@@ -175,12 +170,12 @@ fn eval_concrete(spec: &RuleSpec, bindings: &[(Var, TensorData)]) -> ConcreteEva
     let mut src_roots = Vec::with_capacity(spec.sources.len());
     let mut sources_valid = true;
     for p in &spec.sources {
-        let data = pattern_data_with(p, &lookup);
+        let mut data = pattern_data_with(p, &lookup);
         if !data.iter().all(|d| d.is_valid()) {
             sources_valid = false;
             break;
         }
-        src_roots.push(data.last().expect("patterns are non-empty").clone());
+        src_roots.push(data.pop().expect("patterns are non-empty").into_owned());
     }
     if !sources_valid {
         return ConcreteEval {
@@ -194,17 +189,17 @@ fn eval_concrete(spec: &RuleSpec, bindings: &[(Var, TensorData)]) -> ConcreteEva
     let mut first_invalid = None;
     let mut roots = Vec::with_capacity(spec.targets.len());
     for (i, p) in spec.targets.iter().enumerate() {
-        let data = pattern_data_with(p, &lookup);
+        let mut data = pattern_data_with(p, &lookup);
         if let Some(bad) = data.iter().find(|d| !d.is_valid()) {
             targets_valid = false;
-            if let TensorData::Invalid(r) = bad {
+            if let TensorData::Invalid(r) = &**bad {
                 first_invalid = Some(r.clone());
             }
             break;
         }
         roots.push((
             src_roots[i].clone(),
-            data.last().expect("patterns are non-empty").clone(),
+            data.pop().expect("patterns are non-empty").into_owned(),
         ));
     }
     ConcreteEval {
