@@ -505,6 +505,22 @@ mod tests {
         let w = g.weight("w", &[1, 1 << 62, 1, 1]);
         let m = g.merge(w, 4);
         assert_eq!(invalid(&g.finish(&[m])), 1);
+        // A reshape to an overflowing target is the same invalid, and a
+        // plain mismatch names both counts.
+        let reason = |shape: &[i64]| {
+            let mut g = GraphBuilder::new();
+            let x = g.input("x", &[2, 3]);
+            let r = g.reshape(x, shape);
+            infer_recexpr(&g.finish(&[r])).pop().unwrap()
+        };
+        assert_eq!(
+            reason(&[1 << 32, 1 << 32]),
+            TensorData::invalid("element count overflows i64")
+        );
+        assert_eq!(
+            reason(&[2, 4]),
+            TensorData::invalid("reshape element count mismatch: 6 vs 8")
+        );
         // Same padding on a dimension of i64::MAX: the output fits.
         let mut g = GraphBuilder::new();
         let x = g.input("x", &[1, 1, 1, i64::MAX]);

@@ -468,10 +468,11 @@ pub fn infer<'a>(node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> Tenso
                 Ok(s) => s,
                 Err(e) => return TensorData::invalid(e),
             };
-            let (from, to) = (checked_elements(&t.shape), checked_elements(&target));
+            let from = ok!(checked_elements(&t.shape).ok_or_else(overflow));
+            let to = ok!(checked_elements(&target).ok_or_else(overflow));
             if from != to {
                 return TensorData::invalid(format!(
-                    "reshape element count mismatch: {from:?} vs {to:?}"
+                    "reshape element count mismatch: {from} vs {to}"
                 ));
             }
             TensorData::Tensor(TensorInfo::new(target, t.weights_only))
