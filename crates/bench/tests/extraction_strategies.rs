@@ -191,9 +191,9 @@ fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
     }
     impl CostFunction<TensorLang> for Counted<'_> {
         type Cost = f64;
-        fn cost<C: FnMut(Id) -> f64>(&mut self, enode: &TensorLang, costs: C) -> f64 {
+        fn cost<C: FnMut(Id) -> f64>(&mut self, id: Id, enode: &TensorLang, costs: C) -> f64 {
             self.asked += 1;
-            self.tree_cost.cost(enode, costs)
+            self.tree_cost.cost(id, enode, costs)
         }
         fn cmp(a: &f64, b: &f64) -> std::cmp::Ordering {
             TreeCost::cmp(a, b)

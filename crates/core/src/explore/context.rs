@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{search_all_parallel, Id, Pattern, SearchMatches, Subst};
 use tensat_ir::{TensorEGraph, TensorLang};
-use tensat_rules::{pattern_data, MultiPatternRule, TensorRewrite};
+use tensat_rules::{target_fits, MultiPatternRule, TensorRewrite};
 
 /// Everything a strategy needs to explore: the root, the rules with their
 /// compiled programs, the configuration, and the budget clock (started
@@ -532,19 +532,10 @@ fn apply_combo(
             None => return,
         }
     }
-    // Shape check every target, and make sure output shapes match the
-    // matched classes.
+    // Shape check every target against its matched class.
     for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
-        let target_data = pattern_data(egraph, dst, &merged);
-        if !target_data.iter().all(|d| d.is_valid()) {
+        if !target_fits(egraph, dst, *matched, &merged) {
             return;
-        }
-        let out_shape = target_data.last().and_then(|d| d.shape());
-        let class_shape = egraph.eclass(*matched).data.shape();
-        if let (Some(a), Some(b)) = (class_shape, out_shape) {
-            if a != b {
-                return;
-            }
         }
     }
     // Cycle pre-filtering per target.

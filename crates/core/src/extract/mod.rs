@@ -18,10 +18,11 @@
 //!   solved by `tensat-ilp` and warm-started from the greedy-DAG solution
 //!   (which dominates the tree-greedy warm start it replaced).
 //!
-//! Every extractor ends the same way: one chosen e-node per class, turned
-//! into a graph by [`tensat_egraph::build_term`]. Greedy-DAG extraction
-//! keeps the `(slot, e-node)` picks of the graph it returns, and the ILP
-//! warm start is read from those picks.
+//! Every extractor ends the same way: one chosen e-node per class, named by
+//! its node-table id and turned into a graph by
+//! [`tensat_egraph::build_term`]. Greedy-DAG extraction keeps the `(slot,
+//! node id)` picks of the graph it returns, and the ILP warm start is read
+//! from those picks.
 //!
 //! Extraction minimizes the *lexicographic* composite order (latency, then
 //! peak memory, then launches — see [`Cost`]); the scalar
@@ -196,14 +197,18 @@ impl std::error::Error for ExtractError {}
 /// improves, but only the children's part of the sum can have moved: the
 /// node's own cost depends on the e-node and its children's analysis
 /// data, fixed for the life of the borrow. So the cost model runs — reading
-/// each child's `TensorData` in place from the e-graph — once per distinct
-/// e-node, and every later call is a table hit plus the additions.
+/// each child's `TensorData` in place from the e-graph — once per e-node,
+/// and every later call is a read of an 8-byte slot indexed by the node's
+/// id plus the additions.
 #[derive(Debug, Clone)]
 pub struct TreeCost<'a> {
     model: CostModel,
     egraph: &'a TensorEGraph,
-    /// Own cost of every e-node costed so far.
-    own: HashMap<TensorLang, f64>,
+    /// Own cost per node-table id; NaN until the node is costed (a model
+    /// that answers NaN is asked again, and answers NaN again).
+    own: Vec<f64>,
+    /// Cost-model runs so far.
+    model_calls: usize,
 }
 
 impl<'a> TreeCost<'a> {
@@ -212,35 +217,33 @@ impl<'a> TreeCost<'a> {
         TreeCost {
             model,
             egraph,
-            own: HashMap::with_capacity(egraph.total_number_of_nodes()),
+            own: vec![f64::NAN; egraph.num_node_ids()],
+            model_calls: 0,
         }
     }
 
-    /// How many times the cost model has run: once per distinct e-node
-    /// costed so far.
+    /// How many times the cost model has run: once per e-node costed so
+    /// far.
     pub fn model_calls(&self) -> usize {
-        self.own.len()
+        self.model_calls
     }
 }
 
 impl CostFunction<TensorLang> for TreeCost<'_> {
     type Cost = f64;
-    fn cost<C>(&mut self, enode: &TensorLang, mut costs: C) -> f64
+    fn cost<C>(&mut self, id: Id, enode: &TensorLang, mut costs: C) -> f64
     where
         C: FnMut(Id) -> f64,
     {
         // Most calls are hits (BERT at 20 000 e-nodes: 102 910 calls for
-        // 19 568 entries): look up by reference, clone the key on a miss.
-        let own = match self.own.get(enode) {
-            Some(&own) => own,
-            None => {
-                let egraph = self.egraph;
-                let own = self.model.node_cost(enode, &|id| class_data(egraph, id));
-                self.own.insert(enode.clone(), own);
-                own
-            }
-        };
-        enode.children().iter().fold(own, |acc, &c| acc + costs(c))
+        // 19 568 e-nodes).
+        let own = &mut self.own[usize::from(id)];
+        if own.is_nan() {
+            let egraph = self.egraph;
+            *own = self.model.node_cost(enode, &|c| class_data(egraph, c));
+            self.model_calls += 1;
+        }
+        enode.children().iter().fold(*own, |acc, &c| acc + costs(c))
     }
 
     /// Total order on float costs: NaN sorts above `+inf`, so a NaN from a
@@ -335,17 +338,17 @@ pub fn extract_greedy_dag(
     greedy_dag_with_picks(egraph, root, model).map(|(outcome, _)| outcome)
 }
 
-/// The `(slot, chosen e-node)` of every class an extracted graph uses,
-/// ascending by slot: what the graph was built from, kept so the ILP can
-/// start from it.
-type Picks = Vec<(usize, TensorLang)>;
+/// The `(slot, node-table id)` of the chosen e-node of every class an
+/// extracted graph uses ([`tensat_egraph::ChosenTerm::picks`]), sorted by
+/// slot: what the graph was built from, kept so the ILP can start from it.
+type Picks = Vec<(usize, Id)>;
 
-/// Whether `picks` chose `node` for `class`, a class the ILP encoders
-/// reached from the root.
-fn picked(egraph: &TensorEGraph, picks: &Picks, class: Id, node: &TensorLang) -> bool {
+/// Whether `picks` chose the e-node with node-table id `node` for `class`,
+/// a class the ILP encoders reached from the root.
+fn picked(egraph: &TensorEGraph, picks: &Picks, class: Id, node: Id) -> bool {
     let slot = live_slot(egraph, class);
     let found = picks.binary_search_by_key(&slot, |&(s, _)| s);
-    found.is_ok_and(|i| picks[i].1 == *node)
+    found.is_ok_and(|i| picks[i].1 == node)
 }
 
 /// [`extract_greedy_dag`], with the picks of the graph it returns.
@@ -355,29 +358,25 @@ fn greedy_dag_with_picks(
     model: &CostModel,
 ) -> Result<(ExtractionOutcome, Picks), ExtractError> {
     let start = Instant::now();
-    // The picks are copied out so that nothing borrows the extractor: each
-    // is a temporary, dropped at the end of its statement, and the two
-    // passes' tables are never live together.
-    let owned = |term: ChosenTerm<'_, TensorLang>| {
-        let mut picks: Picks = term.picks.iter().map(|&(s, n)| (s, n.clone())).collect();
-        picks.sort_unstable_by_key(|&(s, _)| s);
-        (term.expr, picks)
-    };
+    // Each extractor is a temporary, dropped at the end of its statement,
+    // so the two passes' tables are never live together.
     let dag = DagExtractor::new(egraph, DagCost::new(model.clone(), egraph))
         .find_best_term(root)
-        .map(|(_, term)| owned(term));
+        .map(|(_, term)| term);
     let tree = Extractor::new(egraph, TreeCost::new(model.clone(), egraph))
         .find_best_term(root)
-        .map(|(_, term)| owned(term));
+        .map(|(_, term)| term);
     // Compare by honest composite DAG cost of the built graphs, not the
     // extractors' internal objectives (which disagree on what a "cost" is).
-    let costed = |(expr, picks)| (model.graph_cost_composite(&expr), expr, picks);
-    let (cost, expr, picks) = match (dag.map(costed), tree.map(costed)) {
+    let costed = |term: ChosenTerm<_>| (model.graph_cost_composite(&term.expr), term);
+    let (cost, term) = match (dag.map(costed), tree.map(costed)) {
         (Some(d), Some(t)) if d.0.total_order(&t.0) == Ordering::Greater => t,
         (Some(best), _) | (None, Some(best)) => best,
         (None, None) => return Err(ExtractError::NoFiniteTerm),
     };
-    let outcome = ExtractionOutcome::new(expr, cost, model, start.elapsed())?;
+    let mut picks = term.picks;
+    picks.sort_unstable_by_key(|&(s, _)| s);
+    let outcome = ExtractionOutcome::new(term.expr, cost, model, start.elapsed())?;
     Ok((outcome, picks))
 }
 
@@ -479,10 +478,10 @@ fn extract_ilp_monolithic(
     }
 
     // Read the selection back: for each class (slot), the chosen e-node.
-    let mut choice: Vec<Option<&TensorLang>> = vec![None; egraph.num_slots()];
-    for (class, node, var) in &node_vars {
-        let chosen = &mut choice[live_slot(egraph, *class)];
-        if solution.value(*var) > 0.5 && chosen.is_none() {
+    let mut choice: Vec<Option<Id>> = vec![None; egraph.num_slots()];
+    for &(class, node, var) in &node_vars {
+        let chosen = &mut choice[live_slot(egraph, class)];
+        if solution.value(var) > 0.5 && chosen.is_none() {
             *chosen = Some(node);
         }
     }
@@ -496,24 +495,24 @@ fn live_slot(egraph: &TensorEGraph, class: Id) -> usize {
 }
 
 /// The monolithic warm start: 1 on the variable of every e-node the greedy
-/// graph was built from (`picked(class, e-node)`), 0 elsewhere.
+/// graph was built from (`picked(class, node id)`), 0 elsewhere.
 fn monolithic_warm_start(
-    node_vars: &[(Id, TensorLang, VarId)],
+    node_vars: &[(Id, Id, VarId)],
     num_vars: usize,
-    picked: impl Fn(Id, &TensorLang) -> bool,
+    picked: impl Fn(Id, Id) -> bool,
 ) -> Vec<f64> {
     let mut values = vec![0.0; num_vars];
-    for (class, node, var) in node_vars {
-        if picked(*class, node) {
+    for &(class, node, var) in node_vars {
+        if picked(class, node) {
             values[var.0] = 1.0;
         }
     }
     values
 }
 
-/// The `(class, e-node, variable)` of every binary of the monolithic
-/// program, in variable order.
-type NodeVars = Vec<(Id, TensorLang, VarId)>;
+/// The `(class, node-table id of the e-node, variable)` of every binary of
+/// the monolithic program, in variable order.
+type NodeVars = Vec<(Id, Id, VarId)>;
 
 /// Builds the monolithic program for the canonical `root`.
 fn encode_monolithic(
@@ -555,14 +554,15 @@ fn encode_monolithic(
     let mut class_vars: Vec<Vec<VarId>> = vec![vec![]; n_slots];
     for &class in &order {
         let mut vars = vec![];
-        for node in egraph.enodes(egraph.eclass(class)) {
+        for id in egraph.enode_ids(egraph.eclass(class)) {
+            let node = egraph.enode(id);
             let cost = model.enode_cost_composite(egraph, node);
             if !cost.is_finite() {
                 continue;
             }
             let var = problem.add_binary(cost.latency);
             problem.set_name(var, format!("x_{class}_{}", node.display_op()));
-            node_vars.push((class, node.clone(), var));
+            node_vars.push((class, id, var));
             vars.push(var);
         }
         class_vars[slot(class)] = vars;
@@ -576,16 +576,16 @@ fn encode_monolithic(
     problem.add_constraint(root_vars.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
 
     // Constraint (3): a picked node needs one picked node in each child class.
-    for (_, node, var) in &node_vars {
-        for &child in node.children() {
+    for &(_, node, var) in &node_vars {
+        for &child in egraph.enode(node).children() {
             let child_vars = &class_vars[slot(child)];
             if child_vars.is_empty() {
                 // The child class has no viable candidates: this node can
                 // never be selected.
-                problem.add_constraint(vec![(*var, 1.0)], Cmp::Le, 0.0);
+                problem.add_constraint(vec![(var, 1.0)], Cmp::Le, 0.0);
                 continue;
             }
-            let mut terms = vec![(*var, 1.0)];
+            let mut terms = vec![(var, 1.0)];
             terms.extend(child_vars.iter().map(|&v| (v, -1.0)));
             problem.add_constraint(terms, Cmp::Le, 0.0);
         }
@@ -605,15 +605,15 @@ fn encode_monolithic(
             topo[slot(class)] = Some(var);
         }
         let eps = 1.0 / (m + 1.0);
-        for (class, node, var) in &node_vars {
-            let t_own = topo[slot(*class)].expect("class is in the BFS order");
-            for &child in node.children() {
+        for &(class, node, var) in &node_vars {
+            let t_own = topo[slot(class)].expect("class is in the BFS order");
+            for &child in egraph.enode(node).children() {
                 let t_child = topo[slot(child)].expect("child is in the BFS order");
                 if config.integer_topo_vars {
                     // t_own - t_child + A(1 - x) >= 1, A >= M
                     let a = m;
                     problem.add_constraint(
-                        vec![(t_own, 1.0), (t_child, -1.0), (*var, -a)],
+                        vec![(t_own, 1.0), (t_child, -1.0), (var, -a)],
                         Cmp::Ge,
                         1.0 - a,
                     );
@@ -621,7 +621,7 @@ fn encode_monolithic(
                     // t_own - t_child - eps + A(1 - x) >= 0, A > 1 + eps
                     let a = 2.0;
                     problem.add_constraint(
-                        vec![(t_own, 1.0), (t_child, -1.0), (*var, -a)],
+                        vec![(t_own, 1.0), (t_child, -1.0), (var, -a)],
                         Cmp::Ge,
                         eps - a,
                     );
@@ -693,10 +693,8 @@ fn extract_ilp_reduced(
                     continue;
                 }
                 let var = problem.add_binary(cand.cost);
-                problem.set_name(
-                    var,
-                    format!("x_{}_{}", rp.class_ids[i], cand.node.display_op()),
-                );
+                let op = egraph.enode(cand.node).display_op();
+                problem.set_name(var, format!("x_{}_{op}", rp.class_ids[i]));
                 vars.push((j, var));
             }
             comp_vars.insert(i, vars);
@@ -766,10 +764,10 @@ fn extract_ilp_reduced(
 
     // Stitch: fixed selections plus the per-component optima, mapped into
     // the slot space the term builder walks.
-    let mut slot_choice: Vec<Option<&TensorLang>> = vec![None; egraph.num_slots()];
+    let mut slot_choice: Vec<Option<Id>> = vec![None; egraph.num_slots()];
     for (i, &ch) in choice.iter().enumerate() {
         if let Some(j) = ch {
-            slot_choice[live_slot(egraph, rp.class_ids[i])] = Some(&rp.candidates[i][j].node);
+            slot_choice[live_slot(egraph, rp.class_ids[i])] = Some(rp.candidates[i][j].node);
         }
     }
     let solved = read_back(egraph, root, &slot_choice)?;
@@ -778,12 +776,12 @@ fn extract_ilp_reduced(
 
 /// One candidate per class of the reduced problem to start the component
 /// solvers from: the e-node the greedy graph was built from (`picked(class,
-/// e-node)`), or — when that was dominance-pruned — the sibling `rep` says
+/// node id)`), or — when that was dominance-pruned — the sibling `rep` says
 /// dominated it. The dominator's needs are a subset of the pruned pick's,
 /// which the greedy solution satisfies, so the repaired hint stays closed.
 fn reduced_hint_choice(
     rp: &reduce::ExtractionProblem,
-    picked: impl Fn(Id, &TensorLang) -> bool,
+    picked: impl Fn(Id, Id) -> bool,
 ) -> Vec<Option<usize>> {
     let mut hint_choice = vec![None; rp.candidates.len()];
     for (i, hint) in hint_choice.iter_mut().enumerate() {
@@ -791,7 +789,7 @@ fn reduced_hint_choice(
             continue;
         }
         let class = rp.class_ids[i];
-        if let Some(j) = rp.candidates[i].iter().position(|c| picked(class, &c.node)) {
+        if let Some(j) = rp.candidates[i].iter().position(|c| picked(class, c.node)) {
             let r = rp.resolve_rep(i, j);
             if rp.alive[i][r] {
                 *hint = Some(r);
@@ -828,11 +826,11 @@ fn finish_ilp(
     Ok(outcome)
 }
 
-/// Reads a solved selection back: the graph of a per-slot node choice.
+/// Reads a solved selection back: the graph of a per-slot node-id choice.
 fn read_back(
     egraph: &TensorEGraph,
     root: Id,
-    choice: &[Option<&TensorLang>],
+    choice: &[Option<Id>],
 ) -> Result<RecExpr<TensorLang>, ExtractError> {
     match build_term(egraph, root, |slot| choice[slot]) {
         Ok(term) => Ok(term.expr),
@@ -1083,9 +1081,9 @@ mod tests {
             let selected = decode_selected(&eg, root, &greedy.expr);
             assert_eq!(picks.len(), selected.len(), "{name}");
 
-            let from_picks = |class: Id, node: &TensorLang| picked(&eg, &picks, class, node);
-            let decoded = |class: Id, node: &TensorLang| {
-                selected.contains(&(eg.find(class), eg.canonicalize(node)))
+            let from_picks = |class: Id, node: Id| picked(&eg, &picks, class, node);
+            let decoded = |class: Id, node: Id| {
+                selected.contains(&(eg.find(class), eg.canonicalize(eg.enode(node))))
             };
 
             // `reduce: false`: one value per variable.
@@ -1121,6 +1119,42 @@ mod tests {
                 assert_eq!(stats.status, Status::Optimal, "{name} reduce={reduce}");
                 assert_eq!(stats.nodes_explored, nodes, "{name} reduce={reduce}");
             }
+        }
+    }
+
+    /// Both greedy extractors name their picks by node-table id: on every
+    /// benchmark model, explored as in the warm-start test, each `(slot,
+    /// id)` of a term is an unfiltered id the slot's class lists, and node
+    /// `i` of the expression is `enode(picks[i].1)` with its children
+    /// mapped to the expression nodes of their classes.
+    #[test]
+    fn greedy_picks_are_listed_unfiltered_node_ids_on_every_benchmark() {
+        let model = CostModel::default();
+        for name in tensat_models::BENCHMARKS {
+            let graph = tensat_models::build_benchmark(name, tensat_models::ModelScale::tiny());
+            let (eg, root) = explored(&graph, 2, 120);
+            let mut class_of_slot = vec![None; eg.num_slots()];
+            for class in eg.classes() {
+                class_of_slot[eg.slot_index(class.id).unwrap()] = Some(class);
+            }
+            let check = |label: &str, term: ChosenTerm<TensorLang>| {
+                assert_eq!(term.picks.len(), term.expr.len(), "{name} {label}");
+                let mut node_of_slot = vec![None; eg.num_slots()];
+                for (i, &(slot, id)) in term.picks.iter().enumerate() {
+                    let class = class_of_slot[slot].expect("a pick's slot is live");
+                    assert!(class.node_ids().contains(&id), "{name} {label}: {id}");
+                    assert!(!eg.is_filtered(id), "{name} {label}: {id}");
+                    let node = eg
+                        .enode(id)
+                        .map_children(|c| node_of_slot[eg.slot_index(c).unwrap()].unwrap());
+                    assert_eq!(term.expr.nodes()[i], node, "{name} {label}: node {i}");
+                    node_of_slot[slot] = Some(Id::from(i));
+                }
+            };
+            let tree = Extractor::new(&eg, TreeCost::new(model.clone(), &eg));
+            check("tree", tree.find_best_term(root).unwrap().1);
+            let dag = DagExtractor::new(&eg, DagCost::new(model.clone(), &eg));
+            check("dag", dag.find_best_term(root).unwrap().1);
         }
     }
 }

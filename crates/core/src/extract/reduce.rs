@@ -41,13 +41,13 @@
 use super::ExtractError;
 use std::collections::HashMap;
 use tensat_egraph::{BitSet, Id, Language};
-use tensat_ir::{CostModel, TensorEGraph, TensorLang};
+use tensat_ir::{CostModel, TensorEGraph};
 
 /// One viable e-node candidate of a class.
 #[derive(Debug, Clone)]
 pub(crate) struct Candidate {
-    /// The e-node as stored in its class (not canonicalized).
-    pub(crate) node: TensorLang,
+    /// The node-table id of the e-node, one its class lists.
+    pub(crate) node: Id,
     /// Latency cost: the candidate's ILP objective coefficient.
     pub(crate) cost: f64,
     /// Deduped, ascending problem-local indices of the child classes.
@@ -130,7 +130,8 @@ impl ExtractionProblem {
         let mut constraints_before = 1; // the root exactly-one row
         for &class in &order {
             let mut list = vec![];
-            for node in egraph.enodes(egraph.eclass(class)) {
+            for id in egraph.enode_ids(egraph.eclass(class)) {
+                let node = egraph.enode(id);
                 let cost = model.enode_cost_composite(egraph, node);
                 if !cost.is_finite() {
                     continue;
@@ -145,7 +146,7 @@ impl ExtractionProblem {
                 children.sort_unstable();
                 children.dedup();
                 list.push(Candidate {
-                    node: node.clone(),
+                    node: id,
                     cost: cost.latency,
                     children,
                 });
@@ -549,8 +550,8 @@ mod tests {
     use super::*;
 
     /// Hand-builds a problem from (cost, children) per candidate per class;
-    /// class 0 is the root. Nodes are dummies — the reduction passes never
-    /// look at them.
+    /// class 0 is the root. Node ids are dummies — the reduction passes
+    /// never look at them.
     fn problem(classes: &[&[(f64, &[usize])]]) -> ExtractionProblem {
         let candidates: Vec<Vec<Candidate>> = classes
             .iter()
@@ -558,7 +559,7 @@ mod tests {
                 cands
                     .iter()
                     .map(|&(cost, children)| Candidate {
-                        node: TensorLang::Num(0),
+                        node: Id::from(0),
                         cost,
                         children: children.to_vec(),
                     })

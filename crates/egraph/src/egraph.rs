@@ -53,8 +53,8 @@ fn invariant_checks_forced() -> bool {
 /// filtering (paper §5.2, Algorithm 2) resolves cycles by putting the
 /// offending e-nodes on it. It is a bit per listed node-table id, which a
 /// rebuild moves onto the kept id when it merges congruent twins;
-/// [`EGraph::enodes`] skips filtered e-nodes, so pattern matching and
-/// extraction do.
+/// [`EGraph::enode_ids`] (and [`EGraph::enodes`], which reads it) skips
+/// filtered e-nodes, so pattern matching and extraction do.
 ///
 /// Every read accessor used by pattern search (`find`, `eclass`, `lookup`,
 /// `enodes`, `is_filtered`, `classes_with_op`, `classes`) takes `&self`
@@ -247,15 +247,28 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         &self.nodes[usize::from(id)]
     }
 
-    /// The unfiltered e-nodes of `class` ([`EGraph::filter_node`]), read
-    /// from the node table in list order — on a clean e-graph canonical
-    /// and sorted. [`EClass::node_ids`] lists filtered ones too.
-    pub fn enodes<'a>(&'a self, class: &'a EClass<N::Data>) -> impl Iterator<Item = &'a L> + 'a {
+    /// The number of node-table ids — the exclusive upper bound of every id
+    /// [`EGraph::enode`] reads. Tables indexed by node id size with this.
+    pub fn num_node_ids(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The node-table ids of `class`'s unfiltered e-nodes
+    /// ([`EGraph::filter_node`]) in list order: what every reader of a
+    /// class's candidates walks, so none tests the filter list itself.
+    /// [`EClass::node_ids`] lists filtered ones too.
+    pub fn enode_ids<'a>(&'a self, class: &'a EClass<N::Data>) -> impl Iterator<Item = Id> + 'a {
         class
             .nodes
             .iter()
-            .filter(|&&id| !self.is_filtered(id))
-            .map(|&id| self.enode(id))
+            .copied()
+            .filter(|&id| !self.is_filtered(id))
+    }
+
+    /// The unfiltered e-nodes of `class` ([`EGraph::enode_ids`]), read
+    /// from the node table — on a clean e-graph canonical and sorted.
+    pub fn enodes<'a>(&'a self, class: &'a EClass<N::Data>) -> impl Iterator<Item = &'a L> + 'a {
+        self.enode_ids(class).map(|id| self.enode(id))
     }
 
     /// The index in `class`'s node list of the first e-node that has
@@ -652,8 +665,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Puts the e-node with node-table id `id` on the filter list (treats
     /// it as removed). `id` must be one its class lists
     /// ([`EClass::node_ids`]). Filtered nodes stay stored in their class;
-    /// [`EGraph::enodes`] skips them, so pattern matching and extraction
-    /// do. The mark follows the e-node through rebuilds: should it become
+    /// [`EGraph::enode_ids`] and [`EGraph::enodes`] skip them, so pattern
+    /// matching and extraction do. The mark follows the e-node through rebuilds: should it become
     /// congruent to a twin listed under a smaller id, that id carries it.
     pub fn filter_node(&mut self, id: Id) {
         self.filtered.insert(usize::from(id));

@@ -12,8 +12,8 @@
 //!   slots its chosen sub-DAG reaches (a few dozen of the e-graph's
 //!   thousands of slots, so a list and not a bit set).
 //!
-//! Both pick one e-node per class and hand the picks to [`build_term`],
-//! the one walker that turns a choice of e-nodes into a term. The ILP
+//! Both pick one e-node per class, named by its node-table id, and hand the
+//! picks to [`build_term`], the one walker that turns them into a term. The ILP
 //! extractor, which is DAG-exact, lives in `tensat-core` because it depends
 //! on the ILP solver substrate; it reads its solution back through the same
 //! walker, and `tensat_core::extract` dispatches over all three.
@@ -23,17 +23,18 @@ use std::cmp::Ordering;
 
 /// A cost function over e-nodes.
 ///
-/// `cost` receives the e-node and a callback giving the already-computed
-/// cost of each child *e-class*; it returns the total cost of the subtree
-/// rooted at this node.
+/// `cost` receives an e-node with its node-table id and a callback giving
+/// the already-computed cost of each child *e-class*; it returns the total
+/// cost of the subtree rooted at this node.
 pub trait CostFunction<L: Language> {
     /// The cost type; must be totally ordered (see [`CostFunction::cmp`])
     /// for extraction to pick minima.
     type Cost: PartialOrd + Clone + std::fmt::Debug;
 
-    /// Computes the cost of `enode` given a function yielding the best known
-    /// cost of each child class.
-    fn cost<C>(&mut self, enode: &L, costs: C) -> Self::Cost
+    /// Computes the cost of `enode`, node-table id `id` (a key for per-node
+    /// tables sized [`EGraph::num_node_ids`]), given a function yielding
+    /// the best known cost of each child class.
+    fn cost<C>(&mut self, id: Id, enode: &L, costs: C) -> Self::Cost
     where
         C: FnMut(Id) -> Self::Cost;
 
@@ -71,11 +72,11 @@ fn partial_order_or_greater<C: PartialOrd + std::fmt::Debug>(a: &C, b: &C) -> Or
 impl<L: Language, CF: CostFunction<L>> CostFunction<L> for &mut CF {
     type Cost = CF::Cost;
 
-    fn cost<C>(&mut self, enode: &L, costs: C) -> Self::Cost
+    fn cost<C>(&mut self, id: Id, enode: &L, costs: C) -> Self::Cost
     where
         C: FnMut(Id) -> Self::Cost,
     {
-        (**self).cost(enode, costs)
+        (**self).cost(id, enode, costs)
     }
 
     fn cmp(a: &Self::Cost, b: &Self::Cost) -> Ordering {
@@ -89,7 +90,7 @@ pub struct AstSize;
 
 impl<L: Language> CostFunction<L> for AstSize {
     type Cost = usize;
-    fn cost<C>(&mut self, enode: &L, mut costs: C) -> usize
+    fn cost<C>(&mut self, _id: Id, enode: &L, mut costs: C) -> usize
     where
         C: FnMut(Id) -> usize,
     {
@@ -106,7 +107,7 @@ pub struct AstDepth;
 
 impl<L: Language> CostFunction<L> for AstDepth {
     type Cost = usize;
-    fn cost<C>(&mut self, enode: &L, mut costs: C) -> usize
+    fn cost<C>(&mut self, _id: Id, enode: &L, mut costs: C) -> usize
     where
         C: FnMut(Id) -> usize,
     {
@@ -130,28 +131,29 @@ pub enum ChoiceError {
 
 /// A term built from one chosen e-node per class.
 #[derive(Debug, Clone)]
-pub struct ChosenTerm<'c, L> {
+pub struct ChosenTerm<L> {
     /// The term; a class used more than once is stored once.
     pub expr: RecExpr<L>,
-    /// The `(slot, chosen e-node)` of every class the term uses, children
-    /// before parents: `picks[i]` became node `i` of `expr`.
-    pub picks: Vec<(usize, &'c L)>,
+    /// The `(slot, node-table id)` chosen for every class the term uses,
+    /// children before parents: `picks[i]`'s e-node became node `i` of `expr`.
+    pub picks: Vec<(usize, Id)>,
 }
 
 /// Builds the term rooted at `root` in which every class is represented by
-/// the e-node `choice` gives for its slot ([`EGraph::slot_index`]).
+/// the e-node whose node-table id `choice` gives for its slot
+/// ([`EGraph::slot_index`]).
 ///
 /// One explicit frame per partially-built class instead of a recursion per
 /// term-depth level: extracted terms can be deeper than a thread stack (a
 /// ~100k-deep chain overflows the 2 MiB test-thread stack).
-pub fn build_term<'c, L: Language, N: Analysis<L>>(
+pub fn build_term<L: Language, N: Analysis<L>>(
     egraph: &EGraph<L, N>,
     root: Id,
-    choice: impl Fn(usize) -> Option<&'c L>,
-) -> Result<ChosenTerm<'c, L>, ChoiceError> {
-    struct Frame<'c, L> {
+    choice: impl Fn(usize) -> Option<Id>,
+) -> Result<ChosenTerm<L>, ChoiceError> {
+    struct Frame {
         slot: usize,
-        node: &'c L,
+        id: Id,
         next_child: usize,
     }
     /// Where the walk stands with a class: not reached, on the stack, or
@@ -164,10 +166,10 @@ pub fn build_term<'c, L: Language, N: Analysis<L>>(
     }
     let slot_of = |id: Id| egraph.slot_index(id).ok_or(ChoiceError::Missing);
     let open = |slot: usize| {
-        let node = choice(slot).ok_or(ChoiceError::Missing)?;
+        let id = choice(slot).ok_or(ChoiceError::Missing)?;
         Ok(Frame {
             slot,
-            node,
+            id,
             next_child: 0,
         })
     };
@@ -182,7 +184,7 @@ pub fn build_term<'c, L: Language, N: Analysis<L>>(
     let mut stack = vec![open(root)?];
     loop {
         let top = stack.last_mut().expect("loop returns before emptying");
-        if let Some(&child) = top.node.children().get(top.next_child) {
+        if let Some(&child) = egraph.enode(top.id).children().get(top.next_child) {
             top.next_child += 1;
             let child = slot_of(child)?;
             match classes[child] {
@@ -196,14 +198,13 @@ pub fn build_term<'c, L: Language, N: Analysis<L>>(
             continue;
         }
         // All children emitted: emit this node.
-        let Frame { slot, node, .. } = stack.pop().expect("a frame is always on the stack");
+        let Frame { slot, id, .. } = stack.pop().expect("a frame is always on the stack");
         let emitted = |child: Id| match egraph.slot_index(child).map(|s| classes[s]) {
             Some(Class::Done(id)) => id,
             _ => unreachable!("a node is emitted after its children"),
         };
-        let id = term.expr.add(node.map_children(emitted));
-        classes[slot] = Class::Done(id);
-        term.picks.push((slot, node));
+        classes[slot] = Class::Done(term.expr.add(egraph.enode(id).map_children(emitted)));
+        term.picks.push((slot, id));
         if stack.is_empty() {
             return Ok(term);
         }
@@ -237,9 +238,9 @@ pub fn build_term<'c, L: Language, N: Analysis<L>>(
 pub struct Extractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> {
     egraph: &'a EGraph<L, N>,
     cost_fn: std::cell::RefCell<CF>,
-    /// Best (cost, node) per class, indexed by the e-graph's dense slot
+    /// Best (cost, node id) per class, indexed by the e-graph's dense slot
     /// space ([`EGraph::slot_index`]) — no hashing on the extraction path.
-    best: Vec<Option<(CF::Cost, L)>>,
+    best: Vec<Option<(CF::Cost, Id)>>,
 }
 
 impl<L: Language, N: Analysis<L>, CF: CostFunction<L>> std::fmt::Debug for Extractor<'_, L, N, CF> {
@@ -292,7 +293,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
                     .egraph
                     .slot_index(class.id)
                     .expect("iterated class is live");
-                for node in self.egraph.enodes(class) {
+                for id in self.egraph.enode_ids(class) {
                     // Improved since this class's last turn: earlier in
                     // this sweep, or in the previous one at or after the
                     // turn (classes are swept in slot order; "at" is a
@@ -302,10 +303,10 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
                             improved[c] == sweep || (improved[c] + 1 == sweep && c >= slot)
                         })
                     };
-                    if sweep > 1 && !node.children().iter().any(child_improved) {
+                    if sweep > 1 && !self.egraph.enode(id).children().iter().any(child_improved) {
                         continue;
                     }
-                    if self.offer(slot, node) {
+                    if self.offer(slot, id) {
                         improved[slot] = sweep;
                         changed = true;
                     }
@@ -326,17 +327,17 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
                     .egraph
                     .slot_index(class.id)
                     .expect("iterated class is live");
-                for node in self.egraph.enodes(class) {
-                    changed |= self.offer(slot, node);
+                for id in self.egraph.enode_ids(class) {
+                    changed |= self.offer(slot, id);
                 }
             }
         }
     }
 
-    /// Costs `node` and makes it the best of the class in `slot` if it is
-    /// a strict improvement; returns whether it was.
-    fn offer(&mut self, slot: usize, node: &L) -> bool {
-        let Some(cost) = self.node_cost(node) else {
+    /// Costs the e-node with node id `id` and makes it the best of the class
+    /// in `slot` if it is a strict improvement; returns whether it was.
+    fn offer(&mut self, slot: usize, id: Id) -> bool {
+        let Some(cost) = self.node_cost(id) else {
             return false;
         };
         // Total-order comparison: replace only on a strict improvement,
@@ -345,23 +346,24 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
         if matches!(&self.best[slot], Some((best, _)) if CF::cmp(&cost, best) != Ordering::Less) {
             return false;
         }
-        self.best[slot] = Some((cost, node.clone()));
+        self.best[slot] = Some((cost, id));
         true
     }
 
     /// The best entry recorded for a class's slot, if any.
-    fn best_entry(&self, id: Id) -> Option<&(CF::Cost, L)> {
-        self.best[self.egraph.slot_index(id)?].as_ref()
+    fn best_entry(&self, class: Id) -> Option<&(CF::Cost, Id)> {
+        self.best[self.egraph.slot_index(class)?].as_ref()
     }
 
     /// Cost of an e-node if all its children already have best costs.
-    fn node_cost(&self, node: &L) -> Option<CF::Cost> {
+    fn node_cost(&self, id: Id) -> Option<CF::Cost> {
+        let node = self.egraph.enode(id);
         let all_known = node.all(|c| self.best_entry(c).is_some());
         if !all_known {
             return None;
         }
         let mut cf = self.cost_fn.borrow_mut();
-        Some(cf.cost(node, |c| {
+        Some(cf.cost(id, node, |c| {
             self.best_entry(c).expect("checked above").0.clone()
         }))
     }
@@ -382,9 +384,9 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
 
     /// [`Extractor::find_best`], keeping the per-class picks the term was
     /// built from.
-    pub fn find_best_term(&self, root: Id) -> Option<(CF::Cost, ChosenTerm<'_, L>)> {
+    pub fn find_best_term(&self, root: Id) -> Option<(CF::Cost, ChosenTerm<L>)> {
         let cost = self.best_cost(root)?;
-        let best_node = |slot: usize| self.best[slot].as_ref().map(|(_, node)| node);
+        let best_node = |slot: usize| self.best[slot].as_ref().map(|&(_, id)| id);
         Some((cost, build_term(self.egraph, root, best_node).ok()?))
     }
 }
@@ -435,9 +437,9 @@ impl<L: Language> DagCostFunction<L> for AstSize {
 }
 
 /// The per-class state of a [`DagExtractor`] entry.
-struct DagEntry<L, C> {
-    /// The chosen e-node.
-    choice: L,
+struct DagEntry<C> {
+    /// The node-table id of the chosen e-node.
+    choice: Id,
     /// This node's own (children-excluded) cost.
     own: C,
     /// Slots of every class in the chosen sub-DAG, including this one,
@@ -479,9 +481,9 @@ impl<T> Rows<T> {
 
 /// The class-level dependency graph of an e-graph over its unfiltered
 /// e-nodes, indexed by slot.
-struct ClassGraph<'a, L> {
-    /// Per class, its unfiltered e-nodes in class order: the candidates.
-    candidates: Rows<&'a L>,
+struct ClassGraph {
+    /// Per class, its unfiltered e-nodes' ids in class order: the candidates.
+    candidates: Rows<Id>,
     /// Per class, the slots of its candidates' child classes: ascending,
     /// without duplicates, the class itself excluded (a node whose child is
     /// its own class is rejected per candidate by the reach check instead).
@@ -585,7 +587,7 @@ pub struct DagExtractor<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>>
     egraph: &'a EGraph<L, N>,
     cost_fn: std::cell::RefCell<DF>,
     /// Best sub-DAG per class, indexed by the e-graph's dense slot space.
-    entries: Vec<Option<DagEntry<L, DF::Cost>>>,
+    entries: Vec<Option<DagEntry<DF::Cost>>>,
 }
 
 impl<L: Language, N: Analysis<L>, DF: DagCostFunction<L>> std::fmt::Debug
@@ -621,8 +623,8 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
     }
 
     /// Builds the class graph in one sweep over the classes' unfiltered
-    /// e-nodes ([`EGraph::enodes`]).
-    fn adjacency(&self) -> ClassGraph<'a, L> {
+    /// e-nodes ([`EGraph::enode_ids`]).
+    fn adjacency(&self) -> ClassGraph {
         let egraph = self.egraph;
         let n = egraph.num_slots();
         let mut candidates = Rows::new();
@@ -633,9 +635,9 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
             candidates.begin_row(s);
             children.begin_row(s);
             row.clear();
-            for node in egraph.enodes(class) {
-                candidates.items.push(node);
-                for &child in node.children() {
+            for id in egraph.enode_ids(class) {
+                candidates.items.push(id);
+                for &child in egraph.enode(id).children() {
                     let c = egraph
                         .slot_index(child)
                         .expect("child of a live class is live");
@@ -681,7 +683,7 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
     /// it improved the class's entry): once each, children before parents,
     /// then again for the parents of every class that improved, until no
     /// class does.
-    fn run_worklist(&mut self, mut evaluate: impl FnMut(&mut Self, usize, &[&'a L]) -> bool) {
+    fn run_worklist(&mut self, mut evaluate: impl FnMut(&mut Self, usize, &[Id]) -> bool) {
         let n = self.egraph.num_slots();
         let graph = self.adjacency();
 
@@ -728,12 +730,13 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
     /// Costs every candidate node of the class in slot `s` and installs
     /// the cheapest viable one if it strictly improves on the current
     /// entry. Returns true on improvement.
-    fn evaluate(&mut self, s: usize, candidates: &[&'a L], scratch: &mut ReachScratch) -> bool {
+    fn evaluate(&mut self, s: usize, candidates: &[Id], scratch: &mut ReachScratch) -> bool {
         let own_slot = s as u32;
-        // (sub-DAG total, the node's own cost, node); the sub-DAG's reach
-        // without `s` is `scratch.best`.
-        let mut best: Option<(DF::Cost, DF::Cost, &L)> = None;
-        'candidates: for &node in candidates {
+        // (sub-DAG total, the node's own cost, node id); the sub-DAG's
+        // reach without `s` is `scratch.best`.
+        let mut best: Option<(DF::Cost, DF::Cost, Id)> = None;
+        'candidates: for &id in candidates {
+            let node = self.egraph.enode(id);
             scratch.merged.clear();
             for &child in node.children() {
                 let slot = self.egraph.slot_index(child);
@@ -764,11 +767,11 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
                 Some((cost, ..)) => DF::cmp(&total, cost) == Ordering::Less,
             };
             if better {
-                best = Some((total, own, node));
+                best = Some((total, own, id));
                 std::mem::swap(&mut scratch.merged, &mut scratch.best);
             }
         }
-        let Some((total, own, node)) = best else {
+        let Some((total, own, choice)) = best else {
             return false;
         };
         let improved = match &self.entries[s] {
@@ -784,7 +787,7 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
             reach.push(own_slot);
             reach.extend_from_slice(above);
             self.entries[s] = Some(DagEntry {
-                choice: node.clone(),
+                choice,
                 own,
                 reach,
                 total,
@@ -807,12 +810,6 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
         self.entries[slot].as_ref().map(|e| e.total.clone())
     }
 
-    /// The chosen e-node for a class.
-    pub fn best_node(&self, id: Id) -> Option<&L> {
-        let slot = self.egraph.slot_index(self.egraph.find(id))?;
-        self.entries[slot].as_ref().map(|e| &e.choice)
-    }
-
     /// Extracts the best DAG rooted at `root`: the cost (each selected
     /// e-node charged once) and the expression. The cost is summed over
     /// the final selection — each chosen node's own cost, in the order the
@@ -828,9 +825,9 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
 
     /// [`DagExtractor::find_best`], keeping the per-class picks the
     /// expression was built from.
-    pub fn find_best_term(&self, root: Id) -> Option<(DF::Cost, ChosenTerm<'_, L>)> {
+    pub fn find_best_term(&self, root: Id) -> Option<(DF::Cost, ChosenTerm<L>)> {
         let entry = |slot: usize| self.entries[slot].as_ref();
-        let term = build_term(self.egraph, root, |slot| entry(slot).map(|e| &e.choice)).ok()?;
+        let term = build_term(self.egraph, root, |slot| entry(slot).map(|e| e.choice)).ok()?;
         let cost_fn = self.cost_fn.borrow();
         let mut cost = cost_fn.zero();
         for &(slot, _) in &term.picks {
@@ -934,37 +931,35 @@ mod tests {
         let root = eg.add(Math::Add([c, one]));
         eg.rebuild();
         let slot = |id: Id| eg.slot_index(id).unwrap();
-        let plus = eg.canonicalize(&Math::Add([c, one]));
-        let table = |for_c: Math, for_one: Option<Math>| {
+        // Each `add` above created its e-node, so it returned the node's
+        // node-table id: `a` names `a`, `c` names `(* a 1)`.
+        let table = |for_c: Id, for_one: Option<Id>| {
             let mut table = vec![None; eg.num_slots()];
-            table[slot(root)] = Some(plus.clone());
-            table[slot(c)] = Some(eg.canonicalize(&for_c));
+            table[slot(root)] = Some(root);
+            table[slot(c)] = Some(for_c);
             table[slot(one)] = for_one;
             table
         };
 
         // One pick per expression node, children first: the slot and the
-        // table's own e-node (class ids as children).
-        let complete = table(sym("a"), Some(Math::Num(1)));
-        let term = build_term(&eg, root, |s| complete[s].as_ref()).unwrap();
+        // table's own node id.
+        let complete = table(a, Some(one));
+        let term = build_term(&eg, root, |s| complete[s]).unwrap();
         assert_eq!(term.expr.to_string(), "(+ a 1)");
-        let picks: Vec<_> = term.picks.iter().map(|&(s, n)| (s, n.clone())).collect();
-        let expected = [
-            (slot(c), sym("a")),
-            (slot(one), Math::Num(1)),
-            (slot(root), plus.clone()),
-        ];
-        assert_eq!(picks, expected);
+        assert_eq!(
+            term.picks,
+            [(slot(c), a), (slot(one), one), (slot(root), root)]
+        );
 
-        let missing = table(sym("a"), None);
-        let refused = build_term(&eg, root, |s| missing[s].as_ref()).unwrap_err();
+        let missing = table(a, None);
+        let refused = build_term(&eg, root, |s| missing[s]).unwrap_err();
         assert_eq!(refused, ChoiceError::Missing);
 
         // `c` choosing `(* a 1)` is its own child — a table no extractor's
         // fixpoint produces. `Extractor::build_expr` had no check for it
         // and would have pushed frames until memory ran out.
-        let cyclic = table(Math::Mul([a, one]), Some(Math::Num(1)));
-        let refused = build_term(&eg, root, |s| cyclic[s].as_ref()).unwrap_err();
+        let cyclic = table(c, Some(one));
+        let refused = build_term(&eg, root, |s| cyclic[s]).unwrap_err();
         assert_eq!(refused, ChoiceError::Cyclic);
     }
 
@@ -1019,7 +1014,7 @@ mod tests {
 
     impl CostFunction<Math> for CountingWeights {
         type Cost = usize;
-        fn cost<C>(&mut self, enode: &Math, mut costs: C) -> usize
+        fn cost<C>(&mut self, _id: Id, enode: &Math, mut costs: C) -> usize
         where
             C: FnMut(Id) -> usize,
         {
@@ -1200,7 +1195,7 @@ mod tests {
         struct NanOnShl;
         impl CostFunction<Math> for NanOnShl {
             type Cost = f64;
-            fn cost<C>(&mut self, enode: &Math, mut costs: C) -> f64
+            fn cost<C>(&mut self, _id: Id, enode: &Math, mut costs: C) -> f64
             where
                 C: FnMut(Id) -> f64,
             {
@@ -1248,7 +1243,6 @@ mod tests {
         assert_eq!(cost, 1);
         assert_eq!(best.to_string(), "a");
         assert_eq!(ex.best_cost(div), Some(1));
-        assert!(matches!(ex.best_node(div), Some(Math::Sym(_))));
     }
 
     #[test]
@@ -1396,9 +1390,10 @@ mod tests {
             };
             let class = self.egraph.eclass(id);
             let scratch = &mut dense.scratch;
-            // (sub-DAG total, the node's own cost, node, reach without `s`)
-            let mut best: Option<(DF::Cost, DF::Cost, &L, BitSet)> = None;
-            'candidates: for node in self.egraph.enodes(class) {
+            // (sub-DAG total, the node's own cost, node id, reach without `s`)
+            let mut best: Option<(DF::Cost, DF::Cost, Id, BitSet)> = None;
+            'candidates: for id in self.egraph.enode_ids(class) {
+                let node = self.egraph.enode(id);
                 scratch.clear();
                 for &child in node.children() {
                     let c = match self.egraph.slot_index(self.egraph.find(child)) {
@@ -1429,10 +1424,10 @@ mod tests {
                     Some((cost, ..)) => DF::cmp(&total, cost) == Ordering::Less,
                 };
                 if better {
-                    best = Some((total, own, node, scratch.clone()));
+                    best = Some((total, own, id, scratch.clone()));
                 }
             }
-            let (total, own, node, mut reach) = match best {
+            let (total, own, choice, mut reach) = match best {
                 Some(b) => b,
                 None => return false,
             };
@@ -1443,7 +1438,7 @@ mod tests {
             if improved {
                 reach.insert(s);
                 self.entries[s] = Some(DagEntry {
-                    choice: node.clone(),
+                    choice,
                     own,
                     reach: reach.iter_ones().map(|d| d as u32).collect(),
                     total,
@@ -1519,8 +1514,8 @@ mod tests {
             let weights = TenthWeights(weights.try_into().unwrap());
             let lists = DagExtractor::new(&eg, weights);
             let oracle = dense_extractor(&eg, weights);
-            let bits = |entry: &DagEntry<Math, f64>| {
-                (entry.choice.clone(), entry.own.to_bits(), entry.total.to_bits(), entry.reach.clone())
+            let bits = |entry: &DagEntry<f64>| {
+                (entry.choice, entry.own.to_bits(), entry.total.to_bits(), entry.reach.clone())
             };
             for (slot, (entry, expected)) in lists.entries.iter().zip(&oracle.entries).enumerate() {
                 assert_eq!(entry.as_ref().map(bits), expected.as_ref().map(bits), "slot {slot}");

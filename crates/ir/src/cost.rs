@@ -308,12 +308,6 @@ impl CostModel {
         self.graph_cost_composite(expr).latency
     }
 
-    /// Alias of [`CostModel::graph_cost`] under the name the extraction
-    /// seam reports it as: the *DAG* cost, each node charged once.
-    pub fn dag_cost(&self, expr: &RecExpr<TensorLang>) -> f64 {
-        self.graph_cost(expr)
-    }
-
     /// The composite DAG cost of a concrete tensor graph (each structurally
     /// distinct node charged once).
     pub fn graph_cost_composite(&self, expr: &RecExpr<TensorLang>) -> Cost {
@@ -332,8 +326,9 @@ impl CostModel {
     /// The *tree* cost (µs) of a concrete tensor graph: each node charged
     /// once **per use**, i.e. what the cost would be if shared subgraphs
     /// were recomputed at every reference. This is the objective the
-    /// tree-greedy extractor actually minimizes; reporting it next to
-    /// [`CostModel::dag_cost`] keeps extractor comparisons honest.
+    /// tree-greedy extractor actually minimizes; reporting it next to the
+    /// DAG cost ([`CostModel::graph_cost`]) keeps extractor comparisons
+    /// honest.
     pub fn tree_cost(&self, expr: &RecExpr<TensorLang>) -> f64 {
         let data = infer_recexpr(expr);
         let get_all = |id: Id| &data[usize::from(id)];
@@ -594,7 +589,7 @@ mod tests {
         let s = g.ewadd(m, m);
         let expr = g.finish(&[s]);
 
-        let dag = cm.dag_cost(&expr);
+        let dag = cm.graph_cost(&expr);
         let tree = cm.tree_cost(&expr);
         // The matmul is shared by both ewadd operands: tree pays it twice.
         let mut g = GraphBuilder::new();
@@ -612,6 +607,6 @@ mod tests {
         let m = g.matmul(x, w);
         let r = g.relu(m);
         let linear = g.finish(&[r]);
-        assert!((cm.tree_cost(&linear) - cm.dag_cost(&linear)).abs() < 1e-9);
+        assert!((cm.tree_cost(&linear) - cm.graph_cost(&linear)).abs() < 1e-9);
     }
 }

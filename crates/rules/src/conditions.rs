@@ -7,14 +7,15 @@
 //! data from the e-class analysis) and rejecting the match if any node is
 //! ill-typed.
 //!
-//! The whole check is a post-match [`Condition`] ([`shape_check`]),
-//! evaluated when a match is applied — where the paper puts it. Search is
-//! purely structural.
+//! The whole check is one function, [`target_fits`], evaluated when a match
+//! is applied — where the paper puts it: as a post-match [`Condition`]
+//! ([`shape_check`]) for single-pattern rules, and per target by the
+//! multi-pattern applier. Search is purely structural.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use tensat_egraph::{Condition, EGraph, ENodeOrVar, Language, Pattern, Subst, Var};
+use tensat_egraph::{Condition, EGraph, ENodeOrVar, Id, Language, Pattern, Subst, Var};
 use tensat_ir::{child_data_kinds, infer, DataKind, TensorAnalysis, TensorData, TensorLang};
 
 /// Infers the [`TensorData`] of every node of `pattern`, reading each
@@ -70,25 +71,34 @@ pub fn pattern_is_valid(
         .all(|d| d.is_valid())
 }
 
+/// True if `target` instantiated under `subst` is fully well-typed *and*
+/// its output shape matches the shape of `matched_class` (so unioning the
+/// two is shape-preserving): the shape check of single- and multi-pattern
+/// rules alike.
+pub fn target_fits(
+    egraph: &EGraph<TensorLang, TensorAnalysis>,
+    target: &Pattern<TensorLang>,
+    matched_class: Id,
+    subst: &Subst,
+) -> bool {
+    let data = pattern_data(egraph, target, subst);
+    if !data.iter().all(|d| d.is_valid()) {
+        return false;
+    }
+    let target_out = data.last().expect("pattern is non-empty");
+    let class_data = &egraph.eclass(matched_class).data;
+    match (class_data.shape(), target_out.shape()) {
+        (Some(a), Some(b)) => a == b,
+        // If either side is not a plain tensor (e.g. the matched class is
+        // still invalid), only require the target to be valid.
+        _ => true,
+    }
+}
+
 /// Builds the standard shape-checking condition for a rule with the given
-/// target pattern: the rule may fire only if the instantiated target is
-/// fully well-typed *and* its output shape matches the matched class's
-/// shape (so the union is shape-preserving).
+/// target pattern: [`target_fits`] at every match.
 pub fn shape_check(target: Pattern<TensorLang>) -> Condition<TensorLang, TensorAnalysis> {
-    Arc::new(move |egraph, matched_class, subst| {
-        let data = pattern_data(egraph, &target, subst);
-        if !data.iter().all(|d| d.is_valid()) {
-            return false;
-        }
-        let target_out = data.last().expect("pattern is non-empty");
-        let class_data = &egraph.eclass(matched_class).data;
-        match (class_data.shape(), target_out.shape()) {
-            (Some(a), Some(b)) => a == b,
-            // If either side is not a plain tensor (e.g. the matched class
-            // is still invalid), only require the target to be valid.
-            _ => true,
-        }
-    })
+    Arc::new(move |egraph, matched_class, subst| target_fits(egraph, &target, matched_class, subst))
 }
 
 /// For every variable of `pattern`, the set of [`DataKind`]s its child

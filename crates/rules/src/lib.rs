@@ -22,6 +22,7 @@ pub mod single;
 
 pub use conditions::{
     pattern_data, pattern_data_with, pattern_is_valid, pattern_kind_constraints, shape_check,
+    target_fits,
 };
 pub use multi::{multi_rules, MultiPatternRule};
 pub use parser::{parse_pattern, ParsePatternError};

@@ -413,7 +413,7 @@ pub mod testing {
 
     impl CostFunction<TensorLang> for GraphCost<'_> {
         type Cost = f64;
-        fn cost<C>(&mut self, enode: &TensorLang, mut costs: C) -> f64
+        fn cost<C>(&mut self, _id: Id, enode: &TensorLang, mut costs: C) -> f64
         where
             C: FnMut(Id) -> f64,
         {
