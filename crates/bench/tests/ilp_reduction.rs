@@ -26,9 +26,18 @@
 //! The growth recipe (2 iterations, 20k node limit, default scale)
 //! mirrors `bench_report` so the numbers asserted here are the numbers
 //! `BENCH_egraph.json` archives.
+//!
+//! 3. **Branch-and-bound pins** — the three cases of the repo benchmark's
+//!    `ilp_extract` workload, optimized as that workload configures them,
+//!    prove `Optimal` at pinned optima in a pinned number of B&B nodes.
+//!    The benchmark compares an op only with its own warm-up, so a solver
+//!    change that searched a different tree would pass it unnoticed.
 
 use std::time::{Duration, Instant};
-use tensat_core::{explore, extract_ilp, ExplorationConfig, IlpConfig};
+use tensat_core::{
+    explore, extract_ilp, CycleFilter, ExplorationConfig, ExtractionMode, IlpConfig, Optimizer,
+    OptimizerConfig,
+};
 use tensat_ilp::Status;
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
@@ -136,6 +145,52 @@ fn reduced_ilp_is_optimal_and_within_budget_on_every_benchmark_model() {
             rs.constraints_before,
             rs.components,
             reduced.dag_cost
+        );
+    }
+}
+
+#[test]
+fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
+    // (model, blocks, node_limit, B&B nodes, optimum in µs), as in
+    // `benchmark/src/workloads.rs`. The node counts sum to the workload's
+    // `ilp.bb_nodes`, 47 430, and the optima to its `extract.ilp_cost_us`.
+    let cases = [
+        ("NasNet-A", 2, 2_000, 20_937, 62.915456),
+        ("Inception-v3", 8, 20_000, 26_016, 399.746048),
+        ("NasRNN", 2, 20_000, 477, 95.032533),
+    ];
+    for (model, blocks, node_limit, nodes, optimum) in cases {
+        let graph = build_benchmark(
+            model,
+            ModelScale {
+                blocks,
+                hidden: 128,
+                batch: 8,
+            },
+        );
+        let config = OptimizerConfig {
+            k_multi: 1,
+            max_iter: 15,
+            node_limit,
+            exploration_time_limit: Duration::from_secs(120),
+            cycle_filter: CycleFilter::Efficient,
+            search_threads: 1,
+            extraction: ExtractionMode::Ilp,
+            ilp_cycle_constraints: false,
+            ilp_integer_topo_vars: false,
+            ilp_time_limit: Duration::from_secs(60),
+            ..Default::default()
+        };
+        let result = Optimizer::new(config)
+            .optimize(&graph)
+            .unwrap_or_else(|e| panic!("{model}: {e}"));
+        let ilp = result.stats.ilp.as_ref().expect("ILP extraction ran");
+        assert_eq!(ilp.status, Status::Optimal, "{model}");
+        assert_eq!(ilp.nodes_explored, nodes, "{model}: B&B nodes");
+        assert!(
+            (result.optimized_cost - optimum).abs() < 1e-6,
+            "{model}: optimum {} != {optimum}",
+            result.optimized_cost
         );
     }
 }

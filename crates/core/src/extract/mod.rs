@@ -561,7 +561,6 @@ fn encode_monolithic(
                 continue;
             }
             let var = problem.add_binary(cost.latency);
-            problem.set_name(var, format!("x_{class}_{}", node.display_op()));
             node_vars.push((class, id, var));
             vars.push(var);
         }
@@ -601,7 +600,6 @@ fn encode_monolithic(
             } else {
                 problem.add_continuous(0.0, 1.0, 0.0)
             };
-            problem.set_name(var, format!("t_{class}"));
             topo[slot(class)] = Some(var);
         }
         let eps = 1.0 / (m + 1.0);
@@ -693,8 +691,6 @@ fn extract_ilp_reduced(
                     continue;
                 }
                 let var = problem.add_binary(cand.cost);
-                let op = egraph.enode(cand.node).display_op();
-                problem.set_name(var, format!("x_{}_{op}", rp.class_ids[i]));
                 vars.push((j, var));
             }
             comp_vars.insert(i, vars);

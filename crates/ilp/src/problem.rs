@@ -93,7 +93,6 @@ pub struct Problem {
     pub(crate) kinds: Vec<VarKind>,
     pub(crate) objective: Vec<f64>,
     pub(crate) constraints: Vec<Constraint>,
-    pub(crate) names: Vec<Option<String>>,
 }
 
 impl Problem {
@@ -106,7 +105,6 @@ impl Problem {
     pub fn add_var(&mut self, kind: VarKind, objective: f64) -> VarId {
         self.kinds.push(kind);
         self.objective.push(objective);
-        self.names.push(None);
         VarId(self.kinds.len() - 1)
     }
 
@@ -123,11 +121,6 @@ impl Problem {
     /// Adds a bounded integer variable.
     pub fn add_integer(&mut self, lo: i64, hi: i64, objective: f64) -> VarId {
         self.add_var(VarKind::Integer { lo, hi }, objective)
-    }
-
-    /// Attaches a diagnostic name to a variable.
-    pub fn set_name(&mut self, var: VarId, name: impl Into<String>) {
-        self.names[var.0] = Some(name.into());
     }
 
     /// Adds a linear constraint. Terms with zero coefficients are dropped.
@@ -221,7 +214,6 @@ mod tests {
         let x = p.add_binary(1.0);
         let y = p.add_continuous(0.0, 10.0, 0.5);
         let z = p.add_integer(0, 3, 2.0);
-        p.set_name(x, "x");
         p.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 0.0)], Cmp::Ge, 1.0);
         assert_eq!(p.num_vars(), 3);
         assert_eq!(p.num_constraints(), 1);

@@ -14,6 +14,24 @@
 //! clock / node limits turn the solver into an any-time procedure — the
 //! role SCIP plays in the original system.
 //!
+//! A node costs what it changes, not what the problem holds:
+//! - Propagation is a worklist of rows over a column index (variable →
+//!   rows, two flat arrays). The presolve seeds every row, a child node
+//!   seeds only the rows of the variable it fixed, and a row that moves a
+//!   bound queues that variable's rows. The bound operators are monotone on
+//!   a finite lattice, so on binary and integer problems this reaches the
+//!   fixpoint a sweep over every row reaches, and finds a conflict iff the
+//!   sweep does.
+//! - The search keeps one pair of bound vectors and a trail of
+//!   `(var, old_lo, old_hi)`, written at every bound change. A stack entry
+//!   is a trail mark plus the fix to apply: popping it undoes the trail to
+//!   the mark (the parent's bounds, exactly) and applies the fix. Nothing
+//!   is cloned per child.
+//! - The cheap completion (every variable at its objective-cheaper bound)
+//!   and the set of rows it violates are kept up to date: a bound change
+//!   that moves a completion value marks that variable's rows, and a marked
+//!   row is re-evaluated from its terms, in order, before the leaf test.
+//!
 //! Continuous variables (the topological-order variables of the cycle
 //! constraints, paper §5.1) are handled by bound propagation: once all
 //! integral variables are fixed, every continuous variable is set to its
@@ -21,7 +39,8 @@
 //! constraint systems and optimal when (as in the extraction encoding) the
 //! continuous variables do not appear in the objective.
 
-use crate::problem::{Cmp, Problem, VarId, VarKind};
+use crate::problem::{Cmp, Constraint, Problem, VarId, VarKind};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Outcome of a solve.
@@ -86,7 +105,9 @@ pub struct Solver {
     pub node_limit: usize,
     /// Numerical tolerance.
     pub tolerance: f64,
-    /// Maximum propagation sweeps per node.
+    /// Propagation work cap per node, in sweeps: one propagation visits at
+    /// most `max_propagation_passes × rows` rows off its worklist, then
+    /// stops with the (still valid) bounds it has tightened so far.
     pub max_propagation_passes: usize,
 }
 
@@ -125,6 +146,48 @@ struct Search<'a> {
     /// lattice: committing to a candidate immediately charges every class
     /// it pulls in at that class's cheapest rate.
     cover_groups: Vec<CoverGroup>,
+    /// The bounds of the node being expanded.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// `(var, old_lo, old_hi)` for every bound change since the presolve,
+    /// oldest first. Undoing it to a mark restores the bounds as they were
+    /// when the mark was taken.
+    trail: Vec<(u32, f64, f64)>,
+    /// Column index: the rows of variable `v` are
+    /// `col_rows[col_start[v]..col_start[v + 1]]`.
+    col_start: Vec<u32>,
+    col_rows: Vec<u32>,
+    /// Rows waiting to be propagated, and an in-queue bit per row.
+    queue: VecDeque<u32>,
+    queued: Vec<bool>,
+    completion: Completion,
+}
+
+/// The cheap completion of the current bounds, kept up to date per bound
+/// change: every variable sits at whichever bound minimizes its objective
+/// term. Its objective equals the bounds-only part of the node's lower
+/// bound, so if it is feasible it is optimal for the whole subtree.
+struct Completion {
+    values: Vec<f64>,
+    /// Rows whose terms changed value since they were last evaluated, with
+    /// a bit per row so each is listed once.
+    stale: Vec<u32>,
+    is_stale: Vec<bool>,
+    /// Bit set of the rows `values` violates at the solver tolerance (the
+    /// rows branching picks from).
+    violated: Vec<u64>,
+    /// Per row, whether `values` violates it at the leaf test's looser
+    /// tolerance, and how many rows do.
+    leaf_violated: Vec<bool>,
+    leaf_violations: usize,
+}
+
+/// A pending child: undo the trail to `mark`, then set `var`'s bounds.
+struct Fix {
+    mark: usize,
+    var: usize,
+    lo: f64,
+    hi: f64,
 }
 
 /// One covering group for the conditional-cover lower bound.
@@ -166,17 +229,7 @@ impl Solver {
 
     fn solve_inner(&self, problem: &Problem, hint: Option<&[f64]>) -> Solution {
         let start = Instant::now();
-        let mut search = Search {
-            problem,
-            cfg: self,
-            start,
-            nodes: 0,
-            best_values: None,
-            best_objective: f64::INFINITY,
-            hint,
-            hit_limit: false,
-            cover_groups: cover_groups(problem, self.tolerance),
-        };
+        let mut search = Search::new(problem, self, hint);
         // Seed the incumbent with the hint if it is feasible.
         if let Some(h) = hint {
             if problem.is_feasible(h, self.tolerance) {
@@ -184,24 +237,15 @@ impl Solver {
                 search.best_objective = problem.objective_value(h);
             }
         }
-        let mut lo: Vec<f64> = problem.kinds().iter().map(|k| k.lo()).collect();
-        let mut hi: Vec<f64> = problem.kinds().iter().map(|k| k.hi()).collect();
 
-        // Presolve: one propagation fixpoint on the root bounds. Variables
-        // whose domains collapse here are implied by the constraints alone
-        // and never branched on; the tightened bounds seed the whole search.
-        let tol = self.tolerance;
-        let free = |lo: &[f64], hi: &[f64]| {
-            problem
-                .kinds()
-                .iter()
-                .enumerate()
-                .filter(|&(i, k)| k.is_integral() && hi[i] - lo[i] > tol)
-                .count()
-        };
-        let free_before = free(&lo, &hi);
-        let root_state = search.propagate(&mut lo, &mut hi);
-        let presolve_fixed = free_before.saturating_sub(free(&lo, &hi));
+        // Presolve: one propagation fixpoint on the root bounds, seeded with
+        // every row. Variables whose domains collapse here are implied by
+        // the constraints alone and never branched on; the tightened bounds
+        // seed the whole search, and no node ever undoes them.
+        let free_before = search.free_integral();
+        search.queue_all_rows();
+        let root_state = search.propagate();
+        let presolve_fixed = free_before.saturating_sub(search.free_integral());
         if root_state == PropResult::Infeasible {
             // Propagation is exact (it only removes provably impossible
             // values), so a root conflict proves infeasibility outright —
@@ -215,12 +259,13 @@ impl Solver {
                 solve_time: start.elapsed(),
             };
         }
-        search.branch(lo, hi);
+        search.trail.clear();
+        search.branch();
 
         let solve_time = start.elapsed();
-        let (status, values, objective) = match (&search.best_values, search.hit_limit) {
-            (Some(v), false) => (Status::Optimal, v.clone(), search.best_objective),
-            (Some(v), true) => (Status::Feasible, v.clone(), search.best_objective),
+        let (status, values, objective) = match (search.best_values, search.hit_limit) {
+            (Some(v), false) => (Status::Optimal, v, search.best_objective),
+            (Some(v), true) => (Status::Feasible, v, search.best_objective),
             (None, false) => (Status::Infeasible, vec![], f64::INFINITY),
             (None, true) => (Status::Unknown, vec![], f64::INFINITY),
         };
@@ -312,7 +357,164 @@ fn cover_groups(problem: &Problem, tol: f64) -> Vec<CoverGroup> {
     groups
 }
 
+/// The column index of a problem: for each variable, the rows it appears
+/// in, as offsets into one flat row list (compressed sparse columns).
+fn column_index(problem: &Problem) -> (Vec<u32>, Vec<u32>) {
+    let mut col_start = vec![0u32; problem.num_vars() + 1];
+    for c in problem.constraints() {
+        for &(v, _) in &c.terms {
+            col_start[v.0 + 1] += 1;
+        }
+    }
+    for v in 0..problem.num_vars() {
+        col_start[v + 1] += col_start[v];
+    }
+    let mut next = col_start.clone();
+    let mut col_rows = vec![0u32; col_start[problem.num_vars()] as usize];
+    for (r, c) in problem.constraints().iter().enumerate() {
+        for &(v, _) in &c.terms {
+            col_rows[next[v.0] as usize] = r as u32;
+            next[v.0] += 1;
+        }
+    }
+    (col_start, col_rows)
+}
+
+/// Clamps a tightened bound to the variable's domain and, for an integral
+/// variable, rounds it inward.
+fn round_bound(kind: VarKind, value: f64, is_lower: bool, tol: f64) -> f64 {
+    let value = value.clamp(kind.lo(), kind.hi());
+    if kind.is_integral() {
+        if is_lower {
+            (value - tol).ceil()
+        } else {
+            (value + tol).floor()
+        }
+    } else {
+        value
+    }
+}
+
+/// Whether a row's left-hand side `lhs` violates it by more than `tol`
+/// (the negation of [`Problem::is_feasible`]'s per-row test).
+fn violates(c: &Constraint, lhs: f64, tol: f64) -> bool {
+    match c.cmp {
+        Cmp::Le => lhs > c.rhs + tol,
+        Cmp::Ge => lhs < c.rhs - tol,
+        Cmp::Eq => (lhs - c.rhs).abs() > tol,
+    }
+}
+
+impl Completion {
+    /// The completion of `lo`/`hi`, with every row still to be evaluated.
+    fn new(problem: &Problem, lo: &[f64], hi: &[f64]) -> Self {
+        let rows = problem.num_constraints();
+        let values = problem
+            .objective()
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| if c >= 0.0 { lo[i] } else { hi[i] })
+            .collect();
+        Completion {
+            values,
+            stale: (0..rows as u32).collect(),
+            is_stale: vec![true; rows],
+            violated: vec![0; rows.div_ceil(64)],
+            leaf_violated: vec![false; rows],
+            leaf_violations: 0,
+        }
+    }
+
+    /// Moves variable `v`, of objective coefficient `cost`, to the cheaper
+    /// of its bounds `lo`/`hi`, marking its `rows` stale when the value
+    /// moves.
+    fn set(&mut self, v: usize, cost: f64, lo: f64, hi: f64, rows: &[u32]) {
+        let value = if cost >= 0.0 { lo } else { hi };
+        let moved = self.values[v] != value;
+        self.values[v] = value;
+        if moved {
+            for &r in rows {
+                if !self.is_stale[r as usize] {
+                    self.is_stale[r as usize] = true;
+                    self.stale.push(r);
+                }
+            }
+        }
+    }
+
+    /// Re-evaluates every stale row from its terms, in the order they are
+    /// stored — the sum [`Problem::is_feasible`] forms — at the branching
+    /// tolerance `tol` and the leaf tolerance `leaf_tol`.
+    fn refresh(&mut self, problem: &Problem, tol: f64, leaf_tol: f64) {
+        for r in self.stale.drain(..) {
+            let r = r as usize;
+            self.is_stale[r] = false;
+            let c = &problem.constraints()[r];
+            let lhs: f64 = c
+                .terms
+                .iter()
+                .map(|(v, coef)| coef * self.values[v.0])
+                .sum();
+            let bit = 1u64 << (r % 64);
+            if violates(c, lhs, tol) {
+                self.violated[r / 64] |= bit;
+            } else {
+                self.violated[r / 64] &= !bit;
+            }
+            let leaf = violates(c, lhs, leaf_tol);
+            if leaf != self.leaf_violated[r] {
+                self.leaf_violated[r] = leaf;
+                if leaf {
+                    self.leaf_violations += 1;
+                } else {
+                    self.leaf_violations -= 1;
+                }
+            }
+        }
+    }
+
+    /// The rows violated at the branching tolerance, in increasing index.
+    fn violated_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.violated.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let r = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    r
+                })
+            })
+        })
+    }
+}
+
 impl<'a> Search<'a> {
+    fn new(problem: &'a Problem, cfg: &'a Solver, hint: Option<&'a [f64]>) -> Self {
+        let lo: Vec<f64> = problem.kinds().iter().map(|k| k.lo()).collect();
+        let hi: Vec<f64> = problem.kinds().iter().map(|k| k.hi()).collect();
+        let (col_start, col_rows) = column_index(problem);
+        let rows = problem.num_constraints();
+        Search {
+            problem,
+            cfg,
+            start: Instant::now(),
+            nodes: 0,
+            best_values: None,
+            best_objective: f64::INFINITY,
+            hint,
+            hit_limit: false,
+            cover_groups: cover_groups(problem, cfg.tolerance),
+            completion: Completion::new(problem, &lo, &hi),
+            lo,
+            hi,
+            trail: vec![],
+            col_start,
+            col_rows,
+            queue: VecDeque::with_capacity(rows),
+            queued: vec![false; rows],
+        }
+    }
+
     fn out_of_budget(&mut self) -> bool {
         if self.nodes >= self.cfg.node_limit || self.start.elapsed() >= self.cfg.time_limit {
             self.hit_limit = true;
@@ -322,103 +524,161 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Activity-based bound tightening, iterated to (bounded) fixpoint.
-    fn propagate(&self, lo: &mut [f64], hi: &mut [f64]) -> PropResult {
+    /// Integral variables whose domain is still wider than a point.
+    fn free_integral(&self) -> usize {
         let tol = self.cfg.tolerance;
-        for _ in 0..self.cfg.max_propagation_passes {
-            let mut changed = false;
-            for c in self.problem.constraints() {
-                // Minimum and maximum possible activity under current bounds.
-                let mut min_act = 0.0;
-                let mut max_act = 0.0;
-                for &(v, coef) in &c.terms {
-                    if coef >= 0.0 {
-                        min_act += coef * lo[v.0];
-                        max_act += coef * hi[v.0];
-                    } else {
-                        min_act += coef * hi[v.0];
-                        max_act += coef * lo[v.0];
+        self.problem
+            .kinds()
+            .iter()
+            .enumerate()
+            .filter(|&(i, k)| k.is_integral() && self.hi[i] - self.lo[i] > tol)
+            .count()
+    }
+
+    fn queue_all_rows(&mut self) {
+        for r in 0..self.problem.num_constraints() {
+            if !self.queued[r] {
+                self.queued[r] = true;
+                self.queue.push_back(r as u32);
+            }
+        }
+    }
+
+    /// Sets variable `v`'s bounds, recording the old ones on the trail,
+    /// queueing `v`'s rows for propagation and moving its completion value.
+    fn set_bounds(&mut self, v: usize, lo: f64, hi: f64) {
+        self.trail.push((v as u32, self.lo[v], self.hi[v]));
+        self.lo[v] = lo;
+        self.hi[v] = hi;
+        let rows = &self.col_rows[self.col_start[v] as usize..self.col_start[v + 1] as usize];
+        for &r in rows {
+            if !self.queued[r as usize] {
+                self.queued[r as usize] = true;
+                self.queue.push_back(r);
+            }
+        }
+        let cost = self.problem.objective()[v];
+        self.completion.set(v, cost, lo, hi, rows);
+    }
+
+    /// Undoes the trail back to `mark`, newest change first.
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let Some((v, lo, hi)) = self.trail.pop() else {
+                break;
+            };
+            let v = v as usize;
+            self.lo[v] = lo;
+            self.hi[v] = hi;
+            let rows = &self.col_rows[self.col_start[v] as usize..self.col_start[v + 1] as usize];
+            let cost = self.problem.objective()[v];
+            self.completion.set(v, cost, lo, hi, rows);
+        }
+    }
+
+    /// Activity-based bound tightening over the queued rows, to (bounded)
+    /// fixpoint. Leaves the queue empty.
+    fn propagate(&mut self) -> PropResult {
+        let cap = self
+            .cfg
+            .max_propagation_passes
+            .saturating_mul(self.problem.num_constraints());
+        let mut result = PropResult::Ok;
+        for _ in 0..cap {
+            let Some(r) = self.queue.pop_front() else {
+                break;
+            };
+            self.queued[r as usize] = false;
+            result = self.tighten_row(r as usize);
+            if result == PropResult::Infeasible {
+                break;
+            }
+        }
+        for r in self.queue.drain(..) {
+            self.queued[r as usize] = false;
+        }
+        result
+    }
+
+    /// Tightens the bounds of row `r`'s variables against its residual
+    /// activity, or reports that no bounds satisfy it.
+    fn tighten_row(&mut self, r: usize) -> PropResult {
+        let problem = self.problem;
+        let tol = self.cfg.tolerance;
+        let c = &problem.constraints()[r];
+        // Minimum and maximum possible activity under current bounds.
+        let mut min_act = 0.0;
+        let mut max_act = 0.0;
+        for &(v, coef) in &c.terms {
+            if coef >= 0.0 {
+                min_act += coef * self.lo[v.0];
+                max_act += coef * self.hi[v.0];
+            } else {
+                min_act += coef * self.hi[v.0];
+                max_act += coef * self.lo[v.0];
+            }
+        }
+        let need_le = matches!(c.cmp, Cmp::Le | Cmp::Eq);
+        let need_ge = matches!(c.cmp, Cmp::Ge | Cmp::Eq);
+        if need_le && min_act > c.rhs + tol {
+            return PropResult::Infeasible;
+        }
+        if need_ge && max_act < c.rhs - tol {
+            return PropResult::Infeasible;
+        }
+        // Tighten each variable against the residual activity.
+        for &(v, coef) in &c.terms {
+            if coef == 0.0 {
+                continue;
+            }
+            let kind = problem.kinds()[v.0];
+            let (own_min, own_max) = if coef >= 0.0 {
+                (coef * self.lo[v.0], coef * self.hi[v.0])
+            } else {
+                (coef * self.hi[v.0], coef * self.lo[v.0])
+            };
+            if need_le {
+                // coef * x <= rhs - (min_act - own_min)
+                let slack = c.rhs - (min_act - own_min);
+                if coef > 0.0 {
+                    let new_hi = slack / coef;
+                    if new_hi < self.hi[v.0] - tol {
+                        let new_hi = round_bound(kind, new_hi, false, tol);
+                        self.set_bounds(v.0, self.lo[v.0], new_hi);
                     }
-                }
-                let need_le = matches!(c.cmp, Cmp::Le | Cmp::Eq);
-                let need_ge = matches!(c.cmp, Cmp::Ge | Cmp::Eq);
-                if need_le && min_act > c.rhs + tol {
-                    return PropResult::Infeasible;
-                }
-                if need_ge && max_act < c.rhs - tol {
-                    return PropResult::Infeasible;
-                }
-                // Tighten each variable against the residual activity.
-                for &(v, coef) in &c.terms {
-                    if coef == 0.0 {
-                        continue;
-                    }
-                    let (own_min, own_max) = if coef >= 0.0 {
-                        (coef * lo[v.0], coef * hi[v.0])
-                    } else {
-                        (coef * hi[v.0], coef * lo[v.0])
-                    };
-                    if need_le {
-                        // coef * x <= rhs - (min_act - own_min)
-                        let slack = c.rhs - (min_act - own_min);
-                        if coef > 0.0 {
-                            let new_hi = slack / coef;
-                            if new_hi < hi[v.0] - tol {
-                                hi[v.0] = self.round_bound(v, new_hi, false);
-                                changed = true;
-                            }
-                        } else {
-                            let new_lo = slack / coef;
-                            if new_lo > lo[v.0] + tol {
-                                lo[v.0] = self.round_bound(v, new_lo, true);
-                                changed = true;
-                            }
-                        }
-                    }
-                    if need_ge {
-                        // coef * x >= rhs - (max_act - own_max)
-                        let slack = c.rhs - (max_act - own_max);
-                        if coef > 0.0 {
-                            let new_lo = slack / coef;
-                            if new_lo > lo[v.0] + tol {
-                                lo[v.0] = self.round_bound(v, new_lo, true);
-                                changed = true;
-                            }
-                        } else {
-                            let new_hi = slack / coef;
-                            if new_hi < hi[v.0] - tol {
-                                hi[v.0] = self.round_bound(v, new_hi, false);
-                                changed = true;
-                            }
-                        }
-                    }
-                    if lo[v.0] > hi[v.0] + tol {
-                        return PropResult::Infeasible;
+                } else {
+                    let new_lo = slack / coef;
+                    if new_lo > self.lo[v.0] + tol {
+                        let new_lo = round_bound(kind, new_lo, true, tol);
+                        self.set_bounds(v.0, new_lo, self.hi[v.0]);
                     }
                 }
             }
-            if !changed {
-                break;
+            if need_ge {
+                // coef * x >= rhs - (max_act - own_max)
+                let slack = c.rhs - (max_act - own_max);
+                if coef > 0.0 {
+                    let new_lo = slack / coef;
+                    if new_lo > self.lo[v.0] + tol {
+                        let new_lo = round_bound(kind, new_lo, true, tol);
+                        self.set_bounds(v.0, new_lo, self.hi[v.0]);
+                    }
+                } else {
+                    let new_hi = slack / coef;
+                    if new_hi < self.hi[v.0] - tol {
+                        let new_hi = round_bound(kind, new_hi, false, tol);
+                        self.set_bounds(v.0, self.lo[v.0], new_hi);
+                    }
+                }
+            }
+            if self.lo[v.0] > self.hi[v.0] + tol {
+                return PropResult::Infeasible;
             }
         }
         PropResult::Ok
     }
 
-    fn round_bound(&self, v: VarId, value: f64, is_lower: bool) -> f64 {
-        let kind = self.problem.kinds()[v.0];
-        let value = value.clamp(kind.lo(), kind.hi());
-        if kind.is_integral() {
-            if is_lower {
-                (value - self.cfg.tolerance).ceil()
-            } else {
-                (value + self.cfg.tolerance).floor()
-            }
-        } else {
-            value
-        }
-    }
-
-    /// A valid lower bound on the objective under the given bounds: the
+    /// A valid lower bound on the objective under the current bounds: the
     /// bounds-only term (each variable at its objective-cheapest bound)
     /// plus, for every *active* covering group not already satisfied at the
     /// lower bounds, the cheapest member still available. A group is active
@@ -426,7 +686,8 @@ impl<'a> Search<'a> {
     /// fixed to 1. The member sets are variable-disjoint, so the extra
     /// terms add without double counting; an active group with no member
     /// left is an infeasibility proof (bound `+inf`).
-    fn lower_bound(&self, lo: &[f64], hi: &[f64]) -> f64 {
+    fn lower_bound(&self) -> f64 {
+        let (lo, hi) = (&self.lo, &self.hi);
         let obj = self.problem.objective();
         let mut bound: f64 = obj
             .iter()
@@ -456,45 +717,26 @@ impl<'a> Search<'a> {
         bound
     }
 
-    /// The objective-cheapest completion of the current bounds: every
-    /// unfixed variable sits at whichever bound minimizes its objective
-    /// term. Its objective equals the node's lower bound, so if it is
-    /// feasible it is optimal for the whole subtree.
-    fn cheap_completion(&self, lo: &[f64], hi: &[f64]) -> Vec<f64> {
-        self.problem
-            .objective()
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| if c >= 0.0 { lo[i] } else { hi[i] })
-            .collect()
-    }
-
     /// Picks a branching variable: among the unfixed integral variables of
     /// the first constraint violated by the cheap completion, the one with
     /// the largest-magnitude objective coefficient (deciding expensive
     /// variables first moves the lower bound fastest), falling back to the
     /// costliest unfixed integral variable overall. Ties break on the lowest
     /// index, so the choice is deterministic.
-    fn pick_branch_var(&self, lo: &[f64], hi: &[f64], completion: &[f64]) -> Option<usize> {
+    fn pick_branch_var(&self) -> Option<usize> {
         let tol = self.cfg.tolerance;
         let obj = self.problem.objective();
-        let unfixed = |i: usize| self.problem.kinds()[i].is_integral() && hi[i] - lo[i] > tol;
+        let unfixed =
+            |i: usize| self.problem.kinds()[i].is_integral() && self.hi[i] - self.lo[i] > tol;
         let costliest = |vars: &mut dyn Iterator<Item = usize>| -> Option<usize> {
             vars.filter(|&i| unfixed(i)).max_by(|&a, &b| {
                 obj[a].abs().total_cmp(&obj[b].abs()).then(b.cmp(&a)) // prefer the lower index on ties
             })
         };
-        for c in self.problem.constraints() {
-            let lhs: f64 = c.terms.iter().map(|(v, coef)| coef * completion[v.0]).sum();
-            let violated = match c.cmp {
-                Cmp::Le => lhs > c.rhs + tol,
-                Cmp::Ge => lhs < c.rhs - tol,
-                Cmp::Eq => (lhs - c.rhs).abs() > tol,
-            };
-            if violated {
-                if let Some(v) = costliest(&mut c.terms.iter().map(|(v, _)| v.0)) {
-                    return Some(v);
-                }
+        for r in self.completion.violated_rows() {
+            let c = &self.problem.constraints()[r];
+            if let Some(v) = costliest(&mut c.terms.iter().map(|(v, _)| v.0)) {
+                return Some(v);
             }
         }
         costliest(&mut (0..self.problem.num_vars()))
@@ -504,68 +746,70 @@ impl<'a> Search<'a> {
     /// tree's depth scales with the number of integral variables (thousands
     /// for extraction problems over large e-graphs), so descending by
     /// recursion overflows thread stacks; the LIFO worklist preserves the
-    /// recursive exploration order exactly.
-    fn branch(&mut self, lo: Vec<f64>, hi: Vec<f64>) {
-        let mut stack: Vec<(Vec<f64>, Vec<f64>)> = vec![(lo, hi)];
-        while let Some((lo, hi)) = stack.pop() {
+    /// recursive exploration order exactly. The root is the presolved
+    /// bounds as they stand.
+    fn branch(&mut self) {
+        let mut stack: Vec<Fix> = vec![];
+        self.expand(None, &mut stack);
+        while let Some(fix) = stack.pop() {
             if self.hit_limit {
                 break;
             }
-            self.expand(lo, hi, &mut stack);
+            self.expand(Some(fix), &mut stack);
         }
     }
 
-    /// Processes one branch-and-bound node, pushing its children onto the
-    /// worklist (in reverse, so they pop in the original recursive order).
-    fn expand(
-        &mut self,
-        mut lo: Vec<f64>,
-        mut hi: Vec<f64>,
-        stack: &mut Vec<(Vec<f64>, Vec<f64>)>,
-    ) {
+    /// Processes one branch-and-bound node — the parent's bounds with `fix`
+    /// applied — pushing its children onto the worklist (in reverse, so
+    /// they pop in the original recursive order).
+    fn expand(&mut self, fix: Option<Fix>, stack: &mut Vec<Fix>) {
         self.nodes += 1;
         if self.out_of_budget() {
             return;
         }
-        if self.propagate(&mut lo, &mut hi) == PropResult::Infeasible {
+        if let Some(fix) = fix {
+            self.undo_to(fix.mark);
+            self.set_bounds(fix.var, fix.lo, fix.hi);
+        }
+        if self.propagate() == PropResult::Infeasible {
             return;
         }
-        let bound = self.lower_bound(&lo, &hi);
+        let bound = self.lower_bound();
         if bound >= self.best_objective - self.cfg.tolerance {
             return;
         }
 
         // If the cheapest completion of the remaining freedom is feasible,
         // it is optimal for this subtree: record it and stop descending.
-        let completion = self.cheap_completion(&lo, &hi);
-        if self
-            .problem
-            .is_feasible(&completion, self.cfg.tolerance * 10.0)
-        {
-            let obj = self.problem.objective_value(&completion);
-            if obj < self.best_objective - self.cfg.tolerance {
+        // Its values lie inside the propagated bounds, which lie inside
+        // every domain, so only the rows can make it infeasible.
+        let tol = self.cfg.tolerance;
+        self.completion.refresh(self.problem, tol, tol * 10.0);
+        if self.completion.leaf_violations == 0 {
+            let obj = self.problem.objective_value(&self.completion.values);
+            if obj < self.best_objective - tol {
                 self.best_objective = obj;
-                self.best_values = Some(completion);
+                self.best_values = Some(self.completion.values.clone());
             }
             return;
         }
 
         // Pick a branching variable guided by the violated constraints.
-        let branch_var = self.pick_branch_var(&lo, &hi, &completion);
+        let branch_var = self.pick_branch_var();
 
         match branch_var {
             None => {
                 // All integral variables fixed: complete the continuous
                 // variables at their propagated lower bounds and check.
-                let mut values: Vec<f64> = lo.clone();
+                let mut values: Vec<f64> = self.lo.clone();
                 for (i, k) in self.problem.kinds().iter().enumerate() {
                     if k.is_integral() {
-                        values[i] = lo[i].round();
+                        values[i] = self.lo[i].round();
                     }
                 }
-                if self.problem.is_feasible(&values, self.cfg.tolerance * 10.0) {
+                if self.problem.is_feasible(&values, tol * 10.0) {
                     let obj = self.problem.objective_value(&values);
-                    if obj < self.best_objective - self.cfg.tolerance {
+                    if obj < self.best_objective - tol {
                         self.best_objective = obj;
                         self.best_values = Some(values);
                     }
@@ -575,13 +819,14 @@ impl<'a> Search<'a> {
                 // Enumerate candidate values for the branching variable,
                 // trying the hinted value first, then the objective-cheaper
                 // bound.
-                let lo_i = lo[i];
-                let hi_i = hi[i];
+                let mark = self.trail.len();
+                let lo_i = self.lo[i];
+                let hi_i = self.hi[i];
                 let mut candidates: Vec<f64> = vec![];
                 if let Some(h) = self.hint {
                     if let Some(&hv) = h.get(i) {
                         let hv = hv.round();
-                        if hv >= lo_i - self.cfg.tolerance && hv <= hi_i + self.cfg.tolerance {
+                        if hv >= lo_i - tol && hv <= hi_i + tol {
                             candidates.push(hv);
                         }
                     }
@@ -603,23 +848,30 @@ impl<'a> Search<'a> {
                     // Branch as [lo, mid] and [mid+1, hi] instead of value
                     // enumeration; the left half is explored first.
                     let mid = ((lo_i + hi_i) / 2.0).floor();
-                    let mut left_hi = hi.clone();
-                    left_hi[i] = mid;
-                    let mut right_lo = lo.clone();
-                    right_lo[i] = mid + 1.0;
-                    stack.push((right_lo, hi));
-                    stack.push((lo, left_hi));
+                    stack.push(Fix {
+                        mark,
+                        var: i,
+                        lo: mid + 1.0,
+                        hi: hi_i,
+                    });
+                    stack.push(Fix {
+                        mark,
+                        var: i,
+                        lo: lo_i,
+                        hi: mid,
+                    });
                     return;
                 }
                 for v in candidates.into_iter().rev() {
-                    if v < lo_i - self.cfg.tolerance || v > hi_i + self.cfg.tolerance {
+                    if v < lo_i - tol || v > hi_i + tol {
                         continue;
                     }
-                    let mut new_lo = lo.clone();
-                    let mut new_hi = hi.clone();
-                    new_lo[i] = v;
-                    new_hi[i] = v;
-                    stack.push((new_lo, new_hi));
+                    stack.push(Fix {
+                        mark,
+                        var: i,
+                        lo: v,
+                        hi: v,
+                    });
                 }
             }
         }
@@ -838,5 +1090,286 @@ mod tests {
         let sol = Solver::default().solve(&p);
         assert_eq!(sol.status, Status::Optimal);
         assert_eq!(sol.value(z), 8.0);
+    }
+
+    /// The full-sweep propagation the worklist replaced, kept as its
+    /// oracle: every row, in order, until a sweep changes nothing.
+    fn sweep_propagate(
+        problem: &Problem,
+        cfg: &Solver,
+        lo: &mut [f64],
+        hi: &mut [f64],
+    ) -> PropResult {
+        let tol = cfg.tolerance;
+        for _ in 0..cfg.max_propagation_passes {
+            let mut changed = false;
+            for c in problem.constraints() {
+                // Minimum and maximum possible activity under current bounds.
+                let mut min_act = 0.0;
+                let mut max_act = 0.0;
+                for &(v, coef) in &c.terms {
+                    if coef >= 0.0 {
+                        min_act += coef * lo[v.0];
+                        max_act += coef * hi[v.0];
+                    } else {
+                        min_act += coef * hi[v.0];
+                        max_act += coef * lo[v.0];
+                    }
+                }
+                let need_le = matches!(c.cmp, Cmp::Le | Cmp::Eq);
+                let need_ge = matches!(c.cmp, Cmp::Ge | Cmp::Eq);
+                if need_le && min_act > c.rhs + tol {
+                    return PropResult::Infeasible;
+                }
+                if need_ge && max_act < c.rhs - tol {
+                    return PropResult::Infeasible;
+                }
+                // Tighten each variable against the residual activity.
+                for &(v, coef) in &c.terms {
+                    if coef == 0.0 {
+                        continue;
+                    }
+                    let kind = problem.kinds()[v.0];
+                    let (own_min, own_max) = if coef >= 0.0 {
+                        (coef * lo[v.0], coef * hi[v.0])
+                    } else {
+                        (coef * hi[v.0], coef * lo[v.0])
+                    };
+                    if need_le {
+                        // coef * x <= rhs - (min_act - own_min)
+                        let slack = c.rhs - (min_act - own_min);
+                        if coef > 0.0 {
+                            let new_hi = slack / coef;
+                            if new_hi < hi[v.0] - tol {
+                                hi[v.0] = round_bound(kind, new_hi, false, tol);
+                                changed = true;
+                            }
+                        } else {
+                            let new_lo = slack / coef;
+                            if new_lo > lo[v.0] + tol {
+                                lo[v.0] = round_bound(kind, new_lo, true, tol);
+                                changed = true;
+                            }
+                        }
+                    }
+                    if need_ge {
+                        // coef * x >= rhs - (max_act - own_max)
+                        let slack = c.rhs - (max_act - own_max);
+                        if coef > 0.0 {
+                            let new_lo = slack / coef;
+                            if new_lo > lo[v.0] + tol {
+                                lo[v.0] = round_bound(kind, new_lo, true, tol);
+                                changed = true;
+                            }
+                        } else {
+                            let new_hi = slack / coef;
+                            if new_hi < hi[v.0] - tol {
+                                hi[v.0] = round_bound(kind, new_hi, false, tol);
+                                changed = true;
+                            }
+                        }
+                    }
+                    if lo[v.0] > hi[v.0] + tol {
+                        return PropResult::Infeasible;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        PropResult::Ok
+    }
+
+    /// SplitMix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A random problem over binaries and a few small-domain integers:
+    /// rows of one to five distinct variables with small signed
+    /// coefficients, any comparison and a small right-hand side.
+    fn random_problem(rng: &mut Rng) -> Problem {
+        let mut p = Problem::new();
+        let n = 3 + rng.below(25) as usize;
+        for _ in 0..n {
+            let obj = rng.below(7) as f64 - 2.0;
+            if rng.below(6) == 0 {
+                p.add_integer(-2, 3, obj);
+            } else {
+                p.add_binary(obj);
+            }
+        }
+        for _ in 0..1 + rng.below(n as u64) {
+            let mut vars: Vec<usize> = (0..n).collect();
+            let k = 1 + rng.below(5.min(n as u64)) as usize;
+            for i in 0..k {
+                vars.swap(i, i + rng.below((n - i) as u64) as usize);
+            }
+            let terms = vars[..k]
+                .iter()
+                .map(|&v| {
+                    let coef = [-3.0, -2.0, -1.0, -0.5, 1.0, 1.0, 1.5, 2.0][rng.below(8) as usize];
+                    (VarId(v), coef)
+                })
+                .collect();
+            let cmp = [Cmp::Le, Cmp::Le, Cmp::Ge, Cmp::Ge, Cmp::Eq][rng.below(5) as usize];
+            p.add_constraint(terms, cmp, rng.below(6) as f64 - 2.0);
+        }
+        p
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: {got:?} != {want:?}");
+    }
+
+    /// The incremental completion against one computed from scratch: the
+    /// cheap completion of the bounds, the rows it violates at the solver
+    /// tolerance and the number it violates at the leaf tolerance.
+    fn assert_completion_is_fresh(search: &mut Search, what: &str) {
+        let tol = search.cfg.tolerance;
+        search.completion.refresh(search.problem, tol, tol * 10.0);
+        let values: Vec<f64> = search
+            .problem
+            .objective()
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| if c >= 0.0 { search.lo[i] } else { search.hi[i] })
+            .collect();
+        assert_same_bits(&search.completion.values, &values, what);
+        let lhs =
+            |c: &Constraint| -> f64 { c.terms.iter().map(|(v, coef)| coef * values[v.0]).sum() };
+        let rows = search.problem.constraints();
+        let violated: Vec<usize> = (0..rows.len())
+            .filter(|&r| violates(&rows[r], lhs(&rows[r]), tol))
+            .collect();
+        assert_eq!(
+            search.completion.violated_rows().collect::<Vec<_>>(),
+            violated,
+            "{what}"
+        );
+        let leaf = rows
+            .iter()
+            .filter(|c| violates(c, lhs(c), tol * 10.0))
+            .count();
+        assert_eq!(search.completion.leaf_violations, leaf, "{what}");
+    }
+
+    #[test]
+    fn worklist_propagation_equals_the_full_sweep_and_undo_restores_every_mark() {
+        // A cap neither method reaches, so both run to their fixpoint.
+        let cfg = Solver {
+            max_propagation_passes: 1_000,
+            ..Default::default()
+        };
+        let mut rng = Rng(7);
+        let (mut roots, mut children, mut infeasible) = (0, 0, 0);
+        for case in 0..2_000 {
+            let p = random_problem(&mut rng);
+            let mut search = Search::new(&p, &cfg, None);
+            for v in 0..p.num_vars() {
+                if rng.below(4) == 0 {
+                    let (lo, hi) = (search.lo[v], search.hi[v]);
+                    let x = lo + rng.below((hi - lo) as u64 + 1) as f64;
+                    search.set_bounds(v, x, x);
+                }
+            }
+            // The presolve: every row seeded.
+            let (mut lo, mut hi) = (search.lo.clone(), search.hi.clone());
+            let want = sweep_propagate(&p, &cfg, &mut lo, &mut hi);
+            search.queue_all_rows();
+            let got = search.propagate();
+            assert_eq!(got, want, "case {case}: root verdict");
+            roots += 1;
+            if got == PropResult::Infeasible {
+                infeasible += 1;
+                continue;
+            }
+            assert_same_bits(&search.lo, &lo, &format!("case {case}: root lo"));
+            assert_same_bits(&search.hi, &hi, &format!("case {case}: root hi"));
+            assert_completion_is_fresh(&mut search, &format!("case {case}: root"));
+
+            // A path of child nodes, each seeded by its fix alone.
+            let mut marks = vec![];
+            loop {
+                let free: Vec<usize> = (0..p.num_vars())
+                    .filter(|&v| search.hi[v] > search.lo[v])
+                    .collect();
+                if free.is_empty() {
+                    break;
+                }
+                let v = free[rng.below(free.len() as u64) as usize];
+                let (lo_v, hi_v) = (search.lo[v], search.hi[v]);
+                let x = lo_v + rng.below((hi_v - lo_v) as u64 + 1) as f64;
+                marks.push((search.trail.len(), search.lo.clone(), search.hi.clone()));
+                let (mut lo, mut hi) = (search.lo.clone(), search.hi.clone());
+                lo[v] = x;
+                hi[v] = x;
+                let want = sweep_propagate(&p, &cfg, &mut lo, &mut hi);
+                search.set_bounds(v, x, x);
+                let got = search.propagate();
+                assert_eq!(got, want, "case {case}: child verdict");
+                children += 1;
+                if got == PropResult::Infeasible {
+                    infeasible += 1;
+                    break;
+                }
+                assert_same_bits(&search.lo, &lo, &format!("case {case}: child lo"));
+                assert_same_bits(&search.hi, &hi, &format!("case {case}: child hi"));
+                assert_completion_is_fresh(&mut search, &format!("case {case}: child"));
+            }
+            while let Some((mark, lo, hi)) = marks.pop() {
+                search.undo_to(mark);
+                assert_eq!(search.trail.len(), mark);
+                assert_same_bits(&search.lo, &lo, &format!("case {case}: undone lo"));
+                assert_same_bits(&search.hi, &hi, &format!("case {case}: undone hi"));
+                assert_completion_is_fresh(&mut search, &format!("case {case}: undone"));
+            }
+        }
+        // The generator must exercise both verdicts at both levels.
+        assert!(children > roots, "{children} children over {roots} roots");
+        assert!(
+            infeasible > roots / 10 && infeasible < (roots + children) / 2,
+            "{infeasible} infeasible of {roots} roots + {children} children"
+        );
+    }
+
+    #[test]
+    fn propagation_stops_at_its_work_cap() {
+        // A chain x0 <= x1 <= ... <= x9 with x0 forced to 1 in the last
+        // row, the chain rows in reverse order. The cap of one pass is ten
+        // row visits: they go through the queue once and fix x0 only; the
+        // rest of the chain takes nine more visits.
+        let mut p = Problem::new();
+        let xs: Vec<VarId> = (0..10).map(|_| p.add_binary(1.0)).collect();
+        for w in xs.windows(2).rev() {
+            p.add_constraint(vec![(w[0], 1.0), (w[1], -1.0)], Cmp::Le, 0.0);
+        }
+        p.add_constraint(vec![(xs[0], 1.0)], Cmp::Ge, 1.0);
+        let cfg = Solver {
+            max_propagation_passes: 1,
+            ..Default::default()
+        };
+        let mut search = Search::new(&p, &cfg, None);
+        search.queue_all_rows();
+        assert_eq!(search.propagate(), PropResult::Ok);
+        assert!(search.queue.is_empty() && !search.queued.contains(&true));
+        let fixed = search.lo.iter().filter(|&&lo| lo == 1.0).count();
+        assert!(fixed < 10, "ten visits cannot reach the end of the chain");
+        // With room for it, the worklist reaches the end.
+        let cfg = Solver::default();
+        let mut search = Search::new(&p, &cfg, None);
+        search.queue_all_rows();
+        assert_eq!(search.propagate(), PropResult::Ok);
+        assert!(search.lo.iter().all(|&lo| lo == 1.0));
     }
 }
