@@ -226,9 +226,9 @@ fn an_iteration_cut_by_node_limit_is_the_last_in_engine_and_oracle() {
     let singles = single_rules();
     let multis = multi_rules();
     for (name, node_limit, enodes, eclasses, iterations) in [
-        ("NasNet-A", 2_000, 1_829, 727, 4),
-        ("BERT", 2_000, 1_798, 765, 4),
-        ("BERT", 20_000, 19_596, 8_600, 6),
+        ("NasNet-A", 2_000, 1_825, 714, 4),
+        ("BERT", 2_000, 1_673, 671, 4),
+        ("BERT", 20_000, 18_210, 7_970, 6),
     ] {
         let config = ExplorationConfig {
             max_iter: 15,
@@ -323,50 +323,41 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
         (
             "NasRNN",
             [
-                (788, 422, 4, 96, 366, Saturated),
-                (2000, 1154, 2, 96, 846, NodeLimit(2000)),
+                (625, 339, 4, 80, 286, Saturated),
+                (2002, 1170, 2, 80, 832, NodeLimit(2000)),
             ],
         ),
         (
             "BERT",
             [
-                (1798, 765, 4, 28, 1264, NodeLimit(2000)),
-                (1997, 1155, 2, 32, 849, NodeLimit(2000)),
+                (1673, 671, 4, 12, 1355, NodeLimit(2000)),
+                (1974, 1044, 3, 28, 956, NodeLimit(2000)),
             ],
         ),
         (
             "ResNeXt-50",
-            [
-                (84, 52, 4, 6, 32, Saturated),
-                (240, 122, 5, 28, 118, Saturated),
-            ],
+            [(36, 30, 2, 0, 6, Saturated), (36, 30, 2, 0, 6, Saturated)],
         ),
         (
             "NasNet-A",
             [
-                (1829, 727, 4, 54, 1316, NodeLimit(2000)),
-                (2004, 1160, 2, 54, 844, NodeLimit(2000)),
+                (1825, 714, 4, 42, 1329, NodeLimit(2000)),
+                (2002, 1166, 2, 42, 836, NodeLimit(2000)),
             ],
         ),
         (
             "SqueezeNet",
-            [
-                (92, 56, 4, 6, 36, Saturated),
-                (272, 134, 5, 30, 138, Saturated),
-            ],
+            [(38, 32, 2, 0, 6, Saturated), (38, 32, 2, 0, 6, Saturated)],
         ),
         (
             "VGG-19",
-            [
-                (67, 46, 3, 5, 21, Saturated),
-                (201, 110, 4, 25, 91, Saturated),
-            ],
+            [(32, 28, 2, 0, 4, Saturated), (32, 28, 2, 0, 4, Saturated)],
         ),
         (
             "Inception-v3",
             [
-                (289, 157, 4, 24, 132, Saturated),
-                (2001, 1157, 3, 24, 844, NodeLimit(2000)),
+                (181, 109, 4, 12, 72, Saturated),
+                (1405, 649, 5, 156, 756, Saturated),
             ],
         ),
     ];
@@ -400,7 +391,7 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
             total_enodes += stats.enodes;
         }
     }
-    assert_eq!(total_enodes, 13_662);
+    assert_eq!(total_enodes, 11_899);
 }
 
 /// The trajectories of the repo benchmark's two big workloads, pinned to
@@ -425,13 +416,13 @@ fn big_benchmark_trajectories_are_pinned() {
             2,
             20_000,
             (
-                19_596,
-                8_600,
+                18_210,
+                7_970,
                 6,
-                28,
-                12_908,
+                12,
+                13_286,
                 NodeLimit(20_000),
-                vec![313, 578, 1_362, 4_151, 18_851, 19_596],
+                vec![157, 349, 943, 3_142, 14_989, 18_210],
                 110.26111999999998,
             ),
         ),
@@ -441,12 +432,12 @@ fn big_benchmark_trajectories_are_pinned() {
             30_000,
             (
                 28_024,
-                13_646,
+                13_649,
                 5,
-                126,
-                17_242,
+                102,
+                17_239,
                 NodeLimit(30_000),
-                vec![812, 1_270, 3_015, 10_579, 28_024],
+                vec![692, 1_126, 2_871, 10_435, 28_024],
                 103.56740266666665,
             ),
         ),

@@ -266,15 +266,22 @@ fn assert_dag_pass(
 /// greedy-DAG pass on the e-graphs of the benchmark's `zoo7_small`
 /// workload — every model at `blocks: 2`, saturated with `k_multi` 1 and 2
 /// under a 2 000 e-node limit — to the values it had when the reach sets
-/// were bit sets, and pins which of its two passes `extract_greedy_dag`
-/// returns.
+/// were bit sets (BERT at `k_multi` 1 sums the same cost one ulp higher on
+/// its e-graph without self-merged multi-pattern matches), and pins which
+/// of its two passes `extract_greedy_dag` returns.
 #[test]
 fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
     // (model, pin at k_multi 1, pin at k_multi 2)
     let same = |pin: Pinned| (pin, pin);
     let pins: [(&str, (Pinned, Pinned)); 7] = [
         ("NasRNN", same((95.03253333333332, 81920.0, 18.0, 65))),
-        ("BERT", same((95.48245333333332, 90624.0, 18.0, 54))),
+        (
+            "BERT",
+            (
+                (95.48245333333334, 90624.0, 18.0, 54),
+                (95.48245333333332, 90624.0, 18.0, 54),
+            ),
+        ),
         ("ResNeXt-50", same((56.88874666666666, 802816.0, 10.0, 26))),
         (
             "NasNet-A",
@@ -320,8 +327,8 @@ fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
             assert_eq!(both.expr.nodes(), expr.nodes(), "{label}");
             let tree = extract_greedy(&eg, root, &model).unwrap();
             let tree_dag_cost = match (name, k_multi) {
-                ("BERT", 1) => 122.35381333333332,
-                ("BERT", _) => 110.60533333333332,
+                ("BERT", 1) => 128.41877333333332,
+                ("BERT", _) => 116.54741333333332,
                 _ => pinned.0,
             };
             assert_eq!(tree.dag_cost, tree_dag_cost, "{label}");

@@ -8,15 +8,12 @@
 //! [`Guided`](super::Guided) as per-rule budgeted batches on snapshot
 //! states.
 
-use super::{
-    canonicalize_pattern, decanonicalize_subst, merge_substs, substs_equal_canonical, CycleFilter,
-    ExplorationConfig, ExplorationStats, MultiRuleCompiled, StopReason,
-};
+use super::{canonicalize_pattern, CycleFilter, ExplorationConfig, ExplorationStats, StopReason};
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use tensat_egraph::{search_all_parallel, Id, Pattern, SearchMatches, Subst};
+use tensat_egraph::{search_all_parallel, Id, Pattern, SearchMatches, Subst, Var};
 use tensat_ir::{TensorEGraph, TensorLang};
 use tensat_rules::{target_fits, MultiPatternRule, TensorRewrite};
 
@@ -27,8 +24,8 @@ pub struct ExplorationContext<'a> {
     root: Id,
     single_rules: &'a [TensorRewrite],
     config: &'a ExplorationConfig,
-    /// Multi rules with sources resolved into `unique_patterns`.
-    compiled: Vec<MultiRuleCompiled>,
+    /// One product plan per multi rule, over `unique_patterns`.
+    plans: Vec<MultiPlan>,
     /// Deduplicated canonical multi-pattern sources (Algorithm 1, lines
     /// 1–8), precompiled.
     unique_patterns: Vec<Pattern<TensorLang>>,
@@ -51,27 +48,9 @@ impl<'a> ExplorationContext<'a> {
         let start = Instant::now();
         let mut unique_patterns: Vec<Pattern<TensorLang>> = vec![];
         let mut pattern_index: HashMap<String, usize> = HashMap::new();
-        let compiled: Vec<MultiRuleCompiled> = multi_rules
+        let plans: Vec<MultiPlan> = multi_rules
             .iter()
-            .map(|rule| {
-                let srcs = rule
-                    .srcs
-                    .iter()
-                    .map(|src| {
-                        let (canon, back) = canonicalize_pattern(src);
-                        let key = canon.to_string();
-                        let idx = *pattern_index.entry(key).or_insert_with(|| {
-                            unique_patterns.push(canon.clone());
-                            unique_patterns.len() - 1
-                        });
-                        (idx, back)
-                    })
-                    .collect();
-                MultiRuleCompiled {
-                    rule: rule.clone(),
-                    srcs,
-                }
-            })
+            .map(|rule| MultiPlan::compile(rule, &mut unique_patterns, &mut pattern_index))
             .collect();
         // The deduplicated canonical sources are searched once per
         // iteration: compile their e-matching programs before any strategy
@@ -83,7 +62,7 @@ impl<'a> ExplorationContext<'a> {
             root,
             single_rules,
             config,
-            compiled,
+            plans,
             unique_patterns,
             start,
             node_limit_cut: Cell::new(false),
@@ -108,7 +87,7 @@ impl<'a> ExplorationContext<'a> {
     /// Number of multi-pattern rules (indexable by
     /// [`ExplorationContext::apply_multi_budgeted`]).
     pub fn multi_rule_count(&self) -> usize {
-        self.compiled.len()
+        self.plans.len()
     }
 
     /// Wall-clock time since exploration began.
@@ -202,12 +181,6 @@ impl<'a> ExplorationContext<'a> {
 
         let search_start = Instant::now();
         let (single_matches, multi_matches) = self.search_state(egraph, do_multi);
-        // Flatten the multi match lists into `(root class, canonical
-        // substitution)` entries in search order.
-        let multi_flat: Vec<Vec<(Id, Subst)>> = multi_matches
-            .iter()
-            .map(|ms| flatten_matches(ms).collect())
-            .collect();
         stats.search_time += search_start.elapsed();
 
         // --- apply single-pattern rules ---------------------------------------
@@ -221,11 +194,10 @@ impl<'a> ExplorationContext<'a> {
 
         // --- apply multi-pattern rules (first k_multi iterations only) ------
         if do_multi {
-            for mrule in &self.compiled {
-                apply_multi_rule(
+            for plan in &self.plans {
+                plan.apply(
                     egraph,
-                    mrule,
-                    &multi_flat,
+                    &multi_matches,
                     config.cycle_filter,
                     desc.as_ref(),
                     &within_budget,
@@ -338,17 +310,13 @@ impl<'a> ExplorationContext<'a> {
         budget: usize,
         stats: &mut ExplorationStats,
     ) {
-        let mrule = &self.compiled[rule_index];
-        let headroom: usize = mrule.rule.dsts.iter().map(|d| d.ast.len()).sum();
+        let plan = &self.plans[rule_index];
+        let headroom: usize = plan.dsts.iter().map(|d| d.ast.len()).sum();
         if headroom > budget {
             // No combination fits: nothing to snapshot, apply or seal.
             return;
         }
         let desc = self.prefilter_map(egraph, stats);
-        let flat: Vec<Vec<(Id, Subst)>> = multi_matches
-            .iter()
-            .map(|ms| flatten_matches(ms).collect())
-            .collect();
         // Asked before every combination, and one combination adds at most
         // `headroom` nodes — so the budget stays hard.
         let keep_going = |egraph: &TensorEGraph| {
@@ -356,7 +324,7 @@ impl<'a> ExplorationContext<'a> {
                 && self.elapsed() < self.config.time_limit
         };
         let filter = self.config.cycle_filter;
-        apply_multi_rule(egraph, mrule, &flat, filter, desc.as_ref(), &keep_going);
+        plan.apply(egraph, multi_matches, filter, desc.as_ref(), &keep_going);
         record_prefilter(desc.as_ref(), stats);
         self.seal_state(egraph);
     }
@@ -408,16 +376,6 @@ impl<'a> ExplorationContext<'a> {
     }
 }
 
-/// Flattens one source pattern's match list into `(root class, canonical
-/// substitution)` entries in search order — owned substitutions, which the
-/// multi-pattern product renames, merges and keeps on its combination
-/// stack.
-fn flatten_matches(matches: &[SearchMatches]) -> impl Iterator<Item = (Id, Subst)> + '_ {
-    matches
-        .iter()
-        .flat_map(|m| m.substs.iter().map(move |s| (m.eclass, s)))
-}
-
 /// Adds what the pre-filter's map was asked during one apply phase to the
 /// run's counters.
 fn record_prefilter(desc: Option<&DescendantsMap>, stats: &mut ExplorationStats) {
@@ -453,99 +411,186 @@ fn skip_for_cycles(
     }
 }
 
-fn apply_multi_rule(
-    egraph: &mut TensorEGraph,
-    mrule: &MultiRuleCompiled,
-    all_matches: &[Vec<(Id, Subst)>],
+/// A multi-pattern rule compiled against the context's unique canonical
+/// sources, so that its product (Algorithm 1, lines 16–17) reads their match
+/// rows in place.
+struct MultiPlan {
+    /// The target patterns, one per source.
+    dsts: Vec<Pattern<TensorLang>>,
+    /// The rule's variables, one slot each, in first-occurrence order.
+    vars: Vec<Var>,
+    srcs: Vec<PlanSource>,
+}
+
+/// One source of a [`MultiPlan`].
+struct PlanSource {
+    /// Index of the unique canonical pattern the source searches.
+    pattern: usize,
+    /// The slot of each canonical variable of that pattern.
+    slots: Vec<(Var, usize)>,
+    /// The first slot no earlier source binds: the slots below it are only
+    /// checked against the binding an earlier source wrote.
+    first_new: usize,
+}
+
+impl MultiPlan {
+    /// Compiles `rule`, adding each source's canonical pattern to `unique`
+    /// unless an alpha-equivalent one is there (Algorithm 1, lines 1–8).
+    fn compile(
+        rule: &MultiPatternRule,
+        unique: &mut Vec<Pattern<TensorLang>>,
+        index: &mut HashMap<String, usize>,
+    ) -> Self {
+        let mut vars: Vec<Var> = vec![];
+        let mut srcs = vec![];
+        for src in &rule.srcs {
+            let (canon, originals) = canonicalize_pattern(src);
+            let pattern = *index.entry(canon.to_string()).or_insert_with(|| {
+                unique.push(canon.clone());
+                unique.len() - 1
+            });
+            let (first_new, mut slots) = (vars.len(), vec![]);
+            // `vars()` lists `?c0, ?c1, ..` in order, as `originals` does.
+            for (canonical, original) in canon.vars().into_iter().zip(originals) {
+                let slot = vars.iter().position(|&v| v == original);
+                let slot = slot.unwrap_or(vars.len());
+                if slot == vars.len() {
+                    vars.push(original);
+                }
+                slots.push((canonical, slot));
+            }
+            srcs.push(PlanSource {
+                pattern,
+                slots,
+                first_new,
+            });
+        }
+        let dsts = rule.dsts.clone();
+        MultiPlan { dsts, vars, srcs }
+    }
+
+    /// Applies every compatible combination of the sources' matches
+    /// (`matches` is indexed by unique canonical pattern, as
+    /// [`ExplorationContext::search_state`] returns it), asking
+    /// `keep_going` before every extension.
+    fn apply(
+        &self,
+        egraph: &mut TensorEGraph,
+        matches: &[Vec<SearchMatches>],
+        filter: CycleFilter,
+        desc: Option<&DescendantsMap>,
+        keep_going: &impl Fn(&TensorEGraph) -> bool,
+    ) {
+        let mut levels = vec![];
+        for PlanSource { pattern, slots, .. } in &self.srcs {
+            let Some(first) = matches[*pattern].first() else {
+                return; // A source without a match: no combination.
+            };
+            // The slot each column binds, in the rows' own column order.
+            let slot = |var: &Var| slots.iter().find(|(c, _)| c == var).map(|&(_, s)| s);
+            let columns = first.substs.vars().iter().map(slot);
+            let columns = columns.collect::<Option<_>>().expect("a source variable");
+            levels.push((matches[*pattern].as_slice(), columns));
+        }
+        let mut product = Product {
+            plan: self,
+            levels,
+            binding: vec![Id::default(); self.vars.len()],
+            picked: Vec::with_capacity(self.srcs.len()),
+            subst: Subst::new(),
+            filter,
+            desc,
+            keep_going,
+        };
+        product.walk(egraph);
+    }
+}
+
+/// One plan's Cartesian product, walked depth-first over the match rows in
+/// search order. A level writes the slots its source binds first into one
+/// binding array and checks the others, so a combination that disagrees
+/// on a shared variable is cut at the level that shows it.
+struct Product<'a, K> {
+    plan: &'a MultiPlan,
+    /// Per source: its match lists, and the slot each row column binds.
+    levels: Vec<(&'a [SearchMatches], Vec<usize>)>,
+    /// Slot -> bound class, valid for the slots the picked levels bind.
+    binding: Vec<Id>,
+    /// The matched class and row picked at each level so far.
+    picked: Vec<(Id, &'a [Id])>,
+    /// The binding of the combination being applied, overwritten in place.
+    subst: Subst,
     filter: CycleFilter,
-    desc: Option<&DescendantsMap>,
-    keep_going: &impl Fn(&TensorEGraph) -> bool,
-) {
-    // Decanonicalized flat match lists per source pattern.
-    let per_src: Vec<Vec<(Id, Subst)>> = mrule
-        .srcs
-        .iter()
-        .map(|(idx, back)| {
-            all_matches[*idx]
-                .iter()
-                .map(|(eclass, subst)| (*eclass, decanonicalize_subst(subst, back)))
-                .collect()
+    desc: Option<&'a DescendantsMap>,
+    keep_going: &'a K,
+}
+
+impl<'a, K: Fn(&TensorEGraph) -> bool> Product<'a, K> {
+    fn walk(&mut self, egraph: &mut TensorEGraph) {
+        let depth = self.picked.len();
+        if depth == self.levels.len() {
+            return self.apply(egraph);
+        }
+        let matches: &'a [SearchMatches] = self.levels[depth].0;
+        for m in matches {
+            for row in m.substs.rows() {
+                if !(self.keep_going)(egraph) {
+                    return;
+                }
+                if self.picked_already(egraph, depth, m.eclass, row)
+                    || !self.bind(egraph, depth, row)
+                {
+                    continue;
+                }
+                self.picked.push((m.eclass, row));
+                self.walk(egraph);
+                self.picked.pop();
+            }
+        }
+    }
+
+    /// The self-merge guard: true if an earlier level searched the same
+    /// unique pattern and picked this very match — class and row equal
+    /// modulo `find`.
+    fn picked_already(&self, egraph: &TensorEGraph, depth: usize, class: Id, row: &[Id]) -> bool {
+        let same = |a: &Id, b: &Id| egraph.find(*a) == egraph.find(*b);
+        let pattern = self.plan.srcs[depth].pattern;
+        (self.picked.iter().zip(&self.plan.srcs)).any(|(&(c, r), src)| {
+            src.pattern == pattern && same(&c, &class) && r.iter().zip(row).all(|(a, b)| same(a, b))
         })
-        .collect();
-
-    // Cartesian product over the source patterns (Algorithm 1, line 16).
-    // All current rules have exactly two sources; the generic recursion
-    // handles more.
-    let mut combo: Vec<(Id, Subst)> = Vec::with_capacity(per_src.len());
-    cartesian(
-        egraph, mrule, &per_src, &mut combo, filter, desc, keep_going,
-    );
-}
-
-/// Extends `combo` — one match per source pattern so far — by every match
-/// of the next source, and applies each complete combination. `keep_going`
-/// is asked before every extension, so also right before every
-/// application.
-fn cartesian(
-    egraph: &mut TensorEGraph,
-    mrule: &MultiRuleCompiled,
-    per_src: &[Vec<(Id, Subst)>],
-    combo: &mut Vec<(Id, Subst)>,
-    filter: CycleFilter,
-    desc: Option<&DescendantsMap>,
-    keep_going: &impl Fn(&TensorEGraph) -> bool,
-) {
-    let depth = combo.len();
-    if depth == per_src.len() {
-        apply_combo(egraph, mrule, combo, filter, desc);
-        return;
     }
-    for (eclass, subst) in &per_src[depth] {
-        if !keep_going(egraph) {
-            return;
+
+    /// Writes `row` into the slots level `depth` binds first and checks it
+    /// against the others (Algorithm 1, `COMPATIBLE`): false if a shared
+    /// slot disagrees modulo `find`.
+    fn bind(&mut self, egraph: &TensorEGraph, depth: usize, row: &[Id]) -> bool {
+        let first_new = self.plan.srcs[depth].first_new;
+        for (&slot, &id) in self.levels[depth].1.iter().zip(row) {
+            if slot >= first_new {
+                self.binding[slot] = id;
+            } else if egraph.find(self.binding[slot]) != egraph.find(id) {
+                return false;
+            }
         }
-        if mrule.rule.skip_identical
-            && combo.iter().any(|(c, s)| {
-                egraph.find(*c) == egraph.find(*eclass) && substs_equal_canonical(egraph, s, subst)
-            })
+        true
+    }
+
+    /// Applies the complete combination: every target must fit its
+    /// matched class and pass the cycle pre-filter, then each matched class
+    /// is unioned with its instantiated target.
+    fn apply(&mut self, egraph: &mut TensorEGraph) {
+        for (&var, &id) in self.plan.vars.iter().zip(&self.binding) {
+            self.subst.insert(var, id);
+        }
+        let (subst, filter, desc) = (&self.subst, self.filter, self.desc);
+        let targets = || (self.picked.iter().map(|&(class, _)| class)).zip(&self.plan.dsts);
+        if targets().all(|(matched, dst)| target_fits(egraph, dst, matched, subst))
+            && !targets()
+                .any(|(matched, dst)| skip_for_cycles(egraph, filter, desc, matched, dst, subst))
         {
-            continue;
+            for (matched, dst) in targets() {
+                dst.apply_one(egraph, matched, subst);
+            }
         }
-        combo.push((*eclass, subst.clone()));
-        cartesian(egraph, mrule, per_src, combo, filter, desc, keep_going);
-        combo.pop();
-    }
-}
-
-fn apply_combo(
-    egraph: &mut TensorEGraph,
-    mrule: &MultiRuleCompiled,
-    combo: &[(Id, Subst)],
-    filter: CycleFilter,
-    desc: Option<&DescendantsMap>,
-) {
-    // Check compatibility at shared variables and build the merged binding.
-    let mut merged = Subst::new();
-    for (_, subst) in combo {
-        match merge_substs(egraph, &merged, subst) {
-            Some(m) => merged = m,
-            None => return,
-        }
-    }
-    // Shape check every target against its matched class.
-    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
-        if !target_fits(egraph, dst, *matched, &merged) {
-            return;
-        }
-    }
-    // Cycle pre-filtering per target.
-    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
-        if skip_for_cycles(egraph, filter, desc, *matched, dst, &merged) {
-            return;
-        }
-    }
-    // Apply: union each matched class with its instantiated target.
-    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
-        dst.apply_one(egraph, *matched, &merged);
     }
 }

@@ -13,20 +13,18 @@
 //! The apply machinery (`skip_for_cycles`, `apply_multi_rule`,
 //! `cartesian`, `apply_combo`) is duplicated privately rather than shared
 //! with the engine, so a regression in the restructured control flow
-//! cannot silently rewrite the oracle it is checked against. The pure
-//! data-preparation helpers (canonicalization) are shared — they were not
-//! restructured.
+//! cannot silently rewrite the oracle it is checked against. In
+//! particular the multi-pattern product here renames, merges and compares
+//! owned substitutions, where the engine's walks match rows through a
+//! compiled plan. Only canonicalization is shared.
 //!
 //! [`Pattern::search_naive`]: tensat_egraph::Pattern::search_naive
 
-use super::{
-    canonicalize_pattern, decanonicalize_subst, merge_substs, substs_equal_canonical, CycleFilter,
-    ExplorationConfig, ExplorationStats, MultiRuleCompiled, StopReason,
-};
+use super::{canonicalize_pattern, CycleFilter, ExplorationConfig, ExplorationStats, StopReason};
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
 use std::collections::HashMap;
 use std::time::Instant;
-use tensat_egraph::{search_all_parallel, Id, Pattern, Subst};
+use tensat_egraph::{search_all_parallel, Id, Pattern, Subst, Var};
 use tensat_ir::{TensorEGraph, TensorLang};
 use tensat_rules::{pattern_is_valid, MultiPatternRule, TensorRewrite};
 
@@ -55,7 +53,8 @@ pub fn explore_monolithic(
                 .srcs
                 .iter()
                 .map(|src| {
-                    let (canon, back) = canonicalize_pattern(src);
+                    let (canon, originals) = canonicalize_pattern(src);
+                    let back: HashMap<Var, Var> = canon.vars().into_iter().zip(originals).collect();
                     let key = canon.to_string();
                     let idx = *pattern_index.entry(key).or_insert_with(|| {
                         unique_patterns.push(canon.clone());
@@ -218,6 +217,56 @@ fn skip_for_cycles(
     }
 }
 
+/// A multi-pattern rule with its sources resolved into the deduplicated
+/// canonical pattern list the oracle searches once per iteration.
+struct MultiRuleCompiled {
+    rule: MultiPatternRule,
+    /// For each source pattern: index into the unique canonical pattern
+    /// list and the canonical→original variable map.
+    srcs: Vec<(usize, HashMap<Var, Var>)>,
+}
+
+/// Translates a substitution over canonical variables back to the original
+/// variables of a rule (Algorithm 1, `DECANONICAL`).
+fn decanonicalize_subst(subst: &Subst, back: &HashMap<Var, Var>) -> Subst {
+    let mut out = Subst::new();
+    for (var, id) in subst.iter() {
+        let original = back.get(&var).copied().unwrap_or(var);
+        out.insert(original, id);
+    }
+    out
+}
+
+/// Merges two substitutions, returning `None` if they disagree on a shared
+/// variable (Algorithm 1, `COMPATIBLE`).
+fn merge_substs(egraph: &TensorEGraph, a: &Subst, b: &Subst) -> Option<Subst> {
+    let mut out = a.clone();
+    for (var, id) in b.iter() {
+        match out.get(var) {
+            Some(existing) if egraph.find(existing) != egraph.find(id) => return None,
+            Some(_) => {}
+            None => {
+                out.insert(var, id);
+            }
+        }
+    }
+    Some(out)
+}
+
+/// True if two substitutions bind the same variables to the same e-classes
+/// modulo the union-find: a union made by an earlier application can leave
+/// two equal bindings with different raw ids.
+fn substs_equal_canonical(egraph: &TensorEGraph, a: &Subst, b: &Subst) -> bool {
+    a.len() == b.len()
+        && a.iter().all(
+            |(var, id)| matches!(b.get(var), Some(other) if egraph.find(other) == egraph.find(id)),
+        )
+}
+
+/// One source's matches: its unique pattern index, and per match the root
+/// class, the canonical substitution and the decanonicalized one.
+type SourceMatches = (usize, Vec<(Id, Subst, Subst)>);
+
 fn apply_multi_rule(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
@@ -226,24 +275,27 @@ fn apply_multi_rule(
     desc: &mut Option<DescendantsMap>,
     start: Instant,
 ) {
-    // Decanonicalized flat match lists per source pattern.
-    let per_src: Vec<Vec<(Id, Subst)>> = mrule
+    // Flat match lists per source pattern, canonical and decanonicalized.
+    let per_src: Vec<SourceMatches> = mrule
         .srcs
         .iter()
         .map(|(idx, back)| {
-            all_matches[*idx]
+            let entries = all_matches[*idx]
                 .iter()
                 .flat_map(|m| {
-                    m.substs
-                        .iter()
-                        .map(move |s| (m.eclass, decanonicalize_subst(&s, back)))
+                    m.substs.iter().map(move |s| {
+                        let original = decanonicalize_subst(&s, back);
+                        (m.eclass, s, original)
+                    })
                 })
-                .collect()
+                .collect();
+            (*idx, entries)
         })
         .collect();
 
     // Cartesian product over the source patterns (Algorithm 1, line 16).
-    let mut combo: Vec<(Id, Subst)> = Vec::with_capacity(per_src.len());
+    // A combination entry is `(pattern, class, canonical, decanonicalized)`.
+    let mut combo: Vec<(usize, Id, Subst, Subst)> = Vec::with_capacity(per_src.len());
     cartesian(egraph, mrule, &per_src, 0, &mut combo, config, desc, start);
 }
 
@@ -251,9 +303,9 @@ fn apply_multi_rule(
 fn cartesian(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
-    per_src: &[Vec<(Id, Subst)>],
+    per_src: &[SourceMatches],
     depth: usize,
-    combo: &mut Vec<(Id, Subst)>,
+    combo: &mut Vec<(usize, Id, Subst, Subst)>,
     config: &ExplorationConfig,
     desc: &mut Option<DescendantsMap>,
     start: Instant,
@@ -265,15 +317,18 @@ fn cartesian(
         apply_combo(egraph, mrule, combo, config, desc);
         return;
     }
-    for (eclass, subst) in &per_src[depth] {
-        if mrule.rule.skip_identical
-            && combo.iter().any(|(c, s)| {
-                egraph.find(*c) == egraph.find(*eclass) && substs_equal_canonical(egraph, s, subst)
-            })
-        {
+    let (pattern, entries) = &per_src[depth];
+    for (eclass, canonical, subst) in entries {
+        // The same match picked twice: same unique pattern, same class and
+        // same canonical binding.
+        if combo.iter().any(|(p, c, s, _)| {
+            p == pattern
+                && egraph.find(*c) == egraph.find(*eclass)
+                && substs_equal_canonical(egraph, s, canonical)
+        }) {
             continue;
         }
-        combo.push((*eclass, subst.clone()));
+        combo.push((*pattern, *eclass, canonical.clone(), subst.clone()));
         cartesian(
             egraph,
             mrule,
@@ -294,13 +349,13 @@ fn cartesian(
 fn apply_combo(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
-    combo: &[(Id, Subst)],
+    combo: &[(usize, Id, Subst, Subst)],
     config: &ExplorationConfig,
     desc: &mut Option<DescendantsMap>,
 ) {
     // Check compatibility at shared variables and build the merged binding.
     let mut merged = Subst::new();
-    for (_, subst) in combo {
+    for (_, _, _, subst) in combo {
         match merge_substs(egraph, &merged, subst) {
             Some(m) => merged = m,
             None => return,
@@ -308,7 +363,7 @@ fn apply_combo(
     }
     // Shape check every target, and make sure output shapes match the
     // matched classes.
-    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
+    for ((_, matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
         if !pattern_is_valid(egraph, dst, &merged) {
             return;
         }
@@ -324,13 +379,13 @@ fn apply_combo(
         }
     }
     // Cycle pre-filtering per target.
-    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
+    for ((_, matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
         if skip_for_cycles(egraph, config.cycle_filter, desc, *matched, dst, &merged) {
             return;
         }
     }
     // Apply: union each matched class with its instantiated target.
-    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
+    for ((_, matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
         dst.apply_one(egraph, *matched, &merged);
     }
 }

@@ -34,9 +34,8 @@ pub use guided::{Guided, GuidedConfig};
 pub use saturate::Saturate;
 pub use taso::{TasoBacktracking, TasoConfig};
 
-use std::collections::HashMap;
 use std::time::Duration;
-use tensat_egraph::{ENodeOrVar, Id, Pattern, RecExpr, Subst, Var};
+use tensat_egraph::{ENodeOrVar, Id, Pattern, RecExpr, Var};
 use tensat_ir::{CostModel, TensorEGraph, TensorLang};
 use tensat_rules::{MultiPatternRule, TensorRewrite};
 
@@ -313,79 +312,30 @@ pub fn explore_with(
 }
 
 /// Renames the variables of a pattern to canonical names (`?c0`, `?c1`, ...)
-/// in first-occurrence order. Returns the canonical pattern and the map
-/// from canonical to original variables (Algorithm 1, `CANONICAL`).
-pub fn canonicalize_pattern(
+/// in first-occurrence order (Algorithm 1, `CANONICAL`). Returns the
+/// canonical pattern and, at index `i`, the original variable `?ci` stands
+/// for.
+pub(crate) fn canonicalize_pattern(
     pattern: &Pattern<TensorLang>,
-) -> (Pattern<TensorLang>, HashMap<Var, Var>) {
-    let mut rename: HashMap<Var, Var> = HashMap::new(); // original -> canonical
-    let mut back: HashMap<Var, Var> = HashMap::new(); // canonical -> original
+) -> (Pattern<TensorLang>, Vec<Var>) {
+    let mut originals: Vec<Var> = vec![];
     let mut ast = RecExpr::default();
     for (_, node) in pattern.ast.iter() {
-        match node {
+        ast.add(match node {
             ENodeOrVar::Var(v) => {
-                let canonical = *rename.entry(*v).or_insert_with(|| {
-                    let c = Var::new(format!("c{}", back.len()));
-                    back.insert(c, *v);
-                    c
-                });
-                ast.add(ENodeOrVar::Var(canonical));
+                let i = match originals.iter().position(|o| o == v) {
+                    Some(i) => i,
+                    None => {
+                        originals.push(*v);
+                        originals.len() - 1
+                    }
+                };
+                ENodeOrVar::Var(Var::new(format!("c{i}")))
             }
-            ENodeOrVar::ENode(n) => {
-                ast.add(ENodeOrVar::ENode(n.clone()));
-            }
-        }
+            ENodeOrVar::ENode(n) => ENodeOrVar::ENode(n.clone()),
+        });
     }
-    (Pattern::new(ast), back)
-}
-
-/// Translates a substitution over canonical variables back to the original
-/// variables of a rule (Algorithm 1, `DECANONICAL`).
-pub fn decanonicalize_subst(subst: &Subst, back: &HashMap<Var, Var>) -> Subst {
-    let mut out = Subst::new();
-    for (var, id) in subst.iter() {
-        let original = back.get(&var).copied().unwrap_or(var);
-        out.insert(original, id);
-    }
-    out
-}
-
-/// Merges two substitutions, returning `None` if they disagree on a shared
-/// variable (Algorithm 1, `COMPATIBLE`).
-pub fn merge_substs(egraph: &TensorEGraph, a: &Subst, b: &Subst) -> Option<Subst> {
-    let mut out = a.clone();
-    for (var, id) in b.iter() {
-        match out.get(var) {
-            Some(existing) if egraph.find(existing) != egraph.find(id) => return None,
-            Some(_) => {}
-            None => {
-                out.insert(var, id);
-            }
-        }
-    }
-    Some(out)
-}
-
-/// True if two substitutions bind the same variables to the same e-classes
-/// *modulo the union-find*. The derived `PartialEq` on [`Subst`] compares
-/// raw `Id`s, which is too strict inside the apply loop: a union performed
-/// by an earlier application can leave two equivalent bindings with
-/// different (non-canonical) ids, letting them slip past the
-/// `skip_identical` self-application guard.
-pub(crate) fn substs_equal_canonical(egraph: &TensorEGraph, a: &Subst, b: &Subst) -> bool {
-    a.len() == b.len()
-        && a.iter().all(
-            |(var, id)| matches!(b.get(var), Some(other) if egraph.find(other) == egraph.find(id)),
-        )
-}
-
-/// A multi-pattern rule with its sources resolved into the deduplicated
-/// canonical pattern list the engine searches once per iteration.
-pub(crate) struct MultiRuleCompiled {
-    pub(crate) rule: MultiPatternRule,
-    /// For each source pattern: index into the unique canonical pattern
-    /// list and the canonical→original variable map.
-    pub(crate) srcs: Vec<(usize, HashMap<Var, Var>)>,
+    (Pattern::new(ast), originals)
 }
 
 #[cfg(test)]
@@ -411,9 +361,9 @@ mod tests {
     #[test]
     fn canonicalization_renames_consistently() {
         let p = parse_pattern("(matmul ?act ?x ?w1)").unwrap();
-        let (canon, back) = canonicalize_pattern(&p);
+        let (canon, originals) = canonicalize_pattern(&p);
         assert_eq!(canon.to_string(), "(matmul ?c0 ?c1 ?c2)");
-        assert_eq!(back[&Var::new("c1")], Var::new("x"));
+        assert_eq!(originals, ["act", "x", "w1"].map(Var::new));
         // Two alpha-equivalent patterns canonicalize identically.
         let q = parse_pattern("(matmul ?a ?b ?c)").unwrap();
         let (canon_q, _) = canonicalize_pattern(&q);
@@ -422,27 +372,6 @@ mod tests {
         let r = parse_pattern("(ewadd ?x ?x)").unwrap();
         let (canon_r, _) = canonicalize_pattern(&r);
         assert_eq!(canon_r.to_string(), "(ewadd ?c0 ?c0)");
-    }
-
-    #[test]
-    fn merge_substs_detects_conflicts() {
-        let (eg, root) = two_matmul_graph();
-        let other = eg
-            .classes()
-            .map(|c| c.id)
-            .find(|&c| eg.find(c) != eg.find(root))
-            .unwrap();
-        let mut a = Subst::new();
-        a.insert(Var::new("x"), root);
-        let mut b = Subst::new();
-        b.insert(Var::new("x"), other);
-        b.insert(Var::new("y"), root);
-        assert!(merge_substs(&eg, &a, &b).is_none());
-        let mut c = Subst::new();
-        c.insert(Var::new("x"), root);
-        c.insert(Var::new("z"), other);
-        let merged = merge_substs(&eg, &a, &c).unwrap();
-        assert_eq!(merged.len(), 2);
     }
 
     #[test]
@@ -671,35 +600,103 @@ mod tests {
         }
     }
 
-    /// Regression test for the `skip_identical` guard: equivalent bindings
-    /// whose raw ids differ (equal only modulo `find`) must count as
-    /// identical once the classes are unioned.
+    /// A match is never merged with itself: one `matmul`, and separately
+    /// one `conv`, explored with the multi-pattern rules alone leave the
+    /// e-graph as it was. A guard that compared the sources' renamed
+    /// bindings (`?w1` against `?w2`) would never fire, and each op would
+    /// grow a `concat2 ?w ?w` and an operator twice as wide.
     #[test]
-    fn substs_equal_canonical_compares_modulo_find() {
+    fn a_lone_matmul_or_conv_is_never_merged_with_itself() {
+        use tensat_ir::{Activation, Padding};
+        let mut g = GraphBuilder::new();
+        let x = g.input("x", &[64, 256]);
+        let w = g.weight("w", &[256, 128]);
+        let matmul = g.matmul(x, w);
+        let matmul = g.finish(&[matmul]);
+        let mut g = GraphBuilder::new();
+        let x = g.input("x", &[1, 64, 28, 28]);
+        let w = g.weight("w", &[64, 64, 3, 3]);
+        let conv = g.conv(x, w, (1, 1), Padding::Same, Activation::Relu);
+        let conv = g.finish(&[conv]);
+        for graph in [matmul, conv] {
+            let mut eg = TensorEGraph::new(TensorAnalysis);
+            let root = eg.add_expr(&graph);
+            eg.rebuild();
+            let seed = eg.total_number_of_nodes();
+            let config = ExplorationConfig {
+                k_multi: 1,
+                search_threads: 1,
+                ..Default::default()
+            };
+            let stats = explore(&mut eg, root, &[], &multi_rules(), &config);
+            assert_eq!(eg.total_number_of_nodes(), seed, "{graph}");
+            assert_eq!(stats.stop_reason, Some(StopReason::Saturated), "{graph}");
+        }
+    }
+
+    /// Builds `relu(p)` and `second(q)` over two 8x8 inputs, searches
+    /// `rule`'s sources, unites the pairs `unions` names (indices into `[p,
+    /// q, relu(p), second(q)]`) as an earlier application of the iteration
+    /// would, applies the rule's combinations and counts `sigmoid` e-nodes.
+    fn sigmoids_after(
+        second: fn([Id; 1]) -> TensorLang,
+        rule: MultiPatternRule,
+        unions: &[(usize, usize)],
+    ) -> usize {
         let mut eg = TensorEGraph::new(TensorAnalysis);
-        let a = eg.add(TensorLang::Num(1));
-        let b = eg.add(TensorLang::Num(2));
-        let x = Var::new("x");
-        let mut s1 = Subst::new();
-        s1.insert(x, a);
-        let mut s2 = Subst::new();
-        s2.insert(x, b);
-        // Distinct classes: neither raw nor canonical equality.
-        assert_ne!(s1, s2);
-        assert!(!substs_equal_canonical(&eg, &s1, &s2));
-        // Union the classes mid-iteration (no rebuild, as in the apply
-        // loop): raw ids still differ — the derived PartialEq the old guard
-        // used says "different" — but canonically they are the same binding.
-        eg.union(a, b);
-        assert_ne!(s1, s2, "raw ids still differ after the union");
-        assert!(substs_equal_canonical(&eg, &s1, &s2));
-        // Different variable sets never compare equal.
-        let mut s3 = Subst::new();
-        s3.insert(Var::new("y"), a);
-        assert!(!substs_equal_canonical(&eg, &s1, &s3));
-        let mut s4 = s1.clone();
-        s4.insert(Var::new("y"), a);
-        assert!(!substs_equal_canonical(&eg, &s1, &s4));
+        let mut input = |name| {
+            let name = eg.add(TensorLang::Str(tensat_ir::encode_identifier(name, &[8, 8])));
+            eg.add(TensorLang::Input([name]))
+        };
+        let (p, q) = (input("p"), input("q"));
+        let classes = [p, q, eg.add(TensorLang::Relu([p])), eg.add(second([q]))];
+        eg.rebuild();
+        let config = ExplorationConfig {
+            cycle_filter: CycleFilter::Off,
+            search_threads: 1,
+            ..Default::default()
+        };
+        let rules = [rule];
+        let ctx = ExplorationContext::new(classes[2], &[], &rules, &config);
+        let (_, matches) = ctx.search_state(&eg, true);
+        for &(a, b) in unions {
+            eg.union(classes[a], classes[b]);
+        }
+        ctx.apply_multi_budgeted(&mut eg, 0, &matches, usize::MAX, &mut Default::default());
+        let sigmoid = |n: &&TensorLang| matches!(n, TensorLang::Sigmoid(_));
+        eg.classes()
+            .map(|c| eg.enodes(c).filter(sigmoid).count())
+            .sum()
+    }
+
+    /// The row product compares shared columns modulo `find` when it
+    /// combines, not when it searched: `relu ?x` and `tanh ?x` bind `?x` to
+    /// different inputs, and a union made between search and apply makes
+    /// them agree, so the combination applies.
+    #[test]
+    fn a_union_after_the_search_makes_shared_columns_agree() {
+        let srcs = ["(relu ?x)", "(tanh ?x)"];
+        let rule = || MultiPatternRule::new("same-input", &srcs, &["(relu ?x)", "(sigmoid ?x)"]);
+        assert_eq!(sigmoids_after(TensorLang::Tanh, rule(), &[]), 0);
+        assert_eq!(sigmoids_after(TensorLang::Tanh, rule(), &[(0, 1)]), 1);
+    }
+
+    /// The self-merge guard skips a match paired with itself, and a union
+    /// made between search and apply can make two matches the same one.
+    /// Apart, `(relu p, relu q)` and `(relu q, relu p)` apply; once the two
+    /// `relu`s are one class over one input, none of the four pairs does.
+    #[test]
+    fn the_guard_skips_a_match_a_union_made_equal_to_another() {
+        let (srcs, dsts) = (
+            ["(relu ?x)", "(relu ?y)"],
+            ["(relu ?x)", "(sigmoid (ewadd ?x ?y))"],
+        );
+        let rule = || MultiPatternRule::new("relu-pair", &srcs, &dsts);
+        assert_eq!(sigmoids_after(TensorLang::Relu, rule(), &[]), 2);
+        assert_eq!(
+            sigmoids_after(TensorLang::Relu, rule(), &[(0, 1), (2, 3)]),
+            0
+        );
     }
 
     #[test]

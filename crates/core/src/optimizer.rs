@@ -10,35 +10,6 @@ use tensat_egraph::RecExpr;
 use tensat_ir::{Cost, CostModel, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
 
-/// Whether `TENSAT_VERIFY_RULES=1` turns on static rule verification at
-/// [`Optimizer`] construction time (see `tensat-verify`). Off by default —
-/// the full analysis takes seconds in debug builds, and the shipped corpus
-/// is already gated in CI by the `verify_rules` binary — but cheap
-/// insurance when experimenting with custom rule sets. Read once and
-/// cached, mirroring the e-graph's `TENSAT_CHECK_INVARIANTS` gate.
-fn rule_verification_forced() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("TENSAT_VERIFY_RULES").is_ok_and(|v| v == "1"))
-}
-
-/// Statically verifies a rule set at registration time when
-/// [`rule_verification_forced`] is on.
-///
-/// # Panics
-///
-/// Panics with the full per-rule report when any rule has an
-/// error-severity finding (unsound shape change, dead rule, unbound RHS
-/// variable, ...).
-fn verify_rule_set(singles: &[TensorRewrite], multis: &[MultiPatternRule]) {
-    if !rule_verification_forced() {
-        return;
-    }
-    let report = tensat_verify::verify_corpus(singles, multis);
-    if report.error_count() > 0 {
-        panic!("TENSAT_VERIFY_RULES: rule set failed static verification:\n{report}");
-    }
-}
-
 /// Full optimizer configuration.
 ///
 /// The defaults follow the paper's experimental setup (§6.1): efficient
@@ -207,28 +178,17 @@ pub struct Optimizer {
 
 impl Optimizer {
     /// Creates an optimizer with the standard TASO rule set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `TENSAT_VERIFY_RULES=1` is set and the rule set fails
-    /// static verification (see `tensat-verify`).
     pub fn new(config: OptimizerConfig) -> Self {
         Optimizer::with_rules(config, single_rules(), multi_rules())
     }
 
     /// Creates an optimizer with a custom rule set (TENSAT supports
     /// flexible rule choices, paper §6.1 footnote 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `TENSAT_VERIFY_RULES=1` is set and the rule set fails
-    /// static verification (see `tensat-verify`).
     pub fn with_rules(
         config: OptimizerConfig,
         single_rules: Vec<TensorRewrite>,
         multi_rules: Vec<MultiPatternRule>,
     ) -> Self {
-        verify_rule_set(&single_rules, &multi_rules);
         Optimizer {
             config,
             single_rules,

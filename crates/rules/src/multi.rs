@@ -26,10 +26,6 @@ pub struct MultiPatternRule {
     pub srcs: Vec<Pattern<TensorLang>>,
     /// The target patterns, pairwise equivalent to the sources.
     pub dsts: Vec<Pattern<TensorLang>>,
-    /// If true, matches where two source patterns bind to the *same*
-    /// e-class are skipped (merging an operator with itself is legal but
-    /// useless and inflates the e-graph).
-    pub skip_identical: bool,
 }
 
 impl MultiPatternRule {
@@ -84,41 +80,7 @@ impl MultiPatternRule {
             name: name.to_string(),
             srcs,
             dsts,
-            skip_identical: true,
         }
-    }
-
-    /// All distinct variables across the source patterns.
-    pub fn variables(&self) -> Vec<Var> {
-        let mut vars = vec![];
-        for s in &self.srcs {
-            for v in s.vars() {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        }
-        vars
-    }
-
-    /// The variables shared between at least two source patterns — the ones
-    /// whose bindings must be checked for compatibility when combining
-    /// per-pattern matches (Algorithm 1, line 17).
-    pub fn shared_variables(&self) -> Vec<Var> {
-        let mut counts: Vec<(Var, usize)> = vec![];
-        for s in &self.srcs {
-            for v in s.vars() {
-                match counts.iter_mut().find(|(u, _)| *u == v) {
-                    Some((_, c)) => *c += 1,
-                    None => counts.push((v, 1)),
-                }
-            }
-        }
-        counts
-            .into_iter()
-            .filter(|(_, c)| *c >= 2)
-            .map(|(v, _)| v)
-            .collect()
     }
 }
 
@@ -174,22 +136,7 @@ mod tests {
         for r in &rules {
             assert_eq!(r.srcs.len(), r.dsts.len());
             assert!(r.srcs.len() >= 2);
-            assert!(
-                !r.shared_variables().is_empty(),
-                "rule {} shares no vars",
-                r.name
-            );
         }
-    }
-
-    #[test]
-    fn shared_variables_identified() {
-        let r = &multi_rules()[0];
-        let shared = r.shared_variables();
-        assert!(shared.contains(&Var::new("x")));
-        assert!(shared.contains(&Var::new("act")));
-        assert!(!shared.contains(&Var::new("w1")));
-        assert_eq!(r.variables().len(), 4);
     }
 
     #[test]

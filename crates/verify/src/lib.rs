@@ -18,8 +18,7 @@
 //!
 //! The `verify_rules` binary prints the per-rule report for the shipped
 //! corpus and exits nonzero on any error, which is how CI gates rule
-//! changes. `tensat-core` runs [`verify_corpus`] at `Optimizer`
-//! construction time when `TENSAT_VERIFY_RULES=1` is set.
+//! changes. To check a custom rule set, call [`verify_corpus`] on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
