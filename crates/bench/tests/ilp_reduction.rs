@@ -32,16 +32,21 @@
 //!    prove `Optimal` at pinned optima in a pinned number of B&B nodes.
 //!    The benchmark compares an op only with its own warm-up, so a solver
 //!    change that searched a different tree would pass it unnoticed.
+//! 4. **The deadline binds the reduction** — on NasNet-A at the paper's
+//!    50 000-node limit the reduction alone would run for tens of seconds
+//!    (one class keeps ~12 000 candidates, and dominance pruning compares
+//!    them pairwise); with a 2 s `ilp_time_limit` extraction must return
+//!    within ~1 s of it, `Feasible`, no worse than greedy-DAG. Release only.
 
 use std::time::{Duration, Instant};
 use tensat_core::{
-    explore, extract_ilp, CycleFilter, ExplorationConfig, ExtractionMode, IlpConfig, Optimizer,
-    OptimizerConfig,
+    explore, extract_greedy_dag, extract_ilp, CycleFilter, ExplorationConfig, ExtractionMode,
+    IlpConfig, Optimizer, OptimizerConfig,
 };
 use tensat_ilp::Status;
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
-use tensat_rules::single_rules;
+use tensat_rules::{multi_rules, single_rules};
 
 /// Wall-clock budget per model for the *reduced* ILP extraction (scaled
 /// up under the debug profile; see the module docs).
@@ -193,4 +198,70 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             result.optimized_cost
         );
     }
+}
+
+#[test]
+fn reduction_stops_at_the_ilp_time_limit() {
+    // Exploring to 50 000 e-nodes takes minutes under the debug profile;
+    // the release run (CI's) is the check.
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let graph = build_benchmark(
+        "NasNet-A",
+        ModelScale {
+            blocks: 2,
+            ..ModelScale::default()
+        },
+    );
+    let config = OptimizerConfig {
+        node_limit: 50_000,
+        search_threads: 1,
+        ..Default::default()
+    };
+    let mut eg = TensorEGraph::new(TensorAnalysis);
+    let root = eg.add_expr(&graph);
+    eg.rebuild();
+    explore(
+        &mut eg,
+        root,
+        &single_rules(),
+        &multi_rules(),
+        &config.exploration_config(),
+    );
+    let model = CostModel::default();
+    let limit = Duration::from_secs(2);
+    let ilp = extract_ilp(
+        &eg,
+        root,
+        &model,
+        &IlpConfig {
+            time_limit: limit,
+            ..Default::default()
+        },
+    )
+    .expect("a limit-bound extraction still returns the incumbent");
+    let stats = ilp.ilp.as_ref().expect("ILP stats");
+    eprintln!(
+        "[ilp-reduction] NasNet-A blocks 2 at {} e-nodes, limit {limit:?}: {:?}, {:?}, \
+         residual vars {}/{}",
+        eg.total_number_of_nodes(),
+        ilp.time,
+        stats.status,
+        stats.num_vars,
+        stats.vars_before
+    );
+    assert!(
+        ilp.time < limit + Duration::from_secs(1),
+        "extraction took {:?} against a {limit:?} limit",
+        ilp.time
+    );
+    assert_eq!(stats.status, Status::Feasible);
+    let greedy = extract_greedy_dag(&eg, root, &model).expect("greedy-DAG extraction");
+    assert!(
+        ilp.dag_cost <= greedy.dag_cost,
+        "ILP {} is worse than greedy-DAG {}",
+        ilp.dag_cost,
+        greedy.dag_cost
+    );
 }

@@ -388,7 +388,9 @@ pub struct IlpConfig {
     pub cycle_constraints: bool,
     /// Use integer topological-order variables instead of reals.
     pub integer_topo_vars: bool,
-    /// Wall-clock limit for the ILP solver.
+    /// Wall-clock limit for ILP extraction: the reduction stops its passes
+    /// at it, and the solver gets the time that is left (none left: the
+    /// greedy-DAG incumbent comes back as `Feasible`).
     pub time_limit: Duration,
     /// Run the problem-reduction pipeline (see the `reduce` module) before
     /// encoding: restrict to the root-reachable subgraph, prune dominated
@@ -659,7 +661,10 @@ fn extract_ilp_reduced(
     let (greedy, picks) = greedy_dag_with_picks(egraph, root, model).ok().unzip();
 
     let mut rp = reduce::ExtractionProblem::from_egraph(egraph, root, model)?;
-    rp.reduce(greedy.as_ref().map(|g| g.dag_cost))?;
+    rp.reduce(
+        greedy.as_ref().map(|g| g.dag_cost),
+        start.checked_add(config.time_limit),
+    )?;
     let hint_choice = picks
         .map(|picks| reduced_hint_choice(&rp, |class, node| picked(egraph, &picks, class, node)));
 
@@ -1096,7 +1101,7 @@ mod tests {
             // `reduce: true`: one hinted candidate per class, dominance-
             // pruned picks chased to their dominator.
             let mut rp = reduce::ExtractionProblem::from_egraph(&eg, root, &model).unwrap();
-            rp.reduce(Some(greedy.dag_cost)).unwrap();
+            rp.reduce(Some(greedy.dag_cost), None).unwrap();
             let hint = reduced_hint_choice(&rp, from_picks);
             assert_eq!(
                 hint,

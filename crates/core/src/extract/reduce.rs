@@ -37,9 +37,16 @@
 //! intersection over all candidates is contained in it. The sets are
 //! [`BitSet`]s over the problem's class indices (the same dense-bitset
 //! machinery the greedy DAG extractor's reachability tables use).
+//!
+//! Every pass is sound wherever it stops, so the pipeline honours the
+//! extraction deadline by stopping: the closure sweep returns the stage it
+//! reached, the pruning passes stop between candidates, and the fixpoint
+//! loop exits. A reduction cut short hands the solver a larger problem,
+//! never a wrong one.
 
 use super::ExtractError;
 use std::collections::HashMap;
+use std::time::Instant;
 use tensat_egraph::{BitSet, Id, Language};
 use tensat_ir::{CostModel, TensorEGraph};
 
@@ -176,10 +183,16 @@ impl ExtractionProblem {
     /// Runs the reduction pipeline: trim, [dominance + incumbent-bound ⇄
     /// forced-closure] fixpoint, reachability restriction, forcing. `ub`,
     /// when given, is a known-achievable solution value (the greedy-DAG
-    /// incumbent) used for cost-bound pruning. Errs when the root class has
-    /// no viable candidate left (the monolithic encoding would be
-    /// infeasible).
-    pub(crate) fn reduce(&mut self, ub: Option<f64>) -> Result<(), ExtractError> {
+    /// incumbent) used for cost-bound pruning. Past `deadline`, when given,
+    /// the closure and pruning passes stop where they are (see the module
+    /// docs). Errs when the root class has no viable candidate left (the
+    /// monolithic encoding would be infeasible).
+    pub(crate) fn reduce(
+        &mut self,
+        ub: Option<f64>,
+        deadline: Option<Instant>,
+    ) -> Result<(), ExtractError> {
+        let deadline = &mut Deadline::new(deadline);
         self.trim_nonviable();
         if self.live_count(0) == 0 {
             return Err(ExtractError::Infeasible);
@@ -190,18 +203,21 @@ impl ExtractionProblem {
         // cost bound — iterate to fixpoint (each round removes at least one
         // candidate, so it terminates).
         loop {
-            let forced = self.forced_closures();
-            let mut removed = self.prune_dominated(&forced);
+            let forced = self.forced_closures(deadline);
+            let mut removed = self.prune_dominated(&forced, deadline);
             if let Some(ub) = ub {
-                removed += self.prune_by_bound(&forced, ub);
+                removed += self.prune_by_bound(&forced, ub, deadline);
             }
             if removed == 0 {
                 break;
             }
             // Pruned candidates may have been the only path to a class.
             self.mark_reachable();
+            if deadline.passed() {
+                break;
+            }
         }
-        let forced = self.forced_closures();
+        let forced = self.forced_closures(deadline);
         self.force_singletons(&forced[0]);
         Ok(())
     }
@@ -277,8 +293,8 @@ impl ExtractionProblem {
     /// `{i}` below the least fixpoint, so every stage is a sound
     /// under-approximation; classes are swept in reverse BFS order
     /// (children largely before parents) so acyclic chains converge in one
-    /// pass.
-    fn forced_closures(&self) -> Vec<BitSet> {
+    /// pass. Past `deadline` the sweep stops and returns the stage reached.
+    fn forced_closures(&self, deadline: &mut Deadline) -> Vec<BitSet> {
         let n = self.candidates.len();
         let mut forced: Vec<BitSet> = (0..n)
             .map(|i| {
@@ -294,6 +310,9 @@ impl ExtractionProblem {
             for i in (0..n).rev() {
                 if !self.reachable[i] {
                     continue;
+                }
+                if deadline.passed() {
+                    return forced;
                 }
                 let mut first = true;
                 for (j, cand) in self.candidates[i].iter().enumerate() {
@@ -328,13 +347,17 @@ impl ExtractionProblem {
     /// `needs(a) ⊆ needs(b)`, where `needs(x)` is the union of the forced
     /// closures of `x`'s children. On an exact tie (equal cost, equal
     /// needs) only the later candidate dies, so the sweep is deterministic
-    /// and always leaves a survivor. Returns the number pruned.
-    fn prune_dominated(&mut self, forced: &[BitSet]) -> usize {
+    /// and always leaves a survivor. Past `deadline` the sweep stops before
+    /// the next candidate. Returns the number pruned.
+    fn prune_dominated(&mut self, forced: &[BitSet], deadline: &mut Deadline) -> usize {
         let n = self.candidates.len();
         let mut pruned = 0;
-        for i in 0..n {
+        'classes: for i in 0..n {
             if !self.reachable[i] {
                 continue;
+            }
+            if deadline.passed() {
+                break;
             }
             let live: Vec<usize> = (0..self.candidates[i].len())
                 .filter(|&j| self.alive[i][j])
@@ -353,6 +376,9 @@ impl ExtractionProblem {
                 })
                 .collect();
             for (bi, &b) in live.iter().enumerate() {
+                if deadline.passed() {
+                    break 'classes;
+                }
                 for (ai, &a) in live.iter().enumerate() {
                     if a == b || !self.alive[i][a] {
                         continue;
@@ -388,7 +414,10 @@ impl ExtractionProblem {
     /// the candidate with the smallest bound in each class is always kept,
     /// so no class is emptied even if `ub` is not ILP-achievable (e.g. the
     /// greedy graph used a node the candidate filter rejected).
-    fn prune_by_bound(&mut self, forced: &[BitSet], ub: f64) -> usize {
+    ///
+    /// Past `deadline` the pass stops before the next candidate, and prunes
+    /// nothing in a class whose bounds it did not finish.
+    fn prune_by_bound(&mut self, forced: &[BitSet], ub: f64, deadline: &mut Deadline) -> usize {
         let n = self.candidates.len();
         let min_cost: Vec<f64> = (0..n)
             .map(|i| {
@@ -401,7 +430,7 @@ impl ExtractionProblem {
         let cutoff = ub + ub.abs() * 1e-9 + 1e-9;
         let mut pruned = 0;
         let mut need = BitSet::new(n);
-        for i in 0..n {
+        'classes: for i in 0..n {
             if !self.reachable[i] {
                 continue;
             }
@@ -411,24 +440,25 @@ impl ExtractionProblem {
             if live.len() < 2 {
                 continue;
             }
-            let bounds: Vec<f64> = live
-                .iter()
-                .map(|&j| {
-                    need.clear();
-                    need.union_with(&forced[0]);
-                    need.insert(i);
-                    for &c in &self.candidates[i][j].children {
-                        need.union_with(&forced[c]);
+            let mut bounds: Vec<f64> = Vec::with_capacity(live.len());
+            for &j in &live {
+                if deadline.passed() {
+                    break 'classes;
+                }
+                need.clear();
+                need.union_with(&forced[0]);
+                need.insert(i);
+                for &c in &self.candidates[i][j].children {
+                    need.union_with(&forced[c]);
+                }
+                let mut lb = self.candidates[i][j].cost;
+                for c in need.iter_ones() {
+                    if c != i {
+                        lb += min_cost[c];
                     }
-                    let mut lb = self.candidates[i][j].cost;
-                    for c in need.iter_ones() {
-                        if c != i {
-                            lb += min_cost[c];
-                        }
-                    }
-                    lb
-                })
-                .collect();
+                }
+                bounds.push(lb);
+            }
             let best = (0..live.len())
                 .min_by(|&a, &b| bounds[a].total_cmp(&bounds[b]))
                 .expect("class has live candidates");
@@ -545,6 +575,34 @@ impl ExtractionProblem {
     }
 }
 
+/// The extraction deadline as the reduction passes poll it. Reading the
+/// clock costs about what a pass's smallest step does, so a poll reads it
+/// only every 32nd time; once the deadline has passed, every later poll
+/// says so.
+struct Deadline {
+    at: Option<Instant>,
+    polls: u32,
+    passed: bool,
+}
+
+impl Deadline {
+    fn new(at: Option<Instant>) -> Self {
+        Deadline {
+            at,
+            polls: 0,
+            passed: false,
+        }
+    }
+
+    fn passed(&mut self) -> bool {
+        if let Some(at) = self.at.filter(|_| !self.passed) {
+            self.polls = self.polls.wrapping_add(1);
+            self.passed = self.polls.is_multiple_of(32) && Instant::now() >= at;
+        }
+        self.passed
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,7 +644,7 @@ mod tests {
         // survive — pruning either could lose the optimum when leaf costs
         // differ.
         let mut p = problem(&[&[(5.0, &[1]), (5.0, &[2])], &[(1.0, &[])], &[(9.0, &[])]]);
-        p.reduce(None).unwrap();
+        p.reduce(None, None).unwrap();
         assert_eq!(p.live_count(0), 2, "incomparable candidates must survive");
         assert_eq!(p.stats.dominated_pruned, 0);
         // The root stays a real ILP decision.
@@ -599,7 +657,7 @@ mod tests {
         // dominated. The forced closure makes class 1's own need {1}
         // transitively include nothing else, so {1} ⊆ {1, 2}.
         let mut p = problem(&[&[(5.0, &[1]), (5.0, &[1, 2])], &[(1.0, &[])], &[(1.0, &[])]]);
-        p.reduce(None).unwrap();
+        p.reduce(None, None).unwrap();
         assert_eq!(p.stats.dominated_pruned, 1);
         assert!(p.alive[0][0] && !p.alive[0][1]);
         assert_eq!(p.resolve_rep(0, 1), 0);
@@ -613,7 +671,7 @@ mod tests {
     #[test]
     fn exact_ties_keep_the_first_candidate() {
         let mut p = problem(&[&[(5.0, &[1]), (5.0, &[1])], &[(1.0, &[])]]);
-        p.reduce(None).unwrap();
+        p.reduce(None, None).unwrap();
         assert!(p.alive[0][0] && !p.alive[0][1]);
         assert_eq!(p.resolve_rep(0, 1), 0);
     }
@@ -621,7 +679,7 @@ mod tests {
     #[test]
     fn cheaper_candidate_with_subset_needs_dominates() {
         let mut p = problem(&[&[(7.0, &[1]), (5.0, &[1])], &[(1.0, &[])]]);
-        p.reduce(None).unwrap();
+        p.reduce(None, None).unwrap();
         assert!(!p.alive[0][0] && p.alive[0][1]);
         assert_eq!(p.resolve_rep(0, 0), 1);
     }
@@ -640,7 +698,7 @@ mod tests {
             &[(1.0, &[])],
             &[(1.0, &[])],
         ]);
-        p.reduce(None).unwrap();
+        p.reduce(None, None).unwrap();
         assert_eq!(p.fixed[0], Some(0));
         assert_eq!(p.fixed[1], Some(0));
         assert_eq!(p.fixed[2], Some(0));
@@ -666,7 +724,7 @@ mod tests {
             &[(1.0, &[])],
             &[(2.0, &[])],
         ]);
-        p.reduce(None).unwrap();
+        p.reduce(None, None).unwrap();
         assert_eq!(p.fixed[0], Some(0));
         let comps = p.components();
         assert_eq!(comps.len(), 2, "unrelated choices split: {comps:?}");
@@ -682,7 +740,7 @@ mod tests {
         // empties; the root candidate needing class 1 dies with it and the
         // root falls back to its other candidate.
         let mut p = problem(&[&[(1.0, &[1]), (9.0, &[])], &[(1.0, &[2])], &[]]);
-        p.reduce(None).unwrap();
+        p.reduce(None, None).unwrap();
         assert!(!p.alive[0][0] && p.alive[0][1]);
         assert!(!p.reachable[1] && !p.reachable[2]);
         assert_eq!(p.fixed[0], Some(1));
@@ -691,6 +749,6 @@ mod tests {
     #[test]
     fn empty_root_after_trim_is_infeasible() {
         let mut p = problem(&[&[(1.0, &[1])], &[]]);
-        assert_eq!(p.reduce(None), Err(ExtractError::Infeasible));
+        assert_eq!(p.reduce(None, None), Err(ExtractError::Infeasible));
     }
 }

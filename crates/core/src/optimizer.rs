@@ -55,7 +55,7 @@ pub struct OptimizerConfig {
     pub ilp_cycle_constraints: bool,
     /// Use integer topological-order variables instead of reals.
     pub ilp_integer_topo_vars: bool,
-    /// Wall-clock limit for the ILP solver.
+    /// Wall-clock limit for ILP extraction (see [`IlpConfig::time_limit`]).
     pub ilp_time_limit: Duration,
     /// The operator cost model.
     pub cost_model: CostModel,

@@ -31,6 +31,16 @@
 //!   and the set of rows it violates are kept up to date: a bound change
 //!   that moves a completion value marks that variable's rows, and a marked
 //!   row is re-evaluated from its terms, in order, before the leaf test.
+//! - The lower bound is kept, not re-summed: per cover group a count of
+//!   triggers at 1, a count of members at 1 and its cheapest available
+//!   member (re-scanned only when a member's upper bound crosses 1), plus
+//!   one running sum of objective terms and group charges that each bound
+//!   change moves. Undo restores the counts exactly and a stack entry
+//!   restores the sum taken at its mark, so rounding drift stays on one
+//!   root-to-node path. Only when the sum lies within the path's
+//!   worst-case rounding of the incumbent does a node sum the bound afresh,
+//!   in the original order, so every prune decision is the one the fresh
+//!   sum makes.
 //!
 //! Continuous variables (the topological-order variables of the cycle
 //! constraints, paper §5.1) are handled by bound propagation: once all
@@ -131,21 +141,12 @@ struct Search<'a> {
     best_objective: f64,
     hint: Option<&'a [f64]>,
     hit_limit: bool,
-    /// Pairwise member-disjoint covering groups of binary variables with
-    /// nonnegative objective coefficients. A group is *always* active when
-    /// a `sum == 1` / `sum >= 1` unit-coefficient row covers it, and
-    /// *conditionally* active when an implication row `x_t - sum <= 0`
-    /// covers it and the trigger `x_t` is fixed to 1. Every active
-    /// unsatisfied group independently forces at least its cheapest
-    /// available member into any completion — a valid additive
-    /// strengthening of the bounds-only objective lower bound, because the
-    /// member sets share no variables. Extraction encodings are made of
-    /// exactly such rows (one group per e-class, triggered by the parent
-    /// candidates that need the class), which is what lets the solver prove
-    /// a greedy-seeded incumbent optimal without enumerating the selection
-    /// lattice: committing to a candidate immediately charges every class
-    /// it pulls in at that class's cheapest rate.
-    cover_groups: Vec<CoverGroup>,
+    /// The conditional-cover lower bound, kept up to date per bound change.
+    cover: Cover,
+    /// Bound changes the presolve made. Its trail entries are dropped, but
+    /// the running bound sum went through them, so they count towards the
+    /// rounding band of [`Cover::band`].
+    settled: usize,
     /// The bounds of the node being expanded.
     lo: Vec<f64>,
     hi: Vec<f64>,
@@ -182,23 +183,71 @@ struct Completion {
     leaf_violations: usize,
 }
 
-/// A pending child: undo the trail to `mark`, then set `var`'s bounds.
+/// A pending child: undo the trail to `mark`, restore the running bound
+/// sum taken there, then set `var`'s bounds.
 struct Fix {
-    mark: usize,
-    var: usize,
+    mark: u32,
+    var: u32,
     lo: f64,
     hi: f64,
+    sum: f64,
 }
 
-/// One covering group for the conditional-cover lower bound.
-struct CoverGroup {
-    /// The covered variables (pairwise disjoint across groups).
-    members: Vec<usize>,
-    /// Active regardless of triggers (backed by a `>= 1` row).
-    always: bool,
-    /// Binary variables whose fixing to 1 activates the group (each backed
-    /// by a row `trigger - sum(members) <= 0`).
-    triggers: Vec<usize>,
+/// No cover group: the entry of [`Cover::group_of`] for a variable that is
+/// no group's member.
+const NO_GROUP: u32 = u32::MAX;
+
+/// The conditional-cover lower bound, kept up to date per bound change.
+///
+/// The groups are pairwise member-disjoint covering groups of binary
+/// variables with nonnegative objective coefficients. A group is *always*
+/// active when a `sum == 1` / `sum >= 1` unit-coefficient row covers it,
+/// and *conditionally* active when an implication row `x_t - sum <= 0`
+/// covers it and the trigger `x_t` is fixed to 1. Every active unsatisfied
+/// group independently forces at least its cheapest available member into
+/// any completion — a valid additive strengthening of the bounds-only
+/// objective lower bound, because the member sets share no variables.
+/// Extraction encodings are made of exactly such rows (one group per
+/// e-class, triggered by the parent candidates that need the class), which
+/// is what lets the solver prove a greedy-seeded incumbent optimal without
+/// enumerating the selection lattice: committing to a candidate
+/// immediately charges every class it pulls in at that class's cheapest
+/// rate.
+///
+/// The groups are flat `u32` arrays, and per group three numbers say what
+/// it charges: how many of its triggers are at 1, how many of its members
+/// are, and its cheapest available member. All three are exact functions
+/// of the bounds, so undoing a bound change restores them to the bit.
+struct Cover {
+    /// Group `g`'s members are `members[start[g]..start[g + 1]]`, ascending.
+    start: Vec<u32>,
+    members: Vec<u32>,
+    /// The groups variable `v` triggers (one entry per implication row) are
+    /// `triggered[trig_start[v]..trig_start[v + 1]]`.
+    trig_start: Vec<u32>,
+    triggered: Vec<u32>,
+    /// The group variable `v` is a member of, or [`NO_GROUP`].
+    group_of: Vec<u32>,
+    /// Per group: its triggers at 1, plus one when it is always active. The
+    /// group is active while this is nonzero.
+    on: Vec<u32>,
+    /// Per group: its members at 1. The group is satisfied while this is
+    /// nonzero.
+    taken: Vec<u32>,
+    /// Per group: the cheapest objective coefficient among its members
+    /// whose upper bound is still 1 (`+inf` when none is).
+    cheapest: Vec<f64>,
+    /// Active unsatisfied groups with no member left: while there is one,
+    /// the bound is `+inf`.
+    dead: usize,
+    /// The bound's objective terms plus the charges of the active
+    /// unsatisfied groups that are not dead, summed incrementally.
+    sum: f64,
+    /// Largest magnitude any partial sum of the bound can take (see
+    /// [`Cover::band`]).
+    span: f64,
+    /// Most groups one variable triggers.
+    max_triggered: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,6 +308,7 @@ impl Solver {
                 solve_time: start.elapsed(),
             };
         }
+        search.settled = search.trail.len();
         search.trail.clear();
         search.branch();
 
@@ -280,81 +330,288 @@ impl Solver {
     }
 }
 
-/// Collects pairwise member-disjoint covering groups from two row shapes:
-/// `sum(x_v) >= 1` / `== 1` (always-active) and `x_t - sum(x_v) <= 0`
-/// (active when the trigger `x_t` is 1), both over unit coefficients and
-/// binary members with nonnegative objective coefficients. Rows with the
-/// same member set merge (an always row marks the group `always`; each
-/// implication row adds its trigger). Scanned in constraint order, greedily
-/// skipping any row whose member set partially overlaps an earlier group,
-/// so the collection is deterministic.
-fn cover_groups(problem: &Problem, tol: f64) -> Vec<CoverGroup> {
-    let mut group_of = vec![usize::MAX; problem.num_vars()];
-    let mut groups: Vec<CoverGroup> = vec![];
-    let member_ok =
-        |v: VarId| problem.kinds()[v.0] == VarKind::Binary && problem.objective()[v.0] >= 0.0;
-    // Resolves the member set to a group slot: an existing group with
-    // exactly this set, a fresh one when no member is taken, or None on a
-    // partial overlap.
-    let mut slot_for = |members: &[usize], groups: &mut Vec<CoverGroup>| -> Option<usize> {
-        let first = group_of[members[0]];
-        if first != usize::MAX {
-            let same = groups[first].members.len() == members.len()
-                && members.iter().all(|&m| group_of[m] == first);
-            return same.then_some(first);
-        }
-        if members.iter().any(|&m| group_of[m] != usize::MAX) {
-            return None;
-        }
-        for &m in members {
-            group_of[m] = groups.len();
-        }
-        groups.push(CoverGroup {
-            members: members.to_vec(),
-            always: false,
-            triggers: vec![],
-        });
-        Some(groups.len() - 1)
-    };
-    for c in problem.constraints() {
-        if matches!(c.cmp, Cmp::Ge | Cmp::Eq)
-            && (c.rhs - 1.0).abs() <= tol
-            && !c.terms.is_empty()
-            && c.terms
-                .iter()
-                .all(|&(v, coef)| (coef - 1.0).abs() <= tol && member_ok(v))
-        {
-            let mut members: Vec<usize> = c.terms.iter().map(|&(v, _)| v.0).collect();
-            members.sort_unstable();
-            if let Some(g) = slot_for(&members, &mut groups) {
-                groups[g].always = true;
-            }
-        } else if c.cmp == Cmp::Le && c.rhs.abs() <= tol {
-            let mut trigger = None;
-            let mut members = vec![];
-            let mut usable = true;
-            for &(v, coef) in &c.terms {
-                if (coef - 1.0).abs() <= tol {
-                    usable &= trigger.is_none() && problem.kinds()[v.0] == VarKind::Binary;
-                    trigger = Some(v.0);
-                } else if (coef + 1.0).abs() <= tol {
-                    usable &= member_ok(v);
-                    members.push(v.0);
-                } else {
-                    usable = false;
+/// Whether `x` is at 1: the test the bound applies to a trigger's or a
+/// member's lower bound and to a member's upper bound.
+fn at_one(x: f64, tol: f64) -> bool {
+    x >= 1.0 - tol
+}
+
+/// The bounds-only part of the lower bound: every variable at its
+/// objective-cheapest bound, summed in variable order.
+fn objective_floor(obj: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
+    obj.iter()
+        .enumerate()
+        .map(|(i, &c)| if c >= 0.0 { c * lo[i] } else { c * hi[i] })
+        .sum()
+}
+
+impl Cover {
+    /// Collects pairwise member-disjoint covering groups from two row
+    /// shapes: `sum(x_v) >= 1` / `== 1` (always-active) and
+    /// `x_t - sum(x_v) <= 0` (active when the trigger `x_t` is 1), both over
+    /// unit coefficients and binary members with nonnegative objective
+    /// coefficients. Rows with the same member set merge (an always row
+    /// marks the group always active; each implication row adds its
+    /// trigger). Scanned in constraint order, greedily skipping any row
+    /// whose member set partially overlaps an earlier group, so the
+    /// collection is deterministic. Then seeds the counts and the running
+    /// sum from the bounds `lo`/`hi`.
+    fn new(problem: &Problem, lo: &[f64], hi: &[f64], tol: f64) -> Self {
+        let n = problem.num_vars();
+        let obj = problem.objective();
+        let member_ok = |v: VarId| problem.kinds()[v.0] == VarKind::Binary && obj[v.0] >= 0.0;
+        let mut cover = Cover {
+            start: vec![0],
+            members: vec![],
+            trig_start: vec![0; n + 1],
+            triggered: vec![],
+            group_of: vec![NO_GROUP; n],
+            on: vec![],
+            taken: vec![],
+            cheapest: vec![],
+            dead: 0,
+            sum: 0.0,
+            span: 0.0,
+            max_triggered: 0,
+        };
+        // (trigger, group) per usable implication row, in row order.
+        let mut pairs: Vec<(u32, u32)> = vec![];
+        let mut row: Vec<u32> = vec![];
+        for c in problem.constraints() {
+            row.clear();
+            if matches!(c.cmp, Cmp::Ge | Cmp::Eq)
+                && (c.rhs - 1.0).abs() <= tol
+                && !c.terms.is_empty()
+                && c.terms
+                    .iter()
+                    .all(|&(v, coef)| (coef - 1.0).abs() <= tol && member_ok(v))
+            {
+                row.extend(c.terms.iter().map(|&(v, _)| v.0 as u32));
+                row.sort_unstable();
+                if let Some(g) = cover.slot_for(&row) {
+                    cover.on[g as usize] = 1;
+                }
+            } else if c.cmp == Cmp::Le && c.rhs.abs() <= tol {
+                let mut trigger = None;
+                let mut usable = true;
+                for &(v, coef) in &c.terms {
+                    if (coef - 1.0).abs() <= tol {
+                        usable &= trigger.is_none() && problem.kinds()[v.0] == VarKind::Binary;
+                        trigger = Some(v.0 as u32);
+                    } else if (coef + 1.0).abs() <= tol {
+                        usable &= member_ok(v);
+                        row.push(v.0 as u32);
+                    } else {
+                        usable = false;
+                    }
+                }
+                let Some(trigger) = trigger else { continue };
+                if !usable || row.is_empty() {
+                    continue;
+                }
+                row.sort_unstable();
+                if let Some(g) = cover.slot_for(&row) {
+                    pairs.push((trigger, g));
                 }
             }
-            let Some(trigger) = trigger else { continue };
-            if !usable || members.is_empty() {
-                continue;
+        }
+        // Variable -> triggered groups, compressed like the column index,
+        // each variable's groups in row order. A trigger at 1 turns its
+        // group on.
+        for &(t, g) in &pairs {
+            cover.trig_start[t as usize + 1] += 1;
+            if at_one(lo[t as usize], tol) {
+                cover.on[g as usize] += 1;
             }
-            members.sort_unstable();
-            if let Some(g) = slot_for(&members, &mut groups) {
-                groups[g].triggers.push(trigger);
+        }
+        for v in 0..n {
+            let count = cover.trig_start[v + 1];
+            cover.max_triggered = cover.max_triggered.max(count);
+            cover.trig_start[v + 1] += cover.trig_start[v];
+        }
+        let mut next = cover.trig_start.clone();
+        cover.triggered = vec![0; pairs.len()];
+        for &(t, g) in &pairs {
+            cover.triggered[next[t as usize] as usize] = g;
+            next[t as usize] += 1;
+        }
+        drop(pairs);
+
+        // Seed the other counts and the running sum from the bounds.
+        let groups = cover.on.len();
+        cover.taken = vec![0; groups];
+        cover.cheapest = vec![f64::INFINITY; groups];
+        cover.sum = objective_floor(obj, lo, hi);
+        cover.span = (0..n)
+            .map(|v| (obj[v] * lo[v]).abs().max((obj[v] * hi[v]).abs()))
+            .sum();
+        for g in 0..groups {
+            let members = cover.members(g);
+            let taken = members
+                .iter()
+                .filter(|&&m| at_one(lo[m as usize], tol))
+                .count();
+            let dearest = members.iter().map(|&m| obj[m as usize]).fold(0.0, f64::max);
+            cover.taken[g] = taken as u32;
+            cover.span += dearest;
+            cover.rescan(g, obj, hi, tol);
+            let charge = cover.charge(g);
+            if charge.is_infinite() {
+                cover.dead += 1;
+            } else if charge != 0.0 {
+                cover.sum += charge;
+            }
+        }
+        cover
+    }
+
+    /// Group `g`'s members, ascending.
+    fn members(&self, g: usize) -> &[u32] {
+        &self.members[self.start[g] as usize..self.start[g + 1] as usize]
+    }
+
+    /// Resolves a sorted member set to a group: an existing group with
+    /// exactly this set, a fresh one when no member is taken, or `None` on
+    /// a partial overlap.
+    fn slot_for(&mut self, row: &[u32]) -> Option<u32> {
+        let first = self.group_of[row[0] as usize];
+        if first != NO_GROUP {
+            let g = first as usize;
+            let same = (self.start[g + 1] - self.start[g]) as usize == row.len()
+                && row.iter().all(|&m| self.group_of[m as usize] == first);
+            return same.then_some(first);
+        }
+        if row.iter().any(|&m| self.group_of[m as usize] != NO_GROUP) {
+            return None;
+        }
+        let g = self.on.len() as u32;
+        for &m in row {
+            self.group_of[m as usize] = g;
+        }
+        self.members.extend_from_slice(row);
+        self.start.push(self.members.len() as u32);
+        self.on.push(0);
+        Some(g)
+    }
+
+    /// What group `g` adds to the bound: 0 when it is inactive or
+    /// satisfied, else its cheapest available member (`+inf` when dead).
+    fn charge(&self, g: usize) -> f64 {
+        if self.on[g] == 0 || self.taken[g] > 0 {
+            0.0
+        } else {
+            self.cheapest[g]
+        }
+    }
+
+    /// Recomputes group `g`'s cheapest available member, in member order.
+    fn rescan(&mut self, g: usize, obj: &[f64], hi: &[f64], tol: f64) {
+        self.cheapest[g] = self
+            .members(g)
+            .iter()
+            .filter(|&&m| at_one(hi[m as usize], tol))
+            .fold(f64::INFINITY, |cheapest, &m| cheapest.min(obj[m as usize]));
+    }
+
+    /// Moves the running sum and the dead count from a group's old charge
+    /// to its new one. At most two floating-point operations.
+    fn recharge(&mut self, before: f64, after: f64) {
+        match (before.is_finite(), after.is_finite()) {
+            _ if before == after => {}
+            (true, true) => self.sum += after - before,
+            (true, false) => {
+                self.sum -= before;
+                self.dead += 1;
+            }
+            (false, true) => {
+                self.sum += after;
+                self.dead -= 1;
+            }
+            (false, false) => {}
+        }
+    }
+
+    /// Follows variable `v`'s bounds from `old` to `new` (`hi` already
+    /// holds the new upper bounds): its objective term, the group it is a
+    /// member of and the groups it triggers. Every count and `cheapest`
+    /// becomes what the bounds say; the sum moves by at most
+    /// `2 * (2 + triggered groups)` floating-point operations.
+    fn moved(
+        &mut self,
+        v: usize,
+        obj: &[f64],
+        hi: &[f64],
+        old: (f64, f64),
+        new: (f64, f64),
+        tol: f64,
+    ) {
+        let cost = obj[v];
+        let term = |(lo, hi): (f64, f64)| if cost >= 0.0 { cost * lo } else { cost * hi };
+        let (was, now) = (term(old), term(new));
+        if was != now {
+            self.sum += now - was;
+        }
+        let taken = at_one(new.0, tol) != at_one(old.0, tol);
+        let g = self.group_of[v];
+        if g != NO_GROUP {
+            let g = g as usize;
+            let available = at_one(new.1, tol) != at_one(old.1, tol);
+            if taken || available {
+                let before = self.charge(g);
+                if taken {
+                    if at_one(new.0, tol) {
+                        self.taken[g] += 1;
+                    } else {
+                        self.taken[g] -= 1;
+                    }
+                }
+                if available {
+                    self.rescan(g, obj, hi, tol);
+                }
+                self.recharge(before, self.charge(g));
+            }
+        }
+        if taken {
+            for i in self.trig_start[v] as usize..self.trig_start[v + 1] as usize {
+                let g = self.triggered[i] as usize;
+                let before = self.charge(g);
+                if at_one(new.0, tol) {
+                    self.on[g] += 1;
+                } else {
+                    self.on[g] -= 1;
+                }
+                self.recharge(before, self.charge(g));
             }
         }
     }
-    groups
+
+    /// How far the running sum can be from the bound summed afresh in
+    /// variable-then-group order, after `changes` bound changes since the
+    /// seed, with a factor of two to spare.
+    ///
+    /// Take the float terms (`c * lo`, `c * hi`, a group's cheapest member)
+    /// as exact and let `B` be their true sum. Any partial sum of them, in
+    /// any order, is at most `span` in magnitude, and so is each term; a
+    /// difference of two terms is at most `2 * span`. While the accumulated
+    /// error stays below `span` (it does: the band below is far under it
+    /// for any path shorter than 2^49 operations), every addition or
+    /// subtraction that forms the bound has an exact result of magnitude at
+    /// most `2 * span`, and rounds it by at most `EPSILON / 2` of that, so
+    /// by at most `EPSILON * span`. The fresh sum makes `n + g` additions
+    /// (`n` variables, `g` groups), so it lies within `(n + g) * EPSILON *
+    /// span` of `B`. The running sum was seeded by the same `n + g`
+    /// additions and since then moved by at most `2 * (2 + max_triggered)`
+    /// operations per bound change ([`Cover::moved`]); undo never touches
+    /// it, because a popped stack entry restores the sum taken at its mark.
+    /// So the two differ by at most
+    /// `(2 * (n + g) + changes * 2 * (2 + max_triggered)) * EPSILON * span`,
+    /// half the band. Outside the band the sum decides a prune exactly as
+    /// the fresh bound would; inside it the search sums afresh.
+    fn band(&self, changes: usize) -> f64 {
+        let seed = 2.0 * (self.group_of.len() + self.on.len()) as f64;
+        let per_change = 2.0 * (2.0 + f64::from(self.max_triggered));
+        2.0 * (seed + changes as f64 * per_change) * f64::EPSILON * self.span
+    }
 }
 
 /// The column index of a problem: for each variable, the rows it appears
@@ -503,7 +760,8 @@ impl<'a> Search<'a> {
             best_objective: f64::INFINITY,
             hint,
             hit_limit: false,
-            cover_groups: cover_groups(problem, cfg.tolerance),
+            cover: Cover::new(problem, &lo, &hi, cfg.tolerance),
+            settled: 0,
             completion: Completion::new(problem, &lo, &hi),
             lo,
             hi,
@@ -545,9 +803,11 @@ impl<'a> Search<'a> {
     }
 
     /// Sets variable `v`'s bounds, recording the old ones on the trail,
-    /// queueing `v`'s rows for propagation and moving its completion value.
+    /// queueing `v`'s rows for propagation and moving its completion value
+    /// and the cover bound.
     fn set_bounds(&mut self, v: usize, lo: f64, hi: f64) {
-        self.trail.push((v as u32, self.lo[v], self.hi[v]));
+        let old = (self.lo[v], self.hi[v]);
+        self.trail.push((v as u32, old.0, old.1));
         self.lo[v] = lo;
         self.hi[v] = hi;
         let rows = &self.col_rows[self.col_start[v] as usize..self.col_start[v + 1] as usize];
@@ -557,23 +817,30 @@ impl<'a> Search<'a> {
                 self.queue.push_back(r);
             }
         }
-        let cost = self.problem.objective()[v];
-        self.completion.set(v, cost, lo, hi, rows);
+        let obj = self.problem.objective();
+        self.completion.set(v, obj[v], lo, hi, rows);
+        let tol = self.cfg.tolerance;
+        self.cover.moved(v, obj, &self.hi, old, (lo, hi), tol);
     }
 
-    /// Undoes the trail back to `mark`, newest change first.
-    fn undo_to(&mut self, mark: usize) {
+    /// Undoes the trail back to `mark`, newest change first, and restores
+    /// the running bound sum `sum` taken at the mark.
+    fn undo_to(&mut self, mark: usize, sum: f64) {
+        let obj = self.problem.objective();
+        let tol = self.cfg.tolerance;
         while self.trail.len() > mark {
             let Some((v, lo, hi)) = self.trail.pop() else {
                 break;
             };
             let v = v as usize;
+            let old = (self.lo[v], self.hi[v]);
             self.lo[v] = lo;
             self.hi[v] = hi;
             let rows = &self.col_rows[self.col_start[v] as usize..self.col_start[v + 1] as usize];
-            let cost = self.problem.objective()[v];
-            self.completion.set(v, cost, lo, hi, rows);
+            self.completion.set(v, obj[v], lo, hi, rows);
+            self.cover.moved(v, obj, &self.hi, old, (lo, hi), tol);
         }
+        self.cover.sum = sum;
     }
 
     /// Activity-based bound tightening over the queued rows, to (bounded)
@@ -686,35 +953,54 @@ impl<'a> Search<'a> {
     /// fixed to 1. The member sets are variable-disjoint, so the extra
     /// terms add without double counting; an active group with no member
     /// left is an infeasibility proof (bound `+inf`).
+    ///
+    /// This is the running sum [`Cover`] keeps, within [`Cover::band`] of
+    /// [`Search::exact_lower_bound`].
     fn lower_bound(&self) -> f64 {
-        let (lo, hi) = (&self.lo, &self.hi);
-        let obj = self.problem.objective();
-        let mut bound: f64 = obj
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| if c >= 0.0 { c * lo[i] } else { c * hi[i] })
-            .sum();
-        let tol = self.cfg.tolerance;
-        'groups: for group in &self.cover_groups {
-            if !group.always && !group.triggers.iter().any(|&t| lo[t] >= 1.0 - tol) {
+        if self.cover.dead > 0 {
+            f64::INFINITY
+        } else {
+            self.cover.sum
+        }
+    }
+
+    /// The lower bound summed afresh in the order the search has always
+    /// summed it — the objective terms in variable order, then each charged
+    /// group in group order — from the cover counts: one pass over the
+    /// variables and one over the groups.
+    fn exact_lower_bound(&self) -> f64 {
+        let mut bound = objective_floor(self.problem.objective(), &self.lo, &self.hi);
+        let cover = &self.cover;
+        for g in 0..cover.on.len() {
+            if cover.on[g] == 0 || cover.taken[g] > 0 {
                 continue;
             }
-            let mut cheapest = f64::INFINITY;
-            for &i in &group.members {
-                if lo[i] >= 1.0 - tol {
-                    // Already selected: its cost is in the bounds-only term.
-                    continue 'groups;
-                }
-                if hi[i] >= 1.0 - tol {
-                    cheapest = cheapest.min(obj[i]);
-                }
-            }
-            bound += cheapest;
+            bound += cover.cheapest[g];
             if bound.is_infinite() {
                 break;
             }
         }
         bound
+    }
+
+    /// Whether the node's lower bound reaches the incumbent (`bound >=
+    /// best - tol`), decided as the bound summed afresh decides it: the
+    /// running bound settles it when it lies outside the rounding band of
+    /// `best - tol`, and the exact sum when it lies inside (or when the
+    /// problem's terms are unbounded, so the band is too).
+    fn bound_prunes(&self) -> bool {
+        let target = self.best_objective - self.cfg.tolerance;
+        let band = self.cover.band(self.settled + self.trail.len());
+        if band.is_finite() {
+            let bound = self.lower_bound();
+            if bound < target - band {
+                return false;
+            }
+            if bound >= target + band {
+                return true;
+            }
+        }
+        self.exact_lower_bound() >= target
     }
 
     /// Picks a branching variable: among the unfixed integral variables of
@@ -768,14 +1054,13 @@ impl<'a> Search<'a> {
             return;
         }
         if let Some(fix) = fix {
-            self.undo_to(fix.mark);
-            self.set_bounds(fix.var, fix.lo, fix.hi);
+            self.undo_to(fix.mark as usize, fix.sum);
+            self.set_bounds(fix.var as usize, fix.lo, fix.hi);
         }
         if self.propagate() == PropResult::Infeasible {
             return;
         }
-        let bound = self.lower_bound();
-        if bound >= self.best_objective - self.cfg.tolerance {
+        if self.bound_prunes() {
             return;
         }
 
@@ -819,7 +1104,7 @@ impl<'a> Search<'a> {
                 // Enumerate candidate values for the branching variable,
                 // trying the hinted value first, then the objective-cheaper
                 // bound.
-                let mark = self.trail.len();
+                let (mark, var, sum) = (self.trail.len() as u32, i as u32, self.cover.sum);
                 let lo_i = self.lo[i];
                 let hi_i = self.hi[i];
                 let mut candidates: Vec<f64> = vec![];
@@ -850,15 +1135,17 @@ impl<'a> Search<'a> {
                     let mid = ((lo_i + hi_i) / 2.0).floor();
                     stack.push(Fix {
                         mark,
-                        var: i,
+                        var,
                         lo: mid + 1.0,
                         hi: hi_i,
+                        sum,
                     });
                     stack.push(Fix {
                         mark,
-                        var: i,
+                        var,
                         lo: lo_i,
                         hi: mid,
+                        sum,
                     });
                     return;
                 }
@@ -868,9 +1155,10 @@ impl<'a> Search<'a> {
                     }
                     stack.push(Fix {
                         mark,
-                        var: i,
+                        var,
                         lo: v,
                         hi: v,
+                        sum,
                     });
                 }
             }
@@ -1181,6 +1469,213 @@ mod tests {
         PropResult::Ok
     }
 
+    /// One covering group as the solver held it before the bound was kept
+    /// per bound change, kept as the oracle's input.
+    struct CoverGroup {
+        /// The covered variables (pairwise disjoint across groups).
+        members: Vec<usize>,
+        /// Active regardless of triggers (backed by a `>= 1` row).
+        always: bool,
+        /// Binary variables whose fixing to 1 activates the group (each
+        /// backed by a row `trigger - sum(members) <= 0`).
+        triggers: Vec<usize>,
+    }
+
+    /// The group collection [`Cover::new`] flattened, kept as its oracle:
+    /// the same rows, scanned in the same order, into a `Vec` per group.
+    fn cover_groups(problem: &Problem, tol: f64) -> Vec<CoverGroup> {
+        let mut group_of = vec![usize::MAX; problem.num_vars()];
+        let mut groups: Vec<CoverGroup> = vec![];
+        let member_ok =
+            |v: VarId| problem.kinds()[v.0] == VarKind::Binary && problem.objective()[v.0] >= 0.0;
+        // Resolves the member set to a group slot: an existing group with
+        // exactly this set, a fresh one when no member is taken, or None on a
+        // partial overlap.
+        let mut slot_for = |members: &[usize], groups: &mut Vec<CoverGroup>| -> Option<usize> {
+            let first = group_of[members[0]];
+            if first != usize::MAX {
+                let same = groups[first].members.len() == members.len()
+                    && members.iter().all(|&m| group_of[m] == first);
+                return same.then_some(first);
+            }
+            if members.iter().any(|&m| group_of[m] != usize::MAX) {
+                return None;
+            }
+            for &m in members {
+                group_of[m] = groups.len();
+            }
+            groups.push(CoverGroup {
+                members: members.to_vec(),
+                always: false,
+                triggers: vec![],
+            });
+            Some(groups.len() - 1)
+        };
+        for c in problem.constraints() {
+            if matches!(c.cmp, Cmp::Ge | Cmp::Eq)
+                && (c.rhs - 1.0).abs() <= tol
+                && !c.terms.is_empty()
+                && c.terms
+                    .iter()
+                    .all(|&(v, coef)| (coef - 1.0).abs() <= tol && member_ok(v))
+            {
+                let mut members: Vec<usize> = c.terms.iter().map(|&(v, _)| v.0).collect();
+                members.sort_unstable();
+                if let Some(g) = slot_for(&members, &mut groups) {
+                    groups[g].always = true;
+                }
+            } else if c.cmp == Cmp::Le && c.rhs.abs() <= tol {
+                let mut trigger = None;
+                let mut members = vec![];
+                let mut usable = true;
+                for &(v, coef) in &c.terms {
+                    if (coef - 1.0).abs() <= tol {
+                        usable &= trigger.is_none() && problem.kinds()[v.0] == VarKind::Binary;
+                        trigger = Some(v.0);
+                    } else if (coef + 1.0).abs() <= tol {
+                        usable &= member_ok(v);
+                        members.push(v.0);
+                    } else {
+                        usable = false;
+                    }
+                }
+                let Some(trigger) = trigger else { continue };
+                if !usable || members.is_empty() {
+                    continue;
+                }
+                members.sort_unstable();
+                if let Some(g) = slot_for(&members, &mut groups) {
+                    groups[g].triggers.push(trigger);
+                }
+            }
+        }
+        groups
+    }
+
+    /// The lower bound the search computed at every node before it kept the
+    /// bound per bound change, kept verbatim as the oracle: one pass over
+    /// every variable and every group.
+    fn oracle_lower_bound(search: &Search, groups: &[CoverGroup]) -> f64 {
+        let (lo, hi) = (&search.lo, &search.hi);
+        let obj = search.problem.objective();
+        let mut bound: f64 = obj
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| if c >= 0.0 { c * lo[i] } else { c * hi[i] })
+            .sum();
+        let tol = search.cfg.tolerance;
+        'groups: for group in groups {
+            if !group.always && !group.triggers.iter().any(|&t| lo[t] >= 1.0 - tol) {
+                continue;
+            }
+            let mut cheapest = f64::INFINITY;
+            for &i in &group.members {
+                if lo[i] >= 1.0 - tol {
+                    // Already selected: its cost is in the bounds-only term.
+                    continue 'groups;
+                }
+                if hi[i] >= 1.0 - tol {
+                    cheapest = cheapest.min(obj[i]);
+                }
+            }
+            bound += cheapest;
+            if bound.is_infinite() {
+                break;
+            }
+        }
+        bound
+    }
+
+    /// The flat groups against the oracle's: the same member lists, and
+    /// each group triggered by the same variables, as often.
+    fn assert_cover_matches_the_oracle(cover: &Cover, groups: &[CoverGroup], what: &str) {
+        assert_eq!(cover.on.len(), groups.len(), "{what}: group count");
+        let mut triggers: Vec<Vec<usize>> = vec![vec![]; groups.len()];
+        for v in 0..cover.group_of.len() {
+            for &g in
+                &cover.triggered[cover.trig_start[v] as usize..cover.trig_start[v + 1] as usize]
+            {
+                triggers[g as usize].push(v);
+            }
+        }
+        for (g, group) in groups.iter().enumerate() {
+            let members = &cover.members[cover.start[g] as usize..cover.start[g + 1] as usize];
+            let members: Vec<usize> = members.iter().map(|&m| m as usize).collect();
+            assert_eq!(members, group.members, "{what}: group {g} members");
+            for &m in &members {
+                assert_eq!(cover.group_of[m], g as u32, "{what}: group of {m}");
+            }
+            let mut want = group.triggers.clone();
+            want.sort_unstable();
+            assert_eq!(triggers[g], want, "{what}: group {g} triggers");
+        }
+        let members = cover.group_of.iter().filter(|&&g| g != NO_GROUP).count();
+        assert_eq!(members, cover.members.len(), "{what}: members listed once");
+    }
+
+    /// The kept cover state against the oracle: every count and every
+    /// `cheapest` equal to a fresh computation from the bounds, the dead
+    /// count too; the exact bound equal to the oracle's to the bit; and the
+    /// running bound infinite iff the oracle's is, and otherwise inside the
+    /// rounding band of it. Returns whether any group is active.
+    fn assert_cover_is_fresh(search: &Search, groups: &[CoverGroup], what: &str) -> bool {
+        let (lo, hi) = (&search.lo, &search.hi);
+        let tol = search.cfg.tolerance;
+        let obj = search.problem.objective();
+        let cover = &search.cover;
+        let mut dead = 0;
+        for (g, group) in groups.iter().enumerate() {
+            let on = group.always as u32
+                + group
+                    .triggers
+                    .iter()
+                    .filter(|&&t| lo[t] >= 1.0 - tol)
+                    .count() as u32;
+            let taken = group
+                .members
+                .iter()
+                .filter(|&&m| lo[m] >= 1.0 - tol)
+                .count() as u32;
+            let mut cheapest = f64::INFINITY;
+            for &m in &group.members {
+                if hi[m] >= 1.0 - tol {
+                    cheapest = cheapest.min(obj[m]);
+                }
+            }
+            assert_eq!(cover.on[g], on, "{what}: group {g} triggers at 1");
+            assert_eq!(cover.taken[g], taken, "{what}: group {g} members at 1");
+            assert_eq!(
+                cover.cheapest[g].to_bits(),
+                cheapest.to_bits(),
+                "{what}: group {g} cheapest {} != {cheapest}",
+                cover.cheapest[g]
+            );
+            dead += usize::from(on > 0 && taken == 0 && cheapest.is_infinite());
+        }
+        assert_eq!(cover.dead, dead, "{what}: dead groups");
+        let oracle = oracle_lower_bound(search, groups);
+        let exact = search.exact_lower_bound();
+        assert_eq!(
+            exact.to_bits(),
+            oracle.to_bits(),
+            "{what}: exact {exact} != {oracle}"
+        );
+        let running = search.lower_bound();
+        assert_eq!(
+            running.is_infinite(),
+            oracle.is_infinite(),
+            "{what}: {running} vs {oracle}"
+        );
+        if oracle.is_finite() {
+            let band = cover.band(search.settled + search.trail.len());
+            assert!(
+                (running - oracle).abs() <= band,
+                "{what}: running {running} is off the oracle {oracle} by more than {band}"
+            );
+        }
+        cover.on.iter().any(|&on| on > 0)
+    }
+
     /// SplitMix64.
     struct Rng(u64);
 
@@ -1196,7 +1691,10 @@ mod tests {
 
     /// A random problem over binaries and a few small-domain integers:
     /// rows of one to five distinct variables with small signed
-    /// coefficients, any comparison and a small right-hand side.
+    /// coefficients, any comparison and a small right-hand side; then rows
+    /// of the extraction encoding's shapes, so that cover groups arise: a
+    /// few sets of binaries with nonnegative objective, each covered by
+    /// `sum = 1` / `sum >= 1` rows or by implication rows `x_t - sum <= 0`.
     fn random_problem(rng: &mut Rng) -> Problem {
         let mut p = Problem::new();
         let n = 3 + rng.below(25) as usize;
@@ -1223,6 +1721,38 @@ mod tests {
                 .collect();
             let cmp = [Cmp::Le, Cmp::Le, Cmp::Ge, Cmp::Ge, Cmp::Eq][rng.below(5) as usize];
             p.add_constraint(terms, cmp, rng.below(6) as f64 - 2.0);
+        }
+        let mut cheap: Vec<usize> = (0..n)
+            .filter(|&v| p.kinds()[v] == VarKind::Binary && p.objective()[v] >= 0.0)
+            .collect();
+        for _ in 0..rng.below(5) {
+            if cheap.is_empty() {
+                break;
+            }
+            let k = 1 + rng.below(3.min(cheap.len() as u64)) as usize;
+            for i in 0..k {
+                let j = i + rng.below((cheap.len() - i) as u64) as usize;
+                cheap.swap(i, j);
+            }
+            let set: Vec<VarId> = cheap[..k].iter().map(|&v| VarId(v)).collect();
+            for _ in 0..1 + rng.below(3) {
+                let mut terms: Vec<(VarId, f64)> = set.iter().map(|&v| (v, 1.0)).collect();
+                match rng.below(6) {
+                    0 => p.add_constraint(terms, Cmp::Eq, 1.0),
+                    1 => p.add_constraint(terms, Cmp::Ge, 1.0),
+                    _ => {
+                        let t = VarId(rng.below(n as u64) as usize);
+                        if p.kinds()[t.0] != VarKind::Binary || set.contains(&t) {
+                            continue;
+                        }
+                        for term in &mut terms {
+                            term.1 = -1.0;
+                        }
+                        terms.insert(0, (t, 1.0));
+                        p.add_constraint(terms, Cmp::Le, 0.0);
+                    }
+                }
+            }
         }
         p
     }
@@ -1272,10 +1802,13 @@ mod tests {
             ..Default::default()
         };
         let mut rng = Rng(7);
-        let (mut roots, mut children, mut infeasible) = (0, 0, 0);
+        let (mut roots, mut children, mut infeasible, mut covered) = (0, 0, 0, 0);
         for case in 0..2_000 {
             let p = random_problem(&mut rng);
+            let groups = cover_groups(&p, cfg.tolerance);
             let mut search = Search::new(&p, &cfg, None);
+            assert_cover_matches_the_oracle(&search.cover, &groups, &format!("case {case}"));
+            assert_cover_is_fresh(&search, &groups, &format!("case {case}: new"));
             for v in 0..p.num_vars() {
                 if rng.below(4) == 0 {
                     let (lo, hi) = (search.lo[v], search.hi[v]);
@@ -1290,6 +1823,8 @@ mod tests {
             let got = search.propagate();
             assert_eq!(got, want, "case {case}: root verdict");
             roots += 1;
+            let active = assert_cover_is_fresh(&search, &groups, &format!("case {case}: root"));
+            covered += usize::from(active);
             if got == PropResult::Infeasible {
                 infeasible += 1;
                 continue;
@@ -1310,7 +1845,12 @@ mod tests {
                 let v = free[rng.below(free.len() as u64) as usize];
                 let (lo_v, hi_v) = (search.lo[v], search.hi[v]);
                 let x = lo_v + rng.below((hi_v - lo_v) as u64 + 1) as f64;
-                marks.push((search.trail.len(), search.lo.clone(), search.hi.clone()));
+                marks.push((
+                    search.trail.len(),
+                    search.cover.sum,
+                    search.lo.clone(),
+                    search.hi.clone(),
+                ));
                 let (mut lo, mut hi) = (search.lo.clone(), search.hi.clone());
                 lo[v] = x;
                 hi[v] = x;
@@ -1319,6 +1859,7 @@ mod tests {
                 let got = search.propagate();
                 assert_eq!(got, want, "case {case}: child verdict");
                 children += 1;
+                assert_cover_is_fresh(&search, &groups, &format!("case {case}: child"));
                 if got == PropResult::Infeasible {
                     infeasible += 1;
                     break;
@@ -1327,16 +1868,22 @@ mod tests {
                 assert_same_bits(&search.hi, &hi, &format!("case {case}: child hi"));
                 assert_completion_is_fresh(&mut search, &format!("case {case}: child"));
             }
-            while let Some((mark, lo, hi)) = marks.pop() {
-                search.undo_to(mark);
+            while let Some((mark, sum, lo, hi)) = marks.pop() {
+                search.undo_to(mark, sum);
                 assert_eq!(search.trail.len(), mark);
                 assert_same_bits(&search.lo, &lo, &format!("case {case}: undone lo"));
                 assert_same_bits(&search.hi, &hi, &format!("case {case}: undone hi"));
                 assert_completion_is_fresh(&mut search, &format!("case {case}: undone"));
+                assert_cover_is_fresh(&search, &groups, &format!("case {case}: undone"));
             }
         }
-        // The generator must exercise both verdicts at both levels.
+        // The generator must exercise both verdicts at both levels, and
+        // the cover bound on a real share of the cases.
         assert!(children > roots, "{children} children over {roots} roots");
+        assert!(
+            covered > roots / 4,
+            "{covered} of {roots} roots have an active cover group"
+        );
         assert!(
             infeasible > roots / 10 && infeasible < (roots + children) / 2,
             "{infeasible} infeasible of {roots} roots + {children} children"
