@@ -4,7 +4,7 @@
 //! monolithic §5.1 oracle — and do it fast.
 //!
 //! 1. **Differential optimality** — on the bench-scale grown e-graph of
-//!    every model, `extract_ilp` with reduction on and off both reach
+//!    every model, `extract_ilp` and `extract_ilp_monolithic` both reach
 //!    `Optimal` and agree on `dag_cost` to 1e-9, the reduction's
 //!    "before" stats equal the monolithic encoding's size, and the
 //!    residual problem never grows.
@@ -40,8 +40,8 @@
 
 use std::time::{Duration, Instant};
 use tensat_core::{
-    explore, extract_greedy_dag, extract_ilp, CycleFilter, ExplorationConfig, ExtractionMode,
-    IlpConfig, Optimizer, OptimizerConfig,
+    explore, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, CycleFilter,
+    ExplorationConfig, ExtractionMode, IlpConfig, Optimizer, OptimizerConfig,
 };
 use tensat_ilp::Status;
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph};
@@ -104,16 +104,8 @@ fn reduced_ilp_is_optimal_and_within_budget_on_every_benchmark_model() {
                 rs.vars_before
             );
         } else {
-            let monolithic = extract_ilp(
-                &eg,
-                root,
-                &model,
-                &IlpConfig {
-                    reduce: false,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("monolithic ILP failed on {name}: {e}"));
+            let monolithic = extract_ilp_monolithic(&eg, root, &model, &IlpConfig::default())
+                .unwrap_or_else(|e| panic!("monolithic ILP failed on {name}: {e}"));
             let ms = monolithic.ilp.as_ref().unwrap();
             assert_eq!(ms.status, Status::Optimal, "{name}: oracle not optimal");
             assert!(

@@ -129,7 +129,7 @@ impl ExtractionOutcome {
 /// The `*_before` fields report the size of the paper's monolithic §5.1
 /// encoding for the same e-graph; the plain `num_vars`/`num_constraints`
 /// report what was actually handed to the solver after the reduction
-/// pipeline (equal to the `*_before` fields when reduction is off).
+/// pipeline (equal to the `*_before` fields on the monolithic path).
 #[derive(Debug, Clone)]
 pub struct IlpStats {
     /// ILP variables handed to the solver (summed over components).
@@ -148,13 +148,13 @@ pub struct IlpStats {
     pub dominated_pruned: usize,
     /// Candidates removed by incumbent cost-bound pruning: their forced-
     /// closure lower bound exceeds the greedy warm-start value, so they
-    /// appear in no optimum (0 when reduction is off).
+    /// appear in no optimum (0 on the monolithic path).
     pub bound_pruned: usize,
-    /// Classes fixed outside the ILP by single-candidate forcing (0 when
-    /// reduction is off).
+    /// Classes fixed outside the ILP by single-candidate forcing (0 on the
+    /// monolithic path).
     pub forced_classes: usize,
-    /// Independent subproblems solved after decomposition (1 when
-    /// reduction is off).
+    /// Independent subproblems solved after decomposition (1 on the
+    /// monolithic path).
     pub components: usize,
     /// Solver status — `Optimal` only if every component solved to
     /// optimality.
@@ -392,15 +392,6 @@ pub struct IlpConfig {
     /// at it, and the solver gets the time that is left (none left: the
     /// greedy-DAG incumbent comes back as `Feasible`).
     pub time_limit: Duration,
-    /// Run the problem-reduction pipeline (see the `reduce` module) before
-    /// encoding: restrict to the root-reachable subgraph, prune dominated
-    /// candidates, fix single-candidate classes transitively, and decompose
-    /// the residue into independent components solved separately. `false`
-    /// encodes the paper's monolithic program directly — the oracle the
-    /// differential tests compare the reduced optimum against. Ignored
-    /// (treated as `false`) when `cycle_constraints` is on: the dominance
-    /// argument reasons about the acyclic selection semantics.
-    pub reduce: bool,
 }
 
 impl Default for IlpConfig {
@@ -409,7 +400,6 @@ impl Default for IlpConfig {
             cycle_constraints: false,
             integer_topo_vars: false,
             time_limit: Duration::from_secs(60),
-            reduce: true,
         }
     }
 }
@@ -418,25 +408,30 @@ impl Default for IlpConfig {
 /// solve it with the `tensat-ilp` branch-and-bound solver. Solver
 /// statistics are reported in the outcome's [`ExtractionOutcome::ilp`].
 ///
-/// By default the abstract selection problem is *reduced* before encoding
-/// (see [`IlpConfig::reduce`]); the monolithic encoding below remains both
-/// the `reduce: false` path and the oracle for the differential tests.
+/// Without cycle constraints the abstract selection problem is *reduced*
+/// before encoding: restricted to the root-reachable subgraph, dominated
+/// candidates pruned, single-candidate classes fixed transitively, and the
+/// residue decomposed into independent components solved separately. With
+/// them it runs [`extract_ilp_monolithic`]: the dominance argument reasons
+/// about the acyclic selection semantics.
 pub fn extract_ilp(
     egraph: &TensorEGraph,
     root: Id,
     model: &CostModel,
     config: &IlpConfig,
 ) -> Result<ExtractionOutcome, ExtractError> {
-    if config.reduce && !config.cycle_constraints {
-        extract_ilp_reduced(egraph, root, model, config)
-    } else {
+    if config.cycle_constraints {
         extract_ilp_monolithic(egraph, root, model, config)
+    } else {
+        extract_ilp_reduced(egraph, root, model, config)
     }
 }
 
 /// The monolithic §5.1 encoding: one binary per viable e-node, one
 /// implication row per (node, child-class) edge, solved as a single ILP.
-fn extract_ilp_monolithic(
+/// [`extract_ilp`] runs it when `config.cycle_constraints` is on; without
+/// them it is the oracle the reduced optimum is tested against.
+pub fn extract_ilp_monolithic(
     egraph: &TensorEGraph,
     root: Id,
     model: &CostModel,
@@ -801,9 +796,15 @@ fn reduced_hint_choice(
 }
 
 /// The any-time end of both ILP paths: the solver's graph, unless it found
-/// none within its budget or the greedy incumbent is cheaper (e.g. the warm
-/// start could not be translated into a feasible assignment) — then the
-/// greedy graph, so ILP extraction never regresses below greedy.
+/// none within its budget, its graph has no finite cost, or the greedy
+/// incumbent is cheaper (e.g. the warm start could not be translated into a
+/// feasible assignment) — then the greedy graph, so ILP extraction never
+/// regresses below greedy.
+///
+/// A solved selection can cost infinity on a well-typed input: the
+/// encoding prices each e-node on its class's data, so it may pick a
+/// `split` whose child is not the `concat` that data came from, and the
+/// built graph then holds an operator the cost model rejects.
 fn finish_ilp(
     solved: Option<RecExpr<TensorLang>>,
     greedy: Option<ExtractionOutcome>,
@@ -815,11 +816,11 @@ fn finish_ilp(
         let cost = model.graph_cost_composite(&expr);
         ExtractionOutcome::new(expr, cost, model, start.elapsed())
     };
-    let solved = solved.map(measured).transpose()?;
-    let mut outcome = match (solved, greedy) {
-        (Some(s), Some(g)) if g.cost.total_order(&s.cost) == Ordering::Less => g,
-        (Some(s), _) => s,
-        (None, Some(g)) => g,
+    let mut outcome = match (solved.map(measured), greedy) {
+        (Some(Ok(s)), Some(g)) if g.cost.total_order(&s.cost) == Ordering::Less => g,
+        (Some(Ok(s)), _) => s,
+        (_, Some(g)) => g,
+        (Some(Err(e)), None) => return Err(e),
         (None, None) => return Err(ExtractError::Infeasible),
     };
     outcome.time = start.elapsed();
@@ -929,16 +930,7 @@ mod tests {
         let (eg, root, _) = explored_two_matmuls();
         let model = CostModel::default();
         let reduced = extract_ilp(&eg, root, &model, &IlpConfig::default()).unwrap();
-        let monolithic = extract_ilp(
-            &eg,
-            root,
-            &model,
-            &IlpConfig {
-                reduce: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let monolithic = extract_ilp_monolithic(&eg, root, &model, &IlpConfig::default()).unwrap();
         assert!(
             (reduced.dag_cost - monolithic.dag_cost).abs() < 1e-9,
             "reduced optimum ({}) must equal the monolithic oracle ({})",
@@ -1056,7 +1048,7 @@ mod tests {
     /// branch-and-bound nodes, which a changed warm start would move.
     #[test]
     fn warm_start_from_picks_equals_the_expression_decoder_on_every_benchmark() {
-        // (model, B&B nodes with `reduce: true`, with `reduce: false`)
+        // (model, B&B nodes of the reduced path, of the monolithic path)
         const NODES_EXPLORED: [(&str, usize, usize); 7] = [
             ("NasRNN", 85, 12_911),
             ("BERT", 837, 2_271),
@@ -1087,18 +1079,15 @@ mod tests {
                 selected.contains(&(eg.find(class), eg.canonicalize(eg.enode(node))))
             };
 
-            // `reduce: false`: one value per variable.
-            let config = IlpConfig {
-                reduce: false,
-                ..Default::default()
-            };
+            // Monolithic: one value per variable.
+            let config = IlpConfig::default();
             let (problem, node_vars) = encode_monolithic(&eg, root, &model, &config).unwrap();
             let hint = monolithic_warm_start(&node_vars, problem.num_vars(), from_picks);
             let oracle = monolithic_warm_start(&node_vars, problem.num_vars(), decoded);
             assert_eq!(hint, oracle, "{name}: monolithic warm start");
             assert_eq!(hint.iter().sum::<f64>(), picks.len() as f64, "{name}");
 
-            // `reduce: true`: one hinted candidate per class, dominance-
+            // Reduced: one hinted candidate per class, dominance-
             // pruned picks chased to their dominator.
             let mut rp = reduce::ExtractionProblem::from_egraph(&eg, root, &model).unwrap();
             rp.reduce(Some(greedy.dag_cost), None).unwrap();
@@ -1110,15 +1099,16 @@ mod tests {
             );
             assert!(hint.iter().any(Option::is_some), "{name}");
 
-            for (reduce, nodes) in [(true, reduced_nodes), (false, monolithic_nodes)] {
-                let config = IlpConfig {
-                    reduce,
-                    ..Default::default()
-                };
-                let out = extract_ilp(&eg, root, &model, &config).unwrap();
-                let stats = out.ilp.unwrap();
-                assert_eq!(stats.status, Status::Optimal, "{name} reduce={reduce}");
-                assert_eq!(stats.nodes_explored, nodes, "{name} reduce={reduce}");
+            let reduced = extract_ilp(&eg, root, &model, &config);
+            let monolithic = extract_ilp_monolithic(&eg, root, &model, &config);
+            let paths = [
+                ("reduced", reduced, reduced_nodes),
+                ("monolithic", monolithic, monolithic_nodes),
+            ];
+            for (path, out, nodes) in paths {
+                let stats = out.unwrap().ilp.unwrap();
+                assert_eq!(stats.status, Status::Optimal, "{name} {path}");
+                assert_eq!(stats.nodes_explored, nodes, "{name} {path}");
             }
         }
     }

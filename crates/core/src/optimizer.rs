@@ -259,7 +259,6 @@ impl Optimizer {
             cycle_constraints: self.config.ilp_cycle_constraints,
             integer_topo_vars: self.config.ilp_integer_topo_vars,
             time_limit: self.config.ilp_time_limit,
-            ..Default::default()
         };
         let outcome = extract(self.config.extraction, &egraph, root, model, &ilp)?;
 
@@ -382,6 +381,27 @@ mod tests {
             let refused = Optimizer::new(config).optimize(&graph).unwrap_err();
             assert_eq!(refused, ExtractError::NoFiniteTerm, "{extraction:?}");
         }
+    }
+
+    /// Inception-v3 at `k_multi: 2` is well typed, but the ILP's selection
+    /// on its e-graph picks a `split` whose child is not the `concat` the
+    /// class data came from, and the cost model prices that graph at
+    /// infinity. ILP extraction then answers with the greedy incumbent it
+    /// holds instead of `Err(NoFiniteTerm)`.
+    #[test]
+    fn ilp_falls_back_to_greedy_when_its_selection_has_no_finite_cost() {
+        let graph =
+            tensat_models::build_benchmark("Inception-v3", tensat_models::ModelScale::tiny());
+        let config = OptimizerConfig {
+            k_multi: 2,
+            extraction: ExtractionMode::Ilp,
+            search_threads: 1,
+            ..Default::default()
+        };
+        let result = Optimizer::new(config).optimize(&graph).unwrap();
+        assert!(result.optimized_cost <= result.original_cost);
+        let data = tensat_ir::infer_recexpr(&result.optimized_graph);
+        assert!(data.iter().all(|d| d.is_valid()));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use tensat_core::{
-    explore, extract_greedy_dag, extract_ilp, ExplorationConfig, ExplorationMode, IlpConfig,
+    explore, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, ExplorationConfig,
+    ExplorationMode, IlpConfig,
 };
 use tensat_egraph::RecExpr;
 use tensat_ilp::Status;
@@ -130,13 +131,7 @@ proptest! {
         let model = CostModel::default();
         let greedy = extract_greedy_dag(&eg, root, &model).unwrap();
         let reduced = extract_ilp(&eg, root, &model, &IlpConfig::default()).unwrap();
-        let monolithic = extract_ilp(
-            &eg,
-            root,
-            &model,
-            &IlpConfig { reduce: false, ..Default::default() },
-        )
-        .unwrap();
+        let monolithic = extract_ilp_monolithic(&eg, root, &model, &IlpConfig::default()).unwrap();
 
         let rs = reduced.ilp.clone().unwrap();
         let ms = monolithic.ilp.clone().unwrap();

@@ -1,6 +1,6 @@
 //! Integration tests that check the *qualitative claims* of the paper hold
 //! in this reproduction (the quantitative tables are regenerated by the
-//! harness binaries in `crates/bench`).
+//! `paper` binary in `crates/bench`).
 
 use std::time::Duration;
 use tensat::core::{extract_ilp, IlpConfig};
@@ -192,7 +192,7 @@ fn ilp_extraction_beats_greedy_on_nasrnn() {
     // greedy extractor) and must improve over the original graph on NasRNN.
     // The *strict* greedy-vs-ILP separation of Table 4 is asserted on a
     // controlled graph in tensat-core's unit tests and measured by the table4
-    // harness binary; here the ILP runs under a test-sized time budget.
+    // harness experiment; here the ILP runs under a test-sized time budget.
     assert!(
         ilp.dag_cost <= greedy.dag_cost + 1e-9,
         "ILP ({}) should never be worse than greedy ({})",
