@@ -1,12 +1,15 @@
 //! Acceptance tests of the ILP problem-reduction pipeline on the real
 //! benchmark models (the ISSUE-10 tentpole): on every `BENCHMARKS` model,
 //! reduced exact extraction must return the *same optimal cost* as the
-//! monolithic §5.1 oracle — and do it fast.
+//! unreduced §5.1 program — and do it fast. The oracle,
+//! `extract_ilp_monolithic`, is the same pipeline (encoder, warm start,
+//! greedy fallback) with the reduction skipped, so what it checks is the
+//! reduction: pruning, forcing, decomposition, hint repair and the stitch.
 //!
 //! 1. **Differential optimality** — on the bench-scale grown e-graph of
 //!    every model, `extract_ilp` and `extract_ilp_monolithic` both reach
 //!    `Optimal` and agree on `dag_cost` to 1e-9, the reduction's
-//!    "before" stats equal the monolithic encoding's size, and the
+//!    "before" stats equal the unreduced program's size, and the
 //!    residual problem never grows.
 //! 2. **Per-model time budget** — the reduced solve completes within a
 //!    generous per-model wall-clock budget. The release budget (5 s) is
@@ -18,10 +21,10 @@
 //! Profile awareness: CI runs this test in *release* (the budget step in
 //! the full job), where every assertion is live. Under `cargo test`'s
 //! debug profile the solver is roughly an order of magnitude slower, so
-//! the budget scales up and the *monolithic oracle* — whose whole point
-//! is to be the slow encoding — is skipped for the largest models (it
-//! exhausts its node budget before proving optimality in debug; the
-//! release run is the proof).
+//! the budget scales up and the *unreduced oracle* — slow by design: it
+//! is the problem the reduction exists to shrink — is skipped for the
+//! largest models (it exhausts its node budget before proving optimality
+//! in debug; the release run is the proof).
 //!
 //! The growth recipe (2 iterations, 20k node limit, default scale)
 //! mirrors `bench_report` so the numbers asserted here are the numbers

@@ -16,7 +16,11 @@
 //! * [`extract_ilp`] — the integer-linear-program encoding of
 //!   constraints (1)–(5), with the cycle constraints (4)–(5) optional,
 //!   solved by `tensat-ilp` and warm-started from the greedy-DAG solution
-//!   (which dominates the tree-greedy warm start it replaced).
+//!   (which dominates the tree-greedy warm start it replaced). One
+//!   pipeline serves every configuration: the selection problem, its
+//!   reduction (skipped with cycle constraints and by
+//!   [`extract_ilp_monolithic`]), one encoder per component, the solver,
+//!   and the stitch with its fall-back to the greedy graph.
 //!
 //! Every extractor ends the same way: one chosen e-node per class, named by
 //! its node-table id and turned into a graph by
@@ -35,8 +39,8 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{
-    build_term, BitSet, ChoiceError, ChosenTerm, CostFunction, DagCostFunction, DagExtractor,
-    Extractor, Id, Language, RecExpr,
+    build_term, ChoiceError, ChosenTerm, CostFunction, DagCostFunction, DagExtractor, Extractor,
+    Id, Language, RecExpr,
 };
 use tensat_ilp::{Cmp, Problem, Solver, Status, VarId};
 use tensat_ir::{class_data, Cost, CostModel, TensorEGraph, TensorLang};
@@ -126,19 +130,22 @@ impl ExtractionOutcome {
 
 /// Statistics of an ILP extraction.
 ///
-/// The `*_before` fields report the size of the paper's monolithic §5.1
-/// encoding for the same e-graph; the plain `num_vars`/`num_constraints`
-/// report what was actually handed to the solver after the reduction
-/// pipeline (equal to the `*_before` fields on the monolithic path).
+/// The `*_before` fields report the size of the unreduced §5.1 program,
+/// constraints (1)–(3), for the same e-graph; the plain
+/// `num_vars`/`num_constraints` report what the one encoder actually
+/// handed the solver — after the reduction, or, on the unreduced path,
+/// equal to the `*_before` fields plus the topological-order variables and
+/// rows (4)–(5) when the cycle constraints are on.
 #[derive(Debug, Clone)]
 pub struct IlpStats {
     /// ILP variables handed to the solver (summed over components).
     pub num_vars: usize,
     /// ILP constraints handed to the solver (summed over components).
     pub num_constraints: usize,
-    /// Variables the monolithic encoding would create for this e-graph.
+    /// Binaries of the unreduced program for this e-graph.
     pub vars_before: usize,
-    /// Constraints the monolithic encoding would create.
+    /// Rows (2)–(3) of the unreduced program: the root row and one per
+    /// (candidate, distinct child class).
     pub constraints_before: usize,
     /// Variables fixed by the solver's presolve propagation at the root
     /// (summed over components).
@@ -148,13 +155,12 @@ pub struct IlpStats {
     pub dominated_pruned: usize,
     /// Candidates removed by incumbent cost-bound pruning: their forced-
     /// closure lower bound exceeds the greedy warm-start value, so they
-    /// appear in no optimum (0 on the monolithic path).
+    /// appear in no optimum (0 unreduced).
     pub bound_pruned: usize,
-    /// Classes fixed outside the ILP by single-candidate forcing (0 on the
-    /// monolithic path).
+    /// Classes fixed outside the ILP by single-candidate forcing (0
+    /// unreduced).
     pub forced_classes: usize,
-    /// Independent subproblems solved after decomposition (1 on the
-    /// monolithic path).
+    /// Independent subproblems solved after decomposition (1 unreduced).
     pub components: usize,
     /// Solver status — `Optimal` only if every component solved to
     /// optimality.
@@ -339,12 +345,13 @@ pub fn extract_greedy_dag(
 }
 
 /// The `(slot, node-table id)` of the chosen e-node of every class an
-/// extracted graph uses ([`tensat_egraph::ChosenTerm::picks`]), sorted by
-/// slot: what the graph was built from, kept so the ILP can start from it.
+/// extracted graph uses ([`tensat_egraph::ChosenTerm::picks`]), children
+/// before parents: what the graph was built from, kept so the ILP can start
+/// from it.
 type Picks = Vec<(usize, Id)>;
 
-/// Whether `picks` chose the e-node with node-table id `node` for `class`,
-/// a class the ILP encoders reached from the root.
+/// Whether `picks`, sorted by slot, chose the e-node with node-table id
+/// `node` for `class`, a class the ILP encoder reached from the root.
 fn picked(egraph: &TensorEGraph, picks: &Picks, class: Id, node: Id) -> bool {
     let slot = live_slot(egraph, class);
     let found = picks.binary_search_by_key(&slot, |&(s, _)| s);
@@ -374,10 +381,8 @@ fn greedy_dag_with_picks(
         (Some(best), _) | (None, Some(best)) => best,
         (None, None) => return Err(ExtractError::NoFiniteTerm),
     };
-    let mut picks = term.picks;
-    picks.sort_unstable_by_key(|&(s, _)| s);
     let outcome = ExtractionOutcome::new(term.expr, cost, model, start.elapsed())?;
-    Ok((outcome, picks))
+    Ok((outcome, term.picks))
 }
 
 /// Configuration for ILP extraction.
@@ -420,231 +425,46 @@ pub fn extract_ilp(
     model: &CostModel,
     config: &IlpConfig,
 ) -> Result<ExtractionOutcome, ExtractError> {
-    if config.cycle_constraints {
-        extract_ilp_monolithic(egraph, root, model, config)
-    } else {
-        extract_ilp_reduced(egraph, root, model, config)
-    }
+    solve_ilp(egraph, root, model, config, !config.cycle_constraints)
 }
 
-/// The monolithic §5.1 encoding: one binary per viable e-node, one
-/// implication row per (node, child-class) edge, solved as a single ILP.
+/// The unreduced §5.1 program solved as one ILP: one binary per viable
+/// e-node, one implication row per (e-node, distinct child class), through
+/// the same encoder, warm start and greedy fallback as [`extract_ilp`].
 /// [`extract_ilp`] runs it when `config.cycle_constraints` is on; without
-/// them it is the oracle the reduced optimum is tested against.
+/// them it is the oracle the reduction is tested against.
 pub fn extract_ilp_monolithic(
     egraph: &TensorEGraph,
     root: Id,
     model: &CostModel,
     config: &IlpConfig,
 ) -> Result<ExtractionOutcome, ExtractError> {
-    let start = Instant::now();
-    let root = egraph.find(root);
-    let (problem, node_vars) = encode_monolithic(egraph, root, model, config)?;
-
-    // Warm start from the greedy-DAG solution: its DAG cost lower-bounds
-    // the tree-greedy incumbent the solver used to receive, so the solver
-    // starts from a no-worse incumbent.
-    let (greedy, picks) = greedy_dag_with_picks(egraph, root, model).ok().unzip();
-    let hint = picks.map(|picks| {
-        monolithic_warm_start(&node_vars, problem.num_vars(), |class, node| {
-            picked(egraph, &picks, class, node)
-        })
-    });
-
-    let solver = Solver::with_time_limit(config.time_limit);
-    let solution = match &hint {
-        Some(h) => solver.solve_with_hint(&problem, h),
-        None => solver.solve(&problem),
-    };
-    let stats = IlpStats {
-        num_vars: problem.num_vars(),
-        num_constraints: problem.num_constraints(),
-        vars_before: problem.num_vars(),
-        constraints_before: problem.num_constraints(),
-        presolve_fixed: solution.presolve_fixed,
-        dominated_pruned: 0,
-        bound_pruned: 0,
-        forced_classes: 0,
-        components: 1,
-        status: solution.status,
-        nodes_explored: solution.nodes_explored,
-        solve_time: solution.solve_time,
-    };
-    if !solution.has_solution() {
-        return Err(ExtractError::Infeasible);
-    }
-
-    // Read the selection back: for each class (slot), the chosen e-node.
-    let mut choice: Vec<Option<Id>> = vec![None; egraph.num_slots()];
-    for &(class, node, var) in &node_vars {
-        let chosen = &mut choice[live_slot(egraph, class)];
-        if solution.value(var) > 0.5 && chosen.is_none() {
-            *chosen = Some(node);
-        }
-    }
-    let solved = read_back(egraph, root, &choice)?;
-    finish_ilp(Some(solved), greedy, stats, model, start)
+    solve_ilp(egraph, root, model, config, false)
 }
 
-/// The slot of a class the ILP encoders reached from the root.
+/// The slot of a class the ILP encoder reached from the root.
 fn live_slot(egraph: &TensorEGraph, class: Id) -> usize {
     egraph.slot_index(class).expect("reachable class is live")
 }
 
-/// The monolithic warm start: 1 on the variable of every e-node the greedy
-/// graph was built from (`picked(class, node id)`), 0 elsewhere.
-fn monolithic_warm_start(
-    node_vars: &[(Id, Id, VarId)],
-    num_vars: usize,
-    picked: impl Fn(Id, Id) -> bool,
-) -> Vec<f64> {
-    let mut values = vec![0.0; num_vars];
-    for &(class, node, var) in node_vars {
-        if picked(class, node) {
-            values[var.0] = 1.0;
-        }
-    }
-    values
-}
-
-/// The `(class, node-table id of the e-node, variable)` of every binary of
-/// the monolithic program, in variable order.
-type NodeVars = Vec<(Id, Id, VarId)>;
-
-/// Builds the monolithic program for the canonical `root`.
-fn encode_monolithic(
-    egraph: &TensorEGraph,
-    root: Id,
-    model: &CostModel,
-    config: &IlpConfig,
-) -> Result<(Problem, NodeVars), ExtractError> {
-    // Collect the classes reachable from the root through unfiltered,
-    // finite-cost e-nodes, in BFS order (a good branching order for the
-    // solver: decisions near the root come first). All per-class tables
-    // below are indexed by the e-graph's dense slot space
-    // ([`tensat_egraph::EGraph::slot_index`]) — the same index space the
-    // cycle bit sets and the greedy extractors use.
-    let slot = |id: Id| live_slot(egraph, id);
-    let n_slots = egraph.num_slots();
-    let mut order: Vec<Id> = vec![root];
-    let mut seen = BitSet::new(n_slots);
-    seen.insert(slot(root));
-    let mut i = 0;
-    while i < order.len() {
-        let class = order[i];
-        i += 1;
-        for node in egraph.enodes(egraph.eclass(class)) {
-            for &child in node.children() {
-                let child = egraph.find(child);
-                if seen.insert(slot(child)) {
-                    order.push(child);
-                }
-            }
-        }
-    }
-
-    // Candidate e-nodes per class. The objective coefficient is the
-    // latency component of the composite cost — the solver minimizes the
-    // primary objective; memory and launches ride along in the outcome.
-    let mut problem = Problem::new();
-    let mut node_vars: NodeVars = vec![];
-    let mut class_vars: Vec<Vec<VarId>> = vec![vec![]; n_slots];
-    for &class in &order {
-        let mut vars = vec![];
-        for id in egraph.enode_ids(egraph.eclass(class)) {
-            let node = egraph.enode(id);
-            let cost = model.enode_cost_composite(egraph, node);
-            if !cost.is_finite() {
-                continue;
-            }
-            let var = problem.add_binary(cost.latency);
-            node_vars.push((class, id, var));
-            vars.push(var);
-        }
-        class_vars[slot(class)] = vars;
-    }
-
-    // Constraint (2): exactly one node picked in the root class.
-    let root_vars = class_vars[slot(root)].clone();
-    if root_vars.is_empty() {
-        return Err(ExtractError::NoFiniteTerm);
-    }
-    problem.add_constraint(root_vars.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
-
-    // Constraint (3): a picked node needs one picked node in each child class.
-    for &(_, node, var) in &node_vars {
-        for &child in egraph.enode(node).children() {
-            let child_vars = &class_vars[slot(child)];
-            if child_vars.is_empty() {
-                // The child class has no viable candidates: this node can
-                // never be selected.
-                problem.add_constraint(vec![(var, 1.0)], Cmp::Le, 0.0);
-                continue;
-            }
-            let mut terms = vec![(var, 1.0)];
-            terms.extend(child_vars.iter().map(|&v| (v, -1.0)));
-            problem.add_constraint(terms, Cmp::Le, 0.0);
-        }
-    }
-
-    // Constraints (4)–(5): topological-order variables rule out cycles.
-    if config.cycle_constraints {
-        let m = order.len() as f64;
-        let mut topo: Vec<Option<VarId>> = vec![None; n_slots];
-        for &class in &order {
-            let var = if config.integer_topo_vars {
-                problem.add_integer(0, order.len() as i64 - 1, 0.0)
-            } else {
-                problem.add_continuous(0.0, 1.0, 0.0)
-            };
-            topo[slot(class)] = Some(var);
-        }
-        let eps = 1.0 / (m + 1.0);
-        for &(class, node, var) in &node_vars {
-            let t_own = topo[slot(class)].expect("class is in the BFS order");
-            for &child in egraph.enode(node).children() {
-                let t_child = topo[slot(child)].expect("child is in the BFS order");
-                if config.integer_topo_vars {
-                    // t_own - t_child + A(1 - x) >= 1, A >= M
-                    let a = m;
-                    problem.add_constraint(
-                        vec![(t_own, 1.0), (t_child, -1.0), (var, -a)],
-                        Cmp::Ge,
-                        1.0 - a,
-                    );
-                } else {
-                    // t_own - t_child - eps + A(1 - x) >= 0, A > 1 + eps
-                    let a = 2.0;
-                    problem.add_constraint(
-                        vec![(t_own, 1.0), (t_child, -1.0), (var, -a)],
-                        Cmp::Ge,
-                        eps - a,
-                    );
-                }
-            }
-        }
-    }
-
-    Ok((problem, node_vars))
-}
-
-/// The reduced path: build the abstract selection problem, run the
-/// reduction pipeline (trim → dominance/forced-closure fixpoint → forcing →
-/// decomposition), encode and solve each residual component independently,
-/// and stitch the fixed selections with the per-component optima.
+/// The one ILP pipeline: build the abstract selection problem, run the
+/// reduction (trim → dominance/forced-closure fixpoint → forcing) when
+/// `reduce`, encode and solve each component of what is left, and stitch
+/// the fixed selections with the per-component optima.
 ///
 /// Soundness of the stitch: the fixed classes select their single surviving
-/// candidate in *some* optimal solution of the monolithic program (the
+/// candidate in *some* optimal solution of the unreduced program (the
 /// dominance swap argument shows an optimum avoiding pruned candidates
 /// exists; forcing is then literal constraint propagation on it), and the
 /// residual constraint matrix is block-diagonal across components with an
 /// additive objective — so `optimum = Σ fixed costs + Σ component optima`,
-/// which the differential tests check against the monolithic oracle.
-fn extract_ilp_reduced(
+/// which the differential tests check against the unreduced program.
+fn solve_ilp(
     egraph: &TensorEGraph,
     root: Id,
     model: &CostModel,
     config: &IlpConfig,
+    reduce: bool,
 ) -> Result<ExtractionOutcome, ExtractError> {
     let start = Instant::now();
     let root = egraph.find(root);
@@ -656,16 +476,18 @@ fn extract_ilp_reduced(
     let (greedy, picks) = greedy_dag_with_picks(egraph, root, model).ok().unzip();
 
     let mut rp = reduce::ExtractionProblem::from_egraph(egraph, root, model)?;
-    rp.reduce(
-        greedy.as_ref().map(|g| g.dag_cost),
-        start.checked_add(config.time_limit),
-    )?;
-    let hint_choice = picks
-        .map(|picks| reduced_hint_choice(&rp, |class, node| picked(egraph, &picks, class, node)));
+    if reduce {
+        rp.reduce(
+            greedy.as_ref().map(|g| g.dag_cost),
+            start.checked_add(config.time_limit),
+        )?;
+    }
+    let warm = picks.map(|picks| WarmStart::new(egraph, &rp, picks, config.cycle_constraints));
 
     // Encode and solve each component independently, splitting the wall
     // clock budget first-come (components are tiny after reduction).
     let comps = rp.components();
+    debug_assert!(reduce || (comps.len() == 1 && rp.fixed.iter().all(Option::is_none)));
     let mut choice: Vec<Option<usize>> = rp.fixed.clone();
     let mut stats = IlpStats {
         num_vars: 0,
@@ -682,60 +504,14 @@ fn extract_ilp_reduced(
         solve_time: Duration::ZERO,
     };
     for comp in &comps {
-        let mut problem = Problem::new();
-        let mut comp_vars: HashMap<usize, Vec<(usize, VarId)>> = HashMap::new();
-        for &i in comp {
-            let mut vars = vec![];
-            for (j, cand) in rp.candidates[i].iter().enumerate() {
-                if !rp.alive[i][j] {
-                    continue;
-                }
-                let var = problem.add_binary(cand.cost);
-                vars.push((j, var));
-            }
-            comp_vars.insert(i, vars);
-        }
-        for &i in comp {
-            let vars = &comp_vars[&i];
-            if i == 0 {
-                // Constraint (2): exactly one node picked in the root class.
-                problem.add_constraint(vars.iter().map(|&(_, v)| (v, 1.0)).collect(), Cmp::Eq, 1.0);
-            } else if rp.required[i] {
-                // Implied by a fixed parent's constraint (3); stating it
-                // lets the solver's cover-group bound see the class.
-                problem.add_constraint(vars.iter().map(|&(_, v)| (v, 1.0)).collect(), Cmp::Ge, 1.0);
-            }
-            // Constraint (3): a picked node needs one picked node in each
-            // non-fixed child class (fixed children are always selected).
-            for &(j, var) in vars {
-                for &c in &rp.candidates[i][j].children {
-                    if rp.fixed[c].is_some() {
-                        continue;
-                    }
-                    let mut terms = vec![(var, 1.0)];
-                    terms.extend(comp_vars[&c].iter().map(|&(_, v)| (v, -1.0)));
-                    problem.add_constraint(terms, Cmp::Le, 0.0);
-                }
-            }
-        }
-        let hint = hint_choice.as_ref().map(|hint_choice| {
-            let mut values = vec![0.0; problem.num_vars()];
-            for &i in comp {
-                if let Some(h) = hint_choice[i] {
-                    if let Some(&(_, v)) = comp_vars[&i].iter().find(|&&(j, _)| j == h) {
-                        values[v.0] = 1.0;
-                    }
-                }
-            }
-            values
-        });
+        let enc = encode(&rp, comp, config, warm.as_ref());
         let solver = Solver::with_time_limit(config.time_limit.saturating_sub(start.elapsed()));
-        let solution = match &hint {
-            Some(h) => solver.solve_with_hint(&problem, h),
-            None => solver.solve(&problem),
+        let solution = match &enc.hint {
+            Some(h) => solver.solve_with_hint(&enc.problem, h),
+            None => solver.solve(&enc.problem),
         };
-        stats.num_vars += problem.num_vars();
-        stats.num_constraints += problem.num_constraints();
+        stats.num_vars += enc.problem.num_vars();
+        stats.num_constraints += enc.problem.num_constraints();
         stats.presolve_fixed += solution.presolve_fixed;
         stats.nodes_explored += solution.nodes_explored;
         stats.solve_time += solution.solve_time;
@@ -749,7 +525,7 @@ fn extract_ilp_reduced(
             stats.status = solution.status;
         }
         for &i in comp {
-            for &(j, var) in &comp_vars[&i] {
+            for &(j, var) in &enc.vars[&i] {
                 if solution.value(var) > 0.5 {
                     choice[i] = Some(j);
                     break;
@@ -770,10 +546,173 @@ fn extract_ilp_reduced(
     finish_ilp(Some(solved), greedy, stats, model, start)
 }
 
-/// One candidate per class of the reduced problem to start the component
-/// solvers from: the e-node the greedy graph was built from (`picked(class,
-/// node id)`), or — when that was dominance-pruned — the sibling `rep` says
-/// dominated it. The dominator's needs are a subset of the pruned pick's,
+/// Where the component solvers start: greedy-DAG's graph, per class of the
+/// problem.
+struct WarmStart {
+    /// The candidate to start from ([`reduced_hint_choice`]).
+    choice: Vec<Option<usize>>,
+    /// With the cycle constraints on, the class's position in the greedy
+    /// graph's emission order, children before parents — an order rows
+    /// (4)–(5) accept; empty otherwise.
+    position: Vec<Option<usize>>,
+}
+
+impl WarmStart {
+    /// The warm start `picks` (emission order) give `rp`; `topo` asks for
+    /// the positions the topological-order variables start from.
+    fn new(
+        egraph: &TensorEGraph,
+        rp: &reduce::ExtractionProblem,
+        mut picks: Picks,
+        topo: bool,
+    ) -> Self {
+        let mut position = vec![];
+        if topo {
+            let of_slot: HashMap<usize, usize> = picks
+                .iter()
+                .enumerate()
+                .map(|(p, &(slot, _))| (slot, p))
+                .collect();
+            position = rp
+                .class_ids
+                .iter()
+                .map(|&class| of_slot.get(&live_slot(egraph, class)).copied())
+                .collect();
+        }
+        picks.sort_unstable_by_key(|&(s, _)| s);
+        let choice = reduced_hint_choice(rp, |class, node| picked(egraph, &picks, class, node));
+        WarmStart { choice, position }
+    }
+}
+
+/// One component's program: what [`encode`] hands the solver.
+struct Encoded {
+    problem: Problem,
+    /// The `(candidate, variable)` of every live candidate, per class of
+    /// the component.
+    vars: HashMap<usize, Vec<(usize, VarId)>>,
+    /// The warm start, one value per variable.
+    hint: Option<Vec<f64>>,
+}
+
+/// Encodes the classes `comp` of `rp` — one of its
+/// [`components`](reduce::ExtractionProblem::components) — as the paper's
+/// §5.1 program. Each live candidate is a binary costed at its latency (the
+/// primary objective; memory and launches ride along in the outcome).
+/// Constraint (2) makes the root class pick exactly one; each other
+/// required class gets a `>= 1` row (implied by a fixed parent's constraint
+/// (3); stating it lets the solver's cover-group bound see the class); and
+/// constraint (3) is one row per (candidate, distinct child class) — a
+/// fixed child is always selected and gets none, a child without
+/// candidates makes the row `x <= 0`.
+///
+/// With `config.cycle_constraints`, constraints (4)–(5) rule out cycles:
+/// one topological-order variable per class of the component (real in
+/// `[0, 1]`, or integer in `[0, m - 1]` when `config.integer_topo_vars`,
+/// `m` the component's class count) and one row per (candidate, distinct
+/// child class).
+///
+/// `warm` becomes the solver's start values: 1 on each class's hinted
+/// candidate, and the topological-order variable of the class at emission
+/// position `p` at `p` (integer) or `(p + 1) / (m + 1)` (real); every other
+/// value is 0.
+fn encode(
+    rp: &reduce::ExtractionProblem,
+    comp: &[usize],
+    config: &IlpConfig,
+    warm: Option<&WarmStart>,
+) -> Encoded {
+    let mut problem = Problem::new();
+    let mut vars: HashMap<usize, Vec<(usize, VarId)>> = HashMap::new();
+    for &i in comp {
+        let mut class_vars = vec![];
+        for (j, cand) in rp.candidates[i].iter().enumerate() {
+            if rp.alive[i][j] {
+                class_vars.push((j, problem.add_binary(cand.cost)));
+            }
+        }
+        vars.insert(i, class_vars);
+    }
+    for &i in comp {
+        let class_vars = &vars[&i];
+        if i == 0 {
+            // Constraint (2): exactly one node picked in the root class.
+            let terms = class_vars.iter().map(|&(_, v)| (v, 1.0)).collect();
+            problem.add_constraint(terms, Cmp::Eq, 1.0);
+        } else if rp.required[i] {
+            let terms = class_vars.iter().map(|&(_, v)| (v, 1.0)).collect();
+            problem.add_constraint(terms, Cmp::Ge, 1.0);
+        }
+        // Constraint (3): a picked node needs one picked node in each
+        // non-fixed child class.
+        for &(j, var) in class_vars {
+            for &c in &rp.candidates[i][j].children {
+                if rp.fixed[c].is_some() {
+                    continue;
+                }
+                let mut terms = vec![(var, 1.0)];
+                terms.extend(vars[&c].iter().map(|&(_, v)| (v, -1.0)));
+                problem.add_constraint(terms, Cmp::Le, 0.0);
+            }
+        }
+    }
+    // Constraints (4)–(5): topological-order variables rule out cycles.
+    let mut topo: HashMap<usize, VarId> = HashMap::new();
+    let m = comp.len() as f64;
+    if config.cycle_constraints {
+        for &i in comp {
+            let var = if config.integer_topo_vars {
+                problem.add_integer(0, comp.len() as i64 - 1, 0.0)
+            } else {
+                problem.add_continuous(0.0, 1.0, 0.0)
+            };
+            topo.insert(i, var);
+        }
+        // t_own - t_child + A(1 - x) >= 1 with A >= m for integers;
+        // t_own - t_child - ε + A(1 - x) >= 0 with A > 1 + ε for reals.
+        let (a, rhs) = if config.integer_topo_vars {
+            (m, 1.0 - m)
+        } else {
+            (2.0, 1.0 / (m + 1.0) - 2.0)
+        };
+        for &i in comp {
+            for &(j, var) in &vars[&i] {
+                for &c in &rp.candidates[i][j].children {
+                    let terms = vec![(topo[&i], 1.0), (topo[&c], -1.0), (var, -a)];
+                    problem.add_constraint(terms, Cmp::Ge, rhs);
+                }
+            }
+        }
+    }
+
+    let hint = warm.map(|warm| {
+        let mut values = vec![0.0; problem.num_vars()];
+        for &i in comp {
+            let hinted = vars[&i].iter().find(|&&(j, _)| Some(j) == warm.choice[i]);
+            if let Some(&(_, v)) = hinted {
+                values[v.0] = 1.0;
+            }
+            if let (Some(t), Some(&Some(p))) = (topo.get(&i), warm.position.get(i)) {
+                values[t.0] = if config.integer_topo_vars {
+                    p as f64
+                } else {
+                    (p as f64 + 1.0) / (m + 1.0)
+                };
+            }
+        }
+        values
+    });
+    Encoded {
+        problem,
+        vars,
+        hint,
+    }
+}
+
+/// One candidate per class of the problem, reduced or not, to start the
+/// component solvers from: the e-node the greedy graph was built from
+/// (`picked(class, node id)`), or — when that was dominance-pruned — the
+/// sibling `rep` says dominated it. The dominator's needs are a subset of the pruned pick's,
 /// which the greedy solution satisfies, so the repaired hint stays closed.
 fn reduced_hint_choice(
     rp: &reduce::ExtractionProblem,
@@ -795,7 +734,7 @@ fn reduced_hint_choice(
     hint_choice
 }
 
-/// The any-time end of both ILP paths: the solver's graph, unless it found
+/// The any-time end of every ILP solve: the solver's graph, unless it found
 /// none within its budget, its graph has no finite cost, or the greedy
 /// incumbent is cheaper (e.g. the warm start could not be translated into a
 /// feasible assignment) — then the greedy graph, so ILP extraction never
@@ -978,6 +917,37 @@ mod tests {
         assert!((plain.dag_cost - int_topo.dag_cost).abs() < 1e-6);
     }
 
+    /// Greedy-DAG's emission order sets the topological-order variables, so
+    /// the cycle-constrained warm start satisfies rows (4)–(5) under both
+    /// encodings — and with no time to search, the solver hands that
+    /// incumbent back as `Feasible` instead of failing.
+    #[test]
+    fn cycle_constrained_warm_start_is_feasible_and_kept_at_a_zero_time_limit() {
+        let (eg, root, _) = explored_two_matmuls();
+        let model = CostModel::default();
+        let root = eg.find(root);
+        let greedy = extract_greedy_dag(&eg, root, &model).unwrap();
+        for integer_topo_vars in [false, true] {
+            let config = IlpConfig {
+                cycle_constraints: true,
+                integer_topo_vars,
+                time_limit: Duration::ZERO,
+            };
+            let rp = reduce::ExtractionProblem::from_egraph(&eg, root, &model).unwrap();
+            let (_, picks) = greedy_dag_with_picks(&eg, root, &model).unwrap();
+            let warm = WarmStart::new(&eg, &rp, picks, true);
+            let comps = rp.components();
+            assert_eq!(comps.len(), 1);
+            let enc = encode(&rp, &comps[0], &config, Some(&warm));
+            let hint = enc.hint.expect("a warm start gives a hint");
+            assert!(enc.problem.is_feasible(&hint, 1e-9), "{config:?}");
+
+            let out = extract_ilp(&eg, root, &model, &config).unwrap();
+            assert_eq!(out.ilp.unwrap().status, Status::Feasible, "{config:?}");
+            assert_eq!(out.dag_cost, greedy.dag_cost, "{config:?}");
+        }
+    }
+
     #[test]
     fn extraction_on_unexplored_graph_returns_input() {
         let mut g = GraphBuilder::new();
@@ -1016,7 +986,7 @@ mod tests {
         assert!(ilp.ilp.is_some());
     }
 
-    /// The decoder both ILP paths ran before greedy-DAG extraction kept its
+    /// The decoder the ILP warm start ran before greedy-DAG extraction kept its
     /// picks, kept as the oracle the picks are tested against: it maps the
     /// greedy *expression* back to `(class, canonical e-node)` pairs —
     /// children in the expression are expression-local ids, translated to
@@ -1042,18 +1012,19 @@ mod tests {
         selected
     }
 
-    /// The warm start both ILP paths build from greedy-DAG's picks is,
-    /// element for element, the one the old expression decoder gave them —
+    /// The warm start greedy-DAG's picks give the unreduced and the reduced
+    /// problem is, element for element, the one the old expression decoder
+    /// gave them —
     /// and the fourteen solves it starts take pinned numbers of
     /// branch-and-bound nodes, which a changed warm start would move.
     #[test]
     fn warm_start_from_picks_equals_the_expression_decoder_on_every_benchmark() {
-        // (model, B&B nodes of the reduced path, of the monolithic path)
+        // (model, B&B nodes of the reduced program, of the unreduced one)
         const NODES_EXPLORED: [(&str, usize, usize); 7] = [
-            ("NasRNN", 85, 12_911),
+            ("NasRNN", 85, 13_263),
             ("BERT", 837, 2_271),
             ("ResNeXt-50", 0, 11),
-            ("NasNet-A", 673, 9_731),
+            ("NasNet-A", 673, 8_483),
             ("SqueezeNet", 0, 7),
             ("VGG-19", 12, 23),
             ("Inception-v3", 630, 747),
@@ -1070,7 +1041,8 @@ mod tests {
             let graph = tensat_models::build_benchmark(name, tensat_models::ModelScale::tiny());
             let (eg, root) = explored(&graph, 2, 120);
             let root = eg.find(root);
-            let (greedy, picks) = greedy_dag_with_picks(&eg, root, &model).unwrap();
+            let (greedy, mut picks) = greedy_dag_with_picks(&eg, root, &model).unwrap();
+            picks.sort_unstable_by_key(|&(s, _)| s);
             let selected = decode_selected(&eg, root, &greedy.expr);
             assert_eq!(picks.len(), selected.len(), "{name}");
 
@@ -1079,17 +1051,19 @@ mod tests {
                 selected.contains(&(eg.find(class), eg.canonicalize(eg.enode(node))))
             };
 
-            // Monolithic: one value per variable.
+            // Unreduced: every pick is a hinted candidate.
             let config = IlpConfig::default();
-            let (problem, node_vars) = encode_monolithic(&eg, root, &model, &config).unwrap();
-            let hint = monolithic_warm_start(&node_vars, problem.num_vars(), from_picks);
-            let oracle = monolithic_warm_start(&node_vars, problem.num_vars(), decoded);
-            assert_eq!(hint, oracle, "{name}: monolithic warm start");
-            assert_eq!(hint.iter().sum::<f64>(), picks.len() as f64, "{name}");
+            let mut rp = reduce::ExtractionProblem::from_egraph(&eg, root, &model).unwrap();
+            let hint = reduced_hint_choice(&rp, from_picks);
+            assert_eq!(
+                hint,
+                reduced_hint_choice(&rp, decoded),
+                "{name}: unreduced hint"
+            );
+            assert_eq!(hint.iter().flatten().count(), picks.len(), "{name}");
 
             // Reduced: one hinted candidate per class, dominance-
             // pruned picks chased to their dominator.
-            let mut rp = reduce::ExtractionProblem::from_egraph(&eg, root, &model).unwrap();
             rp.reduce(Some(greedy.dag_cost), None).unwrap();
             let hint = reduced_hint_choice(&rp, from_picks);
             assert_eq!(

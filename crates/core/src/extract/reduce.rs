@@ -1,7 +1,7 @@
 //! Extraction problem reduction: shrink the ILP selection problem between
 //! the e-graph and the encoder while *provably preserving the optimal
-//! cost*. The monolithic encoding (one binary per viable e-node, one
-//! implication row per (node, child-class) edge) hands the branch-and-bound
+//! cost*. The unreduced program (one binary per viable e-node, one
+//! implication row per (node, distinct child class)) hands the branch-and-bound
 //! solver a search lattice exponential in the number of multi-candidate
 //! classes; on the benchmark models almost all of that lattice is
 //! irrelevant. The pipeline here runs four passes:
@@ -64,9 +64,9 @@ pub(crate) struct Candidate {
 /// Reduction statistics, surfaced through `IlpStats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ReduceStats {
-    /// Variables the monolithic encoding would have created.
+    /// Binaries of the unreduced program.
     pub(crate) vars_before: usize,
-    /// Constraints the monolithic encoding would have created.
+    /// Rows (2)–(3) of the unreduced program.
     pub(crate) constraints_before: usize,
     /// Candidates removed by dominance pruning.
     pub(crate) dominated_pruned: usize,
@@ -104,10 +104,12 @@ pub(crate) struct ExtractionProblem {
 }
 
 impl ExtractionProblem {
-    /// Builds the unreduced problem from the e-graph: the same class walk
-    /// and candidate filter as the monolithic ILP encoder, so
-    /// `stats.vars_before`/`constraints_before` are exactly that encoding's
-    /// size.
+    /// Builds the unreduced problem from the e-graph: the classes reachable
+    /// from the root through unfiltered e-nodes, in BFS order (decisions
+    /// near the root come first), each with its finite-cost e-nodes as
+    /// candidates. `stats.vars_before`/`constraints_before` are the size of
+    /// its encoding: one binary per candidate, the root row and one
+    /// implication row per (candidate, distinct child class).
     pub(crate) fn from_egraph(
         egraph: &TensorEGraph,
         root: Id,
@@ -143,8 +145,6 @@ impl ExtractionProblem {
                 if !cost.is_finite() {
                     continue;
                 }
-                vars_before += 1;
-                constraints_before += node.children().len();
                 let mut children: Vec<usize> = node
                     .children()
                     .iter()
@@ -152,6 +152,8 @@ impl ExtractionProblem {
                     .collect();
                 children.sort_unstable();
                 children.dedup();
+                vars_before += 1;
+                constraints_before += children.len();
                 list.push(Candidate {
                     node: id,
                     cost: cost.latency,
@@ -186,7 +188,7 @@ impl ExtractionProblem {
     /// incumbent) used for cost-bound pruning. Past `deadline`, when given,
     /// the closure and pruning passes stop where they are (see the module
     /// docs). Errs when the root class has no viable candidate left (the
-    /// monolithic encoding would be infeasible).
+    /// unreduced program would be infeasible).
     pub(crate) fn reduce(
         &mut self,
         ub: Option<f64>,

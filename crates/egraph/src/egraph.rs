@@ -362,16 +362,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         *ids.last().expect("cannot add an empty expression")
     }
 
-    /// Looks up the class of an expression without adding it.
-    pub fn lookup_expr(&self, expr: &RecExpr<L>) -> Option<Id> {
-        let mut ids: Vec<Id> = Vec::with_capacity(expr.len());
-        for (_, node) in expr.iter() {
-            let node = node.map_children(|c| ids[usize::from(c)]);
-            ids.push(self.lookup(&node)?);
-        }
-        ids.last().copied()
-    }
-
     /// Unions two e-classes, returning the canonical id of the merged class
     /// and whether anything actually changed.
     ///
@@ -939,46 +929,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             "parent edges recorded for dead classes"
         );
     }
-
-    /// Produces a Graphviz dot rendering of the e-graph (classes as
-    /// clusters, e-nodes as records).
-    pub fn to_dot(&self) -> String {
-        let mut s = String::from("digraph egraph {\n  compound=true;\n  rankdir=TB;\n");
-        for class in self.classes() {
-            s.push_str(&format!(
-                "  subgraph cluster_{} {{\n    label=\"{}\";\n",
-                class.id, class.id
-            ));
-            for (i, &id) in class.nodes.iter().enumerate() {
-                let style = if self.is_filtered(id) {
-                    ",style=dashed"
-                } else {
-                    ""
-                };
-                s.push_str(&format!(
-                    "    n_{}_{} [label=\"{}\"{}];\n",
-                    class.id,
-                    i,
-                    self.enode(id).display_op(),
-                    style
-                ));
-            }
-            s.push_str("  }\n");
-        }
-        for class in self.classes() {
-            for (i, &id) in class.nodes.iter().enumerate() {
-                for &child in self.enode(id).children() {
-                    let child = self.find(child);
-                    s.push_str(&format!(
-                        "  n_{}_{} -> n_{}_0 [lhead=cluster_{}];\n",
-                        class.id, i, child, child
-                    ));
-                }
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 impl<L: Language, N: Analysis<L>> fmt::Debug for EGraph<L, N> {
@@ -1082,7 +1032,7 @@ mod tests {
     }
 
     #[test]
-    fn add_expr_and_lookup_expr() {
+    fn add_expr_hash_conses_and_round_trips() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let mut e = RecExpr::default();
         let a = e.add(sym("a"));
@@ -1090,7 +1040,8 @@ mod tests {
         let m = e.add(Math::Mul([a, two]));
         e.add(Math::Div([m, two]));
         let root = eg.add_expr(&e);
-        assert_eq!(eg.lookup_expr(&e), Some(eg.find(root)));
+        let again = eg.add_expr(&e);
+        assert_eq!(eg.find(again), eg.find(root));
         assert_eq!(eg.number_of_classes(), 4);
         // Extracting it back gives the same term.
         assert_eq!(eg.id_to_expr(root).to_string(), "(/ (* a 2) 2)");
@@ -1393,19 +1344,6 @@ mod tests {
     fn egraph_is_sync_for_sync_parameters() {
         fn assert_sync<T: Sync>() {}
         assert_sync::<EGraph<Math, ()>>();
-    }
-
-    #[test]
-    fn dot_export_mentions_every_op() {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let a = eg.add(sym("a"));
-        let two = eg.add(Math::Num(2));
-        eg.add(Math::Mul([a, two]));
-        eg.rebuild();
-        let dot = eg.to_dot();
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains('*'));
-        assert!(dot.contains('a'));
     }
 
     /// Analysis that tracks constant values (constant folding lattice).

@@ -101,25 +101,6 @@ impl<L: Language> CostFunction<L> for AstSize {
     }
 }
 
-/// AST depth cost function (useful in tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AstDepth;
-
-impl<L: Language> CostFunction<L> for AstDepth {
-    type Cost = usize;
-    fn cost<C>(&mut self, _id: Id, enode: &L, mut costs: C) -> usize
-    where
-        C: FnMut(Id) -> usize,
-    {
-        1 + enode
-            .children()
-            .iter()
-            .map(|&c| costs(c))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// Why [`build_term`] could not build a term from a choice of e-nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChoiceError {
@@ -906,7 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn astdepth_differs_from_astsize() {
+    fn astsize_double_counts_shared_subterms() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let a = eg.add(sym("a"));
         let b = eg.add(sym("b"));
@@ -914,8 +895,6 @@ mod tests {
         let abab = eg.add(Math::Add([ab, ab]));
         eg.rebuild();
         let size = Extractor::new(&eg, AstSize).best_cost(abab).unwrap();
-        let depth = Extractor::new(&eg, AstDepth).best_cost(abab).unwrap();
-        assert_eq!(depth, 3);
         assert_eq!(size, 7); // tree size double counts the shared (+ a b)
     }
 

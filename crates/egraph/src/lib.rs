@@ -22,8 +22,7 @@
 //!   through an operator index — every search is a full search of the
 //!   e-graph it is given; the legacy recursive matcher remains available
 //!   as a differential-testing oracle ([`Pattern::search_naive`]). Search
-//!   can be sharded across threads
-//!   ([`Pattern::search_parallel`], [`search_all_parallel`]) with
+//!   can be sharded across threads ([`search_all_parallel`]) with
 //!   bit-identical results. Matching is purely structural; a rule's
 //!   semantic side condition ([`Condition`]) runs when a match is applied,
 //!   by the one in-place apply loop ([`Rewrite::apply_while`]), against
@@ -75,8 +74,8 @@ pub use bitset::BitSet;
 pub use eclass::EClass;
 pub use egraph::EGraph;
 pub use extract::{
-    build_term, AstDepth, AstSize, ChoiceError, ChosenTerm, CostFunction, DagCostFunction,
-    DagExtractor, Extractor,
+    build_term, AstSize, ChoiceError, ChosenTerm, CostFunction, DagCostFunction, DagExtractor,
+    Extractor,
 };
 pub use language::{assert_ord_contract, Id, Language, Symbol};
 pub use machine::{

@@ -60,9 +60,8 @@
 //! The operator index also yields a natural *parallel* decomposition:
 //! programs are immutable and the e-graph's read path is `Sync`-clean, so
 //! candidate classes can be split into contiguous chunks and searched by
-//! scoped threads, each with its own register stack
-//! ([`Program::search_parallel`] and the batch driver behind
-//! [`crate::search_all_parallel`]). Merging the chunk outputs in chunk
+//! scoped threads, each with its own register stack (the batch driver
+//! behind [`crate::search_all_parallel`]). Merging the chunk outputs in chunk
 //! order reproduces the sequential result bit for bit.
 
 use crate::{Analysis, EGraph, ENodeOrVar, Id, Language, RecExpr, SearchMatches, SubstRows, Var};
@@ -300,26 +299,6 @@ impl<L: Language> Program<L> {
         out
     }
 
-    /// Parallel version of [`Program::search`]: candidate classes are split
-    /// into contiguous chunks sharded across `n_threads` scoped threads,
-    /// each running the (immutable) program with its own register stack.
-    /// Chunk outputs are merged in chunk order, so the result is
-    /// bit-identical to the sequential search. `n_threads <= 1` runs the
-    /// sequential driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the e-graph is not clean (see [`Program::search`]).
-    pub fn search_parallel<N>(&self, egraph: &EGraph<L, N>, n_threads: usize) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        let mut out = search_all_guarded_parallel(&[self], egraph, n_threads);
-        out.pop().expect("one program in, one match list out")
-    }
-
     /// Calls `visit` on the classes this program's search visits, in the
     /// deterministic order every driver uses (ascending class id,
     /// restricted by the operator index when the root is a concrete node).
@@ -353,22 +332,6 @@ impl<L: Language> Program<L> {
                 ids.last().copied()
             })
             .collect()
-    }
-
-    /// Searches a single e-class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the e-graph is not clean (see [`Program::search`]).
-    pub fn search_eclass<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        eclass: Id,
-    ) -> Option<SearchMatches> {
-        assert_clean(egraph);
-        let grounds = self.resolve_grounds(egraph)?;
-        let mut machine = Machine::default();
-        self.search_class(egraph, &mut machine, &grounds, egraph.find(eclass))
     }
 
     fn search_class<N: Analysis<L>>(
@@ -830,11 +793,10 @@ mod tests {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let a = eg.add(sym("a"));
         let three = eg.add(Math::Num(3));
-        let mul = eg.add(Math::Mul([a, three]));
+        eg.add(Math::Mul([a, three]));
         eg.rebuild();
         let p = mul_by_two();
         assert!(p.program().search(&eg).is_empty());
-        assert!(p.program().search_eclass(&eg, mul).is_none());
         let forced = search_all_guarded_parallel_with_threshold(&[p.program()], &eg, 4, 0);
         assert_eq!(forced, vec![vec![]]);
         assert!(p.search_naive(&eg).is_empty());
@@ -909,8 +871,9 @@ mod tests {
         let sequential = p.program().search(&eg);
         assert!(!sequential.is_empty());
         for threads in [1, 2, 3, 4, 8, 64, 1000] {
-            let parallel = p.program().search_parallel(&eg, threads);
-            assert_eq!(sequential, parallel, "thread count {threads}");
+            let parallel =
+                search_all_guarded_parallel_with_threshold(&[p.program()], &eg, threads, 0);
+            assert_eq!(vec![sequential.clone()], parallel, "thread count {threads}");
         }
     }
 
@@ -963,10 +926,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "dirty")]
-    fn machine_search_eclass_asserts_clean() {
-        let _ = mul_by_two()
-            .program()
-            .search_eclass(&dirty_egraph(), Id::from(0usize));
+    fn batch_search_asserts_clean() {
+        let p = mul_by_two();
+        let _ = search_all_guarded_parallel(&[p.program()], &dirty_egraph(), 4);
     }
 
     #[test]

@@ -394,39 +394,6 @@ impl<L: Language> Pattern<L> {
         self.program().search(egraph)
     }
 
-    /// Parallel version of [`Pattern::search`]: shards the candidate
-    /// classes (from the operator index) into contiguous chunks searched by
-    /// `n_threads` scoped threads, then merges the chunk outputs in chunk
-    /// order — the result is bit-identical to [`Pattern::search`].
-    /// `n_threads <= 1` runs the sequential driver. To search many patterns
-    /// with cross-pattern load balancing, prefer [`crate::search_all_parallel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the e-graph is not clean (see [`Pattern::search`]).
-    pub fn search_parallel<N>(&self, egraph: &EGraph<L, N>, n_threads: usize) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        self.program().search_parallel(egraph, n_threads)
-    }
-
-    /// Searches a single e-class for matches of this pattern's root, using
-    /// the compiled e-matching machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the e-graph is not clean (see [`Pattern::search`]).
-    pub fn search_eclass<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        eclass: Id,
-    ) -> Option<SearchMatches> {
-        self.program().search_eclass(egraph, eclass)
-    }
-
     /// Reference implementation of [`Pattern::search`]: the legacy
     /// recursive matcher, kept as the oracle for differential tests and
     /// benchmarks. It scans every class (no operator index) and every node
@@ -444,8 +411,7 @@ impl<L: Language> Pattern<L> {
         out
     }
 
-    /// Reference implementation of [`Pattern::search_eclass`] (see
-    /// [`Pattern::search_naive`]).
+    /// The naive matcher on one class (see [`Pattern::search_naive`]).
     pub fn search_eclass_naive<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
@@ -777,16 +743,17 @@ mod tests {
     }
 
     /// Debug-build-only for the same reason as
-    /// [`search_on_dirty_egraph_asserts`].
+    /// [`search_on_dirty_egraph_asserts`]; no class holds the root's
+    /// operator, and the search still refuses the dirty e-graph.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "dirty")]
-    fn search_eclass_on_dirty_egraph_asserts() {
+    fn search_without_candidates_on_dirty_egraph_asserts() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let a = eg.add(sym("a"));
         let b = eg.add(sym("b"));
         eg.union(a, b);
-        let _ = mul_by_two_pattern().search_eclass(&eg, a);
+        let _ = mul_by_two_pattern().search(&eg);
     }
 
     /// `SubstRows::from_unsorted` on what no search of a clean e-graph

@@ -149,13 +149,6 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         }
         (changed, false)
     }
-
-    /// Searches and applies in one step, returning the number of effective
-    /// applications. Does not rebuild.
-    pub fn run(&self, egraph: &mut EGraph<L, N>) -> usize {
-        let matches = self.search(egraph);
-        self.apply(egraph, &matches)
-    }
 }
 
 #[cfg(test)]
@@ -192,14 +185,15 @@ mod tests {
         let mul = eg.add(Math::Mul([a, two]));
         eg.rebuild();
         let rw: Rewrite<Math, ()> = Rewrite::new("mul2-to-shl", pat_mul_two(), pat_shl_one());
-        let n = rw.run(&mut eg);
-        assert_eq!(n, 1);
+        let matches = rw.search(&eg);
+        assert_eq!(rw.apply(&mut eg, &matches), 1);
         eg.rebuild();
         let one = eg.lookup(&Math::Num(1)).unwrap();
         let shl = eg.lookup(&Math::Shl([a, one])).unwrap();
         assert_eq!(eg.find(shl), eg.find(mul));
-        // Running again changes nothing (already equal).
-        assert_eq!(rw.run(&mut eg), 0);
+        // Applying again changes nothing (already equal).
+        let matches = rw.search(&eg);
+        assert_eq!(rw.apply(&mut eg, &matches), 0);
     }
 
     #[test]
@@ -215,7 +209,8 @@ mod tests {
             pat_shl_one(),
             Arc::new(|_, _, _| false),
         );
-        assert_eq!(rw.run(&mut eg), 0);
+        let matches = rw.search(&eg);
+        assert_eq!(rw.apply(&mut eg, &matches), 0);
     }
 
     #[test]

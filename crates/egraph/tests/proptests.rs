@@ -183,8 +183,8 @@ proptest! {
     /// Differential test of the parallel search driver against the
     /// sequential machine, mirroring the machine-vs-naive oracle above:
     /// on random e-graphs (with random unions and a random filter list) and
-    /// random patterns — including non-linear ones — `search_parallel(n)`
-    /// must return *bit-identical* match lists (same class order, same
+    /// random patterns — including non-linear ones — the batch driver
+    /// forced to spawn its `n` threads must return *bit-identical* match lists (same class order, same
     /// substitution order) for every thread count 1..=8, not merely
     /// set-equal ones.
     #[test]
@@ -212,7 +212,9 @@ proptest! {
         }
         let pattern = build_pattern(&pat_steps);
         let sequential = pattern.search(&eg);
-        let parallel = pattern.search_parallel(&eg, n_threads);
+        let mut parallel =
+            search_all_guarded_parallel_with_threshold(&[pattern.program()], &eg, n_threads, 0);
+        let parallel = parallel.pop().expect("one pattern in, one match list out");
         prop_assert_eq!(&sequential, &parallel);
         // And therefore also set-equal to the naive oracle.
         prop_assert_eq!(normalize(&eg, &parallel), normalize(&eg, &pattern.search_naive(&eg)));

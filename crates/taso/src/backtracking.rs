@@ -8,7 +8,7 @@
 //! time and the time at which the best graph was *first* found — the
 //! paper's "TASO total" and "TASO best" lines in Figure 5.
 
-use crate::subst::{apply_substitution, find_substitutions, graph_runtime};
+use crate::subst::{apply_substitution, find_substitutions};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::time::{Duration, Instant};
@@ -129,7 +129,7 @@ impl BacktrackingSearch {
     pub fn run(&self, graph: &RecExpr<TensorLang>) -> BacktrackingResult {
         let start = Instant::now();
         let model = &self.config.cost_model;
-        let original_cost = graph_runtime(graph, model);
+        let original_cost = model.graph_cost(graph);
 
         let mut best_graph = graph.clone();
         let mut best_cost = original_cost;
@@ -166,7 +166,7 @@ impl BacktrackingSearch {
                     continue;
                 }
                 candidates_generated += 1;
-                let cost = graph_runtime(&rewritten, model);
+                let cost = model.graph_cost(&rewritten);
                 if cost < best_cost {
                     best_cost = cost;
                     best_graph = rewritten.clone();

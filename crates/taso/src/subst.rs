@@ -9,10 +9,9 @@
 //! node's class representative when rebuilding the concrete graph, rather
 //! than by unioning.
 
-use std::collections::HashMap;
-use tensat_egraph::{Id, Language, RecExpr, Subst};
-use tensat_ir::{CostModel, TensorAnalysis, TensorData, TensorEGraph, TensorLang};
-use tensat_rules::{pattern_data, TensorRewrite};
+use tensat_egraph::{build_term, Id, RecExpr, Subst};
+use tensat_ir::{TensorAnalysis, TensorData, TensorEGraph, TensorLang};
+use tensat_rules::TensorRewrite;
 
 /// One applicable substitution site on a concrete graph.
 #[derive(Debug, Clone)]
@@ -76,15 +75,17 @@ pub fn apply_substitution(
     egraph.rebuild();
 
     // Destructive replacement: rebuild the concrete graph from the e-graph,
-    // but whenever we reach the matched class, emit the new subgraph
-    // instead of the original node.
-    let matched = egraph.find(m.eclass);
-    let replacement = egraph.find(new_root);
-    let mut out = RecExpr::default();
-    let mut memo: HashMap<Id, Option<Id>> = HashMap::new();
-    let root_id =
-        copy_with_replacement(&egraph, root, matched, replacement, &mut out, &mut memo, 0)?;
-    let _ = root_id;
+    // but represent the matched class by the instantiated right-hand side
+    // (the replacement class's newest node; node ids are handed out in
+    // `add` order) and every other class by its original node (its oldest).
+    let slot = |class: Id| egraph.slot_index(class).expect("a loaded class is live");
+    let mut choice = vec![None; egraph.num_slots()];
+    for class in egraph.classes() {
+        choice[slot(class.id)] = class.node_ids().iter().min().copied();
+    }
+    choice[slot(m.eclass)] = egraph.eclass(new_root).node_ids().iter().max().copied();
+    // A replacement that reaches the matched class again has no term.
+    let out = build_term(&egraph, root, |slot| choice[slot]).ok()?.expr;
     // Reject ill-typed results (e.g. a rule applied at a site whose shapes
     // were only valid inside the e-graph union).
     let data = tensat_ir::infer_recexpr(&out);
@@ -95,81 +96,10 @@ pub fn apply_substitution(
     }
 }
 
-/// Copies the term represented by `class` out of the e-graph (each class
-/// has exactly one original node plus possibly the freshly instantiated
-/// replacement), substituting `replacement` for `matched`.
-fn copy_with_replacement(
-    egraph: &TensorEGraph,
-    class: Id,
-    matched: Id,
-    replacement: Id,
-    out: &mut RecExpr<TensorLang>,
-    memo: &mut HashMap<Id, Option<Id>>,
-    depth: usize,
-) -> Option<Id> {
-    if depth > 10_000 {
-        return None; // defensive: malformed replacement produced a cycle
-    }
-    let class = egraph.find(class);
-    let key = class;
-    if let Some(done) = memo.get(&key) {
-        return *done;
-    }
-    memo.insert(key, None);
-    // Decide which e-node to materialise for this class.
-    let replaced = class == matched && class != replacement;
-    let target_class = if replaced { replacement } else { class };
-    // Prefer the newest node of the target class when it is the matched
-    // class being replaced (the instantiated RHS), otherwise the oldest
-    // (the original graph node); node ids are handed out in `add` order.
-    let ids = egraph.eclass(target_class).node_ids().iter();
-    let pick = if replaced { ids.max() } else { ids.min() };
-    let node = egraph.enode(*pick?).clone();
-    let mut children = Vec::with_capacity(node.children().len());
-    for &c in node.children() {
-        children.push(copy_with_replacement(
-            egraph,
-            c,
-            matched,
-            replacement,
-            out,
-            memo,
-            depth + 1,
-        )?);
-    }
-    let mut i = 0;
-    let node = node.map_children(|_| {
-        let id = children[i];
-        i += 1;
-        id
-    });
-    let id = out.add(node);
-    memo.insert(key, Some(id));
-    Some(id)
-}
-
-/// Estimated runtime of a concrete graph under the cost model (µs).
-pub fn graph_runtime(graph: &RecExpr<TensorLang>, model: &CostModel) -> f64 {
-    model.graph_cost(graph)
-}
-
-/// Uses `pattern_data` to sanity check the instantiated RHS of a match
-/// before applying it (exposed for tests).
-pub fn match_is_shape_valid(
-    graph: &RecExpr<TensorLang>,
-    rules: &[TensorRewrite],
-    m: &GraphMatch,
-) -> bool {
-    let (egraph, _) = load_graph(graph);
-    pattern_data(&egraph, &rules[m.rule_index].applier, &m.subst)
-        .iter()
-        .all(|d| d.is_valid())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tensat_ir::{Activation, GraphBuilder};
+    use tensat_ir::{Activation, CostModel, GraphBuilder};
     use tensat_rules::single_rules;
 
     fn relu_matmul_graph() -> RecExpr<TensorLang> {
@@ -199,7 +129,7 @@ mod tests {
         let graph = relu_matmul_graph();
         let rules = single_rules();
         let model = CostModel::default();
-        let before = graph_runtime(&graph, &model);
+        let before = model.graph_cost(&graph);
         let fuse_idx = rules
             .iter()
             .position(|r| r.name == "fuse-matmul-relu")
@@ -208,9 +138,8 @@ mod tests {
             .into_iter()
             .find(|m| m.rule_index == fuse_idx)
             .unwrap();
-        assert!(match_is_shape_valid(&graph, &rules, &m));
         let rewritten = apply_substitution(&graph, &rules, &m).unwrap();
-        let after = graph_runtime(&rewritten, &model);
+        let after = model.graph_cost(&rewritten);
         assert!(after < before, "{after} should be < {before}");
         assert!(rewritten.to_string().contains("(matmul 1"));
         assert!(!rewritten.to_string().contains("relu"));
@@ -231,7 +160,7 @@ mod tests {
             .find(|m| m.rule_index == comm_idx)
             .unwrap();
         let rewritten = apply_substitution(&graph, &rules, &m).unwrap();
-        assert!((graph_runtime(&rewritten, &model) - graph_runtime(&graph, &model)).abs() < 1e-9);
+        assert!((model.graph_cost(&rewritten) - model.graph_cost(&graph)).abs() < 1e-9);
     }
 
     #[test]
