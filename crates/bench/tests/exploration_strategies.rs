@@ -226,9 +226,9 @@ fn an_iteration_cut_by_node_limit_is_the_last_in_engine_and_oracle() {
     let singles = single_rules();
     let multis = multi_rules();
     for (name, node_limit, enodes, eclasses, iterations) in [
-        ("NasNet-A", 2_000, 1_825, 714, 4),
-        ("BERT", 2_000, 1_673, 671, 4),
-        ("BERT", 20_000, 18_210, 7_970, 6),
+        ("NasNet-A", 2_000, 1_820, 685, 4),
+        ("BERT", 2_000, 1_675, 664, 4),
+        ("BERT", 20_000, 18_210, 7_962, 6),
     ] {
         let config = ExplorationConfig {
             max_iter: 15,
@@ -323,15 +323,15 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
         (
             "NasRNN",
             [
-                (625, 339, 4, 80, 286, Saturated),
-                (2002, 1170, 2, 80, 832, NodeLimit(2000)),
+                (546, 260, 4, 80, 286, Saturated),
+                (2002, 992, 2, 80, 1010, NodeLimit(2000)),
             ],
         ),
         (
             "BERT",
             [
-                (1673, 671, 4, 12, 1355, NodeLimit(2000)),
-                (1974, 1044, 3, 28, 956, NodeLimit(2000)),
+                (1675, 664, 4, 12, 1364, NodeLimit(2000)),
+                (1976, 936, 3, 28, 1066, NodeLimit(2000)),
             ],
         ),
         (
@@ -341,8 +341,8 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
         (
             "NasNet-A",
             [
-                (1825, 714, 4, 42, 1329, NodeLimit(2000)),
-                (2002, 1166, 2, 42, 836, NodeLimit(2000)),
+                (1820, 685, 4, 42, 1357, NodeLimit(2000)),
+                (2000, 996, 2, 42, 1004, NodeLimit(2000)),
             ],
         ),
         (
@@ -356,8 +356,8 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
         (
             "Inception-v3",
             [
-                (181, 109, 4, 12, 72, Saturated),
-                (1405, 649, 5, 156, 756, Saturated),
+                (170, 98, 4, 12, 72, Saturated),
+                (1251, 495, 5, 156, 756, Saturated),
             ],
         ),
     ];
@@ -391,7 +391,7 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
             total_enodes += stats.enodes;
         }
     }
-    assert_eq!(total_enodes, 11_899);
+    assert_eq!(total_enodes, 11_652);
 }
 
 /// The trajectories of the repo benchmark's two big workloads, pinned to
@@ -417,12 +417,12 @@ fn big_benchmark_trajectories_are_pinned() {
             20_000,
             (
                 18_210,
-                7_970,
+                7_962,
                 6,
                 12,
-                13_286,
+                13_294,
                 NodeLimit(20_000),
-                vec![157, 349, 943, 3_142, 14_989, 18_210],
+                vec![146, 338, 932, 3_131, 14_978, 18_210],
                 110.26111999999998,
             ),
         ),
@@ -431,13 +431,13 @@ fn big_benchmark_trajectories_are_pinned() {
             4,
             30_000,
             (
-                28_024,
-                13_649,
+                28_025,
+                13_602,
                 5,
                 102,
-                17_239,
+                17_287,
                 NodeLimit(30_000),
-                vec![692, 1_126, 2_871, 10_435, 28_024],
+                vec![591, 1_025, 2_770, 10_334, 28_025],
                 103.56740266666665,
             ),
         ),

@@ -153,10 +153,10 @@ fn reduced_ilp_is_optimal_and_within_budget_on_every_benchmark_model() {
 fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
     // (model, blocks, node_limit, B&B nodes, optimum in µs), as in
     // `benchmark/src/workloads.rs`. The node counts sum to the workload's
-    // `ilp.bb_nodes`, 24 906, and the optima to its `extract.ilp_cost_us`.
+    // `ilp.bb_nodes`, 24 876, and the optima to its `extract.ilp_cost_us`.
     let cases = [
-        ("NasNet-A", 2, 2_000, 19_405, 62.915456),
-        ("Inception-v3", 8, 20_000, 5_056, 399.746048),
+        ("NasNet-A", 2, 2_000, 19_567, 62.915456),
+        ("Inception-v3", 8, 20_000, 4_864, 399.746048),
         ("NasRNN", 2, 20_000, 445, 95.032533),
     ];
     for (model, blocks, node_limit, nodes, optimum) in cases {

@@ -14,8 +14,8 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{search_all_parallel, Id, Pattern, SearchMatches, Subst, Var};
-use tensat_ir::{TensorEGraph, TensorLang};
-use tensat_rules::{target_fits, MultiPatternRule, TensorRewrite};
+use tensat_ir::{TensorData, TensorEGraph, TensorLang};
+use tensat_rules::{bind_extents, target_fits, Extent, MultiPatternRule, TensorRewrite};
 
 /// Everything a strategy needs to explore: the root, the rules with their
 /// compiled programs, the configuration, and the budget clock (started
@@ -417,6 +417,8 @@ fn skip_for_cycles(
 struct MultiPlan {
     /// The target patterns, one per source.
     dsts: Vec<Pattern<TensorLang>>,
+    /// The target variables the rule binds to sizes of source values.
+    extents: Vec<Extent>,
     /// The rule's variables, one slot each, in first-occurrence order.
     vars: Vec<Var>,
     srcs: Vec<PlanSource>,
@@ -465,8 +467,12 @@ impl MultiPlan {
                 first_new,
             });
         }
-        let dsts = rule.dsts.clone();
-        MultiPlan { dsts, vars, srcs }
+        MultiPlan {
+            dsts: rule.dsts.clone(),
+            extents: rule.extents.clone(),
+            vars,
+            srcs,
+        }
     }
 
     /// Applies every compatible combination of the sources' matches
@@ -498,6 +504,7 @@ impl MultiPlan {
             binding: vec![Id::default(); self.vars.len()],
             picked: Vec::with_capacity(self.srcs.len()),
             subst: Subst::new(),
+            sizes: Vec::with_capacity(self.extents.len()),
             filter,
             desc,
             keep_going,
@@ -520,6 +527,8 @@ struct Product<'a, K> {
     picked: Vec<(Id, &'a [Id])>,
     /// The binding of the combination being applied, overwritten in place.
     subst: Subst,
+    /// The extents of that combination, overwritten in place.
+    sizes: Vec<(Var, TensorData)>,
     filter: CycleFilter,
     desc: Option<&'a DescendantsMap>,
     keep_going: &'a K,
@@ -575,22 +584,35 @@ impl<'a, K: Fn(&TensorEGraph) -> bool> Product<'a, K> {
         true
     }
 
-    /// Applies the complete combination: every target must fit its
-    /// matched class and pass the cycle pre-filter, then each matched class
-    /// is unioned with its instantiated target.
+    /// Applies the complete combination: every target, its extents bound,
+    /// must fit its matched class and pass the cycle pre-filter; then each
+    /// extent gets its `Num` class and each matched class is unioned with
+    /// its instantiated target.
     fn apply(&mut self, egraph: &mut TensorEGraph) {
         for (&var, &id) in self.plan.vars.iter().zip(&self.binding) {
             self.subst.insert(var, id);
         }
-        let (subst, filter, desc) = (&self.subst, self.filter, self.desc);
+        let (subst, sizes) = (&self.subst, &mut self.sizes);
+        let class_data = |v| subst.get(v).map(|class| &egraph.eclass(class).data);
+        if !bind_extents(&self.plan.extents, class_data, sizes) {
+            return;
+        }
+        let (filter, desc, sizes) = (self.filter, self.desc, &*sizes);
         let targets = || (self.picked.iter().map(|&(class, _)| class)).zip(&self.plan.dsts);
-        if targets().all(|(matched, dst)| target_fits(egraph, dst, matched, subst))
-            && !targets()
+        // An extent has no class yet, so the pre-filter skips it: a `Num`
+        // leaf cannot close a cycle.
+        if !targets().all(|(matched, dst)| target_fits(egraph, dst, matched, subst, sizes))
+            || targets()
                 .any(|(matched, dst)| skip_for_cycles(egraph, filter, desc, matched, dst, subst))
         {
-            for (matched, dst) in targets() {
-                dst.apply_one(egraph, matched, subst);
-            }
+            return;
+        }
+        for (var, size) in &self.sizes {
+            let size = size.as_scalar().expect("an extent is a scalar");
+            self.subst.insert(*var, egraph.add(TensorLang::Num(size)));
+        }
+        for (matched, dst) in targets() {
+            dst.apply_one(egraph, matched, &self.subst);
         }
     }
 }

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 use tensat_egraph::{search_all_parallel, Id, Pattern, Subst, Var};
 use tensat_ir::{TensorEGraph, TensorLang};
-use tensat_rules::{pattern_is_valid, MultiPatternRule, TensorRewrite};
+use tensat_rules::{bind_extents, pattern_data_with, MultiPatternRule, TensorRewrite};
 
 /// Runs the exploration phase on an e-graph already seeded with the input
 /// graph — the pre-seam saturate-all implementation. Returns statistics;
@@ -361,13 +361,23 @@ fn apply_combo(
             None => return,
         }
     }
+    // Bind the extents; their `Num` classes are added on application.
+    let mut sizes = vec![];
+    let class_data = |v| merged.get(v).map(|class| &egraph.eclass(class).data);
+    if !bind_extents(&mrule.rule.extents, class_data, &mut sizes) {
+        return;
+    }
+    let data = |v| match sizes.iter().find(|(u, _)| *u == v) {
+        Some((_, d)) => Some(d),
+        None => class_data(v),
+    };
     // Shape check every target, and make sure output shapes match the
     // matched classes.
     for ((_, matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
-        if !pattern_is_valid(egraph, dst, &merged) {
+        let target_data = pattern_data_with(dst, &data);
+        if !target_data.iter().all(|d| d.is_valid()) {
             return;
         }
-        let target_data = tensat_rules::pattern_data(egraph, dst, &merged);
         let out_shape = target_data
             .last()
             .and_then(|d| d.shape().map(|s| s.to_vec()));
@@ -385,6 +395,10 @@ fn apply_combo(
         }
     }
     // Apply: union each matched class with its instantiated target.
+    for (var, size) in sizes {
+        let size = size.as_scalar().expect("an extent is a scalar");
+        merged.insert(var, egraph.add(TensorLang::Num(size)));
+    }
     for ((_, matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
         dst.apply_one(egraph, *matched, &merged);
     }

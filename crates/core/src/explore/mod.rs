@@ -676,7 +676,8 @@ mod tests {
     #[test]
     fn a_union_after_the_search_makes_shared_columns_agree() {
         let srcs = ["(relu ?x)", "(tanh ?x)"];
-        let rule = || MultiPatternRule::new("same-input", &srcs, &["(relu ?x)", "(sigmoid ?x)"]);
+        let rule =
+            || MultiPatternRule::new("same-input", &srcs, &["(relu ?x)", "(sigmoid ?x)"], &[]);
         assert_eq!(sigmoids_after(TensorLang::Tanh, rule(), &[]), 0);
         assert_eq!(sigmoids_after(TensorLang::Tanh, rule(), &[(0, 1)]), 1);
     }
@@ -691,7 +692,7 @@ mod tests {
             ["(relu ?x)", "(relu ?y)"],
             ["(relu ?x)", "(sigmoid (ewadd ?x ?y))"],
         );
-        let rule = || MultiPatternRule::new("relu-pair", &srcs, &dsts);
+        let rule = || MultiPatternRule::new("relu-pair", &srcs, &dsts, &[]);
         assert_eq!(sigmoids_after(TensorLang::Relu, rule(), &[]), 2);
         assert_eq!(
             sigmoids_after(TensorLang::Relu, rule(), &[(0, 1), (2, 3)]),
@@ -854,6 +855,7 @@ mod tests {
                 "relu-tanh-pair",
                 &["(relu ?x)", "(tanh ?y)"],
                 &["(relu ?x)", "(sigmoid (ewadd ?x ?y))"],
+                &[],
             );
             let config = ExplorationConfig {
                 k_multi,

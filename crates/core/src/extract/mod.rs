@@ -447,18 +447,8 @@ fn live_slot(egraph: &TensorEGraph, class: Id) -> usize {
     egraph.slot_index(class).expect("reachable class is live")
 }
 
-/// The one ILP pipeline: build the abstract selection problem, run the
-/// reduction (trim → dominance/forced-closure fixpoint → forcing) when
-/// `reduce`, encode and solve each component of what is left, and stitch
-/// the fixed selections with the per-component optima.
-///
-/// Soundness of the stitch: the fixed classes select their single surviving
-/// candidate in *some* optimal solution of the unreduced program (the
-/// dominance swap argument shows an optimum avoiding pruned candidates
-/// exists; forcing is then literal constraint propagation on it), and the
-/// residual constraint matrix is block-diagonal across components with an
-/// additive objective — so `optimum = Σ fixed costs + Σ component optima`,
-/// which the differential tests check against the unreduced program.
+/// The one ILP pipeline: [`select_ilp`] from the greedy-DAG incumbent,
+/// then [`finish_ilp`].
 fn solve_ilp(
     egraph: &TensorEGraph,
     root: Id,
@@ -468,19 +458,43 @@ fn solve_ilp(
 ) -> Result<ExtractionOutcome, ExtractError> {
     let start = Instant::now();
     let root = egraph.find(root);
-
     // The greedy-DAG solution serves double duty: its value is the
     // incumbent upper bound the reduction's cost-bound pruning compares
     // forced-closure lower bounds against, and its selection warm-starts
     // every component's solver.
     let (greedy, picks) = greedy_dag_with_picks(egraph, root, model).ok().unzip();
+    let incumbent = greedy.as_ref().map(|g| g.dag_cost).zip(picks);
+    let (solved, stats) = select_ilp(egraph, root, model, config, reduce, incumbent, start)?;
+    finish_ilp(solved.map(|term| term.expr), greedy, stats, model, start)
+}
 
+/// The ILP's own selection, started at `start` from `incumbent`, the
+/// greedy-DAG value and picks: build the abstract selection problem, run
+/// the reduction (trim → dominance/forced-closure fixpoint → forcing) when
+/// `reduce`, encode and solve each component of what is left, and stitch
+/// the fixed selections with the per-component optima. `None` when a
+/// component found no solution in the time left.
+///
+/// Soundness of the stitch: the fixed classes select their single surviving
+/// candidate in *some* optimal solution of the unreduced program (the
+/// dominance swap argument shows an optimum avoiding pruned candidates
+/// exists; forcing is then literal constraint propagation on it), and the
+/// residual constraint matrix is block-diagonal across components with an
+/// additive objective — so `optimum = Σ fixed costs + Σ component optima`,
+/// which the differential tests check against the unreduced program.
+fn select_ilp(
+    egraph: &TensorEGraph,
+    root: Id,
+    model: &CostModel,
+    config: &IlpConfig,
+    reduce: bool,
+    incumbent: Option<(f64, Picks)>,
+    start: Instant,
+) -> Result<(Option<ChosenTerm<TensorLang>>, IlpStats), ExtractError> {
+    let (ub, picks) = incumbent.unzip();
     let mut rp = reduce::ExtractionProblem::from_egraph(egraph, root, model)?;
     if reduce {
-        rp.reduce(
-            greedy.as_ref().map(|g| g.dag_cost),
-            start.checked_add(config.time_limit),
-        )?;
+        rp.reduce(ub, start.checked_add(config.time_limit))?;
     }
     let warm = picks.map(|picks| WarmStart::new(egraph, &rp, picks, config.cycle_constraints));
 
@@ -519,7 +533,7 @@ fn solve_ilp(
             // Out of budget with no incumbent for this component: the
             // greedy graph, if there is one, is the answer.
             stats.status = solution.status;
-            return finish_ilp(None, greedy, stats, model, start);
+            return Ok((None, stats));
         }
         if solution.status != Status::Optimal {
             stats.status = solution.status;
@@ -542,8 +556,7 @@ fn solve_ilp(
             slot_choice[live_slot(egraph, rp.class_ids[i])] = Some(rp.candidates[i][j].node);
         }
     }
-    let solved = read_back(egraph, root, &slot_choice)?;
-    finish_ilp(Some(solved), greedy, stats, model, start)
+    Ok((Some(read_back(egraph, root, &slot_choice)?), stats))
 }
 
 /// Where the component solvers start: greedy-DAG's graph, per class of the
@@ -739,11 +752,6 @@ fn reduced_hint_choice(
 /// incumbent is cheaper (e.g. the warm start could not be translated into a
 /// feasible assignment) — then the greedy graph, so ILP extraction never
 /// regresses below greedy.
-///
-/// A solved selection can cost infinity on a well-typed input: the
-/// encoding prices each e-node on its class's data, so it may pick a
-/// `split` whose child is not the `concat` that data came from, and the
-/// built graph then holds an operator the cost model rejects.
 fn finish_ilp(
     solved: Option<RecExpr<TensorLang>>,
     greedy: Option<ExtractionOutcome>,
@@ -772,9 +780,9 @@ fn read_back(
     egraph: &TensorEGraph,
     root: Id,
     choice: &[Option<Id>],
-) -> Result<RecExpr<TensorLang>, ExtractError> {
+) -> Result<ChosenTerm<TensorLang>, ExtractError> {
     match build_term(egraph, root, |slot| choice[slot]) {
-        Ok(term) => Ok(term.expr),
+        Ok(term) => Ok(term),
         Err(ChoiceError::Missing) => Err(ExtractError::Infeasible),
         Err(ChoiceError::Cyclic) => Err(ExtractError::CyclicSelection),
     }
@@ -1021,13 +1029,13 @@ mod tests {
     fn warm_start_from_picks_equals_the_expression_decoder_on_every_benchmark() {
         // (model, B&B nodes of the reduced program, of the unreduced one)
         const NODES_EXPLORED: [(&str, usize, usize); 7] = [
-            ("NasRNN", 85, 13_263),
+            ("NasRNN", 105, 15_311),
             ("BERT", 837, 2_271),
             ("ResNeXt-50", 0, 11),
-            ("NasNet-A", 673, 8_483),
+            ("NasNet-A", 1_701, 12_511),
             ("SqueezeNet", 0, 7),
             ("VGG-19", 12, 23),
-            ("Inception-v3", 630, 747),
+            ("Inception-v3", 606, 735),
         ];
         assert!(NODES_EXPLORED
             .iter()
@@ -1083,6 +1091,63 @@ mod tests {
                 let stats = out.unwrap().ilp.unwrap();
                 assert_eq!(stats.status, Status::Optimal, "{name} {path}");
                 assert_eq!(stats.nodes_explored, nodes, "{name} {path}");
+            }
+        }
+    }
+
+    /// The graph each extractor's own selection builds costs what the
+    /// selection was priced at, and that is finite: every e-node's data is
+    /// a function of its children's class data, so pricing it on its class
+    /// and on the built graph agree. On every benchmark model at tiny scale
+    /// and `k_multi` 1 and 2, explored to at most 2 000 e-nodes, for
+    /// tree-greedy, greedy-DAG and the ILP's selection as [`select_ilp`]
+    /// returns it, before [`finish_ilp`] could fall back.
+    #[test]
+    fn every_selection_builds_a_graph_of_its_priced_finite_cost() {
+        let model = CostModel::default();
+        let priced = |eg: &TensorEGraph, picks: &[(usize, Id)]| -> f64 {
+            let own = |&(_, id): &(usize, Id)| model.enode_cost_composite(eg, eg.enode(id));
+            picks.iter().map(own).map(|c| c.latency).sum()
+        };
+        for name in tensat_models::BENCHMARKS {
+            let graph = tensat_models::build_benchmark(name, tensat_models::ModelScale::tiny());
+            for k_multi in [1, 2] {
+                let label = format!("{name} k_multi {k_multi}");
+                let mut eg = TensorEGraph::new(TensorAnalysis);
+                let root = eg.add_expr(&graph);
+                eg.rebuild();
+                let config = ExplorationConfig {
+                    k_multi,
+                    node_limit: 2_000,
+                    search_threads: 1,
+                    ..Default::default()
+                };
+                explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
+                let root = eg.find(root);
+
+                let tree = Extractor::new(&eg, TreeCost::new(model.clone(), &eg));
+                let (_, tree) = tree.find_best_term(root).unwrap();
+                let (dag, picks) = greedy_dag_with_picks(&eg, root, &model).unwrap();
+                let incumbent = Some((dag.dag_cost, picks.clone()));
+                let dag = ChosenTerm {
+                    expr: dag.expr,
+                    picks,
+                };
+                let config = IlpConfig::default();
+                let (ilp, stats) =
+                    select_ilp(&eg, root, &model, &config, true, incumbent, Instant::now())
+                        .unwrap();
+                assert_eq!(stats.status, Status::Optimal, "{label}");
+                let ilp = ilp.expect("an optimal selection");
+                for (extractor, term) in [("tree", tree), ("dag", dag), ("ilp", ilp)] {
+                    let cost = model.graph_cost(&term.expr);
+                    assert!(cost.is_finite(), "{label} {extractor}");
+                    let priced = priced(&eg, &term.picks);
+                    assert!(
+                        (cost - priced).abs() <= 1e-9 * priced,
+                        "{label} {extractor}: built {cost}, priced {priced}"
+                    );
+                }
             }
         }
     }

@@ -20,7 +20,9 @@
 //! 3. **Single-candidate forcing** — the root class must select; a required
 //!    class with exactly one surviving candidate selects it in *every*
 //!    feasible solution, so it is fixed outside the ILP and its children
-//!    become required transitively.
+//!    become required transitively. A class whose one candidate is a free
+//!    leaf is fixed too, required or not: selecting it costs nothing and
+//!    constrains nothing.
 //! 4. **Decomposition** — fixing a class satisfies every implication row
 //!    pointing into it, severing the variable-interaction edge; the
 //!    residual classes fall apart into connected components that are
@@ -485,6 +487,11 @@ impl ExtractionProblem {
     /// required singleton removes no solution's residual freedom — it only
     /// subtracts a constant from the objective — and each required class
     /// contributes a `>= 1` row the solver's cover-group bound can count.
+    ///
+    /// Every other reachable class whose one live candidate is a childless
+    /// zero-cost leaf (a `Num` parameter) is fixed as well: an optimum may
+    /// select it for free, and left unfixed the one leaf class its many
+    /// parents share would couple all of them into one component.
     fn force_singletons(&mut self, always: &BitSet) {
         self.required[0] = true;
         let mut stack = vec![0];
@@ -508,6 +515,19 @@ impl ExtractionProblem {
                     self.required[c] = true;
                     stack.push(c);
                 }
+            }
+        }
+        for i in 0..self.candidates.len() {
+            if !self.reachable[i] || self.fixed[i].is_some() || self.live_count(i) != 1 {
+                continue;
+            }
+            let j = (0..self.candidates[i].len())
+                .find(|&j| self.alive[i][j])
+                .expect("live_count == 1");
+            let leaf = &self.candidates[i][j];
+            if leaf.children.is_empty() && leaf.cost == 0.0 {
+                self.fixed[i] = Some(j);
+                self.stats.forced_classes += 1;
             }
         }
     }
@@ -734,6 +754,27 @@ mod tests {
         assert_eq!(comps[1], vec![2, 5, 6]);
         assert!(p.required[1] && p.required[2]);
         assert!(!p.required[3] && !p.required[4]);
+    }
+
+    #[test]
+    fn a_shared_free_leaf_is_fixed_and_does_not_join_components() {
+        // Two independent two-way choices whose first candidates both read
+        // the free leaf class 7, which nothing requires. Fixed, the leaf
+        // leaves the choices apart; unfixed, it would join them.
+        let mut p = problem(&[
+            &[(1.0, &[1, 2])],
+            &[(4.0, &[3, 7]), (4.0, &[4])],
+            &[(4.0, &[5, 7]), (4.0, &[6])],
+            &[(1.0, &[])],
+            &[(2.0, &[])],
+            &[(1.0, &[])],
+            &[(2.0, &[])],
+            &[(0.0, &[])],
+        ]);
+        p.reduce(None, None).unwrap();
+        assert_eq!(p.components(), vec![vec![1, 3, 4], vec![2, 5, 6]]);
+        assert!(!p.required[7]);
+        assert_eq!(p.fixed[7], Some(0));
     }
 
     #[test]

@@ -383,11 +383,11 @@ mod tests {
         }
     }
 
-    /// Inception-v3 at `k_multi: 2` is well typed, but the ILP's selection
-    /// on its e-graph picks a `split` whose child is not the `concat` the
-    /// class data came from, and the cost model prices that graph at
-    /// infinity. ILP extraction then answers with the greedy incumbent it
-    /// holds instead of `Err(NoFiniteTerm)`.
+    /// Inception-v3 at `k_multi: 2` is where the ILP's selection once built
+    /// a graph of infinite cost (a `split` that read its cut from class
+    /// data). ILP extraction answers there with a well-typed graph no worse
+    /// than the input, falling back to the greedy incumbent it holds should
+    /// its own selection have no finite cost.
     #[test]
     fn ilp_falls_back_to_greedy_when_its_selection_has_no_finite_cost() {
         let graph =

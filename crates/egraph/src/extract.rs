@@ -760,9 +760,8 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
             Some(entry) => DF::cmp(&total, &entry.total) == Ordering::Less,
         };
         if improved {
-            let (below, above) = scratch
-                .best
-                .split_at(scratch.best.partition_point(|&d| d < own_slot));
+            let at = scratch.best.partition_point(|&d| d < own_slot);
+            let (below, above) = (&scratch.best[..at], &scratch.best[at..]);
             let mut reach = Vec::with_capacity(scratch.best.len() + 1);
             reach.extend_from_slice(below);
             reach.push(own_slot);

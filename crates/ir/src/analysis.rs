@@ -1,6 +1,6 @@
 //! [`TensorAnalysis`]: the e-class analysis attaching [`TensorData`] (shape,
-//! layout, split position, weights-only flag) to every e-class, used for
-//! shape checking during the exploration phase (paper §4 and §6).
+//! weights-only flag) to every e-class, used for shape checking during the
+//! exploration phase (paper §4 and §6).
 
 use crate::shape::{infer, TensorData};
 use crate::TensorLang;
@@ -26,7 +26,7 @@ impl Analysis<TensorLang> for TensorAnalysis {
     fn merge(&mut self, to: &mut Self::Data, from: Self::Data) -> DidMerge {
         use TensorData::*;
         match (&mut *to, from) {
-            (Invalid(_), from @ (Scalar(_) | Str(_) | Tensor(_) | Tuple(..))) => {
+            (Invalid(_), from @ (Scalar(_) | Str(_) | Tensor(_))) => {
                 *to = from;
                 DidMerge(true, false)
             }
@@ -37,12 +37,6 @@ impl Analysis<TensorLang> for TensorAnalysis {
                     a.weights_only = true;
                     did.0 = true;
                 } else if a.weights_only && !b.weights_only {
-                    did.1 = true;
-                }
-                if a.split_at.is_none() && b.split_at.is_some() {
-                    a.split_at = b.split_at;
-                    did.0 = true;
-                } else if a.split_at.is_some() && a.split_at != b.split_at {
                     did.1 = true;
                 }
                 if a.shape != b.shape {
@@ -103,11 +97,11 @@ mod tests {
     #[test]
     fn merge_prefers_valid_data() {
         let mut eg = TensorEGraph::new(TensorAnalysis);
-        // A split without concat history is invalid...
+        // A split past the end of its axis is invalid...
         let x = add_input(&mut eg, "x", &[128, 96]);
         let one = eg.add(TensorLang::Num(1));
-        let bad_split = eg.add(TensorLang::Split([one, x]));
-        let s0 = eg.add(TensorLang::Split0([bad_split]));
+        let past_end = eg.add(TensorLang::Num(96));
+        let s0 = eg.add(TensorLang::Split0([one, past_end, x]));
         assert!(!eg.eclass(s0).data.is_valid());
         // ...but once unioned with a valid tensor, the class data is valid.
         let a = add_input(&mut eg, "a", &[128, 64]);

@@ -186,20 +186,16 @@ impl GraphBuilder {
         }
     }
 
-    /// Split along `axis` at the most recent concat position.
-    pub fn split(&mut self, axis: i64, x: Id) -> Id {
-        let ax = self.num(axis);
-        self.add(TensorLang::Split([ax, x]))
+    /// The first `extent` entries of `x` along `axis`.
+    pub fn split0(&mut self, axis: i64, extent: i64, x: Id) -> Id {
+        let (ax, n) = (self.num(axis), self.num(extent));
+        self.add(TensorLang::Split0([ax, n, x]))
     }
 
-    /// First element of a split tuple.
-    pub fn split0(&mut self, split: Id) -> Id {
-        self.add(TensorLang::Split0([split]))
-    }
-
-    /// Second element of a split tuple.
-    pub fn split1(&mut self, split: Id) -> Id {
-        self.add(TensorLang::Split1([split]))
+    /// The entries of `x` from `extent` on along `axis`.
+    pub fn split1(&mut self, axis: i64, extent: i64, x: Id) -> Id {
+        let (ax, n) = (self.num(axis), self.num(extent));
+        self.add(TensorLang::Split1([ax, n, x]))
     }
 
     /// Merge grouped-convolution weight groups.

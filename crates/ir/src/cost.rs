@@ -150,7 +150,7 @@ impl CostModel {
     /// the [`TensorData`] of each child.
     ///
     /// Zero-cost nodes: parameter leaves, `input`/`weight`, `noop`,
-    /// metadata-only ops (`split`, `split0`, `split1`, `reshape`, `merge`),
+    /// metadata-only ops (`split0`, `split1`, `reshape`, `merge`),
     /// and any operator whose output is computable from weights alone.
     pub fn node_cost<'a>(&self, node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> f64 {
         self.latency_and_out_elems(node, get).0
@@ -172,17 +172,15 @@ impl CostModel {
         // Parameter leaves and graph plumbing are free.
         match node {
             L::Num(_) | L::Str(_) | L::Input(_) | L::Weight(_) | L::Noop(_) => return FREE,
-            L::Split(_) | L::Split0(_) | L::Split1(_) | L::Reshape(_) | L::Merge(_) => return FREE,
+            L::Split0(_) | L::Split1(_) | L::Reshape(_) | L::Merge(_) => return FREE,
             _ => {}
         }
 
         let out = infer(node, get);
         // Ill-typed nodes are given an effectively infinite cost so that
         // extraction never selects them.
-        let out_info = match &out {
-            TensorData::Tensor(t) => t,
-            TensorData::Tuple(a, _) => &**a,
-            _ => return ILL_TYPED,
+        let TensorData::Tensor(out_info) = &out else {
+            return ILL_TYPED;
         };
         // Anything computable from weights alone is pre-computed before
         // inference and costs nothing at run time.
@@ -259,7 +257,6 @@ impl CostModel {
             | L::Input(_)
             | L::Weight(_)
             | L::Noop(_)
-            | L::Split(_)
             | L::Split0(_)
             | L::Split1(_)
             | L::Reshape(_)
@@ -393,9 +390,8 @@ mod tests {
         let w2 = g.weight("w2", &[256, 256]);
         let cat = g.concat2(1, w1, w2);
         let mm = g.matmul(x, cat);
-        let split = g.split(1, mm);
-        let s0 = g.split0(split);
-        let s1 = g.split1(split);
+        let s0 = g.split0(1, 256, mm);
+        let s1 = g.split1(1, 256, mm);
         let merged = g.finish(&[s0, s1]);
 
         let c_two = cm.graph_cost(&two);

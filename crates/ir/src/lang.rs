@@ -5,6 +5,12 @@
 //! integer children ([`TensorLang::Num`]); variable-length parameters
 //! (shapes, permutations) and tensor identifiers are interned strings
 //! ([`TensorLang::Str`]), exactly as described in the paper.
+//!
+//! One departure from Table 2: the paper's `split` yields a pair cut where
+//! the producing `concat` joined its inputs, which no operand's value
+//! records. Here [`TensorLang::Split0`] and [`TensorLang::Split1`] each take
+//! the cut as an `extent` child, so every operator's output is a function
+//! of its operands' values.
 
 use std::fmt;
 use tensat_egraph::{Id, Language, Symbol};
@@ -120,13 +126,12 @@ pub enum TensorLang {
     Concat4([Id; 5]),
     /// Concatenate five tensors; children: `axis, input1..input5`.
     Concat5([Id; 6]),
-    /// Split a tensor in two at the most recent concat position;
-    /// children: `axis, input`. Produces a tensor tuple.
-    Split([Id; 2]),
-    /// First element of a split tuple; child: `split`.
-    Split0([Id; 1]),
-    /// Second element of a split tuple; child: `split`.
-    Split1([Id; 1]),
+    /// The first `extent` entries of a tensor along `axis` (the first half
+    /// of a split, paper Table 2); children: `axis, extent, input`.
+    Split0([Id; 3]),
+    /// The entries of a tensor from `extent` on along `axis` (the second
+    /// half of a split); children: `axis, extent, input`.
+    Split1([Id; 3]),
     /// Update a grouped-convolution weight to merge groups;
     /// children: `weight, count`.
     Merge([Id; 2]),
@@ -160,7 +165,6 @@ impl TensorLang {
             TensorLang::Concat3(_) => "concat3",
             TensorLang::Concat4(_) => "concat4",
             TensorLang::Concat5(_) => "concat5",
-            TensorLang::Split(_) => "split",
             TensorLang::Split0(_) => "split0",
             TensorLang::Split1(_) => "split1",
             TensorLang::Merge(_) => "merge",
@@ -200,7 +204,6 @@ impl TensorLang {
             "concat3" => TensorLang::Concat3(arr(name, children)?),
             "concat4" => TensorLang::Concat4(arr(name, children)?),
             "concat5" => TensorLang::Concat5(arr(name, children)?),
-            "split" => TensorLang::Split(arr(name, children)?),
             "split0" => TensorLang::Split0(arr(name, children)?),
             "split1" => TensorLang::Split1(arr(name, children)?),
             "merge" => TensorLang::Merge(arr(name, children)?),
@@ -238,7 +241,6 @@ impl Language for TensorLang {
             TensorLang::Concat3(c) => c,
             TensorLang::Concat4(c) => c,
             TensorLang::Concat5(c) => c,
-            TensorLang::Split(c) => c,
             TensorLang::Split0(c) | TensorLang::Split1(c) => c,
             TensorLang::Merge(c) | TensorLang::Reshape(c) | TensorLang::Noop(c) => c,
         }
@@ -258,7 +260,6 @@ impl Language for TensorLang {
             TensorLang::Concat3(c) => c,
             TensorLang::Concat4(c) => c,
             TensorLang::Concat5(c) => c,
-            TensorLang::Split(c) => c,
             TensorLang::Split0(c) | TensorLang::Split1(c) => c,
             TensorLang::Merge(c) | TensorLang::Reshape(c) | TensorLang::Noop(c) => c,
         }
@@ -408,7 +409,7 @@ mod tests {
     #[test]
     fn tensorlang_keeps_the_ordering_contract() {
         // Every operator with its arity.
-        const OPS: [(&str, usize); 23] = [
+        const OPS: [(&str, usize); 22] = [
             ("input", 1),
             ("weight", 1),
             ("ewadd", 2),
@@ -426,9 +427,8 @@ mod tests {
             ("concat3", 4),
             ("concat4", 5),
             ("concat5", 6),
-            ("split", 2),
-            ("split0", 1),
-            ("split1", 1),
+            ("split0", 3),
+            ("split1", 3),
             ("merge", 2),
             ("reshape", 2),
             ("noop", 2),
@@ -468,7 +468,7 @@ mod tests {
             TensorLang::Conv([two[0]; 6]),
             TensorLang::Poolmax([two[0]; 7]),
             TensorLang::Concat3([two[0]; 4]),
-            TensorLang::Split(two),
+            TensorLang::Split0([two[0]; 3]),
             TensorLang::Noop(two),
         ];
         for node in samples {

@@ -2,9 +2,10 @@
 //!
 //! Every node's output is summarized by a [`TensorData`] value: parameter
 //! leaves evaluate to scalars/strings, operators to tensor metadata (shape,
-//! whether the value depends only on weights, and where the most recent
-//! concatenation happened — the information TENSAT stores in its e-class
-//! analysis for shape checking, paper §4 and §6).
+//! and whether the value depends only on weights — the information TENSAT
+//! stores in its e-class analysis for shape checking, paper §4 and §6).
+//! Each node's data is a function of its children's data alone, so every
+//! e-node of a class infers the same value.
 
 use crate::lang::{decode_identifier, decode_permutation, decode_shape, Padding, TensorLang};
 use tensat_egraph::{Id, Language, RecExpr, Symbol};
@@ -18,19 +19,14 @@ pub struct TensorInfo {
     /// pre-computed before inference (drives the "concat of weights is
     /// free" rewrites of the paper's appendix).
     pub weights_only: bool,
-    /// If the tensor was most recently produced by a concatenation, the
-    /// axis and the size of the first part — the position at which `split`
-    /// will cut (paper Table 2, note e).
-    pub split_at: Option<(usize, i64)>,
 }
 
 impl TensorInfo {
-    /// Creates tensor info with no concat history.
+    /// Creates tensor info.
     pub fn new(shape: Vec<i64>, weights_only: bool) -> Self {
         TensorInfo {
             shape,
             weights_only,
-            split_at: None,
         }
     }
 
@@ -52,8 +48,6 @@ pub enum TensorData {
     Str(Symbol),
     /// A tensor value.
     Tensor(TensorInfo),
-    /// A tensor tuple (the result of `split`).
-    Tuple(Box<TensorInfo>, Box<TensorInfo>),
 }
 
 impl TensorData {
@@ -101,8 +95,6 @@ pub enum DataKind {
     Str,
     /// A tensor value ([`TensorData::Tensor`]).
     Tensor,
-    /// A tensor tuple ([`TensorData::Tuple`], produced by `split`).
-    Tuple,
     /// Any valid value: the position is ignored by shape inference (e.g. the
     /// activation code of `matmul`), so only overall validity is required.
     Any,
@@ -115,7 +107,7 @@ pub enum DataKind {
 /// accessors `infer` actually calls; `shape.rs` keeps the two adjacent so
 /// they evolve together.
 pub fn child_data_kinds(node: &TensorLang) -> &'static [DataKind] {
-    use DataKind::{Any, Scalar, Str, Tensor, Tuple};
+    use DataKind::{Any, Scalar, Str, Tensor};
     use TensorLang as L;
     match node {
         L::Num(_) | L::Str(_) => &[],
@@ -130,8 +122,7 @@ pub fn child_data_kinds(node: &TensorLang) -> &'static [DataKind] {
         L::Concat3(_) => &[Scalar, Tensor, Tensor, Tensor],
         L::Concat4(_) => &[Scalar, Tensor, Tensor, Tensor, Tensor],
         L::Concat5(_) => &[Scalar, Tensor, Tensor, Tensor, Tensor, Tensor],
-        L::Split(_) => &[Scalar, Tensor],
-        L::Split0(_) | L::Split1(_) => &[Tuple],
+        L::Split0(_) | L::Split1(_) => &[Scalar, Scalar, Tensor],
         L::Merge(_) => &[Tensor, Scalar],
     }
 }
@@ -262,26 +253,7 @@ pub fn infer<'a>(node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> Tenso
             let mut shape = batch;
             shape.push(m);
             shape.push(n);
-            let rank = shape.len();
-            let mut info = TensorInfo::new(shape, ta.weights_only && tb.weights_only);
-            // Propagate concat positions through the matmul so a later
-            // `split` can recover the halves (paper Table 2, note e): a
-            // concat of the RHS along its columns splits the output along
-            // its columns; a concat of the LHS along its rows splits the
-            // output along its rows.
-            if let Some((ax, pos)) = tb.split_at {
-                if ax + 1 == rb {
-                    info.split_at = Some((rank - 1, pos));
-                }
-            }
-            if info.split_at.is_none() {
-                if let Some((ax, pos)) = ta.split_at {
-                    if ax + 2 == ra {
-                        info.split_at = Some((rank - 2, pos));
-                    }
-                }
-            }
-            TensorData::Tensor(info)
+            TensorData::Tensor(TensorInfo::new(shape, ta.weights_only && tb.weights_only))
         }
         L::Conv([sh, sw, pad, _act, x, w]) => {
             let sh = ok!(scalar(*sh));
@@ -311,16 +283,10 @@ pub fn infer<'a>(node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> Tenso
                 Some(v) => v,
                 None => return TensorData::invalid("conv spatial size underflow"),
             };
-            let mut info = TensorInfo::new(vec![n, co, oh, ow], tx.weights_only && tw.weights_only);
-            // A concat of the weights along output channels splits the conv
-            // output along its channel axis; a concat of the inputs along
-            // the batch axis splits the output along the batch axis.
-            if let Some((0, pos)) = tw.split_at {
-                info.split_at = Some((1, pos));
-            } else if let Some((0, pos)) = tx.split_at {
-                info.split_at = Some((0, pos));
-            }
-            TensorData::Tensor(info)
+            TensorData::Tensor(TensorInfo::new(
+                vec![n, co, oh, ow],
+                tx.weights_only && tw.weights_only,
+            ))
         }
         L::Relu([x]) | L::Tanh([x]) | L::Sigmoid([x]) => {
             TensorData::Tensor(ok!(tensor(*x)).clone())
@@ -413,45 +379,28 @@ pub fn infer<'a>(node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> Tenso
             }
             let mut shape = first.shape.clone();
             shape[axis] = total;
-            let mut info = TensorInfo::new(shape, weights_only);
-            info.split_at = Some((axis, first.shape[axis]));
-            TensorData::Tensor(info)
+            TensorData::Tensor(TensorInfo::new(shape, weights_only))
         }
-        L::Split([axis, x]) => {
+        L::Split0([axis, extent, x]) | L::Split1([axis, extent, x]) => {
             let axis = ok!(scalar(*axis));
-            if axis < 0 {
-                return TensorData::invalid("negative split axis");
+            let extent = ok!(scalar(*extent));
+            let t = ok!(tensor(*x));
+            if axis < 0 || axis as usize >= t.shape.len() {
+                return TensorData::invalid("split axis out of range");
             }
             let axis = axis as usize;
-            let t = ok!(tensor(*x));
-            match t.split_at {
-                Some((concat_axis, first_size)) if concat_axis == axis => {
-                    let total = t.shape[axis];
-                    if first_size <= 0 || first_size >= total {
-                        return TensorData::invalid("split position out of range");
-                    }
-                    let mut s0 = t.shape.clone();
-                    let mut s1 = t.shape.clone();
-                    s0[axis] = first_size;
-                    s1[axis] = total - first_size;
-                    TensorData::Tuple(
-                        Box::new(TensorInfo::new(s0, t.weights_only)),
-                        Box::new(TensorInfo::new(s1, t.weights_only)),
-                    )
-                }
-                _ => TensorData::invalid("split without a matching concat on that axis"),
+            let total = t.shape[axis];
+            // Both halves are non-empty: the extent cuts strictly inside.
+            if extent <= 0 || extent >= total {
+                return TensorData::invalid("split extent out of range");
             }
+            let mut shape = t.shape.clone();
+            shape[axis] = match node {
+                L::Split0(_) => extent,
+                _ => total - extent,
+            };
+            TensorData::Tensor(TensorInfo::new(shape, t.weights_only))
         }
-        L::Split0([x]) => match get(*x) {
-            TensorData::Tuple(first, _) => TensorData::Tensor((**first).clone()),
-            TensorData::Invalid(r) => TensorData::Invalid(r.clone()),
-            other => TensorData::invalid(format!("split0 expects a tuple, found {other:?}")),
-        },
-        L::Split1([x]) => match get(*x) {
-            TensorData::Tuple(_, second) => TensorData::Tensor((**second).clone()),
-            TensorData::Invalid(r) => TensorData::Invalid(r.clone()),
-            other => TensorData::invalid(format!("split1 expects a tuple, found {other:?}")),
-        },
         L::Merge([w, count]) => {
             let t = ok!(tensor(*w));
             let count = ok!(scalar(*count));
@@ -483,8 +432,8 @@ pub fn infer<'a>(node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> Tenso
             TensorData::Tensor(TensorInfo::new(vec![], ta.weights_only && tb.weights_only))
         }
     };
-    // One check covers every operator (a split's halves are smaller than
-    // its already-checked input).
+    // One check covers every operator (a split half is smaller than its
+    // already-checked input).
     match &out {
         TensorData::Tensor(t) if checked_elements(&t.shape).is_none() => overflow(),
         _ => out,
@@ -612,24 +561,36 @@ mod tests {
         let b = weight(&mut e, "b", &[128, 32]);
         let one = e.add(TensorLang::Num(1));
         let cat = e.add(TensorLang::Concat2([one, a, b]));
-        let split = e.add(TensorLang::Split([one, cat]));
-        let s0 = e.add(TensorLang::Split0([split]));
+        let n = e.add(TensorLang::Num(64));
+        let s0 = e.add(TensorLang::Split0([one, n, cat]));
+        let s1 = e.add(TensorLang::Split1([one, n, cat]));
         let data = infer_recexpr(&e);
         assert_eq!(data[usize::from(cat)].shape().unwrap(), &[128, 96]);
         assert!(data[usize::from(cat)].as_tensor().unwrap().weights_only);
         assert_eq!(data[usize::from(s0)].shape().unwrap(), &[128, 64]);
-        let s1 = e.add(TensorLang::Split1([split]));
-        let data = infer_recexpr(&e);
         assert_eq!(data[usize::from(s1)].shape().unwrap(), &[128, 32]);
+        assert!(data[usize::from(s1)].as_tensor().unwrap().weights_only);
     }
 
     #[test]
-    fn split_without_concat_is_invalid() {
+    fn split_reads_only_its_operands() {
+        // Any tensor splits, concat-produced or not, at any inner extent.
         let mut e = RecExpr::default();
         let a = input(&mut e, "a", &[128, 64]);
         let one = e.add(TensorLang::Num(1));
-        e.add(TensorLang::Split([one, a]));
-        assert!(!data_of(&e).is_valid());
+        let n = e.add(TensorLang::Num(24));
+        e.add(TensorLang::Split1([one, n, a]));
+        assert_eq!(data_of(&e).shape().unwrap(), &[128, 40]);
+        // An extent that leaves a half empty, or an axis past the rank,
+        // is invalid.
+        for (axis, extent) in [(1, 0), (1, 64), (1, 65), (2, 1), (-1, 1)] {
+            let mut e = RecExpr::default();
+            let a = input(&mut e, "a", &[128, 64]);
+            let ax = e.add(TensorLang::Num(axis));
+            let n = e.add(TensorLang::Num(extent));
+            e.add(TensorLang::Split0([ax, n, a]));
+            assert!(!data_of(&e).is_valid(), "axis {axis}, extent {extent}");
+        }
     }
 
     #[test]
@@ -716,9 +677,8 @@ mod tests {
             TensorLang::Concat3([id; 4]),
             TensorLang::Concat4([id; 5]),
             TensorLang::Concat5([id; 6]),
-            TensorLang::Split([id; 2]),
-            TensorLang::Split0([id]),
-            TensorLang::Split1([id]),
+            TensorLang::Split0([id; 3]),
+            TensorLang::Split1([id; 3]),
             TensorLang::Merge([id; 2]),
             TensorLang::Reshape([id; 2]),
             TensorLang::Noop([id; 2]),

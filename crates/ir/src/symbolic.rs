@@ -13,16 +13,11 @@
 //!
 //! The domain is deliberately partial: operators whose output shape is not
 //! a linear function of the input dims (convolution spatial arithmetic,
-//! reshape element counts, ...) report [`SymError::Undecidable`] and the
-//! caller falls back to checking concrete bindings (see `tensat-verify`).
-//! Two other simplifications are sound for that use:
-//!
-//! * `weights_only` is not tracked — it never affects validity or shapes.
-//! * Range side conditions over symbolic dims (e.g. `split` requiring
-//!   `0 < pos < total`) are assumed satisfiable. This can only make the
-//!   verifier consider *more* bindings than concretely exist, and every
-//!   counterexample it derives is re-confirmed with the concrete
-//!   [`infer`](crate::infer) before being reported.
+//! reshape element counts, ...) and `split0`/`split1`, whose extent is an
+//! integer parameter rather than a dimension, report
+//! [`SymError::Undecidable`], and the caller falls back to checking
+//! concrete bindings (see `tensat-verify`). `weights_only` is not tracked:
+//! it never affects validity or shapes.
 
 use crate::lang::{decode_identifier, decode_permutation, TensorLang};
 use std::collections::BTreeMap;
@@ -119,26 +114,18 @@ impl std::fmt::Display for SymDim {
     }
 }
 
-/// Symbolic tensor metadata: the [`SymDim`] shape and the concat history
-/// that [`infer`](crate::infer) tracks for `split` (`weights_only` is
+/// Symbolic tensor metadata: the [`SymDim`] shape (`weights_only` is
 /// irrelevant to validity and shapes, so the symbolic domain drops it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymTensor {
     /// The symbolic shape.
     pub shape: Vec<SymDim>,
-    /// Concat axis and first-part size, if the tensor was most recently
-    /// produced by a concatenation (mirrors
-    /// [`TensorInfo::split_at`](crate::TensorInfo)).
-    pub split_at: Option<(usize, SymDim)>,
 }
 
 impl SymTensor {
-    /// A tensor with the given shape and no concat history.
+    /// A tensor with the given shape.
     pub fn new(shape: Vec<SymDim>) -> Self {
-        SymTensor {
-            shape,
-            split_at: None,
-        }
+        SymTensor { shape }
     }
 }
 
@@ -162,8 +149,6 @@ pub enum SymValue {
     StrVar(u32),
     /// A tensor value.
     Tensor(SymTensor),
-    /// A tensor tuple (the result of `split`).
-    Tuple(Box<SymTensor>, Box<SymTensor>),
 }
 
 impl SymValue {
@@ -396,30 +381,9 @@ pub fn sym_infer(
             let mut shape = batch;
             shape.push(m.clone());
             shape.push(n.clone());
-            let rank = shape.len();
-            let mut out = SymTensor::new(shape);
-            // Concat-position propagation, exactly as in `infer`.
-            if let Some((ax, pos)) = &tb.split_at {
-                if ax + 1 == rb {
-                    out.split_at = Some((rank - 1, pos.clone()));
-                }
-            }
-            if out.split_at.is_none() {
-                if let Some((ax, pos)) = &ta.split_at {
-                    if ax + 2 == ra {
-                        out.split_at = Some((rank - 2, pos.clone()));
-                    }
-                }
-            }
-            Ok(SymValue::Tensor(out))
+            Ok(SymValue::Tensor(SymTensor::new(shape)))
         }
-        L::Relu([x]) | L::Tanh([x]) | L::Sigmoid([x]) => {
-            let t = tensor(*x)?;
-            Ok(SymValue::Tensor(SymTensor {
-                shape: t.shape,
-                split_at: t.split_at,
-            }))
-        }
+        L::Relu([x]) | L::Tanh([x]) | L::Sigmoid([x]) => Ok(SymValue::Tensor(tensor(*x)?)),
         L::Transpose([x, perm]) => {
             let t = tensor(*x)?;
             let perm = decode_permutation(string_known(*perm)?).map_err(SymError::Contradiction)?;
@@ -467,50 +431,8 @@ pub fn sym_infer(
             }
             let mut shape = first.shape.clone();
             shape[axis] = total;
-            let mut out = SymTensor::new(shape);
-            out.split_at = Some((axis, first.shape[axis].clone()));
-            Ok(SymValue::Tensor(out))
+            Ok(SymValue::Tensor(SymTensor::new(shape)))
         }
-        L::Split([axis, x]) => {
-            let axis = scalar_known(*axis)?;
-            if axis < 0 {
-                return Err(SymError::Contradiction("negative split axis".into()));
-            }
-            let axis = axis as usize;
-            let t = tensor(*x)?;
-            match &t.split_at {
-                Some((concat_axis, first_size)) if *concat_axis == axis => {
-                    // The range condition 0 < first < total is assumed
-                    // satisfiable (see the module docs); over the positive
-                    // valuations the verifier uses it always holds for
-                    // concat-produced positions.
-                    let total = &t.shape[axis];
-                    let mut s0 = t.shape.clone();
-                    let mut s1 = t.shape.clone();
-                    s0[axis] = first_size.clone();
-                    s1[axis] = total.sub(first_size);
-                    Ok(SymValue::Tuple(
-                        Box::new(SymTensor::new(s0)),
-                        Box::new(SymTensor::new(s1)),
-                    ))
-                }
-                _ => Err(SymError::Contradiction(
-                    "split without a matching concat on that axis".into(),
-                )),
-            }
-        }
-        L::Split0([x]) => match get(*x) {
-            SymValue::Tuple(first, _) => Ok(SymValue::Tensor(*first)),
-            other => Err(SymError::Contradiction(format!(
-                "split0 expects a tuple, found {other:?}"
-            ))),
-        },
-        L::Split1([x]) => match get(*x) {
-            SymValue::Tuple(_, second) => Ok(SymValue::Tensor(*second)),
-            other => Err(SymError::Contradiction(format!(
-                "split1 expects a tuple, found {other:?}"
-            ))),
-        },
         L::Noop([a, b]) => {
             let _ = tensor(*a)?;
             let _ = tensor(*b)?;
@@ -518,16 +440,19 @@ pub fn sym_infer(
         }
         // Outside the linear domain: convolution and pooling do strided
         // spatial arithmetic, reshape compares element products, merge
-        // multiplies a dimension by a parameter, and enlarge takes spatial
-        // maxima. The verifier falls back to concrete bindings for rules
+        // multiplies a dimension by a parameter, enlarge takes spatial
+        // maxima, and a split's extent is an integer parameter, not a
+        // dimension. The verifier falls back to concrete bindings for rules
         // that mention these.
         L::Conv(_)
         | L::Poolmax(_)
         | L::Poolavg(_)
         | L::Reshape(_)
         | L::Merge(_)
-        | L::Enlarge(_) => Err(SymError::Undecidable(format!(
-            "`{}` has non-linear shape semantics",
+        | L::Enlarge(_)
+        | L::Split0(_)
+        | L::Split1(_) => Err(SymError::Undecidable(format!(
+            "`{}` is outside the linear shape domain",
             node.op_name()
         ))),
     }
@@ -600,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn sym_concat_sums_axis_and_records_split() {
+    fn sym_concat_sums_axis() {
         let mut env = DimEnv::new();
         let (r, c1, c2) = (env.fresh(), env.fresh(), env.fresh());
         let w1 = SymValue::Tensor(SymTensor::new(vec![r.clone(), c1.clone()]));
@@ -611,19 +536,7 @@ mod tests {
         let out = sym_infer(&node, &get, &mut env).unwrap();
         let t = out.as_tensor().unwrap();
         assert_eq!(t.shape[1], c1.add(&c2));
-        assert_eq!(t.split_at, Some((1, c1.clone())));
-        // Splitting it back recovers both parts.
-        let vals2 = [SymValue::Scalar(1), out];
-        let get2 = |id: Id| vals2[usize::from(id)].clone();
-        let split = TensorLang::Split([Id::from(0usize), Id::from(1usize)]);
-        let tup = sym_infer(&split, &get2, &mut env).unwrap();
-        match tup {
-            SymValue::Tuple(s0, s1) => {
-                assert_eq!(env.resolve(&s0.shape[1]), env.resolve(&c1));
-                assert_eq!(env.resolve(&s1.shape[1]), env.resolve(&c2));
-            }
-            other => panic!("expected tuple, got {other:?}"),
-        }
+        assert_eq!(t.shape[0], r);
     }
 
     #[test]
@@ -656,6 +569,8 @@ mod tests {
             TensorLang::Reshape([id; 2]),
             TensorLang::Merge([id; 2]),
             TensorLang::Enlarge([id; 2]),
+            TensorLang::Split0([id; 3]),
+            TensorLang::Split1([id; 3]),
         ] {
             let get = |_: Id| SymValue::Scalar(0);
             assert!(matches!(

@@ -25,9 +25,10 @@ use tensat_ir::{child_data_kinds, infer, DataKind, TensorAnalysis, TensorData, T
 /// A variable's entry borrows what `lookup` returns; only the pattern's
 /// operator nodes (and unbound variables) own their data, inferred here.
 ///
-/// This is the substitution-agnostic core of [`pattern_data`]: the static
-/// rule verifier (`tensat-verify`) uses it to interpret patterns over
-/// synthetic variable bindings with no e-graph in sight.
+/// The shape check reads each variable's e-class data through it
+/// ([`target_fits`]); the static rule verifier (`tensat-verify`) uses it
+/// to interpret patterns over synthetic variable bindings with no e-graph
+/// in sight.
 pub fn pattern_data_with<'a>(
     pattern: &Pattern<TensorLang>,
     lookup: &dyn Fn(Var) -> Option<&'a TensorData>,
@@ -46,42 +47,23 @@ pub fn pattern_data_with<'a>(
     data
 }
 
-/// Infers the [`TensorData`] of every node of `pattern` under `subst`,
-/// without modifying the e-graph. Variables take the data of the e-class
-/// they are bound to (borrowed, see [`pattern_data_with`]); unbound
-/// variables yield `Invalid`.
-pub fn pattern_data<'a>(
-    egraph: &'a EGraph<TensorLang, TensorAnalysis>,
-    pattern: &Pattern<TensorLang>,
-    subst: &Subst,
-) -> Vec<Cow<'a, TensorData>> {
-    pattern_data_with(pattern, &|v| {
-        subst.get(v).map(|class| &egraph.eclass(class).data)
-    })
-}
-
-/// True if every node of `pattern` is well-typed under `subst`.
-pub fn pattern_is_valid(
-    egraph: &EGraph<TensorLang, TensorAnalysis>,
-    pattern: &Pattern<TensorLang>,
-    subst: &Subst,
-) -> bool {
-    pattern_data(egraph, pattern, subst)
-        .iter()
-        .all(|d| d.is_valid())
-}
-
 /// True if `target` instantiated under `subst` is fully well-typed *and*
 /// its output shape matches the shape of `matched_class` (so unioning the
 /// two is shape-preserving): the shape check of single- and multi-pattern
-/// rules alike.
+/// rules alike. A variable `extents` lists (a multi-pattern rule's bound
+/// sizes, see [`crate::bind_extents`], which have no e-class yet) reads its
+/// data there instead of through `subst`.
 pub fn target_fits(
     egraph: &EGraph<TensorLang, TensorAnalysis>,
     target: &Pattern<TensorLang>,
     matched_class: Id,
     subst: &Subst,
+    extents: &[(Var, TensorData)],
 ) -> bool {
-    let data = pattern_data(egraph, target, subst);
+    let data = pattern_data_with(target, &|v| match extents.iter().find(|(u, _)| *u == v) {
+        Some((_, size)) => Some(size),
+        None => subst.get(v).map(|class| &egraph.eclass(class).data),
+    });
     if !data.iter().all(|d| d.is_valid()) {
         return false;
     }
@@ -98,7 +80,9 @@ pub fn target_fits(
 /// Builds the standard shape-checking condition for a rule with the given
 /// target pattern: [`target_fits`] at every match.
 pub fn shape_check(target: Pattern<TensorLang>) -> Condition<TensorLang, TensorAnalysis> {
-    Arc::new(move |egraph, matched_class, subst| target_fits(egraph, &target, matched_class, subst))
+    Arc::new(move |egraph, matched_class, subst| {
+        target_fits(egraph, &target, matched_class, subst, &[])
+    })
 }
 
 /// For every variable of `pattern`, the set of [`DataKind`]s its child
@@ -107,7 +91,7 @@ pub fn shape_check(target: Pattern<TensorLang>) -> Condition<TensorLang, TensorA
 /// required there — so an empty set means "any valid data".
 ///
 /// A binding violating one of these kinds makes [`infer`] return invalid
-/// data for the corresponding pattern node, so [`pattern_is_valid`] is
+/// data for the corresponding pattern node, so [`target_fits`] is
 /// guaranteed false for it: the constraints are the per-variable part of
 /// the shape check, which the rule verifier (`tensat-verify`) reasons with.
 pub fn pattern_kind_constraints(pattern: &Pattern<TensorLang>) -> Vec<(Var, BTreeSet<DataKind>)> {
@@ -184,6 +168,19 @@ mod tests {
         (eg, x_id, w1_id, w2_id)
     }
 
+    /// The data of every node of `pattern` under `subst`.
+    fn data<'a>(
+        eg: &'a TensorEGraph,
+        pattern: &Pattern<TensorLang>,
+        subst: &Subst,
+    ) -> Vec<Cow<'a, TensorData>> {
+        pattern_data_with(pattern, &|v| subst.get(v).map(|c| &eg.eclass(c).data))
+    }
+
+    fn is_valid(eg: &TensorEGraph, pattern: &Pattern<TensorLang>, subst: &Subst) -> bool {
+        data(eg, pattern, subst).iter().all(|d| d.is_valid())
+    }
+
     #[test]
     fn valid_target_pattern_passes() {
         let (eg, x, w1, w2) = setup();
@@ -192,8 +189,8 @@ mod tests {
         subst.insert(Var::new("x"), x);
         subst.insert(Var::new("w1"), w1);
         subst.insert(Var::new("w2"), w2);
-        assert!(pattern_is_valid(&eg, &target, &subst));
-        let data = pattern_data(&eg, &target, &subst);
+        assert!(is_valid(&eg, &target, &subst));
+        let data = data(&eg, &target, &subst);
         assert_eq!(data.last().unwrap().shape().unwrap(), &[8, 96]);
     }
 
@@ -206,7 +203,7 @@ mod tests {
         subst.insert(Var::new("x"), x);
         subst.insert(Var::new("w1"), w1);
         subst.insert(Var::new("w2"), w2);
-        assert!(!pattern_is_valid(&eg, &target, &subst));
+        assert!(!is_valid(&eg, &target, &subst));
     }
 
     #[test]
@@ -215,7 +212,7 @@ mod tests {
         let target = parse_pattern("(ewadd ?x ?missing)").unwrap();
         let mut subst = Subst::new();
         subst.insert(Var::new("x"), x);
-        assert!(!pattern_is_valid(&eg, &target, &subst));
+        assert!(!is_valid(&eg, &target, &subst));
     }
 
     #[test]

@@ -20,10 +20,7 @@ pub mod multi;
 pub mod parser;
 pub mod single;
 
-pub use conditions::{
-    pattern_data, pattern_data_with, pattern_is_valid, pattern_kind_constraints, shape_check,
-    target_fits,
-};
-pub use multi::{multi_rules, MultiPatternRule};
+pub use conditions::{pattern_data_with, pattern_kind_constraints, shape_check, target_fits};
+pub use multi::{bind_extents, multi_rules, Extent, MultiPatternRule};
 pub use parser::{parse_pattern, ParsePatternError};
 pub use single::{rw, rw_bidi, single_rules, testing, TensorRewrite};

@@ -6,7 +6,7 @@
 //! (permutations, shapes).
 //!
 //! ```text
-//! (split0 (split 1 (matmul ?act ?x (concat2 1 ?w1 ?w2))))
+//! (split0 1 ?n (matmul ?act ?x (concat2 1 ?w1 ?w2)))
 //! ```
 
 use tensat_egraph::{ENodeOrVar, Pattern, RecExpr, Symbol, Var};
@@ -189,12 +189,12 @@ mod tests {
 
     #[test]
     fn parses_nested_pattern_with_numbers() {
-        let p = parse_pattern("(split0 (split 1 (matmul ?act ?x (concat2 1 ?w1 ?w2))))").unwrap();
+        let p = parse_pattern("(split0 1 ?n (matmul ?act ?x (concat2 1 ?w1 ?w2)))").unwrap();
         assert_eq!(
             p.to_string(),
-            "(split0 (split 1 (matmul ?act ?x (concat2 1 ?w1 ?w2))))"
+            "(split0 1 ?n (matmul ?act ?x (concat2 1 ?w1 ?w2)))"
         );
-        assert_eq!(p.vars().len(), 4);
+        assert_eq!(p.vars().len(), 5);
     }
 
     #[test]

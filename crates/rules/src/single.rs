@@ -163,14 +163,16 @@ pub fn single_rules() -> Vec<TensorRewrite> {
     ));
 
     // --- concat / split algebra ---------------------------------------------
+    // Sound only where the cut falls between the parts, `?n = dim(?x, ?ax)`:
+    // the shape check, comparing each half with its part, enforces that.
     rules.push(rw(
         "split0-of-concat",
-        "(split0 (split ?ax (concat2 ?ax ?x ?y)))",
+        "(split0 ?ax ?n (concat2 ?ax ?x ?y))",
         "?x",
     ));
     rules.push(rw(
         "split1-of-concat",
-        "(split1 (split ?ax (concat2 ?ax ?x ?y)))",
+        "(split1 ?ax ?n (concat2 ?ax ?x ?y))",
         "?y",
     ));
     // concat of two matmuls sharing the data input == matmul of concatenated
@@ -271,8 +273,7 @@ mod tests {
         let a = g.weight("a", &[16, 8]);
         let b = g.weight("b", &[16, 8]);
         let cat = g.concat2(1, a, b);
-        let sp = g.split(1, cat);
-        let s0 = g.split0(sp);
+        let s0 = g.split0(1, 8, cat);
         let expr = g.finish(&[s0]);
         let (eg, root) = saturate(&expr);
         let ex = Extractor::new(&eg, AstSize);

@@ -30,7 +30,7 @@ pub mod universe;
 use std::fmt;
 use tensat_egraph::Pattern;
 use tensat_ir::TensorLang;
-use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
+use tensat_rules::{multi_rules, single_rules, Extent, MultiPatternRule, TensorRewrite};
 
 pub use soundness::Counterexample;
 
@@ -82,6 +82,9 @@ pub(crate) struct RuleSpec<'a> {
     /// Target (RHS) patterns, paired with sources by index (single rules
     /// and symmetric multi rules) .
     pub targets: Vec<&'a Pattern<TensorLang>>,
+    /// The target variables bound to sizes of source values (multi rules
+    /// only; see [`tensat_rules::bind_extents`]).
+    pub extents: &'a [Extent],
     /// Whether a runtime [`tensat_egraph::Condition`] filters matches
     /// before application (shape-divergent bindings are then blocked
     /// rather than unsound).
@@ -185,7 +188,8 @@ impl fmt::Display for CorpusReport {
 fn run_spec(name: &str, spec: &RuleSpec) -> RuleReport {
     let mut diags = lints::check_rule_shape(&spec.sources, &spec.targets);
 
-    let unbound = lints::unbound_target_vars(&spec.sources, &spec.targets);
+    let mut unbound = lints::unbound_target_vars(&spec.sources, &spec.targets);
+    unbound.retain(|v| spec.extents.iter().all(|e| e.var != *v));
     for v in &unbound {
         diags.push(Diagnostic {
             severity: Severity::Error,
@@ -221,6 +225,7 @@ pub fn verify_rewrite(rule: &TensorRewrite) -> RuleReport {
     let spec = RuleSpec {
         sources: vec![&rule.searcher],
         targets: vec![&rule.applier],
+        extents: &[],
         conditional: rule.condition.is_some(),
     };
     run_spec(&rule.name, &spec)
@@ -232,6 +237,7 @@ pub fn verify_multi_rule(rule: &MultiPatternRule) -> RuleReport {
     let spec = RuleSpec {
         sources: rule.srcs.iter().collect(),
         targets: rule.dsts.iter().collect(),
+        extents: &rule.extents,
         // Multi-pattern applications always run the shape condition per
         // target before unioning.
         conditional: true,
@@ -252,6 +258,7 @@ pub fn verify_patterns(
     let spec = RuleSpec {
         sources: sources.iter().collect(),
         targets: targets.iter().collect(),
+        extents: &[],
         conditional,
     };
     run_spec(name, &spec)

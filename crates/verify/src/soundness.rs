@@ -4,19 +4,21 @@
 //! Two cooperating engines answer this:
 //!
 //! 1. A **symbolic prover** over [`tensat_ir::symbolic`]: each tensor
-//!    variable is instantiated at every rank in 2–4 (with and without a
-//!    concat mark on each axis) with *fresh symbolic dimensions*, each
-//!    scalar-kind variable at each small parameter value, and both sides
-//!    of the rule are abstract-interpreted in a shared [`DimEnv`]. If the
-//!    resolved root shapes agree in every non-vacuous configuration, the
-//!    rule is shape-preserving for **all** concrete dimension sizes at
-//!    those ranks. When they disagree, the prover instantiates the free
+//!    variable is instantiated at every rank in 2–4 with *fresh symbolic
+//!    dimensions*, each scalar-kind variable at each small parameter
+//!    value, and both sides of the rule are abstract-interpreted in a
+//!    shared [`DimEnv`]. If the resolved root shapes agree in every
+//!    non-vacuous configuration, the rule is shape-preserving for **all**
+//!    concrete dimension sizes at those ranks. When they disagree, the prover instantiates the free
 //!    dimensions with concrete values and re-checks the binding with the
 //!    concrete [`tensat_ir::infer`] — a reported counterexample is always
 //!    a real, confirmed binding, never a symbolic artifact.
 //! 2. An **enumeration fallback** over the pools in [`crate::universe`],
 //!    for rules the symbolic domain cannot express (convolutions, opaque
-//!    permutations).
+//!    permutations, splits, whose extent is an integer rather than a
+//!    dimension). A multi-pattern rule's extents are not enumerated: each
+//!    binding gets them from [`tensat_rules::bind_extents`], as a match
+//!    does.
 //!
 //! Divergence splits into two severities. A *condition-visible* divergence
 //! (both roots are tensors with different shapes) is blocked at runtime by
@@ -33,14 +35,14 @@ use tensat_egraph::{ENodeOrVar, Pattern, Var};
 use tensat_ir::{
     sym_infer, DimEnv, SymDim, SymError, SymTensor, SymValue, TensorData, TensorInfo, TensorLang,
 };
-use tensat_rules::pattern_data_with;
+use tensat_rules::{bind_extents, pattern_data_with};
 
 /// Hard ceiling on enumerated concrete bindings per rule; beyond it the
 /// product is deterministically stride-sampled (and the report says so).
 const BINDING_CAP: u64 = 1 << 21;
 
-/// Ceiling on symbolic rank/split configurations per rule; larger rules
-/// fall back to enumeration.
+/// Ceiling on symbolic rank configurations per rule; larger rules fall
+/// back to enumeration.
 const CONFIG_CAP: u64 = 1 << 17;
 
 /// A concrete, [`tensat_ir::infer`]-confirmed binding demonstrating a
@@ -63,16 +65,10 @@ pub(crate) fn fmt_data(d: &TensorData) -> String {
         TensorData::Invalid(r) => format!("invalid({r})"),
         TensorData::Scalar(v) => v.to_string(),
         TensorData::Str(s) => format!("\"{s}\""),
-        TensorData::Tensor(t) => fmt_info(t),
-        TensorData::Tuple(a, b) => format!("tuple({}, {})", fmt_info(a), fmt_info(b)),
-    }
-}
-
-fn fmt_info(t: &TensorInfo) -> String {
-    let dims: Vec<String> = t.shape.iter().map(|d| d.to_string()).collect();
-    match t.split_at {
-        Some((ax, pos)) => format!("tensor[{}]@split({ax},{pos})", dims.join(", ")),
-        None => format!("tensor[{}]", dims.join(", ")),
+        TensorData::Tensor(t) => {
+            let dims: Vec<String> = t.shape.iter().map(|d| d.to_string()).collect();
+            format!("tensor[{}]", dims.join(", "))
+        }
     }
 }
 
@@ -107,25 +103,14 @@ enum PairVerdict {
     Blind,
 }
 
-fn compare_infos(a: &TensorInfo, b: &TensorInfo) -> bool {
-    a.shape == b.shape
-}
-
 fn compare_roots(lhs: &TensorData, rhs: &TensorData) -> PairVerdict {
     use TensorData as D;
     match (lhs, rhs) {
         (D::Tensor(a), D::Tensor(b)) => {
-            if compare_infos(a, b) {
+            if a.shape == b.shape {
                 PairVerdict::Live
             } else {
                 PairVerdict::Divergent
-            }
-        }
-        (D::Tuple(a0, a1), D::Tuple(b0, b1)) => {
-            if compare_infos(a0, b0) && compare_infos(a1, b1) {
-                PairVerdict::Live
-            } else {
-                PairVerdict::Blind
             }
         }
         (D::Scalar(a), D::Scalar(b)) if a == b => PairVerdict::Live,
@@ -154,6 +139,19 @@ struct Outcome {
 
 fn lookup_in<'a>(bindings: &'a [(Var, TensorData)]) -> impl Fn(Var) -> Option<&'a TensorData> {
     move |v| bindings.iter().find(|(u, _)| *u == v).map(|(_, d)| d)
+}
+
+/// `bindings` with the rule's extents bound, as a match would bind them;
+/// `None` when a measured value has no such axis (the rule cannot fire).
+fn with_extents(
+    spec: &RuleSpec,
+    mut bindings: Vec<(Var, TensorData)>,
+) -> Option<Vec<(Var, TensorData)>> {
+    let mut sizes = vec![];
+    bind_extents(spec.extents, lookup_in(&bindings), &mut sizes).then(|| {
+        bindings.extend(sizes);
+        bindings
+    })
 }
 
 struct ConcreteEval {
@@ -218,12 +216,8 @@ fn eval_concrete(spec: &RuleSpec, bindings: &[(Var, TensorData)]) -> ConcreteEva
 /// fresh dims).
 #[derive(Debug, Clone)]
 enum VarOption {
-    /// A tensor of the given rank, optionally carrying a concat mark on
-    /// the given axis (with a fresh first-part size).
-    Tensor {
-        rank: usize,
-        split_axis: Option<usize>,
-    },
+    /// A tensor of the given rank.
+    Tensor(usize),
     /// A concrete scalar parameter value.
     ScalarConst(i64),
     /// An opaque value for a variable whose occurrences never inspect it
@@ -231,7 +225,9 @@ enum VarOption {
     Opaque,
 }
 
-fn contains_nonlinear_op(p: &Pattern<TensorLang>) -> bool {
+/// True if `p` holds an operator [`sym_infer`] reports undecidable
+/// whatever its operands.
+fn leaves_linear_domain(p: &Pattern<TensorLang>) -> bool {
     p.ast.iter().any(|(_, node)| {
         matches!(
             node,
@@ -242,6 +238,8 @@ fn contains_nonlinear_op(p: &Pattern<TensorLang>) -> bool {
                     | TensorLang::Reshape(_)
                     | TensorLang::Merge(_)
                     | TensorLang::Enlarge(_)
+                    | TensorLang::Split0(_)
+                    | TensorLang::Split1(_)
             )
         )
     })
@@ -287,13 +285,6 @@ fn compare_sym(env: &DimEnv, lhs: &SymValue, rhs: &SymValue) -> Option<PairVerdi
                 PairVerdict::Divergent
             }
         }
-        (S::Tuple(a0, a1), S::Tuple(b0, b1)) => {
-            if tensors_eq(a0, b0) && tensors_eq(a1, b1) {
-                PairVerdict::Live
-            } else {
-                PairVerdict::Blind
-            }
-        }
         (S::Scalar(a), S::Scalar(b)) => {
             if a == b {
                 PairVerdict::Live
@@ -318,8 +309,8 @@ fn compare_sym(env: &DimEnv, lhs: &SymValue, rhs: &SymValue) -> Option<PairVerdi
 
 /// Evaluates a symbolic dimension under a rotated prime valuation of its
 /// free variables and converts the assignment to concrete [`TensorData`].
-/// Returns `None` if the valuation produces a negative dimension or an
-/// out-of-range concat mark — the caller then tries another rotation.
+/// Returns `None` if the valuation produces a negative dimension — the
+/// caller then tries another rotation.
 fn concretize(
     assign: &[(Var, SymValue)],
     env: &DimEnv,
@@ -330,19 +321,10 @@ fn concretize(
     let eval_dim = |d: &SymDim| env.evaluate(d, &val);
     let eval_info = |t: &SymTensor| -> Option<TensorInfo> {
         let shape: Vec<i64> = t.shape.iter().map(eval_dim).collect();
-        if shape.iter().any(|&d| d < 0) {
-            return None;
-        }
-        let mut info = TensorInfo::new(shape, false);
-        if let Some((ax, first)) = &t.split_at {
-            let f = eval_dim(first);
-            let total = info.shape[*ax];
-            if !(0 < f && f < total) {
-                return None;
-            }
-            info.split_at = Some((*ax, f));
-        }
-        Some(info)
+        shape
+            .iter()
+            .all(|&d| d >= 0)
+            .then(|| TensorInfo::new(shape, false))
     };
     assign
         .iter()
@@ -353,9 +335,6 @@ fn concretize(
                 SymValue::Str(sym) => TensorData::Str(*sym),
                 SymValue::StrVar(_) => return None,
                 SymValue::Tensor(t) => TensorData::Tensor(eval_info(t)?),
-                SymValue::Tuple(a, b) => {
-                    TensorData::Tuple(Box::new(eval_info(a)?), Box::new(eval_info(b)?))
-                }
             };
             Some((*var, d))
         })
@@ -416,36 +395,21 @@ fn symbolic_analysis(
     var_kinds: &[(Var, BTreeSet<tensat_ir::DataKind>)],
 ) -> Option<Outcome> {
     use tensat_ir::DataKind;
-    if spec
-        .sources
-        .iter()
-        .chain(&spec.targets)
-        .any(|p| contains_nonlinear_op(p))
+    // Extents are concrete sizes, which the symbolic domain does not model.
+    if !spec.extents.is_empty()
+        || (spec.sources.iter().chain(&spec.targets)).any(|p| leaves_linear_domain(p))
     {
         return None;
     }
     let mut options: Vec<Vec<VarOption>> = Vec::with_capacity(var_kinds.len());
     for (_, kinds) in var_kinds {
-        if kinds.contains(&DataKind::Str) || kinds.contains(&DataKind::Tuple) {
-            // Every string consumer needs the concrete value; tuple-typed
-            // variables are not modeled. Enumerate instead.
+        if kinds.contains(&DataKind::Str) {
+            // Every string consumer needs the concrete value: enumerate
+            // instead.
             return None;
         }
         if kinds.contains(&DataKind::Tensor) {
-            let mut opts = vec![];
-            for rank in 2..=4 {
-                opts.push(VarOption::Tensor {
-                    rank,
-                    split_axis: None,
-                });
-                for ax in 0..rank {
-                    opts.push(VarOption::Tensor {
-                        rank,
-                        split_axis: Some(ax),
-                    });
-                }
-            }
-            options.push(opts);
+            options.push((2..=4).map(VarOption::Tensor).collect());
         } else if kinds.contains(&DataKind::Scalar) {
             options.push((0..=3).map(VarOption::ScalarConst).collect());
         } else {
@@ -469,13 +433,9 @@ fn symbolic_analysis(
             .enumerate()
             .map(|(slot, (var, _))| {
                 let value = match &options[slot][idx[slot]] {
-                    VarOption::Tensor { rank, split_axis } => {
+                    VarOption::Tensor(rank) => {
                         let shape: Vec<SymDim> = (0..*rank).map(|_| env.fresh()).collect();
-                        let mut t = SymTensor::new(shape);
-                        if let Some(ax) = split_axis {
-                            t.split_at = Some((*ax, env.fresh()));
-                        }
-                        SymValue::Tensor(t)
+                        SymValue::Tensor(SymTensor::new(shape))
                     }
                     VarOption::ScalarConst(c) => SymValue::Scalar(*c),
                     VarOption::Opaque => {
@@ -610,9 +570,8 @@ fn symbolic_analysis(
             out.live_witness = Some(w);
         }
     }
-    out.method = format!(
-        "symbolic abstract interpretation over {configs} rank/split configurations (ranks 2-4)"
-    );
+    out.method =
+        format!("symbolic abstract interpretation over {configs} rank configurations (ranks 2-4)");
     Some(out)
 }
 
@@ -639,11 +598,13 @@ fn enumeration_live_witness(
     let sizes: Vec<usize> = pools.iter().map(|(_, p)| p.len()).collect();
     let mut witness = None;
     for_each_binding(&sizes, BINDING_CAP, &mut |idx| {
-        let bindings: Vec<(Var, TensorData)> = pools
+        let bindings = pools
             .iter()
             .zip(idx)
-            .map(|((v, pool), &i)| (*v, pool[i].clone()))
-            .collect();
+            .map(|((v, pool), &i)| (*v, pool[i].clone()));
+        let Some(bindings) = with_extents(spec, bindings.collect()) else {
+            return true;
+        };
         let eval = eval_concrete(spec, &bindings);
         if eval.sources_valid
             && eval.targets_valid
@@ -670,11 +631,13 @@ fn enumeration_analysis(
     let total = bindings_visited(&sizes, u64::MAX);
     let mut out = Outcome::default();
     for_each_binding(&sizes, BINDING_CAP, &mut |idx| {
-        let bindings: Vec<(Var, TensorData)> = pools
+        let bindings = pools
             .iter()
             .zip(idx)
-            .map(|((v, pool), &i)| (*v, pool[i].clone()))
-            .collect();
+            .map(|((v, pool), &i)| (*v, pool[i].clone()));
+        let Some(bindings) = with_extents(spec, bindings.collect()) else {
+            return true;
+        };
         let eval = eval_concrete(spec, &bindings);
         if !eval.sources_valid {
             return true;
@@ -782,6 +745,8 @@ pub(crate) fn check_soundness(spec: &RuleSpec) -> (Vec<Diagnostic>, String) {
             "statically dead (unsatisfiable variable kinds)".into(),
         );
     }
+    // Extents are bound from the other variables, not drawn from a pool.
+    var_kinds.retain(|(v, _)| spec.extents.iter().all(|e| e.var != *v));
 
     let outcome = symbolic_analysis(spec, &var_kinds)
         .unwrap_or_else(|| enumeration_analysis(spec, &var_kinds));

@@ -7,8 +7,8 @@
 //!
 //! * every shipped rule has at least one *live* binding in the universe
 //!   (so dead-rule detection has no false positives) — rectangular matmul
-//!   chains, an NCHW conv input with a matching OIHW weight, concat-marked
-//!   tensors for the `split` algebra, valid and invalid permutations;
+//!   chains, an NCHW conv input with a matching OIHW weight, tensors that
+//!   concatenate with others, valid and invalid permutations;
 //! * no tensor is square and no two distinct shapes are compatible by
 //!   accident, so shape-divergent mutants (swapped children, renamed
 //!   variables) cannot hide behind coincidental equalities.
@@ -20,12 +20,6 @@ use tensat_ir::{encode_identifier, encode_permutation, DataKind, TensorData, Ten
 /// structured values. See the module docs for the selection rationale.
 fn tensor(shape: &[i64]) -> TensorData {
     TensorData::Tensor(TensorInfo::new(shape.to_vec(), false))
-}
-
-fn tensor_split(shape: &[i64], split_at: (usize, i64)) -> TensorData {
-    let mut info = TensorInfo::new(shape.to_vec(), false);
-    info.split_at = Some(split_at);
-    TensorData::Tensor(info)
 }
 
 /// The scalar pool: small parameter values covering "axis 0/1", "stride
@@ -62,19 +56,11 @@ pub fn tensor_pool() -> Vec<TensorData> {
         // NCHW conv input and a matching OIHW weight (groups = 1).
         tensor(&[1, 4, 8, 8]),
         TensorData::Tensor(TensorInfo::new(vec![6, 4, 3, 3], true)),
-        // Concat-produced tensors, so the `split` algebra has fireable
-        // bindings: concatenated on axis 1 (5 + 7) and on axis 0 (2 + 4).
-        tensor_split(&[3, 12], (1, 5)),
-        tensor_split(&[6, 5], (0, 2)),
+        // Unequal partners for the concat algebra: `[3, 12]` joins `[3, 5]`
+        // on axis 1, `[6, 5]` joins it on axis 0.
+        tensor(&[3, 12]),
+        tensor(&[6, 5]),
     ]
-}
-
-/// The tuple pool (what `split` yields and `split0`/`split1` consume).
-pub fn tuple_pool() -> Vec<TensorData> {
-    vec![TensorData::Tuple(
-        Box::new(TensorInfo::new(vec![3, 5], false)),
-        Box::new(TensorInfo::new(vec![4, 5], false)),
-    )]
 }
 
 /// The candidate pool for a variable whose occurrences demand `kinds`
@@ -95,9 +81,6 @@ pub fn pool_for_kinds(kinds: &BTreeSet<DataKind>) -> Vec<TensorData> {
     }
     if wants(DataKind::Tensor) {
         pool.extend(tensor_pool());
-    }
-    if wants(DataKind::Tuple) {
-        pool.extend(tuple_pool());
     }
     if pool.is_empty() {
         // Unconstrained (kind-`Any` positions only, e.g. a matmul
@@ -160,7 +143,6 @@ mod tests {
             .into_iter()
             .chain(str_pool())
             .chain(tensor_pool())
-            .chain(tuple_pool())
         {
             assert!(d.is_valid(), "pool entry {d:?} must be valid");
         }

@@ -14,12 +14,22 @@ use tensat_verify::{verify_shipped_corpus, Severity};
 /// fifth: transposing twice by a non-involutive permutation (`?p =
 /// "1_2_0"`) does not give `?x` back, and only its involution condition
 /// keeps that binding from firing.
+///
+/// `split0-of-concat` and `split1-of-concat` cut at any extent `?n`, and
+/// give back `?x` and `?y` only where `?n = dim(?x, ?ax)`: the shape check
+/// is what enforces that. `merge-matmuls-shared-rhs` splits the merged
+/// product along axis 0, which is its row axis only at rank 2: a batched
+/// `?w` (`?x1 = [5,3]`, `?w = [6,4,3,3]`) puts the rows elsewhere, and the
+/// shape check blocks it.
 const KNOWN_CONDITION_RELIANT: &[&str] = &[
     "concat-matmul",
     "concat-matmul-rev",
     "batch-matmul-add",
     "batch-matmul-add-rev",
     "double-transpose",
+    "split0-of-concat",
+    "split1-of-concat",
+    "merge-matmuls-shared-rhs",
 ];
 
 #[test]
@@ -64,7 +74,7 @@ fn warnings_are_exactly_the_known_condition_reliant_rules() {
     assert_eq!(
         warned, expected,
         "set of warned rules changed — new warnings need the same scrutiny \
-         these five got:\n{report}"
+         these eight got:\n{report}"
     );
     for rule in &report.rules {
         for d in &rule.diagnostics {

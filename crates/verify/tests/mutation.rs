@@ -42,7 +42,7 @@ const SWAP_CHILD_MUTANTS: &[(&str, &str, &str)] = &[
     (
         // split0-of-concat projecting the wrong half.
         "split0-of-concat-swapped",
-        "(split0 (split ?ax (concat2 ?ax ?x ?y)))",
+        "(split0 ?ax ?n (concat2 ?ax ?x ?y))",
         "?y",
     ),
     (

@@ -26,14 +26,17 @@ fn main() {
         "(relu (matmul 0 ?a ?b))",
         "(matmul 1 ?a ?b)",
     )];
-    // ...plus the paper's Figure 2 multi-pattern rule, written by hand.
+    // ...plus the paper's Figure 2 multi-pattern rule, written by hand: the
+    // merged product splits along its columns where ?w1's end, so the
+    // extent ?n is bound to dim(?w1, 1).
     let multi = vec![MultiPatternRule::new(
         "my-merge-matmuls",
         &["(matmul ?act ?x ?w1)", "(matmul ?act ?x ?w2)"],
         &[
-            "(split0 (split 1 (matmul ?act ?x (concat2 1 ?w1 ?w2))))",
-            "(split1 (split 1 (matmul ?act ?x (concat2 1 ?w1 ?w2))))",
+            "(split0 1 ?n (matmul ?act ?x (concat2 1 ?w1 ?w2)))",
+            "(split1 1 ?n (matmul ?act ?x (concat2 1 ?w1 ?w2)))",
         ],
+        &[("n", "w1", 1)],
     )];
 
     let optimizer = Optimizer::with_rules(OptimizerConfig::default(), single, multi);
