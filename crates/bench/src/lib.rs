@@ -14,9 +14,8 @@ use std::fmt;
 use std::path::Path;
 use std::time::Duration;
 use tensat_core::{
-    explore, extract, extract_greedy_dag, extract_ilp, CycleFilter, ExplorationConfig,
-    ExplorationMode, ExplorationStats, ExtractionMode, IlpConfig, OptimizationResult, Optimizer,
-    OptimizerConfig,
+    explore, extract, extract_greedy_dag, extract_ilp, CycleFilter, ExplorationMode,
+    ExplorationStats, ExtractionMode, IlpConfig, OptimizationResult, Optimizer, OptimizerConfig,
 };
 use tensat_egraph::{Id, RecExpr};
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph, TensorLang};
@@ -45,7 +44,7 @@ pub fn seeded(graph: &RecExpr<TensorLang>) -> (TensorEGraph, Id) {
 /// under `config`: the e-graph, its root class and the exploration stats.
 pub fn explored(
     graph: &RecExpr<TensorLang>,
-    config: &ExplorationConfig,
+    config: &OptimizerConfig,
 ) -> (TensorEGraph, Id, ExplorationStats) {
     let (mut eg, root) = seeded(graph);
     let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), config);
@@ -65,7 +64,7 @@ pub fn nasnet_egraph(node_limit: usize) -> (TensorEGraph, Id) {
         blocks: 4,
         ..harness_scale()
     };
-    let config = ExplorationConfig {
+    let config = OptimizerConfig {
         k_multi: 1,
         max_iter: 15,
         node_limit,
@@ -288,7 +287,7 @@ fn table4_greedy_vs_ilp(s: &Setting) -> Table {
     let model = CostModel::default();
     for &name in BENCHMARKS {
         let graph = build_benchmark(name, s.scale);
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             k_multi: 1,
             max_iter: 15,
             node_limit: s.node_limit,
@@ -336,11 +335,11 @@ fn table5_cycle_constraints(s: &Setting) -> Table {
     let mut table = Table::new("model,k_multi,with_real_s,with_int_s,without_s");
     let model = CostModel::default();
     for (name, k) in CYCLE_MODELS.into_iter().flat_map(|m| [(m, 1), (m, 2)]) {
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             k_multi: k,
             max_iter: 8,
             node_limit: s.node_limit,
-            time_limit: Duration::from_secs(20),
+            exploration_time_limit: Duration::from_secs(20),
             cycle_filter: CycleFilter::Efficient,
             ..Default::default()
         };
@@ -382,11 +381,11 @@ fn table6_cycle_filtering(s: &Setting) -> Table {
     for (name, k) in CYCLE_MODELS.into_iter().flat_map(|m| [(m, 1), (m, 2)]) {
         let graph = build_benchmark(name, s.scale);
         let explore_time = |cycle_filter| {
-            let config = ExplorationConfig {
+            let config = OptimizerConfig {
                 k_multi: k,
                 max_iter: 8,
                 node_limit: s.node_limit,
-                time_limit: Duration::from_secs(120),
+                exploration_time_limit: Duration::from_secs(120),
                 cycle_filter,
                 ..Default::default()
             };
@@ -427,11 +426,11 @@ fn table7_exploration(s: &Setting) -> Table {
                 ExplorationMode::Guided => (saturated_nodes / 4).max(seed_nodes),
                 _ => s.node_limit,
             };
-            let config = ExplorationConfig {
-                mode,
+            let config = OptimizerConfig {
+                exploration: mode,
                 max_iter: 8,
                 node_limit: budget,
-                time_limit: Duration::from_secs(60),
+                exploration_time_limit: Duration::from_secs(60),
                 search_threads: 1,
                 ..Default::default()
             };

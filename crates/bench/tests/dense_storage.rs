@@ -16,7 +16,7 @@
 //! the `bench_report` bin.)
 
 use std::collections::{BTreeMap, BTreeSet};
-use tensat_core::{CycleFilter, ExplorationConfig, StopReason};
+use tensat_core::{CycleFilter, OptimizerConfig, StopReason};
 use tensat_egraph::{Id, SearchMatches, Var};
 use tensat_ir::{TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
@@ -57,7 +57,7 @@ fn machine_equals_naive_oracle_on_every_benchmark_model() {
             root,
             &rules,
             &[],
-            &ExplorationConfig {
+            &OptimizerConfig {
                 max_iter: 1,
                 node_limit: 5_000,
                 search_threads: 1,
@@ -88,7 +88,7 @@ fn machine_equals_naive_oracle_on_every_benchmark_model() {
             root,
             &rules,
             &[],
-            &ExplorationConfig {
+            &OptimizerConfig {
                 max_iter: 8,
                 node_limit: 20_000,
                 cycle_filter: CycleFilter::Off,

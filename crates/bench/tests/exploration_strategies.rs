@@ -34,8 +34,8 @@ use proptest::prelude::*;
 use std::time::Duration;
 use tensat_core::explore::legacy::explore_monolithic;
 use tensat_core::{
-    explore, extract_greedy, extract_greedy_dag, CycleFilter, ExplorationConfig, ExplorationMode,
-    ExplorationStats, StopReason,
+    explore, extract_greedy, extract_greedy_dag, CycleFilter, ExplorationMode, ExplorationStats,
+    ExtractionMode, Optimizer, OptimizerConfig, StopReason,
 };
 use tensat_egraph::{Id, RecExpr, SearchMatches, PARALLEL_SEARCH_SPAWN_THRESHOLD};
 use tensat_ir::{CostModel, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
@@ -82,13 +82,13 @@ fn seeded(graph: &RecExpr<TensorLang>) -> (TensorEGraph, Id) {
 }
 
 /// Deterministic small limits shared by both sides of each comparison.
-fn saturate_config(node_limit: usize) -> ExplorationConfig {
-    ExplorationConfig {
-        mode: ExplorationMode::Saturate,
+fn saturate_config(node_limit: usize) -> OptimizerConfig {
+    OptimizerConfig {
+        exploration: ExplorationMode::Saturate,
         k_multi: 1,
         max_iter: 2,
         node_limit,
-        time_limit: Duration::from_secs(600),
+        exploration_time_limit: Duration::from_secs(600),
         search_threads: 1,
         ..Default::default()
     }
@@ -108,7 +108,7 @@ fn assert_bit_identical(
     graph: &RecExpr<TensorLang>,
     singles: &[TensorRewrite],
     multis: &[MultiPatternRule],
-    config: &ExplorationConfig,
+    config: &OptimizerConfig,
 ) -> (TensorEGraph, Id, ExplorationStats) {
     let (mut legacy_eg, legacy_root) = seeded(graph);
     let legacy_stats = explore_monolithic(&mut legacy_eg, legacy_root, singles, multis, config);
@@ -175,11 +175,11 @@ proptest! {
         let graph = build_graph(&ops);
         let (mut eg, root) = seeded(&graph);
         let budget = eg.total_number_of_nodes().max(100);
-        let config = ExplorationConfig {
-            mode: ExplorationMode::Guided,
+        let config = OptimizerConfig {
+            exploration: ExplorationMode::Guided,
             node_limit: budget,
             search_threads: 1,
-            time_limit: Duration::from_secs(600),
+            exploration_time_limit: Duration::from_secs(600),
             ..Default::default()
         };
         let stats = explore(&mut eg, root, &single_rules(), &[], &config);
@@ -230,7 +230,7 @@ fn an_iteration_cut_by_node_limit_is_the_last_in_engine_and_oracle() {
         ("BERT", 2_000, 1_675, 664, 4),
         ("BERT", 20_000, 18_210, 7_962, 6),
     ] {
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             max_iter: 15,
             ..saturate_config(node_limit)
         };
@@ -282,28 +282,50 @@ fn node_limit_is_enforced_per_application() {
 
 /// Regression: the time limit is checked before every iteration (and
 /// before every application), so a zero budget halts exploration before
-/// the first iteration mutates anything.
+/// the first iteration mutates anything — under `Saturate`, and under
+/// `Guided`, which asks it before every beam step and every action. The
+/// optimizer still extracts a well-typed graph no worse than the input.
+/// Zero is the limit that binds deterministically: Guided converges in a
+/// few milliseconds on these models, under any limit a test could afford.
 #[test]
 fn zero_time_limit_halts_before_the_first_iteration() {
-    let graph = build_benchmark("NasRNN", ModelScale::tiny());
-    let (mut eg, root) = seeded(&graph);
-    let seed_nodes = eg.total_number_of_nodes();
-    let stats = explore(
-        &mut eg,
-        root,
-        &single_rules(),
-        &multi_rules(),
-        &ExplorationConfig {
-            time_limit: Duration::ZERO,
-            ..saturate_config(2_000)
-        },
-    );
-    assert_eq!(stats.iterations, 0);
-    assert_eq!(
-        stats.stop_reason,
-        Some(StopReason::TimeLimit(Duration::ZERO))
-    );
-    assert_eq!(eg.total_number_of_nodes(), seed_nodes);
+    let counts = |eg: &TensorEGraph| {
+        (
+            eg.total_number_of_nodes(),
+            eg.number_of_classes(),
+            eg.union_count(),
+        )
+    };
+    for exploration in [ExplorationMode::Saturate, ExplorationMode::Guided] {
+        let config = OptimizerConfig {
+            exploration,
+            exploration_time_limit: Duration::ZERO,
+            extraction: ExtractionMode::GreedyDag,
+            ..saturate_config(20_000)
+        };
+        for name in ["BERT", "NasNet-A", "NasRNN"] {
+            let graph = build_benchmark(name, ModelScale::default());
+            let (mut eg, root) = seeded(&graph);
+            let seed = counts(&eg);
+            let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
+            let label = format!("{name} {exploration:?}");
+            assert_eq!(stats.iterations, 0, "{label}");
+            assert_eq!(
+                stats.stop_reason,
+                Some(StopReason::TimeLimit(Duration::ZERO)),
+                "{label}"
+            );
+            assert_eq!(counts(&eg), seed, "{label}");
+
+            let result = Optimizer::new(config.clone()).optimize(&graph).unwrap();
+            assert!(
+                result.optimized_cost <= result.original_cost + 1e-9,
+                "{label}"
+            );
+            let data = tensat_ir::infer_recexpr(&result.optimized_graph);
+            assert!(data.iter().all(|d| d.is_valid()), "{label}: ill-typed");
+        }
+    }
 }
 
 /// The whole saturation trajectory of every benchmark model at the repo
@@ -368,7 +390,7 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
     for (name, pins) in pinned {
         let graph = build_benchmark(name, ModelScale::default());
         for (k_multi, pin) in [1, 2].into_iter().zip(pins) {
-            let config = ExplorationConfig {
+            let config = OptimizerConfig {
                 k_multi,
                 max_iter: 15,
                 ..saturate_config(2_000)
@@ -450,7 +472,7 @@ fn big_benchmark_trajectories_are_pinned() {
             ..ModelScale::default()
         };
         let (mut eg, root) = seeded(&build_benchmark(name, scale));
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             max_iter: 15,
             cycle_filter: CycleFilter::Efficient,
             ..saturate_config(node_limit)
@@ -491,7 +513,7 @@ fn exploration_is_bit_identical_at_1_and_4_search_threads() {
     let graph = build_benchmark("BERT", tensat_bench::harness_scale());
     let run = |search_threads: usize, max_iter: usize| {
         let (mut eg, root) = seeded(&graph);
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             max_iter,
             search_threads,
             ..saturate_config(5_000)
@@ -536,11 +558,11 @@ fn exploration_is_bit_identical_at_1_and_4_search_threads() {
 #[test]
 fn guided_exploration_is_deterministic() {
     let graph = build_benchmark("NasRNN", ModelScale::tiny());
-    let config = ExplorationConfig {
-        mode: ExplorationMode::Guided,
+    let config = OptimizerConfig {
+        exploration: ExplorationMode::Guided,
         node_limit: 1_000,
         search_threads: 1,
-        time_limit: Duration::from_secs(600),
+        exploration_time_limit: Duration::from_secs(600),
         ..Default::default()
     };
     let model = CostModel::default();
@@ -604,11 +626,11 @@ fn guided_beats_saturation_tree_greedy_under_a_quarter_budget() {
             gui_root,
             &singles,
             &multis,
-            &ExplorationConfig {
-                mode: ExplorationMode::Guided,
+            &OptimizerConfig {
+                exploration: ExplorationMode::Guided,
                 node_limit: budget,
                 search_threads: 1,
-                time_limit: Duration::from_secs(600),
+                exploration_time_limit: Duration::from_secs(600),
                 ..Default::default()
             },
         );

@@ -22,8 +22,8 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use tensat_core::{
-    explore, extract_greedy, extract_greedy_dag, extract_ilp, DagCost, ExplorationConfig,
-    IlpConfig, TreeCost,
+    explore, extract_greedy, extract_greedy_dag, extract_ilp, DagCost, IlpConfig, OptimizerConfig,
+    TreeCost,
 };
 use tensat_egraph::{CostFunction, DagExtractor, Extractor, Id, Language, RecExpr};
 use tensat_ilp::Status;
@@ -72,7 +72,7 @@ fn explored(graph: &RecExpr<TensorLang>) -> (TensorEGraph, Id) {
         root,
         &single_rules(),
         &[],
-        &ExplorationConfig {
+        &OptimizerConfig {
             max_iter: 2,
             node_limit: 2_000,
             search_threads: 1,
@@ -209,7 +209,7 @@ fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
         root,
         &single_rules(),
         &tensat_rules::multi_rules(),
-        &ExplorationConfig {
+        &OptimizerConfig {
             node_limit: 20_000,
             search_threads: 1,
             ..Default::default()
@@ -311,7 +311,7 @@ fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
                 root,
                 &single_rules(),
                 &tensat_rules::multi_rules(),
-                &ExplorationConfig {
+                &OptimizerConfig {
                     k_multi,
                     max_iter: 15,
                     node_limit: 2_000,

@@ -43,8 +43,8 @@
 
 use std::time::{Duration, Instant};
 use tensat_core::{
-    explore, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, CycleFilter,
-    ExplorationConfig, ExtractionMode, IlpConfig, Optimizer, OptimizerConfig,
+    explore, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, CycleFilter, ExtractionMode,
+    IlpConfig, Optimizer, OptimizerConfig,
 };
 use tensat_ilp::Status;
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph};
@@ -76,7 +76,7 @@ fn grown(model: &str) -> (TensorEGraph, tensat_egraph::Id) {
         root,
         &rules,
         &[],
-        &ExplorationConfig {
+        &OptimizerConfig {
             max_iter: 2,
             node_limit: 20_000,
             search_threads: 1,
@@ -217,13 +217,7 @@ fn reduction_stops_at_the_ilp_time_limit() {
     let mut eg = TensorEGraph::new(TensorAnalysis);
     let root = eg.add_expr(&graph);
     eg.rebuild();
-    explore(
-        &mut eg,
-        root,
-        &single_rules(),
-        &multi_rules(),
-        &config.exploration_config(),
-    );
+    explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
     let model = CostModel::default();
     let limit = Duration::from_secs(2);
     let ilp = extract_ilp(

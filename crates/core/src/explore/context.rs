@@ -8,8 +8,9 @@
 //! [`Guided`](super::Guided) as per-rule budgeted batches on snapshot
 //! states.
 
-use super::{canonicalize_pattern, CycleFilter, ExplorationConfig, ExplorationStats, StopReason};
+use super::{canonicalize_pattern, CycleFilter, ExplorationStats, StopReason};
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
+use crate::OptimizerConfig;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -23,7 +24,7 @@ use tensat_rules::{bind_extents, target_fits, Extent, MultiPatternRule, TensorRe
 pub struct ExplorationContext<'a> {
     root: Id,
     single_rules: &'a [TensorRewrite],
-    config: &'a ExplorationConfig,
+    config: &'a OptimizerConfig,
     /// One product plan per multi rule, over `unique_patterns`.
     plans: Vec<MultiPlan>,
     /// Deduplicated canonical multi-pattern sources (Algorithm 1, lines
@@ -43,7 +44,7 @@ impl<'a> ExplorationContext<'a> {
         root: Id,
         single_rules: &'a [TensorRewrite],
         multi_rules: &[MultiPatternRule],
-        config: &'a ExplorationConfig,
+        config: &'a OptimizerConfig,
     ) -> Self {
         let start = Instant::now();
         let mut unique_patterns: Vec<Pattern<TensorLang>> = vec![];
@@ -75,7 +76,7 @@ impl<'a> ExplorationContext<'a> {
     }
 
     /// The exploration configuration.
-    pub fn config(&self) -> &ExplorationConfig {
+    pub fn config(&self) -> &OptimizerConfig {
         self.config
     }
 
@@ -109,7 +110,7 @@ impl<'a> ExplorationContext<'a> {
     /// `run_iteration`.
     pub fn over_budget(&self, egraph: &TensorEGraph) -> bool {
         self.node_limit_cut.get()
-            || self.elapsed() >= self.config.time_limit
+            || self.elapsed() >= self.config.exploration_time_limit
             || egraph.total_number_of_nodes() >= self.config.node_limit
     }
 
@@ -137,8 +138,8 @@ impl<'a> ExplorationContext<'a> {
     fn limit_reached(&self, enodes: usize) -> Option<StopReason> {
         if enodes >= self.config.node_limit {
             Some(StopReason::NodeLimit(self.config.node_limit))
-        } else if self.elapsed() >= self.config.time_limit {
-            Some(StopReason::TimeLimit(self.config.time_limit))
+        } else if self.elapsed() >= self.config.exploration_time_limit {
+            Some(StopReason::TimeLimit(self.config.exploration_time_limit))
         } else {
             None
         }
@@ -269,8 +270,10 @@ impl<'a> ExplorationContext<'a> {
     /// the e-graph plus the applier's worst-case growth (its AST size)
     /// stays within `budget`, so the state never exceeds it. Rebuilds and
     /// cycle-filters afterwards, leaving the state clean for scoring. Adds
-    /// the descendants-map time to `stats.prefilter_time` and what the map
-    /// was asked to `stats.prefilter_{queries, walks, rejected}`.
+    /// the apply loop to `stats.apply_time`, the rebuild and cycle filter
+    /// to `stats.rebuild_time`, the descendants-map time to
+    /// `stats.prefilter_time` and what the map was asked to
+    /// `stats.prefilter_{queries, walks, rejected}`.
     pub fn apply_single_budgeted(
         &self,
         egraph: &mut TensorEGraph,
@@ -287,12 +290,14 @@ impl<'a> ExplorationContext<'a> {
         let desc = self.prefilter_map(egraph, stats);
         // The budget is asked before every application and one application
         // adds at most `headroom` nodes — so the budget stays hard.
+        let apply_start = Instant::now();
         self.apply_single(egraph, rw, matches, desc.as_ref(), |egraph| {
             egraph.total_number_of_nodes() + headroom <= budget
-                && self.elapsed() < self.config.time_limit
+                && self.elapsed() < self.config.exploration_time_limit
         });
+        stats.apply_time += apply_start.elapsed();
         record_prefilter(desc.as_ref(), stats);
-        self.seal_state(egraph);
+        self.seal_state(egraph, stats);
     }
 
     /// Applies one multi-pattern rule's Cartesian combinations to a
@@ -321,12 +326,14 @@ impl<'a> ExplorationContext<'a> {
         // `headroom` nodes — so the budget stays hard.
         let keep_going = |egraph: &TensorEGraph| {
             egraph.total_number_of_nodes() + headroom <= budget
-                && self.elapsed() < self.config.time_limit
+                && self.elapsed() < self.config.exploration_time_limit
         };
         let filter = self.config.cycle_filter;
+        let apply_start = Instant::now();
         plan.apply(egraph, multi_matches, filter, desc.as_ref(), &keep_going);
+        stats.apply_time += apply_start.elapsed();
         record_prefilter(desc.as_ref(), stats);
-        self.seal_state(egraph);
+        self.seal_state(egraph, stats);
     }
 
     /// Applies one single-pattern rule's matches through the one apply
@@ -367,12 +374,15 @@ impl<'a> ExplorationContext<'a> {
     }
 
     /// Rebuilds a candidate state and resolves cycles, restoring the
-    /// invariants scoring and the next search step rely on.
-    fn seal_state(&self, egraph: &mut TensorEGraph) {
+    /// invariants scoring and the next search step rely on; timed into
+    /// `stats.rebuild_time`.
+    fn seal_state(&self, egraph: &mut TensorEGraph, stats: &mut ExplorationStats) {
+        let start = Instant::now();
         egraph.rebuild();
         if self.config.cycle_filter == CycleFilter::Efficient {
             remove_all_cycles(egraph, self.root);
         }
+        stats.rebuild_time += start.elapsed();
     }
 }
 

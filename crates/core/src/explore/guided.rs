@@ -27,12 +27,13 @@
 //!
 //! The node budget is *hard*: an action is applied only while the state
 //! plus the applier's worst-case growth stays within
-//! `ExplorationConfig::node_limit`, so no candidate — and hence the final
+//! `OptimizerConfig::node_limit`, so no candidate — and hence the final
 //! e-graph — ever exceeds it.
 
 use super::context::ExplorationContext;
 use super::{ExplorationStats, ExplorationStrategy};
 use crate::extract::DagCost;
+use std::time::Instant;
 use tensat_egraph::{DagExtractor, Id};
 use tensat_ir::{Cost, CostModel, TensorEGraph};
 
@@ -138,7 +139,7 @@ impl ExplorationStrategy for Guided {
         )];
 
         for step in 0..gcfg.max_steps {
-            if ctx.elapsed() >= config.time_limit {
+            if ctx.elapsed() >= config.exploration_time_limit {
                 break;
             }
             // Multi-pattern actions follow the saturation schedule: only
@@ -146,8 +147,10 @@ impl ExplorationStrategy for Guided {
             let include_multi = step < config.k_multi;
             let mut candidates: Vec<State> = Vec::new();
             'expand: for state in &beam {
+                let search_start = Instant::now();
                 let (single_matches, multi_matches) =
                     ctx.search_state(&state.egraph, include_multi);
+                stats.search_time += search_start.elapsed();
                 let nodes_before = state.egraph.total_number_of_nodes();
                 let unions_before = state.egraph.union_count();
                 let push = |next: TensorEGraph, candidates: &mut Vec<State>| {
@@ -160,7 +163,7 @@ impl ExplorationStrategy for Guided {
                 };
                 // One action per single-pattern rule with any match.
                 for (ri, matches) in single_matches.iter().enumerate() {
-                    if ctx.elapsed() >= config.time_limit {
+                    if ctx.elapsed() >= config.exploration_time_limit {
                         break 'expand;
                     }
                     if matches.iter().all(|m| m.substs.is_empty()) {
@@ -173,7 +176,7 @@ impl ExplorationStrategy for Guided {
                 // One action per multi-pattern rule (first k_multi steps).
                 if include_multi && multi_matches.iter().any(|ms| !ms.is_empty()) {
                     for mi in 0..ctx.multi_rule_count() {
-                        if ctx.elapsed() >= config.time_limit {
+                        if ctx.elapsed() >= config.exploration_time_limit {
                             break 'expand;
                         }
                         let mut next = state.egraph.snapshot();

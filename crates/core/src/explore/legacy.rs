@@ -20,8 +20,9 @@
 //!
 //! [`Pattern::search_naive`]: tensat_egraph::Pattern::search_naive
 
-use super::{canonicalize_pattern, CycleFilter, ExplorationConfig, ExplorationStats, StopReason};
+use super::{canonicalize_pattern, CycleFilter, ExplorationStats, StopReason};
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
+use crate::OptimizerConfig;
 use std::collections::HashMap;
 use std::time::Instant;
 use tensat_egraph::{search_all_parallel, Id, Pattern, Subst, Var};
@@ -36,7 +37,7 @@ pub fn explore_monolithic(
     root: Id,
     single_rules: &[TensorRewrite],
     multi_rules: &[MultiPatternRule],
-    config: &ExplorationConfig,
+    config: &OptimizerConfig,
 ) -> ExplorationStats {
     let start = Instant::now();
     let mut stats = ExplorationStats::default();
@@ -79,8 +80,8 @@ pub fn explore_monolithic(
     let limit_reached = |egraph: &TensorEGraph| {
         if egraph.total_number_of_nodes() >= config.node_limit {
             Some(StopReason::NodeLimit(config.node_limit))
-        } else if start.elapsed() >= config.time_limit {
-            Some(StopReason::TimeLimit(config.time_limit))
+        } else if start.elapsed() >= config.exploration_time_limit {
+            Some(StopReason::TimeLimit(config.exploration_time_limit))
         } else {
             None
         }
@@ -117,7 +118,7 @@ pub fn explore_monolithic(
                 // share the engine's scratch refill.
                 for subst in m.substs.iter() {
                     if egraph.total_number_of_nodes() >= config.node_limit
-                        || start.elapsed() >= config.time_limit
+                        || start.elapsed() >= config.exploration_time_limit
                     {
                         break 'single_apply;
                     }
@@ -146,7 +147,7 @@ pub fn explore_monolithic(
             for mrule in &compiled {
                 apply_multi_rule(egraph, mrule, &multi_matches, config, &mut desc, start);
                 if egraph.total_number_of_nodes() >= config.node_limit
-                    || start.elapsed() >= config.time_limit
+                    || start.elapsed() >= config.exploration_time_limit
                 {
                     break;
                 }
@@ -271,7 +272,7 @@ fn apply_multi_rule(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
     all_matches: &[Vec<tensat_egraph::SearchMatches>],
-    config: &ExplorationConfig,
+    config: &OptimizerConfig,
     desc: &mut Option<DescendantsMap>,
     start: Instant,
 ) {
@@ -306,11 +307,13 @@ fn cartesian(
     per_src: &[SourceMatches],
     depth: usize,
     combo: &mut Vec<(usize, Id, Subst, Subst)>,
-    config: &ExplorationConfig,
+    config: &OptimizerConfig,
     desc: &mut Option<DescendantsMap>,
     start: Instant,
 ) {
-    if egraph.total_number_of_nodes() >= config.node_limit || start.elapsed() >= config.time_limit {
+    if egraph.total_number_of_nodes() >= config.node_limit
+        || start.elapsed() >= config.exploration_time_limit
+    {
         return;
     }
     if depth == per_src.len() {
@@ -350,7 +353,7 @@ fn apply_combo(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
     combo: &[(usize, Id, Subst, Subst)],
-    config: &ExplorationConfig,
+    config: &OptimizerConfig,
     desc: &mut Option<DescendantsMap>,
 ) {
     // Check compatibility at shared variables and build the merged binding.

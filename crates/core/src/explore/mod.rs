@@ -19,7 +19,10 @@
 //!   baseline (`tensat-taso`) run through the same seam, unioning its best
 //!   trajectory graph back into the e-graph.
 //!
-//! [`explore`] dispatches on [`ExplorationConfig::mode`]
+//! Every entry point reads the one [`OptimizerConfig`]: its exploration
+//! fields (`k_multi`, `max_iter`, `node_limit`, `exploration_time_limit`,
+//! `cycle_filter`, `search_threads`, `guided`, `taso`, `cost_model`) drive
+//! the run, and [`explore`] dispatches on [`OptimizerConfig::exploration`]
 //! ([`ExplorationMode`]). A run is a function of the e-graph, the rules and
 //! the configuration: nothing here reads the environment.
 
@@ -34,27 +37,11 @@ pub use guided::{Guided, GuidedConfig};
 pub use saturate::Saturate;
 pub use taso::{TasoBacktracking, TasoConfig};
 
+use crate::OptimizerConfig;
 use std::time::Duration;
 use tensat_egraph::{ENodeOrVar, Id, Pattern, RecExpr, Var};
-use tensat_ir::{CostModel, TensorEGraph, TensorLang};
+use tensat_ir::{TensorEGraph, TensorLang};
 use tensat_rules::{MultiPatternRule, TensorRewrite};
-
-/// The paper's exploration defaults (§6.1): the single source of truth
-/// shared by [`ExplorationConfig::default`] and
-/// [`OptimizerConfig::default`](crate::OptimizerConfig::default), so the
-/// two configurations cannot silently drift.
-pub mod defaults {
-    use std::time::Duration;
-
-    /// Iterations in which multi-pattern rules are applied (`k_multi`).
-    pub const K_MULTI: usize = 1;
-    /// Total iteration limit (`k_max`).
-    pub const MAX_ITER: usize = 15;
-    /// E-node limit (`N_max`).
-    pub const NODE_LIMIT: usize = 50_000;
-    /// Wall-clock limit for the whole exploration phase.
-    pub const TIME_LIMIT: Duration = Duration::from_secs(60);
-}
 
 /// Which cycle-filtering algorithm to run during exploration (paper §5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,76 +85,6 @@ impl ExplorationMode {
     }
 }
 
-/// Limits and options for the exploration phase.
-#[derive(Debug, Clone)]
-pub struct ExplorationConfig {
-    /// Iterations in which multi-pattern rules are applied (`k_multi`).
-    pub k_multi: usize,
-    /// Total iteration limit (`k_max`).
-    pub max_iter: usize,
-    /// E-node limit (`N_max`). [`Saturate`] asks it before every
-    /// application, so the e-graph overshoots it by at most the e-nodes
-    /// one application adds (a 2 000 limit ends at 2 001 or 2 004 on some
-    /// models), and the iteration whose apply phase it cuts is the last
-    /// one — the final count may sit *below* the limit, because the
-    /// rebuild closing that iteration deduplicates (NasNet-A at 30 000
-    /// ends with 28 024 e-nodes). [`Guided`] enforces it as a hard budget
-    /// no candidate state ever exceeds.
-    pub node_limit: usize,
-    /// Wall-clock limit for the whole exploration phase.
-    pub time_limit: Duration,
-    /// The cycle-filtering algorithm.
-    pub cycle_filter: CycleFilter,
-    /// Threads used by the e-matching search phase. `1` runs the sequential
-    /// driver (exact pre-parallel behavior); larger values shard candidate
-    /// classes across scoped threads with bit-identical match lists, so
-    /// this only affects wall-clock time.
-    pub search_threads: usize,
-    /// Which exploration strategy [`explore`] dispatches to.
-    pub mode: ExplorationMode,
-    /// Cost model used by strategies that score candidate states
-    /// ([`Guided`]'s rollout evaluator, [`TasoBacktracking`]'s search);
-    /// [`Saturate`] never consults it.
-    pub cost_model: CostModel,
-    /// Parameters of the [`Guided`] strategy (used when `mode` is
-    /// [`ExplorationMode::Guided`]).
-    pub guided: GuidedConfig,
-    /// Parameters of the [`TasoBacktracking`] baseline (used when `mode`
-    /// is [`ExplorationMode::Taso`]).
-    pub taso: TasoConfig,
-}
-
-impl Default for ExplorationConfig {
-    /// The paper's defaults ([`defaults`]): `k_multi = 1`, `k_max = 15`,
-    /// `N_max = 50 000`, saturate-all exploration, plus search parallelism
-    /// from [`default_search_threads`].
-    fn default() -> Self {
-        ExplorationConfig {
-            k_multi: defaults::K_MULTI,
-            max_iter: defaults::MAX_ITER,
-            node_limit: defaults::NODE_LIMIT,
-            time_limit: defaults::TIME_LIMIT,
-            cycle_filter: CycleFilter::Efficient,
-            search_threads: default_search_threads(),
-            mode: ExplorationMode::Saturate,
-            cost_model: CostModel::default(),
-            guided: GuidedConfig::default(),
-            taso: TasoConfig::default(),
-        }
-    }
-}
-
-impl ExplorationConfig {
-    /// Always 1: the apply phase is Algorithm 1's in-place loop and has no
-    /// thread setting. Kept because the repo benchmark's own
-    /// `labels_are_unique_and_threads_pinned` test calls it and nothing
-    /// under `benchmark/` may change in a library PR; a later `benchmark`
-    /// PR retires it.
-    pub fn resolved_apply_threads(&self) -> usize {
-        1
-    }
-}
-
 /// The default search thread count: the machine's available parallelism
 /// (1 if that cannot be determined). Match lists are bit-identical at
 /// every thread count, so the machine decides how long a run takes, never
@@ -205,7 +122,7 @@ pub struct ExplorationStats {
     /// iteration the last one) and [`ExplorationContext::finish`]
     /// (saturation, or a limit already spent at an iteration boundary):
     /// `NodeLimit` when an apply phase was cut by
-    /// [`ExplorationConfig::node_limit`], carrying the configured limit as
+    /// [`OptimizerConfig::node_limit`], carrying the configured limit as
     /// the others do. `None` when a strategy with a loop of its own
     /// ([`Guided`], [`TasoBacktracking`]) stopped by its own rule with no
     /// limit spent, and when `max_iter` is 0.
@@ -219,8 +136,9 @@ pub struct ExplorationStats {
     /// Total wall-clock time of the exploration phase.
     pub time: Duration,
     /// Time spent in the e-matching search phase, summed over iterations.
-    /// Filled in by [`Saturate`]'s engine iterations; strategies with no
-    /// phase structure ([`Guided`], [`TasoBacktracking`]) leave it zero.
+    /// Filled in by [`Saturate`]'s engine iterations and by [`Guided`]'s
+    /// search of every beam state; [`TasoBacktracking`], which searches
+    /// concrete graphs outside the e-graph, leaves it zero.
     pub search_time: Duration,
     /// Time spent building the descendants map for the cycle pre-filter
     /// ([`DescendantsMap::compute`](crate::cycles::DescendantsMap::compute),
@@ -245,11 +163,12 @@ pub struct ExplorationStats {
     pub prefilter_rejected: usize,
     /// Time spent applying matches — side conditions, the cycle
     /// pre-filter's checks, instantiation and unions, single- and
-    /// multi-pattern — summed over iterations (same caveat as
-    /// `search_time`).
+    /// multi-pattern — summed over iterations ([`Guided`]: over its
+    /// actions; zero for [`TasoBacktracking`], like `search_time`).
     pub apply_time: Duration,
     /// Time spent rebuilding and cycle-filtering, summed over iterations
-    /// (same caveat as `search_time`).
+    /// ([`Guided`]: sealing each action's state; zero for
+    /// [`TasoBacktracking`], like `search_time`).
     pub rebuild_time: Duration,
     /// E-node count after each iteration.
     pub nodes_per_iteration: Vec<usize>,
@@ -274,17 +193,17 @@ pub trait ExplorationStrategy: std::fmt::Debug {
 
 /// Runs the exploration phase on an e-graph already seeded with the input
 /// graph, dispatching to the strategy selected by
-/// [`ExplorationConfig::mode`]. Returns statistics; the e-graph is grown
+/// [`OptimizerConfig::exploration`]. Returns statistics; the e-graph is grown
 /// in place.
 pub fn explore(
     egraph: &mut TensorEGraph,
     root: Id,
     single_rules: &[TensorRewrite],
     multi_rules: &[MultiPatternRule],
-    config: &ExplorationConfig,
+    config: &OptimizerConfig,
 ) -> ExplorationStats {
     explore_with(
-        config.mode.strategy().as_ref(),
+        config.exploration.strategy().as_ref(),
         egraph,
         root,
         single_rules,
@@ -296,14 +215,14 @@ pub fn explore(
 /// Runs the exploration phase with an explicit strategy: compiles the rule
 /// programs into an [`ExplorationContext`] and hands the e-graph to the
 /// strategy. [`explore`] is this with the strategy picked by
-/// [`ExplorationConfig::mode`].
+/// [`OptimizerConfig::exploration`].
 pub fn explore_with(
     strategy: &dyn ExplorationStrategy,
     egraph: &mut TensorEGraph,
     root: Id,
     single_rules: &[TensorRewrite],
     multi_rules: &[MultiPatternRule],
-    config: &ExplorationConfig,
+    config: &OptimizerConfig,
 ) -> ExplorationStats {
     let ctx = ExplorationContext::new(root, single_rules, multi_rules, config);
     let mut stats = strategy.run(egraph, &ctx);
@@ -377,7 +296,7 @@ mod tests {
     #[test]
     fn multi_pattern_rule_merges_parallel_matmuls() {
         let (mut eg, root) = two_matmul_graph();
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             k_multi: 1,
             max_iter: 3,
             node_limit: 20_000,
@@ -412,7 +331,7 @@ mod tests {
             root,
             &single_rules(),
             &multi_rules(),
-            &ExplorationConfig::default(),
+            &OptimizerConfig::default(),
         );
         assert!(stats.saturated);
         assert_eq!(stats.stop_reason, Some(StopReason::Saturated));
@@ -422,10 +341,10 @@ mod tests {
 
     /// Regression test: the single-pattern apply loop only checked
     /// `node_limit`, never the wall-clock budget, so one large match batch
-    /// blew straight through `time_limit`. A condition that sleeps 10 ms
-    /// per candidate on a graph with 20 matches would run ~200 ms under the
-    /// old code; with the in-loop check it must stop within a few sleeps of
-    /// the 30 ms budget.
+    /// blew straight through `exploration_time_limit`. A condition that
+    /// sleeps 10 ms per candidate on a graph with 20 matches would run
+    /// ~200 ms under the old code; with the in-loop check it must stop
+    /// within a few sleeps of the 30 ms budget.
     #[test]
     fn time_limit_bounds_single_pattern_apply_batch() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -455,10 +374,10 @@ mod tests {
                 true
             }),
         );
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             k_multi: 0,
             max_iter: 1,
-            time_limit: Duration::from_millis(30),
+            exploration_time_limit: Duration::from_millis(30),
             cycle_filter: CycleFilter::Off,
             ..Default::default()
         };
@@ -506,7 +425,7 @@ mod tests {
         budgeted_action: bool,
     ) -> TensorEGraph {
         let rules = [rule];
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             k_multi: 0,
             node_limit: budget,
             ..Default::default()
@@ -623,7 +542,7 @@ mod tests {
             let root = eg.add_expr(&graph);
             eg.rebuild();
             let seed = eg.total_number_of_nodes();
-            let config = ExplorationConfig {
+            let config = OptimizerConfig {
                 k_multi: 1,
                 search_threads: 1,
                 ..Default::default()
@@ -651,7 +570,7 @@ mod tests {
         let (p, q) = (input("p"), input("q"));
         let classes = [p, q, eg.add(TensorLang::Relu([p])), eg.add(second([q]))];
         eg.rebuild();
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             cycle_filter: CycleFilter::Off,
             search_threads: 1,
             ..Default::default()
@@ -703,7 +622,7 @@ mod tests {
     #[test]
     fn node_limit_is_respected() {
         let (mut eg, root) = two_matmul_graph();
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             k_multi: 3,
             max_iter: 10,
             node_limit: 60,
@@ -734,7 +653,7 @@ mod tests {
             sum = g.ewadd(sum, w);
         }
         let expr = g.finish(&[sum]);
-        let config = |node_limit, max_iter| ExplorationConfig {
+        let config = |node_limit, max_iter| OptimizerConfig {
             max_iter,
             node_limit,
             search_threads: 1,
@@ -747,7 +666,7 @@ mod tests {
             eg.rebuild();
             (eg, root)
         };
-        let run = |config: &ExplorationConfig| {
+        let run = |config: &OptimizerConfig| {
             let (mut eg, root) = seeded();
             explore(&mut eg, root, &singles, &multis, config)
         };
@@ -802,7 +721,7 @@ mod tests {
     #[test]
     fn exploration_with_filtering_leaves_no_cycles() {
         let (mut eg, root) = two_matmul_graph();
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             k_multi: 2,
             max_iter: 4,
             node_limit: 5_000,
@@ -819,7 +738,7 @@ mod tests {
             .iter()
             .map(|&k| {
                 let (mut eg, root) = two_matmul_graph();
-                let config = ExplorationConfig {
+                let config = OptimizerConfig {
                     k_multi: k,
                     max_iter: 4,
                     node_limit: 10_000,
@@ -857,7 +776,7 @@ mod tests {
                 &["(relu ?x)", "(sigmoid (ewadd ?x ?y))"],
                 &[],
             );
-            let config = ExplorationConfig {
+            let config = OptimizerConfig {
                 k_multi,
                 max_iter: 4,
                 node_limit: 5_000,
@@ -902,7 +821,7 @@ mod tests {
             root,
             &single_rules(),
             &multi_rules(),
-            &ExplorationConfig::default(),
+            &OptimizerConfig::default(),
         );
         assert_eq!(stats.strategy, "noop");
         assert_eq!(stats.enodes, nodes, "noop strategy must not grow the graph");

@@ -12,8 +12,8 @@ use tensat_taso::{BacktrackingConfig, BacktrackingSearch};
 
 /// Parameters of the [`TasoBacktracking`] baseline (the subset of
 /// [`BacktrackingConfig`] not already covered by
-/// [`ExplorationConfig`](super::ExplorationConfig): the time limit and
-/// cost model come from the exploration config).
+/// [`OptimizerConfig`](crate::OptimizerConfig): the time limit and cost
+/// model come from its `exploration_time_limit` and `cost_model`).
 #[derive(Debug, Clone)]
 pub struct TasoConfig {
     /// Search iterations (graphs popped from the priority queue); the
@@ -72,7 +72,7 @@ impl ExplorationStrategy for TasoBacktracking {
             BacktrackingConfig {
                 iterations: config.taso.iterations,
                 alpha: config.taso.alpha,
-                time_limit: config.time_limit.saturating_sub(ctx.elapsed()),
+                time_limit: config.exploration_time_limit.saturating_sub(ctx.elapsed()),
                 max_queue: config.taso.max_queue,
                 cost_model: config.cost_model.clone(),
             },

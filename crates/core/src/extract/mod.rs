@@ -179,8 +179,11 @@ pub enum ExtractError {
     /// The ILP solver proved the encoding infeasible (can happen when every
     /// candidate in some required class was filtered).
     Infeasible,
-    /// The selected nodes contain a cycle (only possible when both cycle
-    /// filtering and the ILP cycle constraints are disabled).
+    /// The selected nodes contain a cycle. Only an ILP run without cycle
+    /// constraints on an e-graph explored with the cycle filter `Off` can
+    /// select one; [`Optimizer::optimize`](crate::Optimizer::optimize)
+    /// turns the constraints on there, so only a direct [`extract_ilp`]
+    /// call can return this.
     CyclicSelection,
 }
 
@@ -389,7 +392,8 @@ fn greedy_dag_with_picks(
 #[derive(Debug, Clone)]
 pub struct IlpConfig {
     /// Include the acyclicity constraints (4)–(5). Required when the
-    /// e-graph may contain cycles (no cycle filtering during exploration).
+    /// e-graph may contain cycles (no cycle filtering during exploration);
+    /// [`Optimizer::optimize`](crate::Optimizer::optimize) sets it then.
     pub cycle_constraints: bool,
     /// Use integer topological-order variables instead of reals.
     pub integer_topo_vars: bool,
@@ -791,7 +795,8 @@ fn read_back(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, ExplorationConfig};
+    use crate::explore::explore;
+    use crate::OptimizerConfig;
     use std::collections::BTreeSet;
     use tensat_ir::{GraphBuilder, TensorAnalysis};
     use tensat_rules::{multi_rules, single_rules};
@@ -806,7 +811,7 @@ mod tests {
         let mut eg = TensorEGraph::new(TensorAnalysis);
         let root = eg.add_expr(expr);
         eg.rebuild();
-        let config = ExplorationConfig {
+        let config = OptimizerConfig {
             k_multi: 1,
             max_iter,
             node_limit,
@@ -1116,7 +1121,7 @@ mod tests {
                 let mut eg = TensorEGraph::new(TensorAnalysis);
                 let root = eg.add_expr(&graph);
                 eg.rebuild();
-                let config = ExplorationConfig {
+                let config = OptimizerConfig {
                     k_multi,
                     node_limit: 2_000,
                     search_threads: 1,

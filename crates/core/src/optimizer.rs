@@ -1,8 +1,8 @@
 //! The end-to-end TENSAT optimizer: exploration followed by extraction.
 
 use crate::explore::{
-    default_search_threads, defaults, explore, CycleFilter, ExplorationConfig, ExplorationMode,
-    ExplorationStats, GuidedConfig, TasoConfig,
+    default_search_threads, explore, CycleFilter, ExplorationMode, ExplorationStats, GuidedConfig,
+    TasoConfig,
 };
 use crate::extract::{extract, ExtractError, ExtractionMode, IlpConfig, IlpStats};
 use std::time::Duration;
@@ -10,37 +10,47 @@ use tensat_egraph::RecExpr;
 use tensat_ir::{Cost, CostModel, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
 
-/// Full optimizer configuration.
+/// Full optimizer configuration: the one set of parameters the paper's
+/// TENSAT takes (§6.1). Exploration ([`explore`] and every
+/// [`ExplorationStrategy`](crate::ExplorationStrategy)) and extraction both
+/// read it; there is no second exploration-only copy.
 ///
-/// The defaults follow the paper's experimental setup (§6.1): efficient
-/// cycle filtering, ILP extraction without cycle constraints, `k_multi = 1`,
+/// The defaults follow the paper's experimental setup: efficient cycle
+/// filtering, ILP extraction without cycle constraints, `k_multi = 1`,
 /// `k_max = 15`, `N_max = 50 000`.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
-    /// Iterations in which multi-pattern rules are applied.
+    /// Iterations in which multi-pattern rules are applied (`k_multi`).
     pub k_multi: usize,
-    /// Total exploration iteration limit.
+    /// Total exploration iteration limit (`k_max`).
     pub max_iter: usize,
-    /// E-node limit for the exploration phase.
+    /// E-node limit for the exploration phase (`N_max`).
+    /// [`Saturate`](crate::Saturate) asks it before every application, so
+    /// the e-graph overshoots it by at most the e-nodes one application
+    /// adds (a 2 000 limit ends at 2 001 or 2 004 on some models), and the
+    /// iteration whose apply phase it cuts is the last one — the final
+    /// count may sit *below* the limit, because the rebuild closing that
+    /// iteration deduplicates (NasNet-A at 30 000 ends with 28 024
+    /// e-nodes). [`Guided`](crate::Guided) enforces it as a hard budget no
+    /// candidate state ever exceeds.
     pub node_limit: usize,
-    /// Wall-clock limit for the exploration phase.
+    /// Wall-clock limit for the whole exploration phase.
     pub exploration_time_limit: Duration,
-    /// The cycle-filtering algorithm used during exploration.
+    /// The cycle-filtering algorithm used during exploration. `Off` makes
+    /// [`Optimizer::optimize`] turn the ILP cycle constraints on.
     pub cycle_filter: CycleFilter,
-    /// Threads used by the exploration search phase (1 = sequential; the
-    /// parallel driver returns bit-identical matches, so this only affects
-    /// wall-clock time). Defaults to
-    /// [`default_search_threads`].
+    /// Threads used by the e-matching search phase. `1` runs the sequential
+    /// driver; larger values shard candidate classes across scoped threads
+    /// with bit-identical match lists, so this only affects wall-clock
+    /// time. Defaults to [`default_search_threads`].
     pub search_threads: usize,
     /// Accepted and ignored: the apply phase is Algorithm 1's in-place
-    /// loop and has no thread setting, so this is the one field
-    /// [`OptimizerConfig::exploration_config`] does not map. Kept (`None`
-    /// by default) because the repo benchmark's `benchmark/src/workloads.rs`
-    /// writes it and nothing under `benchmark/` may change in a library
-    /// PR; a later `benchmark` PR retires it.
+    /// loop and has no thread setting. Kept (`None` by default) because
+    /// the repo benchmark's `benchmark/src/workloads.rs` writes it; the
+    /// next change to the benchmark retires it.
     pub apply_threads: Option<usize>,
-    /// Which exploration strategy to run (saturate-all, guided beam
-    /// search, or the TASO backtracking baseline).
+    /// Which exploration strategy [`explore`] dispatches to (saturate-all,
+    /// guided beam search, or the TASO backtracking baseline).
     pub exploration: ExplorationMode,
     /// Parameters of the guided strategy (used when `exploration` is
     /// [`ExplorationMode::Guided`]).
@@ -50,29 +60,33 @@ pub struct OptimizerConfig {
     pub taso: TasoConfig,
     /// Which extraction algorithm to use.
     pub extraction: ExtractionMode,
-    /// Include the ILP acyclicity constraints (only meaningful with
-    /// [`ExtractionMode::Ilp`]; required if `cycle_filter` is `Off`).
+    /// Include the ILP acyclicity constraints even though the cycle filter
+    /// ran (only meaningful with [`ExtractionMode::Ilp`]). With
+    /// `cycle_filter` `Off` the e-graph may hold cycles, and
+    /// [`Optimizer::optimize`] includes them whatever this says.
     pub ilp_cycle_constraints: bool,
     /// Use integer topological-order variables instead of reals.
     pub ilp_integer_topo_vars: bool,
     /// Wall-clock limit for ILP extraction (see [`IlpConfig::time_limit`]).
     pub ilp_time_limit: Duration,
-    /// The operator cost model.
+    /// The operator cost model: extraction's, and the one the strategies
+    /// that score candidate states use ([`Guided`](crate::Guided)'s
+    /// rollout evaluator, [`TasoBacktracking`](crate::TasoBacktracking)'s
+    /// search); [`Saturate`](crate::Saturate) never consults it.
     pub cost_model: CostModel,
 }
 
 impl Default for OptimizerConfig {
-    /// Paper defaults — saturate-all exploration, ILP extraction, the
-    /// exploration limits from the one source of truth, [`defaults`] — plus
+    /// Paper defaults — saturate-all exploration, ILP extraction — plus
     /// [`default_search_threads`]. Nothing is read from the environment:
     /// what [`Optimizer::optimize`] returns is a function of the graph, the
     /// rules and this configuration.
     fn default() -> Self {
         OptimizerConfig {
-            k_multi: defaults::K_MULTI,
-            max_iter: defaults::MAX_ITER,
-            node_limit: defaults::NODE_LIMIT,
-            exploration_time_limit: defaults::TIME_LIMIT,
+            k_multi: 1,
+            max_iter: 15,
+            node_limit: 50_000,
+            exploration_time_limit: Duration::from_secs(60),
             cycle_filter: CycleFilter::Efficient,
             search_threads: default_search_threads(),
             apply_threads: None,
@@ -89,22 +103,19 @@ impl Default for OptimizerConfig {
 }
 
 impl OptimizerConfig {
-    /// The [`ExplorationConfig`] this optimizer configuration implies —
-    /// the one conversion between the two views of the exploration limits,
-    /// so the optimizer cannot drift from the exploration defaults.
-    pub fn exploration_config(&self) -> ExplorationConfig {
-        ExplorationConfig {
-            k_multi: self.k_multi,
-            max_iter: self.max_iter,
-            node_limit: self.node_limit,
-            time_limit: self.exploration_time_limit,
-            cycle_filter: self.cycle_filter,
-            search_threads: self.search_threads,
-            mode: self.exploration,
-            cost_model: self.cost_model.clone(),
-            guided: self.guided.clone(),
-            taso: self.taso.clone(),
-        }
+    /// This configuration: exploration reads `OptimizerConfig` itself.
+    /// Kept because the repo benchmark's `benchmark/src/trace.rs` calls it;
+    /// the next change to the benchmark retires it, like `apply_threads`.
+    pub fn exploration_config(&self) -> &Self {
+        self
+    }
+
+    /// Always 1: the apply phase is Algorithm 1's in-place loop and has no
+    /// thread setting. Kept because the repo benchmark's own
+    /// `labels_are_unique_and_threads_pinned` test calls it; the next
+    /// change to the benchmark retires it, like `apply_threads`.
+    pub fn resolved_apply_threads(&self) -> usize {
+        1
     }
 }
 
@@ -246,17 +257,19 @@ impl Optimizer {
         let root = egraph.add_expr(graph);
         egraph.rebuild();
 
-        let exploration_config = self.config.exploration_config();
         let exploration = explore(
             &mut egraph,
             root,
             &self.single_rules,
             &self.multi_rules,
-            &exploration_config,
+            &self.config,
         );
 
+        // Without the cycle filter the e-graph may hold cycles, and only
+        // the cycle constraints keep the ILP from selecting one.
         let ilp = IlpConfig {
-            cycle_constraints: self.config.ilp_cycle_constraints,
+            cycle_constraints: self.config.ilp_cycle_constraints
+                || self.config.cycle_filter == CycleFilter::Off,
             integer_topo_vars: self.config.ilp_integer_topo_vars,
             time_limit: self.config.ilp_time_limit,
         };
@@ -402,71 +415,6 @@ mod tests {
         assert!(result.optimized_cost <= result.original_cost);
         let data = tensat_ir::infer_recexpr(&result.optimized_graph);
         assert!(data.iter().all(|d| d.is_valid()));
-    }
-
-    #[test]
-    fn exploration_limits_have_one_source_of_truth() {
-        // The optimizer defaults and the exploration defaults must be the
-        // same values — both now read `explore::defaults` — and the
-        // conversion helper must carry every shared field across.
-        let opt = OptimizerConfig::default();
-        let exp = ExplorationConfig::default();
-        assert_eq!(opt.k_multi, exp.k_multi);
-        assert_eq!(opt.max_iter, exp.max_iter);
-        assert_eq!(opt.node_limit, exp.node_limit);
-        assert_eq!(opt.exploration_time_limit, exp.time_limit);
-        assert_eq!(opt.cycle_filter, exp.cycle_filter);
-
-        // Exhaustive destructuring (no `..`): an `ExplorationConfig` field
-        // added without a mapping in `exploration_config()` fails to
-        // compile here instead of silently keeping a hard-coded value.
-        let ExplorationConfig {
-            k_multi,
-            max_iter,
-            node_limit,
-            time_limit,
-            cycle_filter,
-            search_threads,
-            mode,
-            cost_model,
-            guided,
-            taso,
-        } = OptimizerConfig {
-            k_multi: 3,
-            max_iter: 7,
-            node_limit: 123,
-            exploration_time_limit: Duration::from_millis(250),
-            cycle_filter: CycleFilter::Vanilla,
-            search_threads: 2,
-            // Inert: the apply loop has no thread setting, so no
-            // `ExplorationConfig` field carries this one.
-            apply_threads: Some(5),
-            exploration: ExplorationMode::Guided,
-            cost_model: CostModel {
-                launch_overhead_us: 11.0,
-                ..Default::default()
-            },
-            guided: GuidedConfig {
-                beam_width: 9,
-                ..Default::default()
-            },
-            taso: TasoConfig {
-                iterations: 13,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-        .exploration_config();
-        assert_eq!(k_multi, 3);
-        assert_eq!(max_iter, 7);
-        assert_eq!(node_limit, 123);
-        assert_eq!(time_limit, Duration::from_millis(250));
-        assert_eq!(cycle_filter, CycleFilter::Vanilla);
-        assert_eq!(search_threads, 2);
-        assert_eq!(mode, ExplorationMode::Guided);
-        assert_eq!(cost_model.launch_overhead_us, 11.0);
-        assert_eq!(guided.beam_width, 9);
-        assert_eq!(taso.iterations, 13);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use tensat_core::{explore, DescendantsMap, ExplorationConfig};
+use tensat_core::{explore, DescendantsMap, OptimizerConfig};
 use tensat_egraph::{Id, Language};
 use tensat_ir::{encode_identifier, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale};
@@ -248,7 +248,7 @@ fn descendants_map_equals_naive_reachability_on_explored_bert() {
     let mut eg = TensorEGraph::new(TensorAnalysis);
     let root = eg.add_expr(&graph);
     eg.rebuild();
-    let config = ExplorationConfig {
+    let config = OptimizerConfig {
         k_multi: 2,
         node_limit: 2_000,
         search_threads: 1,

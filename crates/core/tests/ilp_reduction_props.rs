@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use tensat_core::{
-    explore, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, ExplorationConfig,
-    ExplorationMode, IlpConfig,
+    explore, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, ExplorationMode, IlpConfig,
+    OptimizerConfig,
 };
 use tensat_egraph::RecExpr;
 use tensat_ilp::Status;
@@ -117,12 +117,12 @@ proptest! {
             root,
             &churn_rules(),
             &multi_rules(),
-            &ExplorationConfig {
-                mode: ExplorationMode::Saturate,
+            &OptimizerConfig {
+                exploration: ExplorationMode::Saturate,
                 k_multi: 1,
                 max_iter: 2,
                 node_limit,
-                time_limit: Duration::from_secs(600),
+                exploration_time_limit: Duration::from_secs(600),
                 search_threads: 1,
                 ..Default::default()
             },

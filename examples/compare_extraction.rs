@@ -25,7 +25,7 @@ fn main() {
         root,
         &single_rules(),
         &multi_rules(),
-        &ExplorationConfig::default(),
+        &OptimizerConfig::default(),
     );
     println!(
         "explored NasRNN (tiny): {} e-nodes, {} e-classes in {:.3}s",

@@ -96,24 +96,37 @@ fn extracted_graph_reenters_the_egraph_as_equivalent() {
 
 #[test]
 fn cycle_filtering_modes_agree_on_final_cost() {
-    // With efficient filtering + ILP-without-cycle-constraints versus no
-    // filtering + ILP-with-cycle-constraints, the optimized costs should be
-    // comparable (the same rewrites are available; only the mechanism that
-    // guarantees acyclicity differs).
-    let graph = tensat::models::nasrnn(ModelScale::tiny());
-    let filtered = Optimizer::new(fast_config()).optimize(&graph).unwrap();
-    let constrained = Optimizer::new(OptimizerConfig {
-        cycle_filter: CycleFilter::Off,
-        ilp_cycle_constraints: true,
-        ..fast_config()
-    })
-    .optimize(&graph)
-    .unwrap();
-    assert!(filtered.optimized_cost <= graph_cost(&graph) + 1e-6);
-    assert!(constrained.optimized_cost <= graph_cost(&graph) + 1e-6);
-    // Both must improve over the original.
-    assert!(filtered.speedup_percent() >= 0.0);
-    assert!(constrained.speedup_percent() >= 0.0);
+    // Efficient filtering + ILP without cycle constraints versus no
+    // filtering, where the optimizer turns the cycle constraints on by
+    // itself: the same rewrites are available, only the mechanism that
+    // guarantees acyclicity differs. BERT and Inception-v3 saturate into
+    // cyclic e-graphs, where an unconstrained ILP selects a cycle.
+    let models = [
+        ("NasRNN", tensat::models::nasrnn(ModelScale::tiny())),
+        ("BERT", tensat::models::bert(ModelScale::tiny())),
+        (
+            "Inception-v3",
+            tensat::models::inception_v3(ModelScale::tiny()),
+        ),
+    ];
+    for (name, graph) in models {
+        let filtered = Optimizer::new(fast_config()).optimize(&graph).unwrap();
+        let unfiltered = Optimizer::new(OptimizerConfig {
+            cycle_filter: CycleFilter::Off,
+            ..fast_config()
+        })
+        .optimize(&graph)
+        .unwrap_or_else(|e| panic!("{name} without the cycle filter: {e:?}"));
+        for result in [&filtered, &unfiltered] {
+            assert!(result.optimized_cost <= graph_cost(&graph) + 1e-6, "{name}");
+            assert!(
+                tensat::ir::infer_recexpr(&result.optimized_graph)
+                    .iter()
+                    .all(|d| d.is_valid()),
+                "{name}: optimized graph is ill-typed"
+            );
+        }
+    }
 }
 
 fn graph_cost(graph: &RecExpr<TensorLang>) -> f64 {

@@ -90,11 +90,11 @@ fn kmulti_grows_egraph_superlinearly() {
                 root,
                 &single_rules(),
                 &multi_rules(),
-                &ExplorationConfig {
+                &OptimizerConfig {
                     k_multi: k,
                     max_iter: 3,
                     node_limit: 30_000,
-                    time_limit: Duration::from_secs(30),
+                    exploration_time_limit: Duration::from_secs(30),
                     ..Default::default()
                 },
             );
@@ -125,7 +125,7 @@ fn cycle_constraints_cost_more_solver_work() {
         root,
         &single_rules(),
         &multi_rules(),
-        &ExplorationConfig {
+        &OptimizerConfig {
             k_multi: 1,
             max_iter: 3,
             node_limit: 3_000,
@@ -178,7 +178,7 @@ fn ilp_extraction_beats_greedy_on_nasrnn() {
         root,
         &single_rules(),
         &multi_rules(),
-        &ExplorationConfig {
+        &OptimizerConfig {
             k_multi: 1,
             max_iter: 4,
             node_limit: 10_000,

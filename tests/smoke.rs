@@ -88,7 +88,9 @@ fn every_benchmark_survives_guided_exploration() {
     // The guided-exploration canary: beam search under a hard node budget
     // must stay within that budget on every model, still extract a valid
     // graph, and never make it worse. Tight limits — this guards the
-    // snapshot/replay wiring, not search quality.
+    // snapshot/replay wiring, not search quality. A run that took a beam
+    // step reports the time its search and its actions took.
+    let mut stepped = 0;
     for &name in BENCHMARKS {
         let graph = build_benchmark(name, ModelScale::tiny());
         let result = Optimizer::new(OptimizerConfig {
@@ -98,7 +100,17 @@ fn every_benchmark_survives_guided_exploration() {
         })
         .optimize(&graph)
         .unwrap_or_else(|e| panic!("{name}: guided optimize failed: {e}"));
-        assert_eq!(result.stats.exploration.strategy, "guided", "{name}");
+        let stats = &result.stats.exploration;
+        assert_eq!(stats.strategy, "guided", "{name}");
+        if stats.iterations > 0 {
+            stepped += 1;
+            assert!(
+                stats.search_time > Duration::ZERO && stats.apply_time > Duration::ZERO,
+                "{name}: guided reported no phase times ({:?} search, {:?} apply)",
+                stats.search_time,
+                stats.apply_time
+            );
+        }
         assert!(
             result.stats.exploration.enodes <= smoke_config().node_limit,
             "{name}: guided left {} e-nodes over the budget of {}",
@@ -117,6 +129,7 @@ fn every_benchmark_survives_guided_exploration() {
             "{name}: guided smoke run produced an ill-typed graph"
         );
     }
+    assert!(stepped > 0, "no model took a guided beam step");
 }
 
 #[test]
@@ -130,7 +143,7 @@ fn facade_prelude_exposes_the_documented_surface() {
     let _: &Pattern<TensorLang> = &pat;
     let _ = CostModel::default();
     let _ = IlpConfig::default();
-    let _ = ExplorationConfig::default();
+    let _ = OptimizerConfig::default();
     let _ = BacktrackingConfig::default();
     let _: CycleFilter = CycleFilter::Efficient;
     let _ = GuidedConfig::default();
