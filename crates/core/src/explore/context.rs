@@ -159,6 +159,12 @@ impl<'a> ExplorationContext<'a> {
     /// `NodeLimit`. `stats.stop_reason` is likewise set when the time
     /// limit passed during the iteration or `iter` was the last one
     /// `max_iter` allows, and cleared otherwise.
+    ///
+    /// The iteration's working sets die with their last reader, before
+    /// the rebuild: a single-pattern rule's match list once that rule has
+    /// been applied (the rest at a budget cut), the multi-pattern lists
+    /// after the multi-pattern loop, and the pre-filter's descendants map
+    /// once its counters are recorded.
     pub fn run_iteration(
         &self,
         egraph: &mut TensorEGraph,
@@ -187,8 +193,8 @@ impl<'a> ExplorationContext<'a> {
         // --- apply single-pattern rules ---------------------------------------
         let apply_start = Instant::now();
         let within_budget = |egraph: &TensorEGraph| !self.over_budget(egraph);
-        for (rw, matches) in self.single_rules.iter().zip(&single_matches) {
-            if self.apply_single(egraph, rw, matches, desc.as_ref(), within_budget) {
+        for (rw, matches) in self.single_rules.iter().zip(single_matches) {
+            if self.apply_single(egraph, rw, &matches, desc.as_ref(), within_budget) {
                 break;
             }
         }
@@ -208,8 +214,12 @@ impl<'a> ExplorationContext<'a> {
                 }
             }
         }
+        // Nothing after the apply phase reads a match list or the map: the
+        // rebuild's peak carries neither.
+        drop(multi_matches);
         stats.apply_time += apply_start.elapsed();
         record_prefilter(desc.as_ref(), stats);
+        drop(desc);
 
         // Which limit, if any, stopped the apply phase — read before the
         // rebuild's deduplication can pull the node count back under its
@@ -269,7 +279,9 @@ impl<'a> ExplorationContext<'a> {
     /// under a *hard* node budget: an application is attempted only while
     /// the e-graph plus the applier's worst-case growth (its AST size)
     /// stays within `budget`, so the state never exceeds it. Rebuilds and
-    /// cycle-filters afterwards, leaving the state clean for scoring. Adds
+    /// cycle-filters afterwards, leaving the state clean for scoring; the
+    /// descendants map is dropped before that, once its counters are
+    /// recorded. Adds
     /// the apply loop to `stats.apply_time`, the rebuild and cycle filter
     /// to `stats.rebuild_time`, the descendants-map time to
     /// `stats.prefilter_time` and what the map was asked to
@@ -297,6 +309,7 @@ impl<'a> ExplorationContext<'a> {
         });
         stats.apply_time += apply_start.elapsed();
         record_prefilter(desc.as_ref(), stats);
+        drop(desc);
         self.seal_state(egraph, stats);
     }
 
@@ -333,6 +346,7 @@ impl<'a> ExplorationContext<'a> {
         plan.apply(egraph, multi_matches, filter, desc.as_ref(), &keep_going);
         stats.apply_time += apply_start.elapsed();
         record_prefilter(desc.as_ref(), stats);
+        drop(desc);
         self.seal_state(egraph, stats);
     }
 

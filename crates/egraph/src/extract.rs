@@ -424,8 +424,11 @@ struct DagEntry<C> {
     /// This node's own (children-excluded) cost.
     own: C,
     /// Slots of every class in the chosen sub-DAG, including this one,
-    /// ascending and without duplicates.
+    /// ascending and without duplicates; emptied once the last parent that
+    /// can read it has been costed (see [`DagExtractor::run_worklist`]).
     reach: Vec<u32>,
+    /// The length of `reach` when it was recorded.
+    reach_len: u32,
     /// Total cost of the sub-DAG: own costs summed over `reach` in that
     /// (ascending slot) order, each class charged once.
     total: C,
@@ -538,8 +541,11 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 ///
 /// A candidate's reach is the merge of its children's lists, so costing it
 /// takes time in the size of the sub-DAGs it would select — a few dozen
-/// classes on the benchmark models — and not in the size of the e-graph;
-/// the lists of a whole e-graph hold `Σ |sub-DAG|` slots. Its cost is
+/// classes on the benchmark models — and not in the size of the e-graph.
+/// Only its parents' evaluations read a class's list, so on the
+/// topological prefix a list lives until its class's last parent is
+/// costed; a class with a parent in a dependency cycle keeps its list,
+/// because the worklist may evaluate that parent again. Its cost is
 /// summed over the merged list in ascending slot order, whatever order the
 /// children came in, so a float total does not depend on how the set was
 /// put together.
@@ -664,6 +670,12 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
     /// it improved the class's entry): once each, children before parents,
     /// then again for the parents of every class that improved, until no
     /// class does.
+    ///
+    /// A class of Kahn's prefix is evaluated exactly once: its children
+    /// all come before it, and a class that improves re-queues only
+    /// parents still waiting in the queue. So once every parent of a class
+    /// whose parents all lie in the prefix has been evaluated, nothing
+    /// reads its reach list again, and the list is released.
     fn run_worklist(&mut self, mut evaluate: impl FnMut(&mut Self, usize, &[Id]) -> bool) {
         let n = self.egraph.num_slots();
         let graph = self.adjacency();
@@ -689,6 +701,18 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
         for &s in &order {
             in_order[s as usize] = true;
         }
+        // `indeg` is zero on the prefix now; reuse it for the parents each
+        // class waits on before its list is released. `KEEP` marks a class
+        // with a parent outside the prefix.
+        const KEEP: u32 = u32::MAX;
+        for (c, waiting) in indeg.iter_mut().enumerate() {
+            let parents = graph.parents.row(c);
+            *waiting = if parents.iter().all(|&p| in_order[p as usize]) {
+                parents.len() as u32
+            } else {
+                KEEP
+            };
+        }
         order.extend((0..n as u32).filter(|&s| !in_order[s as usize]));
 
         // Seed the worklist with the topological order, then drain FIFO.
@@ -702,6 +726,19 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
                     if !in_queue[p as usize] {
                         in_queue[p as usize] = true;
                         queue.push_back(p);
+                    }
+                }
+            }
+            // Only a prefix class counts down: a child of any other class
+            // has that class as a parent outside the prefix, so it is `KEEP`.
+            for &c in graph.children.row(s) {
+                let waiting = &mut indeg[c as usize];
+                if *waiting != KEEP {
+                    *waiting -= 1;
+                    if *waiting == 0 {
+                        if let Some(entry) = &mut self.entries[c as usize] {
+                            entry.reach = Vec::new();
+                        }
                     }
                 }
             }
@@ -769,6 +806,7 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
             self.entries[s] = Some(DagEntry {
                 choice,
                 own,
+                reach_len: reach.len() as u32,
                 reach,
                 total,
             });
@@ -781,7 +819,7 @@ impl<'a, L: Language, N: Analysis<L>, DF: DagCostFunction<L>> DagExtractor<'a, L
     /// and merges, for that class.
     pub fn reach_len(&self, id: Id) -> Option<usize> {
         let slot = self.egraph.slot_index(id)?;
-        self.entries[slot].as_ref().map(|e| e.reach.len())
+        self.entries[slot].as_ref().map(|e| e.reach_len as usize)
     }
 
     /// The best DAG cost recorded for a class, if any.
@@ -1330,8 +1368,9 @@ mod tests {
     fn dag_extractor_survives_deep_chains() {
         // The worklist and the expression builder are both iterative; only
         // the reach lists grow with depth: level `i` of a chain lists all
-        // `i` levels below it, O(depth²) `u32`s in all — 8 MB at 2 000, the
-        // shape on which a list per class costs most.
+        // `i` levels below it, O(depth²) `u32`s built in all — 8 MB at
+        // 2 000, the shape on which a list per class costs most (see
+        // `chain_lists_are_released_after_their_parent` for how many live).
         const DEPTH: usize = 2_000;
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let one = eg.add(Math::Num(1));
@@ -1345,6 +1384,32 @@ mod tests {
         // DAG cost charges each node once: two leaves + one Mul per level.
         assert_eq!(cost, DEPTH + 2);
         assert_eq!(expr.len(), DEPTH + 2);
+    }
+
+    /// A 2 000-class chain, `a` under 1 999 `(* x x)`: level `i` lists `i`
+    /// slots, 2 001 000 in all if every list were kept. Each level's one
+    /// parent is costed right after it, so only the top's list outlives
+    /// the fixpoint, and the recorded lengths and the extraction do not
+    /// notice.
+    #[test]
+    fn chain_lists_are_released_after_their_parent() {
+        const CLASSES: usize = 2_000;
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let mut levels = vec![eg.add(sym("a"))];
+        for i in 1..CLASSES {
+            let below = levels[i - 1];
+            levels.push(eg.add(Math::Mul([below, below])));
+        }
+        eg.rebuild();
+        let ex = DagExtractor::new(&eg, AstSize);
+        let held: usize = ex.entries.iter().flatten().map(|e| e.reach.len()).sum();
+        assert!(held <= 2 * CLASSES, "{held} list slots held");
+        for (i, &id) in levels.iter().enumerate() {
+            assert_eq!(ex.reach_len(id), Some(i + 1));
+        }
+        let (cost, expr) = ex.find_best(levels[CLASSES - 1]).unwrap();
+        assert_eq!(cost, CLASSES);
+        assert_eq!(expr.len(), CLASSES);
     }
 
     /// The reach sets as this module kept them before the sorted lists:
@@ -1415,10 +1480,12 @@ mod tests {
             };
             if improved {
                 reach.insert(s);
+                let list: Vec<u32> = reach.iter_ones().map(|d| d as u32).collect();
                 self.entries[s] = Some(DagEntry {
                     choice,
                     own,
-                    reach: reach.iter_ones().map(|d| d as u32).collect(),
+                    reach_len: list.len() as u32,
+                    reach: list,
                     total,
                 });
                 dense.reach[s] = Some(reach);
