@@ -20,14 +20,16 @@
 //! opportunities (associativity, fusion, transpose-cancellation, ...).
 
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::collections::HashSet;
 use tensat_core::{
-    explore, extract_greedy, extract_greedy_dag, extract_ilp, DagCost, IlpConfig, OptimizerConfig,
-    TreeCost,
+    explore, extract_greedy, extract_greedy_dag, extract_ilp, IlpConfig, OptimizerConfig,
 };
 use tensat_egraph::{CostFunction, DagExtractor, Extractor, Id, Language, RecExpr};
 use tensat_ilp::Status;
-use tensat_ir::{Cost, CostModel, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
+use tensat_ir::{
+    Cost, CostModel, GraphBuilder, ModelCost, TensorAnalysis, TensorEGraph, TensorLang,
+};
 use tensat_rules::single_rules;
 
 /// One random op: opcode plus two operand picks (taken modulo the number
@@ -177,26 +179,32 @@ proptest! {
 }
 
 /// Tree-greedy extraction runs the cost model once per e-node however
-/// often its fixpoint costs a node again: on the repo benchmark's
-/// `bert_apply` e-graph (BERT explored to the 20 000 e-node limit) the
-/// extractor asks for more costs than there are e-nodes — a node is costed
-/// again whenever a child's best improves — and the model still runs at
-/// most once for each.
+/// often its fixpoint evaluates a node: on the repo benchmark's
+/// `bert_apply` e-graph (BERT explored to the 20 000 e-node limit) a node
+/// is evaluated again whenever a child's best improves — 96 469
+/// evaluations of 18 210 e-nodes — and the extractor still asks the cost
+/// function for each node's own cost at most once.
 #[test]
 fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
-    /// `TreeCost`, counting how often the extractor asks it for a cost.
+    /// `ModelCost`, counting its `node_cost` calls.
     struct Counted<'a> {
-        tree_cost: TreeCost<'a>,
-        asked: usize,
+        model_cost: ModelCost<'a>,
+        calls: &'a Cell<usize>,
     }
     impl CostFunction<TensorLang> for Counted<'_> {
-        type Cost = f64;
-        fn cost<C: FnMut(Id) -> f64>(&mut self, id: Id, enode: &TensorLang, costs: C) -> f64 {
-            self.asked += 1;
-            self.tree_cost.cost(id, enode, costs)
+        type Cost = Cost;
+        fn node_cost(&mut self, enode: &TensorLang) -> Cost {
+            self.calls.set(self.calls.get() + 1);
+            self.model_cost.node_cost(enode)
         }
-        fn cmp(a: &f64, b: &f64) -> std::cmp::Ordering {
-            TreeCost::cmp(a, b)
+        fn zero(&self) -> Cost {
+            self.model_cost.zero()
+        }
+        fn add_assign(&self, acc: &mut Cost, item: &Cost) {
+            self.model_cost.add_assign(acc, item);
+        }
+        fn cmp(a: &Cost, b: &Cost) -> std::cmp::Ordering {
+            a.total_order(b)
         }
     }
 
@@ -219,16 +227,16 @@ fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
     assert!(enodes > 15_000, "{enodes}");
 
     let model = CostModel::default();
-    let mut counted = Counted {
-        tree_cost: TreeCost::new(model.clone(), &eg),
-        asked: 0,
+    let calls = Cell::new(0);
+    let counted = Counted {
+        model_cost: ModelCost::new(&model, &eg),
+        calls: &calls,
     };
-    let (_, expr) = Extractor::new(&eg, &mut counted).find_best(root).unwrap();
-    assert!(counted.asked > enodes, "{} costs asked", counted.asked);
+    let (_, expr) = Extractor::new(&eg, counted).find_best(root).unwrap();
     assert!(
-        counted.tree_cost.model_calls() <= enodes,
+        calls.get() <= enodes,
         "{} cost-model calls for {enodes} e-nodes",
-        counted.tree_cost.model_calls()
+        calls.get()
     );
     let outcome = extract_greedy(&eg, root, &model).unwrap();
     assert_eq!(outcome.expr.nodes(), expr.nodes());
@@ -248,7 +256,7 @@ fn assert_dag_pass(
     pinned: Pinned,
 ) -> RecExpr<TensorLang> {
     let model = CostModel::default();
-    let (cost, expr) = DagExtractor::new(eg, DagCost::new(model, eg))
+    let (cost, expr) = DagExtractor::new(eg, ModelCost::new(&model, eg))
         .find_best(root)
         .unwrap_or_else(|| panic!("{label}: the DAG pass found no term"));
     let (latency, peak_memory, launches, len) = pinned;
@@ -261,47 +269,93 @@ fn assert_dag_pass(
     expr
 }
 
+/// What tree-greedy (`extract_greedy`) extracts, to the bit: the composite
+/// cost and expression length of [`Pinned`], and its tree cost.
+type TreePinned = (Pinned, f64);
+
+/// Runs `extract_greedy` and checks it against the pin.
+fn assert_tree_greedy(label: &str, eg: &TensorEGraph, root: Id, pinned: TreePinned) {
+    let tree = extract_greedy(eg, root, &CostModel::default()).unwrap();
+    let ((latency, peak_memory, launches, len), tree_cost) = pinned;
+    let pinned_cost = Cost {
+        latency,
+        peak_memory,
+        launches,
+    };
+    assert_eq!(
+        (tree.cost, tree.expr.len(), tree.tree_cost),
+        (pinned_cost, len, tree_cost),
+        "{label} tree-greedy"
+    );
+}
+
 /// The repo benchmark checks an op only against its own warm-up, so an
 /// extractor that changed what it extracts would pass there: this pins the
-/// greedy-DAG pass on the e-graphs of the benchmark's `zoo7_small`
-/// workload — every model at `blocks: 2`, saturated with `k_multi` 1 and 2
-/// under a 2 000 e-node limit — to the values it had when the reach sets
-/// were bit sets (BERT at `k_multi` 1 sums the same cost one ulp higher on
-/// its e-graph without self-merged multi-pattern matches), and pins which
-/// of its two passes `extract_greedy_dag` returns.
+/// greedy-DAG pass and tree-greedy on the e-graphs of the benchmark's
+/// `zoo7_small` workload — every model at `blocks: 2`, saturated with
+/// `k_multi` 1 and 2 under a 2 000 e-node limit — to the values they had
+/// when the reach sets were bit sets and tree-greedy compared latency
+/// alone (BERT at `k_multi` 1 sums the same DAG cost one ulp higher on its
+/// e-graph without self-merged multi-pattern matches), and pins which of
+/// its two passes `extract_greedy_dag` returns.
 #[test]
 fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
-    // (model, pin at k_multi 1, pin at k_multi 2)
-    let same = |pin: Pinned| (pin, pin);
-    let pins: [(&str, (Pinned, Pinned)); 7] = [
-        ("NasRNN", same((95.03253333333332, 81920.0, 18.0, 65))),
+    // (model, per k_multi 1 and 2: the DAG pass's pin and tree-greedy's).
+    // Off BERT, tree-greedy's graph costs what the DAG pass's does.
+    let same = |dag: Pinned, tree_cost: f64| [(dag, (dag, tree_cost)); 2];
+    let pins: [(&str, [(Pinned, TreePinned); 2]); 7] = [
+        (
+            "NasRNN",
+            same((95.03253333333332, 81920.0, 18.0, 65), 313.40053333333327),
+        ),
         (
             "BERT",
-            (
-                (95.48245333333334, 90624.0, 18.0, 54),
-                (95.48245333333332, 90624.0, 18.0, 54),
-            ),
+            [
+                (
+                    (95.48245333333334, 90624.0, 18.0, 54),
+                    ((128.41877333333332, 180736.0, 24.0, 65), 661.8532799999999),
+                ),
+                (
+                    (95.48245333333332, 90624.0, 18.0, 54),
+                    ((116.54741333333332, 107008.0, 22.0, 60), 706.1159999999999),
+                ),
+            ],
         ),
-        ("ResNeXt-50", same((56.88874666666666, 802816.0, 10.0, 26))),
+        (
+            "ResNeXt-50",
+            same((56.88874666666666, 802816.0, 10.0, 26), 85.33312),
+        ),
         (
             "NasNet-A",
-            (
-                (62.915456, 802816.0, 6.0, 46),
-                (113.823872, 1204224.0, 10.0, 48),
-            ),
+            [
+                (
+                    (62.915456, 802816.0, 6.0, 46),
+                    ((62.915456, 802816.0, 6.0, 46), 62.915456),
+                ),
+                (
+                    (113.823872, 1204224.0, 10.0, 48),
+                    ((113.823872, 1204224.0, 10.0, 48), 189.749888),
+                ),
+            ],
         ),
-        ("SqueezeNet", same((65.37847466666666, 1906688.0, 9.0, 26))),
-        ("VGG-19", same((132.98037333333335, 1507328.0, 7.0, 24))),
+        (
+            "SqueezeNet",
+            same((65.37847466666666, 1906688.0, 9.0, 26), 115.21288533333333),
+        ),
+        (
+            "VGG-19",
+            same((132.98037333333335, 1507328.0, 7.0, 24), 132.98037333333335),
+        ),
         (
             "Inception-v3",
-            same((110.80552533333334, 903168.0, 20.0, 49)),
+            same((110.80552533333334, 903168.0, 20.0, 49), 277.01381333333336),
         ),
     ];
     assert_eq!(pins.map(|(model, _)| model), tensat_models::BENCHMARKS);
     let model = CostModel::default();
-    for (name, (k1, k2)) in pins {
+    for (name, [k1, k2]) in pins {
         let graph = tensat_models::build_benchmark(name, tensat_bench::harness_scale());
-        for (k_multi, pinned) in [(1, k1), (2, k2)] {
+        for (k_multi, (dag, tree)) in [(1, k1), (2, k2)] {
             let label = format!("{name} k_multi {k_multi}");
             let mut eg = TensorEGraph::new(TensorAnalysis);
             let root = eg.add_expr(&graph);
@@ -319,24 +373,18 @@ fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
                     ..Default::default()
                 },
             );
-            let expr = assert_dag_pass(&label, &eg, root, pinned);
+            let expr = assert_dag_pass(&label, &eg, root, dag);
+            assert_tree_greedy(&label, &eg, root, tree);
 
             // The DAG pass's graph is the one returned on all fourteen: the
             // tree pass's is as cheap by DAG cost everywhere but on BERT.
             let both = extract_greedy_dag(&eg, root, &model).unwrap();
             assert_eq!(both.expr.nodes(), expr.nodes(), "{label}");
-            let tree = extract_greedy(&eg, root, &model).unwrap();
-            let tree_dag_cost = match (name, k_multi) {
-                ("BERT", 1) => 128.41877333333332,
-                ("BERT", _) => 116.54741333333332,
-                _ => pinned.0,
-            };
-            assert_eq!(tree.dag_cost, tree_dag_cost, "{label}");
         }
     }
 }
 
-/// The same pin on an e-graph where the two forms of a reach set are far
+/// The same pins on an e-graph where the two forms of a reach set are far
 /// apart: NasNet-A at `blocks: 4` (the benchmark's `nasnet_search` model)
 /// grown to 10 000 e-nodes — 4 152 classes, so 520 bytes of bit set per
 /// class, against lists of 23 slots on average and 82 at most.
@@ -349,5 +397,11 @@ fn greedy_dag_extraction_is_pinned_on_the_big_nasnet_egraph() {
         &eg,
         root,
         (103.56740266666665, 1204224.0, 8.0, 81),
+    );
+    assert_tree_greedy(
+        "NasNet-A blocks 4",
+        &eg,
+        root,
+        ((103.56740266666665, 1204224.0, 8.0, 81), 181.24295466666666),
     );
 }

@@ -12,7 +12,7 @@
 //! snapshot ([`tensat_egraph::EGraph::snapshot`]) sealed by
 //! rebuild + cycle filtering, then scored with the cheap rollout
 //! evaluator from the extraction seam: the greedy-DAG extracted cost of
-//! the root ([`DagExtractor`] over [`DagCost`]) plus a per-node growth
+//! the root ([`DagExtractor`] over [`ModelCost`]) plus a per-node growth
 //! penalty. The top-k states survive (elitism: parents compete with their
 //! children, so the best score is monotone), and the search stops when a
 //! step improves nothing, when no action changes any state, or when a
@@ -32,10 +32,9 @@
 
 use super::context::ExplorationContext;
 use super::{ExplorationStats, ExplorationStrategy};
-use crate::extract::DagCost;
 use std::time::Instant;
 use tensat_egraph::{DagExtractor, Id};
-use tensat_ir::{Cost, CostModel, TensorEGraph};
+use tensat_ir::{Cost, CostModel, ModelCost, TensorEGraph};
 
 /// Parameters of the [`Guided`] strategy.
 #[derive(Debug, Clone)]
@@ -84,7 +83,7 @@ fn evaluate(
     model: &CostModel,
     growth_penalty: f64,
 ) -> (Cost, f64) {
-    let best = DagExtractor::new(egraph, DagCost::new(model.clone(), egraph)).find_best(root);
+    let best = DagExtractor::new(egraph, ModelCost::new(model, egraph)).find_best(root);
     match best {
         Some((cost, _)) => (
             cost,

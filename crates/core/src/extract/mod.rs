@@ -28,22 +28,22 @@
 //! node id)` picks of the graph it returns, and the ILP warm start is read
 //! from those picks.
 //!
-//! Extraction minimizes the *lexicographic* composite order (latency, then
-//! peak memory, then launches — see [`Cost`]); the scalar
-//! `dag_cost`/`tree_cost` fields report plain latency for paper-style
-//! comparisons.
+//! Every extractor prices an e-node the same way: the greedy extractors
+//! through [`ModelCost`], the ILP's reduction through
+//! [`CostModel::enode_cost_composite`], both
+//! [`CostModel::node_cost_composite`]. Extraction minimizes the
+//! *lexicographic* composite order (latency, then peak memory, then
+//! launches — [`Cost::total_order`]); the scalar `dag_cost`/`tree_cost`
+//! fields report plain latency for paper-style comparisons.
 
 mod reduce;
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use tensat_egraph::{
-    build_term, ChoiceError, ChosenTerm, CostFunction, DagCostFunction, DagExtractor, Extractor,
-    Id, Language, RecExpr,
-};
+use tensat_egraph::{build_term, ChoiceError, ChosenTerm, DagExtractor, Extractor, Id, RecExpr};
 use tensat_ilp::{Cmp, Problem, Solver, Status, VarId};
-use tensat_ir::{class_data, Cost, CostModel, TensorEGraph, TensorLang};
+use tensat_ir::{Cost, CostModel, ModelCost, TensorEGraph, TensorLang};
 
 /// Which extraction algorithm to run after exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +82,7 @@ pub fn extract(
 /// never compared apples-to-oranges: `tree_cost` charges shared subgraphs
 /// once per use (the objective tree-greedy actually minimizes), `dag_cost`
 /// charges each node once (what the graph actually costs to run, and the
-/// objective the DAG-aware strategies minimize). Earlier revisions reported
-/// a single scalar that meant tree cost for greedy and DAG cost for ILP.
+/// objective the DAG-aware strategies minimize).
 #[derive(Debug, Clone)]
 pub struct ExtractionOutcome {
     /// The extracted graph.
@@ -199,111 +198,8 @@ impl std::fmt::Display for ExtractError {
 
 impl std::error::Error for ExtractError {}
 
-/// A [`CostFunction`] charging each e-node its cost-model cost plus the sum
-/// of its children's costs (tree cost — the greedy approximation).
-///
-/// The extractor's fixpoint costs an e-node again whenever a child's best
-/// improves, but only the children's part of the sum can have moved: the
-/// node's own cost depends on the e-node and its children's analysis
-/// data, fixed for the life of the borrow. So the cost model runs — reading
-/// each child's `TensorData` in place from the e-graph — once per e-node,
-/// and every later call is a read of an 8-byte slot indexed by the node's
-/// id plus the additions.
-#[derive(Debug, Clone)]
-pub struct TreeCost<'a> {
-    model: CostModel,
-    egraph: &'a TensorEGraph,
-    /// Own cost per node-table id; NaN until the node is costed (a model
-    /// that answers NaN is asked again, and answers NaN again).
-    own: Vec<f64>,
-    /// Cost-model runs so far.
-    model_calls: usize,
-}
-
-impl<'a> TreeCost<'a> {
-    /// A tree-cost function over the given e-graph's analysis data.
-    pub fn new(model: CostModel, egraph: &'a TensorEGraph) -> Self {
-        TreeCost {
-            model,
-            egraph,
-            own: vec![f64::NAN; egraph.num_node_ids()],
-            model_calls: 0,
-        }
-    }
-
-    /// How many times the cost model has run: once per e-node costed so
-    /// far.
-    pub fn model_calls(&self) -> usize {
-        self.model_calls
-    }
-}
-
-impl CostFunction<TensorLang> for TreeCost<'_> {
-    type Cost = f64;
-    fn cost<C>(&mut self, id: Id, enode: &TensorLang, mut costs: C) -> f64
-    where
-        C: FnMut(Id) -> f64,
-    {
-        // Most calls are hits (BERT at 20 000 e-nodes: 102 910 calls for
-        // 19 568 e-nodes).
-        let own = &mut self.own[usize::from(id)];
-        if own.is_nan() {
-            let egraph = self.egraph;
-            *own = self.model.node_cost(enode, &|c| class_data(egraph, c));
-            self.model_calls += 1;
-        }
-        enode.children().iter().fold(*own, |acc, &c| acc + costs(c))
-    }
-
-    /// Total order on float costs: NaN sorts above `+inf`, so a NaN from a
-    /// degenerate cost model can never displace a finite per-class best.
-    fn cmp(a: &f64, b: &f64) -> Ordering {
-        a.total_cmp(b)
-    }
-}
-
-/// A [`DagCostFunction`] charging each e-node its *own* composite
-/// cost-model cost; the DAG extractor sums it over the set of selected
-/// classes, so sharing is charged once.
-#[derive(Debug, Clone)]
-pub struct DagCost<'a> {
-    model: CostModel,
-    egraph: &'a TensorEGraph,
-}
-
-impl<'a> DagCost<'a> {
-    /// A per-node composite cost function over the given e-graph's analysis
-    /// data.
-    pub fn new(model: CostModel, egraph: &'a TensorEGraph) -> Self {
-        DagCost { model, egraph }
-    }
-}
-
-impl DagCostFunction<TensorLang> for DagCost<'_> {
-    type Cost = Cost;
-
-    fn node_cost(&mut self, enode: &TensorLang) -> Cost {
-        self.model
-            .node_cost_composite(enode, &|id| class_data(self.egraph, id))
-    }
-
-    fn zero(&self) -> Cost {
-        Cost::ZERO
-    }
-
-    fn add_assign(&self, acc: &mut Cost, item: &Cost) {
-        *acc += *item;
-    }
-
-    /// The lexicographic total order of [`Cost`] (latency, memory,
-    /// launches), NaN-safe via `total_cmp` per component.
-    fn cmp(a: &Cost, b: &Cost) -> Ordering {
-        a.total_order(b)
-    }
-}
-
 /// Tree-greedy extraction (paper §5.1): per e-class, pick the e-node with
-/// the smallest subtree cost.
+/// the smallest composite subtree cost under [`Cost::total_order`].
 ///
 /// # Errors
 ///
@@ -315,7 +211,7 @@ pub fn extract_greedy(
     model: &CostModel,
 ) -> Result<ExtractionOutcome, ExtractError> {
     let start = Instant::now();
-    let extractor = Extractor::new(egraph, TreeCost::new(model.clone(), egraph));
+    let extractor = Extractor::new(egraph, ModelCost::new(model, egraph));
     let (_, expr) = extractor
         .find_best(root)
         .ok_or(ExtractError::NoFiniteTerm)?;
@@ -370,10 +266,10 @@ fn greedy_dag_with_picks(
     let start = Instant::now();
     // Each extractor is a temporary, dropped at the end of its statement,
     // so the two passes' tables are never live together.
-    let dag = DagExtractor::new(egraph, DagCost::new(model.clone(), egraph))
+    let dag = DagExtractor::new(egraph, ModelCost::new(model, egraph))
         .find_best_term(root)
         .map(|(_, term)| term);
-    let tree = Extractor::new(egraph, TreeCost::new(model.clone(), egraph))
+    let tree = Extractor::new(egraph, ModelCost::new(model, egraph))
         .find_best_term(root)
         .map(|(_, term)| term);
     // Compare by honest composite DAG cost of the built graphs, not the
@@ -798,6 +694,7 @@ mod tests {
     use crate::explore::explore;
     use crate::OptimizerConfig;
     use std::collections::BTreeSet;
+    use tensat_egraph::Language;
     use tensat_ir::{GraphBuilder, TensorAnalysis};
     use tensat_rules::{multi_rules, single_rules};
 
@@ -1130,7 +1027,7 @@ mod tests {
                 explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
                 let root = eg.find(root);
 
-                let tree = Extractor::new(&eg, TreeCost::new(model.clone(), &eg));
+                let tree = Extractor::new(&eg, ModelCost::new(&model, &eg));
                 let (_, tree) = tree.find_best_term(root).unwrap();
                 let (dag, picks) = greedy_dag_with_picks(&eg, root, &model).unwrap();
                 let incumbent = Some((dag.dag_cost, picks.clone()));
@@ -1186,9 +1083,9 @@ mod tests {
                     node_of_slot[slot] = Some(Id::from(i));
                 }
             };
-            let tree = Extractor::new(&eg, TreeCost::new(model.clone(), &eg));
+            let tree = Extractor::new(&eg, ModelCost::new(&model, &eg));
             check("tree", tree.find_best_term(root).unwrap().1);
-            let dag = DagExtractor::new(&eg, DagCost::new(model.clone(), &eg));
+            let dag = DagExtractor::new(&eg, ModelCost::new(&model, &eg));
             check("dag", dag.find_best_term(root).unwrap().1);
         }
     }

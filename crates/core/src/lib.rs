@@ -46,7 +46,7 @@ pub use explore::{
     StopReason, TasoBacktracking, TasoConfig,
 };
 pub use extract::{
-    extract, extract_greedy, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, DagCost,
-    ExtractError, ExtractionMode, ExtractionOutcome, IlpConfig, IlpStats, TreeCost,
+    extract, extract_greedy, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, ExtractError,
+    ExtractionMode, ExtractionOutcome, IlpConfig, IlpStats,
 };
 pub use optimizer::{OptimizationResult, OptimizationStats, Optimizer, OptimizerConfig};

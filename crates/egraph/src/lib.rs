@@ -31,8 +31,9 @@
 //!   — and its limits live in `tensat-core`'s exploration context; this
 //!   crate has none.
 //! * [`Extractor`] / [`DagExtractor`] — tree-greedy and global greedy DAG
-//!   extraction with pluggable cost functions ([`CostFunction`] /
-//!   [`DagCostFunction`]).
+//!   extraction over one pluggable per-node [`CostFunction`]; its
+//!   [`AstSize`] is term size under the first and DAG size under the
+//!   second.
 //!
 //! ## Quick start
 //!
@@ -74,8 +75,7 @@ pub use bitset::BitSet;
 pub use eclass::EClass;
 pub use egraph::EGraph;
 pub use extract::{
-    build_term, AstSize, ChoiceError, ChosenTerm, CostFunction, DagCostFunction, DagExtractor,
-    Extractor,
+    build_term, AstSize, ChoiceError, ChosenTerm, CostFunction, DagExtractor, Extractor,
 };
 pub use language::{assert_ord_contract, Id, Language, Symbol};
 pub use machine::{

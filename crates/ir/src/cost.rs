@@ -18,7 +18,7 @@ use crate::shape::{infer, infer_recexpr, TensorData};
 use crate::{TensorAnalysis, TensorLang};
 use std::cmp::Ordering;
 use std::ops::{Add, AddAssign};
-use tensat_egraph::{EGraph, Id, Language, RecExpr};
+use tensat_egraph::{CostFunction, EGraph, Id, Language, RecExpr};
 
 /// A composite, Pareto-comparable extraction cost.
 ///
@@ -146,46 +146,41 @@ impl CostModel {
         self.launch_overhead_us + bytes / self.bytes_per_us
     }
 
-    /// The cost (µs) of a single operator node, given a function borrowing
-    /// the [`TensorData`] of each child.
+    /// The composite [`Cost`] of a single operator node, given a function
+    /// borrowing the [`TensorData`] of each child; children are read in
+    /// place, so the only allocation is the inferred output.
     ///
-    /// Zero-cost nodes: parameter leaves, `input`/`weight`, `noop`,
-    /// metadata-only ops (`split0`, `split1`, `reshape`, `merge`),
+    /// Latency is the roofline time in µs. A node with zero latency is
+    /// wholly free — it materializes nothing new and launches no kernel —
+    /// while every other node charges its output bytes as peak memory and
+    /// one kernel launch. Free nodes: parameter leaves, `input`/`weight`,
+    /// `noop`, metadata-only ops (`split0`, `split1`, `reshape`, `merge`),
     /// and any operator whose output is computable from weights alone.
-    pub fn node_cost<'a>(&self, node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> f64 {
-        self.latency_and_out_elems(node, get).0
-    }
-
-    /// [`CostModel::node_cost`] and the element count of the node's output,
-    /// from one shape inference; children are read in place, so the only
-    /// allocation is the inferred output. The count is 0 where the latency
-    /// is 0 or infinite: nothing is materialized, or nothing is selected.
-    fn latency_and_out_elems<'a>(
+    /// An ill-typed node costs [`Cost::INFINITE`].
+    pub fn node_cost_composite<'a>(
         &self,
         node: &TensorLang,
         get: &dyn Fn(Id) -> &'a TensorData,
-    ) -> (f64, f64) {
+    ) -> Cost {
         use TensorLang as L;
-        const FREE: (f64, f64) = (0.0, 0.0);
-        const ILL_TYPED: (f64, f64) = (f64::INFINITY, 0.0);
 
         // Parameter leaves and graph plumbing are free.
         match node {
-            L::Num(_) | L::Str(_) | L::Input(_) | L::Weight(_) | L::Noop(_) => return FREE,
-            L::Split0(_) | L::Split1(_) | L::Reshape(_) | L::Merge(_) => return FREE,
+            L::Num(_) | L::Str(_) | L::Input(_) | L::Weight(_) | L::Noop(_) => return Cost::ZERO,
+            L::Split0(_) | L::Split1(_) | L::Reshape(_) | L::Merge(_) => return Cost::ZERO,
             _ => {}
         }
 
         let out = infer(node, get);
-        // Ill-typed nodes are given an effectively infinite cost so that
-        // extraction never selects them.
+        // Ill-typed nodes are given an infinite cost so that extraction
+        // never selects them.
         let TensorData::Tensor(out_info) = &out else {
-            return ILL_TYPED;
+            return Cost::INFINITE;
         };
         // Anything computable from weights alone is pre-computed before
         // inference and costs nothing at run time.
         if out_info.weights_only {
-            return FREE;
+            return Cost::ZERO;
         }
 
         let out_elems = out_info.elements().max(0) as f64;
@@ -214,7 +209,7 @@ impl CostModel {
             L::Matmul([act, a, b]) => {
                 let sa = match (get(*a).shape(), get(*b).shape()) {
                     (Some(sa), Some(_)) => sa,
-                    _ => return ILL_TYPED,
+                    _ => return Cost::INFINITE,
                 };
                 let (act_flops, act_us) = activation(*act);
                 let flops = 2.0 * out_elems * sa[sa.len() - 1] as f64 + act_flops;
@@ -224,7 +219,7 @@ impl CostModel {
             L::Conv([_sh, _sw, _pad, act, x, w]) => {
                 let (ci, kh, kw) = match get(*w).shape() {
                     Some(&[_, ci, kh, kw]) => (ci as f64, kh as f64, kw as f64),
-                    _ => return ILL_TYPED,
+                    _ => return Cost::INFINITE,
                 };
                 let (act_flops, act_us) = activation(*act);
                 let flops = 2.0 * out_elems * ci * kh * kw + act_flops;
@@ -262,20 +257,6 @@ impl CostModel {
             | L::Reshape(_)
             | L::Merge(_) => 0.0,
         };
-        (latency, out_elems)
-    }
-
-    /// The composite [`Cost`] of a single operator node. Latency is
-    /// [`CostModel::node_cost`]; a node with zero latency (parameter leaf,
-    /// metadata-only op, weights-only subgraph) is wholly free — it
-    /// materializes nothing new and launches no kernel — while every other
-    /// node charges its output bytes as peak memory and one kernel launch.
-    pub fn node_cost_composite<'a>(
-        &self,
-        node: &TensorLang,
-        get: &dyn Fn(Id) -> &'a TensorData,
-    ) -> Cost {
-        let (latency, out_elems) = self.latency_and_out_elems(node, get);
         if latency == 0.0 {
             return Cost::ZERO;
         }
@@ -343,12 +324,52 @@ impl CostModel {
             if m == 0.0 {
                 continue;
             }
-            total += m * self.node_cost(node, &get_all);
+            total += m * self.node_cost_composite(node, &get_all).latency;
             for &c in node.children() {
                 mult[usize::from(c)] += m;
             }
         }
         total
+    }
+}
+
+/// The cost model as the extractors' [`CostFunction`] over an e-graph:
+/// each e-node costs its composite [`Cost`]
+/// ([`CostModel::enode_cost_composite`]), costs add component-wise, and
+/// they compare by [`Cost::total_order`] — latency, then peak memory, then
+/// launches. Tree-greedy, greedy-DAG and Guided's state scoring all price
+/// e-nodes through it.
+#[derive(Debug, Clone, Copy)]
+pub struct ModelCost<'a> {
+    model: &'a CostModel,
+    egraph: &'a EGraph<TensorLang, TensorAnalysis>,
+}
+
+impl<'a> ModelCost<'a> {
+    /// Prices the e-nodes of `egraph`, reading their children's analysis
+    /// data in place.
+    pub fn new(model: &'a CostModel, egraph: &'a EGraph<TensorLang, TensorAnalysis>) -> Self {
+        ModelCost { model, egraph }
+    }
+}
+
+impl CostFunction<TensorLang> for ModelCost<'_> {
+    type Cost = Cost;
+
+    fn node_cost(&mut self, enode: &TensorLang) -> Cost {
+        self.model.enode_cost_composite(self.egraph, enode)
+    }
+
+    fn zero(&self) -> Cost {
+        Cost::ZERO
+    }
+
+    fn add_assign(&self, acc: &mut Cost, item: &Cost) {
+        *acc += *item;
+    }
+
+    fn cmp(a: &Cost, b: &Cost) -> Ordering {
+        a.total_order(b)
     }
 }
 

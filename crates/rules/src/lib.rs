@@ -23,4 +23,4 @@ pub mod single;
 pub use conditions::{pattern_data_with, pattern_kind_constraints, shape_check, target_fits};
 pub use multi::{bind_extents, multi_rules, Extent, MultiPatternRule};
 pub use parser::{parse_pattern, ParsePatternError};
-pub use single::{rw, rw_bidi, single_rules, testing, TensorRewrite};
+pub use single::{rw, rw_bidi, single_rules, TensorRewrite};

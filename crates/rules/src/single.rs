@@ -212,7 +212,7 @@ pub fn single_rules() -> Vec<TensorRewrite> {
 mod tests {
     use super::*;
     use tensat_egraph::{AstSize, Extractor};
-    use tensat_ir::{CostModel, GraphBuilder, TensorEGraph};
+    use tensat_ir::{CostModel, GraphBuilder, ModelCost, TensorEGraph};
 
     /// Up to 10 rounds of search every rule, apply every match list,
     /// rebuild — stopping early once a round applies nothing.
@@ -311,7 +311,7 @@ mod tests {
         let original = cm.graph_cost(&expr);
         let (eg, root) = saturate(&expr);
         // Extract by actual cost: pick per-class min-cost nodes greedily.
-        let ex = Extractor::new(&eg, crate::testing::GraphCost::new(cm.clone(), &eg));
+        let ex = Extractor::new(&eg, ModelCost::new(&cm, &eg));
         let (_, best) = ex.find_best(root).unwrap();
         assert!(
             cm.graph_cost(&best) < original * 0.75,
@@ -388,40 +388,5 @@ mod tests {
         let ex = Extractor::new(&eg, AstSize);
         let (_, best) = ex.find_best(root).unwrap();
         assert!(!best.to_string().contains("transpose"));
-    }
-}
-
-/// Test-support cost function shared by this crate's tests and downstream
-/// crates' tests: greedy extraction directly by the analytical cost model.
-pub mod testing {
-    use tensat_egraph::{CostFunction, Id, Language};
-    use tensat_ir::{class_data, CostModel, TensorEGraph, TensorLang};
-
-    /// A [`CostFunction`] that charges each e-node its cost-model cost,
-    /// reading children's analysis data from the borrowed e-graph.
-    #[derive(Debug, Clone)]
-    pub struct GraphCost<'a> {
-        model: CostModel,
-        egraph: &'a TensorEGraph,
-    }
-
-    impl<'a> GraphCost<'a> {
-        /// A cost function over the analysis data of `egraph`.
-        pub fn new(model: CostModel, egraph: &'a TensorEGraph) -> Self {
-            GraphCost { model, egraph }
-        }
-    }
-
-    impl CostFunction<TensorLang> for GraphCost<'_> {
-        type Cost = f64;
-        fn cost<C>(&mut self, _id: Id, enode: &TensorLang, mut costs: C) -> f64
-        where
-            C: FnMut(Id) -> f64,
-        {
-            let own = self
-                .model
-                .node_cost(enode, &|id| class_data(self.egraph, id));
-            enode.children().iter().fold(own, |acc, &c| acc + costs(c))
-        }
     }
 }
