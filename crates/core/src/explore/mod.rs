@@ -213,8 +213,9 @@ pub fn explore(
 }
 
 /// Runs the exploration phase with an explicit strategy: compiles the rule
-/// programs into an [`ExplorationContext`] and hands the e-graph to the
-/// strategy. [`explore`] is this with the strategy picked by
+/// programs into an [`ExplorationContext`], hands the e-graph to the
+/// strategy and trims it ([`tensat_egraph::EGraph::shrink_to_fit`]) once
+/// the strategy returns. [`explore`] is this with the strategy picked by
 /// [`OptimizerConfig::exploration`].
 pub fn explore_with(
     strategy: &dyn ExplorationStrategy,
@@ -227,6 +228,9 @@ pub fn explore_with(
     let ctx = ExplorationContext::new(root, single_rules, multi_rules, config);
     let mut stats = strategy.run(egraph, &ctx);
     stats.strategy = strategy.name();
+    // The e-graph is done growing: what doubling left spare goes before
+    // extraction adds its working set on top.
+    egraph.shrink_to_fit();
     stats
 }
 

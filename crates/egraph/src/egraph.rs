@@ -46,7 +46,9 @@ fn invariant_checks_forced() -> bool {
 /// index is maintained incrementally at `add`/`union` time (a class's
 /// operator set only ever grows), and `rebuild` repairs congruence with
 /// worklists proportional to the classes actually touched instead of
-/// re-canonicalizing the whole e-graph.
+/// re-canonicalizing the whole e-graph. The tables grow by doubling while
+/// rules apply; exploration ends with [`EGraph::shrink_to_fit`], so
+/// extraction reads them at their live length.
 ///
 /// In addition to the egg feature set, this e-graph supports a *filter
 /// list* of e-nodes that are considered removed: TENSAT's efficient cycle
@@ -190,6 +192,13 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
     }
 
+    /// The class occupying slot `s`, or `None` for a tombstone: for a
+    /// reader that walks the slot space itself, as the DAG extractor does.
+    #[inline]
+    pub(crate) fn slot_class(&self, s: usize) -> Option<&EClass<N::Data>> {
+        self.slots[s].as_ref()
+    }
+
     /// The total number of e-nodes across all classes (including filtered
     /// nodes; see [`EGraph::num_unfiltered_nodes`]). O(1): the count is
     /// maintained incrementally so it can be polled inside apply loops.
@@ -205,6 +214,22 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Number of successful unions performed so far.
     pub fn union_count(&self) -> usize {
         self.union_count
+    }
+
+    /// Releases the spare capacity that growth by doubling left in the
+    /// node table, the slot table, the slot map, the union-find and the
+    /// rebuild worklists. Nothing observable changes. For the end of
+    /// exploration, when the e-graph stops growing and extraction is about
+    /// to read it: trimmed between two apply phases, the tables would only
+    /// regrow by doubling, copying themselves again.
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.slots.shrink_to_fit();
+        self.slot_of.shrink_to_fit();
+        self.unionfind.shrink_to_fit();
+        self.pending.shrink_to_fit();
+        self.analysis_pending.shrink_to_fit();
+        self.node_repair.shrink_to_fit();
     }
 
     /// A deep copy of the e-graph: the snapshot/replay primitive for
@@ -953,7 +978,7 @@ impl<L: Language, N: Analysis<L>> std::ops::Index<Id> for EGraph<L, N> {
 mod tests {
     use super::*;
     use crate::language::test_lang::Math;
-    use crate::{DidMerge, Symbol};
+    use crate::{DidMerge, ENodeOrVar, SearchMatches, Symbol, Var};
 
     fn sym(s: &str) -> Math {
         Math::Sym(Symbol::new(s))
@@ -961,7 +986,6 @@ mod tests {
 
     /// Pattern `(* ?x 2)`.
     fn mul_by_two() -> crate::Pattern<Math> {
-        use crate::{ENodeOrVar, Var};
         let mut ast = RecExpr::default();
         let x = ast.add(ENodeOrVar::Var(Var::new("x")));
         let two = ast.add(ENodeOrVar::ENode(Math::Num(2)));
@@ -1196,19 +1220,25 @@ mod tests {
         assert_eq!(eg.lookup(&SameHash(Math::Mul([c, c]))), Some(eg.find(ab)));
     }
 
-    /// SplitMix64-seeded add/union/rebuild rounds on 500 small e-graphs:
-    /// the memo stays exact through every rebuild, and every node-table
-    /// entry — stale ones included — looks up to its id's class.
-    #[test]
-    fn memo_survives_random_add_union_rebuild() {
+    /// A SplitMix64 stream from seed 0: each call draws a number below
+    /// `bound`.
+    fn splitmix() -> impl FnMut(usize) -> usize {
         let mut state = 0u64;
-        let mut next = move |bound: usize| {
+        move |bound: usize| {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             ((z ^ (z >> 31)) % bound as u64) as usize
-        };
+        }
+    }
+
+    /// SplitMix64-seeded add/union/rebuild rounds on 500 small e-graphs:
+    /// the memo stays exact through every rebuild, and every node-table
+    /// entry — stale ones included — looks up to its id's class.
+    #[test]
+    fn memo_survives_random_add_union_rebuild() {
+        let mut next = splitmix();
         for _ in 0..500 {
             let mut eg: EGraph<Math, ()> = EGraph::new(());
             let mut ids: Vec<Id> = (0..2 + next(4))
@@ -1232,6 +1262,98 @@ mod tests {
                 for &id in &ids {
                     assert_eq!(eg.lookup(eg.enode(id)), Some(eg.find(id)));
                 }
+            }
+        }
+    }
+
+    /// One seeded add/union round, as the operand picks it draws: operators
+    /// (`+`, `*`, `/` or the constant 2) over earlier ids, then unions.
+    struct Round {
+        adds: Vec<(usize, usize, usize)>,
+        unions: Vec<(usize, usize)>,
+    }
+
+    impl Round {
+        fn draw(next: &mut impl FnMut(usize) -> usize, ids: usize) -> Round {
+            let mut adds = vec![];
+            for i in 0..next(31) {
+                adds.push((next(4), next(ids + i), next(ids + i)));
+            }
+            let ids = ids + adds.len();
+            let unions = (0..next(17)).map(|_| (next(ids), next(ids))).collect();
+            Round { adds, unions }
+        }
+
+        /// Plays the round on `eg`, appending the added ids to `ids`, and
+        /// rebuilds; returns every id the round's calls handed back.
+        fn play(&self, eg: &mut EGraph<Math, ()>, ids: &mut Vec<Id>) -> Vec<Id> {
+            let mut out = vec![];
+            for &(op, a, b) in &self.adds {
+                let children = [ids[a], ids[b]];
+                let id = eg.add(match op {
+                    0 => Math::Add(children),
+                    1 => Math::Mul(children),
+                    2 => Math::Div(children),
+                    _ => Math::Num(2),
+                });
+                ids.push(id);
+                out.push(id);
+            }
+            for &(a, b) in &self.unions {
+                out.push(eg.union(ids[a], ids[b]).0);
+            }
+            eg.rebuild();
+            out
+        }
+    }
+
+    /// Every class's id, node list and node values.
+    type ClassView = Vec<(Id, Vec<Id>, Vec<Math>)>;
+
+    /// What a reader can see of an e-graph: its classes, and what two
+    /// patterns match.
+    fn observed(eg: &EGraph<Math, ()>) -> (ClassView, Vec<SearchMatches>) {
+        let classes = eg
+            .classes()
+            .map(|c| (c.id, c.node_ids().to_vec(), eg.enodes(c).cloned().collect()))
+            .collect();
+        let mut matches = mul_by_two().search(eg);
+        let mut ast = RecExpr::default();
+        let x = ast.add(ENodeOrVar::Var(Var::new("x")));
+        let y = ast.add(ENodeOrVar::Var(Var::new("y")));
+        ast.add(ENodeOrVar::ENode(Math::Add([x, y])));
+        matches.extend(crate::Pattern::new(ast).search(eg));
+        (classes, matches)
+    }
+
+    /// Trimming changes nothing observable: seeded add/union/rebuild
+    /// rounds on 200 small e-graphs, a trim after a random round, then the
+    /// same rounds on the trimmed e-graph and on an untrimmed clone give
+    /// the same ids, classes and matches, and both pass the validator.
+    #[test]
+    fn shrink_to_fit_changes_nothing_observable() {
+        let mut next = splitmix();
+        for _ in 0..200 {
+            let mut eg: EGraph<Math, ()> = EGraph::new(());
+            let mut ids: Vec<Id> = (0..2 + next(4))
+                .map(|i| eg.add(sym(&format!("l{i}"))))
+                .collect();
+            for _ in 0..1 + next(3) {
+                Round::draw(&mut next, ids.len()).play(&mut eg, &mut ids);
+            }
+            let mut untrimmed = eg.clone();
+            let mut untrimmed_ids = ids.clone();
+            eg.shrink_to_fit();
+            assert_eq!(eg.nodes.capacity(), eg.nodes.len());
+            assert_eq!(eg.slots.capacity(), eg.slots.len());
+            assert_eq!(observed(&eg), observed(&untrimmed));
+            for _ in 0..1 + next(3) {
+                let round = Round::draw(&mut next, ids.len());
+                let got = round.play(&mut eg, &mut ids);
+                assert_eq!(got, round.play(&mut untrimmed, &mut untrimmed_ids));
+                eg.check_invariants();
+                untrimmed.check_invariants();
+                assert_eq!(observed(&eg), observed(&untrimmed));
             }
         }
     }

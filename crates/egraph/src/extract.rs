@@ -371,9 +371,11 @@ struct DagEntry<C> {
     /// This node's own (children-excluded) cost.
     own: C,
     /// Slots of every class in the chosen sub-DAG, including this one,
-    /// ascending and without duplicates; emptied once the last parent that
-    /// can read it has been costed (see [`DagExtractor::run_worklist`]).
-    reach: Vec<u32>,
+    /// ascending and without duplicates. Written once at its exact length
+    /// and only ever replaced, so a box and not a `Vec`; emptied once the
+    /// last parent that can read it has been costed (see
+    /// [`DagExtractor::run_worklist`]).
+    reach: Box<[u32]>,
     /// The length of `reach` when it was recorded.
     reach_len: u32,
     /// Total cost of the sub-DAG: own costs summed over `reach` in that
@@ -411,10 +413,9 @@ impl<T> Rows<T> {
 }
 
 /// The class-level dependency graph of an e-graph over its unfiltered
-/// e-nodes, indexed by slot.
+/// e-nodes, indexed by slot. A class's candidates are not copied here:
+/// [`DagExtractor::evaluate`] reads them off the class's own node list.
 struct ClassGraph {
-    /// Per class, its unfiltered e-nodes' ids in class order: the candidates.
-    candidates: Rows<Id>,
     /// Per class, the slots of its candidates' child classes: ascending,
     /// without duplicates, the class itself excluded (a node whose child is
     /// its own class is rejected per candidate by the reach check instead).
@@ -474,12 +475,14 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// class slots its selection reaches (over [`EGraph::slot_index`]'s dense
 /// slot space), and the cost of that set with every class charged **once**.
 ///
-/// Candidates are evaluated bottom-up in a topological order of the class
-/// dependency graph (Kahn's algorithm over unfiltered e-node child edges),
-/// then a FIFO worklist propagates strict improvements to parent classes
-/// until fixpoint. A candidate node is viable only when all its child
-/// classes have entries and none of their reach lists contains the
-/// candidate's own class (which would make the selection cyclic). On
+/// Candidates are evaluated bottom-up: the acyclic part of the class
+/// dependency graph (over unfiltered e-node child edges) in depth-first
+/// post-order, one subtree at a time, then the classes caught in or above
+/// a dependency cycle in slot order; a FIFO worklist then propagates
+/// strict improvements to parent classes until fixpoint. A candidate node
+/// is viable only when all its child classes have entries and none of
+/// their reach lists contains the candidate's own class (which would make
+/// the selection cyclic). On
 /// an acyclic e-graph — what cycle filtering guarantees during exploration
 /// — the topological pass alone reaches the fixpoint and the worklist
 /// drains immediately; on cyclic e-graphs the worklist resolves the
@@ -489,13 +492,15 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// A candidate's reach is the merge of its children's lists, so costing it
 /// takes time in the size of the sub-DAGs it would select — a few dozen
 /// classes on the benchmark models — and not in the size of the e-graph.
-/// Only its parents' evaluations read a class's list, so on the
-/// topological prefix a list lives until its class's last parent is
-/// costed; a class with a parent in a dependency cycle keeps its list,
-/// because the worklist may evaluate that parent again. Its cost is
-/// summed over the merged list in ascending slot order, whatever order the
-/// children came in, so a float total does not depend on how the set was
-/// put together.
+/// Only its parents' evaluations read a class's list, so on the acyclic
+/// part a list lives until its class's last parent is costed; the
+/// depth-first order finishes one subtree before it starts the next, so
+/// the lists live at once are those hanging off one path, not a whole
+/// level of the graph. A class with a parent in a dependency cycle keeps
+/// its list, because the worklist may evaluate that parent again. A
+/// candidate's cost is summed over the merged list in ascending slot
+/// order, whatever order the children came in, so a float total does not
+/// depend on how the set was put together.
 ///
 /// Everything is slot-indexed flat arrays — no per-call hash maps — and
 /// every iteration order (class slots, in-class node order, FIFO worklist)
@@ -542,9 +547,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
     pub fn new(egraph: &'a EGraph<L, N>, cost_fn: CF) -> Self {
         let mut extractor = DagExtractor::without_entries(egraph, cost_fn);
         let mut scratch = ReachScratch::default();
-        extractor.run_worklist(|extractor, s, candidates| {
-            extractor.evaluate(s, candidates, &mut scratch)
-        });
+        extractor.run_worklist(|extractor, s| extractor.evaluate(s, &mut scratch));
         extractor
     }
 
@@ -561,16 +564,13 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
     fn adjacency(&self) -> ClassGraph {
         let egraph = self.egraph;
         let n = egraph.num_slots();
-        let mut candidates = Rows::new();
         let mut children = Rows::new();
         let mut row: Vec<u32> = vec![];
         for class in egraph.classes() {
             let s = egraph.slot_index(class.id).expect("iterated class is live");
-            candidates.begin_row(s);
             children.begin_row(s);
             row.clear();
             for id in egraph.enode_ids(class) {
-                candidates.items.push(id);
                 for &child in egraph.enode(id).children() {
                     let c = egraph
                         .slot_index(child)
@@ -584,7 +584,6 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
             row.dedup();
             children.items.extend_from_slice(&row);
         }
-        candidates.begin_row(n);
         children.begin_row(n);
 
         // Transpose by counting: a class's parents are appended in
@@ -606,69 +605,97 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
                 next[c as usize] += 1;
             }
         }
-        ClassGraph {
-            candidates,
-            children,
-            parents,
-        }
+        ClassGraph { children, parents }
     }
 
-    /// Offers every class's candidates to `evaluate` (which returns whether
-    /// it improved the class's entry): once each, children before parents,
-    /// then again for the parents of every class that improved, until no
-    /// class does.
+    /// Offers every class to `evaluate` (which costs its candidates and
+    /// returns whether it improved the class's entry): once each, children
+    /// before parents, then again for the parents of every class that
+    /// improved, until no class does.
     ///
-    /// A class of Kahn's prefix is evaluated exactly once: its children
-    /// all come before it, and a class that improves re-queues only
-    /// parents still waiting in the queue. So once every parent of a class
-    /// whose parents all lie in the prefix has been evaluated, nothing
-    /// reads its reach list again, and the list is released.
-    fn run_worklist(&mut self, mut evaluate: impl FnMut(&mut Self, usize, &[Id]) -> bool) {
+    /// A class of the acyclic prefix is evaluated exactly once: its
+    /// children all come before it, and a class that improves re-queues
+    /// only parents still waiting in the queue. So once every parent of a
+    /// class whose parents all lie in the prefix has been evaluated,
+    /// nothing reads its reach list again, and the list is released. The
+    /// prefix goes in depth-first post-order, one subtree at a time, so
+    /// few lists are live at once.
+    fn run_worklist(&mut self, mut evaluate: impl FnMut(&mut Self, usize) -> bool) {
         let n = self.egraph.num_slots();
         let graph = self.adjacency();
 
-        // Kahn's algorithm: children-before-parents order. Classes caught
-        // in dependency cycles keep a nonzero indegree and are appended in
-        // slot order; the worklist phase handles them best-effort. (A dead
-        // slot is a class without candidates or edges here.)
+        // Kahn's algorithm finds the acyclic prefix: the classes whose
+        // count of children not yet in it falls to zero. Classes caught in
+        // or above a dependency cycle keep a nonzero count. (A dead slot is
+        // a class without candidates or edges here.)
         let mut indeg: Vec<u32> = (0..n).map(|s| graph.children.row(s).len() as u32).collect();
-        let mut order: Vec<u32> = (0..n as u32).filter(|&s| indeg[s as usize] == 0).collect();
-        let mut i = 0;
-        while i < order.len() {
-            let s = order[i] as usize;
-            i += 1;
-            for &p in graph.parents.row(s) {
+        let mut ready: Vec<u32> = (0..n as u32).filter(|&s| indeg[s as usize] == 0).collect();
+        while let Some(s) = ready.pop() {
+            for &p in graph.parents.row(s as usize) {
                 indeg[p as usize] -= 1;
                 if indeg[p as usize] == 0 {
-                    order.push(p);
+                    ready.push(p);
                 }
             }
         }
-        let mut in_order = vec![false; n];
-        for &s in &order {
-            in_order[s as usize] = true;
+        drop(ready);
+        let in_prefix: Vec<bool> = indeg.iter().map(|&d| d == 0).collect();
+
+        // The prefix in depth-first post-order from each class without a
+        // parent in it, in slot order: every child of a prefix class is in
+        // the prefix, and on an acyclic graph a child met again is already
+        // placed, so children come before parents.
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        let mut placed = vec![false; n];
+        let mut path: Vec<(u32, u32)> = vec![];
+        for root in 0..n {
+            let has_prefix_parent = graph
+                .parents
+                .row(root)
+                .iter()
+                .any(|&p| in_prefix[p as usize]);
+            if !in_prefix[root] || has_prefix_parent {
+                continue;
+            }
+            path.push((root as u32, 0));
+            while let Some((s, next)) = path.last_mut() {
+                let s = *s as usize;
+                if let Some(&c) = graph.children.row(s).get(*next as usize) {
+                    *next += 1;
+                    if !placed[c as usize] {
+                        path.push((c, 0));
+                    }
+                } else {
+                    placed[s] = true;
+                    order.push(s as u32);
+                    path.pop();
+                }
+            }
         }
-        // `indeg` is zero on the prefix now; reuse it for the parents each
+        drop((placed, path));
+
+        // `indeg` is zero on the prefix; reuse it for the parents each
         // class waits on before its list is released. `KEEP` marks a class
         // with a parent outside the prefix.
         const KEEP: u32 = u32::MAX;
         for (c, waiting) in indeg.iter_mut().enumerate() {
             let parents = graph.parents.row(c);
-            *waiting = if parents.iter().all(|&p| in_order[p as usize]) {
+            *waiting = if parents.iter().all(|&p| in_prefix[p as usize]) {
                 parents.len() as u32
             } else {
                 KEEP
             };
         }
-        order.extend((0..n as u32).filter(|&s| !in_order[s as usize]));
+        order.extend((0..n as u32).filter(|&s| !in_prefix[s as usize]));
+        drop(in_prefix);
 
-        // Seed the worklist with the topological order, then drain FIFO.
+        // Seed the worklist with that order, then drain FIFO.
         let mut queue: std::collections::VecDeque<u32> = order.into();
         let mut in_queue = vec![true; n];
         while let Some(s) = queue.pop_front() {
             let s = s as usize;
             in_queue[s] = false;
-            if evaluate(self, s, graph.candidates.row(s)) {
+            if evaluate(self, s) {
                 for &p in graph.parents.row(s) {
                     if !in_queue[p as usize] {
                         in_queue[p as usize] = true;
@@ -684,7 +711,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
                     *waiting -= 1;
                     if *waiting == 0 {
                         if let Some(entry) = &mut self.entries[c as usize] {
-                            entry.reach = Vec::new();
+                            entry.reach = Box::default();
                         }
                     }
                 }
@@ -692,19 +719,24 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
         }
     }
 
-    /// Costs every candidate node of the class in slot `s` and installs
+    /// Costs every candidate node of the class in slot `s` — its
+    /// unfiltered e-nodes, read in place off its node list — and installs
     /// the cheapest viable one if it strictly improves on the current
     /// entry. Returns true on improvement.
-    fn evaluate(&mut self, s: usize, candidates: &[Id], scratch: &mut ReachScratch) -> bool {
+    fn evaluate(&mut self, s: usize, scratch: &mut ReachScratch) -> bool {
+        let egraph = self.egraph;
+        let Some(class) = egraph.slot_class(s) else {
+            return false;
+        };
         let own_slot = s as u32;
         // (sub-DAG total, the node's own cost, node id); the sub-DAG's
         // reach without `s` is `scratch.best`.
         let mut best: Option<(CF::Cost, CF::Cost, Id)> = None;
-        'candidates: for &id in candidates {
-            let node = self.egraph.enode(id);
+        'candidates: for id in egraph.enode_ids(class) {
+            let node = egraph.enode(id);
             scratch.merged.clear();
             for &child in node.children() {
-                let slot = self.egraph.slot_index(child);
+                let slot = egraph.slot_index(child);
                 let Some(entry) = slot.and_then(|c| self.entries[c].as_ref()) else {
                     continue 'candidates;
                 };
@@ -752,7 +784,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
                 choice,
                 own,
                 reach_len: reach.len() as u32,
-                reach,
+                reach: reach.into_boxed_slice(),
                 total,
             });
         }
@@ -1363,6 +1395,43 @@ mod tests {
         assert_eq!(expr.len(), CLASSES);
     }
 
+    /// A complete binary tree of `+` over 1 024 distinct leaves, depth 10:
+    /// the depth-first order finishes one subtree before it starts the
+    /// next, so while the fixpoint runs no more lists are live than two per
+    /// level on the current path and the class just costed. Breadth-first
+    /// order costs all 1 024 leaves before any parent and holds every one.
+    #[test]
+    fn depth_first_order_bounds_the_live_lists() {
+        const DEPTH: usize = 10;
+        let mut eg: EGraph<Math, ()> = EGraph::new(());
+        let mut level: Vec<Id> = (0..1 << DEPTH)
+            .map(|i| eg.add(sym(&format!("l{i}"))))
+            .collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| eg.add(Math::Add([pair[0], pair[1]])))
+                .collect();
+        }
+        eg.rebuild();
+        let mut extractor = DagExtractor::without_entries(&eg, AstSize);
+        let mut scratch = ReachScratch::default();
+        let mut most_live = 0;
+        extractor.run_worklist(|extractor, s| {
+            let improved = extractor.evaluate(s, &mut scratch);
+            let live = extractor
+                .entries
+                .iter()
+                .flatten()
+                .filter(|e| !e.reach.is_empty())
+                .count();
+            most_live = most_live.max(live);
+            improved
+        });
+        assert!(most_live <= 2 * DEPTH + 2, "{most_live} lists live at once");
+        assert_eq!(extractor.find_best(level[0]).unwrap().0, (2 << DEPTH) - 1);
+    }
+
     /// The reach sets as this module kept them before the sorted lists:
     /// one [`BitSet`] over all class slots per class, a candidate's set
     /// built by clearing a scratch set and unioning the children's into it
@@ -1433,7 +1502,7 @@ mod tests {
                     choice,
                     own,
                     reach_len: list.len() as u32,
-                    reach: list,
+                    reach: list.into_boxed_slice(),
                     total,
                 });
                 dense.reach[s] = Some(reach);
@@ -1457,7 +1526,7 @@ mod tests {
             dense.slot_id[egraph.slot_index(class.id).unwrap()] = Some(class.id);
         }
         let mut extractor = DagExtractor::without_entries(egraph, cost_fn);
-        extractor.run_worklist(|extractor, s, _| extractor.evaluate_dense(s, &mut dense));
+        extractor.run_worklist(|extractor, s| extractor.evaluate_dense(s, &mut dense));
         extractor
     }
 

@@ -49,6 +49,12 @@ impl UnionFind {
         self.parents.len()
     }
 
+    /// Releases the spare capacity of the parent and size tables.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.parents.shrink_to_fit();
+        self.sizes.shrink_to_fit();
+    }
+
     /// Returns the number of distinct sets.
     pub fn num_sets(&self) -> usize {
         (0..self.parents.len())
