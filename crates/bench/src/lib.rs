@@ -17,7 +17,7 @@ use tensat_core::{
     explore, extract, extract_greedy_dag, extract_ilp, CycleFilter, ExplorationMode,
     ExplorationStats, ExtractionMode, IlpConfig, OptimizationResult, Optimizer, OptimizerConfig,
 };
-use tensat_egraph::{Id, RecExpr};
+use tensat_egraph::{Id, Language, RecExpr};
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules};
@@ -38,6 +38,90 @@ pub fn seeded(graph: &RecExpr<TensorLang>) -> (TensorEGraph, Id) {
     let root = eg.add_expr(graph);
     eg.rebuild();
     (eg, root)
+}
+
+/// An id-independent signature of a rebuilt e-graph and its root class:
+/// equal for two e-graphs that differ only in the ids of their classes and
+/// e-nodes, so two runs that reach the same saturated e-graph by different
+/// routes (rule order, thread count, another loop) compare equal.
+///
+/// Iterated class hashing: an e-node hashes its label
+/// ([`Language::display_op`] and its arity, never an interned id), its
+/// filter bit and its children's class hashes; a class hashes the sorted
+/// list of its e-node hashes and its previous hash. Every class starts at
+/// 0, and refinement stops at the first round that does not add a
+/// distinct class hash. The result hashes the sorted class hashes and the
+/// root's. The mixer is a SplitMix64 finalizer fixed here, so a signature pinned in a
+/// test holds across processes and toolchains.
+///
+/// # Panics
+///
+/// If the e-graph is not clean ([`tensat_egraph::EGraph::rebuild`]).
+pub fn signature(egraph: &TensorEGraph, root: Id) -> u64 {
+    assert!(egraph.is_clean(), "the signature reads a rebuilt e-graph");
+    let slot = |id: Id| egraph.slot_index(id).expect("a live class");
+    // Per class slot: its e-nodes as (label hash, child slots).
+    let mut classes: Vec<Vec<(u64, Vec<usize>)>> = vec![Vec::new(); egraph.num_slots()];
+    for class in egraph.classes() {
+        classes[slot(class.id)] = class
+            .node_ids()
+            .iter()
+            .map(|&n| {
+                let node = egraph.enode(n);
+                let label = fold(0, node.display_op().bytes().map(u64::from));
+                let label = fold(
+                    label,
+                    [
+                        node.children().len() as u64,
+                        u64::from(egraph.is_filtered(n)),
+                    ],
+                );
+                (label, node.children().iter().map(|&c| slot(c)).collect())
+            })
+            .collect();
+    }
+    let mut hashes = vec![0; classes.len()];
+    let mut distinct = usize::from(!hashes.is_empty());
+    loop {
+        let next: Vec<u64> = classes
+            .iter()
+            .zip(&hashes)
+            .map(|(nodes, &previous)| {
+                let mut node_hashes: Vec<u64> = nodes
+                    .iter()
+                    .map(|(label, children)| fold(*label, children.iter().map(|&c| hashes[c])))
+                    .collect();
+                node_hashes.sort_unstable();
+                fold(previous, node_hashes)
+            })
+            .collect();
+        hashes = next;
+        let mut sorted = hashes.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() <= distinct {
+            break;
+        }
+        distinct = sorted.len();
+    }
+    let root_hash = hashes[slot(root)];
+    hashes.sort_unstable();
+    fold(fold(0, hashes), [root_hash])
+}
+
+/// The SplitMix64 finalizer: a fixed bijection on `u64` that spreads every
+/// input bit over the output.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `h` with each of `items` mixed in, in order.
+fn fold(h: u64, items: impl IntoIterator<Item = u64>) -> u64 {
+    items
+        .into_iter()
+        .fold(h, |h, x| mix(h.wrapping_add(0x9e37_79b9_7f4a_7c15) ^ x))
 }
 
 /// `graph` seeded into a fresh e-graph and explored with the full rule set
@@ -519,6 +603,64 @@ fn fig7_kmulti(s: &Setting) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `relu(x + y) = tanh(x)` over two 4x4 inputs, `y` added first if
+    /// `y_first`: the root class and the node-table id of `tanh(x)`.
+    fn small(y_first: bool) -> (TensorEGraph, Id, Id) {
+        let mut eg = TensorEGraph::new(TensorAnalysis);
+        let mut input = |name| {
+            let s = eg.add(TensorLang::Str(tensat_ir::encode_identifier(name, &[4, 4])));
+            eg.add(TensorLang::Input([s]))
+        };
+        let (x, y) = if y_first {
+            let y = input("y");
+            (input("x"), y)
+        } else {
+            (input("x"), input("y"))
+        };
+        let sum = eg.add(TensorLang::Ewadd([x, y]));
+        let relu = eg.add(TensorLang::Relu([sum]));
+        let tanh = eg.add(TensorLang::Tanh([x]));
+        eg.union(relu, tanh);
+        eg.rebuild();
+        (eg, relu, tanh)
+    }
+
+    #[test]
+    fn isomorphic_e_graphs_get_equal_signatures() {
+        let (a, a_root, a_tanh) = small(false);
+        let (b, b_root, b_tanh) = small(true);
+        let x = |eg: &TensorEGraph, tanh| eg.enode(tanh).children()[0];
+        assert_ne!(x(&a, a_tanh), x(&b, b_tanh), "the two number `x` apart");
+        assert_eq!(signature(&a, a_root), signature(&b, b_root));
+    }
+
+    #[test]
+    fn one_more_node_union_or_filter_changes_the_signature() {
+        let (base, root, tanh) = small(false);
+        let expected = signature(&base, root);
+        let x = base.enode(tanh).children()[0];
+        let sum = base.enode(base.eclass(root).node_ids()[0]).children()[0];
+        let y = base.enode(sum).children()[1];
+
+        let mut node = base.clone();
+        node.add(TensorLang::Sigmoid([root]));
+        node.rebuild();
+        let mut union = base.clone();
+        union.union(x, y);
+        union.rebuild();
+        let mut filter = base.clone();
+        filter.filter_node(tanh);
+        for (what, eg) in [("e-node", node), ("union", union), ("filter", filter)] {
+            assert_ne!(signature(&eg, root), expected, "one more {what}");
+        }
+    }
+
+    #[test]
+    fn the_signature_is_the_same_in_every_process() {
+        let (eg, root, _) = small(false);
+        assert_eq!(signature(&eg, root), 15_189_492_868_320_858_791);
+    }
 
     #[test]
     fn configs_have_paper_defaults() {

@@ -332,54 +332,125 @@ fn zero_time_limit_halts_before_the_first_iteration() {
 /// benchmark's `zoo7_small` sizing (`blocks: 2`, `node_limit: 2000`,
 /// `max_iter: 15`, one thread, `k_multi` 1 and 2), engine and oracle, pinned
 /// to the digit: `(e-nodes, e-classes, iterations, filtered e-nodes, unions,
-/// stop reason)`. The repo benchmark only compares an op with its own
+/// stop reason, e-nodes after each iteration, final e-graph signature)` —
+/// the [`tensat_bench::signature`] stands for the final e-graph itself,
+/// ids aside. The repo benchmark only compares an op with its own
 /// warm-up, so this is what a change that must leave trajectories
 /// bit-identical is checked against; the e-node column sums to the
 /// benchmark's `egraph.final_enodes` for `zoo7_small`.
 #[test]
 fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
     use StopReason::{NodeLimit, Saturated};
-    type Pin = (usize, usize, usize, usize, usize, StopReason);
+    type Pin = (
+        (usize, usize, usize, usize, usize, StopReason),
+        Vec<usize>,
+        u64,
+    );
     // Per model: the pins for `k_multi` 1 and 2.
     let pinned: [(&str, [Pin; 2]); 7] = [
         (
             "NasRNN",
             [
-                (546, 260, 4, 80, 286, Saturated),
-                (2002, 992, 2, 80, 1010, NodeLimit(2000)),
+                (
+                    (546, 260, 4, 80, 286, Saturated),
+                    vec![431, 538, 546, 546],
+                    12_295_631_676_573_967_717,
+                ),
+                (
+                    (2002, 992, 2, 80, 1010, NodeLimit(2000)),
+                    vec![431, 2002],
+                    14_536_784_574_973_179_502,
+                ),
             ],
         ),
         (
             "BERT",
             [
-                (1675, 664, 4, 12, 1364, NodeLimit(2000)),
-                (1976, 936, 3, 28, 1066, NodeLimit(2000)),
+                (
+                    (1675, 664, 4, 12, 1364, NodeLimit(2000)),
+                    vec![146, 338, 932, 1675],
+                    2_598_109_016_755_556_240,
+                ),
+                (
+                    (1976, 936, 3, 28, 1066, NodeLimit(2000)),
+                    vec![146, 1153, 1976],
+                    12_803_401_475_765_931_774,
+                ),
             ],
         ),
         (
             "ResNeXt-50",
-            [(36, 30, 2, 0, 6, Saturated), (36, 30, 2, 0, 6, Saturated)],
+            [
+                (
+                    (36, 30, 2, 0, 6, Saturated),
+                    vec![36, 36],
+                    821_928_763_353_544_114,
+                ),
+                (
+                    (36, 30, 2, 0, 6, Saturated),
+                    vec![36, 36],
+                    821_928_763_353_544_114,
+                ),
+            ],
         ),
         (
             "NasNet-A",
             [
-                (1820, 685, 4, 42, 1357, NodeLimit(2000)),
-                (2000, 996, 2, 42, 1004, NodeLimit(2000)),
+                (
+                    (1820, 685, 4, 42, 1357, NodeLimit(2000)),
+                    vec![263, 471, 1344, 1820],
+                    9_101_964_182_005_201_067,
+                ),
+                (
+                    (2000, 996, 2, 42, 1004, NodeLimit(2000)),
+                    vec![263, 2000],
+                    16_639_144_361_927_389_507,
+                ),
             ],
         ),
         (
             "SqueezeNet",
-            [(38, 32, 2, 0, 6, Saturated), (38, 32, 2, 0, 6, Saturated)],
+            [
+                (
+                    (38, 32, 2, 0, 6, Saturated),
+                    vec![38, 38],
+                    16_409_065_874_580_050_061,
+                ),
+                (
+                    (38, 32, 2, 0, 6, Saturated),
+                    vec![38, 38],
+                    16_409_065_874_580_050_061,
+                ),
+            ],
         ),
         (
             "VGG-19",
-            [(32, 28, 2, 0, 4, Saturated), (32, 28, 2, 0, 4, Saturated)],
+            [
+                (
+                    (32, 28, 2, 0, 4, Saturated),
+                    vec![32, 32],
+                    16_093_051_043_965_343_444,
+                ),
+                (
+                    (32, 28, 2, 0, 4, Saturated),
+                    vec![32, 32],
+                    16_093_051_043_965_343_444,
+                ),
+            ],
         ),
         (
             "Inception-v3",
             [
-                (170, 98, 4, 12, 72, Saturated),
-                (1251, 495, 5, 156, 756, Saturated),
+                (
+                    (170, 98, 4, 12, 72, Saturated),
+                    vec![122, 158, 170, 170],
+                    10_054_291_150_884_907_417,
+                ),
+                (
+                    (1251, 495, 5, 156, 756, Saturated),
+                    vec![122, 711, 1119, 1251, 1251],
+                    15_398_129_610_505_109_768,
+                ),
             ],
         ),
     ];
@@ -395,17 +466,21 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
                 max_iter: 15,
                 ..saturate_config(2_000)
             };
-            let (eg, _, stats) = assert_bit_identical(&graph, &singles, &multis, &config);
+            let (eg, root, stats) = assert_bit_identical(&graph, &singles, &multis, &config);
             assert_eq!(
                 (
-                    stats.enodes,
-                    stats.eclasses,
-                    stats.iterations,
-                    stats.filtered_nodes,
-                    eg.union_count(),
-                    stats
-                        .stop_reason
-                        .expect("a finished run says why it stopped"),
+                    (
+                        stats.enodes,
+                        stats.eclasses,
+                        stats.iterations,
+                        stats.filtered_nodes,
+                        eg.union_count(),
+                        stats
+                            .stop_reason
+                            .expect("a finished run says why it stopped"),
+                    ),
+                    stats.nodes_per_iteration,
+                    tensat_bench::signature(&eg, root),
                 ),
                 pin,
                 "{name} k_multi {k_multi}"
@@ -420,7 +495,7 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
 /// the digit: `bert_apply` (BERT `blocks: 2` to 20 000 e-nodes) and
 /// `nasnet_search` (NasNet-A `blocks: 4` to 30 000) — `(e-nodes,
 /// e-classes, iterations, filtered e-nodes, unions, stop reason, e-nodes
-/// after each iteration, greedy-DAG cost)`. The pins above stop at 2 000
+/// after each iteration, greedy-DAG cost, final e-graph signature)`. The pins above stop at 2 000
 /// e-nodes and the benchmark compares an op only with its own warm-up, so
 /// this is what holds a change to the e-graph's storage to the same run at
 /// 20–30 k e-nodes. Release builds only: a debug build runs
@@ -446,6 +521,7 @@ fn big_benchmark_trajectories_are_pinned() {
                 NodeLimit(20_000),
                 vec![146, 338, 932, 3_131, 14_978, 18_210],
                 110.26111999999998,
+                17_330_369_404_885_528_206,
             ),
         ),
         (
@@ -461,6 +537,7 @@ fn big_benchmark_trajectories_are_pinned() {
                 NodeLimit(30_000),
                 vec![591, 1_025, 2_770, 10_334, 28_025],
                 103.56740266666665,
+                9_412_832_200_318_848_345,
             ),
         ),
     ];
@@ -491,6 +568,7 @@ fn big_benchmark_trajectories_are_pinned() {
                     .expect("a finished run says why it stopped"),
                 stats.nodes_per_iteration,
                 dag.dag_cost,
+                tensat_bench::signature(&eg, root),
             ),
             pin,
             "{name} blocks {blocks} at {node_limit}"
