@@ -51,8 +51,8 @@ pub fn seeded(graph: &RecExpr<TensorLang>) -> (TensorEGraph, Id) {
 /// list of its e-node hashes and its previous hash. Every class starts at
 /// 0, and refinement stops at the first round that does not add a
 /// distinct class hash. The result hashes the sorted class hashes and the
-/// root's. The mixer is a SplitMix64 finalizer fixed here, so a signature pinned in a
-/// test holds across processes and toolchains.
+/// root's. The mixer is a SplitMix64 finalizer fixed here, so a signature
+/// pinned in a test holds across processes and toolchains.
 ///
 /// # Panics
 ///
@@ -605,7 +605,8 @@ mod tests {
     use super::*;
 
     /// `relu(x + y) = tanh(x)` over two 4x4 inputs, `y` added first if
-    /// `y_first`: the root class and the node-table id of `tanh(x)`.
+    /// `y_first`, and the node-table ids of `relu(x + y)` (the root) and
+    /// `tanh(x)`.
     fn small(y_first: bool) -> (TensorEGraph, Id, Id) {
         let mut eg = TensorEGraph::new(TensorAnalysis);
         let mut input = |name| {
@@ -640,7 +641,7 @@ mod tests {
         let (base, root, tanh) = small(false);
         let expected = signature(&base, root);
         let x = base.enode(tanh).children()[0];
-        let sum = base.enode(base.eclass(root).node_ids()[0]).children()[0];
+        let sum = base.enode(root).children()[0];
         let y = base.enode(sum).children()[1];
 
         let mut node = base.clone();

@@ -1,44 +1,52 @@
 //! Property tests of the exploration-strategy seam.
 //!
-//! The seam refactor (PR precedent: the extraction seam) must not change
-//! saturation behavior by a single bit, so the pre-refactor monolithic
-//! loop is kept verbatim as a differential oracle
-//! (`tensat_core::explore::legacy::explore_monolithic`) and compared
-//! against [`Saturate`]-through-the-seam on random e-graphs and on every
-//! `BENCHMARKS` model:
+//! Saturation is checked against what it means rather than against a kept
+//! copy of an older loop. Equality saturation applies every rewrite it
+//! finds, so a run that saturates has exactly one result, whatever order
+//! the rules are tried in — the paper's point against TASO's sequential
+//! search. The final e-graph is compared through
+//! [`tensat_bench::signature`], which ignores ids:
 //!
-//! 1. **Bit-identical saturation** — identical node/class/union counts,
-//!    identical per-rule match sets on the final e-graph, identical
-//!    iteration statistics and stop reason, and identical tree-greedy and
-//!    greedy-DAG extraction results — including runs in which an
-//!    iteration is cut by `node_limit` and the rebuild drops the e-graph
-//!    back under it (the cut iteration must be the last on both sides);
-//! 2. **Guided determinism** — the guided beam search uses no randomness
+//! 1. **Order invariance** — on random e-graphs and on every benchmark
+//!    model that saturates at `ModelScale::tiny()` (`k_multi` 0 and 1,
+//!    cycle filter `Off` and `Efficient`), reversing or rotating the
+//!    single- and multi-pattern rule lists, or searching on 4 threads,
+//!    reaches the same signature;
+//! 2. **Naive reference** — a naive loop (every rule searched with
+//!    `Pattern::search_naive`, applied with `Rewrite::apply`, rebuilt,
+//!    repeated) reaches the engine's signature on the runs that saturate;
+//! 3. **Pinned trajectories** — a run that stops at `node_limit` may
+//!    depend on order, so those are pinned to the digit: every benchmark
+//!    model at the repo benchmark's `zoo7_small` sizing and its two big
+//!    workloads, per-iteration e-node counts and final signature included,
+//!    and the iteration `node_limit` cuts is the last;
+//! 4. **Guided determinism** — the guided beam search uses no randomness
 //!    and no wall-clock tie-breaks, so three runs from the same seed
 //!    produce bit-identical e-graphs and extractions;
-//! 3. **Hard node budget** — the guided strategy never leaves the e-graph
+//! 5. **Hard node budget** — the guided strategy never leaves the e-graph
 //!    above `node_limit`, on random programs and on the benchmarks;
-//! 4. **Budgeted quality** (the headline acceptance property) — on at
+//! 6. **Budgeted quality** (the headline acceptance property) — on at
 //!    least one benchmark model, guided exploration under a node budget
 //!    at least 4x below the saturated size still extracts a DAG no more
 //!    expensive than tree-greedy extraction from the fully saturated
 //!    e-graph;
-//! 5. **Budget semantics** — the node limit is asked before every
+//! 7. **Budget semantics** — the node limit is asked before every
 //!    application (the overshoot is one right-hand side), and a zero time
 //!    limit halts exploration before the first iteration;
-//! 6. **Thread determinism** — `search_threads` 1 and 4 give the same
+//! 8. **Thread determinism** — `search_threads` 1 and 4 give the same
 //!    trajectory on a fixture whose search batches the driver really
 //!    shards (the test checks that itself).
 
 use proptest::prelude::*;
+use proptest::TestRng;
 use std::time::Duration;
-use tensat_core::explore::legacy::explore_monolithic;
+use tensat_bench::{explored, seeded, signature};
 use tensat_core::{
     explore, extract_greedy, extract_greedy_dag, CycleFilter, ExplorationMode, ExplorationStats,
     ExtractionMode, Optimizer, OptimizerConfig, StopReason,
 };
-use tensat_egraph::{Id, RecExpr, SearchMatches, PARALLEL_SEARCH_SPAWN_THRESHOLD};
-use tensat_ir::{CostModel, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
+use tensat_egraph::{Id, RecExpr, PARALLEL_SEARCH_SPAWN_THRESHOLD};
+use tensat_ir::{CostModel, GraphBuilder, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
 
@@ -74,14 +82,20 @@ fn build_graph(ops: &[RandOp]) -> RecExpr<TensorLang> {
     g.finish(&[root])
 }
 
-fn seeded(graph: &RecExpr<TensorLang>) -> (TensorEGraph, Id) {
-    let mut eg = TensorEGraph::new(TensorAnalysis);
-    let root = eg.add_expr(graph);
-    eg.rebuild();
-    (eg, root)
+fn op_strategy() -> impl Strategy<Value = Vec<RandOp>> {
+    prop::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..12)
 }
 
-/// Deterministic small limits shared by both sides of each comparison.
+/// `n` random programs drawn from `op_strategy`, the same ones on every
+/// run.
+fn random_graphs(n: usize) -> Vec<RecExpr<TensorLang>> {
+    let mut rng = TestRng::from_seed_str("saturation fixpoint");
+    (0..n)
+        .map(|_| build_graph(&op_strategy().generate(&mut rng)))
+        .collect()
+}
+
+/// Deterministic small limits.
 fn saturate_config(node_limit: usize) -> OptimizerConfig {
     OptimizerConfig {
         exploration: ExplorationMode::Saturate,
@@ -94,81 +108,111 @@ fn saturate_config(node_limit: usize) -> OptimizerConfig {
     }
 }
 
-/// The full per-rule match sets of every single-pattern rule on an
-/// e-graph — the strongest observable equality short of dumping storage.
-fn match_sets(eg: &TensorEGraph, rules: &[TensorRewrite]) -> Vec<Vec<SearchMatches>> {
-    rules.iter().map(|rw| rw.search(eg)).collect()
+/// Limits a saturating run of the fixtures below stays under: 40
+/// iterations and 20 000 e-nodes.
+fn fixpoint_config(k_multi: usize, cycle_filter: CycleFilter) -> OptimizerConfig {
+    OptimizerConfig {
+        k_multi,
+        cycle_filter,
+        max_iter: 40,
+        ..saturate_config(20_000)
+    }
 }
 
-/// Runs the legacy monolith and the seamed `Saturate` strategy from the
-/// same seed and asserts bit-identical results. Returns the seam side.
-/// (The vendored `prop_assert!` macros are plain assertions, so this
-/// helper panics on mismatch — fine both inside and outside `proptest!`.)
-fn assert_bit_identical(
+/// `graph` seeded and explored with the given rule lists, in their order:
+/// the e-graph, its root and the stats.
+fn explored_with(
     graph: &RecExpr<TensorLang>,
     singles: &[TensorRewrite],
     multis: &[MultiPatternRule],
     config: &OptimizerConfig,
 ) -> (TensorEGraph, Id, ExplorationStats) {
-    let (mut legacy_eg, legacy_root) = seeded(graph);
-    let legacy_stats = explore_monolithic(&mut legacy_eg, legacy_root, singles, multis, config);
-
-    let (mut seam_eg, seam_root) = seeded(graph);
-    let seam_stats = explore(&mut seam_eg, seam_root, singles, multis, config);
-    prop_assert_eq!(seam_stats.strategy, "saturate");
-
-    // Identical iteration trajectory and final sizes.
-    prop_assert_eq!(legacy_stats.iterations, seam_stats.iterations);
-    prop_assert_eq!(legacy_stats.saturated, seam_stats.saturated);
-    prop_assert_eq!(&legacy_stats.stop_reason, &seam_stats.stop_reason);
-    prop_assert_eq!(
-        seam_stats.saturated,
-        seam_stats.stop_reason == Some(StopReason::Saturated)
+    let (mut eg, root) = seeded(graph);
+    let stats = explore(&mut eg, root, singles, multis, config);
+    assert_eq!(stats.strategy, "saturate");
+    assert_eq!(
+        stats.saturated,
+        stats.stop_reason == Some(StopReason::Saturated)
     );
-    prop_assert_eq!(legacy_stats.filtered_nodes, seam_stats.filtered_nodes);
-    prop_assert_eq!(
-        &legacy_stats.nodes_per_iteration,
-        &seam_stats.nodes_per_iteration
-    );
-    prop_assert_eq!(legacy_stats.enodes, seam_stats.enodes);
-    prop_assert_eq!(legacy_stats.eclasses, seam_stats.eclasses);
-    prop_assert_eq!(
-        legacy_eg.total_number_of_nodes(),
-        seam_eg.total_number_of_nodes()
-    );
-    prop_assert_eq!(legacy_eg.number_of_classes(), seam_eg.number_of_classes());
-    prop_assert_eq!(legacy_eg.union_count(), seam_eg.union_count());
+    (eg, root, stats)
+}
 
-    // Identical per-rule match sets on the final e-graphs.
-    prop_assert_eq!(
-        match_sets(&legacy_eg, singles),
-        match_sets(&seam_eg, singles)
-    );
+/// If `graph` saturates under `config`, asserts that the reversed and a
+/// rotated order of both rule lists, and 4 search threads, saturate to the
+/// same signature, and returns true. Returns false, comparing nothing,
+/// when the run stops at a limit.
+fn assert_order_invariant(graph: &RecExpr<TensorLang>, config: &OptimizerConfig) -> bool {
+    let (singles, multis) = (single_rules(), multi_rules());
+    let (eg, root, stats) = explored_with(graph, &singles, &multis, config);
+    if !stats.saturated {
+        return false;
+    }
+    let expected = signature(&eg, root);
+    fn reversed<T: Clone>(rules: &[T]) -> Vec<T> {
+        rules.iter().rev().cloned().collect()
+    }
+    fn rotated<T: Clone>(rules: &[T], by: usize) -> Vec<T> {
+        let mut rules = rules.to_vec();
+        rules.rotate_left(by);
+        rules
+    }
+    let variants = [
+        ("reversed", reversed(&singles), reversed(&multis), 1),
+        (
+            "rotated",
+            rotated(&singles, singles.len() / 3),
+            rotated(&multis, 1),
+            1,
+        ),
+        ("4 threads", singles, multis, 4),
+    ];
+    for (label, singles, multis, search_threads) in variants {
+        let config = OptimizerConfig {
+            search_threads,
+            ..config.clone()
+        };
+        let (eg, root, stats) = explored_with(graph, &singles, &multis, &config);
+        assert_eq!(stats.stop_reason, Some(StopReason::Saturated), "{label}");
+        assert_eq!(signature(&eg, root), expected, "{label}");
+    }
+    true
+}
 
-    // Identical extraction results under both greedy extractors.
-    let model = CostModel::default();
-    let legacy_tree = extract_greedy(&legacy_eg, legacy_root, &model).unwrap();
-    let seam_tree = extract_greedy(&seam_eg, seam_root, &model).unwrap();
-    prop_assert_eq!(legacy_tree.expr.nodes(), seam_tree.expr.nodes());
-    prop_assert_eq!(legacy_tree.dag_cost, seam_tree.dag_cost);
-    prop_assert_eq!(legacy_tree.tree_cost, seam_tree.tree_cost);
-    let legacy_dag = extract_greedy_dag(&legacy_eg, legacy_root, &model).unwrap();
-    let seam_dag = extract_greedy_dag(&seam_eg, seam_root, &model).unwrap();
-    prop_assert_eq!(legacy_dag.expr.nodes(), seam_dag.expr.nodes());
-    prop_assert_eq!(legacy_dag.dag_cost, seam_dag.dag_cost);
-
-    (seam_eg, seam_root, seam_stats)
+/// Algorithm 1 written as plainly as possible, for a reference: every
+/// rule is searched with the naive matcher against the iteration-start
+/// e-graph, every match is applied, last rule first, and the e-graph is
+/// rebuilt, until nothing changes. No multi-pattern rules, no cycle filter. `None`
+/// if the e-graph passes `node_cap` e-nodes or `max_iter` iterations run
+/// without saturating.
+fn saturate_naively(
+    graph: &RecExpr<TensorLang>,
+    rules: &[TensorRewrite],
+    max_iter: usize,
+    node_cap: usize,
+) -> Option<(TensorEGraph, Id)> {
+    let (mut eg, root) = seeded(graph);
+    for _ in 0..max_iter {
+        let before = (eg.total_number_of_nodes(), eg.union_count());
+        let matches: Vec<_> = rules
+            .iter()
+            .map(|rw| rw.searcher.search_naive(&eg))
+            .collect();
+        for (rw, matches) in rules.iter().zip(&matches).rev() {
+            rw.apply(&mut eg, matches);
+        }
+        eg.rebuild();
+        if eg.total_number_of_nodes() > node_cap {
+            return None;
+        }
+        if (eg.total_number_of_nodes(), eg.union_count()) == before {
+            return Some((eg, root));
+        }
+    }
+    None
 }
 
 proptest! {
-    /// Property 1 on random e-graphs, single-pattern rules.
-    #[test]
-    fn saturate_is_bit_identical_to_legacy_on_random_graphs(ops in op_strategy()) {
-        let graph = build_graph(&ops);
-        assert_bit_identical(&graph, &single_rules(), &[], &saturate_config(2_000));
-    }
-
-    /// Property 3 on random e-graphs: the guided strategy's final e-graph
+    /// Property 5 on random e-graphs: the guided strategy's final e-graph
     /// never exceeds the node budget, and still extracts a valid graph.
     #[test]
     fn guided_respects_the_node_budget_on_random_graphs(ops in op_strategy()) {
@@ -197,34 +241,74 @@ proptest! {
     }
 }
 
-fn op_strategy() -> impl Strategy<Value = Vec<RandOp>> {
-    prop::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..12)
+/// Property 1 on random e-graphs, with multi-pattern rules and the
+/// efficient cycle filter in play.
+#[test]
+fn saturation_ignores_rule_order_and_threads_on_random_graphs() {
+    let config = fixpoint_config(1, CycleFilter::Efficient);
+    let compared = random_graphs(200)
+        .iter()
+        .filter(|graph| assert_order_invariant(graph, &config))
+        .count();
+    assert_eq!(compared, 200, "saturating random graphs compared");
 }
 
-/// Property 1 on every benchmark model, with multi-pattern rules in play
-/// (the multi apply path and cycle filter both exercised).
+/// Property 1 on every benchmark model that saturates at
+/// `ModelScale::tiny()`, under `k_multi` 0 and 1 and cycle filter `Off`
+/// and `Efficient`.
 #[test]
-fn saturate_is_bit_identical_to_legacy_on_all_benchmarks() {
-    let singles = single_rules();
-    let multis = multi_rules();
+fn saturation_ignores_rule_order_and_threads_on_the_benchmarks() {
+    let mut compared = vec![];
     for name in BENCHMARKS {
         let graph = build_benchmark(name, ModelScale::tiny());
-        assert_bit_identical(&graph, &singles, &multis, &saturate_config(5_000));
+        for k_multi in [0, 1] {
+            for filter in [CycleFilter::Off, CycleFilter::Efficient] {
+                if assert_order_invariant(&graph, &fixpoint_config(k_multi, filter)) {
+                    compared.push(*name);
+                }
+            }
+        }
     }
+    // Six models times four settings: NasNet-A passes 20 000 e-nodes.
+    assert_eq!(compared.len(), 24, "saturating runs compared: {compared:?}");
 }
 
-/// Property 1 where the two loops could disagree about *stopping*: an
-/// iteration's apply phase is cut by `node_limit`, the rebuild's
-/// deduplication leaves the e-graph under the limit, and a loop that only
-/// compared the node count would search everything again (the two 2 000
-/// cases ran 6 iterations to 2 000 and 2 001 e-nodes that way, BERT at
-/// 20 000 two iterations further). Engine and oracle must both stop at the
-/// cut iteration; the trajectories are two of the repo benchmark's
-/// `zoo7_small` cases and its `bert_apply` case, pinned to the digit.
+/// Property 2: under `CycleFilter::Off` and `k_multi` 0 the engine reaches
+/// the fixpoint of [`saturate_naively`] on random e-graphs and the
+/// benchmark models, wherever both saturate.
 #[test]
-fn an_iteration_cut_by_node_limit_is_the_last_in_engine_and_oracle() {
+fn saturation_reaches_the_fixpoint_of_a_naive_loop() {
     let singles = single_rules();
-    let multis = multi_rules();
+    let config = fixpoint_config(0, CycleFilter::Off);
+    let mut graphs = random_graphs(200);
+    graphs.extend(
+        BENCHMARKS
+            .iter()
+            .map(|name| build_benchmark(name, ModelScale::tiny())),
+    );
+    let mut compared = 0;
+    for graph in &graphs {
+        let (eg, root, stats) = explored_with(graph, &singles, &[], &config);
+        let naive = saturate_naively(graph, &singles, config.max_iter, 5_000);
+        if let (true, Some((naive, naive_root))) = (stats.saturated, naive) {
+            assert_eq!(signature(&eg, root), signature(&naive, naive_root));
+            compared += 1;
+        }
+    }
+    // Every random graph and six models: NasNet-A passes 20 000 e-nodes.
+    assert_eq!(compared, 206, "saturating cases compared");
+}
+
+/// Property 3 where a loop could get *stopping* wrong: an iteration's
+/// apply phase is cut by `node_limit`, the rebuild's deduplication leaves
+/// the e-graph under the limit, and a loop that only compared the node
+/// count would search everything again (the two 2 000 cases ran 6
+/// iterations to 2 000 and 2 001 e-nodes that way, BERT at 20 000 two
+/// iterations further). The cut iteration must be the last; the
+/// trajectories are two of the repo benchmark's `zoo7_small` cases and its
+/// `bert_apply` case, pinned to the digit.
+#[test]
+fn an_iteration_cut_by_node_limit_is_the_last() {
     for (name, node_limit, enodes, eclasses, iterations) in [
         ("NasNet-A", 2_000, 1_820, 685, 4),
         ("BERT", 2_000, 1_675, 664, 4),
@@ -235,7 +319,7 @@ fn an_iteration_cut_by_node_limit_is_the_last_in_engine_and_oracle() {
             ..saturate_config(node_limit)
         };
         let graph = build_benchmark(name, ModelScale::default());
-        let (_, _, stats) = assert_bit_identical(&graph, &singles, &multis, &config);
+        let (_, _, stats) = explored(&graph, &config);
         assert_eq!(stats.stop_reason, Some(StopReason::NodeLimit(node_limit)));
         assert_eq!(
             (stats.enodes, stats.eclasses, stats.iterations),
@@ -330,7 +414,7 @@ fn zero_time_limit_halts_before_the_first_iteration() {
 
 /// The whole saturation trajectory of every benchmark model at the repo
 /// benchmark's `zoo7_small` sizing (`blocks: 2`, `node_limit: 2000`,
-/// `max_iter: 15`, one thread, `k_multi` 1 and 2), engine and oracle, pinned
+/// `max_iter: 15`, one thread, `k_multi` 1 and 2), pinned
 /// to the digit: `(e-nodes, e-classes, iterations, filtered e-nodes, unions,
 /// stop reason, e-nodes after each iteration, final e-graph signature)` —
 /// the [`tensat_bench::signature`] stands for the final e-graph itself,
@@ -455,8 +539,6 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
         ),
     ];
     assert!(pinned.iter().map(|(name, _)| name).eq(BENCHMARKS));
-    let singles = single_rules();
-    let multis = multi_rules();
     let mut total_enodes = 0;
     for (name, pins) in pinned {
         let graph = build_benchmark(name, ModelScale::default());
@@ -466,7 +548,7 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
                 max_iter: 15,
                 ..saturate_config(2_000)
             };
-            let (eg, root, stats) = assert_bit_identical(&graph, &singles, &multis, &config);
+            let (eg, root, stats) = explored(&graph, &config);
             assert_eq!(
                 (
                     (

@@ -5,10 +5,8 @@
 //!
 //! Three strategies ship through the seam:
 //!
-//! * [`Saturate`] — Algorithm 1's saturate-all loop, bit-identical to the
-//!   pre-seam monolithic `explore()` (kept in [`legacy`] as the
-//!   differential oracle). The iteration whose apply phase `node_limit`
-//!   cuts is its last.
+//! * [`Saturate`] — Algorithm 1's saturate-all loop. The iteration whose
+//!   apply phase `node_limit` cuts is its last.
 //! * [`Guided`] — a deterministic beam search (MCTS-lite) treating rule
 //!   batches as actions, scoring candidate e-graph states by greedy-DAG
 //!   extracted cost plus a node-growth penalty, and expanding only the
@@ -28,7 +26,6 @@
 
 mod context;
 mod guided;
-pub mod legacy;
 mod saturate;
 mod taso;
 

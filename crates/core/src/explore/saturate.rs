@@ -12,10 +12,10 @@ use tensat_ir::TensorEGraph;
 /// [`ExplorationContext::over_budget`], so every loop written over
 /// `over_budget` and `run_iteration` stops where this one does, and
 /// [`ExplorationStats::stop_reason`] says which limit it was.
-/// Bit-identical to [`legacy::explore_monolithic`](super::legacy), the
-/// one-function form kept as the differential oracle;
-/// `crates/bench/tests/exploration_strategies.rs` proves the equivalence
-/// on random e-graphs and every `BENCHMARKS` model.
+/// `crates/bench/tests/exploration_strategies.rs` checks a saturating run
+/// against saturation's one fixpoint — the same final e-graph whatever
+/// the rule order or thread count, and the one a naive loop reaches — and
+/// pins the runs a limit stops.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Saturate;
 

@@ -162,7 +162,8 @@ pub struct IlpStats {
     /// Independent subproblems solved after decomposition (1 unreduced).
     pub components: usize,
     /// Solver status — `Optimal` only if every component solved to
-    /// optimality.
+    /// optimality. `Feasible` means a budget ran out: the time limit, or a
+    /// component's 2 000 000-node cap (`nodes_explored` at or past it).
     pub status: Status,
     /// Branch-and-bound nodes explored (summed over components).
     pub nodes_explored: usize,
@@ -295,7 +296,9 @@ pub struct IlpConfig {
     pub integer_topo_vars: bool,
     /// Wall-clock limit for ILP extraction: the reduction stops its passes
     /// at it, and the solver gets the time that is left (none left: the
-    /// greedy-DAG incumbent comes back as `Feasible`).
+    /// greedy-DAG incumbent comes back as `Feasible`). Each component's
+    /// solve is also capped at [`Solver::node_limit`]'s default of
+    /// 2 000 000 branch-and-bound nodes, which this does not change.
     pub time_limit: Duration,
 }
 

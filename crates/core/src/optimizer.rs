@@ -67,7 +67,8 @@ pub struct OptimizerConfig {
     pub ilp_cycle_constraints: bool,
     /// Use integer topological-order variables instead of reals.
     pub ilp_integer_topo_vars: bool,
-    /// Wall-clock limit for ILP extraction (see [`IlpConfig::time_limit`]).
+    /// Wall-clock limit for ILP extraction (see [`IlpConfig::time_limit`]);
+    /// the solver also stops at 2 000 000 branch-and-bound nodes.
     pub ilp_time_limit: Duration,
     /// The operator cost model: extraction's, and the one the strategies
     /// that score candidate states use ([`Guided`](crate::Guided)'s
@@ -244,11 +245,16 @@ impl Optimizer {
     /// # Errors
     ///
     /// Returns an [`ExtractError`] if extraction cannot produce a valid
-    /// graph (e.g. the ILP is infeasible under an exhausted time budget).
+    /// graph (e.g. the ILP is infeasible under an exhausted time budget),
+    /// and [`ExtractError::NoFiniteTerm`] for an empty `graph`, before
+    /// anything runs.
     pub fn optimize(
         &self,
         graph: &RecExpr<TensorLang>,
     ) -> Result<OptimizationResult, ExtractError> {
+        if graph.is_empty() {
+            return Err(ExtractError::NoFiniteTerm);
+        }
         let model = &self.config.cost_model;
         let original_composite = model.graph_cost_composite(graph);
         let original_cost = original_composite.latency;
@@ -393,6 +399,24 @@ mod tests {
             };
             let refused = Optimizer::new(config).optimize(&graph).unwrap_err();
             assert_eq!(refused, ExtractError::NoFiniteTerm, "{extraction:?}");
+        }
+    }
+
+    /// An empty graph has no root to seed the e-graph with: every mode
+    /// refuses it instead of panicking in `EGraph::add_expr`.
+    #[test]
+    fn an_empty_graph_is_an_error_under_every_extractor() {
+        for extraction in [
+            ExtractionMode::Greedy,
+            ExtractionMode::GreedyDag,
+            ExtractionMode::Ilp,
+        ] {
+            let config = OptimizerConfig {
+                extraction,
+                ..Default::default()
+            };
+            let refused = Optimizer::new(config).optimize(&RecExpr::default());
+            assert_eq!(refused.unwrap_err(), ExtractError::NoFiniteTerm);
         }
     }
 

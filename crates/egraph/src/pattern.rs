@@ -395,8 +395,9 @@ impl<L: Language> Pattern<L> {
     }
 
     /// Reference implementation of [`Pattern::search`]: the legacy
-    /// recursive matcher, kept as the oracle for differential tests and
-    /// benchmarks. It scans every class (no operator index) and every node
+    /// recursive matcher, kept as the oracle for differential tests and as
+    /// the search of the naive saturation loop the engine is tested
+    /// against. It scans every class (no operator index) and every node
     /// of a class (no range lookup — the only full-class scan left), and
     /// clones substitution vectors per branch, converting the list to rows
     /// at the end. Unlike [`Pattern::search`] it does not assert

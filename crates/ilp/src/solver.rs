@@ -111,14 +111,16 @@ impl Solution {
 pub struct Solver {
     /// Wall-clock limit for the search.
     pub time_limit: Duration,
-    /// Maximum number of branch-and-bound nodes.
+    /// Maximum number of branch-and-bound nodes: 2 000 000 by default, and
+    /// under [`Solver::with_time_limit`]. Reaching it ends the search like
+    /// the time limit does (`Feasible` or `Unknown`).
     pub node_limit: usize,
     /// Numerical tolerance.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Propagation work cap per node, in sweeps: one propagation visits at
     /// most `max_propagation_passes × rows` rows off its worklist, then
     /// stops with the (still valid) bounds it has tightened so far.
-    pub max_propagation_passes: usize,
+    pub(crate) max_propagation_passes: usize,
 }
 
 impl Default for Solver {
