@@ -46,7 +46,7 @@ use tensat_core::{
     explore, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, CycleFilter, ExtractionMode,
     IlpConfig, Optimizer, OptimizerConfig,
 };
-use tensat_ilp::Status;
+use tensat_ilp::{Limit, Status};
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules};
@@ -151,15 +151,34 @@ fn reduced_ilp_is_optimal_and_within_budget_on_every_benchmark_model() {
 
 #[test]
 fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
-    // (model, blocks, node_limit, B&B nodes, optimum in µs), as in
-    // `benchmark/src/workloads.rs`. The node counts sum to the workload's
-    // `ilp.bb_nodes`, 24 876, and the optima to its `extract.ilp_cost_us`.
+    // (model, blocks, node_limit, B&B nodes, optimum in µs, propagation
+    // counters), as in `benchmark/src/workloads.rs`. The node counts sum to
+    // the workload's `ilp.bb_nodes`, 24 876, and the optima to its
+    // `extract.ilp_cost_us`. The counters — rows visited, rows that reached
+    // the per-term tightening loop, bound changes (the branching fix of
+    // every node below the root included) — attribute a node's cost: of
+    // the rows propagation visits (32 per node on NasNet-A) 3 % to 15 %
+    // reach the loop; the rest stop after one pass over their terms.
     let cases = [
-        ("NasNet-A", 2, 2_000, 19_567, 62.915456),
-        ("Inception-v3", 8, 20_000, 4_864, 399.746048),
-        ("NasRNN", 2, 20_000, 445, 95.032533),
+        (
+            "NasNet-A",
+            2,
+            2_000,
+            19_567,
+            62.915456,
+            (631_472, 19_172, 38_738),
+        ),
+        (
+            "Inception-v3",
+            8,
+            20_000,
+            4_864,
+            399.746048,
+            (22_328, 2_048, 6_896),
+        ),
+        ("NasRNN", 2, 20_000, 445, 95.032533, (3_192, 477, 921)),
     ];
-    for (model, blocks, node_limit, nodes, optimum) in cases {
+    for (model, blocks, node_limit, nodes, optimum, counters) in cases {
         let graph = build_benchmark(
             model,
             ModelScale {
@@ -186,7 +205,15 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             .unwrap_or_else(|e| panic!("{model}: {e}"));
         let ilp = result.stats.ilp.as_ref().expect("ILP extraction ran");
         assert_eq!(ilp.status, Status::Optimal, "{model}");
+        assert_eq!(ilp.limit, None, "{model}");
         assert_eq!(ilp.nodes_explored, nodes, "{model}: B&B nodes");
+        let p = &ilp.propagation;
+        assert_eq!(
+            (p.rows_visited, p.rows_looped, p.bound_changes),
+            counters,
+            "{model}: propagation"
+        );
+        assert_eq!(p.capped, 0, "{model}: capped propagations");
         assert!(
             (result.optimized_cost - optimum).abs() < 1e-6,
             "{model}: optimum {} != {optimum}",
@@ -246,6 +273,7 @@ fn reduction_stops_at_the_ilp_time_limit() {
         ilp.time
     );
     assert_eq!(stats.status, Status::Feasible);
+    assert_eq!(stats.limit, Some(Limit::Time));
     let greedy = extract_greedy_dag(&eg, root, &model).expect("greedy-DAG extraction");
     assert!(
         ilp.dag_cost <= greedy.dag_cost,

@@ -42,7 +42,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{build_term, ChoiceError, ChosenTerm, DagExtractor, Extractor, Id, RecExpr};
-use tensat_ilp::{Cmp, Problem, Solver, Status, VarId};
+use tensat_ilp::{Cmp, Limit, Problem, PropagationStats, Solver, Status, VarId};
 use tensat_ir::{Cost, CostModel, ModelCost, TensorEGraph, TensorLang};
 
 /// Which extraction algorithm to run after exploration.
@@ -162,11 +162,17 @@ pub struct IlpStats {
     /// Independent subproblems solved after decomposition (1 unreduced).
     pub components: usize,
     /// Solver status — `Optimal` only if every component solved to
-    /// optimality. `Feasible` means a budget ran out: the time limit, or a
-    /// component's 2 000 000-node cap (`nodes_explored` at or past it).
+    /// optimality. `Feasible` means a budget ran out, and `limit` says
+    /// which.
     pub status: Status,
+    /// The first budget that ended a component's search: the time limit,
+    /// or a component's 2 000 000-node cap. `None` when every component
+    /// finished.
+    pub limit: Option<Limit>,
     /// Branch-and-bound nodes explored (summed over components).
     pub nodes_explored: usize,
+    /// The solver's propagation counters (summed over components).
+    pub propagation: PropagationStats,
     /// Solver wall-clock time (summed over components).
     pub solve_time: Duration,
 }
@@ -298,7 +304,8 @@ pub struct IlpConfig {
     /// at it, and the solver gets the time that is left (none left: the
     /// greedy-DAG incumbent comes back as `Feasible`). Each component's
     /// solve is also capped at [`Solver::node_limit`]'s default of
-    /// 2 000 000 branch-and-bound nodes, which this does not change.
+    /// 2 000 000 branch-and-bound nodes, which this does not change;
+    /// [`IlpStats::limit`] says which of the two ended a solve.
     pub time_limit: Duration,
 }
 
@@ -417,7 +424,9 @@ fn select_ilp(
         forced_classes: rp.stats.forced_classes,
         components: comps.len(),
         status: Status::Optimal,
+        limit: None,
         nodes_explored: 0,
+        propagation: PropagationStats::default(),
         solve_time: Duration::ZERO,
     };
     for comp in &comps {
@@ -431,6 +440,8 @@ fn select_ilp(
         stats.num_constraints += enc.problem.num_constraints();
         stats.presolve_fixed += solution.presolve_fixed;
         stats.nodes_explored += solution.nodes_explored;
+        stats.propagation += solution.propagation;
+        stats.limit = stats.limit.or(solution.limit);
         stats.solve_time += solution.solve_time;
         if !solution.has_solution() {
             // Out of budget with no incumbent for this component: the
@@ -856,7 +867,9 @@ mod tests {
             assert!(enc.problem.is_feasible(&hint, 1e-9), "{config:?}");
 
             let out = extract_ilp(&eg, root, &model, &config).unwrap();
-            assert_eq!(out.ilp.unwrap().status, Status::Feasible, "{config:?}");
+            let stats = out.ilp.unwrap();
+            assert_eq!(stats.status, Status::Feasible, "{config:?}");
+            assert_eq!(stats.limit, Some(Limit::Time), "{config:?}");
             assert_eq!(out.dag_cost, greedy.dag_cost, "{config:?}");
         }
     }

@@ -29,4 +29,4 @@ mod problem;
 mod solver;
 
 pub use problem::{Cmp, Constraint, Problem, VarId, VarKind};
-pub use solver::{Solution, Solver, Status};
+pub use solver::{Limit, PropagationStats, Solution, Solver, Status};

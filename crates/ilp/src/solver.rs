@@ -22,6 +22,13 @@
 //!   a finite lattice, so on binary and integer problems this reaches the
 //!   fixpoint a sweep over every row reaches, and finds a conflict iff the
 //!   sweep does.
+//! - A quiet row costs one pass over its terms. The pass that sums the
+//!   row's activity bounds also takes its widest term, `|coef| · (hi −
+//!   lo)`; a row whose slack covers that width on every side it constrains
+//!   can move no bound and skips the per-term tightening loop. On
+//!   extraction encodings that is most rows a node visits
+//!   ([`PropagationStats`] counts the visits and the rows that reach the
+//!   loop).
 //! - The search keeps one pair of bound vectors and a trail of
 //!   `(var, old_lo, old_hi)`, written at every bound change. A stack entry
 //!   is a trail mark plus the fix to apply: popping it undoes the trail to
@@ -51,6 +58,7 @@
 
 use crate::problem::{Cmp, Constraint, Problem, VarId, VarKind};
 use std::collections::VecDeque;
+use std::ops::AddAssign;
 use std::time::{Duration, Instant};
 
 /// Outcome of a solve.
@@ -81,8 +89,49 @@ pub struct Solution {
     /// Number of integral variables the root presolve fixed before any
     /// branching (bounds collapsed by constraint propagation alone).
     pub presolve_fixed: usize,
+    /// What propagation did, the presolve included.
+    pub propagation: PropagationStats,
+    /// The budget that ended the search: `Some` exactly when the status is
+    /// `Feasible` or `Unknown`.
+    pub limit: Option<Limit>,
     /// Wall-clock time spent.
     pub solve_time: Duration,
+}
+
+/// The budget that ended a search before it finished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Limit {
+    /// The wall-clock limit, [`Solver::time_limit`].
+    Time,
+    /// The branch-and-bound node cap, [`Solver::node_limit`].
+    Nodes,
+}
+
+/// Propagation counters of a solve: where a node's time goes. Counting
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PropagationStats {
+    /// Rows taken off the worklist.
+    pub rows_visited: usize,
+    /// Rows that reached the per-term tightening loop: the visited rows
+    /// minus those that proved infeasible from their activity alone and
+    /// those whose slack showed they could move no bound.
+    pub rows_looped: usize,
+    /// Bound changes: propagation's, plus the branching fix of every node
+    /// below the root.
+    pub bound_changes: usize,
+    /// Propagations that `max_propagation_passes` cut short with rows
+    /// still queued.
+    pub capped: usize,
+}
+
+impl AddAssign for PropagationStats {
+    fn add_assign(&mut self, other: Self) {
+        self.rows_visited += other.rows_visited;
+        self.rows_looped += other.rows_looped;
+        self.bound_changes += other.bound_changes;
+        self.capped += other.capped;
+    }
 }
 
 impl Solution {
@@ -113,7 +162,8 @@ pub struct Solver {
     pub time_limit: Duration,
     /// Maximum number of branch-and-bound nodes: 2 000 000 by default, and
     /// under [`Solver::with_time_limit`]. Reaching it ends the search like
-    /// the time limit does (`Feasible` or `Unknown`).
+    /// the time limit does (`Feasible` or `Unknown`), and
+    /// [`Solution::limit`] tells the two apart.
     pub node_limit: usize,
     /// Numerical tolerance.
     pub(crate) tolerance: f64,
@@ -142,7 +192,9 @@ struct Search<'a> {
     best_values: Option<Vec<f64>>,
     best_objective: f64,
     hint: Option<&'a [f64]>,
-    hit_limit: bool,
+    /// The budget that ended the search, once one has.
+    limit: Option<Limit>,
+    propagation: PropagationStats,
     /// The conditional-cover lower bound, kept up to date per bound change.
     cover: Cover,
     /// Bound changes the presolve made. Its trail entries are dropped, but
@@ -307,6 +359,8 @@ impl Solver {
                 objective: f64::INFINITY,
                 nodes_explored: 0,
                 presolve_fixed,
+                propagation: search.propagation,
+                limit: None,
                 solve_time: start.elapsed(),
             };
         }
@@ -315,7 +369,7 @@ impl Solver {
         search.branch();
 
         let solve_time = start.elapsed();
-        let (status, values, objective) = match (search.best_values, search.hit_limit) {
+        let (status, values, objective) = match (search.best_values, search.limit.is_some()) {
             (Some(v), false) => (Status::Optimal, v, search.best_objective),
             (Some(v), true) => (Status::Feasible, v, search.best_objective),
             (None, false) => (Status::Infeasible, vec![], f64::INFINITY),
@@ -327,6 +381,8 @@ impl Solver {
             objective,
             nodes_explored: search.nodes,
             presolve_fixed,
+            propagation: search.propagation,
+            limit: search.limit,
             solve_time,
         }
     }
@@ -761,7 +817,8 @@ impl<'a> Search<'a> {
             best_values: None,
             best_objective: f64::INFINITY,
             hint,
-            hit_limit: false,
+            limit: None,
+            propagation: PropagationStats::default(),
             cover: Cover::new(problem, &lo, &hi, cfg.tolerance),
             settled: 0,
             completion: Completion::new(problem, &lo, &hi),
@@ -776,12 +833,12 @@ impl<'a> Search<'a> {
     }
 
     fn out_of_budget(&mut self) -> bool {
-        if self.nodes >= self.cfg.node_limit || self.start.elapsed() >= self.cfg.time_limit {
-            self.hit_limit = true;
-            true
-        } else {
-            false
+        if self.nodes >= self.cfg.node_limit {
+            self.limit = Some(Limit::Nodes);
+        } else if self.start.elapsed() >= self.cfg.time_limit {
+            self.limit = Some(Limit::Time);
         }
+        self.limit.is_some()
     }
 
     /// Integral variables whose domain is still wider than a point.
@@ -810,6 +867,7 @@ impl<'a> Search<'a> {
     fn set_bounds(&mut self, v: usize, lo: f64, hi: f64) {
         let old = (self.lo[v], self.hi[v]);
         self.trail.push((v as u32, old.0, old.1));
+        self.propagation.bound_changes += 1;
         self.lo[v] = lo;
         self.hi[v] = hi;
         let rows = &self.col_rows[self.col_start[v] as usize..self.col_start[v + 1] as usize];
@@ -858,10 +916,14 @@ impl<'a> Search<'a> {
                 break;
             };
             self.queued[r as usize] = false;
+            self.propagation.rows_visited += 1;
             result = self.tighten_row(r as usize);
             if result == PropResult::Infeasible {
                 break;
             }
+        }
+        if result == PropResult::Ok && !self.queue.is_empty() {
+            self.propagation.capped += 1;
         }
         for r in self.queue.drain(..) {
             self.queued[r as usize] = false;
@@ -875,17 +937,21 @@ impl<'a> Search<'a> {
         let problem = self.problem;
         let tol = self.cfg.tolerance;
         let c = &problem.constraints()[r];
-        // Minimum and maximum possible activity under current bounds.
+        // Minimum and maximum possible activity under current bounds, and
+        // the widest term, `|coef| · (hi − lo)`.
         let mut min_act = 0.0;
         let mut max_act = 0.0;
+        let mut width: f64 = 0.0;
         for &(v, coef) in &c.terms {
+            let (lo, hi) = (self.lo[v.0], self.hi[v.0]);
             if coef >= 0.0 {
-                min_act += coef * self.lo[v.0];
-                max_act += coef * self.hi[v.0];
+                min_act += coef * lo;
+                max_act += coef * hi;
             } else {
-                min_act += coef * self.hi[v.0];
-                max_act += coef * self.lo[v.0];
+                min_act += coef * hi;
+                max_act += coef * lo;
             }
+            width = width.max(coef.abs() * (hi - lo));
         }
         let need_le = matches!(c.cmp, Cmp::Le | Cmp::Eq);
         let need_ge = matches!(c.cmp, Cmp::Ge | Cmp::Eq);
@@ -895,6 +961,15 @@ impl<'a> Search<'a> {
         if need_ge && max_act < c.rhs - tol {
             return PropResult::Infeasible;
         }
+        // The loop puts a term's new bound `slack / |coef|` past its
+        // opposite bound, so a slack of at least `|coef| · (hi − lo)` puts
+        // it at or past its current bound, `tol` short of the loop's tests.
+        // A row whose slack covers its widest term on every side it
+        // constrains moves no bound.
+        if (!need_le || c.rhs - min_act >= width) && (!need_ge || max_act - c.rhs >= width) {
+            return PropResult::Ok;
+        }
+        self.propagation.rows_looped += 1;
         // Tighten each variable against the residual activity.
         for &(v, coef) in &c.terms {
             if coef == 0.0 {
@@ -1040,7 +1115,7 @@ impl<'a> Search<'a> {
         let mut stack: Vec<Fix> = vec![];
         self.expand(None, &mut stack);
         while let Some(fix) = stack.pop() {
-            if self.hit_limit {
+            if self.limit.is_some() {
                 break;
             }
             self.expand(Some(fix), &mut stack);
@@ -1316,7 +1391,29 @@ mod tests {
         };
         let sol = solver.solve_with_hint(&p, &[1.0, 1.0]);
         assert_eq!(sol.status, Status::Feasible);
+        assert_eq!(sol.limit, Some(Limit::Nodes));
         assert!((sol.objective - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn zero_time_limit_names_the_time_limit() {
+        // The clock has run out before the root node: the hint is kept if
+        // there is one, and the solution says which budget ended the search.
+        let mut p = Problem::new();
+        let x = p.add_binary(1.0);
+        let y = p.add_binary(2.0);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 1.0);
+        let solver = Solver::with_time_limit(Duration::ZERO);
+        let sol = solver.solve_with_hint(&p, &[1.0, 1.0]);
+        assert_eq!(sol.status, Status::Feasible);
+        assert_eq!(sol.limit, Some(Limit::Time));
+        assert_eq!(sol.nodes_explored, 1);
+        let sol = solver.solve(&p);
+        assert_eq!(sol.status, Status::Unknown);
+        assert_eq!(sol.limit, Some(Limit::Time));
+        // A finished search names none.
+        let sol = Solver::default().solve(&p);
+        assert_eq!((sol.status, sol.limit), (Status::Optimal, None));
     }
 
     #[test]
@@ -1805,6 +1902,7 @@ mod tests {
         };
         let mut rng = Rng(7);
         let (mut roots, mut children, mut infeasible, mut covered) = (0, 0, 0, 0);
+        let mut propagation = PropagationStats::default();
         for case in 0..2_000 {
             let p = random_problem(&mut rng);
             let groups = cover_groups(&p, cfg.tolerance);
@@ -1829,6 +1927,7 @@ mod tests {
             covered += usize::from(active);
             if got == PropResult::Infeasible {
                 infeasible += 1;
+                propagation += search.propagation;
                 continue;
             }
             assert_same_bits(&search.lo, &lo, &format!("case {case}: root lo"));
@@ -1878,6 +1977,7 @@ mod tests {
                 assert_completion_is_fresh(&mut search, &format!("case {case}: undone"));
                 assert_cover_is_fresh(&search, &groups, &format!("case {case}: undone"));
             }
+            propagation += search.propagation;
         }
         // The generator must exercise both verdicts at both levels, and
         // the cover bound on a real share of the cases.
@@ -1889,6 +1989,20 @@ mod tests {
         assert!(
             infeasible > roots / 10 && infeasible < (roots + children) / 2,
             "{infeasible} infeasible of {roots} roots + {children} children"
+        );
+        // A visit that neither reached the tightening loop nor ended a
+        // propagation as infeasible took the quiet-row exit. The bounds
+        // above matched the sweep's with it taken on a real share of the
+        // visits (at least 6 925 of 11 463, 60 %).
+        let PropagationStats {
+            rows_visited,
+            rows_looped,
+            ..
+        } = propagation;
+        let quiet = rows_visited.saturating_sub(rows_looped + infeasible);
+        assert!(
+            quiet > rows_visited / 2,
+            "{quiet} quiet-row exits of {rows_visited} row visits"
         );
     }
 
@@ -1914,11 +2028,15 @@ mod tests {
         assert!(search.queue.is_empty() && !search.queued.contains(&true));
         let fixed = search.lo.iter().filter(|&&lo| lo == 1.0).count();
         assert!(fixed < 10, "ten visits cannot reach the end of the chain");
+        assert_eq!(search.propagation.rows_visited, 10);
+        assert_eq!(search.propagation.capped, 1);
         // With room for it, the worklist reaches the end.
         let cfg = Solver::default();
         let mut search = Search::new(&p, &cfg, None);
         search.queue_all_rows();
         assert_eq!(search.propagate(), PropResult::Ok);
         assert!(search.lo.iter().all(|&lo| lo == 1.0));
+        assert_eq!(search.propagation.capped, 0);
+        assert_eq!(search.propagation.bound_changes, 10);
     }
 }
