@@ -20,7 +20,7 @@ fn every_experiment_runs_at_tiny_scale() {
         ("table4_greedy_vs_ilp", 7, "model,original_us,tree_us,greedy_dag_us,ilp_us,tree_time_s,greedy_dag_time_s,ilp_time_s,tree_treecost_us,greedy_dag_treecost_us,ilp_treecost_us,ilp_status"),
         ("table5_cycle_constraints", 6, "model,k_multi,with_real_s,with_int_s,without_s"),
         ("table6_cycle_filtering", 6, "model,k_multi,vanilla_s,efficient_s"),
-        ("table7_exploration", 21, "model,strategy,explore_s,enodes,node_budget,dag_cost_us"),
+        ("table7_exploration", 14, "model,strategy,explore_s,enodes,node_budget,dag_cost_us"),
         ("fig6_tradeoff", 10, "optimizer,budget,time_s,speedup_pct"),
         ("fig7_kmulti", 28, "model,k_multi,speedup_pct,time_s,enodes"),
     ];

@@ -5,7 +5,7 @@
 //! [`ExplorationStrategy`](super::ExplorationStrategy) drives the same
 //! search/apply machinery through it — [`Saturate`](super::Saturate) as
 //! whole iterations ([`ExplorationContext::run_iteration`]),
-//! [`Guided`](super::Guided) as per-rule budgeted batches on snapshot
+//! [`Guided`](super::Guided) as per-rule budgeted batches on cloned
 //! states.
 
 use super::{canonicalize_pattern, CycleFilter, ExplorationStats, StopReason};
@@ -126,9 +126,9 @@ impl<'a> ExplorationContext<'a> {
             stats.stop_reason = Some(StopReason::Saturated);
         } else if stats.stop_reason.is_none() {
             // No iteration ended the run: a limit was already spent at an
-            // iteration boundary (or, for strategies with a loop of their
-            // own, when they gave up), or the strategy stopped by a rule
-            // of its own and there is nothing to report.
+            // iteration boundary (or, for `Guided`, before it started),
+            // or the strategy stopped by a rule of its own and there is
+            // nothing to report.
             stats.stop_reason = self.limit_reached(stats.enodes);
         }
     }

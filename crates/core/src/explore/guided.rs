@@ -8,15 +8,14 @@
 //! models — [`Guided`] holds a beam of candidate e-graph states and, at
 //! each step, expands every state by one *action*: the budgeted
 //! application of a single rule's whole match batch (or one multi-pattern
-//! rule's Cartesian combinations). Each child state is an e-graph
-//! snapshot ([`tensat_egraph::EGraph::snapshot`]) sealed by
-//! rebuild + cycle filtering, then scored with the cheap rollout
-//! evaluator from the extraction seam: the greedy-DAG extracted cost of
-//! the root ([`DagExtractor`] over [`ModelCost`]) plus a per-node growth
-//! penalty. The top-k states survive (elitism: parents compete with their
-//! children, so the best score is monotone), and the search stops when a
-//! step improves nothing, when no action changes any state, or when a
-//! limit is hit.
+//! rule's Cartesian combinations). Each child state is a clone of its
+//! parent e-graph sealed by rebuild + cycle filtering, then scored with
+//! the cheap rollout evaluator from the extraction seam: the greedy-DAG
+//! extracted cost of the root ([`DagExtractor`] over [`ModelCost`]) plus
+//! a per-node growth penalty. The top-k states survive (elitism: parents
+//! compete with their children, so the best score is monotone), and the
+//! search stops when a step improves nothing, when no action changes any
+//! state, or when a limit is hit.
 //!
 //! Determinism: no randomness and no wall-clock-dependent tie-breaks —
 //! match lists are bit-identical across thread counts, candidates are
@@ -130,12 +129,7 @@ impl ExplorationStrategy for Guided {
             return stats;
         }
 
-        let mut beam = vec![state_of(
-            egraph.snapshot(),
-            root,
-            model,
-            gcfg.growth_penalty,
-        )];
+        let mut beam = vec![state_of(egraph.clone(), root, model, gcfg.growth_penalty)];
 
         for step in 0..gcfg.max_steps {
             if ctx.elapsed() >= config.exploration_time_limit {
@@ -168,7 +162,7 @@ impl ExplorationStrategy for Guided {
                     if matches.iter().all(|m| m.substs.is_empty()) {
                         continue;
                     }
-                    let mut next = state.egraph.snapshot();
+                    let mut next = state.egraph.clone();
                     ctx.apply_single_budgeted(&mut next, ri, matches, budget, &mut stats);
                     push(next, &mut candidates);
                 }
@@ -178,7 +172,7 @@ impl ExplorationStrategy for Guided {
                         if ctx.elapsed() >= config.exploration_time_limit {
                             break 'expand;
                         }
-                        let mut next = state.egraph.snapshot();
+                        let mut next = state.egraph.clone();
                         ctx.apply_multi_budgeted(&mut next, mi, &multi_matches, budget, &mut stats);
                         push(next, &mut candidates);
                     }

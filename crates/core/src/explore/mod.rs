@@ -3,23 +3,23 @@
 //! holding the compiled single/multi rule programs, cycle filter, and
 //! budget accounting.
 //!
-//! Three strategies ship through the seam:
+//! Two strategies ship through the seam:
 //!
 //! * [`Saturate`] — Algorithm 1's saturate-all loop. The iteration whose
 //!   apply phase `node_limit` cuts is its last.
 //! * [`Guided`] — a deterministic beam search (MCTS-lite) treating rule
 //!   batches as actions, scoring candidate e-graph states by greedy-DAG
 //!   extracted cost plus a node-growth penalty, and expanding only the
-//!   top-k states via e-graph snapshot/replay. It enforces a *hard* node
-//!   budget, so graphs whose saturation blows past `node_limit` stay
-//!   optimizable with bounded memory.
-//! * [`TasoBacktracking`] — the TASO-style sequential backtracking
-//!   baseline (`tensat-taso`) run through the same seam, unioning its best
-//!   trajectory graph back into the e-graph.
+//!   top-k states, each a clone of its parent e-graph. It enforces a
+//!   *hard* node budget, so graphs whose saturation blows past
+//!   `node_limit` stay optimizable with bounded memory.
+//!
+//! The TASO baseline the paper compares against is not a strategy: it
+//! searches concrete graphs, not an e-graph, and lives in `tensat-taso`.
 //!
 //! Every entry point reads the one [`OptimizerConfig`]: its exploration
 //! fields (`k_multi`, `max_iter`, `node_limit`, `exploration_time_limit`,
-//! `cycle_filter`, `search_threads`, `guided`, `taso`, `cost_model`) drive
+//! `cycle_filter`, `search_threads`, `guided`, `cost_model`) drive
 //! the run, and [`explore`] dispatches on [`OptimizerConfig::exploration`]
 //! ([`ExplorationMode`]). A run is a function of the e-graph, the rules and
 //! the configuration: nothing here reads the environment.
@@ -27,12 +27,10 @@
 mod context;
 mod guided;
 mod saturate;
-mod taso;
 
 pub use context::ExplorationContext;
 pub use guided::{Guided, GuidedConfig};
 pub use saturate::Saturate;
-pub use taso::{TasoBacktracking, TasoConfig};
 
 use crate::OptimizerConfig;
 use std::time::Duration;
@@ -66,9 +64,6 @@ pub enum ExplorationMode {
     /// Guided beam search over rule-batch actions under a hard node
     /// budget, scored by greedy-DAG extracted cost (see [`Guided`]).
     Guided,
-    /// The TASO-style sequential backtracking baseline (see
-    /// [`TasoBacktracking`]).
-    Taso,
 }
 
 impl ExplorationMode {
@@ -77,7 +72,6 @@ impl ExplorationMode {
         match self {
             ExplorationMode::Saturate => Box::new(Saturate),
             ExplorationMode::Guided => Box::new(Guided),
-            ExplorationMode::Taso => Box::new(TasoBacktracking),
         }
     }
 }
@@ -107,8 +101,7 @@ pub enum StopReason {
 /// Statistics of one exploration run.
 #[derive(Debug, Clone, Default)]
 pub struct ExplorationStats {
-    /// Number of iterations executed ([`Guided`]: beam steps;
-    /// [`TasoBacktracking`]: graphs popped from the search queue).
+    /// Number of iterations executed ([`Guided`]: beam steps).
     pub iterations: usize,
     /// Whether the run stopped because no action changed the e-graph
     /// (saturation for [`Saturate`]; beam convergence for [`Guided`]).
@@ -120,9 +113,9 @@ pub struct ExplorationStats {
     /// (saturation, or a limit already spent at an iteration boundary):
     /// `NodeLimit` when an apply phase was cut by
     /// [`OptimizerConfig::node_limit`], carrying the configured limit as
-    /// the others do. `None` when a strategy with a loop of its own
-    /// ([`Guided`], [`TasoBacktracking`]) stopped by its own rule with no
-    /// limit spent, and when `max_iter` is 0.
+    /// the others do. `None` when [`Guided`], which has a loop of its
+    /// own, stopped by its own rule with no limit spent, and when
+    /// `max_iter` is 0.
     pub stop_reason: Option<StopReason>,
     /// Final number of e-nodes.
     pub enodes: usize,
@@ -134,8 +127,7 @@ pub struct ExplorationStats {
     pub time: Duration,
     /// Time spent in the e-matching search phase, summed over iterations.
     /// Filled in by [`Saturate`]'s engine iterations and by [`Guided`]'s
-    /// search of every beam state; [`TasoBacktracking`], which searches
-    /// concrete graphs outside the e-graph, leaves it zero.
+    /// search of every beam state.
     pub search_time: Duration,
     /// Time spent building the descendants map for the cycle pre-filter
     /// ([`DescendantsMap::compute`](crate::cycles::DescendantsMap::compute),
@@ -161,11 +153,10 @@ pub struct ExplorationStats {
     /// Time spent applying matches — side conditions, the cycle
     /// pre-filter's checks, instantiation and unions, single- and
     /// multi-pattern — summed over iterations ([`Guided`]: over its
-    /// actions; zero for [`TasoBacktracking`], like `search_time`).
+    /// actions).
     pub apply_time: Duration,
     /// Time spent rebuilding and cycle-filtering, summed over iterations
-    /// ([`Guided`]: sealing each action's state; zero for
-    /// [`TasoBacktracking`], like `search_time`).
+    /// ([`Guided`]: sealing each action's state).
     pub rebuild_time: Duration,
     /// E-node count after each iteration.
     pub nodes_per_iteration: Vec<usize>,

@@ -7,8 +7,8 @@
 //!
 //! * the **exploration phase** with single- and multi-pattern rewrites
 //!   (Algorithm 1) and a separate `k_multi` limit (§4), behind an
-//!   [`ExplorationStrategy`] seam with saturate-all, guided beam-search,
-//!   and TASO-backtracking strategies,
+//!   [`ExplorationStrategy`] seam with saturate-all and guided
+//!   beam-search strategies,
 //! * **cycle filtering** — both the vanilla and the efficient algorithm
 //!   (Algorithm 2) — so extraction can drop the ILP cycle constraints (§5.2),
 //! * the **extraction phase** — tree-greedy, global greedy DAG, and ILP
@@ -43,10 +43,12 @@ pub use cycles::{find_cycles, remove_all_cycles, would_create_cycle, Descendants
 pub use explore::{
     default_search_threads, explore, explore_with, CycleFilter, ExplorationContext,
     ExplorationMode, ExplorationStats, ExplorationStrategy, Guided, GuidedConfig, Saturate,
-    StopReason, TasoBacktracking, TasoConfig,
+    StopReason,
 };
 pub use extract::{
     extract, extract_greedy, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, ExtractError,
     ExtractionMode, ExtractionOutcome, IlpConfig, IlpStats,
 };
-pub use optimizer::{OptimizationResult, OptimizationStats, Optimizer, OptimizerConfig};
+pub use optimizer::{
+    OptimizationResult, OptimizationStats, Optimizer, OptimizerConfig, TasoConfig,
+};

@@ -2,7 +2,6 @@
 
 use crate::explore::{
     default_search_threads, explore, CycleFilter, ExplorationMode, ExplorationStats, GuidedConfig,
-    TasoConfig,
 };
 use crate::extract::{extract, ExtractError, ExtractionMode, IlpConfig, IlpStats};
 use std::time::Duration;
@@ -49,14 +48,17 @@ pub struct OptimizerConfig {
     /// the repo benchmark's `benchmark/src/workloads.rs` writes it; the
     /// next change to the benchmark retires it.
     pub apply_threads: Option<usize>,
-    /// Which exploration strategy [`explore`] dispatches to (saturate-all,
-    /// guided beam search, or the TASO backtracking baseline).
+    /// Which exploration strategy [`explore`] dispatches to (saturate-all
+    /// or guided beam search).
     pub exploration: ExplorationMode,
     /// Parameters of the guided strategy (used when `exploration` is
     /// [`ExplorationMode::Guided`]).
     pub guided: GuidedConfig,
-    /// Parameters of the TASO baseline (used when `exploration` is
-    /// [`ExplorationMode::Taso`]).
+    /// Accepted and ignored, like `apply_threads`: the TASO baseline is
+    /// not an exploration strategy (it runs as `tensat-taso`'s
+    /// `BacktrackingSearch`, outside the optimizer). Kept because the repo
+    /// benchmark's `benchmark/src/workloads.rs` writes it; the next change
+    /// to the benchmark retires it.
     pub taso: TasoConfig,
     /// Which extraction algorithm to use.
     pub extraction: ExtractionMode,
@@ -70,12 +72,18 @@ pub struct OptimizerConfig {
     /// Wall-clock limit for ILP extraction (see [`IlpConfig::time_limit`]);
     /// the solver also stops at 2 000 000 branch-and-bound nodes.
     pub ilp_time_limit: Duration,
-    /// The operator cost model: extraction's, and the one the strategies
-    /// that score candidate states use ([`Guided`](crate::Guided)'s
-    /// rollout evaluator, [`TasoBacktracking`](crate::TasoBacktracking)'s
-    /// search); [`Saturate`](crate::Saturate) never consults it.
+    /// The operator cost model: extraction's, and the one
+    /// [`Guided`](crate::Guided)'s rollout evaluator scores candidate
+    /// states with; [`Saturate`](crate::Saturate) never consults it.
     pub cost_model: CostModel,
 }
+
+/// Accepted and ignored: the type of [`OptimizerConfig::taso`], which
+/// configures nothing. Braced rather than a unit struct, because callers
+/// build it with `TasoConfig::default()`, which clippy rejects on a unit
+/// struct.
+#[derive(Debug, Clone, Default)]
+pub struct TasoConfig {}
 
 impl Default for OptimizerConfig {
     /// Paper defaults — saturate-all exploration, ILP extraction — plus
@@ -453,21 +461,6 @@ mod tests {
         let result = Optimizer::new(config).optimize(&graph).unwrap();
         assert_eq!(result.stats.exploration.strategy, "guided");
         assert!(result.stats.exploration.enodes <= 200);
-        assert!(result.optimized_cost <= result.original_cost);
-        let data = tensat_ir::infer_recexpr(&result.optimized_graph);
-        assert!(data.iter().all(|d| d.is_valid()));
-    }
-
-    #[test]
-    fn taso_exploration_never_worsens() {
-        let graph = parallel_matmul_graph();
-        let config = OptimizerConfig {
-            exploration: ExplorationMode::Taso,
-            extraction: ExtractionMode::GreedyDag,
-            ..Default::default()
-        };
-        let result = Optimizer::new(config).optimize(&graph).unwrap();
-        assert_eq!(result.stats.exploration.strategy, "taso");
         assert!(result.optimized_cost <= result.original_cost);
         let data = tensat_ir::infer_recexpr(&result.optimized_graph);
         assert!(data.iter().all(|d| d.is_valid()));

@@ -232,18 +232,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.node_repair.shrink_to_fit();
     }
 
-    /// A deep copy of the e-graph: the snapshot/replay primitive for
-    /// strategies that expand several candidate states from one parent
-    /// (e.g. guided exploration). Ids, slots, match results, and the
-    /// filter list on the snapshot are identical to the original until
-    /// either side is mutated; neither copy observes the other's changes.
-    pub fn snapshot(&self) -> Self
-    where
-        Self: Clone,
-    {
-        self.clone()
-    }
-
     /// Canonicalizes an e-class id.
     #[inline]
     pub fn find(&self, id: Id) -> Id {

@@ -3,10 +3,11 @@
 //! The search maintains a priority queue of candidate graphs ordered by
 //! cost. At each step it pops the cheapest graph, enumerates every
 //! applicable substitution at every site, and enqueues each rewritten graph
-//! whose cost is below `alpha * best_cost`. The search runs for a fixed
-//! number of iterations (popped graphs), recording both the total search
-//! time and the time at which the best graph was *first* found — the
-//! paper's "TASO total" and "TASO best" lines in Figure 5.
+//! whose cost is below `alpha * best_cost`, the best cost found before it.
+//! The search runs for a fixed number of iterations (popped graphs),
+//! recording both the total search time and the time at which the best
+//! graph was *first* found — the paper's "TASO total" and "TASO best"
+//! lines in Figure 5.
 
 use crate::subst::{apply_substitution, find_substitutions};
 use std::cmp::Ordering;
@@ -167,12 +168,16 @@ impl BacktrackingSearch {
                 }
                 candidates_generated += 1;
                 let cost = model.graph_cost(&rewritten);
+                // Admission compares against the best cost *before* this
+                // candidate: tested after the update, a new best at
+                // α = 1 would have to beat itself and never be expanded.
+                let admit = cost < self.config.alpha * best_cost;
                 if cost < best_cost {
                     best_cost = cost;
                     best_graph = rewritten.clone();
                     time_to_best = start.elapsed();
                 }
-                if cost < self.config.alpha * best_cost && queue.len() < self.config.max_queue {
+                if admit && queue.len() < self.config.max_queue {
                     queue.push(Candidate {
                         cost,
                         graph: rewritten,
@@ -253,6 +258,23 @@ mod tests {
         })
         .run(&graph);
         assert!(long.best_cost <= short.best_cost + 1e-9);
+    }
+
+    #[test]
+    fn a_new_best_is_expanded_at_alpha_one() {
+        // At the paper's α = 1 every improvement must enter the queue and
+        // be expanded in turn.
+        let result = BacktrackingSearch::with_default_rules(BacktrackingConfig {
+            iterations: 20,
+            alpha: 1.0,
+            ..Default::default()
+        })
+        .run(&parallel_matmuls());
+        assert!(
+            result.graphs_explored > 1,
+            "explored {} graph(s)",
+            result.graphs_explored
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod prelude {
         explore, explore_with, extract, extract_greedy, extract_greedy_dag, extract_ilp,
         CycleFilter, ExplorationMode, ExplorationStrategy, ExtractionMode, ExtractionOutcome,
         Guided, GuidedConfig, IlpConfig, OptimizationResult, Optimizer, OptimizerConfig, Saturate,
-        StopReason, TasoBacktracking, TasoConfig,
+        StopReason, TasoConfig,
     };
     pub use tensat_egraph::{EGraph, Id, Pattern, RecExpr, Rewrite, Symbol};
     pub use tensat_ir::{

@@ -88,7 +88,7 @@ fn every_benchmark_survives_guided_exploration() {
     // The guided-exploration canary: beam search under a hard node budget
     // must stay within that budget on every model, still extract a valid
     // graph, and never make it worse. Tight limits — this guards the
-    // snapshot/replay wiring, not search quality. A run that took a beam
+    // cloned-state wiring, not search quality. A run that took a beam
     // step reports the time its search and its actions took.
     let mut stepped = 0;
     for &name in BENCHMARKS {
@@ -150,8 +150,4 @@ fn facade_prelude_exposes_the_documented_surface() {
     let _ = TasoConfig::default();
     assert_eq!(ExplorationMode::Guided.strategy().name(), Guided.name());
     assert_eq!(ExplorationMode::Saturate.strategy().name(), Saturate.name());
-    assert_eq!(
-        ExplorationMode::Taso.strategy().name(),
-        TasoBacktracking.name()
-    );
 }
