@@ -22,7 +22,8 @@
 //!    and the iteration `node_limit` cuts is the last;
 //! 4. **Guided determinism** — the guided beam search uses no randomness
 //!    and no wall-clock tie-breaks, so three runs from the same seed
-//!    produce bit-identical e-graphs and extractions;
+//!    produce bit-identical e-graphs and extractions, and its runs on
+//!    every benchmark model are pinned to the digit;
 //! 5. **Hard node budget** — the guided strategy never leaves the e-graph
 //!    above `node_limit`, on random programs and on the benchmarks;
 //! 6. **Budgeted quality** (the headline acceptance property) — on at
@@ -744,6 +745,175 @@ fn guided_exploration_is_deterministic() {
         .collect();
     assert_eq!(runs[0], runs[1]);
     assert_eq!(runs[1], runs[2]);
+}
+
+/// The guided beam search's whole run on every benchmark model at
+/// `ModelScale::tiny()` (`k_multi` 1, one thread, a time limit that never
+/// binds), pinned to the digit: `(iterations, stop reason, best state's
+/// e-nodes after each beam step, greedy-DAG cost, final e-graph
+/// signature)`, under a 1 000-node budget and under one 8 e-nodes above
+/// the seed, which binds on NasRNN, NasNet-A and VGG-19.
+/// Three runs agreeing with each other (the test above) cannot see a
+/// change that moves all three; this is what a change that must leave
+/// Guided bit-identical is checked against.
+#[test]
+fn guided_runs_are_pinned_on_every_benchmark_model() {
+    type Pin = (usize, Option<StopReason>, Vec<usize>, f64, u64);
+    // Per model: the pins at 1 000 e-nodes and at the seed plus 8.
+    let pinned: [(&str, [Pin; 2]); 7] = [
+        (
+            "NasRNN",
+            [
+                (
+                    4,
+                    None,
+                    vec![51, 53, 56, 56],
+                    45.92906666666666,
+                    10_121_055_075_640_723_071,
+                ),
+                (
+                    2,
+                    None,
+                    vec![41, 41],
+                    100.59733333333332,
+                    17_607_072_008_775_399_465,
+                ),
+            ],
+        ),
+        (
+            "BERT",
+            [
+                (
+                    2,
+                    None,
+                    vec![31, 31],
+                    55.95818666666668,
+                    12_011_647_958_606_485_106,
+                ),
+                (
+                    2,
+                    None,
+                    vec![31, 31],
+                    55.95818666666668,
+                    12_011_647_958_606_485_106,
+                ),
+            ],
+        ),
+        (
+            "ResNeXt-50",
+            [
+                (
+                    2,
+                    None,
+                    vec![15, 15],
+                    26.76373333333333,
+                    12_005_353_038_339_959_861,
+                ),
+                (
+                    2,
+                    None,
+                    vec![15, 15],
+                    26.76373333333333,
+                    12_005_353_038_339_959_861,
+                ),
+            ],
+        ),
+        (
+            "NasNet-A",
+            [
+                (
+                    5,
+                    None,
+                    vec![37, 39, 41, 42, 42],
+                    14.383253333333332,
+                    11_946_266_555_925_846_911,
+                ),
+                (
+                    2,
+                    None,
+                    vec![30, 30],
+                    73.68132266666667,
+                    2_900_008_778_206_721_551,
+                ),
+            ],
+        ),
+        (
+            "SqueezeNet",
+            [
+                (2, None, vec![16, 16], 29.739104, 10_105_034_176_864_783_695),
+                (2, None, vec![16, 16], 29.739104, 10_105_034_176_864_783_695),
+            ],
+        ),
+        (
+            "VGG-19",
+            [
+                (
+                    2,
+                    None,
+                    vec![32, 32],
+                    60.54261333333333,
+                    7_749_367_305_530_102_018,
+                ),
+                (
+                    2,
+                    None,
+                    vec![30, 30],
+                    71.21233066666667,
+                    13_255_931_765_885_718_403,
+                ),
+            ],
+        ),
+        (
+            "Inception-v3",
+            [
+                (
+                    2,
+                    None,
+                    vec![27, 27],
+                    52.72309333333334,
+                    15_242_122_198_445_919_813,
+                ),
+                (
+                    2,
+                    None,
+                    vec![27, 27],
+                    52.72309333333334,
+                    15_242_122_198_445_919_813,
+                ),
+            ],
+        ),
+    ];
+    assert!(pinned.iter().map(|(name, _)| name).eq(BENCHMARKS));
+    let model = CostModel::default();
+    for (name, pins) in pinned {
+        let graph = build_benchmark(name, ModelScale::tiny());
+        let seed = seeded(&graph).0.total_number_of_nodes();
+        for (node_limit, pin) in [1_000, seed + 8].into_iter().zip(pins) {
+            let config = OptimizerConfig {
+                exploration: ExplorationMode::Guided,
+                k_multi: 1,
+                node_limit,
+                search_threads: 1,
+                exploration_time_limit: Duration::from_secs(600),
+                ..Default::default()
+            };
+            let (eg, root, stats) = explored(&graph, &config);
+            assert_eq!(stats.strategy, "guided");
+            assert!(eg.total_number_of_nodes() <= node_limit, "{name}");
+            let dag = extract_greedy_dag(&eg, root, &model).unwrap();
+            assert_eq!(
+                (
+                    stats.iterations,
+                    stats.stop_reason,
+                    stats.nodes_per_iteration,
+                    dag.dag_cost,
+                    tensat_bench::signature(&eg, root),
+                ),
+                pin,
+                "{name} at {node_limit} e-nodes"
+            );
+        }
+    }
 }
 
 /// Property 4 (the acceptance criterion): guided exploration under a hard
