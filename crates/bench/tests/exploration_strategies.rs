@@ -213,13 +213,25 @@ fn saturate_naively(
 }
 
 proptest! {
-    /// Property 5 on random e-graphs: the guided strategy's final e-graph
-    /// never exceeds the node budget, and still extracts a valid graph.
+    /// Property 5 on random e-graphs: the guided strategy's final e-graph,
+    /// grown by single- and multi-pattern actions alike, never exceeds the
+    /// node budget, and still extracts a valid graph. The program ends in
+    /// two matmuls sharing their data input, so the multi-pattern action
+    /// has a combination to apply (a random program alone almost never
+    /// does), and the budget is `slack` e-nodes over the seed, so it binds.
+    /// In a debug build Guided also asserts the budget on every candidate
+    /// state, not only on the one it returns.
     #[test]
-    fn guided_respects_the_node_budget_on_random_graphs(ops in op_strategy()) {
+    fn guided_respects_the_node_budget_on_random_graphs(
+        ops in op_strategy(),
+        slack in 0usize..48,
+    ) {
+        let mut ops = ops;
+        let last = 3 + ops.len();
+        ops.extend([(2, last, 2), (2, last, 3), (0, last + 1, last + 2)]);
         let graph = build_graph(&ops);
         let (mut eg, root) = seeded(&graph);
-        let budget = eg.total_number_of_nodes().max(100);
+        let budget = eg.total_number_of_nodes() + slack;
         let config = OptimizerConfig {
             exploration: ExplorationMode::Guided,
             node_limit: budget,
@@ -227,7 +239,7 @@ proptest! {
             exploration_time_limit: Duration::from_secs(600),
             ..Default::default()
         };
-        let stats = explore(&mut eg, root, &single_rules(), &[], &config);
+        let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
         prop_assert_eq!(stats.strategy, "guided");
         prop_assert!(
             eg.total_number_of_nodes() <= budget,
@@ -550,6 +562,7 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
                 ..saturate_config(2_000)
             };
             let (eg, root, stats) = explored(&graph, &config);
+            assert_eq!(stats.filtered_nodes, eg.filtered_count());
             assert_eq!(
                 (
                     (
@@ -899,6 +912,7 @@ fn guided_runs_are_pinned_on_every_benchmark_model() {
             };
             let (eg, root, stats) = explored(&graph, &config);
             assert_eq!(stats.strategy, "guided");
+            assert_eq!(stats.filtered_nodes, eg.filtered_count());
             assert!(eg.total_number_of_nodes() <= node_limit, "{name}");
             let dag = extract_greedy_dag(&eg, root, &model).unwrap();
             assert_eq!(

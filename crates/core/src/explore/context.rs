@@ -1,19 +1,19 @@
 //! The shared exploration engine: one [`ExplorationContext`] holds the
 //! compiled single- and multi-pattern rule programs, the deduplicated
 //! canonical multi sources, the cycle filter, and the run's budget clock.
-//! Every
-//! [`ExplorationStrategy`](super::ExplorationStrategy) drives the same
-//! search/apply machinery through it — [`Saturate`](super::Saturate) as
-//! whole iterations ([`ExplorationContext::run_iteration`]),
-//! [`Guided`](super::Guided) as per-rule budgeted batches on cloned
-//! states.
+//! The loop body exists once: an apply phase (descendants map, search,
+//! the rules' [`Action`]s, map dropped) and a seal (rebuild, cycle
+//! post-filter). [`Saturate`](super::Saturate) runs it as whole
+//! iterations ([`ExplorationContext::run_iteration`]), every rule in one
+//! phase; [`Guided`](super::Guided) runs one action per phase on a cloned
+//! state, under a hard node budget.
 
 use super::{canonicalize_pattern, CycleFilter, ExplorationStats, StopReason};
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
 use crate::OptimizerConfig;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tensat_egraph::{search_all_parallel, Id, Pattern, SearchMatches, Subst, Var};
 use tensat_ir::{TensorData, TensorEGraph, TensorLang};
 use tensat_rules::{bind_extents, target_fits, Extent, MultiPatternRule, TensorRewrite};
@@ -71,7 +71,7 @@ impl<'a> ExplorationContext<'a> {
     }
 
     /// The root e-class exploration optimizes for.
-    pub fn root(&self) -> Id {
+    pub(crate) fn root(&self) -> Id {
         self.root
     }
 
@@ -85,15 +85,15 @@ impl<'a> ExplorationContext<'a> {
         self.single_rules
     }
 
-    /// Number of multi-pattern rules (indexable by
-    /// [`ExplorationContext::apply_multi_budgeted`]).
-    pub fn multi_rule_count(&self) -> usize {
+    /// Number of multi-pattern rules ([`Action::Multi`] indexes them).
+    pub(crate) fn multi_rule_count(&self) -> usize {
         self.plans.len()
     }
 
-    /// Wall-clock time since exploration began.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
+    /// True once `exploration_time_limit` has passed since exploration
+    /// began.
+    pub(crate) fn out_of_time(&self) -> bool {
+        self.start.elapsed() >= self.config.exploration_time_limit
     }
 
     /// True once the time or node budget is exhausted — the check of
@@ -110,18 +110,19 @@ impl<'a> ExplorationContext<'a> {
     /// `run_iteration`.
     pub fn over_budget(&self, egraph: &TensorEGraph) -> bool {
         self.node_limit_cut.get()
-            || self.elapsed() >= self.config.exploration_time_limit
+            || self.out_of_time()
             || egraph.total_number_of_nodes() >= self.config.node_limit
     }
 
     /// Fills in the final-state fields of `stats`: e-node/e-class counts,
-    /// total time and — unless `run_iteration` already recorded a limit
-    /// that ended the loop — why the run stopped. Strategies call this
-    /// once before returning.
+    /// the e-nodes on the cycle filter list, total time and — unless
+    /// `run_iteration` already recorded a limit that ended the loop — why
+    /// the run stopped. Strategies call this once before returning.
     pub fn finish(&self, egraph: &TensorEGraph, stats: &mut ExplorationStats) {
         stats.enodes = egraph.total_number_of_nodes();
         stats.eclasses = egraph.number_of_classes();
-        stats.time = self.elapsed();
+        stats.filtered_nodes = egraph.filtered_count();
+        stats.time = self.start.elapsed();
         if stats.saturated {
             stats.stop_reason = Some(StopReason::Saturated);
         } else if stats.stop_reason.is_none() {
@@ -138,7 +139,7 @@ impl<'a> ExplorationContext<'a> {
     fn limit_reached(&self, enodes: usize) -> Option<StopReason> {
         if enodes >= self.config.node_limit {
             Some(StopReason::NodeLimit(self.config.node_limit))
-        } else if self.elapsed() >= self.config.exploration_time_limit {
+        } else if self.out_of_time() {
             Some(StopReason::TimeLimit(self.config.exploration_time_limit))
         } else {
             None
@@ -164,7 +165,7 @@ impl<'a> ExplorationContext<'a> {
     /// the rebuild: a single-pattern rule's match list once that rule has
     /// been applied (the rest at a budget cut), the multi-pattern lists
     /// after the multi-pattern loop, and the pre-filter's descendants map
-    /// once its counters are recorded.
+    /// at the end of the apply phase.
     pub fn run_iteration(
         &self,
         egraph: &mut TensorEGraph,
@@ -174,52 +175,38 @@ impl<'a> ExplorationContext<'a> {
         let config = self.config;
         let nodes_before = egraph.total_number_of_nodes();
         let unions_before = egraph.union_count();
-
-        let desc = self.prefilter_map(egraph, stats);
-
-        // --- search phase ---------------------------------------------------
+        let do_multi = iter < config.k_multi;
+        let within_budget = |egraph: &TensorEGraph| !self.over_budget(egraph);
         // All matches — single-pattern and multi-pattern alike — are
         // collected against the iteration-start e-graph, which is clean
         // (rebuilt at the end of the previous iteration): pattern search
         // requires a clean e-graph for the operator index and congruence
         // invariant to hold. This mirrors Algorithm 1, which gathers every
-        // match before applying any substitution.
-        let do_multi = iter < config.k_multi;
-
-        let search_start = Instant::now();
-        let (single_matches, multi_matches) = self.search_state(egraph, do_multi);
-        stats.search_time += search_start.elapsed();
-
-        // --- apply single-pattern rules ---------------------------------------
-        let apply_start = Instant::now();
-        let within_budget = |egraph: &TensorEGraph| !self.over_budget(egraph);
-        for (rw, matches) in self.single_rules.iter().zip(single_matches) {
-            if self.apply_single(egraph, rw, &matches, desc.as_ref(), within_budget) {
-                break;
-            }
-        }
-
-        // --- apply multi-pattern rules (first k_multi iterations only) ------
-        if do_multi {
-            for plan in &self.plans {
-                plan.apply(
-                    egraph,
-                    &multi_matches,
-                    config.cycle_filter,
-                    desc.as_ref(),
-                    &within_budget,
-                );
-                if self.over_budget(egraph) {
-                    break;
+        // match before applying any substitution. The rules are applied in
+        // order — single-pattern, then multi-pattern — until the budget is
+        // spent.
+        self.apply_phase(
+            egraph,
+            stats,
+            |egraph, stats| self.search_state(egraph, do_multi, stats),
+            |egraph, (single, multi), desc| {
+                for (rule, matches) in single.into_iter().enumerate() {
+                    let matches = std::slice::from_ref(&matches);
+                    self.apply_action(egraph, Action::Single(rule), matches, desc, within_budget);
+                    if self.over_budget(egraph) {
+                        break;
+                    }
                 }
-            }
-        }
-        // Nothing after the apply phase reads a match list or the map: the
-        // rebuild's peak carries neither.
-        drop(multi_matches);
-        stats.apply_time += apply_start.elapsed();
-        record_prefilter(desc.as_ref(), stats);
-        drop(desc);
+                if do_multi {
+                    for rule in 0..self.plans.len() {
+                        self.apply_action(egraph, Action::Multi(rule), &multi, desc, within_budget);
+                        if self.over_budget(egraph) {
+                            break;
+                        }
+                    }
+                }
+            },
+        );
 
         // Which limit, if any, stopped the apply phase — read before the
         // rebuild's deduplication can pull the node count back under its
@@ -228,16 +215,7 @@ impl<'a> ExplorationContext<'a> {
         if matches!(limit, Some(StopReason::NodeLimit(_))) {
             self.node_limit_cut.set(true);
         }
-
-        let rebuild_start = Instant::now();
-        egraph.rebuild();
-
-        // Post-processing: resolve cycles that slipped past the pre-filter
-        // (Algorithm 2, lines 10–18).
-        if config.cycle_filter == CycleFilter::Efficient {
-            stats.filtered_nodes += remove_all_cycles(egraph, self.root);
-        }
-        stats.rebuild_time += rebuild_start.elapsed();
+        self.seal(egraph, stats);
 
         stats.iterations = iter + 1;
         stats
@@ -252,19 +230,21 @@ impl<'a> ExplorationContext<'a> {
 
     /// Batched search of every single-pattern rule — and, when
     /// `include_multi`, every deduplicated canonical multi-pattern source
-    /// — against a clean e-graph. Returns `(single, multi)` match lists in
-    /// rule/source order.
+    /// — against a clean e-graph, timed into `stats.search_time`. Returns
+    /// `(single, multi)` match lists in rule/source order.
     ///
     /// Every searcher goes through one batch of the sharded search driver,
     /// so a hot rule's candidate chunks spread over all `search_threads`
     /// threads; with 1 thread the driver is the sequential machine
     /// verbatim, and the match lists are bit-identical either way, so
     /// every strategy stays deterministic.
-    pub fn search_state(
+    pub(crate) fn search_state(
         &self,
         egraph: &TensorEGraph,
         include_multi: bool,
+        stats: &mut ExplorationStats,
     ) -> (Vec<Vec<SearchMatches>>, Vec<Vec<SearchMatches>>) {
+        let start = Instant::now();
         let mut searchers: Vec<&Pattern<TensorLang>> =
             self.single_rules.iter().map(|rw| &rw.searcher).collect();
         if include_multi {
@@ -272,125 +252,88 @@ impl<'a> ExplorationContext<'a> {
         }
         let mut single = search_all_parallel(&searchers, egraph, self.config.search_threads);
         let multi = single.split_off(self.single_rules.len());
+        stats.search_time += start.elapsed();
         (single, multi)
     }
 
-    /// Applies one single-pattern rule's match batch to a candidate state
-    /// under a *hard* node budget: an application is attempted only while
-    /// the e-graph plus the applier's worst-case growth (its AST size)
-    /// stays within `budget`, so the state never exceeds it. Rebuilds and
-    /// cycle-filters afterwards, leaving the state clean for scoring; the
-    /// descendants map is dropped before that, once its counters are
-    /// recorded. Adds
-    /// the apply loop to `stats.apply_time`, the rebuild and cycle filter
-    /// to `stats.rebuild_time`, the descendants-map time to
-    /// `stats.prefilter_time` and what the map was asked to
-    /// `stats.prefilter_{queries, walks, rejected}`.
-    pub fn apply_single_budgeted(
+    /// One apply phase behind the cycle pre-filter (Algorithm 2, lines
+    /// 3–9): builds the descendants map on the clean e-graph (timed into
+    /// `stats.prefilter_time`), gathers the match lists with `search`,
+    /// hands both to `apply` (timed into `stats.apply_time`), then adds
+    /// what the map was asked to `stats.prefilter_{queries, walks,
+    /// rejected}` and drops it. `apply` owns the match lists, so each can
+    /// die with its last reader; nothing the phase built outlives it.
+    pub(crate) fn apply_phase<M>(
         &self,
         egraph: &mut TensorEGraph,
-        rule_index: usize,
-        matches: &[SearchMatches],
-        budget: usize,
         stats: &mut ExplorationStats,
+        search: impl FnOnce(&TensorEGraph, &mut ExplorationStats) -> M,
+        apply: impl FnOnce(&mut TensorEGraph, M, Option<&DescendantsMap>),
     ) {
-        let rw = &self.single_rules[rule_index];
-        // Worst-case e-nodes one application can add: every pattern node
-        // is new. (Variables instantiate to existing classes, so this
-        // over-estimates — which only makes the budget check stricter.)
-        let headroom = rw.applier.ast.len();
-        let desc = self.prefilter_map(egraph, stats);
-        // The budget is asked before every application and one application
-        // adds at most `headroom` nodes — so the budget stays hard.
-        let apply_start = Instant::now();
-        self.apply_single(egraph, rw, matches, desc.as_ref(), |egraph| {
-            egraph.total_number_of_nodes() + headroom <= budget
-                && self.elapsed() < self.config.exploration_time_limit
+        let desc = (self.config.cycle_filter == CycleFilter::Efficient).then(|| {
+            let start = Instant::now();
+            let desc = DescendantsMap::compute(egraph);
+            stats.prefilter_time += start.elapsed();
+            desc
         });
-        stats.apply_time += apply_start.elapsed();
-        record_prefilter(desc.as_ref(), stats);
-        drop(desc);
-        self.seal_state(egraph, stats);
-    }
-
-    /// Applies one multi-pattern rule's Cartesian combinations to a
-    /// candidate state under a hard node budget (same contract as
-    /// [`ExplorationContext::apply_single_budgeted`]): a combination is
-    /// attempted only while the e-graph plus the rule's total target size
-    /// stays within `budget`, so no application can push the state past
-    /// it. `multi_matches` is indexed by unique canonical source, as
-    /// returned by [`ExplorationContext::search_state`].
-    pub fn apply_multi_budgeted(
-        &self,
-        egraph: &mut TensorEGraph,
-        rule_index: usize,
-        multi_matches: &[Vec<SearchMatches>],
-        budget: usize,
-        stats: &mut ExplorationStats,
-    ) {
-        let plan = &self.plans[rule_index];
-        let headroom: usize = plan.dsts.iter().map(|d| d.ast.len()).sum();
-        if headroom > budget {
-            // No combination fits: nothing to snapshot, apply or seal.
-            return;
+        let matches = search(egraph, stats);
+        let start = Instant::now();
+        apply(egraph, matches, desc.as_ref());
+        stats.apply_time += start.elapsed();
+        if let Some(desc) = desc {
+            stats.prefilter_queries += desc.queries();
+            stats.prefilter_walks += desc.walks();
+            stats.prefilter_rejected += desc.rejected();
         }
-        let desc = self.prefilter_map(egraph, stats);
-        // Asked before every combination, and one combination adds at most
-        // `headroom` nodes — so the budget stays hard.
-        let keep_going = |egraph: &TensorEGraph| {
-            egraph.total_number_of_nodes() + headroom <= budget
-                && self.elapsed() < self.config.exploration_time_limit
-        };
-        let filter = self.config.cycle_filter;
-        let apply_start = Instant::now();
-        plan.apply(egraph, multi_matches, filter, desc.as_ref(), &keep_going);
-        stats.apply_time += apply_start.elapsed();
-        record_prefilter(desc.as_ref(), stats);
-        drop(desc);
-        self.seal_state(egraph, stats);
     }
 
-    /// Applies one single-pattern rule's matches through the one apply
-    /// loop ([`tensat_egraph::Rewrite::apply_while`]): per candidate ask
-    /// `keep_going`, evaluate the rule's condition, ask the cycle
-    /// pre-filter, apply in place. Returns whether `keep_going` cut the
-    /// loop short.
-    fn apply_single(
+    /// Applies `action`'s matches in place — `matches` holds its rule's
+    /// one list for [`Action::Single`], every unique source's (as
+    /// [`ExplorationContext::search_state`] returns them) for
+    /// [`Action::Multi`] — asking `keep_going` before every application
+    /// and the cycle pre-filter (`desc` in efficient mode) before every
+    /// union. A single-pattern rule runs through the one apply loop
+    /// ([`tensat_egraph::Rewrite::apply_while`]): per candidate ask
+    /// `keep_going`, evaluate the rule's condition, ask the pre-filter,
+    /// apply.
+    pub(crate) fn apply_action(
         &self,
         egraph: &mut TensorEGraph,
-        rw: &TensorRewrite,
-        matches: &[SearchMatches],
+        action: Action,
+        matches: &[Vec<SearchMatches>],
         desc: Option<&DescendantsMap>,
         keep_going: impl Fn(&TensorEGraph) -> bool,
-    ) -> bool {
+    ) {
         let filter = self.config.cycle_filter;
-        rw.apply_while(egraph, matches, keep_going, |egraph, eclass, subst| {
-            !skip_for_cycles(egraph, filter, desc, eclass, &rw.applier, subst)
-        })
-        .1
-    }
-
-    /// The descendants map for the efficient pre-filter (Algorithm 2,
-    /// line 3), computed on the clean batch-start e-graph and timed into
-    /// `stats.prefilter_time`; `None` in the other filtering modes.
-    fn prefilter_map(
-        &self,
-        egraph: &TensorEGraph,
-        stats: &mut ExplorationStats,
-    ) -> Option<DescendantsMap> {
-        if self.config.cycle_filter != CycleFilter::Efficient {
-            return None;
+        match action {
+            Action::Single(rule) => {
+                let rw = &self.single_rules[rule];
+                rw.apply_while(egraph, &matches[0], keep_going, |egraph, eclass, subst| {
+                    !skip_for_cycles(egraph, filter, desc, eclass, &rw.applier, subst)
+                });
+            }
+            Action::Multi(rule) => {
+                self.plans[rule].apply(egraph, matches, filter, desc, &keep_going)
+            }
         }
-        let start = Instant::now();
-        let desc = DescendantsMap::compute(egraph);
-        stats.prefilter_time += start.elapsed();
-        Some(desc)
     }
 
-    /// Rebuilds a candidate state and resolves cycles, restoring the
-    /// invariants scoring and the next search step rely on; timed into
-    /// `stats.rebuild_time`.
-    fn seal_state(&self, egraph: &mut TensorEGraph, stats: &mut ExplorationStats) {
+    /// The most e-nodes one application of `action` can add: every node of
+    /// its right-hand side(s) new. (Variables instantiate to existing
+    /// classes, so this over-estimates, which only makes a budget checked
+    /// against it stricter.)
+    pub(crate) fn headroom(&self, action: Action) -> usize {
+        match action {
+            Action::Single(rule) => self.single_rules[rule].applier.ast.len(),
+            Action::Multi(rule) => self.plans[rule].dsts.iter().map(|d| d.ast.len()).sum(),
+        }
+    }
+
+    /// Rebuilds the e-graph and resolves the cycles that slipped past the
+    /// pre-filter (Algorithm 2, lines 10–18), restoring the invariants the
+    /// next search and [`Guided`](super::Guided)'s scoring rely on; timed
+    /// into `stats.rebuild_time`.
+    pub(crate) fn seal(&self, egraph: &mut TensorEGraph, stats: &mut ExplorationStats) {
         let start = Instant::now();
         egraph.rebuild();
         if self.config.cycle_filter == CycleFilter::Efficient {
@@ -400,14 +343,13 @@ impl<'a> ExplorationContext<'a> {
     }
 }
 
-/// Adds what the pre-filter's map was asked during one apply phase to the
-/// run's counters.
-fn record_prefilter(desc: Option<&DescendantsMap>, stats: &mut ExplorationStats) {
-    if let Some(desc) = desc {
-        stats.prefilter_queries += desc.queries();
-        stats.prefilter_walks += desc.walks();
-        stats.prefilter_rejected += desc.rejected();
-    }
+/// A rule of the context as the unit an apply phase applies: a
+/// single-pattern rule's match batch, or a multi-pattern rule's Cartesian
+/// combinations (each indexes its rule list).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Action {
+    Single(usize),
+    Multi(usize),
 }
 
 /// Returns true if the candidate application must be skipped because it

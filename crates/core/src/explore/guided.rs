@@ -8,8 +8,9 @@
 //! models — [`Guided`] holds a beam of candidate e-graph states and, at
 //! each step, expands every state by one *action*: the budgeted
 //! application of a single rule's whole match batch (or one multi-pattern
-//! rule's Cartesian combinations). Each child state is a clone of its
-//! parent e-graph sealed by rebuild + cycle filtering, then scored with
+//! rule's Cartesian combinations). An action runs through the engine's
+//! apply phase and seal — the code an iteration of `Saturate` runs — on a
+//! clone of its parent e-graph; the child state is then scored with
 //! the cheap rollout evaluator from the extraction seam: the greedy-DAG
 //! extracted cost of the root ([`DagExtractor`] over [`ModelCost`]) plus
 //! a per-node growth penalty. The top-k states survive (elitism: parents
@@ -24,42 +25,35 @@
 //! budget produce bit-identical e-graphs (the time limit is the only
 //! nondeterministic input; give the search headroom when comparing runs).
 //!
-//! The node budget is *hard*: an action is applied only while the state
-//! plus the applier's worst-case growth stays within
-//! `OptimizerConfig::node_limit`, so no candidate — and hence the final
-//! e-graph — ever exceeds it.
+//! The node budget is *hard*: an application is attempted only while the
+//! state plus the action's worst-case growth (its right-hand sides' size)
+//! stays within `OptimizerConfig::node_limit`, so no candidate — and hence
+//! the final e-graph — ever exceeds it.
 
-use super::context::ExplorationContext;
+use super::context::{Action, ExplorationContext};
 use super::{ExplorationStats, ExplorationStrategy};
-use std::time::Instant;
-use tensat_egraph::{DagExtractor, Id};
-use tensat_ir::{Cost, CostModel, ModelCost, TensorEGraph};
+use tensat_egraph::{DagExtractor, Id, SearchMatches};
+use tensat_ir::{CostModel, ModelCost, TensorEGraph};
 
-/// Parameters of the [`Guided`] strategy.
-#[derive(Debug, Clone)]
-pub struct GuidedConfig {
-    /// Candidate e-graph states kept per step (top-k beam; minimum 1).
-    pub beam_width: usize,
-    /// Maximum beam steps. Each step expands every beam state by every
-    /// applicable rule-batch action, so the work per step is roughly
-    /// `beam_width × rules` searches/scorings on budget-bounded e-graphs.
-    pub max_steps: usize,
-    /// Score penalty per e-node in the state (µs per node): biases the
-    /// search against growth that does not pay for itself in extracted
-    /// cost, and breaks ties between equal-cost states toward the smaller
-    /// e-graph.
-    pub growth_penalty: f64,
-}
+/// Candidate e-graph states kept per step (the top-k beam).
+const BEAM_WIDTH: usize = 2;
+/// Maximum beam steps. Each step expands every beam state by every
+/// applicable rule action, so the work per step is roughly `BEAM_WIDTH ×
+/// rules` scorings of budget-bounded e-graphs.
+const MAX_STEPS: usize = 8;
+/// Score penalty per e-node in the state (µs per node): biases the search
+/// against growth that does not pay for itself in extracted cost, and
+/// breaks ties between equal-cost states toward the smaller e-graph.
+const GROWTH_PENALTY: f64 = 0.01;
 
-impl Default for GuidedConfig {
-    fn default() -> Self {
-        GuidedConfig {
-            beam_width: 2,
-            max_steps: 8,
-            growth_penalty: 0.01,
-        }
-    }
-}
+/// Accepted and ignored: the type of
+/// [`OptimizerConfig::guided`](crate::OptimizerConfig::guided), which
+/// configures nothing — the beam's width, step count and growth penalty
+/// are constants of [`Guided`]. Braced rather than a unit struct, because
+/// callers build it with `GuidedConfig::default()`, which clippy rejects
+/// on a unit struct.
+#[derive(Debug, Clone, Default)]
+pub struct GuidedConfig {}
 
 /// The guided beam-search strategy (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -68,7 +62,7 @@ pub struct Guided;
 /// One candidate e-graph state in the beam.
 struct State {
     egraph: TensorEGraph,
-    /// `extracted cost.latency + growth_penalty * enodes` — the beam
+    /// `extracted cost.latency + GROWTH_PENALTY * enodes` — the beam
     /// ordering key.
     score: f64,
     /// Cheap identity signature used to drop duplicate states (two
@@ -76,25 +70,14 @@ struct State {
     signature: (usize, usize, usize, u64),
 }
 
-fn evaluate(
-    egraph: &TensorEGraph,
-    root: Id,
-    model: &CostModel,
-    growth_penalty: f64,
-) -> (Cost, f64) {
-    let best = DagExtractor::new(egraph, ModelCost::new(model, egraph)).find_best(root);
-    match best {
-        Some((cost, _)) => (
-            cost,
-            cost.latency + growth_penalty * egraph.total_number_of_nodes() as f64,
-        ),
-        // No extractable term (every candidate filtered): dead state.
-        None => (Cost::INFINITE, f64::INFINITY),
-    }
-}
-
-fn state_of(egraph: TensorEGraph, root: Id, model: &CostModel, growth_penalty: f64) -> State {
-    let (_cost, score) = evaluate(&egraph, root, model, growth_penalty);
+/// Scores `egraph` by the cheap rollout evaluator: the greedy-DAG extracted
+/// latency of the root plus the growth penalty; a state with no extractable
+/// term (every candidate filtered) is dead.
+fn state_of(egraph: TensorEGraph, root: Id, model: &CostModel) -> State {
+    let best = DagExtractor::new(&egraph, ModelCost::new(model, &egraph)).find_best(root);
+    let score = best.map_or(f64::INFINITY, |(cost, _)| {
+        cost.latency + GROWTH_PENALTY * egraph.total_number_of_nodes() as f64
+    });
     let signature = (
         egraph.total_number_of_nodes(),
         egraph.number_of_classes(),
@@ -108,6 +91,32 @@ fn state_of(egraph: TensorEGraph, root: Id, model: &CostModel, growth_penalty: f
     }
 }
 
+/// One action on a candidate state: `action`'s matches applied through
+/// the engine's apply phase under a *hard* node budget, then sealed
+/// (rebuild + cycle post-filter) for scoring. An application is attempted
+/// only while the state plus the action's headroom stays within `budget`,
+/// so the state never exceeds it.
+pub(super) fn act(
+    ctx: &ExplorationContext<'_>,
+    egraph: &mut TensorEGraph,
+    action: Action,
+    matches: &[Vec<SearchMatches>],
+    budget: usize,
+    stats: &mut ExplorationStats,
+) {
+    let headroom = ctx.headroom(action);
+    let keep_going = |egraph: &TensorEGraph| {
+        egraph.total_number_of_nodes() + headroom <= budget && !ctx.out_of_time()
+    };
+    ctx.apply_phase(
+        egraph,
+        stats,
+        |_, _| matches,
+        |egraph, matches, desc| ctx.apply_action(egraph, action, matches, desc, keep_going),
+    );
+    ctx.seal(egraph, stats);
+}
+
 impl ExplorationStrategy for Guided {
     fn name(&self) -> &'static str {
         "guided"
@@ -117,9 +126,7 @@ impl ExplorationStrategy for Guided {
         let mut stats = ExplorationStats::default();
         egraph.rebuild();
         let config = ctx.config();
-        let gcfg = &config.guided;
         let budget = config.node_limit;
-        let beam_width = gcfg.beam_width.max(1);
         let model = &config.cost_model;
         let root = ctx.root();
 
@@ -129,10 +136,10 @@ impl ExplorationStrategy for Guided {
             return stats;
         }
 
-        let mut beam = vec![state_of(egraph.clone(), root, model, gcfg.growth_penalty)];
+        let mut beam = vec![state_of(egraph.clone(), root, model)];
 
-        for step in 0..gcfg.max_steps {
-            if ctx.elapsed() >= config.exploration_time_limit {
+        for step in 0..MAX_STEPS {
+            if ctx.out_of_time() {
                 break;
             }
             // Multi-pattern actions follow the saturation schedule: only
@@ -140,41 +147,35 @@ impl ExplorationStrategy for Guided {
             let include_multi = step < config.k_multi;
             let mut candidates: Vec<State> = Vec::new();
             'expand: for state in &beam {
-                let search_start = Instant::now();
-                let (single_matches, multi_matches) =
-                    ctx.search_state(&state.egraph, include_multi);
-                stats.search_time += search_start.elapsed();
+                let (single, multi) = ctx.search_state(&state.egraph, include_multi, &mut stats);
                 let nodes_before = state.egraph.total_number_of_nodes();
                 let unions_before = state.egraph.union_count();
-                let push = |next: TensorEGraph, candidates: &mut Vec<State>| {
-                    let changed = next.total_number_of_nodes() != nodes_before
-                        || next.union_count() != unions_before;
-                    debug_assert!(next.total_number_of_nodes() <= budget);
-                    if changed && next.total_number_of_nodes() <= budget {
-                        candidates.push(state_of(next, root, model, gcfg.growth_penalty));
-                    }
-                };
-                // One action per single-pattern rule with any match.
-                for (ri, matches) in single_matches.iter().enumerate() {
-                    if ctx.elapsed() >= config.exploration_time_limit {
+                // One action per rule, single-pattern rules first. Past the
+                // first k_multi steps `multi` is empty, so no multi-pattern
+                // rule has a match.
+                let singles = (0..single.len()).map(Action::Single);
+                for action in singles.chain((0..ctx.multi_rule_count()).map(Action::Multi)) {
+                    if ctx.out_of_time() {
                         break 'expand;
                     }
-                    if matches.iter().all(|m| m.substs.is_empty()) {
+                    let matches = match action {
+                        Action::Single(rule) => std::slice::from_ref(&single[rule]),
+                        Action::Multi(_) => &multi[..],
+                    };
+                    // An action with no match, or whose one application
+                    // would not fit the budget, cannot change the state.
+                    if matches.iter().all(Vec::is_empty)
+                        || nodes_before + ctx.headroom(action) > budget
+                    {
                         continue;
                     }
                     let mut next = state.egraph.clone();
-                    ctx.apply_single_budgeted(&mut next, ri, matches, budget, &mut stats);
-                    push(next, &mut candidates);
-                }
-                // One action per multi-pattern rule (first k_multi steps).
-                if include_multi && multi_matches.iter().any(|ms| !ms.is_empty()) {
-                    for mi in 0..ctx.multi_rule_count() {
-                        if ctx.elapsed() >= config.exploration_time_limit {
-                            break 'expand;
-                        }
-                        let mut next = state.egraph.clone();
-                        ctx.apply_multi_budgeted(&mut next, mi, &multi_matches, budget, &mut stats);
-                        push(next, &mut candidates);
+                    act(ctx, &mut next, action, matches, budget, &mut stats);
+                    debug_assert!(next.total_number_of_nodes() <= budget);
+                    if next.total_number_of_nodes() != nodes_before
+                        || next.union_count() != unions_before
+                    {
+                        candidates.push(state_of(next, root, model));
                     }
                 }
             }
@@ -192,7 +193,7 @@ impl ExplorationStrategy for Guided {
             pool.sort_by(|a, b| a.score.total_cmp(&b.score));
             let mut seen = std::collections::HashSet::new();
             pool.retain(|s| seen.insert(s.signature));
-            pool.truncate(beam_width);
+            pool.truncate(BEAM_WIDTH);
             beam = pool;
             stats.iterations = step + 1;
             stats

@@ -19,8 +19,8 @@
 //!
 //! Every entry point reads the one [`OptimizerConfig`]: its exploration
 //! fields (`k_multi`, `max_iter`, `node_limit`, `exploration_time_limit`,
-//! `cycle_filter`, `search_threads`, `guided`, `cost_model`) drive
-//! the run, and [`explore`] dispatches on [`OptimizerConfig::exploration`]
+//! `cycle_filter`, `search_threads`, `cost_model`) drive the run, and
+//! [`explore`] dispatches on [`OptimizerConfig::exploration`]
 //! ([`ExplorationMode`]). A run is a function of the e-graph, the rules and
 //! the configuration: nothing here reads the environment.
 
@@ -64,16 +64,6 @@ pub enum ExplorationMode {
     /// Guided beam search over rule-batch actions under a hard node
     /// budget, scored by greedy-DAG extracted cost (see [`Guided`]).
     Guided,
-}
-
-impl ExplorationMode {
-    /// The boxed strategy this mode dispatches to.
-    pub fn strategy(&self) -> Box<dyn ExplorationStrategy> {
-        match self {
-            ExplorationMode::Saturate => Box::new(Saturate),
-            ExplorationMode::Guided => Box::new(Guided),
-        }
-    }
 }
 
 /// The default search thread count: the machine's available parallelism
@@ -121,7 +111,9 @@ pub struct ExplorationStats {
     pub enodes: usize,
     /// Final number of e-classes.
     pub eclasses: usize,
-    /// Number of e-nodes placed on the cycle filter list.
+    /// Number of e-nodes on the final e-graph's cycle filter list
+    /// ([`EGraph::filtered_count`](tensat_egraph::EGraph::filtered_count)),
+    /// read by [`ExplorationContext::finish`].
     pub filtered_nodes: usize,
     /// Total wall-clock time of the exploration phase.
     pub time: Duration,
@@ -131,9 +123,9 @@ pub struct ExplorationStats {
     pub search_time: Duration,
     /// Time spent building the descendants map for the cycle pre-filter
     /// ([`DescendantsMap::compute`](crate::cycles::DescendantsMap::compute),
-    /// once per [`Saturate`] iteration and once per [`Guided`] action), so
-    /// `search + apply + rebuild + prefilter` accounts for an engine
-    /// iteration.
+    /// once per [`Saturate`] iteration and once per [`Guided`] action
+    /// applied), so `search + apply + rebuild + prefilter` accounts for an
+    /// engine iteration.
     pub prefilter_time: Duration,
     /// Reachability queries the efficient cycle pre-filter put to its
     /// descendants map
@@ -190,14 +182,14 @@ pub fn explore(
     multi_rules: &[MultiPatternRule],
     config: &OptimizerConfig,
 ) -> ExplorationStats {
-    explore_with(
-        config.exploration.strategy().as_ref(),
-        egraph,
-        root,
-        single_rules,
-        multi_rules,
-        config,
-    )
+    match config.exploration {
+        ExplorationMode::Saturate => {
+            explore_with(&Saturate, egraph, root, single_rules, multi_rules, config)
+        }
+        ExplorationMode::Guided => {
+            explore_with(&Guided, egraph, root, single_rules, multi_rules, config)
+        }
+    }
 }
 
 /// Runs the exploration phase with an explicit strategy: compiles the rule
@@ -251,6 +243,7 @@ pub(crate) fn canonicalize_pattern(
 
 #[cfg(test)]
 mod tests {
+    use super::context::Action;
     use super::*;
     use tensat_ir::{GraphBuilder, TensorAnalysis};
     use tensat_rules::{multi_rules, parse_pattern, single_rules};
@@ -405,9 +398,9 @@ mod tests {
         (eg, root)
     }
 
-    /// Applies `rule`'s matches on a copy of `seed` through one of the
-    /// engine's two entry points — a whole iteration, or [`Guided`]'s
-    /// budgeted single-rule action (whose budget must stay hard) — with
+    /// Applies `rule`'s matches on a copy of `seed` through one of the two
+    /// callers of the engine's apply phase — a whole iteration, or one of
+    /// [`Guided`]'s budgeted actions (whose budget must stay hard) — with
     /// `budget` as the node limit, and returns the e-graph.
     fn apply_through(
         seed: &TensorEGraph,
@@ -426,8 +419,15 @@ mod tests {
         let mut eg = seed.clone();
         let mut stats = ExplorationStats::default();
         if budgeted_action {
-            let (matches, _) = ctx.search_state(&eg, false);
-            ctx.apply_single_budgeted(&mut eg, 0, &matches[0], budget, &mut stats);
+            let (matches, _) = ctx.search_state(&eg, false, &mut stats);
+            guided::act(
+                &ctx,
+                &mut eg,
+                Action::Single(0),
+                &matches,
+                budget,
+                &mut stats,
+            );
             assert!(eg.total_number_of_nodes() <= budget, "hard budget");
         } else {
             ctx.run_iteration(&mut eg, 0, &mut stats);
@@ -441,7 +441,7 @@ mod tests {
     /// the other evaluations were thrown away. The loop asks the budget
     /// before every candidate, so a condition runs only for a candidate
     /// that is then applied or rejected: `evaluations <= commits +
-    /// rejected` — through both entry points of the engine.
+    /// rejected` — through both callers of the engine's apply phase.
     #[test]
     fn budget_stop_evaluates_no_condition_it_does_not_apply() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -569,11 +569,19 @@ mod tests {
         };
         let rules = [rule];
         let ctx = ExplorationContext::new(classes[2], &[], &rules, &config);
-        let (_, matches) = ctx.search_state(&eg, true);
+        let mut stats = ExplorationStats::default();
+        let (_, matches) = ctx.search_state(&eg, true, &mut stats);
         for &(a, b) in unions {
             eg.union(classes[a], classes[b]);
         }
-        ctx.apply_multi_budgeted(&mut eg, 0, &matches, usize::MAX, &mut Default::default());
+        guided::act(
+            &ctx,
+            &mut eg,
+            Action::Multi(0),
+            &matches,
+            usize::MAX,
+            &mut stats,
+        );
         let sigmoid = |n: &&TensorLang| matches!(n, TensorLang::Sigmoid(_));
         eg.classes()
             .map(|c| eg.enodes(c).filter(sigmoid).count())

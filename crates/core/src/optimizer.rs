@@ -51,8 +51,10 @@ pub struct OptimizerConfig {
     /// Which exploration strategy [`explore`] dispatches to (saturate-all
     /// or guided beam search).
     pub exploration: ExplorationMode,
-    /// Parameters of the guided strategy (used when `exploration` is
-    /// [`ExplorationMode::Guided`]).
+    /// Accepted and ignored, like `taso`: the guided beam's width, step
+    /// count and growth penalty are constants of [`Guided`](crate::Guided).
+    /// Kept because the repo benchmark's `benchmark/src/workloads.rs`
+    /// writes it; the next change to the benchmark retires it.
     pub guided: GuidedConfig,
     /// Accepted and ignored, like `apply_threads`: the TASO baseline is
     /// not an exploration strategy (it runs as `tensat-taso`'s
