@@ -219,8 +219,8 @@ proptest! {
     /// two matmuls sharing their data input, so the multi-pattern action
     /// has a combination to apply (a random program alone almost never
     /// does), and the budget is `slack` e-nodes over the seed, so it binds.
-    /// In a debug build Guided also asserts the budget on every candidate
-    /// state, not only on the one it returns.
+    /// Guided also asserts the budget on every candidate state, not only on
+    /// the one it returns, in a release build as in a debug one.
     #[test]
     fn guided_respects_the_node_budget_on_random_graphs(
         ops in op_strategy(),

@@ -28,7 +28,7 @@
 //! The node budget is *hard*: an application is attempted only while the
 //! state plus the action's worst-case growth (its right-hand sides' size)
 //! stays within `OptimizerConfig::node_limit`, so no candidate — and hence
-//! the final e-graph — ever exceeds it.
+//! the final e-graph — ever exceeds it; every build asserts it on each.
 
 use super::context::{Action, ExplorationContext};
 use super::{ExplorationStats, ExplorationStrategy};
@@ -171,7 +171,7 @@ impl ExplorationStrategy for Guided {
                     }
                     let mut next = state.egraph.clone();
                     act(ctx, &mut next, action, matches, budget, &mut stats);
-                    debug_assert!(next.total_number_of_nodes() <= budget);
+                    assert!(next.total_number_of_nodes() <= budget);
                     if next.total_number_of_nodes() != nodes_before
                         || next.union_count() != unions_before
                     {
@@ -208,7 +208,7 @@ impl ExplorationStrategy for Guided {
         // The beam is sorted (or is the untouched seed): index 0 is the
         // best state ever seen, by elitism.
         *egraph = beam.swap_remove(0).egraph;
-        debug_assert!(egraph.total_number_of_nodes() <= budget);
+        assert!(egraph.total_number_of_nodes() <= budget);
         ctx.finish(egraph, &mut stats);
         stats
     }

@@ -15,18 +15,19 @@
 //!   returns whichever result has the lower DAG cost.
 //! * [`extract_ilp`] — the integer-linear-program encoding of
 //!   constraints (1)–(5), with the cycle constraints (4)–(5) optional,
-//!   solved by `tensat-ilp` and warm-started from the greedy-DAG solution
-//!   (which dominates the tree-greedy warm start it replaced). One
-//!   pipeline serves every configuration: the selection problem, its
-//!   reduction (skipped with cycle constraints and by
-//!   [`extract_ilp_monolithic`]), one encoder per component, the solver,
-//!   and the stitch with its fall-back to the greedy graph.
+//!   solved by `tensat-ilp` from an incumbent outcome: greedy-DAG's (which
+//!   dominates the tree-greedy warm start it replaced). One pipeline serves
+//!   every configuration: the selection problem, its reduction (skipped
+//!   with cycle constraints and by [`extract_ilp_monolithic`]), one encoder
+//!   per component, the solver, and the stitch with its fall-back to the
+//!   incumbent.
 //!
 //! Every extractor ends the same way: one chosen e-node per class, named by
 //! its node-table id and turned into a graph by
-//! [`tensat_egraph::build_term`]. Greedy-DAG extraction keeps the `(slot,
-//! node id)` picks of the graph it returns, and the ILP warm start is read
-//! from those picks.
+//! [`tensat_egraph::build_term`]. The outcome keeps those `(slot, node id)`
+//! picks with the graph they build ([`ExtractionOutcome::picks`]), and the
+//! ILP reads its bound, warm start and fall-back from one such outcome, its
+//! incumbent.
 //!
 //! Every extractor prices an e-node the same way: the greedy extractors
 //! through [`ModelCost`], the ILP's reduction through
@@ -38,6 +39,7 @@
 
 mod reduce;
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -87,6 +89,10 @@ pub fn extract(
 pub struct ExtractionOutcome {
     /// The extracted graph.
     pub expr: RecExpr<TensorLang>,
+    /// The `(slot, node-table id)` of the chosen e-node of every class
+    /// `expr` uses, children before parents: `picks[i]`'s e-node is node
+    /// `i` of `expr` ([`ChosenTerm::picks`]).
+    pub picks: Vec<(usize, Id)>,
     /// Composite DAG-counted cost of `expr` (latency µs, peak-memory
     /// bytes, kernel launches), each node charged once.
     pub cost: Cost,
@@ -101,29 +107,42 @@ pub struct ExtractionOutcome {
 }
 
 impl ExtractionOutcome {
-    /// The outcome for `expr`, whose composite cost under the model is
-    /// `cost`; measures the tree cost.
+    /// The outcome for `term`, priced under the model (its composite DAG
+    /// cost and its tree cost), extracted since `start`.
     ///
     /// Errs with [`ExtractError::NoFiniteTerm`] when the cost is not finite
     /// (an ill-typed input: every term of the root class holds an invalid
     /// operator).
     fn new(
-        expr: RecExpr<TensorLang>,
-        cost: Cost,
+        term: ChosenTerm<TensorLang>,
         model: &CostModel,
-        time: Duration,
+        start: Instant,
     ) -> Result<Self, ExtractError> {
+        let cost = model.graph_cost_composite(&term.expr);
         if !cost.is_finite() {
             return Err(ExtractError::NoFiniteTerm);
         }
         Ok(ExtractionOutcome {
             dag_cost: cost.latency,
-            tree_cost: model.tree_cost(&expr),
+            tree_cost: model.tree_cost(&term.expr),
             cost,
-            expr,
-            time,
+            expr: term.expr,
+            picks: term.picks,
+            time: start.elapsed(),
             ilp: None,
         })
+    }
+}
+
+/// `first`, unless `second` is strictly cheaper under [`Cost::total_order`]
+/// or `first` is missing; a borrowed winner is cloned.
+fn cheaper(
+    first: Option<Cow<'_, ExtractionOutcome>>,
+    second: Option<Cow<'_, ExtractionOutcome>>,
+) -> Option<ExtractionOutcome> {
+    match (first, second) {
+        (Some(a), Some(b)) if b.cost.total_order(&a.cost) == Ordering::Less => Some(b.into_owned()),
+        (a, b) => a.or(b).map(Cow::into_owned),
     }
 }
 
@@ -153,8 +172,8 @@ pub struct IlpStats {
     /// is off).
     pub dominated_pruned: usize,
     /// Candidates removed by incumbent cost-bound pruning: their forced-
-    /// closure lower bound exceeds the greedy warm-start value, so they
-    /// appear in no optimum (0 unreduced).
+    /// closure lower bound exceeds the incumbent's value, so they appear in
+    /// no optimum (0 unreduced).
     pub bound_pruned: usize,
     /// Classes fixed outside the ILP by single-candidate forcing (0
     /// unreduced).
@@ -219,11 +238,10 @@ pub fn extract_greedy(
 ) -> Result<ExtractionOutcome, ExtractError> {
     let start = Instant::now();
     let extractor = Extractor::new(egraph, ModelCost::new(model, egraph));
-    let (_, expr) = extractor
-        .find_best(root)
+    let (_, term) = extractor
+        .find_best_term(root)
         .ok_or(ExtractError::NoFiniteTerm)?;
-    let cost = model.graph_cost_composite(&expr);
-    ExtractionOutcome::new(expr, cost, model, start.elapsed())
+    ExtractionOutcome::new(term, model, start)
 }
 
 /// Global greedy DAG extraction: the worklist extractor charging each
@@ -247,48 +265,22 @@ pub fn extract_greedy_dag(
     root: Id,
     model: &CostModel,
 ) -> Result<ExtractionOutcome, ExtractError> {
-    greedy_dag_with_picks(egraph, root, model).map(|(outcome, _)| outcome)
-}
-
-/// The `(slot, node-table id)` of the chosen e-node of every class an
-/// extracted graph uses ([`tensat_egraph::ChosenTerm::picks`]), children
-/// before parents: what the graph was built from, kept so the ILP can start
-/// from it.
-type Picks = Vec<(usize, Id)>;
-
-/// Whether `picks`, sorted by slot, chose the e-node with node-table id
-/// `node` for `class`, a class the ILP encoder reached from the root.
-fn picked(egraph: &TensorEGraph, picks: &Picks, class: Id, node: Id) -> bool {
-    let slot = live_slot(egraph, class);
-    let found = picks.binary_search_by_key(&slot, |&(s, _)| s);
-    found.is_ok_and(|i| picks[i].1 == node)
-}
-
-/// [`extract_greedy_dag`], with the picks of the graph it returns.
-fn greedy_dag_with_picks(
-    egraph: &TensorEGraph,
-    root: Id,
-    model: &CostModel,
-) -> Result<(ExtractionOutcome, Picks), ExtractError> {
     let start = Instant::now();
     // Each extractor is a temporary, dropped at the end of its statement,
     // so the two passes' tables are never live together.
-    let dag = DagExtractor::new(egraph, ModelCost::new(model, egraph))
-        .find_best_term(root)
-        .map(|(_, term)| term);
-    let tree = Extractor::new(egraph, ModelCost::new(model, egraph))
-        .find_best_term(root)
-        .map(|(_, term)| term);
+    let dag = DagExtractor::new(egraph, ModelCost::new(model, egraph)).find_best_term(root);
+    let tree = Extractor::new(egraph, ModelCost::new(model, egraph)).find_best_term(root);
     // Compare by honest composite DAG cost of the built graphs, not the
     // extractors' internal objectives (which disagree on what a "cost" is).
-    let costed = |term: ChosenTerm<_>| (model.graph_cost_composite(&term.expr), term);
-    let (cost, term) = match (dag.map(costed), tree.map(costed)) {
-        (Some(d), Some(t)) if d.0.total_order(&t.0) == Ordering::Greater => t,
-        (Some(best), _) | (None, Some(best)) => best,
-        (None, None) => return Err(ExtractError::NoFiniteTerm),
+    let outcome = |(_, term)| {
+        ExtractionOutcome::new(term, model, start)
+            .ok()
+            .map(Cow::Owned)
     };
-    let outcome = ExtractionOutcome::new(term.expr, cost, model, start.elapsed())?;
-    Ok((outcome, term.picks))
+    let mut best =
+        cheaper(dag.and_then(outcome), tree.and_then(outcome)).ok_or(ExtractError::NoFiniteTerm)?;
+    best.time = start.elapsed();
+    Ok(best)
 }
 
 /// Configuration for ILP extraction.
@@ -329,13 +321,20 @@ impl Default for IlpConfig {
 /// residue decomposed into independent components solved separately. With
 /// them it runs [`extract_ilp_monolithic`]: the dominance argument reasons
 /// about the acyclic selection semantics.
+///
+/// The incumbent is [`extract_greedy_dag`]'s outcome, whose run counts
+/// against `config.time_limit`: it bounds the reduction, starts the solver,
+/// and is returned when the ILP finds nothing cheaper.
 pub fn extract_ilp(
     egraph: &TensorEGraph,
     root: Id,
     model: &CostModel,
     config: &IlpConfig,
 ) -> Result<ExtractionOutcome, ExtractError> {
-    solve_ilp(egraph, root, model, config, !config.cycle_constraints)
+    let start = Instant::now();
+    let greedy = extract_greedy_dag(egraph, root, model).ok();
+    let reduce = !config.cycle_constraints;
+    solve_ilp(egraph, root, model, config, reduce, greedy.as_ref(), start)
 }
 
 /// The unreduced §5.1 program solved as one ILP: one binary per viable
@@ -349,7 +348,9 @@ pub fn extract_ilp_monolithic(
     model: &CostModel,
     config: &IlpConfig,
 ) -> Result<ExtractionOutcome, ExtractError> {
-    solve_ilp(egraph, root, model, config, false)
+    let start = Instant::now();
+    let greedy = extract_greedy_dag(egraph, root, model).ok();
+    solve_ilp(egraph, root, model, config, false, greedy.as_ref(), start)
 }
 
 /// The slot of a class the ILP encoder reached from the root.
@@ -357,33 +358,41 @@ fn live_slot(egraph: &TensorEGraph, class: Id) -> usize {
     egraph.slot_index(class).expect("reachable class is live")
 }
 
-/// The one ILP pipeline: [`select_ilp`] from the greedy-DAG incumbent,
-/// then [`finish_ilp`].
+/// The one ILP pipeline, started at `start` from `incumbent`: [`select_ilp`],
+/// then its any-time end. That is the ILP's graph, unless it found none
+/// within its budget, its graph has no finite cost, or the incumbent is
+/// strictly cheaper (e.g. the warm start could not be translated into a
+/// feasible assignment) — then the incumbent, so ILP extraction never
+/// regresses below it.
 fn solve_ilp(
     egraph: &TensorEGraph,
     root: Id,
     model: &CostModel,
     config: &IlpConfig,
     reduce: bool,
+    incumbent: Option<&ExtractionOutcome>,
+    start: Instant,
 ) -> Result<ExtractionOutcome, ExtractError> {
-    let start = Instant::now();
     let root = egraph.find(root);
-    // The greedy-DAG solution serves double duty: its value is the
-    // incumbent upper bound the reduction's cost-bound pruning compares
-    // forced-closure lower bounds against, and its selection warm-starts
-    // every component's solver.
-    let (greedy, picks) = greedy_dag_with_picks(egraph, root, model).ok().unzip();
-    let incumbent = greedy.as_ref().map(|g| g.dag_cost).zip(picks);
     let (solved, stats) = select_ilp(egraph, root, model, config, reduce, incumbent, start)?;
-    finish_ilp(solved.map(|term| term.expr), greedy, stats, model, start)
+    let solved = match solved.map(|term| ExtractionOutcome::new(term, model, start)) {
+        Some(Err(e)) if incumbent.is_none() => return Err(e),
+        solved => solved.and_then(Result::ok),
+    };
+    let mut outcome = cheaper(solved.map(Cow::Owned), incumbent.map(Cow::Borrowed))
+        .ok_or(ExtractError::Infeasible)?;
+    outcome.time = start.elapsed();
+    outcome.ilp = Some(stats);
+    Ok(outcome)
 }
 
-/// The ILP's own selection, started at `start` from `incumbent`, the
-/// greedy-DAG value and picks: build the abstract selection problem, run
-/// the reduction (trim → dominance/forced-closure fixpoint → forcing) when
-/// `reduce`, encode and solve each component of what is left, and stitch
-/// the fixed selections with the per-component optima. `None` when a
-/// component found no solution in the time left.
+/// The ILP's own selection, started at `start` from `incumbent`, whose
+/// latency bounds the reduction and whose picks are the warm start: build
+/// the abstract selection problem, run the reduction (trim →
+/// dominance/forced-closure fixpoint → forcing) when `reduce`, encode and
+/// solve each component of what is left, and stitch the fixed selections
+/// with the per-component optima. `None` when a component found no solution
+/// in the time left.
 ///
 /// Soundness of the stitch: the fixed classes select their single surviving
 /// candidate in *some* optimal solution of the unreduced program (the
@@ -398,15 +407,16 @@ fn select_ilp(
     model: &CostModel,
     config: &IlpConfig,
     reduce: bool,
-    incumbent: Option<(f64, Picks)>,
+    incumbent: Option<&ExtractionOutcome>,
     start: Instant,
 ) -> Result<(Option<ChosenTerm<TensorLang>>, IlpStats), ExtractError> {
-    let (ub, picks) = incumbent.unzip();
     let mut rp = reduce::ExtractionProblem::from_egraph(egraph, root, model)?;
     if reduce {
+        let ub = incumbent.map(|g| g.cost.latency);
         rp.reduce(ub, start.checked_add(config.time_limit))?;
     }
-    let warm = picks.map(|picks| WarmStart::new(egraph, &rp, picks, config.cycle_constraints));
+    let topo = config.cycle_constraints;
+    let warm = incumbent.map(|g| WarmStart::new(egraph, &rp, &g.picks, topo));
 
     // Encode and solve each component independently, splitting the wall
     // clock budget first-come (components are tiny after reduction).
@@ -445,7 +455,7 @@ fn select_ilp(
         stats.solve_time += solution.solve_time;
         if !solution.has_solution() {
             // Out of budget with no incumbent for this component: the
-            // greedy graph, if there is one, is the answer.
+            // whole-graph incumbent, if there is one, is the answer.
             stats.status = solution.status;
             return Ok((None, stats));
         }
@@ -473,41 +483,43 @@ fn select_ilp(
     Ok((Some(read_back(egraph, root, &slot_choice)?), stats))
 }
 
-/// Where the component solvers start: greedy-DAG's graph, per class of the
-/// problem.
+/// Where the component solvers start: the incumbent's graph, per class of
+/// the problem.
 struct WarmStart {
     /// The candidate to start from ([`reduced_hint_choice`]).
     choice: Vec<Option<usize>>,
-    /// With the cycle constraints on, the class's position in the greedy
-    /// graph's emission order, children before parents — an order rows
-    /// (4)–(5) accept; empty otherwise.
+    /// With the cycle constraints on, the class's position in the
+    /// incumbent's picks, children before parents — an order rows (4)–(5)
+    /// accept; empty otherwise.
     position: Vec<Option<usize>>,
 }
 
 impl WarmStart {
-    /// The warm start `picks` (emission order) give `rp`; `topo` asks for
-    /// the positions the topological-order variables start from.
+    /// The warm start `picks` (children before parents) give `rp`; `topo`
+    /// asks for the positions the topological-order variables start from.
     fn new(
         egraph: &TensorEGraph,
         rp: &reduce::ExtractionProblem,
-        mut picks: Picks,
+        picks: &[(usize, Id)],
         topo: bool,
     ) -> Self {
-        let mut position = vec![];
-        if topo {
-            let of_slot: HashMap<usize, usize> = picks
+        let at: HashMap<usize, usize> = picks
+            .iter()
+            .enumerate()
+            .map(|(p, &(slot, _))| (slot, p))
+            .collect();
+        let position_of = |class| at.get(&live_slot(egraph, class)).copied();
+        let choice = reduced_hint_choice(rp, |class, node| {
+            position_of(class).is_some_and(|p| picks[p].1 == node)
+        });
+        let position = if topo {
+            rp.class_ids
                 .iter()
-                .enumerate()
-                .map(|(p, &(slot, _))| (slot, p))
-                .collect();
-            position = rp
-                .class_ids
-                .iter()
-                .map(|&class| of_slot.get(&live_slot(egraph, class)).copied())
-                .collect();
-        }
-        picks.sort_unstable_by_key(|&(s, _)| s);
-        let choice = reduced_hint_choice(rp, |class, node| picked(egraph, &picks, class, node));
+                .map(|&class| position_of(class))
+                .collect()
+        } else {
+            vec![]
+        };
         WarmStart { choice, position }
     }
 }
@@ -637,10 +649,11 @@ fn encode(
 }
 
 /// One candidate per class of the problem, reduced or not, to start the
-/// component solvers from: the e-node the greedy graph was built from
+/// component solvers from: the e-node the incumbent's graph was built from
 /// (`picked(class, node id)`), or — when that was dominance-pruned — the
-/// sibling `rep` says dominated it. The dominator's needs are a subset of the pruned pick's,
-/// which the greedy solution satisfies, so the repaired hint stays closed.
+/// sibling `rep` says dominated it. The dominator's needs are a subset of
+/// the pruned pick's, which the incumbent satisfies, so the repaired hint
+/// stays closed.
 fn reduced_hint_choice(
     rp: &reduce::ExtractionProblem,
     picked: impl Fn(Id, Id) -> bool,
@@ -659,34 +672,6 @@ fn reduced_hint_choice(
         }
     }
     hint_choice
-}
-
-/// The any-time end of every ILP solve: the solver's graph, unless it found
-/// none within its budget, its graph has no finite cost, or the greedy
-/// incumbent is cheaper (e.g. the warm start could not be translated into a
-/// feasible assignment) — then the greedy graph, so ILP extraction never
-/// regresses below greedy.
-fn finish_ilp(
-    solved: Option<RecExpr<TensorLang>>,
-    greedy: Option<ExtractionOutcome>,
-    stats: IlpStats,
-    model: &CostModel,
-    start: Instant,
-) -> Result<ExtractionOutcome, ExtractError> {
-    let measured = |expr| {
-        let cost = model.graph_cost_composite(&expr);
-        ExtractionOutcome::new(expr, cost, model, start.elapsed())
-    };
-    let mut outcome = match (solved.map(measured), greedy) {
-        (Some(Ok(s)), Some(g)) if g.cost.total_order(&s.cost) == Ordering::Less => g,
-        (Some(Ok(s)), _) => s,
-        (_, Some(g)) => g,
-        (Some(Err(e)), None) => return Err(e),
-        (None, None) => return Err(ExtractError::Infeasible),
-    };
-    outcome.time = start.elapsed();
-    outcome.ilp = Some(stats);
-    Ok(outcome)
 }
 
 /// Reads a solved selection back: the graph of a per-slot node-id choice.
@@ -858,8 +843,7 @@ mod tests {
                 time_limit: Duration::ZERO,
             };
             let rp = reduce::ExtractionProblem::from_egraph(&eg, root, &model).unwrap();
-            let (_, picks) = greedy_dag_with_picks(&eg, root, &model).unwrap();
-            let warm = WarmStart::new(&eg, &rp, picks, true);
+            let warm = WarmStart::new(&eg, &rp, &greedy.picks, true);
             let comps = rp.components();
             assert_eq!(comps.len(), 1);
             let enc = encode(&rp, &comps[0], &config, Some(&warm));
@@ -967,12 +951,10 @@ mod tests {
             let graph = tensat_models::build_benchmark(name, tensat_models::ModelScale::tiny());
             let (eg, root) = explored(&graph, 2, 120);
             let root = eg.find(root);
-            let (greedy, mut picks) = greedy_dag_with_picks(&eg, root, &model).unwrap();
-            picks.sort_unstable_by_key(|&(s, _)| s);
+            let greedy = extract_greedy_dag(&eg, root, &model).unwrap();
             let selected = decode_selected(&eg, root, &greedy.expr);
-            assert_eq!(picks.len(), selected.len(), "{name}");
+            assert_eq!(greedy.picks.len(), selected.len(), "{name}");
 
-            let from_picks = |class: Id, node: Id| picked(&eg, &picks, class, node);
             let decoded = |class: Id, node: Id| {
                 selected.contains(&(eg.find(class), eg.canonicalize(eg.enode(node))))
             };
@@ -980,18 +962,18 @@ mod tests {
             // Unreduced: every pick is a hinted candidate.
             let config = IlpConfig::default();
             let mut rp = reduce::ExtractionProblem::from_egraph(&eg, root, &model).unwrap();
-            let hint = reduced_hint_choice(&rp, from_picks);
+            let hint = WarmStart::new(&eg, &rp, &greedy.picks, false).choice;
             assert_eq!(
                 hint,
                 reduced_hint_choice(&rp, decoded),
                 "{name}: unreduced hint"
             );
-            assert_eq!(hint.iter().flatten().count(), picks.len(), "{name}");
+            assert_eq!(hint.iter().flatten().count(), greedy.picks.len(), "{name}");
 
             // Reduced: one hinted candidate per class, dominance-
             // pruned picks chased to their dominator.
-            rp.reduce(Some(greedy.dag_cost), None).unwrap();
-            let hint = reduced_hint_choice(&rp, from_picks);
+            rp.reduce(Some(greedy.cost.latency), None).unwrap();
+            let hint = WarmStart::new(&eg, &rp, &greedy.picks, false).choice;
             assert_eq!(
                 hint,
                 reduced_hint_choice(&rp, decoded),
@@ -1019,7 +1001,7 @@ mod tests {
     /// and on the built graph agree. On every benchmark model at tiny scale
     /// and `k_multi` 1 and 2, explored to at most 2 000 e-nodes, for
     /// tree-greedy, greedy-DAG and the ILP's selection as [`select_ilp`]
-    /// returns it, before [`finish_ilp`] could fall back.
+    /// returns it, before [`solve_ilp`] could fall back to the incumbent.
     #[test]
     fn every_selection_builds_a_graph_of_its_priced_finite_cost() {
         let model = CostModel::default();
@@ -1043,24 +1025,23 @@ mod tests {
                 explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
                 let root = eg.find(root);
 
-                let tree = Extractor::new(&eg, ModelCost::new(&model, &eg));
-                let (_, tree) = tree.find_best_term(root).unwrap();
-                let (dag, picks) = greedy_dag_with_picks(&eg, root, &model).unwrap();
-                let incumbent = Some((dag.dag_cost, picks.clone()));
-                let dag = ChosenTerm {
-                    expr: dag.expr,
-                    picks,
-                };
+                let tree = extract_greedy(&eg, root, &model).unwrap();
+                let dag = extract_greedy_dag(&eg, root, &model).unwrap();
                 let config = IlpConfig::default();
                 let (ilp, stats) =
-                    select_ilp(&eg, root, &model, &config, true, incumbent, Instant::now())
+                    select_ilp(&eg, root, &model, &config, true, Some(&dag), Instant::now())
                         .unwrap();
                 assert_eq!(stats.status, Status::Optimal, "{label}");
                 let ilp = ilp.expect("an optimal selection");
-                for (extractor, term) in [("tree", tree), ("dag", dag), ("ilp", ilp)] {
-                    let cost = model.graph_cost(&term.expr);
+                let selections = [
+                    ("tree", &tree.expr, &tree.picks),
+                    ("dag", &dag.expr, &dag.picks),
+                    ("ilp", &ilp.expr, &ilp.picks),
+                ];
+                for (extractor, expr, picks) in selections {
+                    let cost = model.graph_cost(expr);
                     assert!(cost.is_finite(), "{label} {extractor}");
-                    let priced = priced(&eg, &term.picks);
+                    let priced = priced(&eg, picks);
                     assert!(
                         (cost - priced).abs() <= 1e-9 * priced,
                         "{label} {extractor}: built {cost}, priced {priced}"
@@ -1070,14 +1051,21 @@ mod tests {
         }
     }
 
-    /// Both greedy extractors name their picks by node-table id: on every
-    /// benchmark model, explored as in the warm-start test, each `(slot,
-    /// id)` of a term is an unfiltered id the slot's class lists, and node
-    /// `i` of the expression is `enode(picks[i].1)` with its children
-    /// mapped to the expression nodes of their classes.
+    /// Every outcome names the picks its graph was built from by node-table
+    /// id: on every benchmark model, explored as in the warm-start test,
+    /// each `(slot, id)` of the outcome of tree-greedy, greedy-DAG, the ILP
+    /// when it proves `Optimal`, the ILP at a zero time limit (the solver
+    /// hands its warm start back: greedy-DAG's picks, as `Feasible`), and
+    /// an incumbent the ILP falls back to is an unfiltered id the slot's
+    /// class lists, and node `i` of the expression is `enode(picks[i].1)`
+    /// with its children mapped to the expression nodes of their classes.
     #[test]
-    fn greedy_picks_are_listed_unfiltered_node_ids_on_every_benchmark() {
+    fn every_outcome_lists_the_unfiltered_node_ids_that_build_its_graph() {
         let model = CostModel::default();
+        let no_time = IlpConfig {
+            time_limit: Duration::ZERO,
+            ..Default::default()
+        };
         for name in tensat_models::BENCHMARKS {
             let graph = tensat_models::build_benchmark(name, tensat_models::ModelScale::tiny());
             let (eg, root) = explored(&graph, 2, 120);
@@ -1085,24 +1073,42 @@ mod tests {
             for class in eg.classes() {
                 class_of_slot[eg.slot_index(class.id).unwrap()] = Some(class);
             }
-            let check = |label: &str, term: ChosenTerm<TensorLang>| {
-                assert_eq!(term.picks.len(), term.expr.len(), "{name} {label}");
+            let check = |label: &str, out: &ExtractionOutcome| {
+                assert_eq!(out.picks.len(), out.expr.len(), "{name} {label}");
                 let mut node_of_slot = vec![None; eg.num_slots()];
-                for (i, &(slot, id)) in term.picks.iter().enumerate() {
+                for (i, &(slot, id)) in out.picks.iter().enumerate() {
                     let class = class_of_slot[slot].expect("a pick's slot is live");
                     assert!(class.node_ids().contains(&id), "{name} {label}: {id}");
                     assert!(!eg.is_filtered(id), "{name} {label}: {id}");
                     let node = eg
                         .enode(id)
                         .map_children(|c| node_of_slot[eg.slot_index(c).unwrap()].unwrap());
-                    assert_eq!(term.expr.nodes()[i], node, "{name} {label}: node {i}");
+                    assert_eq!(out.expr.nodes()[i], node, "{name} {label}: node {i}");
                     node_of_slot[slot] = Some(Id::from(i));
                 }
             };
-            let tree = Extractor::new(&eg, ModelCost::new(&model, &eg));
-            check("tree", tree.find_best_term(root).unwrap().1);
-            let dag = DagExtractor::new(&eg, ModelCost::new(&model, &eg));
-            check("dag", dag.find_best_term(root).unwrap().1);
+            check("tree", &extract_greedy(&eg, root, &model).unwrap());
+            let dag = extract_greedy_dag(&eg, root, &model).unwrap();
+            check("dag", &dag);
+            let ilp = extract_ilp(&eg, root, &model, &IlpConfig::default()).unwrap();
+            assert_eq!(ilp.ilp.as_ref().unwrap().status, Status::Optimal, "{name}");
+            check("ilp", &ilp);
+            let kept = extract_ilp(&eg, root, &model, &no_time).unwrap();
+            assert_eq!(
+                kept.ilp.as_ref().unwrap().status,
+                Status::Feasible,
+                "{name}"
+            );
+            assert_eq!(kept.picks, dag.picks, "{name}");
+            check("ilp at no time", &kept);
+            // An incumbent cheaper than the solver's graph comes back whole.
+            let mut cheap = dag.clone();
+            cheap.cost.latency = 0.0;
+            let start = Instant::now();
+            let fallback =
+                solve_ilp(&eg, root, &model, &no_time, false, Some(&cheap), start).unwrap();
+            assert_eq!(fallback.cost.latency, 0.0, "{name}");
+            check("ilp fallback", &fallback);
         }
     }
 }
