@@ -51,6 +51,9 @@ use tensat_ir::{CostModel, GraphBuilder, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
 
+mod common;
+use common::fingerprint;
+
 /// One random op: opcode plus two operand picks (taken modulo the number
 /// of nodes built so far, so every program is closed).
 type RandOp = (u8, usize, usize);
@@ -591,7 +594,8 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
 /// the digit: `bert_apply` (BERT `blocks: 2` to 20 000 e-nodes) and
 /// `nasnet_search` (NasNet-A `blocks: 4` to 30 000) — `(e-nodes,
 /// e-classes, iterations, filtered e-nodes, unions, stop reason, e-nodes
-/// after each iteration, greedy-DAG cost, final e-graph signature)`. The pins above stop at 2 000
+/// after each iteration, greedy-DAG cost and graph fingerprint, final
+/// e-graph signature)`. The pins above stop at 2 000
 /// e-nodes and the benchmark compares an op only with its own warm-up, so
 /// this is what holds a change to the e-graph's storage to the same run at
 /// 20–30 k e-nodes. Release builds only: a debug build runs
@@ -617,6 +621,7 @@ fn big_benchmark_trajectories_are_pinned() {
                 NodeLimit(20_000),
                 vec![146, 338, 932, 3_131, 14_978, 18_210],
                 110.26111999999998,
+                12_369_148_191_336_354_384,
                 17_330_369_404_885_528_206,
             ),
         ),
@@ -633,6 +638,7 @@ fn big_benchmark_trajectories_are_pinned() {
                 NodeLimit(30_000),
                 vec![591, 1_025, 2_770, 10_334, 28_025],
                 103.56740266666665,
+                10_593_177_530_291_863_129,
                 9_412_832_200_318_848_345,
             ),
         ),
@@ -664,6 +670,7 @@ fn big_benchmark_trajectories_are_pinned() {
                     .expect("a finished run says why it stopped"),
                 stats.nodes_per_iteration,
                 dag.dag_cost,
+                fingerprint(&dag.expr),
                 tensat_bench::signature(&eg, root),
             ),
             pin,

@@ -51,6 +51,9 @@ use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules};
 
+mod common;
+use common::fingerprint;
+
 /// Wall-clock budget per model for the *reduced* ILP extraction (scaled
 /// up under the debug profile; see the module docs).
 const PER_MODEL_BUDGET: Duration = if cfg!(debug_assertions) {
@@ -151,8 +154,9 @@ fn reduced_ilp_is_optimal_and_within_budget_on_every_benchmark_model() {
 
 #[test]
 fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
-    // (model, blocks, node_limit, B&B nodes, optimum in µs, propagation
-    // counters), as in `benchmark/src/workloads.rs`. The node counts sum to
+    // (model, blocks, node_limit, B&B nodes, optimum in µs, the optimized
+    // graph's fingerprint, propagation counters), as in
+    // `benchmark/src/workloads.rs`. The node counts sum to
     // the workload's `ilp.bb_nodes`, 24 876, and the optima to its
     // `extract.ilp_cost_us`. The counters — rows visited, rows that reached
     // the per-term tightening loop, bound changes (the branching fix of
@@ -166,6 +170,7 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             2_000,
             19_567,
             62.915456,
+            843_507_815_731_458_624,
             (631_472, 19_172, 38_738),
         ),
         (
@@ -174,11 +179,20 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             20_000,
             4_864,
             399.746048,
+            16_740_504_291_635_575_710,
             (22_328, 2_048, 6_896),
         ),
-        ("NasRNN", 2, 20_000, 445, 95.032533, (3_192, 477, 921)),
+        (
+            "NasRNN",
+            2,
+            20_000,
+            445,
+            95.032533,
+            2_002_769_870_575_493_143,
+            (3_192, 477, 921),
+        ),
     ];
-    for (model, blocks, node_limit, nodes, optimum, counters) in cases {
+    for (model, blocks, node_limit, nodes, optimum, print, counters) in cases {
         let graph = build_benchmark(
             model,
             ModelScale {
@@ -218,6 +232,11 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             (result.optimized_cost - optimum).abs() < 1e-6,
             "{model}: optimum {} != {optimum}",
             result.optimized_cost
+        );
+        assert_eq!(
+            fingerprint(&result.optimized_graph),
+            print,
+            "{model}: graph"
         );
     }
 }
