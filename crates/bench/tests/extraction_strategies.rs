@@ -27,9 +27,7 @@ use tensat_core::{
 };
 use tensat_egraph::{CostFunction, DagExtractor, Extractor, Id, Language, RecExpr};
 use tensat_ilp::Status;
-use tensat_ir::{
-    Cost, CostModel, GraphBuilder, ModelCost, TensorAnalysis, TensorEGraph, TensorLang,
-};
+use tensat_ir::{CostModel, GraphBuilder, ModelCost, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_rules::single_rules;
 
 mod common;
@@ -195,19 +193,19 @@ fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
         calls: &'a Cell<usize>,
     }
     impl CostFunction<TensorLang> for Counted<'_> {
-        type Cost = Cost;
-        fn node_cost(&mut self, enode: &TensorLang) -> Cost {
+        type Cost = f64;
+        fn node_cost(&mut self, enode: &TensorLang) -> f64 {
             self.calls.set(self.calls.get() + 1);
             self.model_cost.node_cost(enode)
         }
-        fn zero(&self) -> Cost {
+        fn zero(&self) -> f64 {
             self.model_cost.zero()
         }
-        fn add_assign(&self, acc: &mut Cost, item: &Cost) {
+        fn add_assign(&self, acc: &mut f64, item: &f64) {
             self.model_cost.add_assign(acc, item);
         }
-        fn cmp(a: &Cost, b: &Cost) -> std::cmp::Ordering {
-            a.total_order(b)
+        fn cmp(a: &f64, b: &f64) -> std::cmp::Ordering {
+            a.total_cmp(b)
         }
     }
 
@@ -245,11 +243,10 @@ fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
     assert_eq!(outcome.expr.nodes(), expr.nodes());
 }
 
-/// What the greedy-DAG pass extracts, to the bit: its composite cost
-/// (latency µs, peak-memory bytes, kernel launches), the length of its
-/// expression and its [`fingerprint`], which tells two graphs of equal cost
-/// apart.
-type Pinned = (f64, f64, f64, usize, u64);
+/// What the greedy-DAG pass extracts, to the bit: its latency in µs, the
+/// length of its expression and its [`fingerprint`], which tells two
+/// graphs of equal latency apart.
+type Pinned = (f64, usize, u64);
 
 /// Runs the DAG pass alone — `extract_greedy_dag` without the tree pass it
 /// is compared with — and checks it against the pin.
@@ -263,42 +260,26 @@ fn assert_dag_pass(
     let (cost, expr) = DagExtractor::new(eg, ModelCost::new(&model, eg))
         .find_best(root)
         .unwrap_or_else(|| panic!("{label}: the DAG pass found no term"));
-    let (latency, peak_memory, launches, len, print) = pinned;
-    let pinned_cost = Cost {
-        latency,
-        peak_memory,
-        launches,
-    };
-    assert_eq!(
-        (cost, expr.len(), fingerprint(&expr)),
-        (pinned_cost, len, print),
-        "{label}"
-    );
+    assert_eq!((cost, expr.len(), fingerprint(&expr)), pinned, "{label}");
     expr
 }
 
-/// What tree-greedy (`extract_greedy`) extracts, to the bit: the composite
-/// cost, expression length and fingerprint of [`Pinned`], and its tree
-/// cost.
+/// What tree-greedy (`extract_greedy`) extracts, to the bit: the latency,
+/// expression length and fingerprint of [`Pinned`], and its tree cost.
 type TreePinned = (Pinned, f64);
 
 /// Runs `extract_greedy` and checks it against the pin.
 fn assert_tree_greedy(label: &str, eg: &TensorEGraph, root: Id, pinned: TreePinned) {
     let tree = extract_greedy(eg, root, &CostModel::default()).unwrap();
-    let ((latency, peak_memory, launches, len, print), tree_cost) = pinned;
-    let pinned_cost = Cost {
-        latency,
-        peak_memory,
-        launches,
-    };
+    let ((latency, len, print), tree_cost) = pinned;
     assert_eq!(
         (
-            tree.cost,
+            tree.dag_cost,
             tree.expr.len(),
             fingerprint(&tree.expr),
             tree.tree_cost
         ),
-        (pinned_cost, len, print, tree_cost),
+        (latency, len, print, tree_cost),
         "{label} tree-greedy"
     );
 }
@@ -321,13 +302,7 @@ fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
         (
             "NasRNN",
             same(
-                (
-                    95.03253333333332,
-                    81920.0,
-                    18.0,
-                    65,
-                    2_002_769_870_575_493_143,
-                ),
+                (95.03253333333332, 65, 2_002_769_870_575_493_143),
                 313.40053333333327,
             ),
         ),
@@ -335,40 +310,16 @@ fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
             "BERT",
             [
                 (
+                    (95.48245333333334, 54, 714_621_630_666_365_197),
                     (
-                        95.48245333333334,
-                        90624.0,
-                        18.0,
-                        54,
-                        714_621_630_666_365_197,
-                    ),
-                    (
-                        (
-                            128.41877333333332,
-                            180736.0,
-                            24.0,
-                            65,
-                            9_025_056_140_602_220_135,
-                        ),
+                        (128.41877333333332, 65, 9_025_056_140_602_220_135),
                         661.8532799999999,
                     ),
                 ),
                 (
+                    (95.48245333333332, 54, 6_770_099_041_467_276_305),
                     (
-                        95.48245333333332,
-                        90624.0,
-                        18.0,
-                        54,
-                        6_770_099_041_467_276_305,
-                    ),
-                    (
-                        (
-                            116.54741333333332,
-                            107008.0,
-                            22.0,
-                            60,
-                            11_993_565_755_953_279_745,
-                        ),
+                        (116.54741333333332, 60, 11_993_565_755_953_279_745),
                         706.1159999999999,
                     ),
                 ),
@@ -376,72 +327,39 @@ fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
         ),
         (
             "ResNeXt-50",
-            same(
-                (
-                    56.88874666666666,
-                    802816.0,
-                    10.0,
-                    26,
-                    4_441_865_610_254_996_692,
-                ),
-                85.33312,
-            ),
+            same((56.88874666666666, 26, 4_441_865_610_254_996_692), 85.33312),
         ),
         (
             "NasNet-A",
             [
                 (
-                    (62.915456, 802816.0, 6.0, 46, 843_507_815_731_458_624),
-                    (
-                        (62.915456, 802816.0, 6.0, 46, 843_507_815_731_458_624),
-                        62.915456,
-                    ),
+                    (62.915456, 46, 843_507_815_731_458_624),
+                    ((62.915456, 46, 843_507_815_731_458_624), 62.915456),
                 ),
                 (
-                    (113.823872, 1204224.0, 10.0, 48, 4_047_457_334_302_699_019),
-                    (
-                        (113.823872, 1204224.0, 10.0, 48, 8_196_220_534_215_528_831),
-                        189.749888,
-                    ),
+                    (113.823872, 48, 4_047_457_334_302_699_019),
+                    ((113.823872, 48, 8_196_220_534_215_528_831), 189.749888),
                 ),
             ],
         ),
         (
             "SqueezeNet",
             same(
-                (
-                    65.37847466666666,
-                    1906688.0,
-                    9.0,
-                    26,
-                    13_668_053_915_724_657_832,
-                ),
+                (65.37847466666666, 26, 13_668_053_915_724_657_832),
                 115.21288533333333,
             ),
         ),
         (
             "VGG-19",
             same(
-                (
-                    132.98037333333335,
-                    1507328.0,
-                    7.0,
-                    24,
-                    7_655_983_872_396_182_445,
-                ),
+                (132.98037333333335, 24, 7_655_983_872_396_182_445),
                 132.98037333333335,
             ),
         ),
         (
             "Inception-v3",
             same(
-                (
-                    110.80552533333334,
-                    903168.0,
-                    20.0,
-                    49,
-                    17_400_348_095_540_810_599,
-                ),
+                (110.80552533333334, 49, 17_400_348_095_540_810_599),
                 277.01381333333336,
             ),
         ),
@@ -491,26 +409,14 @@ fn greedy_dag_extraction_is_pinned_on_the_big_nasnet_egraph() {
         "NasNet-A blocks 4",
         &eg,
         root,
-        (
-            103.56740266666665,
-            1204224.0,
-            8.0,
-            81,
-            10_593_177_530_291_863_129,
-        ),
+        (103.56740266666665, 81, 10_593_177_530_291_863_129),
     );
     assert_tree_greedy(
         "NasNet-A blocks 4",
         &eg,
         root,
         (
-            (
-                103.56740266666665,
-                1204224.0,
-                8.0,
-                81,
-                10_593_177_530_291_863_129,
-            ),
+            (103.56740266666665, 81, 10_593_177_530_291_863_129),
             181.24295466666666,
         ),
     );

@@ -62,7 +62,7 @@ pub struct Guided;
 /// One candidate e-graph state in the beam.
 struct State {
     egraph: TensorEGraph,
-    /// `extracted cost.latency + GROWTH_PENALTY * enodes` — the beam
+    /// `extracted latency + GROWTH_PENALTY * enodes` — the beam
     /// ordering key.
     score: f64,
     /// Cheap identity signature used to drop duplicate states (two
@@ -76,7 +76,7 @@ struct State {
 fn state_of(egraph: TensorEGraph, root: Id, model: &CostModel) -> State {
     let best = DagExtractor::new(&egraph, ModelCost::new(model, &egraph)).find_best(root);
     let score = best.map_or(f64::INFINITY, |(cost, _)| {
-        cost.latency + GROWTH_PENALTY * egraph.total_number_of_nodes() as f64
+        cost + GROWTH_PENALTY * egraph.total_number_of_nodes() as f64
     });
     let signature = (
         egraph.total_number_of_nodes(),

@@ -2,8 +2,7 @@
 //! resulting graph minimizes the cost model.
 //!
 //! [`extract()`] runs the extractor an [`ExtractionMode`] names; all three
-//! report the composite [`Cost`] and both honest costs of their result
-//! (see [`ExtractionOutcome`]):
+//! report both honest costs of their result (see [`ExtractionOutcome`]):
 //!
 //! * [`extract_greedy`] — per e-class minimum *subtree* cost (paper §5.1).
 //!   Fast, but it charges shared subgraphs once per use, so it never
@@ -12,7 +11,7 @@
 //!   extractor ([`tensat_egraph::DagExtractor`]) which charges each e-node
 //!   once regardless of sharing. To make `dag_cost(greedy-DAG) ≤
 //!   dag_cost(tree-greedy)` unconditional, it also runs tree-greedy and
-//!   returns whichever result has the lower DAG cost.
+//!   returns whichever graph has the lower DAG cost.
 //! * [`extract_ilp`] — the integer-linear-program encoding of
 //!   constraints (1)–(5), with the cycle constraints (4)–(5) optional,
 //!   solved by `tensat-ilp` from an incumbent outcome: greedy-DAG's (which
@@ -29,18 +28,16 @@
 //! ILP reads its bound, warm start and fall-back from one such outcome, its
 //! incumbent.
 //!
-//! Every extractor prices an e-node the same way: the greedy extractors
-//! through [`ModelCost`], the ILP's reduction through
-//! [`CostModel::enode_cost_composite`], both
-//! [`CostModel::node_cost_composite`]. Extraction minimizes the
-//! *lexicographic* composite order (latency, then peak memory, then
-//! launches — [`Cost::total_order`]); the scalar `dag_cost`/`tree_cost`
-//! fields report plain latency for paper-style comparisons.
+//! Every extractor minimizes one objective, the summed operator latency in
+//! µs (the paper's Σ cᵢxᵢ), and prices an e-node the same way: the greedy
+//! extractors through [`ModelCost`], the ILP's reduction through
+//! [`CostModel::enode_cost`], both [`CostModel::node_cost`]. Two graphs
+//! compare by their DAG latency under [`f64::total_cmp`], so a graph of
+//! NaN cost never wins.
 
 mod reduce;
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{build_term, ChoiceError, ChosenTerm, DagExtractor, Extractor, Id, RecExpr};
@@ -93,10 +90,9 @@ pub struct ExtractionOutcome {
     /// `expr` uses, children before parents: `picks[i]`'s e-node is node
     /// `i` of `expr` ([`ChosenTerm::picks`]).
     pub picks: Vec<(usize, Id)>,
-    /// Composite DAG-counted cost of `expr` (latency µs, peak-memory
-    /// bytes, kernel launches), each node charged once.
+    /// `dag_cost` as a [`Cost`].
     pub cost: Cost,
-    /// DAG cost in µs: each node charged once (`cost.latency`).
+    /// DAG cost in µs: each node charged once.
     pub dag_cost: f64,
     /// Tree cost in µs: each node charged once per use.
     pub tree_cost: f64,
@@ -106,26 +102,33 @@ pub struct ExtractionOutcome {
     pub ilp: Option<IlpStats>,
 }
 
+/// A term and its DAG cost under the model, in µs.
+type Priced = (f64, ChosenTerm<TensorLang>);
+
+/// `term` with its DAG cost under `model`.
+fn price(model: &CostModel, term: ChosenTerm<TensorLang>) -> Priced {
+    (model.graph_cost(&term.expr), term)
+}
+
 impl ExtractionOutcome {
-    /// The outcome for `term`, priced under the model (its composite DAG
-    /// cost and its tree cost), extracted since `start`.
+    /// The outcome for a priced term, with its tree cost under the model,
+    /// extracted since `start`.
     ///
-    /// Errs with [`ExtractError::NoFiniteTerm`] when the cost is not finite
-    /// (an ill-typed input: every term of the root class holds an invalid
-    /// operator).
+    /// Errs with [`ExtractError::NoFiniteTerm`] when the DAG cost is not
+    /// finite, NaN included (an ill-typed input: every term of the root
+    /// class holds an invalid operator).
     fn new(
-        term: ChosenTerm<TensorLang>,
+        (dag_cost, term): Priced,
         model: &CostModel,
         start: Instant,
     ) -> Result<Self, ExtractError> {
-        let cost = model.graph_cost_composite(&term.expr);
-        if !cost.is_finite() {
+        if !dag_cost.is_finite() {
             return Err(ExtractError::NoFiniteTerm);
         }
         Ok(ExtractionOutcome {
-            dag_cost: cost.latency,
+            cost: Cost { latency: dag_cost },
+            dag_cost,
             tree_cost: model.tree_cost(&term.expr),
-            cost,
             expr: term.expr,
             picks: term.picks,
             time: start.elapsed(),
@@ -134,15 +137,12 @@ impl ExtractionOutcome {
     }
 }
 
-/// `first`, unless `second` is strictly cheaper under [`Cost::total_order`]
-/// or `first` is missing; a borrowed winner is cloned.
-fn cheaper(
-    first: Option<Cow<'_, ExtractionOutcome>>,
-    second: Option<Cow<'_, ExtractionOutcome>>,
-) -> Option<ExtractionOutcome> {
+/// `first`, unless `second` is strictly cheaper by `cost` under
+/// [`f64::total_cmp`] or `first` is missing.
+fn cheaper<T>(first: Option<T>, second: Option<T>, cost: impl Fn(&T) -> f64) -> Option<T> {
     match (first, second) {
-        (Some(a), Some(b)) if b.cost.total_order(&a.cost) == Ordering::Less => Some(b.into_owned()),
-        (a, b) => a.or(b).map(Cow::into_owned),
+        (Some(a), Some(b)) if cost(&b).total_cmp(&cost(&a)).is_lt() => Some(b),
+        (a, b) => a.or(b),
     }
 }
 
@@ -225,7 +225,7 @@ impl std::fmt::Display for ExtractError {
 impl std::error::Error for ExtractError {}
 
 /// Tree-greedy extraction (paper §5.1): per e-class, pick the e-node with
-/// the smallest composite subtree cost under [`Cost::total_order`].
+/// the smallest subtree latency.
 ///
 /// # Errors
 ///
@@ -241,15 +241,14 @@ pub fn extract_greedy(
     let (_, term) = extractor
         .find_best_term(root)
         .ok_or(ExtractError::NoFiniteTerm)?;
-    ExtractionOutcome::new(term, model, start)
+    ExtractionOutcome::new(price(model, term), model, start)
 }
 
 /// Global greedy DAG extraction: the worklist extractor charging each
-/// e-node once (see [`tensat_egraph::DagExtractor`]), minimizing the
-/// composite cost.
+/// e-node once (see [`tensat_egraph::DagExtractor`]).
 ///
-/// Both greedy extractors run and the result with the lower composite DAG
-/// cost is returned, so `dag_cost(extract_greedy_dag) ≤
+/// Both greedy extractors run and the graph with the lower DAG cost is
+/// returned (the DAG pass's on a tie), so `dag_cost(extract_greedy_dag) ≤
 /// dag_cost(extract_greedy)` holds by construction — the DAG extractor is
 /// a heuristic, and on e-graphs where profitable sharing requires several
 /// classes to switch candidates *jointly* (the merged-matmul economics only
@@ -270,17 +269,12 @@ pub fn extract_greedy_dag(
     // so the two passes' tables are never live together.
     let dag = DagExtractor::new(egraph, ModelCost::new(model, egraph)).find_best_term(root);
     let tree = Extractor::new(egraph, ModelCost::new(model, egraph)).find_best_term(root);
-    // Compare by honest composite DAG cost of the built graphs, not the
-    // extractors' internal objectives (which disagree on what a "cost" is).
-    let outcome = |(_, term)| {
-        ExtractionOutcome::new(term, model, start)
-            .ok()
-            .map(Cow::Owned)
-    };
-    let mut best =
-        cheaper(dag.and_then(outcome), tree.and_then(outcome)).ok_or(ExtractError::NoFiniteTerm)?;
-    best.time = start.elapsed();
-    Ok(best)
+    // Compare by the DAG cost of the built graphs, not the extractors'
+    // internal objectives (which disagree on what a "cost" is); only the
+    // winner's tree cost is measured.
+    let priced = |(_, term)| price(model, term);
+    let best = cheaper(dag.map(priced), tree.map(priced), |&(cost, _)| cost);
+    ExtractionOutcome::new(best.ok_or(ExtractError::NoFiniteTerm)?, model, start)
 }
 
 /// Configuration for ILP extraction.
@@ -375,12 +369,16 @@ fn solve_ilp(
 ) -> Result<ExtractionOutcome, ExtractError> {
     let root = egraph.find(root);
     let (solved, stats) = select_ilp(egraph, root, model, config, reduce, incumbent, start)?;
-    let solved = match solved.map(|term| ExtractionOutcome::new(term, model, start)) {
+    let solved = solved.map(|term| ExtractionOutcome::new(price(model, term), model, start));
+    let solved = match solved {
         Some(Err(e)) if incumbent.is_none() => return Err(e),
         solved => solved.and_then(Result::ok),
     };
-    let mut outcome = cheaper(solved.map(Cow::Owned), incumbent.map(Cow::Borrowed))
-        .ok_or(ExtractError::Infeasible)?;
+    let mut outcome = cheaper(solved.map(Cow::Owned), incumbent.map(Cow::Borrowed), |o| {
+        o.dag_cost
+    })
+    .map(Cow::into_owned)
+    .ok_or(ExtractError::Infeasible)?;
     outcome.time = start.elapsed();
     outcome.ilp = Some(stats);
     Ok(outcome)
@@ -412,7 +410,7 @@ fn select_ilp(
 ) -> Result<(Option<ChosenTerm<TensorLang>>, IlpStats), ExtractError> {
     let mut rp = reduce::ExtractionProblem::from_egraph(egraph, root, model)?;
     if reduce {
-        let ub = incumbent.map(|g| g.cost.latency);
+        let ub = incumbent.map(|g| g.dag_cost);
         rp.reduce(ub, start.checked_add(config.time_limit))?;
     }
     let topo = config.cycle_constraints;
@@ -536,8 +534,7 @@ struct Encoded {
 
 /// Encodes the classes `comp` of `rp` — one of its
 /// [`components`](reduce::ExtractionProblem::components) — as the paper's
-/// §5.1 program. Each live candidate is a binary costed at its latency (the
-/// primary objective; memory and launches ride along in the outcome).
+/// §5.1 program. Each live candidate is a binary costed at its latency.
 /// Constraint (2) makes the root class pick exactly one; each other
 /// required class gets a `>= 1` row (implied by a fixed parent's constraint
 /// (3); stating it lets the solver's cover-group bound see the class); and
@@ -875,6 +872,35 @@ mod tests {
         assert_eq!(ilp.ilp.as_ref().unwrap().status, Status::Optimal);
     }
 
+    /// A graph whose latency is NaN is refused like an infinite one: under a
+    /// cost model whose fused-activation charge is NaN, the one term of a
+    /// lone fused matmul costs NaN, and every extractor answers
+    /// `NoFiniteTerm` instead of returning it.
+    #[test]
+    fn a_graph_of_nan_latency_is_refused_by_every_extractor() {
+        let mut g = GraphBuilder::new();
+        let x = g.input("x", &[64, 256]);
+        let w = g.weight("w", &[256, 256]);
+        let m = g.matmul_act(tensat_ir::Activation::Relu, x, w);
+        let expr = g.finish(&[m]);
+        let model = CostModel {
+            fused_activation_us: f64::NAN,
+            ..CostModel::default()
+        };
+        assert!(model.graph_cost(&expr).is_nan());
+        let mut eg = TensorEGraph::new(TensorAnalysis);
+        let root = eg.add_expr(&expr);
+        eg.rebuild();
+        for mode in [
+            ExtractionMode::Greedy,
+            ExtractionMode::GreedyDag,
+            ExtractionMode::Ilp,
+        ] {
+            let refused = extract(mode, &eg, root, &model, &IlpConfig::default()).unwrap_err();
+            assert_eq!(refused, ExtractError::NoFiniteTerm, "{mode:?}");
+        }
+    }
+
     #[test]
     fn every_mode_extracts_through_the_one_dispatch() {
         let (eg, root, _) = explored_two_matmuls();
@@ -1006,8 +1032,8 @@ mod tests {
     fn every_selection_builds_a_graph_of_its_priced_finite_cost() {
         let model = CostModel::default();
         let priced = |eg: &TensorEGraph, picks: &[(usize, Id)]| -> f64 {
-            let own = |&(_, id): &(usize, Id)| model.enode_cost_composite(eg, eg.enode(id));
-            picks.iter().map(own).map(|c| c.latency).sum()
+            let own = |&(_, id): &(usize, Id)| model.enode_cost(eg, eg.enode(id));
+            picks.iter().map(own).sum()
         };
         for name in tensat_models::BENCHMARKS {
             let graph = tensat_models::build_benchmark(name, tensat_models::ModelScale::tiny());
@@ -1103,11 +1129,11 @@ mod tests {
             check("ilp at no time", &kept);
             // An incumbent cheaper than the solver's graph comes back whole.
             let mut cheap = dag.clone();
-            cheap.cost.latency = 0.0;
+            cheap.dag_cost = 0.0;
             let start = Instant::now();
             let fallback =
                 solve_ilp(&eg, root, &model, &no_time, false, Some(&cheap), start).unwrap();
-            assert_eq!(fallback.cost.latency, 0.0, "{name}");
+            assert_eq!(fallback.dag_cost, 0.0, "{name}");
             check("ilp fallback", &fallback);
         }
     }

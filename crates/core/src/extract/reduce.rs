@@ -143,7 +143,7 @@ impl ExtractionProblem {
             let mut list = vec![];
             for id in egraph.enode_ids(egraph.eclass(class)) {
                 let node = egraph.enode(id);
-                let cost = model.enode_cost_composite(egraph, node);
+                let cost = model.enode_cost(egraph, node);
                 if !cost.is_finite() {
                     continue;
                 }
@@ -158,7 +158,7 @@ impl ExtractionProblem {
                 constraints_before += children.len();
                 list.push(Candidate {
                     node: id,
-                    cost: cost.latency,
+                    cost,
                     children,
                 });
             }

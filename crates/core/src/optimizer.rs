@@ -1,4 +1,8 @@
 //! The end-to-end TENSAT optimizer: exploration followed by extraction.
+//!
+//! What it minimizes is one number, the graph's summed operator latency
+//! under [`OptimizerConfig::cost_model`]: every extractor's objective, and
+//! the comparison that keeps the input when nothing extracted is cheaper.
 
 use crate::explore::{
     default_search_threads, explore, CycleFilter, ExplorationMode, ExplorationStats, GuidedConfig,
@@ -6,7 +10,7 @@ use crate::explore::{
 use crate::extract::{extract, ExtractError, ExtractionMode, IlpConfig, IlpStats};
 use std::time::Duration;
 use tensat_egraph::RecExpr;
-use tensat_ir::{Cost, CostModel, TensorAnalysis, TensorEGraph, TensorLang};
+use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
 
 /// Full optimizer configuration: the one set of parameters the paper's
@@ -148,9 +152,6 @@ pub struct OptimizationResult {
     pub original_cost: f64,
     /// Estimated cost of the optimized graph (µs, DAG-counted).
     pub optimized_cost: f64,
-    /// Composite cost of the optimized graph (latency, peak memory,
-    /// launches); `optimized_cost` is its latency component.
-    pub optimized_composite: Cost,
     /// The optimized graph.
     pub optimized_graph: RecExpr<TensorLang>,
     /// Run statistics.
@@ -266,8 +267,7 @@ impl Optimizer {
             return Err(ExtractError::NoFiniteTerm);
         }
         let model = &self.config.cost_model;
-        let original_composite = model.graph_cost_composite(graph);
-        let original_cost = original_composite.latency;
+        let original_cost = model.graph_cost(graph);
 
         let mut egraph = TensorEGraph::new(TensorAnalysis);
         let root = egraph.add_expr(graph);
@@ -292,21 +292,19 @@ impl Optimizer {
         let outcome = extract(self.config.extraction, &egraph, root, model, &ilp)?;
 
         // Never return a graph worse than the input: the input itself is
-        // always represented in the e-graph. Comparison is the composite
-        // lexicographic order, so ties on latency break toward the graph
-        // with less memory/fewer launches — deterministically.
+        // always represented in the e-graph. A tie keeps the extracted
+        // graph.
         let ilp_stats = outcome.ilp;
-        let (optimized_graph, optimized_composite) =
-            if outcome.cost.total_order(&original_composite).is_le() {
-                (outcome.expr, outcome.cost)
+        let (optimized_graph, optimized_cost) =
+            if outcome.dag_cost.total_cmp(&original_cost).is_le() {
+                (outcome.expr, outcome.dag_cost)
             } else {
-                (graph.clone(), original_composite)
+                (graph.clone(), original_cost)
             };
 
         Ok(OptimizationResult {
             original_cost,
-            optimized_cost: optimized_composite.latency,
-            optimized_composite,
+            optimized_cost,
             optimized_graph,
             stats: OptimizationStats {
                 exploration,
@@ -380,9 +378,6 @@ mod tests {
         .unwrap();
         assert!(dag.optimized_cost <= greedy.optimized_cost + 1e-9);
         assert!(dag.optimized_cost <= dag.original_cost);
-        // The composite view is consistent with the scalar one.
-        assert_eq!(dag.optimized_composite.latency, dag.optimized_cost);
-        assert!(dag.optimized_composite.launches >= 1.0);
     }
 
     /// `VGG-19` at `blocks: 6` is ill-typed (a pooling window outgrows its

@@ -101,27 +101,6 @@ impl<L: Language> RecExpr<L> {
         self.nodes.iter().enumerate().map(|(i, n)| (Id::from(i), n))
     }
 
-    /// Returns the number of nodes reachable from the root, counting shared
-    /// nodes once. This is the "DAG size" as opposed to the tree size.
-    pub fn dag_size(&self) -> usize {
-        if self.nodes.is_empty() {
-            return 0;
-        }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![self.root()];
-        let mut count = 0;
-        while let Some(id) = stack.pop() {
-            let i = usize::from(id);
-            if seen[i] {
-                continue;
-            }
-            seen[i] = true;
-            count += 1;
-            self.nodes[i].for_each(|c| stack.push(c));
-        }
-        count
-    }
-
     /// Builds a sub-expression rooted at `id` containing only reachable
     /// nodes (compacting away unreachable ones).
     pub fn extract(&self, id: Id) -> RecExpr<L> {
@@ -202,14 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_size_counts_shared_nodes_once() {
-        let (e, _) = example();
-        // a, 2, mul, div — the `2` is shared between mul and div.
-        assert_eq!(e.dag_size(), 4);
-        assert_eq!(e.len(), 4);
-    }
-
-    #[test]
     fn extract_compacts() {
         let (mut e, _) = example();
         // Add an unreachable node.
@@ -240,6 +211,5 @@ mod tests {
         let e = RecExpr::<Math>::default();
         assert!(e.is_empty());
         assert_eq!(e.to_string(), "()");
-        assert_eq!(e.dag_size(), 0);
     }
 }

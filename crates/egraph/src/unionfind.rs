@@ -55,13 +55,6 @@ impl UnionFind {
         self.sizes.shrink_to_fit();
     }
 
-    /// Returns the number of distinct sets.
-    pub fn num_sets(&self) -> usize {
-        (0..self.parents.len())
-            .filter(|&i| self.parents[i] == Id::from(i))
-            .count()
-    }
-
     #[inline]
     fn parent(&self, id: Id) -> Id {
         self.parents[usize::from(id)]
@@ -96,11 +89,6 @@ impl UnionFind {
             id = next;
         }
         root
-    }
-
-    /// Returns true if `a` and `b` are in the same set.
-    pub fn in_same_set(&self, a: Id, b: Id) -> bool {
-        self.find(a) == self.find(b)
     }
 
     /// Merges the sets containing `a` and `b`, returning the canonical
@@ -139,7 +127,6 @@ mod tests {
         for &id in &ids {
             assert_eq!(uf.find(id), id);
         }
-        assert_eq!(uf.num_sets(), 10);
     }
 
     #[test]
@@ -148,9 +135,9 @@ mod tests {
         uf.union(ids[0], ids[1]);
         uf.union(ids[2], ids[3]);
         uf.union(ids[0], ids[2]);
-        assert!(uf.in_same_set(ids[1], ids[3]));
-        assert!(!uf.in_same_set(ids[1], ids[4]));
-        assert_eq!(uf.num_sets(), 3);
+        assert_eq!(uf.find(ids[1]), uf.find(ids[3]));
+        assert_ne!(uf.find(ids[1]), uf.find(ids[4]));
+        assert_ne!(uf.find(ids[4]), uf.find(ids[5]));
     }
 
     #[test]
@@ -159,7 +146,7 @@ mod tests {
         let r1 = uf.union(ids[0], ids[1]);
         let r2 = uf.union(ids[0], ids[1]);
         assert_eq!(r1, r2);
-        assert_eq!(uf.num_sets(), 1);
+        assert_eq!(uf.find(ids[0]), uf.find(ids[1]));
     }
 
     #[test]

@@ -129,22 +129,6 @@ impl Problem {
         self.constraints.push(Constraint { terms, cmp, rhs });
     }
 
-    /// Fixes a variable to a constant by shrinking its bounds.
-    pub fn fix_var(&mut self, var: VarId, value: f64) {
-        self.kinds[var.0] = VarKind::Continuous {
-            lo: value,
-            hi: value,
-        };
-        // Keep integrality information when the value is integral and the
-        // variable was integral.
-        if value.fract() == 0.0 {
-            self.kinds[var.0] = VarKind::Integer {
-                lo: value as i64,
-                hi: value as i64,
-            };
-        }
-    }
-
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.kinds.len()
@@ -245,15 +229,5 @@ mod tests {
         assert_eq!(k.lo(), -1.5);
         let k = VarKind::Integer { lo: 2, hi: 7 };
         assert_eq!(k.hi(), 7.0);
-    }
-
-    #[test]
-    fn fix_var_shrinks_domain() {
-        let mut p = Problem::new();
-        let x = p.add_binary(1.0);
-        p.fix_var(x, 0.0);
-        assert_eq!(p.kinds()[0].lo(), 0.0);
-        assert_eq!(p.kinds()[0].hi(), 0.0);
-        assert!(!p.is_feasible(&[1.0], 1e-6));
     }
 }

@@ -13,97 +13,38 @@
 //! 2. *Weight pre-computation* — any operator whose output depends only on
 //!    weights costs nothing at inference time (paper Fig. 10), so concats
 //!    of weight kernels are free.
+//!
+//! Latency is the one objective: an e-node costs its roofline time in µs
+//! ([`CostModel::node_cost`]), and every extractor — tree-greedy,
+//! greedy-DAG, the ILP (paper §5.1, objective Σ cᵢxᵢ) — and Guided's state
+//! score minimize the sum of those times over the chosen e-nodes.
 
 use crate::shape::{infer, infer_recexpr, TensorData};
 use crate::{TensorAnalysis, TensorLang};
 use std::cmp::Ordering;
-use std::ops::{Add, AddAssign};
 use tensat_egraph::{CostFunction, EGraph, Id, Language, RecExpr};
 
-/// A composite, Pareto-comparable extraction cost.
-///
-/// The paper optimizes a single scalar (summed operator runtime); real
-/// deployment also cares about memory footprint and kernel-launch count, so
-/// the extraction seam carries all three and lets strategies trade them
-/// off. Comparisons used by extraction are *lexicographic* — latency first,
-/// peak memory, then launches — so latency remains the paper-faithful
-/// primary objective and the other fields only break ties deterministically.
-/// [`Cost::dominates`] gives the Pareto order for frontier surfacing.
-///
-/// The lexicographic order is total (each field compares with
-/// [`f64::total_cmp`], under which NaN orders above `+inf` and therefore
-/// never wins a minimum), so `PartialOrd::partial_cmp` never returns `None`.
+/// The cost of an extracted graph: its summed operator latency. A struct
+/// around the one `f64` that [`CostModel::graph_cost`] returns, kept for
+/// the readers of `ExtractionOutcome::cost` and
+/// [`CostModel::graph_cost_composite`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cost {
     /// Summed operator latency in microseconds — the paper's objective.
     pub latency: f64,
-    /// Approximate peak memory in bytes: the sum of materialized operator
-    /// outputs (free/metadata-only nodes materialize nothing new).
-    pub peak_memory: f64,
-    /// Number of kernel launches (one per non-free operator).
-    pub launches: f64,
 }
 
 impl Cost {
-    /// The additive identity (a free node / empty graph).
-    pub const ZERO: Cost = Cost {
-        latency: 0.0,
-        peak_memory: 0.0,
-        launches: 0.0,
-    };
-
-    /// The cost of an ill-typed node: never selected by any extractor.
-    pub const INFINITE: Cost = Cost {
-        latency: f64::INFINITY,
-        peak_memory: f64::INFINITY,
-        launches: f64::INFINITY,
-    };
-
-    /// True if every component is finite.
+    /// True if the latency is finite.
     pub fn is_finite(&self) -> bool {
-        self.latency.is_finite() && self.peak_memory.is_finite() && self.launches.is_finite()
+        self.latency.is_finite()
     }
 
-    /// The total lexicographic order used by extraction: latency, then
-    /// peak memory, then launches, each via [`f64::total_cmp`].
+    /// The latencies under [`f64::total_cmp`]: a NaN, which
+    /// [`CostModel::node_cost`] returns without the sign bit, orders above
+    /// `+inf` and never wins a minimum.
     pub fn total_order(&self, other: &Cost) -> Ordering {
-        self.latency
-            .total_cmp(&other.latency)
-            .then_with(|| self.peak_memory.total_cmp(&other.peak_memory))
-            .then_with(|| self.launches.total_cmp(&other.launches))
-    }
-
-    /// Pareto dominance: no component worse, at least one strictly better.
-    pub fn dominates(&self, other: &Cost) -> bool {
-        self.latency <= other.latency
-            && self.peak_memory <= other.peak_memory
-            && self.launches <= other.launches
-            && (self.latency < other.latency
-                || self.peak_memory < other.peak_memory
-                || self.launches < other.launches)
-    }
-}
-
-impl PartialOrd for Cost {
-    /// Always `Some`: the lexicographic [`Cost::total_order`] is total.
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.total_order(other))
-    }
-}
-
-impl Add for Cost {
-    type Output = Cost;
-    fn add(mut self, rhs: Cost) -> Cost {
-        self += rhs;
-        self
-    }
-}
-
-impl AddAssign for Cost {
-    fn add_assign(&mut self, rhs: Cost) {
-        self.latency += rhs.latency;
-        self.peak_memory += rhs.peak_memory;
-        self.launches += rhs.launches;
+        self.latency.total_cmp(&other.latency)
     }
 }
 
@@ -146,28 +87,22 @@ impl CostModel {
         self.launch_overhead_us + bytes / self.bytes_per_us
     }
 
-    /// The composite [`Cost`] of a single operator node, given a function
-    /// borrowing the [`TensorData`] of each child; children are read in
-    /// place, so the only allocation is the inferred output.
+    /// The latency in µs of a single operator node — its roofline time —
+    /// given a function borrowing the [`TensorData`] of each child; children
+    /// are read in place, so the only allocation is the inferred output.
     ///
-    /// Latency is the roofline time in µs. A node with zero latency is
-    /// wholly free — it materializes nothing new and launches no kernel —
-    /// while every other node charges its output bytes as peak memory and
-    /// one kernel launch. Free nodes: parameter leaves, `input`/`weight`,
-    /// `noop`, metadata-only ops (`split0`, `split1`, `reshape`, `merge`),
-    /// and any operator whose output is computable from weights alone.
-    /// An ill-typed node costs [`Cost::INFINITE`].
-    pub fn node_cost_composite<'a>(
-        &self,
-        node: &TensorLang,
-        get: &dyn Fn(Id) -> &'a TensorData,
-    ) -> Cost {
+    /// Free nodes cost 0: parameter leaves, `input`/`weight`, `noop`,
+    /// metadata-only ops (`split0`, `split1`, `reshape`, `merge`), and any
+    /// operator whose output is computable from weights alone. An
+    /// ill-typed node costs `+inf`, and a NaN latency (from a NaN
+    /// parameter) is always the positive [`f64::NAN`].
+    pub fn node_cost<'a>(&self, node: &TensorLang, get: &dyn Fn(Id) -> &'a TensorData) -> f64 {
         use TensorLang as L;
 
         // Parameter leaves and graph plumbing are free.
         match node {
-            L::Num(_) | L::Str(_) | L::Input(_) | L::Weight(_) | L::Noop(_) => return Cost::ZERO,
-            L::Split0(_) | L::Split1(_) | L::Reshape(_) | L::Merge(_) => return Cost::ZERO,
+            L::Num(_) | L::Str(_) | L::Input(_) | L::Weight(_) | L::Noop(_) => return 0.0,
+            L::Split0(_) | L::Split1(_) | L::Reshape(_) | L::Merge(_) => return 0.0,
             _ => {}
         }
 
@@ -175,12 +110,12 @@ impl CostModel {
         // Ill-typed nodes are given an infinite cost so that extraction
         // never selects them.
         let TensorData::Tensor(out_info) = &out else {
-            return Cost::INFINITE;
+            return f64::INFINITY;
         };
         // Anything computable from weights alone is pre-computed before
         // inference and costs nothing at run time.
         if out_info.weights_only {
-            return Cost::ZERO;
+            return 0.0;
         }
 
         let out_elems = out_info.elements().max(0) as f64;
@@ -209,7 +144,7 @@ impl CostModel {
             L::Matmul([act, a, b]) => {
                 let sa = match (get(*a).shape(), get(*b).shape()) {
                     (Some(sa), Some(_)) => sa,
-                    _ => return Cost::INFINITE,
+                    _ => return f64::INFINITY,
                 };
                 let (act_flops, act_us) = activation(*act);
                 let flops = 2.0 * out_elems * sa[sa.len() - 1] as f64 + act_flops;
@@ -219,7 +154,7 @@ impl CostModel {
             L::Conv([_sh, _sw, _pad, act, x, w]) => {
                 let (ci, kh, kw) = match get(*w).shape() {
                     Some(&[_, ci, kh, kw]) => (ci as f64, kh as f64, kw as f64),
-                    _ => return Cost::INFINITE,
+                    _ => return f64::INFINITY,
                 };
                 let (act_flops, act_us) = activation(*act);
                 let flops = 2.0 * out_elems * ci * kh * kw + act_flops;
@@ -257,48 +192,47 @@ impl CostModel {
             | L::Reshape(_)
             | L::Merge(_) => 0.0,
         };
-        if latency == 0.0 {
-            return Cost::ZERO;
-        }
-        if latency.is_infinite() {
-            return Cost::INFINITE;
-        }
-        Cost {
-            latency,
-            peak_memory: out_elems * self.bytes_per_element,
-            launches: 1.0,
+        // A NaN parameter makes a NaN latency, which x86 arithmetic gives
+        // the sign bit that puts it below `-inf` under `f64::total_cmp`;
+        // cleared, every NaN orders above `+inf` and never wins a minimum.
+        if latency.is_nan() {
+            f64::NAN
+        } else {
+            latency
         }
     }
 
-    /// The composite [`Cost`] of an e-node inside an e-graph.
-    pub fn enode_cost_composite(
+    /// The latency of an e-node inside an e-graph ([`CostModel::node_cost`]
+    /// over its children's class data).
+    pub fn enode_cost(
         &self,
         egraph: &EGraph<TensorLang, TensorAnalysis>,
         enode: &TensorLang,
-    ) -> Cost {
-        self.node_cost_composite(enode, &|id| &egraph.eclass(id).data)
+    ) -> f64 {
+        self.node_cost(enode, &|id| &egraph.eclass(id).data)
     }
 
     /// The total cost (µs) of a concrete tensor graph. Structurally
     /// identical nodes are counted once (the graph is a DAG; shared
     /// sub-computations run once), matching how TASO costs graphs.
     pub fn graph_cost(&self, expr: &RecExpr<TensorLang>) -> f64 {
-        self.graph_cost_composite(expr).latency
-    }
-
-    /// The composite DAG cost of a concrete tensor graph (each structurally
-    /// distinct node charged once).
-    pub fn graph_cost_composite(&self, expr: &RecExpr<TensorLang>) -> Cost {
         let data = infer_recexpr(expr);
         let get_all = |id: Id| &data[usize::from(id)];
         let mut seen: std::collections::HashSet<&TensorLang> = Default::default();
-        let mut total = Cost::ZERO;
+        let mut total = 0.0;
         for (_, node) in expr.iter() {
             if seen.insert(node) {
-                total += self.node_cost_composite(node, &get_all);
+                total += self.node_cost(node, &get_all);
             }
         }
         total
+    }
+
+    /// [`CostModel::graph_cost`] as a [`Cost`].
+    pub fn graph_cost_composite(&self, expr: &RecExpr<TensorLang>) -> Cost {
+        Cost {
+            latency: self.graph_cost(expr),
+        }
     }
 
     /// The *tree* cost (µs) of a concrete tensor graph: each node charged
@@ -324,7 +258,7 @@ impl CostModel {
             if m == 0.0 {
                 continue;
             }
-            total += m * self.node_cost_composite(node, &get_all).latency;
+            total += m * self.node_cost(node, &get_all);
             for &c in node.children() {
                 mult[usize::from(c)] += m;
             }
@@ -334,11 +268,9 @@ impl CostModel {
 }
 
 /// The cost model as the extractors' [`CostFunction`] over an e-graph:
-/// each e-node costs its composite [`Cost`]
-/// ([`CostModel::enode_cost_composite`]), costs add component-wise, and
-/// they compare by [`Cost::total_order`] — latency, then peak memory, then
-/// launches. Tree-greedy, greedy-DAG and Guided's state scoring all price
-/// e-nodes through it.
+/// each e-node costs its latency ([`CostModel::enode_cost`]), costs add,
+/// and they compare by [`f64::total_cmp`]. Tree-greedy, greedy-DAG and
+/// Guided's state scoring all price e-nodes through it.
 #[derive(Debug, Clone, Copy)]
 pub struct ModelCost<'a> {
     model: &'a CostModel,
@@ -354,22 +286,22 @@ impl<'a> ModelCost<'a> {
 }
 
 impl CostFunction<TensorLang> for ModelCost<'_> {
-    type Cost = Cost;
+    type Cost = f64;
 
-    fn node_cost(&mut self, enode: &TensorLang) -> Cost {
-        self.model.enode_cost_composite(self.egraph, enode)
+    fn node_cost(&mut self, enode: &TensorLang) -> f64 {
+        self.model.enode_cost(self.egraph, enode)
     }
 
-    fn zero(&self) -> Cost {
-        Cost::ZERO
+    fn zero(&self) -> f64 {
+        0.0
     }
 
-    fn add_assign(&self, acc: &mut Cost, item: &Cost) {
+    fn add_assign(&self, acc: &mut f64, item: &f64) {
         *acc += *item;
     }
 
-    fn cmp(a: &Cost, b: &Cost) -> Ordering {
-        a.total_order(b)
+    fn cmp(a: &f64, b: &f64) -> Ordering {
+        a.total_cmp(b)
     }
 }
 
@@ -378,6 +310,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::lang::Activation;
+    use tensat_egraph::{DagExtractor, Extractor};
 
     #[test]
     fn weights_only_subgraphs_are_free() {
@@ -543,42 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn composite_order_is_total_and_latency_first() {
-        let a = Cost {
-            latency: 1.0,
-            peak_memory: 100.0,
-            launches: 9.0,
-        };
-        let b = Cost {
-            latency: 2.0,
-            peak_memory: 1.0,
-            launches: 1.0,
-        };
-        // Lexicographic: latency dominates regardless of the other fields.
-        assert!(a < b);
-        // Ties broken by memory, then launches.
-        let c = Cost {
-            latency: 1.0,
-            peak_memory: 50.0,
-            launches: 100.0,
-        };
-        assert!(c < a);
-        // NaN is ordered (above +inf), never equal to itself being a trap.
-        let nan = Cost {
-            latency: f64::NAN,
-            peak_memory: 0.0,
-            launches: 0.0,
-        };
-        assert_eq!(nan.partial_cmp(&Cost::INFINITE), Some(Ordering::Greater));
-        assert!(a < nan);
-        // Pareto dominance is distinct from the lexicographic order: `a`
-        // is lexicographically smaller than `b` but does not dominate it.
-        assert!(!a.dominates(&b));
-        assert!(Cost::ZERO.dominates(&a));
-        assert!(!a.dominates(&a));
-    }
-
-    #[test]
     fn composite_cost_components_are_consistent() {
         let cm = CostModel::default();
         let mut g = GraphBuilder::new();
@@ -587,13 +484,59 @@ mod tests {
         let m = g.matmul(x, w);
         let r = g.relu(m);
         let expr = g.finish(&[r]);
+        // The wrapper's latency is the scalar model's, to the bit.
         let composite = cm.graph_cost_composite(&expr);
-        // Latency agrees with the scalar model.
-        assert_eq!(composite.latency, cm.graph_cost(&expr));
-        // Two non-free operators: matmul and relu.
-        assert_eq!(composite.launches, 2.0);
-        // Each materializes a [64, 256] fp32 output.
-        assert_eq!(composite.peak_memory, 2.0 * 64.0 * 256.0 * 4.0);
+        assert_eq!(composite.latency.to_bits(), cm.graph_cost(&expr).to_bits());
+        assert!(composite.is_finite());
+    }
+
+    /// A NaN-priced e-node never wins its class under [`ModelCost`], whose
+    /// `cmp` is [`f64::total_cmp`] (a NaN without the sign bit above
+    /// `+inf`): a cost model whose fused-activation charge is NaN prices
+    /// the fused `matmul` NaN, and both greedy extractors pick the unfused
+    /// `relu(matmul)` it is unioned with, whichever of the two the class
+    /// lists first. The charge is NaN of either sign: `0.0 / 0.0` computed
+    /// at run time on x86 has the sign bit set.
+    #[test]
+    fn a_nan_priced_enode_never_wins_its_class() {
+        for nan in [f64::NAN, -f64::NAN] {
+            assert_nan_priced_enode_loses(nan);
+        }
+    }
+
+    fn assert_nan_priced_enode_loses(nan: f64) {
+        let cm = CostModel {
+            fused_activation_us: nan,
+            ..CostModel::default()
+        };
+        let graph = |fused: bool| {
+            let mut g = GraphBuilder::new();
+            let x = g.input("x", &[64, 256]);
+            let w = g.weight("w", &[256, 256]);
+            let out = if fused {
+                g.matmul_act(Activation::Relu, x, w)
+            } else {
+                let m = g.matmul(x, w);
+                g.relu(m)
+            };
+            g.finish(&[out])
+        };
+        let (fused, unfused) = (graph(true), graph(false));
+        assert!(cm.graph_cost(&fused).is_nan());
+        for (first, second) in [(&fused, &unfused), (&unfused, &fused)] {
+            let mut eg = EGraph::new(TensorAnalysis);
+            let root = eg.add_expr(first);
+            let other = eg.add_expr(second);
+            eg.union(root, other);
+            eg.rebuild();
+            let root = eg.find(root);
+            let tree = Extractor::new(&eg, ModelCost::new(&cm, &eg)).find_best(root);
+            let dag = DagExtractor::new(&eg, ModelCost::new(&cm, &eg)).find_best(root);
+            for (cost, expr) in [tree.unwrap(), dag.unwrap()] {
+                assert_eq!(expr.to_string(), unfused.to_string(), "{nan:?}");
+                assert!(cost.is_finite(), "{nan:?}: {cost}");
+            }
+        }
     }
 
     #[test]

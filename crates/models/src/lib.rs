@@ -2,8 +2,7 @@
 //!
 //! Scaled, structurally faithful replicas of the seven inference graphs the
 //! paper evaluates on (§6.1): NasRNN, BERT, ResNeXt-50, NasNet-A,
-//! SqueezeNet, VGG-19 and Inception-v3 (plus ResNet-50, which the paper
-//! reports gains nothing on a T4).
+//! SqueezeNet, VGG-19 and Inception-v3.
 //!
 //! The replicas keep the *structures* that TENSAT's rewrites exploit —
 //! parallel matmuls/convolutions sharing inputs, conv+activation chains,
@@ -80,7 +79,6 @@ pub fn build_benchmark(name: &str, scale: ModelScale) -> RecExpr<TensorLang> {
         "SqueezeNet" => squeezenet(scale),
         "VGG-19" => vgg19(scale),
         "Inception-v3" => inception_v3(scale),
-        "ResNet-50" => resnet50(scale),
         other => panic!("unknown benchmark `{other}`"),
     }
 }
@@ -278,26 +276,6 @@ pub fn inception_v3(scale: ModelScale) -> RecExpr<TensorLang> {
     g.finish(&[x])
 }
 
-/// ResNet-50: bottleneck residual blocks. Included because the paper notes
-/// that the TASO rule set yields no speedup for it on a T4 — a useful
-/// negative control for the harness.
-pub fn resnet50(scale: ModelScale) -> RecExpr<TensorLang> {
-    let mut g = GraphBuilder::new();
-    let c = scale.hidden;
-    let mut x = g.input("image", &[1, c, 14, 14]);
-    for block in 0..scale.blocks {
-        let w1 = g.weight(&format!("res{block}_1"), &[c / 4, c, 1, 1]);
-        let w2 = g.weight(&format!("res{block}_2"), &[c / 4, c / 4, 3, 3]);
-        let w3 = g.weight(&format!("res{block}_3"), &[c, c / 4, 1, 1]);
-        let a = g.conv(x, w1, (1, 1), Padding::Same, Activation::Relu);
-        let b = g.conv(a, w2, (1, 1), Padding::Same, Activation::Relu);
-        let d = g.conv(b, w3, (1, 1), Padding::Same, Activation::None);
-        let sum = g.ewadd(x, d);
-        x = g.relu(sum);
-    }
-    g.finish(&[x])
-}
-
 /// Returns `(name, graph)` pairs for all seven paper benchmarks at the
 /// given scale.
 pub fn all_benchmarks(scale: ModelScale) -> Vec<(&'static str, RecExpr<TensorLang>)> {
@@ -323,7 +301,6 @@ mod tests {
             assert!(is_well_typed(&graph), "{name} is not well-typed");
             assert!(graph.len() > 10, "{name} is suspiciously small");
         }
-        assert!(is_well_typed(&resnet50(ModelScale::default())));
     }
 
     #[test]
