@@ -475,30 +475,70 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// any build when `TENSAT_CHECK_INVARIANTS=1` is set — the full
     /// [`EGraph::check_invariants`] validator runs after every rebuild.
     pub fn rebuild(&mut self) -> usize {
-        let mut repairs = 0;
+        self.rebuild_counting().0
+    }
+
+    /// [`EGraph::rebuild`], returning the unions it performed and how many
+    /// parent lists it walked.
+    fn rebuild_counting(&mut self) -> (usize, usize) {
+        let (mut unions, mut walks) = (0, 0);
         loop {
             // Congruence repair, class-at-a-time over the union roots.
             while let Some(class) = self.pending.pop() {
-                repairs += self.repair_parents(class);
+                walks += 1;
+                unions += self.repair_parents(class);
             }
-            // Analysis repair.
-            while let Some(parent) = self.analysis_pending.pop() {
-                let class = self.find_mut(parent);
-                let node =
-                    self.nodes[usize::from(parent)].map_children(|c| self.unionfind.find_mut(c));
-                let data = N::make(self, &node);
-                let slot = self.slot_of[usize::from(class)] as usize;
-                let class_ref = self.slots[slot].as_mut().expect("class must exist");
-                let did = self.analysis.merge(&mut class_ref.data, data);
-                if did.0 {
-                    self.analysis_pending.extend_from_slice(&class_ref.parents);
-                    N::modify(self, class);
-                }
-            }
-            if self.pending.is_empty() && self.analysis_pending.is_empty() {
+            self.repair_analysis();
+            if self.pending.is_empty() {
                 break;
             }
         }
+        self.finish_rebuild();
+        (unions, walks)
+    }
+
+    /// [`EGraph::rebuild`] walking the parent list of every root it pops:
+    /// the oracle the skipping is tested against.
+    #[cfg(test)]
+    fn rebuild_every_pop(&mut self) -> (usize, usize) {
+        let (mut unions, mut walks) = (0, 0);
+        loop {
+            while let Some(class) = self.pending.pop() {
+                walks += 1;
+                unions += self.repair_parents(class);
+            }
+            self.repair_analysis();
+            if self.pending.is_empty() {
+                break;
+            }
+        }
+        self.finish_rebuild();
+        (unions, walks)
+    }
+
+    /// Drains the analysis worklist: re-makes each queued parent's data and
+    /// merges it into its class, queueing the class's parents in turn when
+    /// the data changed. [`Analysis::modify`] may union, refilling
+    /// `pending`.
+    fn repair_analysis(&mut self) {
+        while let Some(parent) = self.analysis_pending.pop() {
+            let class = self.find_mut(parent);
+            let node = self.nodes[usize::from(parent)].map_children(|c| self.unionfind.find_mut(c));
+            let data = N::make(self, &node);
+            let slot = self.slot_of[usize::from(class)] as usize;
+            let class_ref = self.slots[slot].as_mut().expect("class must exist");
+            let did = self.analysis.merge(&mut class_ref.data, data);
+            if did.0 {
+                self.analysis_pending.extend_from_slice(&class_ref.parents);
+                N::modify(self, class);
+            }
+        }
+    }
+
+    /// The rebuild's last steps, once both worklists are empty: the touched
+    /// node lists, the memo if stale, slot compaction, then the validator
+    /// where it is on.
+    fn finish_rebuild(&mut self) {
         self.repair_class_nodes();
         self.sweep_memo_if_stale();
         self.compact_slots();
@@ -507,7 +547,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         if cfg!(debug_assertions) || invariant_checks_forced() {
             self.check_invariants();
         }
-        repairs
     }
 
     /// Canonicalizes one class's parents and re-establishes the congruence
@@ -1275,6 +1314,13 @@ mod tests {
         /// Plays the round on `eg`, appending the added ids to `ids`, and
         /// rebuilds; returns every id the round's calls handed back.
         fn play(&self, eg: &mut EGraph<Math, ()>, ids: &mut Vec<Id>) -> Vec<Id> {
+            let out = self.add_and_union(eg, ids);
+            eg.rebuild();
+            out
+        }
+
+        /// [`Round::play`] without the rebuild.
+        fn add_and_union(&self, eg: &mut EGraph<Math, ()>, ids: &mut Vec<Id>) -> Vec<Id> {
             let mut out = vec![];
             for &(op, a, b) in &self.adds {
                 let children = [ids[a], ids[b]];
@@ -1290,7 +1336,6 @@ mod tests {
             for &(a, b) in &self.unions {
                 out.push(eg.union(ids[a], ids[b]).0);
             }
-            eg.rebuild();
             out
         }
     }
@@ -1344,6 +1389,54 @@ mod tests {
                 assert_eq!(observed(&eg), observed(&untrimmed));
             }
         }
+    }
+
+    /// Everything a rebuild decides: the `find` partition of every id,
+    /// the union count, the classes and matches ([`observed`]) and the
+    /// filter list.
+    fn rebuilt_view(eg: &EGraph<Math, ()>) -> impl PartialEq + fmt::Debug {
+        let partition: Vec<Id> = (0..eg.num_node_ids())
+            .map(|i| eg.find(Id::from(i)))
+            .collect();
+        let filtered: Vec<usize> = eg.filtered.iter_ones().collect();
+        (partition, eg.union_count(), observed(eg), filtered)
+    }
+
+    /// The rebuild against its every-pop oracle: seeded add/union rounds
+    /// (the generator of `memo_survives_random_add_union_rebuild`, as
+    /// [`Round`] draws it) on 500 small e-graphs, each round played on a
+    /// pair of equal e-graphs, one rebuilt each way, then a random listed
+    /// e-node filtered in both. After every round the two rebuilds
+    /// performed the same unions and [`rebuilt_view`] is equal.
+    #[test]
+    fn rebuild_equals_the_every_pop_oracle() {
+        let mut next = splitmix();
+        let (mut walks, mut oracle_walks) = (0, 0);
+        for _ in 0..500 {
+            let mut eg: EGraph<Math, ()> = EGraph::new(());
+            let mut ids: Vec<Id> = (0..2 + next(4))
+                .map(|i| eg.add(sym(&format!("l{i}"))))
+                .collect();
+            let mut oracle = eg.clone();
+            let mut oracle_ids = ids.clone();
+            for _ in 0..1 + next(4) {
+                let round = Round::draw(&mut next, ids.len());
+                let got = round.add_and_union(&mut eg, &mut ids);
+                assert_eq!(got, round.add_and_union(&mut oracle, &mut oracle_ids));
+                let (unions, walked) = eg.rebuild_counting();
+                let (oracle_unions, oracle_walked) = oracle.rebuild_every_pop();
+                assert_eq!(unions, oracle_unions);
+                walks += walked;
+                oracle_walks += oracle_walked;
+                eg.check_invariants();
+                assert_eq!(rebuilt_view(&eg), rebuilt_view(&oracle));
+                let class = eg.classes().nth(next(eg.number_of_classes())).unwrap();
+                let id = class.node_ids()[next(class.len())];
+                eg.filter_node(id);
+                oracle.filter_node(id);
+            }
+        }
+        assert_eq!(walks, oracle_walks);
     }
 
     #[test]
