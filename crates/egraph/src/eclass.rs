@@ -29,6 +29,11 @@ pub struct EClass<D> {
     /// touched by a union, and every internal consumer canonicalizes on
     /// use.
     pub(crate) parents: Vec<Id>,
+    /// Whether a union has merged into this class since its parent list
+    /// was last congruence-repaired: [`EGraph::rebuild`](crate::EGraph::rebuild)
+    /// walks the list of a root it pops only while this is set, and clears
+    /// it as it walks.
+    pub(crate) dirty: bool,
 }
 
 impl<D> EClass<D> {
