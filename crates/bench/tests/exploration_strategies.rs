@@ -937,6 +937,45 @@ fn guided_runs_are_pinned_on_every_benchmark_model() {
     }
 }
 
+/// The cycle pre-filter's work in the guided runs pinned above: per model
+/// and budget, `ExplorationStats::prefilter_{queries, walks, rejected}`.
+/// Guided asks one descendants map per beam state for all of that state's
+/// actions; answers and counts are what a map per action gave.
+#[test]
+fn guided_prefilter_counters_are_pinned_on_every_benchmark_model() {
+    let pinned: [(&str, [(usize, usize, usize); 2]); 7] = [
+        ("NasRNN", [(588, 24, 0), (44, 0, 0)]),
+        ("BERT", [(126, 6, 0), (51, 0, 0)]),
+        ("ResNeXt-50", [(38, 0, 0), (18, 0, 0)]),
+        ("NasNet-A", [(1117, 12, 0), (48, 0, 0)]),
+        ("SqueezeNet", [(60, 0, 0), (10, 0, 0)]),
+        ("VGG-19", [(80, 0, 0), (20, 0, 0)]),
+        ("Inception-v3", [(214, 6, 0), (10, 0, 0)]),
+    ];
+    assert!(pinned.iter().map(|(name, _)| name).eq(BENCHMARKS));
+    for (name, pins) in pinned {
+        let graph = build_benchmark(name, ModelScale::tiny());
+        let seed = seeded(&graph).0.total_number_of_nodes();
+        for (node_limit, pin) in [1_000, seed + 8].into_iter().zip(pins) {
+            let config = OptimizerConfig {
+                exploration: ExplorationMode::Guided,
+                k_multi: 1,
+                node_limit,
+                search_threads: 1,
+                exploration_time_limit: Duration::from_secs(600),
+                ..Default::default()
+            };
+            let stats = explored(&graph, &config).2;
+            let got = (
+                stats.prefilter_queries,
+                stats.prefilter_walks,
+                stats.prefilter_rejected,
+            );
+            assert_eq!(got, pin, "{name} at {node_limit} e-nodes");
+        }
+    }
+}
+
 /// Property 4 (the acceptance criterion): guided exploration under a hard
 /// budget at least 4x below the saturated e-graph size extracts a DAG no
 /// more expensive than tree-greedy extraction from full saturation, on at
