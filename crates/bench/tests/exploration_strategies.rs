@@ -943,7 +943,8 @@ fn guided_runs_are_pinned_on_every_benchmark_model() {
 /// actions; answers and counts are what a map per action gave.
 #[test]
 fn guided_prefilter_counters_are_pinned_on_every_benchmark_model() {
-    let pinned: [(&str, [(usize, usize, usize); 2]); 7] = [
+    type Counts = (usize, usize, usize);
+    let pinned: [(&str, [Counts; 2]); 7] = [
         ("NasRNN", [(588, 24, 0), (44, 0, 0)]),
         ("BERT", [(126, 6, 0), (51, 0, 0)]),
         ("ResNeXt-50", [(38, 0, 0), (18, 0, 0)]),

@@ -93,7 +93,7 @@ impl DescendantsMap {
             edges.extend_from_slice(&row);
         }
         offsets.resize(n + 1, edges.len() as u32);
-        // The map lives through a whole apply phase: give back what the
+        // The map lives through the apply phases it serves: give back what the
         // doubling growth left over.
         edges.shrink_to_fit();
         let (comp, cyclic) = components(&offsets, &edges);

@@ -1,12 +1,13 @@
 //! The shared exploration engine: one [`ExplorationContext`] holds the
 //! compiled single- and multi-pattern rule programs, the deduplicated
 //! canonical multi sources, the cycle filter, and the run's budget clock.
-//! The loop body exists once: an apply phase (descendants map, search,
-//! the rules' [`Action`]s, map dropped) and a seal (rebuild, cycle
-//! post-filter). [`Saturate`](super::Saturate) runs it as whole
-//! iterations ([`ExplorationContext::run_iteration`]), every rule in one
-//! phase; [`Guided`](super::Guided) runs one action per phase on a cloned
-//! state, under a hard node budget.
+//! The loop body exists once: the cycle pre-filter's descendants map of a
+//! clean e-graph, the rules' [`Action`]s applied behind it, and a seal
+//! (rebuild, cycle post-filter). [`Saturate`](super::Saturate) runs it as
+//! whole iterations ([`ExplorationContext::run_iteration`]), every rule
+//! behind one map; [`Guided`](super::Guided) applies one action to each
+//! clone of a state, under a hard node budget, every clone behind the
+//! state's one map.
 
 use super::{canonicalize_pattern, CycleFilter, ExplorationStats, StopReason};
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
@@ -185,28 +186,29 @@ impl<'a> ExplorationContext<'a> {
         // match before applying any substitution. The rules are applied in
         // order — single-pattern, then multi-pattern — until the budget is
         // spent.
-        self.apply_phase(
-            egraph,
-            stats,
-            |egraph, stats| self.search_state(egraph, do_multi, stats),
-            |egraph, (single, multi), desc| {
-                for (rule, matches) in single.into_iter().enumerate() {
-                    let matches = std::slice::from_ref(&matches);
-                    self.apply_action(egraph, Action::Single(rule), matches, desc, within_budget);
-                    if self.over_budget(egraph) {
-                        break;
-                    }
+        let desc = self.prefilter_map(egraph, stats);
+        let (single, multi) = self.search_state(egraph, do_multi, stats);
+        let start = Instant::now();
+        for (rule, matches) in single.into_iter().enumerate() {
+            let matches = std::slice::from_ref(&matches);
+            let desc = desc.as_ref();
+            self.apply_action(egraph, Action::Single(rule), matches, desc, within_budget);
+            if self.over_budget(egraph) {
+                break;
+            }
+        }
+        if do_multi {
+            for rule in 0..self.plans.len() {
+                let desc = desc.as_ref();
+                self.apply_action(egraph, Action::Multi(rule), &multi, desc, within_budget);
+                if self.over_budget(egraph) {
+                    break;
                 }
-                if do_multi {
-                    for rule in 0..self.plans.len() {
-                        self.apply_action(egraph, Action::Multi(rule), &multi, desc, within_budget);
-                        if self.over_budget(egraph) {
-                            break;
-                        }
-                    }
-                }
-            },
-        );
+            }
+        }
+        drop(multi);
+        stats.apply_time += start.elapsed();
+        self.retire_prefilter_map(desc, stats);
 
         // Which limit, if any, stopped the apply phase — read before the
         // rebuild's deduplication can pull the node count back under its
@@ -256,30 +258,30 @@ impl<'a> ExplorationContext<'a> {
         (single, multi)
     }
 
-    /// One apply phase behind the cycle pre-filter (Algorithm 2, lines
-    /// 3–9): builds the descendants map on the clean e-graph (timed into
-    /// `stats.prefilter_time`), gathers the match lists with `search`,
-    /// hands both to `apply` (timed into `stats.apply_time`), then adds
-    /// what the map was asked to `stats.prefilter_{queries, walks,
-    /// rejected}` and drops it. `apply` owns the match lists, so each can
-    /// die with its last reader; nothing the phase built outlives it.
-    pub(crate) fn apply_phase<M>(
+    /// The cycle pre-filter's descendants map of the clean `egraph`
+    /// (Algorithm 2, lines 3–9) in efficient mode, timed into
+    /// `stats.prefilter_time`: what every union of an apply phase on
+    /// `egraph`, or on a clone of it, is checked against.
+    pub(crate) fn prefilter_map(
         &self,
-        egraph: &mut TensorEGraph,
+        egraph: &TensorEGraph,
         stats: &mut ExplorationStats,
-        search: impl FnOnce(&TensorEGraph, &mut ExplorationStats) -> M,
-        apply: impl FnOnce(&mut TensorEGraph, M, Option<&DescendantsMap>),
-    ) {
-        let desc = (self.config.cycle_filter == CycleFilter::Efficient).then(|| {
+    ) -> Option<DescendantsMap> {
+        (self.config.cycle_filter == CycleFilter::Efficient).then(|| {
             let start = Instant::now();
             let desc = DescendantsMap::compute(egraph);
             stats.prefilter_time += start.elapsed();
             desc
-        });
-        let matches = search(egraph, stats);
-        let start = Instant::now();
-        apply(egraph, matches, desc.as_ref());
-        stats.apply_time += start.elapsed();
+        })
+    }
+
+    /// Adds what `desc` was asked to `stats.prefilter_{queries, walks,
+    /// rejected}` and drops it: the end of the apply phases it served.
+    pub(crate) fn retire_prefilter_map(
+        &self,
+        desc: Option<DescendantsMap>,
+        stats: &mut ExplorationStats,
+    ) {
         if let Some(desc) = desc {
             stats.prefilter_queries += desc.queries();
             stats.prefilter_walks += desc.walks();

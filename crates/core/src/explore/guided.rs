@@ -9,8 +9,9 @@
 //! each step, expands every state by one *action*: the budgeted
 //! application of a single rule's whole match batch (or one multi-pattern
 //! rule's Cartesian combinations). An action runs through the engine's
-//! apply phase and seal — the code an iteration of `Saturate` runs — on a
-//! clone of its parent e-graph; the child state is then scored with
+//! apply loop and seal — the code an iteration of `Saturate` runs — on a
+//! clone of its parent e-graph, behind the cycle pre-filter's map of that
+//! parent, built once for all its actions; the child state is then scored with
 //! the cheap rollout evaluator from the extraction seam: the greedy-DAG
 //! extracted cost of the root ([`DagExtractor`] over [`ModelCost`]) plus
 //! a per-node growth penalty. The top-k states survive (elitism: parents
@@ -32,6 +33,8 @@
 
 use super::context::{Action, ExplorationContext};
 use super::{ExplorationStats, ExplorationStrategy};
+use crate::cycles::DescendantsMap;
+use std::time::Instant;
 use tensat_egraph::{DagExtractor, Id, SearchMatches};
 use tensat_ir::{CostModel, ModelCost, TensorEGraph};
 
@@ -91,8 +94,9 @@ fn state_of(egraph: TensorEGraph, root: Id, model: &CostModel) -> State {
     }
 }
 
-/// One action on a candidate state: `action`'s matches applied through
-/// the engine's apply phase under a *hard* node budget, then sealed
+/// One action on a candidate state: `action`'s matches applied behind the
+/// cycle pre-filter's map `desc` (of the state `egraph` was cloned from)
+/// under a *hard* node budget, timed into `stats.apply_time`, then sealed
 /// (rebuild + cycle post-filter) for scoring. An application is attempted
 /// only while the state plus the action's headroom stays within `budget`,
 /// so the state never exceeds it.
@@ -101,6 +105,7 @@ pub(super) fn act(
     egraph: &mut TensorEGraph,
     action: Action,
     matches: &[Vec<SearchMatches>],
+    desc: Option<&DescendantsMap>,
     budget: usize,
     stats: &mut ExplorationStats,
 ) {
@@ -108,12 +113,9 @@ pub(super) fn act(
     let keep_going = |egraph: &TensorEGraph| {
         egraph.total_number_of_nodes() + headroom <= budget && !ctx.out_of_time()
     };
-    ctx.apply_phase(
-        egraph,
-        stats,
-        |_, _| matches,
-        |egraph, matches, desc| ctx.apply_action(egraph, action, matches, desc, keep_going),
-    );
+    let start = Instant::now();
+    ctx.apply_action(egraph, action, matches, desc, keep_going);
+    stats.apply_time += start.elapsed();
     ctx.seal(egraph, stats);
 }
 
@@ -146,17 +148,23 @@ impl ExplorationStrategy for Guided {
             // the first `k_multi` steps may apply them.
             let include_multi = step < config.k_multi;
             let mut candidates: Vec<State> = Vec::new();
-            'expand: for state in &beam {
+            for state in &beam {
                 let (single, multi) = ctx.search_state(&state.egraph, include_multi, &mut stats);
                 let nodes_before = state.egraph.total_number_of_nodes();
                 let unions_before = state.egraph.union_count();
+                // The pre-filter's map of the state, built at its first
+                // applicable action: every action applies to a clone of
+                // the same clean e-graph, so one map serves them all.
+                let mut desc = None;
+                let mut out_of_time = false;
                 // One action per rule, single-pattern rules first. Past the
                 // first k_multi steps `multi` is empty, so no multi-pattern
                 // rule has a match.
                 let singles = (0..single.len()).map(Action::Single);
                 for action in singles.chain((0..ctx.multi_rule_count()).map(Action::Multi)) {
                     if ctx.out_of_time() {
-                        break 'expand;
+                        out_of_time = true;
+                        break;
                     }
                     let matches = match action {
                         Action::Single(rule) => std::slice::from_ref(&single[rule]),
@@ -169,14 +177,28 @@ impl ExplorationStrategy for Guided {
                     {
                         continue;
                     }
+                    let desc =
+                        desc.get_or_insert_with(|| ctx.prefilter_map(&state.egraph, &mut stats));
                     let mut next = state.egraph.clone();
-                    act(ctx, &mut next, action, matches, budget, &mut stats);
+                    act(
+                        ctx,
+                        &mut next,
+                        action,
+                        matches,
+                        desc.as_ref(),
+                        budget,
+                        &mut stats,
+                    );
                     assert!(next.total_number_of_nodes() <= budget);
                     if next.total_number_of_nodes() != nodes_before
                         || next.union_count() != unions_before
                     {
                         candidates.push(state_of(next, root, model));
                     }
+                }
+                ctx.retire_prefilter_map(desc.flatten(), &mut stats);
+                if out_of_time {
+                    break;
                 }
             }
             if candidates.is_empty() {

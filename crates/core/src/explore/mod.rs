@@ -123,9 +123,9 @@ pub struct ExplorationStats {
     pub search_time: Duration,
     /// Time spent building the descendants map for the cycle pre-filter
     /// ([`DescendantsMap::compute`](crate::cycles::DescendantsMap::compute),
-    /// once per [`Saturate`] iteration and once per [`Guided`] action
-    /// applied), so `search + apply + rebuild + prefilter` accounts for an
-    /// engine iteration.
+    /// once per [`Saturate`] iteration and once per [`Guided`] beam state
+    /// with an action to apply, shared by those actions), so `search +
+    /// apply + rebuild + prefilter` accounts for an engine iteration.
     pub prefilter_time: Duration,
     /// Reachability queries the efficient cycle pre-filter put to its
     /// descendants map
@@ -399,7 +399,7 @@ mod tests {
     }
 
     /// Applies `rule`'s matches on a copy of `seed` through one of the two
-    /// callers of the engine's apply phase — a whole iteration, or one of
+    /// callers of the engine's apply loop — a whole iteration, or one of
     /// [`Guided`]'s budgeted actions (whose budget must stay hard) — with
     /// `budget` as the node limit, and returns the e-graph.
     fn apply_through(
@@ -420,11 +420,13 @@ mod tests {
         let mut stats = ExplorationStats::default();
         if budgeted_action {
             let (matches, _) = ctx.search_state(&eg, false, &mut stats);
+            let desc = ctx.prefilter_map(&eg, &mut stats);
             guided::act(
                 &ctx,
                 &mut eg,
                 Action::Single(0),
                 &matches,
+                desc.as_ref(),
                 budget,
                 &mut stats,
             );
@@ -579,6 +581,7 @@ mod tests {
             &mut eg,
             Action::Multi(0),
             &matches,
+            None,
             usize::MAX,
             &mut stats,
         );
