@@ -477,8 +477,9 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// walks a popped root's parent list only if a union has merged into
     /// the root since its last walk — once per rebuild for a root that
     /// many unions grew, where walking it at every pop re-walked it per
-    /// union (BERT explored to 20 000 e-nodes pushes 13 294 roots, 777 of
-    /// them distinct). A walk canonicalizes the node-table entries of the
+    /// union (BERT explored to 20 000 e-nodes pushes 13 294 roots; its
+    /// rebuilds walk 1 017 parent lists, 16 099 entries, where walking at
+    /// every pop took 171 068). A walk canonicalizes the node-table entries of the
     /// root's parents in place (keeping the memo exact: each entry's form
     /// is taken out before the rewrite and its id inserted after it, so no
     /// entry the memo holds is ever rewritten) and unions the parents it
@@ -504,10 +505,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             // Congruence repair, class-at-a-time over the union roots, in
             // the order the unions pushed them (the last first): canonical
             // ids depend on the order of unions, so the stack is neither
-            // sorted nor deduplicated. A root already repaired since an
-            // entry was pushed skips it: the unions that could make its
-            // parents congruent since pushed their roots later, so those
-            // were popped and repaired first.
+            // sorted nor deduplicated. An entry whose root was walked since
+            // the entry was pushed is skipped: a union that could have made
+            // the root's parents congruent since then pushed its own root
+            // later, and that root was popped and walked first.
             while let Some(class) = self.pending.pop() {
                 let root = self.find_mut(class);
                 let slot = self.slot_of[usize::from(root)] as usize;
