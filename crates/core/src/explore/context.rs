@@ -186,12 +186,12 @@ impl<'a> ExplorationContext<'a> {
         // match before applying any substitution. The rules are applied in
         // order — single-pattern, then multi-pattern — until the budget is
         // spent.
-        let desc = self.prefilter_map(egraph, stats);
+        let map = self.prefilter_map(egraph, stats);
+        let desc = map.as_ref();
         let (single, multi) = self.search_state(egraph, do_multi, stats);
         let start = Instant::now();
         for (rule, matches) in single.into_iter().enumerate() {
             let matches = std::slice::from_ref(&matches);
-            let desc = desc.as_ref();
             self.apply_action(egraph, Action::Single(rule), matches, desc, within_budget);
             if self.over_budget(egraph) {
                 break;
@@ -199,7 +199,6 @@ impl<'a> ExplorationContext<'a> {
         }
         if do_multi {
             for rule in 0..self.plans.len() {
-                let desc = desc.as_ref();
                 self.apply_action(egraph, Action::Multi(rule), &multi, desc, within_budget);
                 if self.over_budget(egraph) {
                     break;
@@ -208,7 +207,7 @@ impl<'a> ExplorationContext<'a> {
         }
         drop(multi);
         stats.apply_time += start.elapsed();
-        self.retire_prefilter_map(desc, stats);
+        self.retire_prefilter_map(map, stats);
 
         // Which limit, if any, stopped the apply phase — read before the
         // rebuild's deduplication can pull the node count back under its
