@@ -21,7 +21,7 @@ use std::io::Write;
 use std::time::Instant;
 use tensat_core::extract_greedy_dag;
 use tensat_egraph::{DagExtractor, Extractor, Id};
-use tensat_ir::{CostModel, ModelCost, TensorEGraph};
+use tensat_ir::{CostModel, TensorEGraph};
 use tensat_rules::{single_rules, TensorRewrite};
 
 /// Timing rounds per extraction pass (best is kept): the minimum is the
@@ -90,7 +90,7 @@ fn rule_search_section(rules: &[TensorRewrite], eg: &TensorEGraph) -> String {
 /// DAG pass's reach sets.
 fn extraction_big_section(eg: &TensorEGraph, root: Id) -> String {
     let model = CostModel::default();
-    let dag_pass = || DagExtractor::new(eg, ModelCost::new(&model, eg));
+    let dag_pass = || DagExtractor::new(eg, &model);
     let best_ms = |pass: &dyn Fn()| {
         let rounds = (0..ROUNDS).map(|_| {
             let start = Instant::now();
@@ -103,7 +103,7 @@ fn extraction_big_section(eg: &TensorEGraph, root: Id) -> String {
         std::hint::black_box(dag_pass().find_best(root));
     });
     let tree_pass_ms = best_ms(&|| {
-        let tree = Extractor::new(eg, ModelCost::new(&model, eg));
+        let tree = Extractor::new(eg, &model);
         std::hint::black_box(tree.find_best(root));
     });
     let greedy_dag_ms = best_ms(&|| {

@@ -402,7 +402,7 @@ fn table4_greedy_vs_ilp(s: &Setting) -> Table {
         ];
         row.extend(outcomes.map(|o| Cell::Float(o.dag_cost, 3)));
         row.extend(outcomes.map(|o| Cell::Float(o.time.as_secs_f64(), 4)));
-        row.extend(outcomes.map(|o| Cell::Float(o.tree_cost, 3)));
+        row.extend(outcomes.map(|o| Cell::Float(model.tree_cost(&o.expr), 3)));
         row.push(Cell::Text(status.unwrap_or_else(|| "-".into())));
         table.rows.push(row);
     }

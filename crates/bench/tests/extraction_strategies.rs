@@ -27,7 +27,7 @@ use tensat_core::{
 };
 use tensat_egraph::{CostFunction, DagExtractor, Extractor, Id, Language, RecExpr};
 use tensat_ilp::Status;
-use tensat_ir::{CostModel, GraphBuilder, ModelCost, TensorAnalysis, TensorEGraph, TensorLang};
+use tensat_ir::{CostModel, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_rules::single_rules;
 
 mod common;
@@ -187,25 +187,15 @@ proptest! {
 /// function for each node's own cost at most once.
 #[test]
 fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
-    /// `ModelCost`, counting its `node_cost` calls.
+    /// The cost model, counting its `node_cost` calls.
     struct Counted<'a> {
-        model_cost: ModelCost<'a>,
+        model: &'a CostModel,
         calls: &'a Cell<usize>,
     }
-    impl CostFunction<TensorLang> for Counted<'_> {
-        type Cost = f64;
-        fn node_cost(&mut self, enode: &TensorLang) -> f64 {
+    impl CostFunction<TensorLang, TensorAnalysis> for Counted<'_> {
+        fn node_cost(&self, egraph: &TensorEGraph, enode: &TensorLang) -> f64 {
             self.calls.set(self.calls.get() + 1);
-            self.model_cost.node_cost(enode)
-        }
-        fn zero(&self) -> f64 {
-            self.model_cost.zero()
-        }
-        fn add_assign(&self, acc: &mut f64, item: &f64) {
-            self.model_cost.add_assign(acc, item);
-        }
-        fn cmp(a: &f64, b: &f64) -> std::cmp::Ordering {
-            a.total_cmp(b)
+            self.model.enode_cost(egraph, enode)
         }
     }
 
@@ -230,7 +220,7 @@ fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
     let model = CostModel::default();
     let calls = Cell::new(0);
     let counted = Counted {
-        model_cost: ModelCost::new(&model, &eg),
+        model: &model,
         calls: &calls,
     };
     let (_, expr) = Extractor::new(&eg, counted).find_best(root).unwrap();
@@ -257,7 +247,7 @@ fn assert_dag_pass(
     pinned: Pinned,
 ) -> RecExpr<TensorLang> {
     let model = CostModel::default();
-    let (cost, expr) = DagExtractor::new(eg, ModelCost::new(&model, eg))
+    let (cost, expr) = DagExtractor::new(eg, &model)
         .find_best(root)
         .unwrap_or_else(|| panic!("{label}: the DAG pass found no term"));
     assert_eq!((cost, expr.len(), fingerprint(&expr)), pinned, "{label}");
@@ -270,14 +260,15 @@ type TreePinned = (Pinned, f64);
 
 /// Runs `extract_greedy` and checks it against the pin.
 fn assert_tree_greedy(label: &str, eg: &TensorEGraph, root: Id, pinned: TreePinned) {
-    let tree = extract_greedy(eg, root, &CostModel::default()).unwrap();
+    let model = CostModel::default();
+    let tree = extract_greedy(eg, root, &model).unwrap();
     let ((latency, len, print), tree_cost) = pinned;
     assert_eq!(
         (
             tree.dag_cost,
             tree.expr.len(),
             fingerprint(&tree.expr),
-            tree.tree_cost
+            model.tree_cost(&tree.expr)
         ),
         (latency, len, print, tree_cost),
         "{label} tree-greedy"

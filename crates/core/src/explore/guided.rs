@@ -13,8 +13,8 @@
 //! clone of its parent e-graph, behind the cycle pre-filter's map of that
 //! parent, built once for all its actions; the child state is then scored with
 //! the cheap rollout evaluator from the extraction seam: the greedy-DAG
-//! extracted cost of the root ([`DagExtractor`] over [`ModelCost`]) plus
-//! a per-node growth penalty. The top-k states survive (elitism: parents
+//! extracted cost of the root ([`DagExtractor`] pricing e-nodes with the
+//! [`CostModel`]) plus a per-node growth penalty. The top-k states survive (elitism: parents
 //! compete with their children, so the best score is monotone), and the
 //! search stops when a step improves nothing, when no action changes any
 //! state, or when a limit is hit.
@@ -36,7 +36,7 @@ use super::{ExplorationStats, ExplorationStrategy};
 use crate::cycles::DescendantsMap;
 use std::time::Instant;
 use tensat_egraph::{DagExtractor, Id, SearchMatches};
-use tensat_ir::{CostModel, ModelCost, TensorEGraph};
+use tensat_ir::{CostModel, TensorEGraph};
 
 /// Candidate e-graph states kept per step (the top-k beam).
 const BEAM_WIDTH: usize = 2;
@@ -77,7 +77,7 @@ struct State {
 /// latency of the root plus the growth penalty; a state with no extractable
 /// term (every candidate filtered) is dead.
 fn state_of(egraph: TensorEGraph, root: Id, model: &CostModel) -> State {
-    let best = DagExtractor::new(&egraph, ModelCost::new(model, &egraph)).find_best(root);
+    let best = DagExtractor::new(&egraph, model).find_best(root);
     let score = best.map_or(f64::INFINITY, |(cost, _)| {
         cost + GROWTH_PENALTY * egraph.total_number_of_nodes() as f64
     });

@@ -29,11 +29,11 @@
 //! incumbent.
 //!
 //! Every extractor minimizes one objective, the summed operator latency in
-//! µs (the paper's Σ cᵢxᵢ), and prices an e-node the same way: the greedy
-//! extractors through [`ModelCost`], the ILP's reduction through
-//! [`CostModel::enode_cost`], both [`CostModel::node_cost`]. Two graphs
-//! compare by their DAG latency under [`f64::total_cmp`], so a graph of
-//! NaN cost never wins.
+//! µs (the paper's Σ cᵢxᵢ), and prices an e-node the same way,
+//! [`CostModel::enode_cost`]: the greedy extractors take the model as their
+//! [`CostFunction`](tensat_egraph::CostFunction), the ILP's reduction calls
+//! it directly. Two graphs compare by their DAG latency under
+//! [`f64::total_cmp`], so a graph of NaN cost never wins.
 
 mod reduce;
 
@@ -42,7 +42,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{build_term, ChoiceError, ChosenTerm, DagExtractor, Extractor, Id, RecExpr};
 use tensat_ilp::{Cmp, Limit, Problem, PropagationStats, Solver, Status, VarId};
-use tensat_ir::{Cost, CostModel, ModelCost, TensorEGraph, TensorLang};
+use tensat_ir::{Cost, CostModel, TensorEGraph, TensorLang};
 
 /// Which extraction algorithm to run after exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,11 +77,11 @@ pub fn extract(
 
 /// The result of one extraction.
 ///
-/// Both cost views of the extracted graph are reported so strategies are
-/// never compared apples-to-oranges: `tree_cost` charges shared subgraphs
-/// once per use (the objective tree-greedy actually minimizes), `dag_cost`
-/// charges each node once (what the graph actually costs to run, and the
-/// objective the DAG-aware strategies minimize).
+/// Every extractor reports the graph's DAG cost, `dag_cost`: each node
+/// charged once, what the graph actually costs to run and the objective
+/// the DAG-aware strategies minimize. The per-use tree cost tree-greedy
+/// minimizes is [`CostModel::tree_cost`] of `expr`, for a reader that
+/// wants it.
 #[derive(Debug, Clone)]
 pub struct ExtractionOutcome {
     /// The extracted graph.
@@ -94,8 +94,6 @@ pub struct ExtractionOutcome {
     pub cost: Cost,
     /// DAG cost in µs: each node charged once.
     pub dag_cost: f64,
-    /// Tree cost in µs: each node charged once per use.
-    pub tree_cost: f64,
     /// Wall-clock time spent extracting.
     pub time: Duration,
     /// Solver statistics when the ILP strategy produced this outcome.
@@ -111,24 +109,18 @@ fn price(model: &CostModel, term: ChosenTerm<TensorLang>) -> Priced {
 }
 
 impl ExtractionOutcome {
-    /// The outcome for a priced term, with its tree cost under the model,
-    /// extracted since `start`.
+    /// The outcome for a priced term, extracted since `start`.
     ///
     /// Errs with [`ExtractError::NoFiniteTerm`] when the DAG cost is not
     /// finite, NaN included (an ill-typed input: every term of the root
     /// class holds an invalid operator).
-    fn new(
-        (dag_cost, term): Priced,
-        model: &CostModel,
-        start: Instant,
-    ) -> Result<Self, ExtractError> {
+    fn new((dag_cost, term): Priced, start: Instant) -> Result<Self, ExtractError> {
         if !dag_cost.is_finite() {
             return Err(ExtractError::NoFiniteTerm);
         }
         Ok(ExtractionOutcome {
             cost: Cost { latency: dag_cost },
             dag_cost,
-            tree_cost: model.tree_cost(&term.expr),
             expr: term.expr,
             picks: term.picks,
             time: start.elapsed(),
@@ -237,11 +229,11 @@ pub fn extract_greedy(
     model: &CostModel,
 ) -> Result<ExtractionOutcome, ExtractError> {
     let start = Instant::now();
-    let extractor = Extractor::new(egraph, ModelCost::new(model, egraph));
+    let extractor = Extractor::new(egraph, model);
     let (_, term) = extractor
         .find_best_term(root)
         .ok_or(ExtractError::NoFiniteTerm)?;
-    ExtractionOutcome::new(price(model, term), model, start)
+    ExtractionOutcome::new(price(model, term), start)
 }
 
 /// Global greedy DAG extraction: the worklist extractor charging each
@@ -267,14 +259,13 @@ pub fn extract_greedy_dag(
     let start = Instant::now();
     // Each extractor is a temporary, dropped at the end of its statement,
     // so the two passes' tables are never live together.
-    let dag = DagExtractor::new(egraph, ModelCost::new(model, egraph)).find_best_term(root);
-    let tree = Extractor::new(egraph, ModelCost::new(model, egraph)).find_best_term(root);
+    let dag = DagExtractor::new(egraph, model).find_best_term(root);
+    let tree = Extractor::new(egraph, model).find_best_term(root);
     // Compare by the DAG cost of the built graphs, not the extractors'
-    // internal objectives (which disagree on what a "cost" is); only the
-    // winner's tree cost is measured.
+    // internal objectives (which disagree on what a "cost" is).
     let priced = |(_, term)| price(model, term);
     let best = cheaper(dag.map(priced), tree.map(priced), |&(cost, _)| cost);
-    ExtractionOutcome::new(best.ok_or(ExtractError::NoFiniteTerm)?, model, start)
+    ExtractionOutcome::new(best.ok_or(ExtractError::NoFiniteTerm)?, start)
 }
 
 /// Configuration for ILP extraction.
@@ -369,7 +360,7 @@ fn solve_ilp(
 ) -> Result<ExtractionOutcome, ExtractError> {
     let root = egraph.find(root);
     let (solved, stats) = select_ilp(egraph, root, model, config, reduce, incumbent, start)?;
-    let solved = solved.map(|term| ExtractionOutcome::new(price(model, term), model, start));
+    let solved = solved.map(|term| ExtractionOutcome::new(price(model, term), start));
     let solved = match solved {
         Some(Err(e)) if incumbent.is_none() => return Err(e),
         solved => solved.and_then(Result::ok),
@@ -736,9 +727,10 @@ mod tests {
         let out = extract_greedy(&eg, root, &model).unwrap();
         assert!(out.dag_cost.is_finite());
         assert!(out.dag_cost <= original * 1.001);
-        // The outcome reports both views and they are consistent.
+        // The outcome's cost views agree, and the tree cost of its graph
+        // charges at least as much.
         assert_eq!(out.dag_cost, out.cost.latency);
-        assert!(out.tree_cost >= out.dag_cost);
+        assert!(model.tree_cost(&out.expr) >= out.dag_cost);
         let data = tensat_ir::infer_recexpr(&out.expr);
         assert!(data.iter().all(|d| d.is_valid()));
     }

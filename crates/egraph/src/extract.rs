@@ -13,9 +13,9 @@
 //!   thousands of slots, so a list and not a bit set).
 //!
 //! Both price e-nodes through one [`CostFunction`] — an e-node's own cost,
-//! and how costs add — and pick one e-node per class, named by its
-//! node-table id, handing the picks to [`build_term`], the one walker that
-//! turns them into a term. The ILP extractor, which is DAG-exact, lives in
+//! one `f64` — sum the prices with `+`, and pick one e-node per class,
+//! named by its node-table id, handing the picks to [`build_term`], the one
+//! walker that turns them into a term. The ILP extractor, which is DAG-exact, lives in
 //! `tensat-core` because it depends on the ILP solver substrate; it reads
 //! its solution back through the same walker, and `tensat_core::extract`
 //! dispatches over all three.
@@ -23,50 +23,31 @@
 use crate::{Analysis, EGraph, Id, Language, RecExpr};
 use std::cmp::Ordering;
 
-/// A cost function over e-nodes: what one e-node costs on its own, and how
-/// costs add up.
+/// A cost function over e-nodes: what one e-node costs on its own.
 ///
 /// Both extractors price each e-node with [`CostFunction::node_cost`] and
-/// sum with [`CostFunction::add_assign`]. [`Extractor`] forms a subtree
-/// cost — the node's own cost plus its children's best subtree costs, in
-/// child order — so a class used twice is charged twice; [`DagExtractor`]
-/// sums own costs over the set of selected classes, each charged once.
-pub trait CostFunction<L: Language> {
-    /// The cost type; must be totally ordered (see [`CostFunction::cmp`])
-    /// for extraction to pick minima.
-    type Cost: PartialOrd + Clone + std::fmt::Debug;
+/// sum the prices with `+`, comparing sums by [`f64::total_cmp`] (a NaN
+/// without the sign bit orders above `+inf` and never wins a minimum).
+/// [`Extractor`] forms a subtree cost — the node's own cost plus its
+/// children's best subtree costs, in child order — so a class used twice is
+/// charged twice; [`DagExtractor`] sums own costs over the set of selected
+/// classes, each charged once.
+///
+/// Costs must be non-negative. Tree-greedy only replaces a class's best on
+/// a strict improvement, and under non-negative sums a node whose child is
+/// its own class never strictly improves it; with a negative-cost cycle its
+/// fixpoint would keep descending and never stop.
+pub trait CostFunction<L: Language, N: Analysis<L>> {
+    /// The cost of this single e-node of `egraph`, children excluded. Must
+    /// be deterministic: [`Extractor`] keeps the first answer per e-node,
+    /// and [`DagExtractor`] asks again on every evaluation of the node's
+    /// class (one per class on an acyclic e-graph).
+    fn node_cost(&self, egraph: &EGraph<L, N>, enode: &L) -> f64;
+}
 
-    /// The cost of this single e-node, children excluded. Must be
-    /// deterministic: [`Extractor`] keeps the first answer per e-node, and
-    /// [`DagExtractor`] asks again on every evaluation of the node's class
-    /// (one per class on an acyclic e-graph).
-    fn node_cost(&mut self, enode: &L) -> Self::Cost;
-
-    /// The additive identity.
-    fn zero(&self) -> Self::Cost;
-
-    /// Accumulates `item` into `acc`.
-    fn add_assign(&self, acc: &mut Self::Cost, item: &Self::Cost);
-
-    /// Total-order comparison used to pick per-class minima.
-    ///
-    /// The default falls back to `partial_cmp`. `PartialOrd` alone is a
-    /// hazard for float costs: a NaN from a degenerate cost model makes
-    /// every comparison false, which under the old `best <= cost` guard
-    /// silently *replaced* a finite best with NaN and poisoned every
-    /// ancestor class. Incomparable pairs now debug-assert and are treated
-    /// as [`Ordering::Greater`] (an incomparable candidate never wins), and
-    /// float-costed implementations should override this with
-    /// [`f64::total_cmp`], under which NaN orders above `+inf` and loses to
-    /// every finite cost.
-    fn cmp(a: &Self::Cost, b: &Self::Cost) -> Ordering {
-        a.partial_cmp(b).unwrap_or_else(|| {
-            debug_assert!(
-                false,
-                "incomparable extraction costs (NaN?): {a:?} vs {b:?}"
-            );
-            Ordering::Greater
-        })
+impl<L: Language, N: Analysis<L>, C: CostFunction<L, N> + ?Sized> CostFunction<L, N> for &C {
+    fn node_cost(&self, egraph: &EGraph<L, N>, enode: &L) -> f64 {
+        (**self).node_cost(egraph, enode)
     }
 }
 
@@ -75,16 +56,9 @@ pub trait CostFunction<L: Language> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AstSize;
 
-impl<L: Language> CostFunction<L> for AstSize {
-    type Cost = usize;
-    fn node_cost(&mut self, _enode: &L) -> usize {
-        1
-    }
-    fn zero(&self) -> usize {
-        0
-    }
-    fn add_assign(&self, acc: &mut usize, item: &usize) {
-        *acc = acc.saturating_add(*item);
+impl<L: Language, N: Analysis<L>> CostFunction<L, N> for AstSize {
+    fn node_cost(&self, _egraph: &EGraph<L, N>, _enode: &L) -> f64 {
+        1.0
     }
 }
 
@@ -200,18 +174,24 @@ pub fn build_term<L: Language, N: Analysis<L>>(
 /// eg.rebuild();
 /// let extractor = Extractor::new(&eg, AstSize);
 /// let (cost, expr) = extractor.find_best(mul).unwrap();
-/// assert_eq!(cost, 1);
+/// assert_eq!(cost, 1.0);
 /// assert_eq!(expr.to_string(), "a");
 /// ```
-pub struct Extractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> {
+pub struct Extractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> {
     egraph: &'a EGraph<L, N>,
     cost_fn: CF,
     /// Best (cost, node id) per class, indexed by the e-graph's dense slot
     /// space ([`EGraph::slot_index`]) — no hashing on the extraction path.
-    best: Vec<Option<(CF::Cost, Id)>>,
+    best: Vec<Option<(f64, Id)>>,
+    /// Nodes costed so far: [`Extractor::offer`] calls that found every
+    /// child with a best.
+    #[cfg(test)]
+    evaluations: usize,
 }
 
-impl<L: Language, N: Analysis<L>, CF: CostFunction<L>> std::fmt::Debug for Extractor<'_, L, N, CF> {
+impl<L: Language, N: Analysis<L>, CF: CostFunction<L, N>> std::fmt::Debug
+    for Extractor<'_, L, N, CF>
+{
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Extractor")
             .field(
@@ -222,16 +202,22 @@ impl<L: Language, N: Analysis<L>, CF: CostFunction<L>> std::fmt::Debug for Extra
     }
 }
 
-impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, CF> {
+impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Extractor<'a, L, N, CF> {
     /// Computes best costs for every e-class of the e-graph.
     pub fn new(egraph: &'a EGraph<L, N>, cost_fn: CF) -> Self {
-        let mut extractor = Extractor {
-            egraph,
-            cost_fn,
-            best: (0..egraph.num_slots()).map(|_| None).collect(),
-        };
+        let mut extractor = Extractor::without_costs(egraph, cost_fn);
         extractor.compute_costs();
         extractor
+    }
+
+    fn without_costs(egraph: &'a EGraph<L, N>, cost_fn: CF) -> Self {
+        Extractor {
+            egraph,
+            cost_fn,
+            best: vec![None; egraph.num_slots()],
+            #[cfg(test)]
+            evaluations: 0,
+        }
     }
 
     /// Sweeps the classes in slot order until a sweep improves no class's
@@ -314,22 +300,24 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
     /// bests, and makes it the best of the class in `slot` if it is a
     /// strict improvement; returns whether it was. `own` holds the own
     /// costs priced so far, by node id.
-    fn offer(&mut self, slot: usize, id: Id, own: &mut [Option<CF::Cost>]) -> bool {
+    fn offer(&mut self, slot: usize, id: Id, own: &mut [Option<f64>]) -> bool {
         let node = self.egraph.enode(id);
         if !node.all(|c| self.best_entry(c).is_some()) {
             return false;
         }
-        let mut cost = own[usize::from(id)]
-            .get_or_insert_with(|| self.cost_fn.node_cost(node))
-            .clone();
+        #[cfg(test)]
+        {
+            self.evaluations += 1;
+        }
+        let mut cost =
+            *own[usize::from(id)].get_or_insert_with(|| self.cost_fn.node_cost(self.egraph, node));
         for &c in node.children() {
             let (child, _) = self.best_entry(c).expect("checked above");
-            self.cost_fn.add_assign(&mut cost, child);
+            cost += child;
         }
         // Total-order comparison: replace only on a strict improvement,
-        // so NaN (incomparable / ordered above +inf) can never displace a
-        // finite best.
-        if matches!(&self.best[slot], Some((best, _)) if CF::cmp(&cost, best) != Ordering::Less) {
+        // so NaN (ordered above +inf) can never displace a finite best.
+        if matches!(self.best[slot], Some((best, _)) if !cost.total_cmp(&best).is_lt()) {
             return false;
         }
         self.best[slot] = Some((cost, id));
@@ -337,27 +325,27 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
     }
 
     /// The best entry recorded for a class's slot, if any.
-    fn best_entry(&self, class: Id) -> Option<&(CF::Cost, Id)> {
+    fn best_entry(&self, class: Id) -> Option<&(f64, Id)> {
         self.best[self.egraph.slot_index(class)?].as_ref()
     }
 
     /// The best cost of a class, if any finite term is represented.
-    pub fn best_cost(&self, id: Id) -> Option<CF::Cost> {
-        self.best_entry(id).map(|(c, _)| c.clone())
+    pub fn best_cost(&self, id: Id) -> Option<f64> {
+        self.best_entry(id).map(|&(c, _)| c)
     }
 
     /// Extracts the best term rooted at `root`, returning its cost and the
     /// term itself. Returns `None` if the class represents no finite term
     /// (possible when every candidate node was filtered or participates in
     /// an unavoidable cycle).
-    pub fn find_best(&self, root: Id) -> Option<(CF::Cost, RecExpr<L>)> {
+    pub fn find_best(&self, root: Id) -> Option<(f64, RecExpr<L>)> {
         self.find_best_term(root)
             .map(|(cost, term)| (cost, term.expr))
     }
 
     /// [`Extractor::find_best`], keeping the per-class picks the term was
     /// built from.
-    pub fn find_best_term(&self, root: Id) -> Option<(CF::Cost, ChosenTerm<L>)> {
+    pub fn find_best_term(&self, root: Id) -> Option<(f64, ChosenTerm<L>)> {
         let cost = self.best_cost(root)?;
         let best_node = |slot: usize| self.best[slot].as_ref().map(|&(_, id)| id);
         Some((cost, build_term(self.egraph, root, best_node).ok()?))
@@ -365,11 +353,11 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, N, C
 }
 
 /// The per-class state of a [`DagExtractor`] entry.
-struct DagEntry<C> {
+struct DagEntry {
     /// The node-table id of the chosen e-node.
     choice: Id,
     /// This node's own (children-excluded) cost.
-    own: C,
+    own: f64,
     /// Slots of every class in the chosen sub-DAG, including this one,
     /// ascending and without duplicates. Written once at its exact length
     /// and only ever replaced, so a box and not a `Vec`; emptied once the
@@ -380,7 +368,7 @@ struct DagEntry<C> {
     reach_len: u32,
     /// Total cost of the sub-DAG: own costs summed over `reach` in that
     /// (ascending slot) order, each class charged once.
-    total: C,
+    total: f64,
 }
 
 /// Rows of items stored back to back (compressed sparse rows): row `r` is
@@ -519,17 +507,17 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// eg.rebuild();
 /// let extractor = DagExtractor::new(&eg, AstSize);
 /// let (dag_size, expr) = extractor.find_best(mul).unwrap();
-/// assert_eq!(dag_size, 1);
+/// assert_eq!(dag_size, 1.0);
 /// assert_eq!(expr.to_string(), "a");
 /// ```
-pub struct DagExtractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> {
+pub struct DagExtractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> {
     egraph: &'a EGraph<L, N>,
     cost_fn: CF,
     /// Best sub-DAG per class, indexed by the e-graph's dense slot space.
-    entries: Vec<Option<DagEntry<CF::Cost>>>,
+    entries: Vec<Option<DagEntry>>,
 }
 
-impl<L: Language, N: Analysis<L>, CF: CostFunction<L>> std::fmt::Debug
+impl<L: Language, N: Analysis<L>, CF: CostFunction<L, N>> std::fmt::Debug
     for DagExtractor<'_, L, N, CF>
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -542,7 +530,7 @@ impl<L: Language, N: Analysis<L>, CF: CostFunction<L>> std::fmt::Debug
     }
 }
 
-impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N, CF> {
+impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> DagExtractor<'a, L, N, CF> {
     /// Computes the best sub-DAG for every e-class of the e-graph.
     pub fn new(egraph: &'a EGraph<L, N>, cost_fn: CF) -> Self {
         let mut extractor = DagExtractor::without_entries(egraph, cost_fn);
@@ -731,7 +719,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
         let own_slot = s as u32;
         // (sub-DAG total, the node's own cost, node id); the sub-DAG's
         // reach without `s` is `scratch.best`.
-        let mut best: Option<(CF::Cost, CF::Cost, Id)> = None;
+        let mut best: Option<(f64, f64, Id)> = None;
         'candidates: for id in egraph.enode_ids(class) {
             let node = egraph.enode(id);
             scratch.merged.clear();
@@ -748,19 +736,15 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
                 merge_sorted(&scratch.merged, &entry.reach, &mut scratch.spare);
                 std::mem::swap(&mut scratch.merged, &mut scratch.spare);
             }
-            let own = self.cost_fn.node_cost(node);
-            let mut total = own.clone();
+            let own = self.cost_fn.node_cost(egraph, node);
+            let mut total = own;
             // Ascending slot order whatever order the children came in:
             // the order a float total is defined by.
             for &d in &scratch.merged {
                 let entry = self.entries[d as usize].as_ref();
-                let own = &entry.expect("reached entry exists").own;
-                self.cost_fn.add_assign(&mut total, own);
+                total += entry.expect("reached entry exists").own;
             }
-            let better = match &best {
-                None => true,
-                Some((cost, ..)) => CF::cmp(&total, cost) == Ordering::Less,
-            };
+            let better = best.is_none_or(|(cost, ..)| total.total_cmp(&cost).is_lt());
             if better {
                 best = Some((total, own, id));
                 std::mem::swap(&mut scratch.merged, &mut scratch.best);
@@ -769,10 +753,9 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
         let Some((total, own, choice)) = best else {
             return false;
         };
-        let improved = match &self.entries[s] {
-            None => true,
-            Some(entry) => CF::cmp(&total, &entry.total) == Ordering::Less,
-        };
+        let improved = self.entries[s]
+            .as_ref()
+            .is_none_or(|entry| total.total_cmp(&entry.total).is_lt());
         if improved {
             let at = scratch.best.partition_point(|&d| d < own_slot);
             let (below, above) = (&scratch.best[..at], &scratch.best[at..]);
@@ -800,9 +783,9 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
     }
 
     /// The best DAG cost recorded for a class, if any.
-    pub fn best_cost(&self, id: Id) -> Option<CF::Cost> {
+    pub fn best_cost(&self, id: Id) -> Option<f64> {
         let slot = self.egraph.slot_index(self.egraph.find(id))?;
-        self.entries[slot].as_ref().map(|e| e.total.clone())
+        self.entries[slot].as_ref().map(|e| e.total)
     }
 
     /// Extracts the best DAG rooted at `root`: the cost (each selected
@@ -813,20 +796,19 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'a, L, N
     /// entries.
     /// Returns `None` if the class has no viable selection or (possible
     /// only without cycle filtering) the per-class choices form a cycle.
-    pub fn find_best(&self, root: Id) -> Option<(CF::Cost, RecExpr<L>)> {
+    pub fn find_best(&self, root: Id) -> Option<(f64, RecExpr<L>)> {
         self.find_best_term(root)
             .map(|(cost, term)| (cost, term.expr))
     }
 
     /// [`DagExtractor::find_best`], keeping the per-class picks the
     /// expression was built from.
-    pub fn find_best_term(&self, root: Id) -> Option<(CF::Cost, ChosenTerm<L>)> {
+    pub fn find_best_term(&self, root: Id) -> Option<(f64, ChosenTerm<L>)> {
         let entry = |slot: usize| self.entries[slot].as_ref();
         let term = build_term(self.egraph, root, |slot| entry(slot).map(|e| e.choice)).ok()?;
-        let mut cost = self.cost_fn.zero();
+        let mut cost = 0.0;
         for &(slot, _) in &term.picks {
-            let own = &entry(slot).expect("a pick has an entry").own;
-            self.cost_fn.add_assign(&mut cost, own);
+            cost += entry(slot).expect("a pick has an entry").own;
         }
         Some((cost, term))
     }
@@ -837,7 +819,6 @@ mod tests {
     use super::*;
     use crate::language::test_lang::Math;
     use crate::{BitSet, Symbol};
-    use std::cell::Cell;
 
     fn sym(s: &str) -> Math {
         Math::Sym(Symbol::new(s))
@@ -855,7 +836,7 @@ mod tests {
         eg.rebuild();
         let ex = Extractor::new(&eg, AstSize);
         let (cost, best) = ex.find_best(div).unwrap();
-        assert_eq!(cost, 1);
+        assert_eq!(cost, 1.0);
         assert_eq!(best.to_string(), "a");
     }
 
@@ -870,7 +851,7 @@ mod tests {
         eg.rebuild();
         let ex = Extractor::new(&eg, AstSize);
         let (cost, best) = ex.find_best(a).unwrap();
-        assert_eq!(cost, 1);
+        assert_eq!(cost, 1.0);
         assert_eq!(best.to_string(), "a");
     }
 
@@ -910,7 +891,7 @@ mod tests {
         let abab = eg.add(Math::Add([ab, ab]));
         eg.rebuild();
         let size = Extractor::new(&eg, AstSize).best_cost(abab).unwrap();
-        assert_eq!(size, 7); // tree size double counts the shared (+ a b)
+        assert_eq!(size, 7.0); // tree size double counts the shared (+ a b)
     }
 
     /// [`build_term`] on choice tables made by hand for `(+ c 1)`, where the
@@ -973,7 +954,7 @@ mod tests {
         let ex = Extractor::new(&eg, AstSize);
         let (cost, expr) = ex.find_best(id).unwrap();
         // Tree size of the chain: leaf (1) plus 2 per Mul level.
-        assert_eq!(cost, 2 * DEPTH + 1);
+        assert_eq!(cost, (2 * DEPTH + 1) as f64);
         // DAG size: the two leaves plus one Mul node per level.
         assert_eq!(expr.len(), DEPTH + 2);
         // The rebuilt term must re-add into the original class.
@@ -994,51 +975,13 @@ mod tests {
         }
     }
 
-    /// Per-operator weights small enough to tie often (a weight of 0 ties
-    /// a cyclic node with its own child), counting `add_assign` calls: one
-    /// per child per evaluation of a node. With `flat_shl`, `<<` costs its
-    /// weight whatever it shifts — its own cost is marked flat, and adding
-    /// to a flat cost adds nothing: a cost need not grow with the
-    /// children's, and then a node that has its own class as a child can
-    /// strictly improve that class.
-    struct CountingWeights<'a> {
-        weights: [usize; 6],
-        flat_shl: bool,
-        adds: &'a Cell<usize>,
-    }
-
-    impl CostFunction<Math> for CountingWeights<'_> {
-        /// The weight, and whether it is a flat `<<`'s own.
-        type Cost = (usize, bool);
-        fn node_cost(&mut self, enode: &Math) -> (usize, bool) {
-            let flat = self.flat_shl && matches!(enode, Math::Shl(_));
-            (self.weights[op_index(enode)], flat)
-        }
-        fn zero(&self) -> (usize, bool) {
-            (0, false)
-        }
-        fn add_assign(&self, acc: &mut (usize, bool), item: &(usize, bool)) {
-            self.adds.set(self.adds.get() + 1);
-            if !acc.1 {
-                acc.0 = acc.0.saturating_add(item.0);
-            }
-        }
-        fn cmp(a: &(usize, bool), b: &(usize, bool)) -> Ordering {
-            a.0.cmp(&b.0)
-        }
-    }
-
     /// An extractor filled by the every-node oracle instead of
     /// `compute_costs`.
-    fn every_node_extractor<CF: CostFunction<Math>>(
+    fn every_node_extractor<CF: CostFunction<Math, ()>>(
         egraph: &EGraph<Math, ()>,
         cost_fn: CF,
     ) -> Extractor<'_, Math, (), CF> {
-        let mut extractor = Extractor {
-            egraph,
-            cost_fn,
-            best: (0..egraph.num_slots()).map(|_| None).collect(),
-        };
+        let mut extractor = Extractor::without_costs(egraph, cost_fn);
         extractor.compute_costs_every_node();
         extractor
     }
@@ -1069,32 +1012,27 @@ mod tests {
     }
 
     /// The worst case for the sweeps — one sweep per level — must still
-    /// evaluate every node once: `2 * depth` `add_assign` calls (two
-    /// children per `*`; the leaf and `1` have none), where evaluating
-    /// every node in every sweep makes ~depth².
+    /// evaluate every node once: `depth + 2` evaluations (the leaf, `1` and
+    /// one `*` per level), where evaluating every node in every sweep makes
+    /// ~depth²/2.
     #[test]
     fn parents_first_chain_costs_every_node_once() {
-        let weights = |adds| CountingWeights {
-            weights: [1; 6],
-            flat_shl: false,
-            adds,
-        };
         const DEPTH: usize = 2_000;
         let (eg, top) = parents_first_chain(DEPTH);
-        let adds = Cell::new(0);
-        let (cost, expr) = Extractor::new(&eg, weights(&adds)).find_best(top).unwrap();
-        assert_eq!(cost.0, 2 * DEPTH + 1);
+        let extractor = Extractor::new(&eg, AstSize);
+        let (cost, expr) = extractor.find_best(top).unwrap();
+        assert_eq!(cost, (2 * DEPTH + 1) as f64);
         assert_eq!(expr.len(), DEPTH + 2);
-        assert_eq!(adds.get(), 2 * DEPTH);
+        assert_eq!(extractor.evaluations, DEPTH + 2);
 
         // The fixture is the worst case: the every-node oracle is quadratic
         // on it (checked on a shorter chain to keep the test quick).
         const SHORT: usize = 200;
         let (eg, top) = parents_first_chain(SHORT);
-        let adds = Cell::new(0);
-        let best = every_node_extractor(&eg, weights(&adds)).find_best(top);
-        assert_eq!(best.unwrap().0 .0, 2 * SHORT + 1);
-        assert!(adds.get() > SHORT * SHORT, "{}", adds.get());
+        let oracle = every_node_extractor(&eg, AstSize);
+        assert_eq!(oracle.find_best(top).unwrap().0, (2 * SHORT + 1) as f64);
+        let evaluations = oracle.evaluations;
+        assert!(evaluations > SHORT * SHORT / 2, "{evaluations}");
     }
 
     /// One random e-graph build step: an operator and two operand picks
@@ -1136,8 +1074,8 @@ mod tests {
         /// Skipping nodes whose children's bests stand is exact: on random
         /// cyclic e-graphs with filtered nodes and tie-prone costs the
         /// per-class `(cost, node)` table, and so every extracted term,
-        /// equals the every-node oracle's bit for bit — with no more
-        /// `add_assign` calls, so no more evaluations.
+        /// equals the every-node oracle's bit for bit — in no more
+        /// evaluations.
         #[test]
         fn skipping_extractor_equals_the_every_node_oracle(
             steps in proptest::prop::collection::vec(
@@ -1150,21 +1088,20 @@ mod tests {
             ),
             filtered in proptest::prop::collection::vec(proptest::any::<usize>(), 0..6),
             weights in proptest::prop::collection::vec(0usize..3, 6..=6),
-            flat_shl in proptest::any::<bool>(),
         ) {
             let (eg, ids) = random_cyclic_egraph(&steps, &unions, &filtered);
-            let weights: [usize; 6] = weights.try_into().unwrap();
-            let (skipping_adds, oracle_adds) = (Cell::new(0), Cell::new(0));
-            let counting = |adds| CountingWeights { weights, flat_shl, adds };
-            let skipping = Extractor::new(&eg, counting(&skipping_adds));
-            let oracle = every_node_extractor(&eg, counting(&oracle_adds));
-            assert_eq!(skipping.best, oracle.best);
-            // A flat `<<` can make a class's best node its own ancestor,
-            // which has no finite term to build: both say `None`.
+            let weights = TenthWeights(weights.try_into().unwrap());
+            let skipping = Extractor::new(&eg, weights);
+            let oracle = every_node_extractor(&eg, weights);
+            let bits = |best: &Option<(f64, Id)>| best.map(|(cost, id)| (cost.to_bits(), id));
+            let table = |ex: &Extractor<'_, Math, (), TenthWeights>| {
+                ex.best.iter().map(bits).collect::<Vec<_>>()
+            };
+            assert_eq!(table(&skipping), table(&oracle));
             for &id in &ids {
                 assert_eq!(skipping.find_best(id), oracle.find_best(id));
             }
-            assert!(skipping_adds.get() <= oracle_adds.get());
+            assert!(skipping.evaluations <= oracle.evaluations);
         }
     }
 
@@ -1190,24 +1127,12 @@ mod tests {
     #[test]
     fn nan_cost_cannot_displace_a_finite_best() {
         struct NanOnShl;
-        impl CostFunction<Math> for NanOnShl {
-            type Cost = f64;
-            fn node_cost(&mut self, enode: &Math) -> f64 {
+        impl CostFunction<Math, ()> for NanOnShl {
+            fn node_cost(&self, _: &EGraph<Math, ()>, enode: &Math) -> f64 {
                 match enode {
                     Math::Shl(..) => f64::NAN, // degenerate cost model
                     _ => 1.0,
                 }
-            }
-            fn zero(&self) -> f64 {
-                0.0
-            }
-            fn add_assign(&self, acc: &mut f64, item: &f64) {
-                *acc += *item;
-            }
-            // Override with `total_cmp`, so NaN orders above +inf instead
-            // of tripping the default's debug assertion.
-            fn cmp(a: &f64, b: &f64) -> Ordering {
-                a.total_cmp(b)
             }
         }
 
@@ -1239,9 +1164,9 @@ mod tests {
         eg.rebuild();
         let ex = DagExtractor::new(&eg, AstSize);
         let (cost, best) = ex.find_best(div).unwrap();
-        assert_eq!(cost, 1);
+        assert_eq!(cost, 1.0);
         assert_eq!(best.to_string(), "a");
-        assert_eq!(ex.best_cost(div), Some(1));
+        assert_eq!(ex.best_cost(div), Some(1.0));
     }
 
     #[test]
@@ -1268,12 +1193,12 @@ mod tests {
 
         let tree = Extractor::new(&eg, AstSize);
         let (tree_cost, tree_expr) = tree.find_best(shared).unwrap();
-        assert_eq!(tree_cost, 19);
+        assert_eq!(tree_cost, 19.0);
         assert!(tree_expr.to_string().contains('b'));
 
         let dag = DagExtractor::new(&eg, AstSize);
         let (dag_cost, dag_expr) = dag.find_best(shared).unwrap();
-        assert_eq!(dag_cost, 8);
+        assert_eq!(dag_cost, 8.0);
         assert!(dag_expr.to_string().contains('a'));
         // The expression is a genuine DAG: 8 distinct nodes, each stored once.
         assert_eq!(dag_expr.len(), 8);
@@ -1289,7 +1214,7 @@ mod tests {
         eg.rebuild();
         let ex = DagExtractor::new(&eg, AstSize);
         let (cost, best) = ex.find_best(a).unwrap();
-        assert_eq!(cost, 1);
+        assert_eq!(cost, 1.0);
         assert_eq!(best.to_string(), "a");
     }
 
@@ -1365,7 +1290,7 @@ mod tests {
         let ex = DagExtractor::new(&eg, AstSize);
         let (cost, expr) = ex.find_best(id).unwrap();
         // DAG cost charges each node once: two leaves + one Mul per level.
-        assert_eq!(cost, DEPTH + 2);
+        assert_eq!(cost, (DEPTH + 2) as f64);
         assert_eq!(expr.len(), DEPTH + 2);
     }
 
@@ -1391,7 +1316,7 @@ mod tests {
             assert_eq!(ex.reach_len(id), Some(i + 1));
         }
         let (cost, expr) = ex.find_best(levels[CLASSES - 1]).unwrap();
-        assert_eq!(cost, CLASSES);
+        assert_eq!(cost, CLASSES as f64);
         assert_eq!(expr.len(), CLASSES);
     }
 
@@ -1429,7 +1354,8 @@ mod tests {
             improved
         });
         assert!(most_live <= 2 * DEPTH + 2, "{most_live} lists live at once");
-        assert_eq!(extractor.find_best(level[0]).unwrap().0, (2 << DEPTH) - 1);
+        let (cost, _) = extractor.find_best(level[0]).unwrap();
+        assert_eq!(cost, ((2 << DEPTH) - 1) as f64);
     }
 
     /// The reach sets as this module kept them before the sorted lists:
@@ -1445,7 +1371,7 @@ mod tests {
         scratch: BitSet,
     }
 
-    impl<L: Language, N: Analysis<L>, CF: CostFunction<L>> DagExtractor<'_, L, N, CF> {
+    impl<L: Language, N: Analysis<L>, CF: CostFunction<L, N>> DagExtractor<'_, L, N, CF> {
         fn evaluate_dense(&mut self, s: usize, dense: &mut DenseReach) -> bool {
             let id = match dense.slot_id[s] {
                 Some(id) => id,
@@ -1454,7 +1380,7 @@ mod tests {
             let class = self.egraph.eclass(id);
             let scratch = &mut dense.scratch;
             // (sub-DAG total, the node's own cost, node id, reach without `s`)
-            let mut best: Option<(CF::Cost, CF::Cost, Id, BitSet)> = None;
+            let mut best: Option<(f64, f64, Id, BitSet)> = None;
             'candidates: for id in self.egraph.enode_ids(class) {
                 let node = self.egraph.enode(id);
                 scratch.clear();
@@ -1473,15 +1399,14 @@ mod tests {
                 if scratch.contains(s) {
                     continue;
                 }
-                let own = self.cost_fn.node_cost(node);
-                let mut total = own.clone();
+                let own = self.cost_fn.node_cost(self.egraph, node);
+                let mut total = own;
                 for d in scratch.iter_ones() {
-                    let own = &self.entries[d].as_ref().expect("unioned entry exists").own;
-                    self.cost_fn.add_assign(&mut total, own);
+                    total += self.entries[d].as_ref().expect("unioned entry exists").own;
                 }
                 let better = match &best {
                     None => true,
-                    Some((cost, ..)) => CF::cmp(&total, cost) == Ordering::Less,
+                    Some((cost, ..)) => total.total_cmp(cost).is_lt(),
                 };
                 if better {
                     best = Some((total, own, id, scratch.clone()));
@@ -1493,7 +1418,7 @@ mod tests {
             };
             let improved = match &self.entries[s] {
                 None => true,
-                Some(entry) => CF::cmp(&total, &entry.total) == Ordering::Less,
+                Some(entry) => total.total_cmp(&entry.total).is_lt(),
             };
             if improved {
                 reach.insert(s);
@@ -1512,7 +1437,7 @@ mod tests {
     }
 
     /// An extractor filled by the dense oracle instead of `evaluate`.
-    fn dense_extractor<CF: CostFunction<Math>>(
+    fn dense_extractor<CF: CostFunction<Math, ()>>(
         egraph: &EGraph<Math, ()>,
         cost_fn: CF,
     ) -> DagExtractor<'_, Math, (), CF> {
@@ -1537,19 +1462,9 @@ mod tests {
     #[derive(Clone, Copy)]
     struct TenthWeights([usize; 6]);
 
-    impl CostFunction<Math> for TenthWeights {
-        type Cost = f64;
-        fn node_cost(&mut self, enode: &Math) -> f64 {
+    impl CostFunction<Math, ()> for TenthWeights {
+        fn node_cost(&self, _: &EGraph<Math, ()>, enode: &Math) -> f64 {
             [0.0, 0.1, 0.2, 0.3][self.0[op_index(enode)]]
-        }
-        fn zero(&self) -> f64 {
-            0.0
-        }
-        fn add_assign(&self, acc: &mut f64, item: &f64) {
-            *acc += *item;
-        }
-        fn cmp(a: &f64, b: &f64) -> Ordering {
-            a.total_cmp(b)
         }
     }
 
@@ -1576,7 +1491,7 @@ mod tests {
             let weights = TenthWeights(weights.try_into().unwrap());
             let lists = DagExtractor::new(&eg, weights);
             let oracle = dense_extractor(&eg, weights);
-            let bits = |entry: &DagEntry<f64>| {
+            let bits = |entry: &DagEntry| {
                 (entry.choice, entry.own.to_bits(), entry.total.to_bits(), entry.reach.clone())
             };
             for (slot, (entry, expected)) in lists.entries.iter().zip(&oracle.entries).enumerate() {
@@ -1611,7 +1526,7 @@ mod tests {
             assert_eq!(ex.reach_len(a), Some(1));
             assert_eq!(ex.reach_len(b), Some(1));
             assert_eq!(ex.reach_len(sum), Some(3));
-            assert_eq!(ex.best_cost(sum), Some(3));
+            assert_eq!(ex.best_cost(sum), Some(3.0));
         }
         let members: usize = eg.classes().filter_map(|c| ex.reach_len(c.id)).sum();
         assert_eq!(members, 5 * TERMS);

@@ -31,9 +31,9 @@
 //!   — and its limits live in `tensat-core`'s exploration context; this
 //!   crate has none.
 //! * [`Extractor`] / [`DagExtractor`] — tree-greedy and global greedy DAG
-//!   extraction over one pluggable per-node [`CostFunction`]; its
-//!   [`AstSize`] is term size under the first and DAG size under the
-//!   second.
+//!   extraction over one per-node [`CostFunction`] (an `f64` per e-node,
+//!   summed with `+`); its [`AstSize`] is term size under the first and DAG
+//!   size under the second.
 //!
 //! ## Quick start
 //!
@@ -50,7 +50,7 @@
 //! eg.union(div, a);
 //! eg.rebuild();
 //! let (cost, best) = Extractor::new(&eg, AstSize).find_best(div).unwrap();
-//! assert_eq!((cost, best.to_string().as_str()), (1, "a"));
+//! assert_eq!((cost, best.to_string().as_str()), (1.0, "a"));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -17,7 +17,8 @@
 //! Latency is the one objective: an e-node costs its roofline time in µs
 //! ([`CostModel::node_cost`]), and every extractor — tree-greedy,
 //! greedy-DAG, the ILP (paper §5.1, objective Σ cᵢxᵢ) — and Guided's state
-//! score minimize the sum of those times over the chosen e-nodes.
+//! score minimize the sum of those times over the chosen e-nodes. The
+//! greedy extractors take the model itself as their [`CostFunction`].
 
 use crate::shape::{infer, infer_recexpr, TensorData};
 use crate::{TensorAnalysis, TensorLang};
@@ -267,41 +268,11 @@ impl CostModel {
     }
 }
 
-/// The cost model as the extractors' [`CostFunction`] over an e-graph:
-/// each e-node costs its latency ([`CostModel::enode_cost`]), costs add,
-/// and they compare by [`f64::total_cmp`]. Tree-greedy, greedy-DAG and
-/// Guided's state scoring all price e-nodes through it.
-#[derive(Debug, Clone, Copy)]
-pub struct ModelCost<'a> {
-    model: &'a CostModel,
-    egraph: &'a EGraph<TensorLang, TensorAnalysis>,
-}
-
-impl<'a> ModelCost<'a> {
-    /// Prices the e-nodes of `egraph`, reading their children's analysis
-    /// data in place.
-    pub fn new(model: &'a CostModel, egraph: &'a EGraph<TensorLang, TensorAnalysis>) -> Self {
-        ModelCost { model, egraph }
-    }
-}
-
-impl CostFunction<TensorLang> for ModelCost<'_> {
-    type Cost = f64;
-
-    fn node_cost(&mut self, enode: &TensorLang) -> f64 {
-        self.model.enode_cost(self.egraph, enode)
-    }
-
-    fn zero(&self) -> f64 {
-        0.0
-    }
-
-    fn add_assign(&self, acc: &mut f64, item: &f64) {
-        *acc += *item;
-    }
-
-    fn cmp(a: &f64, b: &f64) -> Ordering {
-        a.total_cmp(b)
+/// Tree-greedy, greedy-DAG and Guided's state score price an e-node of an
+/// e-graph at its latency ([`CostModel::enode_cost`]).
+impl CostFunction<TensorLang, TensorAnalysis> for CostModel {
+    fn node_cost(&self, egraph: &EGraph<TensorLang, TensorAnalysis>, enode: &TensorLang) -> f64 {
+        self.enode_cost(egraph, enode)
     }
 }
 
@@ -490,9 +461,8 @@ mod tests {
         assert!(composite.is_finite());
     }
 
-    /// A NaN-priced e-node never wins its class under [`ModelCost`], whose
-    /// `cmp` is [`f64::total_cmp`] (a NaN without the sign bit above
-    /// `+inf`): a cost model whose fused-activation charge is NaN prices
+    /// A NaN-priced e-node never wins its class: the extractors compare
+    /// by [`f64::total_cmp`] (a NaN without the sign bit above `+inf`): a cost model whose fused-activation charge is NaN prices
     /// the fused `matmul` NaN, and both greedy extractors pick the unfused
     /// `relu(matmul)` it is unioned with, whichever of the two the class
     /// lists first. The charge is NaN of either sign: `0.0 / 0.0` computed
@@ -530,8 +500,8 @@ mod tests {
             eg.union(root, other);
             eg.rebuild();
             let root = eg.find(root);
-            let tree = Extractor::new(&eg, ModelCost::new(&cm, &eg)).find_best(root);
-            let dag = DagExtractor::new(&eg, ModelCost::new(&cm, &eg)).find_best(root);
+            let tree = Extractor::new(&eg, &cm).find_best(root);
+            let dag = DagExtractor::new(&eg, &cm).find_best(root);
             for (cost, expr) in [tree.unwrap(), dag.unwrap()] {
                 assert_eq!(expr.to_string(), unfused.to_string(), "{nan:?}");
                 assert!(cost.is_finite(), "{nan:?}: {cost}");

@@ -5,9 +5,8 @@
 //! ([`TensorLang`]), shape inference ([`shape`]), the e-class analysis that
 //! carries shape/layout information for shape checking ([`TensorAnalysis`]),
 //! an analytical GPU operator cost model standing in for on-device
-//! measurement ([`CostModel`], which prices extraction through
-//! [`ModelCost`]), and a hash-consing graph construction DSL
-//! ([`GraphBuilder`]).
+//! measurement ([`CostModel`], also the extractors' per-e-node cost), and
+//! a hash-consing graph construction DSL ([`GraphBuilder`]).
 //!
 //! ## Quick start
 //!
@@ -34,7 +33,7 @@ pub mod symbolic;
 
 pub use analysis::{class_data, TensorAnalysis, TensorEGraph};
 pub use builder::{graph_stats, GraphBuilder, GraphStats};
-pub use cost::{Cost, CostModel, ModelCost};
+pub use cost::{Cost, CostModel};
 pub use lang::{
     decode_identifier, decode_permutation, decode_shape, encode_identifier, encode_permutation,
     encode_shape, Activation, Padding, TensorLang,

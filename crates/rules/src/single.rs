@@ -212,7 +212,7 @@ pub fn single_rules() -> Vec<TensorRewrite> {
 mod tests {
     use super::*;
     use tensat_egraph::{AstSize, Extractor};
-    use tensat_ir::{CostModel, GraphBuilder, ModelCost, TensorEGraph};
+    use tensat_ir::{CostModel, GraphBuilder, TensorEGraph};
 
     /// Up to 10 rounds of search every rule, apply every match list,
     /// rebuild — stopping early once a round applies nothing.
@@ -311,7 +311,7 @@ mod tests {
         let original = cm.graph_cost(&expr);
         let (eg, root) = saturate(&expr);
         // Extract by actual cost: pick per-class min-cost nodes greedily.
-        let ex = Extractor::new(&eg, ModelCost::new(&cm, &eg));
+        let ex = Extractor::new(&eg, &cm);
         let (_, best) = ex.find_best(root).unwrap();
         assert!(
             cm.graph_cost(&best) < original * 0.75,

@@ -48,7 +48,7 @@ fn main() {
         print!(
             "{name:14}: {:10.2} µs DAG / {:10.2} µs tree  ({:.3}s)",
             out.dag_cost,
-            out.tree_cost,
+            model.tree_cost(&out.expr),
             out.time.as_secs_f64()
         );
         if let Some(ilp) = &out.ilp {
