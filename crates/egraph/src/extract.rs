@@ -15,10 +15,10 @@
 //! Both price e-nodes through one [`CostFunction`] — an e-node's own cost,
 //! one `f64` — sum the prices with `+`, and pick one e-node per class,
 //! named by its node-table id, handing the picks to [`build_term`], the one
-//! walker that turns them into a term. The ILP extractor, which is DAG-exact, lives in
-//! `tensat-core` because it depends on the ILP solver substrate; it reads
-//! its solution back through the same walker, and `tensat_core::extract`
-//! dispatches over all three.
+//! walker that turns them into a term. The ILP extractor, which is
+//! DAG-exact, lives in `tensat-core` because it depends on the ILP solver
+//! substrate; it reads its solution back through the same walker, and
+//! `tensat_core::extract` dispatches over all three.
 
 use crate::{Analysis, EGraph, Id, Language, RecExpr};
 use std::cmp::Ordering;
