@@ -14,10 +14,10 @@
 //! parent, built once for all its actions; the child state is then scored with
 //! the cheap rollout evaluator from the extraction seam: the greedy-DAG
 //! extracted cost of the root ([`DagExtractor`] pricing e-nodes with the
-//! [`CostModel`]) plus a per-node growth penalty. The top-k states survive (elitism: parents
-//! compete with their children, so the best score is monotone), and the
-//! search stops when a step improves nothing, when no action changes any
-//! state, or when a limit is hit.
+//! [`CostModel`]) plus a per-node growth penalty. The top-k states survive
+//! (elitism: parents compete with their children, so the best score is
+//! monotone), and the search stops when a step improves nothing, when no
+//! action changes any state, or when a limit is hit.
 //!
 //! Determinism: no randomness and no wall-clock-dependent tie-breaks —
 //! match lists are bit-identical across thread counts, candidates are
