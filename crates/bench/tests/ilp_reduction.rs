@@ -155,14 +155,18 @@ fn reduced_ilp_is_optimal_and_within_budget_on_every_benchmark_model() {
 #[test]
 fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
     // (model, blocks, node_limit, B&B nodes, optimum in µs, the optimized
-    // graph's fingerprint, propagation counters), as in
-    // `benchmark/src/workloads.rs`. The node counts sum to
-    // the workload's `ilp.bb_nodes`, 24 876, and the optima to its
-    // `extract.ilp_cost_us`. The counters — rows visited, rows that reached
-    // the per-term tightening loop, bound changes (the branching fix of
-    // every node below the root included) — attribute a node's cost: of
-    // the rows propagation visits (32 per node on NasNet-A) 3 % to 15 %
-    // reach the loop; the rest stop after one pass over their terms.
+    // graph's fingerprint, propagation counters, reduction counters), as
+    // in `benchmark/src/workloads.rs`. The node counts sum to the
+    // workload's `ilp.bb_nodes`, 24 876, and the optima to its
+    // `extract.ilp_cost_us`. The propagation counters — rows visited, rows
+    // that reached the per-term tightening loop, bound changes (the
+    // branching fix of every node below the root included) — attribute a
+    // node's cost: of the rows propagation visits (32 per node on
+    // NasNet-A) 3 % to 15 % reach the loop; the rest stop after one pass
+    // over their terms. The reduction counters — candidates pruned as
+    // dominated, candidates pruned by the incumbent's bound, classes
+    // forced — sum to the workload's `extract.dominated_pruned` (364) and
+    // `extract.forced_classes` (215); only NasNet-A prunes by the bound.
     let cases = [
         (
             "NasNet-A",
@@ -172,6 +176,7 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             62.915456,
             843_507_815_731_458_624,
             (631_472, 19_172, 38_738),
+            (350, 194, 33),
         ),
         (
             "Inception-v3",
@@ -181,6 +186,7 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             399.746048,
             16_740_504_291_635_575_710,
             (22_328, 2_048, 6_896),
+            (0, 0, 134),
         ),
         (
             "NasRNN",
@@ -190,9 +196,10 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             95.032533,
             2_002_769_870_575_493_143,
             (3_192, 477, 921),
+            (14, 0, 48),
         ),
     ];
-    for (model, blocks, node_limit, nodes, optimum, print, counters) in cases {
+    for (model, blocks, node_limit, nodes, optimum, print, counters, reduced) in cases {
         let graph = build_benchmark(
             model,
             ModelScale {
@@ -228,6 +235,11 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             "{model}: propagation"
         );
         assert_eq!(p.capped, 0, "{model}: capped propagations");
+        assert_eq!(
+            (ilp.dominated_pruned, ilp.bound_pruned, ilp.forced_classes),
+            reduced,
+            "{model}: reduction"
+        );
         assert!(
             (result.optimized_cost - optimum).abs() < 1e-6,
             "{model}: optimum {} != {optimum}",
