@@ -14,8 +14,8 @@ use std::fmt;
 use std::path::Path;
 use std::time::Duration;
 use tensat_core::{
-    explore, extract, extract_greedy_dag, extract_ilp, CycleFilter, ExplorationMode,
-    ExplorationStats, ExtractionMode, IlpConfig, OptimizationResult, Optimizer, OptimizerConfig,
+    explore, extract, extract_ilp, CycleFilter, ExplorationStats, ExtractionMode, IlpConfig,
+    OptimizationResult, Optimizer, OptimizerConfig,
 };
 use tensat_egraph::{Id, Language, RecExpr};
 use tensat_ir::{CostModel, TensorAnalysis, TensorEGraph, TensorLang};
@@ -290,7 +290,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("table4_greedy_vs_ilp", 20_000, table4_greedy_vs_ilp),
     ("table5_cycle_constraints", 8_000, table5_cycle_constraints),
     ("table6_cycle_filtering", 8_000, table6_cycle_filtering),
-    ("table7_exploration", 20_000, table7_exploration),
     ("fig6_tradeoff", 20_000, fig6_tradeoff),
     ("fig7_kmulti", 20_000, fig7_kmulti),
 ];
@@ -483,53 +482,6 @@ fn table6_cycle_filtering(s: &Setting) -> Table {
             vanilla,
             efficient,
         ]);
-    }
-    table
-}
-
-/// Table 7 (this reproduction's extension of Figure 4's axis): explore
-/// time, final e-graph size and greedy-DAG extracted cost per exploration
-/// strategy. `saturate` is the paper's saturate-all loop; `guided` is the
-/// beam search under a node budget 4x below the saturated size (does its
-/// extracted cost hold up on a fraction of the e-graph?). TASO has no row:
-/// it searches concrete graphs, not an e-graph, and `taso_vs_tensat`
-/// reports it on every model.
-fn table7_exploration(s: &Setting) -> Table {
-    let mut table = Table::new("model,strategy,explore_s,enodes,node_budget,dag_cost_us");
-    let model = CostModel::default();
-    for &name in BENCHMARKS {
-        let graph = build_benchmark(name, s.scale);
-        let seed_nodes = seeded(&graph).0.total_number_of_nodes();
-        // The saturated size sets the guided budget, so saturate runs first.
-        let mut saturated_nodes = 0;
-        for mode in [ExplorationMode::Saturate, ExplorationMode::Guided] {
-            let budget = match mode {
-                ExplorationMode::Saturate => s.node_limit,
-                ExplorationMode::Guided => (saturated_nodes / 4).max(seed_nodes),
-            };
-            let config = OptimizerConfig {
-                exploration: mode,
-                max_iter: 8,
-                node_limit: budget,
-                exploration_time_limit: Duration::from_secs(60),
-                search_threads: 1,
-                ..Default::default()
-            };
-            let (eg, root, stats) = explored(&graph, &config);
-            if mode == ExplorationMode::Saturate {
-                saturated_nodes = stats.enodes;
-            }
-            let dag = extract_greedy_dag(&eg, root, &model)
-                .unwrap_or_else(|e| panic!("greedy-DAG extraction failed on {name}: {e}"));
-            table.rows.push(vec![
-                Cell::Text(name.into()),
-                Cell::Text(stats.strategy.into()),
-                Cell::Float(stats.time.as_secs_f64(), 4),
-                Cell::Int(stats.enodes),
-                Cell::Int(budget),
-                Cell::Float(dag.dag_cost, 3),
-            ]);
-        }
     }
     table
 }

@@ -20,21 +20,10 @@
 //!    model at the repo benchmark's `zoo7_small` sizing and its two big
 //!    workloads, per-iteration e-node counts and final signature included,
 //!    and the iteration `node_limit` cuts is the last;
-//! 4. **Guided determinism** — the guided beam search uses no randomness
-//!    and no wall-clock tie-breaks, so three runs from the same seed
-//!    produce bit-identical e-graphs and extractions, and its runs on
-//!    every benchmark model are pinned to the digit;
-//! 5. **Hard node budget** — the guided strategy never leaves the e-graph
-//!    above `node_limit`, on random programs and on the benchmarks;
-//! 6. **Budgeted quality** (the headline acceptance property) — on at
-//!    least one benchmark model, guided exploration under a node budget
-//!    at least 4x below the saturated size still extracts a DAG no more
-//!    expensive than tree-greedy extraction from the fully saturated
-//!    e-graph;
-//! 7. **Budget semantics** — the node limit is asked before every
+//! 4. **Budget semantics** — the node limit is asked before every
 //!    application (the overshoot is one right-hand side), and a zero time
 //!    limit halts exploration before the first iteration;
-//! 8. **Thread determinism** — `search_threads` 1 and 4 give the same
+//! 5. **Thread determinism** — `search_threads` 1 and 4 give the same
 //!    trajectory on a fixture whose search batches the driver really
 //!    shards (the test checks that itself).
 
@@ -43,8 +32,8 @@ use proptest::TestRng;
 use std::time::Duration;
 use tensat_bench::{explored, seeded, signature};
 use tensat_core::{
-    explore, extract_greedy, extract_greedy_dag, CycleFilter, ExplorationMode, ExplorationStats,
-    ExtractionMode, Optimizer, OptimizerConfig, StopReason,
+    explore, extract_greedy_dag, CycleFilter, ExplorationStats, ExtractionMode, Optimizer,
+    OptimizerConfig, StopReason,
 };
 use tensat_egraph::{Id, RecExpr, PARALLEL_SEARCH_SPAWN_THRESHOLD};
 use tensat_ir::{CostModel, GraphBuilder, TensorEGraph, TensorLang};
@@ -102,7 +91,6 @@ fn random_graphs(n: usize) -> Vec<RecExpr<TensorLang>> {
 /// Deterministic small limits.
 fn saturate_config(node_limit: usize) -> OptimizerConfig {
     OptimizerConfig {
-        exploration: ExplorationMode::Saturate,
         k_multi: 1,
         max_iter: 2,
         node_limit,
@@ -213,48 +201,6 @@ fn saturate_naively(
         }
     }
     None
-}
-
-proptest! {
-    /// Property 5 on random e-graphs: the guided strategy's final e-graph,
-    /// grown by single- and multi-pattern actions alike, never exceeds the
-    /// node budget, and still extracts a valid graph. The program ends in
-    /// two matmuls sharing their data input, so the multi-pattern action
-    /// has a combination to apply (a random program alone almost never
-    /// does), and the budget is `slack` e-nodes over the seed, so it binds.
-    /// Guided also asserts the budget on every candidate state, not only on
-    /// the one it returns, in a release build as in a debug one.
-    #[test]
-    fn guided_respects_the_node_budget_on_random_graphs(
-        ops in op_strategy(),
-        slack in 0usize..48,
-    ) {
-        let mut ops = ops;
-        let last = 3 + ops.len();
-        ops.extend([(2, last, 2), (2, last, 3), (0, last + 1, last + 2)]);
-        let graph = build_graph(&ops);
-        let (mut eg, root) = seeded(&graph);
-        let budget = eg.total_number_of_nodes() + slack;
-        let config = OptimizerConfig {
-            exploration: ExplorationMode::Guided,
-            node_limit: budget,
-            search_threads: 1,
-            exploration_time_limit: Duration::from_secs(600),
-            ..Default::default()
-        };
-        let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
-        prop_assert_eq!(stats.strategy, "guided");
-        prop_assert!(
-            eg.total_number_of_nodes() <= budget,
-            "guided left {} e-nodes over the budget of {}",
-            eg.total_number_of_nodes(),
-            budget
-        );
-        let model = CostModel::default();
-        let out = extract_greedy_dag(&eg, root, &model).unwrap();
-        let data = tensat_ir::infer_recexpr(&out.expr);
-        prop_assert!(data.iter().all(|d| d.is_valid()));
-    }
 }
 
 /// Property 1 on random e-graphs, with multi-pattern rules and the
@@ -382,11 +328,8 @@ fn node_limit_is_enforced_per_application() {
 
 /// Regression: the time limit is checked before every iteration (and
 /// before every application), so a zero budget halts exploration before
-/// the first iteration mutates anything — under `Saturate`, and under
-/// `Guided`, which asks it before every beam step and every action. The
-/// optimizer still extracts a well-typed graph no worse than the input.
-/// Zero is the limit that binds deterministically: Guided converges in a
-/// few milliseconds on these models, under any limit a test could afford.
+/// the first iteration mutates anything. The optimizer still extracts a
+/// well-typed graph no worse than the input.
 #[test]
 fn zero_time_limit_halts_before_the_first_iteration() {
     let counts = |eg: &TensorEGraph| {
@@ -396,35 +339,31 @@ fn zero_time_limit_halts_before_the_first_iteration() {
             eg.union_count(),
         )
     };
-    for exploration in [ExplorationMode::Saturate, ExplorationMode::Guided] {
-        let config = OptimizerConfig {
-            exploration,
-            exploration_time_limit: Duration::ZERO,
-            extraction: ExtractionMode::GreedyDag,
-            ..saturate_config(20_000)
-        };
-        for name in ["BERT", "NasNet-A", "NasRNN"] {
-            let graph = build_benchmark(name, ModelScale::default());
-            let (mut eg, root) = seeded(&graph);
-            let seed = counts(&eg);
-            let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
-            let label = format!("{name} {exploration:?}");
-            assert_eq!(stats.iterations, 0, "{label}");
-            assert_eq!(
-                stats.stop_reason,
-                Some(StopReason::TimeLimit(Duration::ZERO)),
-                "{label}"
-            );
-            assert_eq!(counts(&eg), seed, "{label}");
+    let config = OptimizerConfig {
+        exploration_time_limit: Duration::ZERO,
+        extraction: ExtractionMode::GreedyDag,
+        ..saturate_config(20_000)
+    };
+    for name in ["BERT", "NasNet-A", "NasRNN"] {
+        let graph = build_benchmark(name, ModelScale::default());
+        let (mut eg, root) = seeded(&graph);
+        let seed = counts(&eg);
+        let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
+        assert_eq!(stats.iterations, 0, "{name}");
+        assert_eq!(
+            stats.stop_reason,
+            Some(StopReason::TimeLimit(Duration::ZERO)),
+            "{name}"
+        );
+        assert_eq!(counts(&eg), seed, "{name}");
 
-            let result = Optimizer::new(config.clone()).optimize(&graph).unwrap();
-            assert!(
-                result.optimized_cost <= result.original_cost + 1e-9,
-                "{label}"
-            );
-            let data = tensat_ir::infer_recexpr(&result.optimized_graph);
-            assert!(data.iter().all(|d| d.is_valid()), "{label}: ill-typed");
-        }
+        let result = Optimizer::new(config.clone()).optimize(&graph).unwrap();
+        assert!(
+            result.optimized_cost <= result.original_cost + 1e-9,
+            "{name}"
+        );
+        let data = tensat_ir::infer_recexpr(&result.optimized_graph);
+        assert!(data.iter().all(|d| d.is_valid()), "{name}: ill-typed");
     }
 }
 
@@ -679,7 +618,7 @@ fn big_benchmark_trajectories_are_pinned() {
     }
 }
 
-/// Property 6: sharded search must not change an exploration outcome —
+/// Property 5: sharded search must not change an exploration outcome —
 /// match lists are bit-identical at every thread count, so every
 /// downstream decision (conditions, cycle filtering, application order)
 /// is too. BERT at the harness scale is the fixture because its
@@ -729,321 +668,5 @@ fn exploration_is_bit_identical_at_1_and_4_search_threads() {
     assert!(
         batch >= PARALLEL_SEARCH_SPAWN_THRESHOLD,
         "the fixture no longer reaches the sharded driver: {batch} candidates"
-    );
-}
-
-/// Property 2: three guided runs from the same seed are bit-identical —
-/// same iteration trajectory, same final e-graph counts, same extracted
-/// expression. (Wall-clock is the only nondeterministic input, so the
-/// time limit is generous enough never to bind.)
-#[test]
-fn guided_exploration_is_deterministic() {
-    let graph = build_benchmark("NasRNN", ModelScale::tiny());
-    let config = OptimizerConfig {
-        exploration: ExplorationMode::Guided,
-        node_limit: 1_000,
-        search_threads: 1,
-        exploration_time_limit: Duration::from_secs(600),
-        ..Default::default()
-    };
-    let model = CostModel::default();
-    let runs: Vec<_> = (0..3)
-        .map(|_| {
-            let (mut eg, root) = seeded(&graph);
-            let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
-            let out = extract_greedy_dag(&eg, root, &model).unwrap();
-            (
-                stats.iterations,
-                stats.nodes_per_iteration.clone(),
-                eg.total_number_of_nodes(),
-                eg.number_of_classes(),
-                eg.union_count(),
-                out.expr.nodes().to_vec(),
-                out.dag_cost,
-            )
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1]);
-    assert_eq!(runs[1], runs[2]);
-}
-
-/// The guided beam search's whole run on every benchmark model at
-/// `ModelScale::tiny()` (`k_multi` 1, one thread, a time limit that never
-/// binds), pinned to the digit: `(iterations, stop reason, best state's
-/// e-nodes after each beam step, greedy-DAG cost, final e-graph
-/// signature)`, under a 1 000-node budget and under one 8 e-nodes above
-/// the seed, which binds on NasRNN, NasNet-A and VGG-19.
-/// Three runs agreeing with each other (the test above) cannot see a
-/// change that moves all three; this is what a change that must leave
-/// Guided bit-identical is checked against.
-#[test]
-fn guided_runs_are_pinned_on_every_benchmark_model() {
-    type Pin = (usize, Option<StopReason>, Vec<usize>, f64, u64);
-    // Per model: the pins at 1 000 e-nodes and at the seed plus 8.
-    let pinned: [(&str, [Pin; 2]); 7] = [
-        (
-            "NasRNN",
-            [
-                (
-                    4,
-                    None,
-                    vec![51, 53, 56, 56],
-                    45.92906666666666,
-                    10_121_055_075_640_723_071,
-                ),
-                (
-                    2,
-                    None,
-                    vec![41, 41],
-                    100.59733333333332,
-                    17_607_072_008_775_399_465,
-                ),
-            ],
-        ),
-        (
-            "BERT",
-            [
-                (
-                    2,
-                    None,
-                    vec![31, 31],
-                    55.95818666666668,
-                    12_011_647_958_606_485_106,
-                ),
-                (
-                    2,
-                    None,
-                    vec![31, 31],
-                    55.95818666666668,
-                    12_011_647_958_606_485_106,
-                ),
-            ],
-        ),
-        (
-            "ResNeXt-50",
-            [
-                (
-                    2,
-                    None,
-                    vec![15, 15],
-                    26.76373333333333,
-                    12_005_353_038_339_959_861,
-                ),
-                (
-                    2,
-                    None,
-                    vec![15, 15],
-                    26.76373333333333,
-                    12_005_353_038_339_959_861,
-                ),
-            ],
-        ),
-        (
-            "NasNet-A",
-            [
-                (
-                    5,
-                    None,
-                    vec![37, 39, 41, 42, 42],
-                    14.383253333333332,
-                    11_946_266_555_925_846_911,
-                ),
-                (
-                    2,
-                    None,
-                    vec![30, 30],
-                    73.68132266666667,
-                    2_900_008_778_206_721_551,
-                ),
-            ],
-        ),
-        (
-            "SqueezeNet",
-            [
-                (2, None, vec![16, 16], 29.739104, 10_105_034_176_864_783_695),
-                (2, None, vec![16, 16], 29.739104, 10_105_034_176_864_783_695),
-            ],
-        ),
-        (
-            "VGG-19",
-            [
-                (
-                    2,
-                    None,
-                    vec![32, 32],
-                    60.54261333333333,
-                    7_749_367_305_530_102_018,
-                ),
-                (
-                    2,
-                    None,
-                    vec![30, 30],
-                    71.21233066666667,
-                    13_255_931_765_885_718_403,
-                ),
-            ],
-        ),
-        (
-            "Inception-v3",
-            [
-                (
-                    2,
-                    None,
-                    vec![27, 27],
-                    52.72309333333334,
-                    15_242_122_198_445_919_813,
-                ),
-                (
-                    2,
-                    None,
-                    vec![27, 27],
-                    52.72309333333334,
-                    15_242_122_198_445_919_813,
-                ),
-            ],
-        ),
-    ];
-    assert!(pinned.iter().map(|(name, _)| name).eq(BENCHMARKS));
-    let model = CostModel::default();
-    for (name, pins) in pinned {
-        let graph = build_benchmark(name, ModelScale::tiny());
-        let seed = seeded(&graph).0.total_number_of_nodes();
-        for (node_limit, pin) in [1_000, seed + 8].into_iter().zip(pins) {
-            let config = OptimizerConfig {
-                exploration: ExplorationMode::Guided,
-                k_multi: 1,
-                node_limit,
-                search_threads: 1,
-                exploration_time_limit: Duration::from_secs(600),
-                ..Default::default()
-            };
-            let (eg, root, stats) = explored(&graph, &config);
-            assert_eq!(stats.strategy, "guided");
-            assert_eq!(stats.filtered_nodes, eg.filtered_count());
-            assert!(eg.total_number_of_nodes() <= node_limit, "{name}");
-            let dag = extract_greedy_dag(&eg, root, &model).unwrap();
-            assert_eq!(
-                (
-                    stats.iterations,
-                    stats.stop_reason,
-                    stats.nodes_per_iteration,
-                    dag.dag_cost,
-                    tensat_bench::signature(&eg, root),
-                ),
-                pin,
-                "{name} at {node_limit} e-nodes"
-            );
-        }
-    }
-}
-
-/// The cycle pre-filter's work in the guided runs pinned above: per model
-/// and budget, `ExplorationStats::prefilter_{queries, walks, rejected}`.
-/// Guided asks one descendants map per beam state for all of that state's
-/// actions; answers and counts are what a map per action gave.
-#[test]
-fn guided_prefilter_counters_are_pinned_on_every_benchmark_model() {
-    type Counts = (usize, usize, usize);
-    let pinned: [(&str, [Counts; 2]); 7] = [
-        ("NasRNN", [(588, 24, 0), (44, 0, 0)]),
-        ("BERT", [(126, 6, 0), (51, 0, 0)]),
-        ("ResNeXt-50", [(38, 0, 0), (18, 0, 0)]),
-        ("NasNet-A", [(1117, 12, 0), (48, 0, 0)]),
-        ("SqueezeNet", [(60, 0, 0), (10, 0, 0)]),
-        ("VGG-19", [(80, 0, 0), (20, 0, 0)]),
-        ("Inception-v3", [(214, 6, 0), (10, 0, 0)]),
-    ];
-    assert!(pinned.iter().map(|(name, _)| name).eq(BENCHMARKS));
-    for (name, pins) in pinned {
-        let graph = build_benchmark(name, ModelScale::tiny());
-        let seed = seeded(&graph).0.total_number_of_nodes();
-        for (node_limit, pin) in [1_000, seed + 8].into_iter().zip(pins) {
-            let config = OptimizerConfig {
-                exploration: ExplorationMode::Guided,
-                k_multi: 1,
-                node_limit,
-                search_threads: 1,
-                exploration_time_limit: Duration::from_secs(600),
-                ..Default::default()
-            };
-            let stats = explored(&graph, &config).2;
-            let got = (
-                stats.prefilter_queries,
-                stats.prefilter_walks,
-                stats.prefilter_rejected,
-            );
-            assert_eq!(got, pin, "{name} at {node_limit} e-nodes");
-        }
-    }
-}
-
-/// Property 4 (the acceptance criterion): guided exploration under a hard
-/// budget at least 4x below the saturated e-graph size extracts a DAG no
-/// more expensive than tree-greedy extraction from full saturation, on at
-/// least one benchmark model.
-#[test]
-fn guided_beats_saturation_tree_greedy_under_a_quarter_budget() {
-    let singles = single_rules();
-    let multis = multi_rules();
-    let model = CostModel::default();
-    let mut witnesses = Vec::new();
-    let mut report = Vec::new();
-    for name in BENCHMARKS {
-        let graph = build_benchmark(name, ModelScale::tiny());
-        let (mut sat_eg, sat_root) = seeded(&graph);
-        let seed_nodes = sat_eg.total_number_of_nodes();
-        explore(
-            &mut sat_eg,
-            sat_root,
-            &singles,
-            &multis,
-            &saturate_config(20_000),
-        );
-        let sat_nodes = sat_eg.total_number_of_nodes();
-        let sat_tree = extract_greedy(&sat_eg, sat_root, &model).unwrap();
-
-        let budget = sat_nodes / 4;
-        if budget < seed_nodes {
-            // The saturated e-graph is not even 4x the seed: the budgeted
-            // regime is meaningless for this model at this scale.
-            report.push(format!(
-                "{name}: saturation {sat_nodes} < 4x seed {seed_nodes}"
-            ));
-            continue;
-        }
-        let (mut gui_eg, gui_root) = seeded(&graph);
-        let stats = explore(
-            &mut gui_eg,
-            gui_root,
-            &singles,
-            &multis,
-            &OptimizerConfig {
-                exploration: ExplorationMode::Guided,
-                node_limit: budget,
-                search_threads: 1,
-                exploration_time_limit: Duration::from_secs(600),
-                ..Default::default()
-            },
-        );
-        assert!(
-            gui_eg.total_number_of_nodes() <= budget,
-            "{name}: guided exceeded its budget"
-        );
-        assert_eq!(stats.strategy, "guided");
-        let gui_dag = extract_greedy_dag(&gui_eg, gui_root, &model).unwrap();
-        report.push(format!(
-            "{name}: guided dag {:.3} @ {} nodes (budget {budget}) vs saturation tree {:.3} @ {sat_nodes} nodes",
-            gui_dag.dag_cost,
-            gui_eg.total_number_of_nodes(),
-            sat_tree.dag_cost,
-        ));
-        if gui_dag.dag_cost <= sat_tree.dag_cost + 1e-9 {
-            witnesses.push(*name);
-        }
-    }
-    assert!(
-        !witnesses.is_empty(),
-        "no benchmark had guided-under-quarter-budget match saturation tree-greedy:\n{}",
-        report.join("\n")
     );
 }

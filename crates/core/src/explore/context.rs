@@ -1,13 +1,10 @@
-//! The shared exploration engine: one [`ExplorationContext`] holds the
-//! compiled single- and multi-pattern rule programs, the deduplicated
-//! canonical multi sources, the cycle filter, and the run's budget clock.
-//! The loop body exists once: the cycle pre-filter's descendants map of a
-//! clean e-graph, the rules' [`Action`]s applied behind it, and a seal
-//! (rebuild, cycle post-filter). [`Saturate`](super::Saturate) runs it as
-//! whole iterations ([`ExplorationContext::run_iteration`]), every rule
-//! behind one map; [`Guided`](super::Guided) applies one action to each
-//! clone of a state, under a hard node budget, every clone behind the
-//! state's one map.
+//! The exploration engine: one [`ExplorationContext`] holds the compiled
+//! single- and multi-pattern rule programs, the deduplicated canonical
+//! multi sources, the cycle filter, and the run's budget clock, and runs
+//! Algorithm 1's loop body once per [`ExplorationContext::run_iteration`]:
+//! the cycle pre-filter's descendants map of the clean e-graph, one batched
+//! search, every rule applied behind that map, and a seal (rebuild, cycle
+//! post-filter). [`Saturate`](super::Saturate) is the loop around it.
 
 use super::{canonicalize_pattern, CycleFilter, ExplorationStats, StopReason};
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
@@ -71,11 +68,6 @@ impl<'a> ExplorationContext<'a> {
         }
     }
 
-    /// The root e-class exploration optimizes for.
-    pub(crate) fn root(&self) -> Id {
-        self.root
-    }
-
     /// The exploration configuration.
     pub fn config(&self) -> &OptimizerConfig {
         self.config
@@ -84,17 +76,6 @@ impl<'a> ExplorationContext<'a> {
     /// The single-pattern rule set.
     pub fn single_rules(&self) -> &[TensorRewrite] {
         self.single_rules
-    }
-
-    /// Number of multi-pattern rules ([`Action::Multi`] indexes them).
-    pub(crate) fn multi_rule_count(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// True once `exploration_time_limit` has passed since exploration
-    /// began.
-    pub(crate) fn out_of_time(&self) -> bool {
-        self.start.elapsed() >= self.config.exploration_time_limit
     }
 
     /// True once the time or node budget is exhausted — the check of
@@ -110,9 +91,7 @@ impl<'a> ExplorationContext<'a> {
     /// therefore the last one, for every loop built over `over_budget` and
     /// `run_iteration`.
     pub fn over_budget(&self, egraph: &TensorEGraph) -> bool {
-        self.node_limit_cut.get()
-            || self.out_of_time()
-            || egraph.total_number_of_nodes() >= self.config.node_limit
+        self.node_limit_cut.get() || self.limit_reached(egraph.total_number_of_nodes()).is_some()
     }
 
     /// Fills in the final-state fields of `stats`: e-node/e-class counts,
@@ -128,9 +107,8 @@ impl<'a> ExplorationContext<'a> {
             stats.stop_reason = Some(StopReason::Saturated);
         } else if stats.stop_reason.is_none() {
             // No iteration ended the run: a limit was already spent at an
-            // iteration boundary (or, for `Guided`, before it started),
-            // or the strategy stopped by a rule of its own and there is
-            // nothing to report.
+            // iteration boundary, or no iteration ran and there is nothing
+            // to report.
             stats.stop_reason = self.limit_reached(stats.enodes);
         }
     }
@@ -140,7 +118,7 @@ impl<'a> ExplorationContext<'a> {
     fn limit_reached(&self, enodes: usize) -> Option<StopReason> {
         if enodes >= self.config.node_limit {
             Some(StopReason::NodeLimit(self.config.node_limit))
-        } else if self.out_of_time() {
+        } else if self.start.elapsed() >= self.config.exploration_time_limit {
             Some(StopReason::TimeLimit(self.config.exploration_time_limit))
         } else {
             None
@@ -174,32 +152,63 @@ impl<'a> ExplorationContext<'a> {
         stats: &mut ExplorationStats,
     ) -> bool {
         let config = self.config;
+        let filter = config.cycle_filter;
         let nodes_before = egraph.total_number_of_nodes();
         let unions_before = egraph.union_count();
         let do_multi = iter < config.k_multi;
         let within_budget = |egraph: &TensorEGraph| !self.over_budget(egraph);
+
+        // The cycle pre-filter's descendants map of the clean e-graph
+        // (Algorithm 2, lines 3–9) in efficient mode: what every union of
+        // the apply phase is checked against.
+        let desc = (filter == CycleFilter::Efficient).then(|| {
+            let start = Instant::now();
+            let desc = DescendantsMap::compute(egraph);
+            stats.prefilter_time += start.elapsed();
+            desc
+        });
+
         // All matches — single-pattern and multi-pattern alike — are
         // collected against the iteration-start e-graph, which is clean
         // (rebuilt at the end of the previous iteration): pattern search
         // requires a clean e-graph for the operator index and congruence
         // invariant to hold. This mirrors Algorithm 1, which gathers every
-        // match before applying any substitution. The rules are applied in
-        // order — single-pattern, then multi-pattern — until the budget is
-        // spent.
-        let map = self.prefilter_map(egraph, stats);
-        let desc = map.as_ref();
-        let (single, multi) = self.search_state(egraph, do_multi, stats);
+        // match before applying any substitution. Every searcher goes
+        // through one batch of the sharded search driver, so a hot rule's
+        // candidate chunks spread over all `search_threads` threads; the
+        // match lists are bit-identical at every thread count. The
+        // searcher list dies with the search, so it adds nothing to the
+        // apply phase's peak.
         let start = Instant::now();
-        for (rule, matches) in single.into_iter().enumerate() {
-            let matches = std::slice::from_ref(&matches);
-            self.apply_action(egraph, Action::Single(rule), matches, desc, within_budget);
+        let (single, multi) = {
+            let mut searchers: Vec<&Pattern<TensorLang>> =
+                self.single_rules.iter().map(|rw| &rw.searcher).collect();
+            if do_multi {
+                searchers.extend(&self.unique_patterns);
+            }
+            let mut single = search_all_parallel(&searchers, egraph, config.search_threads);
+            let multi = single.split_off(self.single_rules.len());
+            (single, multi)
+        };
+        stats.search_time += start.elapsed();
+
+        // The rules are applied in order — single-pattern, then
+        // multi-pattern — until the budget is spent. A single-pattern rule
+        // runs through the one apply loop
+        // ([`tensat_egraph::Rewrite::apply_while`]): per candidate ask the
+        // budget, evaluate the rule's condition, ask the pre-filter, apply.
+        let start = Instant::now();
+        for (rw, matches) in self.single_rules.iter().zip(single) {
+            rw.apply_while(egraph, &matches, within_budget, |egraph, eclass, subst| {
+                !skip_for_cycles(egraph, filter, desc.as_ref(), eclass, &rw.applier, subst)
+            });
             if self.over_budget(egraph) {
                 break;
             }
         }
         if do_multi {
-            for rule in 0..self.plans.len() {
-                self.apply_action(egraph, Action::Multi(rule), &multi, desc, within_budget);
+            for plan in &self.plans {
+                plan.apply(egraph, &multi, filter, desc.as_ref(), &within_budget);
                 if self.over_budget(egraph) {
                     break;
                 }
@@ -207,7 +216,11 @@ impl<'a> ExplorationContext<'a> {
         }
         drop(multi);
         stats.apply_time += start.elapsed();
-        self.retire_prefilter_map(map, stats);
+        if let Some(desc) = desc {
+            stats.prefilter_queries += desc.queries();
+            stats.prefilter_walks += desc.walks();
+            stats.prefilter_rejected += desc.rejected();
+        }
 
         // Which limit, if any, stopped the apply phase — read before the
         // rebuild's deduplication can pull the node count back under its
@@ -216,7 +229,15 @@ impl<'a> ExplorationContext<'a> {
         if matches!(limit, Some(StopReason::NodeLimit(_))) {
             self.node_limit_cut.set(true);
         }
-        self.seal(egraph, stats);
+        // The seal: rebuild, and resolve the cycles that slipped past the
+        // pre-filter (Algorithm 2, lines 10–18), restoring the invariants
+        // the next search relies on.
+        let start = Instant::now();
+        egraph.rebuild();
+        if filter == CycleFilter::Efficient {
+            remove_all_cycles(egraph, self.root);
+        }
+        stats.rebuild_time += start.elapsed();
 
         stats.iterations = iter + 1;
         stats
@@ -228,129 +249,6 @@ impl<'a> ExplorationContext<'a> {
 
         egraph.total_number_of_nodes() != nodes_before || egraph.union_count() != unions_before
     }
-
-    /// Batched search of every single-pattern rule — and, when
-    /// `include_multi`, every deduplicated canonical multi-pattern source
-    /// — against a clean e-graph, timed into `stats.search_time`. Returns
-    /// `(single, multi)` match lists in rule/source order.
-    ///
-    /// Every searcher goes through one batch of the sharded search driver,
-    /// so a hot rule's candidate chunks spread over all `search_threads`
-    /// threads; with 1 thread the driver is the sequential machine
-    /// verbatim, and the match lists are bit-identical either way, so
-    /// every strategy stays deterministic.
-    pub(crate) fn search_state(
-        &self,
-        egraph: &TensorEGraph,
-        include_multi: bool,
-        stats: &mut ExplorationStats,
-    ) -> (Vec<Vec<SearchMatches>>, Vec<Vec<SearchMatches>>) {
-        let start = Instant::now();
-        let mut searchers: Vec<&Pattern<TensorLang>> =
-            self.single_rules.iter().map(|rw| &rw.searcher).collect();
-        if include_multi {
-            searchers.extend(&self.unique_patterns);
-        }
-        let mut single = search_all_parallel(&searchers, egraph, self.config.search_threads);
-        let multi = single.split_off(self.single_rules.len());
-        stats.search_time += start.elapsed();
-        (single, multi)
-    }
-
-    /// The cycle pre-filter's descendants map of the clean `egraph`
-    /// (Algorithm 2, lines 3–9) in efficient mode, timed into
-    /// `stats.prefilter_time`: what every union of an apply phase on
-    /// `egraph`, or on a clone of it, is checked against.
-    pub(crate) fn prefilter_map(
-        &self,
-        egraph: &TensorEGraph,
-        stats: &mut ExplorationStats,
-    ) -> Option<DescendantsMap> {
-        (self.config.cycle_filter == CycleFilter::Efficient).then(|| {
-            let start = Instant::now();
-            let desc = DescendantsMap::compute(egraph);
-            stats.prefilter_time += start.elapsed();
-            desc
-        })
-    }
-
-    /// Adds what `desc` was asked to `stats.prefilter_{queries, walks,
-    /// rejected}` and drops it: the end of the apply phases it served.
-    pub(crate) fn retire_prefilter_map(
-        &self,
-        desc: Option<DescendantsMap>,
-        stats: &mut ExplorationStats,
-    ) {
-        if let Some(desc) = desc {
-            stats.prefilter_queries += desc.queries();
-            stats.prefilter_walks += desc.walks();
-            stats.prefilter_rejected += desc.rejected();
-        }
-    }
-
-    /// Applies `action`'s matches in place — `matches` holds its rule's
-    /// one list for [`Action::Single`], every unique source's (as
-    /// [`ExplorationContext::search_state`] returns them) for
-    /// [`Action::Multi`] — asking `keep_going` before every application
-    /// and the cycle pre-filter (`desc` in efficient mode) before every
-    /// union. A single-pattern rule runs through the one apply loop
-    /// ([`tensat_egraph::Rewrite::apply_while`]): per candidate ask
-    /// `keep_going`, evaluate the rule's condition, ask the pre-filter,
-    /// apply.
-    pub(crate) fn apply_action(
-        &self,
-        egraph: &mut TensorEGraph,
-        action: Action,
-        matches: &[Vec<SearchMatches>],
-        desc: Option<&DescendantsMap>,
-        keep_going: impl Fn(&TensorEGraph) -> bool,
-    ) {
-        let filter = self.config.cycle_filter;
-        match action {
-            Action::Single(rule) => {
-                let rw = &self.single_rules[rule];
-                rw.apply_while(egraph, &matches[0], keep_going, |egraph, eclass, subst| {
-                    !skip_for_cycles(egraph, filter, desc, eclass, &rw.applier, subst)
-                });
-            }
-            Action::Multi(rule) => {
-                self.plans[rule].apply(egraph, matches, filter, desc, &keep_going)
-            }
-        }
-    }
-
-    /// The most e-nodes one application of `action` can add: every node of
-    /// its right-hand side(s) new. (Variables instantiate to existing
-    /// classes, so this over-estimates, which only makes a budget checked
-    /// against it stricter.)
-    pub(crate) fn headroom(&self, action: Action) -> usize {
-        match action {
-            Action::Single(rule) => self.single_rules[rule].applier.ast.len(),
-            Action::Multi(rule) => self.plans[rule].dsts.iter().map(|d| d.ast.len()).sum(),
-        }
-    }
-
-    /// Rebuilds the e-graph and resolves the cycles that slipped past the
-    /// pre-filter (Algorithm 2, lines 10–18), restoring the invariants the
-    /// next search and [`Guided`](super::Guided)'s scoring rely on; timed
-    /// into `stats.rebuild_time`.
-    pub(crate) fn seal(&self, egraph: &mut TensorEGraph, stats: &mut ExplorationStats) {
-        let start = Instant::now();
-        egraph.rebuild();
-        if self.config.cycle_filter == CycleFilter::Efficient {
-            remove_all_cycles(egraph, self.root);
-        }
-        stats.rebuild_time += start.elapsed();
-    }
-}
-
-/// A rule of the context as the unit an apply phase applies: a
-/// single-pattern rule's match batch, or a multi-pattern rule's Cartesian
-/// combinations (each indexes its rule list).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Action {
-    Single(usize),
-    Multi(usize),
 }
 
 /// Returns true if the candidate application must be skipped because it
@@ -443,9 +341,9 @@ impl MultiPlan {
     }
 
     /// Applies every compatible combination of the sources' matches
-    /// (`matches` is indexed by unique canonical pattern, as
-    /// [`ExplorationContext::search_state`] returns it), asking
-    /// `keep_going` before every extension.
+    /// (`matches` is indexed by unique canonical pattern, in
+    /// `unique_patterns` order), asking `keep_going` before every
+    /// extension.
     fn apply(
         &self,
         egraph: &mut TensorEGraph,
@@ -581,5 +479,115 @@ impl<'a, K: Fn(&TensorEGraph) -> bool> Product<'a, K> {
         for (matched, dst) in targets() {
             dst.apply_one(egraph, matched, &self.subst);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{explore, StopReason};
+    use super::*;
+    use tensat_ir::{GraphBuilder, TensorAnalysis};
+    use tensat_rules::multi_rules;
+
+    /// A match is never merged with itself: one `matmul`, and separately
+    /// one `conv`, explored with the multi-pattern rules alone leave the
+    /// e-graph as it was. A guard that compared the sources' renamed
+    /// bindings (`?w1` against `?w2`) would never fire, and each op would
+    /// grow a `concat2 ?w ?w` and an operator twice as wide.
+    #[test]
+    fn a_lone_matmul_or_conv_is_never_merged_with_itself() {
+        use tensat_ir::{Activation, Padding};
+        let mut g = GraphBuilder::new();
+        let x = g.input("x", &[64, 256]);
+        let w = g.weight("w", &[256, 128]);
+        let matmul = g.matmul(x, w);
+        let matmul = g.finish(&[matmul]);
+        let mut g = GraphBuilder::new();
+        let x = g.input("x", &[1, 64, 28, 28]);
+        let w = g.weight("w", &[64, 64, 3, 3]);
+        let conv = g.conv(x, w, (1, 1), Padding::Same, Activation::Relu);
+        let conv = g.finish(&[conv]);
+        for graph in [matmul, conv] {
+            let mut eg = TensorEGraph::new(TensorAnalysis);
+            let root = eg.add_expr(&graph);
+            eg.rebuild();
+            let seed = eg.total_number_of_nodes();
+            let config = OptimizerConfig {
+                k_multi: 1,
+                search_threads: 1,
+                ..Default::default()
+            };
+            let stats = explore(&mut eg, root, &[], &multi_rules(), &config);
+            assert_eq!(eg.total_number_of_nodes(), seed, "{graph}");
+            assert_eq!(stats.stop_reason, Some(StopReason::Saturated), "{graph}");
+        }
+    }
+
+    /// Builds `relu(p)` and `second(q)` over two 8x8 inputs, searches
+    /// `rule`'s sources, unites the pairs `unions` names (indices into `[p,
+    /// q, relu(p), second(q)]`) as an earlier application of the iteration
+    /// would, applies the rule's combinations through [`MultiPlan::apply`],
+    /// rebuilds and counts `sigmoid` e-nodes.
+    fn sigmoids_after(
+        second: fn([Id; 1]) -> TensorLang,
+        rule: MultiPatternRule,
+        unions: &[(usize, usize)],
+    ) -> usize {
+        let mut eg = TensorEGraph::new(TensorAnalysis);
+        let mut input = |name| {
+            let name = eg.add(TensorLang::Str(tensat_ir::encode_identifier(name, &[8, 8])));
+            eg.add(TensorLang::Input([name]))
+        };
+        let (p, q) = (input("p"), input("q"));
+        let classes = [p, q, eg.add(TensorLang::Relu([p])), eg.add(second([q]))];
+        eg.rebuild();
+        let config = OptimizerConfig {
+            cycle_filter: CycleFilter::Off,
+            search_threads: 1,
+            ..Default::default()
+        };
+        let rules = [rule];
+        let ctx = ExplorationContext::new(classes[2], &[], &rules, &config);
+        let matches: Vec<_> = ctx.unique_patterns.iter().map(|p| p.search(&eg)).collect();
+        for &(a, b) in unions {
+            eg.union(classes[a], classes[b]);
+        }
+        ctx.plans[0].apply(&mut eg, &matches, CycleFilter::Off, None, &|_| true);
+        eg.rebuild();
+        let sigmoid = |n: &&TensorLang| matches!(n, TensorLang::Sigmoid(_));
+        eg.classes()
+            .map(|c| eg.enodes(c).filter(sigmoid).count())
+            .sum()
+    }
+
+    /// The row product compares shared columns modulo `find` when it
+    /// combines, not when it searched: `relu ?x` and `tanh ?x` bind `?x` to
+    /// different inputs, and a union made between search and apply makes
+    /// them agree, so the combination applies.
+    #[test]
+    fn a_union_after_the_search_makes_shared_columns_agree() {
+        let srcs = ["(relu ?x)", "(tanh ?x)"];
+        let rule =
+            || MultiPatternRule::new("same-input", &srcs, &["(relu ?x)", "(sigmoid ?x)"], &[]);
+        assert_eq!(sigmoids_after(TensorLang::Tanh, rule(), &[]), 0);
+        assert_eq!(sigmoids_after(TensorLang::Tanh, rule(), &[(0, 1)]), 1);
+    }
+
+    /// The self-merge guard skips a match paired with itself, and a union
+    /// made between search and apply can make two matches the same one.
+    /// Apart, `(relu p, relu q)` and `(relu q, relu p)` apply; once the two
+    /// `relu`s are one class over one input, none of the four pairs does.
+    #[test]
+    fn the_guard_skips_a_match_a_union_made_equal_to_another() {
+        let (srcs, dsts) = (
+            ["(relu ?x)", "(relu ?y)"],
+            ["(relu ?x)", "(sigmoid (ewadd ?x ?y))"],
+        );
+        let rule = || MultiPatternRule::new("relu-pair", &srcs, &dsts, &[]);
+        assert_eq!(sigmoids_after(TensorLang::Relu, rule(), &[]), 2);
+        assert_eq!(
+            sigmoids_after(TensorLang::Relu, rule(), &[(0, 1), (2, 3)]),
+            0
+        );
     }
 }

@@ -1,35 +1,24 @@
 //! The exploration phase (paper §4) behind one seam: an
 //! [`ExplorationStrategy`] trait over a shared [`ExplorationContext`]
 //! holding the compiled single/multi rule programs, cycle filter, and
-//! budget accounting.
+//! budget accounting, and running Algorithm 1's loop body.
 //!
-//! Two strategies ship through the seam:
-//!
-//! * [`Saturate`] — Algorithm 1's saturate-all loop. The iteration whose
-//!   apply phase `node_limit` cuts is its last.
-//! * [`Guided`] — a deterministic beam search (MCTS-lite) treating rule
-//!   batches as actions, scoring candidate e-graph states by greedy-DAG
-//!   extracted cost plus a node-growth penalty, and expanding only the
-//!   top-k states, each a clone of its parent e-graph. It enforces a
-//!   *hard* node budget, so graphs whose saturation blows past
-//!   `node_limit` stay optimizable with bounded memory.
-//!
-//! The TASO baseline the paper compares against is not a strategy: it
-//! searches concrete graphs, not an e-graph, and lives in `tensat-taso`.
+//! One strategy ships through the seam: [`Saturate`], Algorithm 1's
+//! saturate-all loop. The iteration whose apply phase `node_limit` cuts is
+//! its last. The TASO baseline the paper compares against is not a
+//! strategy: it searches concrete graphs, not an e-graph, and lives in
+//! `tensat-taso`.
 //!
 //! Every entry point reads the one [`OptimizerConfig`]: its exploration
 //! fields (`k_multi`, `max_iter`, `node_limit`, `exploration_time_limit`,
-//! `cycle_filter`, `search_threads`, `cost_model`) drive the run, and
-//! [`explore`] dispatches on [`OptimizerConfig::exploration`]
-//! ([`ExplorationMode`]). A run is a function of the e-graph, the rules and
-//! the configuration: nothing here reads the environment.
+//! `cycle_filter`, `search_threads`) drive the run. A run is a function of
+//! the e-graph, the rules and the configuration: nothing here reads the
+//! environment.
 
 mod context;
-mod guided;
 mod saturate;
 
 pub use context::ExplorationContext;
-pub use guided::{Guided, GuidedConfig};
 pub use saturate::Saturate;
 
 use crate::OptimizerConfig;
@@ -54,16 +43,16 @@ pub enum CycleFilter {
     Efficient,
 }
 
-/// Which exploration strategy grows the e-graph — the exploration
-/// counterpart of [`ExtractionMode`](crate::ExtractionMode).
+/// The type of [`OptimizerConfig::exploration`], with the one variant
+/// [`Saturate`](ExplorationMode::Saturate): [`explore`] always runs
+/// [`Saturate`]. Kept because the repo benchmark's
+/// `benchmark/src/workloads.rs` writes it; the next change to the
+/// benchmark retires it, like `apply_threads`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExplorationMode {
     /// The saturate-all loop (Algorithm 1): apply every rule everywhere,
-    /// every iteration. TENSAT's default configuration.
+    /// every iteration.
     Saturate,
-    /// Guided beam search over rule-batch actions under a hard node
-    /// budget, scored by greedy-DAG extracted cost (see [`Guided`]).
-    Guided,
 }
 
 /// The default search thread count: the machine's available parallelism
@@ -91,10 +80,9 @@ pub enum StopReason {
 /// Statistics of one exploration run.
 #[derive(Debug, Clone, Default)]
 pub struct ExplorationStats {
-    /// Number of iterations executed ([`Guided`]: beam steps).
+    /// Number of iterations executed.
     pub iterations: usize,
-    /// Whether the run stopped because no action changed the e-graph
-    /// (saturation for [`Saturate`]; beam convergence for [`Guided`]).
+    /// Whether the run stopped because no rewrite changed the e-graph.
     /// Equals `stop_reason == Some(StopReason::Saturated)`.
     pub saturated: bool,
     /// Why the run stopped, filled in by
@@ -103,9 +91,8 @@ pub struct ExplorationStats {
     /// (saturation, or a limit already spent at an iteration boundary):
     /// `NodeLimit` when an apply phase was cut by
     /// [`OptimizerConfig::node_limit`], carrying the configured limit as
-    /// the others do. `None` when [`Guided`], which has a loop of its
-    /// own, stopped by its own rule with no limit spent, and when
-    /// `max_iter` is 0.
+    /// the others do. `None` when `max_iter` is 0 and no limit was spent
+    /// before the loop.
     pub stop_reason: Option<StopReason>,
     /// Final number of e-nodes.
     pub enodes: usize,
@@ -118,19 +105,16 @@ pub struct ExplorationStats {
     /// Total wall-clock time of the exploration phase.
     pub time: Duration,
     /// Time spent in the e-matching search phase, summed over iterations.
-    /// Filled in by [`Saturate`]'s engine iterations and by [`Guided`]'s
-    /// search of every beam state.
     pub search_time: Duration,
     /// Time spent building the descendants map for the cycle pre-filter
     /// ([`DescendantsMap::compute`](crate::cycles::DescendantsMap::compute),
-    /// once per [`Saturate`] iteration and once per [`Guided`] beam state
-    /// with an action to apply, shared by those actions), so `search +
-    /// apply + rebuild + prefilter` accounts for an engine iteration.
+    /// once per iteration), so `search + apply + rebuild + prefilter`
+    /// accounts for an engine iteration.
     pub prefilter_time: Duration,
     /// Reachability queries the efficient cycle pre-filter put to its
     /// descendants map
     /// ([`DescendantsMap::is_descendant`](crate::cycles::DescendantsMap::is_descendant)),
-    /// summed over [`Saturate`] iterations and [`Guided`] actions. Zero in
+    /// summed over iterations. Zero in
     /// the other filtering modes, like `prefilter_time`: `Vanilla` builds
     /// and drops a map per candidate.
     pub prefilter_queries: usize,
@@ -144,11 +128,9 @@ pub struct ExplorationStats {
     pub prefilter_rejected: usize,
     /// Time spent applying matches — side conditions, the cycle
     /// pre-filter's checks, instantiation and unions, single- and
-    /// multi-pattern — summed over iterations ([`Guided`]: over its
-    /// actions).
+    /// multi-pattern — summed over iterations.
     pub apply_time: Duration,
-    /// Time spent rebuilding and cycle-filtering, summed over iterations
-    /// ([`Guided`]: sealing each action's state).
+    /// Time spent rebuilding and cycle-filtering, summed over iterations.
     pub rebuild_time: Duration,
     /// E-node count after each iteration.
     pub nodes_per_iteration: Vec<usize>,
@@ -172,9 +154,8 @@ pub trait ExplorationStrategy: std::fmt::Debug {
 }
 
 /// Runs the exploration phase on an e-graph already seeded with the input
-/// graph, dispatching to the strategy selected by
-/// [`OptimizerConfig::exploration`]. Returns statistics; the e-graph is grown
-/// in place.
+/// graph: [`Saturate`] through [`explore_with`]. Returns statistics; the
+/// e-graph is grown in place.
 pub fn explore(
     egraph: &mut TensorEGraph,
     root: Id,
@@ -182,21 +163,13 @@ pub fn explore(
     multi_rules: &[MultiPatternRule],
     config: &OptimizerConfig,
 ) -> ExplorationStats {
-    match config.exploration {
-        ExplorationMode::Saturate => {
-            explore_with(&Saturate, egraph, root, single_rules, multi_rules, config)
-        }
-        ExplorationMode::Guided => {
-            explore_with(&Guided, egraph, root, single_rules, multi_rules, config)
-        }
-    }
+    explore_with(&Saturate, egraph, root, single_rules, multi_rules, config)
 }
 
 /// Runs the exploration phase with an explicit strategy: compiles the rule
 /// programs into an [`ExplorationContext`], hands the e-graph to the
 /// strategy and trims it ([`tensat_egraph::EGraph::shrink_to_fit`]) once
-/// the strategy returns. [`explore`] is this with the strategy picked by
-/// [`OptimizerConfig::exploration`].
+/// the strategy returns. [`explore`] is this with [`Saturate`].
 pub fn explore_with(
     strategy: &dyn ExplorationStrategy,
     egraph: &mut TensorEGraph,
@@ -243,7 +216,6 @@ pub(crate) fn canonicalize_pattern(
 
 #[cfg(test)]
 mod tests {
-    use super::context::Action;
     use super::*;
     use tensat_ir::{GraphBuilder, TensorAnalysis};
     use tensat_rules::{multi_rules, parse_pattern, single_rules};
@@ -398,16 +370,13 @@ mod tests {
         (eg, root)
     }
 
-    /// Applies `rule`'s matches on a copy of `seed` through one of the two
-    /// callers of the engine's apply loop — a whole iteration, or one of
-    /// [`Guided`]'s budgeted actions (whose budget must stay hard) — with
-    /// `budget` as the node limit, and returns the e-graph.
+    /// Applies `rule`'s matches on a copy of `seed` through one engine
+    /// iteration with `budget` as the node limit, and returns the e-graph.
     fn apply_through(
         seed: &TensorEGraph,
         root: Id,
         rule: TensorRewrite,
         budget: usize,
-        budgeted_action: bool,
     ) -> TensorEGraph {
         let rules = [rule];
         let config = OptimizerConfig {
@@ -418,22 +387,7 @@ mod tests {
         let ctx = ExplorationContext::new(root, &rules, &[], &config);
         let mut eg = seed.clone();
         let mut stats = ExplorationStats::default();
-        if budgeted_action {
-            let (matches, _) = ctx.search_state(&eg, false, &mut stats);
-            let desc = ctx.prefilter_map(&eg, &mut stats);
-            guided::act(
-                &ctx,
-                &mut eg,
-                Action::Single(0),
-                &matches,
-                desc.as_ref(),
-                budget,
-                &mut stats,
-            );
-            assert!(eg.total_number_of_nodes() <= budget, "hard budget");
-        } else {
-            ctx.run_iteration(&mut eg, 0, &mut stats);
-        }
+        ctx.run_iteration(&mut eg, 0, &mut stats);
         eg
     }
 
@@ -443,7 +397,7 @@ mod tests {
     /// the other evaluations were thrown away. The loop asks the budget
     /// before every candidate, so a condition runs only for a candidate
     /// that is then applied or rejected: `evaluations <= commits +
-    /// rejected` — through both callers of the engine's apply phase.
+    /// rejected`.
     #[test]
     fn budget_stop_evaluates_no_condition_it_does_not_apply() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -454,35 +408,33 @@ mod tests {
         let nodes_before = seed.total_number_of_nodes();
         let budget = nodes_before + 5;
 
-        for budgeted_action in [false, true] {
-            let evaluated = Arc::new(AtomicUsize::new(0));
-            let rejected = Arc::new(AtomicUsize::new(0));
-            let (evals, rejects) = (evaluated.clone(), rejected.clone());
-            // Commutativity: every admitted application adds exactly
-            // one e-node; every third candidate is rejected.
-            let commute = TensorRewrite::new_conditional(
-                "counting-commute",
-                parse_pattern("(ewadd ?a ?b)").unwrap(),
-                parse_pattern("(ewadd ?b ?a)").unwrap(),
-                Arc::new(move |_, _, _| {
-                    let admit = evals.fetch_add(1, Ordering::SeqCst) % 3 != 2;
-                    if !admit {
-                        rejects.fetch_add(1, Ordering::SeqCst);
-                    }
-                    admit
-                }),
-            );
-            let eg = apply_through(&seed, root, commute, budget, budgeted_action);
-            let commits = eg.total_number_of_nodes() - nodes_before;
-            assert!((1..=5).contains(&commits), "commits: {commits}");
-            let evaluated = evaluated.load(Ordering::SeqCst);
-            let rejected = rejected.load(Ordering::SeqCst);
-            assert!(
-                evaluated <= commits + rejected,
-                "budgeted_action={budgeted_action}: {evaluated} conditions evaluated \
-                 for {commits} commits + {rejected} rejections ({n_matches} matches)"
-            );
-        }
+        let evaluated = Arc::new(AtomicUsize::new(0));
+        let rejected = Arc::new(AtomicUsize::new(0));
+        let (evals, rejects) = (evaluated.clone(), rejected.clone());
+        // Commutativity: every admitted application adds exactly one
+        // e-node; every third candidate is rejected.
+        let commute = TensorRewrite::new_conditional(
+            "counting-commute",
+            parse_pattern("(ewadd ?a ?b)").unwrap(),
+            parse_pattern("(ewadd ?b ?a)").unwrap(),
+            Arc::new(move |_, _, _| {
+                let admit = evals.fetch_add(1, Ordering::SeqCst) % 3 != 2;
+                if !admit {
+                    rejects.fetch_add(1, Ordering::SeqCst);
+                }
+                admit
+            }),
+        );
+        let eg = apply_through(&seed, root, commute, budget);
+        let commits = eg.total_number_of_nodes() - nodes_before;
+        assert!((1..=5).contains(&commits), "commits: {commits}");
+        let evaluated = evaluated.load(Ordering::SeqCst);
+        let rejected = rejected.load(Ordering::SeqCst);
+        assert!(
+            evaluated <= commits + rejected,
+            "{evaluated} conditions evaluated for {commits} commits + \
+             {rejected} rejections ({n_matches} matches)"
+        );
     }
 
     /// Algorithm 1's contract: matches are applied one after another, in
@@ -497,129 +449,14 @@ mod tests {
 
         let (seed, root) = balanced_ewadd_tree(4096);
         let nodes_before = seed.total_number_of_nodes();
-        for budgeted_action in [false, true] {
-            let commute = TensorRewrite::new_conditional(
-                "commute-while-small",
-                parse_pattern("(ewadd ?a ?b)").unwrap(),
-                parse_pattern("(ewadd ?b ?a)").unwrap(),
-                Arc::new(move |egraph, _, _| egraph.total_number_of_nodes() < nodes_before + 3),
-            );
-            let eg = apply_through(&seed, root, commute, usize::MAX, budgeted_action);
-            assert_eq!(
-                eg.total_number_of_nodes(),
-                nodes_before + 3,
-                "budgeted_action={budgeted_action}"
-            );
-        }
-    }
-
-    /// A match is never merged with itself: one `matmul`, and separately
-    /// one `conv`, explored with the multi-pattern rules alone leave the
-    /// e-graph as it was. A guard that compared the sources' renamed
-    /// bindings (`?w1` against `?w2`) would never fire, and each op would
-    /// grow a `concat2 ?w ?w` and an operator twice as wide.
-    #[test]
-    fn a_lone_matmul_or_conv_is_never_merged_with_itself() {
-        use tensat_ir::{Activation, Padding};
-        let mut g = GraphBuilder::new();
-        let x = g.input("x", &[64, 256]);
-        let w = g.weight("w", &[256, 128]);
-        let matmul = g.matmul(x, w);
-        let matmul = g.finish(&[matmul]);
-        let mut g = GraphBuilder::new();
-        let x = g.input("x", &[1, 64, 28, 28]);
-        let w = g.weight("w", &[64, 64, 3, 3]);
-        let conv = g.conv(x, w, (1, 1), Padding::Same, Activation::Relu);
-        let conv = g.finish(&[conv]);
-        for graph in [matmul, conv] {
-            let mut eg = TensorEGraph::new(TensorAnalysis);
-            let root = eg.add_expr(&graph);
-            eg.rebuild();
-            let seed = eg.total_number_of_nodes();
-            let config = OptimizerConfig {
-                k_multi: 1,
-                search_threads: 1,
-                ..Default::default()
-            };
-            let stats = explore(&mut eg, root, &[], &multi_rules(), &config);
-            assert_eq!(eg.total_number_of_nodes(), seed, "{graph}");
-            assert_eq!(stats.stop_reason, Some(StopReason::Saturated), "{graph}");
-        }
-    }
-
-    /// Builds `relu(p)` and `second(q)` over two 8x8 inputs, searches
-    /// `rule`'s sources, unites the pairs `unions` names (indices into `[p,
-    /// q, relu(p), second(q)]`) as an earlier application of the iteration
-    /// would, applies the rule's combinations and counts `sigmoid` e-nodes.
-    fn sigmoids_after(
-        second: fn([Id; 1]) -> TensorLang,
-        rule: MultiPatternRule,
-        unions: &[(usize, usize)],
-    ) -> usize {
-        let mut eg = TensorEGraph::new(TensorAnalysis);
-        let mut input = |name| {
-            let name = eg.add(TensorLang::Str(tensat_ir::encode_identifier(name, &[8, 8])));
-            eg.add(TensorLang::Input([name]))
-        };
-        let (p, q) = (input("p"), input("q"));
-        let classes = [p, q, eg.add(TensorLang::Relu([p])), eg.add(second([q]))];
-        eg.rebuild();
-        let config = OptimizerConfig {
-            cycle_filter: CycleFilter::Off,
-            search_threads: 1,
-            ..Default::default()
-        };
-        let rules = [rule];
-        let ctx = ExplorationContext::new(classes[2], &[], &rules, &config);
-        let mut stats = ExplorationStats::default();
-        let (_, matches) = ctx.search_state(&eg, true, &mut stats);
-        for &(a, b) in unions {
-            eg.union(classes[a], classes[b]);
-        }
-        guided::act(
-            &ctx,
-            &mut eg,
-            Action::Multi(0),
-            &matches,
-            None,
-            usize::MAX,
-            &mut stats,
+        let commute = TensorRewrite::new_conditional(
+            "commute-while-small",
+            parse_pattern("(ewadd ?a ?b)").unwrap(),
+            parse_pattern("(ewadd ?b ?a)").unwrap(),
+            Arc::new(move |egraph, _, _| egraph.total_number_of_nodes() < nodes_before + 3),
         );
-        let sigmoid = |n: &&TensorLang| matches!(n, TensorLang::Sigmoid(_));
-        eg.classes()
-            .map(|c| eg.enodes(c).filter(sigmoid).count())
-            .sum()
-    }
-
-    /// The row product compares shared columns modulo `find` when it
-    /// combines, not when it searched: `relu ?x` and `tanh ?x` bind `?x` to
-    /// different inputs, and a union made between search and apply makes
-    /// them agree, so the combination applies.
-    #[test]
-    fn a_union_after_the_search_makes_shared_columns_agree() {
-        let srcs = ["(relu ?x)", "(tanh ?x)"];
-        let rule =
-            || MultiPatternRule::new("same-input", &srcs, &["(relu ?x)", "(sigmoid ?x)"], &[]);
-        assert_eq!(sigmoids_after(TensorLang::Tanh, rule(), &[]), 0);
-        assert_eq!(sigmoids_after(TensorLang::Tanh, rule(), &[(0, 1)]), 1);
-    }
-
-    /// The self-merge guard skips a match paired with itself, and a union
-    /// made between search and apply can make two matches the same one.
-    /// Apart, `(relu p, relu q)` and `(relu q, relu p)` apply; once the two
-    /// `relu`s are one class over one input, none of the four pairs does.
-    #[test]
-    fn the_guard_skips_a_match_a_union_made_equal_to_another() {
-        let (srcs, dsts) = (
-            ["(relu ?x)", "(relu ?y)"],
-            ["(relu ?x)", "(sigmoid (ewadd ?x ?y))"],
-        );
-        let rule = || MultiPatternRule::new("relu-pair", &srcs, &dsts, &[]);
-        assert_eq!(sigmoids_after(TensorLang::Relu, rule(), &[]), 2);
-        assert_eq!(
-            sigmoids_after(TensorLang::Relu, rule(), &[(0, 1), (2, 3)]),
-            0
-        );
+        let eg = apply_through(&seed, root, commute, usize::MAX);
+        assert_eq!(eg.total_number_of_nodes(), nodes_before + 3);
     }
 
     #[test]

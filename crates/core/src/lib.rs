@@ -6,9 +6,8 @@
 //! and `tensat-ilp` substrates:
 //!
 //! * the **exploration phase** with single- and multi-pattern rewrites
-//!   (Algorithm 1) and a separate `k_multi` limit (§4), behind an
-//!   [`ExplorationStrategy`] seam with saturate-all and guided
-//!   beam-search strategies,
+//!   (Algorithm 1) and a separate `k_multi` limit (§4): the saturate-all
+//!   loop, behind an [`ExplorationStrategy`] seam,
 //! * **cycle filtering** — both the vanilla and the efficient algorithm
 //!   (Algorithm 2) — so extraction can drop the ILP cycle constraints (§5.2),
 //! * the **extraction phase** — tree-greedy, global greedy DAG, and ILP
@@ -42,13 +41,12 @@ pub mod optimizer;
 pub use cycles::{find_cycles, remove_all_cycles, would_create_cycle, DescendantsMap};
 pub use explore::{
     default_search_threads, explore, explore_with, CycleFilter, ExplorationContext,
-    ExplorationMode, ExplorationStats, ExplorationStrategy, Guided, GuidedConfig, Saturate,
-    StopReason,
+    ExplorationMode, ExplorationStats, ExplorationStrategy, Saturate, StopReason,
 };
 pub use extract::{
     extract, extract_greedy, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, ExtractError,
     ExtractionMode, ExtractionOutcome, IlpConfig, IlpStats,
 };
 pub use optimizer::{
-    OptimizationResult, OptimizationStats, Optimizer, OptimizerConfig, TasoConfig,
+    GuidedConfig, OptimizationResult, OptimizationStats, Optimizer, OptimizerConfig, TasoConfig,
 };

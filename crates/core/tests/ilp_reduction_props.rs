@@ -17,8 +17,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use tensat_core::{
-    explore, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, ExplorationMode, IlpConfig,
-    OptimizerConfig,
+    explore, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, IlpConfig, OptimizerConfig,
 };
 use tensat_egraph::RecExpr;
 use tensat_ilp::Status;
@@ -118,7 +117,6 @@ proptest! {
             &churn_rules(),
             &multi_rules(),
             &OptimizerConfig {
-                exploration: ExplorationMode::Saturate,
                 k_multi: 1,
                 max_iter: 2,
                 node_limit,

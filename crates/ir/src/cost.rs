@@ -16,9 +16,9 @@
 //!
 //! Latency is the one objective: an e-node costs its roofline time in µs
 //! ([`CostModel::node_cost`]), and every extractor — tree-greedy,
-//! greedy-DAG, the ILP (paper §5.1, objective Σ cᵢxᵢ) — and Guided's state
-//! score minimize the sum of those times over the chosen e-nodes. The
-//! greedy extractors take the model itself as their [`CostFunction`].
+//! greedy-DAG, the ILP (paper §5.1, objective Σ cᵢxᵢ) — minimizes the sum
+//! of those times over the chosen e-nodes. The greedy extractors take the
+//! model itself as their [`CostFunction`].
 
 use crate::shape::{infer, infer_recexpr, TensorData};
 use crate::{TensorAnalysis, TensorLang};
@@ -268,8 +268,8 @@ impl CostModel {
     }
 }
 
-/// Tree-greedy, greedy-DAG and Guided's state score price an e-node of an
-/// e-graph at its latency ([`CostModel::enode_cost`]).
+/// Tree-greedy and greedy-DAG price an e-node of an e-graph at its latency
+/// ([`CostModel::enode_cost`]).
 impl CostFunction<TensorLang, TensorAnalysis> for CostModel {
     fn node_cost(&self, egraph: &EGraph<TensorLang, TensorAnalysis>, enode: &TensorLang) -> f64 {
         self.enode_cost(egraph, enode)

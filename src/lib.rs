@@ -8,8 +8,9 @@
 //! sequential baseline, and replicas of the paper's benchmark models.
 //!
 //! This crate is a facade that re-exports the workspace crates under one
-//! name. See the README for the architecture overview and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction details.
+//! name. See `README.md` for the reproduction's results and how to run it,
+//! and `ARCHITECTURE.md` for how each part of the paper maps onto the
+//! crates.
 //!
 //! ## Quick start
 //!
@@ -48,7 +49,7 @@ pub mod prelude {
     pub use tensat_core::{
         explore, explore_with, extract, extract_greedy, extract_greedy_dag, extract_ilp,
         CycleFilter, ExplorationMode, ExplorationStrategy, ExtractionMode, ExtractionOutcome,
-        Guided, GuidedConfig, IlpConfig, OptimizationResult, Optimizer, OptimizerConfig, Saturate,
+        GuidedConfig, IlpConfig, OptimizationResult, Optimizer, OptimizerConfig, Saturate,
         StopReason, TasoConfig,
     };
     pub use tensat_egraph::{EGraph, Id, Pattern, RecExpr, Rewrite, Symbol};
