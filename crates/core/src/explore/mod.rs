@@ -114,9 +114,8 @@ pub struct ExplorationStats {
     /// Reachability queries the efficient cycle pre-filter put to its
     /// descendants map
     /// ([`DescendantsMap::is_descendant`](crate::cycles::DescendantsMap::is_descendant)),
-    /// summed over iterations. Zero in
-    /// the other filtering modes, like `prefilter_time`: `Vanilla` builds
-    /// and drops a map per candidate.
+    /// summed over iterations. Zero in the other filtering modes, like
+    /// `prefilter_time`: `Vanilla` builds and drops a map per candidate.
     pub prefilter_queries: usize,
     /// How many of those queries the map's component order could not
     /// answer, so it walked its snapshot of the class graph. The map keeps
