@@ -155,18 +155,21 @@ fn reduced_ilp_is_optimal_and_within_budget_on_every_benchmark_model() {
 #[test]
 fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
     // (model, blocks, node_limit, B&B nodes, optimum in µs, the optimized
-    // graph's fingerprint, propagation counters, reduction counters), as
-    // in `benchmark/src/workloads.rs`. The node counts sum to the
-    // workload's `ilp.bb_nodes`, 24 876, and the optima to its
+    // graph's fingerprint, propagation counters, reduction counters,
+    // encoded program), as in `benchmark/src/workloads.rs`. The node counts
+    // sum to the workload's `ilp.bb_nodes`, 24 876, and the optima to its
     // `extract.ilp_cost_us`. The propagation counters — rows visited, rows
     // that reached the per-term tightening loop, bound changes (the
     // branching fix of every node below the root included) — attribute a
-    // node's cost: of the rows propagation visits (32 per node on
-    // NasNet-A) 3 % to 15 % reach the loop; the rest stop after one pass
-    // over their terms. The reduction counters — candidates pruned as
-    // dominated, candidates pruned by the incumbent's bound, classes
-    // forced — sum to the workload's `extract.dominated_pruned` (364) and
+    // node's cost: of the rows propagation visits (32 per node on NasNet-A)
+    // 3 % to 15 % reach the loop; the rest stop after one pass over their
+    // terms. The reduction counters — candidates pruned as dominated,
+    // candidates pruned by the incumbent's bound, classes forced — sum to
+    // the workload's `extract.dominated_pruned` (364) and
     // `extract.forced_classes` (215); only NasNet-A prunes by the bound.
+    // The encoded program — independent components, variables and
+    // constraints handed to the solver — is what the reduction leaves:
+    // Inception-v3 splits into 16 components, the other two stay whole.
     let cases = [
         (
             "NasNet-A",
@@ -177,6 +180,7 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             843_507_815_731_458_624,
             (631_472, 19_172, 38_738),
             (350, 194, 33),
+            (1, 951, 1_604),
         ),
         (
             "Inception-v3",
@@ -187,6 +191,7 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             16_740_504_291_635_575_710,
             (22_328, 2_048, 6_896),
             (0, 0, 134),
+            (16, 480, 464),
         ),
         (
             "NasRNN",
@@ -197,9 +202,10 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             2_002_769_870_575_493_143,
             (3_192, 477, 921),
             (14, 0, 48),
+            (1, 404, 336),
         ),
     ];
-    for (model, blocks, node_limit, nodes, optimum, print, counters, reduced) in cases {
+    for (model, blocks, node_limit, nodes, optimum, print, counters, reduced, encoded) in cases {
         let graph = build_benchmark(
             model,
             ModelScale {
@@ -239,6 +245,11 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             (ilp.dominated_pruned, ilp.bound_pruned, ilp.forced_classes),
             reduced,
             "{model}: reduction"
+        );
+        assert_eq!(
+            (ilp.components, ilp.num_vars, ilp.num_constraints),
+            encoded,
+            "{model}: encoded program"
         );
         assert!(
             (result.optimized_cost - optimum).abs() < 1e-6,
