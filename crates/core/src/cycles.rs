@@ -10,7 +10,9 @@
 //!   with its strongly connected components numbered in an order no edge
 //!   climbs, which answers almost every "does `a` reach `d`?" from two
 //!   array reads and walks the snapshot for the rest
-//!   ([`DescendantsMap`]),
+//!   ([`DescendantsMap`]); the snapshot and the numbering are
+//!   [`tensat_egraph::ClassGraph`]'s, the ones greedy-DAG extraction
+//!   orders its worklist by,
 //! * the single-candidate cycle check used by both vanilla (recomputed per
 //!   candidate) and efficient (pre-computed once per iteration) filtering,
 //! * the DFS cycle collection and resolution used by the post-processing
@@ -18,7 +20,7 @@
 
 use std::cell::Cell;
 use std::collections::HashSet;
-use tensat_egraph::{ENodeOrVar, Id, Language, Pattern, Subst};
+use tensat_egraph::{ClassGraph, ENodeOrVar, Id, Language, Pattern, Subst};
 use tensat_ir::{TensorEGraph, TensorLang};
 
 /// The per-iteration descendants map: answers whether one e-class reaches
@@ -26,9 +28,10 @@ use tensat_ir::{TensorEGraph, TensorLang};
 /// when the map was computed.
 ///
 /// It is not a closure. [`DescendantsMap::compute`] copies the class graph
-/// into flat tables and numbers its strongly connected components in the
-/// order Tarjan's algorithm completes them, so an edge never leads to a
-/// higher number. [`DescendantsMap::is_descendant`] then reads the answer
+/// into flat tables ([`ClassGraph`]) and numbers its strongly connected
+/// components in the order Tarjan's algorithm completes them
+/// ([`ClassGraph::components`]), so an edge never leads to a higher
+/// number. [`DescendantsMap::is_descendant`] then reads the answer
 /// off the two component numbers whenever they decide it — the same
 /// component (reachable exactly when the component is a cycle) or a
 /// descendant numbered above the ancestor (unreachable) — and otherwise
@@ -48,12 +51,9 @@ use tensat_ir::{TensorEGraph, TensorLang};
 /// per-class hash lookup. The map holds O(classes + edges) words.
 #[derive(Debug, Clone)]
 pub struct DescendantsMap {
-    /// `edges[offsets[s]..offsets[s + 1]]` are the child slots of the
-    /// class in slot `s` through its unfiltered e-nodes: ascending, without
-    /// duplicates, the class itself included if a node loops back. A
-    /// tombstoned slot (between a union and the next rebuild) has none.
-    offsets: Vec<u32>,
-    edges: Vec<u32>,
+    /// The class graph over unfiltered e-nodes, self loops included. A
+    /// tombstoned slot (between a union and the next rebuild) has no edges.
+    graph: ClassGraph,
     /// The component number of every slot. `comp.len()` is the number of
     /// slots when the map was computed; classes created after that have
     /// no recorded descendants — the pre-filter is sound but not
@@ -68,38 +68,19 @@ pub struct DescendantsMap {
 }
 
 impl DescendantsMap {
-    /// Takes the snapshot: one sweep over the classes for the edge tables,
-    /// one pass of Tarjan's algorithm for the component order. Linear in
-    /// classes plus edges, also on a dirty e-graph (vanilla filtering
-    /// computes one per candidate).
+    /// Takes the snapshot ([`ClassGraph::new`]) and numbers its components
+    /// ([`ClassGraph::components`], walked from every slot in slot order).
+    /// Linear in classes plus edges, also on a dirty e-graph (vanilla
+    /// filtering computes one per candidate).
     pub fn compute(egraph: &TensorEGraph) -> Self {
-        let n = egraph.num_slots();
-        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut edges: Vec<u32> = vec![];
-        let mut row: Vec<u32> = vec![];
-        for class in egraph.classes() {
-            let ci = egraph.slot_index(class.id).expect("iterated class is live");
-            // Slots skipped since the last class are tombstones: no edges.
-            offsets.resize(ci + 1, edges.len() as u32);
-            row.clear();
-            for node in egraph.enodes(class) {
-                for &child in node.children() {
-                    let child = egraph.slot_index(child).expect("child class is live");
-                    row.push(child as u32);
-                }
-            }
-            row.sort_unstable();
-            row.dedup();
-            edges.extend_from_slice(&row);
-        }
-        offsets.resize(n + 1, edges.len() as u32);
-        // The map lives through the apply phases it serves: give back what the
-        // doubling growth left over.
-        edges.shrink_to_fit();
-        let (comp, cyclic) = components(&offsets, &edges);
+        let graph = ClassGraph::new(egraph);
+        let mut cyclic: Vec<bool> = vec![];
+        let comp = graph.components(0..graph.num_slots(), |members| {
+            let v = members[0];
+            cyclic.push(members.len() > 1 || graph.row(v as usize).binary_search(&v).is_ok());
+        });
         DescendantsMap {
-            offsets,
-            edges,
+            graph,
             comp,
             cyclic,
             queries: Cell::new(0),
@@ -135,7 +116,7 @@ impl DescendantsMap {
         let mut seen: HashSet<u32> = HashSet::new();
         let mut stack = vec![a as u32];
         while let Some(s) = stack.pop() {
-            for &child in self.children(s as usize) {
+            for &child in self.graph.row(s as usize) {
                 let c = self.comp[child as usize];
                 if c == target {
                     return true;
@@ -146,10 +127,6 @@ impl DescendantsMap {
             }
         }
         false
-    }
-
-    fn children(&self, slot: usize) -> &[u32] {
-        &self.edges[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
     }
 
     /// How many times [`DescendantsMap::is_descendant`] was asked.
@@ -167,72 +144,6 @@ impl DescendantsMap {
     pub fn rejected(&self) -> usize {
         self.rejected.get()
     }
-}
-
-/// Numbers the strongly connected components of the class graph in the
-/// order Tarjan's algorithm completes them — a component is complete only
-/// after everything it reaches, so no edge leads to a higher number — and
-/// records which components are cycles. Iterative: chains in saturated
-/// model e-graphs outgrow thread stacks.
-fn components(offsets: &[u32], edges: &[u32]) -> (Vec<u32>, Vec<bool>) {
-    const NONE: u32 = u32::MAX;
-    let n = offsets.len() - 1;
-    // Discovery number, and the lowest discovery number known reachable.
-    let mut index = vec![NONE; n];
-    let mut low = vec![0u32; n];
-    // `NONE` until the slot's component is complete: a discovered slot
-    // without a component is on `open`.
-    let mut comp = vec![NONE; n];
-    let mut cyclic: Vec<bool> = vec![];
-    let mut open: Vec<u32> = vec![];
-    // (slot, position in `edges` of its next child edge to follow)
-    let mut stack: Vec<(u32, u32)> = vec![];
-    let mut discovered = 0u32;
-    for start in 0..n {
-        if index[start] != NONE {
-            continue;
-        }
-        stack.push((start as u32, offsets[start]));
-        while let Some(top) = stack.last_mut() {
-            let v = top.0 as usize;
-            if index[v] == NONE {
-                index[v] = discovered;
-                low[v] = discovered;
-                discovered += 1;
-                open.push(v as u32);
-            }
-            if top.1 < offsets[v + 1] {
-                let w = edges[top.1 as usize] as usize;
-                top.1 += 1;
-                if index[w] == NONE {
-                    stack.push((w as u32, offsets[w]));
-                } else if comp[w] == NONE {
-                    low[v] = low[v].min(index[w]);
-                }
-                continue;
-            }
-            stack.pop();
-            if let Some(&(parent, _)) = stack.last() {
-                let parent = parent as usize;
-                low[parent] = low[parent].min(low[v]);
-            }
-            if low[v] == index[v] {
-                let number = cyclic.len() as u32;
-                let mut size = 0;
-                loop {
-                    let w = open.pop().expect("a component's root is still open") as usize;
-                    comp[w] = number;
-                    size += 1;
-                    if w == v {
-                        break;
-                    }
-                }
-                let row = &edges[offsets[v] as usize..offsets[v + 1] as usize];
-                cyclic.push(size > 1 || row.binary_search(&(v as u32)).is_ok());
-            }
-        }
-    }
-    (comp, cyclic)
 }
 
 /// Checks whether applying `target` under `subst` at `matched_class` would

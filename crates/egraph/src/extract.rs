@@ -20,7 +20,7 @@
 //! substrate; it reads its solution back through the same walker, and
 //! `tensat_core::extract` dispatches over all three.
 
-use crate::{Analysis, EGraph, Id, Language, RecExpr};
+use crate::{Analysis, ClassGraph, EGraph, Id, Language, RecExpr};
 use std::cmp::Ordering;
 
 /// A cost function over e-nodes: what one e-node costs on its own.
@@ -371,48 +371,6 @@ struct DagEntry {
     total: f64,
 }
 
-/// Rows of items stored back to back (compressed sparse rows): row `r` is
-/// `items[start[r]..start[r + 1]]`. One allocation per table where a `Vec`
-/// per class makes one per class.
-struct Rows<T> {
-    start: Vec<u32>,
-    items: Vec<T>,
-}
-
-impl<T> Rows<T> {
-    fn new() -> Self {
-        Rows {
-            start: vec![],
-            items: vec![],
-        }
-    }
-
-    /// Starts row `r` at the current end of the items; rows skipped since
-    /// the last call are empty. Called once more with the row count, it
-    /// closes the last row.
-    fn begin_row(&mut self, r: usize) {
-        debug_assert!(self.start.len() <= r);
-        self.start.resize(r + 1, self.items.len() as u32);
-    }
-
-    fn row(&self, r: usize) -> &[T] {
-        &self.items[self.start[r] as usize..self.start[r + 1] as usize]
-    }
-}
-
-/// The class-level dependency graph of an e-graph over its unfiltered
-/// e-nodes, indexed by slot. A class's candidates are not copied here:
-/// [`DagExtractor::evaluate`] reads them off the class's own node list.
-struct ClassGraph {
-    /// Per class, the slots of its candidates' child classes: ascending,
-    /// without duplicates, the class itself excluded (a node whose child is
-    /// its own class is rejected per candidate by the reach check instead).
-    children: Rows<u32>,
-    /// The same edges by child: per class, the ascending slots of the
-    /// classes that have it as a child.
-    parents: Rows<u32>,
-}
-
 /// The buffers [`DagExtractor::evaluate`] builds candidate reach lists in,
 /// reused across candidates and classes.
 #[derive(Default)]
@@ -452,7 +410,36 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Global greedy DAG extractor (ROADMAP "DAG-aware global extraction").
+/// The acyclic prefix of the class graph: the classes that reach no cycle
+/// through two or more classes (a self loop does not count — the reach
+/// check rejects such a node per candidate). Returned as the prefix's slots
+/// children first, and a flag per slot.
+///
+/// One numbering of the components ([`ClassGraph::components`]) gives
+/// both: a class is in the prefix when its component is itself alone and
+/// every other child is in the prefix, and a component completes after all
+/// it reaches. The walk starts from the classes without a parent, in slot
+/// order, so on an acyclic graph the prefix is every class in depth-first
+/// post-order, one subtree at a time.
+fn acyclic_prefix(graph: &ClassGraph, parents: &ClassGraph) -> (Vec<u32>, Vec<bool>) {
+    let n = graph.num_slots();
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    let mut in_prefix = vec![false; n];
+    let roots = (0..n).filter(|&s| parents.row(s).is_empty());
+    graph.components(roots.chain(0..n), |members| {
+        if let &[s] = members {
+            let children = graph.row(s as usize);
+            if children.iter().all(|&c| c == s || in_prefix[c as usize]) {
+                in_prefix[s as usize] = true;
+                order.push(s);
+            }
+        }
+    });
+    (order, in_prefix)
+}
+
+/// Global greedy DAG extractor (ARCHITECTURE.md, "The global greedy DAG
+/// extractor").
 ///
 /// The tree-greedy [`Extractor`] double-counts shared subgraphs, so it
 /// never pays a small up-front cost (e.g. the `split` form of a merged
@@ -463,19 +450,20 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// class slots its selection reaches (over [`EGraph::slot_index`]'s dense
 /// slot space), and the cost of that set with every class charged **once**.
 ///
-/// Candidates are evaluated bottom-up: the acyclic part of the class
-/// dependency graph (over unfiltered e-node child edges) in depth-first
-/// post-order, one subtree at a time, then the classes caught in or above
-/// a dependency cycle in slot order; a FIFO worklist then propagates
-/// strict improvements to parent classes until fixpoint. A candidate node
-/// is viable only when all its child classes have entries and none of
-/// their reach lists contains the candidate's own class (which would make
-/// the selection cyclic). On
-/// an acyclic e-graph — what cycle filtering guarantees during exploration
-/// — the topological pass alone reaches the fixpoint and the worklist
-/// drains immediately; on cyclic e-graphs the worklist resolves the
-/// stragglers best-effort and [`DagExtractor::find_best`] re-verifies
-/// acyclicity of the final selection.
+/// Candidates are evaluated bottom-up: the acyclic prefix of the class
+/// graph ([`ClassGraph`], the snapshot the cycle pre-filter reads too)
+/// children first, in the order its component numbering completes it —
+/// depth-first post-order on an acyclic graph, one subtree at a time —
+/// then the classes caught in or above a dependency cycle in slot order; a
+/// FIFO worklist then propagates strict improvements to parent classes
+/// until fixpoint. A candidate node is viable only when all its child
+/// classes have entries and none of their reach lists contains the
+/// candidate's own class (which would make the selection cyclic). On an
+/// acyclic e-graph — what cycle filtering guarantees during exploration —
+/// the topological pass alone reaches the fixpoint and the worklist drains
+/// immediately; on cyclic e-graphs the worklist resolves the stragglers
+/// best-effort and [`DagExtractor::find_best`] re-verifies acyclicity of
+/// the final selection.
 ///
 /// A candidate's reach is the merge of its children's lists, so costing it
 /// takes time in the size of the sub-DAGs it would select — a few dozen
@@ -547,133 +535,38 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> DagExtractor<'a, L
         }
     }
 
-    /// Builds the class graph in one sweep over the classes' unfiltered
-    /// e-nodes ([`EGraph::enode_ids`]).
-    fn adjacency(&self) -> ClassGraph {
-        let egraph = self.egraph;
-        let n = egraph.num_slots();
-        let mut children = Rows::new();
-        let mut row: Vec<u32> = vec![];
-        for class in egraph.classes() {
-            let s = egraph.slot_index(class.id).expect("iterated class is live");
-            children.begin_row(s);
-            row.clear();
-            for id in egraph.enode_ids(class) {
-                for &child in egraph.enode(id).children() {
-                    let c = egraph
-                        .slot_index(child)
-                        .expect("child of a live class is live");
-                    if c != s {
-                        row.push(c as u32);
-                    }
-                }
-            }
-            row.sort_unstable();
-            row.dedup();
-            children.items.extend_from_slice(&row);
-        }
-        children.begin_row(n);
-
-        // Transpose by counting: a class's parents are appended in
-        // ascending slot order, so each row is sorted and duplicate-free.
-        let mut parents = Rows {
-            start: vec![0; n + 1],
-            items: vec![0; children.items.len()],
-        };
-        for &c in &children.items {
-            parents.start[c as usize + 1] += 1;
-        }
-        for c in 0..n {
-            parents.start[c + 1] += parents.start[c];
-        }
-        let mut next = parents.start.clone();
-        for s in 0..n {
-            for &c in children.row(s) {
-                parents.items[next[c as usize] as usize] = s as u32;
-                next[c as usize] += 1;
-            }
-        }
-        ClassGraph { children, parents }
-    }
-
     /// Offers every class to `evaluate` (which costs its candidates and
     /// returns whether it improved the class's entry): once each, children
     /// before parents, then again for the parents of every class that
     /// improved, until no class does.
     ///
-    /// A class of the acyclic prefix is evaluated exactly once: its
-    /// children all come before it, and a class that improves re-queues
-    /// only parents still waiting in the queue. So once every parent of a
-    /// class whose parents all lie in the prefix has been evaluated,
-    /// nothing reads its reach list again, and the list is released. The
-    /// prefix goes in depth-first post-order, one subtree at a time, so
-    /// few lists are live at once.
+    /// A class of the acyclic prefix ([`acyclic_prefix`]) is evaluated
+    /// exactly once: its children all come before it, and a class that
+    /// improves re-queues only parents still waiting in the queue. So once
+    /// every parent of a class whose parents all lie in the prefix has been
+    /// evaluated, nothing reads its reach list again, and the list is
+    /// released. The prefix goes in component order — depth-first
+    /// post-order on an acyclic graph, one subtree at a time — so few lists
+    /// are live at once.
     fn run_worklist(&mut self, mut evaluate: impl FnMut(&mut Self, usize) -> bool) {
-        let n = self.egraph.num_slots();
-        let graph = self.adjacency();
+        let graph = ClassGraph::new(self.egraph);
+        let parents = graph.parents();
+        let n = graph.num_slots();
+        let (mut order, in_prefix) = acyclic_prefix(&graph, &parents);
 
-        // Kahn's algorithm finds the acyclic prefix: the classes whose
-        // count of children not yet in it falls to zero. Classes caught in
-        // or above a dependency cycle keep a nonzero count. (A dead slot is
-        // a class without candidates or edges here.)
-        let mut indeg: Vec<u32> = (0..n).map(|s| graph.children.row(s).len() as u32).collect();
-        let mut ready: Vec<u32> = (0..n as u32).filter(|&s| indeg[s as usize] == 0).collect();
-        while let Some(s) = ready.pop() {
-            for &p in graph.parents.row(s as usize) {
-                indeg[p as usize] -= 1;
-                if indeg[p as usize] == 0 {
-                    ready.push(p);
-                }
-            }
-        }
-        drop(ready);
-        let in_prefix: Vec<bool> = indeg.iter().map(|&d| d == 0).collect();
-
-        // The prefix in depth-first post-order from each class without a
-        // parent in it, in slot order: every child of a prefix class is in
-        // the prefix, and on an acyclic graph a child met again is already
-        // placed, so children come before parents.
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        let mut placed = vec![false; n];
-        let mut path: Vec<(u32, u32)> = vec![];
-        for root in 0..n {
-            let has_prefix_parent = graph
-                .parents
-                .row(root)
-                .iter()
-                .any(|&p| in_prefix[p as usize]);
-            if !in_prefix[root] || has_prefix_parent {
-                continue;
-            }
-            path.push((root as u32, 0));
-            while let Some((s, next)) = path.last_mut() {
-                let s = *s as usize;
-                if let Some(&c) = graph.children.row(s).get(*next as usize) {
-                    *next += 1;
-                    if !placed[c as usize] {
-                        path.push((c, 0));
-                    }
-                } else {
-                    placed[s] = true;
-                    order.push(s as u32);
-                    path.pop();
-                }
-            }
-        }
-        drop((placed, path));
-
-        // `indeg` is zero on the prefix; reuse it for the parents each
-        // class waits on before its list is released. `KEEP` marks a class
-        // with a parent outside the prefix.
+        // The parents each class waits on before its list is released.
+        // `KEEP` marks a class with a parent outside the prefix.
         const KEEP: u32 = u32::MAX;
-        for (c, waiting) in indeg.iter_mut().enumerate() {
-            let parents = graph.parents.row(c);
-            *waiting = if parents.iter().all(|&p| in_prefix[p as usize]) {
-                parents.len() as u32
-            } else {
-                KEEP
-            };
-        }
+        let mut waiting: Vec<u32> = (0..n)
+            .map(|c| {
+                let parents = parents.row(c);
+                if parents.iter().all(|&p| in_prefix[p as usize]) {
+                    parents.len() as u32
+                } else {
+                    KEEP
+                }
+            })
+            .collect();
         order.extend((0..n as u32).filter(|&s| !in_prefix[s as usize]));
         drop(in_prefix);
 
@@ -684,7 +577,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> DagExtractor<'a, L
             let s = s as usize;
             in_queue[s] = false;
             if evaluate(self, s) {
-                for &p in graph.parents.row(s) {
+                for &p in parents.row(s) {
                     if !in_queue[p as usize] {
                         in_queue[p as usize] = true;
                         queue.push_back(p);
@@ -693,9 +586,10 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> DagExtractor<'a, L
             }
             // Only a prefix class counts down: a child of any other class
             // has that class as a parent outside the prefix, so it is `KEEP`.
-            for &c in graph.children.row(s) {
-                let waiting = &mut indeg[c as usize];
-                if *waiting != KEEP {
+            // A self loop is no parent (`parents` leaves it out).
+            for &c in graph.row(s) {
+                let waiting = &mut waiting[c as usize];
+                if c as usize != s && *waiting != KEEP {
                     *waiting -= 1;
                     if *waiting == 0 {
                         if let Some(entry) = &mut self.entries[c as usize] {
@@ -1501,6 +1395,76 @@ mod tests {
             for &id in &ids {
                 assert_eq!(lists.find_best(id).map(bits), oracle.find_best(id).map(bits));
                 assert_eq!(lists.reach_len(id), oracle.reach_len(id));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The acyclic prefix is what it is defined to be: on random cyclic
+        /// e-graphs with filtered nodes, exactly the classes from which no
+        /// cycle through two or more classes is reachable (self loops do
+        /// not count), found by a fresh DFS per class over the e-graph's own
+        /// node lists; and each prefix class comes after its children.
+        #[test]
+        fn acyclic_prefix_is_the_classes_that_reach_no_cycle(
+            steps in proptest::prop::collection::vec(
+                (proptest::any::<u8>(), proptest::any::<usize>(), proptest::any::<usize>()),
+                1..40,
+            ),
+            unions in proptest::prop::collection::vec(
+                (proptest::any::<usize>(), proptest::any::<usize>()),
+                0..8,
+            ),
+            filtered in proptest::prop::collection::vec(proptest::any::<usize>(), 0..6),
+        ) {
+            let (eg, _) = random_cyclic_egraph(&steps, &unions, &filtered);
+            let graph = ClassGraph::new(&eg);
+            let (order, in_prefix) = acyclic_prefix(&graph, &graph.parents());
+
+            let n = eg.num_slots();
+            let children = |s: usize| -> Vec<usize> {
+                let class = eg.slot_class(s).expect("a rebuilt e-graph has no tombstones");
+                eg.enode_ids(class)
+                    .flat_map(|id| eg.enode(id).children().iter())
+                    .map(|&c| eg.slot_index(c).unwrap())
+                    .collect()
+            };
+            // Per class, the slots it reaches, itself included.
+            let reaches: Vec<Vec<bool>> = (0..n)
+                .map(|from| {
+                    let mut seen = vec![false; n];
+                    seen[from] = true;
+                    let mut stack = vec![from];
+                    while let Some(s) = stack.pop() {
+                        for c in children(s) {
+                            if !seen[c] {
+                                seen[c] = true;
+                                stack.push(c);
+                            }
+                        }
+                    }
+                    seen
+                })
+                .collect();
+            let on_cycle: Vec<bool> = (0..n)
+                .map(|t| children(t).into_iter().any(|c| c != t && reaches[c][t]))
+                .collect();
+            let expected: Vec<bool> = (0..n)
+                .map(|s| !(0..n).any(|t| reaches[s][t] && on_cycle[t]))
+                .collect();
+            assert_eq!(in_prefix, expected);
+
+            let mut placed = vec![None; n];
+            for (i, &s) in order.iter().enumerate() {
+                assert!(placed[s as usize].replace(i).is_none(), "slot {s} placed twice");
+            }
+            for s in 0..n {
+                assert_eq!(placed[s].is_some(), in_prefix[s], "slot {s}");
+                if let Some(i) = placed[s] {
+                    for c in children(s).into_iter().filter(|&c| c != s) {
+                        assert!(placed[c].is_some_and(|j| j < i), "slot {s} before child {c}");
+                    }
+                }
             }
         }
     }

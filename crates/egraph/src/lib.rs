@@ -34,6 +34,10 @@
 //!   extraction over one per-node [`CostFunction`] (an `f64` per e-node,
 //!   summed with `+`); its [`AstSize`] is term size under the first and DAG
 //!   size under the second.
+//! * [`ClassGraph`] — the class graph over unfiltered e-nodes as
+//!   slot-indexed rows, and the numbering of its strongly connected
+//!   components: the one snapshot the cycle pre-filter (`tensat-core`) and
+//!   [`DagExtractor`] both order by.
 //!
 //! ## Quick start
 //!
@@ -59,6 +63,7 @@
 
 mod analysis;
 mod bitset;
+mod class_graph;
 mod eclass;
 mod egraph;
 mod extract;
@@ -72,6 +77,7 @@ mod unionfind;
 
 pub use analysis::{merge_max, Analysis, DidMerge};
 pub use bitset::BitSet;
+pub use class_graph::ClassGraph;
 pub use eclass::EClass;
 pub use egraph::EGraph;
 pub use extract::{
