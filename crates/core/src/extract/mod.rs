@@ -681,7 +681,7 @@ mod tests {
     use crate::explore::explore;
     use crate::OptimizerConfig;
     use std::collections::BTreeSet;
-    use tensat_egraph::Language;
+    use tensat_egraph::{Language, Polish};
     use tensat_ir::{GraphBuilder, TensorAnalysis};
     use tensat_rules::{multi_rules, single_rules};
 
@@ -1027,10 +1027,37 @@ mod tests {
             let own = |&(_, id): &(usize, Id)| model.enode_cost(eg, eg.enode(id));
             picks.iter().map(own).sum()
         };
-        for name in tensat_models::BENCHMARKS {
+        for (label, eg, root) in tiny_egraphs() {
+            let tree = extract_greedy(&eg, root, &model).unwrap();
+            let dag = extract_greedy_dag(&eg, root, &model).unwrap();
+            let config = IlpConfig::default();
+            let (ilp, stats) =
+                select_ilp(&eg, root, &model, &config, true, Some(&dag), Instant::now()).unwrap();
+            assert_eq!(stats.status, Status::Optimal, "{label}");
+            let ilp = ilp.expect("an optimal selection");
+            let selections = [
+                ("tree", &tree.expr, &tree.picks),
+                ("dag", &dag.expr, &dag.picks),
+                ("ilp", &ilp.expr, &ilp.picks),
+            ];
+            for (extractor, expr, picks) in selections {
+                let cost = model.graph_cost(expr);
+                assert!(cost.is_finite(), "{label} {extractor}");
+                let priced = priced(&eg, picks);
+                assert!(
+                    (cost - priced).abs() <= 1e-9 * priced,
+                    "{label} {extractor}: built {cost}, priced {priced}"
+                );
+            }
+        }
+    }
+
+    /// Every benchmark model at tiny scale and `k_multi` 1 and 2, explored
+    /// to at most 2 000 e-nodes: `(label, e-graph, canonical root)`.
+    fn tiny_egraphs() -> impl Iterator<Item = (String, TensorEGraph, Id)> {
+        tensat_models::BENCHMARKS.iter().flat_map(|name| {
             let graph = tensat_models::build_benchmark(name, tensat_models::ModelScale::tiny());
-            for k_multi in [1, 2] {
-                let label = format!("{name} k_multi {k_multi}");
+            [1, 2].map(|k_multi| {
                 let mut eg = TensorEGraph::new(TensorAnalysis);
                 let root = eg.add_expr(&graph);
                 eg.rebuild();
@@ -1042,29 +1069,28 @@ mod tests {
                 };
                 explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
                 let root = eg.find(root);
+                (format!("{name} k_multi {k_multi}"), eg, root)
+            })
+        })
+    }
 
-                let tree = extract_greedy(&eg, root, &model).unwrap();
-                let dag = extract_greedy_dag(&eg, root, &model).unwrap();
-                let config = IlpConfig::default();
-                let (ilp, stats) =
-                    select_ilp(&eg, root, &model, &config, true, Some(&dag), Instant::now())
-                        .unwrap();
-                assert_eq!(stats.status, Status::Optimal, "{label}");
-                let ilp = ilp.expect("an optimal selection");
-                let selections = [
-                    ("tree", &tree.expr, &tree.picks),
-                    ("dag", &dag.expr, &dag.picks),
-                    ("ilp", &ilp.expr, &ilp.picks),
-                ];
-                for (extractor, expr, picks) in selections {
-                    let cost = model.graph_cost(expr);
-                    assert!(cost.is_finite(), "{label} {extractor}");
-                    let priced = priced(&eg, picks);
-                    assert!(
-                        (cost - priced).abs() <= 1e-9 * priced,
-                        "{label} {extractor}: built {cost}, priced {priced}"
-                    );
-                }
+    /// Pricing a move by what it changes gives the picks the full-walk run
+    /// gives ([`Polish::run_by_walk`]) on the e-graphs of
+    /// [`tiny_egraphs`], from both of greedy-DAG's starts.
+    #[test]
+    fn polish_equals_the_full_walk_oracle_on_every_benchmark() {
+        let model = CostModel::default();
+        for (label, eg, root) in tiny_egraphs() {
+            let dag = DagExtractor::new(&eg, &model);
+            let tree = Extractor::new(&eg, &model).find_best_term(root);
+            let mut priced = Polish::new(&eg, &model, dag.choices());
+            let mut walked = Polish::new(&eg, &model, dag.choices());
+            for (_, start) in [dag.find_best_term(root), tree].into_iter().flatten() {
+                let term = priced
+                    .run(root, &start.picks)
+                    .expect("a start builds a term");
+                let expected = walked.run_by_walk(root, &start.picks).unwrap();
+                assert_eq!(term.picks, expected.picks, "{label}");
             }
         }
     }

@@ -1068,7 +1068,7 @@ impl<L: Language, N: Analysis<L>> std::ops::Index<Id> for EGraph<L, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::language::test_lang::Math;
+    use crate::language::test_lang::{splitmix, Math};
     use crate::{DidMerge, ENodeOrVar, SearchMatches, Symbol, Var};
 
     fn sym(s: &str) -> Math {
@@ -1309,19 +1309,6 @@ mod tests {
         eg.check_invariants();
         assert_eq!(eg.number_of_classes(), 2);
         assert_eq!(eg.lookup(&SameHash(Math::Mul([c, c]))), Some(eg.find(ab)));
-    }
-
-    /// A SplitMix64 stream from seed 0: each call draws a number below
-    /// `bound`.
-    fn splitmix() -> impl FnMut(usize) -> usize {
-        let mut state = 0u64;
-        move |bound: usize| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % bound as u64) as usize
-        }
     }
 
     /// SplitMix64-seeded add/union/rebuild rounds on 500 small e-graphs:

@@ -706,6 +706,458 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> DagExtractor<'a, L
         }
         Some((cost, term))
     }
+
+    /// The node-table id of the e-node chosen for every slot's class, if it
+    /// has an entry: the fill a [`Polish`] reads.
+    pub fn choices(&self) -> Vec<Option<Id>> {
+        self.entries
+            .iter()
+            .map(|e| e.as_ref().map(|e| e.choice))
+            .collect()
+    }
+}
+
+/// Polishes selections by first-improvement 1-opt.
+///
+/// A selection chooses one e-node per class it reaches from the root, and
+/// costs the own costs ([`CostFunction::node_cost`]) of those classes, each
+/// class once, summed children first in the order [`build_term`] emits
+/// them: the order the built term's nodes come in, so a graph cost summed
+/// over the term's nodes reads the same bits. [`Polish::run`] walks
+/// the selected classes in that order and tries each class's other unfiltered e-nodes in list order;
+/// the first move that leaves the selection acyclic and complete and makes
+/// it strictly cheaper ([`f64::total_cmp`]) is taken, and the walk starts
+/// again. It ends when a whole walk takes no move: the selection is then a
+/// local optimum, and the order is fixed, so the result is deterministic.
+/// A class a move first reaches takes its e-node from the fill
+/// ([`DagExtractor::choices`]); a class a move leaves keeps its e-node, and
+/// takes it back if a later move reaches it again.
+///
+/// A move is priced by what it changes, not by walking the selection. The
+/// selection keeps per slot how many selected classes use it, which gives,
+/// once per class, the classes only its e-node keeps selected. A move costs
+/// its e-node's own cost less the old one's, plus the classes the new
+/// e-node newly reaches, less those only the old one reached: the old
+/// e-node's classes that the new one does not reach as well. A move is
+/// cyclic when the new e-node reaches the moved class through classes that
+/// are not selected or through one that reaches the moved class already;
+/// only a class after it in children-first order can, so that is all that
+/// is searched. A search stops as soon as what it has found already prices
+/// the move out. Only a move that can be an improvement is confirmed by a
+/// walk of the whole selection, which prices it exactly and gives the next
+/// walk's order.
+///
+/// Own costs are asked once per e-node and kept, by node-table id, across
+/// the runs of one `Polish`.
+pub struct Polish<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> {
+    egraph: &'a EGraph<L, N>,
+    cost_fn: CF,
+    /// Per slot: the e-node a class takes when a run's start or a move
+    /// first reaches it.
+    fill: Vec<Option<Id>>,
+    /// Own costs asked so far, by node-table id.
+    own: Vec<Option<f64>>,
+    /// The root's slot in the current run.
+    root: usize,
+    /// Per slot: the chosen e-node of a selected class; of any other, the
+    /// one it takes when a move reaches it.
+    choice: Vec<Option<Id>>,
+    /// Per slot: how many selected classes have the class as a child of
+    /// their chosen e-node (a class counted once per parent), plus one for
+    /// the root. A class is selected when this is not 0.
+    uses: Vec<u32>,
+    /// The selected classes, children first.
+    order: Vec<u32>,
+    /// Per slot: a selected class's index in `order`.
+    pos: Vec<u32>,
+    /// The selection's cost.
+    total: f64,
+    /// Per slot: visit marks, `2 * stamp` while a walk has a class open and
+    /// `2 * stamp + 1` once it is done with it.
+    mark: Vec<u32>,
+    stamp: u32,
+    /// Per slot: `moving` if the selected class reaches the class being
+    /// moved; decided for `order[..=scanned]`.
+    ancestor: Vec<u32>,
+    scanned: usize,
+    /// Per slot: `moving` if only the e-node of the class being moved keeps
+    /// the class selected; set with `freed`.
+    only_moved: Vec<u32>,
+    /// The classes only the e-node of the class being moved keeps
+    /// selected, once asked ([`Polish::try_move`]).
+    freed: Option<Sum>,
+    /// A stamp per class being moved.
+    moving: u32,
+    /// Scratch: a walk's order, slots to count up or down, a walk's stack
+    /// of (slot, next child).
+    walked: Vec<u32>,
+    cascade: Vec<u32>,
+    frames: Vec<(u32, u32)>,
+    /// Moves tried.
+    #[cfg(test)]
+    trials: usize,
+}
+
+/// Classes priced together: their summed own costs, and how many.
+type Sum = (f64, usize);
+
+impl<L: Language, N: Analysis<L>, CF: CostFunction<L, N>> std::fmt::Debug for Polish<'_, L, N, CF> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Polish")
+            .field("selected", &self.order.len())
+            .finish()
+    }
+}
+
+impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, CF> {
+    /// A polish of selections in `egraph` that fills a class a move first
+    /// reaches from `fill`, indexed by slot ([`EGraph::slot_index`]).
+    pub fn new(egraph: &'a EGraph<L, N>, cost_fn: CF, fill: Vec<Option<Id>>) -> Self {
+        let n = egraph.num_slots();
+        assert_eq!(fill.len(), n, "one fill entry per slot");
+        Polish {
+            egraph,
+            cost_fn,
+            own: vec![None; egraph.num_node_ids()],
+            root: 0,
+            choice: fill.clone(),
+            fill,
+            uses: vec![0; n],
+            order: vec![],
+            pos: vec![0; n],
+            total: 0.0,
+            mark: vec![0; n],
+            stamp: 0,
+            ancestor: vec![0; n],
+            scanned: 0,
+            only_moved: vec![0; n],
+            freed: None,
+            moving: 0,
+            walked: vec![],
+            cascade: vec![],
+            frames: vec![],
+            #[cfg(test)]
+            trials: 0,
+        }
+    }
+
+    /// Polishes the selection `start` rooted at `root`, as
+    /// [`ChosenTerm::picks`] lists one, and builds the term of the
+    /// polished selection; `None` if `start` builds none.
+    pub fn run(&mut self, root: Id, start: &[(usize, Id)]) -> Option<ChosenTerm<L>> {
+        self.start(root, start)?;
+        self.polish(Polish::try_move);
+        build_term(self.egraph, root, |s| self.choice[s]).ok()
+    }
+
+    /// [`Polish::run`] with every move priced, and checked, by a walk of
+    /// the whole selection instead of by what it changes: slower, and the
+    /// same picks. The reference `run` is tested against.
+    pub fn run_by_walk(&mut self, root: Id, start: &[(usize, Id)]) -> Option<ChosenTerm<L>> {
+        self.start(root, start)?;
+        self.polish(Polish::try_move_by_walk);
+        build_term(self.egraph, root, |s| self.choice[s]).ok()
+    }
+
+    /// Selects `start` and prices it; `None` if it builds no term.
+    fn start(&mut self, root: Id, start: &[(usize, Id)]) -> Option<()> {
+        self.root = self.egraph.slot_index(root)?;
+        self.choice.copy_from_slice(&self.fill);
+        for &(slot, id) in start {
+            self.choice[slot] = Some(id);
+        }
+        self.total = self.walk().ok()?;
+        self.take_walk();
+        self.uses.fill(0);
+        self.uses[self.root] = 1;
+        let root_node = self.choice[self.root].expect("a walked class has a choice");
+        self.count_up(root_node);
+        Some(())
+    }
+
+    /// Walks the selected classes children first, trying each of a class's
+    /// other unfiltered e-nodes with `try_move(self, slot, old, new)`,
+    /// which returns whether it took the move; after a move the walk starts
+    /// over, and it ends after a walk without one.
+    fn polish(&mut self, mut try_move: impl FnMut(&mut Self, usize, Id, Id) -> bool) {
+        let egraph = self.egraph;
+        'walk: loop {
+            for i in 0..self.order.len() {
+                let s = self.order[i] as usize;
+                let class = egraph.slot_class(s).expect("a selected class is live");
+                let old = self.choice[s].expect("a selected class has a choice");
+                self.moving += 1;
+                self.scanned = i;
+                self.freed = None;
+                for new in egraph.enode_ids(class) {
+                    if new == old {
+                        continue;
+                    }
+                    #[cfg(test)]
+                    {
+                        self.trials += 1;
+                    }
+                    if try_move(self, s, old, new) {
+                        continue 'walk;
+                    }
+                }
+            }
+            return;
+        }
+    }
+
+    /// Moves the class in slot `s` from e-node `old` to `new` if that keeps
+    /// the selection acyclic and complete and makes it strictly cheaper;
+    /// returns whether it did.
+    fn try_move(&mut self, s: usize, old: Id, new: Id) -> bool {
+        let freed = match self.freed {
+            Some(freed) => freed,
+            None => {
+                let freed = self.count_down(old);
+                self.count_up(old);
+                *self.freed.insert(freed)
+            }
+        };
+        let (own_new, own_old) = (self.own(new), self.own(old));
+        let hopeless =
+            |polish: &Self, gain, kept| polish.no_gain(own_new, own_old, gain, freed, kept);
+        if self.newly_reached(s, new, hopeless).is_none() {
+            return false;
+        }
+        self.choice[s] = Some(new);
+        let total = self
+            .walk()
+            .expect("the move was checked acyclic and complete");
+        if total.total_cmp(&self.total).is_lt() {
+            self.total = total;
+            self.take_walk();
+            self.count_up(new);
+            self.count_down(old);
+            return true;
+        }
+        self.choice[s] = Some(old);
+        false
+    }
+
+    /// [`Polish::try_move`] without the pricing by change: every move is
+    /// priced, and checked, by a walk of the whole selection.
+    fn try_move_by_walk(&mut self, s: usize, old: Id, new: Id) -> bool {
+        self.choice[s] = Some(new);
+        match self.walk() {
+            Ok(total) if total.total_cmp(&self.total).is_lt() => {
+                self.total = total;
+                self.take_walk();
+                true
+            }
+            _ => {
+                self.choice[s] = Some(old);
+                false
+            }
+        }
+    }
+
+    /// Whether a move from an e-node of own cost `own_old` to one of
+    /// `own_new` is no strict improvement however the walk rounds, when it
+    /// newly reaches `gain` and the old e-node alone reached `freed`, of
+    /// which the new one keeps `kept`. A walk sums fewer than `terms`
+    /// non-negative costs, so it is off the exact sum by fewer than `terms`
+    /// ulps of its total, and a delta above the bound below cannot be made
+    /// up by that. Anything else (NaN included) is for the walk to decide.
+    fn no_gain(&self, own_new: f64, own_old: f64, gain: Sum, freed: Sum, kept: Sum) -> bool {
+        let delta = own_new - own_old + gain.0 - (freed.0 - kept.0);
+        let terms = (self.order.len() + gain.1 + freed.1 + kept.1 + 4) as f64;
+        let scale = self.total + own_new + own_old + gain.0 + freed.0 + kept.0;
+        delta > 2.0 * terms * f64::EPSILON * scale
+    }
+
+    /// Searches what moving the class in slot `s` to e-node `new` reaches
+    /// besides what stays selected without the old e-node: the classes it
+    /// newly selects, and those only the old e-node reached that it keeps.
+    /// `None` if one has no choice; if the move closes a cycle; or as soon
+    /// as `hopeless(self, newly selected, kept)` says the move costs too
+    /// much.
+    fn newly_reached(
+        &mut self,
+        s: usize,
+        new: Id,
+        hopeless: impl Fn(&Self, Sum, Sum) -> bool,
+    ) -> Option<()> {
+        let (mut gain, mut kept) = ((0.0, 0), (0.0, 0));
+        if hopeless(self, gain, kept) {
+            return None;
+        }
+        self.stamp += 1;
+        let (open, done) = (2 * self.stamp, 2 * self.stamp + 1);
+        self.mark[s] = open;
+        self.frames.clear();
+        self.frames.push((s as u32, 0));
+        while let Some(&mut (c, ref mut next)) = self.frames.last_mut() {
+            let node = if c as usize == s {
+                new
+            } else {
+                self.choice[c as usize].expect("an open class has a choice")
+            };
+            let Some(&child) = self.egraph.enode(node).children().get(*next as usize) else {
+                self.mark[c as usize] = done;
+                self.frames.pop();
+                continue;
+            };
+            *next += 1;
+            let child = self.slot(child);
+            if self.mark[child] == open {
+                return None;
+            }
+            if self.mark[child] == done {
+                continue;
+            }
+            let id = self.choice[child]?;
+            if self.uses[child] == 0 {
+                gain = (gain.0 + self.own(id), gain.1 + 1);
+            } else if self.only_moved[child] == self.moving {
+                kept = (kept.0 + self.own(id), kept.1 + 1);
+            } else {
+                // Selected whatever the move does, and so is all below it.
+                if self.reaches(child, s) {
+                    return None;
+                }
+                self.mark[child] = done;
+                continue;
+            }
+            if hopeless(self, gain, kept) {
+                return None;
+            }
+            self.mark[child] = open;
+            self.frames.push((child as u32, 0));
+        }
+        Some(())
+    }
+
+    /// Whether the selected class in slot `c` reaches the selected class in
+    /// slot `s`, the one being moved. Only a class after `s` in `order` can,
+    /// and whether one does follows from its children, all before it: the
+    /// classes after `s` are decided in order, as far as a question needs,
+    /// once per class `s`.
+    fn reaches(&mut self, c: usize, s: usize) -> bool {
+        let stamp = self.moving;
+        while self.scanned < self.pos[c] as usize {
+            self.scanned += 1;
+            let a = self.order[self.scanned] as usize;
+            let node = self.choice[a].expect("a selected class has a choice");
+            let reaches = self.egraph.enode(node).children().iter().any(|&child| {
+                let child = self.slot(child);
+                child == s || self.ancestor[child] == stamp
+            });
+            if reaches {
+                self.ancestor[a] = stamp;
+            }
+        }
+        self.ancestor[c] == stamp
+    }
+
+    /// Walks the selection from the root as [`build_term`] does, writing
+    /// the classes it reaches, children first, to `walked`; returns the
+    /// selection's cost.
+    fn walk(&mut self) -> Result<f64, ChoiceError> {
+        self.stamp += 1;
+        let (open, done) = (2 * self.stamp, 2 * self.stamp + 1);
+        self.walked.clear();
+        self.choice[self.root].ok_or(ChoiceError::Missing)?;
+        self.mark[self.root] = open;
+        self.frames.clear();
+        self.frames.push((self.root as u32, 0));
+        while let Some(&mut (c, ref mut next)) = self.frames.last_mut() {
+            let node = self.choice[c as usize].expect("an open class has a choice");
+            let Some(&child) = self.egraph.enode(node).children().get(*next as usize) else {
+                self.mark[c as usize] = done;
+                self.walked.push(c);
+                self.frames.pop();
+                continue;
+            };
+            *next += 1;
+            let child = self.slot(child);
+            if self.mark[child] == open {
+                return Err(ChoiceError::Cyclic);
+            }
+            if self.mark[child] != done {
+                self.choice[child].ok_or(ChoiceError::Missing)?;
+                self.mark[child] = open;
+                self.frames.push((child as u32, 0));
+            }
+        }
+        let mut total = 0.0;
+        for i in 0..self.walked.len() {
+            let c = self.walked[i] as usize;
+            total += self.own(self.choice[c].expect("a walked class has a choice"));
+        }
+        Ok(total)
+    }
+
+    /// Makes the last walk's order the selection's.
+    fn take_walk(&mut self) {
+        std::mem::swap(&mut self.order, &mut self.walked);
+        for (i, &c) in self.order.iter().enumerate() {
+            self.pos[c as usize] = i as u32;
+        }
+    }
+
+    /// The own cost of the e-node with node-table id `id`.
+    fn own(&mut self, id: Id) -> f64 {
+        let (egraph, cost_fn) = (self.egraph, &self.cost_fn);
+        *self.own[usize::from(id)]
+            .get_or_insert_with(|| cost_fn.node_cost(egraph, egraph.enode(id)))
+    }
+
+    /// The slot of a child class.
+    fn slot(&self, child: Id) -> usize {
+        self.egraph
+            .slot_index(child)
+            .expect("a child class is live")
+    }
+
+    /// Pushes the slot of each distinct child of `id` onto `cascade`.
+    fn push_children(&mut self, id: Id) {
+        let children = self.egraph.enode(id).children();
+        for (k, &child) in children.iter().enumerate() {
+            if !children[..k].contains(&child) {
+                let c = self.slot(child);
+                self.cascade.push(c as u32);
+            }
+        }
+    }
+
+    /// Counts a use of each child class of `id`, and of the children of
+    /// each class that becomes selected, and so on down.
+    fn count_up(&mut self, id: Id) {
+        self.cascade.clear();
+        self.push_children(id);
+        while let Some(c) = self.cascade.pop() {
+            let c = c as usize;
+            self.uses[c] += 1;
+            if self.uses[c] == 1 {
+                let id = self.choice[c].expect("a reached class has a choice");
+                self.push_children(id);
+            }
+        }
+    }
+
+    /// Takes back the uses [`Polish::count_up`] counts for `id`; returns
+    /// the classes no longer selected, and marks them in `only_moved`.
+    fn count_down(&mut self, id: Id) -> Sum {
+        let mut loss = (0.0, 0);
+        self.cascade.clear();
+        self.push_children(id);
+        while let Some(c) = self.cascade.pop() {
+            let c = c as usize;
+            self.uses[c] -= 1;
+            if self.uses[c] == 0 {
+                let id = self.choice[c].expect("a selected class has a choice");
+                loss = (loss.0 + self.own(id), loss.1 + 1);
+                self.only_moved[c] = self.moving;
+                self.push_children(id);
+            }
+        }
+        loss
+    }
 }
 
 #[cfg(test)]
@@ -1397,6 +1849,178 @@ mod tests {
                 assert_eq!(lists.reach_len(id), oracle.reach_len(id));
             }
         }
+    }
+
+    /// The cost of a selection as a polish prices it: its own costs summed
+    /// in the order of its picks.
+    fn selection_cost(eg: &EGraph<Math, ()>, weights: TenthWeights, picks: &[(usize, Id)]) -> f64 {
+        let own = |&(_, id): &(usize, Id)| weights.node_cost(eg, eg.enode(id));
+        picks.iter().map(own).fold(0.0, |total, own| total + own)
+    }
+
+    proptest::proptest! {
+        /// Pricing a move by what it changes decides every move as a walk
+        /// of the whole selection does: on random cyclic e-graphs with
+        /// filtered nodes and tie-prone costs, polishing the DAG pass's,
+        /// tree-greedy's and the last-listed e-nodes' selection for every
+        /// class gives the picks the full-walk run gives, after as many
+        /// tries.
+        #[test]
+        fn polish_equals_the_full_walk_oracle(
+            steps in proptest::prop::collection::vec(
+                (proptest::any::<u8>(), proptest::any::<usize>(), proptest::any::<usize>()),
+                1..40,
+            ),
+            unions in proptest::prop::collection::vec(
+                (proptest::any::<usize>(), proptest::any::<usize>()),
+                0..8,
+            ),
+            filtered in proptest::prop::collection::vec(proptest::any::<usize>(), 0..6),
+            weights in proptest::prop::collection::vec(0usize..4, 6..=6),
+        ) {
+            let (eg, ids) = random_cyclic_egraph(&steps, &unions, &filtered);
+            let weights = TenthWeights(weights.try_into().unwrap());
+            let dag = DagExtractor::new(&eg, weights);
+            let tree = Extractor::new(&eg, weights);
+            let mut priced = Polish::new(&eg, weights, dag.choices());
+            let mut walked = Polish::new(&eg, weights, dag.choices());
+            let last = |s: usize| eg.enode_ids(eg.slot_class(s).unwrap()).last();
+            for &id in &ids {
+                let starts = [
+                    dag.find_best_term(id).map(|(_, term)| term),
+                    tree.find_best_term(id).map(|(_, term)| term),
+                    build_term(&eg, id, last).ok(),
+                ];
+                for start in starts.into_iter().flatten() {
+                    let polished = priced.run(id, &start.picks).map(|term| term.picks);
+                    let expected = walked.run_by_walk(id, &start.picks).map(|term| term.picks);
+                    assert_eq!(polished, expected);
+                    assert_eq!(priced.trials, walked.trials);
+                }
+            }
+        }
+    }
+
+    /// Calls `visit` with every complete choice table of the classes
+    /// `root` reaches — a class's e-node chosen when a walk from the root
+    /// first reaches it without one — cyclic ones included.
+    fn every_selection(
+        eg: &EGraph<Math, ()>,
+        root: usize,
+        choice: &mut Vec<Option<Id>>,
+        visit: &mut impl FnMut(&[Option<Id>]),
+    ) {
+        let mut seen = vec![false; eg.num_slots()];
+        seen[root] = true;
+        let mut stack = vec![root];
+        let mut unchosen = None;
+        while let Some(s) = stack.pop() {
+            let Some(id) = choice[s] else {
+                unchosen = Some(s);
+                break;
+            };
+            for &child in eg.enode(id).children() {
+                let c = eg.slot_index(child).unwrap();
+                if !std::mem::replace(&mut seen[c], true) {
+                    stack.push(c);
+                }
+            }
+        }
+        let Some(s) = unchosen else {
+            return visit(choice);
+        };
+        let class = eg.slot_class(s).unwrap();
+        for id in eg.enode_ids(class) {
+            choice[s] = Some(id);
+            every_selection(eg, root, choice, visit);
+        }
+        choice[s] = None;
+    }
+
+    /// The brute-force extraction oracle for the greedy extractors: on 3 000
+    /// seeded random cyclic e-graphs of at most 10 classes, every acyclic
+    /// selection is enumerated, and the polish of the DAG pass's, of
+    /// tree-greedy's and of the last-listed e-nodes' selection costs at
+    /// most its start, at least the cheapest selection, and no single move
+    /// from where it ends — another e-node for one selected class, the
+    /// classes it first reaches filled as the polish fills them — builds a
+    /// cheaper term.
+    #[test]
+    fn polish_lies_between_its_start_and_the_brute_force_minimum() {
+        let mut next = crate::language::test_lang::splitmix();
+        let (mut checked, mut improved) = (0, 0);
+        for _ in 0..3_000 {
+            let steps: Vec<BuildStep> = (0..4 + next(12))
+                .map(|_| (next(256) as u8, next(64), next(64)))
+                .collect();
+            let unions: Vec<(usize, usize)> =
+                (0..1 + next(4)).map(|_| (next(64), next(64))).collect();
+            let filtered: Vec<usize> = (0..next(3)).map(|_| next(64)).collect();
+            let (eg, ids) = random_cyclic_egraph(&steps, &unions, &filtered);
+            let tables: usize = eg
+                .classes()
+                .map(|c| eg.enode_ids(c).count().max(1))
+                .product();
+            if eg.num_slots() > 10 || tables > 50_000 {
+                continue;
+            }
+            let weights = TenthWeights([(); 6].map(|_| 1 + next(3)));
+            let dag = DagExtractor::new(&eg, weights);
+            let tree = Extractor::new(&eg, weights);
+            let mut polish = Polish::new(&eg, weights, dag.choices());
+            let last = |s: usize| eg.enode_ids(eg.slot_class(s).unwrap()).last();
+            for &id in &ids {
+                let root = eg.slot_index(id).unwrap();
+                let mut minimum: Option<f64> = None;
+                every_selection(&eg, root, &mut vec![None; eg.num_slots()], &mut |choice| {
+                    if let Ok(term) = build_term(&eg, id, |s| choice[s]) {
+                        let cost = selection_cost(&eg, weights, &term.picks);
+                        minimum = Some(minimum.map_or(cost, |m: f64| m.min(cost)));
+                    }
+                });
+                let starts = [
+                    dag.find_best_term(id).map(|(_, term)| term),
+                    tree.find_best_term(id).map(|(_, term)| term),
+                    build_term(&eg, id, last).ok(),
+                ];
+                for start in starts.into_iter().flatten() {
+                    let minimum = minimum.expect("a start is a selection");
+                    let start_cost = selection_cost(&eg, weights, &start.picks);
+                    let polished = polish
+                        .run(id, &start.picks)
+                        .expect("a polish builds a term");
+                    let cost = selection_cost(&eg, weights, &polished.picks);
+                    assert!(
+                        cost.total_cmp(&start_cost).is_le(),
+                        "{cost} above its start {start_cost}"
+                    );
+                    assert!(
+                        cost.total_cmp(&minimum).is_ge(),
+                        "{cost} below the minimum {minimum}"
+                    );
+                    for &(s, picked) in &polished.picks {
+                        for other in eg.enode_ids(eg.slot_class(s).unwrap()) {
+                            let mut moved = polish.choice.clone();
+                            moved[s] = Some(other);
+                            if let Ok(term) = build_term(&eg, id, |s| moved[s]) {
+                                let moved = selection_cost(&eg, weights, &term.picks);
+                                assert!(
+                                    moved.total_cmp(&cost).is_ge(),
+                                    "{picked} -> {other}: {moved} < {cost}"
+                                );
+                            }
+                        }
+                    }
+                    checked += 1;
+                    improved += usize::from(cost < start_cost);
+                }
+            }
+        }
+        // The cases are not all trivial: enough starts, and some improve.
+        assert!(
+            checked > 50_000 && improved > 2_000,
+            "{checked} starts, {improved} improved"
+        );
     }
 
     proptest::proptest! {

@@ -244,6 +244,19 @@ pub(crate) mod test_lang {
     //! A tiny arithmetic language used throughout the crate's unit tests.
     use super::*;
 
+    /// A SplitMix64 stream from seed 0: each call draws a number below
+    /// `bound`.
+    pub(crate) fn splitmix() -> impl FnMut(usize) -> usize {
+        let mut state = 0u64;
+        move |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
     /// Simple arithmetic language: constants, symbols, `+`, `*`, `<<`, `/`.
     #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
     pub enum Math {

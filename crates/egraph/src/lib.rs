@@ -81,7 +81,7 @@ pub use class_graph::ClassGraph;
 pub use eclass::EClass;
 pub use egraph::EGraph;
 pub use extract::{
-    build_term, AstSize, ChoiceError, ChosenTerm, CostFunction, DagExtractor, Extractor,
+    build_term, AstSize, ChoiceError, ChosenTerm, CostFunction, DagExtractor, Extractor, Polish,
 };
 pub use language::{assert_ord_contract, Id, Language, Symbol};
 pub use machine::{
