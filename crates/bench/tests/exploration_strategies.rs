@@ -559,8 +559,8 @@ fn big_benchmark_trajectories_are_pinned() {
                 13_294,
                 NodeLimit(20_000),
                 vec![146, 338, 932, 3_131, 14_978, 18_210],
-                110.26111999999998,
-                12_369_148_191_336_354_384,
+                97.53045333333333,
+                4_950_112_881_948_126_868,
                 17_330_369_404_885_528_206,
             ),
         ),
