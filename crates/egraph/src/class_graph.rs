@@ -103,13 +103,16 @@ impl ClassGraph {
         mut done: impl FnMut(&[u32]),
     ) -> Vec<u32> {
         const NONE: u32 = u32::MAX;
+        // Set on a slot's `index` entry once its component is complete: the
+        // entry then holds the component's number, not the discovery number.
+        const DONE: u32 = 1 << 31;
         let n = self.num_slots();
-        // Discovery number, and the lowest discovery number known reachable.
+        debug_assert!(n < DONE as usize, "slot numbers fit in 31 bits");
+        // Discovery number (component number once `DONE`), and the lowest
+        // discovery number known reachable. A discovered slot that is not
+        // `DONE` is on `open`.
         let mut index = vec![NONE; n];
         let mut low = vec![0u32; n];
-        // `NONE` until the slot's component is complete: a discovered slot
-        // without a component is on `open`.
-        let mut comp = vec![NONE; n];
         let mut numbered = 0u32;
         let mut open: Vec<u32> = vec![];
         // (slot, position in `edges` of its next child edge to follow)
@@ -133,7 +136,7 @@ impl ClassGraph {
                     top.1 += 1;
                     if index[w] == NONE {
                         stack.push((w as u32, self.start[w]));
-                    } else if comp[w] == NONE {
+                    } else if index[w] & DONE == 0 {
                         low[v] = low[v].min(index[w]);
                     }
                     continue;
@@ -147,7 +150,7 @@ impl ClassGraph {
                     let root = open.iter().rposition(|&w| w as usize == v);
                     let root = root.expect("a component's root is still open");
                     for &w in &open[root..] {
-                        comp[w as usize] = numbered;
+                        index[w as usize] = DONE | numbered;
                     }
                     numbered += 1;
                     done(&open[root..]);
@@ -155,7 +158,10 @@ impl ClassGraph {
                 }
             }
         }
-        debug_assert!(!comp.contains(&NONE), "every slot is numbered");
-        comp
+        for i in &mut index {
+            debug_assert!(*i & DONE != 0, "every slot is numbered");
+            *i &= !DONE;
+        }
+        index
     }
 }
