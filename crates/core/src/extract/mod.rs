@@ -23,11 +23,16 @@
 //!   incumbent.
 //!
 //! Every extractor ends the same way: one chosen e-node per class, named by
-//! its node-table id and turned into a graph by
-//! [`tensat_egraph::build_term`]. The outcome keeps those `(slot, node id)`
-//! picks with the graph they build ([`ExtractionOutcome::picks`]), and the
-//! ILP reads its bound, warm start and fall-back from one such outcome, its
-//! incumbent.
+//! its node-table id, turned into a graph by [`tensat_egraph::build_term`]
+//! and priced by [`ChosenTerm::dag_cost`] — the picks' own costs added in
+//! the order of the graph's nodes, which reads, to the bit, what
+//! [`CostModel::graph_cost`] would read off the built graph, without
+//! inferring its shapes again. Greedy-DAG's tree pass and both of its
+//! polishes share one own-cost table ([`tensat_egraph::OwnCosts`]), so the
+//! cost model runs once per e-node across the three. The outcome keeps the
+//! `(slot, node id)` picks with the graph they build
+//! ([`ExtractionOutcome::picks`]), and the ILP reads its bound, warm start
+//! and fall-back from one such outcome, its incumbent.
 //!
 //! Every extractor minimizes one objective, the summed operator latency in
 //! µs (the paper's Σ cᵢxᵢ), and prices an e-node the same way,
@@ -104,21 +109,17 @@ pub struct ExtractionOutcome {
     pub ilp: Option<IlpStats>,
 }
 
-/// A term and its DAG cost under the model, in µs.
-type Priced = (f64, ChosenTerm<TensorLang>);
-
-/// `term` with its DAG cost under `model`.
-fn price(model: &CostModel, term: ChosenTerm<TensorLang>) -> Priced {
-    (model.graph_cost(&term.expr), term)
-}
-
 impl ExtractionOutcome {
-    /// The outcome for a priced term, extracted since `start`.
+    /// The outcome for a term of DAG cost `dag_cost` ([`ChosenTerm::dag_cost`]),
+    /// extracted since `start`.
     ///
     /// Errs with [`ExtractError::NoFiniteTerm`] when the DAG cost is not
     /// finite, NaN included (an ill-typed input: every term of the root
     /// class holds an invalid operator).
-    fn new((dag_cost, term): Priced, start: Instant) -> Result<Self, ExtractError> {
+    fn new(
+        (dag_cost, term): (f64, ChosenTerm<TensorLang>),
+        start: Instant,
+    ) -> Result<Self, ExtractError> {
         if !dag_cost.is_finite() {
             return Err(ExtractError::NoFiniteTerm);
         }
@@ -235,9 +236,11 @@ pub fn extract_greedy(
     let start = Instant::now();
     let extractor = Extractor::new(egraph, model);
     let (_, term) = extractor
-        .find_best_term(root)
+        .find_best(root)
         .ok_or(ExtractError::NoFiniteTerm)?;
-    ExtractionOutcome::new(price(model, term), start)
+    let mut own = extractor.into_own_costs();
+    let dag_cost = term.dag_cost(|(_, id)| own.get(egraph, id));
+    ExtractionOutcome::new((dag_cost, term), start)
 }
 
 /// Global greedy DAG extraction: the worklist extractor charging each
@@ -271,16 +274,17 @@ pub fn extract_greedy_dag(
     // choices, which fill the classes a move reaches, are kept.
     let (dag, fill) = {
         let extractor = DagExtractor::new(egraph, model);
-        (extractor.find_best_term(root), extractor.choices())
+        (extractor.find_best(root), extractor.choices())
     };
-    let tree = Extractor::new(egraph, model).find_best_term(root);
-    let mut polish = Polish::new(egraph, model, fill);
-    // Compare by the DAG cost of the built graphs, not the extractors'
+    // The tree pass's own costs are the polish's: one table, each e-node
+    // priced once.
+    let tree = Extractor::new(egraph, model);
+    let (tree, own) = (tree.find_best(root), tree.into_own_costs());
+    let mut polish = Polish::new(egraph, own, fill);
+    // Compare by the DAG cost of the polished graphs, not the extractors'
     // internal objectives (which disagree on what a "cost" is).
-    let mut polished = |start: Option<(f64, ChosenTerm<TensorLang>)>| {
-        let term = polish.run(root, &start?.1.picks)?;
-        Some(price(model, term))
-    };
+    let mut polished =
+        |start: Option<(f64, ChosenTerm<TensorLang>)>| polish.run(root, &start?.1.picks);
     let dag = polished(dag);
     let tree = polished(tree);
     let best = cheaper(dag, tree, |&(cost, _)| cost);
@@ -379,7 +383,10 @@ fn solve_ilp(
 ) -> Result<ExtractionOutcome, ExtractError> {
     let root = egraph.find(root);
     let (solved, stats) = select_ilp(egraph, root, model, config, reduce, incumbent, start)?;
-    let solved = solved.map(|term| ExtractionOutcome::new(price(model, term), start));
+    let solved = solved.map(|term| {
+        let dag_cost = term.dag_cost(|(_, id)| model.enode_cost(egraph, egraph.enode(id)));
+        ExtractionOutcome::new((dag_cost, term), start)
+    });
     let solved = match solved {
         Some(Err(e)) if incumbent.is_none() => return Err(e),
         solved => solved.and_then(Result::ok),
@@ -511,12 +518,11 @@ impl WarmStart {
         picks: &[(usize, Id)],
         topo: bool,
     ) -> Self {
-        let at: HashMap<usize, usize> = picks
-            .iter()
-            .enumerate()
-            .map(|(p, &(slot, _))| (slot, p))
-            .collect();
-        let position_of = |class| at.get(&live_slot(egraph, class)).copied();
+        let mut at = vec![None; egraph.num_slots()];
+        for (p, &(slot, _)) in picks.iter().enumerate() {
+            at[slot] = Some(p);
+        }
+        let position_of = |class| at[live_slot(egraph, class)];
         let choice = reduced_hint_choice(rp, |class, node| {
             position_of(class).is_some_and(|p| picks[p].1 == node)
         });
@@ -1032,13 +1038,15 @@ mod tests {
         }
     }
 
-    /// The graph each extractor's own selection builds costs what the
-    /// selection was priced at, and that is finite: every e-node's data is
-    /// a function of its children's class data, so pricing it on its class
-    /// and on the built graph agree. On every benchmark model at tiny scale
-    /// and `k_multi` 1 and 2, explored to at most 2 000 e-nodes, for
-    /// tree-greedy, greedy-DAG and the ILP's selection as [`select_ilp`]
-    /// returns it, before [`solve_ilp`] could fall back to the incumbent.
+    /// The graph each extractor's selection builds costs, to the bit, what
+    /// the selection was priced at, and that is finite: every e-node's data
+    /// is a function of its children's class data, so pricing it on its
+    /// class and on the built graph agree, and the picks come in the order
+    /// of the graph's nodes, which [`CostModel::graph_cost`] sums in. On
+    /// every benchmark model at tiny scale and `k_multi` 1 and 2, explored
+    /// to at most 2 000 e-nodes, for the outcomes of tree-greedy, greedy-DAG
+    /// and the ILP, and for the ILP's selection as [`select_ilp`] returns
+    /// it, before [`solve_ilp`] could fall back to the incumbent.
     #[test]
     fn every_selection_builds_a_graph_of_its_priced_finite_cost() {
         let model = CostModel::default();
@@ -1047,24 +1055,30 @@ mod tests {
             picks.iter().map(own).sum()
         };
         for (label, eg, root) in tiny_egraphs() {
+            let config = IlpConfig::default();
             let tree = extract_greedy(&eg, root, &model).unwrap();
             let dag = extract_greedy_dag(&eg, root, &model).unwrap();
-            let config = IlpConfig::default();
-            let (ilp, stats) =
+            let ilp = extract_ilp(&eg, root, &model, &config).unwrap();
+            let (selected, stats) =
                 select_ilp(&eg, root, &model, &config, true, Some(&dag), Instant::now()).unwrap();
             assert_eq!(stats.status, Status::Optimal, "{label}");
-            let ilp = ilp.expect("an optimal selection");
+            let selected = selected.expect("an optimal selection");
             let selections = [
-                ("tree", &tree.expr, &tree.picks),
-                ("dag", &dag.expr, &dag.picks),
-                ("ilp", &ilp.expr, &ilp.picks),
+                ("tree", &tree.expr, tree.dag_cost),
+                ("dag", &dag.expr, dag.dag_cost),
+                ("ilp", &ilp.expr, ilp.dag_cost),
+                (
+                    "ilp selection",
+                    &selected.expr,
+                    priced(&eg, &selected.picks),
+                ),
             ];
-            for (extractor, expr, picks) in selections {
+            for (extractor, expr, priced) in selections {
                 let cost = model.graph_cost(expr);
                 assert!(cost.is_finite(), "{label} {extractor}");
-                let priced = priced(&eg, picks);
-                assert!(
-                    (cost - priced).abs() <= 1e-9 * priced,
+                assert_eq!(
+                    priced.to_bits(),
+                    cost.to_bits(),
                     "{label} {extractor}: built {cost}, priced {priced}"
                 );
             }
@@ -1102,17 +1116,25 @@ mod tests {
         let model = CostModel::default();
         for (label, eg, root) in tiny_egraphs() {
             let dag = DagExtractor::new(&eg, &model);
-            let tree = Extractor::new(&eg, &model).find_best_term(root);
-            let mut priced = Polish::new(&eg, &model, dag.choices());
-            let mut walked = Polish::new(&eg, &model, dag.choices());
+            let tree = Extractor::new(&eg, &model).find_best(root);
+            let mut priced = Polish::new(
+                &eg,
+                Extractor::new(&eg, &model).into_own_costs(),
+                dag.choices(),
+            );
+            let mut walked = Polish::new(
+                &eg,
+                Extractor::new(&eg, &model).into_own_costs(),
+                dag.choices(),
+            );
             let mut polished = vec![];
-            for (_, start) in [dag.find_best_term(root), tree].into_iter().flatten() {
+            for (_, start) in [dag.find_best(root), tree].into_iter().flatten() {
                 let term = priced
                     .run(root, &start.picks)
                     .expect("a start builds a term");
                 let expected = walked.run_by_walk(root, &start.picks).unwrap();
-                assert_eq!(term.picks, expected.picks, "{label}");
-                polished.push(price(&model, term));
+                assert_eq!(term.1.picks, expected.1.picks, "{label}");
+                polished.push(term);
             }
             let best = polished
                 .into_iter()

@@ -817,10 +817,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     pub fn id_to_expr(&self, id: Id) -> RecExpr<L> {
         use crate::extract::{AstSize, Extractor};
         let extractor = Extractor::new(self, AstSize);
-        let (_, expr) = extractor
+        let (_, term) = extractor
             .find_best(id)
             .expect("every live class should represent at least one finite term");
-        expr
+        term.expr
     }
 
     /// Exhaustively validates the storage invariants; panics (with a

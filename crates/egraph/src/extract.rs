@@ -1,7 +1,7 @@
 //! Extraction: choosing one e-node per e-class to produce the best concrete
 //! term represented by an e-graph.
 //!
-//! This module provides two extractors:
+//! This module provides two extractors and a polish:
 //!
 //! * [`Extractor`] — the *tree-greedy* extractor (per-class minimum subtree
 //!   cost, paper §5.1). Fast, but it treats children independently, so
@@ -11,27 +11,30 @@
 //!   selected parents share it, keeping per class the sorted list of the
 //!   slots its chosen sub-DAG reaches (a few dozen of the e-graph's
 //!   thousands of slots, so a list and not a bit set).
+//! * [`Polish`] — first-improvement 1-opt on a selection.
 //!
-//! Both price e-nodes through one [`CostFunction`] — an e-node's own cost,
-//! one `f64` — sum the prices with `+`, and pick one e-node per class,
-//! named by its node-table id, handing the picks to [`build_term`], the one
-//! walker that turns them into a term. The ILP extractor, which is
-//! DAG-exact, lives in `tensat-core` because it depends on the ILP solver
-//! substrate; it reads its solution back through the same walker, and
-//! `tensat_core::extract` dispatches over all three.
+//! All three price e-nodes through one [`CostFunction`] — an e-node's own
+//! cost, one `f64` — and pick one e-node per class, named by its node-table
+//! id. [`build_term`] is the one walk that turns picks into a term, and
+//! [`ChosenTerm::dag_cost`] the one sum that prices it: own costs added left
+//! to right over the picks. [`Extractor`] and [`Polish`] read own costs from
+//! one table, [`OwnCosts`], so each e-node is priced once. The ILP
+//! extractor, which is DAG-exact, lives in `tensat-core` because it depends
+//! on the ILP solver substrate; it reads its solution back through the same
+//! walk, and `tensat_core::extract` dispatches over all three.
 
 use crate::{Analysis, ClassGraph, EGraph, Id, Language, RecExpr};
 use std::cmp::Ordering;
 
 /// A cost function over e-nodes: what one e-node costs on its own.
 ///
-/// Both extractors price each e-node with [`CostFunction::node_cost`] and
+/// The extractors price each e-node with [`CostFunction::node_cost`] and
 /// sum the prices with `+`, comparing sums by [`f64::total_cmp`] (a NaN
 /// without the sign bit orders above `+inf` and never wins a minimum).
 /// [`Extractor`] forms a subtree cost — the node's own cost plus its
 /// children's best subtree costs, in child order — so a class used twice is
-/// charged twice; [`DagExtractor`] sums own costs over the set of selected
-/// classes, each charged once.
+/// charged twice; [`DagExtractor`] and [`Polish`] sum own costs over the set
+/// of selected classes, each charged once.
 ///
 /// Costs must be non-negative. Tree-greedy only replaces a class's best on
 /// a strict improvement, and under non-negative sums a node whose child is
@@ -39,7 +42,7 @@ use std::cmp::Ordering;
 /// fixpoint would keep descending and never stop.
 pub trait CostFunction<L: Language, N: Analysis<L>> {
     /// The cost of this single e-node of `egraph`, children excluded. Must
-    /// be deterministic: [`Extractor`] keeps the first answer per e-node,
+    /// be deterministic: [`OwnCosts`] keeps the first answer per e-node,
     /// and [`DagExtractor`] asks again on every evaluation of the node's
     /// class (one per class on an acyclic e-graph).
     fn node_cost(&self, egraph: &EGraph<L, N>, enode: &L) -> f64;
@@ -62,6 +65,29 @@ impl<L: Language, N: Analysis<L>> CostFunction<L, N> for AstSize {
     }
 }
 
+/// The one own-cost table of an extraction: each e-node's
+/// [`CostFunction::node_cost`] by node-table id ([`EGraph::num_node_ids`]),
+/// asked of the cost function the first time it is read. [`Extractor`]
+/// fills it, and a [`Polish`] handed it by [`Extractor::into_own_costs`]
+/// reads it, so across the two each e-node is priced once.
+#[derive(Debug)]
+pub struct OwnCosts<CF> {
+    cost_fn: CF,
+    costs: Vec<Option<f64>>,
+}
+
+impl<CF> OwnCosts<CF> {
+    /// The own cost of the e-node of `egraph` with node-table id `id`.
+    pub fn get<L: Language, N: Analysis<L>>(&mut self, egraph: &EGraph<L, N>, id: Id) -> f64
+    where
+        CF: CostFunction<L, N>,
+    {
+        let cost_fn = &self.cost_fn;
+        *self.costs[usize::from(id)]
+            .get_or_insert_with(|| cost_fn.node_cost(egraph, egraph.enode(id)))
+    }
+}
+
 /// Why [`build_term`] could not build a term from a choice of e-nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChoiceError {
@@ -81,6 +107,26 @@ pub struct ChosenTerm<L> {
     pub picks: Vec<(usize, Id)>,
 }
 
+impl<L> Default for ChosenTerm<L> {
+    fn default() -> Self {
+        ChosenTerm {
+            expr: RecExpr::default(),
+            picks: vec![],
+        }
+    }
+}
+
+impl<L> ChosenTerm<L> {
+    /// The term's DAG cost: `own` of every pick, each class once, added left
+    /// to right in emission order — the order of the term's nodes, so the
+    /// bits are those of a sum over the built graph's nodes.
+    pub fn dag_cost(&self, mut own: impl FnMut((usize, Id)) -> f64) -> f64 {
+        self.picks
+            .iter()
+            .fold(0.0, |total, &pick| total + own(pick))
+    }
+}
+
 /// Builds the term rooted at `root` in which every class is represented by
 /// the e-node whose node-table id `choice` gives for its slot
 /// ([`EGraph::slot_index`]).
@@ -93,62 +139,77 @@ pub fn build_term<L: Language, N: Analysis<L>>(
     root: Id,
     choice: impl Fn(usize) -> Option<Id>,
 ) -> Result<ChosenTerm<L>, ChoiceError> {
-    struct Frame {
-        slot: usize,
-        id: Id,
-        next_child: usize,
-    }
-    /// Where the walk stands with a class: not reached, on the stack, or
-    /// emitted as this node of the expression.
-    #[derive(Clone, Copy)]
-    enum Class {
-        Unseen,
-        Open,
-        Done(Id),
-    }
-    let slot_of = |id: Id| egraph.slot_index(id).ok_or(ChoiceError::Missing);
-    let open = |slot: usize| {
-        let id = choice(slot).ok_or(ChoiceError::Missing)?;
-        Ok(Frame {
-            slot,
-            id,
-            next_child: 0,
-        })
-    };
+    let mut term = ChosenTerm::default();
+    Walk::default().build(egraph, root, choice, &mut term)?;
+    Ok(term)
+}
 
-    let mut term = ChosenTerm {
-        expr: RecExpr::default(),
-        picks: vec![],
-    };
-    let mut classes = vec![Class::Unseen; egraph.num_slots()];
-    let root = slot_of(root)?;
-    classes[root] = Class::Open;
-    let mut stack = vec![open(root)?];
-    loop {
-        let top = stack.last_mut().expect("loop returns before emptying");
-        if let Some(&child) = egraph.enode(top.id).children().get(top.next_child) {
-            top.next_child += 1;
-            let child = slot_of(child)?;
-            match classes[child] {
-                Class::Done(_) => {}
-                Class::Open => return Err(ChoiceError::Cyclic),
-                Class::Unseen => {
-                    classes[child] = Class::Open;
-                    stack.push(open(child)?);
+/// The walk [`build_term`] makes, with its buffers — a state per slot and
+/// a stack of frames — kept for the next build, so a caller that builds
+/// many terms ([`Polish`]) allocates them once.
+#[derive(Default)]
+struct Walk {
+    classes: Vec<Class>,
+    /// Per class being built: its slot, its chosen e-node and the index of
+    /// the next child to visit.
+    stack: Vec<(usize, Id, usize)>,
+}
+
+/// Where the walk stands with a class: not reached, on the stack, or
+/// emitted as this node of the term.
+#[derive(Clone, Copy)]
+enum Class {
+    Unseen,
+    Open,
+    Done(Id),
+}
+
+impl Walk {
+    /// Builds the term of [`build_term`] into `term`, reusing its buffers.
+    fn build<L: Language, N: Analysis<L>>(
+        &mut self,
+        egraph: &EGraph<L, N>,
+        root: Id,
+        choice: impl Fn(usize) -> Option<Id>,
+        term: &mut ChosenTerm<L>,
+    ) -> Result<(), ChoiceError> {
+        let slot_of = |id: Id| egraph.slot_index(id).ok_or(ChoiceError::Missing);
+        let open = |slot: usize| Ok((slot, choice(slot).ok_or(ChoiceError::Missing)?, 0));
+        term.expr.clear();
+        term.picks.clear();
+        let (classes, stack) = (&mut self.classes, &mut self.stack);
+        classes.clear();
+        classes.resize(egraph.num_slots(), Class::Unseen);
+        stack.clear();
+        let root = slot_of(root)?;
+        classes[root] = Class::Open;
+        stack.push(open(root)?);
+        loop {
+            let (_, id, next_child) = stack.last_mut().expect("loop returns before emptying");
+            if let Some(&child) = egraph.enode(*id).children().get(*next_child) {
+                *next_child += 1;
+                let child = slot_of(child)?;
+                match classes[child] {
+                    Class::Done(_) => {}
+                    Class::Open => return Err(ChoiceError::Cyclic),
+                    Class::Unseen => {
+                        classes[child] = Class::Open;
+                        stack.push(open(child)?);
+                    }
                 }
+                continue;
             }
-            continue;
-        }
-        // All children emitted: emit this node.
-        let Frame { slot, id, .. } = stack.pop().expect("a frame is always on the stack");
-        let emitted = |child: Id| match egraph.slot_index(child).map(|s| classes[s]) {
-            Some(Class::Done(id)) => id,
-            _ => unreachable!("a node is emitted after its children"),
-        };
-        classes[slot] = Class::Done(term.expr.add(egraph.enode(id).map_children(emitted)));
-        term.picks.push((slot, id));
-        if stack.is_empty() {
-            return Ok(term);
+            // All children emitted: emit this node.
+            let (slot, id, _) = stack.pop().expect("a frame is always on the stack");
+            let emitted = |child: Id| match egraph.slot_index(child).map(|s| classes[s]) {
+                Some(Class::Done(id)) => id,
+                _ => unreachable!("a node is emitted after its children"),
+            };
+            classes[slot] = Class::Done(term.expr.add(egraph.enode(id).map_children(emitted)));
+            term.picks.push((slot, id));
+            if stack.is_empty() {
+                return Ok(());
+            }
         }
     }
 }
@@ -173,13 +234,13 @@ pub fn build_term<L: Language, N: Analysis<L>>(
 /// eg.union(mul, a); // pretend we proved (* a 2) == a
 /// eg.rebuild();
 /// let extractor = Extractor::new(&eg, AstSize);
-/// let (cost, expr) = extractor.find_best(mul).unwrap();
+/// let (cost, term) = extractor.find_best(mul).unwrap();
 /// assert_eq!(cost, 1.0);
-/// assert_eq!(expr.to_string(), "a");
+/// assert_eq!(term.expr.to_string(), "a");
 /// ```
 pub struct Extractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> {
     egraph: &'a EGraph<L, N>,
-    cost_fn: CF,
+    own: OwnCosts<CF>,
     /// Best (cost, node id) per class, indexed by the e-graph's dense slot
     /// space ([`EGraph::slot_index`]) — no hashing on the extraction path.
     best: Vec<Option<(f64, Id)>>,
@@ -213,7 +274,10 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Extractor<'a, L, N
     fn without_costs(egraph: &'a EGraph<L, N>, cost_fn: CF) -> Self {
         Extractor {
             egraph,
-            cost_fn,
+            own: OwnCosts {
+                cost_fn,
+                costs: vec![None; egraph.num_node_ids()],
+            },
             best: vec![None; egraph.num_slots()],
             #[cfg(test)]
             evaluations: 0,
@@ -235,12 +299,10 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Extractor<'a, L, N
     ///
     /// An evaluation is the node's own cost plus its children's bests, and
     /// only the children's part can have moved since the last one, so the
-    /// own cost is asked of the cost function once per e-node and kept in a
-    /// table indexed by node-table id ([`EGraph::num_node_ids`]) until the
-    /// sweeps end (BERT explored to 20 000 e-nodes: 96 469 evaluations of
-    /// 18 210 e-nodes).
+    /// own cost is read from the extractor's [`OwnCosts`], which asks the
+    /// cost function once per e-node (BERT explored to 20 000 e-nodes:
+    /// 96 469 evaluations of 18 210 e-nodes).
     fn compute_costs(&mut self) {
-        let mut own = vec![None; self.egraph.num_node_ids()];
         // The sweep (counted from 1) in which each class's best last
         // improved; 0 = it has none yet.
         let mut improved = vec![0u32; self.egraph.num_slots()];
@@ -267,7 +329,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Extractor<'a, L, N
                     if sweep > 1 && !self.egraph.enode(id).children().iter().any(child_improved) {
                         continue;
                     }
-                    if self.offer(slot, id, &mut own) {
+                    if self.offer(slot, id) {
                         improved[slot] = sweep;
                         changed = true;
                     }
@@ -276,32 +338,12 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Extractor<'a, L, N
         }
     }
 
-    /// [`Extractor::compute_costs`] without the skipping — every sweep
-    /// evaluates every node: the oracle the skipping is tested against.
-    #[cfg(test)]
-    fn compute_costs_every_node(&mut self) {
-        let mut own = vec![None; self.egraph.num_node_ids()];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for class in self.egraph.classes() {
-                let slot = self
-                    .egraph
-                    .slot_index(class.id)
-                    .expect("iterated class is live");
-                for id in self.egraph.enode_ids(class) {
-                    changed |= self.offer(slot, id, &mut own);
-                }
-            }
-        }
-    }
-
     /// Evaluates the e-node with node id `id`, if all its children have
     /// bests, and makes it the best of the class in `slot` if it is a
-    /// strict improvement; returns whether it was. `own` holds the own
-    /// costs priced so far, by node id.
-    fn offer(&mut self, slot: usize, id: Id, own: &mut [Option<f64>]) -> bool {
-        let node = self.egraph.enode(id);
+    /// strict improvement; returns whether it was.
+    fn offer(&mut self, slot: usize, id: Id) -> bool {
+        let egraph = self.egraph;
+        let node = egraph.enode(id);
         if !node.all(|c| self.best_entry(c).is_some()) {
             return false;
         }
@@ -309,8 +351,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Extractor<'a, L, N
         {
             self.evaluations += 1;
         }
-        let mut cost =
-            *own[usize::from(id)].get_or_insert_with(|| self.cost_fn.node_cost(self.egraph, node));
+        let mut cost = self.own.get(egraph, id);
         for &c in node.children() {
             let (child, _) = self.best_entry(c).expect("checked above");
             cost += child;
@@ -334,21 +375,20 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Extractor<'a, L, N
         self.best_entry(id).map(|&(c, _)| c)
     }
 
-    /// Extracts the best term rooted at `root`, returning its cost and the
-    /// term itself. Returns `None` if the class represents no finite term
-    /// (possible when every candidate node was filtered or participates in
-    /// an unavoidable cycle).
-    pub fn find_best(&self, root: Id) -> Option<(f64, RecExpr<L>)> {
-        self.find_best_term(root)
-            .map(|(cost, term)| (cost, term.expr))
-    }
-
-    /// [`Extractor::find_best`], keeping the per-class picks the term was
-    /// built from.
-    pub fn find_best_term(&self, root: Id) -> Option<(f64, ChosenTerm<L>)> {
+    /// Extracts the best term rooted at `root`: its tree cost, and the term
+    /// with the per-class picks it was built from. Returns `None` if the
+    /// class represents no finite term (possible when every candidate node
+    /// was filtered or participates in an unavoidable cycle).
+    pub fn find_best(&self, root: Id) -> Option<(f64, ChosenTerm<L>)> {
         let cost = self.best_cost(root)?;
         let best_node = |slot: usize| self.best[slot].as_ref().map(|&(_, id)| id);
         Some((cost, build_term(self.egraph, root, best_node).ok()?))
+    }
+
+    /// The own costs the sweeps asked for, to price a selection with or to
+    /// hand to a [`Polish`].
+    pub fn into_own_costs(self) -> OwnCosts<CF> {
+        self.own
     }
 }
 
@@ -494,9 +534,9 @@ fn acyclic_prefix(graph: &ClassGraph, parents: &ClassGraph) -> (Vec<u32>, Vec<bo
 /// eg.union(mul, a); // pretend we proved (* a 2) == a
 /// eg.rebuild();
 /// let extractor = DagExtractor::new(&eg, AstSize);
-/// let (dag_size, expr) = extractor.find_best(mul).unwrap();
+/// let (dag_size, term) = extractor.find_best(mul).unwrap();
 /// assert_eq!(dag_size, 1.0);
-/// assert_eq!(expr.to_string(), "a");
+/// assert_eq!(term.expr.to_string(), "a");
 /// ```
 pub struct DagExtractor<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> {
     egraph: &'a EGraph<L, N>,
@@ -678,32 +718,21 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> DagExtractor<'a, L
 
     /// The best DAG cost recorded for a class, if any.
     pub fn best_cost(&self, id: Id) -> Option<f64> {
-        let slot = self.egraph.slot_index(self.egraph.find(id))?;
+        let slot = self.egraph.slot_index(id)?;
         self.entries[slot].as_ref().map(|e| e.total)
     }
 
     /// Extracts the best DAG rooted at `root`: the cost (each selected
-    /// e-node charged once) and the expression. The cost is summed over
-    /// the final selection — each chosen node's own cost, in the order the
-    /// nodes were emitted — rather than read from the fixpoint's sub-DAG
-    /// totals, so it is honest even when a cyclic e-graph left stale
-    /// entries.
-    /// Returns `None` if the class has no viable selection or (possible
-    /// only without cycle filtering) the per-class choices form a cycle.
-    pub fn find_best(&self, root: Id) -> Option<(f64, RecExpr<L>)> {
-        self.find_best_term(root)
-            .map(|(cost, term)| (cost, term.expr))
-    }
-
-    /// [`DagExtractor::find_best`], keeping the per-class picks the
-    /// expression was built from.
-    pub fn find_best_term(&self, root: Id) -> Option<(f64, ChosenTerm<L>)> {
+    /// e-node charged once), and the term with the per-class picks it was
+    /// built from. The cost is [`ChosenTerm::dag_cost`] of the term, not
+    /// the fixpoint's sub-DAG total, so it is honest even when a cyclic
+    /// e-graph left stale entries. Returns `None` if the class has no
+    /// viable selection or (possible only without cycle filtering) the
+    /// per-class choices form a cycle.
+    pub fn find_best(&self, root: Id) -> Option<(f64, ChosenTerm<L>)> {
         let entry = |slot: usize| self.entries[slot].as_ref();
         let term = build_term(self.egraph, root, |slot| entry(slot).map(|e| e.choice)).ok()?;
-        let mut cost = 0.0;
-        for &(slot, _) in &term.picks {
-            cost += entry(slot).expect("a pick has an entry").own;
-        }
+        let cost = term.dag_cost(|(slot, _)| entry(slot).expect("a pick has an entry").own);
         Some((cost, term))
     }
 
@@ -720,45 +749,42 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> DagExtractor<'a, L
 /// Polishes selections by first-improvement 1-opt.
 ///
 /// A selection chooses one e-node per class it reaches from the root, and
-/// costs the own costs ([`CostFunction::node_cost`]) of those classes, each
-/// class once, summed children first in the order [`build_term`] emits
-/// them: the order the built term's nodes come in, so a graph cost summed
-/// over the term's nodes reads the same bits. [`Polish::run`] walks
-/// the selected classes in that order and tries each class's other unfiltered e-nodes in list order;
-/// the first move that leaves the selection acyclic and complete and makes
-/// it strictly cheaper ([`f64::total_cmp`]) is taken, and the walk starts
-/// again. It ends when a whole walk takes no move: the selection is then a
-/// local optimum, and the order is fixed, so the result is deterministic.
-/// A class a move first reaches takes its e-node from the fill
-/// ([`DagExtractor::choices`]); a class a move leaves keeps its e-node, and
-/// takes it back if a later move reaches it again.
+/// costs what its term costs ([`ChosenTerm::dag_cost`]): the own costs of
+/// those classes, each class once, summed in the order [`build_term`] emits
+/// them. [`Polish::run`] walks the selected classes in that order and tries
+/// each class's other unfiltered e-nodes in list order; the first move that
+/// leaves the selection acyclic and complete and makes it strictly cheaper
+/// ([`f64::total_cmp`]) is taken, and the walk starts again. It ends when a
+/// whole walk takes no move: the selection is then a local optimum, and the
+/// order is fixed, so the result is deterministic. A class a move first
+/// reaches takes its e-node from the fill ([`DagExtractor::choices`]); a
+/// class a move leaves keeps its e-node, and takes it back if a later move
+/// reaches it again.
 ///
-/// A move is priced by what it changes, not by walking the selection. The
-/// selection keeps per slot how many selected classes use it, which gives,
-/// once per class, the classes only its e-node keeps selected. A move costs
-/// its e-node's own cost less the old one's, plus the classes the new
-/// e-node newly reaches, less those only the old one reached: the old
-/// e-node's classes that the new one does not reach as well. A move is
+/// A move is priced by what it changes, not by building the selection's
+/// term. The selection keeps per slot how many selected classes use it,
+/// which gives, once per class, the classes only its e-node keeps selected.
+/// A move costs its e-node's own cost less the old one's, plus the classes
+/// the new e-node newly reaches, less those only the old one reached: the
+/// old e-node's classes that the new one does not reach as well. A move is
 /// cyclic when the new e-node reaches the moved class through classes that
 /// are not selected or through one that reaches the moved class already;
 /// only a class after it in children-first order can, so that is all that
 /// is searched. A search stops as soon as what it has found already prices
-/// the move out. Only a move that can be an improvement is confirmed by a
-/// walk of the whole selection, which prices it exactly and gives the next
-/// walk's order.
+/// the move out. Only a move that can be an improvement is confirmed by
+/// building its term, which prices it exactly and gives the next walk's
+/// order.
 ///
-/// Own costs are asked once per e-node and kept, by node-table id, across
-/// the runs of one `Polish`.
+/// Own costs are read from the [`OwnCosts`] the polish is given, across
+/// all its runs.
 pub struct Polish<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> {
     egraph: &'a EGraph<L, N>,
-    cost_fn: CF,
+    own: OwnCosts<CF>,
     /// Per slot: the e-node a class takes when a run's start or a move
     /// first reaches it.
     fill: Vec<Option<Id>>,
-    /// Own costs asked so far, by node-table id.
-    own: Vec<Option<f64>>,
-    /// The root's slot in the current run.
-    root: usize,
+    /// The root of the current run.
+    root: Id,
     /// Per slot: the chosen e-node of a selected class; of any other, the
     /// one it takes when a move reaches it.
     choice: Vec<Option<Id>>,
@@ -766,18 +792,23 @@ pub struct Polish<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> {
     /// their chosen e-node (a class counted once per parent), plus one for
     /// the root. A class is selected when this is not 0.
     uses: Vec<u32>,
-    /// The selected classes, children first.
-    order: Vec<u32>,
-    /// Per slot: a selected class's index in `order`.
+    /// The selection's term: its picks are the selected classes, children
+    /// first.
+    term: ChosenTerm<L>,
+    /// The walk that builds terms, and the term of the last build, which a
+    /// taken move swaps with `term`.
+    walk: Walk,
+    built: ChosenTerm<L>,
+    /// Per slot: a selected class's index in the picks.
     pos: Vec<u32>,
     /// The selection's cost.
     total: f64,
-    /// Per slot: visit marks, `2 * stamp` while a walk has a class open and
-    /// `2 * stamp + 1` once it is done with it.
+    /// Per slot: search marks, `2 * stamp` while a search has a class open
+    /// and `2 * stamp + 1` once it is done with it.
     mark: Vec<u32>,
     stamp: u32,
     /// Per slot: `moving` if the selected class reaches the class being
-    /// moved; decided for `order[..=scanned]`.
+    /// moved; decided for the picks up to `scanned`.
     ancestor: Vec<u32>,
     scanned: usize,
     /// Per slot: `moving` if only the e-node of the class being moved keeps
@@ -788,9 +819,8 @@ pub struct Polish<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> {
     freed: Option<Sum>,
     /// A stamp per class being moved.
     moving: u32,
-    /// Scratch: a walk's order, slots to count up or down, a walk's stack
-    /// of (slot, next child).
-    walked: Vec<u32>,
+    /// Scratch: slots to count up or down, a search's stack of (slot, next
+    /// child).
     cascade: Vec<u32>,
     frames: Vec<(u32, u32)>,
     /// Moves tried.
@@ -804,26 +834,28 @@ type Sum = (f64, usize);
 impl<L: Language, N: Analysis<L>, CF: CostFunction<L, N>> std::fmt::Debug for Polish<'_, L, N, CF> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Polish")
-            .field("selected", &self.order.len())
+            .field("selected", &self.term.picks.len())
             .finish()
     }
 }
 
 impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, CF> {
-    /// A polish of selections in `egraph` that fills a class a move first
-    /// reaches from `fill`, indexed by slot ([`EGraph::slot_index`]).
-    pub fn new(egraph: &'a EGraph<L, N>, cost_fn: CF, fill: Vec<Option<Id>>) -> Self {
+    /// A polish of selections in `egraph` that reads own costs from `own`
+    /// and fills a class a move first reaches from `fill`, indexed by slot
+    /// ([`EGraph::slot_index`]).
+    pub fn new(egraph: &'a EGraph<L, N>, own: OwnCosts<CF>, fill: Vec<Option<Id>>) -> Self {
         let n = egraph.num_slots();
         assert_eq!(fill.len(), n, "one fill entry per slot");
         Polish {
             egraph,
-            cost_fn,
-            own: vec![None; egraph.num_node_ids()],
-            root: 0,
+            own,
+            root: Id::from(0),
             choice: fill.clone(),
             fill,
             uses: vec![0; n],
-            order: vec![],
+            term: ChosenTerm::default(),
+            walk: Walk::default(),
+            built: ChosenTerm::default(),
             pos: vec![0; n],
             total: 0.0,
             mark: vec![0; n],
@@ -833,7 +865,6 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
             only_moved: vec![0; n],
             freed: None,
             moving: 0,
-            walked: vec![],
             cascade: vec![],
             frames: vec![],
             #[cfg(test)]
@@ -842,50 +873,46 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
     }
 
     /// Polishes the selection `start` rooted at `root`, as
-    /// [`ChosenTerm::picks`] lists one, and builds the term of the
-    /// polished selection; `None` if `start` builds none.
-    pub fn run(&mut self, root: Id, start: &[(usize, Id)]) -> Option<ChosenTerm<L>> {
-        self.start(root, start)?;
-        self.polish(Polish::try_move);
-        build_term(self.egraph, root, |s| self.choice[s]).ok()
+    /// [`ChosenTerm::picks`] lists one; returns the polished selection's
+    /// term and its DAG cost, or `None` if `start` builds no term.
+    pub fn run(&mut self, root: Id, start: &[(usize, Id)]) -> Option<(f64, ChosenTerm<L>)> {
+        self.polish(root, start, Polish::try_move)
     }
 
-    /// [`Polish::run`] with every move priced, and checked, by a walk of
-    /// the whole selection instead of by what it changes: slower, and the
-    /// same picks. The reference `run` is tested against.
-    pub fn run_by_walk(&mut self, root: Id, start: &[(usize, Id)]) -> Option<ChosenTerm<L>> {
-        self.start(root, start)?;
-        self.polish(Polish::try_move_by_walk);
-        build_term(self.egraph, root, |s| self.choice[s]).ok()
+    /// [`Polish::run`] with every move priced, and checked, by building its
+    /// term instead of by what it changes: slower, and the same picks. The
+    /// reference `run` is tested against.
+    pub fn run_by_walk(&mut self, root: Id, start: &[(usize, Id)]) -> Option<(f64, ChosenTerm<L>)> {
+        self.polish(root, start, Polish::try_move_by_walk)
     }
 
-    /// Selects `start` and prices it; `None` if it builds no term.
-    fn start(&mut self, root: Id, start: &[(usize, Id)]) -> Option<()> {
-        self.root = self.egraph.slot_index(root)?;
+    /// Selects `start` and prices it, then walks the selected classes
+    /// children first, trying each of a class's other unfiltered e-nodes
+    /// with `try_move(self, slot, old, new)`, which returns whether it took
+    /// the move; after a move the walk starts over, and it ends after a walk
+    /// without one. `None` if `start` builds no term.
+    fn polish(
+        &mut self,
+        root: Id,
+        start: &[(usize, Id)],
+        mut try_move: impl FnMut(&mut Self, usize, Id, Id) -> bool,
+    ) -> Option<(f64, ChosenTerm<L>)> {
+        self.root = root;
         self.choice.copy_from_slice(&self.fill);
         for &(slot, id) in start {
             self.choice[slot] = Some(id);
         }
-        self.total = self.walk().ok()?;
-        self.take_walk();
+        let total = self.build().ok()?;
+        self.take(total);
         self.uses.fill(0);
-        self.uses[self.root] = 1;
-        let root_node = self.choice[self.root].expect("a walked class has a choice");
+        let (root, root_node) = *self.term.picks.last().expect("a term has a root");
+        self.uses[root] = 1;
         self.count_up(root_node);
-        Some(())
-    }
-
-    /// Walks the selected classes children first, trying each of a class's
-    /// other unfiltered e-nodes with `try_move(self, slot, old, new)`,
-    /// which returns whether it took the move; after a move the walk starts
-    /// over, and it ends after a walk without one.
-    fn polish(&mut self, mut try_move: impl FnMut(&mut Self, usize, Id, Id) -> bool) {
         let egraph = self.egraph;
         'walk: loop {
-            for i in 0..self.order.len() {
-                let s = self.order[i] as usize;
+            for i in 0..self.term.picks.len() {
+                let (s, old) = self.term.picks[i];
                 let class = egraph.slot_class(s).expect("a selected class is live");
-                let old = self.choice[s].expect("a selected class has a choice");
                 self.moving += 1;
                 self.scanned = i;
                 self.freed = None;
@@ -902,7 +929,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
                     }
                 }
             }
-            return;
+            return Some((self.total, std::mem::take(&mut self.term)));
         }
     }
 
@@ -918,7 +945,8 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
                 *self.freed.insert(freed)
             }
         };
-        let (own_new, own_old) = (self.own(new), self.own(old));
+        let egraph = self.egraph;
+        let (own_new, own_old) = (self.own.get(egraph, new), self.own.get(egraph, old));
         let hopeless =
             |polish: &Self, gain, kept| polish.no_gain(own_new, own_old, gain, freed, kept);
         if self.newly_reached(s, new, hopeless).is_none() {
@@ -926,11 +954,10 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
         }
         self.choice[s] = Some(new);
         let total = self
-            .walk()
+            .build()
             .expect("the move was checked acyclic and complete");
         if total.total_cmp(&self.total).is_lt() {
-            self.total = total;
-            self.take_walk();
+            self.take(total);
             self.count_up(new);
             self.count_down(old);
             return true;
@@ -940,13 +967,12 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
     }
 
     /// [`Polish::try_move`] without the pricing by change: every move is
-    /// priced, and checked, by a walk of the whole selection.
+    /// priced, and checked, by building its term.
     fn try_move_by_walk(&mut self, s: usize, old: Id, new: Id) -> bool {
         self.choice[s] = Some(new);
-        match self.walk() {
+        match self.build() {
             Ok(total) if total.total_cmp(&self.total).is_lt() => {
-                self.total = total;
-                self.take_walk();
+                self.take(total);
                 true
             }
             _ => {
@@ -957,15 +983,15 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
     }
 
     /// Whether a move from an e-node of own cost `own_old` to one of
-    /// `own_new` is no strict improvement however the walk rounds, when it
+    /// `own_new` is no strict improvement however the sum rounds, when it
     /// newly reaches `gain` and the old e-node alone reached `freed`, of
-    /// which the new one keeps `kept`. A walk sums fewer than `terms`
+    /// which the new one keeps `kept`. The sum adds fewer than `terms`
     /// non-negative costs, so it is off the exact sum by fewer than `terms`
     /// ulps of its total, and a delta above the bound below cannot be made
-    /// up by that. Anything else (NaN included) is for the walk to decide.
+    /// up by that. Anything else (NaN included) is for the sum to decide.
     fn no_gain(&self, own_new: f64, own_old: f64, gain: Sum, freed: Sum, kept: Sum) -> bool {
         let delta = own_new - own_old + gain.0 - (freed.0 - kept.0);
-        let terms = (self.order.len() + gain.1 + freed.1 + kept.1 + 4) as f64;
+        let terms = (self.term.picks.len() + gain.1 + freed.1 + kept.1 + 4) as f64;
         let scale = self.total + own_new + own_old + gain.0 + freed.0 + kept.0;
         delta > 2.0 * terms * f64::EPSILON * scale
     }
@@ -1012,9 +1038,9 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
             }
             let id = self.choice[child]?;
             if self.uses[child] == 0 {
-                gain = (gain.0 + self.own(id), gain.1 + 1);
+                gain = (gain.0 + self.own.get(self.egraph, id), gain.1 + 1);
             } else if self.only_moved[child] == self.moving {
-                kept = (kept.0 + self.own(id), kept.1 + 1);
+                kept = (kept.0 + self.own.get(self.egraph, id), kept.1 + 1);
             } else {
                 // Selected whatever the move does, and so is all below it.
                 if self.reaches(child, s) {
@@ -1033,7 +1059,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
     }
 
     /// Whether the selected class in slot `c` reaches the selected class in
-    /// slot `s`, the one being moved. Only a class after `s` in `order` can,
+    /// slot `s`, the one being moved. Only a class after `s` in the picks can,
     /// and whether one does follows from its children, all before it: the
     /// classes after `s` are decided in order, as far as a question needs,
     /// once per class `s`.
@@ -1041,8 +1067,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
         let stamp = self.moving;
         while self.scanned < self.pos[c] as usize {
             self.scanned += 1;
-            let a = self.order[self.scanned] as usize;
-            let node = self.choice[a].expect("a selected class has a choice");
+            let (a, node) = self.term.picks[self.scanned];
             let reaches = self.egraph.enode(node).children().iter().any(|&child| {
                 let child = self.slot(child);
                 child == s || self.ancestor[child] == stamp
@@ -1054,57 +1079,22 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
         self.ancestor[c] == stamp
     }
 
-    /// Walks the selection from the root as [`build_term`] does, writing
-    /// the classes it reaches, children first, to `walked`; returns the
-    /// selection's cost.
-    fn walk(&mut self) -> Result<f64, ChoiceError> {
-        self.stamp += 1;
-        let (open, done) = (2 * self.stamp, 2 * self.stamp + 1);
-        self.walked.clear();
-        self.choice[self.root].ok_or(ChoiceError::Missing)?;
-        self.mark[self.root] = open;
-        self.frames.clear();
-        self.frames.push((self.root as u32, 0));
-        while let Some(&mut (c, ref mut next)) = self.frames.last_mut() {
-            let node = self.choice[c as usize].expect("an open class has a choice");
-            let Some(&child) = self.egraph.enode(node).children().get(*next as usize) else {
-                self.mark[c as usize] = done;
-                self.walked.push(c);
-                self.frames.pop();
-                continue;
-            };
-            *next += 1;
-            let child = self.slot(child);
-            if self.mark[child] == open {
-                return Err(ChoiceError::Cyclic);
-            }
-            if self.mark[child] != done {
-                self.choice[child].ok_or(ChoiceError::Missing)?;
-                self.mark[child] = open;
-                self.frames.push((child as u32, 0));
-            }
-        }
-        let mut total = 0.0;
-        for i in 0..self.walked.len() {
-            let c = self.walked[i] as usize;
-            total += self.own(self.choice[c].expect("a walked class has a choice"));
-        }
-        Ok(total)
+    /// Builds the term of the current choices into `built`, as
+    /// [`build_term`] does, and returns its cost.
+    fn build(&mut self) -> Result<f64, ChoiceError> {
+        let (egraph, choice) = (self.egraph, &self.choice);
+        self.walk
+            .build(egraph, self.root, |s| choice[s], &mut self.built)?;
+        Ok(self.built.dag_cost(|(_, id)| self.own.get(egraph, id)))
     }
 
-    /// Makes the last walk's order the selection's.
-    fn take_walk(&mut self) {
-        std::mem::swap(&mut self.order, &mut self.walked);
-        for (i, &c) in self.order.iter().enumerate() {
-            self.pos[c as usize] = i as u32;
+    /// Makes the last built term, of cost `total`, the selection's.
+    fn take(&mut self, total: f64) {
+        std::mem::swap(&mut self.term, &mut self.built);
+        for (i, &(c, _)) in self.term.picks.iter().enumerate() {
+            self.pos[c] = i as u32;
         }
-    }
-
-    /// The own cost of the e-node with node-table id `id`.
-    fn own(&mut self, id: Id) -> f64 {
-        let (egraph, cost_fn) = (self.egraph, &self.cost_fn);
-        *self.own[usize::from(id)]
-            .get_or_insert_with(|| cost_fn.node_cost(egraph, egraph.enode(id)))
+        self.total = total;
     }
 
     /// The slot of a child class.
@@ -1151,7 +1141,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
             self.uses[c] -= 1;
             if self.uses[c] == 0 {
                 let id = self.choice[c].expect("a selected class has a choice");
-                loss = (loss.0 + self.own(id), loss.1 + 1);
+                loss = (loss.0 + self.own.get(self.egraph, id), loss.1 + 1);
                 self.only_moved[c] = self.moving;
                 self.push_children(id);
             }
@@ -1183,7 +1173,7 @@ mod tests {
         let ex = Extractor::new(&eg, AstSize);
         let (cost, best) = ex.find_best(div).unwrap();
         assert_eq!(cost, 1.0);
-        assert_eq!(best.to_string(), "a");
+        assert_eq!(best.expr.to_string(), "a");
     }
 
     #[test]
@@ -1198,7 +1188,7 @@ mod tests {
         let ex = Extractor::new(&eg, AstSize);
         let (cost, best) = ex.find_best(a).unwrap();
         assert_eq!(cost, 1.0);
-        assert_eq!(best.to_string(), "a");
+        assert_eq!(best.expr.to_string(), "a");
     }
 
     #[test]
@@ -1215,7 +1205,7 @@ mod tests {
         eg.filter_node(shl);
         let ex = Extractor::new(&eg, AstSize);
         let (_, best) = ex.find_best(mul).unwrap();
-        assert_eq!(best.to_string(), "(* a 2)");
+        assert_eq!(best.expr.to_string(), "(* a 2)");
     }
 
     #[test]
@@ -1302,10 +1292,10 @@ mod tests {
         // Tree size of the chain: leaf (1) plus 2 per Mul level.
         assert_eq!(cost, (2 * DEPTH + 1) as f64);
         // DAG size: the two leaves plus one Mul node per level.
-        assert_eq!(expr.len(), DEPTH + 2);
+        assert_eq!(expr.expr.len(), DEPTH + 2);
         // The rebuilt term must re-add into the original class.
         let mut check = eg.clone();
-        let again = check.add_expr(&expr);
+        let again = check.add_expr(&expr.expr);
         assert_eq!(check.find(again), check.find(id));
     }
 
@@ -1318,6 +1308,26 @@ mod tests {
             Math::Mul(_) => 3,
             Math::Shl(_) => 4,
             Math::Div(_) => 5,
+        }
+    }
+
+    impl<L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Extractor<'_, L, N, CF> {
+        /// [`Extractor::compute_costs`] without the skipping — every sweep
+        /// evaluates every node: the oracle the skipping is tested against.
+        fn compute_costs_every_node(&mut self) {
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for class in self.egraph.classes() {
+                    let slot = self
+                        .egraph
+                        .slot_index(class.id)
+                        .expect("iterated class is live");
+                    for id in self.egraph.enode_ids(class) {
+                        changed |= self.offer(slot, id);
+                    }
+                }
+            }
         }
     }
 
@@ -1368,7 +1378,7 @@ mod tests {
         let extractor = Extractor::new(&eg, AstSize);
         let (cost, expr) = extractor.find_best(top).unwrap();
         assert_eq!(cost, (2 * DEPTH + 1) as f64);
-        assert_eq!(expr.len(), DEPTH + 2);
+        assert_eq!(expr.expr.len(), DEPTH + 2);
         assert_eq!(extractor.evaluations, DEPTH + 2);
 
         // The fixture is the worst case: the every-node oracle is quadratic
@@ -1444,8 +1454,11 @@ mod tests {
                 ex.best.iter().map(bits).collect::<Vec<_>>()
             };
             assert_eq!(table(&skipping), table(&oracle));
+            let term = |ex: &Extractor<'_, Math, (), TenthWeights>, id| {
+                ex.find_best(id).map(|(cost, term)| (cost, term.expr, term.picks))
+            };
             for &id in &ids {
-                assert_eq!(skipping.find_best(id), oracle.find_best(id));
+                assert_eq!(term(&skipping, id), term(&oracle, id));
             }
             assert!(skipping.evaluations <= oracle.evaluations);
         }
@@ -1462,8 +1475,8 @@ mod tests {
         let ex = Extractor::new(&eg, AstSize);
         let (_, expr) = ex.find_best(abab).unwrap();
         // The extracted RecExpr shares the (+ a b) node.
-        assert_eq!(expr.len(), 4);
-        assert_eq!(expr.to_string(), "(* (+ a b) (+ a b))");
+        assert_eq!(expr.expr.len(), 4);
+        assert_eq!(expr.expr.to_string(), "(* (+ a b) (+ a b))");
     }
 
     /// Regression test for the `f64` total-order hazard: under the old
@@ -1496,7 +1509,7 @@ mod tests {
         let ex = Extractor::new(&eg, NanOnShl);
         let (cost, best) = ex.find_best(root).unwrap();
         assert!(cost.is_finite(), "NaN displaced the finite best: {cost}");
-        assert_eq!(best.to_string(), "(+ (* a 2) a)");
+        assert_eq!(best.expr.to_string(), "(+ (* a 2) a)");
     }
 
     #[test]
@@ -1511,7 +1524,7 @@ mod tests {
         let ex = DagExtractor::new(&eg, AstSize);
         let (cost, best) = ex.find_best(div).unwrap();
         assert_eq!(cost, 1.0);
-        assert_eq!(best.to_string(), "a");
+        assert_eq!(best.expr.to_string(), "a");
         assert_eq!(ex.best_cost(div), Some(1.0));
     }
 
@@ -1540,14 +1553,14 @@ mod tests {
         let tree = Extractor::new(&eg, AstSize);
         let (tree_cost, tree_expr) = tree.find_best(shared).unwrap();
         assert_eq!(tree_cost, 19.0);
-        assert!(tree_expr.to_string().contains('b'));
+        assert!(tree_expr.expr.to_string().contains('b'));
 
         let dag = DagExtractor::new(&eg, AstSize);
         let (dag_cost, dag_expr) = dag.find_best(shared).unwrap();
         assert_eq!(dag_cost, 8.0);
-        assert!(dag_expr.to_string().contains('a'));
+        assert!(dag_expr.expr.to_string().contains('a'));
         // The expression is a genuine DAG: 8 distinct nodes, each stored once.
-        assert_eq!(dag_expr.len(), 8);
+        assert_eq!(dag_expr.expr.len(), 8);
     }
 
     #[test]
@@ -1561,7 +1574,7 @@ mod tests {
         let ex = DagExtractor::new(&eg, AstSize);
         let (cost, best) = ex.find_best(a).unwrap();
         assert_eq!(cost, 1.0);
-        assert_eq!(best.to_string(), "a");
+        assert_eq!(best.expr.to_string(), "a");
     }
 
     #[test]
@@ -1577,7 +1590,7 @@ mod tests {
         eg.filter_node(shl);
         let ex = DagExtractor::new(&eg, AstSize);
         let (_, best) = ex.find_best(mul).unwrap();
-        assert_eq!(best.to_string(), "(* a 2)");
+        assert_eq!(best.expr.to_string(), "(* a 2)");
 
         let mut all_filtered: EGraph<Math, ()> = EGraph::new(());
         let a = all_filtered.add(sym("a"));
@@ -1606,11 +1619,13 @@ mod tests {
             assert_eq!(
                 again
                     .1
+                    .expr
                     .iter()
                     .map(|(i, n)| (i, n.clone()))
                     .collect::<Vec<_>>(),
                 first
                     .1
+                    .expr
                     .iter()
                     .map(|(i, n)| (i, n.clone()))
                     .collect::<Vec<_>>()
@@ -1637,7 +1652,7 @@ mod tests {
         let (cost, expr) = ex.find_best(id).unwrap();
         // DAG cost charges each node once: two leaves + one Mul per level.
         assert_eq!(cost, (DEPTH + 2) as f64);
-        assert_eq!(expr.len(), DEPTH + 2);
+        assert_eq!(expr.expr.len(), DEPTH + 2);
     }
 
     /// A 2 000-class chain, `a` under 1 999 `(* x x)`: level `i` lists `i`
@@ -1663,7 +1678,7 @@ mod tests {
         }
         let (cost, expr) = ex.find_best(levels[CLASSES - 1]).unwrap();
         assert_eq!(cost, CLASSES as f64);
-        assert_eq!(expr.len(), CLASSES);
+        assert_eq!(expr.expr.len(), CLASSES);
     }
 
     /// A complete binary tree of `+` over 1 024 distinct leaves, depth 10:
@@ -1843,7 +1858,9 @@ mod tests {
             for (slot, (entry, expected)) in lists.entries.iter().zip(&oracle.entries).enumerate() {
                 assert_eq!(entry.as_ref().map(bits), expected.as_ref().map(bits), "slot {slot}");
             }
-            let bits = |(cost, expr): (f64, RecExpr<Math>)| (cost.to_bits(), expr);
+            let bits = |(cost, term): (f64, ChosenTerm<Math>)| {
+                (cost.to_bits(), term.expr, term.picks)
+            };
             for &id in &ids {
                 assert_eq!(lists.find_best(id).map(bits), oracle.find_best(id).map(bits));
                 assert_eq!(lists.reach_len(id), oracle.reach_len(id));
@@ -1882,18 +1899,18 @@ mod tests {
             let weights = TenthWeights(weights.try_into().unwrap());
             let dag = DagExtractor::new(&eg, weights);
             let tree = Extractor::new(&eg, weights);
-            let mut priced = Polish::new(&eg, weights, dag.choices());
-            let mut walked = Polish::new(&eg, weights, dag.choices());
+            let mut priced = Polish::new(&eg, Extractor::new(&eg, weights).into_own_costs(), dag.choices());
+            let mut walked = Polish::new(&eg, Extractor::new(&eg, weights).into_own_costs(), dag.choices());
             let last = |s: usize| eg.enode_ids(eg.slot_class(s).unwrap()).last();
             for &id in &ids {
                 let starts = [
-                    dag.find_best_term(id).map(|(_, term)| term),
-                    tree.find_best_term(id).map(|(_, term)| term),
+                    dag.find_best(id).map(|(_, term)| term),
+                    tree.find_best(id).map(|(_, term)| term),
                     build_term(&eg, id, last).ok(),
                 ];
                 for start in starts.into_iter().flatten() {
-                    let polished = priced.run(id, &start.picks).map(|term| term.picks);
-                    let expected = walked.run_by_walk(id, &start.picks).map(|term| term.picks);
+                    let polished = priced.run(id, &start.picks).map(|(_, term)| term.picks);
+                    let expected = walked.run_by_walk(id, &start.picks).map(|(_, term)| term.picks);
                     assert_eq!(polished, expected);
                     assert_eq!(priced.trials, walked.trials);
                 }
@@ -1967,7 +1984,11 @@ mod tests {
             let weights = TenthWeights([(); 6].map(|_| 1 + next(3)));
             let dag = DagExtractor::new(&eg, weights);
             let tree = Extractor::new(&eg, weights);
-            let mut polish = Polish::new(&eg, weights, dag.choices());
+            let mut polish = Polish::new(
+                &eg,
+                Extractor::new(&eg, weights).into_own_costs(),
+                dag.choices(),
+            );
             let last = |s: usize| eg.enode_ids(eg.slot_class(s).unwrap()).last();
             for &id in &ids {
                 let root = eg.slot_index(id).unwrap();
@@ -1979,17 +2000,18 @@ mod tests {
                     }
                 });
                 let starts = [
-                    dag.find_best_term(id).map(|(_, term)| term),
-                    tree.find_best_term(id).map(|(_, term)| term),
+                    dag.find_best(id).map(|(_, term)| term),
+                    tree.find_best(id).map(|(_, term)| term),
                     build_term(&eg, id, last).ok(),
                 ];
                 for start in starts.into_iter().flatten() {
                     let minimum = minimum.expect("a start is a selection");
                     let start_cost = selection_cost(&eg, weights, &start.picks);
-                    let polished = polish
+                    let (total, polished) = polish
                         .run(id, &start.picks)
                         .expect("a polish builds a term");
                     let cost = selection_cost(&eg, weights, &polished.picks);
+                    assert_eq!(total.to_bits(), cost.to_bits());
                     assert!(
                         cost.total_cmp(&start_cost).is_le(),
                         "{cost} above its start {start_cost}"

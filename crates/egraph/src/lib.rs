@@ -54,7 +54,7 @@
 //! eg.union(div, a);
 //! eg.rebuild();
 //! let (cost, best) = Extractor::new(&eg, AstSize).find_best(div).unwrap();
-//! assert_eq!((cost, best.to_string().as_str()), (1.0, "a"));
+//! assert_eq!((cost, best.expr.to_string().as_str()), (1.0, "a"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -81,7 +81,8 @@ pub use class_graph::ClassGraph;
 pub use eclass::EClass;
 pub use egraph::EGraph;
 pub use extract::{
-    build_term, AstSize, ChoiceError, ChosenTerm, CostFunction, DagExtractor, Extractor, Polish,
+    build_term, AstSize, ChoiceError, ChosenTerm, CostFunction, DagExtractor, Extractor, OwnCosts,
+    Polish,
 };
 pub use language::{assert_ord_contract, Id, Language, Symbol};
 pub use machine::{

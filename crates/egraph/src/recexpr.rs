@@ -71,6 +71,11 @@ impl<L: Language> RecExpr<L> {
         Id::from(self.nodes.len() - 1)
     }
 
+    /// Removes every node, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+    }
+
     /// The nodes in insertion order.
     pub fn nodes(&self) -> &[L] {
         &self.nodes

@@ -568,7 +568,7 @@ proptest! {
         prop_assert!(cost >= 1.0);
         // Extracted term must itself be representable and re-add to the
         // same class.
-        let again = eg.add_expr(&best);
+        let again = eg.add_expr(&best.expr);
         prop_assert_eq!(eg.find(again), eg.find(root));
     }
 

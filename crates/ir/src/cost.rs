@@ -502,8 +502,8 @@ mod tests {
             let root = eg.find(root);
             let tree = Extractor::new(&eg, &cm).find_best(root);
             let dag = DagExtractor::new(&eg, &cm).find_best(root);
-            for (cost, expr) in [tree.unwrap(), dag.unwrap()] {
-                assert_eq!(expr.to_string(), unfused.to_string(), "{nan:?}");
+            for (cost, term) in [tree.unwrap(), dag.unwrap()] {
+                assert_eq!(term.expr.to_string(), unfused.to_string(), "{nan:?}");
                 assert!(cost.is_finite(), "{nan:?}: {cost}");
             }
         }

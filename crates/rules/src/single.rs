@@ -260,7 +260,7 @@ mod tests {
         let (eg, root) = saturate(&expr);
         // The fused matmul must now be represented in the root class.
         let ex = Extractor::new(&eg, AstSize);
-        let (_, smallest) = ex.find_best(root).unwrap();
+        let smallest = ex.find_best(root).unwrap().1.expr;
         assert!(
             smallest.to_string().contains("matmul 1") || smallest.to_string().contains("(matmul 1")
         );
@@ -277,7 +277,7 @@ mod tests {
         let expr = g.finish(&[s0]);
         let (eg, root) = saturate(&expr);
         let ex = Extractor::new(&eg, AstSize);
-        let (_, best) = ex.find_best(root).unwrap();
+        let best = ex.find_best(root).unwrap().1.expr;
         // The best term is just the weight `a`.
         assert!(best.to_string().contains("weight"));
         assert!(!best.to_string().contains("concat"));
@@ -312,7 +312,7 @@ mod tests {
         let (eg, root) = saturate(&expr);
         // Extract by actual cost: pick per-class min-cost nodes greedily.
         let ex = Extractor::new(&eg, &cm);
-        let (_, best) = ex.find_best(root).unwrap();
+        let best = ex.find_best(root).unwrap().1.expr;
         assert!(
             cm.graph_cost(&best) < original * 0.75,
             "expected ≥25% improvement, got {} -> {}",
@@ -337,7 +337,7 @@ mod tests {
         let expr = g.finish(&[s]);
         let (eg, root) = saturate(&expr);
         let ex = Extractor::new(&eg, AstSize);
-        let (_, best) = ex.find_best(root).unwrap();
+        let best = ex.find_best(root).unwrap().1.expr;
         let data = tensat_ir::infer_recexpr(&best);
         assert!(data.iter().all(|d| d.is_valid()));
     }
@@ -386,7 +386,7 @@ mod tests {
         let expr = g.finish(&[t2]);
         let (eg, root) = saturate(&expr);
         let ex = Extractor::new(&eg, AstSize);
-        let (_, best) = ex.find_best(root).unwrap();
+        let best = ex.find_best(root).unwrap().1.expr;
         assert!(!best.to_string().contains("transpose"));
     }
 }

@@ -71,7 +71,7 @@ fn phase_ordering_motivating_example() {
         }
     }
     let (cost, best) = Extractor::new(&egraph, AstSize).find_best(root).unwrap();
-    assert_eq!((cost, best.to_string().as_str()), (1.0, "a"));
+    assert_eq!((cost, best.expr.to_string().as_str()), (1.0, "a"));
 }
 
 /// Paper §4: multi-pattern rules grow the e-graph dramatically faster than
