@@ -534,7 +534,7 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
 /// `nasnet_search` (NasNet-A `blocks: 4` to 30 000) — `(e-nodes,
 /// e-classes, iterations, filtered e-nodes, unions, stop reason, e-nodes
 /// after each iteration, greedy-DAG cost and graph fingerprint, final
-/// e-graph signature)`. The pins above stop at 2 000
+/// e-graph signature, match rows searched)`. The pins above stop at 2 000
 /// e-nodes and the benchmark compares an op only with its own warm-up, so
 /// this is what holds a change to the e-graph's storage to the same run at
 /// 20–30 k e-nodes. Release builds only: a debug build runs
@@ -562,6 +562,7 @@ fn big_benchmark_trajectories_are_pinned() {
                 97.53045333333333,
                 4_950_112_881_948_126_868,
                 17_330_369_404_885_528_206,
+                117_534,
             ),
         ),
         (
@@ -579,6 +580,7 @@ fn big_benchmark_trajectories_are_pinned() {
                 103.56740266666665,
                 10_593_177_530_291_863_129,
                 9_412_832_200_318_848_345,
+                53_171,
             ),
         ),
     ];
@@ -611,6 +613,7 @@ fn big_benchmark_trajectories_are_pinned() {
                 dag.dag_cost,
                 fingerprint(&dag.expr),
                 tensat_bench::signature(&eg, root),
+                stats.rows_searched,
             ),
             pin,
             "{name} blocks {blocks} at {node_limit}"

@@ -191,6 +191,8 @@ impl<'a> ExplorationContext<'a> {
             (single, multi)
         };
         stats.search_time += start.elapsed();
+        let rows = single.iter().chain(&multi).flatten();
+        stats.rows_searched += rows.map(|m| m.substs.len()).sum::<usize>();
 
         // The rules are applied in order — single-pattern, then
         // multi-pattern — until the budget is spent. A single-pattern rule

@@ -106,6 +106,9 @@ pub struct ExplorationStats {
     pub time: Duration,
     /// Time spent in the e-matching search phase, summed over iterations.
     pub search_time: Duration,
+    /// Match rows the searches returned, single- and multi-pattern, summed
+    /// over iterations.
+    pub rows_searched: usize,
     /// Time spent building the descendants map for the cycle pre-filter
     /// ([`DescendantsMap::compute`](crate::cycles::DescendantsMap::compute),
     /// once per iteration), so `search + apply + rebuild + prefilter`
