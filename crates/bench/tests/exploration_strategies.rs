@@ -35,7 +35,7 @@ use tensat_core::{
     explore, extract_greedy_dag, CycleFilter, ExplorationStats, ExtractionMode, Optimizer,
     OptimizerConfig, StopReason,
 };
-use tensat_egraph::{Id, RecExpr, PARALLEL_SEARCH_SPAWN_THRESHOLD};
+use tensat_egraph::{Id, RecExpr, SearchSnapshot, PARALLEL_SEARCH_SPAWN_THRESHOLD};
 use tensat_ir::{CostModel, GraphBuilder, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
@@ -537,9 +537,14 @@ fn saturate_trajectories_are_pinned_on_every_benchmark_model() {
 /// e-graph signature, match rows searched)`. The pins above stop at 2 000
 /// e-nodes and the benchmark compares an op only with its own warm-up, so
 /// this is what holds a change to the e-graph's storage to the same run at
-/// 20–30 k e-nodes. Release builds only: a debug build runs
-/// `check_invariants` after every rebuild (CI runs this test with
-/// `TENSAT_CHECK_INVARIANTS=1`, which does the same in release).
+/// 20–30 k e-nodes. The last column is what searching each rule right
+/// before its apply saves: 30 471 and 49 846 rows, where searching every
+/// rule of an iteration before applying any built 117 534 and 53 171
+/// (most of them in the last iteration, for rules its node limit cut
+/// off); it grows again if a rule after the cut is searched. Release
+/// builds only: a debug build runs `check_invariants` after every rebuild
+/// (CI runs this test with `TENSAT_CHECK_INVARIANTS=1`, which does the
+/// same in release).
 #[test]
 fn big_benchmark_trajectories_are_pinned() {
     use StopReason::NodeLimit;
@@ -562,7 +567,7 @@ fn big_benchmark_trajectories_are_pinned() {
                 97.53045333333333,
                 4_950_112_881_948_126_868,
                 17_330_369_404_885_528_206,
-                117_534,
+                30_471,
             ),
         ),
         (
@@ -580,7 +585,7 @@ fn big_benchmark_trajectories_are_pinned() {
                 103.56740266666665,
                 10_593_177_530_291_863_129,
                 9_412_832_200_318_848_345,
-                53_171,
+                49_846,
             ),
         ),
     ];
@@ -624,10 +629,14 @@ fn big_benchmark_trajectories_are_pinned() {
 /// Property 5: sharded search must not change an exploration outcome —
 /// match lists are bit-identical at every thread count, so every
 /// downstream decision (conditions, cycle filtering, application order)
-/// is too. BERT at the harness scale is the fixture because its
-/// single-rule search batch passes `PARALLEL_SEARCH_SPAWN_THRESHOLD`,
-/// below which the driver runs sequentially whatever `search_threads`
-/// says; the test checks that on the e-graph the last iteration searched,
+/// is too. A rule is searched on its own, right before it is applied, so
+/// the fixture needs one rule whose candidates pass
+/// `PARALLEL_SEARCH_SPAWN_THRESHOLD`, below which the driver runs
+/// sequentially whatever `search_threads` says, in an iteration that
+/// searches it: BERT at the harness scale run for six iterations under a
+/// node limit they do not reach (14 978 e-nodes when the sixth starts,
+/// where `concat-matmul` has over 6 000 candidate classes, 169 845 after
+/// it). The test checks that on the e-graph the last iteration searched,
 /// so it cannot go stale silently.
 #[test]
 fn exploration_is_bit_identical_at_1_and_4_search_threads() {
@@ -639,7 +648,7 @@ fn exploration_is_bit_identical_at_1_and_4_search_threads() {
         let config = OptimizerConfig {
             max_iter,
             search_threads,
-            ..saturate_config(5_000)
+            ..saturate_config(200_000)
         };
         let stats = explore(&mut eg, root, &singles, &multis, &config);
         (eg, stats)
@@ -655,21 +664,24 @@ fn exploration_is_bit_identical_at_1_and_4_search_threads() {
             stats.stop_reason.clone(),
         )
     };
-    let sequential = run(1, 15);
-    assert_eq!(observed(&sequential), observed(&run(4, 15)));
+    let sequential = run(1, 6);
+    assert_eq!(observed(&sequential), observed(&run(4, 6)));
+    assert_eq!(
+        sequential.1.stop_reason,
+        Some(StopReason::IterationLimit(6)),
+        "the last iteration must search every rule"
+    );
 
-    // The candidate classes the single-pattern rules present to the search
-    // driver on the e-graph the last iteration started from.
+    // The candidate classes each single-pattern rule presents to the
+    // search driver on the e-graph the last iteration started from.
     let (searched, _) = run(1, sequential.1.iterations - 1);
-    let batch: usize = singles
-        .iter()
-        .map(|rw| match rw.searcher.program().root_op() {
-            Some(op) => searched.classes_with_op(op).len(),
-            None => searched.number_of_classes(),
-        })
-        .sum();
+    let programs: Vec<_> = singles.iter().map(|rw| rw.searcher.program()).collect();
+    let snapshot = SearchSnapshot::new(&searched, &programs);
+    let batch = (0..programs.len())
+        .map(|i| snapshot.candidates(i).len())
+        .max();
     assert!(
-        batch >= PARALLEL_SEARCH_SPAWN_THRESHOLD,
-        "the fixture no longer reaches the sharded driver: {batch} candidates"
+        batch >= Some(PARALLEL_SEARCH_SPAWN_THRESHOLD),
+        "the fixture no longer reaches the sharded driver: {batch:?} candidates"
     );
 }

@@ -2,9 +2,10 @@
 //! single- and multi-pattern rule programs, the deduplicated canonical
 //! multi sources, the cycle filter, and the run's budget clock, and runs
 //! Algorithm 1's loop body once per [`ExplorationContext::run_iteration`]:
-//! the cycle pre-filter's descendants map of the clean e-graph, one batched
-//! search, every rule applied behind that map, and a seal (rebuild, cycle
-//! post-filter). [`Saturate`](super::Saturate) is the loop around it.
+//! the cycle pre-filter's descendants map and the search snapshot of the
+//! clean e-graph, every rule searched against that snapshot right before
+//! it is applied behind that map, and a seal (rebuild, cycle post-filter).
+//! [`Saturate`](super::Saturate) is the loop around it.
 
 use super::{canonicalize_pattern, CycleFilter, ExplorationStats, StopReason};
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
@@ -12,7 +13,7 @@ use crate::OptimizerConfig;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::time::Instant;
-use tensat_egraph::{search_all_parallel, Id, Pattern, SearchMatches, Subst, Var};
+use tensat_egraph::{Id, Pattern, SearchMatches, SearchSnapshot, Subst, Var};
 use tensat_ir::{TensorData, TensorEGraph, TensorLang};
 use tensat_rules::{bind_extents, target_fits, Extent, MultiPatternRule, TensorRewrite};
 
@@ -125,14 +126,18 @@ impl<'a> ExplorationContext<'a> {
         }
     }
 
-    /// One full engine iteration — Algorithm 1's loop body: batched
-    /// search of every rule against the iteration-start e-graph,
-    /// apply all single-pattern matches, apply multi-pattern combinations
-    /// (first `k_multi` iterations only), rebuild, and resolve cycles.
-    /// Updates `stats` and returns whether the e-graph changed (`false`
-    /// means saturation).
+    /// One full engine iteration — Algorithm 1's loop body: search and
+    /// apply each single-pattern rule in turn, search the multi-pattern
+    /// sources and apply their combinations (first `k_multi` iterations
+    /// only), rebuild, and resolve cycles. Every search reads one
+    /// [`SearchSnapshot`] of the iteration-start e-graph, so every match is
+    /// one Algorithm 1 would have gathered before applying anything; what
+    /// changes is that a rule is searched only if the budget is left to
+    /// apply it. Updates `stats` and returns whether the e-graph changed
+    /// (`false` means saturation).
     ///
-    /// Both budgets are asked before every application. If the apply
+    /// Both budgets are asked before every search and every application.
+    /// If the apply
     /// phase ends with the node limit reached, this iteration is the last:
     /// [`ExplorationContext::over_budget`] reports true from then on,
     /// whatever the rebuild leaves, and `stats.stop_reason` says
@@ -142,9 +147,9 @@ impl<'a> ExplorationContext<'a> {
     ///
     /// The iteration's working sets die with their last reader, before
     /// the rebuild: a single-pattern rule's match list once that rule has
-    /// been applied (the rest at a budget cut), the multi-pattern lists
-    /// after the multi-pattern loop, and the pre-filter's descendants map
-    /// at the end of the apply phase.
+    /// been applied, the multi-pattern lists after the multi-pattern loop,
+    /// and the search snapshot and the pre-filter's descendants map at the
+    /// end of the apply phase.
     pub fn run_iteration(
         &self,
         egraph: &mut TensorEGraph,
@@ -168,56 +173,73 @@ impl<'a> ExplorationContext<'a> {
             desc
         });
 
-        // All matches — single-pattern and multi-pattern alike — are
-        // collected against the iteration-start e-graph, which is clean
-        // (rebuilt at the end of the previous iteration): pattern search
-        // requires a clean e-graph for the operator index and congruence
-        // invariant to hold. This mirrors Algorithm 1, which gathers every
-        // match before applying any substitution. Every searcher goes
-        // through one batch of the sharded search driver, so a hot rule's
-        // candidate chunks spread over all `search_threads` threads; the
-        // match lists are bit-identical at every thread count. The
-        // searcher list dies with the search, so it adds nothing to the
-        // apply phase's peak.
+        // What every search of the iteration reads: the search snapshot of
+        // the clean iteration-start e-graph (rebuilt at the end of the
+        // previous iteration), for the single-pattern searchers and, in
+        // the first `k_multi` iterations, the multi-pattern sources after
+        // them.
         let start = Instant::now();
-        let (single, multi) = {
-            let mut searchers: Vec<&Pattern<TensorLang>> =
-                self.single_rules.iter().map(|rw| &rw.searcher).collect();
-            if do_multi {
-                searchers.extend(&self.unique_patterns);
-            }
-            let mut single = search_all_parallel(&searchers, egraph, config.search_threads);
-            let multi = single.split_off(self.single_rules.len());
-            (single, multi)
-        };
+        let singles = self.single_rules.len();
+        let mut programs: Vec<_> = self
+            .single_rules
+            .iter()
+            .map(|rw| rw.searcher.program())
+            .collect();
+        if do_multi {
+            programs.extend(self.unique_patterns.iter().map(Pattern::program));
+        }
+        let snapshot = SearchSnapshot::new(egraph, &programs);
         stats.search_time += start.elapsed();
-        let rows = single.iter().chain(&multi).flatten();
-        stats.rows_searched += rows.map(|m| m.substs.len()).sum::<usize>();
+        // Searches `range` of `programs` against the snapshot, through the
+        // sharded driver: a hot rule's candidate chunks spread over all
+        // `search_threads` threads, and the match lists are bit-identical
+        // at every thread count.
+        let search = |egraph: &TensorEGraph, range, stats: &mut ExplorationStats| {
+            let start = Instant::now();
+            let found = snapshot.search(egraph, range, config.search_threads);
+            stats.search_time += start.elapsed();
+            let rows = found.iter().flatten().map(|m| m.substs.len());
+            stats.rows_searched += rows.sum::<usize>();
+            found
+        };
 
         // The rules are applied in order — single-pattern, then
-        // multi-pattern — until the budget is spent. A single-pattern rule
-        // runs through the one apply loop
+        // multi-pattern — until the budget is spent, each searched right
+        // before it is applied, so a rule the budget cuts off is never
+        // searched. Every search reads the snapshot, so every match is one
+        // of the iteration-start e-graph's, as in Algorithm 1, which
+        // gathers every match before applying any substitution; only a
+        // rule's own match list lives through its apply. A single-pattern
+        // rule runs through the one apply loop
         // ([`tensat_egraph::Rewrite::apply_while`]): per candidate ask the
         // budget, evaluate the rule's condition, ask the pre-filter, apply.
-        let start = Instant::now();
-        for (rw, matches) in self.single_rules.iter().zip(single) {
-            rw.apply_while(egraph, &matches, within_budget, |egraph, eclass, subst| {
-                !skip_for_cycles(egraph, filter, desc.as_ref(), eclass, &rw.applier, subst)
-            });
+        let mut apply_time = std::time::Duration::ZERO;
+        for (i, rw) in self.single_rules.iter().enumerate() {
             if self.over_budget(egraph) {
                 break;
             }
+            let matches = search(egraph, i..i + 1, stats).remove(0);
+            let start = Instant::now();
+            rw.apply_while(egraph, &matches, within_budget, |egraph, eclass, subst| {
+                !skip_for_cycles(egraph, filter, desc.as_ref(), eclass, &rw.applier, subst)
+            });
+            apply_time += start.elapsed();
         }
-        if do_multi {
+        // The multi-pattern sources are searched once, together, and only
+        // if the budget is left to apply them.
+        if do_multi && !self.over_budget(egraph) {
+            let multi = search(egraph, singles..programs.len(), stats);
+            let start = Instant::now();
             for plan in &self.plans {
                 plan.apply(egraph, &multi, filter, desc.as_ref(), &within_budget);
                 if self.over_budget(egraph) {
                     break;
                 }
             }
+            apply_time += start.elapsed();
         }
-        drop(multi);
-        stats.apply_time += start.elapsed();
+        drop(snapshot);
+        stats.apply_time += apply_time;
         if let Some(desc) = desc {
             stats.prefilter_queries += desc.queries();
             stats.prefilter_walks += desc.walks();

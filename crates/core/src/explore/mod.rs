@@ -104,10 +104,13 @@ pub struct ExplorationStats {
     pub filtered_nodes: usize,
     /// Total wall-clock time of the exploration phase.
     pub time: Duration,
-    /// Time spent in the e-matching search phase, summed over iterations.
+    /// Time spent in the e-matching search phase — taking the iteration's
+    /// search snapshot and searching each rule against it — summed over
+    /// iterations.
     pub search_time: Duration,
     /// Match rows the searches returned, single- and multi-pattern, summed
-    /// over iterations.
+    /// over iterations: a rule the node limit cuts off is never searched,
+    /// so its rows are not counted.
     pub rows_searched: usize,
     /// Time spent building the descendants map for the cycle pre-filter
     /// ([`DescendantsMap::compute`](crate::cycles::DescendantsMap::compute),

@@ -283,8 +283,9 @@ pub fn extract_greedy_dag(
     let mut polish = Polish::new(egraph, own, fill);
     // Compare by the DAG cost of the polished graphs, not the extractors'
     // internal objectives (which disagree on what a "cost" is).
-    let mut polished =
-        |start: Option<(f64, ChosenTerm<TensorLang>)>| polish.run(root, &start?.1.picks);
+    let mut polished = |start: Option<(f64, ChosenTerm<TensorLang>)>| {
+        start.map(|(_, term)| polish.run(root, term))
+    };
     let dag = polished(dag);
     let tree = polished(tree);
     let best = cheaper(dag, tree, |&(cost, _)| cost);
@@ -1129,10 +1130,8 @@ mod tests {
             );
             let mut polished = vec![];
             for (_, start) in [dag.find_best(root), tree].into_iter().flatten() {
-                let term = priced
-                    .run(root, &start.picks)
-                    .expect("a start builds a term");
-                let expected = walked.run_by_walk(root, &start.picks).unwrap();
+                let term = priced.run(root, start.clone());
+                let expected = walked.run_by_walk(root, start);
                 assert_eq!(term.1.picks, expected.1.picks, "{label}");
                 polished.push(term);
             }

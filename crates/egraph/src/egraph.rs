@@ -5,7 +5,6 @@ use crate::memo::Memo;
 use crate::{Analysis, BitSet, EClass, Id, Language, RecExpr, UnionFind};
 use std::collections::HashMap;
 use std::fmt;
-use std::mem::Discriminant;
 
 /// Sentinel for "this raw id is not (or no longer) a canonical class".
 const NO_SLOT: u32 = u32::MAX;
@@ -48,9 +47,7 @@ fn validating() -> bool {
 /// it is the only copy of an e-node: class node lists, parent lists, the
 /// analysis worklist and the memo's buckets are 4-byte ids into it
 /// ([`EGraph::enode`]), so birth order is id order and the hashcons
-/// compares e-nodes through the table. The operator
-/// index is maintained incrementally at `add`/`union` time (a class's
-/// operator set only ever grows), and `rebuild` repairs congruence from
+/// compares e-nodes through the table. `rebuild` repairs congruence from
 /// worklists of the classes unions touched instead of re-canonicalizing
 /// the whole e-graph, walking a union root's parent list once however many
 /// unions merged into it. The tables grow by doubling while
@@ -65,12 +62,13 @@ fn validating() -> bool {
 /// [`EGraph::enode_ids`] (and [`EGraph::enodes`], which reads it) skips
 /// filtered e-nodes, so pattern matching and extraction do.
 ///
-/// Every read accessor used by pattern search (`find`, `eclass`, `lookup`,
-/// `enodes`, `is_filtered`, `classes_with_op`, `classes`) takes `&self`
-/// and avoids interior mutability — in particular [`EGraph::find`] does
-/// *not* path compress — so a clean e-graph can be shared across threads:
-/// `EGraph` is `Sync` whenever `L`, `N`, and `N::Data` are. The parallel
-/// e-matching driver ([`crate::search_all_parallel`]) relies on this.
+/// Pattern search reads a [`SearchSnapshot`](crate::SearchSnapshot) of a
+/// clean e-graph and, of the e-graph itself, only the node table
+/// ([`EGraph::enode`]). Every read accessor takes `&self` and avoids
+/// interior mutability — in particular [`EGraph::find`] does *not* path
+/// compress — so an e-graph can be shared across threads: `EGraph` is
+/// `Sync` whenever `L`, `N`, and `N::Data` are. The parallel e-matching
+/// driver ([`crate::SearchSnapshot::search`]) relies on this.
 ///
 /// # Examples
 ///
@@ -136,11 +134,6 @@ pub struct EGraph<L: Language, N: Analysis<L>> {
     /// Total e-nodes across all classes, maintained incrementally so limit
     /// checks in hot loops are O(1).
     num_nodes: usize,
-    /// Operator index: maps an operator discriminant to the sorted, canonical
-    /// ids of the classes containing at least one node with that operator
-    /// (filtered nodes included — the matcher re-checks the filter list).
-    /// Maintained incrementally by `add` and `union`.
-    op_index: HashMap<Discriminant<L>, Vec<Id>>,
 }
 
 impl<L: Language, N: Analysis<L>> EGraph<L, N> {
@@ -162,7 +155,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             clean: true,
             union_count: 0,
             num_nodes: 0,
-            op_index: HashMap::new(),
         }
     }
 
@@ -293,7 +285,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.enode_ids(class).map(|id| self.enode(id))
     }
 
-    /// The index in `class`'s node list of the first e-node that has
+    /// The index in the node-id list `nodes` of the first e-node that has
     /// `op`'s operator ([`Language::matches`]; `op`'s own children are
     /// ignored) and whose leading children are not below `prefix` — or of
     /// the first node of a later operator, or the list's length. The nodes
@@ -302,15 +294,16 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// binary search however large the class is; an empty prefix gives the
     /// start of the operator's run.
     ///
-    /// Reads the node list as [`EGraph::rebuild`] leaves it — canonical
-    /// and sorted by an `Ord` that keeps the [`Language`] ordering
-    /// contract — so the e-graph must be clean and `prefix` must hold
-    /// canonical ids; otherwise nodes are missed.
-    pub fn lower_bound(&self, class: &EClass<N::Data>, op: &L, prefix: &[Id]) -> usize {
+    /// Reads a class's node list as [`EGraph::rebuild`] leaves it
+    /// ([`EClass::node_ids`], or a sublist of it) — canonical and sorted
+    /// by an `Ord` that keeps the [`Language`] ordering contract — whose
+    /// entries have not been rewritten since, and `prefix` must hold
+    /// canonical ids of that time; otherwise nodes are missed.
+    pub fn lower_bound(&self, nodes: &[Id], op: &L, prefix: &[Id]) -> usize {
         // Operator-major order: against a node of another operator the
         // children decide nothing, so `op`'s pattern-internal ones are
         // harmless; within the operator the children alone decide.
-        class.nodes.partition_point(|&id| {
+        nodes.partition_point(|&id| {
             let enode = self.enode(id);
             if op.matches(enode) {
                 enode.children()[..prefix.len()] < *prefix
@@ -353,16 +346,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             parents: vec![],
             dirty: false,
         };
-        let op = enode.discriminant();
         debug_assert_eq!(usize::from(id), self.slot_of.len());
         self.slot_of.push(self.slots.len() as u32);
         self.slots.push(Some(class));
         self.live += 1;
-        // Keep the operator index live across adds: plain adds preserve
-        // cleanliness (no congruence repair is pending), so searches between
-        // adds are legal and must see the new class. Fresh ids are strictly
-        // increasing, so pushing keeps each bucket sorted.
-        self.op_index.entry(op).or_default().push(id);
         self.nodes.push(enode);
         self.memo.insert(&self.nodes, id);
         self.num_nodes += 1;
@@ -422,28 +409,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             .as_mut()
             .expect("root class must exist");
 
-        // Operator-index upkeep: the absorbed id leaves the buckets of its
-        // nodes' operators, and the root enters any of them it is not in
-        // yet. A class's operator set only ever grows (nodes are never
-        // removed), so this is the *only* place merged membership changes.
-        // Both steps are idempotent, so a repeated operator only costs a
-        // probe; rebuilt node lists hold each operator as one run.
-        let mut prev: Option<Discriminant<L>> = None;
-        for &node in &other_class.nodes {
-            let op = self.nodes[usize::from(node)].discriminant();
-            if prev == Some(op) {
-                continue;
-            }
-            prev = Some(op);
-            let bucket = self.op_index.get_mut(&op).expect("op was indexed");
-            if let Ok(i) = bucket.binary_search(&other) {
-                bucket.remove(i);
-            }
-            if let Err(i) = bucket.binary_search(&root) {
-                bucket.insert(i, root);
-            }
-        }
-
         // Merge the analysis data *before* concatenating the parent lists:
         // at this point `root_class.parents` is exactly the root's previous
         // parent set and `other_class.parents` the absorbed one's, so the
@@ -485,8 +450,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// entry the memo holds is ever rewritten) and unions the parents it
     /// finds congruent, pushing their roots in turn. Then only the node
     /// lists of touched classes are re-canonicalized (their entries in
-    /// place), the operator index needs no repair at all (it is
-    /// maintained by `add`/`union`), and tombstoned slots are compacted
+    /// place), and tombstoned slots are compacted
     /// away at the end; every class then existing keeps its slot until the
     /// next rebuild (see [`EGraph::slot_index`]). In debug builds — or in
     /// any build when `TENSAT_CHECK_INVARIANTS=1` is set — the full
@@ -759,15 +723,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.slots.truncate(w);
     }
 
-    /// The canonical ids of the classes containing at least one e-node with
-    /// the given operator discriminant (see [`Language::discriminant`]), in
-    /// ascending id order. Filtered nodes are indexed too — the index
-    /// over-approximates; a class's nodes read through [`EGraph::enodes`]
-    /// or checked with [`EGraph::is_filtered`] leave them out.
-    pub fn classes_with_op(&self, op: Discriminant<L>) -> &[Id] {
-        self.op_index.get(&op).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Puts the e-node with node-table id `id` on the filter list (treats
     /// it as removed). `id` must be one its class lists
     /// ([`EClass::node_ids`]). Filtered nodes stay stored in their class;
@@ -839,9 +794,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// ordered by `children()` — what the e-matching machine's range lookup
     /// relies on); the memo holds exactly one canonical entry per e-node
     /// and nothing else, and finds every id it holds under that id's
-    /// entry; the incremental node count is right; a class is
-    /// in an operator's bucket exactly when one of its nodes has that
-    /// operator (buckets sorted ascending); every node-table entry,
+    /// entry; the incremental node count is right; every node-table entry,
     /// canonicalized, is a node of its id's class, listed under the
     /// smallest id whose entry canonicalizes to it; every id on the filter
     /// list is one its class lists (so [`EGraph::filtered_count`] counts
@@ -900,12 +853,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             return;
         }
 
-        // --- nodes, memo, operator index ------------------------------------
+        // --- nodes, memo ----------------------------------------------------
         let mut num_nodes = 0;
         let mut expected_parents: HashMap<Id, BTreeSet<(L, Id)>> = HashMap::new();
         for class in self.classes() {
             num_nodes += class.nodes.len();
-            let mut node_ops: Vec<Discriminant<L>> = vec![];
             let mut prev: Option<&L> = None;
             // First node of each operator's run, for the ordering contract.
             let mut run_heads: Vec<&L> = vec![];
@@ -946,25 +898,12 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                     "memo misses node of class {}",
                     class.id
                 );
-                let op = node.discriminant();
-                if !node_ops.contains(&op) {
-                    node_ops.push(op);
-                }
                 for &child in node.children() {
                     expected_parents
                         .entry(self.find(child))
                         .or_default()
                         .insert((node.clone(), class.id));
                 }
-            }
-            for op in &node_ops {
-                assert!(
-                    self.op_index
-                        .get(op)
-                        .is_some_and(|b| b.binary_search(&class.id).is_ok()),
-                    "operator index misses class {}",
-                    class.id
-                );
             }
         }
         assert_eq!(num_nodes, self.num_nodes, "node count out of sync");
@@ -989,21 +928,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             );
         }
         assert_eq!(held, self.memo.len(), "memo length out of sync");
-        for (op, bucket) in &self.op_index {
-            for pair in bucket.windows(2) {
-                assert!(pair[0] < pair[1], "operator-index bucket unsorted");
-            }
-            for &id in bucket {
-                assert_eq!(self.find(id), id, "operator index holds a dead id");
-                assert!(
-                    self.eclass(id)
-                        .nodes
-                        .iter()
-                        .any(|&n| self.enode(n).discriminant() == *op),
-                    "operator index lists class {id} under an operator it lacks"
-                );
-            }
-        }
 
         // --- node table and parents -----------------------------------------
         // A class lists each e-node under the smallest id whose entry
@@ -1532,35 +1456,11 @@ mod tests {
         assert_eq!(eg.union_count(), 2);
     }
 
+    /// Plain adds keep the e-graph clean, so a search between adds is
+    /// legal, and the snapshot it takes covers the classes created since
+    /// the last rebuild.
     #[test]
-    fn op_index_tracks_classes_per_operator() {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let a = eg.add(sym("a"));
-        let two = eg.add(Math::Num(2));
-        let m1 = eg.add(Math::Mul([a, two]));
-        let m2 = eg.add(Math::Mul([two, a]));
-        eg.rebuild();
-        let mul_key = Math::Mul([a, a]).discriminant();
-        let ids = eg.classes_with_op(mul_key);
-        assert_eq!(ids, &[eg.find(m1), eg.find(m2)]);
-        // Add is absent entirely.
-        assert!(eg
-            .classes_with_op(Math::Add([a, a]).discriminant())
-            .is_empty());
-        // Merging the two Mul classes shrinks the bucket after rebuild.
-        eg.union(m1, m2);
-        eg.rebuild();
-        assert_eq!(eg.classes_with_op(mul_key).len(), 1);
-        // Num and Sym share no bucket even though both are leaves.
-        assert_eq!(eg.classes_with_op(Math::Num(0).discriminant()), &[two]);
-        assert_eq!(eg.classes_with_op(sym("zz").discriminant()), &[a]);
-    }
-
-    /// Plain adds keep the e-graph clean, so searching between adds is
-    /// legal — the operator index must cover classes created since the last
-    /// rebuild or the machine searcher silently misses their matches.
-    #[test]
-    fn op_index_covers_adds_since_last_rebuild() {
+    fn a_search_between_adds_sees_the_new_classes() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let a = eg.add(sym("a"));
         let two = eg.add(Math::Num(2));
@@ -1574,28 +1474,6 @@ mod tests {
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].eclass, eg.find(mul));
         assert_eq!(ms.len(), pat.search_naive(&eg).len());
-    }
-
-    /// The operator index must stay exact *between* rebuilds too: a union
-    /// performed mid-batch moves the absorbed id out of its buckets and
-    /// enrolls the root for any operator it gained, so the next rebuild has
-    /// nothing to repair.
-    #[test]
-    fn op_index_is_maintained_across_unions() {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let a = eg.add(sym("a"));
-        let two = eg.add(Math::Num(2));
-        let m = eg.add(Math::Mul([a, two]));
-        let s = eg.add(Math::Shl([a, two]));
-        eg.union(m, s);
-        let root = eg.find(m);
-        let mul_key = Math::Mul([a, a]).discriminant();
-        let shl_key = Math::Shl([a, a]).discriminant();
-        assert_eq!(eg.classes_with_op(mul_key), &[root]);
-        assert_eq!(eg.classes_with_op(shl_key), &[root]);
-        eg.rebuild();
-        assert_eq!(eg.classes_with_op(mul_key), &[eg.find(m)]);
-        assert_eq!(eg.classes_with_op(shl_key), &[eg.find(m)]);
     }
 
     #[test]
@@ -1789,7 +1667,7 @@ mod tests {
         // The probe's own children are ignored.
         let add = Math::Add([big, big]);
         let mul = Math::Mul([big, big]);
-        let lower_bound = |op: &Math, prefix: &[Id]| eg.lower_bound(class, op, prefix);
+        let lower_bound = |op: &Math, prefix: &[Id]| eg.lower_bound(class.node_ids(), op, prefix);
         assert_eq!(lower_bound(&add, &[]), 0);
         assert_eq!(lower_bound(&add, &[l[2]]), 1);
         assert_eq!(lower_bound(&add, &[l[2], l[3]]), 2);

@@ -872,17 +872,18 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
         }
     }
 
-    /// Polishes the selection `start` rooted at `root`, as
-    /// [`ChosenTerm::picks`] lists one; returns the polished selection's
-    /// term and its DAG cost, or `None` if `start` builds no term.
-    pub fn run(&mut self, root: Id, start: &[(usize, Id)]) -> Option<(f64, ChosenTerm<L>)> {
+    /// Polishes the selection whose term rooted at `root` is `start`, as
+    /// [`build_term`] built it (the greedy extractors' `find_best` does);
+    /// returns the polished selection's term and its DAG cost. The start
+    /// is priced by its picks, not built again.
+    pub fn run(&mut self, root: Id, start: ChosenTerm<L>) -> (f64, ChosenTerm<L>) {
         self.polish(root, start, Polish::try_move)
     }
 
     /// [`Polish::run`] with every move priced, and checked, by building its
     /// term instead of by what it changes: slower, and the same picks. The
     /// reference `run` is tested against.
-    pub fn run_by_walk(&mut self, root: Id, start: &[(usize, Id)]) -> Option<(f64, ChosenTerm<L>)> {
+    pub fn run_by_walk(&mut self, root: Id, start: ChosenTerm<L>) -> (f64, ChosenTerm<L>) {
         self.polish(root, start, Polish::try_move_by_walk)
     }
 
@@ -890,25 +891,32 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
     /// children first, trying each of a class's other unfiltered e-nodes
     /// with `try_move(self, slot, old, new)`, which returns whether it took
     /// the move; after a move the walk starts over, and it ends after a walk
-    /// without one. `None` if `start` builds no term.
+    /// without one.
     fn polish(
         &mut self,
         root: Id,
-        start: &[(usize, Id)],
+        start: ChosenTerm<L>,
         mut try_move: impl FnMut(&mut Self, usize, Id, Id) -> bool,
-    ) -> Option<(f64, ChosenTerm<L>)> {
+    ) -> (f64, ChosenTerm<L>) {
         self.root = root;
         self.choice.copy_from_slice(&self.fill);
-        for &(slot, id) in start {
+        for &(slot, id) in &start.picks {
             self.choice[slot] = Some(id);
         }
-        let total = self.build().ok()?;
+        // The start is the term these choices build: the same walk built it.
+        debug_assert_eq!(
+            self.build().map(|_| &self.built.picks),
+            Ok(&start.picks),
+            "a start is the term build_term builds from its picks"
+        );
+        let egraph = self.egraph;
+        let total = start.dag_cost(|(_, id)| self.own.get(egraph, id));
+        self.built = start;
         self.take(total);
         self.uses.fill(0);
         let (root, root_node) = *self.term.picks.last().expect("a term has a root");
         self.uses[root] = 1;
         self.count_up(root_node);
-        let egraph = self.egraph;
         'walk: loop {
             for i in 0..self.term.picks.len() {
                 let (s, old) = self.term.picks[i];
@@ -929,7 +937,7 @@ impl<'a, L: Language, N: Analysis<L>, CF: CostFunction<L, N>> Polish<'a, L, N, C
                     }
                 }
             }
-            return Some((self.total, std::mem::take(&mut self.term)));
+            return (self.total, std::mem::take(&mut self.term));
         }
     }
 
@@ -1909,8 +1917,8 @@ mod tests {
                     build_term(&eg, id, last).ok(),
                 ];
                 for start in starts.into_iter().flatten() {
-                    let polished = priced.run(id, &start.picks).map(|(_, term)| term.picks);
-                    let expected = walked.run_by_walk(id, &start.picks).map(|(_, term)| term.picks);
+                    let polished = priced.run(id, start.clone()).1.picks;
+                    let expected = walked.run_by_walk(id, start).1.picks;
                     assert_eq!(polished, expected);
                     assert_eq!(priced.trials, walked.trials);
                 }
@@ -2007,9 +2015,7 @@ mod tests {
                 for start in starts.into_iter().flatten() {
                     let minimum = minimum.expect("a start is a selection");
                     let start_cost = selection_cost(&eg, weights, &start.picks);
-                    let (total, polished) = polish
-                        .run(id, &start.picks)
-                        .expect("a polish builds a term");
+                    let (total, polished) = polish.run(id, start);
                     let cost = selection_cost(&eg, weights, &polished.picks);
                     assert_eq!(total.to_bits(), cost.to_bits());
                     assert!(

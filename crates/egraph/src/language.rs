@@ -137,13 +137,14 @@ pub trait Language: Debug + Clone + Eq + Ord + Hash {
     ///
     /// `matches` must be at least as strict as "same enum variant": two
     /// nodes with different [`Language::discriminant`]s must never match.
-    /// (The e-graph's operator index and the compiled e-matching machine
-    /// rely on this to prune candidate classes without losing matches.)
+    /// (The search snapshot's operator buckets and the compiled e-matching
+    /// machine rely on this to prune candidate classes without losing
+    /// matches.)
     fn matches(&self, other: &Self) -> bool;
 
-    /// A coarse operator key used by the e-graph's operator index
-    /// ([`crate::EGraph::classes_with_op`]) to restrict pattern search to
-    /// classes that contain at least one node with the same key as the
+    /// A coarse operator key used by the operator buckets of a
+    /// [`SearchSnapshot`](crate::SearchSnapshot) to restrict pattern search
+    /// to classes that contain at least one node with the same key as the
     /// pattern root.
     ///
     /// The default implementation uses the enum discriminant, which is

@@ -19,11 +19,13 @@
 //! * [`Pattern`] / [`Rewrite`] — e-matching with non-linear patterns and
 //!   conditional rewrites. Patterns are compiled once into an abstract
 //!   e-matching machine ([`Program`], de Moura & Bjørner-style) and searched
-//!   through an operator index — every search is a full search of the
-//!   e-graph it is given; the legacy recursive matcher remains available
-//!   as a differential-testing oracle ([`Pattern::search_naive`]). Search
-//!   can be sharded across threads ([`search_all_parallel`]) with
-//!   bit-identical results. Matching is purely structural; a rule's
+//!   against a [`SearchSnapshot`] of a clean e-graph — its node lists and
+//!   operator buckets — which stays searchable through later `add` and
+//!   `union` calls; every search is a full search of the e-graph at the
+//!   snapshot. The legacy recursive matcher remains available as a
+//!   differential-testing oracle ([`Pattern::search_naive`]). Search can be
+//!   sharded across threads ([`SearchSnapshot::search`],
+//!   [`search_all_parallel`]) with bit-identical results. Matching is purely structural; a rule's
 //!   semantic side condition ([`Condition`]) runs when a match is applied,
 //!   by the one in-place apply loop ([`Rewrite::apply_while`]), against
 //!   the e-graph every earlier application of the batch left. The
@@ -73,6 +75,7 @@ mod memo;
 mod pattern;
 mod recexpr;
 mod rewrite;
+mod snapshot;
 mod unionfind;
 
 pub use analysis::{merge_max, Analysis, DidMerge};
@@ -92,6 +95,7 @@ pub use machine::{
 pub use pattern::{search_all_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, SubstRows, Var};
 pub use recexpr::RecExpr;
 pub use rewrite::{Condition, Rewrite};
+pub use snapshot::SearchSnapshot;
 pub use unionfind::UnionFind;
 
 /// A tiny arithmetic language exported solely so that doc examples across

@@ -46,25 +46,32 @@
 //! that are canonical, deduplicated and strictly sorted by the language's
 //! `Ord`, which must be operator-major and then `children()`-lexicographic
 //! (the contract documented on [`Language`] and asserted by
-//! [`EGraph::check_invariants`]). On a dirty e-graph a binary search would
-//! silently lose matches, so every search entry point asserts
-//! [`EGraph::is_clean`] in all builds. Which nodes a `Bind` visits, and in
-//! which order, does not show in the result: each class's rows are sorted
-//! and deduplicated before they are returned (one pass over them finds out
-//! whether there is anything to do).
+//! [`EGraph::check_invariants`]). A search reads them — and every other
+//! part of the e-graph but its node table — from a [`SearchSnapshot`]
+//! taken of a clean e-graph: the snapshot asserts [`EGraph::is_clean`] in
+//! all builds, and then stays searchable through later `add` and `union`
+//! calls, which is how the exploration loop searches each rule right
+//! before applying it against the e-graph its iteration started from.
+//! Which nodes a `Bind` visits, and in which order, does not show in the
+//! result: each class's rows are sorted and deduplicated before they are
+//! returned (one pass over them finds out whether there is anything to
+//! do).
 //!
-//! Search additionally consults the e-graph's operator index
-//! ([`EGraph::classes_with_op`]): only classes containing at least one node
-//! with the same operator discriminant as the pattern root are visited.
+//! Search visits only the classes of the snapshot's bucket for the
+//! pattern root's operator discriminant: those holding at least one
+//! unfiltered e-node with it.
 //!
-//! The operator index also yields a natural *parallel* decomposition:
-//! programs are immutable and the e-graph's read path is `Sync`-clean, so
+//! The buckets also yield a natural *parallel* decomposition: programs
+//! and the snapshot are immutable and the node table is only read, so
 //! candidate classes can be split into contiguous chunks and searched by
-//! scoped threads, each with its own register stack (the batch driver
-//! behind [`crate::search_all_parallel`]). Merging the chunk outputs in chunk
-//! order reproduces the sequential result bit for bit.
+//! scoped threads, each with its own register stack
+//! ([`SearchSnapshot::search`]). Merging the chunk outputs in chunk order
+//! reproduces the sequential result bit for bit.
 
-use crate::{Analysis, EGraph, ENodeOrVar, Id, Language, RecExpr, SearchMatches, SubstRows, Var};
+use crate::{
+    Analysis, EGraph, ENodeOrVar, Id, Language, RecExpr, SearchMatches, SearchSnapshot, SubstRows,
+    Var,
+};
 use std::collections::{HashMap, VecDeque};
 use std::mem::Discriminant;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -144,7 +151,7 @@ pub struct Program<L> {
     vars: Arc<[Var]>,
     var_regs: Vec<Reg>,
     /// Operator discriminant of the pattern root, if the root is a concrete
-    /// node — used to restrict search via the e-graph's operator index.
+    /// node — the search snapshot's bucket of candidate classes.
     root_op: Option<Discriminant<L>>,
 }
 
@@ -267,19 +274,20 @@ impl<L: Language> Program<L> {
 
     /// The variable-free subterms below the pattern root, in the order
     /// [`ChildSource::Ground`] indexes them. Each is resolved to its class
-    /// once per search instead of being matched node by node.
+    /// once per search snapshot instead of being matched node by node.
     pub fn ground_terms(&self) -> &[RecExpr<L>] {
         &self.ground_terms
     }
 
     /// The operator discriminant of the pattern root, if it is a concrete
-    /// node (used as the operator-index key).
+    /// node (the key of its candidates' bucket in a [`SearchSnapshot`]).
     pub fn root_op(&self) -> Option<Discriminant<L>> {
         self.root_op
     }
 
-    /// Searches the whole e-graph, visiting only classes the operator index
-    /// deems candidates.
+    /// Searches the whole e-graph, visiting only the classes that hold an
+    /// e-node of the root's operator: [`SearchSnapshot::search`] on a
+    /// snapshot taken for this program alone.
     ///
     /// # Panics
     ///
@@ -287,35 +295,17 @@ impl<L: Language> Program<L> {
     /// e-graph's node lists are neither canonical nor sorted, and the range
     /// lookups would lose matches silently.
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        assert_clean(egraph);
-        let Some(grounds) = self.resolve_grounds(egraph) else {
-            return vec![];
-        };
-        let mut machine = Machine::default();
-        let mut out = vec![];
-        self.for_each_candidate(egraph, |id| {
-            out.extend(self.search_class(egraph, &mut machine, &grounds, id));
-        });
-        out
+        let snapshot = SearchSnapshot::new(egraph, &[self]);
+        snapshot.search_one(egraph, &mut Machine::default(), 0)
     }
 
-    /// Calls `visit` on the classes this program's search visits, in the
-    /// deterministic order every driver uses (ascending class id,
-    /// restricted by the operator index when the root is a concrete node).
-    fn for_each_candidate<N: Analysis<L>>(&self, egraph: &EGraph<L, N>, visit: impl FnMut(Id)) {
-        match self.root_op {
-            Some(op) => egraph.classes_with_op(op).iter().copied().for_each(visit),
-            None => egraph.classes().map(|class| class.id).for_each(visit),
-        }
-    }
-
-    /// Resolves every ground subterm to its e-class, once per (e-graph,
-    /// program) pair: the class is a constant for the whole search. `None`
+    /// Resolves every ground subterm to its e-class, once per search
+    /// snapshot: the class is a constant for the whole search. `None`
     /// if some term is not represented, or only through a filtered node —
     /// every node of the (unique) realization must be an unfiltered e-node
     /// of its class, exactly as the naive matcher requires — in which case
     /// the pattern has no match anywhere.
-    fn resolve_grounds<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Option<Vec<Id>> {
+    pub(crate) fn resolve_grounds<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Option<Vec<Id>> {
         self.ground_terms
             .iter()
             .map(|term| {
@@ -333,14 +323,72 @@ impl<L: Language> Program<L> {
             })
             .collect()
     }
+}
 
+impl<L: Language> SearchSnapshot<'_, L> {
+    /// Searches the programs at `programs` (indices into the list the
+    /// snapshot was taken for) against the e-graph as it was at the
+    /// snapshot, sharding their candidate classes across `n_threads`
+    /// scoped threads. Returns one match list per program, in order, each
+    /// bit-identical to that program's sequential search of the e-graph at
+    /// the snapshot.
+    ///
+    /// `egraph` is the e-graph the snapshot was taken from, read only for
+    /// its node table: `add` and `union` calls made since are allowed, a
+    /// rebuild is not.
+    ///
+    /// Work items — contiguous chunks of each program's candidate list — go
+    /// into a single atomic queue, so threads load-balance *across* programs:
+    /// one hot rule's chunks spread over every thread instead of serializing
+    /// the batch. Each thread owns a private register stack; the snapshot
+    /// and the e-graph are only read. Chunk outputs are written to
+    /// per-item slots and merged in item order, which reproduces the
+    /// sequential per-program match lists bit for bit.
+    ///
+    /// `n_threads <= 1`, an empty candidate set, or a batch below
+    /// [`PARALLEL_SEARCH_SPAWN_THRESHOLD`] candidates runs the programs one
+    /// after another on the calling thread — identical output, no thread
+    /// overhead.
+    pub fn search<N>(
+        &self,
+        egraph: &EGraph<L, N>,
+        programs: std::ops::Range<usize>,
+        n_threads: usize,
+    ) -> Vec<Vec<SearchMatches>>
+    where
+        L: Sync,
+        N: Analysis<L> + Sync,
+        N::Data: Sync,
+    {
+        self.search_with_threshold(egraph, programs, n_threads, PARALLEL_SEARCH_SPAWN_THRESHOLD)
+    }
+
+    /// One program's search on the calling thread, in candidate order.
+    fn search_one<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        machine: &mut Machine,
+        i: usize,
+    ) -> Vec<SearchMatches> {
+        let candidates = self.candidates(i);
+        candidates
+            .iter()
+            .filter_map(|&id| self.search_class(egraph, machine, i, id))
+            .collect()
+    }
+
+    /// Program `i`'s matches rooted in class `eclass`, if any.
     fn search_class<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         machine: &mut Machine,
-        grounds: &[Id],
+        i: usize,
         eclass: Id,
     ) -> Option<SearchMatches> {
+        let program = self.programs[i];
+        let grounds = self.grounds[i]
+            .as_deref()
+            .expect("a program with candidates has its grounds resolved");
         machine.regs.clear();
         machine.regs.push(eclass);
         machine.rows.clear();
@@ -348,9 +396,10 @@ impl<L: Language> Program<L> {
         machine.run(
             &MachineCtx {
                 egraph,
-                instructions: &self.instructions,
+                snapshot: self,
+                instructions: &program.instructions,
                 grounds,
-                var_regs: &self.var_regs,
+                var_regs: &program.var_regs,
             },
             0,
         );
@@ -361,8 +410,99 @@ impl<L: Language> Program<L> {
         // nodes.
         (machine.n_rows > 0).then(|| SearchMatches {
             eclass,
-            substs: SubstRows::from_unsorted(self.vars.clone(), &machine.rows, machine.n_rows),
+            substs: SubstRows::from_unsorted(program.vars.clone(), &machine.rows, machine.n_rows),
         })
+    }
+
+    /// [`SearchSnapshot::search`] with an explicit spawn threshold instead
+    /// of [`PARALLEL_SEARCH_SPAWN_THRESHOLD`].
+    pub(crate) fn search_with_threshold<N>(
+        &self,
+        egraph: &EGraph<L, N>,
+        programs: std::ops::Range<usize>,
+        n_threads: usize,
+        spawn_threshold: usize,
+    ) -> Vec<Vec<SearchMatches>>
+    where
+        L: Sync,
+        N: Analysis<L> + Sync,
+        N::Data: Sync,
+    {
+        let sequential = || {
+            let mut machine = Machine::default();
+            let programs = programs.clone();
+            programs
+                .map(|i| self.search_one(egraph, &mut machine, i))
+                .collect()
+        };
+        let total: usize = programs.clone().map(|i| self.candidates(i).len()).sum();
+        // Tiny batches lose more to thread spawn + merge than the threads can
+        // win back — run them on the sequential driver (which is the
+        // correctness reference, so results are identical by construction).
+        if n_threads <= 1 || total < spawn_threshold {
+            return sequential();
+        }
+        // Clamp the worker count: more workers than candidate classes would
+        // spawn threads with nothing to do, and more than a few per core is
+        // pure oversubscription (a caller passing `1000` must not create 999
+        // OS threads). The small multiple still lets CI force a >1 count on a
+        // single-core runner to exercise this path. A clamp to 1 means every
+        // spawned worker would idle — run sequentially.
+        let max_workers = std::thread::available_parallelism().map_or(4, |n| n.get() * 4);
+        let n_threads = n_threads.min(max_workers).min(total.max(1));
+        if n_threads == 1 {
+            return sequential();
+        }
+
+        let chunk_size = total.div_ceil(n_threads * CHUNKS_PER_THREAD).max(1);
+        let mut items: Vec<(usize, std::ops::Range<usize>)> = vec![];
+        for i in programs.clone() {
+            let len = self.candidates(i).len();
+            let mut start = 0;
+            while start < len {
+                let end = (start + chunk_size).min(len);
+                items.push((i, start..end));
+                start = end;
+            }
+        }
+
+        // One result slot per work item; each slot is written exactly once, by
+        // the thread that claimed the item off the queue.
+        let slots: Vec<OnceLock<Vec<SearchMatches>>> =
+            items.iter().map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut machine = Machine::default();
+            loop {
+                let n = next.fetch_add(1, Ordering::Relaxed);
+                let Some((i, range)) = items.get(n) else {
+                    break;
+                };
+                let found: Vec<SearchMatches> = self.candidates(*i)[range.clone()]
+                    .iter()
+                    .filter_map(|&id| self.search_class(egraph, &mut machine, *i, id))
+                    .collect();
+                slots[n].set(found).expect("each work item is claimed once");
+            }
+        };
+        std::thread::scope(|scope| {
+            // The calling thread is the n-th worker: it drains the queue too,
+            // so one spawn is saved and the search still makes progress while
+            // the OS brings the workers up.
+            for _ in 1..n_threads {
+                scope.spawn(work);
+            }
+            work();
+        });
+
+        // Items were generated per program in candidate order, so concatenating
+        // the slots in item order reproduces the sequential output exactly.
+        let mut out: Vec<Vec<SearchMatches>> = programs.clone().map(|_| vec![]).collect();
+        for ((i, _), slot) in items.iter().zip(slots) {
+            out[*i - programs.start]
+                .extend(slot.into_inner().expect("every work item was processed"));
+        }
+        out
     }
 }
 
@@ -377,17 +517,21 @@ const CHUNKS_PER_THREAD: usize = 8;
 /// workers, sharding the queue, and merging slots costs a few hundred
 /// microseconds; batches this small finish sequentially in less (the
 /// seven models' full rule batches at the default scale span 50–1100
-/// candidate classes), so the threads would only add overhead. On the repo
-/// benchmark an iteration's batch reaches it in 4 of `bert_apply`'s 6
-/// iterations, 3 of `nasnet_search`'s 5 and 4 of `zoo7_small`'s 50 (as
-/// measured). Larger batches keep the bit-identical chunk-ordered merge.
+/// candidate classes), so the threads would only add overhead. The
+/// exploration loop searches one rule at a time, and on the repo
+/// benchmark no rule it searches reaches it: the largest candidate set is
+/// `concat-matmul`'s 1 001 classes in `bert_apply`'s 5th iteration (the
+/// 6th, cut by the node limit, stops before that rule) and 655 on
+/// `nasnet_search` (as measured). Larger batches keep the bit-identical
+/// chunk-ordered merge.
 pub const PARALLEL_SEARCH_SPAWN_THRESHOLD: usize = 2048;
 
 /// Searches a batch of compiled programs — e.g. from
 /// [`Pattern::program`](crate::Pattern::program) or
 /// [`Rewrite::searcher_query`](crate::Rewrite::searcher_query) — over one
-/// e-graph, sharding all their candidate classes across `n_threads` scoped
-/// threads. Returns one match list per program, each bit-identical to that
+/// clean e-graph, sharding all their candidate classes across `n_threads`
+/// scoped threads: [`SearchSnapshot::search`] on a snapshot taken for the
+/// batch. Returns one match list per program, each bit-identical to that
 /// program's sequential [`Program::search`].
 ///
 /// The name is historical: programs once came with a table of analysis
@@ -395,19 +539,6 @@ pub const PARALLEL_SEARCH_SPAWN_THRESHOLD: usize = 2048;
 /// function by this name, so it stays until a `benchmark` PR renames it;
 /// [`search_all_parallel`](crate::search_all_parallel) is the same driver
 /// over patterns.
-///
-/// Work items — contiguous chunks of each program's candidate list — go
-/// into a single atomic queue, so threads load-balance *across* programs:
-/// one hot rule's chunks spread over every thread instead of serializing
-/// the batch. Each thread owns a private register stack; the shared e-graph
-/// is only read (its search accessors are `Sync`-clean). Chunk outputs are
-/// written to per-item slots and merged in item order, which reproduces the
-/// sequential per-program match lists bit for bit.
-///
-/// `n_threads <= 1`, an empty candidate set, or a batch below
-/// `spawn_threshold` candidates (see [`PARALLEL_SEARCH_SPAWN_THRESHOLD`])
-/// runs the sequential driver directly — identical behavior, no thread
-/// overhead.
 ///
 /// # Panics
 ///
@@ -448,111 +579,12 @@ where
     N: Analysis<L> + Sync,
     N::Data: Sync,
 {
-    // The sequential mode IS the sequential driver — no candidate vectors,
-    // no duplicated iteration logic that could drift from `search`.
-    let sequential = || programs.iter().map(|p| p.search(egraph)).collect();
-    if n_threads <= 1 {
-        return sequential();
-    }
-    assert_clean(egraph);
-    // Ground-term classes are a per-(program, e-graph) constant: resolve
-    // them once here and share them read-only with every shard. A program
-    // with an unrepresented ground term matches nowhere and gets no
-    // candidates.
-    let grounds: Vec<Option<Vec<Id>>> =
-        programs.iter().map(|p| p.resolve_grounds(egraph)).collect();
-    let candidates: Vec<Vec<Id>> = programs
-        .iter()
-        .zip(&grounds)
-        .map(|(p, grounds)| {
-            let mut classes = vec![];
-            if grounds.is_some() {
-                p.for_each_candidate(egraph, |id| classes.push(id));
-            }
-            classes
-        })
-        .collect();
-    let total: usize = candidates.iter().map(Vec::len).sum();
-
-    // Tiny batches lose more to thread spawn + merge than the threads can
-    // win back — run them on the sequential driver (which is the
-    // correctness reference, so results are identical by construction).
-    if total < spawn_threshold {
-        return sequential();
-    }
-
-    // Clamp the worker count: more workers than candidate classes would
-    // spawn threads with nothing to do, and more than a few per core is
-    // pure oversubscription (a caller passing `1000` must not create 999
-    // OS threads). The small multiple still lets CI force a >1 count on a
-    // single-core runner to exercise this path. A clamp to 1 means every
-    // spawned worker would idle — run sequentially.
-    let max_workers = std::thread::available_parallelism().map_or(4, |n| n.get() * 4);
-    let n_threads = n_threads.min(max_workers).min(total.max(1));
-    if n_threads == 1 {
-        return sequential();
-    }
-
-    let chunk_size = total.div_ceil(n_threads * CHUNKS_PER_THREAD).max(1);
-    let mut items: Vec<(usize, std::ops::Range<usize>)> = vec![];
-    for (prog_idx, classes) in candidates.iter().enumerate() {
-        let mut start = 0;
-        while start < classes.len() {
-            let end = (start + chunk_size).min(classes.len());
-            items.push((prog_idx, start..end));
-            start = end;
-        }
-    }
-
-    // One result slot per work item; each slot is written exactly once, by
-    // the thread that claimed the item off the queue.
-    let slots: Vec<OnceLock<Vec<SearchMatches>>> = items.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut machine = Machine::default();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((prog_idx, range)) = items.get(i) else {
-                break;
-            };
-            let program = programs[*prog_idx];
-            let grounds = grounds[*prog_idx]
-                .as_deref()
-                .expect("a program with candidates has its grounds resolved");
-            let found: Vec<SearchMatches> = candidates[*prog_idx][range.clone()]
-                .iter()
-                .filter_map(|&id| program.search_class(egraph, &mut machine, grounds, id))
-                .collect();
-            slots[i].set(found).expect("each work item is claimed once");
-        }
-    };
-    std::thread::scope(|scope| {
-        // The calling thread is the n-th worker: it drains the queue too,
-        // so one spawn is saved and the search still makes progress while
-        // the OS brings the workers up.
-        for _ in 1..n_threads {
-            scope.spawn(work);
-        }
-        work();
-    });
-
-    // Items were generated per program in candidate order, so concatenating
-    // the slots in item order reproduces the sequential output exactly.
-    let mut out: Vec<Vec<SearchMatches>> = programs.iter().map(|_| vec![]).collect();
-    for ((prog_idx, _), slot) in items.iter().zip(slots) {
-        out[*prog_idx].extend(slot.into_inner().expect("every work item was processed"));
-    }
-    out
-}
-
-/// Every search entry point calls this, in all builds: a `Bind` finds its
-/// nodes by binary search in node lists that only a rebuilt e-graph keeps
-/// canonical and sorted, so on a dirty one matches would be lost silently.
-fn assert_clean<L: Language, N: Analysis<L>>(egraph: &EGraph<L, N>) {
-    assert!(
-        egraph.is_clean(),
-        "pattern search on a dirty e-graph loses matches; call rebuild() first"
-    );
+    SearchSnapshot::new(egraph, programs).search_with_threshold(
+        egraph,
+        0..programs.len(),
+        n_threads,
+        spawn_threshold,
+    )
 }
 
 /// Builds the standalone `RecExpr` of a ground pattern subtree.
@@ -580,10 +612,12 @@ fn ground_term<L: Language>(pattern: &RecExpr<ENodeOrVar<L>>, id: Id) -> RecExpr
 }
 
 /// Read-only per-search state shared by every backtracking frame of one
-/// [`Machine::run`] invocation: the e-graph, the compiled instructions, the
-/// resolved ground-term classes, and the substitution template's registers.
+/// [`Machine::run`] invocation: the e-graph (for its node table), the
+/// snapshot (for everything else), the compiled instructions, the resolved
+/// ground-term classes, and the substitution template's registers.
 struct MachineCtx<'a, L: Language, N: Analysis<L>> {
     egraph: &'a EGraph<L, N>,
+    snapshot: &'a SearchSnapshot<'a, L>,
     instructions: &'a [Instruction<L>],
     grounds: &'a [Id],
     var_regs: &'a [Reg],
@@ -620,7 +654,7 @@ impl Machine {
             return;
         };
         let egraph = ctx.egraph;
-        let class = egraph.eclass(self.regs[*i]);
+        let class = ctx.snapshot.class_nodes(self.regs[*i]);
         // The key of the range lookup is what registers
         // `reg..reg + prefix` hold for every node in the range, so it is
         // built in place there. (A prefix source is never a sibling: there
@@ -635,7 +669,7 @@ impl Machine {
         // key are one run: binary-search its first node, stop at the first
         // node past it.
         let first = egraph.lower_bound(class, node, &self.regs[*reg..]);
-        for &id in &class.node_ids()[first..] {
+        for &id in &class[first..] {
             let enode = egraph.enode(id);
             let children = enode.children();
             if !node.matches(enode) || children[..*prefix] != self.regs[*reg..filled] {
@@ -644,11 +678,12 @@ impl Machine {
             let agrees = bound[*prefix..]
                 .iter()
                 .all(|&(k, source)| children[k] == source.class(&self.regs, ctx.grounds, children));
-            if !agrees || egraph.is_filtered(id) {
+            if !agrees {
                 continue;
             }
-            // Node lists of a clean e-graph are canonical: the children
-            // are class ids as they stand.
+            // The snapshot's node lists hold unfiltered e-nodes whose
+            // entries were canonical when it was taken and have not been
+            // rewritten since: the children are class ids as they stand.
             self.regs.truncate(filled);
             self.regs.extend_from_slice(&children[*prefix..]);
             self.run(ctx, pc + 1);

@@ -354,8 +354,9 @@ impl<L: Language> Pattern<L> {
     }
 
     /// Searches the entire e-graph for matches of this pattern, using the
-    /// compiled e-matching machine and the operator index: only classes
-    /// containing a node with the pattern root's operator are visited.
+    /// compiled e-matching machine on a [`SearchSnapshot`](crate::SearchSnapshot)
+    /// taken for the call: only classes containing a node with the pattern
+    /// root's operator are visited.
     ///
     /// Filtered e-nodes (see [`EGraph::filter_node`]) are never matched:
     /// the machine reads each candidate's filter bit by its node-table id,
@@ -397,7 +398,7 @@ impl<L: Language> Pattern<L> {
     /// Reference implementation of [`Pattern::search`]: the legacy
     /// recursive matcher, kept as the oracle for differential tests and as
     /// the search of the naive saturation loop the engine is tested
-    /// against. It scans every class (no operator index) and every node
+    /// against. It scans every class (no operator bucket) and every node
     /// of a class (no range lookup — the only full-class scan left), and
     /// clones substitution vectors per branch, converting the list to rows
     /// at the end. Unlike [`Pattern::search`] it does not assert
@@ -531,7 +532,9 @@ impl<L: Language> Display for Pattern<L> {
 }
 
 /// Searches a whole batch of patterns over one e-graph in parallel,
-/// returning one match list per pattern (same order as `patterns`).
+/// returning one match list per pattern (same order as `patterns`): one
+/// [`SearchSnapshot`](crate::SearchSnapshot) taken for the batch and
+/// [`SearchSnapshot::search`](crate::SearchSnapshot::search) on it.
 ///
 /// All patterns' candidate-class chunks share a single work queue, so
 /// threads load-balance *across* rules: one rule with a huge candidate set
