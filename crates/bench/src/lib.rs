@@ -43,7 +43,7 @@ pub fn seeded(graph: &RecExpr<TensorLang>) -> (TensorEGraph, Id) {
 /// An id-independent signature of a rebuilt e-graph and its root class:
 /// equal for two e-graphs that differ only in the ids of their classes and
 /// e-nodes, so two runs that reach the same saturated e-graph by different
-/// routes (rule order, thread count, another loop) compare equal.
+/// routes (rule order, another loop) compare equal.
 ///
 /// Iterated class hashing: an e-node hashes its label
 /// ([`Language::display_op`] and its arity, never an interned id), its
@@ -152,7 +152,6 @@ pub fn nasnet_egraph(node_limit: usize) -> (TensorEGraph, Id) {
         k_multi: 1,
         max_iter: 15,
         node_limit,
-        search_threads: 1,
         cycle_filter: CycleFilter::Efficient,
         ..Default::default()
     };

@@ -60,7 +60,6 @@ fn machine_equals_naive_oracle_on_every_benchmark_model() {
             &OptimizerConfig {
                 max_iter: 1,
                 node_limit: 5_000,
-                search_threads: 1,
                 ..Default::default()
             },
         );
@@ -92,7 +91,6 @@ fn machine_equals_naive_oracle_on_every_benchmark_model() {
                 max_iter: 8,
                 node_limit: 20_000,
                 cycle_filter: CycleFilter::Off,
-                search_threads: 1,
                 ..Default::default()
             },
         );

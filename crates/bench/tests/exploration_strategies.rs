@@ -10,8 +10,7 @@
 //! 1. **Order invariance** — on random e-graphs and on every benchmark
 //!    model that saturates at `ModelScale::tiny()` (`k_multi` 0 and 1,
 //!    cycle filter `Off` and `Efficient`), reversing or rotating the
-//!    single- and multi-pattern rule lists, or searching on 4 threads,
-//!    reaches the same signature;
+//!    single- and multi-pattern rule lists reaches the same signature;
 //! 2. **Naive reference** — a naive loop (every rule searched with
 //!    `Pattern::search_naive`, applied with `Rewrite::apply`, rebuilt,
 //!    repeated) reaches the engine's signature on the runs that saturate;
@@ -22,10 +21,7 @@
 //!    and the iteration `node_limit` cuts is the last;
 //! 4. **Budget semantics** — the node limit is asked before every
 //!    application (the overshoot is one right-hand side), and a zero time
-//!    limit halts exploration before the first iteration;
-//! 5. **Thread determinism** — `search_threads` 1 and 4 give the same
-//!    trajectory on a fixture whose search batches the driver really
-//!    shards (the test checks that itself).
+//!    limit halts exploration before the first iteration.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -35,7 +31,7 @@ use tensat_core::{
     explore, extract_greedy_dag, CycleFilter, ExplorationStats, ExtractionMode, Optimizer,
     OptimizerConfig, StopReason,
 };
-use tensat_egraph::{Id, RecExpr, SearchSnapshot, PARALLEL_SEARCH_SPAWN_THRESHOLD};
+use tensat_egraph::{Id, RecExpr};
 use tensat_ir::{CostModel, GraphBuilder, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
@@ -95,7 +91,6 @@ fn saturate_config(node_limit: usize) -> OptimizerConfig {
         max_iter: 2,
         node_limit,
         exploration_time_limit: Duration::from_secs(600),
-        search_threads: 1,
         ..Default::default()
     }
 }
@@ -130,9 +125,9 @@ fn explored_with(
 }
 
 /// If `graph` saturates under `config`, asserts that the reversed and a
-/// rotated order of both rule lists, and 4 search threads, saturate to the
-/// same signature, and returns true. Returns false, comparing nothing,
-/// when the run stops at a limit.
+/// rotated order of both rule lists saturate to the same signature, and
+/// returns true. Returns false, comparing nothing, when the run stops at
+/// a limit.
 fn assert_order_invariant(graph: &RecExpr<TensorLang>, config: &OptimizerConfig) -> bool {
     let (singles, multis) = (single_rules(), multi_rules());
     let (eg, root, stats) = explored_with(graph, &singles, &multis, config);
@@ -149,21 +144,15 @@ fn assert_order_invariant(graph: &RecExpr<TensorLang>, config: &OptimizerConfig)
         rules
     }
     let variants = [
-        ("reversed", reversed(&singles), reversed(&multis), 1),
+        ("reversed", reversed(&singles), reversed(&multis)),
         (
             "rotated",
             rotated(&singles, singles.len() / 3),
             rotated(&multis, 1),
-            1,
         ),
-        ("4 threads", singles, multis, 4),
     ];
-    for (label, singles, multis, search_threads) in variants {
-        let config = OptimizerConfig {
-            search_threads,
-            ..config.clone()
-        };
-        let (eg, root, stats) = explored_with(graph, &singles, &multis, &config);
+    for (label, singles, multis) in variants {
+        let (eg, root, stats) = explored_with(graph, &singles, &multis, config);
         assert_eq!(stats.stop_reason, Some(StopReason::Saturated), "{label}");
         assert_eq!(signature(&eg, root), expected, "{label}");
     }
@@ -206,7 +195,7 @@ fn saturate_naively(
 /// Property 1 on random e-graphs, with multi-pattern rules and the
 /// efficient cycle filter in play.
 #[test]
-fn saturation_ignores_rule_order_and_threads_on_random_graphs() {
+fn saturation_ignores_rule_order_on_random_graphs() {
     let config = fixpoint_config(1, CycleFilter::Efficient);
     let compared = random_graphs(200)
         .iter()
@@ -219,7 +208,7 @@ fn saturation_ignores_rule_order_and_threads_on_random_graphs() {
 /// `ModelScale::tiny()`, under `k_multi` 0 and 1 and cycle filter `Off`
 /// and `Efficient`.
 #[test]
-fn saturation_ignores_rule_order_and_threads_on_the_benchmarks() {
+fn saturation_ignores_rule_order_on_the_benchmarks() {
     let mut compared = vec![];
     for name in BENCHMARKS {
         let graph = build_benchmark(name, ModelScale::tiny());
@@ -624,64 +613,4 @@ fn big_benchmark_trajectories_are_pinned() {
             "{name} blocks {blocks} at {node_limit}"
         );
     }
-}
-
-/// Property 5: sharded search must not change an exploration outcome —
-/// match lists are bit-identical at every thread count, so every
-/// downstream decision (conditions, cycle filtering, application order)
-/// is too. A rule is searched on its own, right before it is applied, so
-/// the fixture needs one rule whose candidates pass
-/// `PARALLEL_SEARCH_SPAWN_THRESHOLD`, below which the driver runs
-/// sequentially whatever `search_threads` says, in an iteration that
-/// searches it: BERT at the harness scale run for six iterations under a
-/// node limit they do not reach (14 978 e-nodes when the sixth starts,
-/// where `concat-matmul` has over 6 000 candidate classes, 169 845 after
-/// it). The test checks that on the e-graph the last iteration searched,
-/// so it cannot go stale silently.
-#[test]
-fn exploration_is_bit_identical_at_1_and_4_search_threads() {
-    let singles = single_rules();
-    let multis = multi_rules();
-    let graph = build_benchmark("BERT", tensat_bench::harness_scale());
-    let run = |search_threads: usize, max_iter: usize| {
-        let (mut eg, root) = seeded(&graph);
-        let config = OptimizerConfig {
-            max_iter,
-            search_threads,
-            ..saturate_config(200_000)
-        };
-        let stats = explore(&mut eg, root, &singles, &multis, &config);
-        (eg, stats)
-    };
-    let observed = |(eg, stats): &(TensorEGraph, ExplorationStats)| {
-        (
-            stats.iterations,
-            stats.nodes_per_iteration.clone(),
-            eg.total_number_of_nodes(),
-            eg.number_of_classes(),
-            eg.union_count(),
-            stats.filtered_nodes,
-            stats.stop_reason.clone(),
-        )
-    };
-    let sequential = run(1, 6);
-    assert_eq!(observed(&sequential), observed(&run(4, 6)));
-    assert_eq!(
-        sequential.1.stop_reason,
-        Some(StopReason::IterationLimit(6)),
-        "the last iteration must search every rule"
-    );
-
-    // The candidate classes each single-pattern rule presents to the
-    // search driver on the e-graph the last iteration started from.
-    let (searched, _) = run(1, sequential.1.iterations - 1);
-    let programs: Vec<_> = singles.iter().map(|rw| rw.searcher.program()).collect();
-    let snapshot = SearchSnapshot::new(&searched, &programs);
-    let batch = (0..programs.len())
-        .map(|i| snapshot.candidates(i).len())
-        .max();
-    assert!(
-        batch >= Some(PARALLEL_SEARCH_SPAWN_THRESHOLD),
-        "the fixture no longer reaches the sharded driver: {batch:?} candidates"
-    );
 }

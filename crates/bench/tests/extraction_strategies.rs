@@ -78,7 +78,6 @@ fn explored(graph: &RecExpr<TensorLang>) -> (TensorEGraph, Id) {
         &OptimizerConfig {
             max_iter: 2,
             node_limit: 2_000,
-            search_threads: 1,
             ..Default::default()
         },
     );
@@ -213,7 +212,6 @@ fn tree_greedy_runs_the_cost_model_once_per_enode_on_bert() {
         &tensat_rules::multi_rules(),
         &OptimizerConfig {
             node_limit: 20_000,
-            search_threads: 1,
             ..Default::default()
         },
     );
@@ -397,7 +395,6 @@ fn greedy_dag_extraction_is_pinned_on_every_benchmark_model() {
                     k_multi,
                     max_iter: 15,
                     node_limit: 2_000,
-                    search_threads: 1,
                     ..Default::default()
                 },
             );

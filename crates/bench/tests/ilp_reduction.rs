@@ -82,7 +82,6 @@ fn grown(model: &str) -> (TensorEGraph, tensat_egraph::Id) {
         &OptimizerConfig {
             max_iter: 2,
             node_limit: 20_000,
-            search_threads: 1,
             ..Default::default()
         },
     );
@@ -220,7 +219,6 @@ fn ilp_extract_cases_prove_their_optima_in_pinned_node_counts() {
             node_limit,
             exploration_time_limit: Duration::from_secs(120),
             cycle_filter: CycleFilter::Efficient,
-            search_threads: 1,
             extraction: ExtractionMode::Ilp,
             ilp_cycle_constraints: false,
             ilp_integer_topo_vars: false,
@@ -280,7 +278,6 @@ fn reduction_stops_at_the_ilp_time_limit() {
     );
     let config = OptimizerConfig {
         node_limit: 50_000,
-        search_threads: 1,
         ..Default::default()
     };
     let mut eg = TensorEGraph::new(TensorAnalysis);

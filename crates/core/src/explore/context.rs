@@ -190,16 +190,13 @@ impl<'a> ExplorationContext<'a> {
         }
         let snapshot = SearchSnapshot::new(egraph, &programs);
         stats.search_time += start.elapsed();
-        // Searches `range` of `programs` against the snapshot, through the
-        // sharded driver: a hot rule's candidate chunks spread over all
-        // `search_threads` threads, and the match lists are bit-identical
-        // at every thread count.
-        let search = |egraph: &TensorEGraph, range, stats: &mut ExplorationStats| {
+        // Searches program `i` against the snapshot, timing the search and
+        // counting its rows.
+        let search = |egraph: &TensorEGraph, i, stats: &mut ExplorationStats| {
             let start = Instant::now();
-            let found = snapshot.search(egraph, range, config.search_threads);
+            let found = snapshot.search(egraph, i);
             stats.search_time += start.elapsed();
-            let rows = found.iter().flatten().map(|m| m.substs.len());
-            stats.rows_searched += rows.sum::<usize>();
+            stats.rows_searched += found.iter().map(|m| m.substs.len()).sum::<usize>();
             found
         };
 
@@ -218,17 +215,19 @@ impl<'a> ExplorationContext<'a> {
             if self.over_budget(egraph) {
                 break;
             }
-            let matches = search(egraph, i..i + 1, stats).remove(0);
+            let matches = search(egraph, i, stats);
             let start = Instant::now();
             rw.apply_while(egraph, &matches, within_budget, |egraph, eclass, subst| {
                 !skip_for_cycles(egraph, filter, desc.as_ref(), eclass, &rw.applier, subst)
             });
             apply_time += start.elapsed();
         }
-        // The multi-pattern sources are searched once, together, and only
-        // if the budget is left to apply them.
+        // Each multi-pattern source is searched once, and only if the
+        // budget is left to apply them.
         if do_multi && !self.over_budget(egraph) {
-            let multi = search(egraph, singles..programs.len(), stats);
+            let multi: Vec<_> = (singles..programs.len())
+                .map(|i| search(egraph, i, stats))
+                .collect();
             let start = Instant::now();
             for plan in &self.plans {
                 plan.apply(egraph, &multi, filter, desc.as_ref(), &within_budget);
@@ -538,7 +537,6 @@ mod tests {
             let seed = eg.total_number_of_nodes();
             let config = OptimizerConfig {
                 k_multi: 1,
-                search_threads: 1,
                 ..Default::default()
             };
             let stats = explore(&mut eg, root, &[], &multi_rules(), &config);
@@ -567,7 +565,6 @@ mod tests {
         eg.rebuild();
         let config = OptimizerConfig {
             cycle_filter: CycleFilter::Off,
-            search_threads: 1,
             ..Default::default()
         };
         let rules = [rule];

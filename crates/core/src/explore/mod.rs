@@ -11,9 +11,8 @@
 //!
 //! Every entry point reads the one [`OptimizerConfig`]: its exploration
 //! fields (`k_multi`, `max_iter`, `node_limit`, `exploration_time_limit`,
-//! `cycle_filter`, `search_threads`) drive the run. A run is a function of
-//! the e-graph, the rules and the configuration: nothing here reads the
-//! environment.
+//! `cycle_filter`) drive the run. A run is a function of the e-graph, the
+//! rules and the configuration: nothing here reads the environment.
 
 mod context;
 mod saturate;
@@ -53,14 +52,6 @@ pub enum ExplorationMode {
     /// The saturate-all loop (Algorithm 1): apply every rule everywhere,
     /// every iteration.
     Saturate,
-}
-
-/// The default search thread count: the machine's available parallelism
-/// (1 if that cannot be determined). Match lists are bit-identical at
-/// every thread count, so the machine decides how long a run takes, never
-/// what it returns.
-pub fn default_search_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Why an exploration run stopped.
@@ -304,13 +295,13 @@ mod tests {
     /// Regression test: the single-pattern apply loop only checked
     /// `node_limit`, never the wall-clock budget, so one large match batch
     /// blew straight through `exploration_time_limit`. A condition that
-    /// sleeps 10 ms per candidate on a graph with 20 matches would run
+    /// spins 10 ms per candidate on a graph with 20 matches would run
     /// ~200 ms under the old code; with the in-loop check it must stop
-    /// within a few sleeps of the 30 ms budget.
+    /// within a few conditions of the 30 ms budget.
     #[test]
     fn time_limit_bounds_single_pattern_apply_batch() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex};
+        use std::time::Instant;
 
         let mut g = GraphBuilder::new();
         let x = g.input("x", &[64, 256]);
@@ -324,15 +315,18 @@ mod tests {
         let root = eg.add_expr(&expr);
         eg.rebuild();
 
-        let condition_calls = Arc::new(AtomicUsize::new(0));
+        let condition_calls = Arc::new(Mutex::new(0));
         let calls = condition_calls.clone();
         let slow_noop = TensorRewrite::new_conditional(
             "slow-noop",
             parse_pattern("(matmul ?act ?x ?w)").unwrap(),
             parse_pattern("(matmul ?act ?x ?w)").unwrap(),
             Arc::new(move |_, _, _| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(10));
+                *calls.lock().unwrap() += 1;
+                let until = Instant::now() + Duration::from_millis(10);
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
                 true
             }),
         );
@@ -344,7 +338,7 @@ mod tests {
             ..Default::default()
         };
         explore(&mut eg, root, &[slow_noop], &[], &config);
-        let calls = condition_calls.load(Ordering::SeqCst);
+        let calls = *condition_calls.lock().unwrap();
         assert!(calls >= 1, "the apply loop must have started");
         assert!(
             calls < 20,
@@ -405,16 +399,15 @@ mod tests {
     /// rejected`.
     #[test]
     fn budget_stop_evaluates_no_condition_it_does_not_apply() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex};
 
         let n_matches = 4096;
         let (seed, root) = balanced_ewadd_tree(n_matches);
         let nodes_before = seed.total_number_of_nodes();
         let budget = nodes_before + 5;
 
-        let evaluated = Arc::new(AtomicUsize::new(0));
-        let rejected = Arc::new(AtomicUsize::new(0));
+        let evaluated = Arc::new(Mutex::new(0));
+        let rejected = Arc::new(Mutex::new(0));
         let (evals, rejects) = (evaluated.clone(), rejected.clone());
         // Commutativity: every admitted application adds exactly one
         // e-node; every third candidate is rejected.
@@ -423,9 +416,11 @@ mod tests {
             parse_pattern("(ewadd ?a ?b)").unwrap(),
             parse_pattern("(ewadd ?b ?a)").unwrap(),
             Arc::new(move |_, _, _| {
-                let admit = evals.fetch_add(1, Ordering::SeqCst) % 3 != 2;
+                let mut evals = evals.lock().unwrap();
+                let admit = *evals % 3 != 2;
+                *evals += 1;
                 if !admit {
-                    rejects.fetch_add(1, Ordering::SeqCst);
+                    *rejects.lock().unwrap() += 1;
                 }
                 admit
             }),
@@ -433,8 +428,8 @@ mod tests {
         let eg = apply_through(&seed, root, commute, budget);
         let commits = eg.total_number_of_nodes() - nodes_before;
         assert!((1..=5).contains(&commits), "commits: {commits}");
-        let evaluated = evaluated.load(Ordering::SeqCst);
-        let rejected = rejected.load(Ordering::SeqCst);
+        let evaluated = *evaluated.lock().unwrap();
+        let rejected = *rejected.lock().unwrap();
         assert!(
             evaluated <= commits + rejected,
             "{evaluated} conditions evaluated for {commits} commits + \
@@ -501,7 +496,6 @@ mod tests {
         let config = |node_limit, max_iter| OptimizerConfig {
             max_iter,
             node_limit,
-            search_threads: 1,
             ..Default::default()
         };
         let (singles, multis) = (single_rules(), multi_rules());

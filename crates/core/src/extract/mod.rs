@@ -725,7 +725,6 @@ mod tests {
             k_multi: 1,
             max_iter,
             node_limit,
-            search_threads: 1,
             ..Default::default()
         };
         explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
@@ -1098,7 +1097,6 @@ mod tests {
                 let config = OptimizerConfig {
                     k_multi,
                     node_limit: 2_000,
-                    search_threads: 1,
                     ..Default::default()
                 };
                 explore(&mut eg, root, &single_rules(), &multi_rules(), &config);

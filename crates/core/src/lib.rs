@@ -40,8 +40,8 @@ pub mod optimizer;
 
 pub use cycles::{find_cycles, remove_all_cycles, would_create_cycle, DescendantsMap};
 pub use explore::{
-    default_search_threads, explore, explore_with, CycleFilter, ExplorationContext,
-    ExplorationMode, ExplorationStats, ExplorationStrategy, Saturate, StopReason,
+    explore, explore_with, CycleFilter, ExplorationContext, ExplorationMode, ExplorationStats,
+    ExplorationStrategy, Saturate, StopReason,
 };
 pub use extract::{
     extract, extract_greedy, extract_greedy_dag, extract_ilp, extract_ilp_monolithic, ExtractError,

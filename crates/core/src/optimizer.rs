@@ -4,9 +4,7 @@
 //! under [`OptimizerConfig::cost_model`]: every extractor's objective, and
 //! the comparison that keeps the input when nothing extracted is cheaper.
 
-use crate::explore::{
-    default_search_threads, explore, CycleFilter, ExplorationMode, ExplorationStats,
-};
+use crate::explore::{explore, CycleFilter, ExplorationMode, ExplorationStats};
 use crate::extract::{extract, ExtractError, ExtractionMode, IlpConfig, IlpStats};
 use std::time::Duration;
 use tensat_egraph::RecExpr;
@@ -41,10 +39,10 @@ pub struct OptimizerConfig {
     /// The cycle-filtering algorithm used during exploration. `Off` makes
     /// [`Optimizer::optimize`] turn the ILP cycle constraints on.
     pub cycle_filter: CycleFilter,
-    /// Threads used by the e-matching search phase. `1` runs the sequential
-    /// driver; larger values shard candidate classes across scoped threads
-    /// with bit-identical match lists, so this only affects wall-clock
-    /// time. Defaults to [`default_search_threads`].
+    /// Accepted and ignored, like `apply_threads`: every search runs on
+    /// the calling thread. Kept (`1` by default) because the repo
+    /// benchmark's `benchmark/src/workloads.rs` writes it; the next change
+    /// to the benchmark retires it.
     pub search_threads: usize,
     /// Accepted and ignored: the apply phase is Algorithm 1's in-place
     /// loop and has no thread setting. Kept (`None` by default) because
@@ -98,10 +96,9 @@ pub struct TasoConfig {}
 pub struct GuidedConfig {}
 
 impl Default for OptimizerConfig {
-    /// Paper defaults — saturate-all exploration, ILP extraction — plus
-    /// [`default_search_threads`]. Nothing is read from the environment:
-    /// what [`Optimizer::optimize`] returns is a function of the graph, the
-    /// rules and this configuration.
+    /// Paper defaults — saturate-all exploration, ILP extraction. Nothing
+    /// is read from the environment: what [`Optimizer::optimize`] returns
+    /// is a function of the graph, the rules and this configuration.
     fn default() -> Self {
         OptimizerConfig {
             k_multi: 1,
@@ -109,7 +106,7 @@ impl Default for OptimizerConfig {
             node_limit: 50_000,
             exploration_time_limit: Duration::from_secs(60),
             cycle_filter: CycleFilter::Efficient,
-            search_threads: default_search_threads(),
+            search_threads: 1,
             apply_threads: None,
             exploration: ExplorationMode::Saturate,
             guided: GuidedConfig::default(),
@@ -405,7 +402,6 @@ mod tests {
         ] {
             let config = OptimizerConfig {
                 extraction,
-                search_threads: 1,
                 ..Default::default()
             };
             let refused = Optimizer::new(config).optimize(&graph).unwrap_err();
@@ -443,7 +439,6 @@ mod tests {
         let config = OptimizerConfig {
             k_multi: 2,
             extraction: ExtractionMode::Ilp,
-            search_threads: 1,
             ..Default::default()
         };
         let result = Optimizer::new(config).optimize(&graph).unwrap();

@@ -251,7 +251,6 @@ fn descendants_map_equals_naive_reachability_on_explored_bert() {
     let config = OptimizerConfig {
         k_multi: 2,
         node_limit: 2_000,
-        search_threads: 1,
         ..Default::default()
     };
     let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);

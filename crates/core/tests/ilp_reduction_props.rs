@@ -121,7 +121,6 @@ proptest! {
                 max_iter: 2,
                 node_limit,
                 exploration_time_limit: Duration::from_secs(600),
-                search_threads: 1,
                 ..Default::default()
             },
         );

@@ -66,9 +66,7 @@ fn validating() -> bool {
 /// clean e-graph and, of the e-graph itself, only the node table
 /// ([`EGraph::enode`]). Every read accessor takes `&self` and avoids
 /// interior mutability — in particular [`EGraph::find`] does *not* path
-/// compress — so an e-graph can be shared across threads: `EGraph` is
-/// `Sync` whenever `L`, `N`, and `N::Data` are. The parallel e-matching
-/// driver ([`crate::SearchSnapshot::search`]) relies on this.
+/// compress.
 ///
 /// # Examples
 ///
@@ -1495,16 +1493,6 @@ mod tests {
         // became congruent and were deduplicated by the rebuild).
         assert_eq!(eg.total_number_of_nodes(), 4);
         assert_eq!(eg.total_number_of_nodes(), recount(&eg));
-    }
-
-    /// The parallel search driver shares `&EGraph` across scoped threads;
-    /// this compile-time check pins the `Sync`-cleanliness of the read path
-    /// (it breaks if anyone adds interior mutability, e.g. a memoizing
-    /// `RefCell`, to a field reachable from the search accessors).
-    #[test]
-    fn egraph_is_sync_for_sync_parameters() {
-        fn assert_sync<T: Sync>() {}
-        assert_sync::<EGraph<Math, ()>>();
     }
 
     /// Analysis that tracks constant values (constant folding lattice).

@@ -23,15 +23,14 @@
 //!   operator buckets — which stays searchable through later `add` and
 //!   `union` calls; every search is a full search of the e-graph at the
 //!   snapshot. The legacy recursive matcher remains available as a
-//!   differential-testing oracle ([`Pattern::search_naive`]). Search can be
-//!   sharded across threads ([`SearchSnapshot::search`],
-//!   [`search_all_parallel`]) with bit-identical results. Matching is purely structural; a rule's
-//!   semantic side condition ([`Condition`]) runs when a match is applied,
-//!   by the one in-place apply loop ([`Rewrite::apply_while`]), against
-//!   the e-graph every earlier application of the batch left. The
-//!   saturation loop over these primitives — search, apply, [`EGraph::rebuild`]
-//!   — and its limits live in `tensat-core`'s exploration context; this
-//!   crate has none.
+//!   differential-testing oracle ([`Pattern::search_naive`]). Every search
+//!   runs on the calling thread ([`SearchSnapshot::search`]). Matching is
+//!   purely structural; a rule's semantic side condition ([`Condition`])
+//!   runs when a match is applied, by the one in-place apply loop
+//!   ([`Rewrite::apply_while`]), against the e-graph every earlier
+//!   application of the batch left. The saturation loop over these
+//!   primitives — search, apply, [`EGraph::rebuild`] — and its limits live
+//!   in `tensat-core`'s exploration context; this crate has none.
 //! * [`Extractor`] / [`DagExtractor`] — tree-greedy and global greedy DAG
 //!   extraction over one per-node [`CostFunction`] (an `f64` per e-node,
 //!   summed with `+`); its [`AstSize`] is term size under the first and DAG
@@ -88,11 +87,8 @@ pub use extract::{
     Polish,
 };
 pub use language::{assert_ord_contract, Id, Language, Symbol};
-pub use machine::{
-    search_all_guarded_parallel, search_all_guarded_parallel_with_threshold, ChildSource,
-    Instruction, Program, Reg, PARALLEL_SEARCH_SPAWN_THRESHOLD,
-};
-pub use pattern::{search_all_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, SubstRows, Var};
+pub use machine::{search_all_guarded_parallel, ChildSource, Instruction, Program, Reg};
+pub use pattern::{ENodeOrVar, Pattern, SearchMatches, Subst, SubstRows, Var};
 pub use recexpr::RecExpr;
 pub use rewrite::{Condition, Rewrite};
 pub use snapshot::SearchSnapshot;

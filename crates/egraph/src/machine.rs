@@ -59,14 +59,8 @@
 //!
 //! Search visits only the classes of the snapshot's bucket for the
 //! pattern root's operator discriminant: those holding at least one
-//! unfiltered e-node with it.
-//!
-//! The buckets also yield a natural *parallel* decomposition: programs
-//! and the snapshot are immutable and the node table is only read, so
-//! candidate classes can be split into contiguous chunks and searched by
-//! scoped threads, each with its own register stack
-//! ([`SearchSnapshot::search`]). Merging the chunk outputs in chunk order
-//! reproduces the sequential result bit for bit.
+//! unfiltered e-node with it. Every search runs on the calling thread
+//! ([`SearchSnapshot::search`]).
 
 use crate::{
     Analysis, EGraph, ENodeOrVar, Id, Language, RecExpr, SearchMatches, SearchSnapshot, SubstRows,
@@ -74,8 +68,7 @@ use crate::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::mem::Discriminant;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A virtual register holding an e-class id during matching.
 pub type Reg = usize;
@@ -295,8 +288,7 @@ impl<L: Language> Program<L> {
     /// e-graph's node lists are neither canonical nor sorted, and the range
     /// lookups would lose matches silently.
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        let snapshot = SearchSnapshot::new(egraph, &[self]);
-        snapshot.search_one(egraph, &mut Machine::default(), 0)
+        SearchSnapshot::new(egraph, &[self]).search(egraph, 0)
     }
 
     /// Resolves every ground subterm to its e-class, once per search
@@ -326,54 +318,19 @@ impl<L: Language> Program<L> {
 }
 
 impl<L: Language> SearchSnapshot<'_, L> {
-    /// Searches the programs at `programs` (indices into the list the
-    /// snapshot was taken for) against the e-graph as it was at the
-    /// snapshot, sharding their candidate classes across `n_threads`
-    /// scoped threads. Returns one match list per program, in order, each
-    /// bit-identical to that program's sequential search of the e-graph at
-    /// the snapshot.
+    /// Searches program `i` (an index into the list the snapshot was taken
+    /// for) against the e-graph as it was at the snapshot: one entry per
+    /// candidate class with a match, in candidate order, each class's rows
+    /// sorted and deduplicated.
     ///
     /// `egraph` is the e-graph the snapshot was taken from, read only for
     /// its node table: `add` and `union` calls made since are allowed, a
     /// rebuild is not.
-    ///
-    /// Work items — contiguous chunks of each program's candidate list — go
-    /// into a single atomic queue, so threads load-balance *across* programs:
-    /// one hot rule's chunks spread over every thread instead of serializing
-    /// the batch. Each thread owns a private register stack; the snapshot
-    /// and the e-graph are only read. Chunk outputs are written to
-    /// per-item slots and merged in item order, which reproduces the
-    /// sequential per-program match lists bit for bit.
-    ///
-    /// `n_threads <= 1`, an empty candidate set, or a batch below
-    /// [`PARALLEL_SEARCH_SPAWN_THRESHOLD`] candidates runs the programs one
-    /// after another on the calling thread — identical output, no thread
-    /// overhead.
-    pub fn search<N>(
-        &self,
-        egraph: &EGraph<L, N>,
-        programs: std::ops::Range<usize>,
-        n_threads: usize,
-    ) -> Vec<Vec<SearchMatches>>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        self.search_with_threshold(egraph, programs, n_threads, PARALLEL_SEARCH_SPAWN_THRESHOLD)
-    }
-
-    /// One program's search on the calling thread, in candidate order.
-    fn search_one<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        machine: &mut Machine,
-        i: usize,
-    ) -> Vec<SearchMatches> {
-        let candidates = self.candidates(i);
-        candidates
+    pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>, i: usize) -> Vec<SearchMatches> {
+        let mut machine = Machine::default();
+        self.candidates(i)
             .iter()
-            .filter_map(|&id| self.search_class(egraph, machine, i, id))
+            .filter_map(|&id| self.search_class(egraph, &mut machine, i, id))
             .collect()
     }
 
@@ -413,178 +370,33 @@ impl<L: Language> SearchSnapshot<'_, L> {
             substs: SubstRows::from_unsorted(program.vars.clone(), &machine.rows, machine.n_rows),
         })
     }
-
-    /// [`SearchSnapshot::search`] with an explicit spawn threshold instead
-    /// of [`PARALLEL_SEARCH_SPAWN_THRESHOLD`].
-    pub(crate) fn search_with_threshold<N>(
-        &self,
-        egraph: &EGraph<L, N>,
-        programs: std::ops::Range<usize>,
-        n_threads: usize,
-        spawn_threshold: usize,
-    ) -> Vec<Vec<SearchMatches>>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        let sequential = || {
-            let mut machine = Machine::default();
-            let programs = programs.clone();
-            programs
-                .map(|i| self.search_one(egraph, &mut machine, i))
-                .collect()
-        };
-        let total: usize = programs.clone().map(|i| self.candidates(i).len()).sum();
-        // Tiny batches lose more to thread spawn + merge than the threads can
-        // win back — run them on the sequential driver (which is the
-        // correctness reference, so results are identical by construction).
-        if n_threads <= 1 || total < spawn_threshold {
-            return sequential();
-        }
-        // Clamp the worker count: more workers than candidate classes would
-        // spawn threads with nothing to do, and more than a few per core is
-        // pure oversubscription (a caller passing `1000` must not create 999
-        // OS threads). The small multiple still lets CI force a >1 count on a
-        // single-core runner to exercise this path. A clamp to 1 means every
-        // spawned worker would idle — run sequentially.
-        let max_workers = std::thread::available_parallelism().map_or(4, |n| n.get() * 4);
-        let n_threads = n_threads.min(max_workers).min(total.max(1));
-        if n_threads == 1 {
-            return sequential();
-        }
-
-        let chunk_size = total.div_ceil(n_threads * CHUNKS_PER_THREAD).max(1);
-        let mut items: Vec<(usize, std::ops::Range<usize>)> = vec![];
-        for i in programs.clone() {
-            let len = self.candidates(i).len();
-            let mut start = 0;
-            while start < len {
-                let end = (start + chunk_size).min(len);
-                items.push((i, start..end));
-                start = end;
-            }
-        }
-
-        // One result slot per work item; each slot is written exactly once, by
-        // the thread that claimed the item off the queue.
-        let slots: Vec<OnceLock<Vec<SearchMatches>>> =
-            items.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let work = || {
-            let mut machine = Machine::default();
-            loop {
-                let n = next.fetch_add(1, Ordering::Relaxed);
-                let Some((i, range)) = items.get(n) else {
-                    break;
-                };
-                let found: Vec<SearchMatches> = self.candidates(*i)[range.clone()]
-                    .iter()
-                    .filter_map(|&id| self.search_class(egraph, &mut machine, *i, id))
-                    .collect();
-                slots[n].set(found).expect("each work item is claimed once");
-            }
-        };
-        std::thread::scope(|scope| {
-            // The calling thread is the n-th worker: it drains the queue too,
-            // so one spawn is saved and the search still makes progress while
-            // the OS brings the workers up.
-            for _ in 1..n_threads {
-                scope.spawn(work);
-            }
-            work();
-        });
-
-        // Items were generated per program in candidate order, so concatenating
-        // the slots in item order reproduces the sequential output exactly.
-        let mut out: Vec<Vec<SearchMatches>> = programs.clone().map(|_| vec![]).collect();
-        for ((i, _), slot) in items.iter().zip(slots) {
-            out[*i - programs.start]
-                .extend(slot.into_inner().expect("every work item was processed"));
-        }
-        out
-    }
 }
-
-/// Chunks per worker thread in the parallel search driver. More chunks than
-/// threads lets the atomic work queue rebalance when candidate classes have
-/// very uneven node counts (common: a few classes hold most of a model's
-/// operator nodes); contiguous chunks keep the merge deterministic.
-const CHUNKS_PER_THREAD: usize = 8;
-
-/// Candidate-count threshold below which the parallel search driver runs
-/// the sequential path even when asked for several threads. Spawning scoped
-/// workers, sharding the queue, and merging slots costs a few hundred
-/// microseconds; batches this small finish sequentially in less (the
-/// seven models' full rule batches at the default scale span 50–1100
-/// candidate classes), so the threads would only add overhead. The
-/// exploration loop searches one rule at a time, and on the repo
-/// benchmark no rule it searches reaches it: the largest candidate set is
-/// `concat-matmul`'s 1 001 classes in `bert_apply`'s 5th iteration (the
-/// 6th, cut by the node limit, stops before that rule) and 655 on
-/// `nasnet_search` (as measured). Larger batches keep the bit-identical
-/// chunk-ordered merge.
-pub const PARALLEL_SEARCH_SPAWN_THRESHOLD: usize = 2048;
 
 /// Searches a batch of compiled programs — e.g. from
 /// [`Pattern::program`](crate::Pattern::program) or
 /// [`Rewrite::searcher_query`](crate::Rewrite::searcher_query) — over one
-/// clean e-graph, sharding all their candidate classes across `n_threads`
-/// scoped threads: [`SearchSnapshot::search`] on a snapshot taken for the
-/// batch. Returns one match list per program, each bit-identical to that
-/// program's sequential [`Program::search`].
+/// clean e-graph, one after another on the calling thread:
+/// [`SearchSnapshot::search`] of each program on a snapshot taken for the
+/// batch. Returns one match list per program, each equal to that
+/// program's [`Program::search`].
 ///
-/// The name is historical: programs once came with a table of analysis
-/// guards. The repo benchmark (`benchmark/src/trace.rs`) calls this
-/// function by this name, so it stays until a `benchmark` PR renames it;
-/// [`search_all_parallel`](crate::search_all_parallel) is the same driver
-/// over patterns.
+/// `n_threads` is ignored. The name is historical: programs once came with
+/// a table of analysis guards, and the batch was once sharded across
+/// threads. The repo benchmark (`benchmark/src/trace.rs`) calls this
+/// function by this name, so it stays until a `benchmark` PR deletes it.
 ///
 /// # Panics
 ///
 /// Panics if the e-graph is not clean (see [`Program::search`]).
-pub fn search_all_guarded_parallel<L, N>(
+pub fn search_all_guarded_parallel<L: Language, N: Analysis<L>>(
     programs: &[&Program<L>],
     egraph: &EGraph<L, N>,
-    n_threads: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    search_all_guarded_parallel_with_threshold(
-        programs,
-        egraph,
-        n_threads,
-        PARALLEL_SEARCH_SPAWN_THRESHOLD,
-    )
-}
-
-/// [`search_all_guarded_parallel`] with an explicit spawn threshold
-/// instead of the default [`PARALLEL_SEARCH_SPAWN_THRESHOLD`]: batches with
-/// fewer candidate classes run on the sequential driver even when
-/// `n_threads > 1`, because thread spawn + merge overhead exceeds the work.
-/// `0` forces the parallel driver for any nonempty batch and `usize::MAX`
-/// forces the sequential driver; every dispatch produces bit-identical
-/// match lists, which the regression tests pin.
-pub fn search_all_guarded_parallel_with_threshold<L, N>(
-    programs: &[&Program<L>],
-    egraph: &EGraph<L, N>,
-    n_threads: usize,
-    spawn_threshold: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    SearchSnapshot::new(egraph, programs).search_with_threshold(
-        egraph,
-        0..programs.len(),
-        n_threads,
-        spawn_threshold,
-    )
+    _n_threads: usize,
+) -> Vec<Vec<SearchMatches>> {
+    let snapshot = SearchSnapshot::new(egraph, programs);
+    (0..programs.len())
+        .map(|i| snapshot.search(egraph, i))
+        .collect()
 }
 
 /// Builds the standalone `RecExpr` of a ground pattern subtree.
@@ -832,8 +644,8 @@ mod tests {
         eg.rebuild();
         let p = mul_by_two();
         assert!(p.program().search(&eg).is_empty());
-        let forced = search_all_guarded_parallel_with_threshold(&[p.program()], &eg, 4, 0);
-        assert_eq!(forced, vec![vec![]]);
+        let batch = search_all_guarded_parallel(&[p.program()], &eg, 1);
+        assert_eq!(batch, vec![vec![]]);
         assert!(p.search_naive(&eg).is_empty());
     }
 
@@ -888,34 +700,10 @@ mod tests {
         assert_eq!(p.search_naive(&eg).len(), 0);
     }
 
-    /// The parallel driver must return *bit-identical* output to the
-    /// sequential one for every thread count, including counts far above
-    /// the candidate count (shards degenerate to single classes) — the
-    /// chunk-order merge is what guarantees this.
+    /// The batch shim: every program's match list equals its standalone
+    /// search, in program order.
     #[test]
-    fn parallel_search_is_bit_identical_for_all_thread_counts() {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let two = eg.add(Math::Num(2));
-        for i in 0..37 {
-            let s = eg.add(sym(&format!("s{i}")));
-            let m = eg.add(Math::Mul([s, two]));
-            eg.add(Math::Mul([m, two]));
-        }
-        eg.rebuild();
-        let p = mul_by_two();
-        let sequential = p.program().search(&eg);
-        assert!(!sequential.is_empty());
-        for threads in [1, 2, 3, 4, 8, 64, 1000] {
-            let parallel =
-                search_all_guarded_parallel_with_threshold(&[p.program()], &eg, threads, 0);
-            assert_eq!(vec![sequential.clone()], parallel, "thread count {threads}");
-        }
-    }
-
-    /// Batch driver: every program's match list equals its standalone
-    /// sequential search, even when one "hot" pattern dominates the work.
-    #[test]
-    fn batch_parallel_search_matches_each_program() {
+    fn batch_search_matches_each_program() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
         let two = eg.add(Math::Num(2));
         let mut prev = eg.add(sym("seed"));
@@ -964,12 +752,5 @@ mod tests {
     fn batch_search_asserts_clean() {
         let p = mul_by_two();
         let _ = search_all_guarded_parallel(&[p.program()], &dirty_egraph(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "dirty")]
-    fn parallel_search_asserts_clean() {
-        let p = mul_by_two();
-        let _ = search_all_guarded_parallel_with_threshold(&[p.program()], &dirty_egraph(), 4, 0);
     }
 }

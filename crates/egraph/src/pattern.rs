@@ -256,8 +256,9 @@ impl SubstRows {
 /// All matches of a pattern inside one e-class.
 ///
 /// The `PartialEq` instance is exact (same class id, same substitution
-/// list in the same order); differential tests use it to check that the
-/// parallel search driver is bit-identical to the sequential one.
+/// list in the same order); differential tests use it to check that a
+/// search snapshot searched after later adds and unions answers bit for
+/// bit as the e-graph at the snapshot does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchMatches {
     /// The e-class in which the pattern root matched.
@@ -529,34 +530,6 @@ impl<L: Language> Display for Pattern<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.ast)
     }
-}
-
-/// Searches a whole batch of patterns over one e-graph in parallel,
-/// returning one match list per pattern (same order as `patterns`): one
-/// [`SearchSnapshot`](crate::SearchSnapshot) taken for the batch and
-/// [`SearchSnapshot::search`](crate::SearchSnapshot::search) on it.
-///
-/// All patterns' candidate-class chunks share a single work queue, so
-/// threads load-balance *across* rules: one rule with a huge candidate set
-/// does not serialize the batch. Every returned match list is bit-identical
-/// to the corresponding sequential [`Pattern::search`]. `n_threads <= 1`
-/// runs the sequential driver for each pattern in order.
-///
-/// # Panics
-///
-/// Panics if the e-graph is not clean (see [`Pattern::search`]).
-pub fn search_all_parallel<L, N>(
-    patterns: &[&Pattern<L>],
-    egraph: &EGraph<L, N>,
-    n_threads: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    let programs: Vec<&Program<L>> = patterns.iter().map(|p| p.program()).collect();
-    crate::machine::search_all_guarded_parallel(&programs, egraph, n_threads)
 }
 
 #[cfg(test)]

@@ -77,11 +77,12 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         rw
     }
 
-    /// The compiled searcher program, in the shape the batch search
-    /// drivers take (see [`crate::search_all_guarded_parallel`]). The name
-    /// is historical — it once returned a `(program, guard table)` pair —
-    /// and is kept because the repo benchmark (`benchmark/src/trace.rs`)
-    /// calls it.
+    /// The compiled searcher program, in the shape a
+    /// [`SearchSnapshot`](crate::SearchSnapshot) is taken for and
+    /// [`SearchSnapshot::search`](crate::SearchSnapshot::search) searches.
+    /// The name is historical — it once returned a `(program, guard table)`
+    /// pair — and is kept because the repo benchmark
+    /// (`benchmark/src/trace.rs`) calls it.
     pub fn searcher_query(&self) -> &Program<L> {
         self.searcher.program()
     }

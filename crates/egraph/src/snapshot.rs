@@ -21,8 +21,9 @@ use std::mem::Discriminant;
 /// e-graph at the snapshot would have returned — but not after the next
 /// rebuild. The exploration loop takes one per iteration and searches each
 /// rule against it right before applying that rule; [`Program::search`]
-/// and the batch drivers ([`crate::search_all_parallel`]) take one for the
-/// call.
+/// and the batch shim ([`crate::search_all_guarded_parallel`]) take one for
+/// the call. [`SearchSnapshot::search`] is the one driver: it searches one
+/// program on the calling thread.
 ///
 /// # Examples
 ///
@@ -46,7 +47,7 @@ use std::mem::Discriminant;
 /// let b = eg.add(Math::Sym(Symbol::new("b")));
 /// eg.add(Math::Mul([b, two]));
 /// eg.union(a, b);
-/// let matches = snapshot.search(&eg, 0..1, 1).remove(0);
+/// let matches = snapshot.search(&eg, 0);
 /// assert_eq!(matches.len(), 1);
 /// assert_eq!(matches[0].substs.subst(0)[Var::new("x")], a);
 /// ```
@@ -233,13 +234,13 @@ mod tests {
 
     /// A snapshot of a clean random e-graph, searched after a random batch
     /// of `add`/`union` calls, returns bit for bit what searching the
-    /// e-graph before the batch returns — sequentially and on the forced
-    /// parallel driver — on 300 seeded e-graphs with a filtered e-node
-    /// each. The test counts how often the cases it is for happened: the
-    /// batch unioned the constant 2's class (the ground subterm's) with
-    /// another while `(* ?x 2)` matched (97 times), added `<<`, an operator
-    /// the snapshot has no bucket for (249), `(+ ?x ?x)` matched (219),
-    /// and a search of the rebuilt e-graph found something else (277).
+    /// e-graph before the batch returns, on 300 seeded e-graphs with a
+    /// filtered e-node each. The test counts how often the cases it is for
+    /// happened: the batch unioned the constant 2's class (the ground
+    /// subterm's) with another while `(* ?x 2)` matched (97 times), added
+    /// `<<`, an operator the snapshot has no bucket for (249), `(+ ?x ?x)`
+    /// matched (219), and a search of the rebuilt e-graph found something
+    /// else (277).
     #[test]
     fn a_snapshot_searched_after_adds_and_unions_equals_the_search_before_them() {
         let patterns = patterns();
@@ -270,9 +271,10 @@ mod tests {
             grow(&mut eg, &mut ids, &mut next, two, n, unions, true);
             let (_, two_unioned) = eg.union(two, ids[next(ids.len())]);
 
-            assert_eq!(snapshot.search(&eg, 0..programs.len(), 1), want);
-            let forced = snapshot.search_with_threshold(&eg, 0..programs.len(), 4, 0);
-            assert_eq!(forced, want);
+            let got: Vec<_> = (0..programs.len())
+                .map(|i| snapshot.search(&eg, i))
+                .collect();
+            assert_eq!(got, want);
             ground_unioned += usize::from(two_unioned && !want[0].is_empty());
             shl_added += usize::from(
                 eg.classes()

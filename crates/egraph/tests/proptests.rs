@@ -6,7 +6,6 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 use tensat_egraph::doctest_lang::SimpleMath as Math;
 use tensat_egraph::{
-    search_all_guarded_parallel, search_all_guarded_parallel_with_threshold, search_all_parallel,
     Analysis, AstSize, EGraph, ENodeOrVar, Extractor, Id, Language, Pattern, RecExpr, Rewrite,
     SearchMatches, Subst, Symbol, Var,
 };
@@ -178,101 +177,6 @@ proptest! {
         let machine = pattern.search(&eg);
         let naive = pattern.search_naive(&eg);
         prop_assert_eq!(normalize(&eg, &machine), normalize(&eg, &naive));
-    }
-
-    /// Differential test of the parallel search driver against the
-    /// sequential machine, mirroring the machine-vs-naive oracle above:
-    /// on random e-graphs (with random unions and a random filter list) and
-    /// random patterns — including non-linear ones — the batch driver
-    /// forced to spawn its `n` threads must return *bit-identical* match lists (same class order, same
-    /// substitution order) for every thread count 1..=8, not merely
-    /// set-equal ones.
-    #[test]
-    fn parallel_search_is_bit_identical_to_sequential(
-        steps in steps_strategy(40),
-        pat_steps in pattern_strategy(12),
-        n_threads in 1usize..=8,
-        unions in prop::collection::vec((any::<usize>(), any::<usize>()), 0..6),
-        filter_picks in prop::collection::vec(any::<usize>(), 0..6)
-    ) {
-        let expr = build_expr(&steps);
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        eg.add_expr(&expr);
-        eg.rebuild();
-        let class_ids: Vec<Id> = eg.classes().map(|c| c.id).collect();
-        for (a, b) in unions {
-            let a = class_ids[a % class_ids.len()];
-            let b = class_ids[b % class_ids.len()];
-            eg.union(a, b);
-        }
-        eg.rebuild();
-        let all_nodes = listed_ids(&eg);
-        for pick in filter_picks {
-            eg.filter_node(all_nodes[pick % all_nodes.len()]);
-        }
-        let pattern = build_pattern(&pat_steps);
-        let sequential = pattern.search(&eg);
-        let mut parallel =
-            search_all_guarded_parallel_with_threshold(&[pattern.program()], &eg, n_threads, 0);
-        let parallel = parallel.pop().expect("one pattern in, one match list out");
-        prop_assert_eq!(&sequential, &parallel);
-        // And therefore also set-equal to the naive oracle.
-        prop_assert_eq!(normalize(&eg, &parallel), normalize(&eg, &pattern.search_naive(&eg)));
-    }
-
-    /// The batch driver (one shared work queue across many patterns) must
-    /// hand each pattern exactly the match list its standalone sequential
-    /// search produces, in pattern order.
-    #[test]
-    fn batch_parallel_search_matches_per_pattern_search(
-        steps in steps_strategy(40),
-        pats in prop::collection::vec(pattern_strategy(10), 1..4),
-        n_threads in 1usize..=8
-    ) {
-        let expr = build_expr(&steps);
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        eg.add_expr(&expr);
-        eg.rebuild();
-        let patterns: Vec<Pattern<Math>> = pats.iter().map(|p| build_pattern(p)).collect();
-        let refs: Vec<&Pattern<Math>> = patterns.iter().collect();
-        let batch = search_all_parallel(&refs, &eg, n_threads);
-        prop_assert_eq!(batch.len(), patterns.len());
-        for (pattern, got) in patterns.iter().zip(&batch) {
-            prop_assert_eq!(&pattern.search(&eg), got);
-        }
-    }
-
-    /// The spawn-threshold dispatch in the batch driver must be invisible:
-    /// whatever path the candidate count selects, the result must be
-    /// bit-identical to both the forced-parallel driver (threshold 0) and
-    /// the forced-sequential fallback (threshold `usize::MAX`). The small
-    /// random e-graphs here always fall below
-    /// `PARALLEL_SEARCH_SPAWN_THRESHOLD`, so the default dispatch takes the
-    /// sequential fallback while the threshold-0 run still exercises the
-    /// real worker spawn/merge machinery — making this the differential
-    /// test between the two.
-    #[test]
-    fn spawn_threshold_dispatch_is_bit_identical(
-        steps in steps_strategy(40),
-        pats in prop::collection::vec(pattern_strategy(10), 1..4),
-        n_threads in 2usize..=8
-    ) {
-        let expr = build_expr(&steps);
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        eg.add_expr(&expr);
-        eg.rebuild();
-        let patterns: Vec<Pattern<Math>> = pats.iter().map(|p| build_pattern(p)).collect();
-        let programs: Vec<_> = patterns.iter().map(|p| p.program()).collect();
-        let dispatched = search_all_guarded_parallel(&programs, &eg, n_threads);
-        let forced_parallel =
-            search_all_guarded_parallel_with_threshold(&programs, &eg, n_threads, 0);
-        let forced_sequential =
-            search_all_guarded_parallel_with_threshold(&programs, &eg, n_threads, usize::MAX);
-        prop_assert_eq!(&dispatched, &forced_parallel);
-        prop_assert_eq!(&dispatched, &forced_sequential);
-        for (pattern, got) in patterns.iter().zip(&dispatched) {
-            prop_assert_eq!(&pattern.search(&eg), got);
-        }
     }
 }
 
@@ -503,15 +407,12 @@ proptest! {
     /// into three classes (and take those classes as operands), so the
     /// largest class holds at least 64 nodes; some nodes are then filtered.
     /// On that e-graph, for one pattern per branch of the bound-children
-    /// plan and a random one: the machine equals the naive oracle, and the
-    /// forced-parallel batch driver equals the sequential searches bit for
-    /// bit.
+    /// plan and a random one, the machine equals the naive oracle.
     #[test]
-    fn big_class_search_equals_naive_and_forced_parallel(
+    fn big_class_search_equals_naive(
         nodes in prop::collection::vec((0u8..3, any::<usize>(), any::<usize>(), 0usize..3), 280..320),
         pat_steps in pattern_strategy(12),
-        filter_picks in prop::collection::vec(any::<usize>(), 0..12),
-        n_threads in 2usize..=8
+        filter_picks in prop::collection::vec(any::<usize>(), 0..12)
     ) {
         let mut eg = big_class_egraph(&nodes);
         let largest = eg.classes().map(|c| c.len()).max().unwrap_or(0);
@@ -523,18 +424,12 @@ proptest! {
 
         let mut patterns = bind_plan_patterns();
         patterns.push(("random", build_pattern(&pat_steps)));
-        let programs: Vec<_> = patterns.iter().map(|(_, p)| p.program()).collect();
-        let parallel =
-            search_all_guarded_parallel_with_threshold(&programs, &eg, n_threads, 0);
-
-        for ((name, pattern), parallel) in patterns.iter().zip(&parallel) {
-            let sequential = pattern.search(&eg);
+        for (name, pattern) in &patterns {
             prop_assert_eq!(
-                normalize(&eg, &sequential),
+                normalize(&eg, &pattern.search(&eg)),
                 normalize(&eg, &pattern.search_naive(&eg)),
                 "{}: machine != naive", name
             );
-            prop_assert_eq!(parallel, &sequential, "{}: parallel != sequential", name);
         }
     }
 }
